@@ -8,13 +8,12 @@
 //! * `report(fast: bool) -> String` which runs it, saves JSON under
 //!   `results/`, and renders the paper's table/series as text.
 //!
-//! Individual binaries under `src/bin/` run single experiments
-//! (`cargo run -p wgtt-bench --release --bin fig13_speed_sweep`); the
-//! `experiments` bench target replays everything
-//! (`cargo bench -p wgtt-bench`).
+//! The `wgtt-bench` binary runs them by id from [`all_experiments`]
+//! (`cargo run -p wgtt-bench --release -- fig13_speed_sweep`, `-- all
+//! --fast`, `-- list`). Host-speed and per-layer timing live in the
+//! standalone `benchmark/` package (`benchmark/run.sh`).
 
 pub mod ablations;
-pub mod alloccount;
 pub mod chaos;
 pub mod common;
 pub mod controller_resilience;
@@ -33,7 +32,6 @@ pub mod fig23;
 pub mod fig24;
 pub mod handoff_scaling;
 pub mod par;
-pub mod perf;
 pub mod resilience;
 pub mod scaling;
 pub mod table1;

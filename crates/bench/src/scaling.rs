@@ -9,8 +9,7 @@
 //! fingerprint must be byte-identical to the serial one.
 //!
 //! On a single-core host the curve is flat (≈1× everywhere) — that is
-//! expected and not a failure; the `perf_gate` binary only enforces the
-//! ≥2×-at-4-workers floor when the host actually has ≥4 cores.
+//! expected and not a failure.
 
 use crate::common::{render_table, save_json};
 use serde::Serialize;

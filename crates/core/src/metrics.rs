@@ -15,7 +15,7 @@ use wgtt_sim::{EnginePerf, SimDuration, SimTime};
 /// Wall-clock is measured by the engine's run loops ([`EnginePerf`]); none
 /// of it feeds back into the simulation, so two runs of the same scenario
 /// produce bit-identical *results* even when their `RunPerf` differs. This
-/// is the record the `perf` bench binary aggregates into `BENCH.json`.
+/// is the record the `benchmark/` package reads host speed from.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct RunPerf {
     /// Events the engine processed.

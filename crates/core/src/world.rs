@@ -3301,23 +3301,6 @@ impl WgttWorld {
 
         // Forwarding to the controller (uplink diversity).
         let serving = self.serving_of(c);
-        if std::env::var("WGTT_DEBUG3").is_ok()
-            && entries
-                .iter()
-                .any(|e| matches!(e.packet.payload, Payload::TcpAck { .. }))
-        {
-            eprintln!(
-                "[{now}] ACK burst: entries={:?} rx={:?} serving={serving:?}",
-                entries
-                    .iter()
-                    .map(|e| (e.seq, e.retries))
-                    .collect::<Vec<_>>(),
-                per_ap_received
-                    .iter()
-                    .map(|(a, g)| (*a, g.clone()))
-                    .collect::<Vec<_>>()
-            );
-        }
         if self.trace {
             eprintln!(
                 "   received per ap: {:?} serving={serving:?}",

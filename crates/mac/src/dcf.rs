@@ -129,7 +129,7 @@ impl Medium {
     }
 
     /// Whether two access times land in the same backoff slot — the
-    /// collision criterion for simultaneous contenders.
+    /// collision test for simultaneous contenders.
     pub fn same_slot(a: SimTime, b: SimTime) -> bool {
         let d = if a > b { a - b } else { b - a };
         d < slot()

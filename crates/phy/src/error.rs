@@ -135,8 +135,7 @@ impl PerModel {
 
     /// Pre-memoization reference implementation of [`Self::capacity_bps`]:
     /// one full ESNR integration per MCS. Kept as the equivalence oracle
-    /// and as the baseline the `perf` harness measures the memoized path
-    /// against (`BENCH.json` `esnr_hotpath` section).
+    /// the unit tests compare the memoized path against.
     pub fn capacity_bps_ref(
         &self,
         gi: crate::mcs::GuardInterval,

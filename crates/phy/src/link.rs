@@ -165,7 +165,7 @@ impl WirelessLink {
     }
 
     /// [`Self::mean_snr_db`] without the position memo — the reference the
-    /// cache is checked against, and the baseline for the `perf` harness.
+    /// cache is checked against.
     pub fn mean_snr_db_uncached(&self, client: &Position) -> f64 {
         let d = self.ap.distance_to(client);
         let theta = self.ap.off_boresight(client);
@@ -218,8 +218,7 @@ impl WirelessLink {
     }
 
     /// [`Self::csi`] without the snapshot memo or twiddle precompute — the
-    /// reference path the cache is checked against, and the baseline for
-    /// the `perf` harness.
+    /// reference path the cache is checked against.
     pub fn csi_uncached(&self, t: SimTime, client: &Position, speed_mps: f64) -> Csi {
         let fd = doppler_hz(speed_mps, self.cfg.pathloss.wavelength_m());
         let hv = self

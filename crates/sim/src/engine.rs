@@ -18,8 +18,8 @@ use std::time::{Duration, Instant};
 /// Engine-level performance counters: how much simulated work was done and
 /// how long the host took to do it. Wall-clock never feeds back into the
 /// simulation — results stay bit-identical whatever the host speed — it is
-/// only read out afterwards by experiment harnesses (events/sec trajectory
-/// in `BENCH.json`).
+/// only read out afterwards by experiment harnesses and the benchmark
+/// (`sim.engine.events_per_s`).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EnginePerf {
     /// Events processed so far.

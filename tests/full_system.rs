@@ -1,7 +1,10 @@
 //! Cross-crate integration tests through the `wgtt` facade: the headline
 //! paper results, end to end.
 
-use wgtt::core::{run, FlowSpec, Mode, Scenario, SystemConfig};
+use wgtt::core::{
+    run, run_sharded, FlowSpec, Mode, RunResult, Scenario, ShardedScenario, SystemConfig,
+};
+use wgtt::sim::{FaultSchedule, SimDuration, SimTime};
 use wgtt::workloads::video::{replay_video, VideoConfig};
 
 fn scenario(mode: Mode, mph: f64, flows: Vec<FlowSpec>, seed: u64) -> Scenario {
@@ -117,6 +120,48 @@ fn uplink_dedup_protects_the_server() {
     assert!(sink.received() > 100);
 }
 
+/// What a single-vehicle run did, as one readable line: a field that
+/// moves names itself in the assertion diff.
+fn drive_digest(r: &RunResult) -> String {
+    let m = &r.world.clients[0].metrics;
+    let s = &r.world.sys;
+    // FNV-1a: stable across processes and platforms (unlike `DefaultHasher`).
+    let mut assoc_hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in format!("{:?}", m.assoc_timeline).bytes() {
+        assoc_hash = (assoc_hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!(
+        "events={} goodput_bits={:#x} switches={} assoc_hash={assoc_hash:#x} \
+         mpdu_successes={} ap_crashes={} emergency_reattaches={} \
+         backhaul_dup_deliveries={} backhaul_reorders={} dup_control_dropped={}",
+        r.events,
+        r.downlink_bps(0).to_bits(),
+        r.world.ctrl.engine.history().len(),
+        m.mpdu_successes,
+        s.ap_crashes,
+        s.emergency_reattaches,
+        s.backhaul_dup_deliveries,
+        s.backhaul_reorders,
+        s.dup_control_dropped,
+    )
+}
+
+/// Golden digests of the two runs below. They pin behaviour, not just
+/// repeatability: a change that moves one has changed what the system
+/// does and must update the digest — and say why — in the same PR.
+const FAULTED_UDP_DRIVE_GOLDEN: &str = "events=57783 goodput_bits=0x4170306bc7d89cb9 \
+    switches=18 assoc_hash=0x72bfbe1b2b724103 mpdu_successes=5620 ap_crashes=1 \
+    emergency_reattaches=1 backhaul_dup_deliveries=582 backhaul_reorders=582 \
+    dup_control_dropped=0";
+const RING_CORRIDOR_GOLDEN: &str = concat!(
+    r#"{"events":78678,"migrations":[[4000000000,0,1],[4000000000,1,0]],"shards":["#,
+    r#"{"switches":12,"assoc_hash":1533899944479837981,"mpdu":1842,"in":1,"out":1},"#,
+    r#"{"switches":9,"assoc_hash":12713436842280116599,"mpdu":2158,"in":1,"out":1}],"#,
+    r#""departed_ctrl_drops":4,"departed_data_drops":0,"departed_data_bytes":0,"#,
+    r#""seam_forwarded":2,"residue_transferred":1045,"migration_retries":0,"#,
+    r#""migration_dups_dropped":0,"migration_aborts":0}"#,
+);
+
 #[test]
 fn runs_are_deterministic() {
     let mk = || {
@@ -133,4 +178,33 @@ fn runs_are_deterministic() {
     assert_eq!(a.events, b.events);
     assert_eq!(a.downlink_bps(0), b.downlink_bps(0));
     assert_eq!(a.world.flows[0].completed_at, b.world.flows[0].completed_at);
+
+    // A UDP drive whose serving AP dies under it (one emergency
+    // re-attach), then a backhaul dup/reorder window.
+    let mut faulted = scenario(
+        Mode::Wgtt,
+        35.0,
+        vec![FlowSpec::DownlinkUdp {
+            rate_bps: 20_000_000,
+            payload: 1472,
+        }],
+        77,
+    );
+    faulted.faults = FaultSchedule::new()
+        .with_ap_outage(2, SimTime::from_millis(1200), SimTime::from_millis(2200))
+        .with_duplication(SimTime::from_secs(2), SimTime::from_secs(4), 0.05)
+        .with_reordering(
+            SimTime::from_secs(2),
+            SimTime::from_secs(4),
+            0.05,
+            SimDuration::from_millis(1),
+        );
+    assert_eq!(drive_digest(&run(faulted)), FAULTED_UDP_DRIVE_GOLDEN);
+
+    // A two-shard ring on two lockstep workers: each vehicle crosses a seam.
+    let mut cfg = SystemConfig::default();
+    cfg.deployment.num_aps = 4;
+    let ring =
+        ShardedScenario::ring_corridor(cfg, 2, 1, 35.0, 5_000_000, SimDuration::from_secs(6), 4242);
+    assert_eq!(run_sharded(&ring, 2).fingerprint(), RING_CORRIDOR_GOLDEN);
 }
