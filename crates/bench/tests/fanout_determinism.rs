@@ -79,6 +79,14 @@ fn pool_width_never_changes_results() {
         payloads[0], payloads[2],
         "8-worker fan-out diverged from serial"
     );
+    // Every `run` above opened an oracle helper pool; eight at once must
+    // have shared the host's spare cores, not claimed them eight times.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let peak = wgtt_core::oracle::peak_helper_threads();
+    assert!(
+        peak < cores,
+        "{peak} oracle helper threads alive at once on {cores} cores"
+    );
     emit_probe("fanout_fingerprint", &payloads[0]);
 }
 

@@ -15,7 +15,9 @@
 //! * [`world`] — the discrete-event orchestration of radio, backhaul, and
 //!   control planes, runnable in WGTT or Enhanced-802.11r mode;
 //! * [`runner`] — scenario description and one-call experiment execution;
-//! * [`metrics`] — the measurements behind every table and figure.
+//! * [`metrics`] — the measurements behind every table and figure;
+//! * [`oracle`] — the best-AP oracle behind Table 2 and the capacity-loss
+//!   figures: recorded in the event loop, evaluated off it.
 //!
 //! ## Quick start
 //!
@@ -41,6 +43,7 @@ pub mod cyclic;
 pub mod dedup;
 pub mod health;
 pub mod metrics;
+pub mod oracle;
 pub mod protocol_check;
 pub mod replica;
 pub mod runner;

@@ -20,7 +20,9 @@ use wgtt_sim::{EnginePerf, SimDuration, SimTime};
 pub struct RunPerf {
     /// Events the engine processed.
     pub events: u64,
-    /// Host wall-clock seconds spent in the event loop.
+    /// Host wall-clock seconds spent in the event loop, including the
+    /// end-of-run drain of oracle samples still queued for evaluation
+    /// (see [`crate::oracle`]).
     pub wall_s: f64,
     /// Simulated seconds covered by the run (traffic duration + settle).
     pub sim_s: f64,
@@ -167,6 +169,20 @@ impl ClientMetrics {
             0.0
         } else {
             self.capacity_loss_bps_sum / self.capacity_best_bps_sum
+        }
+    }
+
+    /// Adds one oracle sample's verdict. The two capacity sums are `f64`s:
+    /// callers must add verdicts in recording order (see [`crate::oracle`]).
+    pub(crate) fn add_oracle(&mut self, v: &crate::oracle::Verdict) {
+        self.capacity_best_bps_sum += v.best_cap;
+        self.capacity_loss_bps_sum += v.loss;
+        self.capacity_samples += 1;
+        if v.has_serving {
+            self.accuracy_total += 1;
+            if v.optimal {
+                self.accuracy_optimal += 1;
+            }
         }
     }
 

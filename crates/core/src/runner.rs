@@ -194,17 +194,26 @@ fn build_trajectory(
 /// Builds and runs a scenario to completion on the default (calendar
 /// queue) hot path.
 pub fn run(scenario: Scenario) -> RunResult {
-    run_impl(scenario, false)
+    run_impl(scenario, false, None)
+}
+
+/// [`run`] with exactly `helpers` oracle helper threads instead of as many
+/// as the host has cores to spare — for the helper-count invariance suite
+/// (`tests/oracle_pipeline.rs`), which must see identical results at any
+/// count. Not a tuning knob: the count cannot change a result.
+#[doc(hidden)]
+pub fn run_with_oracle_helpers(scenario: Scenario, helpers: usize) -> RunResult {
+    run_impl(scenario, false, Some(helpers))
 }
 
 /// Runs a scenario on the retained reference path (legacy heap event
 /// queue). Must produce results byte-identical to [`run`] — the
 /// fingerprint-equality suites enforce this.
 pub fn run_reference(scenario: Scenario) -> RunResult {
-    run_impl(scenario, true)
+    run_impl(scenario, true, None)
 }
 
-fn run_impl(scenario: Scenario, reference: bool) -> RunResult {
+fn run_impl(scenario: Scenario, reference: bool, oracle_helpers: Option<usize>) -> RunResult {
     let dep = scenario.config.deployment.build();
     let trajectories: Vec<Box<dyn Trajectory>> = scenario
         .clients
@@ -250,12 +259,24 @@ fn run_impl(scenario: Scenario, reference: bool) -> RunResult {
     prime_events(&mut sim);
     // Run past the traffic end so in-flight packets settle.
     let settle = SimDuration::from_millis(500);
-    sim.run_until(traffic_until + settle);
+    // The oracle's evaluations run beside the event loop where the host
+    // has a core to spare; whatever is still queued when the loop ends is
+    // finished here, inside the reported wall.
+    let drain = crate::oracle::with_helpers(1, oracle_helpers, |pool| {
+        if let Some(pool) = pool {
+            sim.world_mut().attach_oracle(pool);
+        }
+        sim.run_until(traffic_until + settle);
+        let loop_done = std::time::Instant::now();
+        sim.world_mut().drain_oracle();
+        loop_done.elapsed()
+    });
     let events = sim.events_processed();
-    let perf = crate::metrics::RunPerf::from_engine(
+    let mut perf = crate::metrics::RunPerf::from_engine(
         sim.perf(),
         (scenario.duration + settle).as_secs_f64(),
     );
+    perf.wall_s += drain.as_secs_f64();
     RunResult {
         world: sim.into_world(),
         duration: scenario.duration,

@@ -713,7 +713,8 @@ pub struct ShardedRunResult {
     pub sys: SystemMetrics,
     /// Applied boundary crossings, in application order.
     pub migrations: Vec<Migration>,
-    /// Host wall-clock spent inside the lockstep drive.
+    /// Host wall-clock spent inside the lockstep drive, including the
+    /// end-of-run drain of oracle samples still queued for evaluation.
     pub wall: std::time::Duration,
     /// Traffic duration that was simulated.
     pub duration: SimDuration,
@@ -797,6 +798,26 @@ fn shard_seed(root: u64, shard: usize) -> u64 {
 /// byte-identical [`ShardedRunResult::fingerprint`] — enforced by the
 /// `lockstep_determinism` suite and the CI worker matrix.
 pub fn run_sharded(scenario: &ShardedScenario, workers: usize) -> ShardedRunResult {
+    run_sharded_impl(scenario, workers, None)
+}
+
+/// [`run_sharded`] with exactly `helpers` oracle helper threads — the
+/// sharded twin of
+/// [`run_with_oracle_helpers`](crate::runner::run_with_oracle_helpers).
+#[doc(hidden)]
+pub fn run_sharded_with_oracle_helpers(
+    scenario: &ShardedScenario,
+    workers: usize,
+    helpers: usize,
+) -> ShardedRunResult {
+    run_sharded_impl(scenario, workers, Some(helpers))
+}
+
+fn run_sharded_impl(
+    scenario: &ShardedScenario,
+    workers: usize,
+    oracle_helpers: Option<usize>,
+) -> ShardedRunResult {
     if let Err(e) = scenario.validate() {
         panic!("{e}");
     }
@@ -871,136 +892,90 @@ pub fn run_sharded(scenario: &ShardedScenario, workers: usize) -> ShardedRunResu
     // wherever it currently lives.
     let mut route: RouteTable = vec![std::collections::HashMap::new(); n];
     let mut seam = SeamState::new(scenario.seed, scenario.config.migration);
-    let started = std::time::Instant::now();
-    drive(
-        &mut shards,
-        workers,
-        SimTime::ZERO,
-        end,
-        epoch,
-        |shards, now| {
-            // 1. Deliver seam frames sent before this barrier: prepares
-            // admit migrants, commits release retained records, forwards
-            // deposit chased residue. (The naive shim has no channel.)
-            if !naive {
-                seam.deliver_due(shards, &mut route, now);
-            }
-            // 2. Stage boundary crossings: ascending sender shard id,
-            // ascending client index — the (sender, sequence) total order
-            // of the lockstep contract.
-            let mut staged: Vec<(usize, usize)> = Vec::new(); // (from, local client)
-            for (i, shard) in shards.iter().enumerate() {
-                let w = shard.sim.world();
-                for c in 0..w.clients.len() {
-                    if w.is_resident(c) && w.clients[c].position(now).x >= exit_x {
-                        staged.push((i, c));
-                    }
+    let mut at_barrier = |shards: &mut [Shard], now: SimTime| {
+        // 1. Deliver seam frames sent before this barrier: prepares
+        // admit migrants, commits release retained records, forwards
+        // deposit chased residue. (The naive shim has no channel.)
+        if !naive {
+            seam.deliver_due(shards, &mut route, now);
+        }
+        // 2. Stage boundary crossings: ascending sender shard id,
+        // ascending client index — the (sender, sequence) total order
+        // of the lockstep contract.
+        let mut staged: Vec<(usize, usize)> = Vec::new(); // (from, local client)
+        for (i, shard) in shards.iter().enumerate() {
+            let w = shard.sim.world();
+            for c in 0..w.clients.len() {
+                if w.is_resident(c) && w.clients[c].position(now).x >= exit_x {
+                    staged.push((i, c));
                 }
             }
-            // Export serially in staging order: retire at the source and
-            // start the two-phase handoff — the record (switch-epoch
-            // high-water, primed dedup keys, undelivered residue) stays
-            // retained at the source until the destination commits. The
-            // naive shim admits a fresh identity immediately and drops
-            // the record, charging its residue as seam loss.
-            for (from, c) in staged {
-                let to = if from + 1 < n {
-                    from + 1
-                } else if ring {
-                    0
-                } else {
-                    usize::MAX
+        }
+        // Export serially in staging order: retire at the source and
+        // start the two-phase handoff — the record (switch-epoch
+        // high-water, primed dedup keys, undelivered residue) stays
+        // retained at the source until the destination commits. The
+        // naive shim admits a fresh identity immediately and drops
+        // the record, charging its residue as seam loss.
+        for (from, c) in staged {
+            let to = if from + 1 < n {
+                from + 1
+            } else if ring {
+                0
+            } else {
+                usize::MAX
+            };
+            let overshoot = {
+                let w = shards[from].sim.world();
+                w.clients[c].position(now).x - exit_x
+            };
+            let rec = shards[from].sim.world_mut().retire_client(c, now);
+            if to == usize::MAX {
+                // Corridor exit: nothing to hand the record to.
+                shards[from]
+                    .sim
+                    .world_mut()
+                    .count_seam_loss(rec.residue.len() as u64, rec.residue_bytes());
+            } else {
+                let spec = MigrantSpec {
+                    entry_x: lo - scenario.entry_lead_m + overshoot,
+                    lane_y,
+                    speed_mps: speed,
+                    flows: flows.clone(),
+                    log_deliveries: false,
                 };
-                let overshoot = {
-                    let w = shards[from].sim.world();
-                    w.clients[c].position(now).x - exit_x
-                };
-                let rec = shards[from].sim.world_mut().retire_client(c, now);
-                if to == usize::MAX {
-                    // Corridor exit: nothing to hand the record to.
+                if naive {
+                    let local = shards[to].sim.world_mut().admit_migrant(&spec, None, now);
+                    prime_migrant_events(&mut shards[to].sim, local);
                     shards[from]
                         .sim
                         .world_mut()
                         .count_seam_loss(rec.residue.len() as u64, rec.residue_bytes());
                 } else {
-                    let spec = MigrantSpec {
-                        entry_x: lo - scenario.entry_lead_m + overshoot,
-                        lane_y,
-                        speed_mps: speed,
-                        flows: flows.clone(),
-                        log_deliveries: false,
-                    };
-                    if naive {
-                        let local = shards[to].sim.world_mut().admit_migrant(&spec, None, now);
-                        prime_migrant_events(&mut shards[to].sim, local);
-                        shards[from]
-                            .sim
-                            .world_mut()
-                            .count_seam_loss(rec.residue.len() as u64, rec.residue_bytes());
-                    } else {
-                        seam.export(shards, now, from, to, c, spec, rec);
-                    }
+                    seam.export(shards, now, from, to, c, spec, rec);
                 }
-                migrations.push(Migration { at: now, from, to });
             }
-            // 3. Retry/abort sweep: re-send overdue prepares and
-            // forwards; past the budget, abort the handoff and readopt
-            // the client at the source.
-            if !naive {
-                seam.sweep(shards, now);
-            }
-            // 4. Drain seam outboxes: datagrams that reached a shard
-            // after their client had already left (downlink still in
-            // flight through the backhaul, late uplink copies,
-            // unacked-requeue spill). Drained ascending (shard, client):
-            // committed destinations get an acked forward, un-committed
-            // handoffs accumulate the batch as trailing residue, and a
-            // readopted client takes its datagrams back directly.
-            for from in 0..n {
-                let drained = shards[from].sim.world_mut().drain_outbox();
-                for (c, entries) in drained {
-                    if naive {
-                        // The shim has no forwarding channel: the
-                        // datagrams die at the seam.
-                        let bytes: u64 = entries
-                            .iter()
-                            .map(|e| e.payload.packet().len_bytes as u64)
-                            .sum();
-                        shards[from]
-                            .sim
-                            .world_mut()
-                            .count_seam_loss(entries.len() as u64, bytes);
-                        continue;
-                    }
-                    let (mut s, mut lc) = (from, c);
-                    while let Some(&(ns, nc)) = route[s].get(&lc) {
-                        s = ns;
-                        lc = nc;
-                    }
-                    if s != from || lc != c {
-                        seam.queue_forward(shards, now, from, s, lc, entries);
-                        continue;
-                    }
-                    if let Some(p) = seam
-                        .pending
-                        .values_mut()
-                        .find(|p| p.from == from && p.src_client == c)
-                    {
-                        p.trailing.extend(entries);
-                        continue;
-                    }
-                    if shards[from].sim.world().is_resident(c) {
-                        // Aborted and readopted: the datagrams return to
-                        // the client itself.
-                        if shards[from].sim.world_mut().deposit_seam(c, entries) {
-                            shards[from]
-                                .sim
-                                .schedule_at(now, Ev::MigrantFlush { client: c });
-                        }
-                        continue;
-                    }
-                    // Departed with no route, no pending handoff, and no
-                    // readoption: the client left a non-ring corridor.
+            migrations.push(Migration { at: now, from, to });
+        }
+        // 3. Retry/abort sweep: re-send overdue prepares and
+        // forwards; past the budget, abort the handoff and readopt
+        // the client at the source.
+        if !naive {
+            seam.sweep(shards, now);
+        }
+        // 4. Drain seam outboxes: datagrams that reached a shard
+        // after their client had already left (downlink still in
+        // flight through the backhaul, late uplink copies,
+        // unacked-requeue spill). Drained ascending (shard, client):
+        // committed destinations get an acked forward, un-committed
+        // handoffs accumulate the batch as trailing residue, and a
+        // readopted client takes its datagrams back directly.
+        for from in 0..n {
+            let drained = shards[from].sim.world_mut().drain_outbox();
+            for (c, entries) in drained {
+                if naive {
+                    // The shim has no forwarding channel: the
+                    // datagrams die at the seam.
                     let bytes: u64 = entries
                         .iter()
                         .map(|e| e.payload.packet().len_bytes as u64)
@@ -1009,11 +984,71 @@ pub fn run_sharded(scenario: &ShardedScenario, workers: usize) -> ShardedRunResu
                         .sim
                         .world_mut()
                         .count_seam_loss(entries.len() as u64, bytes);
+                    continue;
                 }
+                let (mut s, mut lc) = (from, c);
+                while let Some(&(ns, nc)) = route[s].get(&lc) {
+                    s = ns;
+                    lc = nc;
+                }
+                if s != from || lc != c {
+                    seam.queue_forward(shards, now, from, s, lc, entries);
+                    continue;
+                }
+                if let Some(p) = seam
+                    .pending
+                    .values_mut()
+                    .find(|p| p.from == from && p.src_client == c)
+                {
+                    p.trailing.extend(entries);
+                    continue;
+                }
+                if shards[from].sim.world().is_resident(c) {
+                    // Aborted and readopted: the datagrams return to
+                    // the client itself.
+                    if shards[from].sim.world_mut().deposit_seam(c, entries) {
+                        shards[from]
+                            .sim
+                            .schedule_at(now, Ev::MigrantFlush { client: c });
+                    }
+                    continue;
+                }
+                // Departed with no route, no pending handoff, and no
+                // readoption: the client left a non-ring corridor.
+                let bytes: u64 = entries
+                    .iter()
+                    .map(|e| e.payload.packet().len_bytes as u64)
+                    .sum();
+                shards[from]
+                    .sim
+                    .world_mut()
+                    .count_seam_loss(entries.len() as u64, bytes);
             }
-        },
-    );
-    let wall = started.elapsed();
+        }
+    };
+    let loop_threads = workers.clamp(1, n);
+    let wall = crate::oracle::with_helpers(loop_threads, oracle_helpers, |pool| {
+        if let Some(pool) = pool {
+            for shard in &mut shards {
+                shard.sim.world_mut().attach_oracle(pool);
+            }
+        }
+        let started = std::time::Instant::now();
+        drive(
+            &mut shards,
+            workers,
+            SimTime::ZERO,
+            end,
+            epoch,
+            &mut at_barrier,
+        );
+        // Every shard, retired clients and all: a sample stays with the
+        // world that recorded it, whose metrics callers sum.
+        for shard in &mut shards {
+            shard.sim.world_mut().drain_oracle();
+        }
+        started.elapsed()
+    });
 
     let mut events = 0u64;
     let worlds: Vec<WgttWorld> = shards

@@ -2,7 +2,7 @@
 //! paper results, end to end.
 
 use wgtt::core::{
-    run, run_sharded, FlowSpec, Mode, RunResult, Scenario, ShardedScenario, SystemConfig,
+    run, run_sharded, FlowSpec, Mode, RunResult, Scenario, ShardedScenario, SystemConfig, WgttWorld,
 };
 use wgtt::sim::{FaultSchedule, SimDuration, SimTime};
 use wgtt::workloads::video::{replay_video, VideoConfig};
@@ -146,6 +146,27 @@ fn drive_digest(r: &RunResult) -> String {
     )
 }
 
+/// The accuracy oracle's output for every client of a world: counts, and
+/// the bits of both capacity sums (an `f64` sum names its order of addition).
+fn oracle_digest(w: &WgttWorld) -> String {
+    let per_client: Vec<String> = w
+        .clients
+        .iter()
+        .map(|c| {
+            let m = &c.metrics;
+            format!(
+                "total={} optimal={} samples={} best_bits={:#x} loss_bits={:#x}",
+                m.accuracy_total,
+                m.accuracy_optimal,
+                m.capacity_samples,
+                m.capacity_best_bps_sum.to_bits(),
+                m.capacity_loss_bps_sum.to_bits(),
+            )
+        })
+        .collect();
+    per_client.join("; ")
+}
+
 /// Golden digests of the two runs below. They pin behaviour, not just
 /// repeatability: a change that moves one has changed what the system
 /// does and must update the digest — and say why — in the same PR.
@@ -161,6 +182,20 @@ const RING_CORRIDOR_GOLDEN: &str = concat!(
     r#""seam_forwarded":2,"residue_transferred":1045,"migration_retries":0,"#,
     r#""migration_dups_dropped":0,"migration_aborts":0}"#,
 );
+/// The oracle's five fields (no other fingerprint covers them), recorded at
+/// the commit before `core::oracle` took the evaluation off the event loop:
+/// the drive's AP crash exercises the `ap_down` snapshot, the ring's seam
+/// crossings leave samples behind with the shard that recorded them.
+const FAULTED_UDP_DRIVE_ORACLE_GOLDEN: &str = "total=3850 optimal=3038 samples=3868 \
+    best_bits=0x4243a3582ef1713c loss_bits=0x421067e0d7c83e4d";
+const RING_CORRIDOR_ORACLE_GOLDEN: [&str; 2] = [
+    "total=2602 optimal=2523 samples=2613 best_bits=0x4234df2c645ab63e \
+     loss_bits=0x41ccf727fae9e0f0; total=1950 optimal=1707 samples=1951 \
+     best_bits=0x42347b11f8a5d488 loss_bits=0x41ffceae8a89c346",
+    "total=2602 optimal=2454 samples=2613 best_bits=0x423500fa0f37fcf1 \
+     loss_bits=0x41d41b2a954b178a; total=1950 optimal=1872 samples=1951 \
+     best_bits=0x4234932415a842a4 loss_bits=0x41c59abe7103b556",
+];
 
 #[test]
 fn runs_are_deterministic() {
@@ -199,12 +234,20 @@ fn runs_are_deterministic() {
             0.05,
             SimDuration::from_millis(1),
         );
-    assert_eq!(drive_digest(&run(faulted)), FAULTED_UDP_DRIVE_GOLDEN);
+    let faulted = run(faulted);
+    assert_eq!(drive_digest(&faulted), FAULTED_UDP_DRIVE_GOLDEN);
+    assert_eq!(
+        oracle_digest(&faulted.world),
+        FAULTED_UDP_DRIVE_ORACLE_GOLDEN
+    );
 
     // A two-shard ring on two lockstep workers: each vehicle crosses a seam.
     let mut cfg = SystemConfig::default();
     cfg.deployment.num_aps = 4;
     let ring =
         ShardedScenario::ring_corridor(cfg, 2, 1, 35.0, 5_000_000, SimDuration::from_secs(6), 4242);
-    assert_eq!(run_sharded(&ring, 2).fingerprint(), RING_CORRIDOR_GOLDEN);
+    let ring = run_sharded(&ring, 2);
+    assert_eq!(ring.fingerprint(), RING_CORRIDOR_GOLDEN);
+    let per_shard: Vec<String> = ring.worlds.iter().map(oracle_digest).collect();
+    assert_eq!(per_shard, RING_CORRIDOR_ORACLE_GOLDEN);
 }
