@@ -240,7 +240,10 @@ mod tests {
         for p in &sweep.points {
             eprintln!(
                 "{} shards: naive_ret={:.4} faulted_ret={:.4} retries={} dups={}",
-                p.shards, p.naive_retention, p.faulted_retention, p.faulted_retries,
+                p.shards,
+                p.naive_retention,
+                p.faulted_retention,
+                p.faulted_retries,
                 p.faulted_dups_dropped
             );
             // 10 % seam loss + duplication must not cost a single byte:

@@ -14,6 +14,7 @@
 use crate::common::{render_table, save_json};
 use serde::Serialize;
 use wgtt_core::config::SystemConfig;
+use wgtt_core::digest::assert_same;
 use wgtt_core::shard::{run_sharded, ShardedScenario};
 use wgtt_sim::SimDuration;
 
@@ -81,7 +82,7 @@ pub fn run_experiment(fast: bool) -> ScalingSweep {
             migrations = r.migrations.len();
         }
         // The contract under test: worker count never changes results.
-        assert_eq!(fp, fingerprint, "workers={workers} diverged from serial");
+        assert_same(&format!("workers={workers} vs serial"), &fp, &fingerprint);
         let wall_s = r.wall.as_secs_f64();
         let events_per_sec = if wall_s > 0.0 {
             r.events as f64 / wall_s

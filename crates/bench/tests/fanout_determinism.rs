@@ -3,47 +3,21 @@
 //! Two contracts, both load-bearing for the perf work:
 //!
 //! 1. **Width-independence** — the same job list produces byte-identical
-//!    metric fingerprints through 1, 2, and 8 workers. Results are
+//!    run digests through 1, 2, and 8 workers. Results are
 //!    collected by *input* index, so scheduling can never reorder them.
 //! 2. **Serial equivalence** — a no-fault run fanned out through the pool
 //!    is bit-identical (down to the f64 bits of goodput) to calling the
 //!    serial engine directly.
 //!
-//! Like the chaos/failover suites, the fingerprints double as CI probes:
+//! Like the chaos/failover suites, the digests double as CI probes:
 //! with `WGTT_DETERMINISM_OUT` set they are written as JSON so the
 //! `determinism` job can diff two separate processes byte-for-byte.
 
 use wgtt_bench::common::udp_drive;
 use wgtt_bench::par;
 use wgtt_core::config::Mode;
+use wgtt_core::digest::assert_same;
 use wgtt_core::runner::{run, RunResult, Scenario};
-
-fn hash64(s: &str) -> u64 {
-    // FNV-1a, stable across platforms and runs.
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Metric fingerprint — byte-identical iff the run was deterministic.
-fn fingerprint(r: &RunResult) -> String {
-    let m = &r.world.clients[0].metrics;
-    format!(
-        concat!(
-            "{{\"events\":{},\"goodput_bits\":{},\"mpdu_attempts\":{},",
-            "\"mpdu_successes\":{},\"switch_history\":{},\"assoc_hash\":{}}}"
-        ),
-        r.events,
-        r.downlink_bps(0).to_bits(),
-        m.mpdu_attempts,
-        m.mpdu_successes,
-        r.world.ctrl.engine.history().len(),
-        hash64(&format!("{:?}", m.assoc_timeline)),
-    )
-}
 
 /// Writes a determinism probe for the CI job when it asked for one.
 fn emit_probe(name: &str, payload: &str) {
@@ -68,17 +42,11 @@ fn pool_width_never_changes_results() {
     let mut payloads: Vec<String> = Vec::new();
     for threads in [1usize, 2, 8] {
         let results = par::map_with_threads(threads, jobs(), |s, _| run(s));
-        let prints: Vec<String> = results.iter().map(fingerprint).collect();
+        let prints: Vec<String> = results.iter().map(RunResult::fingerprint).collect();
         payloads.push(format!("[{}]", prints.join(",")));
     }
-    assert_eq!(
-        payloads[0], payloads[1],
-        "2-worker fan-out diverged from serial"
-    );
-    assert_eq!(
-        payloads[0], payloads[2],
-        "8-worker fan-out diverged from serial"
-    );
+    assert_same("2-worker fan-out vs serial", &payloads[1], &payloads[0]);
+    assert_same("8-worker fan-out vs serial", &payloads[2], &payloads[0]);
     // Every `run` above opened an oracle helper pool; eight at once must
     // have shared the host's spare cores, not claimed them eight times.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -98,17 +66,9 @@ fn fanned_out_run_matches_serial_engine() {
     let direct = run(scenario.clone());
     let pooled = par::run_scenarios(vec![scenario]);
     assert_eq!(pooled.len(), 1);
-    assert_eq!(
-        fingerprint(&direct),
-        fingerprint(&pooled[0]),
-        "fan-out changed a no-fault run"
-    );
-    assert_eq!(
-        direct.downlink_bps(0).to_bits(),
-        pooled[0].downlink_bps(0).to_bits(),
-        "goodput bits diverged"
-    );
-    emit_probe("fanout_serial_equivalence", &fingerprint(&pooled[0]));
+    let pooled = pooled[0].fingerprint();
+    assert_same("fan-out vs a direct run", &pooled, &direct.fingerprint());
+    emit_probe("fanout_serial_equivalence", &pooled);
 }
 
 #[test]

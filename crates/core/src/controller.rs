@@ -765,8 +765,7 @@ mod tests {
                 }
                 let epoch_max = rng.range(0..10u32);
                 let n = rng.range(0..16usize);
-                let idents: Vec<u16> =
-                    (0..n).map(|_| rng.range(0..64u32) as u16).collect();
+                let idents: Vec<u16> = (0..n).map(|_| rng.range(0..64u32) as u16).collect();
                 (c, migrant, epoch_max, idents)
             };
             let (mut once, migrant, epoch_max, idents) = build();

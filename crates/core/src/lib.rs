@@ -16,6 +16,7 @@
 //!   control planes, runnable in WGTT or Enhanced-802.11r mode;
 //! * [`runner`] — scenario description and one-call experiment execution;
 //! * [`metrics`] — the measurements behind every table and figure;
+//! * [`digest`] — the one fingerprint of a run, over every counter;
 //! * [`oracle`] — the best-AP oracle behind Table 2 and the capacity-loss
 //!   figures: recorded in the event loop, evaluated off it.
 //!
@@ -41,6 +42,7 @@ pub mod config;
 pub mod controller;
 pub mod cyclic;
 pub mod dedup;
+pub mod digest;
 pub mod health;
 pub mod metrics;
 pub mod oracle;

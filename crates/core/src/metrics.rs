@@ -4,6 +4,11 @@
 //! place: throughput timeseries, AP-association timelines, switching
 //! accuracy, delivered link bit rates (for the Fig 16 CDF), ACK-collision
 //! counts (Table 3), and the capacity-loss integral (Figs 4, 21).
+//!
+//! The network-wide counters ([`SystemMetrics`]) are written down once, as
+//! the rows of `counter_table!` below: adding a counter is adding a row,
+//! and the struct field, its cross-shard fold and its place in the run
+//! digest ([`crate::digest`]) all follow from it.
 
 use serde::Serialize;
 use wgtt_net::ApId;
@@ -137,22 +142,6 @@ impl ClientMetrics {
         }
     }
 
-    /// Mean failover latency (crash → re-attach), if any failover completed.
-    pub fn mean_failover(&self) -> Option<SimDuration> {
-        if self.failovers.is_empty() {
-            return None;
-        }
-        let total: f64 = self.failovers.iter().map(|&(_, d)| d.as_secs_f64()).sum();
-        Some(SimDuration::from_secs_f64(
-            total / self.failovers.len() as f64,
-        ))
-    }
-
-    /// Worst-case failover latency.
-    pub fn max_failover(&self) -> Option<SimDuration> {
-        self.failovers.iter().map(|&(_, d)| d).max()
-    }
-
     /// Mean channel-capacity loss, bit/s (Fig 4's dashed-area metric and
     /// the Fig 21 y-axis).
     pub fn mean_capacity_loss_bps(&self) -> f64 {
@@ -160,15 +149,6 @@ impl ClientMetrics {
             0.0
         } else {
             self.capacity_loss_bps_sum / self.capacity_samples as f64
-        }
-    }
-
-    /// Capacity-loss *rate*: loss as a fraction of the best achievable.
-    pub fn capacity_loss_fraction(&self) -> f64 {
-        if self.capacity_best_bps_sum <= 0.0 {
-            0.0
-        } else {
-            self.capacity_loss_bps_sum / self.capacity_best_bps_sum
         }
     }
 
@@ -281,249 +261,203 @@ impl ClientMetrics {
     }
 }
 
-/// Network-wide counters.
-#[derive(Debug, Default)]
-pub struct SystemMetrics {
+/// One row of the counter table, as [`SystemMetrics::visit`] hands it out.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Counter<'a> {
+    /// A `sum` row: a plain count.
+    Sum(u64),
+    /// A `samples` row: `(completion time, latency)` pairs in recording order.
+    Samples(&'a [(SimTime, SimDuration)]),
+}
+
+/// Expands the counter table — one row per counter: doc comment, name, fold
+/// kind — into `SystemMetrics`, its `Default`, `merge` and `visit`. A fold
+/// kind is `sum` (a `u64`, added across shards) or `samples` (a
+/// `Vec<(SimTime, SimDuration)>`, concatenated); a row without one, or with
+/// an unknown one, does not compile.
+macro_rules! counter_table {
+    (@type sum) => { u64 };
+    (@type samples) => { Vec<(SimTime, SimDuration)> };
+    (@fold sum $into:expr, $from:expr) => { $into += $from };
+    (@fold samples $into:expr, $from:expr) => { $into.extend_from_slice(&$from) };
+    (@view sum $field:expr) => { Counter::Sum($field) };
+    (@view samples $field:expr) => { Counter::Samples(&$field) };
+    (@numbered sum $i:expr) => { $i };
+    (@numbered samples $i:expr) => { vec![(SimTime::from_nanos($i), SimDuration::from_nanos($i))] };
+    ($($(#[$doc:meta])* $name:ident: $kind:ident,)*) => {
+        /// Network-wide counters, generated from the counter table in this
+        /// module.
+        #[derive(Debug, Default)]
+        pub struct SystemMetrics {
+            $($(#[$doc])* pub $name: counter_table!(@type $kind),)*
+        }
+
+        impl SystemMetrics {
+            /// Folds another world's counters into this one, row by row —
+            /// the deterministic cross-shard reduction for lockstep runs.
+            /// Callers merge shards in ascending shard-id order, so the
+            /// `samples` rows concatenate in a fixed order regardless of
+            /// worker count.
+            pub fn merge(&mut self, other: &SystemMetrics) {
+                $(counter_table!(@fold $kind self.$name, other.$name);)*
+            }
+
+            /// Calls `f(name, value)` once per row, in table order — what
+            /// the run digest ([`crate::digest`]) and any exporter walk.
+            pub fn visit<'a>(&'a self, mut f: impl FnMut(&'static str, Counter<'a>)) {
+                $(f(stringify!($name), counter_table!(@view $kind self.$name));)*
+            }
+
+            /// Row `i` (from 1) holds the value `base + i`.
+            #[cfg(test)]
+            fn numbered(base: u64) -> Self {
+                let mut i = base;
+                SystemMetrics {
+                    $($name: {
+                        i += 1;
+                        counter_table!(@numbered $kind i)
+                    },)*
+                }
+            }
+        }
+    };
+}
+
+counter_table! {
     /// Uplink copies received at the controller.
-    pub uplink_copies: u64,
+    uplink_copies: sum,
     /// Uplink duplicates suppressed.
-    pub uplink_duplicates: u64,
+    uplink_duplicates: sum,
     /// Control packets exchanged for switching.
-    pub control_packets: u64,
+    control_packets: sum,
     /// Downlink packets fanned out (copies across APs).
-    pub downlink_copies: u64,
+    downlink_copies: sum,
     /// Packets discarded from stale AP queues by `start(c, k)`.
-    pub flushed_packets: u64,
+    flushed_packets: sum,
     /// Injected AP crashes that took effect.
-    pub ap_crashes: u64,
+    ap_crashes: sum,
     /// Injected AP reboots that took effect.
-    pub ap_reboots: u64,
+    ap_reboots: sum,
     /// Switches abandoned after the full retry ladder.
-    pub abandoned_switches: u64,
+    abandoned_switches: sum,
     /// Emergency direct re-attaches (stale serving AP bypassed the
     /// `stop` leg of the switch protocol).
-    pub emergency_reattaches: u64,
+    emergency_reattaches: sum,
     /// Switch decisions refused because the target was blacklisted — each
     /// one is a wedge-loop iteration the health layer prevented.
-    pub re_wedged_switches: u64,
+    re_wedged_switches: sum,
     /// Control messages dropped because they carried an epoch older than
     /// the receiver had already seen — stragglers from superseded switches
     /// that would have mis-stopped, mis-started, or mis-completed.
-    pub stale_control_dropped: u64,
+    stale_control_dropped: sum,
     /// Control messages recognized as duplicates of an already-applied
     /// exchange (same epoch): re-acked or ignored without re-mutating
     /// queue state.
-    pub dup_control_dropped: u64,
+    dup_control_dropped: sum,
     /// Switch completions whose target AP turned out not to have applied
     /// that generation's `start` — an actually-applied misattribution
     /// (the ABA the epoch guard exists to prevent). A consistency
     /// tripwire: must stay zero under any duplication/reordering rate.
-    pub mis_switches: u64,
+    mis_switches: sum,
     /// Backhaul frames the duplication fault delivered twice.
-    pub backhaul_dup_deliveries: u64,
+    backhaul_dup_deliveries: sum,
     /// Duplicate data deliveries discarded at the NIC refill boundary
     /// because the frame's sequence was still in the AP's MAC pipeline
     /// (NIC queue or Block ACK window) — queueing it would double-register
     /// the sequence and retransmit a frame already in flight.
-    pub dup_data_dropped: u64,
+    dup_data_dropped: sum,
     /// Backhaul frames the reordering fault held back.
-    pub backhaul_reorders: u64,
+    backhaul_reorders: sum,
     /// Injected controller crashes that took effect.
-    pub controller_crashes: u64,
+    controller_crashes: sum,
     /// Controller restarts (each one triggers a resync broadcast).
-    pub controller_recoveries: u64,
+    controller_recoveries: sum,
     /// Resync replies the controller received from live APs.
-    pub resync_replies: u64,
+    resync_replies: sum,
     /// Dual-serving / no-serving conflicts the resync repaired with a
     /// fresh epoch-stamped switch or direct re-adopt `start`.
-    pub resync_repairs: u64,
+    resync_repairs: sum,
     /// Completed resyncs: (completion time, latency since the restart).
-    pub resyncs: Vec<(SimTime, SimDuration)>,
+    resyncs: samples,
     /// AP reports (CSI, uplink copies, acks, tunnel traffic) dropped at
     /// the dead controller's ingress.
-    pub controller_rx_dropped: u64,
+    controller_rx_dropped: sum,
     /// Uplink packets APs buffered locally while the controller was down
     /// (degraded mode) instead of forwarding into a black hole.
-    pub degraded_uplink_buffered: u64,
+    degraded_uplink_buffered: sum,
     /// Uplink packets dropped because an AP's bounded degraded-mode
     /// buffer was full.
-    pub degraded_uplink_dropped: u64,
+    degraded_uplink_dropped: sum,
     /// Buffered uplink packets flushed to the controller after resync.
-    pub degraded_uplink_flushed: u64,
+    degraded_uplink_flushed: sum,
     /// Half-open switches resolved locally: a `stop`-applied AP re-adopted
     /// its client after the guard timeout because no `start` ever landed
     /// anywhere (the client would otherwise be serverless until resync).
-    pub local_readoptions: u64,
+    local_readoptions: sum,
     /// Journal batches the primary shipped toward the warm standby.
-    pub journal_batches_shipped: u64,
+    journal_batches_shipped: sum,
     /// Journal batches the standby's replica absorbed (stale/duplicated
     /// deliveries are not counted — the replica ignores them).
-    pub journal_batches_applied: u64,
+    journal_batches_applied: sum,
     /// Journal sequence gaps the replica detected (batches lost on the
     /// backhaul) — each one poisons the dedup-key delta chain and forces
     /// the takeover to fall back to AP-sourced resync.
-    pub journal_gaps: u64,
+    journal_gaps: sum,
     /// Standby takeovers: the heartbeat went silent past the takeover
     /// timeout and the standby promoted itself under a fresh term.
-    pub standby_takeovers: u64,
+    standby_takeovers: sum,
     /// Completed takeovers: (promotion time, latency since the primary
     /// crash) — the warm analogue of `resyncs`.
-    pub takeovers: Vec<(SimTime, SimDuration)>,
+    takeovers: samples,
     /// Control/resync frames dropped by an AP's term guard because they
     /// carried a controller term below its high-water mark — a fenced
     /// zombie ex-primary trying to drive switches after losing a takeover.
-    pub stale_term_dropped: u64,
+    stale_term_dropped: sum,
     /// Zombie ex-primaries that woke, broadcast under their stale term,
     /// and got nothing back (every live AP fenced them out).
-    pub zombie_standdowns: u64,
+    zombie_standdowns: sum,
     /// Control frames dropped instead of processed because they referenced
     /// protocol state that no longer exists (e.g. a `start` for a client
     /// whose association was wiped) — graceful degradation where the
     /// handler would otherwise have to invent state or panic.
-    pub orphaned_control_dropped: u64,
+    orphaned_control_dropped: sum,
     /// Clients retired out of this world at a shard boundary (lockstep
     /// sharding; zero in unsharded runs).
-    pub migrated_out: u64,
+    migrated_out: sum,
     /// Clients admitted into this world from a neighboring shard.
-    pub migrated_in: u64,
+    migrated_in: sum,
     /// Control/timer events (CSI reports, probe ticks, switch acks, …)
     /// dropped because their target client had already been retired to
     /// another shard. Pure bookkeeping stragglers: dropping them loses no
     /// client data.
-    pub departed_ctrl_drops: u64,
+    departed_ctrl_drops: sum,
     /// Client *data* packets lost at a shard seam: in-flight datagrams of
     /// a departed client that could not be forwarded to its destination
     /// shard (non-ring corridor exit, or the naive no-transfer mode).
-    pub departed_data_drops: u64,
+    departed_data_drops: sum,
     /// Wire bytes of `departed_data_drops` — charged to the retention
     /// denominator so seam losses can't silently inflate retention.
-    pub departed_data_bytes: u64,
+    departed_data_bytes: sum,
     /// In-flight data packets of departed clients captured at the seam
     /// and forwarded to the destination shard at an epoch barrier.
-    pub seam_forwarded: u64,
+    seam_forwarded: sum,
     /// Residue entries (cyclic-queue tail + unacked uplink) imported from
     /// a migration record into this world.
-    pub residue_transferred: u64,
+    residue_transferred: sum,
     /// Uplink copies dropped because the resync hold buffer was at its
     /// `degraded_uplink_cap` (oldest-drop policy).
-    pub resync_held_overflow: u64,
+    resync_held_overflow: sum,
     /// Seam-migration frames re-sent after an unacked `retry_timeout`
     /// (prepare resends plus residue-forward resends).
-    pub migration_retries: u64,
+    migration_retries: sum,
     /// Duplicate seam-migration frames absorbed by idempotence: an
     /// already-applied prepare, already-applied forward, or an ack for a
     /// seq the source already released.
-    pub migration_dups_dropped: u64,
+    migration_dups_dropped: sum,
     /// Handoffs abandoned after `max_attempts` unacked prepares — the
     /// source readopted the client and will re-export it at the next
     /// boundary pass.
-    pub migration_aborts: u64,
-}
-
-impl SystemMetrics {
-    /// Folds another world's counters into this one — the deterministic
-    /// cross-shard reduction for lockstep runs. Callers merge shards in
-    /// ascending shard-id order, so the `Vec` fields (resync/takeover
-    /// latency samples) concatenate in a fixed order regardless of worker
-    /// count. Every field must be folded here; the `merge_covers_every_
-    /// field` test fails to compile when a new counter is added without a
-    /// fold.
-    pub fn merge(&mut self, other: &SystemMetrics) {
-        // Destructure so adding a SystemMetrics field without updating the
-        // merge is a compile error, not a silent under-count.
-        let SystemMetrics {
-            uplink_copies,
-            uplink_duplicates,
-            control_packets,
-            downlink_copies,
-            flushed_packets,
-            ap_crashes,
-            ap_reboots,
-            abandoned_switches,
-            emergency_reattaches,
-            re_wedged_switches,
-            stale_control_dropped,
-            dup_control_dropped,
-            mis_switches,
-            backhaul_dup_deliveries,
-            dup_data_dropped,
-            backhaul_reorders,
-            controller_crashes,
-            controller_recoveries,
-            resync_replies,
-            resync_repairs,
-            resyncs,
-            controller_rx_dropped,
-            degraded_uplink_buffered,
-            degraded_uplink_dropped,
-            degraded_uplink_flushed,
-            local_readoptions,
-            journal_batches_shipped,
-            journal_batches_applied,
-            journal_gaps,
-            standby_takeovers,
-            takeovers,
-            stale_term_dropped,
-            zombie_standdowns,
-            orphaned_control_dropped,
-            migrated_out,
-            migrated_in,
-            departed_ctrl_drops,
-            departed_data_drops,
-            departed_data_bytes,
-            seam_forwarded,
-            residue_transferred,
-            resync_held_overflow,
-            migration_retries,
-            migration_dups_dropped,
-            migration_aborts,
-        } = other;
-        self.uplink_copies += uplink_copies;
-        self.uplink_duplicates += uplink_duplicates;
-        self.control_packets += control_packets;
-        self.downlink_copies += downlink_copies;
-        self.flushed_packets += flushed_packets;
-        self.ap_crashes += ap_crashes;
-        self.ap_reboots += ap_reboots;
-        self.abandoned_switches += abandoned_switches;
-        self.emergency_reattaches += emergency_reattaches;
-        self.re_wedged_switches += re_wedged_switches;
-        self.stale_control_dropped += stale_control_dropped;
-        self.dup_control_dropped += dup_control_dropped;
-        self.mis_switches += mis_switches;
-        self.backhaul_dup_deliveries += backhaul_dup_deliveries;
-        self.dup_data_dropped += dup_data_dropped;
-        self.backhaul_reorders += backhaul_reorders;
-        self.controller_crashes += controller_crashes;
-        self.controller_recoveries += controller_recoveries;
-        self.resync_replies += resync_replies;
-        self.resync_repairs += resync_repairs;
-        self.resyncs.extend_from_slice(resyncs);
-        self.controller_rx_dropped += controller_rx_dropped;
-        self.degraded_uplink_buffered += degraded_uplink_buffered;
-        self.degraded_uplink_dropped += degraded_uplink_dropped;
-        self.degraded_uplink_flushed += degraded_uplink_flushed;
-        self.local_readoptions += local_readoptions;
-        self.journal_batches_shipped += journal_batches_shipped;
-        self.journal_batches_applied += journal_batches_applied;
-        self.journal_gaps += journal_gaps;
-        self.standby_takeovers += standby_takeovers;
-        self.takeovers.extend_from_slice(takeovers);
-        self.stale_term_dropped += stale_term_dropped;
-        self.zombie_standdowns += zombie_standdowns;
-        self.orphaned_control_dropped += orphaned_control_dropped;
-        self.migrated_out += migrated_out;
-        self.migrated_in += migrated_in;
-        self.departed_ctrl_drops += departed_ctrl_drops;
-        self.departed_data_drops += departed_data_drops;
-        self.departed_data_bytes += departed_data_bytes;
-        self.seam_forwarded += seam_forwarded;
-        self.residue_transferred += residue_transferred;
-        self.resync_held_overflow += resync_held_overflow;
-        self.migration_retries += migration_retries;
-        self.migration_dups_dropped += migration_dups_dropped;
-        self.migration_aborts += migration_aborts;
-    }
+    migration_aborts: sum,
 }
 
 #[cfg(test)]
@@ -596,41 +530,36 @@ mod tests {
     }
 
     #[test]
-    fn system_metrics_merge_sums_and_concatenates() {
-        let mut a = SystemMetrics {
-            uplink_copies: 3,
-            ..Default::default()
-        };
-        a.resyncs.push((t(1), SimDuration::from_millis(2)));
-        let mut b = SystemMetrics {
-            uplink_copies: 4,
-            migrated_in: 2,
-            departed_ctrl_drops: 1,
-            departed_data_drops: 2,
-            departed_data_bytes: 3000,
-            seam_forwarded: 4,
-            residue_transferred: 5,
-            resync_held_overflow: 6,
-            migration_retries: 7,
-            migration_dups_dropped: 8,
-            migration_aborts: 9,
-            ..Default::default()
-        };
-        b.takeovers.push((t(5), SimDuration::from_millis(6)));
-        a.merge(&b);
-        assert_eq!(a.uplink_copies, 7);
-        assert_eq!(a.migrated_in, 2);
-        assert_eq!(a.departed_ctrl_drops, 1);
-        assert_eq!(a.departed_data_drops, 2);
-        assert_eq!(a.departed_data_bytes, 3000);
-        assert_eq!(a.seam_forwarded, 4);
-        assert_eq!(a.residue_transferred, 5);
-        assert_eq!(a.resync_held_overflow, 6);
-        assert_eq!(a.migration_retries, 7);
-        assert_eq!(a.migration_dups_dropped, 8);
-        assert_eq!(a.migration_aborts, 9);
-        assert_eq!(a.resyncs, vec![(t(1), SimDuration::from_millis(2))]);
-        assert_eq!(a.takeovers, vec![(t(5), SimDuration::from_millis(6))]);
+    fn merge_folds_every_row() {
+        let mut merged = SystemMetrics::numbered(100);
+        merged.merge(&SystemMetrics::numbered(1000));
+        let sample = |i| (SimTime::from_nanos(i), SimDuration::from_nanos(i));
+        let mut row = 0;
+        merged.visit(|name, value| {
+            row += 1;
+            let (ours, theirs) = (100 + row, 1000 + row);
+            match value {
+                Counter::Sum(n) => assert_eq!(n, ours + theirs, "{name}"),
+                Counter::Samples(s) => assert_eq!(s, [sample(ours), sample(theirs)], "{name}"),
+            }
+        });
+        assert!(row > 0, "the table has no rows");
+    }
+
+    #[test]
+    fn visit_yields_each_field_once_in_declaration_order() {
+        // `derive(Debug)` prints the struct's fields in declaration order.
+        let metrics = SystemMetrics::default();
+        let debug = format!("{metrics:?}");
+        let declared: Vec<&str> = debug
+            .trim_start_matches("SystemMetrics {")
+            .trim_end_matches('}')
+            .split(',')
+            .map(|field| field.split(':').next().unwrap().trim())
+            .collect();
+        let mut visited = Vec::new();
+        metrics.visit(|name, _| visited.push(name));
+        assert_eq!(visited, declared);
     }
 
     #[test]

@@ -1244,8 +1244,7 @@ impl State {
         // (re-export owed). Quiescing dual-active with neither is the
         // split the retained record exists to prevent; only the
         // no-retention shim can get here.
-        let armed =
-            cfg.migration_retention && (self.mig_pending.is_some() || self.mig_aborted);
+        let armed = cfg.migration_retention && (self.mig_pending.is_some() || self.mig_aborted);
         if self.dest_active && self.source_active && !armed {
             return Err(ViolationKind::SplitMigration);
         }

@@ -159,6 +159,13 @@ impl RunResult {
     pub fn uplink_bps(&self, c: usize) -> f64 {
         self.world.clients[c].metrics.mean_uplink_bps(self.duration)
     }
+
+    /// The run's digest ([`crate::digest`]): byte-identical for two runs
+    /// of the same scenario, whatever the process, platform, event queue
+    /// or oracle helper count.
+    pub fn fingerprint(&self) -> String {
+        crate::digest::of_run(self.events, &self.world)
+    }
 }
 
 fn build_trajectory(

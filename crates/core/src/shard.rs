@@ -385,13 +385,12 @@ impl SeamState {
     fn export(
         &mut self,
         shards: &[Shard],
-        now: SimTime,
-        from: usize,
-        to: usize,
+        hop: Migration,
         src_client: usize,
         spec: MigrantSpec,
         record: MigrationRecord,
     ) {
+        let Migration { at: now, from, to } = hop;
         let seq = self.next_seq;
         self.next_seq += 1;
         let term = shards[from].sim.world().ctrl.engine.term();
@@ -482,7 +481,13 @@ impl SeamState {
         }
     }
 
-    fn deliver(&mut self, shards: &mut [Shard], route: &mut RouteTable, now: SimTime, msg: SeamMsg) {
+    fn deliver(
+        &mut self,
+        shards: &mut [Shard],
+        route: &mut RouteTable,
+        now: SimTime,
+        msg: SeamMsg,
+    ) {
         match msg {
             SeamMsg::Prepare {
                 seq,
@@ -507,7 +512,17 @@ impl SeamState {
                     // the duplicate and refresh the (possibly lost)
                     // commit.
                     shards[to].sim.world_mut().sys.migration_dups_dropped += 1;
-                    self.send(shards, to, now, SeamMsg::Commit { seq, from, to, local });
+                    self.send(
+                        shards,
+                        to,
+                        now,
+                        SeamMsg::Commit {
+                            seq,
+                            from,
+                            to,
+                            local,
+                        },
+                    );
                     return;
                 }
                 if let Some(&(_, local)) = self.admitted.get(&(from, src_client)) {
@@ -523,7 +538,17 @@ impl SeamState {
                             .schedule_at(now, Ev::MigrantFlush { client: local });
                     }
                     self.applied.insert(seq, local);
-                    self.send(shards, to, now, SeamMsg::Commit { seq, from, to, local });
+                    self.send(
+                        shards,
+                        to,
+                        now,
+                        SeamMsg::Commit {
+                            seq,
+                            from,
+                            to,
+                            local,
+                        },
+                    );
                     return;
                 }
                 let mut spec = spec;
@@ -538,7 +563,17 @@ impl SeamState {
                 prime_migrant_events(&mut shards[to].sim, local);
                 self.applied.insert(seq, local);
                 self.admitted.insert((from, src_client), (to, local));
-                self.send(shards, to, now, SeamMsg::Commit { seq, from, to, local });
+                self.send(
+                    shards,
+                    to,
+                    now,
+                    SeamMsg::Commit {
+                        seq,
+                        from,
+                        to,
+                        local,
+                    },
+                );
             }
             SeamMsg::Commit {
                 seq,
@@ -625,7 +660,12 @@ impl SeamState {
                 prime_migrant_events(&mut shards[p.from].sim, p.src_client);
             } else {
                 let (from, msg) = {
-                    let term = shards[self.pending[&seq].from].sim.world().ctrl.engine.term();
+                    let term = shards[self.pending[&seq].from]
+                        .sim
+                        .world()
+                        .ctrl
+                        .engine
+                        .term();
                     let p = self.pending.get_mut(&seq).unwrap();
                     p.attempts += 1;
                     p.next_retry = now + self.mig.retry_delay(p.attempts);
@@ -721,62 +761,13 @@ pub struct ShardedRunResult {
 }
 
 impl ShardedRunResult {
-    /// A compact deterministic fingerprint of everything observable:
-    /// per-shard event counts, switch history, association timelines,
-    /// delivery counters, and the migration log. Byte-identical across
-    /// worker counts by the lockstep contract — the determinism suites
-    /// diff this string directly.
+    /// The run's digest ([`crate::digest`]): the migration log, every
+    /// shard's world through the same per-world writer as
+    /// [`RunResult::fingerprint`](crate::runner::RunResult::fingerprint),
+    /// and the merged counters. Byte-identical across worker counts by the
+    /// lockstep contract — the determinism suites diff this string.
     pub fn fingerprint(&self) -> String {
-        use std::fmt::Write as _;
-        let mut per_shard = String::new();
-        for (i, w) in self.worlds.iter().enumerate() {
-            let mut h: u64 = 0xcbf29ce484222325;
-            let mut mix = |v: u64| {
-                h ^= v;
-                h = h.wrapping_mul(0x100000001b3);
-            };
-            for c in &w.clients {
-                for &(t, ap) in &c.metrics.assoc_timeline {
-                    mix(t.as_nanos());
-                    mix(ap.map(|a| a.0 as u64 + 1).unwrap_or(0));
-                }
-            }
-            let mpdu: u64 = w.clients.iter().map(|c| c.metrics.mpdu_successes).sum();
-            if i > 0 {
-                per_shard.push(',');
-            }
-            let _ = write!(
-                per_shard,
-                "{{\"switches\":{},\"assoc_hash\":{},\"mpdu\":{},\"in\":{},\"out\":{}}}",
-                w.ctrl.engine.history().len(),
-                h,
-                mpdu,
-                w.sys.migrated_in,
-                w.sys.migrated_out,
-            );
-        }
-        let mut mig = String::new();
-        for m in &self.migrations {
-            let _ = write!(mig, "[{},{},{}],", m.at.as_nanos(), m.from, m.to);
-        }
-        format!(
-            "{{\"events\":{},\"migrations\":[{}],\"shards\":[{}],\
-             \"departed_ctrl_drops\":{},\"departed_data_drops\":{},\
-             \"departed_data_bytes\":{},\"seam_forwarded\":{},\
-             \"residue_transferred\":{},\"migration_retries\":{},\
-             \"migration_dups_dropped\":{},\"migration_aborts\":{}}}",
-            self.events,
-            mig.trim_end_matches(','),
-            per_shard,
-            self.sys.departed_ctrl_drops,
-            self.sys.departed_data_drops,
-            self.sys.departed_data_bytes,
-            self.sys.seam_forwarded,
-            self.sys.residue_transferred,
-            self.sys.migration_retries,
-            self.sys.migration_dups_dropped,
-            self.sys.migration_aborts,
-        )
+        crate::digest::of_sharded(self)
     }
 }
 
@@ -952,7 +943,7 @@ fn run_sharded_impl(
                         .world_mut()
                         .count_seam_loss(rec.residue.len() as u64, rec.residue_bytes());
                 } else {
-                    seam.export(shards, now, from, to, c, spec, rec);
+                    seam.export(shards, Migration { at: now, from, to }, c, spec, rec);
                 }
             }
             migrations.push(Migration { at: now, from, to });
@@ -1076,6 +1067,7 @@ fn run_sharded_impl(
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
+    use crate::digest::assert_same;
 
     /// A small, fast corridor that still forces boundary crossings: short
     /// clusters, one vehicle each, fast traffic.
@@ -1117,7 +1109,7 @@ mod tests {
         let reference = run_sharded(&scenario, 1).fingerprint();
         for workers in [2usize, 4] {
             let got = run_sharded(&scenario, workers).fingerprint();
-            assert_eq!(reference, got, "workers={workers} diverged");
+            assert_same(&format!("workers={workers} vs serial"), &got, &reference);
         }
     }
 
@@ -1208,7 +1200,7 @@ mod tests {
         s.naive_handoff = true;
         let reference = run_sharded(&s, 1).fingerprint();
         let got = run_sharded(&s, 2).fingerprint();
-        assert_eq!(reference, got);
+        assert_same("2 workers vs serial", &got, &reference);
     }
 
     /// `tiny()` with seam loss and duplication windows covering the whole
@@ -1247,8 +1239,8 @@ mod tests {
         assert!(r.sys.migrated_in > 0, "no handoff ever committed");
         // The protocol's RNG draws happen only in the serial barrier, so
         // the faulty run is still worker-count invariant.
-        let reference = r.fingerprint();
-        assert_eq!(reference, run_sharded(&s, 2).fingerprint());
+        let two = run_sharded(&s, 2).fingerprint();
+        assert_same("2 workers vs serial", &two, &r.fingerprint());
     }
 
     #[test]
@@ -1282,7 +1274,8 @@ mod tests {
             r.sys.migrated_in > 0,
             "readopted clients must migrate after the outage heals"
         );
-        assert_eq!(r.fingerprint(), run_sharded(&s, 2).fingerprint());
+        let two = run_sharded(&s, 2).fingerprint();
+        assert_same("2 workers vs serial", &two, &r.fingerprint());
     }
 
     #[test]

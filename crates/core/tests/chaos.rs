@@ -14,96 +14,19 @@
 //!   still-attached client, and most of the healthy run's throughput.
 //!
 //! The determinism tests double as the CI `determinism` job's probes: when
-//! `WGTT_DETERMINISM_OUT` is set they write their metric fingerprints as
-//! JSON, and the job diffs two separate processes' output byte-for-byte.
+//! `WGTT_DETERMINISM_OUT` is set they write their run digests as JSON, and
+//! the job diffs two separate processes' output byte-for-byte.
 
-use wgtt_core::config::SystemConfig;
+mod common;
+
+use common::{chaos_drive, chaos_schedule, emit_probe, udp_down};
+use wgtt_core::digest::assert_same;
 use wgtt_core::protocol_check::{check, CheckerConfig, ViolationKind};
-use wgtt_core::runner::{run, run_reference, FlowSpec, RunResult, Scenario};
+use wgtt_core::runner::{run, run_reference, RunResult, Scenario};
 use wgtt_sim::{FaultSchedule, SimDuration, SimTime};
 
-fn udp_flows() -> Vec<FlowSpec> {
-    vec![FlowSpec::DownlinkUdp {
-        rate_bps: 20_000_000,
-        payload: 1472,
-    }]
-}
-
 fn drive(seed: u64, mph: f64, faults: FaultSchedule) -> Scenario {
-    let mut s = Scenario::single_drive(SystemConfig::default(), mph, udp_flows(), seed);
-    s.faults = faults;
-    s
-}
-
-/// Duplication + reordering across the whole drive (the window outlives
-/// any drive duration used here).
-fn chaos_schedule(dup_prob: f64, reorder_prob: f64) -> FaultSchedule {
-    let until = SimTime::from_secs(600);
-    FaultSchedule::new()
-        .with_duplication(SimTime::ZERO, until, dup_prob)
-        .with_reordering(
-            SimTime::ZERO,
-            until,
-            reorder_prob,
-            SimDuration::from_millis(1),
-        )
-}
-
-fn hash64(s: &str) -> u64 {
-    // FNV-1a: stable across runs/processes (unlike `DefaultHasher`).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Metric fingerprint as a JSON object — byte-identical across processes
-/// iff the run was deterministic.
-fn fingerprint(r: &RunResult) -> String {
-    let m = &r.world.clients[0].metrics;
-    let s = &r.world.sys;
-    format!(
-        concat!(
-            "{{\"events\":{},\"switch_history\":{},\"assoc_hash\":{},",
-            "\"mpdu_successes\":{},\"stale_control_dropped\":{},",
-            "\"dup_control_dropped\":{},\"mis_switches\":{},",
-            "\"backhaul_dup_deliveries\":{},\"backhaul_reorders\":{},",
-            "\"abandoned_switches\":{},\"emergency_reattaches\":{},",
-            "\"controller_crashes\":{},\"resync_replies\":{},",
-            "\"resync_repairs\":{},\"controller_rx_dropped\":{},",
-            "\"degraded_uplink_buffered\":{},\"degraded_uplink_dropped\":{},",
-            "\"degraded_uplink_flushed\":{},\"local_readoptions\":{}}}"
-        ),
-        r.events,
-        r.world.ctrl.engine.history().len(),
-        hash64(&format!("{:?}", m.assoc_timeline)),
-        m.mpdu_successes,
-        s.stale_control_dropped,
-        s.dup_control_dropped,
-        s.mis_switches,
-        s.backhaul_dup_deliveries,
-        s.backhaul_reorders,
-        s.abandoned_switches,
-        s.emergency_reattaches,
-        s.controller_crashes,
-        s.resync_replies,
-        s.resync_repairs,
-        s.controller_rx_dropped,
-        s.degraded_uplink_buffered,
-        s.degraded_uplink_dropped,
-        s.degraded_uplink_flushed,
-        s.local_readoptions,
-    )
-}
-
-/// Writes a determinism probe for the CI job when it asked for one.
-fn emit_probe(name: &str, payload: &str) {
-    if let Ok(dir) = std::env::var("WGTT_DETERMINISM_OUT") {
-        std::fs::create_dir_all(&dir).expect("create determinism out dir");
-        std::fs::write(format!("{dir}/{name}.json"), payload).expect("write determinism probe");
-    }
+    common::drive(seed, mph, udp_down(), faults)
 }
 
 // ---------- exhaustive interleaving checker ----------
@@ -201,15 +124,14 @@ fn dup_reorder_chaos_is_harmless_at_25_and_35mph() {
 // ---------- determinism ----------
 
 /// The same seed and chaos schedule reproduce byte-identically in one
-/// process; with `WGTT_DETERMINISM_OUT` set the fingerprint is emitted
-/// for the CI job's cross-process byte diff.
+/// process; with `WGTT_DETERMINISM_OUT` set the digest is emitted for the
+/// CI job's cross-process byte diff.
 #[test]
 fn chaos_schedule_is_deterministic() {
-    let a = run(drive(202, 25.0, chaos_schedule(0.05, 0.05)));
-    let b = run(drive(202, 25.0, chaos_schedule(0.05, 0.05)));
-    let fp = fingerprint(&a);
-    assert_eq!(fp, fingerprint(&b), "same seed+schedule diverged");
-    emit_probe("chaos_drive", &fp);
+    let a = run(chaos_drive()).fingerprint();
+    let b = run(chaos_drive()).fingerprint();
+    assert_same("same seed and schedule", &a, &b);
+    emit_probe("chaos_drive", &a);
 }
 
 /// The calendar-queue hot path and the retained legacy heap-queue
@@ -217,9 +139,9 @@ fn chaos_schedule_is_deterministic() {
 /// duplicating and reordering frames (heavy cancel/reschedule churn).
 #[test]
 fn reference_queue_path_is_bit_identical_under_chaos() {
-    let a = run(drive(202, 25.0, chaos_schedule(0.05, 0.05)));
-    let b = run_reference(drive(202, 25.0, chaos_schedule(0.05, 0.05)));
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    let a = run(chaos_drive()).fingerprint();
+    let b = run_reference(chaos_drive()).fingerprint();
+    assert_same("calendar queue vs reference queue", &a, &b);
 }
 
 /// Zero-rate duplication/reordering windows must take the exact healthy
@@ -236,7 +158,11 @@ fn zero_rate_windows_are_bit_identical_to_healthy() {
         );
     let healthy = run(drive(77, 25.0, FaultSchedule::default()));
     let res = run(drive(77, 25.0, zero));
-    assert_eq!(fingerprint(&healthy), fingerprint(&res));
+    assert_same(
+        "zero-rate windows vs healthy",
+        &res.fingerprint(),
+        &healthy.fingerprint(),
+    );
     assert_eq!(res.world.sys.backhaul_dup_deliveries, 0);
     assert_eq!(res.world.sys.backhaul_reorders, 0);
 }

@@ -1,0 +1,121 @@
+//! Shared by the core determinism suites and — through `#[path]` — by the
+//! root package's golden test (`tests/golden.rs`): the probe writer and the
+//! pinned runs, each under the name of its probe and golden file.
+
+#![allow(dead_code)] // every suite uses its own subset
+
+use wgtt_core::config::SystemConfig;
+use wgtt_core::runner::{FlowSpec, RunResult, Scenario};
+use wgtt_core::shard::ShardedScenario;
+use wgtt_sim::{FaultSchedule, SimDuration, SimTime};
+
+/// Writes `payload` to `<name>.json` in the directory `WGTT_DETERMINISM_OUT`
+/// names, when it names one: the CI determinism jobs diff two such
+/// directories, written by separate processes, byte for byte.
+pub fn emit_probe(name: &str, payload: &str) {
+    if let Ok(dir) = std::env::var("WGTT_DETERMINISM_OUT") {
+        std::fs::create_dir_all(&dir).expect("create determinism out dir");
+        std::fs::write(format!("{dir}/{name}.json"), payload).expect("write determinism probe");
+    }
+}
+
+/// Duplicate uplink datagrams that reached the *server* (past the
+/// controller's dedup filter) on the uplink flow.
+pub fn server_uplink_duplicates(r: &RunResult) -> u64 {
+    r.world
+        .flows
+        .iter()
+        .filter_map(|f| f.up_sink.as_ref())
+        .map(|s| s.duplicates())
+        .sum()
+}
+
+/// 20 Mbit/s of downlink UDP.
+pub fn udp_down() -> Vec<FlowSpec> {
+    vec![FlowSpec::DownlinkUdp {
+        rate_bps: 20_000_000,
+        payload: 1472,
+    }]
+}
+
+/// [`udp_down`] beside 2 Mbit/s of uplink UDP.
+pub fn udp_down_up() -> Vec<FlowSpec> {
+    let mut flows = udp_down();
+    flows.push(FlowSpec::UplinkUdp {
+        rate_bps: 2_000_000,
+        payload: 1200,
+    });
+    flows
+}
+
+/// One vehicle driving past the default deployment under `faults`.
+pub fn drive(seed: u64, mph: f64, flows: Vec<FlowSpec>, faults: FaultSchedule) -> Scenario {
+    let mut s = Scenario::single_drive(SystemConfig::default(), mph, flows, seed);
+    s.faults = faults;
+    s
+}
+
+/// Duplication + reordering across the whole drive (the window outlives
+/// any drive duration used here).
+pub fn chaos_schedule(dup_prob: f64, reorder_prob: f64) -> FaultSchedule {
+    let until = SimTime::from_secs(600);
+    FaultSchedule::new()
+        .with_duplication(SimTime::ZERO, until, dup_prob)
+        .with_reordering(
+            SimTime::ZERO,
+            until,
+            reorder_prob,
+            SimDuration::from_millis(1),
+        )
+}
+
+/// `failover_drive`: AP 3 down 1–3 s, 30 % CSI drops 2–6 s, 15 mph.
+pub fn failover_drive() -> Scenario {
+    let faults = FaultSchedule::new()
+        .with_ap_outage(3, SimTime::from_secs(1), SimTime::from_secs(3))
+        .with_csi_drops(SimTime::from_secs(2), SimTime::from_secs(6), 0.3);
+    drive(77, 15.0, udp_down(), faults)
+}
+
+/// `chaos_drive`: 5 % duplication + 5 % reordering, 25 mph.
+pub fn chaos_drive() -> Scenario {
+    drive(202, 25.0, udp_down(), chaos_schedule(0.05, 0.05))
+}
+
+/// `controller_crash_drive`: the controller down 2–3.5 s, cold restart.
+pub fn controller_crash_drive() -> Scenario {
+    let faults = FaultSchedule::new()
+        .with_controller_crash(SimTime::from_secs(2), SimTime::from_millis(3500));
+    drive(903, 25.0, udp_down_up(), faults)
+}
+
+/// `controller_standby_drive`: the primary down at 2 s with a warm standby,
+/// its zombie awake at 3.5 s.
+pub fn controller_standby_drive() -> Scenario {
+    let faults = FaultSchedule::new()
+        .with_controller_failover(SimTime::from_secs(2), SimTime::from_millis(3500));
+    drive(908, 25.0, udp_down_up(), faults)
+}
+
+/// `faulted_udp_drive`: the serving AP dies under a 35 mph drive (one
+/// emergency re-attach), then a backhaul dup/reorder window.
+pub fn faulted_udp_drive() -> Scenario {
+    let faults = FaultSchedule::new()
+        .with_ap_outage(2, SimTime::from_millis(1200), SimTime::from_millis(2200))
+        .with_duplication(SimTime::from_secs(2), SimTime::from_secs(4), 0.05)
+        .with_reordering(
+            SimTime::from_secs(2),
+            SimTime::from_secs(4),
+            0.05,
+            SimDuration::from_millis(1),
+        );
+    drive(77, 35.0, udp_down(), faults)
+}
+
+/// `ring_corridor`: a two-shard ring in which each vehicle crosses a seam
+/// (the golden test runs it on two lockstep workers).
+pub fn ring_corridor() -> ShardedScenario {
+    let mut cfg = SystemConfig::default();
+    cfg.deployment.num_aps = 4;
+    ShardedScenario::ring_corridor(cfg, 2, 1, 35.0, 5_000_000, SimDuration::from_secs(6), 4242)
+}

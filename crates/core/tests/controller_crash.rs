@@ -17,28 +17,16 @@
 //! The determinism tests double as the CI `determinism` job's probes via
 //! `WGTT_DETERMINISM_OUT`, like the failover and chaos suites.
 
-use wgtt_core::config::SystemConfig;
+mod common;
+
+use common::{controller_crash_drive, emit_probe, server_uplink_duplicates, udp_down_up};
+use wgtt_core::digest::assert_same;
 use wgtt_core::protocol_check::{check, CheckerConfig, ViolationKind};
-use wgtt_core::runner::{run, run_reference, FlowSpec, RunResult, Scenario};
+use wgtt_core::runner::{run, run_reference, Scenario};
 use wgtt_sim::{BackhaulFault, FaultSchedule, SimDuration, SimTime};
 
-fn flows() -> Vec<FlowSpec> {
-    vec![
-        FlowSpec::DownlinkUdp {
-            rate_bps: 20_000_000,
-            payload: 1472,
-        },
-        FlowSpec::UplinkUdp {
-            rate_bps: 2_000_000,
-            payload: 1200,
-        },
-    ]
-}
-
 fn drive(seed: u64, mph: f64, faults: FaultSchedule) -> Scenario {
-    let mut s = Scenario::single_drive(SystemConfig::default(), mph, flows(), seed);
-    s.faults = faults;
-    s
+    common::drive(seed, mph, udp_down_up(), faults)
 }
 
 /// A controller outage window placed mid-drive, squarely across the busy
@@ -48,70 +36,6 @@ fn crash_schedule(from_s: f64, until_s: f64) -> FaultSchedule {
         SimTime::from_secs_f64(from_s),
         SimTime::from_secs_f64(until_s),
     )
-}
-
-fn hash64(s: &str) -> u64 {
-    // FNV-1a: stable across runs/processes (unlike `DefaultHasher`).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Metric fingerprint as a JSON object — byte-identical across processes
-/// iff the run was deterministic. Includes the resync and degraded-mode
-/// counters so a nondeterministic recovery path cannot hide.
-fn fingerprint(r: &RunResult) -> String {
-    let m = &r.world.clients[0].metrics;
-    let s = &r.world.sys;
-    format!(
-        concat!(
-            "{{\"events\":{},\"switch_history\":{},\"assoc_hash\":{},",
-            "\"mpdu_successes\":{},\"mis_switches\":{},",
-            "\"controller_crashes\":{},\"controller_recoveries\":{},",
-            "\"resync_replies\":{},\"resync_repairs\":{},\"resyncs\":{},",
-            "\"controller_rx_dropped\":{},\"degraded_uplink_buffered\":{},",
-            "\"degraded_uplink_dropped\":{},\"degraded_uplink_flushed\":{},",
-            "\"local_readoptions\":{},\"uplink_duplicates\":{}}}"
-        ),
-        r.events,
-        r.world.ctrl.engine.history().len(),
-        hash64(&format!("{:?}", m.assoc_timeline)),
-        m.mpdu_successes,
-        s.mis_switches,
-        s.controller_crashes,
-        s.controller_recoveries,
-        s.resync_replies,
-        s.resync_repairs,
-        hash64(&format!("{:?}", s.resyncs)),
-        s.controller_rx_dropped,
-        s.degraded_uplink_buffered,
-        s.degraded_uplink_dropped,
-        s.degraded_uplink_flushed,
-        s.local_readoptions,
-        s.uplink_duplicates,
-    )
-}
-
-/// Writes a determinism probe for the CI job when it asked for one.
-fn emit_probe(name: &str, payload: &str) {
-    if let Ok(dir) = std::env::var("WGTT_DETERMINISM_OUT") {
-        std::fs::create_dir_all(&dir).expect("create determinism out dir");
-        std::fs::write(format!("{dir}/{name}.json"), payload).expect("write determinism probe");
-    }
-}
-
-/// Duplicate uplink datagrams that reached the *server* (past the
-/// controller's dedup filter) on the uplink flow.
-fn server_uplink_duplicates(r: &RunResult) -> u64 {
-    r.world
-        .flows
-        .iter()
-        .filter_map(|f| f.up_sink.as_ref())
-        .map(|s| s.duplicates())
-        .sum()
 }
 
 // ---------- exhaustive interleaving checker, crash edition ----------
@@ -292,15 +216,14 @@ fn local_autonomy_readopts_orphan_during_outage() {
 // ---------- determinism ----------
 
 /// The same seed and crash schedule reproduce byte-identically in one
-/// process; with `WGTT_DETERMINISM_OUT` set the fingerprint is emitted
-/// for the CI job's cross-process byte diff.
+/// process; with `WGTT_DETERMINISM_OUT` set the digest is emitted for the
+/// CI job's cross-process byte diff.
 #[test]
 fn crash_schedule_is_deterministic() {
-    let a = run(drive(903, 25.0, crash_schedule(2.0, 3.5)));
-    let b = run(drive(903, 25.0, crash_schedule(2.0, 3.5)));
-    let fp = fingerprint(&a);
-    assert_eq!(fp, fingerprint(&b), "same seed+schedule diverged");
-    emit_probe("controller_crash_drive", &fp);
+    let a = run(controller_crash_drive()).fingerprint();
+    let b = run(controller_crash_drive()).fingerprint();
+    assert_same("same seed and schedule", &a, &b);
+    emit_probe("controller_crash_drive", &a);
 }
 
 /// The calendar-queue hot path and the retained legacy heap-queue
@@ -308,19 +231,23 @@ fn crash_schedule_is_deterministic() {
 /// resync (timer cancels spanning the outage window).
 #[test]
 fn reference_queue_path_is_bit_identical_across_crash() {
-    let a = run(drive(903, 25.0, crash_schedule(2.0, 3.5)));
-    let b = run_reference(drive(903, 25.0, crash_schedule(2.0, 3.5)));
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    let a = run(controller_crash_drive()).fingerprint();
+    let b = run_reference(controller_crash_drive()).fingerprint();
+    assert_same("calendar queue vs reference queue", &a, &b);
 }
 
 /// A schedule with no controller-crash window must take the exact
-/// healthy code path: bit-identical fingerprint to the default run and
+/// healthy code path: bit-identical digest to the default run and
 /// every crash/resync/degraded counter at zero.
 #[test]
 fn empty_crash_schedule_is_bit_identical_to_healthy() {
     let healthy = run(drive(904, 25.0, FaultSchedule::default()));
     let res = run(drive(904, 25.0, FaultSchedule::new()));
-    assert_eq!(fingerprint(&healthy), fingerprint(&res));
+    assert_same(
+        "empty vs default schedule",
+        &res.fingerprint(),
+        &healthy.fingerprint(),
+    );
     let s = &res.world.sys;
     assert_eq!(s.controller_crashes, 0);
     assert_eq!(s.controller_recoveries, 0);

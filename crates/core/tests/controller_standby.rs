@@ -17,27 +17,18 @@
 //!   flapping AP must be damped by the health layer's abandon blacklist
 //!   instead of ping-ponging the client.
 
+mod common;
+
+use common::{
+    controller_standby_drive, emit_probe, server_uplink_duplicates, udp_down_up as flows,
+};
 use wgtt_core::config::SystemConfig;
-use wgtt_core::runner::{run, FlowSpec, RunResult, Scenario};
+use wgtt_core::digest::assert_same;
+use wgtt_core::runner::{run, Scenario};
 use wgtt_sim::{FaultSchedule, SimDuration, SimTime};
 
-fn flows() -> Vec<FlowSpec> {
-    vec![
-        FlowSpec::DownlinkUdp {
-            rate_bps: 20_000_000,
-            payload: 1472,
-        },
-        FlowSpec::UplinkUdp {
-            rate_bps: 2_000_000,
-            payload: 1200,
-        },
-    ]
-}
-
 fn drive(seed: u64, faults: FaultSchedule) -> Scenario {
-    let mut s = Scenario::single_drive(SystemConfig::default(), 25.0, flows(), seed);
-    s.faults = faults;
-    s
+    common::drive(seed, 25.0, flows(), faults)
 }
 
 /// A failover window: primary crashes at `from_s`, the zombie ex-primary
@@ -46,60 +37,6 @@ fn failover_schedule(from_s: f64, until_s: f64) -> FaultSchedule {
     FaultSchedule::new().with_controller_failover(
         SimTime::from_secs_f64(from_s),
         SimTime::from_secs_f64(until_s),
-    )
-}
-
-/// Duplicate uplink datagrams that reached the *server* (past the
-/// controller's dedup filter) on the uplink flow.
-fn server_uplink_duplicates(r: &RunResult) -> u64 {
-    r.world
-        .flows
-        .iter()
-        .filter_map(|f| f.up_sink.as_ref())
-        .map(|s| s.duplicates())
-        .sum()
-}
-
-fn hash64(s: &str) -> u64 {
-    // FNV-1a: stable across runs/processes (unlike `DefaultHasher`).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Metric fingerprint covering the replication plane: journal shipping,
-/// takeover, and fencing counters all participate, so a nondeterministic
-/// standby path cannot hide.
-fn fingerprint(r: &RunResult) -> String {
-    let m = &r.world.clients[0].metrics;
-    let s = &r.world.sys;
-    format!(
-        concat!(
-            "{{\"events\":{},\"switch_history\":{},\"assoc_hash\":{},",
-            "\"mpdu_successes\":{},\"mis_switches\":{},",
-            "\"journal_batches_shipped\":{},\"journal_batches_applied\":{},",
-            "\"journal_gaps\":{},\"standby_takeovers\":{},",
-            "\"takeovers_hash\":{},\"stale_term_dropped\":{},",
-            "\"zombie_standdowns\":{},\"orphaned_control_dropped\":{},",
-            "\"uplink_duplicates\":{}}}"
-        ),
-        r.events,
-        r.world.ctrl.engine.history().len(),
-        hash64(&format!("{:?}", m.assoc_timeline)),
-        m.mpdu_successes,
-        s.mis_switches,
-        s.journal_batches_shipped,
-        s.journal_batches_applied,
-        s.journal_gaps,
-        s.standby_takeovers,
-        hash64(&format!("{:?}", s.takeovers)),
-        s.stale_term_dropped,
-        s.zombie_standdowns,
-        s.orphaned_control_dropped,
-        s.uplink_duplicates,
     )
 }
 
@@ -208,19 +145,14 @@ fn no_failover_schedule_never_engages_standby() {
 }
 
 /// Same seed and failover schedule reproduce byte-identically; with
-/// `WGTT_DETERMINISM_OUT` set the fingerprint is emitted for the CI
+/// `WGTT_DETERMINISM_OUT` set the digest is emitted for the CI
 /// determinism job's cross-process diff.
 #[test]
 fn standby_schedule_is_deterministic() {
-    let a = run(drive(908, failover_schedule(2.0, 3.5)));
-    let b = run(drive(908, failover_schedule(2.0, 3.5)));
-    let fp = fingerprint(&a);
-    assert_eq!(fp, fingerprint(&b), "same seed+schedule diverged");
-    if let Ok(dir) = std::env::var("WGTT_DETERMINISM_OUT") {
-        std::fs::create_dir_all(&dir).expect("create determinism out dir");
-        std::fs::write(format!("{dir}/controller_standby_drive.json"), fp)
-            .expect("write determinism probe");
-    }
+    let a = run(controller_standby_drive()).fingerprint();
+    let b = run(controller_standby_drive()).fingerprint();
+    assert_same("same seed and schedule", &a, &b);
+    emit_probe("controller_standby_drive", &a);
 }
 
 // ---------- degraded edge cases riding along ----------

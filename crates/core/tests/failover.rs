@@ -4,72 +4,16 @@
 //! switch to the corpse, and keep traffic flowing — all fully
 //! deterministically for a given seed and fault schedule.
 
+mod common;
+
+use common::{emit_probe, udp_down as udp_flows};
 use wgtt_core::config::SystemConfig;
-use wgtt_core::runner::{run, run_reference, FlowSpec, RunResult, Scenario};
+use wgtt_core::digest::assert_same;
+use wgtt_core::runner::{run, run_reference, Scenario};
 use wgtt_sim::{FaultSchedule, SimDuration, SimRng, SimTime};
 
-fn udp_flows() -> Vec<FlowSpec> {
-    vec![FlowSpec::DownlinkUdp {
-        rate_bps: 20_000_000,
-        payload: 1472,
-    }]
-}
-
 fn drive(seed: u64, faults: FaultSchedule) -> Scenario {
-    let mut s = Scenario::single_drive(SystemConfig::default(), 15.0, udp_flows(), seed);
-    s.faults = faults;
-    s
-}
-
-/// Compact fingerprint of a run for determinism comparisons.
-fn fingerprint(r: &RunResult) -> (u64, usize, String, u64, u64) {
-    let m = &r.world.clients[0].metrics;
-    (
-        r.events,
-        r.world.ctrl.engine.history().len(),
-        format!("{:?}", m.assoc_timeline),
-        m.mpdu_successes,
-        r.world.sys.ap_crashes + r.world.sys.emergency_reattaches,
-    )
-}
-
-fn hash64(s: &str) -> u64 {
-    // FNV-1a: stable across runs/processes (unlike `DefaultHasher`).
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The in-process determinism assertions above already catch same-binary
-/// divergence; the CI `determinism` job additionally diffs this probe
-/// across two *separate processes* (fresh ASLR, fresh hasher seeds) for a
-/// byte-for-byte match.
-#[test]
-fn failover_fingerprint_probe() {
-    let Ok(dir) = std::env::var("WGTT_DETERMINISM_OUT") else {
-        return; // only meaningful under the CI determinism job
-    };
-    let faults = FaultSchedule::new()
-        .with_ap_outage(3, SimTime::from_secs(1), SimTime::from_secs(3))
-        .with_csi_drops(SimTime::from_secs(2), SimTime::from_secs(6), 0.3);
-    let r = run(drive(77, faults));
-    let (events, switches, timeline, mpdus, faults_seen) = fingerprint(&r);
-    let payload = format!(
-        concat!(
-            "{{\"events\":{},\"switch_history\":{},\"assoc_hash\":{},",
-            "\"mpdu_successes\":{},\"fault_counters\":{}}}"
-        ),
-        events,
-        switches,
-        hash64(&timeline),
-        mpdus,
-        faults_seen,
-    );
-    std::fs::create_dir_all(&dir).expect("create determinism out dir");
-    std::fs::write(format!("{dir}/failover_drive.json"), payload).expect("write determinism probe");
+    common::drive(seed, 15.0, udp_flows(), faults)
 }
 
 #[test]
@@ -138,22 +82,21 @@ fn identical_seed_and_schedule_are_bit_identical() {
     };
     let a = run(drive(77, faults()));
     let b = run(drive(77, faults()));
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_same("same seed and schedule", &a.fingerprint(), &b.fingerprint());
 }
 
 /// The calendar-queue hot path and the retained legacy heap-queue
-/// reference path must be indistinguishable at the metric level, even
+/// reference path must be indistinguishable in the run digest, even
 /// under a fault schedule that exercises cancels (outages, CSI drops).
+/// The in-process assertions in this suite catch same-binary divergence;
+/// the CI `determinism` job additionally diffs this run's probe across two
+/// *separate processes* (fresh ASLR, fresh hasher seeds).
 #[test]
 fn reference_queue_path_is_bit_identical() {
-    let faults = || {
-        FaultSchedule::new()
-            .with_ap_outage(3, SimTime::from_secs(1), SimTime::from_secs(3))
-            .with_csi_drops(SimTime::from_secs(2), SimTime::from_secs(6), 0.3)
-    };
-    let a = run(drive(77, faults()));
-    let b = run_reference(drive(77, faults()));
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    let a = run(common::failover_drive()).fingerprint();
+    let b = run_reference(common::failover_drive()).fingerprint();
+    assert_same("calendar queue vs reference queue", &a, &b);
+    emit_probe("failover_drive", &a);
 }
 
 #[test]
@@ -161,7 +104,11 @@ fn empty_schedule_matches_default_run() {
     // An explicitly empty schedule must take the exact healthy code path.
     let a = run(drive(55, FaultSchedule::default()));
     let b = run(drive(55, FaultSchedule::new()));
-    assert_eq!(fingerprint(&a), fingerprint(&b));
+    assert_same(
+        "empty vs default schedule",
+        &a.fingerprint(),
+        &b.fingerprint(),
+    );
 }
 
 /// Property: for randomly generated fault schedules, two runs with the
@@ -184,10 +131,10 @@ fn random_schedules_are_deterministic() {
         let seed = 200 + case;
         let a = run(drive(seed, faults.clone()));
         let b = run(drive(seed, faults.clone()));
-        assert_eq!(
-            fingerprint(&a),
-            fingerprint(&b),
-            "case {case} diverged (schedule {faults:?})"
+        assert_same(
+            &format!("case {case} (schedule {faults:?})"),
+            &a.fingerprint(),
+            &b.fingerprint(),
         );
         // Sanity: a crashed AP never stops the run from finishing with
         // some delivered traffic.
@@ -221,13 +168,11 @@ fn multi_client_runs_are_deterministic() {
     };
     let a = run(scenario());
     let b = run(scenario());
-    assert_eq!(a.events, b.events);
-    for c in 0..2 {
-        assert_eq!(
-            a.world.clients[c].metrics.mpdu_successes, b.world.clients[c].metrics.mpdu_successes,
-            "client {c} diverged"
-        );
-    }
+    assert_same(
+        "two clients sharing APs",
+        &a.fingerprint(),
+        &b.fingerprint(),
+    );
 }
 
 #[test]

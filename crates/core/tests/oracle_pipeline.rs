@@ -4,68 +4,38 @@
 //!
 //! The oracle's five `ClientMetrics` fields include two `f64` sums, so
 //! "invisible" means the ordered reducer added the same terms in the same
-//! order: the digests below carry the sums' bits. Events and switch history
-//! ride along to show the event loop itself never noticed.
+//! order: the run digest carries the sums' bits, and everything else in it
+//! shows the event loop itself never noticed.
 //!
 //! Like its sibling suites, the digests double as CI probes: with
 //! `WGTT_DETERMINISM_OUT` set they are written out so the `determinism` job
 //! can diff two separate processes byte-for-byte.
 
+mod common;
+
+use common::emit_probe;
 use wgtt_core::config::SystemConfig;
+use wgtt_core::digest::assert_same;
 use wgtt_core::runner::{run_with_oracle_helpers, ClientSpec, FlowSpec, Scenario, TrajectorySpec};
 use wgtt_core::shard::{run_sharded_with_oracle_helpers, ShardedScenario};
-use wgtt_core::WgttWorld;
 use wgtt_sim::{FaultSchedule, SimDuration, SimTime};
 
 /// Helper counts every scenario runs at: the inline path, the 2-core
 /// reference host's shape, and more helpers than chunks in flight.
 const HELPERS: [usize; 3] = [0, 1, 3];
 
-fn emit_probe(name: &str, payload: &str) {
-    if let Ok(dir) = std::env::var("WGTT_DETERMINISM_OUT") {
-        std::fs::create_dir_all(&dir).expect("create determinism out dir");
-        std::fs::write(format!("{dir}/{name}.json"), payload).expect("write determinism probe");
-    }
-}
-
-/// Everything the oracle wrote, plus what the event loop did, for one world.
-fn world_digest(events: u64, w: &WgttWorld) -> String {
-    let clients: Vec<String> = w
-        .clients
-        .iter()
-        .map(|c| {
-            let m = &c.metrics;
-            format!(
-                "{{\"total\":{},\"optimal\":{},\"samples\":{},\"best_bits\":{},\"loss_bits\":{}}}",
-                m.accuracy_total,
-                m.accuracy_optimal,
-                m.capacity_samples,
-                m.capacity_best_bps_sum.to_bits(),
-                m.capacity_loss_bps_sum.to_bits(),
-            )
-        })
-        .collect();
-    format!(
-        "{{\"events\":{events},\"oracle\":[{}],\"switch_history\":\"{:?}\"}}",
-        clients.join(","),
-        w.ctrl.engine.history(),
-    )
-}
-
 /// Runs `digest_at` at every helper count, checks the digests agree and
 /// that the oracle actually sampled, and emits the agreed digest.
 fn assert_helper_count_invariant(name: &str, digest_at: impl Fn(usize) -> String) {
     let digests: Vec<String> = HELPERS.iter().map(|&h| digest_at(h)).collect();
     assert!(
-        !digests[0].contains("\"samples\":0,"),
+        !digests[0].contains("\"capacity_samples\":0,"),
         "{name}: a client was never sampled: {}",
         digests[0]
     );
     for (h, d) in HELPERS.iter().zip(&digests).skip(1) {
-        assert_eq!(
-            &digests[0], d,
-            "{name}: {h} helpers diverged from tick-time evaluation"
-        );
+        let what = format!("{name}: {h} helpers vs tick-time evaluation");
+        assert_same(&what, d, &digests[0]);
     }
     emit_probe(&format!("oracle_pipeline_{name}"), &digests[0]);
 }
@@ -101,8 +71,7 @@ fn convoy_is_helper_count_invariant() {
         faults: FaultSchedule::default(),
     };
     assert_helper_count_invariant("convoy", |helpers| {
-        let r = run_with_oracle_helpers(scenario.clone(), helpers);
-        world_digest(r.events, &r.world)
+        run_with_oracle_helpers(scenario.clone(), helpers).fingerprint()
     });
 }
 
@@ -128,7 +97,7 @@ fn faulted_drive_is_helper_count_invariant() {
     assert_helper_count_invariant("faulted_drive", |helpers| {
         let r = run_with_oracle_helpers(scenario.clone(), helpers);
         assert_eq!(r.world.sys.ap_crashes, 1, "the outage never fired");
-        world_digest(r.events, &r.world)
+        r.fingerprint()
     });
 }
 
@@ -143,7 +112,6 @@ fn sharded_ring_is_helper_count_invariant() {
     assert_helper_count_invariant("sharded_ring", |helpers| {
         let r = run_sharded_with_oracle_helpers(&ring, 2, helpers);
         assert!(r.sys.migrated_in > 0, "no vehicle crossed a seam");
-        let worlds: Vec<String> = r.worlds.iter().map(|w| world_digest(r.events, w)).collect();
-        format!("[{}]", worlds.join(","))
+        r.fingerprint()
     });
 }

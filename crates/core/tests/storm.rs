@@ -19,6 +19,7 @@
 //! in parallel.
 
 use wgtt_core::config::SystemConfig;
+use wgtt_core::digest::assert_same;
 use wgtt_core::shard::{run_sharded, ShardedScenario};
 use wgtt_sim::storm::{random_storm, shrink, StormConfig};
 use wgtt_sim::{FaultSchedule, SimDuration, SimRng, SimTime};
@@ -63,10 +64,10 @@ fn composite_storm_preserves_seam_guarantees_and_determinism() {
         // Composite faults must not break the lockstep contract: all
         // fault draws happen either inside a shard's own event stream or
         // in the serial barrier, so the fingerprint is worker-invariant.
-        assert_eq!(
-            r.fingerprint(),
-            run_sharded(&s, 2).fingerprint(),
-            "seed {seed}: storm broke worker-count invariance"
+        assert_same(
+            &format!("seed {seed}: 2 workers vs serial under the storm"),
+            &run_sharded(&s, 2).fingerprint(),
+            &r.fingerprint(),
         );
     }
 }
@@ -95,7 +96,9 @@ fn shrink_reduces_an_injected_violation_to_the_one_guilty_window() {
     // ...plus the injected violation: a total seam blackout on shard 0
     // for the whole run, which the two-attempt budget cannot out-wait.
     let horizon = SimTime::ZERO + duration + SimDuration::from_secs(1);
-    storm[0] = storm[0].clone().with_migration_loss(SimTime::ZERO, horizon, 1.0);
+    storm[0] = storm[0]
+        .clone()
+        .with_migration_loss(SimTime::ZERO, horizon, 1.0);
 
     let fails = |candidate: &[FaultSchedule]| {
         let mut s = base.clone();
@@ -140,5 +143,9 @@ fn nightly_fixed_seed_storm_smoke() {
     assert_eq!(r.sys.departed_data_drops, 0);
     assert_eq!(r.sys.departed_data_bytes, 0);
     assert!(r.sys.migrated_in > 0);
-    assert_eq!(r.fingerprint(), run_sharded(&s, 4).fingerprint());
+    assert_same(
+        "4 workers vs serial",
+        &run_sharded(&s, 4).fingerprint(),
+        &r.fingerprint(),
+    );
 }

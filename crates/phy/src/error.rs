@@ -164,20 +164,6 @@ impl PerModel {
             })
             .expect("MCS set is non-empty")
     }
-
-    /// Pre-memoization reference for [`Self::best_mcs`] (equivalence
-    /// oracle; see [`Self::capacity_bps_ref`]).
-    pub fn best_mcs_ref(&self, gi: crate::mcs::GuardInterval, csi: &Csi, len_bytes: usize) -> Mcs {
-        Mcs::all()
-            .max_by(|a, b| {
-                let ea = esnr_from_csi(a.modulation(), csi);
-                let eb = esnr_from_csi(b.modulation(), csi);
-                self.expected_goodput_bps(*a, gi, ea, len_bytes)
-                    .partial_cmp(&self.expected_goodput_bps(*b, gi, eb, len_bytes))
-                    .expect("goodput is not NaN")
-            })
-            .expect("MCS set is non-empty")
-    }
 }
 
 #[cfg(test)]

@@ -71,11 +71,6 @@ impl MinstrelLite {
         }
     }
 
-    /// The guard interval this controller assumes.
-    pub fn guard_interval(&self) -> GuardInterval {
-        self.gi
-    }
-
     fn effective_prob(&self, mcs: Mcs) -> f64 {
         let s = &self.stats[mcs.0 as usize];
         let mut p = if s.seen { s.prob } else { self.init_prob };

@@ -506,11 +506,6 @@ impl<E> EventQueue<E> {
         EventQueue(Imp::Legacy(LegacyEventQueue::new()))
     }
 
-    /// True when this queue runs the legacy reference implementation.
-    pub fn is_reference(&self) -> bool {
-        matches!(self.0, Imp::Legacy(_))
-    }
-
     /// Schedules `event` at `time`, returning a key usable with
     /// [`EventQueue::cancel`].
     #[inline]

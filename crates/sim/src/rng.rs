@@ -93,19 +93,6 @@ impl SimRng {
         result
     }
 
-    /// Next raw 32-bit value (upper half of a 64-bit draw).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    /// Fills a byte slice with random data.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
     /// Uniform value in `[0, bound)`; `bound` must be nonzero. Rejection
     /// sampling, so the distribution is exactly uniform.
     fn below(&mut self, bound: u64) -> u64 {
