@@ -119,3 +119,25 @@ pub fn ring_corridor() -> ShardedScenario {
     cfg.deployment.num_aps = 4;
     ShardedScenario::ring_corridor(cfg, 2, 1, 35.0, 5_000_000, SimDuration::from_secs(6), 4242)
 }
+
+/// `seam_faulted_corridor`: the two-shard ring over a hostile seam — 30 %
+/// frame loss and 30 % duplication for the whole run, and a total outage
+/// from 3.5 s to 5 s that outlasts the shortened retry budget (three sends
+/// 50 ms apart). The run retries, absorbs duplicates in the idempotence
+/// ledger, aborts and readopts during the outage, and re-exports once the
+/// seam heals.
+pub fn seam_faulted_corridor() -> ShardedScenario {
+    let mut s = ring_corridor();
+    s.clients_per_shard = 2;
+    s.duration = SimDuration::from_secs(10);
+    s.config.migration.retry_timeout = SimDuration::from_millis(50);
+    s.config.migration.backoff = 1.0;
+    s.config.migration.max_attempts = 3;
+    let horizon = SimTime::ZERO + s.duration + SimDuration::from_secs(1);
+    let faults = FaultSchedule::new()
+        .with_migration_loss(SimTime::ZERO, horizon, 0.3)
+        .with_migration_dup(SimTime::ZERO, horizon, 0.3)
+        .with_migration_loss(SimTime::from_millis(3500), SimTime::from_secs(5), 1.0);
+    s.shard_faults = vec![faults.clone(), faults];
+    s
+}

@@ -83,5 +83,20 @@ fn corridor_probe_honors_worker_env() {
     let scenario = corridor();
     let workers = wgtt_sim::worker_count(scenario.shards);
     let r = run_sharded(&scenario, workers);
-    emit_probe("lockstep_corridor.json", &r.fingerprint());
+    emit_probe("lockstep_corridor", &r.fingerprint());
+}
+
+/// The faulted seam — retries, ledger absorptions, aborts, readoptions and
+/// re-exports, every random draw from the seam RNG fork — is as
+/// worker-count invariant as the fault-free one: all of it runs in the
+/// serial barrier.
+#[test]
+fn seam_faulted_corridor_is_worker_count_invariant() {
+    let scenario = common::seam_faulted_corridor();
+    let want = run_sharded(&scenario, 1).fingerprint();
+    emit_probe("seam_faulted_corridor", &want);
+    for workers in [2usize, 4] {
+        let got = run_sharded(&scenario, workers).fingerprint();
+        assert_same(&format!("workers={workers} vs serial"), &got, &want);
+    }
 }

@@ -1,6 +1,6 @@
-//! Golden digests: six pinned runs — failover, chaos, controller crash,
-//! controller standby, a faulted UDP drive, a 2-shard ring — replayed and
-//! compared with `tests/golden/<name>.json`, so tier-1 (`cargo test -q`)
+//! Golden digests: seven pinned runs — failover, chaos, controller crash,
+//! controller standby, a faulted UDP drive, a 2-shard ring and the same ring
+//! over a faulted seam — replayed and compared with `tests/golden/<name>.json`, so tier-1 (`cargo test -q`)
 //! itself sees a behaviour change.
 //!
 //! The files pin behaviour, not just repeatability: a change that moves
@@ -74,4 +74,23 @@ fn faulted_udp_drive() {
 fn ring_corridor() {
     let r = run_sharded(&common::ring_corridor(), 2);
     check("ring_corridor", &r.fingerprint());
+}
+
+#[test]
+fn seam_faulted_corridor() {
+    let r = run_sharded(&common::seam_faulted_corridor(), 2);
+    // The run takes every branch of the seam protocol it is here to pin.
+    assert!(r.sys.migration_retries > 0, "no prepare was ever re-sent");
+    assert!(
+        r.sys.migration_dups_dropped > 0,
+        "the ledger absorbed nothing"
+    );
+    assert!(r.sys.migration_aborts > 0, "the outage aborted no handoff");
+    let healed = wgtt::sim::SimTime::from_secs(5);
+    assert!(
+        r.migrations.iter().any(|m| m.at >= healed),
+        "no re-export after the seam healed"
+    );
+    assert!(r.sys.migrated_in > 0, "no handoff ever committed");
+    check("seam_faulted_corridor", &r.fingerprint());
 }
