@@ -12,10 +12,10 @@
 //! run at the same shapes to show the compounding loss the protocol
 //! removes.
 
-use crate::common::{render_table, save_json};
+use crate::common::{exit_invalid, render_table, save_json};
 use serde::Serialize;
 use wgtt_core::config::SystemConfig;
-use wgtt_core::shard::{run_sharded, ShardedRunResult, ShardedScenario};
+use wgtt_core::shard::{try_run_sharded, ScenarioError, ShardedRunResult, ShardedScenario};
 use wgtt_sim::{FaultSchedule, SimDuration, SimTime};
 
 /// Shard counts the sweep visits (clients per shard held fixed, so the
@@ -123,15 +123,15 @@ fn retention(delivered: u64, lost: u64) -> f64 {
 
 /// Runs the sweep: for each shard count, the real migration protocol and
 /// the naive no-transfer shim at the same shape.
-pub fn run_experiment(fast: bool) -> HandoffSweep {
+pub fn run_experiment(fast: bool) -> Result<HandoffSweep, ScenarioError> {
     let workers = std::thread::available_parallelism()
         .map(|n| n.get().min(4))
         .unwrap_or(1);
     let mut points = Vec::new();
     for &shards in &SHARD_SWEEP {
-        let real = run_sharded(&scenario(shards, fast, false), workers.min(shards));
-        let naive = run_sharded(&scenario(shards, fast, true), workers.min(shards));
-        let faulted = run_sharded(&faulted_scenario(shards, fast), workers.min(shards));
+        let real = try_run_sharded(&scenario(shards, fast, false), workers.min(shards))?;
+        let naive = try_run_sharded(&scenario(shards, fast, true), workers.min(shards))?;
+        let faulted = try_run_sharded(&faulted_scenario(shards, fast), workers.min(shards))?;
         let delivered = delivered_bytes(&real);
         let lost = real.sys.departed_data_bytes;
         let naive_delivered = delivered_bytes(&naive);
@@ -154,15 +154,15 @@ pub fn run_experiment(fast: bool) -> HandoffSweep {
             faulted_dups_dropped: faulted.sys.migration_dups_dropped,
         });
     }
-    HandoffSweep {
+    Ok(HandoffSweep {
         clients_per_shard: CLIENTS_PER_SHARD,
         points,
-    }
+    })
 }
 
 /// Runs and renders the handoff scaling sweep.
 pub fn report(fast: bool) -> String {
-    let sweep = run_experiment(fast);
+    let sweep = run_experiment(fast).unwrap_or_else(|e| exit_invalid(&e));
     save_json("handoff_scaling", &sweep);
     let rows: Vec<Vec<String>> = sweep
         .points
@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn retention_stays_flat_as_shards_grow() {
-        let sweep = run_experiment(true);
+        let sweep = run_experiment(true).expect("valid scenario");
         assert_eq!(sweep.points.len(), SHARD_SWEEP.len());
         for p in &sweep.points {
             assert!(p.migrations > 0, "{} shards: no handoffs", p.shards);
@@ -234,7 +234,7 @@ mod tests {
 
     #[test]
     fn faulty_backhaul_leg_holds_retention_at_one() {
-        let sweep = run_experiment(true);
+        let sweep = run_experiment(true).expect("valid scenario");
         let mut retries = 0u64;
         let mut dups = 0u64;
         for p in &sweep.points {

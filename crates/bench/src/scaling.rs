@@ -11,11 +11,11 @@
 //! On a single-core host the curve is flat (≈1× everywhere) — that is
 //! expected and not a failure.
 
-use crate::common::{render_table, save_json};
+use crate::common::{exit_invalid, render_table, save_json};
 use serde::Serialize;
 use wgtt_core::config::SystemConfig;
 use wgtt_core::digest::assert_same;
-use wgtt_core::shard::{run_sharded, ShardedScenario};
+use wgtt_core::shard::{try_run_sharded, ScenarioError, ShardedScenario};
 use wgtt_sim::SimDuration;
 
 /// Worker counts every scaling run sweeps.
@@ -67,15 +67,15 @@ pub fn scaling_scenario(fast: bool) -> ShardedScenario {
     ShardedScenario::ring_corridor(cfg, 8, 2, 35.0, 5_000_000, duration, 1717)
 }
 
-/// Runs the sweep: one `run_sharded` per worker count, serial first.
-pub fn run_experiment(fast: bool) -> ScalingSweep {
+/// Runs the sweep: one `try_run_sharded` per worker count, serial first.
+pub fn run_experiment(fast: bool) -> Result<ScalingSweep, ScenarioError> {
     let scenario = scaling_scenario(fast);
     let mut points = Vec::new();
     let mut fingerprint = String::new();
     let mut migrations = 0usize;
     let mut serial_eps = 0.0f64;
     for &workers in &WORKER_SWEEP {
-        let r = run_sharded(&scenario, workers);
+        let r = try_run_sharded(&scenario, workers)?;
         let fp = r.fingerprint();
         if workers == 1 {
             fingerprint = fp.clone();
@@ -104,7 +104,7 @@ pub fn run_experiment(fast: bool) -> ScalingSweep {
             },
         });
     }
-    ScalingSweep {
+    Ok(ScalingSweep {
         cores: std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1),
@@ -113,12 +113,12 @@ pub fn run_experiment(fast: bool) -> ScalingSweep {
         migrations,
         fingerprint,
         points,
-    }
+    })
 }
 
 /// Runs and renders the scaling sweep.
 pub fn report(fast: bool) -> String {
-    let sweep = run_experiment(fast);
+    let sweep = run_experiment(fast).unwrap_or_else(|e| exit_invalid(&e));
     save_json("scaling", &sweep);
     let rows: Vec<Vec<String>> = sweep
         .points
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_and_migrates() {
-        let sweep = run_experiment(true);
+        let sweep = run_experiment(true).expect("valid scenario");
         assert_eq!(sweep.points.len(), WORKER_SWEEP.len());
         assert!(sweep.migrations > 0, "corridor never handed off a vehicle");
         // run_experiment asserts fingerprint equality internally; double-check

@@ -49,6 +49,7 @@ pub mod oracle;
 pub mod protocol_check;
 pub mod replica;
 pub mod runner;
+pub mod seam;
 pub mod selection;
 pub mod shard;
 pub mod switching;
@@ -58,7 +59,7 @@ pub use config::{BaselineConfig, Mode, SystemConfig};
 pub use health::{ApHealth, HealthConfig};
 pub use runner::{run, ClientSpec, FlowSpec, RunResult, Scenario, TrajectorySpec};
 pub use selection::{ApSelector, SelectionConfig, WindowEstimator};
-pub use shard::{run_sharded, Migration, ShardedRunResult, ShardedScenario};
+pub use shard::{run_sharded, try_run_sharded, Migration, ShardedRunResult, ShardedScenario};
 pub use switching::{AbandonRecord, SwitchEngine, SwitchMsg, SwitchRecord, SwitchTimings};
 pub use world::{
     prime_events, prime_migrant_events, Ev, FlowKind, MigrantFlow, MigrantSpec, WgttWorld,

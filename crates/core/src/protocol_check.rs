@@ -11,7 +11,7 @@
 //! configurations if they exist at all.
 //!
 //! The checker drives the *production* control-plane state machines — the
-//! real [`SwitchEngine`] and the real [`ApSwitchGuard`] — not a
+//! real [`SwitchEngine`], [`ApSwitchGuard`] and [`SeamEngine`] — not a
 //! re-implementation, so what it certifies is the code the simulator runs.
 //! A [`CheckerConfig::epoch_guard`]`= false` mode bypasses the guards and
 //! forges the pre-epoch controller behaviour (complete the pending switch
@@ -47,37 +47,30 @@
 //! checker actually catches the cross-restart aliasing family.
 //!
 //! [`CheckerConfig::max_migrations`] adds the inter-controller handoff
-//! slice — modelled as the *two-phase* protocol the sharded runner ships:
-//! [`Choice::MigrateExport`] retires the client at a lockstep barrier and
-//! puts an idempotent, term-stamped [`NetMsg::MigPrepare`] on the wire
-//! (switch-epoch high-water, recently delivered uplink dedup keys,
-//! undelivered downlink residue); delivering it admits the client at the
-//! destination and answers with a [`NetMsg::MigCommit`] that releases the
-//! source's retained record. Seam frames are lossy like everything else:
-//! [`Choice::DropMigration`] / [`Choice::DupMigration`] spend their own
-//! budgets, [`Choice::MigrateRetry`] re-sends the pending prepare
-//! (re-stamped with the current term), [`Choice::MigrateAbort`] gives up
-//! after the retry budget and readopts the client at the source, and
-//! [`Choice::CrashDuringMigration`] bounces the source controller
-//! mid-handoff — the retained record survives (it is durable), which is
-//! the crash-safety claim under test. The destination must resume its
-//! epoch space strictly above the record's high-water
-//! ([`ViolationKind::EpochRegression`] otherwise), re-prime the
-//! transferred keys so cross-seam retransmits of already-delivered
-//! packets drop instead of reaching the Internet twice
-//! ([`ViolationKind::CrossSeamDuplicate`]), deliver every residue
-//! datagram ([`ViolationKind::LostResidue`]), and never leave both
-//! incarnations live without an armed reconciliation record
-//! ([`ViolationKind::SplitMigration`]). Two shims exist to prove the
-//! checker sees every family: [`CheckerConfig::migration_naive`] forges
-//! the no-transfer admission (record discarded at import — the
+//! slice. Its protocol is the [`SeamEngine`] the sharded runner ships
+//! ([`crate::seam`]); the checker is only the engine's wire and its ground
+//! truth: [`Choice::MigrateExport`] hands the engine the record to retain
+//! (the switch-epoch high-water; the dedup keys and downlink residue it
+//! stands for are the `MIG_*` constants), a delivered
+//! `MigPrepare` frame asks it whether to fence, absorb, rejoin or
+//! admit, [`Choice::MigrateRetry`] / [`Choice::MigrateAbort`] fire its
+//! retry timer, and [`Choice::DropMigration`], [`Choice::DupMigration`]
+//! and [`Choice::CrashDuringMigration`] make the wire and the source
+//! controller hostile around it — the retained record is durable and
+//! survives. On the ground, the destination must resume its epoch space
+//! above the record's high-water, re-prime the transferred dedup keys,
+//! deliver every residue datagram, apply each `seq` once and never leave
+//! both incarnations live with nothing to reconcile them
+//! ([`ViolationKind::EpochRegression`], [`ViolationKind::CrossSeamDuplicate`],
+//! [`ViolationKind::LostResidue`], [`ViolationKind::DoubleImport`],
+//! [`ViolationKind::SplitMigration`]). Two shims prove the checker sees
+//! every family, forged harness-side as `epoch_guard = false` is:
+//! [`CheckerConfig::migration_naive`] discards the record at import (the
 //! data-plane families), and [`CheckerConfig::migration_retention`]` =
-//! false` forges the source forgetting the record the moment the prepare
-//! is sent — a dropped prepare then loses the record outright (the
-//! vehicle still arrives, so the destination admits it blind), and the
-//! only abort available is a *blind* readopt that cannot know whether
-//! the destination admitted, the split-brain the retained record
-//! prevents.
+//! false` plays a source that ignores what the engine retains — a dropped
+//! prepare loses the record outright (the vehicle still arrives, so the
+//! destination admits it blind), and the only abort is a *blind* readopt
+//! that cannot know whether the destination admitted.
 //!
 //! [`CheckerConfig::max_failovers`] adds the hot-standby choice pair:
 //! [`Choice::FailoverToStandby`] kills the primary mid-schedule and
@@ -90,6 +83,8 @@
 //! `fencing = false` shim demonstrates the split-brain family
 //! ([`ViolationKind::SplitBrain`]) the fence exists to kill.
 
+use crate::config::MigrationConfig;
+use crate::seam::{CommitVerdict, Due, Handoff, PrepareVerdict, SeamEngine};
 use crate::switching::{
     AckOutcome, ApSwitchGuard, StartVerdict, StopVerdict, SwitchEngine, SwitchMsg,
 };
@@ -121,10 +116,32 @@ const MIG_RETRANSMITS: [u16; 2] = [1, 2];
 /// barrier — the residue the record carries across the seam.
 const MIG_DOWN_RESIDUE: [u16; 1] = [100];
 
-// The checker's migration record is implicit: the epoch high-water rides
-// the `MigPrepare` frame (frames stay `Copy`), and the dedup keys and
-// residue are the `MIG_*` constants above — the same three pieces the
-// production `MigrationRecord` carries.
+/// The migration slice's two controllers as the seam engine numbers them,
+/// and the client's local index at each. Distinct and non-zero where they
+/// can be, for the same reason as [`CLIENT`].
+const SRC: usize = 0;
+const DST: usize = 1;
+const SRC_CLIENT: usize = CLIENT.0 as usize;
+const DST_LOCAL: usize = 3;
+
+/// The slice's one handoff, carrying `epoch_max` as its record.
+fn handoff(epoch_max: u32) -> Handoff<u32> {
+    Handoff {
+        from: SRC,
+        to: DST,
+        src_client: SRC_CLIENT,
+        record: epoch_max,
+    }
+}
+
+/// The production retry ladder with the slice's budget: the first send
+/// plus [`CheckerConfig::max_mig_retries`] re-sends, then abort.
+fn seam_policy(cfg: &CheckerConfig) -> MigrationConfig {
+    MigrationConfig {
+        max_attempts: 1 + cfg.max_mig_retries,
+        ..MigrationConfig::default()
+    }
+}
 
 /// A checker scenario: which switches run, over how hostile a network.
 #[derive(Debug, Clone)]
@@ -181,14 +198,13 @@ pub struct CheckerConfig {
     /// the shim the test suite uses to prove the checker catches the
     /// epoch-regression, cross-seam-duplicate, and lost-residue families.
     pub migration_naive: bool,
-    /// `true` (the shipped protocol) retains the exported record at the
-    /// source until the commit lands: retries re-send it, and an abort
-    /// readopts the client bit-exactly with the reconciliation state
-    /// armed. `false` forges the no-retention source: the record is
-    /// forgotten the moment the prepare is sent, a dropped prepare loses
-    /// it outright (the destination admits the arriving vehicle blind),
-    /// and the only abort is a blind readopt — the shim the test suite
-    /// uses to prove the checker sees [`ViolationKind::SplitMigration`].
+    /// `true` (the shipped protocol) lets the source act on the record the
+    /// engine retains until the commit lands: retries re-send it, and an
+    /// abort readopts the client bit-exactly. `false` forges a source that
+    /// ignores it: a dropped prepare loses the record outright (the
+    /// destination admits the arriving vehicle blind), and the only abort
+    /// is a blind readopt — the shim the test suite uses to prove the
+    /// checker sees [`ViolationKind::SplitMigration`].
     pub migration_retention: bool,
     /// Budget of seam-frame drops per schedule ([`Choice::DropMigration`];
     /// seam frames are exempt from the generic drop budget).
@@ -196,9 +212,9 @@ pub struct CheckerConfig {
     /// Budget of seam-frame duplications per schedule
     /// ([`Choice::DupMigration`]).
     pub max_mig_dups: u32,
-    /// Budget of prepare re-sends per schedule ([`Choice::MigrateRetry`]);
-    /// the abort choice arms only once this budget is spent, mirroring
-    /// the production `max_attempts` policy.
+    /// Prepare re-sends per handoff ([`Choice::MigrateRetry`]) before the
+    /// engine aborts it: the slice runs the production ladder with
+    /// `max_attempts` one above this.
     pub max_mig_retries: u32,
     /// Budget of mid-migration controller bounces per schedule
     /// ([`Choice::CrashDuringMigration`]).
@@ -276,9 +292,8 @@ pub enum Choice {
     /// with the controller's current term.
     MigrateRetry,
     /// The retry budget is spent and the commit never landed: the source
-    /// aborts the handoff and readopts the client. With retention the
-    /// readopt is bit-exact and the reconciliation state stays armed;
-    /// under the no-retention shim it is a blind readopt that cannot know
+    /// aborts the handoff and readopts the client — bit-exactly from the
+    /// retained record, or under the no-retention shim blind, not knowing
     /// whether the destination admitted.
     MigrateAbort,
     /// Bounce the source controller mid-handoff (crash + term-preserving
@@ -325,11 +340,15 @@ pub enum ViolationKind {
     /// barrier never reached the client through the destination — the
     /// migration dropped the record's residue.
     LostResidue,
+    /// The destination applied one `seq`'s record twice (admitted or merged
+    /// it again): the idempotence ledger failed to absorb a duplicated or
+    /// retried prepare.
+    DoubleImport,
     /// The run quiesced with the client live at *both* controllers and no
-    /// armed reconciliation state (no retained pending record, no
-    /// readopt-after-abort marker) — a two-generals outcome the retained
-    /// record turns into "exactly-once ownership, or a record that will
-    /// reconcile it". Only the no-retention shim can reach it.
+    /// admission on file to merge them when the source re-exports — a
+    /// two-generals outcome the retained record turns into "exactly-once
+    /// ownership, or a record that will reconcile it". Only the
+    /// no-retention shim can reach it.
     SplitMigration,
 }
 
@@ -415,15 +434,15 @@ enum NetMsg {
     /// lossy wire, so it is never a drop choice — dropping it would model
     /// a loss the protocol cannot see and forge `LostResidue`.
     DownAtDest { ident: u16 },
-    /// Source controller → destination controller: the two-phase export.
-    /// The record rides implicitly (epoch high-water inline; keys and
-    /// residue are the `MIG_*` constants), `seq` makes the import
-    /// idempotent, `term` lets the destination fence a superseded source.
-    MigPrepare { seq: u32, epoch_max: u32, term: u32 },
+    /// Source controller → destination controller: the two-phase export,
+    /// carrying the record the [`SeamEngine`] retains (the epoch
+    /// high-water; the keys and residue it stands for are the `MIG_*`
+    /// constants), the engine's `seq` and the source's current `term`.
+    MigPrepare { seq: u64, epoch_max: u32, term: u32 },
     /// Destination controller → source controller: the prepare with this
     /// `seq` was applied (or absorbed); the source may release its
     /// retained record.
-    MigCommit { seq: u32 },
+    MigCommit { seq: u64 },
 }
 
 /// Model of one AP's per-client soft state.
@@ -465,37 +484,22 @@ struct State {
     /// no longer a pure function of the switch count once a crash can
     /// advance the space past the reported high-water mark).
     last_completed: Option<(usize, u32)>,
+    /// Exports the client may still make: the configured migrations, plus
+    /// the one a readopted client owes (see `mig_reexports_left`).
     migrations_left: u32,
-    /// Next seam sequence number to allocate.
-    mig_seq: u32,
-    /// The retained record at the source: `(seq, epoch_max)` of the
-    /// in-flight prepare, kept until the matching commit lands (the keys
-    /// and residue are the `MIG_*` constants). `None` = no handoff in
-    /// flight (never exported, committed, or aborted).
-    mig_pending: Option<(u32, u32)>,
-    /// The source aborted a handoff and readopted the client — the armed
-    /// reconciliation marker: a late commit is absorbed, and the client
-    /// re-exports at its next boundary pass.
-    mig_aborted: bool,
+    /// The production seam protocol, both halves; the record the source
+    /// retains is the epoch high-water.
+    seam: SeamEngine<u32>,
     /// Whether the client is live at the source controller.
     source_active: bool,
     /// Whether the client is live at the destination controller.
     dest_active: bool,
-    /// Seam sequence numbers the destination has applied — the import
-    /// idempotence ledger.
-    mig_applied: Vec<u32>,
-    /// Highest source term the destination has seen on a prepare — its
-    /// fence against a superseded source incarnation.
-    mig_term_seen: u32,
-    mig_retries_left: u32,
     mig_drops_left: u32,
     mig_dups_left: u32,
     mig_crashes_left: u32,
-    /// Post-abort re-export allowance (the readopted client passing the
-    /// boundary again); bounded so the DFS terminates.
+    /// Aborts that still grant a re-export (the readopted client passing
+    /// the boundary again); bounded so the DFS terminates.
     mig_reexports_left: u32,
-    /// Whether a migration has completed (arms the terminal residue check).
-    mig_done: bool,
     /// Residue idents the destination owes the client (from the record,
     /// or from the discarded record under the naive shim).
     mig_residue: Vec<u16>,
@@ -504,6 +508,9 @@ struct State {
     dest_seen: Vec<u16>,
     /// Residue idents actually re-delivered by the destination.
     dest_down_delivered: Vec<u16>,
+    /// Every `seq` whose record the destination applied — the ground
+    /// truth the engine's idempotence is checked against.
+    dest_imported: Vec<u64>,
     completions: u64,
     abandons: u64,
     stale_drops: u64,
@@ -544,22 +551,17 @@ impl State {
             zombie_frames: Vec::new(),
             last_completed: None,
             migrations_left: cfg.max_migrations,
-            mig_seq: 0,
-            mig_pending: None,
-            mig_aborted: false,
+            seam: SeamEngine::new(seam_policy(cfg)),
             source_active: true,
             dest_active: false,
-            mig_applied: Vec::new(),
-            mig_term_seen: 0,
-            mig_retries_left: cfg.max_mig_retries,
             mig_drops_left: cfg.max_mig_drops,
             mig_dups_left: cfg.max_mig_dups,
             mig_crashes_left: cfg.max_mig_crashes,
             mig_reexports_left: 1,
-            mig_done: false,
             mig_residue: Vec::new(),
             dest_seen: Vec::new(),
             dest_down_delivered: Vec::new(),
+            dest_imported: Vec::new(),
             completions: 0,
             abandons: 0,
             stale_drops: 0,
@@ -706,43 +708,45 @@ impl State {
         // has resolved, the wire has drained (the barrier quiesces the
         // source shard's control plane — interleaving switch stragglers
         // with the seam is the switch slices' job, not this one's), and
-        // the controller is up to serialize the export. A readopted
-        // client (post-abort) re-exports once on its next boundary pass.
+        // the controller is up to serialize the export.
+        let pending = self.seam.pending_for(SRC, SRC_CLIENT);
         if self.next_switch == cfg.switches.len()
             && !self.engine.in_flight(CLIENT)
             && self.net.is_empty()
             && !self.controller_down
             && self.source_active
-            && self.mig_pending.is_none()
-            && (self.migrations_left > 0 || (self.mig_aborted && self.mig_reexports_left > 0))
+            && pending.is_none()
+            && self.migrations_left > 0
         {
             v.push(Choice::MigrateExport);
         }
-        if let Some((seq, _)) = self.mig_pending {
-            if cfg.migration_retention {
-                // The retry models the timer expiring with the frame
-                // lost. While a copy is still in flight, a re-send is
-                // indistinguishable from a duplication — and that
-                // interleaving is [`Choice::DupMigration`]'s budget.
-                let prepare_in_flight = self
-                    .net
-                    .iter()
-                    .any(|m| matches!(m, NetMsg::MigPrepare { seq: s, .. } if *s == seq));
-                if !self.controller_down && self.mig_retries_left > 0 && !prepare_in_flight {
-                    v.push(Choice::MigrateRetry);
-                }
-                // Abort only arms once the retry ladder is exhausted —
-                // the production `max_attempts` policy.
-                if !self.controller_down && self.mig_retries_left == 0 {
+        if let Some((seq, handoff)) = pending {
+            if !cfg.migration_retention {
+                // No-retention shim: the harness plays a source that
+                // ignores what the engine retains, so the only recovery
+                // from a wedged handoff is the blind readopt.
+                if !self.source_active {
                     v.push(Choice::MigrateAbort);
                 }
-                if !self.controller_down && self.mig_crashes_left > 0 {
+            } else if !self.controller_down {
+                // Both choices fire the engine's retry timer; which one it
+                // is follows from the rung the handoff stands on.
+                if handoff.attempts >= seam_policy(cfg).max_attempts {
+                    v.push(Choice::MigrateAbort);
+                } else if !self
+                    .net
+                    .iter()
+                    .any(|m| matches!(m, NetMsg::MigPrepare { seq: s, .. } if *s == seq))
+                {
+                    // The retry models the timer expiring with the frame
+                    // lost. While a copy is still in flight, a re-send is
+                    // indistinguishable from a duplication — and that
+                    // interleaving is [`Choice::DupMigration`]'s budget.
+                    v.push(Choice::MigrateRetry);
+                }
+                if self.mig_crashes_left > 0 {
                     v.push(Choice::CrashDuringMigration);
                 }
-            } else if !self.source_active {
-                // No-retention shim: the record is gone, so the only
-                // recovery from a wedged handoff is the blind readopt.
-                v.push(Choice::MigrateAbort);
             }
         }
         v
@@ -877,63 +881,48 @@ impl State {
                 }
             }
             Choice::MigrateExport => {
-                if self.migrations_left > 0 {
-                    self.migrations_left -= 1;
-                } else {
-                    // A readopted client crossing the boundary again.
-                    self.mig_reexports_left -= 1;
-                }
-                let seq = self.mig_seq;
-                self.mig_seq += 1;
+                self.migrations_left -= 1;
                 // The record's epoch high-water is the engine counter
                 // joined with every AP guard mark — exactly what the
                 // production `retire_client` exports.
                 let epoch_max = self.engine.current_epoch(CLIENT).max(self.guard_floor());
                 self.source_active = false;
-                self.send(
-                    cfg,
-                    NetMsg::MigPrepare {
-                        seq,
-                        epoch_max,
-                        term: self.engine.term(),
-                    },
-                );
-                // With retention the source keeps the record until the
-                // commit lands; the shim forgets it the moment the frame
-                // is on the wire (the pending marker survives only as
-                // "the source believes the client departed"). A re-export
-                // replaces the armed abort marker with the fresh record.
-                self.mig_pending = Some((seq, epoch_max));
-                self.mig_aborted = false;
+                let seq = self.seam.export(self.now, handoff(epoch_max));
+                self.send_prepare(cfg, seq);
             }
-            Choice::MigrateRetry => {
-                self.mig_retries_left -= 1;
-                self.seam_retries += 1;
-                let (seq, epoch_max) = self.mig_pending.expect("retry gated on pending");
-                // Re-stamped with the *current* term: a bounced source
-                // resumes its reign, a superseded one gets fenced.
-                self.send(
-                    cfg,
-                    NetMsg::MigPrepare {
-                        seq,
-                        epoch_max,
-                        term: self.engine.term(),
-                    },
-                );
-            }
-            Choice::MigrateAbort => {
-                let (_, epoch_max) = self.mig_pending.take().expect("abort gated on pending");
+            Choice::MigrateRetry | Choice::MigrateAbort if !cfg.migration_retention => {
+                // The shim readopts blind, behind the engine's back:
+                // nothing reconciles, and the source cannot know whether
+                // the destination admitted.
                 self.seam_aborts += 1;
                 self.source_active = true;
-                if cfg.migration_retention {
-                    // Bit-exact readopt from the retained record, with the
-                    // reconciliation marker armed: a late commit is
-                    // absorbed, the client re-exports next pass.
-                    self.mig_aborted = true;
-                    self.engine.resume_epochs_above(CLIENT, epoch_max);
+            }
+            Choice::MigrateRetry | Choice::MigrateAbort => {
+                let pending = self.seam.pending_for(SRC, SRC_CLIENT);
+                let fire_at = pending.expect("gated on pending").1.next_retry;
+                self.now = self.now.max(fire_at);
+                for due in self.seam.due(self.now) {
+                    match due {
+                        Due::Resend { seq, .. } => {
+                            self.seam_retries += 1;
+                            self.send_prepare(cfg, seq);
+                        }
+                        Due::Abort(_, handoff) => {
+                            // Bit-exact readopt from the retained record;
+                            // the client re-exports on its next pass.
+                            self.seam_aborts += 1;
+                            self.source_active = true;
+                            self.engine.resume_epochs_above(CLIENT, handoff.record);
+                            if self.mig_reexports_left > 0 {
+                                self.mig_reexports_left -= 1;
+                                self.migrations_left += 1;
+                            }
+                        }
+                        Due::ResendForward(_) | Due::ForwardLost(()) => {
+                            unreachable!("the slice forwards no residue")
+                        }
+                    }
                 }
-                // The shim readopts blind: nothing is armed, and the
-                // source cannot know whether the destination admitted.
             }
             Choice::CrashDuringMigration => {
                 self.mig_crashes_left -= 1;
@@ -974,6 +963,22 @@ impl State {
         Ok(())
     }
 
+    /// Puts the prepare of retained handoff `seq` on the wire, stamped
+    /// with the *current* term: a bounced source resumes its reign, a
+    /// superseded one gets fenced.
+    fn send_prepare(&mut self, cfg: &CheckerConfig, seq: u64) {
+        let epoch_max = self.seam.handoff(seq).expect("retained").payload.record;
+        let term = self.engine.term();
+        self.send(
+            cfg,
+            NetMsg::MigPrepare {
+                seq,
+                epoch_max,
+                term,
+            },
+        );
+    }
+
     /// Term fence at frame arrival. `Ok(true)` means the frame may
     /// proceed with a *current-or-newer* term (the fence is raised);
     /// `Ok(false)` means it was fenced off; the caller gets `stale` back
@@ -1006,15 +1011,11 @@ impl State {
         transfer: bool,
     ) -> Result<(), ViolationKind> {
         self.dest_active = true;
-        self.mig_done = true;
         self.mig_residue = MIG_DOWN_RESIDUE.to_vec();
         let mut dest = SwitchEngine::new();
         if transfer {
             dest.resume_epochs_above(CLIENT, epoch_max);
-            self.dest_seen = MIG_SRC_DELIVERED.to_vec();
-            for &ident in &MIG_DOWN_RESIDUE {
-                self.send(cfg, NetMsg::DownAtDest { ident });
-            }
+            self.import_record(cfg);
         }
         if let Some(SwitchMsg::Stop { epoch, .. }) = dest.issue(self.now, CLIENT, ApId(0), ApId(1))
         {
@@ -1029,6 +1030,19 @@ impl State {
         }
         self.migrations += 1;
         Ok(())
+    }
+
+    /// The record's data-plane half, applied monotonically: re-prime the
+    /// keys, (re-)deposit the residue (delivery dedups), never rewind.
+    fn import_record(&mut self, cfg: &CheckerConfig) {
+        for ident in MIG_SRC_DELIVERED {
+            if !self.dest_seen.contains(&ident) {
+                self.dest_seen.push(ident);
+            }
+        }
+        for &ident in &MIG_DOWN_RESIDUE {
+            self.send(cfg, NetMsg::DownAtDest { ident });
+        }
     }
 
     /// Processes a delivered frame through the production state machines.
@@ -1134,57 +1148,34 @@ impl State {
                 epoch_max,
                 term,
             } => {
-                if term < self.mig_term_seen {
-                    // A superseded source incarnation's straggler: fenced
-                    // before it touches destination state.
-                    self.term_fence_drops += 1;
-                    return Ok(());
-                }
-                self.mig_term_seen = term;
-                if self.mig_applied.contains(&seq) {
-                    // Idempotent re-apply (a duplicated or retried frame
-                    // whose first copy landed): ack again so the source
-                    // can release its record, touch nothing else.
-                    self.seam_absorbed += 1;
-                    self.send(cfg, NetMsg::MigCommit { seq });
-                    return Ok(());
-                }
-                if self.dest_active {
-                    // The client is already resident — an aborted handoff
-                    // re-exported after the original prepare had landed.
-                    // Merge monotonically: re-prime the keys, re-deposit
-                    // the residue (delivery dedups), never rewind.
-                    if !cfg.migration_naive {
-                        for ident in MIG_SRC_DELIVERED {
-                            if !self.dest_seen.contains(&ident) {
-                                self.dest_seen.push(ident);
-                            }
+                let h = handoff(epoch_max);
+                match self.seam.on_prepare(seq, term, &h) {
+                    PrepareVerdict::StaleTerm => {
+                        self.term_fence_drops += 1;
+                        return Ok(());
+                    }
+                    PrepareVerdict::Duplicate { .. } => self.seam_absorbed += 1,
+                    applies => {
+                        // Rejoin or admit: the record is applied — and on
+                        // the ground that happens once per `seq`.
+                        if self.dest_imported.contains(&seq) {
+                            return Err(ViolationKind::DoubleImport);
                         }
-                        for &ident in &MIG_DOWN_RESIDUE {
-                            self.send(cfg, NetMsg::DownAtDest { ident });
+                        self.dest_imported.push(seq);
+                        if applies == PrepareVerdict::Admit {
+                            self.admit_at_dest(cfg, epoch_max, !cfg.migration_naive)?;
+                            self.seam.admitted(seq, &h, DST_LOCAL);
+                        } else if !cfg.migration_naive {
+                            self.import_record(cfg);
                         }
                     }
-                    self.mig_applied.push(seq);
-                    self.send(cfg, NetMsg::MigCommit { seq });
-                    return Ok(());
                 }
-                self.admit_at_dest(cfg, epoch_max, !cfg.migration_naive)?;
-                self.mig_applied.push(seq);
                 self.send(cfg, NetMsg::MigCommit { seq });
             }
-            NetMsg::MigCommit { seq } => match self.mig_pending {
-                Some((pending_seq, _)) if pending_seq == seq => {
-                    // Committed: the source releases its retained record.
-                    // The client now lives exactly at the destination.
-                    self.mig_pending = None;
-                }
-                _ => {
-                    // A duplicate commit, or one racing an abort that
-                    // already readopted the client: absorbed — the armed
-                    // readopt marker stays, and the re-export's own
-                    // commit covers it.
-                    self.seam_absorbed += 1;
-                }
+            NetMsg::MigCommit { seq } => match self.seam.on_commit(seq) {
+                // The client now lives exactly at the destination.
+                CommitVerdict::Release(_) => {}
+                CommitVerdict::AfterAbort | CommitVerdict::Duplicate => self.seam_absorbed += 1,
             },
             NetMsg::Ack { from_ap, epoch } => {
                 if self.controller_down {
@@ -1229,22 +1220,20 @@ impl State {
             // wedge — the caller counts it as incomplete.
             return Ok(());
         }
-        if self.mig_done {
-            // Every residue datagram the record carried must have reached
-            // the client through the destination.
-            for ident in &self.mig_residue {
-                if !self.dest_down_delivered.contains(ident) {
-                    return Err(ViolationKind::LostResidue);
-                }
+        // Every residue datagram the record carried must have reached the
+        // client through the destination.
+        for ident in &self.mig_residue {
+            if !self.dest_down_delivered.contains(ident) {
+                return Err(ViolationKind::LostResidue);
             }
         }
         // The two-generals escape hatch: the client may be live at both
-        // controllers *only* while reconciliation state is armed — a
-        // retained pending record (commit still owed) or a readopt marker
-        // (re-export owed). Quiescing dual-active with neither is the
-        // split the retained record exists to prevent; only the
-        // no-retention shim can get here.
-        let armed = cfg.migration_retention && (self.mig_pending.is_some() || self.mig_aborted);
+        // controllers *only* after an abort from the retained record,
+        // while the destination holds the admission that turns the
+        // readopted client's re-export into a rejoin. Quiescing
+        // dual-active without it is the split the retained record exists
+        // to prevent; only the no-retention shim can get here.
+        let armed = cfg.migration_retention && self.seam.admission(SRC, SRC_CLIENT).is_some();
         if self.dest_active && self.source_active && !armed {
             return Err(ViolationKind::SplitMigration);
         }
@@ -1564,6 +1553,9 @@ mod tests {
             max_mig_dups: 1,
             max_mig_retries: 1,
             max_mig_crashes: 1,
+            // 1 250 452 schedules: every handoff, the readopted client's
+            // re-export included, walks its own retry ladder.
+            max_schedules: 2_000_000,
             ..CheckerConfig::default()
         };
         let report = check(&cfg);

@@ -42,30 +42,25 @@
 //! ## The seam is a lossy channel (DESIGN.md §6f)
 //!
 //! Inter-controller handoff rides the same backhaul the fault schedules
-//! impair, so the transfer is a two-phase protocol rather than a function
-//! call. The source retires the client, sends an idempotent, term-stamped
-//! [`SeamMsg::Prepare`], and *retains* the full record until the
-//! destination's [`SeamMsg::Commit`] lands; un-acked prepares re-send on
-//! a deterministic exponential backoff
-//! ([`MigrationConfig`](crate::config::MigrationConfig)), and when the
-//! destination stays unreachable past the retry budget the source aborts
-//! and readopts the client — it re-exports at its next boundary pass, so
+//! impair, so the transfer is the two-phase prepare/commit protocol of
+//! [`crate::seam`] — retained records, deterministic retry, abort and
+//! readopt, idempotent term-fenced import — rather than a function call:
 //! a sustained seam outage degrades to *late* handoffs, never lost ones.
-//! Imports are idempotent (a double-applied prepare is a bit-identical
-//! no-op answered with a fresh commit) and term-fenced, so duplicated or
-//! delayed frames and mid-migration controller failovers cannot
-//! split-brain a client. All protocol state lives in the barrier closure
-//! and every random draw comes from a dedicated seam RNG fork consumed
-//! only inside an active fault window, so the machinery is worker-count
-//! invariant like everything else at the barrier.
+//! Every protocol decision is a [`SeamEngine`] verdict. This module is the
+//! engine's transport and its hands: `Corridor` carries the frames (one
+//! epoch of latency, loss and duplication drawn from a dedicated seam RNG
+//! fork, consumed only inside an active fault window) and applies each
+//! verdict to the shard worlds, all inside the serial barrier — so the
+//! machinery is worker-count invariant like everything else there.
 
-use crate::config::{MigrationConfig, SystemConfig};
+use crate::config::SystemConfig;
 use crate::metrics::SystemMetrics;
+use crate::seam::{CommitVerdict, Due, Handoff, PrepareVerdict, SeamEngine};
 use crate::world::{
-    prime_events, prime_migrant_events, Ev, MigrantFlow, MigrantSpec, MigrationRecord, SeamEntry,
-    WgttWorld,
+    prime_events, prime_migrant_events, Ev, FlowKind, MigrantFlow, MigrantSpec, MigrationRecord,
+    SeamEntry, WgttWorld,
 };
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
 use wgtt_phy::mobility::ConstantSpeed;
 use wgtt_phy::{mph_to_mps, Position, Trajectory};
 use wgtt_sim::lockstep::{drive, LockstepShard};
@@ -190,10 +185,7 @@ impl ShardedScenario {
                 self.shards
             )));
         }
-        if let Err(e) = self.config.migration.validate() {
-            return Err(ScenarioError(e));
-        }
-        Ok(())
+        self.config.migration.validate().map_err(ScenarioError)
     }
 
     /// The derived safe epoch: `min(50 ms, (gap − lead) / 2v)` (see the
@@ -225,140 +217,172 @@ impl LockstepShard for Shard {
     }
 }
 
-/// The client-routing table: (shard, retired local index) → (shard, local
-/// index) of the client's next hop, installed when a handoff commits.
-type RouteTable = Vec<std::collections::HashMap<usize, (usize, usize)>>;
+impl Shard {
+    /// Charges `entries` as seam loss, in packets and wire bytes.
+    fn lose(&mut self, entries: &[SeamEntry]) {
+        let bytes = entries
+            .iter()
+            .map(|e| e.payload.packet().len_bytes as u64)
+            .sum();
+        self.sim
+            .world_mut()
+            .count_seam_loss(entries.len() as u64, bytes);
+    }
 
-/// One message of the two-phase seam protocol. Frames sent at barrier `k`
-/// deliver at the first barrier strictly after `sent_at` — the seam has a
-/// one-epoch one-way latency, riding the same mailbox discipline as the
-/// lockstep contract itself.
+    /// Hands seam datagrams to local client `c`, scheduling the flush
+    /// the world asks for.
+    fn deposit(&mut self, now: SimTime, c: usize, entries: Vec<SeamEntry>) {
+        if self.sim.world_mut().deposit_seam(c, entries) {
+            self.sim.schedule_at(now, Ev::MigrantFlush { client: c });
+        }
+    }
+}
+
+/// One frame of the two-phase seam protocol. Frames sent at one barrier
+/// deliver at the next — the seam has a one-epoch one-way latency, riding
+/// the same mailbox discipline as the lockstep contract itself.
 #[derive(Debug, Clone)]
 enum SeamMsg {
-    /// Phase 1, source → destination: the full handoff record. Idempotent
-    /// (keyed by `seq` — a duplicate is answered with a fresh commit, not
-    /// re-applied) and term-fenced (`term` is the source controller's
-    /// failover term at send time; the destination drops prepares older
-    /// than the newest term it has seen from that source, and every
-    /// retransmit re-stamps the sender's current term).
+    /// Phase 1, source → destination: the full handoff record. Every
+    /// retransmit re-stamps `term`, the source controller's failover term
+    /// at send time.
     Prepare {
         seq: u64,
-        from: usize,
-        to: usize,
-        /// Source-local client index — the readoption and rejoin key.
-        src_client: usize,
         term: u32,
-        /// Barrier at which the source exported. The destination advances
-        /// the entry position by the limbo time so positions stay exact
-        /// no matter how many retries the prepare needed.
-        exported_at: SimTime,
-        spec: MigrantSpec,
-        record: MigrationRecord,
+        handoff: Handoff<Exported>,
     },
     /// Phase 2, destination → source: the admission receipt, carrying the
     /// destination-local index so the source can install the route.
-    Commit {
-        seq: u64,
-        from: usize,
-        to: usize,
-        local: usize,
-    },
+    Commit { seq: u64, from: usize, local: usize },
     /// Residue chasing a committed migration: outbox datagrams that landed
-    /// at a shard after their client moved on. Acked and retried like a
-    /// prepare; an exhausted retry budget surfaces as seam loss at the
-    /// origin instead of silently vanishing.
-    Forward {
-        fid: u64,
-        src: usize,
-        to: usize,
-        local: usize,
-        entries: Vec<SeamEntry>,
-    },
+    /// at a shard after their client moved on.
+    Forward { fid: u64, fwd: Forward },
     /// Receipt for a [`SeamMsg::Forward`], addressed back to its sender.
     ForwardAck { fid: u64, src: usize },
 }
 
-/// A seam frame in flight between barriers.
-struct SeamFrame {
-    sent_at: SimTime,
-    msg: SeamMsg,
+/// What the source retains of an exported client until the commit lands
+/// — the crash-safety anchor: until then it can readopt the client
+/// bit-exactly — and what every prepare carries.
+#[derive(Debug, Clone)]
+struct Exported {
+    spec: MigrantSpec,
+    state: MigrationRecord,
+    /// Barrier of the export. The destination advances the entry position
+    /// by the limbo time so positions stay exact no matter how many
+    /// retries the prepare needed.
+    at: SimTime,
 }
 
-/// A handoff the source exported but has not yet seen committed. The
-/// retained `record` is the crash-safety anchor: until the commit lands
-/// the source can readopt the client bit-exactly.
-struct PendingMig {
-    from: usize,
-    to: usize,
-    src_client: usize,
-    spec: MigrantSpec,
-    record: MigrationRecord,
-    exported_at: SimTime,
-    /// Prepares sent so far (the initial send included).
-    attempts: u32,
-    next_retry: SimTime,
-    /// Outbox datagrams drained while the handoff was un-committed. They
+/// A batch of residue sent by shard `src` to `dest`, a (shard, local
+/// client index) pair like the `route` entries it comes from.
+#[derive(Debug, Clone)]
+struct Forward {
+    src: usize,
+    dest: (usize, usize),
+    entries: Vec<SeamEntry>,
+}
+
+/// The corridor at a barrier: the seam channel (frames in flight, the
+/// lossy send), the [`SeamEngine`] and the effects of its verdicts on the
+/// shards. A fault-free run draws nothing from `rng`.
+struct Corridor<'a> {
+    scenario: &'a ShardedScenario,
+    /// Local x past which a client has left its shard.
+    exit_x: f64,
+    /// How a client that just reached `exit_x` re-appears in the next
+    /// shard; one found further along enters as much further in.
+    entry: MigrantSpec,
+    /// (shard, retired local index) → (shard, local index) of the client's
+    /// next hop, installed when a handoff commits. Seam datagrams captured
+    /// after a client left follow this chain to wherever it lives now.
+    route: HashMap<(usize, usize), (usize, usize)>,
+    seam: SeamEngine<Exported, Forward>,
+    /// Outbox datagrams drained while handoff `seq` was un-committed. They
     /// ride to the destination as a forward once the commit lands, or
     /// return to the client on abort.
-    trailing: Vec<SeamEntry>,
-}
-
-/// An un-acked residue forward.
-struct PendingFwd {
-    src: usize,
-    to: usize,
-    local: usize,
-    entries: Vec<SeamEntry>,
-    attempts: u32,
-    next_retry: SimTime,
-}
-
-/// All two-phase seam protocol state. Owned by the barrier closure and
-/// touched only there — barriers run serially, so worker count cannot
-/// reorder any of it, and every random draw comes from the dedicated
-/// `rng` fork, consumed only while a seam fault window is active (a
-/// fault-free run draws nothing at all).
-struct SeamState {
-    inflight: Vec<SeamFrame>,
-    pending: BTreeMap<u64, PendingMig>,
-    /// Aborted-and-readopted handoffs by seq. A late commit for one of
-    /// these means the destination *did* admit — the transient split
-    /// heals when the readopted client re-exports and hits the rejoin
-    /// path, so the commit is absorbed rather than counted as a dup.
-    aborted: BTreeSet<u64>,
-    fwd_pending: BTreeMap<u64, PendingFwd>,
-    /// Idempotence ledger: seq → destination-local index of every applied
-    /// prepare.
-    applied: BTreeMap<u64, usize>,
-    applied_fwd: BTreeSet<u64>,
-    /// (source shard, source-local index) → (dest shard, dest-local
-    /// index) of every admission — the rejoin key for a re-exported
-    /// client whose earlier handoff the source aborted on a lost commit.
-    admitted: BTreeMap<(usize, usize), (usize, usize)>,
-    /// Term fence, per (destination, source) pair.
-    term_seen: BTreeMap<(usize, usize), u32>,
-    next_seq: u64,
-    next_fid: u64,
+    trailing: BTreeMap<u64, Vec<SeamEntry>>,
+    inflight: Vec<SeamMsg>,
     rng: SimRng,
-    mig: MigrationConfig,
+    migrations: Vec<Migration>,
 }
 
-impl SeamState {
-    fn new(seed: u64, mig: MigrationConfig) -> Self {
-        SeamState {
+impl<'a> Corridor<'a> {
+    fn new(scenario: &'a ShardedScenario) -> Self {
+        let dep = scenario.config.deployment.build();
+        let (lo, hi) = dep.extent();
+        Corridor {
+            scenario,
+            exit_x: hi + scenario.gap_m - scenario.entry_lead_m,
+            entry: MigrantSpec {
+                entry_x: lo - scenario.entry_lead_m,
+                lane_y: dep.lane_near_y,
+                speed_mps: mph_to_mps(scenario.mph),
+                flows: scenario.flows.clone(),
+                log_deliveries: false,
+            },
+            route: HashMap::new(),
+            seam: SeamEngine::new(scenario.config.migration),
+            trailing: BTreeMap::new(),
             inflight: Vec::new(),
-            pending: BTreeMap::new(),
-            aborted: BTreeSet::new(),
-            fwd_pending: BTreeMap::new(),
-            applied: BTreeMap::new(),
-            applied_fwd: BTreeSet::new(),
-            admitted: BTreeMap::new(),
-            term_seen: BTreeMap::new(),
-            next_seq: 0,
-            next_fid: 0,
-            rng: SimRng::new(seed).fork("seam"),
-            mig,
+            rng: SimRng::new(scenario.seed).fork("seam"),
+            migrations: Vec::new(),
         }
+    }
+
+    /// Builds shard `i`: its world, resident vehicles, flows and primed
+    /// event queue.
+    fn build_shard(&self, i: usize, traffic_until: SimTime) -> Shard {
+        let (s, entry) = (self.scenario, &self.entry);
+        let trajectories: Vec<Box<dyn Trajectory>> = (0..s.clients_per_shard)
+            .map(|j| {
+                let x = entry.entry_x - j as f64 * s.headway_m;
+                Box::new(ConstantSpeed {
+                    start: Position::new(x, entry.lane_y, 1.5),
+                    speed_mps: entry.speed_mps,
+                }) as Box<dyn Trajectory>
+            })
+            .collect();
+        let mut world = WgttWorld::new(
+            s.config.clone(),
+            trajectories,
+            shard_seed(s.seed, i),
+            traffic_until,
+            false,
+        );
+        if let Some(f) = s.shard_faults.get(i) {
+            world.faults = f.clone();
+        }
+        for c in 0..s.clients_per_shard {
+            for f in &s.flows {
+                let cbr = wgtt_net::CbrSource::new(f.rate_bps, f.payload, SimTime::from_millis(1));
+                let kind = if f.uplink {
+                    FlowKind::UpUdp(cbr)
+                } else {
+                    FlowKind::DownUdp(cbr)
+                };
+                let fidx = world.add_flow(c, kind);
+                world.flows[fidx].start = SimTime::from_millis(1);
+            }
+        }
+        let mut sim = Simulator::new(world);
+        prime_events(&mut sim);
+        Shard { sim }
+    }
+
+    /// The serial barrier. (The naive shim exports nothing, so for it
+    /// steps 1 and 3 find nothing to do and step 4 no one to forward to.)
+    fn at_barrier(&mut self, shards: &mut [Shard], now: SimTime) {
+        // Step 1: deliver every frame sent at the previous barrier, in
+        // send order — prepares admit migrants, commits release retained
+        // records, forwards deposit chased residue. The responses wait
+        // for the next barrier.
+        for msg in std::mem::take(&mut self.inflight) {
+            self.deliver(shards, now, msg);
+        }
+        self.export_crossings(shards, now);
+        self.sweep(shards, now);
+        self.drain_outboxes(shards, now);
     }
 
     /// Sends a frame through the seam channel under the *sending* shard's
@@ -372,357 +396,227 @@ impl SeamState {
             return;
         }
         if dup > 0.0 && self.rng.chance(dup) {
-            self.inflight.push(SeamFrame {
-                sent_at: now,
-                msg: msg.clone(),
-            });
+            self.inflight.push(msg.clone());
         }
-        self.inflight.push(SeamFrame { sent_at: now, msg });
+        self.inflight.push(msg);
     }
 
-    /// Exports a retired client: sends the prepare and retains the record
-    /// until the destination commits.
-    fn export(
-        &mut self,
-        shards: &[Shard],
-        hop: Migration,
-        src_client: usize,
-        spec: MigrantSpec,
-        record: MigrationRecord,
-    ) {
-        let Migration { at: now, from, to } = hop;
-        let seq = self.next_seq;
-        self.next_seq += 1;
+    /// (Re-)sends the prepare of retained handoff `seq`, stamped with the
+    /// source controller's current term.
+    fn send_prepare(&mut self, shards: &[Shard], seq: u64, now: SimTime) {
+        let handoff = self.seam.handoff(seq).expect("retained").payload.clone();
+        let from = handoff.from;
         let term = shards[from].sim.world().ctrl.engine.term();
-        self.send(
-            shards,
-            from,
-            now,
-            SeamMsg::Prepare {
-                seq,
-                from,
-                to,
-                src_client,
-                term,
-                exported_at: now,
-                spec: spec.clone(),
-                record: record.clone(),
-            },
-        );
-        self.pending.insert(
-            seq,
-            PendingMig {
-                from,
-                to,
-                src_client,
-                spec,
-                record,
-                exported_at: now,
-                attempts: 1,
-                next_retry: now + self.mig.retry_delay(1),
-                trailing: Vec::new(),
-            },
-        );
+        let msg = SeamMsg::Prepare { seq, term, handoff };
+        self.send(shards, from, now, msg);
     }
 
     /// Registers a residue forward and sends it (acked, retried).
-    fn queue_forward(
-        &mut self,
-        shards: &[Shard],
-        now: SimTime,
-        src: usize,
-        to: usize,
-        local: usize,
-        entries: Vec<SeamEntry>,
-    ) {
-        let fid = self.next_fid;
-        self.next_fid += 1;
-        self.fwd_pending.insert(
-            fid,
-            PendingFwd {
-                src,
-                to,
-                local,
-                entries: entries.clone(),
-                attempts: 1,
-                next_retry: now + self.mig.retry_delay(1),
-            },
-        );
-        self.send(
-            shards,
-            src,
-            now,
-            SeamMsg::Forward {
-                fid,
-                src,
-                to,
-                local,
-                entries,
-            },
-        );
+    fn forward(&mut self, shards: &[Shard], now: SimTime, fwd: Forward) {
+        let src = fwd.src;
+        let fid = self.seam.forward(now, fwd.clone());
+        self.send(shards, src, now, SeamMsg::Forward { fid, fwd });
     }
 
-    /// Delivers every frame sent before this barrier, in send order.
-    /// Responses generated during delivery carry `sent_at = now` and so
-    /// wait for the next barrier — the one-epoch seam latency.
-    fn deliver_due(&mut self, shards: &mut [Shard], route: &mut RouteTable, now: SimTime) {
-        let mut due = Vec::new();
-        let mut rest = Vec::new();
-        for f in self.inflight.drain(..) {
-            if f.sent_at < now {
-                due.push(f.msg);
-            } else {
-                rest.push(f);
-            }
-        }
-        self.inflight = rest;
-        for msg in due {
-            self.deliver(shards, route, now, msg);
-        }
-    }
-
-    fn deliver(
-        &mut self,
-        shards: &mut [Shard],
-        route: &mut RouteTable,
-        now: SimTime,
-        msg: SeamMsg,
-    ) {
+    fn deliver(&mut self, shards: &mut [Shard], now: SimTime, msg: SeamMsg) {
         match msg {
             SeamMsg::Prepare {
                 seq,
-                from,
-                to,
-                src_client,
                 term,
-                exported_at,
-                spec,
-                record,
+                handoff: mut h,
             } => {
-                let fence = self.term_seen.entry((to, from)).or_insert(0);
-                if term < *fence {
-                    // A prepare stamped by a pre-failover source
-                    // incarnation; its retransmits carry the live term.
-                    shards[to].sim.world_mut().sys.stale_term_dropped += 1;
-                    return;
-                }
-                *fence = term;
-                if let Some(&local) = self.applied.get(&seq) {
-                    // Idempotence: the record is already applied — absorb
-                    // the duplicate and refresh the (possibly lost)
-                    // commit.
-                    shards[to].sim.world_mut().sys.migration_dups_dropped += 1;
-                    self.send(
-                        shards,
-                        to,
-                        now,
-                        SeamMsg::Commit {
-                            seq,
-                            from,
-                            to,
-                            local,
-                        },
-                    );
-                    return;
-                }
-                if let Some(&(_, local)) = self.admitted.get(&(from, src_client)) {
-                    // Re-export of a client this shard already admitted:
-                    // the source aborted an earlier handoff on a lost
-                    // commit, readopted, and handed over again. Merge the
-                    // monotone state into the live incarnation and heal
-                    // the transient split.
-                    let flush = shards[to].sim.world_mut().reimport_migrant(local, &record);
-                    if flush {
-                        shards[to]
-                            .sim
-                            .schedule_at(now, Ev::MigrantFlush { client: local });
+                let dest = &mut shards[h.to];
+                let local = match self.seam.on_prepare(seq, term, &h) {
+                    PrepareVerdict::StaleTerm => {
+                        dest.sim.world_mut().sys.stale_term_dropped += 1;
+                        return;
                     }
-                    self.applied.insert(seq, local);
-                    self.send(
-                        shards,
-                        to,
-                        now,
-                        SeamMsg::Commit {
-                            seq,
-                            from,
-                            to,
-                            local,
-                        },
-                    );
-                    return;
-                }
-                let mut spec = spec;
-                // The client kept moving while the prepare (and any
-                // retries) were in flight; advance the entry position by
-                // the limbo time so positions stay exact.
-                spec.entry_x += spec.speed_mps * (now - exported_at).as_secs_f64();
-                let local = shards[to]
-                    .sim
-                    .world_mut()
-                    .admit_migrant(&spec, Some(&record), now);
-                prime_migrant_events(&mut shards[to].sim, local);
-                self.applied.insert(seq, local);
-                self.admitted.insert((from, src_client), (to, local));
-                self.send(
-                    shards,
-                    to,
-                    now,
-                    SeamMsg::Commit {
-                        seq,
-                        from,
-                        to,
-                        local,
-                    },
-                );
+                    PrepareVerdict::Duplicate { local } => {
+                        dest.sim.world_mut().sys.migration_dups_dropped += 1;
+                        local
+                    }
+                    PrepareVerdict::Rejoin { local } => {
+                        // Heal the transient split: merge the monotone
+                        // state into the live incarnation.
+                        let world = dest.sim.world_mut();
+                        if world.reimport_migrant(local, &h.record.state) {
+                            let flush = Ev::MigrantFlush { client: local };
+                            dest.sim.schedule_at(now, flush);
+                        }
+                        local
+                    }
+                    PrepareVerdict::Admit => {
+                        // The client kept moving while the prepare (and
+                        // any retries) were in flight.
+                        let Exported { spec, state, at } = &mut h.record;
+                        spec.entry_x += spec.speed_mps * (now - *at).as_secs_f64();
+                        let local = dest.sim.world_mut().admit_migrant(spec, Some(state), now);
+                        prime_migrant_events(&mut dest.sim, local);
+                        self.seam.admitted(seq, &h, local);
+                        local
+                    }
+                };
+                let (from, to) = (h.from, h.to);
+                self.send(shards, to, now, SeamMsg::Commit { seq, from, local });
             }
-            SeamMsg::Commit {
-                seq,
-                from,
-                to,
-                local,
-            } => {
-                if let Some(p) = self.pending.remove(&seq) {
-                    route[from].insert(p.src_client, (to, local));
-                    if !p.trailing.is_empty() {
-                        self.queue_forward(shards, now, from, to, local, p.trailing);
+            SeamMsg::Commit { seq, from, local } => match self.seam.on_commit(seq) {
+                CommitVerdict::Release(h) => {
+                    self.route.insert((from, h.src_client), (h.to, local));
+                    if let Some(entries) = self.trailing.remove(&seq) {
+                        let dest = (h.to, local);
+                        let fwd = Forward {
+                            src: from,
+                            dest,
+                            entries,
+                        };
+                        self.forward(shards, now, fwd);
                     }
-                } else if self.aborted.remove(&seq) {
-                    // Too late for the retry budget but the destination
-                    // did admit. The readopted client is live at the
-                    // source; its next boundary pass re-exports and the
-                    // rejoin path above merges the two incarnations, so
-                    // there is nothing to install here.
-                } else {
+                }
+                CommitVerdict::AfterAbort => {}
+                CommitVerdict::Duplicate => {
                     shards[from].sim.world_mut().sys.migration_dups_dropped += 1;
                 }
-            }
-            SeamMsg::Forward {
-                fid,
-                src,
-                to,
-                local,
-                entries,
-            } => {
-                if self.applied_fwd.contains(&fid) {
-                    shards[to].sim.world_mut().sys.migration_dups_dropped += 1;
+            },
+            SeamMsg::Forward { fid, fwd } => {
+                let (to, local) = fwd.dest;
+                if self.seam.on_forward(fid) {
+                    shards[to].deposit(now, local, fwd.entries);
                 } else {
-                    self.applied_fwd.insert(fid);
-                    if shards[to].sim.world_mut().deposit_seam(local, entries) {
-                        shards[to]
-                            .sim
-                            .schedule_at(now, Ev::MigrantFlush { client: local });
-                    }
+                    shards[to].sim.world_mut().sys.migration_dups_dropped += 1;
                 }
-                self.send(shards, to, now, SeamMsg::ForwardAck { fid, src });
+                let ack = SeamMsg::ForwardAck { fid, src: fwd.src };
+                self.send(shards, to, now, ack);
             }
             SeamMsg::ForwardAck { fid, src } => {
-                if self.fwd_pending.remove(&fid).is_none() {
+                if !self.seam.on_forward_ack(fid) {
                     shards[src].sim.world_mut().sys.migration_dups_dropped += 1;
                 }
             }
         }
     }
 
-    /// Retries due prepares and forwards; past the retry budget a prepare
-    /// aborts (the source readopts the client — graceful degradation) and
-    /// a forward surfaces as seam loss at its origin.
-    fn sweep(&mut self, shards: &mut [Shard], now: SimTime) {
-        let due: Vec<u64> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| now >= p.next_retry)
-            .map(|(&s, _)| s)
-            .collect();
-        for seq in due {
-            if self.pending[&seq].attempts >= self.mig.max_attempts {
-                let p = self.pending.remove(&seq).unwrap();
-                self.aborted.insert(seq);
-                {
-                    let w = shards[p.from].sim.world_mut();
-                    w.sys.migration_aborts += 1;
-                    w.readopt_client(p.src_client, &p.record);
+    /// Step 2: stages boundary crossings — ascending sender shard id,
+    /// ascending client index, the (sender, sequence) total order of the
+    /// lockstep contract — and exports them serially in that order: retire
+    /// at the source and start the two-phase handoff. The naive shim
+    /// admits a fresh identity immediately and drops the record, charging
+    /// its residue as seam loss.
+    fn export_crossings(&mut self, shards: &mut [Shard], now: SimTime) {
+        let n = shards.len();
+        let mut staged: Vec<(usize, usize)> = Vec::new(); // (from, local client)
+        for (i, shard) in shards.iter().enumerate() {
+            let w = shard.sim.world();
+            for c in 0..w.clients.len() {
+                if w.is_resident(c) && w.clients[c].position(now).x >= self.exit_x {
+                    staged.push((i, c));
                 }
-                if !p.trailing.is_empty()
-                    && shards[p.from]
-                        .sim
-                        .world_mut()
-                        .deposit_seam(p.src_client, p.trailing)
-                {
-                    shards[p.from].sim.schedule_at(
-                        now,
-                        Ev::MigrantFlush {
-                            client: p.src_client,
-                        },
-                    );
-                }
-                // Retirement let the client's timer chains die
-                // unrescheduled; relaunch them.
-                prime_migrant_events(&mut shards[p.from].sim, p.src_client);
-            } else {
-                let (from, msg) = {
-                    let term = shards[self.pending[&seq].from]
-                        .sim
-                        .world()
-                        .ctrl
-                        .engine
-                        .term();
-                    let p = self.pending.get_mut(&seq).unwrap();
-                    p.attempts += 1;
-                    p.next_retry = now + self.mig.retry_delay(p.attempts);
-                    (
-                        p.from,
-                        SeamMsg::Prepare {
-                            seq,
-                            from: p.from,
-                            to: p.to,
-                            src_client: p.src_client,
-                            term,
-                            exported_at: p.exported_at,
-                            spec: p.spec.clone(),
-                            record: p.record.clone(),
-                        },
-                    )
-                };
-                shards[from].sim.world_mut().sys.migration_retries += 1;
-                self.send(shards, from, now, msg);
             }
         }
-        let due_fwd: Vec<u64> = self
-            .fwd_pending
-            .iter()
-            .filter(|(_, p)| now >= p.next_retry)
-            .map(|(&f, _)| f)
-            .collect();
-        for fid in due_fwd {
-            if self.fwd_pending[&fid].attempts >= self.mig.max_attempts {
-                let p = self.fwd_pending.remove(&fid).unwrap();
-                let bytes: u64 = p
-                    .entries
-                    .iter()
-                    .map(|e| e.payload.packet().len_bytes as u64)
-                    .sum();
-                shards[p.src]
-                    .sim
-                    .world_mut()
-                    .count_seam_loss(p.entries.len() as u64, bytes);
+        for (from, c) in staged {
+            let to = if from + 1 < n {
+                from + 1
+            } else if self.scenario.ring {
+                0
             } else {
-                let (src, msg) = {
-                    let p = self.fwd_pending.get_mut(&fid).unwrap();
-                    p.attempts += 1;
-                    p.next_retry = now + self.mig.retry_delay(p.attempts);
-                    (
-                        p.src,
-                        SeamMsg::Forward {
-                            fid,
-                            src: p.src,
-                            to: p.to,
-                            local: p.local,
-                            entries: p.entries.clone(),
-                        },
-                    )
-                };
-                shards[src].sim.world_mut().sys.migration_retries += 1;
-                self.send(shards, src, now, msg);
+                usize::MAX
+            };
+            self.migrations.push(Migration { at: now, from, to });
+            let overshoot = shards[from].sim.world().clients[c].position(now).x - self.exit_x;
+            let state = shards[from].sim.world_mut().retire_client(c, now);
+            if to == usize::MAX {
+                // Corridor exit: nothing to hand the record to.
+                shards[from].lose(&state.residue);
+                continue;
+            }
+            let mut spec = self.entry.clone();
+            spec.entry_x += overshoot;
+            if self.scenario.naive_handoff {
+                let local = shards[to].sim.world_mut().admit_migrant(&spec, None, now);
+                prime_migrant_events(&mut shards[to].sim, local);
+                shards[from].lose(&state.residue);
+                continue;
+            }
+            let handoff = Handoff {
+                from,
+                to,
+                src_client: c,
+                record: Exported {
+                    spec,
+                    state,
+                    at: now,
+                },
+            };
+            let seq = self.seam.export(now, handoff);
+            self.send_prepare(shards, seq, now);
+        }
+    }
+
+    /// Step 3: acts on every retry timer that ran out. An overdue prepare
+    /// or forward is re-sent; past the budget a handoff aborts (the source
+    /// readopts the client — graceful degradation) and a forward surfaces
+    /// as seam loss at its origin.
+    fn sweep(&mut self, shards: &mut [Shard], now: SimTime) {
+        for due in self.seam.due(now) {
+            match due {
+                Due::Resend { seq, .. } => {
+                    let from = self.seam.handoff(seq).expect("retained").payload.from;
+                    shards[from].sim.world_mut().sys.migration_retries += 1;
+                    self.send_prepare(shards, seq, now);
+                }
+                Due::Abort(seq, h) => {
+                    let source = &mut shards[h.from];
+                    let w = source.sim.world_mut();
+                    w.sys.migration_aborts += 1;
+                    w.readopt_client(h.src_client, &h.record.state);
+                    if let Some(entries) = self.trailing.remove(&seq) {
+                        source.deposit(now, h.src_client, entries);
+                    }
+                    // Retirement let the client's timer chains die
+                    // unrescheduled; relaunch them.
+                    prime_migrant_events(&mut source.sim, h.src_client);
+                }
+                Due::ResendForward(fid) => {
+                    let fwd = self.seam.forwarded(fid).expect("un-acked").clone();
+                    shards[fwd.src].sim.world_mut().sys.migration_retries += 1;
+                    self.send(shards, fwd.src, now, SeamMsg::Forward { fid, fwd });
+                }
+                Due::ForwardLost(fwd) => shards[fwd.src].lose(&fwd.entries),
+            }
+        }
+    }
+
+    /// Step 4: drains seam outboxes — datagrams that reached a shard after
+    /// their client had already left (downlink still in flight through the
+    /// backhaul, late uplink copies, unacked-requeue spill) — ascending
+    /// (shard, client). A committed destination gets an acked forward, an
+    /// un-committed handoff accumulates the batch as trailing residue, and
+    /// a readopted client takes its datagrams back directly.
+    fn drain_outboxes(&mut self, shards: &mut [Shard], now: SimTime) {
+        for from in 0..shards.len() {
+            let drained = shards[from].sim.world_mut().drain_outbox();
+            for (c, entries) in drained {
+                let mut home = (from, c);
+                while let Some(&next) = self.route.get(&home) {
+                    home = next;
+                }
+                if home != (from, c) {
+                    let fwd = Forward {
+                        src: from,
+                        dest: home,
+                        entries,
+                    };
+                    self.forward(shards, now, fwd);
+                } else if let Some((seq, _)) = self.seam.pending_for(from, c) {
+                    self.trailing.entry(seq).or_default().extend(entries);
+                } else if shards[from].sim.world().is_resident(c) {
+                    // Aborted and readopted.
+                    shards[from].deposit(now, c, entries);
+                } else {
+                    // Departed with no route, no pending handoff, and no
+                    // readoption: the client left a non-ring corridor, or
+                    // the naive shim has no forwarding channel.
+                    shards[from].lose(&entries);
+                }
             }
         }
     }
@@ -788,7 +682,19 @@ fn shard_seed(root: u64, shard: usize) -> u64 {
 /// `workers = 1` is the serial reference; any other count must produce a
 /// byte-identical [`ShardedRunResult::fingerprint`] — enforced by the
 /// `lockstep_determinism` suite and the CI worker matrix.
+///
+/// # Panics
+/// On a scenario [`ShardedScenario::validate`] rejects, with its message;
+/// [`try_run_sharded`] returns it instead.
 pub fn run_sharded(scenario: &ShardedScenario, workers: usize) -> ShardedRunResult {
+    try_run_sharded(scenario, workers).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`run_sharded`], reporting an invalid scenario instead of panicking.
+pub fn try_run_sharded(
+    scenario: &ShardedScenario,
+    workers: usize,
+) -> Result<ShardedRunResult, ScenarioError> {
     run_sharded_impl(scenario, workers, None)
 }
 
@@ -801,223 +707,25 @@ pub fn run_sharded_with_oracle_helpers(
     workers: usize,
     helpers: usize,
 ) -> ShardedRunResult {
-    run_sharded_impl(scenario, workers, Some(helpers))
+    run_sharded_impl(scenario, workers, Some(helpers)).unwrap_or_else(|e| panic!("{e}"))
 }
 
 fn run_sharded_impl(
     scenario: &ShardedScenario,
     workers: usize,
     oracle_helpers: Option<usize>,
-) -> ShardedRunResult {
-    if let Err(e) = scenario.validate() {
-        panic!("{e}");
-    }
-    let dep = scenario.config.deployment.build();
-    let (lo, hi) = dep.extent();
-    let lane_y = dep.lane_near_y;
-    let speed = mph_to_mps(scenario.mph);
-    let exit_x = hi + scenario.gap_m - scenario.entry_lead_m;
+) -> Result<ShardedRunResult, ScenarioError> {
+    scenario.validate()?;
+    let mut corridor = Corridor::new(scenario);
     let traffic_until = SimTime::ZERO + scenario.duration;
-    let epoch = scenario.safe_epoch();
-
     let mut shards: Vec<Shard> = (0..scenario.shards)
-        .map(|i| {
-            let trajectories: Vec<Box<dyn Trajectory>> = (0..scenario.clients_per_shard)
-                .map(|j| {
-                    Box::new(ConstantSpeed {
-                        start: Position::new(
-                            lo - scenario.entry_lead_m - j as f64 * scenario.headway_m,
-                            lane_y,
-                            1.5,
-                        ),
-                        speed_mps: speed,
-                    }) as Box<dyn Trajectory>
-                })
-                .collect();
-            let mut world = WgttWorld::new(
-                scenario.config.clone(),
-                trajectories,
-                shard_seed(scenario.seed, i),
-                traffic_until,
-                false,
-            );
-            if let Some(f) = scenario.shard_faults.get(i) {
-                world.faults = f.clone();
-            }
-            for c in 0..scenario.clients_per_shard {
-                for f in &scenario.flows {
-                    let kind = if f.uplink {
-                        crate::world::FlowKind::UpUdp(wgtt_net::CbrSource::new(
-                            f.rate_bps,
-                            f.payload,
-                            SimTime::from_millis(1),
-                        ))
-                    } else {
-                        crate::world::FlowKind::DownUdp(wgtt_net::CbrSource::new(
-                            f.rate_bps,
-                            f.payload,
-                            SimTime::from_millis(1),
-                        ))
-                    };
-                    let fidx = world.add_flow(c, kind);
-                    world.flows[fidx].start = SimTime::from_millis(1);
-                }
-            }
-            let mut sim = Simulator::new(world);
-            prime_events(&mut sim);
-            Shard { sim }
-        })
+        .map(|i| corridor.build_shard(i, traffic_until))
         .collect();
-
     // Run past the traffic end so in-flight packets settle (same margin as
     // the unsharded runner).
-    let settle = SimDuration::from_millis(500);
-    let end = traffic_until + settle;
-    let mut migrations: Vec<Migration> = Vec::new();
-    let n = scenario.shards;
-    let ring = scenario.ring;
-    let naive = scenario.naive_handoff;
-    let flows = scenario.flows.clone();
-    // Persistent routing table: installed when a handoff *commits*. Seam
-    // datagrams captured after a client left follow this chain to
-    // wherever it currently lives.
-    let mut route: RouteTable = vec![std::collections::HashMap::new(); n];
-    let mut seam = SeamState::new(scenario.seed, scenario.config.migration);
-    let mut at_barrier = |shards: &mut [Shard], now: SimTime| {
-        // 1. Deliver seam frames sent before this barrier: prepares
-        // admit migrants, commits release retained records, forwards
-        // deposit chased residue. (The naive shim has no channel.)
-        if !naive {
-            seam.deliver_due(shards, &mut route, now);
-        }
-        // 2. Stage boundary crossings: ascending sender shard id,
-        // ascending client index — the (sender, sequence) total order
-        // of the lockstep contract.
-        let mut staged: Vec<(usize, usize)> = Vec::new(); // (from, local client)
-        for (i, shard) in shards.iter().enumerate() {
-            let w = shard.sim.world();
-            for c in 0..w.clients.len() {
-                if w.is_resident(c) && w.clients[c].position(now).x >= exit_x {
-                    staged.push((i, c));
-                }
-            }
-        }
-        // Export serially in staging order: retire at the source and
-        // start the two-phase handoff — the record (switch-epoch
-        // high-water, primed dedup keys, undelivered residue) stays
-        // retained at the source until the destination commits. The
-        // naive shim admits a fresh identity immediately and drops
-        // the record, charging its residue as seam loss.
-        for (from, c) in staged {
-            let to = if from + 1 < n {
-                from + 1
-            } else if ring {
-                0
-            } else {
-                usize::MAX
-            };
-            let overshoot = {
-                let w = shards[from].sim.world();
-                w.clients[c].position(now).x - exit_x
-            };
-            let rec = shards[from].sim.world_mut().retire_client(c, now);
-            if to == usize::MAX {
-                // Corridor exit: nothing to hand the record to.
-                shards[from]
-                    .sim
-                    .world_mut()
-                    .count_seam_loss(rec.residue.len() as u64, rec.residue_bytes());
-            } else {
-                let spec = MigrantSpec {
-                    entry_x: lo - scenario.entry_lead_m + overshoot,
-                    lane_y,
-                    speed_mps: speed,
-                    flows: flows.clone(),
-                    log_deliveries: false,
-                };
-                if naive {
-                    let local = shards[to].sim.world_mut().admit_migrant(&spec, None, now);
-                    prime_migrant_events(&mut shards[to].sim, local);
-                    shards[from]
-                        .sim
-                        .world_mut()
-                        .count_seam_loss(rec.residue.len() as u64, rec.residue_bytes());
-                } else {
-                    seam.export(shards, Migration { at: now, from, to }, c, spec, rec);
-                }
-            }
-            migrations.push(Migration { at: now, from, to });
-        }
-        // 3. Retry/abort sweep: re-send overdue prepares and
-        // forwards; past the budget, abort the handoff and readopt
-        // the client at the source.
-        if !naive {
-            seam.sweep(shards, now);
-        }
-        // 4. Drain seam outboxes: datagrams that reached a shard
-        // after their client had already left (downlink still in
-        // flight through the backhaul, late uplink copies,
-        // unacked-requeue spill). Drained ascending (shard, client):
-        // committed destinations get an acked forward, un-committed
-        // handoffs accumulate the batch as trailing residue, and a
-        // readopted client takes its datagrams back directly.
-        for from in 0..n {
-            let drained = shards[from].sim.world_mut().drain_outbox();
-            for (c, entries) in drained {
-                if naive {
-                    // The shim has no forwarding channel: the
-                    // datagrams die at the seam.
-                    let bytes: u64 = entries
-                        .iter()
-                        .map(|e| e.payload.packet().len_bytes as u64)
-                        .sum();
-                    shards[from]
-                        .sim
-                        .world_mut()
-                        .count_seam_loss(entries.len() as u64, bytes);
-                    continue;
-                }
-                let (mut s, mut lc) = (from, c);
-                while let Some(&(ns, nc)) = route[s].get(&lc) {
-                    s = ns;
-                    lc = nc;
-                }
-                if s != from || lc != c {
-                    seam.queue_forward(shards, now, from, s, lc, entries);
-                    continue;
-                }
-                if let Some(p) = seam
-                    .pending
-                    .values_mut()
-                    .find(|p| p.from == from && p.src_client == c)
-                {
-                    p.trailing.extend(entries);
-                    continue;
-                }
-                if shards[from].sim.world().is_resident(c) {
-                    // Aborted and readopted: the datagrams return to
-                    // the client itself.
-                    if shards[from].sim.world_mut().deposit_seam(c, entries) {
-                        shards[from]
-                            .sim
-                            .schedule_at(now, Ev::MigrantFlush { client: c });
-                    }
-                    continue;
-                }
-                // Departed with no route, no pending handoff, and no
-                // readoption: the client left a non-ring corridor.
-                let bytes: u64 = entries
-                    .iter()
-                    .map(|e| e.payload.packet().len_bytes as u64)
-                    .sum();
-                shards[from]
-                    .sim
-                    .world_mut()
-                    .count_seam_loss(entries.len() as u64, bytes);
-            }
-        }
-    };
-    let loop_threads = workers.clamp(1, n);
+    let end = traffic_until + SimDuration::from_millis(500);
+    let epoch = scenario.safe_epoch();
+    let loop_threads = workers.clamp(1, scenario.shards);
     let wall = crate::oracle::with_helpers(loop_threads, oracle_helpers, |pool| {
         if let Some(pool) = pool {
             for shard in &mut shards {
@@ -1031,7 +739,7 @@ fn run_sharded_impl(
             SimTime::ZERO,
             end,
             epoch,
-            &mut at_barrier,
+            |shards: &mut [Shard], now| corridor.at_barrier(shards, now),
         );
         // Every shard, retired clients and all: a sample stays with the
         // world that recorded it, whose metrics callers sum.
@@ -1053,14 +761,14 @@ fn run_sharded_impl(
     for w in &worlds {
         sys.merge(&w.sys);
     }
-    ShardedRunResult {
+    Ok(ShardedRunResult {
         worlds,
         events,
         sys,
-        migrations,
+        migrations: corridor.migrations,
         wall,
         duration: scenario.duration,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1284,6 +992,17 @@ mod tests {
         s.config.migration.max_attempts = 0;
         let err = s.validate().unwrap_err().to_string();
         assert!(err.contains("max_attempts"), "{err}");
+        // The fallible runner returns the same error instead of running.
+        let refused = try_run_sharded(&s, 1).err().expect("must not run");
+        assert_eq!(refused.to_string(), err);
+    }
+
+    #[test]
+    #[should_panic(expected = "max_attempts")]
+    fn run_sharded_panics_with_the_validation_message() {
+        let mut s = tiny();
+        s.config.migration.max_attempts = 0;
+        let _ = run_sharded(&s, 1);
     }
 
     #[test]

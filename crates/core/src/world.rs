@@ -243,17 +243,6 @@ pub struct MigrationRecord {
     pub residue: Vec<SeamEntry>,
 }
 
-impl MigrationRecord {
-    /// Total wire bytes of the residue (for loss accounting when a record
-    /// cannot be delivered — corridor exit or naive-handoff mode).
-    pub fn residue_bytes(&self) -> u64 {
-        self.residue
-            .iter()
-            .map(|e| e.payload.packet().len_bytes as u64)
-            .sum()
-    }
-}
-
 /// A downlink traffic flow at the server.
 pub enum FlowKind {
     /// Constant-bit-rate UDP toward the client.
