@@ -7,7 +7,8 @@
 use wgtt_core::config::SystemConfig;
 use wgtt_core::runner::{FlowSpec, RunResult, Scenario};
 use wgtt_core::shard::ShardedScenario;
-use wgtt_sim::{FaultSchedule, SimDuration, SimTime};
+use wgtt_sim::storm::{random_storm, StormConfig};
+use wgtt_sim::{FaultSchedule, SimDuration, SimRng, SimTime};
 
 /// Writes `payload` to `<name>.json` in the directory `WGTT_DETERMINISM_OUT`
 /// names, when it names one: the CI determinism jobs diff two such
@@ -139,5 +140,22 @@ pub fn seam_faulted_corridor() -> ShardedScenario {
         .with_migration_dup(SimTime::ZERO, horizon, 0.3)
         .with_migration_loss(SimTime::from_millis(3500), SimTime::from_secs(5), 1.0);
     s.shard_faults = vec![faults.clone(), faults];
+    s
+}
+
+/// `storm_corridor`: the two-shard ring at 2 Mbit/s per vehicle under six
+/// seconds of the default composite storm drawn from `seed` — AP flaps,
+/// backhaul loss/latency, duplication, reordering, a controller failover,
+/// seam loss and seam duplication, all at once. The golden pins seed 11.
+pub fn storm_corridor(seed: u64) -> ShardedScenario {
+    let mut s = ring_corridor();
+    s.seed = seed;
+    s.flows[0].rate_bps = 2_000_000;
+    // `StormConfig::default()` is already shaped to two shards of four APs.
+    let storm = StormConfig {
+        duration: s.duration,
+        ..StormConfig::default()
+    };
+    s.shard_faults = random_storm(&storm, &mut SimRng::new(seed).fork("storm"));
     s
 }

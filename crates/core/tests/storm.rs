@@ -18,39 +18,27 @@
 //! longer fixed-seed storm, heavier than the default, run serially and
 //! in parallel.
 
-use wgtt_core::config::SystemConfig;
+mod common;
+
 use wgtt_core::digest::assert_same;
 use wgtt_core::shard::{run_sharded, ShardedScenario};
 use wgtt_sim::storm::{random_storm, shrink, StormConfig};
 use wgtt_sim::{FaultSchedule, SimDuration, SimRng, SimTime};
 
-/// The canonical two-shard storm corridor: short clusters, one vehicle
-/// per shard, fast traffic so boundary crossings happen within seconds.
+/// [`common::storm_corridor`]'s corridor over `duration`, for the tests
+/// that bring a storm of their own.
 fn corridor(duration: SimDuration, seed: u64) -> ShardedScenario {
-    let mut cfg = SystemConfig::default();
-    cfg.deployment.num_aps = 4;
-    ShardedScenario::ring_corridor(cfg, 2, 1, 35.0, 2_000_000, duration, seed)
-}
-
-/// A storm shaped to the corridor above.
-fn storm_config(duration: SimDuration) -> StormConfig {
-    StormConfig {
-        shards: 2,
-        n_aps: 4,
-        duration,
-        ..StormConfig::default()
-    }
+    let mut s = common::storm_corridor(seed);
+    s.duration = duration;
+    s.shard_faults.clear();
+    s
 }
 
 #[test]
 fn composite_storm_preserves_seam_guarantees_and_determinism() {
-    let duration = SimDuration::from_secs(6);
+    // Seed 11 is the run `tests/golden/storm_corridor.json` pins.
     for seed in [11u64, 12] {
-        let mut s = corridor(duration, seed);
-        s.shard_faults = random_storm(
-            &storm_config(duration),
-            &mut SimRng::new(seed).fork("storm"),
-        );
+        let s = common::storm_corridor(seed);
         let r = run_sharded(&s, 1);
         assert_eq!(
             r.sys.departed_data_drops, 0,
@@ -90,7 +78,8 @@ fn shrink_reduces_an_injected_violation_to_the_one_guilty_window() {
         failovers: 0,
         migration_loss_windows: 0,
         migration_dup_windows: 1,
-        ..storm_config(duration)
+        duration,
+        ..StormConfig::default()
     };
     let mut storm = random_storm(&noise, &mut SimRng::new(3).fork("storm"));
     // ...plus the injected violation: a total seam blackout on shard 0
@@ -136,7 +125,8 @@ fn nightly_fixed_seed_storm_smoke() {
         failovers: 2,
         migration_loss_windows: 2,
         migration_dup_windows: 2,
-        ..storm_config(duration)
+        duration,
+        ..StormConfig::default()
     };
     s.shard_faults = random_storm(&cfg, &mut SimRng::new(1717).fork("storm"));
     let r = run_sharded(&s, 1);

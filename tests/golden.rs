@@ -1,7 +1,8 @@
-//! Golden digests: seven pinned runs — failover, chaos, controller crash,
-//! controller standby, a faulted UDP drive, a 2-shard ring and the same ring
-//! over a faulted seam — replayed and compared with `tests/golden/<name>.json`, so tier-1 (`cargo test -q`)
-//! itself sees a behaviour change.
+//! Golden digests: eight pinned runs — failover, chaos, controller crash,
+//! controller standby, a faulted UDP drive, a 2-shard ring, the same ring
+//! over a faulted seam and under a composite storm — replayed and compared
+//! with `tests/golden/<name>.json`, so tier-1 (`cargo test -q`) itself sees
+//! a behaviour change.
 //!
 //! The files pin behaviour, not just repeatability: a change that moves
 //! one has changed what the system does on that run, and must update the
@@ -93,4 +94,27 @@ fn seam_faulted_corridor() {
     );
     assert!(r.sys.migrated_in > 0, "no handoff ever committed");
     check("seam_faulted_corridor", &r.fingerprint());
+}
+
+#[test]
+fn storm_corridor() {
+    let r = run_sharded(&common::storm_corridor(11), 2);
+    // The fault families this run's golden shows at work. The storm also
+    // draws backhaul-loss and seam-loss windows: the first has no counter
+    // of its own, and the second meets no seam frame at this seed
+    // (`migration_retries` is 0 in the file; `seam_faulted_corridor` pins
+    // that branch).
+    assert!(
+        r.sys.ap_crashes > 0 && r.sys.ap_reboots > 0,
+        "no AP flapped"
+    );
+    assert!(r.sys.backhaul_dup_deliveries > 0, "no backhaul duplication");
+    assert!(r.sys.backhaul_reorders > 0, "no backhaul reordering");
+    assert!(r.sys.standby_takeovers > 0, "no controller failover");
+    assert!(r.sys.migration_dups_dropped > 0, "no seam duplication");
+    assert!(
+        r.sys.migrated_in > 0,
+        "no handoff committed under the storm"
+    );
+    check("storm_corridor", &r.fingerprint());
 }
