@@ -161,8 +161,8 @@ impl RunResult {
     }
 
     /// The run's digest ([`crate::digest`]): byte-identical for two runs
-    /// of the same scenario, whatever the process, platform, event queue
-    /// or oracle helper count.
+    /// of the same scenario, whatever the process, platform or oracle
+    /// helper count.
     pub fn fingerprint(&self) -> String {
         crate::digest::of_run(self.events, &self.world)
     }
@@ -198,10 +198,9 @@ fn build_trajectory(
     }
 }
 
-/// Builds and runs a scenario to completion on the default (calendar
-/// queue) hot path.
+/// Builds and runs a scenario to completion.
 pub fn run(scenario: Scenario) -> RunResult {
-    run_impl(scenario, false, None)
+    run_impl(scenario, None)
 }
 
 /// [`run`] with exactly `helpers` oracle helper threads instead of as many
@@ -210,17 +209,10 @@ pub fn run(scenario: Scenario) -> RunResult {
 /// count. Not a tuning knob: the count cannot change a result.
 #[doc(hidden)]
 pub fn run_with_oracle_helpers(scenario: Scenario, helpers: usize) -> RunResult {
-    run_impl(scenario, false, Some(helpers))
+    run_impl(scenario, Some(helpers))
 }
 
-/// Runs a scenario on the retained reference path (legacy heap event
-/// queue). Must produce results byte-identical to [`run`] — the
-/// fingerprint-equality suites enforce this.
-pub fn run_reference(scenario: Scenario) -> RunResult {
-    run_impl(scenario, true, None)
-}
-
-fn run_impl(scenario: Scenario, reference: bool, oracle_helpers: Option<usize>) -> RunResult {
+fn run_impl(scenario: Scenario, oracle_helpers: Option<usize>) -> RunResult {
     let dep = scenario.config.deployment.build();
     let trajectories: Vec<Box<dyn Trajectory>> = scenario
         .clients
@@ -258,11 +250,7 @@ fn run_impl(scenario: Scenario, reference: bool, oracle_helpers: Option<usize>) 
             world.flows[fidx].start = start;
         }
     }
-    let mut sim = if reference {
-        Simulator::new_reference(world)
-    } else {
-        Simulator::new(world)
-    };
+    let mut sim = Simulator::new(world);
     prime_events(&mut sim);
     // Run past the traffic end so in-flight packets settle.
     let settle = SimDuration::from_millis(500);

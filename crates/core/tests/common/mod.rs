@@ -20,6 +20,19 @@ pub fn emit_probe(name: &str, payload: &str) {
     }
 }
 
+/// Lockstep workers for the CI matrix probe
+/// (`lockstep_determinism::corridor_probe_honors_worker_env`): the value of
+/// `WGTT_WORLD_WORKERS` when it is a number ≥ 1, otherwise 1. The variable
+/// is a convention of the CI jobs, read only here — the library takes the
+/// count as `run_sharded`'s argument and caps it at the shard count.
+pub fn worker_count() -> usize {
+    std::env::var("WGTT_WORLD_WORKERS")
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or(1)
+}
+
 /// Duplicate uplink datagrams that reached the *server* (past the
 /// controller's dedup filter) on the uplink flow.
 pub fn server_uplink_duplicates(r: &RunResult) -> u64 {

@@ -22,7 +22,7 @@ mod common;
 use common::{controller_crash_drive, emit_probe, server_uplink_duplicates, udp_down_up};
 use wgtt_core::digest::assert_same;
 use wgtt_core::protocol_check::{check, CheckerConfig, ViolationKind};
-use wgtt_core::runner::{run, run_reference, Scenario};
+use wgtt_core::runner::{run, Scenario};
 use wgtt_sim::{BackhaulFault, FaultSchedule, SimDuration, SimTime};
 
 fn drive(seed: u64, mph: f64, faults: FaultSchedule) -> Scenario {
@@ -224,16 +224,6 @@ fn crash_schedule_is_deterministic() {
     let b = run(controller_crash_drive()).fingerprint();
     assert_same("same seed and schedule", &a, &b);
     emit_probe("controller_crash_drive", &a);
-}
-
-/// The calendar-queue hot path and the retained legacy heap-queue
-/// reference path must agree bit-for-bit across a controller crash and
-/// resync (timer cancels spanning the outage window).
-#[test]
-fn reference_queue_path_is_bit_identical_across_crash() {
-    let a = run(controller_crash_drive()).fingerprint();
-    let b = run_reference(controller_crash_drive()).fingerprint();
-    assert_same("calendar queue vs reference queue", &a, &b);
 }
 
 /// A schedule with no controller-crash window must take the exact

@@ -8,10 +8,10 @@
 //! processes* per worker count (fresh ASLR, fresh hasher seeds) and diffs
 //! the emitted directories byte-for-byte.
 //!
-//! That the serial engine (the default when `WGTT_WORLD_WORKERS` is absent)
-//! is unmoved by the sharding layer — its all-false `departed` guards are
-//! no-ops — is pinned by the root package's golden test, which replays the
-//! serial failover, chaos, controller-crash and controller-standby runs.
+//! That the unsharded engine is unmoved by the sharding layer — its
+//! all-false `departed` guards are no-ops — is pinned by the root package's
+//! golden test, which replays the serial failover, chaos, controller-crash
+//! and controller-standby runs.
 
 mod common;
 
@@ -74,15 +74,14 @@ fn corridor_is_worker_count_invariant() {
 }
 
 /// The CI matrix probe: runs the corridor at the worker count given by
-/// `WGTT_WORLD_WORKERS` (default 1 — the serial reference) and emits the
+/// `WGTT_WORLD_WORKERS` ([`common::worker_count`], default 1) and emits the
 /// fingerprint under a *worker-count-independent* name, so the matrix
 /// job's `diff -r` across per-worker-count output directories is a
 /// byte-for-byte equality check.
 #[test]
 fn corridor_probe_honors_worker_env() {
     let scenario = corridor();
-    let workers = wgtt_sim::worker_count(scenario.shards);
-    let r = run_sharded(&scenario, workers);
+    let r = run_sharded(&scenario, common::worker_count());
     emit_probe("lockstep_corridor", &r.fingerprint());
 }
 

@@ -102,8 +102,9 @@ impl PerModel {
     /// "channel capacity" an AP could deliver at an instant (Figs 2, 4, 21).
     ///
     /// The eight MCSs share four modulations, so the memoized path runs
-    /// four ESNR integrations instead of eight — bit-identical to
-    /// [`Self::capacity_bps_ref`] (locked by `memoized_paths_match_ref`).
+    /// four ESNR integrations instead of eight — bit-identical to one full
+    /// integration per MCS (the tests' `capacity_bps_ref`, locked by
+    /// `memoized_paths_match_ref`).
     pub fn capacity_bps(&self, gi: crate::mcs::GuardInterval, csi: &Csi, len_bytes: usize) -> f64 {
         self.capacity_with(&mut EsnrMemo::new(csi), gi, len_bytes)
     }
@@ -133,23 +134,6 @@ impl PerModel {
         best
     }
 
-    /// Pre-memoization reference implementation of [`Self::capacity_bps`]:
-    /// one full ESNR integration per MCS. Kept as the equivalence oracle
-    /// the unit tests compare the memoized path against.
-    pub fn capacity_bps_ref(
-        &self,
-        gi: crate::mcs::GuardInterval,
-        csi: &Csi,
-        len_bytes: usize,
-    ) -> f64 {
-        Mcs::all()
-            .map(|m| {
-                let e = esnr_from_csi(m.modulation(), csi);
-                self.expected_goodput_bps(m, gi, e, len_bytes)
-            })
-            .fold(0.0, f64::max)
-    }
-
     /// Best MCS for a CSI snapshot (argmax of expected goodput) — an oracle
     /// rate choice used in tests and as a reference for rate control.
     pub fn best_mcs(&self, gi: crate::mcs::GuardInterval, csi: &Csi, len_bytes: usize) -> Mcs {
@@ -171,12 +155,68 @@ mod tests {
     use super::*;
     use crate::complex::Cplx;
     use crate::csi::NUM_SUBCARRIERS;
+    use crate::esnr::Modulation;
     use crate::mcs::GuardInterval;
 
     fn flat_csi(snr_db: f64) -> Csi {
         Csi {
             h: [Cplx::ONE; NUM_SUBCARRIERS],
             mean_snr_db: snr_db,
+        }
+    }
+
+    /// What [`PerModel::capacity_bps`] computed before the memo and the
+    /// densest-first prune: one full ESNR integration per MCS, folded.
+    fn capacity_bps_ref(m: &PerModel, gi: GuardInterval, csi: &Csi, len_bytes: usize) -> f64 {
+        Mcs::all()
+            .map(|mcs| {
+                let e = esnr_from_csi(mcs.modulation(), csi);
+                m.expected_goodput_bps(mcs, gi, e, len_bytes)
+            })
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn memoized_paths_match_ref() {
+        let m = PerModel::default();
+        for gi in [GuardInterval::Long, GuardInterval::Short] {
+            for snr_db in (-20..=40).step_by(5) {
+                for notched in 0..=7 {
+                    let mut csi = flat_csi(snr_db as f64);
+                    for h in &mut csi.h[..notched] {
+                        *h = Cplx::new(0.03, 0.0);
+                    }
+                    for len in [64, 1500] {
+                        let case = format!("{gi:?} {snr_db} dB {notched} notched {len} B");
+                        let want = capacity_bps_ref(&m, gi, &csi, len).to_bits();
+                        assert_eq!(m.capacity_bps(gi, &csi, len).to_bits(), want, "{case}");
+                        // A fresh memo, then one the caller already ranked
+                        // with (the oracle's, warmed at the controller's
+                        // 16-QAM), then one with every modulation cached.
+                        let mut memo = EsnrMemo::new(&csi);
+                        assert_eq!(
+                            m.capacity_with(&mut memo, gi, len).to_bits(),
+                            want,
+                            "{case}"
+                        );
+                        let mut memo = EsnrMemo::new(&csi);
+                        memo.esnr_db(Modulation::Qam16);
+                        assert_eq!(
+                            m.capacity_with(&mut memo, gi, len).to_bits(),
+                            want,
+                            "{case}"
+                        );
+                        for modulation in Modulation::ALL {
+                            memo.esnr_db(modulation);
+                        }
+                        assert_eq!(
+                            m.capacity_with(&mut memo, gi, len).to_bits(),
+                            want,
+                            "{case}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -91,7 +91,6 @@ pub struct WirelessLink {
     cfg: LinkConfig,
     fading: TappedDelayLine,
     shadowing: ShadowingProcess,
-    subcarriers: [f64; crate::csi::NUM_SUBCARRIERS],
     /// Tap × subcarrier twiddle matrix (fixed per realization) feeding the
     /// allocation-free [`TappedDelayLine::freq_response_into`] path.
     twiddles: Vec<Cplx>,
@@ -110,8 +109,7 @@ impl WirelessLink {
     pub fn new(ap: ApSite, cfg: LinkConfig, rng: &mut SimRng) -> Self {
         let fading = TappedDelayLine::new(&cfg.fading, rng);
         let shadowing = ShadowingProcess::new(&cfg.shadowing, rng);
-        let subcarriers = subcarrier_offsets_hz();
-        let twiddles = fading.twiddles(&subcarriers);
+        let twiddles = fading.twiddles(&subcarrier_offsets_hz());
         // 1 µdB of slack swamps every rounding step in the bound's
         // derivation while staying far below physical significance.
         let peak_tone_headroom_db = 20.0 * fading.peak_gain_bound().log10() + 1e-6;
@@ -120,7 +118,6 @@ impl WirelessLink {
             cfg,
             fading,
             shadowing,
-            subcarriers,
             twiddles,
             peak_tone_headroom_db,
             geo: Cell::new(None),
@@ -146,7 +143,7 @@ impl WirelessLink {
     ///
     /// Memoized for the last queried position (exact f64 bits), so repeat
     /// queries between client moves skip the geometry/path-loss/antenna
-    /// chain. Bit-identical to [`Self::mean_snr_db_uncached`].
+    /// chain (bit-identical to recomputing it: `geometry_cache_is_bit_exact`).
     pub fn mean_snr_db(&self, client: &Position) -> f64 {
         let (xb, yb, zb) = (client.x.to_bits(), client.y.to_bits(), client.z.to_bits());
         if let Some(c) = self.geo.get() {
@@ -164,9 +161,8 @@ impl WirelessLink {
         snr_db
     }
 
-    /// [`Self::mean_snr_db`] without the position memo — the reference the
-    /// cache is checked against.
-    pub fn mean_snr_db_uncached(&self, client: &Position) -> f64 {
+    /// The cache-miss body of [`Self::mean_snr_db`].
+    fn mean_snr_db_uncached(&self, client: &Position) -> f64 {
         let d = self.ap.distance_to(client);
         let theta = self.ap.off_boresight(client);
         let pl = self.cfg.pathloss.loss_db(d);
@@ -182,8 +178,9 @@ impl WirelessLink {
     ///
     /// Memoized for the last exact query (time in ns, position/speed f64
     /// bits) and computed through the precomputed-twiddle fading path —
-    /// both bit-identical to [`Self::csi_uncached`], locked by
-    /// `csi_cache_is_bit_exact`. The fading realization draws no RNG after
+    /// both bit-identical to the plain [`TappedDelayLine::freq_response`]
+    /// chain (the tests' `csi_uncached`, locked by
+    /// `csi_cache_is_bit_exact`). The fading realization draws no RNG after
     /// construction, so caching cannot perturb any draw sequence.
     pub fn csi(&self, t: SimTime, client: &Position, speed_mps: f64) -> Csi {
         let key = (
@@ -215,21 +212,6 @@ impl WirelessLink {
             csi: csi.clone(),
         });
         csi
-    }
-
-    /// [`Self::csi`] without the snapshot memo or twiddle precompute — the
-    /// reference path the cache is checked against.
-    pub fn csi_uncached(&self, t: SimTime, client: &Position, speed_mps: f64) -> Csi {
-        let fd = doppler_hz(speed_mps, self.cfg.pathloss.wavelength_m());
-        let hv = self
-            .fading
-            .freq_response(t.as_secs_f64(), fd, &self.subcarriers);
-        let mut h = [Cplx::ZERO; crate::csi::NUM_SUBCARRIERS];
-        h.copy_from_slice(&hv);
-        Csi {
-            h,
-            mean_snr_db: self.mean_snr_db_uncached(client),
-        }
     }
 
     /// Carrier wavelength (for Doppler computations elsewhere).
@@ -268,6 +250,22 @@ mod tests {
 
     fn road_pos(x: f64) -> Position {
         Position::new(x, 6.0, 1.5)
+    }
+
+    /// [`WirelessLink::csi`] without the snapshot memo, the position memo
+    /// or the twiddle precompute — the reference `csi_cache_is_bit_exact`
+    /// checks them against.
+    fn csi_uncached(link: &WirelessLink, t: SimTime, client: &Position, speed_mps: f64) -> Csi {
+        let fd = doppler_hz(speed_mps, link.cfg.pathloss.wavelength_m());
+        let hv = link
+            .fading
+            .freq_response(t.as_secs_f64(), fd, &subcarrier_offsets_hz());
+        let mut h = [Cplx::ZERO; crate::csi::NUM_SUBCARRIERS];
+        h.copy_from_slice(&hv);
+        Csi {
+            h,
+            mean_snr_db: link.mean_snr_db_uncached(client),
+        }
     }
 
     #[test]
@@ -436,7 +434,7 @@ mod tests {
         let mut r = SimRng::new(43).fork("csi");
         let link = WirelessLink::new(dep.aps[3], cfg, &mut r);
         let check = |t: SimTime, pos: &Position, speed: f64| {
-            let reference = link.csi_uncached(t, pos, speed);
+            let reference = csi_uncached(&link, t, pos, speed);
             for csi in [link.csi(t, pos, speed), link.csi(t, pos, speed)] {
                 assert_eq!(csi.mean_snr_db.to_bits(), reference.mean_snr_db.to_bits());
                 for (a, b) in csi.h.iter().zip(&reference.h) {

@@ -103,23 +103,11 @@ pub struct Simulator<W: World> {
 }
 
 impl<W: World> Simulator<W> {
-    /// Creates a simulator around an initial world state, using the
-    /// calendar-queue hot path for the future event list.
+    /// Creates a simulator around an initial world state.
     pub fn new(world: W) -> Self {
-        Self::with_queue(world, EventQueue::new())
-    }
-
-    /// Creates a simulator on the legacy heap-queue reference path — the
-    /// retained original implementation the fingerprint-equality suites
-    /// compare the hot path against.
-    pub fn new_reference(world: W) -> Self {
-        Self::with_queue(world, EventQueue::new_reference())
-    }
-
-    fn with_queue(world: W, queue: EventQueue<W::Event>) -> Self {
         Simulator {
             world,
-            queue,
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
             wall: Duration::ZERO,

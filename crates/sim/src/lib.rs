@@ -45,7 +45,7 @@ pub use fault::{
     FaultEdge, FaultSchedule, JournalLagWindow, MigrationFaultWindow, PartitionWindow,
     ReorderWindow,
 };
-pub use lockstep::{worker_count, LockstepShard, WORKERS_ENV};
+pub use lockstep::LockstepShard;
 pub use queue::{EventKey, EventQueue};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -34,24 +34,6 @@ use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable overriding the lockstep worker count.
-/// Absent (or `1`) selects the serial reference path.
-pub const WORKERS_ENV: &str = "WGTT_WORLD_WORKERS";
-
-/// Worker count for a sharded run: `WGTT_WORLD_WORKERS` if set (and ≥ 1),
-/// otherwise 1 — the serial reference engine. Never more than the number
-/// of shards. Unlike the experiment fan-out, the default is *serial*:
-/// parallelism inside a run is opt-in, so unconfigured runs stay on the
-/// exact code path the fingerprint suites pin.
-pub fn worker_count(shards: usize) -> usize {
-    std::env::var(WORKERS_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-        .min(shards.max(1))
-}
-
 /// One spatial partition of a sharded world: everything it needs to
 /// advance its own event queue to a horizon, independently of its peers.
 pub trait LockstepShard: Send {
@@ -65,10 +47,10 @@ pub trait LockstepShard: Send {
 /// horizon)` runs serially to exchange cross-shard state (mailbox
 /// application, boundary migration); it also runs once at `end`.
 ///
-/// `workers <= 1` is the serial reference path: a plain loop over shards
-/// in index order with no threads, locks, or atomics — byte-identical
-/// output is the contract, identical machine code is the proof that the
-/// 1-worker configuration can never diverge from it.
+/// `workers <= 1` is the serial path, and the only one a single worker
+/// ever takes: a plain loop over shards in index order with no threads,
+/// locks, or atomics. The caller chooses `workers`; nothing here reads the
+/// environment.
 pub fn drive<S, F>(
     shards: &mut [S],
     workers: usize,
@@ -223,19 +205,6 @@ mod tests {
         );
         assert_eq!(calls, 0);
         assert!(shards[0].horizons.is_empty());
-    }
-
-    #[test]
-    fn worker_count_env_and_caps() {
-        // No env: serial. (Tests elsewhere never set the var globally.)
-        std::env::remove_var(WORKERS_ENV);
-        assert_eq!(worker_count(8), 1);
-        std::env::set_var(WORKERS_ENV, "4");
-        assert_eq!(worker_count(8), 4);
-        assert_eq!(worker_count(2), 2, "never more workers than shards");
-        std::env::set_var(WORKERS_ENV, "0");
-        assert_eq!(worker_count(8), 1, "invalid values fall back to serial");
-        std::env::remove_var(WORKERS_ENV);
     }
 
     #[test]

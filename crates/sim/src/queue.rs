@@ -8,186 +8,27 @@
 //! control packet arrival and a queue service completion), and run-to-run
 //! reproducibility of every experiment depends on a stable order.
 //!
-//! Two implementations share the `EventQueue` front:
+//! It is a calendar/bucket queue: events live in an index-addressed slab
+//! (free-list reuse, no steady state allocation), and 16-byte references to
+//! them hash into a ring of time buckets (64 µs wide, ~67 ms horizon) with a
+//! spill heap for far-future timers. Cancellation is O(1) — the slab slot is
+//! freed and its generation bumped immediately, so a cancelled 30 ms `stop`
+//! retransmission timer releases its event right away instead of lingering
+//! until it would have fired.
 //!
-//! * [`CalendarQueue`] — the default hot path. A calendar/bucket queue:
-//!   events live in an index-addressed slab (free-list reuse, no steady
-//!   state allocation), and 16-byte references to them hash into a ring of
-//!   time buckets (64 µs wide, ~67 ms horizon) with a spill heap for
-//!   far-future timers. Cancellation is O(1) — the slab slot is freed and
-//!   its generation bumped immediately, so a cancelled 30 ms `stop`
-//!   retransmission timer releases its event right away instead of
-//!   lingering until it would have fired.
-//! * [`LegacyEventQueue`] — the original `BinaryHeap` + tombstone design,
-//!   retained as the bit-exactness reference path
-//!   ([`EventQueue::new_reference`]). Its historical leak — `cancel` only
-//!   removed the sequence number from the pending set, leaving the heap
-//!   entry (and the event payload) alive until it surfaced, so
-//!   cancel-heavy workloads grew the heap without bound — is fixed by
-//!   amortized compaction: when tombstones outnumber live entries the heap
-//!   is rebuilt from the live entries only.
-//!
-//! Both implementations pop in exactly the same `(time, seq)` order, which
-//! `reference_and_calendar_agree_under_churn` locks down and the
-//! engine-level fingerprint tests re-verify end to end.
+//! The `(time, seq)` pop order is checked at unit level against an ordered
+//! map (`reference_and_calendar_agree_under_churn` here and
+//! `event_queue_total_order` in the root package's property tests) and end
+//! to end by the golden run digests (`tests/golden/`), which move if any two
+//! events swap.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 /// Identifies a scheduled event so it can later be cancelled. Opaque: only
 /// meaningful to the queue that issued it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventKey(u64);
-
-// ---------------------------------------------------------------------------
-// Legacy reference implementation: BinaryHeap + tombstones.
-// ---------------------------------------------------------------------------
-
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) wins.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// Minimum backing size before cancel-triggered compaction kicks in — keeps
-/// tiny queues from rebuilding constantly.
-const COMPACT_FLOOR: usize = 64;
-
-/// The original time-ordered future event list: a `BinaryHeap` with
-/// tombstone-based cancellation, kept as the reference path the calendar
-/// queue is checked against.
-pub struct LegacyEventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    /// Sequence numbers of events currently live in the heap (pushed, not
-    /// yet popped or cancelled). Cancellation removes from this set and the
-    /// heap entry is dropped lazily when it surfaces or at compaction.
-    pending: HashSet<u64>,
-    next_seq: u64,
-}
-
-impl<E> Default for LegacyEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> LegacyEventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        LegacyEventQueue {
-            heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `event` at `time`.
-    pub fn push(&mut self, time: SimTime, event: E) -> EventKey {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
-        self.pending.insert(seq);
-        EventKey(seq)
-    }
-
-    /// Cancels a previously scheduled event. Returns `true` if the event was
-    /// still pending (i.e. had not already popped or been cancelled).
-    ///
-    /// When tombstoned entries come to outnumber live ones the heap is
-    /// rebuilt from the live entries, bounding memory under push/cancel
-    /// churn (the long-run disarm-heavy workloads that used to leak).
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        let cancelled = self.pending.remove(&key.0);
-        if cancelled && self.heap.len() >= COMPACT_FLOOR && self.heap.len() > 2 * self.pending.len()
-        {
-            self.compact();
-        }
-        cancelled
-    }
-
-    /// Drops every tombstoned entry by rebuilding the heap from live ones.
-    fn compact(&mut self) {
-        let pending = &self.pending;
-        self.heap = std::mem::take(&mut self.heap)
-            .into_iter()
-            .filter(|e| pending.contains(&e.seq))
-            .collect();
-    }
-
-    /// Time of the next live event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.skip_cancelled();
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Pops the earliest live event.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.skip_cancelled();
-        self.heap.pop().map(|e| {
-            self.pending.remove(&e.seq);
-            (e.time, e.event)
-        })
-    }
-
-    fn skip_cancelled(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            if self.pending.contains(&top.seq) {
-                break;
-            }
-            self.heap.pop();
-        }
-    }
-
-    /// Number of live events still pending.
-    pub fn len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// True when no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Entries physically held by the backing heap, live *and* tombstoned —
-    /// diagnostics for the compaction bound.
-    pub fn backing_len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.pending.clear();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Calendar/bucket queue: the allocation-free hot path.
-// ---------------------------------------------------------------------------
 
 /// log2 of the bucket width in nanoseconds: 2^16 ns = 65.536 µs, a few
 /// 802.11 slot times — fine enough that a bucket rarely holds more than a
@@ -230,9 +71,9 @@ fn pack_ref(slot: u32, gen: u32) -> u64 {
 /// and the spill heap. Ordering is by key alone (keys are unique).
 type Ref = (u128, u64);
 
-/// Calendar/bucket future event list — see the module docs. Pops in exactly
-/// the legacy `(time, seq)` order.
-pub struct CalendarQueue<E> {
+/// Time-ordered future event list with stable FIFO tie-breaking and O(1)
+/// cancellation — see the module docs.
+pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     /// Free slab slots available for reuse.
     free: Vec<u32>,
@@ -256,16 +97,16 @@ pub struct CalendarQueue<E> {
     next_seq: u64,
 }
 
-impl<E> Default for CalendarQueue<E> {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> CalendarQueue<E> {
+impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        CalendarQueue {
+        EventQueue {
             slots: Vec::new(),
             free: Vec::new(),
             ring: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
@@ -279,7 +120,8 @@ impl<E> CalendarQueue<E> {
         }
     }
 
-    /// Schedules `event` at `time`.
+    /// Schedules `event` at `time`, returning a key usable with
+    /// [`EventQueue::cancel`].
     pub fn push(&mut self, time: SimTime, event: E) -> EventKey {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -473,212 +315,101 @@ impl<E> CalendarQueue<E> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// The front both implementations share.
-// ---------------------------------------------------------------------------
-
-enum Imp<E> {
-    Calendar(CalendarQueue<E>),
-    Legacy(LegacyEventQueue<E>),
-}
-
-/// Time-ordered future event list with stable FIFO tie-breaking and O(1)
-/// cancellation. Defaults to the calendar queue; the legacy heap
-/// implementation is retained behind [`EventQueue::new_reference`] so the
-/// engine's reference path (fingerprint-equality suites) can run on the
-/// original structure.
-pub struct EventQueue<E>(Imp<E>);
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue on the calendar hot path.
-    pub fn new() -> Self {
-        EventQueue(Imp::Calendar(CalendarQueue::new()))
-    }
-
-    /// Creates an empty queue on the legacy heap reference path.
-    pub fn new_reference() -> Self {
-        EventQueue(Imp::Legacy(LegacyEventQueue::new()))
-    }
-
-    /// Schedules `event` at `time`, returning a key usable with
-    /// [`EventQueue::cancel`].
-    #[inline]
-    pub fn push(&mut self, time: SimTime, event: E) -> EventKey {
-        match &mut self.0 {
-            Imp::Calendar(q) => q.push(time, event),
-            Imp::Legacy(q) => q.push(time, event),
-        }
-    }
-
-    /// Cancels a previously scheduled event. Returns `true` if the event was
-    /// still pending (i.e. had not already popped or been cancelled).
-    #[inline]
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        match &mut self.0 {
-            Imp::Calendar(q) => q.cancel(key),
-            Imp::Legacy(q) => q.cancel(key),
-        }
-    }
-
-    /// Time of the next live event, if any.
-    #[inline]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.0 {
-            Imp::Calendar(q) => q.peek_time(),
-            Imp::Legacy(q) => q.peek_time(),
-        }
-    }
-
-    /// Pops the earliest live event.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match &mut self.0 {
-            Imp::Calendar(q) => q.pop(),
-            Imp::Legacy(q) => q.pop(),
-        }
-    }
-
-    /// Number of live events still pending.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match &self.0 {
-            Imp::Calendar(q) => q.len(),
-            Imp::Legacy(q) => q.len(),
-        }
-    }
-
-    /// True when no live events remain.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Removes all pending events.
-    pub fn clear(&mut self) {
-        match &mut self.0 {
-            Imp::Calendar(q) => q.clear(),
-            Imp::Legacy(q) => q.clear(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rng::SimRng;
     use crate::time::SimTime;
+    use std::collections::BTreeMap;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
     }
 
-    /// Every behavioral test runs against both implementations.
-    fn both() -> [EventQueue<&'static str>; 2] {
-        [EventQueue::new(), EventQueue::new_reference()]
-    }
-
     #[test]
     fn pops_in_time_order() {
-        for mut q in both() {
-            q.push(t(30), "c");
-            q.push(t(10), "a");
-            q.push(t(20), "b");
-            assert_eq!(q.pop(), Some((t(10), "a")));
-            assert_eq!(q.pop(), Some((t(20), "b")));
-            assert_eq!(q.pop(), Some((t(30), "c")));
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        q.push(t(30), "c");
+        q.push(t(10), "a");
+        q.push(t(20), "b");
+        assert_eq!(q.pop(), Some((t(10), "a")));
+        assert_eq!(q.pop(), Some((t(20), "b")));
+        assert_eq!(q.pop(), Some((t(30), "c")));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn same_time_is_fifo() {
-        for variant in [EventQueue::new, EventQueue::new_reference] {
-            let mut q = variant();
-            for i in 0..100 {
-                q.push(t(5), i);
-            }
-            for i in 0..100 {
-                assert_eq!(q.pop(), Some((t(5), i)));
-            }
+        let mut q = EventQueue::new();
+        for i in 0..100 {
+            q.push(t(5), i);
+        }
+        for i in 0..100 {
+            assert_eq!(q.pop(), Some((t(5), i)));
         }
     }
 
     #[test]
     fn cancel_removes_event() {
-        for mut q in both() {
-            let k1 = q.push(t(1), "x");
-            q.push(t(2), "y");
-            assert_eq!(q.len(), 2);
-            assert!(q.cancel(k1));
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop(), Some((t(2), "y")));
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        let k1 = q.push(t(1), "x");
+        q.push(t(2), "y");
+        assert_eq!(q.len(), 2);
+        assert!(q.cancel(k1));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((t(2), "y")));
+        assert!(q.is_empty());
     }
 
     #[test]
     fn cancel_twice_is_noop() {
-        for variant in [EventQueue::new, EventQueue::new_reference] {
-            let mut q = variant();
-            let k = q.push(t(1), ());
-            assert!(q.cancel(k));
-            assert!(!q.cancel(k));
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-        }
+        let mut q = EventQueue::new();
+        let k = q.push(t(1), ());
+        assert!(q.cancel(k));
+        assert!(!q.cancel(k));
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
     fn cancel_after_pop_is_noop() {
-        for mut q in both() {
-            let k = q.push(t(1), "x");
-            q.push(t(2), "y");
-            assert_eq!(q.pop(), Some((t(1), "x")));
-            // `k` already fired: cancelling must not disturb remaining
-            // events.
-            assert!(!q.cancel(k));
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop(), Some((t(2), "y")));
-        }
+        let mut q = EventQueue::new();
+        let k = q.push(t(1), "x");
+        q.push(t(2), "y");
+        assert_eq!(q.pop(), Some((t(1), "x")));
+        // `k` already fired: cancelling must not disturb remaining
+        // events.
+        assert!(!q.cancel(k));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((t(2), "y")));
     }
 
     #[test]
     fn cancel_unknown_key_is_noop() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(!q.cancel(EventKey(42)));
-        let mut q: EventQueue<()> = EventQueue::new_reference();
-        assert!(!q.cancel(EventKey(42)));
     }
 
     #[test]
     fn peek_time_skips_cancelled() {
-        for mut q in both() {
-            let k = q.push(t(1), "gone");
-            q.push(t(5), "kept");
-            q.cancel(k);
-            assert_eq!(q.peek_time(), Some(t(5)));
-        }
+        let mut q = EventQueue::new();
+        let k = q.push(t(1), "gone");
+        q.push(t(5), "kept");
+        q.cancel(k);
+        assert_eq!(q.peek_time(), Some(t(5)));
     }
 
     #[test]
     fn clear_empties() {
-        for variant in [EventQueue::new, EventQueue::new_reference] {
-            let mut q = variant();
-            q.push(t(1), 1);
-            q.push(t(2), 2);
-            q.clear();
-            assert!(q.is_empty());
-            assert_eq!(q.pop(), None);
-            // The queue keeps working after a clear.
-            q.push(t(3), 3);
-            assert_eq!(q.pop(), Some((t(3), 3)));
-        }
+        let mut q = EventQueue::new();
+        q.push(t(1), 1);
+        q.push(t(2), 2);
+        q.clear();
+        assert!(q.is_empty());
+        assert_eq!(q.pop(), None);
+        // The queue keeps working after a clear.
+        q.push(t(3), 3);
+        assert_eq!(q.pop(), Some((t(3), 3)));
     }
 
     #[test]
@@ -695,17 +426,15 @@ mod tests {
 
     #[test]
     fn interleaved_push_pop_keeps_order() {
-        for variant in [EventQueue::new, EventQueue::new_reference] {
-            let mut q = variant();
-            q.push(t(10), 10);
-            q.push(t(5), 5);
-            assert_eq!(q.pop(), Some((t(5), 5)));
-            q.push(t(7), 7);
-            q.push(t(6), 6);
-            assert_eq!(q.pop(), Some((t(6), 6)));
-            assert_eq!(q.pop(), Some((t(7), 7)));
-            assert_eq!(q.pop(), Some((t(10), 10)));
-        }
+        let mut q = EventQueue::new();
+        q.push(t(10), 10);
+        q.push(t(5), 5);
+        assert_eq!(q.pop(), Some((t(5), 5)));
+        q.push(t(7), 7);
+        q.push(t(6), 6);
+        assert_eq!(q.pop(), Some((t(6), 6)));
+        assert_eq!(q.pop(), Some((t(7), 7)));
+        assert_eq!(q.pop(), Some((t(10), 10)));
     }
 
     #[test]
@@ -728,38 +457,11 @@ mod tests {
     }
 
     #[test]
-    fn legacy_compaction_bounds_heap_under_churn() {
-        // Regression for the tombstone leak: a push/cancel churn loop (the
-        // disarm-every-timer pattern of acked `stop` retransmissions) must
-        // not grow the backing heap without bound.
-        let mut q = LegacyEventQueue::new();
-        let mut live = Vec::new();
-        for i in 0..50_000u64 {
-            let k = q.push(SimTime::from_micros(1_000_000 + i), i);
-            if i % 10 == 0 {
-                live.push(k); // 10% survive
-            } else {
-                q.cancel(k);
-            }
-        }
-        assert_eq!(q.len(), live.len());
-        // Without compaction the heap would hold all 50k entries. With the
-        // tombstones > live sweep it stays within a small multiple of live.
-        assert!(
-            q.backing_len() <= 2 * q.len() + COMPACT_FLOOR,
-            "backing {} vs live {}",
-            q.backing_len(),
-            q.len()
-        );
-        // And the survivors still pop correctly.
-        assert_eq!(q.pop().map(|(_, v)| v), Some(0));
-    }
-
-    #[test]
     fn calendar_slab_is_bounded_under_churn() {
-        // The calendar queue frees cancelled slots immediately; steady
-        // push/cancel churn reuses the same handful of slab slots.
-        let mut q = CalendarQueue::new();
+        // Cancelled slots are freed immediately; steady push/cancel churn
+        // (the disarm-every-timer pattern of acked `stop` retransmissions)
+        // reuses the same handful of slab slots.
+        let mut q = EventQueue::new();
         for i in 0..50_000u64 {
             let k = q.push(SimTime::from_micros(1_000_000 + i), i);
             if i % 10 != 0 {
@@ -777,54 +479,52 @@ mod tests {
 
     #[test]
     fn reference_and_calendar_agree_under_churn() {
-        // Drive both implementations through an identical randomized
-        // push/cancel/pop script and demand bit-identical outputs — the
-        // unit-level half of the bit-exactness discipline (the engine
-        // fingerprint suites are the end-to-end half).
+        // Drive the queue and its reference — an ordered map keyed by
+        // `(time, push number)` — through an identical randomized
+        // push/cancel/pop script and demand identical outputs: the
+        // unit-level order check (the golden run digests are the
+        // end-to-end one).
         let mut rng = SimRng::new(0xC0FFEE).fork("queue-equiv");
         let mut cal = EventQueue::new();
-        let mut leg = EventQueue::new_reference();
-        let mut keys: Vec<(EventKey, EventKey)> = Vec::new();
+        let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+        let mut keys: Vec<(EventKey, (SimTime, u64))> = Vec::new();
         let mut now = 0u64;
         for step in 0..20_000u64 {
             match rng.range(0u64..10) {
                 0..=4 => {
                     // Push somewhere from "now" to beyond the horizon.
-                    let dt = match rng.range(0u64..3) {
-                        0 => rng.range(0u64..1_000),          // same-bucket ties
-                        1 => rng.range(0u64..10_000_000),     // within horizon
-                        _ => rng.range(0u64..40_000_000_000), // spill path
+                    let dt = match rng.range(0u64..4) {
+                        0 => rng.range(0u64..1_000),                 // same-bucket ties
+                        1 => rng.range(0u64..10_000_000),            // within horizon
+                        2 => rng.range(0u64..40_000_000_000),        // spill path
+                        _ => 100_000_000 + rng.range(0u64..100_000), // spilled, shared buckets
                     };
                     let at = SimTime::from_nanos(now + dt);
-                    keys.push((cal.push(at, step), leg.push(at, step)));
+                    model.insert((at, step), step);
+                    keys.push((cal.push(at, step), (at, step)));
                 }
                 5..=6 => {
                     if !keys.is_empty() {
                         let i = rng.range(0u64..keys.len() as u64) as usize;
-                        let (kc, kl) = keys.swap_remove(i);
-                        assert_eq!(cal.cancel(kc), leg.cancel(kl), "step {step}");
+                        let (kc, km) = keys.swap_remove(i);
+                        assert_eq!(cal.cancel(kc), model.remove(&km).is_some(), "step {step}");
                     }
                 }
                 _ => {
-                    assert_eq!(cal.peek_time(), leg.peek_time(), "step {step}");
-                    let a = cal.pop();
-                    let b = leg.pop();
-                    assert_eq!(a, b, "step {step}");
-                    if let Some((t, _)) = a {
-                        now = t.as_nanos();
+                    let want = model.pop_first().map(|((at, _), e)| (at, e));
+                    assert_eq!(cal.peek_time(), want.map(|(at, _)| at), "step {step}");
+                    assert_eq!(cal.pop(), want, "step {step}");
+                    if let Some((at, _)) = want {
+                        now = at.as_nanos();
                     }
                 }
             }
-            assert_eq!(cal.len(), leg.len(), "step {step}");
+            assert_eq!(cal.len(), model.len(), "step {step}");
         }
         // Drain both to the end.
-        loop {
-            let a = cal.pop();
-            let b = leg.pop();
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
+        for ((at, _), e) in model {
+            assert_eq!(cal.pop(), Some((at, e)));
         }
+        assert_eq!(cal.pop(), None);
     }
 }

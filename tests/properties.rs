@@ -183,25 +183,61 @@ proptest! {
         }
     }
 
-    /// The event queue is a stable priority queue: pops are time-ordered,
-    /// FIFO within a timestamp, and nothing is lost.
+    /// The event queue is a stable priority queue: under any interleaving
+    /// of pushes, cancels (of live, already-cancelled and already-popped
+    /// keys alike) and pops it agrees with an ordered set of
+    /// `(time, push number)`, the push number being the payload —
+    /// time-ordered, FIFO within a nanosecond, nothing lost. Offsets run
+    /// from same-nanosecond ties through the bucket ring and past its
+    /// ~67 ms horizon (the spill heap) to `SimTime::MAX`.
     #[test]
-    fn event_queue_total_order(times in proptest::collection::vec(0u64..50, 1..200)) {
+    fn event_queue_total_order(
+        ops in proptest::collection::vec(
+            (
+                0u8..8,
+                prop_oneof![
+                    0u64..2,
+                    0u64..100_000,
+                    0u64..60_000_000,
+                    60_000_000u64..500_000_000,
+                    Just(u64::MAX),
+                ],
+                0usize..1_000,
+            ),
+            1..400,
+        ),
+    ) {
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_millis(t), i);
-        }
-        let mut popped = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            popped.push((t, i));
-        }
-        prop_assert_eq!(popped.len(), times.len());
-        for w in popped.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0);
-            if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "FIFO violated within timestamp");
+        let mut model = std::collections::BTreeSet::new();
+        // Every key ever issued, with its entry in the model.
+        let mut keys = Vec::new();
+        let mut now = 0u64;
+        for (kind, offset, pick) in ops {
+            match kind {
+                0..=3 => {
+                    let at = (now.saturating_add(offset), keys.len());
+                    model.insert(at);
+                    keys.push((q.push(SimTime::from_nanos(at.0), at.1), at));
+                }
+                4..=5 if !keys.is_empty() => {
+                    let (key, at) = keys[pick % keys.len()];
+                    prop_assert_eq!(q.cancel(key), model.remove(&at));
+                }
+                _ => {
+                    let want = model.pop_first().map(|(t, i)| (SimTime::from_nanos(t), i));
+                    prop_assert_eq!(q.peek_time(), want.map(|(t, _)| t));
+                    prop_assert_eq!(q.pop(), want);
+                    if let Some((t, _)) = want {
+                        now = t.as_nanos();
+                    }
+                }
             }
+            prop_assert_eq!(q.len(), model.len());
         }
+        for (t, i) in model {
+            prop_assert_eq!(q.pop(), Some((SimTime::from_nanos(t), i)));
+        }
+        prop_assert_eq!(q.pop(), None);
     }
 
     /// The AP-selection time window never reports a stale median.
