@@ -574,6 +574,9 @@ pub struct WgttWorld {
         usize,
         bool,
     )>,
+    /// Monitors that overheard the current A-MPDU's Block ACK (cleared per
+    /// A-MPDU, capacity retained).
+    scratch_overheard: Vec<usize>,
     /// Verbose tracing (set WGTT_TRACE=1), for debugging the datapath.
     trace: bool,
 }
@@ -683,6 +686,7 @@ impl WgttWorld {
             scratch_contenders: Vec::new(),
             scratch_active: Vec::new(),
             scratch_granted: Vec::new(),
+            scratch_overheard: Vec::new(),
             trace: std::env::var("WGTT_TRACE").is_ok(),
             cfg,
         }
@@ -2931,12 +2935,10 @@ impl WgttWorld {
             self.release_reordered(ctx, c, false);
         }
 
-        // Block ACK response (only if the client heard the PPDU at all).
-        let mut ba_received = false;
-        let mut ba: Option<BlockAckFrame> = None;
-        if any_received {
+        // Block ACK response (only if the client heard the PPDU at all):
+        // the frame, and whether the serving AP decoded it.
+        let ba: Option<(BlockAckFrame, bool)> = if any_received {
             let frame = self.clients[c].rx_reorder.block_ack();
-            ba = Some(frame);
             // BA travels client→AP on the reciprocal channel at the
             // 24 Mbit/s basic control rate (QPSK-3/4-like robustness).
             let e_qpsk = esnr.esnr_db(Modulation::Qpsk);
@@ -2944,14 +2946,16 @@ impl WgttWorld {
                 self.cfg
                     .per_model
                     .success_prob(Mcs(2), e_qpsk, wgtt_mac::timing::BLOCK_ACK_BYTES);
-            ba_received = self.rng.chance(p_ba);
-        }
+            Some((frame, self.rng.chance(p_ba)))
+        } else {
+            None
+        };
 
         // Every AP that decodes the client's Block ACK — serving or
         // monitor-mode neighbour — measures CSI from it (the CSI tool
         // reports every incoming frame, §3.1.1). Monitors that heard a BA
         // the serving AP missed forward it over the backhaul (§3.2.1).
-        let mut overheard_by: Vec<usize> = Vec::new();
+        self.scratch_overheard.clear();
         if ba.is_some() {
             for other in 0..self.aps.len() {
                 if other == ap
@@ -2971,79 +2975,81 @@ impl WgttWorld {
                         .per_model
                         .success_prob(Mcs(2), e, wgtt_mac::timing::BLOCK_ACK_BYTES);
                 if self.rng.chance(p) {
-                    overheard_by.push(other);
+                    self.scratch_overheard.push(other);
                     let report = other_esnr.esnr_db(Modulation::Qam16);
                     self.report_csi(ctx, other, c, report, now);
                 }
             }
         }
-        if ba_received {
+        if let Some((_, true)) = ba {
             let report = esnr.esnr_db(Modulation::Qam16);
             self.report_csi(ctx, ap, c, report, now);
         }
         let Some(st) = self.aps[ap].client_get_mut(client) else {
             return; // state wiped by a crash/reboot cycle mid-flight
         };
-        if ba_received {
-            // Invariant: `ba_received` is only set where `ba` was built.
-            let frame = ba.expect("ba exists when received");
-            st.seen_bas.insert((frame.start_seq, frame.bitmap));
-            let newly = st.scoreboard.on_block_ack(&frame);
-            for _ in &newly {
-                st.ratectl.on_tx_result(now, mcs, true);
+        match ba {
+            Some((frame, true)) => {
+                st.seen_bas.insert((frame.start_seq, frame.bitmap));
+                let newly = st.scoreboard.on_block_ack(&frame);
+                for _ in &newly {
+                    st.ratectl.on_tx_result(now, mcs, true);
+                }
+                // Anything the Block ACK (cumulatively) covers is done; the
+                // rest — including previously acked sequences the frame
+                // still carries — goes back for retransmission.
+                let unacked: Vec<(u16, Packet, u32)> = results
+                    .into_iter()
+                    .filter(|(seq, _, _, _)| !frame.covers(*seq) && st_seq_outstanding(st, *seq))
+                    .map(|(seq, p, r, _)| (seq, p, r))
+                    .collect();
+                // Rate control must see the failures too, or it pins at the
+                // top rate on the optimism of acked-only feedback.
+                for _ in &unacked {
+                    st.ratectl.on_tx_result(now, mcs, false);
+                }
+                self.requeue_lost(ap, c, unacked, mcs, now);
+                self.aps[ap].backoff.on_success();
             }
-            // Anything the Block ACK (cumulatively) covers is done; the
-            // rest — including previously acked sequences the frame still
-            // carries — goes back for retransmission.
-            let unacked: Vec<(u16, Packet, u32)> = results
-                .into_iter()
-                .filter(|(seq, _, _, _)| !frame.covers(*seq) && st_seq_outstanding(st, *seq))
-                .map(|(seq, p, r, _)| (seq, p, r))
-                .collect();
-            // Rate control must see the failures too, or it pins at the
-            // top rate on the optimism of acked-only feedback.
-            for _ in &unacked {
-                st.ratectl.on_tx_result(now, mcs, false);
-            }
-            self.requeue_lost(ap, c, unacked, mcs, now);
-            self.aps[ap].backoff.on_success();
-        } else {
-            if let Some(frame) = ba {
-                self.clients[c].metrics.ba_lost_at_serving += 1;
-                // Block ACK forwarding: monitor-mode neighbours that
-                // overheard it relay it over the backhaul (§3.2.1).
-                if self.cfg.mode == Mode::Wgtt && self.cfg.ba_forwarding {
-                    for other in &overheard_by {
-                        if self.faults.partitioned(*other, now) {
-                            continue; // monitor cut off from the backhaul
+            lost => {
+                if let Some((frame, _)) = lost {
+                    self.clients[c].metrics.ba_lost_at_serving += 1;
+                    // Block ACK forwarding: monitor-mode neighbours that
+                    // overheard it relay it over the backhaul (§3.2.1).
+                    if self.cfg.mode == Mode::Wgtt && self.cfg.ba_forwarding {
+                        // By index: `backhaul_send` needs the whole world.
+                        for i in 0..self.scratch_overheard.len() {
+                            if self.faults.partitioned(self.scratch_overheard[i], now) {
+                                continue; // monitor cut off from the backhaul
+                            }
+                            self.backhaul_send(
+                                ctx,
+                                100,
+                                false,
+                                Ev::BaForwardAtAp {
+                                    ap,
+                                    client: c,
+                                    ba: frame,
+                                },
+                            );
                         }
-                        self.backhaul_send(
-                            ctx,
-                            100,
-                            false,
-                            Ev::BaForwardAtAp {
-                                ap,
-                                client: c,
-                                ba: frame,
-                            },
-                        );
                     }
                 }
+                let Some(st) = self.aps[ap].client_get_mut(client) else {
+                    return;
+                };
+                st.ratectl.on_tx_result(now, mcs, false);
+                // Without an acknowledgement the AP must assume nothing got
+                // through: the entire aggregate is retransmitted (§3.2.1's
+                // cost) — unless a forwarded Block ACK arrives first and
+                // prunes the NIC queue.
+                let all: Vec<(u16, Packet, u32)> = results
+                    .into_iter()
+                    .map(|(seq, p, r, _)| (seq, p, r))
+                    .collect();
+                self.requeue_lost(ap, c, all, mcs, now);
+                self.aps[ap].backoff.on_failure();
             }
-            let Some(st) = self.aps[ap].client_get_mut(client) else {
-                return;
-            };
-            st.ratectl.on_tx_result(now, mcs, false);
-            // Without an acknowledgement the AP must assume nothing got
-            // through: the entire aggregate is retransmitted (§3.2.1's
-            // cost) — unless a forwarded Block ACK arrives first and
-            // prunes the NIC queue.
-            let all: Vec<(u16, Packet, u32)> = results
-                .into_iter()
-                .map(|(seq, p, r, _)| (seq, p, r))
-                .collect();
-            self.requeue_lost(ap, c, all, mcs, now);
-            self.aps[ap].backoff.on_failure();
         }
     }
 

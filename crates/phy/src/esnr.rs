@@ -15,6 +15,7 @@
 //! the paper).
 
 use crate::csi::{Csi, NUM_SUBCARRIERS};
+use crate::fastmath::{exp_lanes, LANES};
 use crate::pathloss::linear_to_db;
 
 /// Modulation schemes used by 802.11n single-stream MCS 0–7.
@@ -74,6 +75,25 @@ fn erfc_poly(t: f64) -> f64 {
                                 + t * (1.48851587 + t * (-0.82215223 + t * 0.17087277))))))))
 }
 
+/// [`erfc`] up to its exponential: `(t, e)` with `erfc(|x|) = t·exp(e)`.
+#[inline(always)]
+fn erfc_exponent(x: f64) -> (f64, f64) {
+    let z = x.abs();
+    let t = 1.0 / (1.0 + 0.5 * z);
+    (t, -z * z + erfc_poly(t))
+}
+
+/// [`erfc`] from its exponential on, given `exp_e = exp(e)`.
+#[inline(always)]
+fn erfc_finish(x: f64, t: f64, exp_e: f64) -> f64 {
+    let tau = t * exp_e;
+    if x >= 0.0 {
+        tau
+    } else {
+        2.0 - tau
+    }
+}
+
 /// Complementary error function.
 ///
 /// Abramowitz & Stegun 7.1.26-based rational approximation with |ε| ≤
@@ -82,14 +102,8 @@ fn erfc_poly(t: f64) -> f64 {
 /// exponential uses the deterministic [`crate::fastmath::exp`] kernel, so
 /// BER values do not depend on the host libm.
 pub fn erfc(x: f64) -> f64 {
-    let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    let tau = t * crate::fastmath::exp(-z * z + erfc_poly(t));
-    if x >= 0.0 {
-        tau
-    } else {
-        2.0 - tau
-    }
+    let (t, e) = erfc_exponent(x);
+    erfc_finish(x, t, crate::fastmath::exp(e))
 }
 
 /// `ln erfc(z)` and its derivative for `z ≥ 0`, from the closed form of the
@@ -157,10 +171,11 @@ fn q_params(modulation: Modulation) -> (f64, f64) {
 /// inversion: solve `erfc(u) = 2·target/c` for `u = √(g/2k)`. A
 /// probit-style initial guess is polished by safeguarded Newton iteration
 /// on the analytic log-domain closed form of [`erfc`]'s approximation
-/// ([`ln_erfc_with_deriv`]) — typically 4–6 evaluations where the former
-/// geometric bisection needed ~46 full BER evaluations, and immune to the
-/// underflow that makes the linear-domain function flat at high SNR. A
-/// shrinking bracket guarantees convergence even if a Newton step misfires.
+/// ([`ln_erfc_with_deriv`]) — 17 evaluations a call as measured (Newton
+/// needs 3–4; see DESIGN.md §6b for the rest) where the former geometric
+/// bisection needed ~46 full BER evaluations, and immune to the underflow
+/// that makes the linear-domain function flat at high SNR. A shrinking
+/// bracket guarantees convergence even if a Newton step misfires.
 pub fn ber_inverse(modulation: Modulation, target_ber: f64) -> f64 {
     // Outside the achievable range, clamp to the search bounds.
     let (lo, hi) = (1e-9, 1e9);
@@ -209,13 +224,39 @@ pub fn ber_inverse(modulation: Modulation, target_ber: f64) -> f64 {
     2.0 * k * u * u
 }
 
+/// `Σ ber(modulation, s)` over the tones, [`LANES`] at a time: the
+/// Q-function argument and [`erfc`]'s two halves as lane loops around one
+/// [`exp_lanes`], `(c, k)` looked up once. Each lane is the per-tone
+/// [`ber`] bit for bit (`2g` is `g/½`, `1·q` is `q`) and the sum runs in
+/// tone order, so the total is too (`ber_sum_matches_per_tone_reference`).
+fn ber_sum(modulation: Modulation, snr_linear: &[f64]) -> f64 {
+    let (c, k) = q_params(modulation);
+    let mut total = 0.0;
+    for tones in snr_linear.chunks(LANES) {
+        // A short last chunk's spare lanes are computed and not summed.
+        let mut g = [0.0; LANES];
+        g[..tones.len()].copy_from_slice(tones);
+        let mut x = [0.0; LANES];
+        let mut t = [0.0; LANES];
+        let mut e = [0.0; LANES];
+        for i in 0..LANES {
+            x[i] = (g[i].max(0.0) / k).sqrt() / std::f64::consts::SQRT_2;
+            (t[i], e[i]) = erfc_exponent(x[i]);
+        }
+        let e = exp_lanes(&e);
+        for i in 0..tones.len() {
+            total += c * (0.5 * erfc_finish(x[i], t[i], e[i]));
+        }
+    }
+    total
+}
+
 /// Effective SNR in dB for a modulation given per-subcarrier linear SNRs.
 pub fn esnr_db(modulation: Modulation, snr_linear: &[f64]) -> f64 {
     if snr_linear.is_empty() {
         return -300.0;
     }
-    let mean_ber =
-        snr_linear.iter().map(|&s| ber(modulation, s)).sum::<f64>() / snr_linear.len() as f64;
+    let mean_ber = ber_sum(modulation, snr_linear) / snr_linear.len() as f64;
     let e = linear_to_db(ber_inverse(modulation, mean_ber));
     // When every tone's BER underflows to zero the inversion saturates at
     // its search bound; physically the effective SNR can never exceed the
@@ -406,6 +447,46 @@ mod tests {
                     rel < 1e-9,
                     "{m:?} target {t:e}: newton {got:e} vs bisect {want:e}"
                 );
+            }
+        }
+    }
+
+    /// What [`ber_sum`] replaced in [`esnr_db`]: the per-tone scalar sum.
+    fn ber_sum_ref(modulation: Modulation, snr_linear: &[f64]) -> f64 {
+        snr_linear.iter().map(|&s| ber(modulation, s)).sum::<f64>()
+    }
+
+    #[test]
+    fn ber_sum_matches_per_tone_reference() {
+        let mut state = 0x7e57_ab1e_5eed_0001u64;
+        let mut unit = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for m in Modulation::ALL {
+            // Every length through the 56 tones and past them, so the
+            // short last chunk is 1…7 lanes as well as absent.
+            for len in 1..=60usize {
+                for base_db in (-30..=50).step_by(4) {
+                    // ±15 dB of selectivity about the base, then the tones
+                    // a CSI can degenerate to, at random places. High bases
+                    // push whole batches into the exp underflow band.
+                    let mut snr: Vec<f64> = (0..len)
+                        .map(|_| db_to_linear(base_db as f64 + 30.0 * (unit() - 0.5)))
+                        .collect();
+                    for odd in [0.0, -0.0, -3.5, f64::NAN, 1e9, f64::INFINITY] {
+                        if unit() < 0.5 {
+                            snr[(unit() * len as f64) as usize] = odd;
+                        }
+                    }
+                    assert_eq!(
+                        ber_sum(m, &snr).to_bits(),
+                        ber_sum_ref(m, &snr).to_bits(),
+                        "{m:?}, {len} tones at {base_db} dB: {snr:?}"
+                    );
+                }
             }
         }
     }

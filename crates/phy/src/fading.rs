@@ -24,6 +24,7 @@
 //! forks).
 
 use crate::complex::Cplx;
+use crate::fastmath::{sincos_lanes, LANES};
 use serde::{Deserialize, Serialize};
 use wgtt_sim::SimRng;
 
@@ -63,14 +64,18 @@ struct Sinusoid {
 
 #[derive(Debug, Clone)]
 struct Tap {
-    /// Mean power (all taps sum to 1).
-    power: f64,
     /// Excess delay, seconds.
     delay_s: f64,
-    /// Rician K (linear); 0 for pure Rayleigh taps.
-    k: f64,
     /// Scattered component sinusoids.
     sinusoids: Vec<Sinusoid>,
+    /// `√(1/n)` for the `n` sinusoids: normalizes their sum to unit power.
+    scatter_norm: f64,
+    /// Scattered amplitude `√(power/(K+1))`; `power` is the tap's mean
+    /// power (all taps sum to 1), `K` its linear Rician factor (0 for pure
+    /// Rayleigh taps).
+    scattered_amp: f64,
+    /// LOS amplitude `√(power·K/(K+1))`.
+    los_amp: f64,
     /// LOS component angle-of-arrival cosine and phase.
     los_cos_aoa: f64,
     los_phase: f64,
@@ -78,20 +83,28 @@ struct Tap {
 
 impl Tap {
     /// Complex gain of this tap at absolute time `t_s` with maximum Doppler
-    /// `fd_hz`.
+    /// `fd_hz`. The sinusoid phasors come [`LANES`] at a time from
+    /// [`sincos_lanes`] and are summed in sinusoid order, so the result is
+    /// bit-identical to a per-sinusoid `Cplx::from_phase` loop (locked by
+    /// `lane_gain_matches_per_sinusoid_reference`).
     fn gain(&self, t_s: f64, fd_hz: f64) -> Cplx {
         let two_pi = 2.0 * std::f64::consts::PI;
-        let n = self.sinusoids.len() as f64;
         let mut scattered = Cplx::ZERO;
-        for s in &self.sinusoids {
-            scattered += Cplx::from_phase(two_pi * fd_hz * s.cos_aoa * t_s + s.phase);
+        for chunk in self.sinusoids.chunks(LANES) {
+            // A short last chunk's spare lanes are computed and not summed.
+            let mut theta = [0.0; LANES];
+            for (th, s) in theta.iter_mut().zip(chunk) {
+                *th = two_pi * fd_hz * s.cos_aoa * t_s + s.phase;
+            }
+            let (sin, cos) = sincos_lanes(&theta);
+            for i in 0..chunk.len() {
+                scattered += Cplx::new(cos[i], sin[i]);
+            }
         }
-        scattered = scattered.scale((1.0 / n).sqrt());
-        let scattered_amp = (self.power / (self.k + 1.0)).sqrt();
-        let los_amp = (self.power * self.k / (self.k + 1.0)).sqrt();
+        scattered = scattered.scale(self.scatter_norm);
         let los = Cplx::from_phase(two_pi * fd_hz * self.los_cos_aoa * t_s + self.los_phase)
-            .scale(los_amp);
-        scattered.scale(scattered_amp) + los
+            .scale(self.los_amp);
+        scattered.scale(self.scattered_amp) + los
     }
 }
 
@@ -152,11 +165,14 @@ impl TappedDelayLine {
                         phase: rng.phase(),
                     })
                     .collect();
+                let n = cfg.num_sinusoids as f64;
+                let k = if i == 0 { k_lin } else { 0.0 };
                 Tap {
-                    power,
                     delay_s: i as f64 * spacing_s,
-                    k: if i == 0 { k_lin } else { 0.0 },
                     sinusoids,
+                    scatter_norm: (1.0 / n).sqrt(),
+                    scattered_amp: (power / (k + 1.0)).sqrt(),
+                    los_amp: (power * k / (k + 1.0)).sqrt(),
                     los_cos_aoa: rng.phase().cos(),
                     los_phase: rng.phase(),
                 }
@@ -212,9 +228,7 @@ impl TappedDelayLine {
             .iter()
             .map(|tap| {
                 let n = tap.sinusoids.len() as f64;
-                let scattered_peak = n * (1.0 / n).sqrt() * (tap.power / (tap.k + 1.0)).sqrt();
-                let los = (tap.power * tap.k / (tap.k + 1.0)).sqrt();
-                scattered_peak + los
+                n * tap.scatter_norm * tap.scattered_amp + tap.los_amp
             })
             .sum()
     }
@@ -359,6 +373,46 @@ mod tests {
                 for (a, b) in reference.iter().zip(&fast) {
                     assert_eq!(a.re.to_bits(), b.re.to_bits());
                     assert_eq!(a.im.to_bits(), b.im.to_bits());
+                }
+            }
+        }
+    }
+
+    impl Tap {
+        /// What the lane pass in [`Tap::gain`] replaced: one scalar
+        /// `Cplx::from_phase` per sinusoid.
+        fn gain_ref(&self, t_s: f64, fd_hz: f64) -> Cplx {
+            let two_pi = 2.0 * std::f64::consts::PI;
+            let mut scattered = Cplx::ZERO;
+            for s in &self.sinusoids {
+                scattered += Cplx::from_phase(two_pi * fd_hz * s.cos_aoa * t_s + s.phase);
+            }
+            scattered = scattered.scale(self.scatter_norm);
+            let los = Cplx::from_phase(two_pi * fd_hz * self.los_cos_aoa * t_s + self.los_phase)
+                .scale(self.los_amp);
+            scattered.scale(self.scattered_amp) + los
+        }
+    }
+
+    #[test]
+    fn lane_gain_matches_per_sinusoid_reference() {
+        // Half a batch, whole batches, and whole batches plus a remainder.
+        for num_sinusoids in [4, 16, 19] {
+            let cfg = FadingConfig {
+                num_sinusoids,
+                ..FadingConfig::default()
+            };
+            let ch = TappedDelayLine::new(&cfg, &mut SimRng::new(40 + num_sinusoids as u64));
+            for step in 0..400 {
+                // Past t ≈ 900 s the fastest sinusoids' phases leave the
+                // kernel's range while the slow ones stay inside, so late
+                // batches mix patched and unpatched lanes.
+                let t = step as f64 * 7.31;
+                let fd = 20.0 + step as f64 * 0.4;
+                for tap in &ch.taps {
+                    let (lanes, scalar) = (tap.gain(t, fd), tap.gain_ref(t, fd));
+                    assert_eq!(lanes.re.to_bits(), scalar.re.to_bits(), "t={t} fd={fd}");
+                    assert_eq!(lanes.im.to_bits(), scalar.im.to_bits(), "t={t} fd={fd}");
                 }
             }
         }

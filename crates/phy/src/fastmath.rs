@@ -11,8 +11,12 @@
 //!    depend on the host libc; with these kernels the physics is pure Rust
 //!    arithmetic and reproduces bit-identically anywhere.
 //! 2. **Throughput.** One fused [`sincos`] halves the call count of the
-//!    fading evaluator's `e^{jθ}` phasors, and the kernels inline into
-//!    their (non-vectorized but call-free) call sites.
+//!    fading evaluator's `e^{jθ}` phasors, and [`exp_lanes`] and
+//!    [`sincos_lanes`] run the branch-free middle of [`exp`] and
+//!    [`sincos`] over [`LANES`] arguments at a time: no call, no branch,
+//!    no cross-lane dependency, so an optimised build issues the lanes as
+//!    the baseline target's vector instructions, each lane the scalar
+//!    result bit for bit (DESIGN.md §6b, "lane kernels").
 //!
 //! The algorithms are the classical fdlibm ones (Cody–Waite argument
 //! reduction, minimax polynomial kernels) with accuracy ~1 ulp for [`exp`]
@@ -26,6 +30,29 @@
 // carry more digits than f64 resolves, and rewriting them would obscure
 // the provenance the kernels' accuracy argument rests on.
 #![allow(clippy::approx_constant, clippy::excessive_precision)]
+
+/// Arguments per lane pass: the 56 HT20 tones are 7 passes, the default 16
+/// Doppler sinusoids 2.
+pub const LANES: usize = 8;
+
+/// 2⁵²: adding then subtracting it rounds a smaller non-negative double to
+/// the nearest integer.
+const TWO52: f64 = 4_503_599_627_370_496.0;
+/// 1.5·2⁵²: the low mantissa bits of `n + INT_BITS` are the integer `n`
+/// (|n| < 2⁵¹) in two's complement.
+const INT_BITS: f64 = 6_755_399_441_055_744.0;
+
+/// `v.round()` (half away from zero) for |v| < 2⁵¹ without the libm call
+/// `f64::round` is on baseline x86-64: `trunc(|v| + pred(½))`, truncating
+/// by the 2⁵² round-to-nearest and one compare. `pred(½)`, not ½, keeps
+/// the largest double below ½ from rounding up to 1.
+#[inline(always)]
+fn round_half_away(v: f64) -> f64 {
+    let b = v.abs() + 0.499_999_999_999_999_94;
+    let nearest = (b + TWO52) - TWO52;
+    let trunc = if nearest > b { nearest - 1.0 } else { nearest };
+    trunc.copysign(v)
+}
 
 /// 2/π, for quadrant selection.
 const INV_PIO2: f64 = 6.366_197_723_675_813_8e-1;
@@ -70,19 +97,13 @@ fn k_cos(r: f64) -> f64 {
 /// [`sincos`] falls back to `std` (the simulator's phases never get there).
 const REDUCTION_BOUND: f64 = 1.0e6;
 
-/// `(sin x, cos x)` with one fused argument reduction.
-///
-/// Accuracy ~2 ulp for |x| < [`REDUCTION_BOUND`]; exact `std` fallback
-/// outside. NaN/∞ propagate as NaN.
-#[inline]
-pub fn sincos(x: f64) -> (f64, f64) {
-    // Negated comparison on purpose: NaN fails `<` and takes the fallback.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !(x.abs() < REDUCTION_BOUND) {
-        // Huge, NaN or infinite: take libm's argument reduction.
-        return (x.sin(), x.cos());
-    }
-    let fk = (x * INV_PIO2).round();
+/// The branch-free middle of [`sincos`]: Cody–Waite reduction, both
+/// polynomial kernels, quadrant selection as selects and sign-bit flips.
+/// Right for |x| < [`REDUCTION_BOUND`]; anything else (NaN included) gives
+/// garbage but cannot trap, so a lane pass runs it on every lane.
+#[inline(always)]
+fn sincos_body(x: f64) -> (f64, f64) {
+    let fk = round_half_away(x * INV_PIO2);
     // Two-stage Cody–Waite reduction: r = x − k·π/2 to ~2⁻⁷⁰ even after
     // the cancellation a 2²⁰-sized k causes.
     let t = x - fk * PIO2_1;
@@ -92,12 +113,49 @@ pub fn sincos(x: f64) -> (f64, f64) {
     let r = r2 - w3;
     let s = k_sin(r);
     let c = k_cos(r);
-    match (fk as i64) & 3 {
-        0 => (s, c),
-        1 => (c, -s),
-        2 => (-s, -c),
-        _ => (-c, s),
+    // Quadrant q = k mod 4: (s, c), (c, −s), (−s, −c), (−c, s).
+    let q = (fk + INT_BITS).to_bits();
+    let (sin, cos) = if q & 1 == 0 { (s, c) } else { (c, s) };
+    (
+        f64::from_bits(sin.to_bits() ^ ((q & 2) << 62)),
+        f64::from_bits(cos.to_bits() ^ (((q + 1) & 2) << 62)),
+    )
+}
+
+/// `(sin x, cos x)` with one fused argument reduction.
+///
+/// Accuracy ~2 ulp for |x| < [`REDUCTION_BOUND`]; exact `std` fallback
+/// outside. NaN/∞ propagate as NaN.
+#[inline]
+pub fn sincos(x: f64) -> (f64, f64) {
+    // NaN fails `<` and takes the fallback.
+    if x.abs() < REDUCTION_BOUND {
+        sincos_body(x)
+    } else {
+        // Huge, NaN or infinite: take libm's argument reduction.
+        (x.sin(), x.cos())
     }
+}
+
+/// [`sincos`] of [`LANES`] arguments at once, as `(sines, cosines)`: the
+/// same body run on every lane; a pass with an out-of-range lane (the
+/// simulator's phases have none) is redone through the scalar entry. Each
+/// lane is bit-identical to [`sincos`].
+#[inline]
+pub fn sincos_lanes(x: &[f64; LANES]) -> ([f64; LANES], [f64; LANES]) {
+    let mut sin = [0.0; LANES];
+    let mut cos = [0.0; LANES];
+    let mut in_range = true;
+    for i in 0..LANES {
+        (sin[i], cos[i]) = sincos_body(x[i]);
+        in_range &= x[i].abs() < REDUCTION_BOUND;
+    }
+    if !in_range {
+        for i in 0..LANES {
+            (sin[i], cos[i]) = sincos(x[i]);
+        }
+    }
+    (sin, cos)
 }
 
 /// `sin x` via [`sincos`].
@@ -129,6 +187,34 @@ const P5: f64 = 4.138_136_797_057_238_4e-8;
 const EXP_UNDERFLOW: f64 = -745.133_219_101_941_2;
 /// Largest argument with a finite result.
 const EXP_OVERFLOW: f64 = 709.782_712_893_384;
+/// Below 2⁻²⁸ in magnitude `1 + x` already rounds correctly.
+const EXP_TINY: f64 = 3.725_290_298_461_914e-9;
+/// From here up the result is a normal double (k = round(x/ln 2) ≥ −1021),
+/// so the exponent add of [`exp_body`] is the whole scaling.
+const EXP_NORMAL_MIN: f64 = -708.0;
+
+/// The branch-free middle of [`exp`]: reduction to `k·ln 2 + r`, the
+/// rational kernel for `e^r`, and `k` added into the exponent field.
+/// `e^x` for `x` in [[`EXP_NORMAL_MIN`], [`EXP_OVERFLOW`]]; otherwise
+/// garbage that cannot trap — below that band still `e^r·2^k` with the
+/// exponent field wrapped, which [`exp`] rescales in two hops.
+#[inline(always)]
+fn exp_body(x: f64) -> f64 {
+    let fk = round_half_away(x * INV_LN2);
+    let hi = x - fk * LN2_HI;
+    let lo = fk * LN2_LO;
+    let r = hi - lo;
+    let t = r * r;
+    let c = r - t * (P1 + t * (P2 + t * (P3 + t * (P4 + t * P5))));
+    let y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
+    f64::from_bits(y.to_bits().wrapping_add((fk + INT_BITS).to_bits() << 52))
+}
+
+/// Whether [`exp_body`] alone gives `e^x`.
+#[inline(always)]
+fn exp_in_range(x: f64) -> bool {
+    (EXP_NORMAL_MIN..=EXP_OVERFLOW).contains(&x) && x.abs() >= EXP_TINY
+}
 
 /// `e^x`, accurate to ~1 ulp, with exact overflow/underflow saturation.
 #[inline]
@@ -142,18 +228,40 @@ pub fn exp(x: f64) -> f64 {
     if x < EXP_UNDERFLOW {
         return 0.0;
     }
-    if x.abs() < 3.725_290_298_461_914e-9 {
-        // |x| < 2⁻²⁸: 1 + x already rounds correctly.
+    if x.abs() < EXP_TINY {
         return 1.0 + x;
     }
-    let fk = (x * INV_LN2).round();
-    let hi = x - fk * LN2_HI;
-    let lo = fk * LN2_LO;
-    let r = hi - lo;
-    let t = r * r;
-    let c = r - t * (P1 + t * (P2 + t * (P3 + t * (P4 + t * P5))));
-    let y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
-    scale_by_pow2(y, fk as i32)
+    let y = exp_body(x);
+    if x >= EXP_NORMAL_MIN {
+        y
+    } else {
+        // Possibly subnormal result: lift the wrapped exponent by 2¹⁰⁰⁰ so
+        // the intermediate is normal, then scale down in one rounding.
+        let part = f64::from_bits(y.to_bits().wrapping_add(1000 << 52));
+        part * f64::from_bits((1023u64 - 1000) << 52)
+    }
+}
+
+/// [`exp`] of [`LANES`] arguments at once: the same body run on every
+/// lane, then the rare lanes outside its range (NaN, overflow, the
+/// underflow/subnormal band, |x| < 2⁻²⁸) redone through the scalar entry.
+/// Each lane is bit-identical to [`exp`].
+#[inline]
+pub fn exp_lanes(x: &[f64; LANES]) -> [f64; LANES] {
+    let mut out = [0.0; LANES];
+    let mut in_range = true;
+    for i in 0..LANES {
+        out[i] = exp_body(x[i]);
+        in_range &= exp_in_range(x[i]);
+    }
+    if !in_range {
+        for i in 0..LANES {
+            if !exp_in_range(x[i]) {
+                out[i] = exp(x[i]);
+            }
+        }
+    }
+    out
 }
 
 // ln mantissa-series coefficients (fdlibm e_log).
@@ -206,19 +314,6 @@ pub fn ln(x: f64) -> f64 {
     kf * LN2_HI - ((hfsq - (s * (hfsq + r) + kf * LN2_LO)) - f)
 }
 
-/// `y · 2^k` via exponent arithmetic, correct into the subnormal range.
-#[inline]
-fn scale_by_pow2(y: f64, k: i32) -> f64 {
-    if k >= -1021 {
-        f64::from_bits(y.to_bits().wrapping_add((k as u64) << 52))
-    } else {
-        // Subnormal result: scale in two hops so the intermediate stays
-        // normal.
-        let part = f64::from_bits(y.to_bits().wrapping_add(((k + 1000) as u64) << 52));
-        part * f64::from_bits((1023u64 - 1000) << 52)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,6 +324,109 @@ mod tests {
         *state ^= *state >> 7;
         *state ^= *state << 17;
         (*state >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// The double `steps` ulps above (below, if negative) a finite `x`
+    /// away from zero.
+    fn nudge(x: f64, steps: i64) -> f64 {
+        let away = if x < 0.0 { -steps } else { steps };
+        f64::from_bits((x.to_bits() as i64 + away) as u64)
+    }
+
+    #[test]
+    fn round_half_away_matches_std_round() {
+        let check = |v: f64| {
+            assert_eq!(
+                round_half_away(v).to_bits(),
+                v.round().to_bits(),
+                "round({v:e})"
+            );
+        };
+        // Every tie in ±2000 and the doubles either side of it, the
+        // integers between, and the two values the +½ trick gets wrong.
+        for k in -4001..=4001i32 {
+            let half = k as f64 * 0.5;
+            for steps in [-1, 0, 1] {
+                check(if half == 0.0 {
+                    half
+                } else {
+                    nudge(half, steps)
+                });
+            }
+        }
+        for v in [
+            0.0,
+            -0.0,
+            0.499_999_999_999_999_94,
+            5e-324,
+            1.0e6,
+            636_619.5,
+        ] {
+            check(v);
+            check(-v);
+        }
+        let mut s = 0x5151_5eed_0bad_c0deu64;
+        for _ in 0..200_000 {
+            check((xorshift(&mut s) - 0.5) * 4096.0);
+            check((xorshift(&mut s) - 0.5) * 1.4e6);
+        }
+    }
+
+    /// One argument per call, cycling through every class a lane can be
+    /// in, so a batch of eight consecutive draws mixes in-range lanes with
+    /// every kind of patched one.
+    fn mixed_arg(s: &mut u64, kernel_span: f64, edge: f64) -> f64 {
+        let u = xorshift(s);
+        let sign = if xorshift(s) < 0.5 { -1.0 } else { 1.0 };
+        match (xorshift(s) * 16.0) as u32 {
+            0 => f64::NAN,
+            1 => sign * f64::INFINITY,
+            2 => sign * 0.0,
+            // |x| < 2⁻²⁸ down into the subnormals.
+            3 => sign * 3.7e-9 * u,
+            4 => sign * f64::from_bits((u * (1u64 << 52) as f64) as u64),
+            // Either side of the kernel's range edge, and far beyond it.
+            5 | 6 => sign * edge * (0.9 + 0.2 * u),
+            7 => sign * edge * (1.0 + 1.0e3 * u),
+            _ => (u - 0.5) * kernel_span,
+        }
+    }
+
+    #[test]
+    fn exp_lanes_matches_exp_lane_for_lane() {
+        let mut s = 0x00c0_ffee_1234_5678u64;
+        let mut patched = 0u32;
+        for _ in 0..130_000 {
+            // ±750 holds the normal results and the subnormal band; the
+            // edge lanes straddle −745, −708 and +709.78.
+            let x: [f64; LANES] = std::array::from_fn(|_| mixed_arg(&mut s, 1500.0, 727.0));
+            patched += x.iter().filter(|&&v| !exp_in_range(v)).count() as u32;
+            let got = exp_lanes(&x);
+            for i in 0..LANES {
+                assert_eq!(got[i].to_bits(), exp(x[i]).to_bits(), "exp({:e})", x[i]);
+            }
+        }
+        // 1.04 M lanes; the mix really exercises both routes.
+        assert!(patched > 300_000 && patched < 700_000, "{patched}");
+    }
+
+    #[test]
+    fn sincos_lanes_matches_sincos_lane_for_lane() {
+        let mut s = 0x0ddb_a11f_00d5_eed5u64;
+        let mut patched = 0u32;
+        for _ in 0..130_000 {
+            let x: [f64; LANES] =
+                std::array::from_fn(|_| mixed_arg(&mut s, 1.9e6, REDUCTION_BOUND));
+            let out_of_range = |v: &&f64| v.is_nan() || v.abs() >= REDUCTION_BOUND;
+            patched += x.iter().filter(out_of_range).count() as u32;
+            let (sin, cos) = sincos_lanes(&x);
+            for i in 0..LANES {
+                let (want_sin, want_cos) = sincos(x[i]);
+                assert_eq!(sin[i].to_bits(), want_sin.to_bits(), "sin({:e})", x[i]);
+                assert_eq!(cos[i].to_bits(), want_cos.to_bits(), "cos({:e})", x[i]);
+            }
+        }
+        assert!(patched > 100_000 && patched < 500_000, "{patched}");
     }
 
     #[test]
