@@ -164,6 +164,17 @@ fn q_params(modulation: Modulation) -> (f64, f64) {
     }
 }
 
+/// Bit patterns of `ber(m, 1e-9)` by [`Modulation::index`]: at or above it
+/// [`ber_inverse`] clamps to its lower search bound. The upper clamp,
+/// `ber(m, 1e9)`, is `0.0` for every modulation. Both depend on the
+/// modulation alone (`ber_clamps_match_live_ber` pins them to [`ber`]).
+const BER_AT_SEARCH_LO: [u64; 4] = [
+    0x3fdf_ffb5_3b19_1fc2,
+    0x3fdf_ffcb_260e_4c6d,
+    0x3fd7_ffee_4c98_a0ac,
+    0x3fd2_aaa3_f7bb_ee4b,
+];
+
 /// Inverse of [`ber`]: the (linear) SNR at which the modulation attains the
 /// given bit error rate.
 ///
@@ -179,10 +190,10 @@ fn q_params(modulation: Modulation) -> (f64, f64) {
 pub fn ber_inverse(modulation: Modulation, target_ber: f64) -> f64 {
     // Outside the achievable range, clamp to the search bounds.
     let (lo, hi) = (1e-9, 1e9);
-    if target_ber >= ber(modulation, lo) {
+    if target_ber >= f64::from_bits(BER_AT_SEARCH_LO[modulation.index()]) {
         return lo;
     }
-    if target_ber <= ber(modulation, hi) {
+    if target_ber <= 0.0 {
         return hi;
     }
     let (c, k) = q_params(modulation);
@@ -404,6 +415,18 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn ber_clamps_match_live_ber() {
+        for m in Modulation::ALL {
+            assert_eq!(
+                BER_AT_SEARCH_LO[m.index()],
+                ber(m, 1e-9).to_bits(),
+                "{m:?} lower clamp"
+            );
+            assert_eq!(ber(m, 1e9).to_bits(), 0.0f64.to_bits(), "{m:?} upper clamp");
         }
     }
 
