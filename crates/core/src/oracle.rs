@@ -167,7 +167,7 @@ pub(crate) fn evaluate<'a>(
     let serv_cap = match serving {
         Some(s) if s == oracle => best_cap,
         // `capacity_bps` is exactly `capacity_with` on a fresh
-        // memo of the same (cached) CSI, so reusing the
+        // memo of the same CSI snapshot, so reusing the
         // ranking's serving memo is bit-identical; the fallback
         // covers a serving AP that is down or out of range.
         Some(s) => match serving_esnr.as_mut() {

@@ -21,7 +21,7 @@ use crate::geom::{ApSite, Position};
 use crate::pathloss::{LinkBudget, PathLoss};
 use crate::shadowing::{ShadowingConfig, ShadowingProcess};
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use wgtt_sim::{SimRng, SimTime};
 
 /// Static configuration shared by all links in a deployment.
@@ -68,22 +68,6 @@ struct GeoCache {
     snr_db: f64,
 }
 
-/// Memoized CSI snapshot for one exact `(time, position, speed)` query
-/// (f64/ns bit patterns). A single transmission event asks for the same
-/// snapshot several times (delivery draws, monitor sweep, rate control)
-/// before the clock advances, so a one-slot cache absorbs the repeats
-/// without any invalidation protocol — the [`GeoCache`] idiom extended to
-/// the fading chain.
-#[derive(Debug, Clone)]
-struct CsiCache {
-    t_ns: u64,
-    x_bits: u64,
-    y_bits: u64,
-    z_bits: u64,
-    speed_bits: u64,
-    csi: Csi,
-}
-
 /// The live channel between one AP site and one client.
 #[derive(Debug, Clone)]
 pub struct WirelessLink {
@@ -98,7 +82,6 @@ pub struct WirelessLink {
     /// [`Self::peak_tone_headroom_db`]).
     peak_tone_headroom_db: f64,
     geo: Cell<Option<GeoCache>>,
-    csi_memo: RefCell<Option<CsiCache>>,
 }
 
 impl WirelessLink {
@@ -121,7 +104,6 @@ impl WirelessLink {
             twiddles,
             peak_tone_headroom_db,
             geo: Cell::new(None),
-            csi_memo: RefCell::new(None),
         }
     }
 
@@ -176,42 +158,20 @@ impl WirelessLink {
     /// Full CSI snapshot at time `t` for a client at `client` moving at
     /// `speed_mps`.
     ///
-    /// Memoized for the last exact query (time in ns, position/speed f64
-    /// bits) and computed through the precomputed-twiddle fading path —
-    /// both bit-identical to the plain [`TappedDelayLine::freq_response`]
-    /// chain (the tests' `csi_uncached`, locked by
-    /// `csi_cache_is_bit_exact`). The fading realization draws no RNG after
-    /// construction, so caching cannot perturb any draw sequence.
+    /// Computed through the precomputed-twiddle fading path and the
+    /// position memo of [`Self::mean_snr_db`] — bit-identical to the plain
+    /// [`TappedDelayLine::freq_response`] chain (the tests' `csi_uncached`,
+    /// locked by `csi_cache_is_bit_exact`). Not memoized itself: under 0.14 %
+    /// of snapshot queries repeat the previous one on any benchmark workload.
     pub fn csi(&self, t: SimTime, client: &Position, speed_mps: f64) -> Csi {
-        let key = (
-            t.as_nanos(),
-            client.x.to_bits(),
-            client.y.to_bits(),
-            client.z.to_bits(),
-            speed_mps.to_bits(),
-        );
-        if let Some(c) = self.csi_memo.borrow().as_ref() {
-            if (c.t_ns, c.x_bits, c.y_bits, c.z_bits, c.speed_bits) == key {
-                return c.csi.clone();
-            }
-        }
         let fd = doppler_hz(speed_mps, self.cfg.pathloss.wavelength_m());
         let mut h = [Cplx::ZERO; crate::csi::NUM_SUBCARRIERS];
         self.fading
             .freq_response_into(t.as_secs_f64(), fd, &self.twiddles, &mut h);
-        let csi = Csi {
+        Csi {
             h,
             mean_snr_db: self.mean_snr_db(client),
-        };
-        *self.csi_memo.borrow_mut() = Some(CsiCache {
-            t_ns: key.0,
-            x_bits: key.1,
-            y_bits: key.2,
-            z_bits: key.3,
-            speed_bits: key.4,
-            csi: csi.clone(),
-        });
-        csi
+        }
     }
 
     /// Carrier wavelength (for Doppler computations elsewhere).
@@ -252,9 +212,9 @@ mod tests {
         Position::new(x, 6.0, 1.5)
     }
 
-    /// [`WirelessLink::csi`] without the snapshot memo, the position memo
-    /// or the twiddle precompute — the reference `csi_cache_is_bit_exact`
-    /// checks them against.
+    /// [`WirelessLink::csi`] without the position memo or the twiddle
+    /// precompute — the reference `csi_cache_is_bit_exact` checks them
+    /// against.
     fn csi_uncached(link: &WirelessLink, t: SimTime, client: &Position, speed_mps: f64) -> Csi {
         let fd = doppler_hz(speed_mps, link.cfg.pathloss.wavelength_m());
         let hv = link
@@ -425,9 +385,9 @@ mod tests {
 
     #[test]
     fn csi_cache_is_bit_exact() {
-        // The memoized, twiddle-precomputed snapshot path must match the
-        // uncached reference bit-for-bit: cold, warm (cache hit), and
-        // after evictions by interleaved different queries.
+        // The twiddle-precomputed snapshot path (with the position memo
+        // under it) must match the uncached reference bit-for-bit: on a
+        // first query, on a repeat, and after interleaved different ones.
         let mut cfg = LinkConfig::default();
         cfg.shadowing.sigma_db = 4.0;
         let dep = DeploymentConfig::default().build();
@@ -447,8 +407,8 @@ mod tests {
             let t = SimTime::from_micros(step * 731);
             let pos = road_pos(step as f64 * 0.29 - 5.0);
             check(t, &pos, 6.7);
-            // Different speed at the same instant evicts the slot; the
-            // original query must then recompute identically.
+            // A different speed at the same instant, then the original
+            // query again: nothing carries over between snapshots.
             check(t, &pos, 11.2);
             check(t, &pos, 6.7);
         }
