@@ -143,8 +143,7 @@ impl PerModel {
                 let ea = esnr.esnr_db(a.modulation());
                 let eb = esnr.esnr_db(b.modulation());
                 self.expected_goodput_bps(*a, gi, ea, len_bytes)
-                    .partial_cmp(&self.expected_goodput_bps(*b, gi, eb, len_bytes))
-                    .expect("goodput is not NaN")
+                    .total_cmp(&self.expected_goodput_bps(*b, gi, eb, len_bytes))
             })
             .expect("MCS set is non-empty")
     }

@@ -114,6 +114,8 @@ pub fn erfc(x: f64) -> f64 {
 /// smallest subnormal of the linear-domain function.
 #[inline]
 fn ln_erfc_with_deriv(z: f64) -> (f64, f64) {
+    #[cfg(test)]
+    tests::LN_ERFC_EVALS.with(|n| n.set(n.get() + 1));
     let t = 1.0 / (1.0 + 0.5 * z);
     let val = crate::fastmath::ln(t) - z * z + erfc_poly(t);
     // B'(t), then chain through dt/dz = −t²/2; d(ln t)/dz = −t/2.
@@ -164,10 +166,9 @@ fn q_params(modulation: Modulation) -> (f64, f64) {
     }
 }
 
-/// Bit patterns of `ber(m, 1e-9)` by [`Modulation::index`]: at or above it
-/// [`ber_inverse`] clamps to its lower search bound. The upper clamp,
-/// `ber(m, 1e9)`, is `0.0` for every modulation. Both depend on the
-/// modulation alone (`ber_clamps_match_live_ber` pins them to [`ber`]).
+/// Bits of `ber(m, 1e-9)` by [`Modulation::index`], at or above which
+/// [`ber_inverse`] clamps to its lower bound; the upper clamp `ber(m, 1e9)`
+/// is `0.0` for all four (`ber_clamps_match_live_ber` pins both to [`ber`]).
 const BER_AT_SEARCH_LO: [u64; 4] = [
     0x3fdf_ffb5_3b19_1fc2,
     0x3fdf_ffcb_260e_4c6d,
@@ -182,11 +183,12 @@ const BER_AT_SEARCH_LO: [u64; 4] = [
 /// inversion: solve `erfc(u) = 2·target/c` for `u = √(g/2k)`. A
 /// probit-style initial guess is polished by safeguarded Newton iteration
 /// on the analytic log-domain closed form of [`erfc`]'s approximation
-/// ([`ln_erfc_with_deriv`]) — 17 evaluations a call as measured (Newton
-/// needs 3–4; see DESIGN.md §6b for the rest) where the former geometric
-/// bisection needed ~46 full BER evaluations, and immune to the underflow
-/// that makes the linear-domain function flat at high SNR. A shrinking
-/// bracket guarantees convergence even if a Newton step misfires.
+/// ([`ln_erfc_with_deriv`]) — 3.6–3.7 evaluations a call as measured, 5
+/// at most over the operating range (`inversion_stops_when_converged`;
+/// DESIGN.md §6b), where the former geometric bisection needed ~46 full
+/// BER evaluations, and immune to the underflow that makes the
+/// linear-domain function flat at high SNR. A shrinking bracket guarantees
+/// convergence even if a Newton step misfires.
 pub fn ber_inverse(modulation: Modulation, target_ber: f64) -> f64 {
     // Outside the achievable range, clamp to the search bounds.
     let (lo, hi) = (1e-9, 1e9);
@@ -223,7 +225,9 @@ pub fn ber_inverse(modulation: Modulation, target_ber: f64) -> f64 {
             bhi = u;
         }
         let mut next = u - g / df;
-        if !(next > blo && next < bhi) {
+        // The bracket guards only a step still moving: one within tolerance
+        // (`g == 0` included, which lands on `bhi` itself) is for `done`.
+        if (next - u).abs() > 1e-14 * u && !(next > blo && next < bhi) {
             next = (blo * bhi).sqrt(); // safeguard: geometric bisection step
         }
         let done = (next - u).abs() <= 1e-14 * u;
@@ -283,7 +287,7 @@ pub fn esnr_from_csi(modulation: Modulation, csi: &Csi) -> f64 {
 
 /// Memoized per-modulation ESNR for **one** CSI snapshot.
 ///
-/// The ESNR integration (56 BER evaluations plus a bisection inversion) is
+/// The ESNR integration (56 BER evaluations plus a Newton inversion) is
 /// the single hottest computation in the simulator: every MPDU delivery
 /// draw, Block-ACK reception, rate-control decision, and controller CSI
 /// report needs an ESNR, and one transmission queries the *same* snapshot
@@ -349,6 +353,33 @@ mod tests {
     use super::*;
     use crate::complex::Cplx;
     use crate::pathloss::db_to_linear;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// [`ln_erfc_with_deriv`] calls made by this test thread.
+        pub(super) static LN_ERFC_EVALS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    /// The `ln erfc` evaluations `ber_inverse(m, target)` takes.
+    fn inverse_evals(m: Modulation, target: f64) -> u32 {
+        let before = LN_ERFC_EVALS.with(Cell::get);
+        ber_inverse(m, target);
+        LN_ERFC_EVALS.with(Cell::get) - before
+    }
+
+    /// The operating range in 0.05 dB steps, −10…+45 dB.
+    fn operating_grid_db() -> impl Iterator<Item = f64> {
+        (0..=1100).map(|i| -10.0 + 0.05 * i as f64)
+    }
+
+    /// Targets whose linear-domain [`ber`] underflows, so only the
+    /// log-domain Newton iteration can follow them.
+    const EXTREME_TARGETS: [f64; 4] = [1e-30, 1e-100, 1e-200, 1e-300];
+
+    /// 16-QAM's BER ceiling is 0.375; this close to it rounding noise in
+    /// the residual exceeds the step tolerance and the collapsed bracket,
+    /// not Newton, ends the loop.
+    const NOISE_FLOOR_CORNER: (Modulation, f64) = (Modulation::Qam16, 0.3749);
 
     #[test]
     fn erfc_reference_values() {
@@ -454,15 +485,34 @@ mod tests {
         (lo * hi).sqrt()
     }
 
+    /// Where bisection over the linear-domain [`ber`] cannot follow — the
+    /// function has underflowed, or the target is a subnormal that has
+    /// lost mantissa bits — the returned root is checked against the
+    /// log-domain equation it solves instead.
+    fn assert_no_log_residual(m: Modulation, target: f64) {
+        let (c, k) = q_params(m);
+        let u = (ber_inverse(m, target) / (2.0 * k)).sqrt();
+        let ln_y = crate::fastmath::ln(2.0 * target / c);
+        let residual = (ln_erfc_with_deriv(u).0 - ln_y).abs();
+        assert!(
+            residual <= 1e-12 * ln_y.abs(),
+            "{m:?} target {target:e}: residual {residual:e}"
+        );
+    }
+
     #[test]
     fn newton_inverse_matches_bisection_reference() {
         for m in Modulation::ALL {
             // SNR grid from −80 to +80 dB: targets from ~c/2 down past the
             // underflow floor of the linear-domain erfc (where both sides
             // must clamp identically).
-            for i in 0..=400 {
-                let db = -80.0 + 0.4 * i as f64;
+            let wide = (0..=400).map(|i| -80.0 + 0.4 * i as f64);
+            for db in wide.chain(operating_grid_db()) {
                 let t = ber(m, db_to_linear(db));
+                if t > 0.0 && t < f64::MIN_POSITIVE {
+                    assert_no_log_residual(m, t);
+                    continue;
+                }
                 let got = ber_inverse(m, t);
                 let want = ber_inverse_bisect(m, t);
                 let rel = ((got - want) / want).abs();
@@ -471,7 +521,48 @@ mod tests {
                     "{m:?} target {t:e}: newton {got:e} vs bisect {want:e}"
                 );
             }
+            for t in EXTREME_TARGETS {
+                assert_no_log_residual(m, t);
+            }
         }
+    }
+
+    #[test]
+    fn inversion_stops_when_converged() {
+        for m in Modulation::ALL {
+            let (mut total, mut calls, mut max) = (0u32, 0u32, 0u32);
+            for db in operating_grid_db() {
+                // Targets built from `ber` itself, so that Newton steps
+                // landing exactly on the root occur.
+                let n = inverse_evals(m, ber(m, db_to_linear(db)));
+                if n > 0 {
+                    total += n;
+                    calls += 1;
+                    max = max.max(n);
+                }
+            }
+            assert!(max <= 6, "{m:?}: {max} evaluations in one call");
+            let mean = total as f64 / calls as f64;
+            assert!(mean <= 4.5, "{m:?}: mean {mean} over {calls} calls");
+        }
+        let (m, t) = NOISE_FLOOR_CORNER;
+        let corner = inverse_evals(m, t);
+        assert!(corner <= 10, "noise-floor corner: {corner} evaluations");
+        for t in EXTREME_TARGETS {
+            for m in Modulation::ALL {
+                let n = inverse_evals(m, t);
+                assert!(n <= 10, "{m:?} target {t:e}: {n} evaluations");
+            }
+        }
+    }
+
+    #[test]
+    fn noise_floor_corner_returns_bracket_collapse_value() {
+        let (m, t) = NOISE_FLOOR_CORNER;
+        assert_eq!(
+            ber_inverse(m, t).to_bits(),
+            5.586240165874254e-7f64.to_bits()
+        );
     }
 
     /// What [`ber_sum`] replaced in [`esnr_db`]: the per-tone scalar sum.
@@ -519,6 +610,17 @@ mod tests {
         let snrs = vec![db_to_linear(18.0); 56];
         let e = esnr_db(Modulation::Qam16, &snrs);
         assert!((e - 18.0).abs() < 0.05, "esnr {e}");
+    }
+
+    #[test]
+    fn flat_channel_esnr_is_the_tone_snr() {
+        for m in Modulation::ALL {
+            for i in 0..=160 {
+                let db = -5.0 + 0.25 * i as f64;
+                let e = esnr_db(m, &[db_to_linear(db); 56]);
+                assert!((e - db).abs() <= 1e-9, "{m:?} at {db} dB: esnr {e}");
+            }
+        }
     }
 
     #[test]
