@@ -43,7 +43,7 @@ use wgtt_sim::{Ctx, FaultEdge, FaultSchedule, SimDuration, SimRng, SimTime, Worl
 
 /// Identifies a radio transmitter for busy-tracking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum NodeKey {
+pub(super) enum NodeKey {
     /// An access point's radio.
     Ap(usize),
     /// A client's radio.
@@ -64,7 +64,7 @@ const CCA_WINDOW_US: f64 = 1.0;
 /// controller was down waits before re-adopting a client that no `start`
 /// ever claimed. Far above the one-way backhaul latency plus AP processing,
 /// so a merely slow (not lost) `start` always wins the race.
-const READOPT_GUARD: SimDuration = SimDuration::from_millis(100);
+pub(super) const READOPT_GUARD: SimDuration = SimDuration::from_millis(100);
 
 /// How long the rebooted controller waits for resync replies before
 /// finalizing with whatever arrived (covers APs that die between the
@@ -88,7 +88,7 @@ const TAKEOVER_TIMEOUT: SimDuration = SimDuration::from_millis(35);
 /// that decides when to promote it. Only instantiated when the fault
 /// schedule arms a controller failover — unarmed runs never allocate one,
 /// keeping them bit-identical to the single-controller engine.
-struct Standby {
+pub(super) struct Standby {
     /// The journal-fed replica of the primary's soft state.
     replica: Replica,
     /// When the last journal batch arrived (the heartbeat clock).
@@ -110,7 +110,7 @@ impl Standby {
 /// One post-reboot resync round: the controller has broadcast `Resync` and
 /// is collecting AP replies. Uplink copies arriving mid-round are held so
 /// they are only dedup-checked once the table is re-primed.
-struct ResyncSession {
+pub(super) struct ResyncSession {
     /// Round number (guards the deadline event against later rounds).
     seq: u64,
     /// Replies expected (reachable APs at broadcast time).
@@ -120,7 +120,7 @@ struct ResyncSession {
     /// Recovery instant, for the resync-latency metric.
     started_at: SimTime,
     /// Uplink copies parked until the dedup table is rebuilt.
-    held_uplink: Vec<(usize, Packet)>,
+    pub(super) held_uplink: Vec<(usize, Packet)>,
 }
 
 /// One CBR UDP flow carried across a shard boundary with its client.
@@ -270,11 +270,11 @@ pub struct ServerFlow {
     /// their own schedule).
     pub start: SimTime,
     /// Earliest scheduled RTO check (suppresses duplicate timer events).
-    rto_check_at: Option<SimTime>,
+    pub(super) rto_check_at: Option<SimTime>,
 }
 
 /// A transmission in flight on the radio.
-enum AirTx {
+pub(super) enum AirTx {
     /// AP → client A-MPDU.
     ApAggregate {
         ap: usize,
@@ -1087,7 +1087,7 @@ impl WgttWorld {
     /// `PacketAtController` leg); the `(flow, ip_ident)` pair identifies
     /// the datagram uniquely within a client, so later copies collapse
     /// into the first rather than multiplying across the seam.
-    fn capture_seam(&mut self, c: usize, payload: SeamPayload) {
+    pub(super) fn capture_seam(&mut self, c: usize, payload: SeamPayload) {
         if matches!(payload, SeamPayload::Downlink(_)) {
             let p = payload.packet();
             let dup = self.outbox[c].iter().any(|q| {
@@ -1109,7 +1109,7 @@ impl WgttWorld {
     /// Duplication safety does not depend on injection order: downlink
     /// copies collapse at the client sink's sequence filter, uplink copies
     /// at the controller's (transferred) dedup keys.
-    fn flush_seam(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+    pub(super) fn flush_seam(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         if self.pending_import[c].is_empty() {
             return;
         }
@@ -1137,7 +1137,7 @@ impl WgttWorld {
 
     /// Handles [`Ev::MigrantFlush`]: re-inject if the client associated
     /// before the deposit; otherwise the first-association hook will.
-    fn on_migrant_flush(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+    pub(super) fn on_migrant_flush(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         if self.clients[c].serving.is_some() {
             self.flush_seam(ctx, c);
         }
@@ -1153,11 +1153,11 @@ impl WgttWorld {
         self.links[ap][c].mean_snr_db(&self.client_pos(c, t))
     }
 
-    fn in_radio_range(&self, ap: usize, c: usize, t: SimTime) -> bool {
+    pub(super) fn in_radio_range(&self, ap: usize, c: usize, t: SimTime) -> bool {
         self.mean_snr(ap, c, t) >= self.cfg.range_floor_db
     }
 
-    fn csi(&self, ap: usize, c: usize, t: SimTime) -> wgtt_phy::Csi {
+    pub(super) fn csi(&self, ap: usize, c: usize, t: SimTime) -> wgtt_phy::Csi {
         let pos = self.client_pos(c, t);
         let speed = self.clients[c].speed(t);
         self.links[ap][c].csi(t, &pos, speed)
@@ -1171,7 +1171,7 @@ impl WgttWorld {
         id
     }
 
-    fn ensure_round(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    pub(super) fn ensure_round(&mut self, ctx: &mut Ctx<'_, Ev>) {
         if self.round_scheduled {
             return;
         }
@@ -1184,7 +1184,7 @@ impl WgttWorld {
         ctx.schedule_at(ctx.now(), Ev::ContentionRound);
     }
 
-    fn backhaul_send(&mut self, ctx: &mut Ctx<'_, Ev>, bytes: usize, lossy: bool, ev: Ev) {
+    pub(super) fn backhaul_send(&mut self, ctx: &mut Ctx<'_, Ev>, bytes: usize, lossy: bool, ev: Ev) {
         if lossy {
             let keep = !self.rng.chance(self.cfg.control_loss_prob);
             if !keep {
@@ -1214,12 +1214,12 @@ impl WgttWorld {
     }
 
     /// Whether `ap` can exchange backhaul messages with the controller.
-    fn ap_reachable(&self, ap: usize, now: SimTime) -> bool {
+    pub(super) fn ap_reachable(&self, ap: usize, now: SimTime) -> bool {
         !self.ap_down[ap] && !self.faults.partitioned(ap, now)
     }
 
     /// Serving AP according to the control plane.
-    fn serving_of(&self, c: usize) -> Option<usize> {
+    pub(super) fn serving_of(&self, c: usize) -> Option<usize> {
         self.clients[c].serving.map(|a| a.0 as usize)
     }
 
@@ -1239,7 +1239,7 @@ impl WgttWorld {
 
     // ---------- downlink path ----------
 
-    fn on_packet_at_controller(&mut self, ctx: &mut Ctx<'_, Ev>, mut packet: Packet) {
+    pub(super) fn on_packet_at_controller(&mut self, ctx: &mut Ctx<'_, Ev>, mut packet: Packet) {
         if self.controller_down {
             self.sys.controller_rx_dropped += 1;
             return;
@@ -1271,7 +1271,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_packet_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, packet: Packet) {
+    pub(super) fn on_packet_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, packet: Packet) {
         if !self.ap_reachable(ap, ctx.now()) {
             return;
         }
@@ -1298,7 +1298,7 @@ impl WgttWorld {
 
     // ---------- switching protocol ----------
 
-    fn issue_switch(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, from: usize, to: usize) {
+    pub(super) fn issue_switch(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, from: usize, to: usize) {
         let client = ClientId(c as u32);
         let now = ctx.now();
         if self.ctrl.health.is_blacklisted(ApId(to as u32), now) {
@@ -1333,7 +1333,7 @@ impl WgttWorld {
         ctx.schedule_in(timeout, Ev::SwitchTimeout { client: c });
     }
 
-    fn on_stop_at_ap(
+    pub(super) fn on_stop_at_ap(
         &mut self,
         ctx: &mut Ctx<'_, Ev>,
         ap: usize,
@@ -1369,7 +1369,7 @@ impl WgttWorld {
         );
     }
 
-    fn on_stop_done(
+    pub(super) fn on_stop_done(
         &mut self,
         ctx: &mut Ctx<'_, Ev>,
         ap: usize,
@@ -1448,7 +1448,7 @@ impl WgttWorld {
     /// can retransmit it — the stopped AP promotes itself back to serving.
     /// In the real system this is driven by the client side: a client
     /// hearing no serving AP probes its last one, which re-adopts it.
-    fn on_readopt_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, c: usize, epoch: u32) {
+    pub(super) fn on_readopt_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, c: usize, epoch: u32) {
         if !self.controller_down || self.ap_down[ap] {
             // Once the controller is back, resync owns conflict repair; a
             // local re-adoption racing it could manufacture dual-serving.
@@ -1477,7 +1477,7 @@ impl WgttWorld {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn on_start_at_ap(
+    pub(super) fn on_start_at_ap(
         &mut self,
         ctx: &mut Ctx<'_, Ev>,
         ap: usize,
@@ -1510,7 +1510,7 @@ impl WgttWorld {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn on_start_done(
+    pub(super) fn on_start_done(
         &mut self,
         ctx: &mut Ctx<'_, Ev>,
         ap: usize,
@@ -1590,7 +1590,7 @@ impl WgttWorld {
     /// is the term authority, and the per-client epoch already pins the
     /// ack to the exact switch generation (terms order *reigns*, epochs
     /// order generations within them).
-    fn on_ack_at_controller(
+    pub(super) fn on_ack_at_controller(
         &mut self,
         ctx: &mut Ctx<'_, Ev>,
         c: usize,
@@ -1657,7 +1657,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_switch_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+    pub(super) fn on_switch_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         if self.controller_down {
             return; // the crashed controller's timers die with it
         }
@@ -1784,7 +1784,7 @@ impl WgttWorld {
         );
     }
 
-    fn on_reattach_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+    pub(super) fn on_reattach_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         if self.controller_down {
             return; // the crashed controller's timers die with it
         }
@@ -1827,7 +1827,7 @@ impl WgttWorld {
     }
 
     /// Closes the failover-latency book for a client that just re-attached.
-    fn resolve_failover(&mut self, c: usize, now: SimTime) {
+    pub(super) fn resolve_failover(&mut self, c: usize, now: SimTime) {
         if let Some(crash_at) = self.pending_failover[c].take() {
             let latency = now.saturating_since(crash_at);
             let m = &mut self.clients[c].metrics;
@@ -1838,7 +1838,7 @@ impl WgttWorld {
 
     // ---------- fault injection ----------
 
-    fn on_ap_crash(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize) {
+    pub(super) fn on_ap_crash(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize) {
         if self.ap_down[ap] {
             return;
         }
@@ -1854,7 +1854,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_ap_reboot(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize) {
+    pub(super) fn on_ap_reboot(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize) {
         if !self.ap_down[ap] {
             return;
         }
@@ -1879,7 +1879,7 @@ impl WgttWorld {
 
     // ---------- controller crash / resync ----------
 
-    fn on_controller_crash(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    pub(super) fn on_controller_crash(&mut self, ctx: &mut Ctx<'_, Ev>) {
         if self.controller_down {
             return;
         }
@@ -1902,7 +1902,7 @@ impl WgttWorld {
         self.resync = None;
     }
 
-    fn on_controller_recover(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    pub(super) fn on_controller_recover(&mut self, ctx: &mut Ctx<'_, Ev>) {
         if !self.controller_down {
             return;
         }
@@ -1950,7 +1950,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_resync_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, term: u32) {
+    pub(super) fn on_resync_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, term: u32) {
         let now = ctx.now();
         if !self.ap_reachable(ap, now) || self.controller_down {
             return; // died in flight, or the controller crashed again
@@ -1987,7 +1987,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_resync_reply_at_controller(&mut self, ctx: &mut Ctx<'_, Ev>, reply: ResyncReply) {
+    pub(super) fn on_resync_reply_at_controller(&mut self, ctx: &mut Ctx<'_, Ev>, reply: ResyncReply) {
         if self.controller_down {
             self.sys.controller_rx_dropped += 1;
             return;
@@ -2006,7 +2006,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_resync_deadline(&mut self, ctx: &mut Ctx<'_, Ev>, seq: u64) {
+    pub(super) fn on_resync_deadline(&mut self, ctx: &mut Ctx<'_, Ev>, seq: u64) {
         if self
             .resync
             .as_ref()
@@ -2105,7 +2105,7 @@ impl WgttWorld {
     /// and ship it to the standby. The batch doubles as the heartbeat, so
     /// the tick keeps rescheduling while the primary is down — silence,
     /// not absence of the timer, is what the standby detects.
-    fn on_journal_ship(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    pub(super) fn on_journal_ship(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         if now < self.traffic_until + SimDuration::from_millis(500) {
             ctx.schedule_in(JOURNAL_INTERVAL, Ev::JournalShip);
@@ -2140,7 +2140,7 @@ impl WgttWorld {
 
     /// Standby side: absorb one journal batch into the replica and reset
     /// the failure-detector clock.
-    fn on_journal_at_standby(&mut self, ctx: &mut Ctx<'_, Ev>, batch: JournalBatch) {
+    pub(super) fn on_journal_at_standby(&mut self, ctx: &mut Ctx<'_, Ev>, batch: JournalBatch) {
         let now = ctx.now();
         let sb = self.standby.get_or_insert_with(Standby::new);
         if sb.taken_over {
@@ -2164,7 +2164,7 @@ impl WgttWorld {
     /// timeout (with the primary actually down — the sim's stand-in for a
     /// lease protocol that prevents spurious promotion) promotes the
     /// replica to controller under a freshly bumped term.
-    fn on_standby_check(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    pub(super) fn on_standby_check(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         if now < self.traffic_until + SimDuration::from_millis(500) {
             ctx.schedule_in(STANDBY_CHECK_INTERVAL, Ev::StandbyCheck);
@@ -2231,7 +2231,7 @@ impl WgttWorld {
     /// A term announcement lands at an AP: raise its fence and let
     /// degraded-mode uplink held for the dead primary flow to the new one
     /// (the restored dedup table catches cross-reign duplicates).
-    fn on_term_announce_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, term: u32) {
+    pub(super) fn on_term_announce_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, term: u32) {
         let now = ctx.now();
         if !self.ap_reachable(ap, now) {
             return;
@@ -2262,7 +2262,7 @@ impl WgttWorld {
     /// stale term, so every fenced AP drops them on arrival. This is the
     /// split-brain scenario; the term guards are what make it structurally
     /// harmless.
-    fn on_zombie_wake(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    pub(super) fn on_zombie_wake(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         let term = self.zombie_term;
         let pending = std::mem::take(&mut self.zombie_pending);
@@ -2299,13 +2299,13 @@ impl WgttWorld {
 
     /// The zombie's resync deadline passes with zero replies (every AP
     /// fenced it): it stands down for good.
-    fn on_zombie_deadline(&mut self, _ctx: &mut Ctx<'_, Ev>) {
+    pub(super) fn on_zombie_deadline(&mut self, _ctx: &mut Ctx<'_, Ev>) {
         self.sys.zombie_standdowns += 1;
     }
 
     // ---------- selection ----------
 
-    fn on_selection_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    pub(super) fn on_selection_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         if self.controller_down {
             // A dead controller makes no decisions. Keep the tick alive
@@ -2395,7 +2395,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_csi_at_controller(&mut self, ap: usize, c: usize, esnr_db: f64, now: SimTime) {
+    pub(super) fn on_csi_at_controller(&mut self, ap: usize, c: usize, esnr_db: f64, now: SimTime) {
         if self.controller_down {
             self.sys.controller_rx_dropped += 1;
             return;
@@ -2409,7 +2409,7 @@ impl WgttWorld {
     /// Hands the oracle one sample per resident vehicle (see
     /// [`crate::oracle`]); what becomes of them is not the event loop's
     /// business.
-    fn on_accuracy_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    pub(super) fn on_accuracy_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         for c in 0..self.clients.len() {
             if self.departed[c] {
@@ -2454,7 +2454,7 @@ impl WgttWorld {
 
     // ---------- radio: contention rounds ----------
 
-    fn on_contention_round(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    pub(super) fn on_contention_round(&mut self, ctx: &mut Ctx<'_, Ev>) {
         // Loan the pooled buffers to the round body; every exit path comes
         // back through here, so the capacity survives for the next round.
         let mut busy = std::mem::take(&mut self.scratch_busy);
@@ -2827,7 +2827,7 @@ impl WgttWorld {
 
     // ---------- radio: transmission resolution ----------
 
-    fn on_tx_done(&mut self, ctx: &mut Ctx<'_, Ev>, tx_id: u64) {
+    pub(super) fn on_tx_done(&mut self, ctx: &mut Ctx<'_, Ev>, tx_id: u64) {
         if let Ok(i) = self.active_geo.binary_search_by_key(&tx_id, |e| e.0) {
             self.active_geo.remove(i);
         }
@@ -3082,7 +3082,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_ba_forward_at_ap(&mut self, ap: usize, c: usize, ba: BlockAckFrame) {
+    pub(super) fn on_ba_forward_at_ap(&mut self, ap: usize, c: usize, ba: BlockAckFrame) {
         if self.cfg.mode != Mode::Wgtt || !self.cfg.ba_forwarding || self.ap_down[ap] {
             return;
         }
@@ -3105,7 +3105,7 @@ impl WgttWorld {
     /// Releases in-order packets from the client's reorder buffer to the
     /// application, managing the reorder release timer. With `force`, a
     /// stale head-of-window hole is skipped first.
-    fn release_reordered(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, force: bool) {
+    pub(super) fn release_reordered(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, force: bool) {
         const REORDER_TIMEOUT: SimDuration = SimDuration::from_millis(50);
         let now = ctx.now();
         loop {
@@ -3139,7 +3139,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_reorder_flush(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+    pub(super) fn on_reorder_flush(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         const REORDER_TIMEOUT: SimDuration = SimDuration::from_millis(50);
         let now = ctx.now();
         match self.clients[c].hole_since {
@@ -3446,7 +3446,7 @@ impl WgttWorld {
 
     // ---------- uplink at controller / server ----------
 
-    fn on_uplink_copy(&mut self, ctx: &mut Ctx<'_, Ev>, from_ap: usize, packet: Packet) {
+    pub(super) fn on_uplink_copy(&mut self, ctx: &mut Ctx<'_, Ev>, from_ap: usize, packet: Packet) {
         if self.controller_down {
             self.sys.controller_rx_dropped += 1;
             return;
@@ -3500,7 +3500,7 @@ impl WgttWorld {
         ctx.schedule_in(latency, Ev::PacketAtServer(packet));
     }
 
-    fn on_packet_at_server(&mut self, ctx: &mut Ctx<'_, Ev>, packet: Packet) {
+    pub(super) fn on_packet_at_server(&mut self, ctx: &mut Ctx<'_, Ev>, packet: Packet) {
         let now = ctx.now();
         let fidx = packet.flow.0 as usize;
         if fidx >= self.flows.len() {
@@ -3535,7 +3535,7 @@ impl WgttWorld {
 
     // ---------- traffic generation ----------
 
-    fn on_udp_down_tick(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
+    pub(super) fn on_udp_down_tick(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
         let now = ctx.now();
         if now >= self.traffic_until {
             return;
@@ -3571,7 +3571,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_uplink_app_tick(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
+    pub(super) fn on_uplink_app_tick(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
         let now = ctx.now();
         if now >= self.traffic_until {
             return;
@@ -3608,7 +3608,7 @@ impl WgttWorld {
         }
     }
 
-    fn pump_tcp(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
+    pub(super) fn pump_tcp(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
         let now = ctx.now();
         if now >= self.traffic_until {
             return;
@@ -3672,7 +3672,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_tcp_rto_check(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
+    pub(super) fn on_tcp_rto_check(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
         let now = ctx.now();
         {
             let flow = &mut self.flows[fidx];
@@ -3764,7 +3764,7 @@ impl WgttWorld {
 
     // ---------- probes & baseline roaming ----------
 
-    fn on_probe_tick(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+    pub(super) fn on_probe_tick(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         let now = ctx.now();
         if now < self.traffic_until {
             let cl = &self.clients[c];
@@ -3785,7 +3785,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_beacon_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    pub(super) fn on_beacon_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         if self.cfg.mode == Mode::Enhanced80211r {
             for ap in 0..self.aps.len() {
@@ -3819,7 +3819,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_roam_check(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+    pub(super) fn on_roam_check(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         let now = ctx.now();
         if self.cfg.mode == Mode::Enhanced80211r && self.clients[c].roam.is_none() {
             let serving = self.clients[c].serving;
@@ -3867,7 +3867,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_roam_req(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize, retries: u32) {
+    pub(super) fn on_roam_req(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize, retries: u32) {
         let now = ctx.now();
         if self.clients[c].roam.map(|r| r.target.0 as usize) != Some(target) {
             return; // attempt superseded/abandoned
@@ -3916,7 +3916,7 @@ impl WgttWorld {
         );
     }
 
-    fn on_roam_resp(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize, retries: u32) {
+    pub(super) fn on_roam_resp(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize, retries: u32) {
         let now = ctx.now();
         if self.clients[c].roam.map(|r| r.target.0 as usize) != Some(target) {
             return;
@@ -3956,7 +3956,7 @@ impl WgttWorld {
         }
     }
 
-    fn on_roam_complete(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize) {
+    pub(super) fn on_roam_complete(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize) {
         let now = ctx.now();
         let client = ClientId(c as u32);
         let gi = self.cfg.gi;
