@@ -1,0 +1,528 @@
+//! The tunnelled datapath: server ↔ controller ↔ AP hops over the
+//! backhaul, cyclic-queue fill, Block ACK forwarding, client reorder and
+//! application delivery, and the traffic sources that feed it.
+
+use super::*;
+
+/// A downlink traffic flow at the server.
+pub enum FlowKind {
+    /// Constant-bit-rate UDP toward the client.
+    DownUdp(CbrSource),
+    /// TCP (greedy or size-limited) toward the client (boxed: the sender's
+    /// SACK scoreboard makes it much larger than the CBR variants).
+    DownTcp(Box<TcpSender>),
+    /// Client-sourced CBR UDP toward the server.
+    UpUdp(CbrSource),
+}
+
+/// One application flow.
+pub struct ServerFlow {
+    /// Flow id.
+    pub id: FlowId,
+    /// Client endpoint (index into `clients`).
+    pub client: usize,
+    /// Traffic kind and state.
+    pub kind: FlowKind,
+    /// Sink for uplink flows (at the server).
+    pub up_sink: Option<UdpSink>,
+    /// Completion time of a size-limited TCP flow.
+    pub completed_at: Option<SimTime>,
+    /// Application start time (TCP flows wait for this; CBR sources embed
+    /// their own schedule).
+    pub start: SimTime,
+    /// Earliest scheduled RTO check (suppresses duplicate timer events).
+    pub(super) rto_check_at: Option<SimTime>,
+}
+
+impl WgttWorld {
+    pub(super) fn backhaul_send(
+        &mut self,
+        ctx: &mut Ctx<'_, Ev>,
+        bytes: usize,
+        lossy: bool,
+        ev: Ev,
+    ) {
+        if lossy {
+            let keep = !self.rng.chance(self.cfg.control_loss_prob);
+            if !keep {
+                return;
+            }
+        }
+        // Layer on any scheduled backhaul impairment; a no-op impairment
+        // takes the exact healthy code path (same RNG draws).
+        let imp = self.faults.backhaul_at(ctx.now());
+        if imp.is_noop() {
+            if let Some(d) = self.backhaul.transit(bytes) {
+                ctx.schedule_in(d, ev);
+            }
+            return;
+        }
+        let delivery = self.backhaul.transit_faulty(bytes, &imp);
+        if let Some(d2) = delivery.duplicate {
+            self.sys.backhaul_dup_deliveries += 1;
+            ctx.schedule_in(d2, ev.clone());
+        }
+        if delivery.reordered {
+            self.sys.backhaul_reorders += 1;
+        }
+        if let Some(d) = delivery.primary {
+            ctx.schedule_in(d, ev);
+        }
+    }
+
+    /// Whether `ap` can exchange backhaul messages with the controller.
+    pub(super) fn ap_reachable(&self, ap: usize, now: SimTime) -> bool {
+        !self.ap_down[ap] && !self.faults.partitioned(ap, now)
+    }
+
+    // ---------- downlink path ----------
+
+    pub(super) fn on_packet_at_controller(&mut self, ctx: &mut Ctx<'_, Ev>, mut packet: Packet) {
+        if self.controller_down {
+            self.sys.controller_rx_dropped += 1;
+            return;
+        }
+        let c = packet.client.0 as usize;
+        let now = ctx.now();
+        let targets: Vec<usize> = match self.cfg.mode {
+            Mode::Wgtt => self
+                .ctrl
+                .fanout(now, packet.client)
+                .into_iter()
+                .map(|a| a.0 as usize)
+                .collect(),
+            Mode::Enhanced80211r => self.serving_of(c).into_iter().collect(),
+        };
+        if targets.is_empty() {
+            // Client unreachable (pre-association or out of coverage):
+            // dropped before an index is consumed, like a bridge with no
+            // forwarding entry.
+            return;
+        }
+        let idx = self.ctrl.assign_index(packet.client);
+        packet.index = Some(idx);
+        self.sys.downlink_copies += targets.len() as u64;
+        let wire = packet.len_bytes + wgtt_net::TUNNEL_OVERHEAD_BYTES;
+        for ap in targets {
+            let p = packet.clone();
+            self.backhaul_send(ctx, wire, false, Ev::PacketAtAp { ap, packet: p });
+        }
+    }
+
+    pub(super) fn on_packet_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, packet: Packet) {
+        if !self.ap_reachable(ap, ctx.now()) {
+            return;
+        }
+        let client = packet.client;
+        let gi = self.cfg.gi;
+        if self.trace {
+            if let Payload::TcpData { seq, .. } = packet.payload {
+                let st = self.aps[ap].client(client);
+                eprintln!(
+                    "[{}] data at ap{ap}: idx={:?} tcpseq={seq} created={} serving={} draining={} head={:?}",
+                    ctx.now(),
+                    packet.index,
+                    packet.created,
+                    st.is_some_and(|s| s.serving),
+                    st.is_some_and(|s| s.draining),
+                    st.map(|s| s.cyclic.head())
+                );
+            }
+        }
+        let st = self.aps[ap].client_mut(client, gi);
+        st.cyclic.insert(packet);
+        self.ensure_round(ctx);
+    }
+
+    pub(super) fn on_ba_forward_at_ap(&mut self, ap: usize, c: usize, ba: BlockAckFrame) {
+        if self.cfg.mode != Mode::Wgtt || !self.cfg.ba_forwarding || self.ap_down[ap] {
+            return;
+        }
+        let client = ClientId(c as u32);
+        let Some(st) = self.aps[ap].client_get_mut(client) else {
+            return;
+        };
+        if !st.seen_bas.insert((ba.start_seq, ba.bitmap)) {
+            return; // already applied (own reception or earlier forward)
+        }
+        let newly = st.scoreboard.on_block_ack(&ba);
+        if newly.is_empty() {
+            return;
+        }
+        let acked: std::collections::HashSet<u16> = newly.iter().copied().collect();
+        st.nic_queue.retain(|e| !acked.contains(&e.seq));
+        self.clients[c].metrics.ba_forwarded_applied += newly.len() as u64;
+    }
+
+    /// Releases in-order packets from the client's reorder buffer to the
+    /// application, managing the reorder release timer. With `force`, a
+    /// stale head-of-window hole is skipped first.
+    pub(super) fn release_reordered(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, force: bool) {
+        const REORDER_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+        let now = ctx.now();
+        loop {
+            if force {
+                self.clients[c].rx_reorder.skip_hole();
+            }
+            let before = self.clients[c].rx_reorder.win_start();
+            let released = self.clients[c].rx_reorder.release_in_order();
+            for i in 0..released {
+                let seq = wgtt_mac::seq_add(before, i as u16);
+                if let Some(pkt) = self.clients[c].rx_buffer.remove(&seq) {
+                    self.deliver_to_client_app(ctx, c, pkt);
+                }
+            }
+            if !(force && released > 0) {
+                break;
+            }
+            // After a forced skip, further holes may remain; loop once more
+            // only while forcing.
+            if self.clients[c].rx_buffer.is_empty() {
+                break;
+            }
+        }
+        // Manage the release timer: if frames remain buffered behind a
+        // hole, arm a flush; otherwise clear it.
+        if self.clients[c].rx_buffer.is_empty() {
+            self.clients[c].hole_since = None;
+        } else if self.clients[c].hole_since.is_none() {
+            self.clients[c].hole_since = Some(now);
+            ctx.schedule_in(REORDER_TIMEOUT, Ev::ReorderFlush { client: c });
+        }
+    }
+
+    pub(super) fn on_reorder_flush(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+        const REORDER_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+        let now = ctx.now();
+        match self.clients[c].hole_since {
+            Some(since) if now.saturating_since(since) >= REORDER_TIMEOUT => {
+                self.clients[c].hole_since = None;
+                self.release_reordered(ctx, c, true);
+            }
+            Some(since) => {
+                // Timer superseded by progress; re-arm for the remainder.
+                let remain = REORDER_TIMEOUT - now.saturating_since(since);
+                ctx.schedule_in(remain, Ev::ReorderFlush { client: c });
+            }
+            None => {}
+        }
+    }
+
+    // ---------- uplink at controller / server ----------
+
+    pub(super) fn on_uplink_copy(&mut self, ctx: &mut Ctx<'_, Ev>, from_ap: usize, packet: Packet) {
+        if self.controller_down {
+            self.sys.controller_rx_dropped += 1;
+            return;
+        }
+        if let Some(session) = &mut self.resync {
+            // Park until the dedup table is re-primed from the replies;
+            // checking now could deliver a cross-restart duplicate. The
+            // hold is bounded by the same cap as an AP's degraded-mode
+            // buffer: heavy uplink during a long resync round must not
+            // grow it without limit, so the oldest parked copy is dropped
+            // to admit the newest (uplink diversity and client retries
+            // make an individual dropped copy recoverable).
+            let cap = self.cfg.degraded_uplink_cap;
+            if cap == 0 {
+                self.sys.resync_held_overflow += 1;
+                return;
+            }
+            if session.held_uplink.len() >= cap {
+                session.held_uplink.remove(0);
+                self.sys.resync_held_overflow += 1;
+            }
+            session.held_uplink.push((from_ap, packet));
+            return;
+        }
+        if self.trace {
+            if let Payload::TcpAck { ack, .. } = packet.payload {
+                eprintln!(
+                    "[{}] ack copy at ctrl: ack={ack} ident={}",
+                    ctx.now(),
+                    packet.ip_ident
+                );
+            }
+        }
+        self.sys.uplink_copies += 1;
+        let pass = if self.cfg.uplink_dedup {
+            self.ctrl.dedup.check(&packet)
+        } else {
+            true
+        };
+        if !pass {
+            self.sys.uplink_duplicates += 1;
+            return;
+        }
+        if !self.faults.controller_failovers.is_empty() {
+            // Journal the forwarded key so the standby's restored dedup
+            // table suppresses cross-takeover duplicates of this packet.
+            self.journal_pending_keys
+                .push(Deduplicator::key(packet.client, packet.ip_ident));
+        }
+        let latency = self.cfg.server_latency;
+        ctx.schedule_in(latency, Ev::PacketAtServer(packet));
+    }
+
+    pub(super) fn on_packet_at_server(&mut self, ctx: &mut Ctx<'_, Ev>, packet: Packet) {
+        let now = ctx.now();
+        let fidx = packet.flow.0 as usize;
+        if fidx >= self.flows.len() {
+            return;
+        }
+        match (&mut self.flows[fidx].kind, packet.payload) {
+            (FlowKind::DownTcp(sender), Payload::TcpAck { ack, sack }) => {
+                if self.trace {
+                    eprintln!("[{now}] ack at server: {ack} una={}", sender.snd_una());
+                }
+                let blocks: Vec<(u64, u64)> = sack.iter().flatten().copied().collect();
+                sender.on_ack_sack(now, ack, &blocks);
+                if sender.is_complete() && self.flows[fidx].completed_at.is_none() {
+                    self.flows[fidx].completed_at = Some(now);
+                }
+                self.pump_tcp(ctx, fidx);
+            }
+            (FlowKind::UpUdp(_), Payload::Udp { seq }) => {
+                if let Some(sink) = &mut self.flows[fidx].up_sink {
+                    if sink.on_receive(now, seq, packet.len_bytes) {
+                        let c = self.flows[fidx].client;
+                        self.clients[c]
+                            .metrics
+                            .uplink
+                            .add(now, (packet.len_bytes * 8) as f64);
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    // ---------- traffic generation ----------
+
+    pub(super) fn on_udp_down_tick(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
+        let now = ctx.now();
+        if now >= self.traffic_until {
+            return;
+        }
+        let flow = &mut self.flows[fidx];
+        let FlowKind::DownUdp(src) = &mut flow.kind else {
+            return;
+        };
+        let client = ClientId(flow.client as u32);
+        let id = flow.id;
+        let payload = src.payload_bytes;
+        let mut due: Vec<u64> = Vec::new();
+        while let Some(seq) = src.emit(now) {
+            due.push(seq);
+        }
+        let next = src.next_emit_time();
+        for seq in due {
+            let pkt = self.factory.make(
+                client,
+                id,
+                Direction::Downlink,
+                payload + overhead::UDP + overhead::IPV4,
+                now,
+                Payload::Udp { seq },
+            );
+            let latency = self.cfg.server_latency;
+            ctx.schedule_in(latency, Ev::PacketAtController(pkt));
+        }
+        if let Some(t) = next {
+            if t < self.traffic_until {
+                ctx.schedule_at(t, Ev::UdpDownTick(fidx));
+            }
+        }
+    }
+
+    pub(super) fn on_uplink_app_tick(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
+        let now = ctx.now();
+        if now >= self.traffic_until {
+            return;
+        }
+        let flow = &mut self.flows[fidx];
+        let FlowKind::UpUdp(src) = &mut flow.kind else {
+            return;
+        };
+        let c = flow.client;
+        let client = ClientId(c as u32);
+        let id = flow.id;
+        let payload = src.payload_bytes;
+        let mut due = Vec::new();
+        while let Some(seq) = src.emit(now) {
+            due.push(seq);
+        }
+        let next = src.next_emit_time();
+        for seq in due {
+            let pkt = self.factory.make(
+                client,
+                id,
+                Direction::Uplink,
+                payload + overhead::UDP + overhead::IPV4,
+                now,
+                Payload::Udp { seq },
+            );
+            self.clients[c].enqueue_uplink(pkt);
+        }
+        self.ensure_round(ctx);
+        if let Some(t) = next {
+            if t < self.traffic_until {
+                ctx.schedule_at(t, Ev::UplinkAppTick(fidx));
+            }
+        }
+    }
+
+    pub(super) fn pump_tcp(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
+        let now = ctx.now();
+        if now >= self.traffic_until {
+            return;
+        }
+        // The transfer starts at its scheduled time, once the client is
+        // reachable (mirrors starting the application after the Wi-Fi
+        // connection is up).
+        if now < self.flows[fidx].start {
+            ctx.schedule_at(self.flows[fidx].start, Ev::TcpPump(fidx));
+            return;
+        }
+        let client_idx = self.flows[fidx].client;
+        if self.serving_of(client_idx).is_none() {
+            ctx.schedule_in(SimDuration::from_millis(20), Ev::TcpPump(fidx));
+            return;
+        }
+        let flow = &mut self.flows[fidx];
+        let FlowKind::DownTcp(sender) = &mut flow.kind else {
+            return;
+        };
+        let client = ClientId(flow.client as u32);
+        let id = flow.id;
+        let mut segs = Vec::new();
+        while let Some(seg) = sender.next_segment(now) {
+            segs.push(seg);
+        }
+        if self.trace && !segs.is_empty() {
+            eprintln!(
+                "[{now}] pump f{fidx}: una={} nxt_after={} emitted {} segs from {} (rtx={})",
+                sender.snd_una(),
+                sender.snd_una() + sender.bytes_in_flight(),
+                segs.len(),
+                segs[0].seq,
+                segs.iter().filter(|s| s.is_retransmit).count()
+            );
+        }
+        let deadline = sender.rto_deadline();
+        for seg in segs {
+            let pkt = self.factory.make(
+                client,
+                id,
+                Direction::Downlink,
+                seg.len + overhead::TCP + overhead::IPV4,
+                now,
+                Payload::TcpData {
+                    seq: seg.seq,
+                    len: seg.len as u64,
+                },
+            );
+            let latency = self.cfg.server_latency;
+            ctx.schedule_in(latency, Ev::PacketAtController(pkt));
+        }
+        // Arm the RTO check if needed.
+        if let Some(d) = deadline {
+            let flow = &mut self.flows[fidx];
+            let need = flow.rto_check_at.map_or(true, |at| at > d || at <= now);
+            if need {
+                flow.rto_check_at = Some(d);
+                ctx.schedule_at(d.max(now), Ev::TcpRtoCheck(fidx));
+            }
+        }
+    }
+
+    pub(super) fn on_tcp_rto_check(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
+        let now = ctx.now();
+        {
+            let flow = &mut self.flows[fidx];
+            flow.rto_check_at = None;
+            let FlowKind::DownTcp(sender) = &mut flow.kind else {
+                return;
+            };
+            match sender.rto_deadline() {
+                Some(d) if d <= now => {
+                    sender.on_rto_check(now);
+                }
+                Some(d) => {
+                    // Deadline moved later; re-arm.
+                    flow.rto_check_at = Some(d);
+                    ctx.schedule_at(d, Ev::TcpRtoCheck(fidx));
+                    return;
+                }
+                None => return,
+            }
+        }
+        self.pump_tcp(ctx, fidx);
+    }
+
+    // ---------- client app delivery ----------
+
+    fn deliver_to_client_app(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, packet: Packet) {
+        let now = ctx.now();
+        match packet.payload {
+            Payload::Udp { seq } => {
+                let payload = packet
+                    .len_bytes
+                    .saturating_sub(overhead::UDP + overhead::IPV4);
+                let cl = &mut self.clients[c];
+                if let Some(sink) = cl.udp_sink.get_mut(&packet.flow) {
+                    if sink.on_receive(now, seq, payload) {
+                        cl.metrics.downlink.add(now, (payload * 8) as f64);
+                        cl.log_delivery(DeliveryRecord {
+                            at: now,
+                            flow: packet.flow,
+                            seq,
+                            bytes: payload,
+                        });
+                    }
+                }
+            }
+            Payload::TcpData { seq, len } => {
+                let cl = &mut self.clients[c];
+                let Some(rx) = cl.tcp_rx.get_mut(&packet.flow) else {
+                    return;
+                };
+                let before = rx.rcv_nxt();
+                let ack = rx.on_data(seq, len as usize);
+                let delivered = ack.saturating_sub(before);
+                if delivered > 0 {
+                    cl.metrics.downlink.add(now, (delivered * 8) as f64);
+                    cl.log_delivery(DeliveryRecord {
+                        at: now,
+                        flow: packet.flow,
+                        seq: ack,
+                        bytes: delivered as usize,
+                    });
+                }
+                cl.last_ack_sent.insert(packet.flow, ack);
+                // Enqueue the cumulative ACK with SACK blocks describing
+                // whatever is buffered out of order.
+                let blocks = cl
+                    .tcp_rx
+                    .get(&packet.flow)
+                    .map(|r| r.sack_blocks(3))
+                    .unwrap_or_default();
+                let mut sack = [None; 3];
+                for (i, b) in blocks.into_iter().enumerate() {
+                    sack[i] = Some(b);
+                }
+                let ack_pkt = self.factory.make(
+                    ClientId(c as u32),
+                    packet.flow,
+                    Direction::Uplink,
+                    overhead::TCP + overhead::IPV4 + 12,
+                    now,
+                    Payload::TcpAck { ack, sack },
+                );
+                self.clients[c].enqueue_uplink(ack_pkt);
+                self.ensure_round(ctx);
+            }
+            _ => {}
+        }
+    }
+}
