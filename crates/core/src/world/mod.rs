@@ -42,6 +42,7 @@ use wgtt_phy::{EsnrMemo, Modulation, WirelessLink};
 use wgtt_sim::{Ctx, FaultEdge, FaultSchedule, SimDuration, SimRng, SimTime, World};
 
 mod air;
+mod baseline;
 mod control;
 mod datapath;
 mod recovery;
@@ -479,282 +480,6 @@ impl WgttWorld {
         });
         self.flows.len() - 1
     }
-
-    // ---------- oracle sampling ----------
-
-    /// Hands the oracle one sample per resident vehicle (see
-    /// [`crate::oracle`]); what becomes of them is not the event loop's
-    /// business.
-    pub(super) fn on_accuracy_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let now = ctx.now();
-        for c in 0..self.clients.len() {
-            if self.departed[c] {
-                continue;
-            }
-            let sample = Sample {
-                t: now,
-                client: c as u32,
-                serving: self.clients[c].serving.map(|a| a.0),
-                pos: self.clients[c].position(now),
-                speed: self.clients[c].speed(now),
-            };
-            self.oracle.record(
-                sample,
-                &self.ap_down,
-                WorldView {
-                    links: &self.links,
-                    cfg: &self.cfg,
-                    clients: &mut self.clients,
-                },
-            );
-        }
-        if now < self.traffic_until {
-            ctx.schedule_in(SimDuration::from_millis(1), Ev::AccuracyTick);
-        }
-    }
-
-    /// Sends this world's oracle samples to a run's helper pool.
-    pub(crate) fn attach_oracle(&mut self, pool: &std::sync::Arc<crate::oracle::Pool>) {
-        self.oracle.attach(pool, &self.cfg);
-    }
-
-    /// Sees every recorded oracle sample into the clients' metrics and
-    /// lets go of the pool; a no-op for a world that was never attached.
-    pub(crate) fn drain_oracle(&mut self) {
-        self.oracle.drain(WorldView {
-            links: &self.links,
-            cfg: &self.cfg,
-            clients: &mut self.clients,
-        });
-    }
-
-    // ---------- probes & baseline roaming ----------
-
-    pub(super) fn on_probe_tick(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
-        let now = ctx.now();
-        if now < self.traffic_until {
-            let cl = &self.clients[c];
-            let idle = now.saturating_since(cl.last_uplink_tx) >= self.cfg.probe_interval;
-            if idle && cl.uplink_queue.is_empty() {
-                let pkt = self.factory.make(
-                    ClientId(c as u32),
-                    FlowId(u32::MAX),
-                    Direction::Uplink,
-                    36,
-                    now,
-                    Payload::Raw,
-                );
-                self.clients[c].enqueue_uplink(pkt);
-                self.ensure_round(ctx);
-            }
-            ctx.schedule_in(self.cfg.probe_interval, Ev::ProbeTick { client: c });
-        }
-    }
-
-    pub(super) fn on_beacon_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let now = ctx.now();
-        if self.cfg.mode == Mode::Enhanced80211r {
-            for ap in 0..self.aps.len() {
-                if self.ap_down[ap] {
-                    continue;
-                }
-                for c in 0..self.clients.len() {
-                    if self.departed[c] || !self.in_radio_range(ap, c, now) {
-                        continue;
-                    }
-                    let csi = self.csi(ap, c, now);
-                    // Beacons ride the base rate: ~250 B at MCS0.
-                    let e = esnr_from_csi(Modulation::Bpsk, &csi);
-                    let p = self.cfg.per_model.success_prob(Mcs(0), e, 250);
-                    if self.rng.chance(p) {
-                        let alpha = self.cfg.baseline.rssi_ewma_alpha;
-                        self.clients[c]
-                            .rssi
-                            .entry(ApId(ap as u32))
-                            .or_insert_with(|| wgtt_sim::stats::Ewma::new(alpha))
-                            .update(csi.rssi_snr_db());
-                        if self.clients[c].serving == Some(ApId(ap as u32)) {
-                            self.clients[c].last_serving_beacon = Some(now);
-                        }
-                    }
-                }
-            }
-        }
-        if now < self.traffic_until {
-            ctx.schedule_in(self.cfg.baseline.beacon_interval, Ev::BeaconTick);
-        }
-    }
-
-    pub(super) fn on_roam_check(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
-        let now = ctx.now();
-        if self.cfg.mode == Mode::Enhanced80211r && self.clients[c].roam.is_none() {
-            let serving = self.clients[c].serving;
-            let best = self.clients[c].best_rssi_ap();
-            let hysteresis_ok = self.clients[c].last_roam.map_or(true, |t| {
-                now.saturating_since(t) >= self.cfg.baseline.hysteresis
-            });
-            // Beacon-miss detection: after many missed beacons the client
-            // declares the link lost and rescans — the full scan across
-            // channels takes on the order of a second on real clients.
-            let beacons_stale = self.clients[c]
-                .last_serving_beacon
-                .is_some_and(|t| now.saturating_since(t) >= self.cfg.baseline.beacon_interval * 12);
-            let target = match (serving, best) {
-                (None, Some((ap, _))) => Some(ap),
-                (Some(cur), Some((ap, _))) if ap != cur && hysteresis_ok => {
-                    let cur_rssi = self.clients[c].rssi_db(cur).unwrap_or(f64::NEG_INFINITY);
-                    (beacons_stale || cur_rssi < self.cfg.baseline.rssi_threshold_db).then_some(ap)
-                }
-                _ => None,
-            };
-            if let Some(t) = target {
-                self.clients[c].roam = Some(crate::client::RoamAttempt {
-                    target: t,
-                    retries: 0,
-                });
-                self.clients[c].last_roam = Some(now);
-                // Reassociation request hits the air ~1 ms later (queueing
-                // + contention for a tiny frame).
-                ctx.schedule_in(
-                    SimDuration::from_millis(1),
-                    Ev::RoamReqArrive {
-                        client: c,
-                        target: t.0 as usize,
-                        retries: 0,
-                    },
-                );
-            }
-        }
-        if now < self.traffic_until {
-            ctx.schedule_in(
-                self.cfg.baseline.beacon_interval,
-                Ev::RoamCheck { client: c },
-            );
-        }
-    }
-
-    pub(super) fn on_roam_req(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        c: usize,
-        target: usize,
-        retries: u32,
-    ) {
-        let now = ctx.now();
-        if self.clients[c].roam.map(|r| r.target.0 as usize) != Some(target) {
-            return; // attempt superseded/abandoned
-        }
-        let csi = self.csi(target, c, now);
-        let e = esnr_from_csi(Modulation::Bpsk, &csi);
-        let p = self.cfg.per_model.success_prob(
-            Mcs(0),
-            e,
-            wgtt_mac::mgmt_frame_bytes(MgmtFrame::ReassocReq),
-        );
-        if self.rng.chance(p) {
-            let gi = self.cfg.gi;
-            let st = self.aps[target].client_mut(ClientId(c as u32), gi);
-            st.assoc.install_shared_auth();
-            let _resp = st.assoc.on_frame(now, MgmtFrame::ReassocReq);
-            ctx.schedule_in(
-                SimDuration::from_millis(1),
-                Ev::RoamRespArrive {
-                    client: c,
-                    target,
-                    retries,
-                },
-            );
-        } else {
-            self.retry_roam(ctx, c, target, retries);
-        }
-    }
-
-    fn retry_roam(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize, retries: u32) {
-        if retries + 1 > self.cfg.baseline.reassoc_retries {
-            // Roam failed; the client stays with (or without) its old AP.
-            self.clients[c].roam = None;
-            return;
-        }
-        if let Some(r) = &mut self.clients[c].roam {
-            r.retries = retries + 1;
-        }
-        ctx.schedule_in(
-            self.cfg.baseline.reassoc_retry_gap,
-            Ev::RoamReqArrive {
-                client: c,
-                target,
-                retries: retries + 1,
-            },
-        );
-    }
-
-    pub(super) fn on_roam_resp(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        c: usize,
-        target: usize,
-        retries: u32,
-    ) {
-        let now = ctx.now();
-        if self.clients[c].roam.map(|r| r.target.0 as usize) != Some(target) {
-            return;
-        }
-        let csi = self.csi(target, c, now);
-        let e = esnr_from_csi(Modulation::Bpsk, &csi);
-        let p = self.cfg.per_model.success_prob(
-            Mcs(0),
-            e,
-            wgtt_mac::mgmt_frame_bytes(MgmtFrame::ReassocResp),
-        );
-        if self.rng.chance(p) {
-            // Reassociation exchange done: the client leaves the old AP
-            // immediately, but data only flows again once keys and
-            // forwarding state are installed (handover downtime).
-            let client = ClientId(c as u32);
-            let gi = self.cfg.gi;
-            let old = self.clients[c].serving;
-            if let Some(old_ap) = old {
-                let st = self.aps[old_ap.0 as usize].client_mut(client, gi);
-                st.serving = false;
-                // Baseline pathology: the old AP keeps draining its whole
-                // backlog toward a client that no longer listens.
-                st.draining = true;
-                st.drain_cyclic = true;
-                st.assoc.disassociate();
-            }
-            self.clients[c].serving = None;
-            self.ctrl.serving.remove(&client);
-            self.clients[c].metrics.record_assoc(now, None);
-            ctx.schedule_in(
-                self.cfg.baseline.handover_latency,
-                Ev::RoamComplete { client: c, target },
-            );
-        } else {
-            self.retry_roam(ctx, c, target, retries);
-        }
-    }
-
-    pub(super) fn on_roam_complete(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize) {
-        let now = ctx.now();
-        let client = ClientId(c as u32);
-        let gi = self.cfg.gi;
-        let st = self.aps[target].client_mut(client, gi);
-        st.serving = true;
-        st.draining = false;
-        st.drain_cyclic = false;
-        self.clients[c].serving = Some(ApId(target as u32));
-        self.ctrl.serving.insert(client, ApId(target as u32));
-        self.clients[c]
-            .metrics
-            .record_assoc(now, Some(ApId(target as u32)));
-        self.clients[c].roam = None;
-        self.ensure_round(ctx);
-    }
-
-    // ---------- baseline drain: old AP keeps transmitting ----------
-    // (handled naturally: `draining` + `has_downlink_work`; deliveries
-    // fail because `client_listens_to` is false for non-serving APs in
-    // baseline mode.)
 }
 
 /// Seeds the initial periodic events for a freshly built world.
