@@ -58,7 +58,7 @@ use crate::metrics::SystemMetrics;
 use crate::seam::{CommitVerdict, Due, Handoff, PrepareVerdict, SeamEngine};
 use crate::world::{
     prime_events, prime_migrant_events, Ev, FlowKind, MigrantFlow, MigrantSpec, MigrationRecord,
-    SeamEntry, WgttWorld,
+    Seam, SeamEntry, WgttWorld,
 };
 use std::collections::{BTreeMap, HashMap};
 use wgtt_phy::mobility::ConstantSpeed;
@@ -233,7 +233,8 @@ impl Shard {
     /// the world asks for.
     fn deposit(&mut self, now: SimTime, c: usize, entries: Vec<SeamEntry>) {
         if self.sim.world_mut().deposit_seam(c, entries) {
-            self.sim.schedule_at(now, Ev::MigrantFlush { client: c });
+            self.sim
+                .schedule_at(now, Ev::Seam(Seam::MigrantFlush { client: c }));
         }
     }
 }
@@ -440,7 +441,7 @@ impl<'a> Corridor<'a> {
                         // state into the live incarnation.
                         let world = dest.sim.world_mut();
                         if world.reimport_migrant(local, &h.record.state) {
-                            let flush = Ev::MigrantFlush { client: local };
+                            let flush = Ev::Seam(Seam::MigrantFlush { client: local });
                             dest.sim.schedule_at(now, flush);
                         }
                         local

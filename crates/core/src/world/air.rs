@@ -4,6 +4,24 @@
 
 use super::*;
 
+/// Radio events.
+#[derive(Clone)]
+pub enum Air {
+    /// Resolve one DCF contention round.
+    ContentionRound,
+    /// A radio transmission completes.
+    TxDone(u64),
+}
+
+impl Air {
+    /// See [`Ev::client`]: exhaustive on purpose.
+    pub(super) fn client(&self) -> Option<usize> {
+        match self {
+            Air::ContentionRound | Air::TxDone(_) => None,
+        }
+    }
+}
+
 /// Identifies a radio transmitter for busy-tracking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(super) enum NodeKey {
@@ -84,7 +102,7 @@ impl WgttWorld {
             return;
         }
         self.round_scheduled = true;
-        ctx.schedule_at(ctx.now(), Ev::ContentionRound);
+        ctx.schedule_at(ctx.now(), Ev::Air(Air::ContentionRound));
     }
 
     /// Whether AP `ap` and client `c` share a channel under the channel
@@ -317,7 +335,7 @@ impl WgttWorld {
             // range; retry when the earliest one ends.
             if let Some(end) = self.active_geo.iter().map(|&(_, _, _, e, _)| e).min() {
                 self.round_scheduled = true;
-                ctx.schedule_at(end.max(now), Ev::ContentionRound);
+                ctx.schedule_at(end.max(now), Ev::Air(Air::ContentionRound));
             }
             return;
         }
@@ -416,7 +434,7 @@ impl WgttWorld {
             collided,
             start: grant,
         });
-        ctx.schedule_at(end, Ev::TxDone(tx));
+        ctx.schedule_at(end, Ev::Air(Air::TxDone(tx)));
         Some((tx, end))
     }
 
@@ -470,7 +488,7 @@ impl WgttWorld {
             collided,
             start: grant,
         });
-        ctx.schedule_at(end, Ev::TxDone(tx));
+        ctx.schedule_at(end, Ev::Air(Air::TxDone(tx)));
         Some((tx, end))
     }
 
@@ -675,11 +693,11 @@ impl WgttWorld {
                                 ctx,
                                 100,
                                 false,
-                                Ev::BaForwardAtAp {
+                                Ev::Data(Data::BaForwardAtAp {
                                     ap,
                                     client: c,
                                     ba: frame,
-                                },
+                                }),
                             );
                         }
                     }
@@ -864,10 +882,10 @@ impl WgttWorld {
                     ctx,
                     wire,
                     false,
-                    Ev::UplinkCopyAtController {
+                    Ev::Data(Data::UplinkCopyAtController {
                         from_ap,
                         packet: pkt,
-                    },
+                    }),
                 );
             }
         }
@@ -1011,11 +1029,11 @@ impl WgttWorld {
             ctx,
             300,
             false,
-            Ev::CsiAtController {
+            Ev::Ctl(Ctl::CsiAtController {
                 ap,
                 client: c,
                 esnr_db,
-            },
+            }),
         );
     }
 }
@@ -1023,4 +1041,13 @@ impl WgttWorld {
 /// Whether `seq` is still outstanding (un-acked) in the scoreboard.
 fn st_seq_outstanding(st: &crate::ap::ApClientState, seq: u16) -> bool {
     st.scoreboard.unacked().contains(&seq)
+}
+
+impl WgttWorld {
+    pub(super) fn handle_air(&mut self, ev: Air, ctx: &mut Ctx<'_, Ev>) {
+        match ev {
+            Air::ContentionRound => self.on_contention_round(ctx),
+            Air::TxDone(id) => self.on_tx_done(ctx, id),
+        }
+    }
 }

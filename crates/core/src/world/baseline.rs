@@ -3,6 +3,47 @@
 
 use super::*;
 
+/// Client-driven periodic events and the 802.11r baseline's roam machine.
+#[derive(Clone)]
+pub enum Probe {
+    /// Client keep-alive probe timer.
+    ProbeTick { client: usize },
+    /// Oracle accuracy/capacity sampling.
+    AccuracyTick,
+    /// Baseline: APs beacon.
+    BeaconTick,
+    /// Baseline: client evaluates roaming.
+    RoamCheck { client: usize },
+    /// Baseline: reassociation request reaches the air.
+    RoamReqArrive {
+        client: usize,
+        target: usize,
+        retries: u32,
+    },
+    /// Baseline: reassociation response heads back.
+    RoamRespArrive {
+        client: usize,
+        target: usize,
+        retries: u32,
+    },
+    /// Baseline: handover downtime over — data may flow via the new AP.
+    RoamComplete { client: usize, target: usize },
+}
+
+impl Probe {
+    /// See [`Ev::client`]: exhaustive on purpose.
+    pub(super) fn client(&self) -> Option<usize> {
+        match self {
+            Probe::ProbeTick { client }
+            | Probe::RoamCheck { client }
+            | Probe::RoamReqArrive { client, .. }
+            | Probe::RoamRespArrive { client, .. }
+            | Probe::RoamComplete { client, .. } => Some(*client),
+            Probe::AccuracyTick | Probe::BeaconTick => None,
+        }
+    }
+}
+
 impl WgttWorld {
     // ---------- oracle sampling ----------
 
@@ -33,7 +74,7 @@ impl WgttWorld {
             );
         }
         if now < self.traffic_until {
-            ctx.schedule_in(SimDuration::from_millis(1), Ev::AccuracyTick);
+            ctx.schedule_in(SimDuration::from_millis(1), Ev::Probe(Probe::AccuracyTick));
         }
     }
 
@@ -71,7 +112,10 @@ impl WgttWorld {
                 self.clients[c].enqueue_uplink(pkt);
                 self.ensure_round(ctx);
             }
-            ctx.schedule_in(self.cfg.probe_interval, Ev::ProbeTick { client: c });
+            ctx.schedule_in(
+                self.cfg.probe_interval,
+                Ev::Probe(Probe::ProbeTick { client: c }),
+            );
         }
     }
 
@@ -105,7 +149,10 @@ impl WgttWorld {
             }
         }
         if now < self.traffic_until {
-            ctx.schedule_in(self.cfg.baseline.beacon_interval, Ev::BeaconTick);
+            ctx.schedule_in(
+                self.cfg.baseline.beacon_interval,
+                Ev::Probe(Probe::BeaconTick),
+            );
         }
     }
 
@@ -141,18 +188,18 @@ impl WgttWorld {
                 // + contention for a tiny frame).
                 ctx.schedule_in(
                     SimDuration::from_millis(1),
-                    Ev::RoamReqArrive {
+                    Ev::Probe(Probe::RoamReqArrive {
                         client: c,
                         target: t.0 as usize,
                         retries: 0,
-                    },
+                    }),
                 );
             }
         }
         if now < self.traffic_until {
             ctx.schedule_in(
                 self.cfg.baseline.beacon_interval,
-                Ev::RoamCheck { client: c },
+                Ev::Probe(Probe::RoamCheck { client: c }),
             );
         }
     }
@@ -182,11 +229,11 @@ impl WgttWorld {
             let _resp = st.assoc.on_frame(now, MgmtFrame::ReassocReq);
             ctx.schedule_in(
                 SimDuration::from_millis(1),
-                Ev::RoamRespArrive {
+                Ev::Probe(Probe::RoamRespArrive {
                     client: c,
                     target,
                     retries,
-                },
+                }),
             );
         } else {
             self.retry_roam(ctx, c, target, retries);
@@ -204,11 +251,11 @@ impl WgttWorld {
         }
         ctx.schedule_in(
             self.cfg.baseline.reassoc_retry_gap,
-            Ev::RoamReqArrive {
+            Ev::Probe(Probe::RoamReqArrive {
                 client: c,
                 target,
                 retries: retries + 1,
-            },
+            }),
         );
     }
 
@@ -251,7 +298,7 @@ impl WgttWorld {
             self.clients[c].metrics.record_assoc(now, None);
             ctx.schedule_in(
                 self.cfg.baseline.handover_latency,
-                Ev::RoamComplete { client: c, target },
+                Ev::Probe(Probe::RoamComplete { client: c, target }),
             );
         } else {
             self.retry_roam(ctx, c, target, retries);
@@ -279,4 +326,26 @@ impl WgttWorld {
     // (handled naturally: `draining` + `has_downlink_work`; deliveries
     // fail because `client_listens_to` is false for non-serving APs in
     // baseline mode.)
+}
+
+impl WgttWorld {
+    pub(super) fn handle_probe(&mut self, ev: Probe, ctx: &mut Ctx<'_, Ev>) {
+        match ev {
+            Probe::ProbeTick { client } => self.on_probe_tick(ctx, client),
+            Probe::AccuracyTick => self.on_accuracy_tick(ctx),
+            Probe::BeaconTick => self.on_beacon_tick(ctx),
+            Probe::RoamCheck { client } => self.on_roam_check(ctx, client),
+            Probe::RoamReqArrive {
+                client,
+                target,
+                retries,
+            } => self.on_roam_req(ctx, client, target, retries),
+            Probe::RoamRespArrive {
+                client,
+                target,
+                retries,
+            } => self.on_roam_resp(ctx, client, target, retries),
+            Probe::RoamComplete { client, target } => self.on_roam_complete(ctx, client, target),
+        }
+    }
 }

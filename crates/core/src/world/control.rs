@@ -3,6 +3,79 @@
 
 use super::*;
 
+/// Control-plane events.
+#[derive(Clone)]
+pub enum Ctl {
+    /// `stop(c)` control packet arrives at the old AP.
+    StopAtAp {
+        ap: usize,
+        client: usize,
+        to_ap: usize,
+        epoch: u32,
+        term: u32,
+    },
+    /// Old AP finished processing the stop (kernel query done).
+    StopDone {
+        ap: usize,
+        client: usize,
+        to_ap: usize,
+        epoch: u32,
+        term: u32,
+    },
+    /// `start(c, k)` arrives at the new AP.
+    StartAtAp {
+        ap: usize,
+        client: usize,
+        k: u16,
+        epoch: u32,
+        term: u32,
+    },
+    /// New AP finished processing the start.
+    StartDone {
+        ap: usize,
+        client: usize,
+        k: u16,
+        epoch: u32,
+        term: u32,
+    },
+    /// `ack` arrives back at the controller.
+    AckAtController {
+        client: usize,
+        from_ap: usize,
+        epoch: u32,
+        term: u32,
+    },
+    /// CSI report arrives at the controller.
+    CsiAtController {
+        ap: usize,
+        client: usize,
+        esnr_db: f64,
+    },
+    /// Switch-protocol retransmission timer.
+    SwitchTimeout { client: usize },
+    /// Controller evaluates AP selection.
+    SelectionTick,
+    /// Retry timer for an emergency re-attach after a serving-AP death.
+    ReattachTimeout { client: usize },
+}
+
+impl Ctl {
+    /// See [`Ev::client`]: exhaustive on purpose.
+    pub(super) fn client(&self) -> Option<usize> {
+        match self {
+            Ctl::StopAtAp { client, .. }
+            | Ctl::StopDone { client, .. }
+            | Ctl::StartAtAp { client, .. }
+            | Ctl::StartDone { client, .. }
+            | Ctl::AckAtController { client, .. }
+            | Ctl::CsiAtController { client, .. }
+            | Ctl::SwitchTimeout { client }
+            | Ctl::ReattachTimeout { client } => Some(*client),
+            Ctl::SelectionTick => None,
+        }
+    }
+}
+
 impl WgttWorld {
     /// Serving AP according to the control plane.
     pub(super) fn serving_of(&self, c: usize) -> Option<usize> {
@@ -34,16 +107,16 @@ impl WgttWorld {
             ctx,
             CONTROL_PACKET_BYTES,
             true,
-            Ev::StopAtAp {
+            Ev::Ctl(Ctl::StopAtAp {
                 ap: from,
                 client: c,
                 to_ap: to,
                 epoch,
                 term,
-            },
+            }),
         );
         let timeout = self.ctrl.engine.timeout();
-        ctx.schedule_in(timeout, Ev::SwitchTimeout { client: c });
+        ctx.schedule_in(timeout, Ev::Ctl(Ctl::SwitchTimeout { client: c }));
     }
 
     pub(super) fn on_stop_at_ap(
@@ -72,13 +145,13 @@ impl WgttWorld {
         }
         ctx.schedule_in(
             delay,
-            Ev::StopDone {
+            Ev::Ctl(Ctl::StopDone {
                 ap,
                 client: c,
                 to_ap,
                 epoch,
                 term,
-            },
+            }),
         );
     }
 
@@ -129,13 +202,13 @@ impl WgttWorld {
                 ctx,
                 CONTROL_PACKET_BYTES,
                 true,
-                Ev::StartAtAp {
+                Ev::Ctl(Ctl::StartAtAp {
                     ap: to_ap,
                     client: c,
                     k,
                     epoch,
                     term,
-                },
+                }),
             );
         }
         if self.controller_down {
@@ -145,11 +218,11 @@ impl WgttWorld {
             // re-adoption guard so this AP takes the client back itself.
             ctx.schedule_in(
                 READOPT_GUARD,
-                Ev::ReAdoptTimeout {
+                Ev::Recovery(Recovery::ReAdoptTimeout {
                     ap,
                     client: c,
                     epoch,
-                },
+                }),
             );
         }
         self.ensure_round(ctx);
@@ -178,13 +251,13 @@ impl WgttWorld {
         }
         ctx.schedule_in(
             delay,
-            Ev::StartDone {
+            Ev::Ctl(Ctl::StartDone {
                 ap,
                 client: c,
                 k,
                 epoch,
                 term,
-            },
+            }),
         );
     }
 
@@ -223,12 +296,12 @@ impl WgttWorld {
                         ctx,
                         CONTROL_PACKET_BYTES,
                         true,
-                        Ev::AckAtController {
+                        Ev::Ctl(Ctl::AckAtController {
                             client: c,
                             from_ap: ap,
                             epoch,
                             term,
-                        },
+                        }),
                     );
                 }
                 return;
@@ -254,12 +327,12 @@ impl WgttWorld {
                 ctx,
                 CONTROL_PACKET_BYTES,
                 true,
-                Ev::AckAtController {
+                Ev::Ctl(Ctl::AckAtController {
                     client: c,
                     from_ap: ap,
                     epoch,
                     term,
-                },
+                }),
             );
         }
         self.ensure_round(ctx);
@@ -357,13 +430,13 @@ impl WgttWorld {
                 ctx,
                 CONTROL_PACKET_BYTES,
                 true,
-                Ev::StopAtAp {
+                Ev::Ctl(Ctl::StopAtAp {
                     ap: from,
                     client: c,
                     to_ap: to,
                     epoch,
                     term,
-                },
+                }),
             );
         } else if !self.ctrl.engine.in_flight(client) {
             self.drain_abandons(ctx);
@@ -371,7 +444,10 @@ impl WgttWorld {
         }
         // Single re-arm site, shared by the retransmit path and a timer
         // that fired early relative to a retransmission.
-        ctx.schedule_in(self.ctrl.engine.timeout(), Ev::SwitchTimeout { client: c });
+        ctx.schedule_in(
+            self.ctrl.engine.timeout(),
+            Ev::Ctl(Ctl::SwitchTimeout { client: c }),
+        );
     }
 
     /// Processes switch abandonments the engine recorded: counts them,
@@ -449,17 +525,17 @@ impl WgttWorld {
             ctx,
             CONTROL_PACKET_BYTES,
             true,
-            Ev::StartAtAp {
+            Ev::Ctl(Ctl::StartAtAp {
                 ap: target,
                 client: c,
                 k,
                 epoch,
                 term,
-            },
+            }),
         );
         ctx.schedule_in(
             self.ctrl.engine.timeout(),
-            Ev::ReattachTimeout { client: c },
+            Ev::Ctl(Ctl::ReattachTimeout { client: c }),
         );
     }
 
@@ -491,17 +567,17 @@ impl WgttWorld {
             ctx,
             CONTROL_PACKET_BYTES,
             true,
-            Ev::StartAtAp {
+            Ev::Ctl(Ctl::StartAtAp {
                 ap: target,
                 client: c,
                 k,
                 epoch,
                 term,
-            },
+            }),
         );
         ctx.schedule_in(
             self.ctrl.engine.timeout(),
-            Ev::ReattachTimeout { client: c },
+            Ev::Ctl(Ctl::ReattachTimeout { client: c }),
         );
     }
 
@@ -523,7 +599,7 @@ impl WgttWorld {
             // A dead controller makes no decisions. Keep the tick alive
             // (it draws no RNG) so selection resumes right after recovery.
             if now < self.traffic_until + SimDuration::from_millis(500) {
-                ctx.schedule_in(self.cfg.selection_tick, Ev::SelectionTick);
+                ctx.schedule_in(self.cfg.selection_tick, Ev::Ctl(Ctl::SelectionTick));
             }
             return;
         }
@@ -603,7 +679,7 @@ impl WgttWorld {
             }
         }
         if now < self.traffic_until + SimDuration::from_millis(500) {
-            ctx.schedule_in(self.cfg.selection_tick, Ev::SelectionTick);
+            ctx.schedule_in(self.cfg.selection_tick, Ev::Ctl(Ctl::SelectionTick));
         }
     }
 
@@ -614,5 +690,54 @@ impl WgttWorld {
         }
         self.ctrl
             .on_csi(now, ApId(ap as u32), ClientId(c as u32), esnr_db);
+    }
+}
+
+impl WgttWorld {
+    pub(super) fn handle_ctl(&mut self, ev: Ctl, ctx: &mut Ctx<'_, Ev>) {
+        match ev {
+            Ctl::StopAtAp {
+                ap,
+                client,
+                to_ap,
+                epoch,
+                term,
+            } => self.on_stop_at_ap(ctx, ap, client, to_ap, epoch, term),
+            Ctl::StopDone {
+                ap,
+                client,
+                to_ap,
+                epoch,
+                term,
+            } => self.on_stop_done(ctx, ap, client, to_ap, epoch, term),
+            Ctl::StartAtAp {
+                ap,
+                client,
+                k,
+                epoch,
+                term,
+            } => self.on_start_at_ap(ctx, ap, client, k, epoch, term),
+            Ctl::StartDone {
+                ap,
+                client,
+                k,
+                epoch,
+                term,
+            } => self.on_start_done(ctx, ap, client, k, epoch, term),
+            Ctl::AckAtController {
+                client,
+                from_ap,
+                epoch,
+                term: _,
+            } => self.on_ack_at_controller(ctx, client, from_ap, epoch),
+            Ctl::CsiAtController {
+                ap,
+                client,
+                esnr_db,
+            } => self.on_csi_at_controller(ap, client, esnr_db, ctx.now()),
+            Ctl::SwitchTimeout { client } => self.on_switch_timeout(ctx, client),
+            Ctl::SelectionTick => self.on_selection_tick(ctx),
+            Ctl::ReattachTimeout { client } => self.on_reattach_timeout(ctx, client),
+        }
     }
 }

@@ -4,6 +4,53 @@
 
 use super::*;
 
+/// Datapath events: traffic sources, the backhaul hops of a data packet,
+/// forwarded Block ACKs, and the client's reorder timer.
+#[derive(Clone)]
+pub enum Data {
+    /// CBR downlink source is due.
+    UdpDownTick(usize),
+    /// Client-side uplink CBR source is due.
+    UplinkAppTick(usize),
+    /// Ask the TCP sender for more segments.
+    TcpPump(usize),
+    /// Retransmission-timer check for a TCP flow.
+    TcpRtoCheck(usize),
+    /// Downlink packet reaches the controller from the server.
+    PacketAtController(Packet),
+    /// Tunneled downlink packet reaches an AP.
+    PacketAtAp { ap: usize, packet: Packet },
+    /// Uplink copy reaches the controller from an AP.
+    UplinkCopyAtController { from_ap: usize, packet: Packet },
+    /// De-duplicated uplink packet reaches the server.
+    PacketAtServer(Packet),
+    /// Forwarded Block ACK arrives at the serving AP.
+    BaForwardAtAp {
+        ap: usize,
+        client: usize,
+        ba: BlockAckFrame,
+    },
+    /// Client reorder-buffer release timeout.
+    ReorderFlush { client: usize },
+}
+
+impl Data {
+    /// See [`Ev::client`]: exhaustive on purpose.
+    pub(super) fn client(&self, flows: &[ServerFlow]) -> Option<usize> {
+        match self {
+            Data::UdpDownTick(f)
+            | Data::UplinkAppTick(f)
+            | Data::TcpPump(f)
+            | Data::TcpRtoCheck(f) => Some(flows[*f].client),
+            Data::PacketAtController(p) | Data::PacketAtServer(p) => Some(p.client.0 as usize),
+            Data::PacketAtAp { packet, .. } | Data::UplinkCopyAtController { packet, .. } => {
+                Some(packet.client.0 as usize)
+            }
+            Data::BaForwardAtAp { client, .. } | Data::ReorderFlush { client } => Some(*client),
+        }
+    }
+}
+
 /// A downlink traffic flow at the server.
 pub enum FlowKind {
     /// Constant-bit-rate UDP toward the client.
@@ -105,7 +152,12 @@ impl WgttWorld {
         let wire = packet.len_bytes + wgtt_net::TUNNEL_OVERHEAD_BYTES;
         for ap in targets {
             let p = packet.clone();
-            self.backhaul_send(ctx, wire, false, Ev::PacketAtAp { ap, packet: p });
+            self.backhaul_send(
+                ctx,
+                wire,
+                false,
+                Ev::Data(Data::PacketAtAp { ap, packet: p }),
+            );
         }
     }
 
@@ -187,7 +239,7 @@ impl WgttWorld {
             self.clients[c].hole_since = None;
         } else if self.clients[c].hole_since.is_none() {
             self.clients[c].hole_since = Some(now);
-            ctx.schedule_in(REORDER_TIMEOUT, Ev::ReorderFlush { client: c });
+            ctx.schedule_in(REORDER_TIMEOUT, Ev::Data(Data::ReorderFlush { client: c }));
         }
     }
 
@@ -202,7 +254,7 @@ impl WgttWorld {
             Some(since) => {
                 // Timer superseded by progress; re-arm for the remainder.
                 let remain = REORDER_TIMEOUT - now.saturating_since(since);
-                ctx.schedule_in(remain, Ev::ReorderFlush { client: c });
+                ctx.schedule_in(remain, Ev::Data(Data::ReorderFlush { client: c }));
             }
             None => {}
         }
@@ -261,7 +313,7 @@ impl WgttWorld {
                 .push(Deduplicator::key(packet.client, packet.ip_ident));
         }
         let latency = self.cfg.server_latency;
-        ctx.schedule_in(latency, Ev::PacketAtServer(packet));
+        ctx.schedule_in(latency, Ev::Data(Data::PacketAtServer(packet)));
     }
 
     pub(super) fn on_packet_at_server(&mut self, ctx: &mut Ctx<'_, Ev>, packet: Packet) {
@@ -326,11 +378,11 @@ impl WgttWorld {
                 Payload::Udp { seq },
             );
             let latency = self.cfg.server_latency;
-            ctx.schedule_in(latency, Ev::PacketAtController(pkt));
+            ctx.schedule_in(latency, Ev::Data(Data::PacketAtController(pkt)));
         }
         if let Some(t) = next {
             if t < self.traffic_until {
-                ctx.schedule_at(t, Ev::UdpDownTick(fidx));
+                ctx.schedule_at(t, Ev::Data(Data::UdpDownTick(fidx)));
             }
         }
     }
@@ -367,7 +419,7 @@ impl WgttWorld {
         self.ensure_round(ctx);
         if let Some(t) = next {
             if t < self.traffic_until {
-                ctx.schedule_at(t, Ev::UplinkAppTick(fidx));
+                ctx.schedule_at(t, Ev::Data(Data::UplinkAppTick(fidx)));
             }
         }
     }
@@ -381,12 +433,12 @@ impl WgttWorld {
         // reachable (mirrors starting the application after the Wi-Fi
         // connection is up).
         if now < self.flows[fidx].start {
-            ctx.schedule_at(self.flows[fidx].start, Ev::TcpPump(fidx));
+            ctx.schedule_at(self.flows[fidx].start, Ev::Data(Data::TcpPump(fidx)));
             return;
         }
         let client_idx = self.flows[fidx].client;
         if self.serving_of(client_idx).is_none() {
-            ctx.schedule_in(SimDuration::from_millis(20), Ev::TcpPump(fidx));
+            ctx.schedule_in(SimDuration::from_millis(20), Ev::Data(Data::TcpPump(fidx)));
             return;
         }
         let flow = &mut self.flows[fidx];
@@ -423,7 +475,7 @@ impl WgttWorld {
                 },
             );
             let latency = self.cfg.server_latency;
-            ctx.schedule_in(latency, Ev::PacketAtController(pkt));
+            ctx.schedule_in(latency, Ev::Data(Data::PacketAtController(pkt)));
         }
         // Arm the RTO check if needed.
         if let Some(d) = deadline {
@@ -431,7 +483,7 @@ impl WgttWorld {
             let need = flow.rto_check_at.map_or(true, |at| at > d || at <= now);
             if need {
                 flow.rto_check_at = Some(d);
-                ctx.schedule_at(d.max(now), Ev::TcpRtoCheck(fidx));
+                ctx.schedule_at(d.max(now), Ev::Data(Data::TcpRtoCheck(fidx)));
             }
         }
     }
@@ -451,7 +503,7 @@ impl WgttWorld {
                 Some(d) => {
                     // Deadline moved later; re-arm.
                     flow.rto_check_at = Some(d);
-                    ctx.schedule_at(d, Ev::TcpRtoCheck(fidx));
+                    ctx.schedule_at(d, Ev::Data(Data::TcpRtoCheck(fidx)));
                     return;
                 }
                 None => return,
@@ -523,6 +575,25 @@ impl WgttWorld {
                 self.ensure_round(ctx);
             }
             _ => {}
+        }
+    }
+}
+
+impl WgttWorld {
+    pub(super) fn handle_data(&mut self, ev: Data, ctx: &mut Ctx<'_, Ev>) {
+        match ev {
+            Data::UdpDownTick(f) => self.on_udp_down_tick(ctx, f),
+            Data::UplinkAppTick(f) => self.on_uplink_app_tick(ctx, f),
+            Data::TcpPump(f) => self.pump_tcp(ctx, f),
+            Data::TcpRtoCheck(f) => self.on_tcp_rto_check(ctx, f),
+            Data::PacketAtController(p) => self.on_packet_at_controller(ctx, p),
+            Data::PacketAtAp { ap, packet } => self.on_packet_at_ap(ctx, ap, packet),
+            Data::UplinkCopyAtController { from_ap, packet } => {
+                self.on_uplink_copy(ctx, from_ap, packet)
+            }
+            Data::PacketAtServer(p) => self.on_packet_at_server(ctx, p),
+            Data::BaForwardAtAp { ap, client, ba } => self.on_ba_forward_at_ap(ap, client, ba),
+            Data::ReorderFlush { client } => self.on_reorder_flush(ctx, client),
         }
     }
 }

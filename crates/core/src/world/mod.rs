@@ -48,166 +48,53 @@ mod datapath;
 mod recovery;
 mod seam;
 
+pub use air::Air;
 use air::{AirTx, NodeKey};
-pub use datapath::{FlowKind, ServerFlow};
+pub use baseline::Probe;
+pub use control::Ctl;
+pub use datapath::{Data, FlowKind, ServerFlow};
+pub use recovery::Recovery;
 use recovery::{ResyncSession, Standby, READOPT_GUARD};
 pub use seam::{
-    prime_migrant_events, MigrantFlow, MigrantSpec, MigrationRecord, SeamEntry, SeamPayload,
+    prime_migrant_events, MigrantFlow, MigrantSpec, MigrationRecord, Seam, SeamEntry, SeamPayload,
 };
 
-/// Events of the world. `Clone` so the backhaul duplication fault can
-/// deliver the same frame twice.
+/// Events of the world, one sub-enum per layer module. `Clone` so the
+/// backhaul duplication fault can deliver the same frame twice.
 #[derive(Clone)]
 pub enum Ev {
-    /// CBR downlink source is due.
-    UdpDownTick(usize),
-    /// Client-side uplink CBR source is due.
-    UplinkAppTick(usize),
-    /// Ask the TCP sender for more segments.
-    TcpPump(usize),
-    /// Retransmission-timer check for a TCP flow.
-    TcpRtoCheck(usize),
-    /// Downlink packet reaches the controller from the server.
-    PacketAtController(Packet),
-    /// Tunneled downlink packet reaches an AP.
-    PacketAtAp { ap: usize, packet: Packet },
-    /// Uplink copy reaches the controller from an AP.
-    UplinkCopyAtController { from_ap: usize, packet: Packet },
-    /// De-duplicated uplink packet reaches the server.
-    PacketAtServer(Packet),
-    /// `stop(c)` control packet arrives at the old AP.
-    StopAtAp {
-        ap: usize,
-        client: usize,
-        to_ap: usize,
-        epoch: u32,
-        term: u32,
-    },
-    /// Old AP finished processing the stop (kernel query done).
-    StopDone {
-        ap: usize,
-        client: usize,
-        to_ap: usize,
-        epoch: u32,
-        term: u32,
-    },
-    /// `start(c, k)` arrives at the new AP.
-    StartAtAp {
-        ap: usize,
-        client: usize,
-        k: u16,
-        epoch: u32,
-        term: u32,
-    },
-    /// New AP finished processing the start.
-    StartDone {
-        ap: usize,
-        client: usize,
-        k: u16,
-        epoch: u32,
-        term: u32,
-    },
-    /// `ack` arrives back at the controller.
-    AckAtController {
-        client: usize,
-        from_ap: usize,
-        epoch: u32,
-        term: u32,
-    },
-    /// CSI report arrives at the controller.
-    CsiAtController {
-        ap: usize,
-        client: usize,
-        esnr_db: f64,
-    },
-    /// Forwarded Block ACK arrives at the serving AP.
-    BaForwardAtAp {
-        ap: usize,
-        client: usize,
-        ba: BlockAckFrame,
-    },
-    /// Resolve one DCF contention round.
-    ContentionRound,
-    /// A radio transmission completes.
-    TxDone(u64),
-    /// Switch-protocol retransmission timer.
-    SwitchTimeout { client: usize },
-    /// Controller evaluates AP selection.
-    SelectionTick,
-    /// Oracle accuracy/capacity sampling.
-    AccuracyTick,
-    /// Baseline: APs beacon.
-    BeaconTick,
-    /// Baseline: client evaluates roaming.
-    RoamCheck { client: usize },
-    /// Baseline: reassociation request reaches the air.
-    RoamReqArrive {
-        client: usize,
-        target: usize,
-        retries: u32,
-    },
-    /// Baseline: reassociation response heads back.
-    RoamRespArrive {
-        client: usize,
-        target: usize,
-        retries: u32,
-    },
-    /// Client keep-alive probe timer.
-    ProbeTick { client: usize },
-    /// Client reorder-buffer release timeout.
-    ReorderFlush { client: usize },
-    /// Baseline: handover downtime over — data may flow via the new AP.
-    RoamComplete { client: usize, target: usize },
-    /// Fault injection: an AP crashes (state wiped, radio dark).
-    ApCrash(usize),
-    /// Fault injection: a crashed AP comes back with blank state.
-    ApReboot(usize),
-    /// Retry timer for an emergency re-attach after a serving-AP death.
-    ReattachTimeout { client: usize },
-    /// Fault injection: the controller process crashes (soft state wiped;
-    /// nothing sent, everything inbound dropped, no timers fire).
-    ControllerCrash,
-    /// Fault injection: the controller restarts blank and broadcasts
-    /// `Resync` to every reachable AP.
-    ControllerRecover,
-    /// Re-inject seam datagrams deposited after a migrant's first
-    /// association (outbox forwards from a later lockstep barrier). The
-    /// sharding layer schedules this at the barrier instant; worlds never
-    /// emit it themselves.
-    MigrantFlush { client: usize },
-    /// Post-reboot `Resync` broadcast arrives at an AP, stamped with the
-    /// issuing controller's term (a zombie's stale term is fenced here).
-    ResyncAtAp { ap: usize, term: u32 },
-    /// An AP's resync reply arrives back at the controller.
-    ResyncReplyAtController {
-        reply: crate::switching::ResyncReply,
-    },
-    /// Fallback: finalize resync session `seq` with whatever replies
-    /// arrived (an AP may have died between broadcast and reply).
-    ResyncDeadline { seq: u64 },
-    /// Local-autonomy guard: an AP that applied a `stop` while the
-    /// controller was down checks whether its client was left serverless
-    /// (the `start` never landed anywhere) and re-adopts it.
-    ReAdoptTimeout {
-        ap: usize,
-        client: usize,
-        epoch: u32,
-    },
-    /// Primary ships one journal batch to the standby (armed runs only).
-    JournalShip,
-    /// A journal batch arrives at the standby replica.
-    JournalAtStandby { batch: JournalBatch },
-    /// Standby failure-detector tick: promote on journal silence.
-    StandbyCheck,
-    /// Post-takeover term announcement arrives at an AP: raises its term
-    /// fence and flushes degraded-mode uplink toward the new controller.
-    TermAnnounceAtAp { ap: usize, term: u32 },
-    /// The crashed ex-primary process un-freezes and, unaware it was
-    /// superseded, tries to resume its reign with stale state.
-    ZombieWake,
-    /// The zombie's resync round got no takers (every AP fenced it): it
-    /// concludes it was superseded and stands down.
-    ZombieDeadline,
+    /// The radio ([`air`]).
+    Air(Air),
+    /// The tunnelled datapath and its traffic sources ([`datapath`]).
+    Data(Data),
+    /// Selection and the switch protocol ([`control`]).
+    Ctl(Ctl),
+    /// Fault edges and what repairs them ([`recovery`]).
+    Recovery(Recovery),
+    /// Shard-seam re-injection ([`seam`]).
+    Seam(Seam),
+    /// Client-driven periodic events ([`baseline`]).
+    Probe(Probe),
+}
+
+impl Ev {
+    /// The client an event targets, if it names exactly one — the hook for
+    /// the departed-client guard in [`World::handle`]. Every sub-enum
+    /// answers with an exhaustive match (no wildcard arm), so a new
+    /// client-addressed variant cannot bypass the guard without a compile
+    /// error. Events without a single client target (contention rounds,
+    /// ticks that loop over all clients, fault edges, controller lifecycle)
+    /// return `None` and guard per-client inside their handlers.
+    fn client(&self, flows: &[ServerFlow]) -> Option<usize> {
+        match self {
+            Ev::Air(e) => e.client(),
+            Ev::Data(e) => e.client(flows),
+            Ev::Ctl(e) => e.client(),
+            Ev::Recovery(e) => e.client(),
+            Ev::Seam(e) => e.client(),
+            Ev::Probe(e) => e.client(),
+        }
+    }
 }
 
 /// The world.
@@ -487,34 +374,40 @@ pub fn prime_events(sim: &mut wgtt_sim::Simulator<WgttWorld>) {
     let n_clients = sim.world().clients.len();
     let n_flows = sim.world().flows.len();
     let mode = sim.world().cfg.mode;
-    sim.schedule_at(SimTime::ZERO, Ev::SelectionTick);
-    sim.schedule_at(SimTime::from_micros(500), Ev::AccuracyTick);
+    sim.schedule_at(SimTime::ZERO, Ev::Ctl(Ctl::SelectionTick));
+    sim.schedule_at(SimTime::from_micros(500), Ev::Probe(Probe::AccuracyTick));
     if mode == Mode::Enhanced80211r {
-        sim.schedule_at(SimTime::ZERO, Ev::BeaconTick);
+        sim.schedule_at(SimTime::ZERO, Ev::Probe(Probe::BeaconTick));
         for c in 0..n_clients {
-            sim.schedule_at(SimTime::from_millis(1), Ev::RoamCheck { client: c });
+            sim.schedule_at(
+                SimTime::from_millis(1),
+                Ev::Probe(Probe::RoamCheck { client: c }),
+            );
         }
     }
     for c in 0..n_clients {
-        sim.schedule_at(SimTime::from_micros(100), Ev::ProbeTick { client: c });
+        sim.schedule_at(
+            SimTime::from_micros(100),
+            Ev::Probe(Probe::ProbeTick { client: c }),
+        );
     }
     let edges = sim.world().faults.edges();
     for (t, edge) in edges {
         match edge {
             FaultEdge::Crash(ap) => {
-                sim.schedule_at(t, Ev::ApCrash(ap));
+                sim.schedule_at(t, Ev::Recovery(Recovery::ApCrash(ap)));
             }
             FaultEdge::Reboot(ap) => {
-                sim.schedule_at(t, Ev::ApReboot(ap));
+                sim.schedule_at(t, Ev::Recovery(Recovery::ApReboot(ap)));
             }
             FaultEdge::ControllerCrash => {
-                sim.schedule_at(t, Ev::ControllerCrash);
+                sim.schedule_at(t, Ev::Recovery(Recovery::ControllerCrash));
             }
             FaultEdge::ControllerRecover => {
-                sim.schedule_at(t, Ev::ControllerRecover);
+                sim.schedule_at(t, Ev::Recovery(Recovery::ControllerRecover));
             }
             FaultEdge::ZombieWake => {
-                sim.schedule_at(t, Ev::ZombieWake);
+                sim.schedule_at(t, Ev::Recovery(Recovery::ZombieWake));
             }
         }
     }
@@ -522,186 +415,70 @@ pub fn prime_events(sim: &mut wgtt_sim::Simulator<WgttWorld>) {
     // unarmed run schedules no journal or detector events at all, keeping
     // it bit-identical to the single-controller engine.
     if mode == Mode::Wgtt && !sim.world().faults.controller_failovers.is_empty() {
-        sim.schedule_at(SimTime::from_millis(10), Ev::JournalShip);
-        sim.schedule_at(SimTime::from_millis(5), Ev::StandbyCheck);
+        sim.schedule_at(
+            SimTime::from_millis(10),
+            Ev::Recovery(Recovery::JournalShip),
+        );
+        sim.schedule_at(
+            SimTime::from_millis(5),
+            Ev::Recovery(Recovery::StandbyCheck),
+        );
     }
     for f in 0..n_flows {
         match &sim.world().flows[f].kind {
             FlowKind::DownUdp(src) => {
                 let at = src.next_emit_time().unwrap_or(SimTime::from_millis(1));
-                sim.schedule_at(at, Ev::UdpDownTick(f));
+                sim.schedule_at(at, Ev::Data(Data::UdpDownTick(f)));
             }
             FlowKind::UpUdp(src) => {
                 let at = src.next_emit_time().unwrap_or(SimTime::from_millis(1));
-                sim.schedule_at(at, Ev::UplinkAppTick(f));
+                sim.schedule_at(at, Ev::Data(Data::UplinkAppTick(f)));
             }
             FlowKind::DownTcp(_) => {
-                sim.schedule_at(SimTime::from_millis(1), Ev::TcpPump(f));
+                sim.schedule_at(SimTime::from_millis(1), Ev::Data(Data::TcpPump(f)));
             }
         }
     }
 }
-impl WgttWorld {
-    /// The client an event targets, if it names exactly one — the hook for
-    /// the departed-client guard in [`World::handle`]. Events without a
-    /// single client target (contention rounds, ticks that loop over all
-    /// clients, fault edges, controller lifecycle) return `None` and guard
-    /// per-client inside their handlers where needed.
-    fn ev_client(&self, ev: &Ev) -> Option<usize> {
-        match ev {
-            Ev::UdpDownTick(f) | Ev::UplinkAppTick(f) | Ev::TcpPump(f) | Ev::TcpRtoCheck(f) => {
-                Some(self.flows[*f].client)
-            }
-            Ev::PacketAtController(p) | Ev::PacketAtServer(p) => Some(p.client.0 as usize),
-            Ev::PacketAtAp { packet, .. } | Ev::UplinkCopyAtController { packet, .. } => {
-                Some(packet.client.0 as usize)
-            }
-            Ev::StopAtAp { client, .. }
-            | Ev::StopDone { client, .. }
-            | Ev::StartAtAp { client, .. }
-            | Ev::StartDone { client, .. }
-            | Ev::AckAtController { client, .. }
-            | Ev::CsiAtController { client, .. }
-            | Ev::BaForwardAtAp { client, .. }
-            | Ev::SwitchTimeout { client }
-            | Ev::RoamCheck { client }
-            | Ev::RoamReqArrive { client, .. }
-            | Ev::RoamRespArrive { client, .. }
-            | Ev::ProbeTick { client }
-            | Ev::ReorderFlush { client }
-            | Ev::RoamComplete { client, .. }
-            | Ev::ReattachTimeout { client }
-            | Ev::MigrantFlush { client }
-            | Ev::ReAdoptTimeout { client, .. } => Some(*client),
-            _ => None,
-        }
-    }
-}
-
 impl World for WgttWorld {
     type Event = Ev;
 
     fn handle(&mut self, event: Ev, ctx: &mut Ctx<'_, Ev>) {
         // Departed-client guard: a client retired to another shard can
         // still be named by events that were already in flight when the
-        // barrier retired it. Data-bearing events are captured into the
-        // seam outbox so the next barrier can forward the datagram to the
-        // client's destination shard; control/timer stragglers (CSI
-        // reports, probe ticks, switch legs, …) are pure bookkeeping and
-        // are dropped where they stand. Either way no handler ever touches
-        // a retired client's wiped state. In unsharded runs `departed` is
-        // all-false and this never fires.
-        if let Some(c) = self.ev_client(&event) {
+        // barrier retired it. No handler ever touches a retired client's
+        // wiped state; what becomes of the event is the seam's business.
+        // In unsharded runs `departed` is all-false and this never fires.
+        if let Some(c) = event.client(&self.flows) {
             if self.departed[c] {
-                match event {
-                    // A downlink datagram between server, controller, and
-                    // AP: not yet on the air, so not yet "sent on the old
-                    // link" — it belongs to the destination.
-                    Ev::PacketAtController(p) => self.capture_seam(c, SeamPayload::Downlink(p)),
-                    Ev::PacketAtAp { packet, .. } => {
-                        self.capture_seam(c, SeamPayload::Downlink(packet))
-                    }
-                    // An AP→controller uplink copy: must cross the seam so
-                    // the destination's dedup filter arbitrates delivery.
-                    Ev::UplinkCopyAtController { packet, .. } => {
-                        self.capture_seam(c, SeamPayload::UplinkCopy(packet))
-                    }
-                    // Already deduplicated, caught on the server hop.
-                    Ev::PacketAtServer(p) => self.capture_seam(c, SeamPayload::ServerBound(p)),
-                    _ => self.sys.departed_ctrl_drops += 1,
-                }
-                return;
+                return self.capture_departed(c, event);
             }
         }
         match event {
-            Ev::UdpDownTick(f) => self.on_udp_down_tick(ctx, f),
-            Ev::UplinkAppTick(f) => self.on_uplink_app_tick(ctx, f),
-            Ev::TcpPump(f) => self.pump_tcp(ctx, f),
-            Ev::TcpRtoCheck(f) => self.on_tcp_rto_check(ctx, f),
-            Ev::PacketAtController(p) => self.on_packet_at_controller(ctx, p),
-            Ev::PacketAtAp { ap, packet } => self.on_packet_at_ap(ctx, ap, packet),
-            Ev::UplinkCopyAtController { from_ap, packet } => {
-                self.on_uplink_copy(ctx, from_ap, packet)
-            }
-            Ev::PacketAtServer(p) => self.on_packet_at_server(ctx, p),
-            Ev::StopAtAp {
-                ap,
-                client,
-                to_ap,
-                epoch,
-                term,
-            } => self.on_stop_at_ap(ctx, ap, client, to_ap, epoch, term),
-            Ev::StopDone {
-                ap,
-                client,
-                to_ap,
-                epoch,
-                term,
-            } => self.on_stop_done(ctx, ap, client, to_ap, epoch, term),
-            Ev::StartAtAp {
-                ap,
-                client,
-                k,
-                epoch,
-                term,
-            } => self.on_start_at_ap(ctx, ap, client, k, epoch, term),
-            Ev::StartDone {
-                ap,
-                client,
-                k,
-                epoch,
-                term,
-            } => self.on_start_done(ctx, ap, client, k, epoch, term),
-            Ev::AckAtController {
-                client,
-                from_ap,
-                epoch,
-                term: _,
-            } => self.on_ack_at_controller(ctx, client, from_ap, epoch),
-            Ev::CsiAtController {
-                ap,
-                client,
-                esnr_db,
-            } => self.on_csi_at_controller(ap, client, esnr_db, ctx.now()),
-            Ev::BaForwardAtAp { ap, client, ba } => self.on_ba_forward_at_ap(ap, client, ba),
-            Ev::ContentionRound => self.on_contention_round(ctx),
-            Ev::TxDone(id) => self.on_tx_done(ctx, id),
-            Ev::SwitchTimeout { client } => self.on_switch_timeout(ctx, client),
-            Ev::SelectionTick => self.on_selection_tick(ctx),
-            Ev::AccuracyTick => self.on_accuracy_tick(ctx),
-            Ev::BeaconTick => self.on_beacon_tick(ctx),
-            Ev::RoamCheck { client } => self.on_roam_check(ctx, client),
-            Ev::RoamReqArrive {
-                client,
-                target,
-                retries,
-            } => self.on_roam_req(ctx, client, target, retries),
-            Ev::RoamRespArrive {
-                client,
-                target,
-                retries,
-            } => self.on_roam_resp(ctx, client, target, retries),
-            Ev::ProbeTick { client } => self.on_probe_tick(ctx, client),
-            Ev::ReorderFlush { client } => self.on_reorder_flush(ctx, client),
-            Ev::RoamComplete { client, target } => self.on_roam_complete(ctx, client, target),
-            Ev::ApCrash(ap) => self.on_ap_crash(ctx, ap),
-            Ev::ApReboot(ap) => self.on_ap_reboot(ctx, ap),
-            Ev::ReattachTimeout { client } => self.on_reattach_timeout(ctx, client),
-            Ev::ControllerCrash => self.on_controller_crash(ctx),
-            Ev::ControllerRecover => self.on_controller_recover(ctx),
-            Ev::MigrantFlush { client } => self.on_migrant_flush(ctx, client),
-            Ev::ResyncAtAp { ap, term } => self.on_resync_at_ap(ctx, ap, term),
-            Ev::ResyncReplyAtController { reply } => self.on_resync_reply_at_controller(ctx, reply),
-            Ev::ResyncDeadline { seq } => self.on_resync_deadline(ctx, seq),
-            Ev::ReAdoptTimeout { ap, client, epoch } => {
-                self.on_readopt_timeout(ctx, ap, client, epoch)
-            }
-            Ev::JournalShip => self.on_journal_ship(ctx),
-            Ev::JournalAtStandby { batch } => self.on_journal_at_standby(ctx, batch),
-            Ev::StandbyCheck => self.on_standby_check(ctx),
-            Ev::TermAnnounceAtAp { ap, term } => self.on_term_announce_at_ap(ctx, ap, term),
-            Ev::ZombieWake => self.on_zombie_wake(ctx),
-            Ev::ZombieDeadline => self.on_zombie_deadline(ctx),
+            Ev::Air(e) => self.handle_air(e, ctx),
+            Ev::Data(e) => self.handle_data(e, ctx),
+            Ev::Ctl(e) => self.handle_ctl(e, ctx),
+            Ev::Recovery(e) => self.handle_recovery(e, ctx),
+            Ev::Seam(e) => self.handle_seam(e, ctx),
+            Ev::Probe(e) => self.handle_probe(e, ctx),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every queue slot holds an `Ev`. The largest variant is
+    /// `Data::PacketAtAp` — 8 bytes of AP index, a 120-byte `Packet` and a
+    /// tag — and nesting the enum must not add a second tag word on top.
+    #[test]
+    fn nested_ev_is_no_larger_than_the_flat_one() {
+        assert!(
+            std::mem::size_of::<Ev>() <= 136,
+            "{}",
+            std::mem::size_of::<Ev>()
+        );
+        assert!(std::mem::size_of::<Data>() <= 136);
     }
 }

@@ -4,6 +4,74 @@
 
 use super::*;
 
+/// Fault edges and the recovery protocols they set off.
+#[derive(Clone)]
+pub enum Recovery {
+    /// Fault injection: an AP crashes (state wiped, radio dark).
+    ApCrash(usize),
+    /// Fault injection: a crashed AP comes back with blank state.
+    ApReboot(usize),
+    /// Fault injection: the controller process crashes (soft state wiped;
+    /// nothing sent, everything inbound dropped, no timers fire).
+    ControllerCrash,
+    /// Fault injection: the controller restarts blank and broadcasts
+    /// `Resync` to every reachable AP.
+    ControllerRecover,
+    /// Post-reboot `Resync` broadcast arrives at an AP, stamped with the
+    /// issuing controller's term (a zombie's stale term is fenced here).
+    ResyncAtAp { ap: usize, term: u32 },
+    /// An AP's resync reply arrives back at the controller.
+    ResyncReplyAtController { reply: ResyncReply },
+    /// Fallback: finalize resync session `seq` with whatever replies
+    /// arrived (an AP may have died between broadcast and reply).
+    ResyncDeadline { seq: u64 },
+    /// Local-autonomy guard: an AP that applied a `stop` while the
+    /// controller was down checks whether its client was left serverless
+    /// (the `start` never landed anywhere) and re-adopts it.
+    ReAdoptTimeout {
+        ap: usize,
+        client: usize,
+        epoch: u32,
+    },
+    /// Primary ships one journal batch to the standby (armed runs only).
+    JournalShip,
+    /// A journal batch arrives at the standby replica.
+    JournalAtStandby { batch: JournalBatch },
+    /// Standby failure-detector tick: promote on journal silence.
+    StandbyCheck,
+    /// Post-takeover term announcement arrives at an AP: raises its term
+    /// fence and flushes degraded-mode uplink toward the new controller.
+    TermAnnounceAtAp { ap: usize, term: u32 },
+    /// The crashed ex-primary process un-freezes and, unaware it was
+    /// superseded, tries to resume its reign with stale state.
+    ZombieWake,
+    /// The zombie's resync round got no takers (every AP fenced it): it
+    /// concludes it was superseded and stands down.
+    ZombieDeadline,
+}
+
+impl Recovery {
+    /// See [`Ev::client`]: exhaustive on purpose.
+    pub(super) fn client(&self) -> Option<usize> {
+        match self {
+            Recovery::ReAdoptTimeout { client, .. } => Some(*client),
+            Recovery::ApCrash(_)
+            | Recovery::ApReboot(_)
+            | Recovery::ControllerCrash
+            | Recovery::ControllerRecover
+            | Recovery::ResyncAtAp { .. }
+            | Recovery::ResyncReplyAtController { .. }
+            | Recovery::ResyncDeadline { .. }
+            | Recovery::JournalShip
+            | Recovery::JournalAtStandby { .. }
+            | Recovery::StandbyCheck
+            | Recovery::TermAnnounceAtAp { .. }
+            | Recovery::ZombieWake
+            | Recovery::ZombieDeadline => None,
+        }
+    }
+}
+
 /// Local-autonomy guard: how long an AP that applied a `stop` while the
 /// controller was down waits before re-adopting a client that no `start`
 /// ever claimed. Far above the one-way backhaul latency plus AP processing,
@@ -205,7 +273,7 @@ impl WgttWorld {
                 ctx,
                 CONTROL_PACKET_BYTES,
                 false,
-                Ev::ResyncAtAp { ap, term },
+                Ev::Recovery(Recovery::ResyncAtAp { ap, term }),
             );
         }
         self.resync = Some(ResyncSession {
@@ -218,7 +286,10 @@ impl WgttWorld {
         if live.is_empty() {
             self.finish_resync(ctx);
         } else {
-            ctx.schedule_in(RESYNC_DEADLINE, Ev::ResyncDeadline { seq });
+            ctx.schedule_in(
+                RESYNC_DEADLINE,
+                Ev::Recovery(Recovery::ResyncDeadline { seq }),
+            );
         }
     }
 
@@ -239,7 +310,12 @@ impl WgttWorld {
         let bytes =
             CONTROL_PACKET_BYTES + reply.clients.len() * 16 + reply.recent_uplink_keys.len() * 8;
         self.sys.control_packets += 1;
-        self.backhaul_send(ctx, bytes, false, Ev::ResyncReplyAtController { reply });
+        self.backhaul_send(
+            ctx,
+            bytes,
+            false,
+            Ev::Recovery(Recovery::ResyncReplyAtController { reply }),
+        );
         // Degraded-mode uplink held at this AP flows again; anything that
         // is a cross-restart duplicate will be caught by the re-primed
         // dedup table (copies are parked until resync finishes).
@@ -251,10 +327,10 @@ impl WgttWorld {
                 ctx,
                 wire,
                 false,
-                Ev::UplinkCopyAtController {
+                Ev::Data(Data::UplinkCopyAtController {
                     from_ap: ap,
                     packet,
-                },
+                }),
             );
         }
     }
@@ -361,17 +437,17 @@ impl WgttWorld {
             ctx,
             CONTROL_PACKET_BYTES,
             true,
-            Ev::StartAtAp {
+            Ev::Ctl(Ctl::StartAtAp {
                 ap: target,
                 client: c,
                 k,
                 epoch,
                 term,
-            },
+            }),
         );
         ctx.schedule_in(
             self.ctrl.engine.timeout(),
-            Ev::ReattachTimeout { client: c },
+            Ev::Ctl(Ctl::ReattachTimeout { client: c }),
         );
     }
 
@@ -384,7 +460,7 @@ impl WgttWorld {
     pub(super) fn on_journal_ship(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         if now < self.traffic_until + SimDuration::from_millis(500) {
-            ctx.schedule_in(JOURNAL_INTERVAL, Ev::JournalShip);
+            ctx.schedule_in(JOURNAL_INTERVAL, Ev::Recovery(Recovery::JournalShip));
         }
         if self.controller_down {
             return; // a dead primary ships nothing: this is the heartbeat gap
@@ -410,7 +486,7 @@ impl WgttWorld {
         // congested or throttled replication link.
         let lag = self.faults.journal_lag_at(now);
         if let Some(d) = self.backhaul.transit(bytes) {
-            ctx.schedule_in(d + lag, Ev::JournalAtStandby { batch });
+            ctx.schedule_in(d + lag, Ev::Recovery(Recovery::JournalAtStandby { batch }));
         }
     }
 
@@ -443,7 +519,7 @@ impl WgttWorld {
     pub(super) fn on_standby_check(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         if now < self.traffic_until + SimDuration::from_millis(500) {
-            ctx.schedule_in(STANDBY_CHECK_INTERVAL, Ev::StandbyCheck);
+            ctx.schedule_in(STANDBY_CHECK_INTERVAL, Ev::Recovery(Recovery::StandbyCheck));
         }
         let Some(crashed_at) = self.primary_crashed_at else {
             return;
@@ -485,7 +561,7 @@ impl WgttWorld {
                     ctx,
                     CONTROL_PACKET_BYTES,
                     false,
-                    Ev::TermAnnounceAtAp { ap, term: new_term },
+                    Ev::Recovery(Recovery::TermAnnounceAtAp { ap, term: new_term }),
                 );
             }
         }
@@ -524,10 +600,10 @@ impl WgttWorld {
                 ctx,
                 wire,
                 false,
-                Ev::UplinkCopyAtController {
+                Ev::Data(Data::UplinkCopyAtController {
                     from_ap: ap,
                     packet,
-                },
+                }),
             );
         }
     }
@@ -548,13 +624,13 @@ impl WgttWorld {
                 ctx,
                 CONTROL_PACKET_BYTES,
                 true,
-                Ev::StopAtAp {
+                Ev::Ctl(Ctl::StopAtAp {
                     ap: p.from.0 as usize,
                     client: client.0 as usize,
                     to_ap: p.to.0 as usize,
                     epoch: p.epoch,
                     term,
-                },
+                }),
             );
         }
         for ap in 0..self.aps.len() {
@@ -564,18 +640,43 @@ impl WgttWorld {
                     ctx,
                     CONTROL_PACKET_BYTES,
                     false,
-                    Ev::ResyncAtAp { ap, term },
+                    Ev::Recovery(Recovery::ResyncAtAp { ap, term }),
                 );
             }
         }
         // No fence ever answers: the zombie hears nothing by its resync
         // deadline and concludes it was superseded.
-        ctx.schedule_in(RESYNC_DEADLINE, Ev::ZombieDeadline);
+        ctx.schedule_in(RESYNC_DEADLINE, Ev::Recovery(Recovery::ZombieDeadline));
     }
 
     /// The zombie's resync deadline passes with zero replies (every AP
     /// fenced it): it stands down for good.
     pub(super) fn on_zombie_deadline(&mut self, _ctx: &mut Ctx<'_, Ev>) {
         self.sys.zombie_standdowns += 1;
+    }
+}
+
+impl WgttWorld {
+    pub(super) fn handle_recovery(&mut self, ev: Recovery, ctx: &mut Ctx<'_, Ev>) {
+        match ev {
+            Recovery::ApCrash(ap) => self.on_ap_crash(ctx, ap),
+            Recovery::ApReboot(ap) => self.on_ap_reboot(ctx, ap),
+            Recovery::ControllerCrash => self.on_controller_crash(ctx),
+            Recovery::ControllerRecover => self.on_controller_recover(ctx),
+            Recovery::ResyncAtAp { ap, term } => self.on_resync_at_ap(ctx, ap, term),
+            Recovery::ResyncReplyAtController { reply } => {
+                self.on_resync_reply_at_controller(ctx, reply)
+            }
+            Recovery::ResyncDeadline { seq } => self.on_resync_deadline(ctx, seq),
+            Recovery::ReAdoptTimeout { ap, client, epoch } => {
+                self.on_readopt_timeout(ctx, ap, client, epoch)
+            }
+            Recovery::JournalShip => self.on_journal_ship(ctx),
+            Recovery::JournalAtStandby { batch } => self.on_journal_at_standby(ctx, batch),
+            Recovery::StandbyCheck => self.on_standby_check(ctx),
+            Recovery::TermAnnounceAtAp { ap, term } => self.on_term_announce_at_ap(ctx, ap, term),
+            Recovery::ZombieWake => self.on_zombie_wake(ctx),
+            Recovery::ZombieDeadline => self.on_zombie_deadline(ctx),
+        }
     }
 }

@@ -4,6 +4,25 @@
 
 use super::*;
 
+/// Seam events.
+#[derive(Clone)]
+pub enum Seam {
+    /// Re-inject seam datagrams deposited after a migrant's first
+    /// association (outbox forwards from a later lockstep barrier). The
+    /// sharding layer schedules this at the barrier instant; worlds never
+    /// emit it themselves.
+    MigrantFlush { client: usize },
+}
+
+impl Seam {
+    /// See [`Ev::client`]: exhaustive on purpose.
+    pub(super) fn client(&self) -> Option<usize> {
+        match self {
+            Seam::MigrantFlush { client } => Some(*client),
+        }
+    }
+}
+
 /// One CBR UDP flow carried across a shard boundary with its client.
 /// TCP flows do not migrate (v1 limitation: a mid-stream TCP sender's
 /// scoreboard is not transplantable; sharded scenarios use UDP traffic).
@@ -555,7 +574,7 @@ impl WgttWorld {
 /// they are the migrant-side analogue of [`prime_events`].
 pub fn prime_migrant_events(sim: &mut wgtt_sim::Simulator<WgttWorld>, client: usize) {
     let now = sim.now();
-    sim.schedule_at(now, Ev::ProbeTick { client });
+    sim.schedule_at(now, Ev::Probe(Probe::ProbeTick { client }));
     let flow_ticks: Vec<(SimTime, Ev)> = sim
         .world()
         .flows
@@ -563,12 +582,53 @@ pub fn prime_migrant_events(sim: &mut wgtt_sim::Simulator<WgttWorld>, client: us
         .enumerate()
         .filter(|(_, f)| f.client == client)
         .map(|(fidx, f)| match &f.kind {
-            FlowKind::DownUdp(src) => (src.next_emit_time().unwrap_or(now), Ev::UdpDownTick(fidx)),
-            FlowKind::UpUdp(src) => (src.next_emit_time().unwrap_or(now), Ev::UplinkAppTick(fidx)),
+            FlowKind::DownUdp(src) => (
+                src.next_emit_time().unwrap_or(now),
+                Ev::Data(Data::UdpDownTick(fidx)),
+            ),
+            FlowKind::UpUdp(src) => (
+                src.next_emit_time().unwrap_or(now),
+                Ev::Data(Data::UplinkAppTick(fidx)),
+            ),
             FlowKind::DownTcp(_) => unreachable!("TCP flows do not migrate"),
         })
         .collect();
     for (at, ev) in flow_ticks {
         sim.schedule_at(at.max(now), ev);
+    }
+}
+
+impl WgttWorld {
+    pub(super) fn handle_seam(&mut self, ev: Seam, ctx: &mut Ctx<'_, Ev>) {
+        match ev {
+            Seam::MigrantFlush { client } => self.on_migrant_flush(ctx, client),
+        }
+    }
+
+    /// What becomes of an event that names departed client `c`.
+    /// Data-bearing events are captured into the seam outbox so the next
+    /// barrier can forward the datagram to the client's destination shard;
+    /// control/timer stragglers (CSI reports, probe ticks, switch legs, …)
+    /// are pure bookkeeping and are dropped where they stand.
+    pub(super) fn capture_departed(&mut self, c: usize, event: Ev) {
+        let payload = match event {
+            // A downlink datagram between server, controller, and AP: not
+            // yet on the air, so not yet "sent on the old link" — it
+            // belongs to the destination.
+            Ev::Data(Data::PacketAtController(p)) => SeamPayload::Downlink(p),
+            Ev::Data(Data::PacketAtAp { packet, .. }) => SeamPayload::Downlink(packet),
+            // An AP→controller uplink copy: must cross the seam so the
+            // destination's dedup filter arbitrates delivery.
+            Ev::Data(Data::UplinkCopyAtController { packet, .. }) => {
+                SeamPayload::UplinkCopy(packet)
+            }
+            // Already deduplicated, caught on the server hop.
+            Ev::Data(Data::PacketAtServer(p)) => SeamPayload::ServerBound(p),
+            _ => {
+                self.sys.departed_ctrl_drops += 1;
+                return;
+            }
+        };
+        self.capture_seam(c, payload);
     }
 }
