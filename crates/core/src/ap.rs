@@ -89,7 +89,33 @@ pub struct ApClientState {
     pub guard: ApSwitchGuard,
 }
 
+/// The downlink role an AP plays for one client — the only combinations
+/// of [`ApClientState::serving`], `draining` and `drain_cyclic` that mean
+/// something.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Neither transmitting nor draining.
+    Idle,
+    /// The one AP transmitting to the client.
+    Serving,
+    /// Lost the serving role; drains the NIC queue, and the cyclic queue
+    /// too when `cyclic` (baseline old AP, no-flush ablation).
+    Draining {
+        /// Also pull from the cyclic queue.
+        cyclic: bool,
+    },
+}
+
 impl ApClientState {
+    /// Sets the three role flags together.
+    pub fn set_role(&mut self, role: Role) {
+        (self.serving, self.draining, self.drain_cyclic) = match role {
+            Role::Idle => (false, false, false),
+            Role::Serving => (true, false, false),
+            Role::Draining { cyclic } => (false, true, cyclic),
+        };
+    }
+
     /// Fresh state for a newly known client.
     pub fn new(gi: GuardInterval) -> Self {
         ApClientState {

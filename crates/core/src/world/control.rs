@@ -1,50 +1,40 @@
 //! The control plane: the selection tick, the `stop`/`start`/`ack` legs
-//! of a switch, and the health layer's emergency re-attach.
+//! of a switch, and the health layer's emergency re-attach. Also the two
+//! admission points every control frame passes — [`WgttWorld::ap_admits`]
+//! at an AP, [`WgttWorld::controller_admits`] at the controller — and
+//! [`WgttWorld::send_control`], the one sender.
 
 use super::*;
+use crate::ap::Role;
+use crate::switching::{StartVerdict, StopVerdict, SwitchEngine};
+
+/// What every leg of a switch carries: the AP handling it, the client,
+/// the switch generation, and the controller reign that issued it.
+#[derive(Debug, Clone, Copy)]
+pub struct Leg {
+    /// The AP this leg is addressed to (for an `ack`: the AP it is from).
+    pub ap: usize,
+    /// The client being switched.
+    pub client: usize,
+    /// Per-client switch generation.
+    pub epoch: u32,
+    /// Controller term the generation was issued under.
+    pub term: u32,
+}
 
 /// Control-plane events.
 #[derive(Clone)]
 pub enum Ctl {
     /// `stop(c)` control packet arrives at the old AP.
-    StopAtAp {
-        ap: usize,
-        client: usize,
-        to_ap: usize,
-        epoch: u32,
-        term: u32,
-    },
+    StopAtAp { leg: Leg, to_ap: usize },
     /// Old AP finished processing the stop (kernel query done).
-    StopDone {
-        ap: usize,
-        client: usize,
-        to_ap: usize,
-        epoch: u32,
-        term: u32,
-    },
+    StopDone { leg: Leg, to_ap: usize },
     /// `start(c, k)` arrives at the new AP.
-    StartAtAp {
-        ap: usize,
-        client: usize,
-        k: u16,
-        epoch: u32,
-        term: u32,
-    },
+    StartAtAp { leg: Leg, k: u16 },
     /// New AP finished processing the start.
-    StartDone {
-        ap: usize,
-        client: usize,
-        k: u16,
-        epoch: u32,
-        term: u32,
-    },
+    StartDone { leg: Leg, k: u16 },
     /// `ack` arrives back at the controller.
-    AckAtController {
-        client: usize,
-        from_ap: usize,
-        epoch: u32,
-        term: u32,
-    },
+    AckAtController(Leg),
     /// CSI report arrives at the controller.
     CsiAtController {
         ap: usize,
@@ -63,12 +53,12 @@ impl Ctl {
     /// See [`Ev::client`]: exhaustive on purpose.
     pub(super) fn client(&self) -> Option<usize> {
         match self {
-            Ctl::StopAtAp { client, .. }
-            | Ctl::StopDone { client, .. }
-            | Ctl::StartAtAp { client, .. }
-            | Ctl::StartDone { client, .. }
-            | Ctl::AckAtController { client, .. }
-            | Ctl::CsiAtController { client, .. }
+            Ctl::StopAtAp { leg, .. }
+            | Ctl::StopDone { leg, .. }
+            | Ctl::StartAtAp { leg, .. }
+            | Ctl::StartDone { leg, .. }
+            | Ctl::AckAtController(leg) => Some(leg.client),
+            Ctl::CsiAtController { client, .. }
             | Ctl::SwitchTimeout { client }
             | Ctl::ReattachTimeout { client } => Some(*client),
             Ctl::SelectionTick => None,
@@ -77,9 +67,123 @@ impl Ctl {
 }
 
 impl WgttWorld {
+    pub(super) fn handle_ctl(&mut self, ev: Ctl, ctx: &mut Ctx<'_, Ev>) {
+        match ev {
+            Ctl::StopAtAp { leg, to_ap } => self.on_stop_at_ap(ctx, leg, to_ap),
+            Ctl::StopDone { leg, to_ap } => self.on_stop_done(ctx, leg, to_ap),
+            Ctl::StartAtAp { leg, k } => self.on_start_at_ap(ctx, leg, k),
+            Ctl::StartDone { leg, k } => self.on_start_done(ctx, leg, k),
+            Ctl::AckAtController(leg) => self.on_ack_at_controller(ctx, leg),
+            Ctl::CsiAtController {
+                ap,
+                client,
+                esnr_db,
+            } => self.on_csi_at_controller(ap, client, esnr_db, ctx.now()),
+            Ctl::SwitchTimeout { client } => self.on_switch_timeout(ctx, client),
+            Ctl::SelectionTick => self.on_selection_tick(ctx),
+            Ctl::ReattachTimeout { client } => self.on_reattach_timeout(ctx, client),
+        }
+    }
+
+    // ---------- admission and sending ----------
+
+    /// The one door a controller→AP control frame comes through:
+    /// reachability first (a frame that never arrives is neither counted
+    /// nor allowed to raise the fence), then the term fence — a frame from
+    /// a superseded controller reign is dropped, and counted, before it can
+    /// touch any state.
+    pub(super) fn ap_admits(&mut self, ap: usize, term: u32, now: SimTime) -> bool {
+        if !self.ap_reachable(ap, now) {
+            return false;
+        }
+        let stale = self.aps[ap].term_guard.on_frame(term) == TermVerdict::Stale;
+        if stale {
+            self.sys.stale_term_dropped += 1;
+        }
+        !stale
+    }
+
+    /// The one door a frame addressed to the controller comes through: a
+    /// crashed controller hears nothing, and everything it misses is
+    /// counted.
+    pub(super) fn controller_admits(&mut self) -> bool {
+        if self.controller_down {
+            self.sys.controller_rx_dropped += 1;
+        }
+        !self.controller_down
+    }
+
+    /// Sends one control frame over the backhaul — the only place
+    /// `control_packets` is counted and a control frame's wire size chosen.
+    /// `lossy` is the datagram fast path (`stop`/`start`/`ack`); the
+    /// management channel (resync, term announcements) is reliable.
+    pub(super) fn send_control(&mut self, ctx: &mut Ctx<'_, Ev>, lossy: bool, ev: Ev) {
+        let bytes = match &ev {
+            // A resync reply scales with what it carries: per-client
+            // protocol state plus the recent-uplink-key ring.
+            Ev::Recovery(Recovery::ResyncReplyAtController { reply }) => {
+                CONTROL_PACKET_BYTES + reply.clients.len() * 16 + reply.recent_uplink_keys.len() * 8
+            }
+            _ => CONTROL_PACKET_BYTES,
+        };
+        self.sys.control_packets += 1;
+        self.backhaul_send(ctx, bytes, lossy, ev);
+    }
+
+    /// A fast-path control frame originated by AP `from` (the AP→AP
+    /// `start`, the `ack`): nothing leaves a partitioned AP.
+    fn ap_send_control(&mut self, ctx: &mut Ctx<'_, Ev>, from: usize, ev: Ev) {
+        if !self.faults.partitioned(from, ctx.now()) {
+            self.send_control(ctx, true, ev);
+        }
+    }
+
+    /// Control packets are prioritized past data queues; without priority
+    /// they wait behind the backlog.
+    fn ap_processing(&self, sampled: SimDuration) -> SimDuration {
+        if self.cfg.control_priority {
+            sampled
+        } else {
+            sampled + self.cfg.no_priority_penalty
+        }
+    }
+
+    /// Whether the controller-side periodic ticks (selection, journal,
+    /// standby detector) re-arm: until half a second past the end of
+    /// traffic.
+    pub(super) fn ticking(&self, now: SimTime) -> bool {
+        now < self.traffic_until + SimDuration::from_millis(500)
+    }
+
+    // ---------- who serves whom ----------
+
     /// Serving AP according to the control plane.
     pub(super) fn serving_of(&self, c: usize) -> Option<usize> {
         self.clients[c].serving.map(|a| a.0 as usize)
+    }
+
+    /// Records which AP (if any) serves client `c` from now on: on the
+    /// client, and in its association timeline.
+    pub(super) fn set_serving(&mut self, c: usize, ap: Option<ApId>, now: SimTime) {
+        self.clients[c].serving = ap;
+        self.clients[c].metrics.record_assoc(now, ap);
+    }
+
+    /// Client `c` is served again, by `ap`: the association is recorded and
+    /// a failover blackout, if one was running, ends here.
+    pub(super) fn served_by(&mut self, c: usize, ap: ApId, now: SimTime) {
+        self.set_serving(c, Some(ap), now);
+        self.resolve_failover(c, now);
+    }
+
+    /// Closes the failover-latency book for a client that just re-attached.
+    pub(super) fn resolve_failover(&mut self, c: usize, now: SimTime) {
+        if let Some(crash_at) = self.pending_failover[c].take() {
+            let latency = now.saturating_since(crash_at);
+            let m = &mut self.clients[c].metrics;
+            m.failovers.push((now, latency));
+            m.blackout_total += latency;
+        }
     }
 
     // ---------- switching protocol ----------
@@ -102,68 +206,43 @@ impl WgttWorld {
             return;
         };
         self.ctrl.selector_mut(client).record_switch(now);
-        self.sys.control_packets += 1;
-        self.backhaul_send(
-            ctx,
-            CONTROL_PACKET_BYTES,
-            true,
-            Ev::Ctl(Ctl::StopAtAp {
-                ap: from,
-                client: c,
-                to_ap: to,
-                epoch,
-                term,
-            }),
-        );
+        self.send_stop(ctx, from, c, to, epoch, term);
         let timeout = self.ctrl.engine.timeout();
         ctx.schedule_in(timeout, Ev::Ctl(Ctl::SwitchTimeout { client: c }));
     }
 
-    pub(super) fn on_stop_at_ap(
+    /// Puts one `stop(c)` for `from`, naming successor `to`, on the lossy
+    /// fast path — first transmissions, retransmissions and the zombie's
+    /// stale replays alike.
+    pub(super) fn send_stop(
         &mut self,
         ctx: &mut Ctx<'_, Ev>,
-        ap: usize,
+        from: usize,
         c: usize,
-        to_ap: usize,
+        to: usize,
         epoch: u32,
         term: u32,
     ) {
-        if !self.ap_reachable(ap, ctx.now()) {
-            return; // lost; the controller's switch timeout drives retries
-        }
-        // Term fence at frame arrival: a frame from a superseded
-        // controller reign is dropped before it can touch any state.
-        if let TermVerdict::Stale = self.aps[ap].term_guard.on_frame(term) {
-            self.sys.stale_term_dropped += 1;
-            return;
-        }
-        // Control packets are prioritized past data queues; without
-        // priority they wait behind the backlog.
-        let mut delay = self.cfg.switch_timings.sample_stop(&mut self.rng);
-        if !self.cfg.control_priority {
-            delay += self.cfg.no_priority_penalty;
-        }
-        ctx.schedule_in(
-            delay,
-            Ev::Ctl(Ctl::StopDone {
-                ap,
-                client: c,
-                to_ap,
-                epoch,
-                term,
-            }),
-        );
+        let leg = Leg {
+            ap: from,
+            client: c,
+            epoch,
+            term,
+        };
+        self.send_control(ctx, true, Ev::Ctl(Ctl::StopAtAp { leg, to_ap: to }));
     }
 
-    pub(super) fn on_stop_done(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        ap: usize,
-        c: usize,
-        to_ap: usize,
-        epoch: u32,
-        term: u32,
-    ) {
+    fn on_stop_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, leg: Leg, to_ap: usize) {
+        if !self.ap_admits(leg.ap, leg.term, ctx.now()) {
+            return; // lost or fenced; the controller's switch timeout drives retries
+        }
+        let delay = self.cfg.switch_timings.sample_stop(&mut self.rng);
+        let done = Ctl::StopDone { leg, to_ap };
+        ctx.schedule_in(self.ap_processing(delay), Ev::Ctl(done));
+    }
+
+    fn on_stop_done(&mut self, ctx: &mut Ctx<'_, Ev>, leg: Leg, to_ap: usize) {
+        let Leg { ap, client: c, .. } = leg;
         if self.ap_down[ap] {
             // Crashed while processing the stop: the frame's target state
             // died under it. Counted — a burst here during a fault window
@@ -171,19 +250,19 @@ impl WgttWorld {
             self.sys.orphaned_control_dropped += 1;
             return;
         }
-        let gi = self.cfg.gi;
         let flush = self.cfg.flush_on_switch;
-        let st = self.aps[ap].client_mut(ClientId(c as u32), gi);
+        let st = self.aps[ap].client_mut(ClientId(c as u32), self.cfg.gi);
         // The epoch guard is consulted at the apply point: a `stop` from a
         // superseded switch generation (delayed, duplicated, or reordered
         // on the backhaul) must not demote the AP again.
-        if let crate::switching::StopVerdict::Stale = st.guard.on_stop(epoch) {
+        if let StopVerdict::Stale = st.guard.on_stop(leg.epoch) {
             self.sys.stale_control_dropped += 1;
             return;
         }
-        let was_serving = st.serving;
-        st.serving = false;
-        st.draining = true;
+        // The scoreboard stays intact: the NIC-queue drain (≈6 ms of
+        // frames, sent over the old link per §3.1.2) still needs Block ACK
+        // tracking and link-layer retries.
+        st.set_role(Role::Draining { cyclic: !flush });
         let k = if flush {
             st.first_unsent_index()
         } else {
@@ -191,150 +270,71 @@ impl WgttWorld {
             // stream head (newest); the old AP drains its whole backlog.
             st.cyclic.tail()
         };
-        st.drain_cyclic = !flush;
-        // The scoreboard stays intact: the NIC-queue drain (≈6 ms of
-        // frames, sent over the old link per §3.1.2) still needs Block ACK
-        // tracking and link-layer retries.
-        let _ = was_serving;
-        if !self.faults.partitioned(ap, ctx.now()) {
-            self.sys.control_packets += 1;
-            self.backhaul_send(
-                ctx,
-                CONTROL_PACKET_BYTES,
-                true,
-                Ev::Ctl(Ctl::StartAtAp {
-                    ap: to_ap,
-                    client: c,
-                    k,
-                    epoch,
-                    term,
-                }),
-            );
-        }
+        let start = Ctl::StartAtAp {
+            leg: Leg { ap: to_ap, ..leg },
+            k,
+        };
+        self.ap_send_control(ctx, ap, Ev::Ctl(start));
         if self.controller_down {
             // No controller means no `stop` retransmissions and no switch
             // timeout: if the AP→AP `start` above is lost on the wire the
             // client is orphaned with nobody to notice. Arm the local
             // re-adoption guard so this AP takes the client back itself.
-            ctx.schedule_in(
-                READOPT_GUARD,
-                Ev::Recovery(Recovery::ReAdoptTimeout {
-                    ap,
-                    client: c,
-                    epoch,
-                }),
-            );
+            let epoch = leg.epoch;
+            let readopt = Recovery::ReAdoptTimeout {
+                ap,
+                client: c,
+                epoch,
+            };
+            ctx.schedule_in(READOPT_GUARD, Ev::Recovery(readopt));
         }
         self.ensure_round(ctx);
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_start_at_ap(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        ap: usize,
-        c: usize,
-        k: u16,
-        epoch: u32,
-        term: u32,
-    ) {
-        if !self.ap_reachable(ap, ctx.now()) {
+    fn on_start_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, leg: Leg, k: u16) {
+        if !self.ap_admits(leg.ap, leg.term, ctx.now()) {
             return;
         }
-        if let TermVerdict::Stale = self.aps[ap].term_guard.on_frame(term) {
-            self.sys.stale_term_dropped += 1;
-            return;
-        }
-        let mut delay = self.cfg.switch_timings.sample_start(&mut self.rng);
-        if !self.cfg.control_priority {
-            delay += self.cfg.no_priority_penalty;
-        }
-        ctx.schedule_in(
-            delay,
-            Ev::Ctl(Ctl::StartDone {
-                ap,
-                client: c,
-                k,
-                epoch,
-                term,
-            }),
-        );
+        let delay = self.cfg.switch_timings.sample_start(&mut self.rng);
+        let done = Ctl::StartDone { leg, k };
+        ctx.schedule_in(self.ap_processing(delay), Ev::Ctl(done));
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_start_done(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        ap: usize,
-        c: usize,
-        k: u16,
-        epoch: u32,
-        term: u32,
-    ) {
+    fn on_start_done(&mut self, ctx: &mut Ctx<'_, Ev>, leg: Leg, k: u16) {
+        let Leg { ap, client: c, .. } = leg;
         if self.ap_down[ap] {
             // Crashed while processing the start — see `on_stop_done`.
             self.sys.orphaned_control_dropped += 1;
             return;
         }
-        let gi = self.cfg.gi;
-        let st = self.aps[ap].client_mut(ClientId(c as u32), gi);
-        match st.guard.on_start(epoch) {
-            crate::switching::StartVerdict::Stale => {
+        let st = self.aps[ap].client_mut(ClientId(c as u32), self.cfg.gi);
+        match st.guard.on_start(leg.epoch) {
+            StartVerdict::Stale => {
                 // A superseded generation's `start` must not resurrect the
                 // serving role or rewind the cyclic queue head.
                 self.sys.stale_control_dropped += 1;
                 return;
             }
-            crate::switching::StartVerdict::DupReAck => {
+            StartVerdict::DupReAck => {
                 // Same generation already applied (retransmitted or
                 // duplicated `start`): re-send the ack so the controller
                 // can close, but touch no queue or scoreboard state.
                 self.sys.dup_control_dropped += 1;
-                if !self.faults.partitioned(ap, ctx.now()) {
-                    self.sys.control_packets += 1;
-                    self.backhaul_send(
-                        ctx,
-                        CONTROL_PACKET_BYTES,
-                        true,
-                        Ev::Ctl(Ctl::AckAtController {
-                            client: c,
-                            from_ap: ap,
-                            epoch,
-                            term,
-                        }),
-                    );
-                }
+                self.ap_send_control(ctx, ap, Ev::Ctl(Ctl::AckAtController(leg)));
                 return;
             }
-            crate::switching::StartVerdict::Apply => {}
+            StartVerdict::Apply => {}
         }
-        let st = self.aps[ap].client_mut(ClientId(c as u32), gi);
         let before = st.cyclic.backlog();
         st.cyclic.start_from(k);
-        let after = st.cyclic.backlog();
-        self.sys.flushed_packets += (before - after) as u64;
-        st.serving = true;
-        st.draining = false;
-        st.drain_cyclic = false;
+        self.sys.flushed_packets += (before - st.cyclic.backlog()) as u64;
+        st.set_role(Role::Serving);
         // Fresh serving epoch: anything left over from a previous stint is
         // stale (the old AP covered it or the controller re-sent it).
         st.nic_queue.clear();
         st.scoreboard.flush();
         st.assoc.install_shared_association(ctx.now());
-        if !self.faults.partitioned(ap, ctx.now()) {
-            self.sys.control_packets += 1;
-            self.backhaul_send(
-                ctx,
-                CONTROL_PACKET_BYTES,
-                true,
-                Ev::Ctl(Ctl::AckAtController {
-                    client: c,
-                    from_ap: ap,
-                    epoch,
-                    term,
-                }),
-            );
-        }
+        self.ap_send_control(ctx, ap, Ev::Ctl(Ctl::AckAtController(leg)));
         self.ensure_round(ctx);
     }
 
@@ -342,23 +342,15 @@ impl WgttWorld {
     /// is the term authority, and the per-client epoch already pins the
     /// ack to the exact switch generation (terms order *reigns*, epochs
     /// order generations within them).
-    pub(super) fn on_ack_at_controller(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        c: usize,
-        from_ap: usize,
-        epoch: u32,
-    ) {
-        if self.controller_down {
-            self.sys.controller_rx_dropped += 1;
+    fn on_ack_at_controller(&mut self, ctx: &mut Ctx<'_, Ev>, ack: Leg) {
+        if !self.controller_admits() {
             return;
         }
+        let c = ack.client;
         let client = ClientId(c as u32);
+        let from = ApId(ack.ap as u32);
         let now = ctx.now();
-        match self
-            .ctrl
-            .on_switch_ack(now, client, ApId(from_ap as u32), epoch)
-        {
+        match self.ctrl.on_switch_ack(now, client, from, ack.epoch) {
             AckOutcome::Completed(rec) => {
                 // Consistency tripwire: the completed generation's `start`
                 // must actually be applied at the named AP (unless the AP
@@ -371,9 +363,7 @@ impl WgttWorld {
                 {
                     self.sys.mis_switches += 1;
                 }
-                self.clients[c].serving = Some(rec.to);
-                self.clients[c].metrics.record_assoc(now, Some(rec.to));
-                self.resolve_failover(c, now);
+                self.served_by(c, rec.to, now);
             }
             AckOutcome::StaleEpoch | AckOutcome::WrongSource => {
                 // An ack that names the wrong generation or the wrong AP
@@ -381,35 +371,27 @@ impl WgttWorld {
                 // against the wrong target.
                 self.sys.stale_control_dropped += 1;
             }
-            AckOutcome::NoPending => {
-                if let Some((target, _, r_epoch)) = self.pending_reattach[c] {
-                    if target == from_ap && epoch == r_epoch {
-                        // Emergency re-attach completed: the new AP acked
-                        // the direct start(c, k).
-                        self.pending_reattach[c] = None;
-                        let ap = ApId(target as u32);
-                        self.ctrl.serving.insert(client, ap);
-                        self.ctrl.health.on_ack_proof(ap, epoch);
-                        self.clients[c].serving = Some(ap);
-                        self.clients[c].metrics.record_assoc(now, Some(ap));
-                        self.resolve_failover(c, now);
-                        self.ensure_round(ctx);
-                    } else {
-                        // A straggler ack while a re-attach to a different
-                        // AP (or generation) is pending: pre-epoch this
-                        // would have completed the re-attach against the
-                        // wrong AP.
-                        self.sys.stale_control_dropped += 1;
-                    }
-                } else {
-                    // Duplicate of an ack that already completed.
-                    self.sys.dup_control_dropped += 1;
+            AckOutcome::NoPending => match self.pending_reattach[c] {
+                Some((target, _, epoch)) if target == ack.ap && epoch == ack.epoch => {
+                    // Emergency re-attach completed: the new AP acked the
+                    // direct start(c, k).
+                    self.pending_reattach[c] = None;
+                    self.ctrl.serving.insert(client, from);
+                    self.ctrl.health.on_ack_proof(from, epoch);
+                    self.served_by(c, from, now);
+                    self.ensure_round(ctx);
                 }
-            }
+                // A straggler ack while a re-attach to a different AP (or
+                // generation) is pending: pre-epoch this would have
+                // completed the re-attach against the wrong AP.
+                Some(_) => self.sys.stale_control_dropped += 1,
+                // Duplicate of an ack that already completed.
+                None => self.sys.dup_control_dropped += 1,
+            },
         }
     }
 
-    pub(super) fn on_switch_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+    fn on_switch_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         if self.controller_down {
             return; // the crashed controller's timers die with it
         }
@@ -418,36 +400,16 @@ impl WgttWorld {
             to_ap, epoch, term, ..
         }) = self.ctrl.engine.on_timeout(ctx.now(), client)
         {
-            let from = self
-                .ctrl
-                .engine
-                .pending(client)
-                .map(|p| p.from.0 as usize)
-                .unwrap_or(0);
-            let to = to_ap.0 as usize;
-            self.sys.control_packets += 1;
-            self.backhaul_send(
-                ctx,
-                CONTROL_PACKET_BYTES,
-                true,
-                Ev::Ctl(Ctl::StopAtAp {
-                    ap: from,
-                    client: c,
-                    to_ap: to,
-                    epoch,
-                    term,
-                }),
-            );
+            let from = self.ctrl.engine.pending(client).map_or(0, |p| p.from.0);
+            self.send_stop(ctx, from as usize, c, to_ap.0 as usize, epoch, term);
         } else if !self.ctrl.engine.in_flight(client) {
             self.drain_abandons(ctx);
             return;
         }
         // Single re-arm site, shared by the retransmit path and a timer
         // that fired early relative to a retransmission.
-        ctx.schedule_in(
-            self.ctrl.engine.timeout(),
-            Ev::Ctl(Ctl::SwitchTimeout { client: c }),
-        );
+        let timeout = self.ctrl.engine.timeout();
+        ctx.schedule_in(timeout, Ev::Ctl(Ctl::SwitchTimeout { client: c }));
     }
 
     /// Processes switch abandonments the engine recorded: counts them,
@@ -476,17 +438,24 @@ impl WgttWorld {
                 && self.ctrl.health.csi_stale(rec.from, now)
                 && self.pending_reattach[c].is_none()
             {
-                let excluded = self.ctrl.health.blacklisted(now);
-                let target = self
-                    .ctrl
-                    .selector_mut(rec.client)
-                    .best_excluding(now, &excluded)
-                    .map(|(ap, _)| ap)
-                    .filter(|&ap| ap != rec.from && !self.ctrl.health.csi_stale(ap, now));
-                if let Some(t) = target {
-                    self.emergency_reattach(ctx, c, t.0 as usize);
-                }
+                self.reattach_away_from(ctx, c, rec.from);
             }
+        }
+    }
+
+    /// The serving AP `dead` has gone CSI-silent: re-attach the client to
+    /// the best live, non-blacklisted AP, if the selector knows one.
+    fn reattach_away_from(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, dead: ApId) {
+        let now = ctx.now();
+        let excluded = self.ctrl.health.blacklisted(now);
+        let target = self
+            .ctrl
+            .selector_mut(ClientId(c as u32))
+            .best_excluding(now, &excluded)
+            .map(|(ap, _)| ap)
+            .filter(|&ap| ap != dead && !self.ctrl.health.csi_stale(ap, now));
+        if let Some(t) = target {
+            self.emergency_reattach(ctx, c, t.0 as usize);
         }
     }
 
@@ -497,247 +466,157 @@ impl WgttWorld {
         let now = ctx.now();
         let client = ClientId(c as u32);
         self.ctrl.engine.abort(client);
-        if let Some(old) = self.clients[c].serving.take() {
-            let o = old.0 as usize;
-            if !self.ap_down[o] {
-                // The old AP is merely presumed dead; make sure it stops
-                // serving if it is in fact alive.
-                let gi = self.cfg.gi;
-                let st = self.aps[o].client_mut(client, gi);
-                st.serving = false;
-                st.draining = false;
-                st.drain_cyclic = false;
-            }
+        if let Some(old) = self.serving_of(c).filter(|&o| !self.ap_down[o]) {
+            // The old AP is merely presumed dead; make sure it stops
+            // serving if it is in fact alive.
+            self.aps[old]
+                .client_mut(client, self.cfg.gi)
+                .set_role(Role::Idle);
         }
         self.ctrl.serving.remove(&client);
-        self.clients[c].metrics.record_assoc(now, None);
-        self.ctrl.selector_mut(client).record_switch(now);
-        let k = self.ctrl.peek_index(client);
-        // The direct `start` gets its own fresh epoch: a straggler ack
-        // from the aborted switch (or an earlier generation) must not be
-        // able to complete this re-attach.
-        let epoch = self.ctrl.engine.allocate_epoch(client);
+        self.set_serving(c, None, now);
         self.sys.emergency_reattaches += 1;
-        self.sys.control_packets += 1;
-        self.pending_reattach[c] = Some((target, 0, epoch));
-        let term = self.ctrl.engine.term();
-        self.backhaul_send(
-            ctx,
-            CONTROL_PACKET_BYTES,
-            true,
-            Ev::Ctl(Ctl::StartAtAp {
-                ap: target,
-                client: c,
-                k,
-                epoch,
-                term,
-            }),
-        );
-        ctx.schedule_in(
-            self.ctrl.engine.timeout(),
-            Ev::Ctl(Ctl::ReattachTimeout { client: c }),
-        );
+        let k = self.ctrl.peek_index(client);
+        self.begin_direct_start(ctx, c, target, k);
     }
 
-    pub(super) fn on_reattach_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+    /// Opens a re-attach generation: a direct `start(c, k)` to `target`
+    /// with no `stop` leg, under its own fresh epoch — a straggler ack from
+    /// an aborted switch (or an earlier generation) must not be able to
+    /// complete it.
+    pub(super) fn begin_direct_start(
+        &mut self,
+        ctx: &mut Ctx<'_, Ev>,
+        c: usize,
+        target: usize,
+        k: u16,
+    ) {
+        let client = ClientId(c as u32);
+        self.ctrl.selector_mut(client).record_switch(ctx.now());
+        let epoch = self.ctrl.engine.allocate_epoch(client);
+        self.send_direct_start(ctx, c, k, (target, 0, epoch));
+    }
+
+    /// Sends attempt `attempt.1` of the direct `start` of re-attach
+    /// `(target, retries, epoch)` and arms its retry timer.
+    fn send_direct_start(
+        &mut self,
+        ctx: &mut Ctx<'_, Ev>,
+        c: usize,
+        k: u16,
+        attempt: (usize, u32, u32),
+    ) {
+        self.pending_reattach[c] = Some(attempt);
+        let leg = Leg {
+            ap: attempt.0,
+            client: c,
+            epoch: attempt.2,
+            term: self.ctrl.engine.term(),
+        };
+        self.send_control(ctx, true, Ev::Ctl(Ctl::StartAtAp { leg, k }));
+        let timeout = self.ctrl.engine.timeout();
+        ctx.schedule_in(timeout, Ev::Ctl(Ctl::ReattachTimeout { client: c }));
+    }
+
+    fn on_reattach_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         if self.controller_down {
             return; // the crashed controller's timers die with it
         }
         let Some((target, retries, epoch)) = self.pending_reattach[c] else {
             return; // answered (or superseded) already
         };
-        let now = ctx.now();
-        if retries >= crate::switching::SwitchEngine::MAX_RETRIES
-            || self.ctrl.health.csi_stale(ApId(target as u32), now)
+        if retries >= SwitchEngine::MAX_RETRIES
+            || self.ctrl.health.csi_stale(ApId(target as u32), ctx.now())
         {
             // Give up on this target; the selection loop's first-association
             // path re-attaches once fresh CSI identifies a live AP.
             self.pending_reattach[c] = None;
             return;
         }
-        let client = ClientId(c as u32);
-        let k = self.ctrl.peek_index(client);
         // Retransmissions keep the original epoch: they are the same
         // re-attach generation, and the target AP's guard turns an
         // already-applied duplicate into a bare re-ack.
-        self.pending_reattach[c] = Some((target, retries + 1, epoch));
-        self.sys.control_packets += 1;
-        let term = self.ctrl.engine.term();
-        self.backhaul_send(
-            ctx,
-            CONTROL_PACKET_BYTES,
-            true,
-            Ev::Ctl(Ctl::StartAtAp {
-                ap: target,
-                client: c,
-                k,
-                epoch,
-                term,
-            }),
-        );
-        ctx.schedule_in(
-            self.ctrl.engine.timeout(),
-            Ev::Ctl(Ctl::ReattachTimeout { client: c }),
-        );
-    }
-
-    /// Closes the failover-latency book for a client that just re-attached.
-    pub(super) fn resolve_failover(&mut self, c: usize, now: SimTime) {
-        if let Some(crash_at) = self.pending_failover[c].take() {
-            let latency = now.saturating_since(crash_at);
-            let m = &mut self.clients[c].metrics;
-            m.failovers.push((now, latency));
-            m.blackout_total += latency;
-        }
+        let k = self.ctrl.peek_index(ClientId(c as u32));
+        self.send_direct_start(ctx, c, k, (target, retries + 1, epoch));
     }
 
     // ---------- selection ----------
 
-    pub(super) fn on_selection_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let now = ctx.now();
-        if self.controller_down {
-            // A dead controller makes no decisions. Keep the tick alive
-            // (it draws no RNG) so selection resumes right after recovery.
-            if now < self.traffic_until + SimDuration::from_millis(500) {
-                ctx.schedule_in(self.cfg.selection_tick, Ev::Ctl(Ctl::SelectionTick));
-            }
-            return;
-        }
-        if self.cfg.mode == Mode::Wgtt {
-            let faulty = !self.faults.is_empty();
+    fn on_selection_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        // A dead controller makes no decisions. The tick stays alive (it
+        // draws no RNG) so selection resumes right after recovery.
+        if !self.controller_down && self.cfg.mode == Mode::Wgtt {
             for c in 0..self.clients.len() {
-                if self.departed[c] {
-                    continue;
-                }
-                let client = ClientId(c as u32);
-                if self.ctrl.engine.in_flight(client) || self.pending_reattach[c].is_some() {
-                    continue;
-                }
-                let current = self.ctrl.serving(client);
-                // Health layer (fault runs only, to keep fault-free runs
-                // bit-identical): a serving AP gone CSI-silent past the
-                // staleness horizon is presumed dead — re-attach directly
-                // instead of addressing a stop to it.
-                if faulty {
-                    if let Some(cur) = current {
-                        if self.ctrl.health.csi_stale(cur, now) {
-                            let excluded = self.ctrl.health.blacklisted(now);
-                            let target = self
-                                .ctrl
-                                .selector_mut(client)
-                                .best_excluding(now, &excluded)
-                                .map(|(ap, _)| ap)
-                                .filter(|&ap| ap != cur && !self.ctrl.health.csi_stale(ap, now));
-                            if let Some(t) = target {
-                                self.emergency_reattach(ctx, c, t.0 as usize);
-                            }
-                            continue;
-                        }
-                    }
-                }
-                let excluded = if faulty {
-                    self.ctrl.health.blacklisted(now)
-                } else {
-                    Vec::new()
-                };
-                let decision = self
-                    .ctrl
-                    .selector_mut(client)
-                    .decide_excluding(now, current, &excluded);
-                let Some(target) = decision else { continue };
-                match current {
-                    None => {
-                        // First association: WGTT shares state so the client
-                        // is usable at every AP instantly (§4.3).
-                        let gi = self.cfg.gi;
-                        for ap in 0..self.aps.len() {
-                            if self.ap_down[ap] {
-                                continue; // re-installed on reboot
-                            }
-                            self.aps[ap]
-                                .client_mut(client, gi)
-                                .assoc
-                                .install_shared_association(now);
-                        }
-                        let st = self.aps[target.0 as usize].client_mut(client, gi);
-                        st.serving = true;
-                        self.ctrl.serving.insert(client, target);
-                        self.clients[c].serving = Some(target);
-                        self.clients[c].metrics.record_assoc(now, Some(target));
-                        self.ctrl.selector_mut(client).record_switch(now);
-                        self.resolve_failover(c, now);
-                        // A migrant's imported seam residue waited for this
-                        // moment: the controller now has a fan-out set, so
-                        // re-injection can't silently drop.
-                        self.flush_seam(ctx, c);
-                        self.ensure_round(ctx);
-                    }
-                    Some(cur) => {
-                        self.issue_switch(ctx, c, cur.0 as usize, target.0 as usize);
-                    }
+                if !self.departed[c] {
+                    self.select_for(ctx, c);
                 }
             }
         }
-        if now < self.traffic_until + SimDuration::from_millis(500) {
+        if self.ticking(ctx.now()) {
             ctx.schedule_in(self.cfg.selection_tick, Ev::Ctl(Ctl::SelectionTick));
         }
     }
 
-    pub(super) fn on_csi_at_controller(&mut self, ap: usize, c: usize, esnr_db: f64, now: SimTime) {
-        if self.controller_down {
-            self.sys.controller_rx_dropped += 1;
+    /// One client's turn of the selection tick.
+    fn select_for(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+        let now = ctx.now();
+        let client = ClientId(c as u32);
+        if self.ctrl.engine.in_flight(client) || self.pending_reattach[c].is_some() {
             return;
         }
-        self.ctrl
-            .on_csi(now, ApId(ap as u32), ClientId(c as u32), esnr_db);
+        let current = self.ctrl.serving(client);
+        // Health layer (fault runs only, to keep fault-free runs
+        // bit-identical): a serving AP gone CSI-silent past the staleness
+        // horizon is presumed dead — re-attach directly instead of
+        // addressing a stop to it.
+        let faulty = !self.faults.is_empty();
+        if let Some(cur) = current.filter(|&cur| faulty && self.ctrl.health.csi_stale(cur, now)) {
+            return self.reattach_away_from(ctx, c, cur);
+        }
+        let excluded = if faulty {
+            self.ctrl.health.blacklisted(now)
+        } else {
+            Vec::new()
+        };
+        let decision = self
+            .ctrl
+            .selector_mut(client)
+            .decide_excluding(now, current, &excluded);
+        let Some(target) = decision else { return };
+        let Some(cur) = current else {
+            // First association: WGTT shares state so the client is usable
+            // at every AP instantly (§4.3).
+            let gi = self.cfg.gi;
+            for ap in 0..self.aps.len() {
+                if self.ap_down[ap] {
+                    continue; // re-installed on reboot
+                }
+                self.aps[ap]
+                    .client_mut(client, gi)
+                    .assoc
+                    .install_shared_association(now);
+            }
+            // (`draining` may be left over from an old `stop`; it is never
+            // read while `serving` is set, so clearing it is unobservable.)
+            self.aps[target.0 as usize]
+                .client_mut(client, gi)
+                .set_role(Role::Serving);
+            self.ctrl.serving.insert(client, target);
+            self.ctrl.selector_mut(client).record_switch(now);
+            self.served_by(c, target, now);
+            // A migrant's imported seam residue waited for this moment: the
+            // controller now has a fan-out set, so re-injection can't
+            // silently drop.
+            self.flush_seam(ctx, c);
+            return self.ensure_round(ctx);
+        };
+        self.issue_switch(ctx, c, cur.0 as usize, target.0 as usize);
     }
-}
 
-impl WgttWorld {
-    pub(super) fn handle_ctl(&mut self, ev: Ctl, ctx: &mut Ctx<'_, Ev>) {
-        match ev {
-            Ctl::StopAtAp {
-                ap,
-                client,
-                to_ap,
-                epoch,
-                term,
-            } => self.on_stop_at_ap(ctx, ap, client, to_ap, epoch, term),
-            Ctl::StopDone {
-                ap,
-                client,
-                to_ap,
-                epoch,
-                term,
-            } => self.on_stop_done(ctx, ap, client, to_ap, epoch, term),
-            Ctl::StartAtAp {
-                ap,
-                client,
-                k,
-                epoch,
-                term,
-            } => self.on_start_at_ap(ctx, ap, client, k, epoch, term),
-            Ctl::StartDone {
-                ap,
-                client,
-                k,
-                epoch,
-                term,
-            } => self.on_start_done(ctx, ap, client, k, epoch, term),
-            Ctl::AckAtController {
-                client,
-                from_ap,
-                epoch,
-                term: _,
-            } => self.on_ack_at_controller(ctx, client, from_ap, epoch),
-            Ctl::CsiAtController {
-                ap,
-                client,
-                esnr_db,
-            } => self.on_csi_at_controller(ap, client, esnr_db, ctx.now()),
-            Ctl::SwitchTimeout { client } => self.on_switch_timeout(ctx, client),
-            Ctl::SelectionTick => self.on_selection_tick(ctx),
-            Ctl::ReattachTimeout { client } => self.on_reattach_timeout(ctx, client),
+    fn on_csi_at_controller(&mut self, ap: usize, c: usize, esnr_db: f64, now: SimTime) {
+        if self.controller_admits() {
+            self.ctrl
+                .on_csi(now, ApId(ap as u32), ClientId(c as u32), esnr_db);
         }
     }
 }

@@ -81,6 +81,10 @@ pub struct ServerFlow {
     pub(super) rto_check_at: Option<SimTime>,
 }
 
+/// How long a client holds frames behind a reorder-window hole before
+/// skipping it.
+const REORDER_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+
 impl WgttWorld {
     pub(super) fn backhaul_send(
         &mut self,
@@ -122,11 +126,17 @@ impl WgttWorld {
         !self.ap_down[ap] && !self.faults.partitioned(ap, now)
     }
 
+    /// Tunnels one uplink copy from `from_ap` to the controller.
+    pub(super) fn tunnel_uplink(&mut self, ctx: &mut Ctx<'_, Ev>, from_ap: usize, packet: Packet) {
+        let wire = packet.len_bytes + wgtt_net::TUNNEL_OVERHEAD_BYTES;
+        let arrival = Data::UplinkCopyAtController { from_ap, packet };
+        self.backhaul_send(ctx, wire, false, Ev::Data(arrival));
+    }
+
     // ---------- downlink path ----------
 
     pub(super) fn on_packet_at_controller(&mut self, ctx: &mut Ctx<'_, Ev>, mut packet: Packet) {
-        if self.controller_down {
-            self.sys.controller_rx_dropped += 1;
+        if !self.controller_admits() {
             return;
         }
         let c = packet.client.0 as usize;
@@ -210,7 +220,6 @@ impl WgttWorld {
     /// application, managing the reorder release timer. With `force`, a
     /// stale head-of-window hole is skipped first.
     pub(super) fn release_reordered(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, force: bool) {
-        const REORDER_TIMEOUT: SimDuration = SimDuration::from_millis(50);
         let now = ctx.now();
         loop {
             if force {
@@ -244,7 +253,6 @@ impl WgttWorld {
     }
 
     pub(super) fn on_reorder_flush(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
-        const REORDER_TIMEOUT: SimDuration = SimDuration::from_millis(50);
         let now = ctx.now();
         match self.clients[c].hole_since {
             Some(since) if now.saturating_since(since) >= REORDER_TIMEOUT => {
@@ -263,30 +271,12 @@ impl WgttWorld {
     // ---------- uplink at controller / server ----------
 
     pub(super) fn on_uplink_copy(&mut self, ctx: &mut Ctx<'_, Ev>, from_ap: usize, packet: Packet) {
-        if self.controller_down {
-            self.sys.controller_rx_dropped += 1;
+        if !self.controller_admits() {
             return;
         }
-        if let Some(session) = &mut self.resync {
-            // Park until the dedup table is re-primed from the replies;
-            // checking now could deliver a cross-restart duplicate. The
-            // hold is bounded by the same cap as an AP's degraded-mode
-            // buffer: heavy uplink during a long resync round must not
-            // grow it without limit, so the oldest parked copy is dropped
-            // to admit the newest (uplink diversity and client retries
-            // make an individual dropped copy recoverable).
-            let cap = self.cfg.degraded_uplink_cap;
-            if cap == 0 {
-                self.sys.resync_held_overflow += 1;
-                return;
-            }
-            if session.held_uplink.len() >= cap {
-                session.held_uplink.remove(0);
-                self.sys.resync_held_overflow += 1;
-            }
-            session.held_uplink.push((from_ap, packet));
+        let Some(packet) = self.hold_for_resync(from_ap, packet) else {
             return;
-        }
+        };
         if self.trace {
             if let Payload::TcpAck { ack, .. } = packet.payload {
                 eprintln!(
@@ -297,21 +287,11 @@ impl WgttWorld {
             }
         }
         self.sys.uplink_copies += 1;
-        let pass = if self.cfg.uplink_dedup {
-            self.ctrl.dedup.check(&packet)
-        } else {
-            true
-        };
-        if !pass {
+        if self.cfg.uplink_dedup && !self.ctrl.dedup.check(&packet) {
             self.sys.uplink_duplicates += 1;
             return;
         }
-        if !self.faults.controller_failovers.is_empty() {
-            // Journal the forwarded key so the standby's restored dedup
-            // table suppresses cross-takeover duplicates of this packet.
-            self.journal_pending_keys
-                .push(Deduplicator::key(packet.client, packet.ip_ident));
-        }
+        self.journal_forwarded(&packet);
         let latency = self.cfg.server_latency;
         ctx.schedule_in(latency, Ev::Data(Data::PacketAtServer(packet)));
     }
@@ -351,76 +331,49 @@ impl WgttWorld {
 
     // ---------- traffic generation ----------
 
-    pub(super) fn on_udp_down_tick(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
+    /// A CBR source is due: the server's (`uplink` false — each datagram
+    /// heads for the controller) or the client's own (queued on its radio).
+    fn on_cbr_tick(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize, uplink: bool) {
         let now = ctx.now();
         if now >= self.traffic_until {
             return;
         }
         let flow = &mut self.flows[fidx];
-        let FlowKind::DownUdp(src) = &mut flow.kind else {
+        let ((FlowKind::DownUdp(src), false) | (FlowKind::UpUdp(src), true)) =
+            (&mut flow.kind, uplink)
+        else {
             return;
         };
-        let client = ClientId(flow.client as u32);
-        let id = flow.id;
-        let payload = src.payload_bytes;
-        let mut due: Vec<u64> = Vec::new();
-        while let Some(seq) = src.emit(now) {
-            due.push(seq);
-        }
-        let next = src.next_emit_time();
-        for seq in due {
-            let pkt = self.factory.make(
-                client,
-                id,
-                Direction::Downlink,
-                payload + overhead::UDP + overhead::IPV4,
-                now,
-                Payload::Udp { seq },
-            );
-            let latency = self.cfg.server_latency;
-            ctx.schedule_in(latency, Ev::Data(Data::PacketAtController(pkt)));
-        }
-        if let Some(t) = next {
-            if t < self.traffic_until {
-                ctx.schedule_at(t, Ev::Data(Data::UdpDownTick(fidx)));
-            }
-        }
-    }
-
-    pub(super) fn on_uplink_app_tick(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
-        let now = ctx.now();
-        if now >= self.traffic_until {
-            return;
-        }
-        let flow = &mut self.flows[fidx];
-        let FlowKind::UpUdp(src) = &mut flow.kind else {
-            return;
+        let (c, id) = (flow.client, flow.id);
+        let len = src.payload_bytes + overhead::UDP + overhead::IPV4;
+        let dir = if uplink {
+            Direction::Uplink
+        } else {
+            Direction::Downlink
         };
-        let c = flow.client;
-        let client = ClientId(c as u32);
-        let id = flow.id;
-        let payload = src.payload_bytes;
-        let mut due = Vec::new();
         while let Some(seq) = src.emit(now) {
-            due.push(seq);
-        }
-        let next = src.next_emit_time();
-        for seq in due {
-            let pkt = self.factory.make(
-                client,
-                id,
-                Direction::Uplink,
-                payload + overhead::UDP + overhead::IPV4,
-                now,
-                Payload::Udp { seq },
-            );
-            self.clients[c].enqueue_uplink(pkt);
-        }
-        self.ensure_round(ctx);
-        if let Some(t) = next {
-            if t < self.traffic_until {
-                ctx.schedule_at(t, Ev::Data(Data::UplinkAppTick(fidx)));
+            let payload = Payload::Udp { seq };
+            let pkt = self
+                .factory
+                .make(ClientId(c as u32), id, dir, len, now, payload);
+            if uplink {
+                self.clients[c].enqueue_uplink(pkt);
+            } else {
+                let latency = self.cfg.server_latency;
+                ctx.schedule_in(latency, Ev::Data(Data::PacketAtController(pkt)));
             }
+        }
+        let next = src.next_emit_time().filter(|&t| t < self.traffic_until);
+        if uplink {
+            self.ensure_round(ctx);
+        }
+        if let Some(t) = next {
+            let tick = if uplink {
+                Data::UplinkAppTick(fidx)
+            } else {
+                Data::UdpDownTick(fidx)
+            };
+            ctx.schedule_at(t, Ev::Data(tick));
         }
     }
 
@@ -582,8 +535,8 @@ impl WgttWorld {
 impl WgttWorld {
     pub(super) fn handle_data(&mut self, ev: Data, ctx: &mut Ctx<'_, Ev>) {
         match ev {
-            Data::UdpDownTick(f) => self.on_udp_down_tick(ctx, f),
-            Data::UplinkAppTick(f) => self.on_uplink_app_tick(ctx, f),
+            Data::UdpDownTick(f) => self.on_cbr_tick(ctx, f, false),
+            Data::UplinkAppTick(f) => self.on_cbr_tick(ctx, f, true),
             Data::TcpPump(f) => self.pump_tcp(ctx, f),
             Data::TcpRtoCheck(f) => self.on_tcp_rto_check(ctx, f),
             Data::PacketAtController(p) => self.on_packet_at_controller(ctx, p),

@@ -54,7 +54,7 @@ pub use baseline::Probe;
 pub use control::Ctl;
 pub use datapath::{Data, FlowKind, ServerFlow};
 pub use recovery::Recovery;
-use recovery::{ResyncSession, Standby, READOPT_GUARD};
+use recovery::{RecoveryState, READOPT_GUARD};
 pub use seam::{
     prime_migrant_events, MigrantFlow, MigrantSpec, MigrationRecord, Seam, SeamEntry, SeamPayload,
 };
@@ -135,27 +135,8 @@ pub struct WgttWorld {
     /// set, every controller handler drops its input and no controller
     /// timer has effect.
     controller_down: bool,
-    /// In-progress post-reboot resync round (None outside recovery).
-    resync: Option<ResyncSession>,
-    /// Monotone resync round counter (guards stale deadline events).
-    resync_seq: u64,
-    /// Warm standby (lazily created on the first journal/detector event;
-    /// stays `None` forever in unarmed runs).
-    standby: Option<Standby>,
-    /// When the primary crashed with a standby armed (None until then;
-    /// cleared at takeover) — the takeover-latency clock.
-    primary_crashed_at: Option<SimTime>,
-    /// Journal batch sequence counter (1-based, see `JournalBatch::seq`).
-    journal_seq: u64,
-    /// Dedup keys the controller forwarded since the last journal batch
-    /// (the per-batch delta; drained at each ship).
-    journal_pending_keys: Vec<u64>,
-    /// Term the ex-primary held when it crashed — the stale term its
-    /// zombie stamps on frames at wake.
-    zombie_term: u32,
-    /// In-flight switches at crash time: the zombie re-drives these on
-    /// wake (the split-brain hazard the term fence exists to stop).
-    zombie_pending: Vec<(ClientId, crate::switching::PendingSwitch)>,
+    /// What only the recovery layer touches: resync round, standby, zombie.
+    recovery: RecoveryState,
     /// Emergency re-attaches in progress, dense by client index:
     /// `Some((target AP, retries, switch epoch))` while one is pending.
     /// Index order equals the old ordered-map iteration order, so the
@@ -308,14 +289,7 @@ impl WgttWorld {
             fault_rng: root.fork("faults"),
             ap_down: vec![false; n_aps],
             controller_down: false,
-            resync: None,
-            resync_seq: 0,
-            standby: None,
-            primary_crashed_at: None,
-            journal_seq: 0,
-            journal_pending_keys: Vec::new(),
-            zombie_term: 0,
-            zombie_pending: Vec::new(),
+            recovery: RecoveryState::default(),
             pending_reattach: vec![None; n_clients],
             pending_failover: vec![None; n_clients],
             oracle: Recorder::default(),

@@ -3,6 +3,9 @@
 //! zombie ex-primary.
 
 use super::*;
+use crate::ap::Role;
+use crate::replica::ApplyOutcome;
+use crate::switching::PendingSwitch;
 
 /// Fault edges and the recovery protocols they set off.
 #[derive(Clone)]
@@ -100,7 +103,7 @@ const TAKEOVER_TIMEOUT: SimDuration = SimDuration::from_millis(35);
 /// that decides when to promote it. Only instantiated when the fault
 /// schedule arms a controller failover — unarmed runs never allocate one,
 /// keeping them bit-identical to the single-controller engine.
-pub(super) struct Standby {
+struct Standby {
     /// The journal-fed replica of the primary's soft state.
     replica: Replica,
     /// When the last journal batch arrived (the heartbeat clock).
@@ -122,7 +125,7 @@ impl Standby {
 /// One post-reboot resync round: the controller has broadcast `Resync` and
 /// is collecting AP replies. Uplink copies arriving mid-round are held so
 /// they are only dedup-checked once the table is re-primed.
-pub(super) struct ResyncSession {
+struct ResyncSession {
     /// Round number (guards the deadline event against later rounds).
     seq: u64,
     /// Replies expected (reachable APs at broadcast time).
@@ -132,23 +135,67 @@ pub(super) struct ResyncSession {
     /// Recovery instant, for the resync-latency metric.
     started_at: SimTime,
     /// Uplink copies parked until the dedup table is rebuilt.
-    pub(super) held_uplink: Vec<(usize, Packet)>,
+    held_uplink: Vec<(usize, Packet)>,
+}
+
+/// Private state of the recovery layer: the open resync round, the warm
+/// standby and its journal, and what the zombie ex-primary remembers.
+#[derive(Default)]
+pub(super) struct RecoveryState {
+    /// In-progress post-reboot resync round (None outside recovery).
+    resync: Option<ResyncSession>,
+    /// Monotone resync round counter (guards stale deadline events).
+    resync_seq: u64,
+    /// Warm standby (lazily created on the first journal/detector event;
+    /// stays `None` forever in unarmed runs).
+    standby: Option<Standby>,
+    /// When the primary crashed with a standby armed (None until then;
+    /// cleared at takeover) — the takeover-latency clock.
+    primary_crashed_at: Option<SimTime>,
+    /// Journal batch sequence counter (1-based, see `JournalBatch::seq`).
+    journal_seq: u64,
+    /// Dedup keys the controller forwarded since the last journal batch
+    /// (the per-batch delta; drained at each ship).
+    journal_pending_keys: Vec<u64>,
+    /// Term the ex-primary held when it crashed — the stale term its
+    /// zombie stamps on frames at wake.
+    zombie_term: u32,
+    /// In-flight switches at crash time: the zombie re-drives these on
+    /// wake (the split-brain hazard the term fence exists to stop).
+    zombie_pending: Vec<(ClientId, PendingSwitch)>,
 }
 
 impl WgttWorld {
+    pub(super) fn handle_recovery(&mut self, ev: Recovery, ctx: &mut Ctx<'_, Ev>) {
+        match ev {
+            Recovery::ApCrash(ap) => self.on_ap_crash(ctx, ap),
+            Recovery::ApReboot(ap) => self.on_ap_reboot(ctx, ap),
+            Recovery::ControllerCrash => self.on_controller_crash(ctx),
+            Recovery::ControllerRecover => self.on_controller_recover(ctx),
+            Recovery::ResyncAtAp { ap, term } => self.on_resync_at_ap(ctx, ap, term),
+            Recovery::ResyncReplyAtController { reply } => {
+                self.on_resync_reply_at_controller(ctx, reply)
+            }
+            Recovery::ResyncDeadline { seq } => self.on_resync_deadline(ctx, seq),
+            Recovery::ReAdoptTimeout { ap, client, epoch } => {
+                self.on_readopt_timeout(ctx, ap, client, epoch)
+            }
+            Recovery::JournalShip => self.on_journal_ship(ctx),
+            Recovery::JournalAtStandby { batch } => self.on_journal_at_standby(ctx, batch),
+            Recovery::StandbyCheck => self.on_standby_check(ctx),
+            Recovery::TermAnnounceAtAp { ap, term } => self.on_term_announce_at_ap(ctx, ap, term),
+            Recovery::ZombieWake => self.on_zombie_wake(ctx),
+            Recovery::ZombieDeadline => self.sys.zombie_standdowns += 1,
+        }
+    }
+
     /// Local-autonomy re-adoption (degraded mode): fires `READOPT_GUARD`
     /// after an AP applied a `stop` with the controller down. If by then
     /// no AP anywhere serves the client — the `start` was lost and nobody
     /// can retransmit it — the stopped AP promotes itself back to serving.
     /// In the real system this is driven by the client side: a client
     /// hearing no serving AP probes its last one, which re-adopts it.
-    pub(super) fn on_readopt_timeout(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        ap: usize,
-        c: usize,
-        epoch: u32,
-    ) {
+    fn on_readopt_timeout(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, c: usize, epoch: u32) {
         if !self.controller_down || self.ap_down[ap] {
             // Once the controller is back, resync owns conflict repair; a
             // local re-adoption racing it could manufacture dual-serving.
@@ -162,23 +209,20 @@ impl WgttWorld {
         if !orphaned {
             return;
         }
-        let gi = self.cfg.gi;
-        let st = self.aps[ap].client_mut(client, gi);
+        let st = self.aps[ap].client_mut(client, self.cfg.gi);
         // Only the generation that demoted us may re-adopt: a newer epoch
         // at the guard means a later switch owns this client.
         if st.guard.latest() != epoch {
             return;
         }
-        st.serving = true;
-        st.draining = false;
-        st.drain_cyclic = false;
+        st.set_role(Role::Serving);
         self.sys.local_readoptions += 1;
         self.ensure_round(ctx);
     }
 
     // ---------- fault injection ----------
 
-    pub(super) fn on_ap_crash(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize) {
+    fn on_ap_crash(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize) {
         if self.ap_down[ap] {
             return;
         }
@@ -194,7 +238,7 @@ impl WgttWorld {
         }
     }
 
-    pub(super) fn on_ap_reboot(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize) {
+    fn on_ap_reboot(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize) {
         if !self.ap_down[ap] {
             return;
         }
@@ -219,7 +263,7 @@ impl WgttWorld {
 
     // ---------- controller crash / resync ----------
 
-    pub(super) fn on_controller_crash(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    fn on_controller_crash(&mut self, ctx: &mut Ctx<'_, Ev>) {
         if self.controller_down {
             return;
         }
@@ -229,9 +273,9 @@ impl WgttWorld {
             // A standby is armed: start the takeover-latency clock and
             // freeze what the dying process held — its term and in-flight
             // switches are exactly what the zombie replays at wake.
-            self.primary_crashed_at = Some(ctx.now());
-            self.zombie_term = self.ctrl.engine.term();
-            self.zombie_pending = self.ctrl.engine.pending_sorted();
+            self.recovery.primary_crashed_at = Some(ctx.now());
+            self.recovery.zombie_term = self.ctrl.engine.term();
+            self.recovery.zombie_pending = self.ctrl.engine.pending_sorted();
         }
         // The process is gone and every piece of soft state with it:
         // selectors, epoch table, dedup table, health tracker, serving
@@ -239,10 +283,10 @@ impl WgttWorld {
         // (their events are eaten while `controller_down` is set).
         self.ctrl.crash_wipe();
         self.pending_reattach.fill(None);
-        self.resync = None;
+        self.recovery.resync = None;
     }
 
-    pub(super) fn on_controller_recover(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    fn on_controller_recover(&mut self, ctx: &mut Ctx<'_, Ev>) {
         if !self.controller_down {
             return;
         }
@@ -254,97 +298,77 @@ impl WgttWorld {
         self.start_resync(ctx);
     }
 
+    /// Sends one reliable management frame to every AP reachable right
+    /// now, in AP order; returns how many were addressed.
+    fn broadcast(&mut self, ctx: &mut Ctx<'_, Ev>, frame: impl Fn(usize) -> Recovery) -> usize {
+        let mut sent = 0;
+        for ap in 0..self.aps.len() {
+            if self.ap_reachable(ap, ctx.now()) {
+                self.send_control(ctx, false, Ev::Recovery(frame(ap)));
+                sent += 1;
+            }
+        }
+        sent
+    }
+
     /// Broadcasts `Resync` to every reachable AP over the management
     /// channel (reliable TCP, not the lossy datagram fast path), then
     /// rebuilds state from whatever answers arrive before the deadline.
     /// Shared by the cold-restart recovery path and a takeover whose
     /// journal replica cannot be trusted (gapped or never fed).
     fn start_resync(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let now = ctx.now();
         let term = self.ctrl.engine.term();
-        self.resync_seq += 1;
-        let seq = self.resync_seq;
-        let live: Vec<usize> = (0..self.aps.len())
-            .filter(|&a| self.ap_reachable(a, now))
-            .collect();
-        for &ap in &live {
-            self.sys.control_packets += 1;
-            self.backhaul_send(
-                ctx,
-                CONTROL_PACKET_BYTES,
-                false,
-                Ev::Recovery(Recovery::ResyncAtAp { ap, term }),
-            );
-        }
-        self.resync = Some(ResyncSession {
+        self.recovery.resync_seq += 1;
+        let seq = self.recovery.resync_seq;
+        let expected = self.broadcast(ctx, |ap| Recovery::ResyncAtAp { ap, term });
+        self.recovery.resync = Some(ResyncSession {
             seq,
-            expected: live.len(),
+            expected,
             replies: Vec::new(),
-            started_at: now,
+            started_at: ctx.now(),
             held_uplink: Vec::new(),
         });
-        if live.is_empty() {
+        if expected == 0 {
             self.finish_resync(ctx);
         } else {
-            ctx.schedule_in(
-                RESYNC_DEADLINE,
-                Ev::Recovery(Recovery::ResyncDeadline { seq }),
-            );
+            let deadline = Recovery::ResyncDeadline { seq };
+            ctx.schedule_in(RESYNC_DEADLINE, Ev::Recovery(deadline));
         }
     }
 
-    pub(super) fn on_resync_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, term: u32) {
-        let now = ctx.now();
-        if !self.ap_reachable(ap, now) || self.controller_down {
-            return; // died in flight, or the controller crashed again
-        }
-        // Term fence before anything observable: a zombie ex-primary's
+    fn on_resync_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, term: u32) {
+        // Unlike the other three AP-bound frames, a resync tests
+        // `controller_down` *before* admission: if the controller crashed
+        // again while its broadcast was in flight, the frame must not even
+        // raise the fence — nobody is left to hear the reply it would earn.
+        // Then the fence, before anything observable: a zombie ex-primary's
         // resync must neither earn a reply nor flush held uplink.
-        if let TermVerdict::Stale = self.aps[ap].term_guard.on_frame(term) {
-            self.sys.stale_term_dropped += 1;
+        if self.controller_down || !self.ap_admits(ap, term, ctx.now()) {
             return;
         }
         let reply = self.aps[ap].resync_reply();
-        // Reply size scales with what it carries: per-client protocol
-        // state plus the recent-uplink-key ring.
-        let bytes =
-            CONTROL_PACKET_BYTES + reply.clients.len() * 16 + reply.recent_uplink_keys.len() * 8;
-        self.sys.control_packets += 1;
-        self.backhaul_send(
-            ctx,
-            bytes,
-            false,
-            Ev::Recovery(Recovery::ResyncReplyAtController { reply }),
-        );
-        // Degraded-mode uplink held at this AP flows again; anything that
-        // is a cross-restart duplicate will be caught by the re-primed
-        // dedup table (copies are parked until resync finishes).
+        let reply = Recovery::ResyncReplyAtController { reply };
+        self.send_control(ctx, false, Ev::Recovery(reply));
+        // Anything that is a cross-restart duplicate will be caught by the
+        // re-primed dedup table (copies are parked until resync finishes).
+        self.flush_degraded_uplink(ctx, ap);
+    }
+
+    /// Degraded-mode uplink held at `ap` while no controller was listening
+    /// flows again, toward whichever controller now reigns.
+    fn flush_degraded_uplink(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize) {
         let held: Vec<Packet> = self.aps[ap].uplink_buffer.drain(..).collect();
         for packet in held {
             self.sys.degraded_uplink_flushed += 1;
-            let wire = packet.len_bytes + wgtt_net::TUNNEL_OVERHEAD_BYTES;
-            self.backhaul_send(
-                ctx,
-                wire,
-                false,
-                Ev::Data(Data::UplinkCopyAtController {
-                    from_ap: ap,
-                    packet,
-                }),
-            );
+            self.tunnel_uplink(ctx, ap, packet);
         }
     }
 
-    pub(super) fn on_resync_reply_at_controller(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        reply: ResyncReply,
-    ) {
-        if self.controller_down {
-            self.sys.controller_rx_dropped += 1;
+    fn on_resync_reply_at_controller(&mut self, ctx: &mut Ctx<'_, Ev>, reply: ResyncReply) {
+        if !self.controller_admits() {
             return;
         }
-        let Some(session) = &mut self.resync else {
+        let Some(session) = &mut self.recovery.resync else {
             // No open round: the deadline already finalized this one, or
             // the reply answers a superseded reign's broadcast (a zombie
             // ex-primary's resync probes land here and die harmlessly).
@@ -358,14 +382,36 @@ impl WgttWorld {
         }
     }
 
-    pub(super) fn on_resync_deadline(&mut self, ctx: &mut Ctx<'_, Ev>, seq: u64) {
-        if self
-            .resync
-            .as_ref()
-            .is_some_and(|s| s.seq == seq && !self.controller_down)
-        {
+    fn on_resync_deadline(&mut self, ctx: &mut Ctx<'_, Ev>, seq: u64) {
+        let open = self.recovery.resync.as_ref().is_some_and(|s| s.seq == seq);
+        if open && !self.controller_down {
             self.finish_resync(ctx);
         }
+    }
+
+    /// Parks an uplink copy that reaches the controller mid-resync until
+    /// the dedup table is re-primed from the replies — checking now could
+    /// deliver a cross-restart duplicate. Outside a round the packet comes
+    /// straight back. The hold is bounded by the same cap as an AP's
+    /// degraded-mode buffer: heavy uplink during a long round must not grow
+    /// it without limit, so the oldest parked copy is dropped to admit the
+    /// newest (uplink diversity and client retries make an individual
+    /// dropped copy recoverable).
+    pub(super) fn hold_for_resync(&mut self, from_ap: usize, packet: Packet) -> Option<Packet> {
+        let Some(session) = &mut self.recovery.resync else {
+            return Some(packet);
+        };
+        let cap = self.cfg.degraded_uplink_cap;
+        if cap == 0 {
+            self.sys.resync_held_overflow += 1;
+            return None;
+        }
+        if session.held_uplink.len() >= cap {
+            session.held_uplink.remove(0);
+            self.sys.resync_held_overflow += 1;
+        }
+        session.held_uplink.push((from_ap, packet));
+        None
     }
 
     /// Rebuilds controller state from the collected resync replies and
@@ -373,7 +419,7 @@ impl WgttWorld {
     /// mid-protocol clients), then releases uplink copies parked during
     /// the round.
     fn finish_resync(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let Some(session) = self.resync.take() else {
+        let Some(session) = self.recovery.resync.take() else {
             return;
         };
         let now = ctx.now();
@@ -383,8 +429,7 @@ impl WgttWorld {
                 ResyncAction::Adopted { client, ap } => {
                     let c = client.0 as usize;
                     if self.clients[c].serving != Some(ap) {
-                        self.clients[c].serving = Some(ap);
-                        self.clients[c].metrics.record_assoc(now, Some(ap));
+                        self.set_serving(c, Some(ap), now);
                     }
                     self.resolve_failover(c, now);
                 }
@@ -405,10 +450,11 @@ impl WgttWorld {
                 } => {
                     // Nobody serves a client the protocol had touched: a
                     // crash-orphaned half-open switch. Send a direct
-                    // fresh-epoch `start` at the queue head the chosen AP
-                    // itself reported.
+                    // fresh-epoch `start` (no `stop` leg — nobody is
+                    // serving) at the queue head the chosen AP itself
+                    // reported, with the usual re-attach retry timer.
                     self.sys.resync_repairs += 1;
-                    self.repair_adopt(ctx, client.0 as usize, adopt.0 as usize, head);
+                    self.begin_direct_start(ctx, client.0 as usize, adopt.0 as usize, head);
                 }
             }
         }
@@ -421,61 +467,42 @@ impl WgttWorld {
         self.ensure_round(ctx);
     }
 
-    /// Post-resync adoption of a serverless client: a direct fresh-epoch
-    /// `start` (no `stop` leg — nobody is serving) targeting the queue
-    /// head the adopting AP reported, with the usual re-attach retry
-    /// timer.
-    fn repair_adopt(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize, k: u16) {
-        let now = ctx.now();
-        let client = ClientId(c as u32);
-        self.ctrl.selector_mut(client).record_switch(now);
-        let epoch = self.ctrl.engine.allocate_epoch(client);
-        self.sys.control_packets += 1;
-        self.pending_reattach[c] = Some((target, 0, epoch));
-        let term = self.ctrl.engine.term();
-        self.backhaul_send(
-            ctx,
-            CONTROL_PACKET_BYTES,
-            true,
-            Ev::Ctl(Ctl::StartAtAp {
-                ap: target,
-                client: c,
-                k,
-                epoch,
-                term,
-            }),
-        );
-        ctx.schedule_in(
-            self.ctrl.engine.timeout(),
-            Ev::Ctl(Ctl::ReattachTimeout { client: c }),
-        );
-    }
-
     // ---------- warm standby: journal, takeover, zombie fencing ----------
+
+    /// Remembers the dedup key of an uplink packet the controller just
+    /// forwarded, for the next journal batch — so the standby's restored
+    /// dedup table suppresses cross-takeover duplicates of it. Armed runs
+    /// only.
+    pub(super) fn journal_forwarded(&mut self, packet: &Packet) {
+        if !self.faults.controller_failovers.is_empty() {
+            let key = Deduplicator::key(packet.client, packet.ip_ident);
+            self.recovery.journal_pending_keys.push(key);
+        }
+    }
 
     /// Primary side: snapshot controller soft state into a journal batch
     /// and ship it to the standby. The batch doubles as the heartbeat, so
     /// the tick keeps rescheduling while the primary is down — silence,
     /// not absence of the timer, is what the standby detects.
-    pub(super) fn on_journal_ship(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    fn on_journal_ship(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
-        if now < self.traffic_until + SimDuration::from_millis(500) {
+        if self.ticking(now) {
             ctx.schedule_in(JOURNAL_INTERVAL, Ev::Recovery(Recovery::JournalShip));
         }
         if self.controller_down {
             return; // a dead primary ships nothing: this is the heartbeat gap
         }
-        if self.standby.as_ref().is_some_and(|s| s.taken_over) {
+        if self.recovery.standby.as_ref().is_some_and(|s| s.taken_over) {
             return; // the standby *is* the controller now; nobody tails it
         }
-        self.journal_seq += 1;
+        self.recovery.journal_seq += 1;
         let (clients, pending) = self.ctrl.journal_snapshot();
         let batch = JournalBatch {
             term: self.ctrl.engine.term(),
-            seq: self.journal_seq,
+            seq: self.recovery.journal_seq,
             clients,
             pending,
-            dedup_keys: std::mem::take(&mut self.journal_pending_keys),
+            dedup_keys: std::mem::take(&mut self.recovery.journal_pending_keys),
         };
         self.sys.journal_batches_shipped += 1;
         let bytes = batch.wire_bytes();
@@ -486,29 +513,25 @@ impl WgttWorld {
         // congested or throttled replication link.
         let lag = self.faults.journal_lag_at(now);
         if let Some(d) = self.backhaul.transit(bytes) {
-            ctx.schedule_in(d + lag, Ev::Recovery(Recovery::JournalAtStandby { batch }));
+            let arrival = Recovery::JournalAtStandby { batch };
+            ctx.schedule_in(d + lag, Ev::Recovery(arrival));
         }
     }
 
     /// Standby side: absorb one journal batch into the replica and reset
     /// the failure-detector clock.
-    pub(super) fn on_journal_at_standby(&mut self, ctx: &mut Ctx<'_, Ev>, batch: JournalBatch) {
-        let now = ctx.now();
-        let sb = self.standby.get_or_insert_with(Standby::new);
+    fn on_journal_at_standby(&mut self, ctx: &mut Ctx<'_, Ev>, batch: JournalBatch) {
+        let sb = self.recovery.standby.get_or_insert_with(Standby::new);
         if sb.taken_over {
             return; // post-takeover stragglers from the dead reign
         }
-        match sb.replica.apply(&batch) {
-            crate::replica::ApplyOutcome::Applied => {
-                self.sys.journal_batches_applied += 1;
-                sb.last_batch_at = now;
-            }
-            crate::replica::ApplyOutcome::AppliedAfterGap => {
-                self.sys.journal_batches_applied += 1;
+        let outcome = sb.replica.apply(&batch);
+        if outcome != ApplyOutcome::Stale {
+            self.sys.journal_batches_applied += 1;
+            if outcome == ApplyOutcome::AppliedAfterGap {
                 self.sys.journal_gaps += 1;
-                sb.last_batch_at = now;
             }
-            crate::replica::ApplyOutcome::Stale => {}
+            sb.last_batch_at = ctx.now();
         }
     }
 
@@ -516,30 +539,27 @@ impl WgttWorld {
     /// timeout (with the primary actually down — the sim's stand-in for a
     /// lease protocol that prevents spurious promotion) promotes the
     /// replica to controller under a freshly bumped term.
-    pub(super) fn on_standby_check(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    fn on_standby_check(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
-        if now < self.traffic_until + SimDuration::from_millis(500) {
+        if self.ticking(now) {
             ctx.schedule_in(STANDBY_CHECK_INTERVAL, Ev::Recovery(Recovery::StandbyCheck));
         }
-        let Some(crashed_at) = self.primary_crashed_at else {
+        let Some(crashed_at) = self.recovery.primary_crashed_at else {
             return;
         };
         if !self.controller_down {
             return;
         }
-        let sb = self.standby.get_or_insert_with(Standby::new);
+        let sb = self.recovery.standby.get_or_insert_with(Standby::new);
         if sb.taken_over || now.saturating_since(sb.last_batch_at) <= TAKEOVER_TIMEOUT {
             return;
         }
-        // Takeover. Copy what the replica holds, then promote.
+        // Takeover. The standby is the controller from here on and nobody
+        // feeds or reads its replica again: take what it holds, then
+        // promote.
         sb.taken_over = true;
-        let fed = sb.replica.fed();
-        let gapped = sb.replica.gapped();
-        let replica_term = sb.replica.term();
-        let clients = sb.replica.clients().to_vec();
-        let keys = sb.replica.keys().to_vec();
-        let pending = sb.replica.pending().to_vec();
-        self.primary_crashed_at = None;
+        let replica = std::mem::take(&mut sb.replica);
+        self.recovery.primary_crashed_at = None;
         self.sys.standby_takeovers += 1;
         self.sys
             .takeovers
@@ -547,28 +567,19 @@ impl WgttWorld {
         self.controller_down = false;
         // Fence first: the new reign's term exceeds anything the dead
         // primary (or its zombie) can ever stamp.
-        let new_term = replica_term.max(self.zombie_term).max(1) + 1;
-        self.ctrl.engine.set_term(new_term);
-        if fed {
-            self.ctrl.restore_from_journal(&clients, &keys);
+        let term = replica.term().max(self.recovery.zombie_term).max(1) + 1;
+        self.ctrl.engine.set_term(term);
+        if replica.fed() {
+            self.ctrl
+                .restore_from_journal(replica.clients(), replica.keys());
         }
         // Announce the term to every reachable AP (reliable channel):
         // raises their fences and flushes degraded-mode uplink.
-        for ap in 0..self.aps.len() {
-            if self.ap_reachable(ap, now) {
-                self.sys.control_packets += 1;
-                self.backhaul_send(
-                    ctx,
-                    CONTROL_PACKET_BYTES,
-                    false,
-                    Ev::Recovery(Recovery::TermAnnounceAtAp { ap, term: new_term }),
-                );
-            }
-        }
-        if fed && !gapped {
+        self.broadcast(ctx, |ap| Recovery::TermAnnounceAtAp { ap, term });
+        if replica.fed() && !replica.gapped() {
             // Journal current: re-drive the in-flight switches the crash
             // orphaned, each under a fresh epoch of the new term.
-            for p in pending {
+            for p in replica.pending() {
                 self.issue_switch(ctx, p.client.0 as usize, p.from.0 as usize, p.to.0 as usize);
             }
             self.ensure_round(ctx);
@@ -583,28 +594,9 @@ impl WgttWorld {
     /// A term announcement lands at an AP: raise its fence and let
     /// degraded-mode uplink held for the dead primary flow to the new one
     /// (the restored dedup table catches cross-reign duplicates).
-    pub(super) fn on_term_announce_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, term: u32) {
-        let now = ctx.now();
-        if !self.ap_reachable(ap, now) {
-            return;
-        }
-        if let TermVerdict::Stale = self.aps[ap].term_guard.on_frame(term) {
-            self.sys.stale_term_dropped += 1;
-            return;
-        }
-        let held: Vec<Packet> = self.aps[ap].uplink_buffer.drain(..).collect();
-        for packet in held {
-            self.sys.degraded_uplink_flushed += 1;
-            let wire = packet.len_bytes + wgtt_net::TUNNEL_OVERHEAD_BYTES;
-            self.backhaul_send(
-                ctx,
-                wire,
-                false,
-                Ev::Data(Data::UplinkCopyAtController {
-                    from_ap: ap,
-                    packet,
-                }),
-            );
+    fn on_term_announce_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, term: u32) {
+        if self.ap_admits(ap, term, ctx.now()) {
+            self.flush_degraded_uplink(ctx, ap);
         }
     }
 
@@ -614,69 +606,16 @@ impl WgttWorld {
     /// stale term, so every fenced AP drops them on arrival. This is the
     /// split-brain scenario; the term guards are what make it structurally
     /// harmless.
-    pub(super) fn on_zombie_wake(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let now = ctx.now();
-        let term = self.zombie_term;
-        let pending = std::mem::take(&mut self.zombie_pending);
-        for (client, p) in pending {
-            self.sys.control_packets += 1;
-            self.backhaul_send(
-                ctx,
-                CONTROL_PACKET_BYTES,
-                true,
-                Ev::Ctl(Ctl::StopAtAp {
-                    ap: p.from.0 as usize,
-                    client: client.0 as usize,
-                    to_ap: p.to.0 as usize,
-                    epoch: p.epoch,
-                    term,
-                }),
-            );
+    fn on_zombie_wake(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        let term = self.recovery.zombie_term;
+        for (client, p) in std::mem::take(&mut self.recovery.zombie_pending) {
+            let (from, to) = (p.from.0 as usize, p.to.0 as usize);
+            self.send_stop(ctx, from, client.0 as usize, to, p.epoch, term);
         }
-        for ap in 0..self.aps.len() {
-            if self.ap_reachable(ap, now) {
-                self.sys.control_packets += 1;
-                self.backhaul_send(
-                    ctx,
-                    CONTROL_PACKET_BYTES,
-                    false,
-                    Ev::Recovery(Recovery::ResyncAtAp { ap, term }),
-                );
-            }
-        }
+        self.broadcast(ctx, |ap| Recovery::ResyncAtAp { ap, term });
         // No fence ever answers: the zombie hears nothing by its resync
-        // deadline and concludes it was superseded.
+        // deadline (`ZombieDeadline`: every AP fenced it), concludes it was
+        // superseded, and stands down for good.
         ctx.schedule_in(RESYNC_DEADLINE, Ev::Recovery(Recovery::ZombieDeadline));
-    }
-
-    /// The zombie's resync deadline passes with zero replies (every AP
-    /// fenced it): it stands down for good.
-    pub(super) fn on_zombie_deadline(&mut self, _ctx: &mut Ctx<'_, Ev>) {
-        self.sys.zombie_standdowns += 1;
-    }
-}
-
-impl WgttWorld {
-    pub(super) fn handle_recovery(&mut self, ev: Recovery, ctx: &mut Ctx<'_, Ev>) {
-        match ev {
-            Recovery::ApCrash(ap) => self.on_ap_crash(ctx, ap),
-            Recovery::ApReboot(ap) => self.on_ap_reboot(ctx, ap),
-            Recovery::ControllerCrash => self.on_controller_crash(ctx),
-            Recovery::ControllerRecover => self.on_controller_recover(ctx),
-            Recovery::ResyncAtAp { ap, term } => self.on_resync_at_ap(ctx, ap, term),
-            Recovery::ResyncReplyAtController { reply } => {
-                self.on_resync_reply_at_controller(ctx, reply)
-            }
-            Recovery::ResyncDeadline { seq } => self.on_resync_deadline(ctx, seq),
-            Recovery::ReAdoptTimeout { ap, client, epoch } => {
-                self.on_readopt_timeout(ctx, ap, client, epoch)
-            }
-            Recovery::JournalShip => self.on_journal_ship(ctx),
-            Recovery::JournalAtStandby { batch } => self.on_journal_at_standby(ctx, batch),
-            Recovery::StandbyCheck => self.on_standby_check(ctx),
-            Recovery::TermAnnounceAtAp { ap, term } => self.on_term_announce_at_ap(ctx, ap, term),
-            Recovery::ZombieWake => self.on_zombie_wake(ctx),
-            Recovery::ZombieDeadline => self.on_zombie_deadline(ctx),
-        }
     }
 }
