@@ -64,6 +64,13 @@ pub(super) enum AirTx {
 }
 
 impl WgttWorld {
+    pub(super) fn handle_air(&mut self, ev: Air, ctx: &mut Ctx<'_, Ev>) {
+        match ev {
+            Air::ContentionRound => self.on_contention_round(ctx),
+            Air::TxDone(id) => self.on_tx_done(ctx, id),
+        }
+    }
+
     // ---------- helpers ----------
 
     fn client_pos(&self, c: usize, t: SimTime) -> wgtt_phy::Position {
@@ -1041,13 +1048,4 @@ impl WgttWorld {
 /// Whether `seq` is still outstanding (un-acked) in the scoreboard.
 fn st_seq_outstanding(st: &crate::ap::ApClientState, seq: u16) -> bool {
     st.scoreboard.unacked().contains(&seq)
-}
-
-impl WgttWorld {
-    pub(super) fn handle_air(&mut self, ev: Air, ctx: &mut Ctx<'_, Ev>) {
-        match ev {
-            Air::ContentionRound => self.on_contention_round(ctx),
-            Air::TxDone(id) => self.on_tx_done(ctx, id),
-        }
-    }
 }

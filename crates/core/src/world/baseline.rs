@@ -2,6 +2,7 @@
 //! tick, and the Enhanced 802.11r baseline's beacon/roam machine.
 
 use super::*;
+use crate::ap::Role;
 
 /// Client-driven periodic events and the 802.11r baseline's roam machine.
 #[derive(Clone)]
@@ -45,6 +46,26 @@ impl Probe {
 }
 
 impl WgttWorld {
+    pub(super) fn handle_probe(&mut self, ev: Probe, ctx: &mut Ctx<'_, Ev>) {
+        match ev {
+            Probe::ProbeTick { client } => self.on_probe_tick(ctx, client),
+            Probe::AccuracyTick => self.on_accuracy_tick(ctx),
+            Probe::BeaconTick => self.on_beacon_tick(ctx),
+            Probe::RoamCheck { client } => self.on_roam_check(ctx, client),
+            Probe::RoamReqArrive {
+                client,
+                target,
+                retries,
+            } => self.on_roam_req(ctx, client, target, retries),
+            Probe::RoamRespArrive {
+                client,
+                target,
+                retries,
+            } => self.on_roam_resp(ctx, client, target, retries),
+            Probe::RoamComplete { client, target } => self.on_roam_complete(ctx, client, target),
+        }
+    }
+
     // ---------- oracle sampling ----------
 
     /// Hands the oracle one sample per resident vehicle (see
@@ -131,10 +152,8 @@ impl WgttWorld {
                         continue;
                     }
                     let csi = self.csi(ap, c, now);
-                    // Beacons ride the base rate: ~250 B at MCS0.
-                    let e = esnr_from_csi(Modulation::Bpsk, &csi);
-                    let p = self.cfg.per_model.success_prob(Mcs(0), e, 250);
-                    if self.rng.chance(p) {
+                    // Beacons are ~250 B.
+                    if self.base_rate_frame_heard(&csi, 250) {
                         let alpha = self.cfg.baseline.rssi_ewma_alpha;
                         self.clients[c]
                             .rssi
@@ -204,39 +223,47 @@ impl WgttWorld {
         }
     }
 
-    pub(super) fn on_roam_req(
+    /// Draws whether one base-rate (BPSK, MCS 0) management frame of
+    /// `bytes` is decoded over the link snapshot `csi`.
+    fn base_rate_frame_heard(&mut self, csi: &wgtt_phy::Csi, bytes: usize) -> bool {
+        let e = esnr_from_csi(Modulation::Bpsk, csi);
+        let p = self.cfg.per_model.success_prob(Mcs(0), e, bytes);
+        self.rng.chance(p)
+    }
+
+    /// One frame of client `c`'s reassociation exchange with `target`
+    /// crosses the air: whether it was decoded, or `None` when the attempt
+    /// it belongs to was superseded or abandoned in the meantime.
+    fn reassoc_frame_heard(
         &mut self,
-        ctx: &mut Ctx<'_, Ev>,
         c: usize,
         target: usize,
-        retries: u32,
-    ) {
-        let now = ctx.now();
+        frame: MgmtFrame,
+        now: SimTime,
+    ) -> Option<bool> {
         if self.clients[c].roam.map(|r| r.target.0 as usize) != Some(target) {
-            return; // attempt superseded/abandoned
+            return None;
         }
         let csi = self.csi(target, c, now);
-        let e = esnr_from_csi(Modulation::Bpsk, &csi);
-        let p = self.cfg.per_model.success_prob(
-            Mcs(0),
-            e,
-            wgtt_mac::mgmt_frame_bytes(MgmtFrame::ReassocReq),
-        );
-        if self.rng.chance(p) {
-            let gi = self.cfg.gi;
-            let st = self.aps[target].client_mut(ClientId(c as u32), gi);
-            st.assoc.install_shared_auth();
-            let _resp = st.assoc.on_frame(now, MgmtFrame::ReassocReq);
-            ctx.schedule_in(
-                SimDuration::from_millis(1),
-                Ev::Probe(Probe::RoamRespArrive {
+        Some(self.base_rate_frame_heard(&csi, wgtt_mac::mgmt_frame_bytes(frame)))
+    }
+
+    fn on_roam_req(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize, retries: u32) {
+        let now = ctx.now();
+        match self.reassoc_frame_heard(c, target, MgmtFrame::ReassocReq, now) {
+            None => {}
+            Some(false) => self.retry_roam(ctx, c, target, retries),
+            Some(true) => {
+                let st = self.aps[target].client_mut(ClientId(c as u32), self.cfg.gi);
+                st.assoc.install_shared_auth();
+                let _resp = st.assoc.on_frame(now, MgmtFrame::ReassocReq);
+                let resp = Probe::RoamRespArrive {
                     client: c,
                     target,
                     retries,
-                }),
-            );
-        } else {
-            self.retry_roam(ctx, c, target, retries);
+                };
+                ctx.schedule_in(SimDuration::from_millis(1), Ev::Probe(resp));
+            }
         }
     }
 
@@ -259,93 +286,43 @@ impl WgttWorld {
         );
     }
 
-    pub(super) fn on_roam_resp(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        c: usize,
-        target: usize,
-        retries: u32,
-    ) {
+    fn on_roam_resp(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize, retries: u32) {
         let now = ctx.now();
-        if self.clients[c].roam.map(|r| r.target.0 as usize) != Some(target) {
-            return;
-        }
-        let csi = self.csi(target, c, now);
-        let e = esnr_from_csi(Modulation::Bpsk, &csi);
-        let p = self.cfg.per_model.success_prob(
-            Mcs(0),
-            e,
-            wgtt_mac::mgmt_frame_bytes(MgmtFrame::ReassocResp),
-        );
-        if self.rng.chance(p) {
-            // Reassociation exchange done: the client leaves the old AP
-            // immediately, but data only flows again once keys and
-            // forwarding state are installed (handover downtime).
-            let client = ClientId(c as u32);
-            let gi = self.cfg.gi;
-            let old = self.clients[c].serving;
-            if let Some(old_ap) = old {
-                let st = self.aps[old_ap.0 as usize].client_mut(client, gi);
-                st.serving = false;
-                // Baseline pathology: the old AP keeps draining its whole
-                // backlog toward a client that no longer listens.
-                st.draining = true;
-                st.drain_cyclic = true;
-                st.assoc.disassociate();
+        match self.reassoc_frame_heard(c, target, MgmtFrame::ReassocResp, now) {
+            None => {}
+            Some(false) => self.retry_roam(ctx, c, target, retries),
+            Some(true) => {
+                // Reassociation exchange done: the client leaves the old AP
+                // immediately, but data only flows again once keys and
+                // forwarding state are installed (handover downtime).
+                let client = ClientId(c as u32);
+                if let Some(old) = self.serving_of(c) {
+                    let st = self.aps[old].client_mut(client, self.cfg.gi);
+                    // Baseline pathology: the old AP keeps draining its
+                    // whole backlog toward a client that no longer listens
+                    // (deliveries fail: `client_listens_to` is false for a
+                    // non-serving AP in baseline mode).
+                    st.set_role(Role::Draining { cyclic: true });
+                    st.assoc.disassociate();
+                }
+                self.ctrl.serving.remove(&client);
+                self.set_serving(c, None, now);
+                let done = Probe::RoamComplete { client: c, target };
+                ctx.schedule_in(self.cfg.baseline.handover_latency, Ev::Probe(done));
             }
-            self.clients[c].serving = None;
-            self.ctrl.serving.remove(&client);
-            self.clients[c].metrics.record_assoc(now, None);
-            ctx.schedule_in(
-                self.cfg.baseline.handover_latency,
-                Ev::Probe(Probe::RoamComplete { client: c, target }),
-            );
-        } else {
-            self.retry_roam(ctx, c, target, retries);
         }
     }
 
-    pub(super) fn on_roam_complete(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize) {
-        let now = ctx.now();
+    fn on_roam_complete(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize) {
         let client = ClientId(c as u32);
-        let gi = self.cfg.gi;
-        let st = self.aps[target].client_mut(client, gi);
-        st.serving = true;
-        st.draining = false;
-        st.drain_cyclic = false;
-        self.clients[c].serving = Some(ApId(target as u32));
+        self.aps[target]
+            .client_mut(client, self.cfg.gi)
+            .set_role(Role::Serving);
         self.ctrl.serving.insert(client, ApId(target as u32));
-        self.clients[c]
-            .metrics
-            .record_assoc(now, Some(ApId(target as u32)));
+        // `set_serving`, not `served_by`: a roam is not the health layer's
+        // re-attach and closes no failover blackout.
+        self.set_serving(c, Some(ApId(target as u32)), ctx.now());
         self.clients[c].roam = None;
         self.ensure_round(ctx);
-    }
-
-    // ---------- baseline drain: old AP keeps transmitting ----------
-    // (handled naturally: `draining` + `has_downlink_work`; deliveries
-    // fail because `client_listens_to` is false for non-serving APs in
-    // baseline mode.)
-}
-
-impl WgttWorld {
-    pub(super) fn handle_probe(&mut self, ev: Probe, ctx: &mut Ctx<'_, Ev>) {
-        match ev {
-            Probe::ProbeTick { client } => self.on_probe_tick(ctx, client),
-            Probe::AccuracyTick => self.on_accuracy_tick(ctx),
-            Probe::BeaconTick => self.on_beacon_tick(ctx),
-            Probe::RoamCheck { client } => self.on_roam_check(ctx, client),
-            Probe::RoamReqArrive {
-                client,
-                target,
-                retries,
-            } => self.on_roam_req(ctx, client, target, retries),
-            Probe::RoamRespArrive {
-                client,
-                target,
-                retries,
-            } => self.on_roam_resp(ctx, client, target, retries),
-            Probe::RoamComplete { client, target } => self.on_roam_complete(ctx, client, target),
-        }
     }
 }

@@ -81,11 +81,47 @@ pub struct ServerFlow {
     pub(super) rto_check_at: Option<SimTime>,
 }
 
+impl ServerFlow {
+    /// The event that starts this flow's traffic source, and when: a CBR
+    /// source's first emission, a TCP sender's first pump; `fallback` where
+    /// the source names no time of its own.
+    pub(super) fn first_tick(&self, fidx: usize, fallback: SimTime) -> (SimTime, Data) {
+        match &self.kind {
+            FlowKind::DownUdp(src) => (
+                src.next_emit_time().unwrap_or(fallback),
+                Data::UdpDownTick(fidx),
+            ),
+            FlowKind::UpUdp(src) => (
+                src.next_emit_time().unwrap_or(fallback),
+                Data::UplinkAppTick(fidx),
+            ),
+            FlowKind::DownTcp(_) => (fallback, Data::TcpPump(fidx)),
+        }
+    }
+}
+
 /// How long a client holds frames behind a reorder-window hole before
 /// skipping it.
 const REORDER_TIMEOUT: SimDuration = SimDuration::from_millis(50);
 
 impl WgttWorld {
+    pub(super) fn handle_data(&mut self, ev: Data, ctx: &mut Ctx<'_, Ev>) {
+        match ev {
+            Data::UdpDownTick(f) => self.on_cbr_tick(ctx, f, false),
+            Data::UplinkAppTick(f) => self.on_cbr_tick(ctx, f, true),
+            Data::TcpPump(f) => self.pump_tcp(ctx, f),
+            Data::TcpRtoCheck(f) => self.on_tcp_rto_check(ctx, f),
+            Data::PacketAtController(p) => self.on_packet_at_controller(ctx, p),
+            Data::PacketAtAp { ap, packet } => self.on_packet_at_ap(ctx, ap, packet),
+            Data::UplinkCopyAtController { from_ap, packet } => {
+                self.on_uplink_copy(ctx, from_ap, packet)
+            }
+            Data::PacketAtServer(p) => self.on_packet_at_server(ctx, p),
+            Data::BaForwardAtAp { ap, client, ba } => self.on_ba_forward_at_ap(ap, client, ba),
+            Data::ReorderFlush { client } => self.on_reorder_flush(ctx, client),
+        }
+    }
+
     pub(super) fn backhaul_send(
         &mut self,
         ctx: &mut Ctx<'_, Ev>,
@@ -528,25 +564,6 @@ impl WgttWorld {
                 self.ensure_round(ctx);
             }
             _ => {}
-        }
-    }
-}
-
-impl WgttWorld {
-    pub(super) fn handle_data(&mut self, ev: Data, ctx: &mut Ctx<'_, Ev>) {
-        match ev {
-            Data::UdpDownTick(f) => self.on_cbr_tick(ctx, f, false),
-            Data::UplinkAppTick(f) => self.on_cbr_tick(ctx, f, true),
-            Data::TcpPump(f) => self.pump_tcp(ctx, f),
-            Data::TcpRtoCheck(f) => self.on_tcp_rto_check(ctx, f),
-            Data::PacketAtController(p) => self.on_packet_at_controller(ctx, p),
-            Data::PacketAtAp { ap, packet } => self.on_packet_at_ap(ctx, ap, packet),
-            Data::UplinkCopyAtController { from_ap, packet } => {
-                self.on_uplink_copy(ctx, from_ap, packet)
-            }
-            Data::PacketAtServer(p) => self.on_packet_at_server(ctx, p),
-            Data::BaForwardAtAp { ap, client, ba } => self.on_ba_forward_at_ap(ap, client, ba),
-            Data::ReorderFlush { client } => self.on_reorder_flush(ctx, client),
         }
     }
 }

@@ -399,21 +399,11 @@ pub fn prime_events(sim: &mut wgtt_sim::Simulator<WgttWorld>) {
         );
     }
     for f in 0..n_flows {
-        match &sim.world().flows[f].kind {
-            FlowKind::DownUdp(src) => {
-                let at = src.next_emit_time().unwrap_or(SimTime::from_millis(1));
-                sim.schedule_at(at, Ev::Data(Data::UdpDownTick(f)));
-            }
-            FlowKind::UpUdp(src) => {
-                let at = src.next_emit_time().unwrap_or(SimTime::from_millis(1));
-                sim.schedule_at(at, Ev::Data(Data::UplinkAppTick(f)));
-            }
-            FlowKind::DownTcp(_) => {
-                sim.schedule_at(SimTime::from_millis(1), Ev::Data(Data::TcpPump(f)));
-            }
-        }
+        let (at, tick) = sim.world().flows[f].first_tick(f, SimTime::from_millis(1));
+        sim.schedule_at(at, Ev::Data(tick));
     }
 }
+
 impl World for WgttWorld {
     type Event = Ev;
 

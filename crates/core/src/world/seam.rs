@@ -113,6 +113,16 @@ pub struct SeamEntry {
     pub payload: SeamPayload,
 }
 
+impl SeamEntry {
+    /// Tags `payload` with its flow's position in `flow_ids`, the owning
+    /// client's flow list.
+    fn of(flow_ids: &[FlowId], payload: SeamPayload) -> Self {
+        let flow = payload.packet().flow;
+        let ordinal = flow_ids.iter().position(|&f| f == flow).unwrap_or(0);
+        SeamEntry { ordinal, payload }
+    }
+}
+
 /// Everything the destination controller needs to resume a migrated
 /// client without losing or double-delivering a datagram across the
 /// seam — the inter-controller handoff record (ROADMAP item 2; the
@@ -144,6 +154,39 @@ pub struct MigrationRecord {
 }
 
 impl WgttWorld {
+    pub(super) fn handle_seam(&mut self, ev: Seam, ctx: &mut Ctx<'_, Ev>) {
+        match ev {
+            Seam::MigrantFlush { client } => self.on_migrant_flush(ctx, client),
+        }
+    }
+
+    /// What becomes of an event that names departed client `c`.
+    /// Data-bearing events are captured into the seam outbox so the next
+    /// barrier can forward the datagram to the client's destination shard;
+    /// control/timer stragglers (CSI reports, probe ticks, switch legs, …)
+    /// are pure bookkeeping and are dropped where they stand.
+    pub(super) fn capture_departed(&mut self, c: usize, event: Ev) {
+        let payload = match event {
+            // A downlink datagram between server, controller, and AP: not
+            // yet on the air, so not yet "sent on the old link" — it
+            // belongs to the destination.
+            Ev::Data(Data::PacketAtController(p)) => SeamPayload::Downlink(p),
+            Ev::Data(Data::PacketAtAp { packet, .. }) => SeamPayload::Downlink(packet),
+            // An AP→controller uplink copy: must cross the seam so the
+            // destination's dedup filter arbitrates delivery.
+            Ev::Data(Data::UplinkCopyAtController { packet, .. }) => {
+                SeamPayload::UplinkCopy(packet)
+            }
+            // Already deduplicated, caught on the server hop.
+            Ev::Data(Data::PacketAtServer(p)) => SeamPayload::ServerBound(p),
+            _ => {
+                self.sys.departed_ctrl_drops += 1;
+                return;
+            }
+        };
+        self.capture_seam(c, payload);
+    }
+
     // ---------- shard-boundary migration ----------
 
     /// Whether client `c` is still resident in this world (not yet retired
@@ -169,17 +212,13 @@ impl WgttWorld {
     /// APs are already counted as sent and would only re-deliver
     /// duplicates, so only this AP's tail is exported as residue.
     fn best_claimant_ap(&self, client: ClientId) -> Option<usize> {
-        (0..self.aps.len())
-            .filter(|&a| self.aps[a].client(client).is_some())
-            .max_by_key(|&a| {
-                let st = self.aps[a].client(client).expect("filtered above");
-                (
-                    st.serving,
-                    st.guard.start_applied(),
-                    st.guard.latest(),
-                    std::cmp::Reverse(a),
-                )
-            })
+        let claim = |a: usize| {
+            let st = self.aps[a].client(client)?;
+            let key = (st.serving, st.guard.start_applied(), st.guard.latest());
+            Some((key, std::cmp::Reverse(a)))
+        };
+        let best = (0..self.aps.len()).filter_map(claim).max();
+        best.map(|(_, std::cmp::Reverse(a))| a)
     }
 
     /// Retires a client that crossed this shard's boundary and exports its
@@ -205,8 +244,6 @@ impl WgttWorld {
         self.sys.migrated_out += 1;
         let id = ClientId(c as u32);
         let flow_ids = self.client_flow_ids(c);
-        let ordinal_of = |flow: FlowId| flow_ids.iter().position(|&f| f == flow).unwrap_or(0);
-
         let mut rec = MigrationRecord {
             epoch_max: self.ctrl.engine.current_epoch(id),
             next_ident: self.factory.peek_ident(id),
@@ -229,31 +266,22 @@ impl WgttWorld {
         if let Some(best) = self.best_claimant_ap(id) {
             if let Some(st) = self.aps[best].client_get_mut(id) {
                 while let Some(p) = st.cyclic.pop_head() {
-                    rec.residue.push(SeamEntry {
-                        ordinal: ordinal_of(p.flow),
-                        payload: SeamPayload::Downlink(p),
-                    });
+                    let payload = SeamPayload::Downlink(p);
+                    rec.residue.push(SeamEntry::of(&flow_ids, payload));
                 }
             }
         }
         // Uplink residue: the client's own unacked queue, oldest first,
         // carrying link-layer retry counts (the health state).
-        let cl = &mut self.clients[c];
-        cl.serving = None;
-        cl.metrics.record_assoc(now, None);
-        for e in cl.uplink_queue.drain(..) {
-            rec.residue.push(SeamEntry {
-                ordinal: ordinal_of(e.packet.flow),
-                payload: SeamPayload::UplinkQueued(e.packet, e.retries),
-            });
+        self.set_serving(c, None, now);
+        for e in self.clients[c].uplink_queue.drain(..) {
+            let payload = SeamPayload::UplinkQueued(e.packet, e.retries);
+            rec.residue.push(SeamEntry::of(&flow_ids, payload));
         }
         // Seam datagrams imported on a previous hop but never flushed (the
         // client crossed again before associating): they ride along.
         for payload in std::mem::take(&mut self.pending_import[c]) {
-            rec.residue.push(SeamEntry {
-                ordinal: ordinal_of(payload.packet().flow),
-                payload,
-            });
+            rec.residue.push(SeamEntry::of(&flow_ids, payload));
         }
         for ap in &mut self.aps {
             if let Some(slot) = ap.clients.get_mut(c) {
@@ -368,27 +396,30 @@ impl WgttWorld {
         }
         let mut imported = Vec::with_capacity(rec.residue.len());
         for entry in &rec.residue {
-            match flow_ids.get(entry.ordinal) {
-                Some(&fid) => {
-                    let mut payload = entry.payload.clone();
-                    let p = payload.packet_mut();
-                    p.client = id;
-                    p.flow = fid;
-                    // Downlink indices are allocator-scoped; the
-                    // destination controller assigns fresh ones.
-                    p.index = None;
-                    self.sys.residue_transferred += 1;
-                    imported.push(payload);
-                }
-                None => {
-                    // No matching flow at the destination (traffic window
-                    // closed): the datagram has nowhere to land.
-                    self.sys.departed_data_drops += 1;
-                    self.sys.departed_data_bytes += entry.payload.packet().len_bytes as u64;
-                }
+            if let Some(payload) = self.localize(c, &flow_ids, entry.clone()) {
+                self.sys.residue_transferred += 1;
+                imported.push(payload);
             }
         }
         Some(imported)
+    }
+
+    /// Rewrites one seam entry into this world's id space, as client `c`'s.
+    /// An entry whose flow has no counterpart here (traffic window closed)
+    /// has nowhere to land and is counted as a seam data loss.
+    fn localize(&mut self, c: usize, flow_ids: &[FlowId], entry: SeamEntry) -> Option<SeamPayload> {
+        let mut payload = entry.payload;
+        let p = payload.packet_mut();
+        let Some(&fid) = flow_ids.get(entry.ordinal) else {
+            self.count_seam_loss(1, p.len_bytes as u64);
+            return None;
+        };
+        p.client = ClientId(c as u32);
+        p.flow = fid;
+        // Downlink indices are allocator-scoped; the destination
+        // controller assigns fresh ones.
+        p.index = None;
+        Some(payload)
     }
 
     /// Drains every departed client's seam outbox, in ascending client
@@ -405,13 +436,7 @@ impl WgttWorld {
             let flow_ids = self.client_flow_ids(c);
             let entries: Vec<SeamEntry> = std::mem::take(&mut self.outbox[c])
                 .into_iter()
-                .map(|payload| SeamEntry {
-                    ordinal: flow_ids
-                        .iter()
-                        .position(|&f| f == payload.packet().flow)
-                        .unwrap_or(0),
-                    payload,
-                })
+                .map(|payload| SeamEntry::of(&flow_ids, payload))
                 .collect();
             out.push((c, entries));
         }
@@ -429,27 +454,16 @@ impl WgttWorld {
     /// then schedule an [`Ev::MigrantFlush`] to re-inject, since the
     /// first-association hook has already run.
     pub fn deposit_seam(&mut self, c: usize, entries: Vec<SeamEntry>) -> bool {
-        let id = ClientId(c as u32);
         let flow_ids = self.client_flow_ids(c);
         for entry in entries {
-            match flow_ids.get(entry.ordinal) {
-                Some(&fid) => {
-                    let mut payload = entry.payload;
-                    let p = payload.packet_mut();
-                    p.client = id;
-                    p.flow = fid;
-                    p.index = None;
-                    self.sys.seam_forwarded += 1;
-                    if self.departed[c] {
-                        self.capture_seam(c, payload);
-                    } else {
-                        self.pending_import[c].push(payload);
-                    }
-                }
-                None => {
-                    self.sys.departed_data_drops += 1;
-                    self.sys.departed_data_bytes += entry.payload.packet().len_bytes as u64;
-                }
+            let Some(payload) = self.localize(c, &flow_ids, entry) else {
+                continue;
+            };
+            self.sys.seam_forwarded += 1;
+            if self.departed[c] {
+                self.capture_seam(c, payload);
+            } else {
+                self.pending_import[c].push(payload);
             }
         }
         !self.departed[c] && self.clients[c].serving.is_some()
@@ -575,60 +589,16 @@ impl WgttWorld {
 pub fn prime_migrant_events(sim: &mut wgtt_sim::Simulator<WgttWorld>, client: usize) {
     let now = sim.now();
     sim.schedule_at(now, Ev::Probe(Probe::ProbeTick { client }));
-    let flow_ticks: Vec<(SimTime, Ev)> = sim
+    let flow_ticks: Vec<(SimTime, Data)> = sim
         .world()
         .flows
         .iter()
         .enumerate()
-        .filter(|(_, f)| f.client == client)
-        .map(|(fidx, f)| match &f.kind {
-            FlowKind::DownUdp(src) => (
-                src.next_emit_time().unwrap_or(now),
-                Ev::Data(Data::UdpDownTick(fidx)),
-            ),
-            FlowKind::UpUdp(src) => (
-                src.next_emit_time().unwrap_or(now),
-                Ev::Data(Data::UplinkAppTick(fidx)),
-            ),
-            FlowKind::DownTcp(_) => unreachable!("TCP flows do not migrate"),
-        })
+        // TCP flows do not migrate: one that rode along is left unpumped.
+        .filter(|(_, f)| f.client == client && !matches!(f.kind, FlowKind::DownTcp(_)))
+        .map(|(fidx, f)| f.first_tick(fidx, now))
         .collect();
-    for (at, ev) in flow_ticks {
-        sim.schedule_at(at.max(now), ev);
-    }
-}
-
-impl WgttWorld {
-    pub(super) fn handle_seam(&mut self, ev: Seam, ctx: &mut Ctx<'_, Ev>) {
-        match ev {
-            Seam::MigrantFlush { client } => self.on_migrant_flush(ctx, client),
-        }
-    }
-
-    /// What becomes of an event that names departed client `c`.
-    /// Data-bearing events are captured into the seam outbox so the next
-    /// barrier can forward the datagram to the client's destination shard;
-    /// control/timer stragglers (CSI reports, probe ticks, switch legs, …)
-    /// are pure bookkeeping and are dropped where they stand.
-    pub(super) fn capture_departed(&mut self, c: usize, event: Ev) {
-        let payload = match event {
-            // A downlink datagram between server, controller, and AP: not
-            // yet on the air, so not yet "sent on the old link" — it
-            // belongs to the destination.
-            Ev::Data(Data::PacketAtController(p)) => SeamPayload::Downlink(p),
-            Ev::Data(Data::PacketAtAp { packet, .. }) => SeamPayload::Downlink(packet),
-            // An AP→controller uplink copy: must cross the seam so the
-            // destination's dedup filter arbitrates delivery.
-            Ev::Data(Data::UplinkCopyAtController { packet, .. }) => {
-                SeamPayload::UplinkCopy(packet)
-            }
-            // Already deduplicated, caught on the server hop.
-            Ev::Data(Data::PacketAtServer(p)) => SeamPayload::ServerBound(p),
-            _ => {
-                self.sys.departed_ctrl_drops += 1;
-                return;
-            }
-        };
-        self.capture_seam(c, payload);
+    for (at, tick) in flow_ticks {
+        sim.schedule_at(at.max(now), Ev::Data(tick));
     }
 }
