@@ -3,6 +3,9 @@
 //! (`TxDone` reception and the overhear sweep).
 
 use super::*;
+use crate::client::UplinkEntry;
+use wgtt_mac::timing::{ACK_BYTES, BLOCK_ACK_BYTES};
+use wgtt_phy::Position;
 
 /// Radio events.
 #[derive(Clone)]
@@ -24,7 +27,7 @@ impl Air {
 
 /// Identifies a radio transmitter for busy-tracking.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(super) enum NodeKey {
+enum NodeKey {
     /// An access point's radio.
     Ap(usize),
     /// A client's radio.
@@ -40,27 +43,133 @@ const CAPTURE_MARGIN_DB: f64 = 8.0;
 /// CCA detection window: a later AP response within this of an earlier one
 /// fails to defer, µs.
 const CCA_WINDOW_US: f64 = 1.0;
+/// Carrier-sense range. Spatial reuse: transmitters farther apart than this
+/// (directional antennas, metres-scale cells) neither carrier-sense nor
+/// interfere with each other, so several may transmit concurrently — this
+/// is what makes two opposing cars at opposite ends of the array cheap to
+/// serve simultaneously (paper Fig 20).
+const CS_RANGE_M: f64 = 25.0;
 
-/// A transmission in flight on the radio.
-pub(super) enum AirTx {
-    /// AP → client A-MPDU.
+/// Transmitter and intended-receiver positions of one transmission.
+type Span = (Position, Position);
+
+/// Whether two transmissions are out of each other's carrier-sense range.
+fn compatible(a: Span, b: Span) -> bool {
+    a.0.distance(&b.0) > CS_RANGE_M
+        && a.0.distance(&b.1) > CS_RANGE_M
+        && b.0.distance(&a.1) > CS_RANGE_M
+}
+
+/// What a transmission carries.
+enum Burst {
+    /// AP → client A-MPDU: `(seq, packet, retries)` of each MPDU.
     ApAggregate {
         ap: usize,
         client: usize,
-        /// `(seq, packet, retries)` of each MPDU.
         mpdus: Vec<(u16, Packet, u32)>,
-        mcs: Mcs,
-        collided: bool,
-        start: SimTime,
     },
     /// Client → BSSID uplink burst.
     ClientBurst {
         client: usize,
-        entries: Vec<crate::client::UplinkEntry>,
-        mcs: Mcs,
-        collided: bool,
-        start: SimTime,
+        entries: Vec<UplinkEntry>,
     },
+}
+
+/// How a burst went on the air.
+#[derive(Clone, Copy)]
+struct Shot {
+    mcs: Mcs,
+    /// Destroyed by a same-slot DCF collision.
+    collided: bool,
+    /// First symbol on the air; the channel is sampled here.
+    start: SimTime,
+}
+
+/// A transmission in flight on the radio: what `TxDone` resolves, and the
+/// geometry the carrier-sense scan needs while it lasts.
+struct AirTx {
+    id: u64,
+    burst: Burst,
+    shot: Shot,
+    /// End of the exchange (PPDU + SIFS + Block ACK): `TxDone` fires and
+    /// the medium frees.
+    end: SimTime,
+    span: Span,
+    node: NodeKey,
+}
+
+/// Transmissions on the air, sorted by tx id. Ids are monotone, so inserts
+/// append and the order never needs repair; id order makes every scan
+/// cross-process deterministic. Steady-state population is the handful of
+/// concurrent exchanges, so binary-search removal beats a tree and
+/// allocates nothing once warm.
+#[derive(Default)]
+struct InFlight {
+    txs: Vec<AirTx>,
+    next_id: u64,
+}
+
+impl InFlight {
+    /// Registers a transmission under the next id and returns the id.
+    fn insert(&mut self, burst: Burst, shot: Shot, end: SimTime, span: Span, node: NodeKey) -> u64 {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.txs.push(AirTx {
+            id,
+            burst,
+            shot,
+            end,
+            span,
+            node,
+        });
+        id
+    }
+
+    fn remove(&mut self, id: u64) -> Option<AirTx> {
+        let i = self.txs.binary_search_by_key(&id, |tx| tx.id).ok()?;
+        Some(self.txs.remove(i))
+    }
+
+    /// The transmissions still occupying the medium at `now`, in id order.
+    /// One that has reached its end no longer blocks anyone, even if its
+    /// `TxDone` — due at that same instant — has yet to remove it.
+    fn active(&self, now: SimTime) -> impl Iterator<Item = &AirTx> {
+        self.txs.iter().filter(move |tx| tx.end > now)
+    }
+}
+
+/// A contender the round lets transmit.
+struct Grant {
+    node: NodeKey,
+    draw: u32,
+    span: Span,
+    chan: usize,
+    collided: bool,
+}
+
+/// Reusable contention-round buffers (cleared each round, capacity
+/// retained) — the round runs per-event, so per-call allocation here
+/// dominated steady-state heap traffic.
+#[derive(Default)]
+struct RoundScratch {
+    busy: Vec<NodeKey>,
+    contenders: Vec<(NodeKey, u32)>,
+    /// Span and channel of each ongoing transmission.
+    active: Vec<(Span, usize)>,
+    granted: Vec<Grant>,
+}
+
+/// Private state of the radio layer.
+#[derive(Default)]
+pub(super) struct AirState {
+    in_flight: InFlight,
+    round_scheduled: bool,
+    /// Livelock guard: consecutive contention rounds at one timestamp.
+    rounds_at_ts: (SimTime, u32),
+    scratch: RoundScratch,
+    /// Monitors that overheard the current A-MPDU's Block ACK (cleared per
+    /// A-MPDU, capacity retained).
+    overheard: Vec<usize>,
 }
 
 impl WgttWorld {
@@ -73,7 +182,7 @@ impl WgttWorld {
 
     // ---------- helpers ----------
 
-    fn client_pos(&self, c: usize, t: SimTime) -> wgtt_phy::Position {
+    fn client_pos(&self, c: usize, t: SimTime) -> Position {
         self.clients[c].position(t)
     }
 
@@ -91,16 +200,8 @@ impl WgttWorld {
         self.links[ap][c].csi(t, &pos, speed)
     }
 
-    fn alloc_tx(&mut self, tx: AirTx) -> u64 {
-        let id = self.next_tx_id;
-        self.next_tx_id += 1;
-        // Ids are monotone, so a push keeps the slab sorted by id.
-        self.in_flight.push((id, tx));
-        id
-    }
-
     pub(super) fn ensure_round(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        if self.round_scheduled {
+        if self.air.round_scheduled {
             return;
         }
         let any_ap = self.aps.iter().any(|a| a.has_work());
@@ -108,7 +209,7 @@ impl WgttWorld {
         if !any_ap && !any_client {
             return;
         }
-        self.round_scheduled = true;
+        self.air.round_scheduled = true;
         ctx.schedule_at(ctx.now(), Ev::Air(Air::ContentionRound));
     }
 
@@ -126,105 +227,113 @@ impl WgttWorld {
         }
     }
 
-    // ---------- radio: contention rounds ----------
-
-    pub(super) fn on_contention_round(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        // Loan the pooled buffers to the round body; every exit path comes
-        // back through here, so the capacity survives for the next round.
-        let mut busy = std::mem::take(&mut self.scratch_busy);
-        let mut contenders = std::mem::take(&mut self.scratch_contenders);
-        let mut active = std::mem::take(&mut self.scratch_active);
-        let mut granted = std::mem::take(&mut self.scratch_granted);
-        busy.clear();
-        contenders.clear();
-        active.clear();
-        granted.clear();
-        self.contention_round_body(ctx, &mut busy, &mut contenders, &mut active, &mut granted);
-        self.scratch_busy = busy;
-        self.scratch_contenders = contenders;
-        self.scratch_active = active;
-        self.scratch_granted = granted;
+    /// The channel `node` transmits on.
+    fn chan_of(&self, node: NodeKey) -> usize {
+        match node {
+            NodeKey::Ap(ap) => self.cfg.channel_of(ap),
+            NodeKey::Client(c) => self.serving_of(c).map_or(0, |s| self.cfg.channel_of(s)),
+        }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn contention_round_body(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        busy: &mut Vec<NodeKey>,
-        contenders: &mut Vec<(NodeKey, u32)>,
-        active: &mut Vec<(wgtt_phy::Position, wgtt_phy::Position, usize)>,
-        granted: &mut Vec<(
-            NodeKey,
-            u32,
-            (wgtt_phy::Position, wgtt_phy::Position),
-            usize,
-            bool,
-        )>,
-    ) {
-        self.round_scheduled = false;
+    /// Where `node` would transmit from and to, for carrier sensing.
+    fn span_of(&self, node: NodeKey, now: SimTime) -> Span {
+        match node {
+            NodeKey::Ap(ap) => {
+                let site = &self.deployment.aps[ap];
+                // Receiver: the client this AP would serve (lowest id with
+                // work — any other pick would make the CS geometry, and
+                // hence multi-client results, depend on iteration order);
+                // fall back to the boresight patch.
+                let rx = self.aps[ap]
+                    .clients_iter()
+                    .filter(|(_, s)| s.has_downlink_work())
+                    .min_by_key(|(c, _)| c.0)
+                    .map_or(site.boresight_target, |(c, _)| {
+                        self.client_pos(c.0 as usize, now)
+                    });
+                (site.position, rx)
+            }
+            NodeKey::Client(c) => {
+                let txp = self.client_pos(c, now);
+                let rx = self.clients[c]
+                    .serving
+                    .map_or(txp, |a| self.deployment.aps[a.0 as usize].position);
+                (txp, rx)
+            }
+        }
+    }
+
+    /// Who has work, for the livelock tripwire and the `WGTT_TRACE` round
+    /// line: per AP with work each client's `(id, serving, draining, (NIC
+    /// queue, cyclic backlog), outstanding)`, per client with uplink work
+    /// its queue length, and the transmissions still on the air.
+    fn work_summary(&self, now: SimTime) -> String {
+        let per_client = |a: &ApState| -> Vec<_> {
+            a.clients_iter()
+                .map(|(c, s)| {
+                    let queued = (s.nic_queue.len(), s.cyclic.backlog());
+                    let outstanding = s.scoreboard.outstanding();
+                    (c.0, s.serving, s.draining, queued, outstanding)
+                })
+                .collect()
+        };
+        let aps = self.aps.iter().enumerate().filter(|(_, a)| a.has_work());
+        let clients = self.clients.iter().enumerate();
+        format!(
+            "active={} ap_work={:?} cl_work={:?}",
+            self.air.in_flight.active(now).count(),
+            aps.map(|(i, a)| (i, per_client(a))).collect::<Vec<_>>(),
+            clients
+                .filter(|(_, c)| c.has_uplink_work())
+                .map(|(i, c)| (i, c.uplink_queue.len()))
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    // ---------- radio: contention rounds ----------
+
+    fn on_contention_round(&mut self, ctx: &mut Ctx<'_, Ev>) {
+        // Loan the pooled buffers to the round body; every exit path comes
+        // back through here, so the capacity survives for the next round.
+        let mut scratch = std::mem::take(&mut self.air.scratch);
+        scratch.busy.clear();
+        scratch.contenders.clear();
+        scratch.active.clear();
+        scratch.granted.clear();
+        self.contention_round_body(ctx, &mut scratch);
+        self.air.scratch = scratch;
+    }
+
+    fn contention_round_body(&mut self, ctx: &mut Ctx<'_, Ev>, scratch: &mut RoundScratch) {
+        let RoundScratch {
+            busy,
+            contenders,
+            active,
+            granted,
+        } = scratch;
+        self.air.round_scheduled = false;
         let now = ctx.now();
         // Livelock guard: a node that reports work but can never build a
         // transmission would otherwise reschedule rounds at this same
         // instant forever.
-        if self.rounds_at_ts.0 == now {
-            self.rounds_at_ts.1 += 1;
-            if self.rounds_at_ts.1 > 10_000 {
-                panic!(
-                    "contention livelock at {now}: ap_work={:?} cl_work={:?} active={}",
-                    self.aps
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, a)| a.has_work())
-                        .map(|(i, a)| (
-                            i,
-                            a.clients_iter()
-                                .map(|(c, s)| (
-                                    c.0,
-                                    s.serving,
-                                    s.draining,
-                                    s.nic_queue.len(),
-                                    s.cyclic.backlog(),
-                                    s.scoreboard.outstanding()
-                                ))
-                                .collect::<Vec<_>>()
-                        ))
-                        .collect::<Vec<_>>(),
-                    self.clients
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, c)| c.has_uplink_work())
-                        .map(|(i, c)| (i, c.uplink_queue.len()))
-                        .collect::<Vec<_>>(),
-                    self.active_geo.len()
-                );
+        if self.air.rounds_at_ts.0 == now {
+            self.air.rounds_at_ts.1 += 1;
+            if self.air.rounds_at_ts.1 > 10_000 {
+                panic!("contention livelock at {now}: {}", self.work_summary(now));
             }
         } else {
-            self.rounds_at_ts = (now, 0);
+            self.air.rounds_at_ts = (now, 0);
         }
-        // Drop finished transmissions from the active registry.
-        self.active_geo.retain(|&(_, _, _, end, _)| end > now);
         if self.trace {
-            eprintln!(
-                "[{now}] round: active={} ap_work={:?} cl_work={:?}",
-                self.active_geo.len(),
-                self.aps
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, a)| a.has_work())
-                    .map(|(i, _)| i)
-                    .collect::<Vec<_>>(),
-                self.clients
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.has_uplink_work())
-                    .map(|(i, c)| (i, c.uplink_queue.len()))
-                    .collect::<Vec<_>>()
-            );
+            eprintln!("[{now}] round: {}", self.work_summary(now));
         }
         // Gather contenders: nodes with pending frames whose radio is not
         // already mid-transmission. The active set is a handful of entries,
         // so a linear `contains` beats hashing and allocates nothing.
-        busy.extend(self.active_geo.iter().map(|&(_, _, _, _, key)| key));
+        for tx in self.air.in_flight.active(now) {
+            busy.push(tx.node);
+            active.push((tx.span, self.chan_of(tx.node)));
+        }
         for ap in 0..self.aps.len() {
             if !self.ap_down[ap] && self.aps[ap].has_work() && !busy.contains(&NodeKey::Ap(ap)) {
                 let draw = self.aps[ap].backoff.draw(&mut self.rng);
@@ -242,12 +351,6 @@ impl WgttWorld {
             // re-arm the round.
             return;
         }
-        // Spatial reuse: transmitters far enough apart (directional
-        // antennas, metres-scale cells) neither carrier-sense nor interfere
-        // with each other, so several may transmit concurrently — this is
-        // what makes two opposing cars at opposite ends of the array cheap
-        // to serve simultaneously (paper Fig 20).
-        const CS_RANGE_M: f64 = 25.0;
         contenders.sort_by_key(|&(n, d)| {
             (
                 d,
@@ -257,107 +360,72 @@ impl WgttWorld {
                 },
             )
         });
-        let tx_rx_pos = |w: &WgttWorld, n: NodeKey| -> (wgtt_phy::Position, wgtt_phy::Position) {
-            match n {
-                NodeKey::Ap(ap) => {
-                    let txp = w.deployment.aps[ap].position;
-                    // Receiver: the client this AP would serve (lowest id
-                    // with work — `find` on the HashMap would make the CS
-                    // geometry, and hence multi-client results, depend on
-                    // iteration order); fall back to the boresight patch.
-                    let rx = w.aps[ap]
-                        .clients_iter()
-                        .filter(|(_, s)| s.has_downlink_work())
-                        .min_by_key(|(c, _)| c.0)
-                        .map(|(c, _)| w.client_pos(c.0 as usize, now))
-                        .unwrap_or(w.deployment.aps[ap].boresight_target);
-                    (txp, rx)
-                }
-                NodeKey::Client(c) => {
-                    let txp = w.client_pos(c, now);
-                    let rx = w.clients[c]
-                        .serving
-                        .map(|a| w.deployment.aps[a.0 as usize].position)
-                        .unwrap_or(txp);
-                    (txp, rx)
-                }
-            }
-        };
-        let compatible = |a: (wgtt_phy::Position, wgtt_phy::Position),
-                          b: (wgtt_phy::Position, wgtt_phy::Position)| {
-            a.0.distance(&b.0) > CS_RANGE_M
-                && a.0.distance(&b.1) > CS_RANGE_M
-                && b.0.distance(&a.1) > CS_RANGE_M
-        };
-        let chan_of = |w: &WgttWorld, n: NodeKey| -> usize {
-            match n {
-                NodeKey::Ap(ap) => w.cfg.channel_of(ap),
-                NodeKey::Client(c) => w.serving_of(c).map(|s| w.cfg.channel_of(s)).unwrap_or(0),
-            }
-        };
-        for i in 0..self.active_geo.len() {
-            let (_, t, r, _, key) = self.active_geo[i];
-            active.push((t, r, chan_of(self, key)));
-        }
         let min_draw = contenders[0].1;
         for &(node, draw) in contenders.iter() {
-            let pos = tx_rx_pos(self, node);
-            let chan = chan_of(self, node);
+            let span = self.span_of(node, now);
+            let chan = self.chan_of(node);
             // A contender within carrier-sense range of an ongoing
             // same-channel transmission defers (it hears the medium busy);
             // different channels never interact.
             if !active
                 .iter()
-                .all(|&(t, r, ch)| ch != chan || compatible(pos, (t, r)))
+                .all(|&(other, ch)| ch != chan || compatible(span, other))
             {
-                continue;
-            }
-            if granted.is_empty() {
-                granted.push((node, draw, pos, chan, false));
                 continue;
             }
             let clear = granted
                 .iter()
-                .all(|&(_, _, gp, gch, _)| gch != chan || compatible(pos, gp));
-            if clear {
-                // Out of carrier-sense range (or off-channel) of everything
-                // granted: transmits concurrently.
-                granted.push((node, draw, pos, chan, false));
-            } else if draw == min_draw {
+                .all(|g| g.chan != chan || compatible(span, g.span));
+            if !clear && draw != min_draw {
+                continue; // defers, contends again next round
+            }
+            if !clear {
                 // Same backoff slot as an incompatible transmission:
                 // classic DCF collision — both the newcomer and every
                 // granted transmission it can sense are destroyed.
                 for g in granted.iter_mut() {
-                    if g.3 == chan && !compatible(pos, g.2) {
-                        g.4 = true;
-                    }
+                    g.collided |= g.chan == chan && !compatible(span, g.span);
                 }
-                granted.push((node, draw, pos, chan, true));
                 self.dcf_collisions += 1;
             }
-            // Otherwise: defers, contends again next round.
+            // (Clear: out of carrier-sense range, or off-channel, of
+            // everything granted — it transmits concurrently.)
+            granted.push(Grant {
+                node,
+                draw,
+                span,
+                chan,
+                collided: !clear,
+            });
         }
         if granted.is_empty() {
             // Everyone with work is inside an active transmission's CS
             // range; retry when the earliest one ends.
-            if let Some(end) = self.active_geo.iter().map(|&(_, _, _, e, _)| e).min() {
-                self.round_scheduled = true;
+            if let Some(end) = self.air.in_flight.active(now).map(|tx| tx.end).min() {
+                self.air.round_scheduled = true;
                 ctx.schedule_at(end.max(now), Ev::Air(Air::ContentionRound));
             }
             return;
         }
         let mut latest_end = now;
-        for &(node, draw, pos, _chan, collided) in granted.iter() {
-            let grant = now + difs() + slot() * draw as u64;
-            let started = match node {
-                NodeKey::Ap(ap) => self.start_ap_tx(ctx, ap, grant, collided),
-                NodeKey::Client(c) => self.start_client_tx(ctx, c, grant, collided),
+        for g in granted.iter() {
+            let start = now + difs() + slot() * g.draw as u64;
+            let built = match g.node {
+                NodeKey::Ap(ap) => self.build_ap_tx(ap, now),
+                NodeKey::Client(c) => self.build_client_tx(c, now, start),
             };
-            if let Some((tx_id, end)) = started {
-                // Tx ids are monotone: pushing keeps the registry id-sorted.
-                self.active_geo.push((tx_id, pos.0, pos.1, end, node));
-                latest_end = latest_end.max(end);
-            }
+            let Some((burst, mcs, airtime)) = built else {
+                continue;
+            };
+            let shot = Shot {
+                mcs,
+                collided: g.collided,
+                start,
+            };
+            let end = start + airtime + sifs() + block_ack_airtime();
+            let id = self.air.in_flight.insert(burst, shot, end, g.span, g.node);
+            ctx.schedule_at(end, Ev::Air(Air::TxDone(id)));
+            latest_end = latest_end.max(end);
         }
         if latest_end > now {
             self.medium.occupy(now, latest_end - now);
@@ -365,95 +433,71 @@ impl WgttWorld {
         self.ensure_round(ctx);
     }
 
-    /// Builds and launches one AP A-MPDU. Returns the end-of-exchange time.
-    fn start_ap_tx(
-        &mut self,
-        ctx: &mut Ctx<'_, Ev>,
-        ap: usize,
-        grant: SimTime,
-        collided: bool,
-    ) -> Option<(u64, SimTime)> {
+    /// Steps a rate down as a frame's retry count climbs (ath9k-style
+    /// multi-rate retry), so a stale Minstrel estimate cannot burn the
+    /// whole retry budget at an undeliverable rate.
+    fn retry_rate(mut mcs: Mcs, retries: u32) -> Mcs {
+        for _ in 0..(retries / 2).min(4) {
+            mcs = mcs.down().unwrap_or(mcs);
+        }
+        mcs
+    }
+
+    /// Builds one AP A-MPDU from the NIC queue head of the next client in
+    /// round-robin order: the burst, its rate, and its airtime.
+    fn build_ap_tx(&mut self, ap: usize, now: SimTime) -> Option<(Burst, Mcs, SimDuration)> {
         let client = self.aps[ap].pick_client()?;
-        let c = client.0 as usize;
         let gi = self.cfg.gi;
-        let now = ctx.now();
         let max_dur = SimDuration::from_millis(4);
-        // Invariant: `pick_client` only returns ids present in this AP's
-        // client table, and nothing runs between the two calls.
-        let st = self.aps[ap]
-            .client_get_mut(client)
-            .expect("picked client exists");
+        let st = self.aps[ap].client_get_mut(client)?;
         if st.serving || (st.draining && st.drain_cyclic) {
             self.sys.dup_data_dropped += st.refill_nic();
         }
-        let mut mcs = st.ratectl.select(now, &mut self.rng);
-        // Multi-rate retry (ath9k-style): step the rate down as a frame's
-        // retry count climbs so a stale Minstrel estimate cannot burn the
-        // whole retry budget at an undeliverable rate.
-        let retry_lvl = st.nic_queue.front().map(|e| e.retries).unwrap_or(0);
-        for _ in 0..(retry_lvl / 2).min(4) {
-            mcs = mcs.down().unwrap_or(mcs);
-        }
-        // Build the aggregate from the NIC queue head.
+        let mcs = st.ratectl.select(now, &mut self.rng);
+        let mcs = Self::retry_rate(mcs, st.nic_queue.front().map_or(0, |e| e.retries));
         let mut mpdus: Vec<(u16, Packet, u32)> = Vec::new();
         let mut lens: Vec<usize> = Vec::new();
         let mut bytes = 0usize;
-        while let Some(entry) = st.nic_queue.front() {
-            if mpdus.len() >= wgtt_mac::BA_WINDOW as usize {
+        while mpdus.len() < wgtt_mac::BA_WINDOW as usize {
+            let Some(mut entry) = st.nic_queue.pop_front() else {
                 break;
-            }
+            };
             let wire = entry.packet.len_bytes + overhead::DOT11;
-            if !mpdus.is_empty() {
-                if bytes + wire > MAX_AMPDU_BYTES {
-                    break;
-                }
-                lens.push(wire);
-                if ampdu_airtime(&lens, mcs, gi) > max_dur {
-                    lens.pop();
-                    break;
-                }
+            lens.push(wire);
+            let fits = mpdus.is_empty()
+                || (bytes + wire <= MAX_AMPDU_BYTES && ampdu_airtime(&lens, mcs, gi) <= max_dur);
+            if !fits || (!entry.registered && st.scoreboard.available() == 0) {
+                // Does not go in this aggregate: back to the queue head.
                 lens.pop();
-            }
-            if !entry.registered && st.scoreboard.available() == 0 {
+                st.nic_queue.push_front(entry);
                 break;
             }
-            // Invariant: the `while let` guard peeked this same front.
-            let mut entry = st.nic_queue.pop_front().expect("front exists");
             if !entry.registered {
                 st.scoreboard.register(entry.seq);
                 entry.registered = true;
             }
             entry.retries += 1;
             bytes += wire;
-            lens.push(wire);
             mpdus.push((entry.seq, entry.packet, entry.retries));
         }
         if mpdus.is_empty() {
             return None;
         }
-        let airtime = ampdu_airtime(&lens, mcs, gi);
-        let end = grant + airtime + sifs() + block_ack_airtime();
-        let tx = self.alloc_tx(AirTx::ApAggregate {
+        let burst = Burst::ApAggregate {
             ap,
-            client: c,
+            client: client.0 as usize,
             mpdus,
-            mcs,
-            collided,
-            start: grant,
-        });
-        ctx.schedule_at(end, Ev::Air(Air::TxDone(tx)));
-        Some((tx, end))
+        };
+        Some((burst, mcs, ampdu_airtime(&lens, mcs, gi)))
     }
 
-    /// Launches one client uplink burst.
-    fn start_client_tx(
+    /// Builds one client uplink burst, on the air from `start`.
+    fn build_client_tx(
         &mut self,
-        ctx: &mut Ctx<'_, Ev>,
         c: usize,
-        grant: SimTime,
-        collided: bool,
-    ) -> Option<(u64, SimTime)> {
-        let now = ctx.now();
+        now: SimTime,
+        start: SimTime,
+    ) -> Option<(Burst, Mcs, SimDuration)> {
         let cl = &mut self.clients[c];
         if cl.uplink_queue.is_empty() {
             return None;
@@ -463,20 +507,16 @@ impl WgttWorld {
             .iter()
             .take(UPLINK_BURST)
             .all(|e| matches!(e.packet.payload, Payload::Raw));
-        let mut mcs = if cl.serving.is_none() || all_probes {
+        let mcs = if cl.serving.is_none() || all_probes {
             // Probe/null frames ride the base rate (like real management
             // traffic), so every nearby AP can measure CSI from them.
             Mcs(0)
         } else {
             cl.ratectl.select(now, &mut self.rng)
         };
-        // Multi-rate retry on the uplink too.
-        let retry_lvl = cl.uplink_queue.front().map(|e| e.retries).unwrap_or(0);
-        for _ in 0..(retry_lvl / 2).min(4) {
-            mcs = mcs.down().unwrap_or(mcs);
-        }
+        let mcs = Self::retry_rate(mcs, cl.uplink_queue.front().map_or(0, |e| e.retries));
         let count = cl.uplink_queue.len().min(UPLINK_BURST);
-        let entries: Vec<crate::client::UplinkEntry> = cl.uplink_queue.drain(..count).collect();
+        let entries: Vec<UplinkEntry> = cl.uplink_queue.drain(..count).collect();
         let lens: Vec<usize> = entries
             .iter()
             .map(|e| e.packet.len_bytes + overhead::DOT11)
@@ -486,63 +526,58 @@ impl WgttWorld {
         } else {
             ampdu_airtime(&lens, mcs, self.cfg.gi)
         };
-        cl.last_uplink_tx = grant;
-        let end = grant + airtime + sifs() + block_ack_airtime();
-        let tx = self.alloc_tx(AirTx::ClientBurst {
-            client: c,
-            entries,
-            mcs,
-            collided,
-            start: grant,
-        });
-        ctx.schedule_at(end, Ev::Air(Air::TxDone(tx)));
-        Some((tx, end))
+        cl.last_uplink_tx = start;
+        Some((Burst::ClientBurst { client: c, entries }, mcs, airtime))
     }
 
     // ---------- radio: transmission resolution ----------
 
-    pub(super) fn on_tx_done(&mut self, ctx: &mut Ctx<'_, Ev>, tx_id: u64) {
-        if let Ok(i) = self.active_geo.binary_search_by_key(&tx_id, |e| e.0) {
-            self.active_geo.remove(i);
-        }
-        let done = self
+    fn on_tx_done(&mut self, ctx: &mut Ctx<'_, Ev>, tx_id: u64) {
+        match self
+            .air
             .in_flight
-            .binary_search_by_key(&tx_id, |e| e.0)
-            .ok()
-            .map(|i| self.in_flight.remove(i).1);
-        match done {
-            Some(AirTx::ApAggregate {
-                ap,
-                client,
-                mpdus,
-                mcs,
-                collided,
-                start,
-            }) => self.resolve_ap_tx(ctx, ap, client, mpdus, mcs, collided, start),
-            Some(AirTx::ClientBurst {
-                client,
-                entries,
-                mcs,
-                collided,
-                start,
-            }) => self.resolve_client_tx(ctx, client, entries, mcs, collided, start),
+            .remove(tx_id)
+            .map(|tx| (tx.burst, tx.shot))
+        {
+            Some((Burst::ApAggregate { ap, client, mpdus }, shot)) => {
+                self.resolve_ap_tx(ctx, ap, client, mpdus, shot)
+            }
+            Some((Burst::ClientBurst { client, entries }, shot)) => {
+                self.resolve_client_tx(ctx, client, entries, shot)
+            }
             None => {}
         }
         self.ensure_round(ctx);
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Draws whether a response frame of `bytes` at the 24 Mbit/s basic
+    /// control rate (QPSK-3/4-like robustness) is decoded at QPSK effective
+    /// SNR `e_qpsk`.
+    fn control_rate_heard(&mut self, e_qpsk: f64, bytes: usize) -> bool {
+        let p = self.cfg.per_model.success_prob(Mcs(2), e_qpsk, bytes);
+        self.rng.chance(p)
+    }
+
+    /// Only associated APs bridge a client's data frames and answer them.
+    fn ap_associated(&self, ap: usize, client: ClientId) -> bool {
+        self.aps[ap]
+            .client(client)
+            .is_some_and(|s| s.assoc.state() == AssocState::Associated)
+    }
+
     fn resolve_ap_tx(
         &mut self,
         ctx: &mut Ctx<'_, Ev>,
         ap: usize,
         c: usize,
         mpdus: Vec<(u16, Packet, u32)>,
-        mcs: Mcs,
-        collided: bool,
-        start: SimTime,
+        shot: Shot,
     ) {
-        let gi = self.cfg.gi;
+        let Shot {
+            mcs,
+            collided,
+            start,
+        } = shot;
         let now = ctx.now();
         if self.ap_down[ap] {
             return; // crashed mid-transmission: the PPDU died with it
@@ -561,42 +596,28 @@ impl WgttWorld {
                 esnr.esnr_db(Modulation::Qam16)
             );
         }
-        let n = mpdus.len() as u64;
-        self.clients[c].metrics.mpdu_attempts += n;
-        let attempt_rate = mcs.data_rate_mbps(self.cfg.gi);
-        for _ in 0..n {
-            self.clients[c]
-                .metrics
-                .attempted_mpdu_rates_mbps
-                .push(attempt_rate);
-        }
-        self.clients[c].metrics.mpdu_retransmits +=
-            mpdus.iter().filter(|&&(_, _, r)| r > 1).count() as u64;
+        let rate_mbps = mcs.data_rate_mbps(self.cfg.gi);
+        let m = &mut self.clients[c].metrics;
+        m.mpdu_attempts += mpdus.len() as u64;
+        m.attempted_mpdu_rates_mbps
+            .extend(std::iter::repeat(rate_mbps).take(mpdus.len()));
+        m.mpdu_retransmits += mpdus.iter().filter(|&&(_, _, r)| r > 1).count() as u64;
 
         // Per-MPDU delivery draws.
-        let mut results: Vec<(u16, Packet, u32, bool)> = Vec::with_capacity(mpdus.len());
-        for (seq, packet, retries) in mpdus {
+        let mut delivered = Vec::with_capacity(mpdus.len());
+        for (_, packet, _) in &mpdus {
             let p = if collided || !listening {
                 0.0
             } else {
-                self.cfg
-                    .per_model
-                    .success_with(&mut esnr, mcs, packet.len_bytes + overhead::DOT11)
+                let bytes = packet.len_bytes + overhead::DOT11;
+                self.cfg.per_model.success_with(&mut esnr, mcs, bytes)
             };
-            let delivered = self.rng.chance(p);
-            results.push((seq, packet, retries, delivered));
+            delivered.push(self.rng.chance(p));
         }
 
         // Client-side reorder + app delivery.
-        let mut any_received = false;
-        let rate_mbps = mcs.data_rate_mbps(gi);
-        for (seq, packet, _, delivered) in &results {
-            if !*delivered {
-                continue;
-            }
-            any_received = true;
-            let is_new = self.clients[c].rx_reorder.on_mpdu(*seq);
-            if is_new {
+        for ((seq, packet, _), _) in mpdus.iter().zip(&delivered).filter(|(_, &d)| d) {
+            if self.clients[c].rx_reorder.on_mpdu(*seq) {
                 self.clients[c].rx_buffer.insert(*seq, packet.clone());
                 let m = &mut self.clients[c].metrics;
                 m.mpdu_successes += 1;
@@ -605,31 +626,25 @@ impl WgttWorld {
                 m.rate_bin_count.add(now, 1.0);
             }
         }
+        let any_received = delivered.contains(&true);
         if any_received {
             self.release_reordered(ctx, c, false);
         }
 
         // Block ACK response (only if the client heard the PPDU at all):
-        // the frame, and whether the serving AP decoded it.
-        let ba: Option<(BlockAckFrame, bool)> = if any_received {
+        // the frame, and whether the serving AP decoded it. It travels
+        // client→AP on the reciprocal channel.
+        let ba: Option<(BlockAckFrame, bool)> = any_received.then(|| {
             let frame = self.clients[c].rx_reorder.block_ack();
-            // BA travels client→AP on the reciprocal channel at the
-            // 24 Mbit/s basic control rate (QPSK-3/4-like robustness).
             let e_qpsk = esnr.esnr_db(Modulation::Qpsk);
-            let p_ba =
-                self.cfg
-                    .per_model
-                    .success_prob(Mcs(2), e_qpsk, wgtt_mac::timing::BLOCK_ACK_BYTES);
-            Some((frame, self.rng.chance(p_ba)))
-        } else {
-            None
-        };
+            (frame, self.control_rate_heard(e_qpsk, BLOCK_ACK_BYTES))
+        });
 
         // Every AP that decodes the client's Block ACK — serving or
         // monitor-mode neighbour — measures CSI from it (the CSI tool
         // reports every incoming frame, §3.1.1). Monitors that heard a BA
         // the serving AP missed forward it over the backhaul (§3.2.1).
-        self.scratch_overheard.clear();
+        self.air.overheard.clear();
         if ba.is_some() {
             for other in 0..self.aps.len() {
                 if other == ap
@@ -643,13 +658,9 @@ impl WgttWorld {
                 // Monitors measure the QPSK BA and, on success, report the
                 // 16-QAM controller metric off the same snapshot.
                 let mut other_esnr = EsnrMemo::new(&other_csi);
-                let e = other_esnr.esnr_db(Modulation::Qpsk);
-                let p =
-                    self.cfg
-                        .per_model
-                        .success_prob(Mcs(2), e, wgtt_mac::timing::BLOCK_ACK_BYTES);
-                if self.rng.chance(p) {
-                    self.scratch_overheard.push(other);
+                let e_qpsk = other_esnr.esnr_db(Modulation::Qpsk);
+                if self.control_rate_heard(e_qpsk, BLOCK_ACK_BYTES) {
+                    self.air.overheard.push(other);
                     let report = other_esnr.esnr_db(Modulation::Qam16);
                     self.report_csi(ctx, other, c, report, now);
                 }
@@ -672,11 +683,10 @@ impl WgttWorld {
                 // Anything the Block ACK (cumulatively) covers is done; the
                 // rest — including previously acked sequences the frame
                 // still carries — goes back for retransmission.
-                let unacked: Vec<(u16, Packet, u32)> = results
-                    .into_iter()
-                    .filter(|(seq, _, _, _)| !frame.covers(*seq) && st_seq_outstanding(st, *seq))
-                    .map(|(seq, p, r, _)| (seq, p, r))
-                    .collect();
+                let mut unacked = mpdus;
+                unacked.retain(|(seq, ..)| {
+                    !frame.covers(*seq) && st.scoreboard.unacked().contains(seq)
+                });
                 // Rate control must see the failures too, or it pins at the
                 // top rate on the optimism of acked-only feedback.
                 for _ in &unacked {
@@ -692,20 +702,13 @@ impl WgttWorld {
                     // overheard it relay it over the backhaul (§3.2.1).
                     if self.cfg.mode == Mode::Wgtt && self.cfg.ba_forwarding {
                         // By index: `backhaul_send` needs the whole world.
-                        for i in 0..self.scratch_overheard.len() {
-                            if self.faults.partitioned(self.scratch_overheard[i], now) {
+                        for i in 0..self.air.overheard.len() {
+                            if self.faults.partitioned(self.air.overheard[i], now) {
                                 continue; // monitor cut off from the backhaul
                             }
-                            self.backhaul_send(
-                                ctx,
-                                100,
-                                false,
-                                Ev::Data(Data::BaForwardAtAp {
-                                    ap,
-                                    client: c,
-                                    ba: frame,
-                                }),
-                            );
+                            let ba = frame;
+                            let fwd = Data::BaForwardAtAp { ap, client: c, ba };
+                            self.backhaul_send(ctx, 100, false, Ev::Data(fwd));
                         }
                     }
                 }
@@ -717,11 +720,7 @@ impl WgttWorld {
                 // through: the entire aggregate is retransmitted (§3.2.1's
                 // cost) — unless a forwarded Block ACK arrives first and
                 // prunes the NIC queue.
-                let all: Vec<(u16, Packet, u32)> = results
-                    .into_iter()
-                    .map(|(seq, p, r, _)| (seq, p, r))
-                    .collect();
-                self.requeue_lost(ap, c, all, mcs, now);
+                self.requeue_lost(ap, c, mpdus, mcs, now);
                 self.aps[ap].backoff.on_failure();
             }
         }
@@ -772,11 +771,14 @@ impl WgttWorld {
         &mut self,
         ctx: &mut Ctx<'_, Ev>,
         c: usize,
-        entries: Vec<crate::client::UplinkEntry>,
-        mcs: Mcs,
-        collided: bool,
-        start: SimTime,
+        entries: Vec<UplinkEntry>,
+        shot: Shot,
     ) {
+        let Shot {
+            mcs,
+            collided,
+            start,
+        } = shot;
         let now = ctx.now();
         if self.trace {
             eprintln!(
@@ -809,11 +811,8 @@ impl WgttWorld {
                 let p = if collided {
                     0.0
                 } else {
-                    self.cfg.per_model.success_with(
-                        &mut esnr,
-                        mcs,
-                        e.packet.len_bytes + overhead::DOT11,
-                    )
+                    let bytes = e.packet.len_bytes + overhead::DOT11;
+                    self.cfg.per_model.success_with(&mut esnr, mcs, bytes)
                 };
                 if self.rng.chance(p) {
                     got.push(e.seq);
@@ -838,35 +837,27 @@ impl WgttWorld {
                     .collect::<Vec<_>>()
             );
         }
-        for (ap, got) in &per_ap_received {
+        // Any controller crash (or failover window) in the schedule engages
+        // the degraded uplink path; with none this is the exact healthy
+        // code path.
+        let crash_faults = !self.faults.controller_crashes.is_empty()
+            || !self.faults.controller_failovers.is_empty();
+        for &(from_ap, ref got) in &per_ap_received {
             let forwards = match self.cfg.mode {
-                Mode::Wgtt => self.cfg.uplink_diversity || Some(*ap) == serving,
-                Mode::Enhanced80211r => Some(*ap) == serving,
+                Mode::Wgtt => self.cfg.uplink_diversity || Some(from_ap) == serving,
+                Mode::Enhanced80211r => Some(from_ap) == serving,
             };
-            // Only associated APs bridge data frames.
-            let associated = self.aps[*ap]
-                .client(client)
-                .is_some_and(|s| s.assoc.state() == AssocState::Associated);
-            if !forwards || !associated || self.faults.partitioned(*ap, now) {
+            if !forwards
+                || !self.ap_associated(from_ap, client)
+                || self.faults.partitioned(from_ap, now)
+            {
                 continue;
             }
-            // Any controller crash (or failover window) in the schedule
-            // engages the degraded uplink path; with none this is the
-            // exact healthy code path.
-            let crash_faults = !self.faults.controller_crashes.is_empty()
-                || !self.faults.controller_failovers.is_empty();
-            for seq in got {
-                // Invariant: `got` is a subset of the sequences of
-                // `entries`, built a few lines up from the same aggregate.
-                let e = entries
-                    .iter()
-                    .find(|e| e.seq == *seq)
-                    .expect("seq from entries");
-                if matches!(e.packet.payload, Payload::Raw) {
-                    continue; // probes terminate at the AP
-                }
+            // `got` lists, in burst order, the sequences of `entries` this
+            // AP decoded. Probes terminate at the AP.
+            let heard = entries.iter().filter(|e| got.contains(&e.seq));
+            for e in heard.filter(|e| !matches!(e.packet.payload, Payload::Raw)) {
                 let pkt = e.packet.clone();
-                let from_ap = *ap;
                 if crash_faults && self.controller_down {
                     // Local autonomy: hold uplink at the AP (bounded)
                     // while the controller is down; flushed at resync.
@@ -884,126 +875,82 @@ impl WgttWorld {
                     self.aps[from_ap]
                         .note_forwarded_key(Deduplicator::key(pkt.client, pkt.ip_ident));
                 }
-                let wire = pkt.len_bytes + wgtt_net::TUNNEL_OVERHEAD_BYTES;
-                self.backhaul_send(
-                    ctx,
-                    wire,
-                    false,
-                    Ev::Data(Data::UplinkCopyAtController {
-                        from_ap,
-                        packet: pkt,
-                    }),
-                );
+                self.tunnel_uplink(ctx, from_ap, pkt);
             }
         }
 
         // Acknowledgement responses and collisions (§5.3.2).
-        let responders: Vec<usize> = per_ap_received
-            .iter()
-            .map(|&(ap, _)| ap)
-            .filter(|&ap| {
-                self.aps[ap]
-                    .client(client)
-                    .is_some_and(|s| s.assoc.state() == AssocState::Associated)
-            })
-            .collect();
+        // Serving AP responds promptly; others add µs-scale backoff.
+        let mut resp: Vec<(usize, f64, f64)> = Vec::new();
+        for &(ap, _) in &per_ap_received {
+            if !self.ap_associated(ap, client) {
+                continue;
+            }
+            let jitter_us = if Some(ap) == serving {
+                self.rng.range(0.0..3.0)
+            } else {
+                self.rng.range(0.0..100.0)
+            };
+            resp.push((ap, jitter_us, self.mean_snr(ap, c, now)));
+        }
+        resp.sort_by(|a, b| a.1.total_cmp(&b.1));
         let mut acked_by: Option<usize> = None;
-        if !responders.is_empty() {
+        if let Some(&(first_ap, first_jitter, first_snr)) = resp.first() {
             self.clients[c].metrics.ack_responses += 1;
-            // Serving AP responds promptly; others add µs-scale backoff.
-            let mut resp: Vec<(usize, f64, f64)> = responders
-                .iter()
-                .map(|&ap| {
-                    let jitter_us = if Some(ap) == serving {
-                        self.rng.range(0.0..3.0)
-                    } else {
-                        self.rng.range(0.0..100.0)
-                    };
-                    let snr_at_client = self.mean_snr(ap, c, now);
-                    (ap, jitter_us, snr_at_client)
-                })
-                .collect();
-            resp.sort_by(|a, b| a.1.total_cmp(&b.1));
-            let (first_ap, first_jitter, first_snr) = resp[0];
             // Later responders defer via CCA unless within the detection
             // window; overlapping comparable-power responses collide.
-            let mut collision = false;
-            for &(_, jitter, snr) in &resp[1..] {
-                if jitter - first_jitter < CCA_WINDOW_US
-                    && (first_snr - snr).abs() < CAPTURE_MARGIN_DB
-                {
-                    collision = true;
-                    break;
-                }
-            }
+            let collision = resp[1..].iter().any(|&(_, jitter, snr)| {
+                jitter - first_jitter < CCA_WINDOW_US && (first_snr - snr).abs() < CAPTURE_MARGIN_DB
+            });
             if collision {
                 self.clients[c].metrics.ack_collisions += 1;
             } else {
                 // The client hears the first response if its own downlink
-                // from that AP works at the 24 Mbit/s control rate.
+                // from that AP works at the control rate.
                 let csi = self.csi(first_ap, c, now);
-                let e = esnr_from_csi(Modulation::Qpsk, &csi);
-                let p = self
-                    .cfg
-                    .per_model
-                    .success_prob(Mcs(2), e, wgtt_mac::timing::ACK_BYTES);
-                if self.rng.chance(p) {
+                let e_qpsk = esnr_from_csi(Modulation::Qpsk, &csi);
+                if self.control_rate_heard(e_qpsk, ACK_BYTES) {
                     acked_by = Some(first_ap);
                 }
             }
         }
 
-        // Client-side retransmission bookkeeping.
-        match acked_by {
-            Some(ap) => {
-                self.clients[c].backoff.on_success();
-                let got: std::collections::HashSet<u16> = per_ap_received
-                    .iter()
-                    .find(|&&(a, _)| a == ap)
-                    .map(|(_, g)| g.iter().copied().collect())
-                    .unwrap_or_default();
-                let mut successes = 0u32;
-                // Reverse iteration + push_front keeps the surviving
-                // entries in their original order at the queue head.
-                for mut e in entries.into_iter().rev() {
-                    if got.contains(&e.seq) {
-                        successes += 1;
-                    } else {
-                        e.retries += 1;
-                        if e.retries > UPLINK_RETRY_LIMIT {
-                            continue;
-                        }
-                        if self.departed[c] {
-                            // The burst spanned a retirement barrier: the
-                            // unacked datagram crosses the seam instead of
-                            // re-queueing on the wiped client.
-                            self.outbox[c].push(SeamPayload::UplinkQueued(e.packet, e.retries));
-                        } else {
-                            self.clients[c].uplink_queue.push_front(e);
-                        }
-                    }
-                }
-                let cl = &mut self.clients[c];
-                for _ in 0..successes {
-                    cl.ratectl.on_tx_result(now, mcs, true);
-                }
+        // Client-side retransmission bookkeeping: what the acking AP got is
+        // done, the rest goes back on the queue.
+        let acked: &[u16] = per_ap_received
+            .iter()
+            .find(|&&(ap, _)| Some(ap) == acked_by)
+            .map_or(&[], |(_, got)| got);
+        let mut successes = 0u32;
+        // Reverse iteration + push_front keeps the surviving entries in
+        // their original order at the queue head.
+        for mut e in entries.into_iter().rev() {
+            if acked.contains(&e.seq) {
+                successes += 1;
+                continue;
             }
-            None => {
-                self.clients[c].backoff.on_failure();
-                let cl = &mut self.clients[c];
-                cl.ratectl.on_tx_result(now, mcs, false);
-                for mut e in entries.into_iter().rev() {
-                    e.retries += 1;
-                    if e.retries > UPLINK_RETRY_LIMIT {
-                        continue;
-                    }
-                    if self.departed[c] {
-                        self.outbox[c].push(SeamPayload::UplinkQueued(e.packet, e.retries));
-                    } else {
-                        cl.uplink_queue.push_front(e);
-                    }
-                }
+            e.retries += 1;
+            if e.retries > UPLINK_RETRY_LIMIT {
+                continue;
             }
+            if self.departed[c] {
+                // The burst spanned a retirement barrier: the unacked
+                // datagram crosses the seam instead of re-queueing on the
+                // wiped client.
+                self.outbox[c].push(SeamPayload::UplinkQueued(e.packet, e.retries));
+            } else {
+                self.clients[c].uplink_queue.push_front(e);
+            }
+        }
+        let cl = &mut self.clients[c];
+        if acked_by.is_some() {
+            cl.backoff.on_success();
+            for _ in 0..successes {
+                cl.ratectl.on_tx_result(now, mcs, true);
+            }
+        } else {
+            cl.backoff.on_failure();
+            cl.ratectl.on_tx_result(now, mcs, false);
         }
     }
 
@@ -1023,29 +970,20 @@ impl WgttWorld {
         if drop_p > 0.0 && self.fault_rng.chance(drop_p) {
             return;
         }
-        let gi = self.cfg.gi;
-        let st = self.aps[ap].client_mut(ClientId(c as u32), gi);
-        let due = st.last_csi_report.map_or(true, |t| {
-            now.saturating_since(t) >= self.cfg.csi_report_interval
-        });
-        if !due {
+        let interval = self.cfg.csi_report_interval;
+        let st = self.aps[ap].client_mut(ClientId(c as u32), self.cfg.gi);
+        if st
+            .last_csi_report
+            .is_some_and(|t| now.saturating_since(t) < interval)
+        {
             return;
         }
         st.last_csi_report = Some(now);
-        self.backhaul_send(
-            ctx,
-            300,
-            false,
-            Ev::Ctl(Ctl::CsiAtController {
-                ap,
-                client: c,
-                esnr_db,
-            }),
-        );
+        let report = Ctl::CsiAtController {
+            ap,
+            client: c,
+            esnr_db,
+        };
+        self.backhaul_send(ctx, 300, false, Ev::Ctl(report));
     }
-}
-
-/// Whether `seq` is still outstanding (un-acked) in the scoreboard.
-fn st_seq_outstanding(st: &crate::ap::ApClientState, seq: u16) -> bool {
-    st.scoreboard.unacked().contains(&seq)
 }

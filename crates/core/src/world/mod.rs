@@ -49,7 +49,7 @@ mod recovery;
 mod seam;
 
 pub use air::Air;
-use air::{AirTx, NodeKey};
+use air::AirState;
 pub use baseline::Probe;
 pub use control::Ctl;
 pub use datapath::{Data, FlowKind, ServerFlow};
@@ -166,45 +166,10 @@ pub struct WgttWorld {
     /// Always empty in unsharded runs.
     pending_import: Vec<Vec<SeamPayload>>,
     rng: SimRng,
-    /// Transmissions on the air, sorted by tx id (ids are monotone, so
-    /// inserts append and the order never needs repair). Steady-state
-    /// population is the handful of concurrent exchanges, so binary-search
-    /// removal beats a tree and allocates nothing once warm.
-    in_flight: Vec<(u64, AirTx)>,
-    next_tx_id: u64,
-    round_scheduled: bool,
-    /// Livelock guard: consecutive contention rounds at one timestamp.
-    rounds_at_ts: (SimTime, u32),
-    /// Geometry of transmissions currently on the air, sorted by tx id:
-    /// (tx id, tx position, rx position, end time, transmitter key).
-    /// Id order makes every scan cross-process deterministic, same as the
-    /// ordered map this replaces.
-    active_geo: Vec<(
-        u64,
-        wgtt_phy::Position,
-        wgtt_phy::Position,
-        SimTime,
-        NodeKey,
-    )>,
+    /// What only the radio layer touches: in-flight table, round scratch.
+    air: AirState,
     /// DCF collisions observed (stats).
     pub dcf_collisions: u64,
-    /// Reusable contention-round buffers (cleared each round, capacity
-    /// retained) — the round runs per-event, so per-call allocation here
-    /// dominated steady-state heap traffic.
-    scratch_busy: Vec<NodeKey>,
-    scratch_contenders: Vec<(NodeKey, u32)>,
-    scratch_active: Vec<(wgtt_phy::Position, wgtt_phy::Position, usize)>,
-    #[allow(clippy::type_complexity)]
-    scratch_granted: Vec<(
-        NodeKey,
-        u32,
-        (wgtt_phy::Position, wgtt_phy::Position),
-        usize,
-        bool,
-    )>,
-    /// Monitors that overheard the current A-MPDU's Block ACK (cleared per
-    /// A-MPDU, capacity retained).
-    scratch_overheard: Vec<usize>,
     /// Verbose tracing (set WGTT_TRACE=1), for debugging the datapath.
     trace: bool,
 }
@@ -297,17 +262,8 @@ impl WgttWorld {
             outbox: vec![Vec::new(); n_clients],
             pending_import: vec![Vec::new(); n_clients],
             rng: root.fork("world"),
-            in_flight: Vec::new(),
-            next_tx_id: 0,
-            round_scheduled: false,
-            rounds_at_ts: (SimTime::ZERO, 0),
-            active_geo: Vec::new(),
+            air: AirState::default(),
             dcf_collisions: 0,
-            scratch_busy: Vec::new(),
-            scratch_contenders: Vec::new(),
-            scratch_active: Vec::new(),
-            scratch_granted: Vec::new(),
-            scratch_overheard: Vec::new(),
             trace: std::env::var("WGTT_TRACE").is_ok(),
             cfg,
         }
