@@ -987,3 +987,67 @@ impl WgttWorld {
         self.backhaul_send(ctx, 300, false, Ev::Ctl(report));
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ms(t: u64) -> SimTime {
+        SimTime::from_millis(t)
+    }
+
+    /// Puts an empty uplink burst from client `c` on the air until `end`.
+    fn launch(table: &mut InFlight, c: usize, end: SimTime) -> u64 {
+        let burst = Burst::ClientBurst {
+            client: c,
+            entries: Vec::new(),
+        };
+        let shot = Shot {
+            mcs: Mcs(0),
+            collided: false,
+            start: SimTime::ZERO,
+        };
+        let span = (Position::default(), Position::default());
+        table.insert(burst, shot, end, span, NodeKey::Client(c))
+    }
+
+    fn ids(table: &InFlight) -> Vec<u64> {
+        table.txs.iter().map(|tx| tx.id).collect()
+    }
+
+    #[test]
+    fn ids_stay_sorted_across_out_of_order_tx_done() {
+        let mut table = InFlight::default();
+        for c in 0..4 {
+            assert_eq!(launch(&mut table, c, ms(10 * (4 - c as u64))), c as u64);
+        }
+        // The last launched ends first: TxDone order is 3, 2, 1, 0.
+        assert_eq!(table.remove(3).map(|tx| tx.node), Some(NodeKey::Client(3)));
+        assert_eq!(table.remove(1).map(|tx| tx.node), Some(NodeKey::Client(1)));
+        assert_eq!(ids(&table), [0, 2]);
+        // A later launch appends above every id ever handed out.
+        assert_eq!(launch(&mut table, 7, ms(50)), 4);
+        assert_eq!(ids(&table), [0, 2, 4]);
+        // Removal is by id, once.
+        assert!(table.remove(1).is_none());
+        assert_eq!(table.remove(2).map(|tx| tx.node), Some(NodeKey::Client(2)));
+        assert_eq!(ids(&table), [0, 4]);
+    }
+
+    #[test]
+    fn a_round_sees_only_unfinished_transmissions() {
+        let mut table = InFlight::default();
+        let ends = [ms(10), ms(20), ms(30)];
+        for (c, &end) in ends.iter().enumerate() {
+            launch(&mut table, c, end);
+        }
+        let active = |now| -> Vec<u64> { table.active(now).map(|tx| tx.id).collect() };
+        assert_eq!(active(ms(5)), [0, 1, 2]);
+        // A round at the very instant a transmission ends no longer counts
+        // it, whether or not its TxDone has run yet…
+        assert_eq!(active(ms(20)), [2]);
+        assert_eq!(active(ms(30)), [] as [u64; 0]);
+        // …but the entry is still there for that TxDone to resolve.
+        assert_eq!(table.remove(1).map(|tx| tx.end), Some(ms(20)));
+    }
+}

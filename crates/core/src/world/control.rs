@@ -620,3 +620,165 @@ impl WgttWorld {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use wgtt_phy::mobility::ConstantSpeed;
+    use wgtt_sim::{PartitionWindow, Simulator};
+
+    const AP: usize = 1;
+    const T: SimTime = SimTime::from_millis(1);
+
+    /// One vehicle, nothing primed: the only events are the ones a test
+    /// schedules and what their handlers schedule in turn.
+    fn bare(faults: FaultSchedule) -> Simulator<WgttWorld> {
+        let cfg = SystemConfig::default();
+        let traj = ConstantSpeed::drive_by(&cfg.deployment.build(), 25.0, 4.0);
+        let mut world = WgttWorld::new(cfg, vec![Box::new(traj)], 7, SimTime::from_secs(2), false);
+        world.faults = faults;
+        Simulator::new(world)
+    }
+
+    /// Handles `ev` at `T`, and says whether that left nothing scheduled.
+    fn dies_at_the_door(sim: &mut Simulator<WgttWorld>, ev: Ev) -> bool {
+        sim.schedule_at(T, ev);
+        assert!(sim.step());
+        !sim.step()
+    }
+
+    /// The four controller→AP control frames, addressed to `AP` under `term`.
+    fn ap_bound(term: u32) -> [(&'static str, Ev); 4] {
+        let leg = Leg {
+            ap: AP,
+            client: 0,
+            epoch: 1,
+            term,
+        };
+        [
+            ("Stop", Ev::Ctl(Ctl::StopAtAp { leg, to_ap: 2 })),
+            ("Start", Ev::Ctl(Ctl::StartAtAp { leg, k: 0 })),
+            (
+                "Resync",
+                Ev::Recovery(Recovery::ResyncAtAp { ap: AP, term }),
+            ),
+            (
+                "TermAnnounce",
+                Ev::Recovery(Recovery::TermAnnounceAtAp { ap: AP, term }),
+            ),
+        ]
+    }
+
+    #[test]
+    fn an_unreachable_ap_counts_nothing_and_keeps_its_fence() {
+        for (name, frame) in ap_bound(5) {
+            let mut faults = FaultSchedule::new();
+            faults.partitions.push(PartitionWindow {
+                ap: AP,
+                from: SimTime::ZERO,
+                until: SimTime::from_secs(1),
+            });
+            let mut sim = bare(faults);
+            assert!(
+                dies_at_the_door(&mut sim, frame),
+                "{name} scheduled something"
+            );
+            let w = sim.world();
+            assert_eq!(w.aps[AP].term_guard.latest(), 0, "{name} raised the fence");
+            assert_eq!(w.sys.stale_term_dropped, 0, "{name}");
+            assert_eq!(w.sys.control_packets, 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_stale_term_is_counted_once_and_goes_no_further() {
+        for (name, frame) in ap_bound(3) {
+            let mut sim = bare(FaultSchedule::new());
+            sim.world_mut().aps[AP].term_guard.on_frame(7);
+            assert!(
+                dies_at_the_door(&mut sim, frame),
+                "{name} scheduled something"
+            );
+            let w = sim.world();
+            assert_eq!(w.sys.stale_term_dropped, 1, "{name}");
+            assert_eq!(w.aps[AP].term_guard.latest(), 7, "{name}");
+            assert_eq!(w.sys.control_packets, 0, "{name}");
+        }
+    }
+
+    #[test]
+    fn a_higher_term_raises_the_fence_for_the_next_frame() {
+        for ((name, frame), (_, older)) in ap_bound(9).into_iter().zip(ap_bound(8)) {
+            let mut sim = bare(FaultSchedule::new());
+            sim.world_mut().aps[AP].term_guard.on_frame(7);
+            // The second frame is the same kind, one reign older; both are
+            // due at `T`, ahead of anything the first one schedules.
+            sim.schedule_at(T, frame);
+            sim.schedule_at(T, older);
+            assert!(sim.step());
+            assert_eq!(sim.world().aps[AP].term_guard.latest(), 9, "{name}");
+            assert_eq!(sim.world().sys.stale_term_dropped, 0, "{name}");
+            assert!(sim.step());
+            assert_eq!(sim.world().sys.stale_term_dropped, 1, "{name}");
+            assert_eq!(sim.world().aps[AP].term_guard.latest(), 9, "{name}");
+        }
+    }
+
+    #[test]
+    fn resync_reaching_an_ap_after_a_second_crash_leaves_the_fence_alone() {
+        let mut sim = bare(FaultSchedule::new());
+        sim.world_mut().controller_down = true;
+        let [_, _, (_, resync), _] = ap_bound(9);
+        assert!(dies_at_the_door(&mut sim, resync));
+        assert_eq!(sim.world().aps[AP].term_guard.latest(), 0);
+        assert_eq!(sim.world().sys.control_packets, 0);
+    }
+
+    /// The five frames addressed to the controller.
+    fn controller_bound(w: &mut WgttWorld) -> [(&'static str, Ev); 5] {
+        let leg = Leg {
+            ap: AP,
+            client: 0,
+            epoch: 1,
+            term: 1,
+        };
+        let mut packet = |dir| {
+            let payload = Payload::Udp { seq: 0 };
+            w.factory.make(ClientId(0), FlowId(0), dir, 200, T, payload)
+        };
+        let down = Data::PacketAtController(packet(Direction::Downlink));
+        let up = Data::UplinkCopyAtController {
+            from_ap: AP,
+            packet: packet(Direction::Uplink),
+        };
+        let csi = Ctl::CsiAtController {
+            ap: AP,
+            client: 0,
+            esnr_db: 20.0,
+        };
+        let reply = w.aps[AP].resync_reply();
+        [
+            ("PacketAtController", Ev::Data(down)),
+            ("UplinkCopyAtController", Ev::Data(up)),
+            ("AckAtController", Ev::Ctl(Ctl::AckAtController(leg))),
+            ("CsiAtController", Ev::Ctl(csi)),
+            (
+                "ResyncReplyAtController",
+                Ev::Recovery(Recovery::ResyncReplyAtController { reply }),
+            ),
+        ]
+    }
+
+    #[test]
+    fn a_down_controller_counts_each_frame_it_misses_exactly_once() {
+        for (name, frame) in controller_bound(bare(FaultSchedule::new()).world_mut()) {
+            let mut sim = bare(FaultSchedule::new());
+            sim.world_mut().controller_down = true;
+            assert!(
+                dies_at_the_door(&mut sim, frame),
+                "{name} scheduled something"
+            );
+            assert_eq!(sim.world().sys.controller_rx_dropped, 1, "{name}");
+        }
+    }
+}
