@@ -10,7 +10,7 @@
 //! reads back. It is also most of an event loop's wall (DESIGN.md §6b), so
 //! it is split three ways:
 //!
-//! * **record** — `Recorder::record`, called from `Ev::AccuracyTick`,
+//! * **record** — `Recorder::record`, called from `Probe::AccuracyTick`,
 //!   captures a `Sample`: everything the verdict depends on that the
 //!   event loop may change later.
 //! * **evaluate** — `evaluate`, the one copy of the ranking scan and the

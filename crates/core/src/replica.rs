@@ -16,7 +16,7 @@
 //! state, and retransmission timers. All of it is reconstructible from
 //! live CSI within one staleness horizon, and journaling timers would tie
 //! the standby to the primary's event loop. The takeover ladder
-//! (`world.rs`) re-drives in-flight switches from the journaled pending
+//! (`world/recovery.rs`) re-drives in-flight switches from the journaled pending
 //! set under a fresh epoch instead.
 
 use wgtt_net::{ApId, ClientId};

@@ -551,7 +551,7 @@ pub enum StartVerdict {
 }
 
 /// Per-(AP, client) epoch guard — the AP side of the ABA defence, shared
-/// verbatim by the simulator's AP handlers (`world.rs`) and the
+/// verbatim by the simulator's AP handlers (`world/control.rs`) and the
 /// small-scope interleaving checker (`protocol_check`) so the checker
 /// exercises the exact production admission logic.
 ///
@@ -615,8 +615,8 @@ pub enum TermVerdict {
 /// mirroring [`ApSwitchGuard`]'s high-water idiom one level up: the epoch
 /// guard orders switch generations within a controller's reign, the term
 /// guard orders the reigns themselves. Shared verbatim by the simulator's
-/// AP handlers (`world.rs`) and the interleaving checker
-/// (`protocol_check`).
+/// AP-side admission (`ap_admits` in `world/control.rs`) and the
+/// interleaving checker (`protocol_check`).
 ///
 /// Term 0 is reserved as "no controller witnessed"; real terms start
 /// at 1. Like the epoch guard, the mark lives in volatile AP state and is

@@ -1,8 +1,8 @@
 //! The control plane: the selection tick, the `stop`/`start`/`ack` legs
 //! of a switch, and the health layer's emergency re-attach. Also the two
-//! admission points every control frame passes — [`WgttWorld::ap_admits`]
-//! at an AP, [`WgttWorld::controller_admits`] at the controller — and
-//! [`WgttWorld::send_control`], the one sender.
+//! admission points every control frame passes — `ap_admits` at an AP,
+//! `controller_admits` at the controller — and `send_control`, the one
+//! sender.
 
 use super::*;
 use crate::ap::Role;

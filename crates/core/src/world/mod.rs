@@ -63,17 +63,17 @@ pub use seam::{
 /// backhaul duplication fault can deliver the same frame twice.
 #[derive(Clone)]
 pub enum Ev {
-    /// The radio ([`air`]).
+    /// The radio (`air.rs`).
     Air(Air),
-    /// The tunnelled datapath and its traffic sources ([`datapath`]).
+    /// The tunnelled datapath and its traffic sources (`datapath.rs`).
     Data(Data),
-    /// Selection and the switch protocol ([`control`]).
+    /// Selection and the switch protocol (`control.rs`).
     Ctl(Ctl),
-    /// Fault edges and what repairs them ([`recovery`]).
+    /// Fault edges and what repairs them (`recovery.rs`).
     Recovery(Recovery),
-    /// Shard-seam re-injection ([`seam`]).
+    /// Shard-seam re-injection (`seam.rs`).
     Seam(Seam),
-    /// Client-driven periodic events ([`baseline`]).
+    /// Client-driven periodic events (`baseline.rs`).
     Probe(Probe),
 }
 
@@ -162,7 +162,7 @@ pub struct WgttWorld {
     /// into this world's id space) waiting for the migrant's first
     /// association — re-injecting before the controller has a fan-out set
     /// would silently drop them. Flushed by the selection tick the moment
-    /// the client associates, or by `Ev::MigrantFlush` for later barriers.
+    /// the client associates, or by `Seam::MigrantFlush` for later barriers.
     /// Always empty in unsharded runs.
     pending_import: Vec<Vec<SeamPayload>>,
     rng: SimRng,

@@ -451,7 +451,7 @@ impl WgttWorld {
     /// into this slot's own seam outbox so the next barrier chases them
     /// along the route chain instead of dropping them. Returns `true` if
     /// the client is resident and already associated — the caller must
-    /// then schedule an [`Ev::MigrantFlush`] to re-inject, since the
+    /// then schedule an [`Seam::MigrantFlush`] to re-inject, since the
     /// first-association hook has already run.
     pub fn deposit_seam(&mut self, c: usize, entries: Vec<SeamEntry>) -> bool {
         let flow_ids = self.client_flow_ids(c);
@@ -542,7 +542,7 @@ impl WgttWorld {
     /// Re-injects a migrant's imported seam datagrams at their pipeline
     /// stages. Called at the client's first association (when the
     /// controller gains a fan-out set for it) and again by
-    /// [`Ev::MigrantFlush`] for deposits arriving at later barriers.
+    /// [`Seam::MigrantFlush`] for deposits arriving at later barriers.
     /// Duplication safety does not depend on injection order: downlink
     /// copies collapse at the client sink's sequence filter, uplink copies
     /// at the controller's (transferred) dedup keys.
@@ -572,7 +572,7 @@ impl WgttWorld {
         self.ensure_round(ctx);
     }
 
-    /// Handles [`Ev::MigrantFlush`]: re-inject if the client associated
+    /// Handles [`Seam::MigrantFlush`]: re-inject if the client associated
     /// before the deposit; otherwise the first-association hook will.
     pub(super) fn on_migrant_flush(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         if self.clients[c].serving.is_some() {
