@@ -1,6 +1,15 @@
-//! The radio: DCF contention rounds, the in-flight and geometry tables,
-//! scratch pools, and what a finished transmission delivered to whom
-//! (`TxDone` reception and the overhear sweep).
+//! The radio: DCF contention rounds, the in-flight table, scratch pools,
+//! and what a finished transmission delivered to whom (`TxDone` reception
+//! and the overhear sweep).
+//!
+//! Medium access is resolved in *contention rounds*: whenever the channel
+//! goes idle and stations have pending frames, each draws a backoff from
+//! its contention window; the smallest draw transmits, ties collide. An AP
+//! transmission is an A-MPDU + SIFS + Block ACK exchange; a client
+//! transmission is a short uplink burst answered by AP acknowledgements
+//! (where simultaneous AP responses can collide — the paper's §5.3.2
+//! microbenchmark). Per-MPDU delivery is Bernoulli with probability from
+//! the ESNR→PER model evaluated on the link's CSI at transmission time.
 
 use super::*;
 use crate::client::UplinkEntry;

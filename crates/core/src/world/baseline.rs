@@ -71,7 +71,7 @@ impl WgttWorld {
     /// Hands the oracle one sample per resident vehicle (see
     /// [`crate::oracle`]); what becomes of them is not the event loop's
     /// business.
-    pub(super) fn on_accuracy_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    fn on_accuracy_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         for c in 0..self.clients.len() {
             if self.departed[c] {
@@ -116,7 +116,7 @@ impl WgttWorld {
 
     // ---------- probes & baseline roaming ----------
 
-    pub(super) fn on_probe_tick(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+    fn on_probe_tick(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         let now = ctx.now();
         if now < self.traffic_until {
             let cl = &self.clients[c];
@@ -140,7 +140,7 @@ impl WgttWorld {
         }
     }
 
-    pub(super) fn on_beacon_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
+    fn on_beacon_tick(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         if self.cfg.mode == Mode::Enhanced80211r {
             for ap in 0..self.aps.len() {
@@ -175,7 +175,7 @@ impl WgttWorld {
         }
     }
 
-    pub(super) fn on_roam_check(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+    fn on_roam_check(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         let now = ctx.now();
         if self.cfg.mode == Mode::Enhanced80211r && self.clients[c].roam.is_none() {
             let serving = self.clients[c].serving;

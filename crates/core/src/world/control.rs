@@ -4,6 +4,7 @@
 //! `controller_admits` at the controller — and `send_control`, the one
 //! sender.
 
+use super::recovery::READOPT_GUARD;
 use super::*;
 use crate::ap::Role;
 use crate::switching::{StartVerdict, StopVerdict, SwitchEngine};
@@ -171,7 +172,7 @@ impl WgttWorld {
 
     /// Client `c` is served again, by `ap`: the association is recorded and
     /// a failover blackout, if one was running, ends here.
-    pub(super) fn served_by(&mut self, c: usize, ap: ApId, now: SimTime) {
+    fn served_by(&mut self, c: usize, ap: ApId, now: SimTime) {
         self.set_serving(c, Some(ap), now);
         self.resolve_failover(c, now);
     }

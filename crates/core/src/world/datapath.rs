@@ -197,17 +197,13 @@ impl WgttWorld {
         self.sys.downlink_copies += targets.len() as u64;
         let wire = packet.len_bytes + wgtt_net::TUNNEL_OVERHEAD_BYTES;
         for ap in targets {
-            let p = packet.clone();
-            self.backhaul_send(
-                ctx,
-                wire,
-                false,
-                Ev::Data(Data::PacketAtAp { ap, packet: p }),
-            );
+            let packet = packet.clone();
+            let arrival = Data::PacketAtAp { ap, packet };
+            self.backhaul_send(ctx, wire, false, Ev::Data(arrival));
         }
     }
 
-    pub(super) fn on_packet_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, packet: Packet) {
+    fn on_packet_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, packet: Packet) {
         if !self.ap_reachable(ap, ctx.now()) {
             return;
         }
@@ -232,7 +228,7 @@ impl WgttWorld {
         self.ensure_round(ctx);
     }
 
-    pub(super) fn on_ba_forward_at_ap(&mut self, ap: usize, c: usize, ba: BlockAckFrame) {
+    fn on_ba_forward_at_ap(&mut self, ap: usize, c: usize, ba: BlockAckFrame) {
         if self.cfg.mode != Mode::Wgtt || !self.cfg.ba_forwarding || self.ap_down[ap] {
             return;
         }
@@ -288,7 +284,7 @@ impl WgttWorld {
         }
     }
 
-    pub(super) fn on_reorder_flush(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+    fn on_reorder_flush(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         let now = ctx.now();
         match self.clients[c].hole_since {
             Some(since) if now.saturating_since(since) >= REORDER_TIMEOUT => {
@@ -413,7 +409,7 @@ impl WgttWorld {
         }
     }
 
-    pub(super) fn pump_tcp(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
+    fn pump_tcp(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
         let now = ctx.now();
         if now >= self.traffic_until {
             return;
@@ -477,7 +473,7 @@ impl WgttWorld {
         }
     }
 
-    pub(super) fn on_tcp_rto_check(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
+    fn on_tcp_rto_check(&mut self, ctx: &mut Ctx<'_, Ev>, fidx: usize) {
         let now = ctx.now();
         {
             let flow = &mut self.flows[fidx];

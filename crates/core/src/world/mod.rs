@@ -6,16 +6,16 @@
 //! 802.11r mode (the paper's §5.1 baseline) over identical channel
 //! realizations, which is what makes the head-to-head comparisons fair.
 //!
-//! ## Radio model
+//! ## Layers
 //!
-//! Medium access is resolved in *contention rounds*: whenever the channel
-//! goes idle and stations have pending frames, each draws a backoff from
-//! its contention window; the smallest draw transmits, ties collide. An AP
-//! transmission is an A-MPDU + SIFS + Block ACK exchange; a client
-//! transmission is a short uplink burst answered by AP acknowledgements
-//! (where simultaneous AP responses can collide — the paper's §5.3.2
-//! microbenchmark). Per-MPDU delivery is Bernoulli with probability from
-//! the ESNR→PER model evaluated on the link's CSI at transmission time.
+//! This file holds the struct, its constructors, [`Ev`] and the dispatch;
+//! the handlers live one layer to a file — `air` (the radio), `datapath`
+//! (backhaul hops and traffic), `control` (selection and the switch
+//! protocol), `recovery` (faults and what repairs them), `seam` (shard
+//! boundaries), `baseline` (probes, oracle tick, 802.11r roaming) — each
+//! an `impl WgttWorld` block that owns one sub-enum of `Ev`, shares this
+//! file's imports through `use super::*`, and keeps the state only it
+//! touches in a struct private to itself (DESIGN.md §6h).
 
 use crate::ap::{ApState, MPDU_RETRY_LIMIT};
 use crate::client::{ClientState, DeliveryRecord};
@@ -54,7 +54,7 @@ pub use baseline::Probe;
 pub use control::Ctl;
 pub use datapath::{Data, FlowKind, ServerFlow};
 pub use recovery::Recovery;
-use recovery::{RecoveryState, READOPT_GUARD};
+use recovery::RecoveryState;
 pub use seam::{
     prime_migrant_events, MigrantFlow, MigrantSpec, MigrationRecord, Seam, SeamEntry, SeamPayload,
 };
@@ -323,23 +323,14 @@ pub fn prime_events(sim: &mut wgtt_sim::Simulator<WgttWorld>) {
     }
     let edges = sim.world().faults.edges();
     for (t, edge) in edges {
-        match edge {
-            FaultEdge::Crash(ap) => {
-                sim.schedule_at(t, Ev::Recovery(Recovery::ApCrash(ap)));
-            }
-            FaultEdge::Reboot(ap) => {
-                sim.schedule_at(t, Ev::Recovery(Recovery::ApReboot(ap)));
-            }
-            FaultEdge::ControllerCrash => {
-                sim.schedule_at(t, Ev::Recovery(Recovery::ControllerCrash));
-            }
-            FaultEdge::ControllerRecover => {
-                sim.schedule_at(t, Ev::Recovery(Recovery::ControllerRecover));
-            }
-            FaultEdge::ZombieWake => {
-                sim.schedule_at(t, Ev::Recovery(Recovery::ZombieWake));
-            }
-        }
+        let ev = match edge {
+            FaultEdge::Crash(ap) => Recovery::ApCrash(ap),
+            FaultEdge::Reboot(ap) => Recovery::ApReboot(ap),
+            FaultEdge::ControllerCrash => Recovery::ControllerCrash,
+            FaultEdge::ControllerRecover => Recovery::ControllerRecover,
+            FaultEdge::ZombieWake => Recovery::ZombieWake,
+        };
+        sim.schedule_at(t, Ev::Recovery(ev));
     }
     // Warm-standby machinery only spins up when a failover is armed: an
     // unarmed run schedules no journal or detector events at all, keeping

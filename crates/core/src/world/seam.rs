@@ -524,7 +524,7 @@ impl WgttWorld {
     /// `PacketAtController` leg); the `(flow, ip_ident)` pair identifies
     /// the datagram uniquely within a client, so later copies collapse
     /// into the first rather than multiplying across the seam.
-    pub(super) fn capture_seam(&mut self, c: usize, payload: SeamPayload) {
+    fn capture_seam(&mut self, c: usize, payload: SeamPayload) {
         if matches!(payload, SeamPayload::Downlink(_)) {
             let p = payload.packet();
             let dup = self.outbox[c].iter().any(|q| {
@@ -574,7 +574,7 @@ impl WgttWorld {
 
     /// Handles [`Seam::MigrantFlush`]: re-inject if the client associated
     /// before the deposit; otherwise the first-association hook will.
-    pub(super) fn on_migrant_flush(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
+    fn on_migrant_flush(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         if self.clients[c].serving.is_some() {
             self.flush_seam(ctx, c);
         }
