@@ -13,7 +13,7 @@ use crate::health::{ApHealth, HealthConfig};
 use crate::replica::{ClientJournalState, PendingJournalState};
 use crate::selection::{ApSelector, SelectionConfig};
 use crate::switching::{AckOutcome, ClientResyncState, ResyncReply, SwitchEngine};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use wgtt_net::{ApId, ClientId};
 use wgtt_sim::SimTime;
 
@@ -144,12 +144,7 @@ impl ControllerState {
         self.selectors.clear();
         self.allocators.clear();
         self.serving.clear();
-        // The controller term is the one durable scalar (persisted at
-        // bump time): a restart-in-place resumes the same reign, so
-        // already-fenced APs keep accepting the rebuilt controller.
-        let term = self.engine.term();
-        self.engine = SwitchEngine::new();
-        self.engine.set_term(term);
+        self.engine.crash_wipe();
         self.dedup = Deduplicator::default();
         self.health = ApHealth::new(HealthConfig::default());
     }
@@ -169,6 +164,7 @@ impl ControllerState {
     ///   actions for the caller to resolve with fresh epoch-stamped
     ///   protocol traffic.
     pub fn apply_resync(&mut self, now: SimTime, replies: &[ResyncReply]) -> Vec<ResyncAction> {
+        self.engine.resume_from_resync(replies);
         let mut per_client: BTreeMap<ClientId, Vec<(ApId, ClientResyncState)>> = BTreeMap::new();
         for reply in replies {
             self.health.on_resync_reply(reply.ap, now);
@@ -176,91 +172,63 @@ impl ControllerState {
                 self.dedup.prime_key(key);
             }
             for cs in &reply.clients {
-                self.engine
-                    .resume_epochs_above(cs.client, cs.epoch_high_water);
                 per_client
                     .entry(cs.client)
                     .or_default()
                     .push((reply.ap, *cs));
             }
         }
-        // The AP best positioned to serve a client: newest applied
-        // `start`, then newest guard epoch, then lowest AP id — a total
-        // order, so reconstruction is deterministic.
-        fn best(cands: &[(ApId, ClientResyncState)]) -> (ApId, ClientResyncState) {
-            let key = |s: &(ApId, ClientResyncState)| {
-                (
-                    s.1.start_applied,
-                    s.1.epoch_high_water,
-                    std::cmp::Reverse(s.0),
-                )
-            };
-            // Invariant: both call sites guard against an empty slice
-            // (`involved.is_empty()` / `claimants.len() >= 2`).
-            *cands
-                .iter()
-                .max_by_key(|s| key(s))
-                .expect("non-empty candidate set")
-        }
+        // Best positioned to serve a client first: newest applied `start`,
+        // then newest guard epoch, then lowest AP id — a total order, so
+        // reconstruction is deterministic.
+        let rank = |s: &(ApId, ClientResyncState)| {
+            let newest = (s.1.start_applied, s.1.epoch_high_water);
+            (std::cmp::Reverse(newest), s.0)
+        };
         let mut actions = Vec::new();
         for (client, states) in per_client {
-            let claimants: Vec<(ApId, ClientResyncState)> =
+            let mut claimants: Vec<(ApId, ClientResyncState)> =
                 states.iter().copied().filter(|(_, s)| s.serving).collect();
-            match claimants.len() {
-                1 => {
-                    let (ap, st) = claimants[0];
+            claimants.sort_by_key(rank);
+            let (action, tail) = match claimants[..] {
+                [(ap, st)] => {
                     self.serving.insert(client, ap);
-                    self.allocators
-                        .entry(client)
-                        .or_default()
-                        .resume_at(st.queue_tail);
-                    actions.push(ResyncAction::Adopted { client, ap });
+                    (ResyncAction::Adopted { client, ap }, st.queue_tail)
                 }
-                0 => {
+                [] => {
                     // Repair only clients that were mid-protocol; a client
                     // the guards never saw re-associates through normal
                     // selection once CSI flows again.
-                    let involved: Vec<(ApId, ClientResyncState)> = states
-                        .iter()
-                        .copied()
-                        .filter(|(_, s)| s.epoch_high_water > 0)
-                        .collect();
-                    if involved.is_empty() {
+                    let involved = states.iter().filter(|(_, s)| s.epoch_high_water > 0);
+                    let Some(&(adopt, st)) = involved.min_by_key(|s| rank(s)) else {
                         continue;
-                    }
-                    let (ap, st) = best(&involved);
-                    self.allocators
-                        .entry(client)
-                        .or_default()
-                        .resume_at(st.queue_tail);
-                    actions.push(ResyncAction::RepairAdopt {
-                        client,
-                        adopt: ap,
-                        head: st.queue_head,
-                    });
+                    };
+                    let head = st.queue_head;
+                    (
+                        ResyncAction::RepairAdopt {
+                            client,
+                            adopt,
+                            head,
+                        },
+                        st.queue_tail,
+                    )
                 }
-                _ => {
-                    let (adopt, st) = best(&claimants);
-                    // Invariant: this arm is `claimants.len() >= 2`, and
-                    // `adopt` is one of them, so another always remains.
-                    let stop = claimants
-                        .iter()
-                        .map(|&(ap, _)| ap)
-                        .filter(|&ap| ap != adopt)
-                        .min()
-                        .expect("at least one losing claimant");
+                // Two or more claim it: the best keeps serving, the worst
+                // placed is stopped.
+                [(adopt, st), .., (stop, _)] => {
                     self.serving.insert(client, adopt);
-                    self.allocators
-                        .entry(client)
-                        .or_default()
-                        .resume_at(st.queue_tail);
-                    actions.push(ResyncAction::RepairSwitch {
-                        client,
-                        stop,
-                        adopt,
-                    });
+                    (
+                        ResyncAction::RepairSwitch {
+                            client,
+                            stop,
+                            adopt,
+                        },
+                        st.queue_tail,
+                    )
                 }
-            }
+            };
+            self.allocators.entry(client).or_default().resume_at(tail);
+            actions.push(action);
         }
         actions
     }
@@ -271,30 +239,21 @@ impl ControllerState {
     /// maps mention, plus the in-flight switch set — all in ascending
     /// client order so standby replay is deterministic.
     pub fn journal_snapshot(&self) -> (Vec<ClientJournalState>, Vec<PendingJournalState>) {
-        let mut ids: BTreeSet<ClientId> = BTreeSet::new();
-        ids.extend(self.engine.epochs_sorted().iter().map(|&(c, _)| c));
-        ids.extend(self.serving.keys().copied());
-        ids.extend(self.allocators.keys().copied());
-        let clients = ids
-            .iter()
-            .map(|&client| ClientJournalState {
+        let (epochs, pending) = self.engine.journal_snapshot();
+        let mut clients: BTreeMap<ClientId, ClientJournalState> =
+            epochs.into_iter().map(|s| (s.client, s)).collect();
+        let ids = self.serving.keys().chain(self.allocators.keys());
+        for &client in ids {
+            let s = clients.entry(client).or_insert(ClientJournalState {
                 client,
-                epoch: self.engine.current_epoch(client),
-                serving: self.serving.get(&client).copied(),
-                alloc_next: self.allocators.get(&client).map_or(0, |a| a.peek()),
-            })
-            .collect();
-        let pending = self
-            .engine
-            .pending_sorted()
-            .into_iter()
-            .map(|(client, p)| PendingJournalState {
-                client,
-                from: p.from,
-                to: p.to,
-            })
-            .collect();
-        (clients, pending)
+                epoch: 0,
+                serving: None,
+                alloc_next: 0,
+            });
+            s.serving = self.serving.get(&client).copied();
+            s.alloc_next = self.allocators.get(&client).map_or(0, |a| a.peek());
+        }
+        (clients.into_values().collect(), pending)
     }
 
     /// Rebuilds controller soft state from a standby's journaled snapshot
@@ -312,8 +271,8 @@ impl ControllerState {
     /// switches are the caller's job: each journaled pending entry is
     /// re-issued under a fresh epoch and the new term.
     pub fn restore_from_journal(&mut self, clients: &[ClientJournalState], keys: &[u64]) {
+        self.engine.restore_from_journal(clients);
         for cs in clients {
-            self.engine.resume_epochs_above(cs.client, cs.epoch);
             if let Some(ap) = cs.serving {
                 self.serving.insert(cs.client, ap);
             }

@@ -47,6 +47,7 @@ pub mod health;
 pub mod metrics;
 pub mod oracle;
 pub mod protocol_check;
+pub mod recovery;
 pub mod replica;
 pub mod runner;
 pub mod seam;

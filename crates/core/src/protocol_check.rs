@@ -10,14 +10,20 @@
 //! style of checking: protocol bugs of this shape show up in tiny
 //! configurations if they exist at all.
 //!
-//! The checker drives the *production* control-plane state machines — the
-//! real [`SwitchEngine`], [`ApSwitchGuard`] and [`SeamEngine`] — not a
-//! re-implementation, so what it certifies is the code the simulator runs.
-//! A [`CheckerConfig::epoch_guard`]`= false` mode bypasses the guards and
-//! forges the pre-epoch controller behaviour (complete the pending switch
-//! on *any* ack), replicating the engine as it existed before epochs; the
-//! test suite uses it to demonstrate the checker actually catches the
-//! stale-`start`/foreign-`ack` ABA family this PR fixes.
+//! The checker drives the *production* control-plane state machines, not
+//! a re-implementation, so what it certifies is the code the simulator
+//! runs: every slice the [`SwitchEngine`] and the APs' [`ApSwitchGuard`]s;
+//! the crash and failover slices also the [`RecoveryEngine`] (DESIGN.md
+//! §6i), the APs' [`TermGuard`]s and the `SwitchEngine` halves of crash
+//! wipe, journal snapshot and restore, and resync floor; the seam slices
+//! the [`SeamEngine`]. Around them it is the wire and the ground truth.
+//! Three behaviours are forged harness-side, one per guard, so the test
+//! suite can show the checker sees the family each guard kills:
+//! [`CheckerConfig::epoch_guard`]` = false` bypasses the epoch guards and
+//! completes the pending switch on *any* ack (the pre-epoch engine's
+//! stale-`start`/foreign-`ack` ABA family), [`CheckerConfig::resync_naive`]
+//! ignores the resync replies, and [`CheckerConfig::fencing`]` = false`
+//! ignores a stale term verdict.
 //!
 //! Invariants checked on every transition / terminal state:
 //!
@@ -39,12 +45,12 @@
 //!   ([`ViolationKind::EpochRegression`]).
 //!
 //! [`CheckerConfig::max_crashes`] adds a controller crash/recover choice
-//! pair to the schedule alphabet: a crash wipes the production engine
-//! (timers die, acks are eaten) while AP↔AP `start` legs keep flowing; a
-//! recovery rebuilds the epoch space from the AP guards — the AP-sourced
-//! resync — unless [`CheckerConfig::resync_naive`] forges the broken
-//! restart-at-zero recovery, which the test suite uses to prove the
-//! checker actually catches the cross-restart aliasing family.
+//! pair to the schedule alphabet: a crash is the production wipe (timers
+//! die, acks are eaten) while AP↔AP `start` legs keep flowing; a recovery
+//! runs the engine's resync round over replies built from the AP guards as
+//! `ApState::resync_reply` builds them, and resumes above the floor they
+//! report — unless `resync_naive` restarts at zero, the cross-restart
+//! aliasing family.
 //!
 //! [`CheckerConfig::max_migrations`] adds the inter-controller handoff
 //! slice. Its protocol is the [`SeamEngine`] the sharded runner ships
@@ -72,22 +78,27 @@
 //! destination admits it blind), and the only abort is a *blind* readopt
 //! that cannot know whether the destination admitted.
 //!
-//! [`CheckerConfig::max_failovers`] adds the hot-standby choice pair:
-//! [`Choice::FailoverToStandby`] kills the primary mid-schedule and
-//! promotes a journal-fed standby under a bumped controller *term*
-//! (announced to every AP as enumerable in-flight frames, so partially
-//! fenced networks are explored too), and [`Choice::ZombiePrimary`]
-//! re-injects the dead primary's in-flight `stop` stamped with its stale
-//! term. With [`CheckerConfig::fencing`] on, AP-side term high-water
-//! guards drop every zombie frame before it touches state; the
-//! `fencing = false` shim demonstrates the split-brain family
-//! ([`ViolationKind::SplitBrain`]) the fence exists to kill.
+//! [`CheckerConfig::max_failovers`] adds the hot-standby choice pair.
+//! [`Choice::FailoverToStandby`] feeds the standby one last
+//! [`JournalBatch`] — the production snapshot, up to
+//! [`CheckerConfig::max_journal_lag`] issues stale — kills the primary
+//! mid-schedule and acts on the engine's promotion: its term (announced to
+//! every AP as enumerable in-flight frames, so partially fenced networks
+//! are explored too), its replica, its plan. [`Choice::ZombiePrimary`]
+//! replays what the engine remembers of the dead reign, `stop`s and
+//! `Resync` probes, under its stale term; the term guards drop every such
+//! frame before it touches state, and `fencing = false` shows the
+//! split-brain family ([`ViolationKind::SplitBrain`]) they exist to kill.
 
 use crate::config::MigrationConfig;
+use crate::recovery::{RecoveryEngine, ReplyVerdict, ResyncRound, TakeoverPlan, TAKEOVER_TIMEOUT};
+use crate::replica::JournalBatch;
 use crate::seam::{CommitVerdict, Due, Handoff, PrepareVerdict, SeamEngine};
 use crate::switching::{
-    AckOutcome, ApSwitchGuard, StartVerdict, StopVerdict, SwitchEngine, SwitchMsg,
+    AckOutcome, ApSwitchGuard, ClientResyncState, ResyncReply, StartVerdict, StopVerdict,
+    SwitchEngine, SwitchMsg, TermGuard, TermVerdict,
 };
+use std::collections::VecDeque;
 use wgtt_net::{ApId, ClientId};
 use wgtt_sim::{SimDuration, SimTime};
 
@@ -186,6 +197,12 @@ pub struct CheckerConfig {
     /// and any that mutate AP state surface as
     /// [`ViolationKind::SplitBrain`].
     pub fencing: bool,
+    /// How many `issue`s the standby's journal may trail the primary by at
+    /// failover (each failover is enumerated at every lag up to this): the
+    /// last batch it heard was cut just before that many of the primary's
+    /// most recent switches were issued. `0` is a journal current to the
+    /// instant of the crash.
+    pub max_journal_lag: u32,
     /// Budget of inter-controller client migrations per schedule. Each one
     /// arms an export choice once every configured switch has resolved
     /// (migrations happen at lockstep barriers, with no switch in flight);
@@ -237,6 +254,7 @@ impl Default for CheckerConfig {
             resync_naive: false,
             max_failovers: 0,
             fencing: true,
+            max_journal_lag: 0,
             max_migrations: 0,
             migration_naive: false,
             migration_retention: true,
@@ -246,6 +264,13 @@ impl Default for CheckerConfig {
             max_mig_crashes: 0,
             max_schedules: 1_000_000,
         }
+    }
+}
+
+impl CheckerConfig {
+    /// The APs a broadcast reaches, in AP order.
+    fn live_aps(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n_aps).filter(|ap| !self.dead_aps.contains(ap))
     }
 }
 
@@ -267,13 +292,14 @@ pub enum Choice {
     /// Restart the controller and resync its epoch space from the AP
     /// guards (or naively, under [`CheckerConfig::resync_naive`]).
     RecoverController,
-    /// Kill the primary and promote the journal-fed standby: term bumped,
-    /// fence announcements put in flight to every AP, the orphaned
-    /// in-flight switch re-driven under a fresh epoch — while the dead
-    /// primary's own frames stay on the wire.
-    FailoverToStandby,
-    /// The dead primary's zombie wakes and re-injects its in-flight
-    /// `stop`, stamped with its superseded term.
+    /// Kill the primary and promote the standby on a journal trailing it by
+    /// this many `issue`s: term bumped, fence announcements put in flight
+    /// to every AP, the journaled in-flight switch re-driven under a fresh
+    /// epoch — while the dead primary's own frames stay on the wire.
+    FailoverToStandby(u32),
+    /// The dead primary's zombie wakes, re-injects its in-flight `stop` and
+    /// probes every AP with a `Resync`, all stamped with its superseded
+    /// term.
     ZombiePrimary,
     /// Lockstep barrier, source side: retire the client and put its
     /// term-stamped `MigPrepare` (epoch high-water, dedup keys, downlink
@@ -296,9 +322,8 @@ pub enum Choice {
     /// retained record, or under the no-retention shim blind, not knowing
     /// whether the destination admitted.
     MigrateAbort,
-    /// Bounce the source controller mid-handoff (crash + term-preserving
-    /// restart, epoch space resynced from the AP guards). The retained
-    /// migration record is durable and survives.
+    /// Bounce the source controller mid-handoff (crash, restart in place,
+    /// resync round). The retained migration record is durable and survives.
     CrashDuringMigration,
 }
 
@@ -451,8 +476,8 @@ struct ModelAp {
     serving: bool,
     head: Option<u16>,
     guard: ApSwitchGuard,
-    /// Highest controller term this AP has witnessed — the fence.
-    term_seen: u32,
+    /// The production term fence.
+    fence: TermGuard,
     /// Epochs whose `start` this AP actually applied — the ground truth
     /// completions are checked against.
     applied: Vec<u32>,
@@ -476,9 +501,14 @@ struct State {
     controller_down: bool,
     crashes_left: u32,
     failovers_left: u32,
-    /// Frames the dead primary will re-inject if the zombie choice fires
-    /// (captured at failover, stamped with the superseded term).
-    zombie_frames: Vec<NetMsg>,
+    /// The production recovery protocol: resync round, standby, and what
+    /// the dead primary's zombie remembers.
+    recovery: RecoveryEngine,
+    /// Whether a failed-over primary has yet to wake as a zombie.
+    zombie_asleep: bool,
+    /// Batches cut just before each of the last
+    /// [`CheckerConfig::max_journal_lag`] `issue`s, oldest first.
+    journal_tail: VecDeque<JournalBatch>,
     /// Target AP index and epoch of the most recent completion — the
     /// ground truth the terminal head check compares against (epochs are
     /// no longer a pure function of the switch count once a crash can
@@ -534,7 +564,7 @@ impl State {
                     serving: false,
                     head: None,
                     guard: ApSwitchGuard::default(),
-                    term_seen: 0,
+                    fence: TermGuard::default(),
                     applied: Vec::new(),
                 })
                 .collect(),
@@ -548,7 +578,9 @@ impl State {
             controller_down: false,
             crashes_left: cfg.max_crashes,
             failovers_left: cfg.max_failovers,
-            zombie_frames: Vec::new(),
+            recovery: RecoveryEngine::new(0),
+            zombie_asleep: false,
+            journal_tail: VecDeque::new(),
             last_completed: None,
             migrations_left: cfg.max_migrations,
             seam: SeamEngine::new(seam_policy(cfg)),
@@ -592,15 +624,37 @@ impl State {
 
     /// Issues the next configured switch, if any remain.
     fn issue_next(&mut self, cfg: &CheckerConfig) -> Result<(), ViolationKind> {
-        let Some(&(from, to)) = cfg.switches.get(self.next_switch) else {
-            return Ok(());
-        };
-        self.next_switch += 1;
-        if let Some(SwitchMsg::Stop {
-            to_ap, epoch, term, ..
-        }) = self
-            .engine
-            .issue(self.now, CLIENT, ApId(from as u32), ApId(to as u32))
+        while let Some(&(from, to)) = cfg.switches.get(self.next_switch) {
+            self.next_switch += 1;
+            // The selection loop leaves the AP this reign last switched
+            // to: a configured switch that leaves another one is moot.
+            let last = self.engine.history().last();
+            if last.map_or(true, |rec| rec.to.0 as usize == from) {
+                return self.issue(cfg, from, to);
+            }
+        }
+        Ok(())
+    }
+
+    /// The primary's next journal batch: the production snapshot of the
+    /// production engine, numbered by the production shipper.
+    fn cut_batch(&mut self) -> Option<JournalBatch> {
+        let engine = &self.engine;
+        self.recovery
+            .ship(engine.term(), || engine.journal_snapshot())
+    }
+
+    fn issue(&mut self, cfg: &CheckerConfig, from: usize, to: usize) -> Result<(), ViolationKind> {
+        if cfg.max_journal_lag > 0 {
+            let batch = self.cut_batch();
+            self.journal_tail.extend(batch);
+            if self.journal_tail.len() > cfg.max_journal_lag as usize {
+                self.journal_tail.pop_front();
+            }
+        }
+        let (from, to) = (ApId(from as u32), ApId(to as u32));
+        if let Some(SwitchMsg::Stop { epoch, term, .. }) =
+            self.engine.issue(self.now, CLIENT, from, to)
         {
             // Cross-restart monotonicity: an epoch at or below what some
             // AP already saw aliases a prior generation — the reborn
@@ -609,17 +663,81 @@ impl State {
             if epoch <= self.guard_floor() {
                 return Err(ViolationKind::EpochRegression);
             }
-            self.send(
-                cfg,
-                NetMsg::Stop {
-                    ap: from,
-                    to_ap: to_ap.0 as usize,
-                    epoch,
-                    term,
-                },
-            );
+            self.send_stop(cfg, from, to, epoch, term);
         }
         Ok(())
+    }
+
+    /// Puts a `stop` for the switch `from` → `to` on the wire.
+    fn send_stop(&mut self, cfg: &CheckerConfig, from: ApId, to: ApId, epoch: u32, term: u32) {
+        let (ap, to_ap) = (from.0 as usize, to.0 as usize);
+        let stop = NetMsg::Stop {
+            ap,
+            to_ap,
+            epoch,
+            term,
+        };
+        self.send(cfg, stop);
+    }
+
+    /// The controller process dies: the production wipe, and what the
+    /// production engine remembers of the dying reign.
+    fn crash(&mut self) {
+        self.controller_down = true;
+        self.recovery.on_crash(self.now, &self.engine);
+        self.engine.crash_wipe();
+    }
+
+    /// What AP `ap` answers a `Resync` with, as `ApState::resync_reply`
+    /// builds it from the same guard.
+    fn resync_reply(&self, ap: usize) -> ResyncReply {
+        let a = &self.aps[ap];
+        let head = a.head.unwrap_or(0);
+        ResyncReply {
+            ap: ApId(ap as u32),
+            clients: vec![ClientResyncState {
+                client: CLIENT,
+                epoch_high_water: a.guard.latest(),
+                start_applied: a.guard.start_applied(),
+                serving: a.serving,
+                queue_head: head,
+                queue_tail: head,
+            }],
+            recent_uplink_keys: Vec::new(),
+        }
+    }
+
+    /// Every live AP that admits a `Resync` stamped `term` answers, in AP
+    /// order; returns the round the last answer closed. Probes and replies
+    /// share the step because nothing in between can matter (DESIGN.md
+    /// §6i): a reigning controller issues nothing until its round closes,
+    /// and a zombie's probe finds no round open — its reply is an orphan.
+    fn probe(&mut self, cfg: &CheckerConfig, term: u32) -> Option<ResyncRound<()>> {
+        let mut closed = None;
+        for ap in cfg.live_aps() {
+            // As `on_resync_at_ap`: nobody left to hear the reply, or fenced.
+            if !self.controller_down && self.term_fence(cfg, ap, term).is_some() {
+                let reply = self.resync_reply(ap);
+                if let ReplyVerdict::Finish(round) = self.recovery.on_reply(reply) {
+                    closed = Some(round);
+                }
+            }
+        }
+        closed
+    }
+
+    /// The live controller's resync round: the production floor from the
+    /// replies — unless `resync_naive` forges a controller that ignores
+    /// what the APs reported.
+    fn resync(&mut self, cfg: &CheckerConfig) {
+        self.controller_down = false;
+        let (seq, empty) = self.recovery.begin(self.now, cfg.live_aps().count());
+        let closed = empty.or_else(|| self.probe(cfg, self.engine.term()));
+        // A fenced probe earns no reply: the deadline closes the round.
+        let closed = closed.or_else(|| self.recovery.on_deadline(seq));
+        if let Some(round) = closed.filter(|_| !cfg.resync_naive) {
+            self.engine.resume_from_resync(&round.replies);
+        }
     }
 
     /// Puts a frame on the wire. A frame addressed to a dead AP is eaten
@@ -699,9 +817,9 @@ impl State {
             v.push(Choice::CrashController);
         }
         if !self.controller_down && self.failovers_left > 0 {
-            v.push(Choice::FailoverToStandby);
+            v.extend((0..=self.journal_tail.len() as u32).map(Choice::FailoverToStandby));
         }
-        if !self.zombie_frames.is_empty() {
+        if self.zombie_asleep {
             v.push(Choice::ZombiePrimary);
         }
         // Migrations happen at lockstep barriers: every configured switch
@@ -776,28 +894,10 @@ impl State {
                     .engine
                     .pending(CLIENT)
                     .expect("timeout requires in-flight");
-                let fire_at = p.sent_at + self.engine.timeout();
-                if fire_at > self.now {
-                    self.now = fire_at;
-                }
+                self.now = self.now.max(p.sent_at + self.engine.timeout());
                 match self.engine.on_timeout(self.now, CLIENT) {
-                    Some(SwitchMsg::Stop {
-                        to_ap, epoch, term, ..
-                    }) => {
-                        let from = self
-                            .engine
-                            .pending(CLIENT)
-                            .map(|p| p.from.0 as usize)
-                            .expect("retransmission keeps the switch pending");
-                        self.send(
-                            cfg,
-                            NetMsg::Stop {
-                                ap: from,
-                                to_ap: to_ap.0 as usize,
-                                epoch,
-                                term,
-                            },
-                        );
+                    Some(SwitchMsg::Stop { epoch, term, .. }) => {
+                        self.send_stop(cfg, p.from, p.to, epoch, term)
                     }
                     Some(_) => unreachable!("timeouts only retransmit stops"),
                     None => {
@@ -812,73 +912,67 @@ impl State {
             }
             Choice::CrashController => {
                 self.crashes_left -= 1;
-                self.controller_down = true;
-                // The crash takes every piece of controller soft state
-                // with it. A switch in flight at that instant is simply
-                // forgotten — the recovered controller re-issues it (the
-                // selection loop re-noticing the client), so decrement
-                // the cursor before wiping the engine.
+                // A switch in flight at that instant is simply forgotten —
+                // the recovered controller re-issues it (the selection loop
+                // re-noticing the client), so rewind the cursor.
                 if self.engine.in_flight(CLIENT) {
                     self.next_switch -= 1;
                 }
-                // The term is the one durable scalar (mirrors the
-                // production `crash_wipe`): a restart-in-place resumes
-                // the same reign.
-                let term = self.engine.term();
-                self.engine = SwitchEngine::new();
-                self.engine.set_term(term);
+                self.crash();
             }
             Choice::RecoverController => {
-                self.controller_down = false;
-                if !cfg.resync_naive {
-                    // AP-sourced resync: the epoch space resumes strictly
-                    // above every generation any AP reports having seen.
-                    let floor = self.guard_floor();
-                    self.engine.resume_epochs_above(CLIENT, floor);
-                }
+                self.resync(cfg);
                 self.issue_next(cfg)?;
             }
-            Choice::FailoverToStandby => {
+            Choice::FailoverToStandby(lag) => {
                 self.failovers_left -= 1;
-                let old_term = self.engine.term();
-                // The journal high-water: the standby resumes epochs
-                // strictly above everything the primary ever allocated
-                // (the checker models a current, un-gapped replica; the
-                // lagged/gapped case degrades to the resync path, which
-                // `max_crashes` slices already cover).
-                let floor = self.engine.current_epoch(CLIENT);
-                if let Some(p) = self.engine.pending(CLIENT).copied() {
-                    // The dying primary's in-flight switch: forgotten by
-                    // the new reign (re-driven below under a fresh
-                    // epoch), but its zombie can replay the `stop` later.
-                    self.zombie_frames.push(NetMsg::Stop {
-                        ap: p.from.0 as usize,
-                        to_ap: p.to.0 as usize,
-                        epoch: p.epoch,
-                        term: old_term,
-                    });
-                    self.next_switch -= 1;
+                // The last batch the standby hears: cut now, or just
+                // before the `lag`-th most recent issue.
+                let heard = match lag {
+                    0 => self.cut_batch(),
+                    n => self.journal_tail.iter().rev().nth(n as usize - 1).cloned(),
+                };
+                if let Some(batch) = heard {
+                    self.recovery.on_journal(self.now, &batch);
                 }
-                self.engine = SwitchEngine::new();
-                self.engine.set_term(old_term + 1);
-                self.engine.resume_epochs_above(CLIENT, floor);
-                // Fence announcements are ordinary in-flight frames: the
-                // DFS enumerates every partially-fenced network.
-                for ap in 0..cfg.n_aps {
-                    self.send(
-                        cfg,
-                        NetMsg::Announce {
-                            ap,
-                            term: old_term + 1,
-                        },
-                    );
+                self.crash();
+                self.zombie_asleep = true;
+                // The detector's first tick past the silence. A standby
+                // that declines (it promotes once) leaves the controller
+                // down for a cold restart to revive.
+                self.now += TAKEOVER_TIMEOUT + SimDuration::from_millis(1);
+                if let Some(p) = self.recovery.on_check(self.now, true) {
+                    // As `on_standby_check`: fence, restore, announce —
+                    // ordinary in-flight frames, so the DFS enumerates
+                    // every partially-fenced network — then the plan.
+                    self.controller_down = false;
+                    self.engine.set_term(p.term);
+                    self.engine.restore_from_journal(p.replica.clients());
+                    for ap in 0..cfg.n_aps {
+                        self.send(cfg, NetMsg::Announce { ap, term: p.term });
+                    }
+                    match p.plan {
+                        TakeoverPlan::Redrive => {
+                            for q in p.replica.pending() {
+                                self.issue(cfg, q.from.0 as usize, q.to.0 as usize)?;
+                            }
+                        }
+                        TakeoverPlan::Resync => self.resync(cfg),
+                    }
+                    // A reign whose journal knew of no switch in flight
+                    // moves on to the next configured one.
+                    if !self.engine.in_flight(CLIENT) {
+                        self.issue_next(cfg)?;
+                    }
                 }
-                self.issue_next(cfg)?;
             }
             Choice::ZombiePrimary => {
-                for m in std::mem::take(&mut self.zombie_frames) {
-                    self.send(cfg, m);
+                self.zombie_asleep = false;
+                let (term, pending) = self.recovery.on_wake();
+                for (_, p) in pending {
+                    self.send_stop(cfg, p.from, p.to, p.epoch, term);
                 }
+                self.probe(cfg, term);
             }
             Choice::MigrateExport => {
                 self.migrations_left -= 1;
@@ -926,13 +1020,11 @@ impl State {
             }
             Choice::CrashDuringMigration => {
                 self.mig_crashes_left -= 1;
-                // An atomic bounce (crash + restart-in-place): soft state
-                // wiped, the durable term and the durable retained record
-                // survive, the epoch space resyncs from the AP guards.
-                let term = self.engine.term();
-                self.engine = SwitchEngine::new();
-                self.engine.set_term(term);
-                self.engine.resume_epochs_above(CLIENT, self.guard_floor());
+                // An atomic bounce: soft state wiped, the durable term and
+                // the durable retained record survive, the epoch space
+                // resyncs from the AP guards.
+                self.crash();
+                self.resync(cfg);
             }
             Choice::DropMigration(i) => {
                 self.mig_drops_left -= 1;
@@ -979,21 +1071,18 @@ impl State {
         );
     }
 
-    /// Term fence at frame arrival. `Ok(true)` means the frame may
-    /// proceed with a *current-or-newer* term (the fence is raised);
-    /// `Ok(false)` means it was fenced off; the caller gets `stale` back
-    /// to flag split-brain if a fenced-off frame would have mutated state
-    /// under the `fencing = false` shim.
-    fn term_fence(&mut self, cfg: &CheckerConfig, ap: usize, term: u32) -> (bool, bool) {
-        if term < self.aps[ap].term_seen {
-            if cfg.fencing {
-                self.term_fence_drops += 1;
-                return (false, true);
-            }
-            return (true, true);
+    /// The production term fence at frame arrival, as `ap_admits` applies
+    /// it: `None` fenced off, else whether the term was stale —
+    /// [`CheckerConfig::fencing`]` = false` forges an AP that lets a frame
+    /// from a superseded reign through, and the caller flags split-brain if
+    /// such a frame goes on to mutate state.
+    fn term_fence(&mut self, cfg: &CheckerConfig, ap: usize, term: u32) -> Option<bool> {
+        let stale = self.aps[ap].fence.on_frame(term) == TermVerdict::Stale;
+        if stale && cfg.fencing {
+            self.term_fence_drops += 1;
+            return None;
         }
-        self.aps[ap].term_seen = term;
-        (true, false)
+        Some(stale)
     }
 
     /// Admits the migrating client at the destination controller.
@@ -1054,10 +1143,9 @@ impl State {
                 epoch,
                 term,
             } => {
-                let (proceed, stale_term) = self.term_fence(cfg, ap, term);
-                if !proceed {
+                let Some(stale_term) = self.term_fence(cfg, ap, term) else {
                     return Ok(());
-                }
+                };
                 let verdict = if cfg.epoch_guard {
                     self.aps[ap].guard.on_stop(epoch)
                 } else {
@@ -1085,10 +1173,9 @@ impl State {
                 }
             }
             NetMsg::Start { ap, k, epoch, term } => {
-                let (proceed, stale_term) = self.term_fence(cfg, ap, term);
-                if !proceed {
+                let Some(stale_term) = self.term_fence(cfg, ap, term) else {
                     return Ok(());
-                }
+                };
                 let verdict = if cfg.epoch_guard {
                     self.aps[ap].guard.on_start(epoch)
                 } else {
@@ -1116,9 +1203,9 @@ impl State {
                 }
             }
             NetMsg::Announce { ap, term } => {
-                // Idempotent fence raise; a stale announce is a no-op
-                // either way (`max`), so no violation can hide here.
-                self.aps[ap].term_seen = self.aps[ap].term_seen.max(term);
+                // Raises the fence and nothing else, so no violation can
+                // hide behind a stale one.
+                self.term_fence(cfg, ap, term);
             }
             NetMsg::UplinkAtDest { ident } => {
                 if self.dest_seen.contains(&ident) {
@@ -1604,6 +1691,46 @@ mod tests {
                 "expected {kind:?} among {:?}",
                 report.violations.iter().map(|v| v.kind).collect::<Vec<_>>()
             );
+        }
+    }
+
+    /// The two shortest violating schedules of the lagged-journal slice
+    /// (`tests/checker.rs::lagged_journal_failover_is_not_safe_yet` has the
+    /// slice and the story), replayed step by step: every step but the last
+    /// is clean, the last breaks the named invariant.
+    #[test]
+    fn lagged_journal_traces_replay() {
+        use Choice::{Deliver, FailoverToStandby};
+        let cfg = CheckerConfig {
+            switches: vec![(0, 1), (0, 2)],
+            max_failovers: 1,
+            max_journal_lag: 1,
+            ..CheckerConfig::default()
+        };
+        let traces: [(&[Choice], ViolationKind); 2] = [
+            (
+                &[Deliver(0), FailoverToStandby(1)],
+                ViolationKind::EpochRegression,
+            ),
+            (
+                &[
+                    FailoverToStandby(1),
+                    Deliver(0),
+                    Deliver(4),
+                    Deliver(3),
+                    Deliver(4),
+                ],
+                ViolationKind::DualServing,
+            ),
+        ];
+        for (trace, kind) in traces {
+            let mut st = State::initial(&cfg);
+            let (last, clean) = trace.split_last().unwrap();
+            for &step in clean {
+                assert!(st.choices(&cfg).contains(&step), "{step:?} of {trace:?}");
+                assert_eq!(st.apply(&cfg, step), Ok(()), "{step:?} of {trace:?}");
+            }
+            assert_eq!(st.apply(&cfg, *last), Err(kind), "{trace:?}");
         }
     }
 

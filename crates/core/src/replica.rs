@@ -15,9 +15,9 @@
 //! What is deliberately NOT journaled: selector windows, health tracker
 //! state, and retransmission timers. All of it is reconstructible from
 //! live CSI within one staleness horizon, and journaling timers would tie
-//! the standby to the primary's event loop. The takeover ladder
-//! (`world/recovery.rs`) re-drives in-flight switches from the journaled pending
-//! set under a fresh epoch instead.
+//! the standby to the primary's event loop. The takeover the
+//! [`crate::recovery`] engine decides re-drives in-flight switches from
+//! the journaled pending set under a fresh epoch instead.
 
 use wgtt_net::{ApId, ClientId};
 

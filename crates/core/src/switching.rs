@@ -19,6 +19,7 @@
 //! processing at the APs, which [`SwitchTimings`] models as calibrated
 //! delay distributions.
 
+use crate::replica::{ClientJournalState, PendingJournalState};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use wgtt_net::{ApId, ClientId};
@@ -376,6 +377,60 @@ impl SwitchEngine {
         let mut v: Vec<(ClientId, u32)> = self.epochs.iter().map(|(&c, &e)| (c, e)).collect();
         v.sort_by_key(|&(c, _)| c);
         v
+    }
+
+    /// The controller process dies and restarts in place: every piece of
+    /// switch state is gone, epochs included. The term is the one durable
+    /// scalar (persisted at bump time), so the restart resumes the same
+    /// reign and already-fenced APs keep accepting the rebuilt controller.
+    pub fn crash_wipe(&mut self) {
+        *self = SwitchEngine {
+            term: self.term,
+            ..SwitchEngine::new()
+        };
+    }
+
+    /// The engine's share of a [`crate::replica::JournalBatch`]: every
+    /// client's epoch high water (serving AP and allocator position are the
+    /// controller's to fill in) and the in-flight switch set, both in
+    /// ascending client order so standby replay is deterministic.
+    pub fn journal_snapshot(&self) -> (Vec<ClientJournalState>, Vec<PendingJournalState>) {
+        let blank = |(client, epoch)| ClientJournalState {
+            client,
+            epoch,
+            serving: None,
+            alloc_next: 0,
+        };
+        let clients = self.epochs_sorted().into_iter().map(blank).collect();
+        let pending = self
+            .pending_sorted()
+            .into_iter()
+            .map(|(client, p)| PendingJournalState {
+                client,
+                from: p.from,
+                to: p.to,
+            })
+            .collect();
+        (clients, pending)
+    }
+
+    /// Takeover from a journal: epochs resume strictly above the journaled
+    /// high water (the same monotonic floor the resync path enforces).
+    /// In-flight switches are the caller's job: each journaled pending
+    /// entry is re-issued under a fresh epoch and the new term.
+    pub fn restore_from_journal(&mut self, clients: &[ClientJournalState]) {
+        for cs in clients {
+            self.resume_epochs_above(cs.client, cs.epoch);
+        }
+    }
+
+    /// Restart from the APs' resync replies: epochs resume strictly above
+    /// the maximum guard high-water any AP reported, so no recycled
+    /// generation can alias an in-flight pre-crash frame.
+    pub fn resume_from_resync(&mut self, replies: &[ResyncReply]) {
+        for cs in replies.iter().flat_map(|r| &r.clients) {
+            self.resume_epochs_above(cs.client, cs.epoch_high_water);
+        }
     }
 
     /// Starts a switch, returning the `stop` message to transmit. Returns

@@ -24,7 +24,8 @@ use crate::controller::{ControllerState, ResyncAction};
 use crate::dedup::Deduplicator;
 use crate::metrics::SystemMetrics;
 use crate::oracle::{Recorder, Sample, WorldView};
-use crate::replica::{JournalBatch, Replica};
+use crate::recovery::RecoveryEngine;
+use crate::replica::JournalBatch;
 use crate::switching::{AckOutcome, ResyncReply, SwitchMsg, TermVerdict, CONTROL_PACKET_BYTES};
 use wgtt_mac::blockack::BlockAckFrame;
 use wgtt_mac::timing::{
@@ -54,7 +55,6 @@ pub use baseline::Probe;
 pub use control::Ctl;
 pub use datapath::{Data, FlowKind, ServerFlow};
 pub use recovery::Recovery;
-use recovery::RecoveryState;
 pub use seam::{
     prime_migrant_events, MigrantFlow, MigrantSpec, MigrationRecord, Seam, SeamEntry, SeamPayload,
 };
@@ -136,7 +136,7 @@ pub struct WgttWorld {
     /// timer has effect.
     controller_down: bool,
     /// What only the recovery layer touches: resync round, standby, zombie.
-    recovery: RecoveryState,
+    recovery: RecoveryEngine<(usize, Packet)>,
     /// Emergency re-attaches in progress, dense by client index:
     /// `Some((target AP, retries, switch epoch))` while one is pending.
     /// Index order equals the old ordered-map iteration order, so the
@@ -254,7 +254,7 @@ impl WgttWorld {
             fault_rng: root.fork("faults"),
             ap_down: vec![false; n_aps],
             controller_down: false,
-            recovery: RecoveryState::default(),
+            recovery: RecoveryEngine::new(cfg.degraded_uplink_cap),
             pending_reattach: vec![None; n_clients],
             pending_failover: vec![None; n_clients],
             oracle: Recorder::default(),

@@ -4,8 +4,8 @@
 
 use super::*;
 use crate::ap::Role;
+use crate::recovery::{Hold, ReplyVerdict, ResyncRound, TakeoverPlan, RESYNC_DEADLINE};
 use crate::replica::ApplyOutcome;
-use crate::switching::PendingSwitch;
 
 /// Fault edges and the recovery protocols they set off.
 #[derive(Clone)]
@@ -81,89 +81,13 @@ impl Recovery {
 /// so a merely slow (not lost) `start` always wins the race.
 pub(super) const READOPT_GUARD: SimDuration = SimDuration::from_millis(100);
 
-/// How long the rebooted controller waits for resync replies before
-/// finalizing with whatever arrived (covers APs that die between the
-/// broadcast and their reply).
-const RESYNC_DEADLINE: SimDuration = SimDuration::from_millis(50);
-
 /// Cadence of primary→standby journal batches. The batch doubles as the
 /// primary's heartbeat toward the standby.
 const JOURNAL_INTERVAL: SimDuration = SimDuration::from_millis(10);
 
 /// Standby failure-detector tick: how often it re-evaluates journal
-/// silence against [`TAKEOVER_TIMEOUT`].
+/// silence.
 const STANDBY_CHECK_INTERVAL: SimDuration = SimDuration::from_millis(5);
-
-/// Journal silence past which the standby declares the primary dead and
-/// takes over. More than three journal intervals, so one delayed batch
-/// never triggers a takeover on its own.
-const TAKEOVER_TIMEOUT: SimDuration = SimDuration::from_millis(35);
-
-/// The warm standby: a journal replica plus the failure-detector state
-/// that decides when to promote it. Only instantiated when the fault
-/// schedule arms a controller failover — unarmed runs never allocate one,
-/// keeping them bit-identical to the single-controller engine.
-struct Standby {
-    /// The journal-fed replica of the primary's soft state.
-    replica: Replica,
-    /// When the last journal batch arrived (the heartbeat clock).
-    last_batch_at: SimTime,
-    /// Whether this standby has already promoted itself.
-    taken_over: bool,
-}
-
-impl Standby {
-    fn new() -> Self {
-        Standby {
-            replica: Replica::new(),
-            last_batch_at: SimTime::ZERO,
-            taken_over: false,
-        }
-    }
-}
-
-/// One post-reboot resync round: the controller has broadcast `Resync` and
-/// is collecting AP replies. Uplink copies arriving mid-round are held so
-/// they are only dedup-checked once the table is re-primed.
-struct ResyncSession {
-    /// Round number (guards the deadline event against later rounds).
-    seq: u64,
-    /// Replies expected (reachable APs at broadcast time).
-    expected: usize,
-    /// Replies collected so far.
-    replies: Vec<ResyncReply>,
-    /// Recovery instant, for the resync-latency metric.
-    started_at: SimTime,
-    /// Uplink copies parked until the dedup table is rebuilt.
-    held_uplink: Vec<(usize, Packet)>,
-}
-
-/// Private state of the recovery layer: the open resync round, the warm
-/// standby and its journal, and what the zombie ex-primary remembers.
-#[derive(Default)]
-pub(super) struct RecoveryState {
-    /// In-progress post-reboot resync round (None outside recovery).
-    resync: Option<ResyncSession>,
-    /// Monotone resync round counter (guards stale deadline events).
-    resync_seq: u64,
-    /// Warm standby (lazily created on the first journal/detector event;
-    /// stays `None` forever in unarmed runs).
-    standby: Option<Standby>,
-    /// When the primary crashed with a standby armed (None until then;
-    /// cleared at takeover) — the takeover-latency clock.
-    primary_crashed_at: Option<SimTime>,
-    /// Journal batch sequence counter (1-based, see `JournalBatch::seq`).
-    journal_seq: u64,
-    /// Dedup keys the controller forwarded since the last journal batch
-    /// (the per-batch delta; drained at each ship).
-    journal_pending_keys: Vec<u64>,
-    /// Term the ex-primary held when it crashed — the stale term its
-    /// zombie stamps on frames at wake.
-    zombie_term: u32,
-    /// In-flight switches at crash time: the zombie re-drives these on
-    /// wake (the split-brain hazard the term fence exists to stop).
-    zombie_pending: Vec<(ClientId, PendingSwitch)>,
-}
 
 impl WgttWorld {
     pub(super) fn handle_recovery(&mut self, ev: Recovery, ctx: &mut Ctx<'_, Ev>) {
@@ -269,21 +193,16 @@ impl WgttWorld {
         }
         self.controller_down = true;
         self.sys.controller_crashes += 1;
-        if !self.faults.controller_failovers.is_empty() {
-            // A standby is armed: start the takeover-latency clock and
-            // freeze what the dying process held — its term and in-flight
-            // switches are exactly what the zombie replays at wake.
-            self.recovery.primary_crashed_at = Some(ctx.now());
-            self.recovery.zombie_term = self.ctrl.engine.term();
-            self.recovery.zombie_pending = self.ctrl.engine.pending_sorted();
-        }
+        // Freeze what the dying process held — its term and in-flight
+        // switches are exactly what a zombie replays at wake — and start
+        // the takeover-latency clock; an open resync round dies with it.
+        self.recovery.on_crash(ctx.now(), &self.ctrl.engine);
         // The process is gone and every piece of soft state with it:
         // selectors, epoch table, dedup table, health tracker, serving
         // map. In-flight switch timers and re-attach retries die silently
         // (their events are eaten while `controller_down` is set).
         self.ctrl.crash_wipe();
         self.pending_reattach.fill(None);
-        self.recovery.resync = None;
     }
 
     fn on_controller_recover(&mut self, ctx: &mut Ctx<'_, Ev>) {
@@ -318,21 +237,13 @@ impl WgttWorld {
     /// journal replica cannot be trusted (gapped or never fed).
     fn start_resync(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let term = self.ctrl.engine.term();
-        self.recovery.resync_seq += 1;
-        let seq = self.recovery.resync_seq;
         let expected = self.broadcast(ctx, |ap| Recovery::ResyncAtAp { ap, term });
-        self.recovery.resync = Some(ResyncSession {
-            seq,
-            expected,
-            replies: Vec::new(),
-            started_at: ctx.now(),
-            held_uplink: Vec::new(),
-        });
-        if expected == 0 {
-            self.finish_resync(ctx);
-        } else {
-            let deadline = Recovery::ResyncDeadline { seq };
-            ctx.schedule_in(RESYNC_DEADLINE, Ev::Recovery(deadline));
+        match self.recovery.begin(ctx.now(), expected) {
+            (_, Some(round)) => self.finish_resync(ctx, round),
+            (seq, None) => {
+                let deadline = Recovery::ResyncDeadline { seq };
+                ctx.schedule_in(RESYNC_DEADLINE, Ev::Recovery(deadline));
+            }
         }
     }
 
@@ -368,62 +279,43 @@ impl WgttWorld {
         if !self.controller_admits() {
             return;
         }
-        let Some(session) = &mut self.recovery.resync else {
-            // No open round: the deadline already finalized this one, or
-            // the reply answers a superseded reign's broadcast (a zombie
-            // ex-primary's resync probes land here and die harmlessly).
-            self.sys.orphaned_control_dropped += 1;
-            return;
-        };
-        self.sys.resync_replies += 1;
-        session.replies.push(reply);
-        if session.replies.len() >= session.expected {
-            self.finish_resync(ctx);
+        match self.recovery.on_reply(reply) {
+            ReplyVerdict::Orphan => self.sys.orphaned_control_dropped += 1,
+            ReplyVerdict::Wait => self.sys.resync_replies += 1,
+            ReplyVerdict::Finish(round) => {
+                self.sys.resync_replies += 1;
+                self.finish_resync(ctx, round);
+            }
         }
     }
 
     fn on_resync_deadline(&mut self, ctx: &mut Ctx<'_, Ev>, seq: u64) {
-        let open = self.recovery.resync.as_ref().is_some_and(|s| s.seq == seq);
-        if open && !self.controller_down {
-            self.finish_resync(ctx);
+        if let Some(round) = self.recovery.on_deadline(seq) {
+            self.finish_resync(ctx, round);
         }
     }
 
     /// Parks an uplink copy that reaches the controller mid-resync until
-    /// the dedup table is re-primed from the replies — checking now could
-    /// deliver a cross-restart duplicate. Outside a round the packet comes
-    /// straight back. The hold is bounded by the same cap as an AP's
-    /// degraded-mode buffer: heavy uplink during a long round must not grow
-    /// it without limit, so the oldest parked copy is dropped to admit the
-    /// newest (uplink diversity and client retries make an individual
-    /// dropped copy recoverable).
+    /// the dedup table is re-primed from the replies. Outside a round the
+    /// packet comes straight back.
     pub(super) fn hold_for_resync(&mut self, from_ap: usize, packet: Packet) -> Option<Packet> {
-        let Some(session) = &mut self.recovery.resync else {
-            return Some(packet);
-        };
-        let cap = self.cfg.degraded_uplink_cap;
-        if cap == 0 {
-            self.sys.resync_held_overflow += 1;
-            return None;
+        match self.recovery.hold((from_ap, packet)) {
+            Hold::Pass((_, packet)) => Some(packet),
+            Hold::Parked => None,
+            Hold::Displaced => {
+                self.sys.resync_held_overflow += 1;
+                None
+            }
         }
-        if session.held_uplink.len() >= cap {
-            session.held_uplink.remove(0);
-            self.sys.resync_held_overflow += 1;
-        }
-        session.held_uplink.push((from_ap, packet));
-        None
     }
 
     /// Rebuilds controller state from the collected resync replies and
     /// repairs any inconsistency they reveal (dual-serving, orphaned
     /// mid-protocol clients), then releases uplink copies parked during
     /// the round.
-    fn finish_resync(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let Some(session) = self.recovery.resync.take() else {
-            return;
-        };
+    fn finish_resync(&mut self, ctx: &mut Ctx<'_, Ev>, round: ResyncRound<(usize, Packet)>) {
         let now = ctx.now();
-        let actions = self.ctrl.apply_resync(now, &session.replies);
+        let actions = self.ctrl.apply_resync(now, &round.replies);
         for action in actions {
             match action {
                 ResyncAction::Adopted { client, ap } => {
@@ -460,8 +352,8 @@ impl WgttWorld {
         }
         self.sys
             .resyncs
-            .push((now, now.saturating_since(session.started_at)));
-        for (from_ap, packet) in session.held_uplink {
+            .push((now, now.saturating_since(round.started_at)));
+        for (from_ap, packet) in round.held {
             self.on_uplink_copy(ctx, from_ap, packet);
         }
         self.ensure_round(ctx);
@@ -476,7 +368,7 @@ impl WgttWorld {
     pub(super) fn journal_forwarded(&mut self, packet: &Packet) {
         if !self.faults.controller_failovers.is_empty() {
             let key = Deduplicator::key(packet.client, packet.ip_ident);
-            self.recovery.journal_pending_keys.push(key);
+            self.recovery.note_forwarded(key);
         }
     }
 
@@ -492,17 +384,9 @@ impl WgttWorld {
         if self.controller_down {
             return; // a dead primary ships nothing: this is the heartbeat gap
         }
-        if self.recovery.standby.as_ref().is_some_and(|s| s.taken_over) {
+        let term = self.ctrl.engine.term();
+        let Some(batch) = self.recovery.ship(term, || self.ctrl.journal_snapshot()) else {
             return; // the standby *is* the controller now; nobody tails it
-        }
-        self.recovery.journal_seq += 1;
-        let (clients, pending) = self.ctrl.journal_snapshot();
-        let batch = JournalBatch {
-            term: self.ctrl.engine.term(),
-            seq: self.recovery.journal_seq,
-            clients,
-            pending,
-            dedup_keys: std::mem::take(&mut self.recovery.journal_pending_keys),
         };
         self.sys.journal_batches_shipped += 1;
         let bytes = batch.wire_bytes();
@@ -518,76 +402,49 @@ impl WgttWorld {
         }
     }
 
-    /// Standby side: absorb one journal batch into the replica and reset
-    /// the failure-detector clock.
+    /// Standby side: absorb one journal batch into the replica.
     fn on_journal_at_standby(&mut self, ctx: &mut Ctx<'_, Ev>, batch: JournalBatch) {
-        let sb = self.recovery.standby.get_or_insert_with(Standby::new);
-        if sb.taken_over {
-            return; // post-takeover stragglers from the dead reign
-        }
-        let outcome = sb.replica.apply(&batch);
+        let outcome = self.recovery.on_journal(ctx.now(), &batch);
         if outcome != ApplyOutcome::Stale {
             self.sys.journal_batches_applied += 1;
             if outcome == ApplyOutcome::AppliedAfterGap {
                 self.sys.journal_gaps += 1;
             }
-            sb.last_batch_at = ctx.now();
         }
     }
 
-    /// Standby failure detector: journal silence past the takeover
-    /// timeout (with the primary actually down — the sim's stand-in for a
-    /// lease protocol that prevents spurious promotion) promotes the
-    /// replica to controller under a freshly bumped term.
+    /// Standby failure detector. `controller_down` is the sim's stand-in
+    /// for a lease protocol that prevents spurious promotion.
     fn on_standby_check(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         if self.ticking(now) {
             ctx.schedule_in(STANDBY_CHECK_INTERVAL, Ev::Recovery(Recovery::StandbyCheck));
         }
-        let Some(crashed_at) = self.recovery.primary_crashed_at else {
+        let Some(promote) = self.recovery.on_check(now, self.controller_down) else {
             return;
         };
-        if !self.controller_down {
-            return;
-        }
-        let sb = self.recovery.standby.get_or_insert_with(Standby::new);
-        if sb.taken_over || now.saturating_since(sb.last_batch_at) <= TAKEOVER_TIMEOUT {
-            return;
-        }
-        // Takeover. The standby is the controller from here on and nobody
-        // feeds or reads its replica again: take what it holds, then
-        // promote.
-        sb.taken_over = true;
-        let replica = std::mem::take(&mut sb.replica);
-        self.recovery.primary_crashed_at = None;
+        // Takeover: the standby is the controller from here on.
+        let (term, replica) = (promote.term, promote.replica);
         self.sys.standby_takeovers += 1;
         self.sys
             .takeovers
-            .push((now, now.saturating_since(crashed_at)));
+            .push((now, now.saturating_since(promote.down_since)));
         self.controller_down = false;
-        // Fence first: the new reign's term exceeds anything the dead
-        // primary (or its zombie) can ever stamp.
-        let term = replica.term().max(self.recovery.zombie_term).max(1) + 1;
+        // Fence first, then what the journal held (nothing, if never fed).
         self.ctrl.engine.set_term(term);
-        if replica.fed() {
-            self.ctrl
-                .restore_from_journal(replica.clients(), replica.keys());
-        }
+        self.ctrl
+            .restore_from_journal(replica.clients(), replica.keys());
         // Announce the term to every reachable AP (reliable channel):
         // raises their fences and flushes degraded-mode uplink.
         self.broadcast(ctx, |ap| Recovery::TermAnnounceAtAp { ap, term });
-        if replica.fed() && !replica.gapped() {
-            // Journal current: re-drive the in-flight switches the crash
-            // orphaned, each under a fresh epoch of the new term.
-            for p in replica.pending() {
-                self.issue_switch(ctx, p.client.0 as usize, p.from.0 as usize, p.to.0 as usize);
+        match promote.plan {
+            TakeoverPlan::Redrive => {
+                for p in replica.pending() {
+                    self.issue_switch(ctx, p.client.0 as usize, p.from.0 as usize, p.to.0 as usize);
+                }
+                self.ensure_round(ctx);
             }
-            self.ensure_round(ctx);
-        } else {
-            // Never fed, or a lost batch poisoned the dedup-key delta:
-            // fall back to AP-sourced resync (term-stamped), which
-            // rebuilds everything from the APs' authoritative copies.
-            self.start_resync(ctx);
+            TakeoverPlan::Resync => self.start_resync(ctx),
         }
     }
 
@@ -607,8 +464,8 @@ impl WgttWorld {
     /// split-brain scenario; the term guards are what make it structurally
     /// harmless.
     fn on_zombie_wake(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let term = self.recovery.zombie_term;
-        for (client, p) in std::mem::take(&mut self.recovery.zombie_pending) {
+        let (term, pending) = self.recovery.on_wake();
+        for (client, p) in pending {
             let (from, to) = (p.from.0 as usize, p.to.0 as usize);
             self.send_stop(ctx, from, client.0 as usize, to, p.epoch, term);
         }

@@ -19,7 +19,9 @@
 
 mod common;
 
-use common::{controller_crash_drive, emit_probe, server_uplink_duplicates, udp_down_up};
+use common::{
+    controller_crash_drive, crash_checker_cfgs, emit_probe, server_uplink_duplicates, udp_down_up,
+};
 use wgtt_core::digest::assert_same;
 use wgtt_core::protocol_check::{check, CheckerConfig, ViolationKind};
 use wgtt_core::runner::{run, Scenario};
@@ -39,34 +41,6 @@ fn crash_schedule(from_s: f64, until_s: f64) -> FaultSchedule {
 }
 
 // ---------- exhaustive interleaving checker, crash edition ----------
-
-/// Budgets for the crash-enabled checker runs: one crash/recover cycle
-/// against the two overlapping switches. The full (dup=1, drop=1,
-/// timeout=1, crash=1) cross-product is ~200M+ schedules, so two
-/// complementary slices cover the interactions tractably (~1.4M
-/// schedules total): loss+timer against the crash, and dup+loss
-/// against the crash.
-fn crash_checker_cfgs() -> [CheckerConfig; 2] {
-    let base = CheckerConfig {
-        max_crashes: 1,
-        max_schedules: 4_000_000,
-        ..CheckerConfig::default()
-    };
-    [
-        CheckerConfig {
-            max_dups: 0,
-            max_drops: 1,
-            max_timeouts: 1,
-            ..base.clone()
-        },
-        CheckerConfig {
-            max_dups: 1,
-            max_drops: 1,
-            max_timeouts: 0,
-            ..base
-        },
-    ]
-}
 
 /// The AP-sourced resync survives every interleaving of a controller
 /// crash with two overlapping switches: no dual-serving, no stale head

@@ -1,12 +1,18 @@
-//! The seam slices of the exhaustive protocol checker, under tier-1
-//! (`cargo test -q`): these are the slices that drive the production
-//! `SeamEngine` (DESIGN.md §6f), so a change to the seam protocol is
-//! checked against every delivery schedule, not only the sampled runs of
-//! `tests/golden.rs`. The configurations are those of the
+//! The exhaustive protocol checker under tier-1 (`cargo test -q`): the
+//! slices that drive the production recovery and seam engines
+//! (`RecoveryEngine`, DESIGN.md §6i; `SeamEngine`, §6f), so a change to
+//! either protocol is checked against every delivery schedule, not only the
+//! sampled runs of `tests/golden.rs`. The crash, failover and lagged-journal
+//! configurations are shared with the core suites
+//! (`crates/core/tests/common`); the seam ones are those of the
 //! `protocol_check` unit tests of the same names, which CI's
 //! `protocol-check` job runs in release beside the other slices.
 
-use wgtt::core::protocol_check::{check, CheckReport, CheckerConfig, ViolationKind};
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
+
+use common::{crash_checker_cfgs, failover_checker_cfg, lagged_failover_checker_cfg};
+use wgtt::core::protocol_check::{check, CheckReport, CheckerConfig, Choice, ViolationKind};
 
 fn assert_clean(report: &CheckReport) {
     assert!(
@@ -15,7 +21,92 @@ fn assert_clean(report: &CheckReport) {
         report.violations.first()
     );
     assert!(!report.truncated, "the space must be covered exhaustively");
-    assert!(report.migrations > 0, "no schedule ever migrated");
+}
+
+fn kinds(report: &CheckReport) -> Vec<ViolationKind> {
+    let mut kinds: Vec<ViolationKind> = Vec::new();
+    for v in &report.violations {
+        if !kinds.contains(&v.kind) {
+            kinds.push(v.kind);
+        }
+    }
+    kinds
+}
+
+#[test]
+fn crash_recover_slices_are_clean() {
+    for cfg in crash_checker_cfgs() {
+        let report = check(&cfg);
+        assert_clean(&report);
+        assert!(report.crash_drops > 0, "no ack reached the dead controller");
+    }
+}
+
+#[test]
+fn naive_resync_is_caught() {
+    for cfg in crash_checker_cfgs() {
+        let report = check(&CheckerConfig {
+            resync_naive: true,
+            ..cfg
+        });
+        assert_eq!(kinds(&report), [ViolationKind::EpochRegression]);
+    }
+}
+
+#[test]
+fn fenced_failover_is_clean() {
+    let report = check(&failover_checker_cfg());
+    assert_clean(&report);
+    assert!(report.completions > 0);
+    assert!(report.term_fence_drops > 0, "the term fence never fired");
+}
+
+#[test]
+fn unfenced_zombie_is_caught_as_split_brain() {
+    let report = check(&CheckerConfig {
+        fencing: false,
+        ..failover_checker_cfg()
+    });
+    assert_eq!(kinds(&report), [ViolationKind::SplitBrain]);
+}
+
+/// A fed, un-gapped but *stale* replica is trusted (`TakeoverPlan::Redrive`),
+/// and that is not safe: with the journal current the slice is clean
+/// (538 640 schedules), with the last batch cut before the primary's last
+/// `issue` 60 193 of 646 937 schedules violate — a known hole, pinned here
+/// until ROADMAP item 8 closes it by ending every takeover in the
+/// term-stamped resync round. The new reign restores epoch 0 and AP 0 as
+/// serving, knows nothing of `stop(0→1, epoch 1, term 1)`, and issues
+/// `stop(0→2)` under epoch 1 again. Shortest traces:
+///
+/// * `EpochRegression` — `[Deliver(0), FailoverToStandby(1)]`: the old
+///   `stop` reaches AP 0 first, so the re-used epoch 1 is already at a guard
+///   when it is issued.
+/// * `DualServing` — `[FailoverToStandby(1), Deliver(0), Deliver(4),
+///   Deliver(3), Deliver(4)]`: old `stop` at AP 0, its `start` at AP 1
+///   (not yet fenced: AP 1 serves), new `stop` at AP 0 — epoch 1 is not
+///   below the guard's 1, so it is processed — and its `start` at AP 2:
+///   AP 1 and AP 2 both serve, and no frame left anywhere will stop either.
+#[test]
+fn lagged_journal_failover_is_not_safe_yet() {
+    let lagged = lagged_failover_checker_cfg();
+    let current = check(&CheckerConfig {
+        max_journal_lag: 0,
+        ..lagged.clone()
+    });
+    assert_clean(&current);
+    let report = check(&lagged);
+    assert!(!report.truncated);
+    let kinds = kinds(&report);
+    assert_eq!(kinds.len(), 2, "{kinds:?}");
+    assert!(kinds.contains(&ViolationKind::EpochRegression), "{kinds:?}");
+    assert!(kinds.contains(&ViolationKind::DualServing), "{kinds:?}");
+    for v in &report.violations {
+        assert!(
+            v.trace.contains(&Choice::FailoverToStandby(1)),
+            "violated with a current journal: {v:?}"
+        );
+    }
 }
 
 #[test]
@@ -28,6 +119,7 @@ fn migration_slice_is_clean() {
         ..CheckerConfig::default()
     });
     assert_clean(&report);
+    assert!(report.migrations > 0, "no schedule ever migrated");
     assert!(report.seam_dedup_drops > 0, "transferred keys never used");
 }
 
@@ -47,6 +139,7 @@ fn migration_fault_slice_is_clean() {
         ..CheckerConfig::default()
     });
     assert_clean(&report);
+    assert!(report.migrations > 0, "no schedule ever migrated");
     assert!(report.seam_retries > 0, "the retry path never fired");
     assert!(report.seam_aborts > 0, "the abort-readopt path never fired");
     assert!(report.seam_absorbed > 0, "the ledger absorbed nothing");
@@ -64,6 +157,9 @@ fn no_retention_shim_is_caught() {
         max_timeouts: 0,
         ..CheckerConfig::default()
     });
-    let kinds: Vec<ViolationKind> = report.violations.iter().map(|v| v.kind).collect();
-    assert!(kinds.contains(&ViolationKind::SplitMigration), "{kinds:?}");
+    assert!(
+        kinds(&report).contains(&ViolationKind::SplitMigration),
+        "{:?}",
+        kinds(&report)
+    );
 }
