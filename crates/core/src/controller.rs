@@ -239,21 +239,24 @@ impl ControllerState {
     /// maps mention, plus the in-flight switch set — all in ascending
     /// client order so standby replay is deterministic.
     pub fn journal_snapshot(&self) -> (Vec<ClientJournalState>, Vec<PendingJournalState>) {
-        let (epochs, pending) = self.engine.journal_snapshot();
-        let mut clients: BTreeMap<ClientId, ClientJournalState> =
-            epochs.into_iter().map(|s| (s.client, s)).collect();
-        let ids = self.serving.keys().chain(self.allocators.keys());
-        for &client in ids {
-            let s = clients.entry(client).or_insert(ClientJournalState {
-                client,
-                epoch: 0,
-                serving: None,
-                alloc_next: 0,
-            });
-            s.serving = self.serving.get(&client).copied();
-            s.alloc_next = self.allocators.get(&client).map_or(0, |a| a.peek());
+        let (mut clients, pending) = self.engine.journal_snapshot();
+        for &client in self.serving.keys().chain(self.allocators.keys()) {
+            if let Err(at) = clients.binary_search_by_key(&client, |s| s.client) {
+                // Known to the serving map or an allocator only.
+                let blank = ClientJournalState {
+                    client,
+                    epoch: 0,
+                    serving: None,
+                    alloc_next: 0,
+                };
+                clients.insert(at, blank);
+            }
         }
-        (clients.into_values().collect(), pending)
+        for s in &mut clients {
+            s.serving = self.serving.get(&s.client).copied();
+            s.alloc_next = self.allocators.get(&s.client).map_or(0, |a| a.peek());
+        }
+        (clients, pending)
     }
 
     /// Rebuilds controller soft state from a standby's journaled snapshot
