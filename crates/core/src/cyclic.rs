@@ -7,6 +7,13 @@
 //! Because all candidate APs hold the same packets at the same indices, a
 //! switch is just "start transmitting from index k" — no packet transfer is
 //! needed at switch time.
+//!
+//! The index space is 4096 wide at every (AP, client) pair; the memory is
+//! not. [`CyclicQueue`] keeps a 2-byte position per index and the packets
+//! themselves in a slab as large as the pair's backlog has been, so a pair
+//! that buffers nothing costs 8 KiB rather than 4096 packet slots. The
+//! dense array it replaced lives on under `#[cfg(test)]` as the reference
+//! the equivalence tests drive beside it.
 
 use wgtt_net::Packet;
 
@@ -61,14 +68,41 @@ impl IndexAllocator {
     }
 }
 
+/// Position-table entry of an index with no buffered packet.
+const EMPTY: u16 = u16::MAX;
+
+/// How far behind the head a late (backhaul-reordered) index may land and
+/// still rewind it.
+const REWIND: u16 = 64;
+
+/// An upper bound on the packets one queue holds at once: a window one
+/// short of half the index space, a rewind behind it, and the insert that
+/// precedes the half-space expiry. The slab's doubling stops here —
+/// unchecked, it would take every queue that fills (2048 packets for that
+/// instant) to a full index space of them.
+const SLAB_BOUND: usize = (INDEX_SPACE / 2 + REWIND) as usize;
+
 /// One client's cyclic packet buffer at one AP.
 ///
-/// Slots are addressed by index number modulo the buffer size. The queue
-/// tracks a *head* — the next index to transmit — which a switch protocol
-/// `start(c, k)` message repositions.
+/// Packets are addressed by index number. The queue tracks a *head* — the
+/// next index to transmit — which a switch protocol `start(c, k)` message
+/// repositions.
+///
+/// Every index has an entry in an 8 KiB position table, but packets live
+/// in a slab that grows with the backlog and is reused through a free
+/// list: an idle queue costs the table, a full one the table plus at most
+/// 2112 packets (`SLAB_BOUND`), and neither a steady stream nor a discard
+/// allocates or moves a packet.
 #[derive(Debug, Clone)]
 pub struct CyclicQueue {
-    slots: Vec<Option<Packet>>,
+    /// Index → position of its packet in `slab`, or `EMPTY`.
+    pos: Box<[u16; INDEX_SPACE as usize]>,
+    /// Packet storage. Positions listed in `free` hold a stale packet
+    /// (`Packet` owns no heap, so there is nothing to drop early).
+    slab: Vec<Packet>,
+    /// Slab positions whose packet was popped or discarded, reused before
+    /// the slab grows.
+    free: Vec<u16>,
     /// Next index to hand to the transmit path.
     head: u16,
     /// Highest (most recently inserted) index + 1, i.e. where the
@@ -77,9 +111,6 @@ pub struct CyclicQueue {
     /// Whether any packet has been inserted yet (disambiguates the
     /// head == tail case).
     any: bool,
-    /// Occupied slots within `[head, tail)` — kept incrementally so the
-    /// per-contention-round backlog query is O(1).
-    occupied: usize,
     /// Packets dropped by overwrite (buffer wrapped before transmission).
     overwrites: u64,
 }
@@ -91,14 +122,15 @@ impl Default for CyclicQueue {
 }
 
 impl CyclicQueue {
-    /// Creates an empty queue of the full 4096-slot index space.
+    /// Creates an empty queue: the position table and no packet storage.
     pub fn new() -> Self {
         CyclicQueue {
-            slots: vec![None; INDEX_SPACE as usize],
+            pos: Box::new([EMPTY; INDEX_SPACE as usize]),
+            slab: Vec::new(),
+            free: Vec::new(),
             head: 0,
             tail: 0,
             any: false,
-            occupied: 0,
             overwrites: 0,
         }
     }
@@ -113,13 +145,15 @@ impl CyclicQueue {
         self.tail
     }
 
-    /// Number of packets between head and tail (the transmit backlog).
+    /// Number of packets between head and tail (the transmit backlog):
+    /// the slab's live count, since a packet leaves the slab when the head
+    /// passes its index.
     pub fn backlog(&self) -> usize {
-        self.occupied
+        self.slab.len() - self.free.len()
     }
 
-    /// Slow reference count of occupied slots inside `[head, tail)` —
-    /// test-only invariant check for the incremental counter.
+    /// Slow reference count of occupied indices inside `[head, tail)` —
+    /// test-only invariant check for the O(1) count.
     #[doc(hidden)]
     pub fn backlog_walk(&self) -> usize {
         if !self.any {
@@ -128,7 +162,7 @@ impl CyclicQueue {
         let mut n = 0;
         let mut i = self.head;
         while i != self.tail {
-            if self.slots[i as usize].is_some() {
+            if self.pos[i as usize] != EMPTY {
                 n += 1;
             }
             i = index_add(i, 1);
@@ -141,6 +175,39 @@ impl CyclicQueue {
         self.overwrites
     }
 
+    /// Puts `packet` in the slab and returns its position.
+    fn store(&mut self, packet: Packet) -> u16 {
+        if let Some(at) = self.free.pop() {
+            self.slab[at as usize] = packet;
+            return at;
+        }
+        // Full: double like `Vec` would (from 4), but stop at the bound.
+        let cap = self.slab.capacity();
+        if self.slab.len() == cap && cap < SLAB_BOUND {
+            self.slab.reserve_exact(cap.max(4).min(SLAB_BOUND - cap));
+        }
+        self.slab.push(packet);
+        (self.slab.len() - 1) as u16
+    }
+
+    /// Unlinks `index`'s packet, if it holds one, and returns the slab
+    /// position it still sits at.
+    fn release(&mut self, index: u16) -> Option<usize> {
+        let at = std::mem::replace(&mut self.pos[index as usize], EMPTY);
+        if at == EMPTY {
+            return None;
+        }
+        self.free.push(at);
+        Some(at as usize)
+    }
+
+    /// Discards every buffered packet; the slab keeps its capacity.
+    fn release_all(&mut self) {
+        self.pos.fill(EMPTY);
+        self.slab.clear();
+        self.free.clear();
+    }
+
     /// Inserts a packet at its controller-assigned index.
     ///
     /// Panics if the packet has no index (the controller must assign one
@@ -150,13 +217,13 @@ impl CyclicQueue {
             .index
             .expect("downlink packet reached AP without a WGTT index");
         debug_assert!(index < INDEX_SPACE);
-        let slot = &mut self.slots[index as usize];
-        if slot.is_some() {
+        let at = self.pos[index as usize];
+        if at != EMPTY {
             self.overwrites += 1;
+            self.slab[at as usize] = packet;
         } else {
-            self.occupied += 1;
+            self.pos[index as usize] = self.store(packet);
         }
-        *slot = Some(packet);
         if !self.any {
             self.any = true;
             self.head = index;
@@ -183,8 +250,7 @@ impl CyclicQueue {
                 let new_head = index_add(self.tail, INDEX_SPACE / 2 + 1);
                 let mut i = self.head;
                 while i != new_head {
-                    if self.slots[i as usize].take().is_some() {
-                        self.occupied -= 1;
+                    if self.release(i).is_some() {
                         self.overwrites += 1;
                     }
                     i = index_add(i, 1);
@@ -198,7 +264,7 @@ impl CyclicQueue {
         // (backhaul reordering spans microseconds — a handful of indices
         // at most):
         let behind_head = index_fwd_dist(index, self.head);
-        if (1..=64).contains(&behind_head) {
+        if (1..=REWIND).contains(&behind_head) {
             // Backhaul reordering delivered an index the head has already
             // walked past; step back a bounded distance so the late packet
             // is still transmitted (the client's reorder window absorbs
@@ -210,12 +276,9 @@ impl CyclicQueue {
             // or never serving) while the controller's allocator wrapped.
             // Everything buffered is ancient; restart cleanly at the new
             // stream position (the packet we just wrote survives).
-            let keep = self.slots[index as usize].take();
-            for s in &mut self.slots {
-                *s = None;
-            }
-            self.occupied = usize::from(keep.is_some());
-            self.slots[index as usize] = keep;
+            let keep = self.slab.swap_remove(self.pos[index as usize] as usize);
+            self.release_all();
+            self.pos[index as usize] = self.store(keep);
             self.head = index;
             self.tail = new_tail;
         }
@@ -227,9 +290,8 @@ impl CyclicQueue {
         while self.any && self.head != self.tail {
             let idx = self.head;
             self.head = index_add(self.head, 1);
-            if let Some(p) = self.slots[idx as usize].take() {
-                self.occupied -= 1;
-                return Some(p);
+            if let Some(at) = self.release(idx) {
+                return Some(self.slab[at].clone());
             }
         }
         None
@@ -243,8 +305,9 @@ impl CyclicQueue {
         }
         let mut i = self.head;
         while i != self.tail {
-            if let Some(p) = &self.slots[i as usize] {
-                return Some(p);
+            let at = self.pos[i as usize];
+            if at != EMPTY {
+                return Some(&self.slab[at as usize]);
             }
             i = index_add(i, 1);
         }
@@ -265,10 +328,7 @@ impl CyclicQueue {
         // everything.
         let in_window = index_fwd_dist(self.head, k) <= index_fwd_dist(self.head, self.tail);
         if !in_window {
-            for s in &mut self.slots {
-                *s = None;
-            }
-            self.occupied = 0;
+            self.release_all();
             self.head = k;
             self.tail = k;
             return;
@@ -276,9 +336,7 @@ impl CyclicQueue {
         // Clear the delivered/abandoned prefix up to k.
         let mut i = self.head;
         while i != k {
-            if self.slots[i as usize].take().is_some() {
-                self.occupied -= 1;
-            }
+            self.release(i);
             i = index_add(i, 1);
         }
         self.head = k;
@@ -287,13 +345,10 @@ impl CyclicQueue {
     /// Discards every buffered packet for this client (e.g. on
     /// disassociation).
     pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
+        self.release_all();
         self.head = 0;
         self.tail = 0;
         self.any = false;
-        self.occupied = 0;
     }
 }
 
@@ -301,7 +356,7 @@ impl CyclicQueue {
 mod tests {
     use super::*;
     use wgtt_net::{ClientId, Direction, FlowId, PacketFactory, Payload};
-    use wgtt_sim::SimTime;
+    use wgtt_sim::{SimRng, SimTime};
 
     fn pkt(factory: &mut PacketFactory, index: u16) -> Packet {
         let mut p = factory.make(
@@ -314,6 +369,296 @@ mod tests {
         );
         p.index = Some(index);
         p
+    }
+
+    /// The queue as it was before the slot table — one `Option<Packet>`
+    /// per index, 480 KiB a pair — kept as the reference the sparse queue
+    /// must match op for op (`sparse_matches_dense_under_churn`).
+    struct DenseQueue {
+        slots: Vec<Option<Packet>>,
+        head: u16,
+        tail: u16,
+        any: bool,
+        occupied: usize,
+        overwrites: u64,
+    }
+
+    impl DenseQueue {
+        fn new() -> Self {
+            DenseQueue {
+                slots: vec![None; INDEX_SPACE as usize],
+                head: 0,
+                tail: 0,
+                any: false,
+                occupied: 0,
+                overwrites: 0,
+            }
+        }
+
+        fn backlog_walk(&self) -> usize {
+            if !self.any {
+                return 0;
+            }
+            let mut n = 0;
+            let mut i = self.head;
+            while i != self.tail {
+                if self.slots[i as usize].is_some() {
+                    n += 1;
+                }
+                i = index_add(i, 1);
+            }
+            n
+        }
+
+        fn clear_slots(&mut self) {
+            for s in &mut self.slots {
+                *s = None;
+            }
+        }
+
+        fn insert(&mut self, packet: Packet) {
+            let index = packet.index.expect("indexed");
+            let slot = &mut self.slots[index as usize];
+            if slot.is_some() {
+                self.overwrites += 1;
+            } else {
+                self.occupied += 1;
+            }
+            *slot = Some(packet);
+            if !self.any {
+                self.any = true;
+                self.head = index;
+                self.tail = index_add(index, 1);
+                return;
+            }
+            let new_tail = index_add(index, 1);
+            if index_fwd_dist(self.head, index) < index_fwd_dist(self.head, self.tail) {
+                return;
+            }
+            if (1..INDEX_SPACE / 2).contains(&index_fwd_dist(self.tail, new_tail)) {
+                self.tail = new_tail;
+                if index_fwd_dist(self.head, self.tail) >= INDEX_SPACE / 2 {
+                    let new_head = index_add(self.tail, INDEX_SPACE / 2 + 1);
+                    let mut i = self.head;
+                    while i != new_head {
+                        if self.slots[i as usize].take().is_some() {
+                            self.occupied -= 1;
+                            self.overwrites += 1;
+                        }
+                        i = index_add(i, 1);
+                    }
+                    self.head = new_head;
+                }
+                return;
+            }
+            let behind_head = index_fwd_dist(index, self.head);
+            if (1..=64).contains(&behind_head) {
+                self.head = index;
+            } else {
+                let keep = self.slots[index as usize].take();
+                self.clear_slots();
+                self.occupied = usize::from(keep.is_some());
+                self.slots[index as usize] = keep;
+                self.head = index;
+                self.tail = new_tail;
+            }
+        }
+
+        fn pop_head(&mut self) -> Option<Packet> {
+            while self.any && self.head != self.tail {
+                let idx = self.head;
+                self.head = index_add(self.head, 1);
+                if let Some(p) = self.slots[idx as usize].take() {
+                    self.occupied -= 1;
+                    return Some(p);
+                }
+            }
+            None
+        }
+
+        fn peek_head(&self) -> Option<&Packet> {
+            if !self.any {
+                return None;
+            }
+            let mut i = self.head;
+            while i != self.tail {
+                if let Some(p) = &self.slots[i as usize] {
+                    return Some(p);
+                }
+                i = index_add(i, 1);
+            }
+            None
+        }
+
+        fn start_from(&mut self, k: u16) {
+            if !self.any {
+                self.head = k;
+                self.tail = k;
+                return;
+            }
+            let in_window = index_fwd_dist(self.head, k) <= index_fwd_dist(self.head, self.tail);
+            if !in_window {
+                self.clear_slots();
+                self.occupied = 0;
+                self.head = k;
+                self.tail = k;
+                return;
+            }
+            let mut i = self.head;
+            while i != k {
+                if self.slots[i as usize].take().is_some() {
+                    self.occupied -= 1;
+                }
+                i = index_add(i, 1);
+            }
+            self.head = k;
+        }
+
+        fn clear(&mut self) {
+            self.clear_slots();
+            self.head = 0;
+            self.tail = 0;
+            self.any = false;
+            self.occupied = 0;
+        }
+    }
+
+    /// Both queues, every op applied to each, everything observable
+    /// compared after each.
+    struct Pair {
+        sparse: CyclicQueue,
+        dense: DenseQueue,
+        factory: PacketFactory,
+    }
+
+    impl Pair {
+        fn new() -> Self {
+            Pair {
+                sparse: CyclicQueue::new(),
+                dense: DenseQueue::new(),
+                factory: PacketFactory::new(),
+            }
+        }
+
+        fn insert(&mut self, index: u16) {
+            let p = pkt(&mut self.factory, index);
+            self.dense.insert(p.clone());
+            self.sparse.insert(p);
+            self.check(format_args!("insert({index})"));
+        }
+
+        fn pop_head(&mut self) {
+            assert_eq!(self.sparse.pop_head(), self.dense.pop_head(), "pop_head");
+            self.check(format_args!("pop_head"));
+        }
+
+        fn start_from(&mut self, k: u16) {
+            self.dense.start_from(k);
+            self.sparse.start_from(k);
+            self.check(format_args!("start_from({k})"));
+        }
+
+        fn clear(&mut self) {
+            self.dense.clear();
+            self.sparse.clear();
+            self.check(format_args!("clear"));
+        }
+
+        fn check(&self, op: std::fmt::Arguments<'_>) {
+            let (s, d) = (&self.sparse, &self.dense);
+            assert_eq!(
+                (s.head(), s.tail(), s.backlog(), s.overwrites()),
+                (d.head, d.tail, d.occupied, d.overwrites),
+                "head/tail/backlog/overwrites after {op}"
+            );
+            assert_eq!(s.backlog_walk(), d.backlog_walk(), "walk after {op}");
+            assert_eq!(s.backlog(), s.backlog_walk(), "count vs walk after {op}");
+            assert_eq!(s.peek_head(), d.peek_head(), "peek_head after {op}");
+            assert!(s.slab.capacity() <= SLAB_BOUND, "slab grew past the bound");
+        }
+    }
+
+    #[test]
+    fn sparse_matches_dense_under_churn() {
+        // Three traffic shapes a seed each: a serving AP (pops keep up), a
+        // fan-out AP that never serves (the window fills and expires), and
+        // an even mix. Weights are (insert, pop) out of 100; the rest is
+        // start_from and the odd clear.
+        for (seed, (w_insert, w_pop)) in [(1u64, (45, 45)), (2, (88, 4)), (3, (60, 25))] {
+            let mut rng = SimRng::new(seed);
+            let mut pair = Pair::new();
+            for _ in 0..30_000 {
+                let (head, tail) = (pair.dense.head, pair.dense.tail);
+                let window = index_fwd_dist(head, tail);
+                let roll: u32 = rng.range(0..100);
+                if roll < w_insert {
+                    let index = match rng.range(0..20u32) {
+                        // A redelivery inside the window.
+                        0 | 1 if window > 0 => index_add(head, rng.range(0..window)),
+                        // Backhaul reordering: 1–64 behind the head.
+                        2 => index_add(head, INDEX_SPACE - rng.range(1..=REWIND)),
+                        // A full trip round the index space: behind the
+                        // rewind allowance, too far ahead to extend.
+                        3 => index_add(head, INDEX_SPACE - rng.range(REWIND + 1..1900)),
+                        // A jump ahead of the tail (other copies routed
+                        // elsewhere), sometimes far enough to expire.
+                        4 => index_add(tail, rng.range(1..2040)),
+                        // The stream's next index.
+                        _ => tail,
+                    };
+                    pair.insert(index);
+                } else if roll < w_insert + w_pop {
+                    pair.pop_head();
+                } else if roll < 99 {
+                    let k = if rng.chance(0.8) {
+                        // Inside the window, its end included.
+                        index_add(head, rng.range(0..=window.min(80)))
+                    } else {
+                        rng.range(0..INDEX_SPACE)
+                    };
+                    pair.start_from(k);
+                } else if rng.chance(0.2) {
+                    pair.clear();
+                }
+            }
+            // Whatever is left comes out the same.
+            while pair.dense.occupied > 0 {
+                pair.pop_head();
+            }
+            pair.pop_head();
+        }
+    }
+
+    #[test]
+    fn slab_stops_growing_at_the_window_bound() {
+        // A fan-out AP that never serves: three trips round the index
+        // space with no pop. The window holds 2048 packets for an instant
+        // (the insert precedes the expiry), which plain `Vec` doubling
+        // would round up to a full 4096-packet slab.
+        let mut pair = Pair::new();
+        let mut indices = IndexAllocator::new();
+        for _ in 0..3 * INDEX_SPACE {
+            pair.insert(indices.allocate());
+        }
+        assert_eq!(pair.sparse.backlog(), (INDEX_SPACE / 2 - 1) as usize);
+        assert_eq!(pair.sparse.slab.capacity(), (INDEX_SPACE / 2) as usize);
+        // Late indices behind a full window take the slab to the bound
+        // and no further. (Two is as deep as a full window rewinds: a
+        // third index behind it reads as a forward extension, here as in
+        // the dense queue.)
+        for _ in 0..2 {
+            let head = pair.sparse.head();
+            pair.insert(index_add(head, INDEX_SPACE - 1));
+            assert_eq!(index_fwd_dist(pair.sparse.head(), head), 1);
+        }
+        pair.insert(pair.sparse.tail());
+        assert_eq!(pair.sparse.backlog(), (INDEX_SPACE / 2 - 1) as usize);
+        assert_eq!(pair.sparse.slab.capacity(), SLAB_BOUND);
+        // Emptied, the queue keeps the slab it grew: the next fill
+        // allocates nothing.
+        pair.start_from(index_add(pair.sparse.tail(), 1000));
+        assert_eq!(pair.sparse.backlog(), 0);
+        assert_eq!(pair.sparse.slab.capacity(), SLAB_BOUND);
     }
 
     #[test]

@@ -72,11 +72,6 @@ pub struct ClientMetrics {
     pub uplink: BinnedSeries,
     /// `(time, serving AP)` association/switch timeline (Figs 14, 15, 22).
     pub assoc_timeline: Vec<(SimTime, Option<ApId>)>,
-    /// PHY rate (Mbit/s) of each successfully delivered downlink MPDU.
-    pub delivered_mpdu_rates_mbps: Vec<f64>,
-    /// PHY rate (Mbit/s) of every transmitted downlink MPDU — what a
-    /// monitor capture would see on the air.
-    pub attempted_mpdu_rates_mbps: Vec<f64>,
     /// Per-100 ms sums of delivered-MPDU PHY rates (numerator of the
     /// per-bin mean link bit rate — the Fig 16 CDF population).
     pub rate_bin_sum: BinnedSeries,
@@ -121,8 +116,6 @@ impl ClientMetrics {
             downlink: BinnedSeries::new(bin),
             uplink: BinnedSeries::new(bin),
             assoc_timeline: Vec::new(),
-            delivered_mpdu_rates_mbps: Vec::new(),
-            attempted_mpdu_rates_mbps: Vec::new(),
             rate_bin_sum: BinnedSeries::new(bin),
             rate_bin_count: BinnedSeries::new(bin),
             accuracy_total: 0,

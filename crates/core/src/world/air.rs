@@ -608,8 +608,6 @@ impl WgttWorld {
         let rate_mbps = mcs.data_rate_mbps(self.cfg.gi);
         let m = &mut self.clients[c].metrics;
         m.mpdu_attempts += mpdus.len() as u64;
-        m.attempted_mpdu_rates_mbps
-            .extend(std::iter::repeat(rate_mbps).take(mpdus.len()));
         m.mpdu_retransmits += mpdus.iter().filter(|&&(_, _, r)| r > 1).count() as u64;
 
         // Per-MPDU delivery draws.
@@ -630,7 +628,6 @@ impl WgttWorld {
                 self.clients[c].rx_buffer.insert(*seq, packet.clone());
                 let m = &mut self.clients[c].metrics;
                 m.mpdu_successes += 1;
-                m.delivered_mpdu_rates_mbps.push(rate_mbps);
                 m.rate_bin_sum.add(now, rate_mbps);
                 m.rate_bin_count.add(now, 1.0);
             }

@@ -52,10 +52,12 @@ proptest! {
 
     /// Cyclic queue: whatever subset of a contiguous index stream is
     /// inserted (in any order), popping yields each inserted index exactly
-    /// once, in index order from the first insert onward.
+    /// once, in index order from the first insert onward — also when the
+    /// stream wraps the 12-bit space (the second `start` range puts most
+    /// picks past index 4095).
     #[test]
     fn cyclic_queue_delivers_each_once(
-        start in 0u16..4096,
+        start in prop_oneof![0u16..4096, 4040u16..4096],
         mut picks in proptest::collection::vec(0u16..60, 1..40),
     ) {
         picks.sort_unstable();
@@ -77,14 +79,17 @@ proptest! {
     /// pops, `start_from`, and `clear`, the O(1) backlog counter always
     /// equals a slow walk of the window, and the window never spans half
     /// the index space (where modular comparisons turn ambiguous). This is
-    /// the invariant whose violation once livelocked the simulator.
+    /// the invariant whose violation once livelocked the simulator. Half
+    /// the streams start just short of index 4095, so the window wraps
+    /// within the first ops.
     #[test]
     fn cyclic_queue_counter_invariant(
+        first in prop_oneof![Just(0u16), 3900u16..4096],
         ops in proptest::collection::vec((0u8..4, 0u16..4096), 1..250),
     ) {
         let mut f = PacketFactory::new();
         let mut q = CyclicQueue::new();
-        let mut next_idx: u16 = 0;
+        let mut next_idx = first;
         for (kind, arg) in ops {
             match kind {
                 0 | 3 => {
@@ -108,17 +113,23 @@ proptest! {
         }
     }
 
-    /// `start_from(k)` discards exactly the prefix before `k`.
+    /// `start_from(k)` discards exactly the prefix before `k`, wherever
+    /// in the index space the 50 packets sit (the second `base` range
+    /// wraps them).
     #[test]
-    fn cyclic_start_from_discards_prefix(k in 0u16..50) {
+    fn cyclic_start_from_discards_prefix(
+        base in prop_oneof![Just(0u16), 4047u16..4096],
+        k in 0u16..50,
+    ) {
         let mut f = PacketFactory::new();
         let mut q = CyclicQueue::new();
         for i in 0..50u16 {
-            q.insert(packet_with_index(&mut f, i));
+            q.insert(packet_with_index(&mut f, index_add(base, i)));
         }
-        q.start_from(k);
+        q.start_from(index_add(base, k));
+        prop_assert_eq!(q.backlog(), usize::from(50 - k));
         let first = q.pop_head().map(|p| p.index.unwrap());
-        prop_assert_eq!(first, Some(k));
+        prop_assert_eq!(first, Some(index_add(base, k)));
     }
 
     /// Tx scoreboard + Rx reorderer converge: under arbitrary per-MPDU
