@@ -180,9 +180,7 @@ impl ApClientState {
     /// client.
     pub fn has_downlink_work(&self) -> bool {
         if self.serving {
-            !self.nic_queue.is_empty()
-                || self.cyclic.backlog() > 0
-                || !self.scoreboard.unacked().is_empty()
+            !self.nic_queue.is_empty() || self.cyclic.backlog() > 0 || self.scoreboard.has_unacked()
         } else if self.draining {
             !self.nic_queue.is_empty() || (self.drain_cyclic && self.cyclic.backlog() > 0)
         } else {

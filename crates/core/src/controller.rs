@@ -328,18 +328,20 @@ impl ControllerState {
         }
     }
 
-    /// The fan-out set for a client's downlink packets: all APs heard from
-    /// within the fan-out horizon plus (always) the serving AP.
-    pub fn fanout(&mut self, now: SimTime, client: ClientId) -> Vec<ApId> {
+    /// The fan-out set for a client's downlink packets, written over `out`
+    /// as ascending AP indices: all APs heard from within the fan-out
+    /// horizon plus (always) the serving AP.
+    pub fn fanout(&mut self, now: SimTime, client: ClientId, out: &mut Vec<usize>) {
         const FANOUT_HORIZON: wgtt_sim::SimDuration = wgtt_sim::SimDuration::from_millis(100);
-        let mut set = self.selector_mut(client).heard_within(now, FANOUT_HORIZON);
-        if let Some(s) = self.serving(client) {
-            if !set.contains(&s) {
-                set.push(s);
-                set.sort();
+        let serving = self.serving(client);
+        let heard = self.selector_mut(client).heard_within(now, FANOUT_HORIZON);
+        out.clear();
+        out.extend(heard.map(|ap| ap.0 as usize));
+        if let Some(s) = serving.map(|ap| ap.0 as usize) {
+            if let Err(at) = out.binary_search(&s) {
+                out.insert(at, s);
             }
         }
-        set
     }
 }
 
@@ -367,15 +369,21 @@ mod tests {
         c.on_csi(t(100), ApId(2), client, 20.0);
         c.on_csi(t(100), ApId(3), client, 22.0);
         c.serving.insert(client, ApId(7)); // serving but no fresh CSI
-        let f = c.fanout(t(101), client);
-        assert_eq!(f, vec![ApId(2), ApId(3), ApId(7)]);
+        let mut f = vec![9; 4]; // whatever the last packet left behind
+        c.fanout(t(101), client, &mut f);
+        assert_eq!(f, [2, 3, 7]);
         // Within the 100 ms fan-out horizon the APs are still targeted
         // even though the 10 ms selection window has forgotten them…
-        let f1 = c.fanout(t(150), client);
-        assert_eq!(f1, vec![ApId(2), ApId(3), ApId(7)]);
+        c.fanout(t(150), client, &mut f);
+        assert_eq!(f, [2, 3, 7]);
         // …much later all CSI is stale; only serving remains.
-        let f2 = c.fanout(t(500), client);
-        assert_eq!(f2, vec![ApId(7)]);
+        c.fanout(t(500), client, &mut f);
+        assert_eq!(f, [7]);
+        // A serving AP below the ones heard goes in front of them.
+        c.on_csi(t(600), ApId(8), client, 20.0);
+        c.serving.insert(client, ApId(5));
+        c.fanout(t(601), client, &mut f);
+        assert_eq!(f, [5, 8]);
     }
 
     #[test]
@@ -384,7 +392,9 @@ mod tests {
         let client = ClientId(0);
         c.on_csi(t(10), ApId(1), client, 15.0);
         c.serving.insert(client, ApId(1));
-        assert_eq!(c.fanout(t(11), client), vec![ApId(1)]);
+        let mut f = Vec::new();
+        c.fanout(t(11), client, &mut f);
+        assert_eq!(f, [1]);
     }
 
     #[test]

@@ -28,12 +28,14 @@ pub struct Deduplicator {
 impl Deduplicator {
     /// Creates a filter remembering the most recent `capacity` keys.
     /// 16,384 entries comfortably outlasts any realistic reordering window
-    /// while staying well below the 65,536-packet ident wrap.
+    /// while staying well below the 65,536-packet ident wrap. The table
+    /// starts empty and grows with the keys it holds, up to the cap: a
+    /// controller that sees no uplink pays nothing for it.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         Deduplicator {
-            seen: HashSet::with_capacity(capacity),
-            order: VecDeque::with_capacity(capacity),
+            seen: HashSet::new(),
+            order: VecDeque::new(),
             capacity,
             duplicates: 0,
             passed: 0,

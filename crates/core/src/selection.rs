@@ -16,7 +16,6 @@
 //! bounds the switch rate so the 17–21 ms switching protocol can keep up.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use wgtt_net::ApId;
 use wgtt_sim::stats::TimeWindow;
 use wgtt_sim::{SimDuration, SimTime};
@@ -59,15 +58,26 @@ impl Default for SelectionConfig {
     }
 }
 
+/// What one AP has reported about the client.
+#[derive(Debug)]
+struct Heard {
+    window: TimeWindow,
+    /// Most recent reading (fan-out freshness is judged over a longer
+    /// horizon than the selection window).
+    last: Option<SimTime>,
+}
+
 /// The controller's view of one client's candidate APs.
 #[derive(Debug)]
 pub struct ApSelector {
     cfg: SelectionConfig,
-    windows: HashMap<ApId, TimeWindow>,
-    /// Most recent reading per AP (fan-out freshness is judged over a
-    /// longer horizon than the selection window).
-    last_reading: HashMap<ApId, SimTime>,
+    /// Dense by AP id (an index into the deployment's AP array), grown on
+    /// an AP's first reading: every scan walks ids in ascending order, so
+    /// nothing is hashed, collected or sorted per tick.
+    heard: Vec<Heard>,
     last_switch: Option<SimTime>,
+    /// Where [`TimeWindow::median_in`] selects.
+    median_scratch: Vec<f64>,
 }
 
 impl ApSelector {
@@ -75,9 +85,9 @@ impl ApSelector {
     pub fn new(cfg: SelectionConfig) -> Self {
         ApSelector {
             cfg,
-            windows: HashMap::new(),
-            last_reading: HashMap::new(),
+            heard: Vec::new(),
             last_switch: None,
+            median_scratch: Vec::new(),
         }
     }
 
@@ -88,38 +98,38 @@ impl ApSelector {
 
     /// Ingests an ESNR reading reported by `ap` at time `t`.
     pub fn on_reading(&mut self, ap: ApId, t: SimTime, esnr_db: f64) {
-        self.windows
-            .entry(ap)
-            .or_insert_with(|| TimeWindow::new(self.cfg.window))
-            .push(t, esnr_db);
-        self.last_reading.insert(ap, t);
+        let i = ap.0 as usize;
+        if i >= self.heard.len() {
+            let window = self.cfg.window;
+            self.heard.resize_with(i + 1, || Heard {
+                window: TimeWindow::new(window),
+                last: None,
+            });
+        }
+        self.heard[i].window.push(t, esnr_db);
+        self.heard[i].last = Some(t);
     }
 
     /// The window statistic for one AP at `now`, if it has fresh readings.
     pub fn score(&mut self, ap: ApId, now: SimTime) -> Option<f64> {
-        let w = self.windows.get_mut(&ap)?;
+        let w = &mut self.heard.get_mut(ap.0 as usize)?.window;
         w.evict(now);
         match self.cfg.estimator {
-            WindowEstimator::Median => w.median(),
+            WindowEstimator::Median => w.median_in(&mut self.median_scratch),
             WindowEstimator::Mean => w.mean(),
             WindowEstimator::Latest => w.latest(),
         }
     }
 
-    /// APs with at least one reading inside the window — the paper's
-    /// definition of "within communication range" (footnote 1), which also
-    /// determines downlink fan-out.
-    pub fn in_range(&mut self, now: SimTime) -> Vec<ApId> {
-        let mut v: Vec<ApId> = self
-            .windows
-            .iter_mut()
-            .filter_map(|(&ap, w)| {
-                w.evict(now);
-                (!w.is_empty()).then_some(ap)
-            })
-            .collect();
-        v.sort();
-        v
+    /// APs with at least one reading inside the window, in id order — the
+    /// paper's definition of "within communication range" (footnote 1),
+    /// which also determines downlink fan-out.
+    pub fn in_range(&mut self, now: SimTime) -> impl Iterator<Item = ApId> + '_ {
+        let heard = self.heard.iter_mut().enumerate();
+        heard.filter_map(move |(i, h)| {
+            h.window.evict(now);
+            (!h.window.is_empty()).then_some(ApId(i as u32))
+        })
     }
 
     /// The best AP right now by the window statistic, with its score.
@@ -128,14 +138,16 @@ impl ApSelector {
     }
 
     /// The best AP excluding the given set — used when the health layer
-    /// has blacklisted APs that must not be switch targets.
+    /// has blacklisted APs that must not be switch targets. Among equal
+    /// scores the lowest id wins.
     pub fn best_excluding(&mut self, now: SimTime, excluded: &[ApId]) -> Option<(ApId, f64)> {
-        let aps = self.in_range(now);
         let mut best: Option<(ApId, f64)> = None;
-        for ap in aps {
+        for i in 0..self.heard.len() {
+            let ap = ApId(i as u32);
             if excluded.contains(&ap) {
                 continue;
             }
+            // An AP out of range has an empty window, hence no score.
             if let Some(s) = self.score(ap, now) {
                 if best.map_or(true, |(_, bs)| s > bs) {
                     best = Some((ap, s));
@@ -185,16 +197,17 @@ impl ApSelector {
     /// within the AP selection window"; with sparse traffic a strict 10 ms
     /// horizon starves the fan-out, so the controller keeps copies at any
     /// AP heard recently enough to matter at vehicle speeds (a metre or so
-    /// of motion).
-    pub fn heard_within(&self, now: SimTime, horizon: wgtt_sim::SimDuration) -> Vec<ApId> {
-        let mut v: Vec<ApId> = self
-            .last_reading
-            .iter()
-            .filter(|(_, &t)| now.saturating_since(t) <= horizon)
-            .map(|(&ap, _)| ap)
-            .collect();
-        v.sort();
-        v
+    /// of motion). In id order.
+    pub fn heard_within(
+        &self,
+        now: SimTime,
+        horizon: SimDuration,
+    ) -> impl Iterator<Item = ApId> + '_ {
+        let heard = self.heard.iter().enumerate();
+        heard.filter_map(move |(i, h)| {
+            let fresh = h.last.is_some_and(|t| now.saturating_since(t) <= horizon);
+            fresh.then_some(ApId(i as u32))
+        })
     }
 
     /// Records that a switch was issued at `now` (starts the hysteresis
@@ -266,7 +279,7 @@ mod tests {
         feed(&mut s, 0, 0, 30.0);
         // 10 ms window: at t=20 ms the reading is stale.
         assert_eq!(s.best(t(20)), None);
-        assert!(s.in_range(t(20)).is_empty());
+        assert_eq!(s.in_range(t(20)).count(), 0);
         assert_eq!(s.score(ApId(0), t(20)), None);
     }
 
@@ -276,8 +289,9 @@ mod tests {
         feed(&mut s, 3, 100, 10.0);
         feed(&mut s, 1, 101, 12.0);
         feed(&mut s, 5, 95, 8.0); // stale at t=106? window 10ms → 96..106 keeps it
-        assert_eq!(s.in_range(t(105)), vec![ApId(1), ApId(3), ApId(5)]);
-        assert_eq!(s.in_range(t(106)), vec![ApId(1), ApId(3)]);
+        let in_range = |s: &mut ApSelector, at| s.in_range(t(at)).collect::<Vec<_>>();
+        assert_eq!(in_range(&mut s, 105), [ApId(1), ApId(3), ApId(5)]);
+        assert_eq!(in_range(&mut s, 106), [ApId(1), ApId(3)]);
     }
 
     #[test]
@@ -322,15 +336,14 @@ mod tests {
         let mut s = ApSelector::new(SelectionConfig::default());
         feed(&mut s, 2, 100, 15.0);
         // Selection forgets after 10 ms…
-        assert!(s.in_range(t(150)).is_empty());
+        assert_eq!(s.in_range(t(150)).count(), 0);
         // …but the fan-out horizon still remembers.
+        let horizon = SimDuration::from_millis(100);
         assert_eq!(
-            s.heard_within(t(150), wgtt_sim::SimDuration::from_millis(100)),
-            vec![ApId(2)]
+            s.heard_within(t(150), horizon).collect::<Vec<_>>(),
+            [ApId(2)]
         );
-        assert!(s
-            .heard_within(t(250), wgtt_sim::SimDuration::from_millis(100))
-            .is_empty());
+        assert_eq!(s.heard_within(t(250), horizon).count(), 0);
     }
 
     #[test]

@@ -69,13 +69,16 @@ fn compatible(a: Span, b: Span) -> bool {
         && b.0.distance(&a.1) > CS_RANGE_M
 }
 
+/// One MPDU of an A-MPDU: `(seq, packet, retries)`.
+type Mpdu = (u16, Packet, u32);
+
 /// What a transmission carries.
 enum Burst {
-    /// AP → client A-MPDU: `(seq, packet, retries)` of each MPDU.
+    /// AP → client A-MPDU.
     ApAggregate {
         ap: usize,
         client: usize,
-        mpdus: Vec<(u16, Packet, u32)>,
+        mpdus: Vec<Mpdu>,
     },
     /// Client → BSSID uplink burst.
     ClientBurst {
@@ -168,6 +171,48 @@ struct RoundScratch {
     granted: Vec<Grant>,
 }
 
+/// Reusable per-burst buffers, on loan to whoever builds or resolves a
+/// transmission (each overwrites what it uses; capacity retained) — `TxDone`
+/// is the top row of every event loop, and its per-burst `Vec`s were most of
+/// what it asked the allocator for.
+#[derive(Default)]
+struct BurstScratch {
+    /// Wire lengths of the MPDUs in the burst being built.
+    lens: Vec<usize>,
+    /// The delivery draw of each MPDU of the A-MPDU being resolved.
+    delivered: Vec<bool>,
+    /// Sequences the Block ACK newly acknowledged.
+    newly: Vec<u16>,
+    /// The uplink sequences each receiving AP decoded, in burst order, all
+    /// APs' runs back to back…
+    got: Vec<u16>,
+    /// …and whose run is where: `(ap, start, end)` into `got`, by AP index.
+    heard_by: Vec<(usize, usize, usize)>,
+    /// Acknowledging APs: `(ap, response jitter in µs, mean SNR in dB)`.
+    resp: Vec<(usize, f64, f64)>,
+    /// Delivery probability by MPDU length, for one receiver of one burst.
+    p_by_len: Vec<(usize, f64)>,
+}
+
+/// `PerModel::success_with` for an MPDU of `bytes`, evaluated once per
+/// distinct length in `memo` — rate and channel snapshot are the burst's,
+/// so the host `exp` and `powf` behind it see identical arguments for every
+/// MPDU of one length (nearly always: all of them).
+fn success_by_len(
+    memo: &mut Vec<(usize, f64)>,
+    per: &wgtt_phy::PerModel,
+    esnr: &mut EsnrMemo,
+    mcs: Mcs,
+    bytes: usize,
+) -> f64 {
+    if let Some(&(_, p)) = memo.iter().find(|&&(len, _)| len == bytes) {
+        return p;
+    }
+    let p = per.success_with(esnr, mcs, bytes);
+    memo.push((bytes, p));
+    p
+}
+
 /// Private state of the radio layer.
 #[derive(Default)]
 pub(super) struct AirState {
@@ -176,6 +221,12 @@ pub(super) struct AirState {
     /// Livelock guard: consecutive contention rounds at one timestamp.
     rounds_at_ts: (SimTime, u32),
     scratch: RoundScratch,
+    burst_scratch: BurstScratch,
+    /// Emptied A-MPDU and uplink-burst vectors of retired transmissions,
+    /// waiting for the next burst: at most one per transmission ever on the
+    /// air at once.
+    free_mpdus: Vec<Vec<Mpdu>>,
+    free_entries: Vec<Vec<UplinkEntry>>,
     /// Monitors that overheard the current A-MPDU's Block ACK (cleared per
     /// A-MPDU, capacity retained).
     overheard: Vec<usize>,
@@ -464,8 +515,9 @@ impl WgttWorld {
         }
         let mcs = st.ratectl.select(now, &mut self.rng);
         let mcs = Self::retry_rate(mcs, st.nic_queue.front().map_or(0, |e| e.retries));
-        let mut mpdus: Vec<(u16, Packet, u32)> = Vec::new();
-        let mut lens: Vec<usize> = Vec::new();
+        let mut mpdus = self.air.free_mpdus.pop().unwrap_or_default();
+        let lens = &mut self.air.burst_scratch.lens;
+        lens.clear();
         let mut bytes = 0usize;
         while mpdus.len() < wgtt_mac::BA_WINDOW as usize {
             let Some(mut entry) = st.nic_queue.pop_front() else {
@@ -474,7 +526,7 @@ impl WgttWorld {
             let wire = entry.packet.len_bytes + overhead::DOT11;
             lens.push(wire);
             let fits = mpdus.is_empty()
-                || (bytes + wire <= MAX_AMPDU_BYTES && ampdu_airtime(&lens, mcs, gi) <= max_dur);
+                || (bytes + wire <= MAX_AMPDU_BYTES && ampdu_airtime(lens, mcs, gi) <= max_dur);
             if !fits || (!entry.registered && st.scoreboard.available() == 0) {
                 // Does not go in this aggregate: back to the queue head.
                 lens.pop();
@@ -490,14 +542,16 @@ impl WgttWorld {
             mpdus.push((entry.seq, entry.packet, entry.retries));
         }
         if mpdus.is_empty() {
+            self.air.free_mpdus.push(mpdus);
             return None;
         }
+        let airtime = ampdu_airtime(lens, mcs, gi);
         let burst = Burst::ApAggregate {
             ap,
             client: client.0 as usize,
             mpdus,
         };
-        Some((burst, mcs, ampdu_airtime(&lens, mcs, gi)))
+        Some((burst, mcs, airtime))
     }
 
     /// Builds one client uplink burst, on the air from `start`.
@@ -525,15 +579,15 @@ impl WgttWorld {
         };
         let mcs = Self::retry_rate(mcs, cl.uplink_queue.front().map_or(0, |e| e.retries));
         let count = cl.uplink_queue.len().min(UPLINK_BURST);
-        let entries: Vec<UplinkEntry> = cl.uplink_queue.drain(..count).collect();
-        let lens: Vec<usize> = entries
-            .iter()
-            .map(|e| e.packet.len_bytes + overhead::DOT11)
-            .collect();
+        let mut entries = self.air.free_entries.pop().unwrap_or_default();
+        entries.extend(cl.uplink_queue.drain(..count));
+        let lens = &mut self.air.burst_scratch.lens;
+        lens.clear();
+        lens.extend(entries.iter().map(|e| e.packet.len_bytes + overhead::DOT11));
         let airtime = if lens.len() == 1 {
             frame_airtime(lens[0], mcs, self.cfg.gi)
         } else {
-            ampdu_airtime(&lens, mcs, self.cfg.gi)
+            ampdu_airtime(lens, mcs, self.cfg.gi)
         };
         cl.last_uplink_tx = start;
         Some((Burst::ClientBurst { client: c, entries }, mcs, airtime))
@@ -542,19 +596,31 @@ impl WgttWorld {
     // ---------- radio: transmission resolution ----------
 
     fn on_tx_done(&mut self, ctx: &mut Ctx<'_, Ev>, tx_id: u64) {
-        match self
-            .air
-            .in_flight
-            .remove(tx_id)
-            .map(|tx| (tx.burst, tx.shot))
-        {
-            Some((Burst::ApAggregate { ap, client, mpdus }, shot)) => {
-                self.resolve_ap_tx(ctx, ap, client, mpdus, shot)
+        if let Some(tx) = self.air.in_flight.remove(tx_id) {
+            // Loan the pooled buffers to the resolution; every exit path
+            // comes back through here, and what is left in the burst's own
+            // vector by then is dropped.
+            let mut scratch = std::mem::take(&mut self.air.burst_scratch);
+            match tx.burst {
+                Burst::ApAggregate {
+                    ap,
+                    client,
+                    mut mpdus,
+                } => {
+                    self.resolve_ap_tx(ctx, ap, client, &mut mpdus, tx.shot, &mut scratch);
+                    mpdus.clear();
+                    self.air.free_mpdus.push(mpdus);
+                }
+                Burst::ClientBurst {
+                    client,
+                    mut entries,
+                } => {
+                    self.resolve_client_tx(ctx, client, &mut entries, tx.shot, &mut scratch);
+                    entries.clear();
+                    self.air.free_entries.push(entries);
+                }
             }
-            Some((Burst::ClientBurst { client, entries }, shot)) => {
-                self.resolve_client_tx(ctx, client, entries, shot)
-            }
-            None => {}
+            self.air.burst_scratch = scratch;
         }
         self.ensure_round(ctx);
     }
@@ -579,14 +645,21 @@ impl WgttWorld {
         ctx: &mut Ctx<'_, Ev>,
         ap: usize,
         c: usize,
-        mpdus: Vec<(u16, Packet, u32)>,
+        mpdus: &mut Vec<Mpdu>,
         shot: Shot,
+        scratch: &mut BurstScratch,
     ) {
         let Shot {
             mcs,
             collided,
             start,
         } = shot;
+        let BurstScratch {
+            delivered,
+            newly,
+            p_by_len,
+            ..
+        } = scratch;
         let now = ctx.now();
         if self.ap_down[ap] {
             return; // crashed mid-transmission: the PPDU died with it
@@ -611,19 +684,20 @@ impl WgttWorld {
         m.mpdu_retransmits += mpdus.iter().filter(|&&(_, _, r)| r > 1).count() as u64;
 
         // Per-MPDU delivery draws.
-        let mut delivered = Vec::with_capacity(mpdus.len());
-        for (_, packet, _) in &mpdus {
+        delivered.clear();
+        p_by_len.clear();
+        for (_, packet, _) in mpdus.iter() {
             let p = if collided || !listening {
                 0.0
             } else {
                 let bytes = packet.len_bytes + overhead::DOT11;
-                self.cfg.per_model.success_with(&mut esnr, mcs, bytes)
+                success_by_len(p_by_len, &self.cfg.per_model, &mut esnr, mcs, bytes)
             };
             delivered.push(self.rng.chance(p));
         }
 
         // Client-side reorder + app delivery.
-        for ((seq, packet, _), _) in mpdus.iter().zip(&delivered).filter(|(_, &d)| d) {
+        for ((seq, packet, _), _) in mpdus.iter().zip(delivered.iter()).filter(|(_, &d)| d) {
             if self.clients[c].rx_reorder.on_mpdu(*seq) {
                 self.clients[c].rx_buffer.insert(*seq, packet.clone());
                 let m = &mut self.clients[c].metrics;
@@ -682,20 +756,18 @@ impl WgttWorld {
         match ba {
             Some((frame, true)) => {
                 st.seen_bas.insert((frame.start_seq, frame.bitmap));
-                let newly = st.scoreboard.on_block_ack(&frame);
-                for _ in &newly {
+                st.scoreboard.on_block_ack_into(&frame, newly);
+                for _ in newly.iter() {
                     st.ratectl.on_tx_result(now, mcs, true);
                 }
                 // Anything the Block ACK (cumulatively) covers is done; the
                 // rest — including previously acked sequences the frame
                 // still carries — goes back for retransmission.
-                let mut unacked = mpdus;
-                unacked.retain(|(seq, ..)| {
-                    !frame.covers(*seq) && st.scoreboard.unacked().contains(seq)
-                });
+                let unacked = mpdus;
+                unacked.retain(|(seq, ..)| !frame.covers(*seq) && st.scoreboard.is_unacked(*seq));
                 // Rate control must see the failures too, or it pins at the
                 // top rate on the optimism of acked-only feedback.
-                for _ in &unacked {
+                for _ in unacked.iter() {
                     st.ratectl.on_tx_result(now, mcs, false);
                 }
                 self.requeue_lost(ap, c, unacked, mcs, now);
@@ -732,13 +804,13 @@ impl WgttWorld {
         }
     }
 
-    /// Pushes unacknowledged MPDUs back to the NIC queue front (in order)
+    /// Moves unacknowledged MPDUs back to the NIC queue front (in order)
     /// or drops them past the retry limit.
     fn requeue_lost(
         &mut self,
         ap: usize,
         c: usize,
-        unacked: Vec<(u16, Packet, u32)>,
+        unacked: &mut Vec<Mpdu>,
         mcs: Mcs,
         now: SimTime,
     ) {
@@ -746,7 +818,7 @@ impl WgttWorld {
         let Some(st) = self.aps[ap].client_get_mut(client) else {
             return;
         };
-        for (seq, packet, retries) in unacked.into_iter().rev() {
+        for (seq, packet, retries) in unacked.drain(..).rev() {
             if retries > MPDU_RETRY_LIMIT {
                 st.scoreboard.drop_seq(seq);
                 st.ratectl.on_tx_result(now, mcs, false);
@@ -777,14 +849,22 @@ impl WgttWorld {
         &mut self,
         ctx: &mut Ctx<'_, Ev>,
         c: usize,
-        entries: Vec<UplinkEntry>,
+        entries: &mut Vec<UplinkEntry>,
         shot: Shot,
+        scratch: &mut BurstScratch,
     ) {
         let Shot {
             mcs,
             collided,
             start,
         } = shot;
+        let BurstScratch {
+            got,
+            heard_by,
+            resp,
+            p_by_len,
+            ..
+        } = scratch;
         let now = ctx.now();
         if self.trace {
             eprintln!(
@@ -803,7 +883,8 @@ impl WgttWorld {
         }
         let client = ClientId(c as u32);
         // Reception per AP.
-        let mut per_ap_received: Vec<(usize, Vec<u16>)> = Vec::new();
+        got.clear();
+        heard_by.clear();
         for ap in 0..self.aps.len() {
             if self.ap_down[ap] || !self.in_radio_range(ap, c, start) || !self.same_channel(ap, c) {
                 continue;
@@ -812,23 +893,24 @@ impl WgttWorld {
             // One memo per receiving AP: every uplink MPDU in the burst
             // draws against the same snapshot, and the CSI report reuses it.
             let mut esnr = EsnrMemo::new(&csi);
-            let mut got = Vec::new();
-            for e in &entries {
+            let first = got.len();
+            p_by_len.clear();
+            for e in entries.iter() {
                 let p = if collided {
                     0.0
                 } else {
                     let bytes = e.packet.len_bytes + overhead::DOT11;
-                    self.cfg.per_model.success_with(&mut esnr, mcs, bytes)
+                    success_by_len(p_by_len, &self.cfg.per_model, &mut esnr, mcs, bytes)
                 };
                 if self.rng.chance(p) {
                     got.push(e.seq);
                 }
             }
-            if !got.is_empty() {
+            if got.len() > first {
                 // CSI measurement from this reception, rate-limited.
                 let report = esnr.esnr_db(Modulation::Qam16);
                 self.report_csi(ctx, ap, c, report, now);
-                per_ap_received.push((ap, got));
+                heard_by.push((ap, first, got.len()));
             }
         }
 
@@ -837,9 +919,9 @@ impl WgttWorld {
         if self.trace {
             eprintln!(
                 "   received per ap: {:?} serving={serving:?}",
-                per_ap_received
+                heard_by
                     .iter()
-                    .map(|(a, g)| (*a, g.len()))
+                    .map(|&(a, first, end)| (a, end - first))
                     .collect::<Vec<_>>()
             );
         }
@@ -848,7 +930,8 @@ impl WgttWorld {
         // code path.
         let crash_faults = !self.faults.controller_crashes.is_empty()
             || !self.faults.controller_failovers.is_empty();
-        for &(from_ap, ref got) in &per_ap_received {
+        for &(from_ap, first, end) in heard_by.iter() {
+            let got = &got[first..end];
             let forwards = match self.cfg.mode {
                 Mode::Wgtt => self.cfg.uplink_diversity || Some(from_ap) == serving,
                 Mode::Enhanced80211r => Some(from_ap) == serving,
@@ -887,8 +970,8 @@ impl WgttWorld {
 
         // Acknowledgement responses and collisions (§5.3.2).
         // Serving AP responds promptly; others add µs-scale backoff.
-        let mut resp: Vec<(usize, f64, f64)> = Vec::new();
-        for &(ap, _) in &per_ap_received {
+        resp.clear();
+        for &(ap, ..) in heard_by.iter() {
             if !self.ap_associated(ap, client) {
                 continue;
             }
@@ -923,14 +1006,14 @@ impl WgttWorld {
 
         // Client-side retransmission bookkeeping: what the acking AP got is
         // done, the rest goes back on the queue.
-        let acked: &[u16] = per_ap_received
+        let acked: &[u16] = heard_by
             .iter()
-            .find(|&&(ap, _)| Some(ap) == acked_by)
-            .map_or(&[], |(_, got)| got);
+            .find(|&&(ap, ..)| Some(ap) == acked_by)
+            .map_or(&[], |&(_, first, end)| &got[first..end]);
         let mut successes = 0u32;
         // Reverse iteration + push_front keeps the surviving entries in
         // their original order at the queue head.
-        for mut e in entries.into_iter().rev() {
+        for mut e in entries.drain(..).rev() {
             if acked.contains(&e.seq) {
                 successes += 1;
                 continue;

@@ -177,30 +177,29 @@ impl WgttWorld {
         }
         let c = packet.client.0 as usize;
         let now = ctx.now();
-        let targets: Vec<usize> = match self.cfg.mode {
-            Mode::Wgtt => self
-                .ctrl
-                .fanout(now, packet.client)
-                .into_iter()
-                .map(|a| a.0 as usize)
-                .collect(),
-            Mode::Enhanced80211r => self.serving_of(c).into_iter().collect(),
-        };
-        if targets.is_empty() {
-            // Client unreachable (pre-association or out of coverage):
-            // dropped before an index is consumed, like a bridge with no
-            // forwarding entry.
-            return;
+        let mut targets = std::mem::take(&mut self.fanout);
+        match self.cfg.mode {
+            Mode::Wgtt => self.ctrl.fanout(now, packet.client, &mut targets),
+            Mode::Enhanced80211r => {
+                targets.clear();
+                targets.extend(self.serving_of(c));
+            }
         }
-        let idx = self.ctrl.assign_index(packet.client);
-        packet.index = Some(idx);
-        self.sys.downlink_copies += targets.len() as u64;
-        let wire = packet.len_bytes + wgtt_net::TUNNEL_OVERHEAD_BYTES;
-        for ap in targets {
-            let packet = packet.clone();
-            let arrival = Data::PacketAtAp { ap, packet };
-            self.backhaul_send(ctx, wire, false, Ev::Data(arrival));
+        // With no target the client is unreachable (pre-association or out
+        // of coverage): dropped before an index is consumed, like a bridge
+        // with no forwarding entry.
+        if !targets.is_empty() {
+            let idx = self.ctrl.assign_index(packet.client);
+            packet.index = Some(idx);
+            self.sys.downlink_copies += targets.len() as u64;
+            let wire = packet.len_bytes + wgtt_net::TUNNEL_OVERHEAD_BYTES;
+            for &ap in &targets {
+                let packet = packet.clone();
+                let arrival = Data::PacketAtAp { ap, packet };
+                self.backhaul_send(ctx, wire, false, Ev::Data(arrival));
+            }
         }
+        self.fanout = targets;
     }
 
     fn on_packet_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, packet: Packet) {
@@ -339,8 +338,13 @@ impl WgttWorld {
                 if self.trace {
                     eprintln!("[{now}] ack at server: {ack} una={}", sender.snd_una());
                 }
-                let blocks: Vec<(u64, u64)> = sack.iter().flatten().copied().collect();
-                sender.on_ack_sack(now, ack, &blocks);
+                let mut blocks = [(0, 0); 3];
+                let mut n = 0;
+                for block in sack.blocks(ack) {
+                    blocks[n] = block;
+                    n += 1;
+                }
+                sender.on_ack_sack(now, ack, &blocks[..n]);
                 if sender.is_complete() && self.flows[fidx].completed_at.is_none() {
                     self.flows[fidx].completed_at = Some(now);
                 }
@@ -544,10 +548,7 @@ impl WgttWorld {
                     .get(&packet.flow)
                     .map(|r| r.sack_blocks(3))
                     .unwrap_or_default();
-                let mut sack = [None; 3];
-                for (i, b) in blocks.into_iter().enumerate() {
-                    sack[i] = Some(b);
-                }
+                let sack = SackBlocks::new(ack, &blocks);
                 let ack_pkt = self.factory.make(
                     ClientId(c as u32),
                     packet.flow,

@@ -34,7 +34,7 @@ use wgtt_mac::timing::{
 use wgtt_mac::{AssocState, Medium, MgmtFrame};
 use wgtt_net::{
     overhead, ApId, Backhaul, CbrSource, ClientId, Direction, FlowId, Packet, PacketFactory,
-    Payload, TcpReceiver, TcpSender, UdpSink,
+    Payload, SackBlocks, TcpReceiver, TcpSender, UdpSink,
 };
 use wgtt_phy::esnr::esnr_from_csi;
 use wgtt_phy::geom::Deployment;
@@ -166,6 +166,9 @@ pub struct WgttWorld {
     /// Always empty in unsharded runs.
     pending_import: Vec<Vec<SeamPayload>>,
     rng: SimRng,
+    /// The downlink fan-out set of the packet at the controller, on loan to
+    /// `on_packet_at_controller` (overwritten per packet, capacity kept).
+    fanout: Vec<usize>,
     /// What only the radio layer touches: in-flight table, round scratch.
     air: AirState,
     /// DCF collisions observed (stats).
@@ -262,6 +265,7 @@ impl WgttWorld {
             outbox: vec![Vec::new(); n_clients],
             pending_import: vec![Vec::new(); n_clients],
             rng: root.fork("world"),
+            fanout: Vec::new(),
             air: AirState::default(),
             dcf_collisions: 0,
             trace: std::env::var("WGTT_TRACE").is_ok(),
@@ -381,15 +385,13 @@ mod tests {
     use super::*;
 
     /// Every queue slot holds an `Ev`. The largest variant is
-    /// `Data::PacketAtAp` — 8 bytes of AP index, a 120-byte `Packet` and a
+    /// `Data::PacketAtAp` — 8 bytes of AP index, an 80-byte `Packet` and a
     /// tag — and nesting the enum must not add a second tag word on top.
     #[test]
     fn nested_ev_is_no_larger_than_the_flat_one() {
-        assert!(
-            std::mem::size_of::<Ev>() <= 136,
-            "{}",
-            std::mem::size_of::<Ev>()
-        );
-        assert!(std::mem::size_of::<Data>() <= 136);
+        use std::mem::size_of;
+        assert!(size_of::<Packet>() <= 80, "{}", size_of::<Packet>());
+        assert!(size_of::<Ev>() <= 96, "{}", size_of::<Ev>());
+        assert!(size_of::<Data>() <= 96);
     }
 }

@@ -165,10 +165,28 @@ impl TxScoreboard {
             .collect()
     }
 
+    /// Whether any outstanding MPDU still needs (re)transmission.
+    pub fn has_unacked(&self) -> bool {
+        self.window.iter().any(|&(_, acked)| !acked)
+    }
+
+    /// Whether `seq` is outstanding and not yet acknowledged.
+    pub fn is_unacked(&self, seq: u16) -> bool {
+        self.window.contains(&(seq, false))
+    }
+
     /// Consumes a Block ACK, returning the sequences *newly* acknowledged.
     /// The window head advances past contiguously acked MPDUs.
     pub fn on_block_ack(&mut self, ba: &BlockAckFrame) -> Vec<u16> {
         let mut newly = Vec::new();
+        self.on_block_ack_into(ba, &mut newly);
+        newly
+    }
+
+    /// [`Self::on_block_ack`], writing the newly acknowledged sequences
+    /// over `newly` — a buffer the caller keeps between Block ACKs.
+    pub fn on_block_ack_into(&mut self, ba: &BlockAckFrame, newly: &mut Vec<u16>) {
+        newly.clear();
         for (seq, acked) in self.window.iter_mut() {
             if !*acked && ba.covers(*seq) {
                 *acked = true;
@@ -178,7 +196,6 @@ impl TxScoreboard {
         while let Some(&(_, true)) = self.window.front() {
             self.window.pop_front();
         }
-        newly
     }
 
     /// Drops an outstanding MPDU without acknowledgement (e.g. retry limit
@@ -393,8 +410,14 @@ mod tests {
         assert_eq!(newly, vec![0, 1, 3]);
         assert_eq!(tx.win_start(), 2);
         assert_eq!(tx.unacked(), vec![2]);
-        // Re-acking is idempotent.
-        assert!(tx.on_block_ack(&ba).is_empty());
+        // The allocation-free queries agree: 3 is in the window but acked,
+        // 1 has left it.
+        assert!(tx.has_unacked());
+        assert_eq!([1, 2, 3].map(|s| tx.is_unacked(s)), [false, true, false]);
+        // Re-acking is idempotent, and a kept buffer is overwritten.
+        let mut kept = newly;
+        tx.on_block_ack_into(&ba, &mut kept);
+        assert!(kept.is_empty());
         // Acking the hole drains the window.
         let ba2 = BlockAckFrame {
             start_seq: 2,

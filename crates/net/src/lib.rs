@@ -20,7 +20,9 @@ pub mod tunnel;
 pub mod udp;
 
 pub use backhaul::{Backhaul, BackhaulDelivery};
-pub use packet::{overhead, ApId, ClientId, Direction, FlowId, Packet, PacketFactory, Payload};
+pub use packet::{
+    overhead, ApId, ClientId, Direction, FlowId, Packet, PacketFactory, Payload, SackBlocks,
+};
 pub use tcp::{CongPhase, TcpConfig, TcpReceiver, TcpSegmentOut, TcpSender};
 pub use tunnel::{BackhaulNode, Tunneled, TUNNEL_OVERHEAD_BYTES};
 pub use udp::{CbrSource, UdpSink};

@@ -1,7 +1,7 @@
 //! Property-based tests on the network substrate.
 
 use proptest::prelude::*;
-use wgtt_net::{Backhaul, CbrSource, TcpConfig, TcpReceiver, TcpSender, UdpSink};
+use wgtt_net::{Backhaul, CbrSource, SackBlocks, TcpConfig, TcpReceiver, TcpSender, UdpSink};
 use wgtt_sim::{SimDuration, SimRng, SimTime};
 
 proptest! {
@@ -103,6 +103,49 @@ proptest! {
             prop_assert!(e > s);
             prev_end = e;
         }
+    }
+
+    /// What an ACK carries of a receiver's SACK blocks is exactly the
+    /// blocks: every state a receiver can reach (anywhere in the 64-bit
+    /// sequence space, a window under 4 GiB) survives the 32-bit relative
+    /// encoding, so the sender sees what absolute pairs would have shown it.
+    #[test]
+    fn sack_blocks_round_trip_through_the_ack(
+        base in any::<u32>(),
+        segs in proptest::collection::vec((0u64..60, 1u64..4), 1..60),
+    ) {
+        let mut r = TcpReceiver::new();
+        let mss = 1448u64;
+        let base = (base as u64) << 24;
+        r.on_data(0, base as usize); // everything below `base` is delivered
+        for &(start, len) in &segs {
+            r.on_data(base + start * mss, (len * mss) as usize);
+        }
+        let ack = r.rcv_nxt();
+        let blocks = r.sack_blocks(3);
+        let carried: Vec<_> = SackBlocks::new(ack, &blocks).blocks(ack).collect();
+        prop_assert_eq!(carried, blocks);
+    }
+
+    /// Arbitrary block lists — below the ack, inverted, astronomically far —
+    /// never panic or wrap: each block is either carried exactly or left out.
+    #[test]
+    fn sack_encoding_carries_a_block_exactly_or_not_at_all(
+        ack in any::<u64>(),
+        raw in proptest::collection::vec((any::<u64>(), any::<u64>(), 0u32..4), 0..6),
+    ) {
+        // Mix blocks near the ack (which can fit) with arbitrary ones.
+        let near = |x: u64, y: u64| (ack.wrapping_add(x % 100_000), ack.wrapping_add(y % 100_000));
+        let blocks: Vec<(u64, u64)> = raw
+            .iter()
+            .map(|&(a, b, kind)| if kind == 0 { (a, b) } else { near(a, b) })
+            .collect();
+        let carried: Vec<_> = SackBlocks::new(ack, &blocks).blocks(ack).collect();
+        let fits = |&&(s, e): &&(u64, u64)| {
+            s >= ack && e > s && s - ack <= u32::MAX as u64 && e - s <= u32::MAX as u64
+        };
+        let expect: Vec<_> = blocks.iter().filter(fits).take(3).copied().collect();
+        prop_assert_eq!(carried, expect);
     }
 }
 

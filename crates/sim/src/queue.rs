@@ -9,7 +9,7 @@
 //! reproducibility of every experiment depends on a stable order.
 //!
 //! It is a calendar/bucket queue: events live in an index-addressed slab
-//! (free-list reuse, no steady state allocation), and 16-byte references to
+//! (free-list reuse, no steady state allocation), and 24-byte references to
 //! them hash into a ring of time buckets (64 µs wide, ~67 ms horizon) with a
 //! spill heap for far-future timers. Cancellation is O(1) — the slab slot is
 //! freed and its generation bumped immediately, so a cancelled 30 ms `stop`
@@ -44,20 +44,7 @@ const NUM_BUCKETS: u64 = 1024;
 /// bucket) can be recognized and skipped.
 struct Slot<E> {
     gen: u32,
-    time: SimTime,
-    seq: u64,
     event: Option<E>,
-}
-
-/// Sort key embedding `(time, seq)` — totally ordered, unique per entry.
-#[inline]
-fn sort_key(time: SimTime, seq: u64) -> u128 {
-    ((time.as_nanos() as u128) << 64) | seq as u128
-}
-
-#[inline]
-fn key_time(key: u128) -> SimTime {
-    SimTime::from_nanos((key >> 64) as u64)
 }
 
 /// Packed slab reference: slot index in the high half, generation in the
@@ -67,9 +54,16 @@ fn pack_ref(slot: u32, gen: u32) -> u64 {
     ((slot as u64) << 32) | gen as u64
 }
 
-/// A `(sort key, slab reference)` pair as stored in buckets, the drain list
-/// and the spill heap. Ordering is by key alone (keys are unique).
-type Ref = (u128, u64);
+/// `(time in ns, push number, slab reference)` as stored in buckets, the
+/// drain list and the spill heap: three words, where a `u128` sort key would
+/// pad the same content to four. Tuple order is the pop order — `(time,
+/// push number)` is unique per entry, so the reference never decides.
+type Ref = (u64, u64, u64);
+
+#[inline]
+fn ref_time(r: &Ref) -> SimTime {
+    SimTime::from_nanos(r.0)
+}
 
 /// Time-ordered future event list with stable FIFO tie-breaking and O(1)
 /// cancellation — see the module docs.
@@ -127,32 +121,27 @@ impl<E> EventQueue<E> {
         self.next_seq += 1;
         let slot = match self.free.pop() {
             Some(s) => {
-                let sl = &mut self.slots[s as usize];
-                sl.time = time;
-                sl.seq = seq;
-                sl.event = Some(event);
+                self.slots[s as usize].event = Some(event);
                 s
             }
             None => {
                 let s = self.slots.len() as u32;
                 self.slots.push(Slot {
                     gen: 0,
-                    time,
-                    seq,
                     event: Some(event),
                 });
                 s
             }
         };
         let gen = self.slots[slot as usize].gen;
-        let r: Ref = (sort_key(time, seq), pack_ref(slot, gen));
+        let r: Ref = (time.as_nanos(), seq, pack_ref(slot, gen));
         self.len += 1;
 
         let bucket = time.as_nanos() >> BUCKET_BITS;
         if bucket <= self.cursor {
             // Present bucket (or, defensively, earlier): insert into the
             // undrained tail of the current drain list, keeping it sorted.
-            let ins = self.cur[self.cur_pos..].partition_point(|&(k, _)| k < r.0);
+            let ins = self.cur[self.cur_pos..].partition_point(|&other| other < r);
             self.cur.insert(self.cur_pos + ins, r);
         } else if bucket < self.cursor + NUM_BUCKETS {
             self.ring[(bucket % NUM_BUCKETS) as usize].push(r);
@@ -160,7 +149,7 @@ impl<E> EventQueue<E> {
         } else {
             self.spill.push(std::cmp::Reverse(r));
         }
-        EventKey(r.1)
+        EventKey(r.2)
     }
 
     /// Cancels a previously scheduled event. Returns `true` if the event
@@ -193,7 +182,7 @@ impl<E> EventQueue<E> {
     /// when the queue is empty.
     fn settle(&mut self) -> bool {
         loop {
-            while let Some(&(_, packed)) = self.cur.get(self.cur_pos) {
+            while let Some(&(_, _, packed)) = self.cur.get(self.cur_pos) {
                 if self.is_live(packed) {
                     return true;
                 }
@@ -214,7 +203,7 @@ impl<E> EventQueue<E> {
         let spill_bucket = self
             .spill
             .peek()
-            .map(|std::cmp::Reverse((k, _))| key_time(*k).as_nanos() >> BUCKET_BITS);
+            .map(|std::cmp::Reverse(r)| r.0 >> BUCKET_BITS);
         let target = if self.ring_count == 0 {
             // Nothing inside the horizon: jump straight to the earliest
             // spilled bucket (it must exist — len > 0).
@@ -239,29 +228,29 @@ impl<E> EventQueue<E> {
         let mut cell = std::mem::take(&mut self.ring[(target % NUM_BUCKETS) as usize]);
         self.ring_count -= cell.len();
         for &r in &cell {
-            if self.is_live(r.1) {
+            if self.is_live(r.2) {
                 self.cur.push(r);
             }
         }
         cell.clear();
         self.ring[(target % NUM_BUCKETS) as usize] = cell;
         // Pull every spilled event belonging to this bucket.
-        while let Some(std::cmp::Reverse((k, _))) = self.spill.peek() {
-            if key_time(*k).as_nanos() >> BUCKET_BITS != target {
+        while let Some(std::cmp::Reverse(r)) = self.spill.peek() {
+            if r.0 >> BUCKET_BITS != target {
                 break;
             }
             let std::cmp::Reverse(r) = self.spill.pop().unwrap();
-            if self.is_live(r.1) {
+            if self.is_live(r.2) {
                 self.cur.push(r);
             }
         }
-        self.cur.sort_unstable_by_key(|&(k, _)| k);
+        self.cur.sort_unstable();
     }
 
     /// Time of the next live event, if any.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         if self.settle() {
-            Some(key_time(self.cur[self.cur_pos].0))
+            Some(ref_time(&self.cur[self.cur_pos]))
         } else {
             None
         }
@@ -272,7 +261,8 @@ impl<E> EventQueue<E> {
         if !self.settle() {
             return None;
         }
-        let (key, packed) = self.cur[self.cur_pos];
+        let r = self.cur[self.cur_pos];
+        let packed = r.2;
         self.cur_pos += 1;
         let slot = (packed >> 32) as usize;
         let sl = &mut self.slots[slot];
@@ -280,7 +270,7 @@ impl<E> EventQueue<E> {
         sl.gen = sl.gen.wrapping_add(1);
         self.free.push(slot as u32);
         self.len -= 1;
-        Some((key_time(key), event))
+        Some((ref_time(&r), event))
     }
 
     /// Number of live events still pending.
@@ -475,6 +465,14 @@ mod tests {
             q.slots.len(),
             q.len()
         );
+    }
+
+    #[test]
+    fn a_reference_is_three_words() {
+        assert_eq!(std::mem::size_of::<Ref>(), 24);
+        // What a slab slot adds to its event: the generation, and nothing
+        // the reference already carries.
+        assert_eq!(std::mem::size_of::<Slot<[u64; 4]>>(), 48);
     }
 
     #[test]

@@ -184,12 +184,22 @@ impl TimeWindow {
     /// `floor(L/2)` — for even L this is the upper median, matching
     /// `e_{⌊L/2⌋}` with 0-based indexing in §3.1.1.
     pub fn median(&self) -> Option<f64> {
+        self.median_in(&mut Vec::new())
+    }
+
+    /// [`Self::median`], selecting in a buffer the caller keeps between
+    /// calls (its contents are overwritten): no allocation once the buffer
+    /// has held a window this long.
+    pub fn median_in(&self, scratch: &mut Vec<f64>) -> Option<f64> {
         if self.samples.is_empty() {
             return None;
         }
-        let mut vals: Vec<f64> = self.samples.iter().map(|&(_, v)| v).collect();
-        vals.sort_by(|a, b| a.partial_cmp(b).expect("NaN in window"));
-        Some(vals[vals.len() / 2])
+        scratch.clear();
+        scratch.extend(self.samples.iter().map(|&(_, v)| v));
+        let mid = scratch.len() / 2;
+        let (_, median, _) =
+            scratch.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("NaN in window"));
+        Some(*median)
     }
 
     /// Mean of the values currently inside the window (used by the
