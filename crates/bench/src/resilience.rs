@@ -67,13 +67,15 @@ fn scenario(crash_rate: f64, backhaul_loss: f64, seed: u64) -> Scenario {
         SimDuration::from_millis(200)..SimDuration::from_millis(800),
     );
     if backhaul_loss > 0.0 {
-        faults = faults.with_backhaul_fault(BackhaulFault {
-            from: SimTime::ZERO,
-            until: SimTime::ZERO + s.duration + SimDuration::from_secs(1),
-            extra_loss_prob: backhaul_loss,
-            extra_latency: SimDuration::ZERO,
-            extra_jitter_mean: SimDuration::ZERO,
-        });
+        faults = faults.with_backhaul_fault(
+            SimTime::ZERO,
+            SimTime::ZERO + s.duration + SimDuration::from_secs(1),
+            BackhaulFault {
+                extra_loss_prob: backhaul_loss,
+                extra_latency: SimDuration::ZERO,
+                extra_jitter_mean: SimDuration::ZERO,
+            },
+        );
     }
     s.faults = faults;
     s

@@ -373,7 +373,7 @@ impl SwitchEngine {
 
     /// Every client with an allocated epoch, ascending client order (for
     /// the journal snapshot — iteration order must be deterministic).
-    pub fn epochs_sorted(&self) -> Vec<(ClientId, u32)> {
+    fn epochs_sorted(&self) -> Vec<(ClientId, u32)> {
         let mut v: Vec<(ClientId, u32)> = self.epochs.iter().map(|(&c, &e)| (c, e)).collect();
         v.sort_by_key(|&(c, _)| c);
         v

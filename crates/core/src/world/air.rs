@@ -928,8 +928,7 @@ impl WgttWorld {
         // Any controller crash (or failover window) in the schedule engages
         // the degraded uplink path; with none this is the exact healthy
         // code path.
-        let crash_faults = !self.faults.controller_crashes.is_empty()
-            || !self.faults.controller_failovers.is_empty();
+        let crash_faults = self.faults.has_controller_fault();
         for &(from_ap, first, end) in heard_by.iter() {
             let got = &got[first..end];
             let forwards = match self.cfg.mode {

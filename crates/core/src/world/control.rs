@@ -626,7 +626,7 @@ impl WgttWorld {
 mod tests {
     use super::*;
     use wgtt_phy::mobility::ConstantSpeed;
-    use wgtt_sim::{PartitionWindow, Simulator};
+    use wgtt_sim::Simulator;
 
     const AP: usize = 1;
     const T: SimTime = SimTime::from_millis(1);
@@ -673,12 +673,8 @@ mod tests {
     #[test]
     fn an_unreachable_ap_counts_nothing_and_keeps_its_fence() {
         for (name, frame) in ap_bound(5) {
-            let mut faults = FaultSchedule::new();
-            faults.partitions.push(PartitionWindow {
-                ap: AP,
-                from: SimTime::ZERO,
-                until: SimTime::from_secs(1),
-            });
+            let faults =
+                FaultSchedule::new().with_partition(AP, SimTime::ZERO, SimTime::from_secs(1));
             let mut sim = bare(faults);
             assert!(
                 dies_at_the_door(&mut sim, frame),

@@ -276,17 +276,14 @@ impl WgttWorld {
     /// Registers a flow, returning its index.
     pub fn add_flow(&mut self, client: usize, kind: FlowKind) -> usize {
         let id = FlowId(self.flows.len() as u32);
-        let up_sink =
-            matches!(kind, FlowKind::UpUdp(_)).then(|| UdpSink::new(SimDuration::from_millis(100)));
+        let up_sink = matches!(kind, FlowKind::UpUdp(_)).then(UdpSink::new);
         // Make sure the client has matching endpoint state.
         match &kind {
             FlowKind::DownTcp(_) => {
                 self.clients[client].tcp_rx.insert(id, TcpReceiver::new());
             }
             FlowKind::DownUdp(_) => {
-                self.clients[client]
-                    .udp_sink
-                    .insert(id, UdpSink::new(SimDuration::from_millis(100)));
+                self.clients[client].udp_sink.insert(id, UdpSink::new());
             }
             FlowKind::UpUdp(_) => {}
         }
@@ -339,7 +336,7 @@ pub fn prime_events(sim: &mut wgtt_sim::Simulator<WgttWorld>) {
     // Warm-standby machinery only spins up when a failover is armed: an
     // unarmed run schedules no journal or detector events at all, keeping
     // it bit-identical to the single-controller engine.
-    if mode == Mode::Wgtt && !sim.world().faults.controller_failovers.is_empty() {
+    if mode == Mode::Wgtt && sim.world().faults.has_failover() {
         sim.schedule_at(
             SimTime::from_millis(10),
             Ev::Recovery(Recovery::JournalShip),

@@ -366,7 +366,7 @@ impl WgttWorld {
     /// dedup table suppresses cross-takeover duplicates of it. Armed runs
     /// only.
     pub(super) fn journal_forwarded(&mut self, packet: &Packet) {
-        if !self.faults.controller_failovers.is_empty() {
+        if self.faults.has_failover() {
             let key = Deduplicator::key(packet.client, packet.ip_ident);
             self.recovery.note_forwarded(key);
         }

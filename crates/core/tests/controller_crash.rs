@@ -166,13 +166,15 @@ fn local_autonomy_readopts_orphan_during_outage() {
     let from = SimTime::from_millis(2250);
     let faults = FaultSchedule::new()
         .with_controller_crash(from, from + SimDuration::from_millis(1500))
-        .with_backhaul_fault(BackhaulFault {
-            from: SimTime::ZERO,
-            until: SimTime::from_secs(600),
-            extra_loss_prob: 0.6,
-            extra_latency: SimDuration::ZERO,
-            extra_jitter_mean: SimDuration::ZERO,
-        });
+        .with_backhaul_fault(
+            SimTime::ZERO,
+            SimTime::from_secs(600),
+            BackhaulFault {
+                extra_loss_prob: 0.6,
+                extra_latency: SimDuration::ZERO,
+                extra_jitter_mean: SimDuration::ZERO,
+            },
+        );
     let res = run(drive(901, 25.0, faults));
     let s = &res.world.sys;
     assert!(

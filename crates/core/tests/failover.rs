@@ -172,13 +172,15 @@ fn multi_client_runs_are_deterministic() {
 fn backhaul_fault_window_degrades_then_recovers() {
     use wgtt_sim::BackhaulFault;
     let healthy = run(drive(42, FaultSchedule::default()));
-    let faults = FaultSchedule::new().with_backhaul_fault(BackhaulFault {
-        from: SimTime::from_secs(1),
-        until: SimTime::from_secs(3),
-        extra_loss_prob: 0.4,
-        extra_latency: SimDuration::from_millis(2),
-        extra_jitter_mean: SimDuration::from_millis(1),
-    });
+    let faults = FaultSchedule::new().with_backhaul_fault(
+        SimTime::from_secs(1),
+        SimTime::from_secs(3),
+        BackhaulFault {
+            extra_loss_prob: 0.4,
+            extra_latency: SimDuration::from_millis(2),
+            extra_jitter_mean: SimDuration::from_millis(1),
+        },
+    );
     let res = run(drive(42, faults));
     // Lossy, laggy backhaul for 2 s hurts but does not kill the drive.
     assert!(res.downlink_bps(0) > 0.0);

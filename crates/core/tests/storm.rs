@@ -104,8 +104,11 @@ fn shrink_reduces_an_injected_violation_to_the_one_guilty_window() {
         "shrink must strip every noise window, leaving only the outage"
     );
     assert_eq!(
-        min[0].migration_loss.len(),
-        1,
+        (
+            min[0].window_count(),
+            min[0].migration_loss_prob(SimTime::ZERO)
+        ),
+        (1, 1.0),
         "the surviving window must be shard 0's seam outage"
     );
 }

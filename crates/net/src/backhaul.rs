@@ -142,23 +142,6 @@ impl Backhaul {
         out.primary = Some(delay);
         out
     }
-
-    /// Samples a transit delay, treating loss as "never arrives" is not an
-    /// option for the caller — convenience for reliable contexts (e.g. TCP
-    /// over the wired segment where losses are negligible).
-    ///
-    /// Panics if `loss_prob >= 1.0`, where a delay can never be drawn.
-    pub fn transit_reliable(&mut self, len_bytes: usize) -> SimDuration {
-        assert!(
-            self.loss_prob < 1.0,
-            "transit_reliable cannot terminate with loss_prob >= 1.0"
-        );
-        loop {
-            if let Some(d) = self.transit(len_bytes) {
-                return d;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -206,23 +189,6 @@ mod tests {
         let lost = (0..2000).filter(|_| b.transit(100).is_none()).count();
         let frac = lost as f64 / 2000.0;
         assert!((frac - 0.3).abs() < 0.05, "loss frac {frac}");
-    }
-
-    #[test]
-    fn reliable_never_loses() {
-        let mut b = bh(5);
-        b.loss_prob = 0.9;
-        for _ in 0..50 {
-            let _ = b.transit_reliable(100); // must terminate
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn reliable_rejects_total_loss() {
-        let mut b = bh(5);
-        b.loss_prob = 1.0;
-        let _ = b.transit_reliable(100);
     }
 
     #[test]

@@ -182,11 +182,6 @@ impl PacketFactory {
         }
     }
 
-    /// Number of packets created so far.
-    pub fn created_count(&self) -> u64 {
-        self.next_id
-    }
-
     /// The IP ident the next packet sourced by `client` will carry.
     pub fn peek_ident(&self, client: ClientId) -> u16 {
         self.next_ident.get(&client).copied().unwrap_or(0)
@@ -238,7 +233,6 @@ mod tests {
             Payload::Udp { seq: 1 },
         );
         assert_ne!(a.id, b.id);
-        assert_eq!(f.created_count(), 2);
     }
 
     #[test]

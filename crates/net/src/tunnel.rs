@@ -78,11 +78,6 @@ impl Tunneled {
             BackhaulNode::Controller => None,
         }
     }
-
-    /// Strips the tunnel header, recovering the inner packet.
-    pub fn decap(self) -> Packet {
-        self.inner
-    }
 }
 
 #[cfg(test)]
@@ -122,13 +117,6 @@ mod tests {
     fn wire_bytes_include_overhead() {
         let t = Tunneled::down(ApId(0), pkt());
         assert_eq!(t.wire_bytes(), 1500 + 46);
-    }
-
-    #[test]
-    fn decap_roundtrips() {
-        let p = pkt();
-        let t = Tunneled::down(ApId(1), p.clone());
-        assert_eq!(t.decap(), p);
     }
 
     #[test]

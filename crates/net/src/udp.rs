@@ -4,10 +4,8 @@
 //! Mbit/s offered load) and measure delivered throughput, loss, and
 //! sequence-number progress at the client. [`CbrSource`] emits datagram
 //! descriptors on a fixed schedule; [`UdpSink`] tracks sequence numbers,
-//! duplicates, loss, and a binned throughput timeseries.
+//! duplicates, and loss.
 
-use crate::packet::overhead;
-use wgtt_sim::stats::BinnedSeries;
 use wgtt_sim::{SimDuration, SimTime};
 
 /// A constant-bit-rate datagram source.
@@ -36,11 +34,6 @@ impl CbrSource {
             next_time: start,
             until: SimTime::MAX,
         }
-    }
-
-    /// Wire size of each datagram (payload + UDP/IP headers).
-    pub fn datagram_bytes(&self) -> usize {
-        self.payload_bytes + overhead::UDP + overhead::IPV4
     }
 
     /// When the next datagram is due, or `None` if the source is done.
@@ -75,31 +68,22 @@ impl CbrSource {
 }
 
 /// Receiving-side accounting for a UDP flow.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct UdpSink {
     /// Highest sequence seen (`None` before any arrival).
     highest_seq: Option<u64>,
     received: u64,
     duplicates: u64,
     bytes: u64,
-    series: BinnedSeries,
     seen: std::collections::HashSet<u64>,
     /// Arrival time of the most recent datagram.
     last_arrival: Option<SimTime>,
 }
 
 impl UdpSink {
-    /// Creates a sink binning throughput at `bin`.
-    pub fn new(bin: SimDuration) -> Self {
-        UdpSink {
-            highest_seq: None,
-            received: 0,
-            duplicates: 0,
-            bytes: 0,
-            series: BinnedSeries::new(bin),
-            seen: std::collections::HashSet::new(),
-            last_arrival: None,
-        }
+    /// Creates an empty sink.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Records the arrival of datagram `seq` of `len_bytes` at `now`.
@@ -112,7 +96,6 @@ impl UdpSink {
         }
         self.received += 1;
         self.bytes += len_bytes as u64;
-        self.series.add(now, (len_bytes * 8) as f64);
         self.highest_seq = Some(self.highest_seq.map_or(seq, |h| h.max(seq)));
         true
     }
@@ -156,16 +139,6 @@ impl UdpSink {
         }
     }
 
-    /// Loss rate against a known offered count (preferred when the source's
-    /// emission count is available — counts tail loss too).
-    pub fn loss_rate_vs_offered(&self, offered: u64) -> f64 {
-        if offered == 0 {
-            0.0
-        } else {
-            1.0 - (self.received.min(offered)) as f64 / offered as f64
-        }
-    }
-
     /// Mean goodput in bit/s over `duration`.
     pub fn mean_goodput_bps(&self, duration: SimDuration) -> f64 {
         if duration == SimDuration::ZERO {
@@ -173,11 +146,6 @@ impl UdpSink {
         } else {
             self.bytes as f64 * 8.0 / duration.as_secs_f64()
         }
-    }
-
-    /// Binned throughput series, bit/s per bin.
-    pub fn throughput_series(&self) -> Vec<(SimTime, f64)> {
-        self.series.rates()
     }
 }
 
@@ -190,7 +158,6 @@ mod tests {
         // 12 Mbit/s with 1500 B payloads → 1 ms apart.
         let s = CbrSource::new(12_000_000, 1500, SimTime::ZERO);
         assert_eq!(s.next_emit_time(), Some(SimTime::ZERO));
-        assert_eq!(s.datagram_bytes(), 1528);
         let mut s = s;
         assert_eq!(s.emit(SimTime::ZERO), Some(0));
         assert_eq!(s.next_emit_time(), Some(SimTime::from_millis(1)));
@@ -223,20 +190,19 @@ mod tests {
 
     #[test]
     fn sink_counts_and_loss() {
-        let mut k = UdpSink::new(SimDuration::from_millis(100));
+        let mut k = UdpSink::new();
         for seq in [0u64, 1, 3, 4] {
             assert!(k.on_receive(SimTime::from_millis(seq * 10), seq, 1000));
         }
         assert_eq!(k.received(), 4);
         // Highest=4 → expected 5, got 4 → 20% loss.
         assert!((k.loss_rate() - 0.2).abs() < 1e-9);
-        assert!((k.loss_rate_vs_offered(8) - 0.5).abs() < 1e-9);
         assert_eq!(k.bytes(), 4000);
     }
 
     #[test]
     fn sink_detects_duplicates() {
-        let mut k = UdpSink::new(SimDuration::from_millis(100));
+        let mut k = UdpSink::new();
         assert!(k.on_receive(SimTime::ZERO, 0, 1000));
         assert!(!k.on_receive(SimTime::from_millis(1), 0, 1000));
         assert_eq!(k.duplicates(), 1);
@@ -247,20 +213,17 @@ mod tests {
     }
 
     #[test]
-    fn sink_throughput_series() {
-        let mut k = UdpSink::new(SimDuration::from_millis(100));
-        k.on_receive(SimTime::from_millis(10), 0, 1250); // 10 kbit in bin 0
-        k.on_receive(SimTime::from_millis(150), 1, 1250); // bin 1
-        let series = k.throughput_series();
-        assert_eq!(series.len(), 2);
-        assert!((series[0].1 - 100_000.0).abs() < 1e-6); // 10 kbit / 0.1 s
+    fn sink_mean_goodput() {
+        let mut k = UdpSink::new();
+        k.on_receive(SimTime::from_millis(10), 0, 1250); // 10 kbit
+        k.on_receive(SimTime::from_millis(150), 1, 1250);
         let goodput = k.mean_goodput_bps(SimDuration::from_secs(1));
         assert!((goodput - 20_000.0).abs() < 1e-6);
     }
 
     #[test]
     fn empty_sink_is_zeroes() {
-        let k = UdpSink::new(SimDuration::from_millis(100));
+        let k = UdpSink::new();
         assert_eq!(k.loss_rate(), 0.0);
         assert_eq!(k.received(), 0);
         assert_eq!(k.last_arrival(), None);

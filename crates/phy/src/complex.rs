@@ -39,16 +39,6 @@ impl Cplx {
         Cplx { re, im }
     }
 
-    /// Constructs from polar form (`r·e^{jθ}`).
-    #[inline]
-    pub fn from_polar(r: f64, theta: f64) -> Self {
-        let (s, c) = crate::fastmath::sincos(theta);
-        Cplx {
-            re: r * c,
-            im: r * s,
-        }
-    }
-
     /// Squared magnitude `|z|²`.
     #[inline]
     pub fn abs2(self) -> f64 {
@@ -161,13 +151,6 @@ mod tests {
         assert!(close(p.re, 0.0) || p.re.abs() < 1e-15);
         assert!(close(p.im, 1.0));
         assert!(close(p.arg(), PI / 2.0));
-    }
-
-    #[test]
-    fn polar_roundtrip() {
-        let z = Cplx::from_polar(2.0, 0.7);
-        assert!(close(z.abs(), 2.0));
-        assert!(close(z.arg(), 0.7));
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl Mcs {
     }
 
     /// Convolutional code rate as `(numerator, denominator)`.
-    pub fn code_rate(self) -> (u32, u32) {
+    fn code_rate(self) -> (u32, u32) {
         match self.0 {
             0 | 1 | 3 => (1, 2),
             2 | 4 | 6 => (3, 4),

@@ -95,11 +95,6 @@ impl ShadowingProcess {
             .sum();
         self.sigma_db * (2.0 / n).sqrt() * sum
     }
-
-    /// Whether the process is active.
-    pub fn is_enabled(&self) -> bool {
-        self.sigma_db > 0.0
-    }
 }
 
 #[cfg(test)]
@@ -117,7 +112,6 @@ mod tests {
     #[test]
     fn disabled_by_default_and_zero() {
         let p = ShadowingProcess::new(&ShadowingConfig::default(), &mut SimRng::new(1));
-        assert!(!p.is_enabled());
         for x in [-50.0, 0.0, 13.7, 500.0] {
             assert_eq!(p.offset_db(x), 0.0);
         }

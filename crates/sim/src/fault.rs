@@ -5,7 +5,9 @@
 //! added latency, jitter inflation), controller-link partitions, and CSI
 //! report drop windows. The schedule is pure data — it never draws random
 //! numbers itself — so the same schedule replayed against the same seed
-//! reproduces the identical event sequence bit for bit.
+//! reproduces the identical event sequence bit for bit. Every family is a
+//! list of windows in insertion order, named once in the family table
+//! below (DESIGN.md §6j says why it is neither sorted nor indexed).
 //!
 //! Random *generation* of schedules (for resilience sweeps) goes through
 //! [`FaultSchedule::random_outages`] with an explicit [`SimRng`], which
@@ -17,133 +19,24 @@
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
-/// One AP outage: the AP is dead in `[from, until)` and reboots (with all
-/// soft state lost) at `until`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ApOutage {
-    /// Index of the AP that fails.
-    pub ap: usize,
-    /// Crash instant.
-    pub from: SimTime,
-    /// Reboot instant (exclusive end of the outage).
-    pub until: SimTime,
+/// One fault window: `what` holds during `[from, until)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Window<T> {
+    from: SimTime,
+    until: SimTime,
+    what: T,
 }
 
-/// Backhaul impairment window: during `[from, until)` every backhaul
-/// message suffers `extra_loss_prob` additional loss, `extra_latency`
-/// added fixed delay, and exponential jitter with mean
-/// `extra_jitter_mean` on top of the healthy model.
+/// What a backhaul impairment window does to every backhaul message sent
+/// inside it, on top of the healthy model.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackhaulFault {
-    /// Window start.
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub until: SimTime,
     /// Additional independent loss probability.
     pub extra_loss_prob: f64,
     /// Added fixed one-way latency.
     pub extra_latency: SimDuration,
     /// Mean of additional exponential jitter (zero = none).
     pub extra_jitter_mean: SimDuration,
-}
-
-/// Controller-link partition: the AP's radio keeps running but nothing
-/// crosses the wire between it and the controller during `[from, until)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionWindow {
-    /// The partitioned AP.
-    pub ap: usize,
-    /// Window start.
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub until: SimTime,
-}
-
-/// Controller outage: the central controller process is dead in
-/// `[from, until)` and restarts (with all soft state lost) at `until`.
-/// While down it sends nothing, drops every AP report delivered to it,
-/// and fires no switch timeouts; on restart it must resynchronise its
-/// state from the APs before issuing new switches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ControllerOutage {
-    /// Crash instant.
-    pub from: SimTime,
-    /// Restart instant (exclusive end of the outage).
-    pub until: SimTime,
-}
-
-/// Journal-lag window: during `[from, until)` every primary→standby
-/// journal batch suffers `extra` additional one-way delay on top of the
-/// backhaul model (a congested replication link). Lag close to the
-/// standby's takeover timeout widens the window of journal state the
-/// takeover never saw — the knob the replication bench sweeps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalLagWindow {
-    /// Window start.
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub until: SimTime,
-    /// Added one-way journal delivery delay.
-    pub extra: SimDuration,
-}
-
-/// CSI-report drop window: each CSI report is independently discarded with
-/// `drop_prob` during `[from, until)` (a flaky CSI extraction tool).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CsiDropWindow {
-    /// Window start.
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub until: SimTime,
-    /// Per-report drop probability.
-    pub drop_prob: f64,
-}
-
-/// Backhaul duplication window: during `[from, until)` each delivered
-/// message is independently delivered a *second* time with probability
-/// `dup_prob`, the copy trailing the original by one extra jitter sample
-/// (a kernel-datapath retransmit under load, cf. bridged-AP duplication).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DupWindow {
-    /// Window start.
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub until: SimTime,
-    /// Per-message duplication probability.
-    pub dup_prob: f64,
-}
-
-/// Backhaul reordering window: during `[from, until)` each delivered
-/// message is independently held back with probability `reorder_prob` by a
-/// uniform draw from `(0, window]`, letting messages sent just after it
-/// overtake it — order swaps bounded by `window`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReorderWindow {
-    /// Window start.
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub until: SimTime,
-    /// Per-message reorder probability.
-    pub reorder_prob: f64,
-    /// Maximum extra hold-back (bounds how far order can swap).
-    pub window: SimDuration,
-}
-
-/// Seam-migration fault window: during `[from, until)` each
-/// inter-controller migration frame (prepare, commit, residue forward, or
-/// ack) crossing the shard seam is independently affected with `prob` —
-/// lost for windows in [`FaultSchedule::migration_loss`], delivered a
-/// second time for windows in [`FaultSchedule::migration_dup`]. These
-/// target only the controller-to-controller transfer channel, never
-/// AP-to-controller traffic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MigrationFaultWindow {
-    /// Window start.
-    pub from: SimTime,
-    /// Window end (exclusive).
-    pub until: SimTime,
-    /// Per-frame loss or duplication probability.
-    pub prob: f64,
 }
 
 /// The aggregate backhaul impairment in effect at one instant.
@@ -174,15 +67,17 @@ impl BackhaulImpairment {
     }
 }
 
-/// A crash or reboot edge, for priming simulator events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A crash or reboot edge, for priming simulator events. Declaration order
+/// is the order edges at one instant fire in: crashes before reboots, APs
+/// by index before the controller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FaultEdge {
     /// AP `.0` crashes.
     Crash(usize),
-    /// AP `.0` comes back up.
-    Reboot(usize),
     /// The central controller crashes.
     ControllerCrash,
+    /// AP `.0` comes back up.
+    Reboot(usize),
     /// The central controller restarts (soft state lost).
     ControllerRecover,
     /// The crashed ex-primary wakes as a **zombie**: a warm standby took
@@ -193,32 +88,115 @@ pub enum FaultEdge {
     ZombieWake,
 }
 
-/// The full fault plan for one run. Empty by default (= healthy run).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FaultSchedule {
-    /// AP crash/reboot windows.
-    pub ap_outages: Vec<ApOutage>,
+/// Expands the family table — one row per window family: what its windows
+/// carry, name, payload type — into [`FaultSchedule`] and the two views
+/// that must see every family: the per-family counts and removal by
+/// `(family, index)`. Row order is the storm shrinker's scan order.
+macro_rules! fault_families {
+    ($($(#[$doc:meta])* $name:ident: $what:ty,)*) => {
+        /// The full fault plan for one run. Empty by default (= healthy
+        /// run); built by the `with_*` methods, read by the queries.
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct FaultSchedule {
+            $($(#[$doc])* $name: Vec<Window<$what>>,)*
+        }
+
+        impl FaultSchedule {
+            /// Number of windows in each family, in table order.
+            pub(crate) fn family_lens(&self) -> impl Iterator<Item = usize> {
+                [$(self.$name.len()),*].into_iter()
+            }
+
+            /// Deletes window `i` (insertion order) of family `family`
+            /// (table order) — the storm shrinker's one mutation.
+            pub(crate) fn remove_window(&mut self, family: usize, i: usize) {
+                let families: &mut [&mut dyn FnMut(usize)] =
+                    &mut [$(&mut |i| { self.$name.remove(i); }),*];
+                families[family](i);
+            }
+        }
+    };
+}
+
+fault_families! {
+    /// AP crash/reboot windows; the payload is the AP.
+    ap_outages: usize,
     /// Backhaul impairment windows.
-    pub backhaul: Vec<BackhaulFault>,
-    /// Controller-link partitions.
-    pub partitions: Vec<PartitionWindow>,
-    /// Controller crash/restart windows.
-    pub controller_crashes: Vec<ControllerOutage>,
-    /// Controller failover windows: the primary crashes at `from` with a
-    /// warm standby armed to take over, and wakes as a zombie at `until`.
-    pub controller_failovers: Vec<ControllerOutage>,
-    /// Journal replication lag windows.
-    pub journal_lag: Vec<JournalLagWindow>,
-    /// CSI-report drop windows.
-    pub csi_drops: Vec<CsiDropWindow>,
-    /// Backhaul duplication windows.
-    pub duplication: Vec<DupWindow>,
-    /// Backhaul reordering windows.
-    pub reordering: Vec<ReorderWindow>,
-    /// Seam-migration frame loss windows.
-    pub migration_loss: Vec<MigrationFaultWindow>,
-    /// Seam-migration frame duplication windows.
-    pub migration_dup: Vec<MigrationFaultWindow>,
+    backhaul: BackhaulFault,
+    /// Controller-link partitions; the payload is the AP cut off.
+    partitions: usize,
+    /// Cold controller crash/restart windows.
+    controller_crashes: (),
+    /// Controller failover windows (a warm standby is armed).
+    controller_failovers: (),
+    /// Journal replication lag windows; the added one-way delay.
+    journal_lag: SimDuration,
+    /// CSI-report drop windows; the per-report drop probability.
+    csi_drops: f64,
+    /// Backhaul duplication windows; the per-message probability.
+    duplication: f64,
+    /// Backhaul reordering windows; the per-message probability and the
+    /// maximum hold-back.
+    reordering: (f64, SimDuration),
+    /// Seam-migration frame loss windows; the per-frame probability.
+    migration_loss: f64,
+    /// Seam-migration frame duplication windows; the per-frame probability.
+    migration_dup: f64,
+}
+
+/// The payloads of `family`'s windows open at `t`, in insertion order — the
+/// one iterator every query folds over.
+fn active<T>(family: &[Window<T>], t: SimTime) -> impl Iterator<Item = &T> {
+    family
+        .iter()
+        .filter(move |w| w.from <= t && t < w.until)
+        .map(|w| &w.what)
+}
+
+/// Probability that at least one of the independent events `probs` fires:
+/// `1 − Π(1 − p)`, multiplied in iteration (= insertion) order. A plain
+/// loop: `fold` over the filtered iterator measured ≈ 1 ns a lookup slower.
+fn any_of(probs: impl Iterator<Item = f64>) -> f64 {
+    let mut keep = 1.0;
+    for p in probs {
+        keep *= 1.0 - p;
+    }
+    1.0 - keep
+}
+
+/// The one checked insert every builder reaches. Panics on an empty window;
+/// on a probability outside `[0, 1]` (NaN included: lookups rely on the
+/// range and do not clamp); and, when the family's windows claim their
+/// target exclusively (`rival` is the sibling family on the same timeline,
+/// empty if there is none), on a window overlapping an existing one with
+/// the same `what` — silently stacking crash windows would make one target
+/// crash "twice" at once and fire reboot edges inside a later outage. The
+/// panic location is the builder's line, which names the family.
+#[track_caller]
+fn push<T: Copy + PartialEq>(
+    family: &mut Vec<Window<T>>,
+    rival: Option<&[Window<T>]>,
+    from: SimTime,
+    until: SimTime,
+    what: T,
+    prob: Option<f64>,
+) {
+    assert!(from < until, "fault window must be non-empty");
+    assert!(
+        prob.map_or(true, |p| (0.0..=1.0).contains(&p)),
+        "fault probability must be in [0, 1], got {prob:?}"
+    );
+    if let Some(rival) = rival {
+        for o in family.iter().chain(rival).filter(|o| o.what == what) {
+            assert!(
+                until <= o.from || o.until <= from,
+                "fault window [{from}, {until}) overlaps existing [{}, {}) on the same target",
+                o.from,
+                o.until
+            );
+        }
+    }
+    family.push(Window { from, until, what });
 }
 
 impl FaultSchedule {
@@ -232,112 +210,46 @@ impl FaultSchedule {
         self.window_count() == 0
     }
 
-    /// Total number of fault windows across every family. The exhaustive
-    /// destructure makes adding a window family without counting it here a
-    /// compile error — `is_empty` (the healthy fast path) and the storm
-    /// shrinker both lean on this being complete.
+    /// Total number of fault windows across every family.
     pub fn window_count(&self) -> usize {
-        let Self {
-            ap_outages,
-            backhaul,
-            partitions,
-            controller_crashes,
-            controller_failovers,
-            journal_lag,
-            csi_drops,
-            duplication,
-            reordering,
-            migration_loss,
-            migration_dup,
-        } = self;
-        ap_outages.len()
-            + backhaul.len()
-            + partitions.len()
-            + controller_crashes.len()
-            + controller_failovers.len()
-            + journal_lag.len()
-            + csi_drops.len()
-            + duplication.len()
-            + reordering.len()
-            + migration_loss.len()
-            + migration_dup.len()
+        self.family_lens().sum()
     }
 
-    /// Asserts a new `[from, until)` window is non-empty and disjoint from
-    /// every existing window of the same kind on the same target. Silently
-    /// stacking overlapping crash windows would make one target crash
-    /// "twice" at once and fire reboot edges inside a later outage.
-    fn assert_window(
-        kind: &str,
-        existing: impl Iterator<Item = (SimTime, SimTime)>,
-        from: SimTime,
-        until: SimTime,
-    ) {
-        assert!(from < until, "{kind} window must be non-empty");
-        for (f, u) in existing {
-            assert!(
-                until <= f || u <= from,
-                "{kind} window [{from}, {until}) overlaps existing [{f}, {u}) on the same target"
-            );
-        }
-    }
-
-    /// Adds an AP outage window (builder style). Panics on a zero-length
-    /// window or one overlapping an existing outage of the same AP.
+    /// Adds an AP outage window (builder style): the AP is dead in
+    /// `[from, until)` and reboots, all soft state lost, at `until`. Panics
+    /// on a zero-length window or one overlapping an existing outage of
+    /// the same AP.
     pub fn with_ap_outage(mut self, ap: usize, from: SimTime, until: SimTime) -> Self {
-        Self::assert_window(
-            "outage",
-            self.ap_outages
-                .iter()
-                .filter(|o| o.ap == ap)
-                .map(|o| (o.from, o.until)),
-            from,
-            until,
-        );
-        self.ap_outages.push(ApOutage { ap, from, until });
+        push(&mut self.ap_outages, Some(&[]), from, until, ap, None);
         self
     }
 
     /// Adds a backhaul impairment window (builder style).
-    pub fn with_backhaul_fault(mut self, fault: BackhaulFault) -> Self {
-        assert!(
-            fault.from < fault.until,
-            "backhaul window must be non-empty"
-        );
-        self.backhaul.push(fault);
+    pub fn with_backhaul_fault(mut self, from: SimTime, until: SimTime, f: BackhaulFault) -> Self {
+        let p = Some(f.extra_loss_prob);
+        push(&mut self.backhaul, None, from, until, f, p);
         self
     }
 
-    /// Adds a controller-link partition window (builder style). Panics on
-    /// a zero-length window or one overlapping an existing partition of
-    /// the same AP.
+    /// Adds a controller-link partition window (builder style): the AP's
+    /// radio keeps running but nothing crosses the wire between it and the
+    /// controller. Panics on a zero-length window or one overlapping an
+    /// existing partition of the same AP.
     pub fn with_partition(mut self, ap: usize, from: SimTime, until: SimTime) -> Self {
-        Self::assert_window(
-            "partition",
-            self.partitions
-                .iter()
-                .filter(|p| p.ap == ap)
-                .map(|p| (p.from, p.until)),
-            from,
-            until,
-        );
-        self.partitions.push(PartitionWindow { ap, from, until });
+        push(&mut self.partitions, Some(&[]), from, until, ap, None);
         self
     }
 
-    /// Adds a controller crash/restart window (builder style). Panics on a
-    /// zero-length window or one overlapping an existing controller
-    /// outage — there is only one controller, so its windows must be
-    /// disjoint.
+    /// Adds a controller crash/restart window (builder style): the
+    /// controller process is dead in `[from, until)` — it sends nothing,
+    /// drops every AP report delivered to it, fires no switch timeouts —
+    /// and restarts with all soft state lost at `until`, when it must
+    /// resynchronise from the APs before issuing new switches. Panics on a
+    /// zero-length window or one overlapping an existing controller window
+    /// of either kind — there is only one controller process timeline.
     pub fn with_controller_crash(mut self, from: SimTime, until: SimTime) -> Self {
-        Self::assert_window(
-            "controller crash",
-            self.controller_crashes.iter().map(|o| (o.from, o.until)),
-            from,
-            until,
-        );
-        self.controller_crashes
-            .push(ControllerOutage { from, until });
+        let rival = Some(&self.controller_failovers[..]);
+        push(&mut self.controller_crashes, rival, from, until, (), None);
         self
     }
 
@@ -346,38 +258,30 @@ impl FaultSchedule {
     /// ex-primary wakes as a zombie at `until` (it does *not* resume the
     /// controller role — the standby holds the reign by then, and the
     /// zombie's stale-term frames must be fenced by the AP term guards).
-    /// Panics on a zero-length window or one overlapping any existing
-    /// controller window of either kind — there is only one controller
-    /// process timeline.
+    /// Panics as [`FaultSchedule::with_controller_crash`] does.
     pub fn with_controller_failover(mut self, from: SimTime, until: SimTime) -> Self {
-        Self::assert_window(
-            "controller failover",
-            self.controller_crashes
-                .iter()
-                .chain(self.controller_failovers.iter())
-                .map(|o| (o.from, o.until)),
-            from,
-            until,
-        );
-        self.controller_failovers
-            .push(ControllerOutage { from, until });
+        let rival = Some(&self.controller_crashes[..]);
+        push(&mut self.controller_failovers, rival, from, until, (), None);
         self
     }
 
-    /// Adds a journal replication lag window (builder style).
+    /// Adds a journal replication lag window (builder style): every
+    /// primary→standby journal batch suffers `extra` additional one-way
+    /// delay on top of the backhaul model (a congested replication link).
+    /// Lag close to the standby's takeover timeout widens the window of
+    /// journal state the takeover never saw — the knob the replication
+    /// bench sweeps.
     pub fn with_journal_lag(mut self, from: SimTime, until: SimTime, extra: SimDuration) -> Self {
-        assert!(from < until, "journal lag window must be non-empty");
         assert!(extra > SimDuration::ZERO, "journal lag must be > 0");
-        self.journal_lag
-            .push(JournalLagWindow { from, until, extra });
+        push(&mut self.journal_lag, None, from, until, extra, None);
         self
     }
 
     /// Adds a rapid crash/reboot **flapping** burst for one AP (builder
     /// style): starting at `from`, the AP cycles with period `period`,
     /// spending the first `duty` fraction of each cycle down, until the
-    /// cycle start reaches `until`. Each down-phase is an ordinary
-    /// [`ApOutage`], so the usual overlap validation applies against any
+    /// cycle start reaches `until`. Each down-phase is an ordinary outage
+    /// window, so the usual overlap validation applies against any
     /// pre-existing outages of the same AP.
     pub fn with_ap_flapping(
         mut self,
@@ -402,58 +306,49 @@ impl FaultSchedule {
         self
     }
 
-    /// Adds a CSI drop window (builder style).
-    pub fn with_csi_drops(mut self, from: SimTime, until: SimTime, drop_prob: f64) -> Self {
-        assert!(from < until, "csi window must be non-empty");
-        self.csi_drops.push(CsiDropWindow {
-            from,
-            until,
-            drop_prob,
-        });
+    /// Adds a CSI drop window (builder style): each CSI report is
+    /// independently discarded with probability `prob` (a flaky CSI
+    /// extraction tool).
+    pub fn with_csi_drops(mut self, from: SimTime, until: SimTime, prob: f64) -> Self {
+        push(&mut self.csi_drops, None, from, until, prob, Some(prob));
         self
     }
 
-    /// Adds a backhaul duplication window (builder style).
-    pub fn with_duplication(mut self, from: SimTime, until: SimTime, dup_prob: f64) -> Self {
-        assert!(from < until, "duplication window must be non-empty");
-        self.duplication.push(DupWindow {
-            from,
-            until,
-            dup_prob,
-        });
+    /// Adds a backhaul duplication window (builder style): each delivered
+    /// message is independently delivered a *second* time with probability
+    /// `prob`, the copy trailing the original by one extra jitter sample (a
+    /// kernel-datapath retransmit under load, cf. bridged-AP duplication).
+    pub fn with_duplication(mut self, from: SimTime, until: SimTime, prob: f64) -> Self {
+        push(&mut self.duplication, None, from, until, prob, Some(prob));
         self
     }
 
-    /// Adds a backhaul reordering window (builder style).
+    /// Adds a backhaul reordering window (builder style): each delivered
+    /// message is independently held back with probability `prob` by a
+    /// uniform draw from `(0, hold]`, letting messages sent just after it
+    /// overtake it — order swaps bounded by `hold`.
     pub fn with_reordering(
         mut self,
         from: SimTime,
         until: SimTime,
-        reorder_prob: f64,
-        window: SimDuration,
+        prob: f64,
+        hold: SimDuration,
     ) -> Self {
-        assert!(from < until, "reordering window must be non-empty");
-        assert!(window > SimDuration::ZERO, "reorder hold-back must be > 0");
-        self.reordering.push(ReorderWindow {
-            from,
-            until,
-            reorder_prob,
-            window,
-        });
+        assert!(hold > SimDuration::ZERO, "reorder hold-back must be > 0");
+        let p = Some(prob);
+        push(&mut self.reordering, None, from, until, (prob, hold), p);
         self
     }
 
     /// Adds a seam-migration frame **loss** window (builder style): each
-    /// migration frame sent across a shard seam while the window is open
-    /// is independently dropped with probability `prob`.
+    /// inter-controller migration frame (prepare, commit, residue forward,
+    /// or ack) sent across a shard seam while the window is open is
+    /// independently dropped with probability `prob`. Seam windows touch
+    /// only the controller-to-controller transfer channel, never
+    /// AP-to-controller traffic.
     pub fn with_migration_loss(mut self, from: SimTime, until: SimTime, prob: f64) -> Self {
-        assert!(from < until, "migration loss window must be non-empty");
-        assert!(
-            (0.0..=1.0).contains(&prob) && prob > 0.0,
-            "migration loss probability must be in (0, 1]"
-        );
-        self.migration_loss
-            .push(MigrationFaultWindow { from, until, prob });
+        let p = Some(prob);
+        push(&mut self.migration_loss, None, from, until, prob, p);
         self
     }
 
@@ -462,31 +357,19 @@ impl FaultSchedule {
     /// open is independently delivered a second time with probability
     /// `prob` — the retry/idempotence machinery must absorb the copy.
     pub fn with_migration_dup(mut self, from: SimTime, until: SimTime, prob: f64) -> Self {
-        assert!(from < until, "migration dup window must be non-empty");
-        assert!(
-            (0.0..=1.0).contains(&prob) && prob > 0.0,
-            "migration dup probability must be in (0, 1]"
-        );
-        self.migration_dup
-            .push(MigrationFaultWindow { from, until, prob });
+        push(&mut self.migration_dup, None, from, until, prob, Some(prob));
         self
     }
 
     /// Whether AP `ap` is dead at `t`.
     pub fn ap_down(&self, ap: usize, t: SimTime) -> bool {
-        self.ap_outages
-            .iter()
-            .any(|o| o.ap == ap && o.from <= t && t < o.until)
+        active(&self.ap_outages, t).any(|&a| a == ap)
     }
 
     /// Whether AP `ap` is cut off from the controller at `t` (either
     /// explicitly partitioned or outright dead).
     pub fn partitioned(&self, ap: usize, t: SimTime) -> bool {
-        self.ap_down(ap, t)
-            || self
-                .partitions
-                .iter()
-                .any(|p| p.ap == ap && p.from <= t && t < p.until)
+        self.ap_down(ap, t) || active(&self.partitions, t).any(|&a| a == ap)
     }
 
     /// Whether the central controller is dead at `t`.
@@ -496,20 +379,23 @@ impl FaultSchedule {
     /// liveness there is runtime state the simulator tracks itself, not a
     /// schedule-derivable fact.
     pub fn controller_down(&self, t: SimTime) -> bool {
-        self.controller_crashes
-            .iter()
-            .any(|o| o.from <= t && t < o.until)
+        active(&self.controller_crashes, t).next().is_some()
+    }
+
+    /// Whether any controller failover is scheduled — what arms the
+    /// warm-standby machinery.
+    pub fn has_failover(&self) -> bool {
+        !self.controller_failovers.is_empty()
+    }
+
+    /// Whether the controller crashes at all, cold or with a standby armed.
+    pub fn has_controller_fault(&self) -> bool {
+        self.has_failover() || !self.controller_crashes.is_empty()
     }
 
     /// Extra one-way journal delivery delay at `t` (windows sum).
     pub fn journal_lag_at(&self, t: SimTime) -> SimDuration {
-        let mut extra = SimDuration::ZERO;
-        for w in &self.journal_lag {
-            if w.from <= t && t < w.until {
-                extra += w.extra;
-            }
-        }
-        extra
+        active(&self.journal_lag, t).fold(SimDuration::ZERO, |sum, &extra| sum + extra)
     }
 
     /// The combined backhaul impairment at `t`. Loss, duplication, and
@@ -517,97 +403,58 @@ impl FaultSchedule {
     /// jitter add; the reorder hold-back takes the widest window.
     pub fn backhaul_at(&self, t: SimTime) -> BackhaulImpairment {
         let mut imp = BackhaulImpairment::default();
-        let mut keep = 1.0f64;
-        for f in &self.backhaul {
-            if f.from <= t && t < f.until {
-                keep *= 1.0 - f.extra_loss_prob.clamp(0.0, 1.0);
-                imp.extra_latency += f.extra_latency;
-                imp.extra_jitter_mean += f.extra_jitter_mean;
-            }
+        let (mut keep, mut in_order) = (1.0, 1.0);
+        for f in active(&self.backhaul, t) {
+            keep *= 1.0 - f.extra_loss_prob;
+            imp.extra_latency += f.extra_latency;
+            imp.extra_jitter_mean += f.extra_jitter_mean;
+        }
+        for &(prob, hold) in active(&self.reordering, t) {
+            in_order *= 1.0 - prob;
+            imp.reorder_window = imp.reorder_window.max(hold);
         }
         imp.extra_loss_prob = 1.0 - keep;
-        let mut no_dup = 1.0f64;
-        for w in &self.duplication {
-            if w.from <= t && t < w.until {
-                no_dup *= 1.0 - w.dup_prob.clamp(0.0, 1.0);
-            }
-        }
-        imp.dup_prob = 1.0 - no_dup;
-        let mut no_reorder = 1.0f64;
-        for w in &self.reordering {
-            if w.from <= t && t < w.until {
-                no_reorder *= 1.0 - w.reorder_prob.clamp(0.0, 1.0);
-                imp.reorder_window = imp.reorder_window.max(w.window);
-            }
-        }
-        imp.reorder_prob = 1.0 - no_reorder;
+        imp.dup_prob = any_of(active(&self.duplication, t).copied());
+        imp.reorder_prob = 1.0 - in_order;
         imp
     }
 
     /// CSI-report drop probability at `t` (independent windows compose).
     pub fn csi_drop_prob(&self, t: SimTime) -> f64 {
-        let mut keep = 1.0f64;
-        for w in &self.csi_drops {
-            if w.from <= t && t < w.until {
-                keep *= 1.0 - w.drop_prob.clamp(0.0, 1.0);
-            }
-        }
-        1.0 - keep
+        any_of(active(&self.csi_drops, t).copied())
     }
 
     /// Seam-migration frame loss probability at `t` (independent windows
     /// compose). Zero when no window is open, so fault-free seams never
     /// consume randomness.
     pub fn migration_loss_prob(&self, t: SimTime) -> f64 {
-        Self::migration_prob_at(&self.migration_loss, t)
+        any_of(active(&self.migration_loss, t).copied())
     }
 
     /// Seam-migration frame duplication probability at `t` (independent
     /// windows compose).
     pub fn migration_dup_prob(&self, t: SimTime) -> f64 {
-        Self::migration_prob_at(&self.migration_dup, t)
-    }
-
-    fn migration_prob_at(windows: &[MigrationFaultWindow], t: SimTime) -> f64 {
-        let mut keep = 1.0f64;
-        for w in windows {
-            if w.from <= t && t < w.until {
-                keep *= 1.0 - w.prob.clamp(0.0, 1.0);
-            }
-        }
-        1.0 - keep
+        any_of(active(&self.migration_dup, t).copied())
     }
 
     /// All crash/reboot edges in time order, for scheduling simulator
-    /// events. Ties break crash-before-reboot, then by AP index with the
-    /// controller ordered after every AP, so event priming is
-    /// deterministic.
+    /// events. Ties break in [`FaultEdge`]'s declaration order, so event
+    /// priming is deterministic.
     pub fn edges(&self) -> Vec<(SimTime, FaultEdge)> {
         let mut edges: Vec<(SimTime, FaultEdge)> = Vec::new();
-        for o in &self.ap_outages {
-            edges.push((o.from, FaultEdge::Crash(o.ap)));
-            edges.push((o.until, FaultEdge::Reboot(o.ap)));
+        for w in &self.ap_outages {
+            edges.push((w.from, FaultEdge::Crash(w.what)));
+            edges.push((w.until, FaultEdge::Reboot(w.what)));
         }
-        for o in &self.controller_crashes {
-            edges.push((o.from, FaultEdge::ControllerCrash));
-            edges.push((o.until, FaultEdge::ControllerRecover));
+        for w in &self.controller_crashes {
+            edges.push((w.from, FaultEdge::ControllerCrash));
+            edges.push((w.until, FaultEdge::ControllerRecover));
         }
-        for o in &self.controller_failovers {
-            edges.push((o.from, FaultEdge::ControllerCrash));
-            edges.push((o.until, FaultEdge::ZombieWake));
+        for w in &self.controller_failovers {
+            edges.push((w.from, FaultEdge::ControllerCrash));
+            edges.push((w.until, FaultEdge::ZombieWake));
         }
-        edges.sort_by_key(|&(t, e)| {
-            (
-                t,
-                match e {
-                    FaultEdge::Crash(ap) => (0, ap),
-                    FaultEdge::ControllerCrash => (0, usize::MAX),
-                    FaultEdge::Reboot(ap) => (1, ap),
-                    FaultEdge::ControllerRecover => (1, usize::MAX),
-                    FaultEdge::ZombieWake => (2, usize::MAX),
-                },
-            )
-        });
+        edges.sort();
         edges
     }
 
@@ -639,8 +486,7 @@ impl FaultSchedule {
                 }
                 let len = rng.range(outage_len.start.as_secs_f64()..outage_len.end.as_secs_f64());
                 let from = SimTime::ZERO + SimDuration::from_secs_f64(t);
-                let until = from + SimDuration::from_secs_f64(len);
-                sched.ap_outages.push(ApOutage { ap, from, until });
+                sched = sched.with_ap_outage(ap, from, from + SimDuration::from_secs_f64(len));
                 // Next crash can only happen after the reboot.
                 t += len;
             }
@@ -700,20 +546,24 @@ mod tests {
     #[test]
     fn backhaul_windows_compose() {
         let s = FaultSchedule::new()
-            .with_backhaul_fault(BackhaulFault {
-                from: t(0),
-                until: t(1000),
-                extra_loss_prob: 0.5,
-                extra_latency: SimDuration::from_millis(1),
-                extra_jitter_mean: SimDuration::from_micros(200),
-            })
-            .with_backhaul_fault(BackhaulFault {
-                from: t(500),
-                until: t(1500),
-                extra_loss_prob: 0.5,
-                extra_latency: SimDuration::from_millis(2),
-                extra_jitter_mean: SimDuration::ZERO,
-            });
+            .with_backhaul_fault(
+                t(0),
+                t(1000),
+                BackhaulFault {
+                    extra_loss_prob: 0.5,
+                    extra_latency: SimDuration::from_millis(1),
+                    extra_jitter_mean: SimDuration::from_micros(200),
+                },
+            )
+            .with_backhaul_fault(
+                t(500),
+                t(1500),
+                BackhaulFault {
+                    extra_loss_prob: 0.5,
+                    extra_latency: SimDuration::from_millis(2),
+                    extra_jitter_mean: SimDuration::ZERO,
+                },
+            );
         let early = s.backhaul_at(t(100));
         assert!((early.extra_loss_prob - 0.5).abs() < 1e-12);
         assert_eq!(early.extra_latency, SimDuration::from_millis(1));
@@ -796,7 +646,7 @@ mod tests {
         // All windows well-formed and inside a sane horizon.
         for o in &a.ap_outages {
             assert!(o.from < o.until);
-            assert!(o.ap < 4);
+            assert!(o.what < 4);
         }
     }
 
@@ -828,12 +678,6 @@ mod tests {
                 (t(400), FaultEdge::ControllerRecover),
             ]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "must be non-empty")]
-    fn zero_length_controller_crash_rejected() {
-        let _ = FaultSchedule::new().with_controller_crash(t(100), t(100));
     }
 
     #[test]
@@ -901,6 +745,88 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "overlaps existing")]
+    fn cold_crash_overlapping_failover_rejected() {
+        let _ = FaultSchedule::new()
+            .with_controller_failover(t(100), t(400))
+            .with_controller_crash(t(200), t(300));
+    }
+
+    /// Every builder reaches the one checked `push`: a zero-length window
+    /// panics in all twelve, and a probability outside `[0, 1]` (NaN
+    /// included) in the seven that take one. Zero and one are legal.
+    #[test]
+    fn every_builder_validates_its_window_and_probability() {
+        type Build = fn(SimTime, SimTime, f64) -> FaultSchedule;
+        const MS: SimDuration = SimDuration::from_millis(1);
+        fn new() -> FaultSchedule {
+            FaultSchedule::new()
+        }
+        let builders: [(&str, bool, Build); 12] = [
+            ("ap_outage", false, |f, u, _| new().with_ap_outage(0, f, u)),
+            ("ap_flapping", false, |f, u, _| {
+                new().with_ap_flapping(0, f, u, MS, 0.5)
+            }),
+            ("partition", false, |f, u, _| new().with_partition(0, f, u)),
+            ("controller_crash", false, |f, u, _| {
+                new().with_controller_crash(f, u)
+            }),
+            ("controller_failover", false, |f, u, _| {
+                new().with_controller_failover(f, u)
+            }),
+            ("journal_lag", false, |f, u, _| {
+                new().with_journal_lag(f, u, MS)
+            }),
+            ("backhaul_fault", true, |f, u, extra_loss_prob| {
+                let fault = BackhaulFault {
+                    extra_loss_prob,
+                    extra_latency: MS,
+                    extra_jitter_mean: MS,
+                };
+                new().with_backhaul_fault(f, u, fault)
+            }),
+            ("csi_drops", true, |f, u, p| new().with_csi_drops(f, u, p)),
+            ("duplication", true, |f, u, p| {
+                new().with_duplication(f, u, p)
+            }),
+            ("reordering", true, |f, u, p| {
+                new().with_reordering(f, u, p, MS)
+            }),
+            ("migration_loss", true, |f, u, p| {
+                new().with_migration_loss(f, u, p)
+            }),
+            ("migration_dup", true, |f, u, p| {
+                new().with_migration_dup(f, u, p)
+            }),
+        ];
+        let panic_of = |build: Build, from, until, p| {
+            let err = std::panic::catch_unwind(|| build(from, until, p)).err()?;
+            let literal = err.downcast_ref::<&str>().map(|m| m.to_string());
+            literal.or_else(|| err.downcast_ref::<String>().cloned())
+        };
+        for (name, takes_prob, build) in builders {
+            for p in [0.0, 1.0] {
+                assert_eq!(panic_of(build, t(0), t(100), p), None, "{name}, p = {p}");
+            }
+            let msg = panic_of(build, t(100), t(100), 0.5);
+            assert!(
+                msg.as_deref()
+                    .is_some_and(|m| m.contains("must be non-empty")),
+                "{name}, zero-length window: {msg:?}"
+            );
+            for p in [-0.1, 1.5, f64::NAN] {
+                let msg = panic_of(build, t(0), t(100), p);
+                assert_eq!(msg.is_some(), takes_prob, "{name}, p = {p}: {msg:?}");
+                assert!(
+                    msg.iter()
+                        .all(|m| m.contains("probability must be in [0, 1]")),
+                    "{name}, p = {p}: {msg:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn journal_lag_windows_sum() {
         let s = FaultSchedule::new()
             .with_journal_lag(t(0), t(100), SimDuration::from_millis(5))
@@ -965,18 +891,6 @@ mod tests {
         assert!(!s.ap_down(0, t(700)));
         assert!(!s.controller_down(t(700)));
         assert!(s.edges().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "must be non-empty")]
-    fn zero_length_migration_loss_rejected() {
-        let _ = FaultSchedule::new().with_migration_loss(t(100), t(100), 0.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability must be in")]
-    fn out_of_range_migration_dup_rejected() {
-        let _ = FaultSchedule::new().with_migration_dup(t(0), t(100), 1.5);
     }
 
     #[test]

@@ -40,11 +40,7 @@ pub mod storm;
 pub mod time;
 
 pub use engine::{Ctx, EnginePerf, Simulator, World};
-pub use fault::{
-    ApOutage, BackhaulFault, BackhaulImpairment, ControllerOutage, CsiDropWindow, DupWindow,
-    FaultEdge, FaultSchedule, JournalLagWindow, MigrationFaultWindow, PartitionWindow,
-    ReorderWindow,
-};
+pub use fault::{BackhaulFault, BackhaulImpairment, FaultEdge, FaultSchedule};
 pub use lockstep::LockstepShard;
 pub use queue::{EventKey, EventQueue};
 pub use rng::SimRng;

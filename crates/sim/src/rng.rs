@@ -153,13 +153,6 @@ impl SimRng {
         -mean * u.ln()
     }
 
-    /// Rayleigh-distributed amplitude with scale `sigma`
-    /// (mean power = `2*sigma^2`).
-    pub fn rayleigh(&mut self, sigma: f64) -> f64 {
-        let u: f64 = 1.0 - self.unit();
-        sigma * (-2.0 * u.ln()).sqrt()
-    }
-
     /// Rician-distributed amplitude with K-factor `k` (linear, not dB) and
     /// total mean power `omega`.
     ///
@@ -333,15 +326,6 @@ mod tests {
         assert!((mean - 3.0).abs() < 0.15, "mean {mean}");
         // Exponential samples are non-negative.
         assert!((0..100).all(|_| r.exponential(1.0) >= 0.0));
-    }
-
-    #[test]
-    fn rayleigh_mean_power() {
-        let mut r = SimRng::new(17);
-        let sigma = 1.5;
-        let n = 20_000;
-        let pwr = (0..n).map(|_| r.rayleigh(sigma).powi(2)).sum::<f64>() / n as f64;
-        assert!((pwr - 2.0 * sigma * sigma).abs() < 0.2, "power {pwr}");
     }
 
     #[test]

@@ -104,11 +104,6 @@ impl Ewma {
         self.value
     }
 
-    /// Current average or the provided default.
-    pub fn value_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
-    }
-
     /// Discards all state.
     pub fn reset(&mut self) {
         self.value = None;
@@ -171,11 +166,6 @@ impl TimeWindow {
     /// True if the window holds no samples.
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Time of the newest sample, if any.
-    pub fn newest_time(&self) -> Option<SimTime> {
-        self.samples.back().map(|&(t, _)| t)
     }
 
     /// Median of the values currently inside the window.
@@ -295,73 +285,6 @@ impl BinnedSeries {
     }
 }
 
-/// Streaming mean/std/min/max accumulator (Welford's algorithm) for metrics
-/// too large to buffer.
-#[derive(Debug, Clone, Default)]
-pub struct Accumulator {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Accumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Accumulator {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Feeds an observation.
-    pub fn add(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Running mean; `0.0` if empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population standard deviation; `0.0` for fewer than two samples.
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).sqrt()
-        }
-    }
-
-    /// Smallest observation; `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation; `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,7 +331,7 @@ mod tests {
         assert_eq!(e.update(0.0), 5.0);
         assert_eq!(e.update(5.0), 5.0);
         e.reset();
-        assert_eq!(e.value_or(-1.0), -1.0);
+        assert_eq!(e.value(), None);
     }
 
     #[test]
@@ -463,12 +386,11 @@ mod tests {
     #[test]
     fn time_window_empty_statistics() {
         // A never-filled and a fully-evicted window agree: no median, no
-        // mean, no latest, no newest_time.
+        // mean, no latest.
         let mut w = TimeWindow::new(SimDuration::from_millis(10));
         assert_eq!(w.median(), None);
         assert_eq!(w.mean(), None);
         assert_eq!(w.latest(), None);
-        assert_eq!(w.newest_time(), None);
         w.push(SimTime::from_millis(1), 4.0);
         w.evict(SimTime::from_secs(1));
         assert!(w.is_empty());
@@ -501,22 +423,5 @@ mod tests {
         let rates = s.rates();
         assert!((rates[0].1 - 2000.0).abs() < 1e-9);
         assert_eq!(s.total(), 250.0);
-    }
-
-    #[test]
-    fn accumulator_matches_batch() {
-        let xs = [3.0, 7.0, 7.0, 19.0];
-        let mut acc = Accumulator::new();
-        for &x in &xs {
-            acc.add(x);
-        }
-        assert_eq!(acc.count(), 4);
-        assert!((acc.mean() - mean(&xs)).abs() < 1e-12);
-        assert!((acc.std_dev() - std_dev(&xs)).abs() < 1e-12);
-        assert_eq!(acc.min(), Some(3.0));
-        assert_eq!(acc.max(), Some(19.0));
-        let empty = Accumulator::new();
-        assert_eq!(empty.min(), None);
-        assert_eq!(empty.mean(), 0.0);
     }
 }

@@ -15,7 +15,7 @@
 //! remaining window makes the failure disappear — which turns a
 //! forty-window storm into the two or three windows that actually matter.
 
-use crate::fault::FaultSchedule;
+use crate::fault::{BackhaulFault, FaultSchedule};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 
@@ -122,116 +122,78 @@ pub fn random_storm(cfg: &StormConfig, rng: &mut SimRng) -> Vec<FaultSchedule> {
         cfg.duration > SimDuration::ZERO,
         "storm horizon must be non-empty"
     );
+    let backhaul = BackhaulFault {
+        extra_loss_prob: cfg.backhaul_loss,
+        extra_latency: cfg.backhaul_latency,
+        extra_jitter_mean: SimDuration::ZERO,
+    };
     let mut storms = Vec::with_capacity(cfg.shards);
     for shard in 0..cfg.shards {
         let mut rng = rng.fork_indexed("storm-shard", shard as u64);
-        let mut s = FaultSchedule::new();
-        // AP flapping bursts, each on a distinct AP so the per-AP outage
-        // overlap validation can never trip.
+        // Flap bursts each take a distinct AP, so the per-AP outage overlap
+        // validation can never trip.
         let mut aps: Vec<usize> = (0..cfg.n_aps).collect();
         rng.shuffle(&mut aps);
-        for &ap in aps.iter().take(cfg.flap_bursts) {
-            let (from, until) = rand_window(&mut rng, cfg.duration, &cfg.window_len);
-            s = s.with_ap_flapping(ap, from, until, cfg.flap_period, cfg.flap_duty);
-        }
-        for _ in 0..cfg.backhaul_windows {
-            let (from, until) = rand_window(&mut rng, cfg.duration, &cfg.window_len);
-            s = s.with_backhaul_fault(crate::fault::BackhaulFault {
-                from,
-                until,
-                extra_loss_prob: cfg.backhaul_loss,
-                extra_latency: cfg.backhaul_latency,
-                extra_jitter_mean: SimDuration::ZERO,
-            });
-        }
-        for _ in 0..cfg.dup_windows {
-            let (from, until) = rand_window(&mut rng, cfg.duration, &cfg.window_len);
-            s = s.with_duplication(from, until, cfg.dup_prob);
-        }
-        for _ in 0..cfg.reorder_windows {
-            let (from, until) = rand_window(&mut rng, cfg.duration, &cfg.window_len);
-            s = s.with_reordering(from, until, cfg.reorder_prob, cfg.reorder_hold);
-        }
-        // Failover windows share one controller timeline, so they are
-        // placed by walking a cursor forward — guaranteed disjoint.
+        let mut aps = aps.into_iter();
+        // One row per family, in draw order: window count, the fixed length
+        // of a family whose windows share one timeline (`None`: anywhere,
+        // lengths from `window_len`), and the builder a window goes to.
+        type Add<'a> = &'a mut dyn FnMut(FaultSchedule, SimTime, SimTime) -> FaultSchedule;
+        let rows: [(usize, Option<SimDuration>, Add); 7] = [
+            (
+                cfg.flap_bursts.min(cfg.n_aps),
+                None,
+                &mut |s, from, until| {
+                    let Some(ap) = aps.next() else { return s };
+                    s.with_ap_flapping(ap, from, until, cfg.flap_period, cfg.flap_duty)
+                },
+            ),
+            (cfg.backhaul_windows, None, &mut |s, from, until| {
+                s.with_backhaul_fault(from, until, backhaul)
+            }),
+            (cfg.dup_windows, None, &mut |s, from, until| {
+                s.with_duplication(from, until, cfg.dup_prob)
+            }),
+            (cfg.reorder_windows, None, &mut |s, from, until| {
+                s.with_reordering(from, until, cfg.reorder_prob, cfg.reorder_hold)
+            }),
+            (
+                cfg.failovers,
+                Some(cfg.failover_len),
+                &mut |s, from, until| s.with_controller_failover(from, until),
+            ),
+            (cfg.migration_loss_windows, None, &mut |s, from, until| {
+                s.with_migration_loss(from, until, cfg.migration_loss_prob)
+            }),
+            (cfg.migration_dup_windows, None, &mut |s, from, until| {
+                s.with_migration_dup(from, until, cfg.migration_dup_prob)
+            }),
+        ];
+        let mut s = FaultSchedule::new();
         let mut cursor = SimTime::ZERO;
-        for _ in 0..cfg.failovers {
-            let slack = cfg
-                .duration
-                .as_secs_f64()
-                .min((SimTime::ZERO + cfg.duration - cursor).as_secs_f64())
-                - cfg.failover_len.as_secs_f64();
-            if slack <= 0.0 {
-                break;
+        for (count, fixed_len, add) in rows {
+            for _ in 0..count {
+                let (from, until) = match fixed_len {
+                    None => rand_window(&mut rng, cfg.duration, &cfg.window_len),
+                    // One timeline: walk a cursor forward — guaranteed
+                    // disjoint — while the horizon has room left.
+                    Some(len) => {
+                        let room = SimTime::ZERO + cfg.duration - cursor;
+                        let slack = room.as_secs_f64() - len.as_secs_f64();
+                        if slack <= 0.0 {
+                            break;
+                        }
+                        let from = cursor + SimDuration::from_secs_f64(rng.range(0.0..slack));
+                        cursor = from + len;
+                        (from, cursor)
+                    }
+                };
+                s = add(s, from, until);
             }
-            let from = cursor + SimDuration::from_secs_f64(rng.range(0.0..slack));
-            let until = from + cfg.failover_len;
-            s = s.with_controller_failover(from, until);
-            cursor = until;
-        }
-        for _ in 0..cfg.migration_loss_windows {
-            let (from, until) = rand_window(&mut rng, cfg.duration, &cfg.window_len);
-            s = s.with_migration_loss(from, until, cfg.migration_loss_prob);
-        }
-        for _ in 0..cfg.migration_dup_windows {
-            let (from, until) = rand_window(&mut rng, cfg.duration, &cfg.window_len);
-            s = s.with_migration_dup(from, until, cfg.migration_dup_prob);
         }
         storms.push(s);
     }
     storms
-}
-
-/// Number of addressable window families in a [`FaultSchedule`].
-const FAMILIES: usize = 11;
-
-fn family_len(s: &FaultSchedule, fam: usize) -> usize {
-    match fam {
-        0 => s.ap_outages.len(),
-        1 => s.backhaul.len(),
-        2 => s.partitions.len(),
-        3 => s.controller_crashes.len(),
-        4 => s.controller_failovers.len(),
-        5 => s.journal_lag.len(),
-        6 => s.csi_drops.len(),
-        7 => s.duplication.len(),
-        8 => s.reordering.len(),
-        9 => s.migration_loss.len(),
-        10 => s.migration_dup.len(),
-        _ => unreachable!("family index out of range"),
-    }
-}
-
-fn remove_window(s: &mut FaultSchedule, fam: usize, i: usize) {
-    match fam {
-        0 => drop(s.ap_outages.remove(i)),
-        1 => drop(s.backhaul.remove(i)),
-        2 => drop(s.partitions.remove(i)),
-        3 => drop(s.controller_crashes.remove(i)),
-        4 => drop(s.controller_failovers.remove(i)),
-        5 => drop(s.journal_lag.remove(i)),
-        6 => drop(s.csi_drops.remove(i)),
-        7 => drop(s.duplication.remove(i)),
-        8 => drop(s.reordering.remove(i)),
-        9 => drop(s.migration_loss.remove(i)),
-        10 => drop(s.migration_dup.remove(i)),
-        _ => unreachable!("family index out of range"),
-    }
-}
-
-fn total_windows(schedules: &[FaultSchedule]) -> usize {
-    let counted: usize = schedules.iter().map(|s| s.window_count()).sum();
-    let addressed: usize = schedules
-        .iter()
-        .map(|s| (0..FAMILIES).map(|f| family_len(s, f)).sum::<usize>())
-        .sum();
-    // A window family added to FaultSchedule but not to the shrinker's
-    // address space would silently survive every shrink — fail loudly.
-    assert_eq!(
-        counted, addressed,
-        "storm shrinker is missing a fault family"
-    );
-    counted
 }
 
 /// Minimizes a failing storm by greedy window removal: repeatedly deletes
@@ -253,11 +215,11 @@ where
     loop {
         let mut reduced = false;
         'scan: for shard in 0..schedules.len() {
-            for fam in 0..FAMILIES {
+            for (family, len) in schedules[shard].family_lens().enumerate() {
                 // Walk backwards so a removal never shifts untried indices.
-                for i in (0..family_len(&schedules[shard], fam)).rev() {
+                for i in (0..len).rev() {
                     let mut candidate = schedules.clone();
-                    remove_window(&mut candidate[shard], fam, i);
+                    candidate[shard].remove_window(family, i);
                     if fails(&candidate) {
                         schedules = candidate;
                         reduced = true;
@@ -267,7 +229,6 @@ where
             }
         }
         if !reduced {
-            let _ = total_windows(&schedules);
             return schedules;
         }
     }
@@ -287,14 +248,26 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a.len(), cfg.shards);
         // Every family the config asks for is present in every shard.
+        // and nothing else, family by family in table order.
         for s in &a {
-            assert!(!s.ap_outages.is_empty(), "no flap windows");
-            assert_eq!(s.backhaul.len(), cfg.backhaul_windows);
-            assert_eq!(s.duplication.len(), cfg.dup_windows);
-            assert_eq!(s.reordering.len(), cfg.reorder_windows);
-            assert_eq!(s.controller_failovers.len(), cfg.failovers);
-            assert_eq!(s.migration_loss.len(), cfg.migration_loss_windows);
-            assert_eq!(s.migration_dup.len(), cfg.migration_dup_windows);
+            let lens: Vec<usize> = s.family_lens().collect();
+            assert!(lens[0] > 0, "no flap windows");
+            assert_eq!(lens[1], cfg.backhaul_windows);
+            let (crashes, partitions, lag, csi) = (0, 0, 0, 0);
+            assert_eq!(
+                lens[2..],
+                [
+                    partitions,
+                    crashes,
+                    cfg.failovers,
+                    lag,
+                    csi,
+                    cfg.dup_windows,
+                    cfg.reorder_windows,
+                    cfg.migration_loss_windows,
+                    cfg.migration_dup_windows,
+                ]
+            );
         }
     }
 
@@ -318,17 +291,17 @@ mod tests {
         // Synthetic predicate: the "violation" needs a migration-loss
         // window in shard 0 AND a duplication window in shard 1 — every
         // other window is noise the shrinker must delete.
-        let fails = |ss: &[FaultSchedule]| {
-            !ss[0].migration_loss.is_empty() && !ss[1].duplication.is_empty()
-        };
+        let seam_loss = |s: &FaultSchedule| s.family_lens().nth(9).unwrap();
+        let dup = |s: &FaultSchedule| s.family_lens().nth(7).unwrap();
+        let fails = |ss: &[FaultSchedule]| seam_loss(&ss[0]) > 0 && dup(&ss[1]) > 0;
         let min = shrink(storm, fails);
         assert_eq!(
             min.iter().map(|s| s.window_count()).sum::<usize>(),
             2,
             "shrink left noise windows behind"
         );
-        assert_eq!(min[0].migration_loss.len(), 1);
-        assert_eq!(min[1].duplication.len(), 1);
+        assert_eq!(seam_loss(&min[0]), 1);
+        assert_eq!(dup(&min[1]), 1);
     }
 
     #[test]

@@ -9,7 +9,10 @@ use wgtt::net::{
     ClientId, Direction, FlowId, PacketFactory, Payload, TcpConfig, TcpReceiver, TcpSender,
 };
 use wgtt::sim::stats::TimeWindow;
-use wgtt::sim::{EventQueue, SimDuration, SimTime};
+use wgtt::sim::storm::shrink;
+use wgtt::sim::{
+    BackhaulFault, EventQueue, FaultEdge, FaultSchedule, SimDuration, SimRng, SimTime,
+};
 
 fn packet_with_index(f: &mut PacketFactory, index: u16) -> wgtt::net::Packet {
     let mut p = f.make(
@@ -308,4 +311,232 @@ proptest! {
             prop_assert!(snd.snd_una() <= rcv.rcv_nxt());
         }
     }
+}
+
+/// The eleven window families, as the test names them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Family {
+    Outage,
+    Partition,
+    Crash,
+    Failover,
+    Lag,
+    Backhaul,
+    Csi,
+    Dup,
+    Reorder,
+    SeamLoss,
+    SeamDup,
+}
+
+/// One fault window as the test added it — an entry of the flat list
+/// `fault_queries_equal_a_brute_force_fold` folds by hand. A family reads
+/// the fields it has: `ap` (outage, partition), `p` (every probability),
+/// `d` (lag, backhaul latency, reorder hold-back), `jitter` (backhaul).
+#[derive(Debug, Clone, Copy)]
+struct Added {
+    family: Family,
+    from: SimTime,
+    until: SimTime,
+    ap: usize,
+    p: f64,
+    d: SimDuration,
+    jitter: SimDuration,
+}
+
+const FAULT_APS: usize = 4;
+
+/// The one place the test names a builder per family.
+fn add_window(s: FaultSchedule, w: &Added) -> FaultSchedule {
+    let Added {
+        from, until, ap, p, ..
+    } = *w;
+    match w.family {
+        Family::Outage => s.with_ap_outage(ap, from, until),
+        Family::Partition => s.with_partition(ap, from, until),
+        Family::Crash => s.with_controller_crash(from, until),
+        Family::Failover => s.with_controller_failover(from, until),
+        Family::Lag => s.with_journal_lag(from, until, w.d),
+        Family::Backhaul => s.with_backhaul_fault(
+            from,
+            until,
+            BackhaulFault {
+                extra_loss_prob: p,
+                extra_latency: w.d,
+                extra_jitter_mean: w.jitter,
+            },
+        ),
+        Family::Csi => s.with_csi_drops(from, until, p),
+        Family::Dup => s.with_duplication(from, until, p),
+        Family::Reorder => s.with_reordering(from, until, p, w.d),
+        Family::SeamLoss => s.with_migration_loss(from, until, p),
+        Family::SeamDup => s.with_migration_dup(from, until, p),
+    }
+}
+
+fn build(list: &[Added]) -> FaultSchedule {
+    list.iter().fold(FaultSchedule::new(), add_window)
+}
+
+/// A seeded schedule over all eleven families, in shuffled insertion
+/// order: four disjoint windows per AP for outages and for partitions,
+/// four on the one controller timeline (cold crash and failover
+/// alternating), and five per stackable family of which the first three
+/// all cover `[4 s, 5 s)`.
+fn random_fault_list(seed: u64) -> Vec<Added> {
+    use Family::*;
+    let mut rng = SimRng::new(seed).fork("fault-property");
+    let mut list: Vec<Added> = Vec::new();
+    let mut add = |rng: &mut SimRng, family, ap, from_ms, until_ms| {
+        list.push(Added {
+            family,
+            from: SimTime::from_millis(from_ms),
+            until: SimTime::from_millis(until_ms),
+            ap,
+            p: rng.range(0.01..1.0),
+            d: SimDuration::from_micros(rng.range(1..5000u64)),
+            jitter: SimDuration::from_micros(rng.range(0..500u64)),
+        });
+    };
+    // Families whose windows claim a target: walk its timeline forward.
+    let timelines = (0..FAULT_APS)
+        .flat_map(|ap| [(ap, [Outage; 4]), (ap, [Partition; 4])])
+        .chain([(0, [Crash, Failover, Crash, Failover])]);
+    for (ap, families) in timelines {
+        let mut at = 0u64;
+        for family in families {
+            let from = at + rng.range(0..1500u64);
+            at = from + rng.range(1..1500u64);
+            add(&mut rng, family, ap, from, at);
+        }
+    }
+    for k in 0..5 {
+        for family in [Lag, Backhaul, Csi, Dup, Reorder, SeamLoss, SeamDup] {
+            let (from, until) = if k < 3 {
+                (rng.range(0..4000u64), rng.range(5000..10_000u64))
+            } else {
+                let from = rng.range(0..9000u64);
+                (from, from + rng.range(1..3000u64))
+            };
+            add(&mut rng, family, 0, from, until);
+        }
+    }
+    rng.shuffle(&mut list);
+    list
+}
+
+/// Every `FaultSchedule` query, on a time grid that includes each window's
+/// first and last instant and the instants either side, equals a fold over
+/// the flat list of what was added — bit for bit for the probabilities,
+/// which therefore compose in insertion order, not start order.
+#[test]
+fn fault_queries_equal_a_brute_force_fold() {
+    use Family::*;
+    for seed in 0..6 {
+        let list = random_fault_list(seed);
+        let s = build(&list);
+        assert_eq!(s.window_count(), list.len());
+        assert!(!s.is_empty());
+
+        let ns = SimDuration::from_nanos(1);
+        let mut grid: Vec<SimTime> = (0..=12_000).step_by(37).map(SimTime::from_millis).collect();
+        for w in &list {
+            grid.extend([w.from, w.from + ns, w.until, w.until + ns]);
+            grid.extend(
+                [w.from, w.until].map(|t| SimTime::from_nanos(t.as_nanos().saturating_sub(1))),
+            );
+        }
+        for t in grid {
+            // The windows of `family` open at `t`, in insertion order.
+            let active = |family: Family| {
+                list.iter()
+                    .filter(move |w| w.family == family && w.from <= t && t < w.until)
+            };
+            // `1 − Π(1 − p)`, multiplied in that order.
+            let prob = |family| 1.0 - active(family).fold(1.0f64, |keep, w| keep * (1.0 - w.p));
+            let sum = |family, of: fn(&Added) -> SimDuration| {
+                active(family).fold(SimDuration::ZERO, |sum, w| sum + of(w))
+            };
+            for ap in 0..=FAULT_APS {
+                let down = active(Outage).any(|w| w.ap == ap);
+                let cut = active(Partition).any(|w| w.ap == ap);
+                assert_eq!(s.ap_down(ap, t), down, "ap_down({ap}, {t})");
+                assert_eq!(s.partitioned(ap, t), down || cut, "partitioned({ap}, {t})");
+            }
+            let crashed = active(Crash).next().is_some();
+            assert_eq!(s.controller_down(t), crashed, "controller_down({t})");
+            assert_eq!(s.journal_lag_at(t), sum(Lag, |w| w.d), "lag at {t}");
+            let imp = s.backhaul_at(t);
+            let hold = active(Reorder).map(|w| w.d).max().unwrap_or_default();
+            assert_eq!(imp.extra_latency, sum(Backhaul, |w| w.d), "latency at {t}");
+            assert_eq!(
+                imp.extra_jitter_mean,
+                sum(Backhaul, |w| w.jitter),
+                "jitter at {t}"
+            );
+            assert_eq!(imp.reorder_window, hold, "reorder_window at {t}");
+            for (name, got, family) in [
+                ("extra_loss_prob", imp.extra_loss_prob, Backhaul),
+                ("dup_prob", imp.dup_prob, Dup),
+                ("reorder_prob", imp.reorder_prob, Reorder),
+                ("csi_drop_prob", s.csi_drop_prob(t), Csi),
+                ("migration_loss_prob", s.migration_loss_prob(t), SeamLoss),
+                ("migration_dup_prob", s.migration_dup_prob(t), SeamDup),
+            ] {
+                assert_eq!(
+                    got.to_bits(),
+                    prob(family).to_bits(),
+                    "{name} at {t} (seed {seed})"
+                );
+            }
+        }
+
+        let mut edges: Vec<(SimTime, FaultEdge)> = Vec::new();
+        for w in &list {
+            let (down, up) = match w.family {
+                Outage => (FaultEdge::Crash(w.ap), FaultEdge::Reboot(w.ap)),
+                Crash => (FaultEdge::ControllerCrash, FaultEdge::ControllerRecover),
+                Failover => (FaultEdge::ControllerCrash, FaultEdge::ZombieWake),
+                _ => continue,
+            };
+            edges.extend([(w.from, down), (w.until, up)]);
+        }
+        // Crash before reboot before zombie wake; APs by index, then the
+        // controller. No two edges share a key, so the order is total.
+        edges.sort_by_key(|&(t, e)| match e {
+            FaultEdge::Crash(ap) => (t, 0, ap),
+            FaultEdge::ControllerCrash => (t, 0, usize::MAX),
+            FaultEdge::Reboot(ap) => (t, 1, ap),
+            FaultEdge::ControllerRecover => (t, 1, usize::MAX),
+            FaultEdge::ZombieWake => (t, 2, usize::MAX),
+        });
+        assert_eq!(s.edges(), edges, "edges (seed {seed})");
+    }
+}
+
+/// The shrinker scans shard → family → newest window first and restarts
+/// after every deletion it keeps, so of several windows that each satisfy
+/// the predicate the *first inserted* is the one left standing.
+#[test]
+fn shrink_keeps_the_first_inserted_culprits() {
+    let lists = [random_fault_list(100), random_fault_list(101)];
+    let storm: Vec<FaultSchedule> = lists.iter().map(|l| build(l)).collect();
+    // At least three windows of every stackable family cover this instant.
+    let t = SimTime::from_millis(4500);
+    let fails = |ss: &[FaultSchedule]| {
+        ss[0].migration_loss_prob(t) > 0.0 && ss[1].backhaul_at(t).dup_prob > 0.0
+    };
+    let first = |list: &[Added], family: Family| {
+        let covering = || {
+            list.iter()
+                .filter(|w| w.family == family && w.from <= t && t < w.until)
+        };
+        assert!(covering().count() >= 3);
+        add_window(FaultSchedule::new(), covering().next().unwrap())
+    };
+    let want = vec![
+        first(&lists[0], Family::SeamLoss),
+        first(&lists[1], Family::Dup),
+    ];
+    assert_eq!(shrink(storm, fails), want);
 }
