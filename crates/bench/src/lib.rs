@@ -13,6 +13,8 @@
 //! --fast`, `-- list`). Host-speed and per-layer timing live in the
 //! standalone `benchmark/` package (`benchmark/run.sh`).
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod chaos;
 pub mod common;

@@ -10,6 +10,8 @@
 //! `--fast` is a quick single-seed pass; without it every experiment runs
 //! at full fidelity. Each report's JSON lands under `results/`.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use wgtt_bench::{all_experiments, ReportFn};
 

@@ -36,6 +36,8 @@
 //! println!("TCP goodput: {:.2} Mbit/s", result.downlink_bps(0) / 1e6);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ap;
 pub mod client;
 pub mod config;

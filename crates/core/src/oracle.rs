@@ -35,7 +35,7 @@ use crate::config::SystemConfig;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
-use wgtt_phy::{EsnrMemo, Modulation, Position, WirelessLink};
+use wgtt_phy::{Cplx, EsnrMemo, Modulation, Position, WirelessLink};
 use wgtt_sim::SimTime;
 
 /// Samples per chunk: ≈3.5 ms of evaluation, long enough to amortize a
@@ -88,9 +88,13 @@ pub(crate) struct Verdict {
 /// the tick, `link(ap)` the channel between `ap` and the sample's client.
 ///
 /// Memos are kept for the winner and the serving AP so the capacity
-/// integral reuses the ranking's 16-QAM integrations, and an AP whose best
-/// tone — an exact ceiling on its ESNR — sits at or below the incumbent is
-/// skipped without integrating (`e > b` would have been false regardless).
+/// integral reuses the ranking's 16-QAM integrations, and an AP is skipped
+/// as soon as a ceiling on its ESNR sits at or below the incumbent (`e > b`
+/// would have been false regardless). Three ceilings, cheapest first: the
+/// link's static headroom over its mean SNR, before any fading work; the
+/// sum of the tap gains' magnitudes, before the 56-tone response; the best
+/// tone — exact, since `esnr_db` clamps to it — before the integration.
+/// `gains` is the caller's scratch for the tap gains.
 ///
 /// `warm` is the previous winner for this client: channel coherence makes
 /// it the likely incumbent, so visiting it first lets the ceiling prunes
@@ -104,11 +108,11 @@ pub(crate) fn evaluate<'a>(
     link: impl Fn(usize) -> &'a WirelessLink,
     cfg: &SystemConfig,
     warm: &mut Option<usize>,
+    gains: &mut Vec<Cplx>,
 ) -> Option<Verdict> {
     let serving = s.serving.map(|a| a as usize);
     let mean_snr = |ap: usize| link(ap).mean_snr_db(&s.pos);
     let in_radio_range = |ap: usize| mean_snr(ap) >= cfg.range_floor_db;
-    let csi = |ap: usize| link(ap).csi(s.t, &s.pos, s.speed);
     let hint = *warm;
     let mut best: Option<(usize, f64)> = None;
     let mut best_esnr: Option<EsnrMemo> = None;
@@ -131,7 +135,13 @@ pub(crate) fn evaluate<'a>(
             // evaluation.
             continue;
         }
-        let mut memo = EsnrMemo::new(&csi(ap));
+        // Tap ceiling: the taps' gains bound every tone they can add up
+        // to, so skip the tones when even that cannot win.
+        link(ap).tap_gains(s.t, s.speed, gains);
+        if !is_serving && cannot_beat(link(ap).gains_ceiling_db(&s.pos, gains)) {
+            continue;
+        }
+        let mut memo = EsnrMemo::new(&link(ap).csi_from_gains(&s.pos, gains));
         if !is_serving && cannot_beat(memo.best_tone_db()) {
             continue;
         }
@@ -165,14 +175,17 @@ pub(crate) fn evaluate<'a>(
     .expect("memo kept with best");
     let best_cap = cfg.per_model.capacity_with(&mut oracle_esnr, gi, 1500);
     let serv_cap = match serving {
-        Some(s) if s == oracle => best_cap,
+        Some(ap) if ap == oracle => best_cap,
         // `capacity_bps` is exactly `capacity_with` on a fresh
         // memo of the same CSI snapshot, so reusing the
         // ranking's serving memo is bit-identical; the fallback
         // covers a serving AP that is down or out of range.
-        Some(s) => match serving_esnr.as_mut() {
+        Some(ap) => match serving_esnr.as_mut() {
             Some(sm) => cfg.per_model.capacity_with(sm, gi, 1500),
-            None => cfg.per_model.capacity_bps(gi, &csi(s), 1500),
+            None => {
+                let csi = link(ap).csi(s.t, &s.pos, s.speed);
+                cfg.per_model.capacity_bps(gi, &csi, 1500)
+            }
         },
         None => 0.0,
     };
@@ -289,6 +302,7 @@ impl Pool {
         // This helper's own link clones and warm-start hints, made the
         // first time it meets a (world, client).
         let mut mine: HashMap<(usize, u32), (Vec<WirelessLink>, Option<usize>)> = HashMap::new();
+        let mut gains = Vec::new();
         loop {
             let job = {
                 let mut q = self.queue();
@@ -320,7 +334,7 @@ impl Pool {
                     };
                     (links, None)
                 });
-                evaluate(s, down, |ap| &links[ap], &world.cfg, warm)
+                evaluate(s, down, |ap| &links[ap], &world.cfg, warm, &mut gains)
             });
         }
     }
@@ -427,6 +441,8 @@ struct Sink {
 pub(crate) struct Recorder {
     /// The recording thread's warm-start hints, dense by client index.
     warm: Vec<Option<usize>>,
+    /// The recording thread's tap-gain scratch.
+    gains: Vec<Cplx>,
     sink: Option<Sink>,
 }
 
@@ -463,7 +479,8 @@ impl Recorder {
         }
         let Some(sink) = &mut self.sink else {
             let links = view.links;
-            if let Some(v) = evaluate(&s, down, |ap| &links[ap][c], view.cfg, &mut self.warm[c]) {
+            let (warm, gains) = (&mut self.warm[c], &mut self.gains);
+            if let Some(v) = evaluate(&s, down, |ap| &links[ap][c], view.cfg, warm, gains) {
                 view.clients[c].metrics.add_oracle(&v);
             }
             return;
@@ -494,7 +511,7 @@ impl Recorder {
     /// and evaluates it here; with `finish`, repeats until nothing is
     /// pending, waiting for the chunks helpers hold.
     fn settle(&mut self, help: bool, finish: bool, view: WorldView<'_>) {
-        let Recorder { warm, sink } = self;
+        let Recorder { warm, gains, sink } = self;
         let sink = sink.as_mut().expect("settling a detached recorder");
         let links = view.links;
         loop {
@@ -509,7 +526,7 @@ impl Recorder {
                     if !chunk.done {
                         chunk.evaluate(|s, down| {
                             let c = s.client as usize;
-                            evaluate(s, down, |ap| &links[ap][c], view.cfg, &mut warm[c])
+                            evaluate(s, down, |ap| &links[ap][c], view.cfg, &mut warm[c], gains)
                         });
                     }
                 }

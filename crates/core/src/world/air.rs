@@ -741,14 +741,12 @@ impl WgttWorld {
                 let e_qpsk = other_esnr.esnr_db(Modulation::Qpsk);
                 if self.control_rate_heard(e_qpsk, BLOCK_ACK_BYTES) {
                     self.air.overheard.push(other);
-                    let report = other_esnr.esnr_db(Modulation::Qam16);
-                    self.report_csi(ctx, other, c, report, now);
+                    self.report_csi(ctx, other, c, &mut other_esnr, now);
                 }
             }
         }
         if let Some((_, true)) = ba {
-            let report = esnr.esnr_db(Modulation::Qam16);
-            self.report_csi(ctx, ap, c, report, now);
+            self.report_csi(ctx, ap, c, &mut esnr, now);
         }
         let Some(st) = self.aps[ap].client_get_mut(client) else {
             return; // state wiped by a crash/reboot cycle mid-flight
@@ -908,8 +906,7 @@ impl WgttWorld {
             }
             if got.len() > first {
                 // CSI measurement from this reception, rate-limited.
-                let report = esnr.esnr_db(Modulation::Qam16);
-                self.report_csi(ctx, ap, c, report, now);
+                self.report_csi(ctx, ap, c, &mut esnr, now);
                 heard_by.push((ap, first, got.len()));
             }
         }
@@ -1042,13 +1039,15 @@ impl WgttWorld {
         }
     }
 
-    /// Emits a rate-limited CSI report from `ap` about client `c`.
+    /// Emits a rate-limited CSI report from `ap` about client `c`: the
+    /// controller's 16-QAM ESNR of the snapshot behind `esnr`, integrated
+    /// only once the report is known to leave.
     fn report_csi(
         &mut self,
         ctx: &mut Ctx<'_, Ev>,
         ap: usize,
         c: usize,
-        esnr_db: f64,
+        esnr: &mut EsnrMemo,
         now: SimTime,
     ) {
         if !self.ap_reachable(ap, now) {
@@ -1070,7 +1069,7 @@ impl WgttWorld {
         let report = Ctl::CsiAtController {
             ap,
             client: c,
-            esnr_db,
+            esnr_db: esnr.esnr_db(Modulation::Qam16),
         };
         self.backhaul_send(ctx, 300, false, Ev::Ctl(report));
     }

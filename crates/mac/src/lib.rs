@@ -15,6 +15,8 @@
 //! Everything is a poll-style state machine — frames in, actions out — so
 //! each protocol piece is unit-testable without a simulated radio.
 
+#![forbid(unsafe_code)]
+
 pub mod ampdu;
 pub mod assoc;
 pub mod blockack;

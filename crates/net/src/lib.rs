@@ -13,6 +13,8 @@
 //! Everything is a poll-style state machine in the smoltcp tradition: no
 //! hidden I/O, explicit time, fully unit-testable.
 
+#![forbid(unsafe_code)]
+
 pub mod backhaul;
 pub mod packet;
 pub mod tcp;

@@ -23,7 +23,7 @@ impl Cplx {
     pub const ONE: Cplx = Cplx { re: 1.0, im: 0.0 };
 
     /// Constructs from real and imaginary parts.
-    #[inline]
+    #[inline(always)]
     pub const fn new(re: f64, im: f64) -> Self {
         Cplx { re, im }
     }
@@ -40,7 +40,7 @@ impl Cplx {
     }
 
     /// Squared magnitude `|z|²`.
-    #[inline]
+    #[inline(always)]
     pub fn abs2(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
@@ -67,7 +67,7 @@ impl Cplx {
     }
 
     /// Scales by a real factor.
-    #[inline]
+    #[inline(always)]
     pub fn scale(self, s: f64) -> Self {
         Cplx {
             re: self.re * s,
@@ -78,14 +78,14 @@ impl Cplx {
 
 impl Add for Cplx {
     type Output = Cplx;
-    #[inline]
+    #[inline(always)]
     fn add(self, rhs: Cplx) -> Cplx {
         Cplx::new(self.re + rhs.re, self.im + rhs.im)
     }
 }
 
 impl AddAssign for Cplx {
-    #[inline]
+    #[inline(always)]
     fn add_assign(&mut self, rhs: Cplx) {
         self.re += rhs.re;
         self.im += rhs.im;
@@ -102,7 +102,7 @@ impl Sub for Cplx {
 
 impl Mul for Cplx {
     type Output = Cplx;
-    #[inline]
+    #[inline(always)]
     fn mul(self, rhs: Cplx) -> Cplx {
         Cplx::new(
             self.re * rhs.re - self.im * rhs.im,

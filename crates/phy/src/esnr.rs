@@ -15,7 +15,7 @@
 //! the paper).
 
 use crate::csi::{Csi, NUM_SUBCARRIERS};
-use crate::fastmath::{exp_lanes, LANES};
+use crate::fastmath::{at_host_width, exp_lanes, LANES};
 use crate::pathloss::linear_to_db;
 
 /// Modulation schemes used by 802.11n single-stream MCS 0–7.
@@ -63,7 +63,7 @@ impl Modulation {
 
 /// The exponent polynomial of the A&S 7.1.26 erfc approximation:
 /// `erfc(z) = t·exp(−z² + B(t))` for `z ≥ 0`, `t = 1/(1 + z/2)`.
-#[inline]
+#[inline(always)]
 fn erfc_poly(t: f64) -> f64 {
     -1.26551223
         + t * (1.00002368
@@ -156,7 +156,7 @@ pub fn ber(modulation: Modulation, snr_linear: f64) -> f64 {
 }
 
 /// `(c, k)` such that `ber(m, g) = c·Q(√(g/k))`.
-#[inline]
+#[inline(always)]
 fn q_params(modulation: Modulation) -> (f64, f64) {
     match modulation {
         Modulation::Bpsk => (1.0, 0.5),
@@ -244,7 +244,8 @@ pub fn ber_inverse(modulation: Modulation, target_ber: f64) -> f64 {
 /// [`exp_lanes`], `(c, k)` looked up once. Each lane is the per-tone
 /// [`ber`] bit for bit (`2g` is `g/½`, `1·q` is `q`) and the sum runs in
 /// tone order, so the total is too (`ber_sum_matches_per_tone_reference`).
-fn ber_sum(modulation: Modulation, snr_linear: &[f64]) -> f64 {
+#[inline(always)]
+fn ber_sum_body(modulation: Modulation, snr_linear: &[f64]) -> f64 {
     let (c, k) = q_params(modulation);
     let mut total = 0.0;
     for tones in snr_linear.chunks(LANES) {
@@ -264,6 +265,11 @@ fn ber_sum(modulation: Modulation, snr_linear: &[f64]) -> f64 {
         }
     }
     total
+}
+
+at_host_width! {
+    /// [`ber_sum_body`] at the host's vector width.
+    fn ber_sum(modulation: Modulation, snr_linear: &[f64]) -> f64 = ber_sum_body;
 }
 
 /// Effective SNR in dB for a modulation given per-subcarrier linear SNRs.
@@ -602,6 +608,46 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn ber_sum_entry_matches_baseline_body() {
+        // `ber_sum` dispatches on the CPU; `ber_sum_body`, called from
+        // here, is compiled at the baseline width. Same bits.
+        let check = |m: Modulation, snr: &[f64]| {
+            assert_eq!(
+                ber_sum(m, snr).to_bits(),
+                ber_sum_body(m, snr).to_bits(),
+                "{m:?}: {snr:?}"
+            );
+        };
+        for m in Modulation::ALL {
+            // The operating grid as 56-tone vectors with a 12 dB tilt, and
+            // as short vectors whose only chunk is partial.
+            for db in operating_grid_db() {
+                let tones: Vec<f64> = (0..56)
+                    .map(|k| db_to_linear(db + 12.0 * (k as f64 / 55.0 - 0.5)))
+                    .collect();
+                check(m, &tones);
+                check(m, &tones[..(db.abs() as usize % 7) + 1]);
+            }
+            // Batches across `exp`'s subnormal band and underflow edge
+            // (the exponent is about −snr/2k; the band is −745…−708), a
+            // NaN and zeros among them.
+            for base in [690.0, 705.0, 730.0, 744.0] {
+                let (_, k) = q_params(m);
+                let mut tones: Vec<f64> =
+                    (0..56).map(|i| 2.0 * k * (base + 0.5 * i as f64)).collect();
+                check(m, &tones);
+                tones[5] = f64::NAN;
+                tones[9] = 0.0;
+                tones[10] = -0.0;
+                tones[31] = 0.0;
+                check(m, &tones);
+            }
+            check(m, &[0.0; 56]);
+            check(m, &[f64::NAN; 9]);
         }
     }
 

@@ -24,7 +24,7 @@
 //! forks).
 
 use crate::complex::Cplx;
-use crate::fastmath::{sincos_lanes, LANES};
+use crate::fastmath::{at_host_width, sincos_lanes, LANES};
 use serde::{Deserialize, Serialize};
 use wgtt_sim::SimRng;
 
@@ -87,6 +87,7 @@ impl Tap {
     /// [`sincos_lanes`] and are summed in sinusoid order, so the result is
     /// bit-identical to a per-sinusoid `Cplx::from_phase` loop (locked by
     /// `lane_gain_matches_per_sinusoid_reference`).
+    #[inline(always)]
     fn gain(&self, t_s: f64, fd_hz: f64) -> Cplx {
         let two_pi = 2.0 * std::f64::consts::PI;
         let mut scattered = Cplx::ZERO;
@@ -101,10 +102,16 @@ impl Tap {
                 scattered += Cplx::new(cos[i], sin[i]);
             }
         }
-        scattered = scattered.scale(self.scatter_norm);
+        let a = scattered.scale(self.scatter_norm).scale(self.scattered_amp);
+        // A Rayleigh tap's LOS phasor is scaled by zero, and `a + ±0` is `a`
+        // bit for bit unless a component of `a` is itself a zero, whose
+        // sign the addition below still decides.
+        if self.los_amp == 0.0 && a.re != 0.0 && a.im != 0.0 {
+            return a;
+        }
         let los = Cplx::from_phase(two_pi * fd_hz * self.los_cos_aoa * t_s + self.los_phase)
             .scale(self.los_amp);
-        scattered.scale(self.scattered_amp) + los
+        a + los
     }
 }
 
@@ -261,19 +268,81 @@ impl TappedDelayLine {
     /// tap order 0..N as the reference's subcarrier-outer loop — locked by
     /// `twiddled_response_is_bit_exact`.
     pub fn freq_response_into(&self, t_s: f64, fd_hz: f64, twiddles: &[Cplx], out: &mut [Cplx]) {
+        self.check_grid(twiddles, out);
+        freq_response_kernel(&self.taps, t_s, fd_hz, twiddles, out);
+    }
+
+    /// The first half of [`Self::freq_response_into`]: the complex gain
+    /// `g_i(t)` of every tap, into `gains` (`gains.len() == num_taps`).
+    /// `Σ_i |g_i|` bounds every tone's `|H_k|` (the twiddles are unit
+    /// phasors), so a ranker can discard a snapshot before paying for its
+    /// tones.
+    pub fn gains_into(&self, t_s: f64, fd_hz: f64, gains: &mut [Cplx]) {
+        assert_eq!(gains.len(), self.taps.len(), "one gain per tap");
+        gains_kernel(&self.taps, t_s, fd_hz, gains);
+    }
+
+    /// The second half of [`Self::freq_response_into`], from the `gains`
+    /// [`Self::gains_into`] wrote: the same multiply-accumulates in the same
+    /// tap order, so the two halves together are bit-identical to the whole
+    /// (`split_response_is_bit_exact`).
+    pub fn freq_response_from_gains(&self, gains: &[Cplx], twiddles: &[Cplx], out: &mut [Cplx]) {
+        assert_eq!(gains.len(), self.taps.len(), "one gain per tap");
+        self.check_grid(twiddles, out);
+        from_gains_kernel(gains, twiddles, out);
+    }
+
+    fn check_grid(&self, twiddles: &[Cplx], out: &[Cplx]) {
         assert_eq!(
             twiddles.len(),
             self.taps.len() * out.len(),
             "twiddle matrix does not match this tap/subcarrier grid"
         );
-        out.fill(Cplx::ZERO);
-        for (tap, row) in self.taps.iter().zip(twiddles.chunks_exact(out.len())) {
-            let g = tap.gain(t_s, fd_hz);
-            for (h, &w) in out.iter_mut().zip(row) {
-                *h += g * w;
-            }
-        }
     }
+}
+
+/// `out[k] += g · row[k]`: one tap's share of every tone.
+#[inline(always)]
+fn accumulate_tap(out: &mut [Cplx], g: Cplx, row: &[Cplx]) {
+    for (h, &w) in out.iter_mut().zip(row) {
+        *h += g * w;
+    }
+}
+
+/// The lane kernel of [`TappedDelayLine::freq_response_into`]: every tap's
+/// [`Tap::gain`], then its row of twiddle multiply-accumulates.
+#[inline(always)]
+fn freq_response_body(taps: &[Tap], t_s: f64, fd_hz: f64, twiddles: &[Cplx], out: &mut [Cplx]) {
+    out.fill(Cplx::ZERO);
+    for (tap, row) in taps.iter().zip(twiddles.chunks_exact(out.len())) {
+        accumulate_tap(out, tap.gain(t_s, fd_hz), row);
+    }
+}
+
+/// The lane kernel of [`TappedDelayLine::gains_into`].
+#[inline(always)]
+fn gains_body(taps: &[Tap], t_s: f64, fd_hz: f64, gains: &mut [Cplx]) {
+    for (g, tap) in gains.iter_mut().zip(taps) {
+        *g = tap.gain(t_s, fd_hz);
+    }
+}
+
+/// The lane kernel of [`TappedDelayLine::freq_response_from_gains`].
+#[inline(always)]
+fn from_gains_body(gains: &[Cplx], twiddles: &[Cplx], out: &mut [Cplx]) {
+    out.fill(Cplx::ZERO);
+    for (&g, row) in gains.iter().zip(twiddles.chunks_exact(out.len())) {
+        accumulate_tap(out, g, row);
+    }
+}
+
+at_host_width! {
+    /// [`freq_response_body`] at the host's vector width.
+    fn freq_response_kernel(taps: &[Tap], t_s: f64, fd_hz: f64, twiddles: &[Cplx], out: &mut [Cplx]) = freq_response_body;
+    /// [`gains_body`] at the host's vector width.
+    fn gains_kernel(taps: &[Tap], t_s: f64, fd_hz: f64, gains: &mut [Cplx]) = gains_body;
+    /// [`from_gains_body`] at the host's vector width.
+    fn from_gains_kernel(gains: &[Cplx], twiddles: &[Cplx], out: &mut [Cplx]) = from_gains_body;
 }
 
 /// Maximum Doppler shift for a vehicle speed and carrier wavelength.
@@ -403,6 +472,10 @@ mod tests {
                 ..FadingConfig::default()
             };
             let ch = TappedDelayLine::new(&cfg, &mut SimRng::new(40 + num_sinusoids as u64));
+            // One Rician tap, whose LOS phasor is added, and Rayleigh taps,
+            // which return before it.
+            assert!(ch.taps[0].los_amp > 0.0);
+            assert!(ch.taps[1..].iter().all(|tap| tap.los_amp == 0.0));
             for step in 0..400 {
                 // Past t ≈ 900 s the fastest sinusoids' phases leave the
                 // kernel's range while the slow ones stay inside, so late
@@ -413,6 +486,91 @@ mod tests {
                     let (lanes, scalar) = (tap.gain(t, fd), tap.gain_ref(t, fd));
                     assert_eq!(lanes.re.to_bits(), scalar.re.to_bits(), "t={t} fd={fd}");
                     assert_eq!(lanes.im.to_bits(), scalar.im.to_bits(), "t={t} fd={fd}");
+                }
+            }
+        }
+    }
+
+    fn assert_same_bits(got: &[Cplx], want: &[Cplx], what: &str) {
+        assert_eq!(got.len(), want.len());
+        for (a, b) in got.iter().zip(want) {
+            assert_eq!(a.re.to_bits(), b.re.to_bits(), "{what}");
+            assert_eq!(a.im.to_bits(), b.im.to_bits(), "{what}");
+        }
+    }
+
+    /// Default and odd-shaped lines (19 sinusoids leave a 3-lane last
+    /// chunk), each with its twiddles over the HT20 grid.
+    fn seeded_lines() -> Vec<(TappedDelayLine, Vec<Cplx>)> {
+        let subs = ht20_subcarriers();
+        let shapes = [(5, 16), (3, 19), (7, 12), (1, 4)];
+        (0..12u64)
+            .map(|seed| {
+                let (num_taps, num_sinusoids) = shapes[seed as usize % shapes.len()];
+                let cfg = FadingConfig {
+                    num_taps,
+                    num_sinusoids,
+                    ..FadingConfig::default()
+                };
+                let ch = TappedDelayLine::new(&cfg, &mut SimRng::new(0xfade + seed));
+                let tw = ch.twiddles(&subs);
+                (ch, tw)
+            })
+            .collect()
+    }
+
+    /// `(t_s, fd_hz)` from rest to highway Doppler, into the times where
+    /// some lanes leave `sincos`'s kernel range.
+    fn instants() -> impl Iterator<Item = (f64, f64)> {
+        (0..120).map(|step| (step as f64 * step as f64 * 0.093, step as f64 * 2.9))
+    }
+
+    #[test]
+    fn kernel_entries_match_baseline_bodies() {
+        // Each public entry dispatches on the CPU; its `_body`, called
+        // from here, is compiled at the baseline width. Same bits.
+        for (ch, tw) in seeded_lines() {
+            let n = ch.num_taps();
+            for (t, fd) in instants() {
+                let what = format!("{n} taps, t={t} fd={fd}");
+                let mut entry = vec![Cplx::ZERO; 56];
+                let mut body = vec![Cplx::ONE; 56];
+                ch.freq_response_into(t, fd, &tw, &mut entry);
+                freq_response_body(&ch.taps, t, fd, &tw, &mut body);
+                assert_same_bits(&entry, &body, &what);
+
+                let mut gains = vec![Cplx::ZERO; n];
+                let mut gains_ref = vec![Cplx::ONE; n];
+                ch.gains_into(t, fd, &mut gains);
+                gains_body(&ch.taps, t, fd, &mut gains_ref);
+                assert_same_bits(&gains, &gains_ref, &what);
+
+                ch.freq_response_from_gains(&gains, &tw, &mut entry);
+                from_gains_body(&gains, &tw, &mut body);
+                assert_same_bits(&entry, &body, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn split_response_is_bit_exact() {
+        for (ch, tw) in seeded_lines() {
+            for (t, fd) in instants() {
+                let mut whole = vec![Cplx::ZERO; 56];
+                ch.freq_response_into(t, fd, &tw, &mut whole);
+                let mut gains = vec![Cplx::ZERO; ch.num_taps()];
+                ch.gains_into(t, fd, &mut gains);
+                let mut halves = vec![Cplx::ONE; 56];
+                ch.freq_response_from_gains(&gains, &tw, &mut halves);
+                assert_same_bits(&halves, &whole, &format!("t={t} fd={fd}"));
+                // And the gains bound every tone.
+                let reach: f64 = gains.iter().map(|g| g.abs()).sum();
+                for h in &whole {
+                    assert!(
+                        h.abs() <= reach * (1.0 + 1e-12),
+                        "|H|={} > {reach}",
+                        h.abs()
+                    );
                 }
             }
         }

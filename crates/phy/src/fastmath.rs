@@ -15,8 +15,10 @@
 //!    [`sincos_lanes`] run the branch-free middle of [`exp`] and
 //!    [`sincos`] over [`LANES`] arguments at a time: no call, no branch,
 //!    no cross-lane dependency, so an optimised build issues the lanes as
-//!    the baseline target's vector instructions, each lane the scalar
-//!    result bit for bit (DESIGN.md §6b, "lane kernels").
+//!    vector instructions, each lane the scalar result bit for bit
+//!    (DESIGN.md §6b, "lane kernels"). `at_host_width!` compiles a
+//!    kernel's one body a second time for 256-bit units and picks the copy
+//!    the CPU has at run time.
 //!
 //! The algorithms are the classical fdlibm ones (Cody–Waite argument
 //! reduction, minimax polynomial kernels) with accuracy ~1 ulp for [`exp`]
@@ -34,6 +36,54 @@
 /// Arguments per lane pass: the 56 HT20 tones are 7 passes, the default 16
 /// Doppler sinusoids 2.
 pub const LANES: usize = 8;
+
+/// Declares `fn $name(args) -> ret` that runs `$body(args)` — an
+/// `#[inline(always)]` lane kernel — at the widest vector width this
+/// simulator uses that the CPU has: on x86-64 with AVX2, through a second
+/// copy of the same body compiled for 256-bit registers; everywhere else
+/// (pre-AVX2 x86-64, aarch64) through the baseline copy, 128 bits wide.
+///
+/// One source body, two instantiations, and nothing else: the wide copy
+/// enables `avx2` only. Without `fma` the compiler has no fused instruction
+/// to contract a multiply-add into, so every lane is still one correctly
+/// rounded IEEE-754 operation per source operation and both copies return
+/// the same bits (DESIGN.md §6b; `kernel_entries_match_baseline_bodies` in
+/// `fading`, `ber_sum_entry_matches_baseline_body` in `esnr`). This macro
+/// is the crate's only `unsafe`.
+macro_rules! at_host_width {
+    ($(
+        $(#[$meta:meta])*
+        fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? = $body:path;
+    )+) => {$(
+        $(#[$meta])*
+        #[allow(unsafe_code)]
+        fn $name($($arg: $ty),*) $(-> $ret)? {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx2")]
+                unsafe fn wide($($arg: $ty),*) $(-> $ret)? {
+                    $body($($arg),*)
+                }
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    #[cfg(test)]
+                    $crate::fastmath::WIDE_CALLS.with(|n| n.set(n.get() + 1));
+                    // SAFETY: `wide` requires AVX2, detected on the line
+                    // above; it takes and returns no vector types, so the
+                    // call crosses no ABI difference.
+                    return unsafe { wide($($arg),*) };
+                }
+            }
+            $body($($arg),*)
+        }
+    )+};
+}
+pub(crate) use at_host_width;
+
+#[cfg(test)]
+thread_local! {
+    /// Calls this test thread has sent to an [`at_host_width!`] wide copy.
+    pub(crate) static WIDE_CALLS: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
+}
 
 /// 2⁵²: adding then subtracting it rounds a smaller non-negative double to
 /// the nearest integer.
@@ -80,14 +130,14 @@ const C5: f64 = 2.087_572_321_298_175e-9;
 const C6: f64 = -1.135_964_755_778_819_5e-11;
 
 /// Sine of a kernel-range argument (|r| ≲ π/4).
-#[inline]
+#[inline(always)]
 fn k_sin(r: f64) -> f64 {
     let z = r * r;
     r + r * z * (S1 + z * (S2 + z * (S3 + z * (S4 + z * (S5 + z * S6)))))
 }
 
 /// Cosine of a kernel-range argument (|r| ≲ π/4).
-#[inline]
+#[inline(always)]
 fn k_cos(r: f64) -> f64 {
     let z = r * r;
     1.0 - 0.5 * z + z * z * (C1 + z * (C2 + z * (C3 + z * (C4 + z * (C5 + z * C6)))))
@@ -141,7 +191,7 @@ pub fn sincos(x: f64) -> (f64, f64) {
 /// same body run on every lane; a pass with an out-of-range lane (the
 /// simulator's phases have none) is redone through the scalar entry. Each
 /// lane is bit-identical to [`sincos`].
-#[inline]
+#[inline(always)]
 pub fn sincos_lanes(x: &[f64; LANES]) -> ([f64; LANES], [f64; LANES]) {
     let mut sin = [0.0; LANES];
     let mut cos = [0.0; LANES];
@@ -246,7 +296,7 @@ pub fn exp(x: f64) -> f64 {
 /// lane, then the rare lanes outside its range (NaN, overflow, the
 /// underflow/subnormal band, |x| < 2⁻²⁸) redone through the scalar entry.
 /// Each lane is bit-identical to [`exp`].
-#[inline]
+#[inline(always)]
 pub fn exp_lanes(x: &[f64; LANES]) -> [f64; LANES] {
     let mut out = [0.0; LANES];
     let mut in_range = true;
@@ -331,6 +381,31 @@ mod tests {
     fn nudge(x: f64, steps: i64) -> f64 {
         let away = if x < 0.0 { -steps } else { steps };
         f64::from_bits((x.to_bits() as i64 + away) as u64)
+    }
+
+    #[test]
+    fn wide_copies_run_where_avx2_is_detected() {
+        use crate::{Cplx, FadingConfig, Modulation, TappedDelayLine};
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        println!(
+            "lane kernels run at {} bits on this host",
+            if avx2 { 256 } else { 128 }
+        );
+        let before = WIDE_CALLS.with(|n| n.get());
+        // One call of each dispatched kernel, through its public entry.
+        let line = TappedDelayLine::new(&FadingConfig::default(), &mut wgtt_sim::SimRng::new(1));
+        let tw = line.twiddles(&crate::csi::subcarrier_offsets_hz());
+        let mut h = [Cplx::ZERO; 56];
+        let mut gains = [Cplx::ZERO; 5];
+        line.freq_response_into(0.25, 55.0, &tw, &mut h);
+        line.gains_into(0.25, 55.0, &mut gains);
+        line.freq_response_from_gains(&gains, &tw, &mut h);
+        crate::esnr_db(Modulation::Qam16, &[100.0; 56]);
+        let wide = WIDE_CALLS.with(|n| n.get()) - before;
+        assert_eq!(wide, if avx2 { 4 } else { 0 });
     }
 
     #[test]

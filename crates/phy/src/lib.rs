@@ -25,6 +25,11 @@
 //! All randomness flows from forked [`wgtt_sim::SimRng`] streams, so every
 //! channel trace is reproducible and independent per link.
 
+// `unsafe` appears once in this crate, under its own `allow`: the call
+// `fastmath::at_host_width!` makes to a lane kernel's AVX2 copy after
+// detecting AVX2.
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn)]
+
 pub mod antenna;
 pub mod complex;
 pub mod csi;

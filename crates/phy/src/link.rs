@@ -174,6 +174,41 @@ impl WirelessLink {
         }
     }
 
+    /// The first half of [`Self::csi`]: the fading taps' complex gains at
+    /// time `t` for a client moving at `speed_mps`, into `gains` (resized to
+    /// the tap count; a caller ranking many links loans one buffer to all).
+    /// [`Self::gains_ceiling_db`] bounds the snapshot from them and
+    /// [`Self::csi_from_gains`] finishes it.
+    pub fn tap_gains(&self, t: SimTime, speed_mps: f64, gains: &mut Vec<Cplx>) {
+        let fd = doppler_hz(speed_mps, self.cfg.pathloss.wavelength_m());
+        gains.resize(self.fading.num_taps(), Cplx::ZERO);
+        self.fading.gains_into(t.as_secs_f64(), fd, gains);
+    }
+
+    /// Ceiling on every tone's SNR, in dB, of the snapshot whose tap gains
+    /// are `gains`: `max_k |H_k| ≤ Σ_i |g_i|` since the twiddles are unit
+    /// phasors, plus the 1 µdB of rounding slack
+    /// [`Self::peak_tone_headroom_db`] carries. Never below
+    /// [`crate::EsnrMemo::best_tone_db`] of that snapshot (which floors at
+    /// −300 dB), so never below its ESNR for any modulation.
+    pub fn gains_ceiling_db(&self, client: &Position, gains: &[Cplx]) -> f64 {
+        let reach: f64 = gains.iter().map(|g| g.abs()).sum();
+        (self.mean_snr_db(client) + 20.0 * reach.log10() + 1e-6).max(-300.0)
+    }
+
+    /// The second half of [`Self::csi`], from the `gains`
+    /// [`Self::tap_gains`] wrote: bit-identical to `csi` at the same time
+    /// and speed.
+    pub fn csi_from_gains(&self, client: &Position, gains: &[Cplx]) -> Csi {
+        let mut h = [Cplx::ZERO; crate::csi::NUM_SUBCARRIERS];
+        self.fading
+            .freq_response_from_gains(gains, &self.twiddles, &mut h);
+        Csi {
+            h,
+            mean_snr_db: self.mean_snr_db(client),
+        }
+    }
+
     /// Carrier wavelength (for Doppler computations elsewhere).
     pub fn wavelength_m(&self) -> f64 {
         self.cfg.pathloss.wavelength_m()

@@ -30,6 +30,8 @@
 //! assert_eq!(sim.now(), SimTime::from_millis(2));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod fault;
 pub mod lockstep;

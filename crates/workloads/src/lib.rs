@@ -8,6 +8,8 @@
 //!   (Fig 24);
 //! * [`web`] — fixed-weight page loads and page-load time (Table 5).
 
+#![forbid(unsafe_code)]
+
 pub mod conference;
 pub mod video;
 pub mod web;

@@ -44,6 +44,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use wgtt_core as core;
 pub use wgtt_mac as mac;
 pub use wgtt_net as net;

@@ -540,3 +540,51 @@ fn shrink_keeps_the_first_inserted_culprits() {
     ];
     assert_eq!(shrink(storm, fails), want);
 }
+
+/// The oracle's tap ceiling (`core/oracle.rs`) is sound and its split
+/// snapshot exact: for seeded links, positions, speeds and instants,
+/// `gains_ceiling_db` is never below the finished snapshot's best tone —
+/// itself a ceiling on the ESNR of every modulation — and `csi_from_gains`
+/// is `csi` bit for bit.
+#[test]
+fn tap_ceiling_bounds_the_snapshot_it_finishes() {
+    use wgtt::phy::{DeploymentConfig, EsnrMemo, LinkConfig, Position, WirelessLink};
+    let dep = DeploymentConfig::default().build();
+    let mut gains = Vec::new();
+    for seed in 0..4u64 {
+        let mut cfg = LinkConfig::default();
+        cfg.shadowing.sigma_db = seed as f64 * 2.0;
+        // An odd tap/sinusoid shape beside the default one.
+        if seed % 2 == 1 {
+            cfg.fading.num_taps = 3;
+            cfg.fading.num_sinusoids = 19;
+        }
+        let root = SimRng::new(0x7a9 + seed);
+        let mut draw = root.fork("points");
+        for (a, site) in dep.aps.iter().enumerate() {
+            let mut r = root.fork_indexed("link", a as u64);
+            let link = WirelessLink::new(*site, cfg.clone(), &mut r);
+            for _ in 0..150 {
+                let pos = Position::new(draw.range(-40.0..140.0), draw.range(2.0..10.0), 1.5);
+                let speed = draw.range(0.0..40.0);
+                let t = SimTime::from_nanos((draw.range(0.0..60.0) * 1e9) as u64);
+
+                link.tap_gains(t, speed, &mut gains);
+                let split = link.csi_from_gains(&pos, &gains);
+                let whole = link.csi(t, &pos, speed);
+                assert_eq!(split.mean_snr_db.to_bits(), whole.mean_snr_db.to_bits());
+                for (x, y) in split.h.iter().zip(&whole.h) {
+                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "ap {a} t={t}");
+                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "ap {a} t={t}");
+                }
+
+                let ceiling = link.gains_ceiling_db(&pos, &gains);
+                let best_tone = EsnrMemo::new(&whole).best_tone_db();
+                assert!(
+                    ceiling >= best_tone,
+                    "ap {a} t={t}: {ceiling} < {best_tone}"
+                );
+            }
+        }
+    }
+}
