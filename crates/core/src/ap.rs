@@ -267,10 +267,10 @@ impl ApState {
     }
 
     /// Snapshot of this AP's authoritative per-client switch-protocol
-    /// state, for answering the controller's post-reboot `Resync`
-    /// broadcast. The dense slab yields clients in ascending id order, so
-    /// the reply is deterministic by construction.
-    pub fn resync_reply(&self) -> ResyncReply {
+    /// state, for answering round `seq` of a restarted controller's
+    /// `Resync` broadcast. The dense slab yields clients in ascending id
+    /// order, so the reply is deterministic by construction.
+    pub fn resync_reply(&self, seq: u64) -> ResyncReply {
         let clients = self
             .clients_iter()
             .map(|(id, st)| ClientResyncState {
@@ -284,6 +284,7 @@ impl ApState {
             .collect();
         ResyncReply {
             ap: self.id,
+            seq,
             clients,
             recent_uplink_keys: self.recent_uplink_keys.iter().copied().collect(),
         }

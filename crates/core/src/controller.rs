@@ -10,50 +10,13 @@
 use crate::cyclic::IndexAllocator;
 use crate::dedup::Deduplicator;
 use crate::health::{ApHealth, HealthConfig};
-use crate::replica::{ClientJournalState, PendingJournalState};
+use crate::recovery::{resync_verdicts, ResyncAction};
+use crate::replica::ClientJournalState;
 use crate::selection::{ApSelector, SelectionConfig};
-use crate::switching::{AckOutcome, ClientResyncState, ResyncReply, SwitchEngine};
-use std::collections::{BTreeMap, HashMap};
+use crate::switching::{AckOutcome, ResyncReply, SwitchEngine};
+use std::collections::HashMap;
 use wgtt_net::{ApId, ClientId};
 use wgtt_sim::SimTime;
-
-/// One client's disposition after the post-reboot resync reconstructed
-/// the controller's state from AP replies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResyncAction {
-    /// Exactly one AP claims the client — the serving-map entry was
-    /// restored in place; no wire traffic needed.
-    Adopted {
-        /// The re-adopted client.
-        client: ClientId,
-        /// Its (unanimous) serving AP.
-        ap: ApId,
-    },
-    /// Two or more APs claim the client (a half-open switch resolved on
-    /// both sides of the crash, e.g. via local re-adoption racing a slow
-    /// `start`): the caller must issue a fresh epoch-stamped switch from
-    /// `stop` to `adopt` so exactly one transmitter remains.
-    RepairSwitch {
-        /// The conflicted client.
-        client: ClientId,
-        /// The losing claimant the switch stops.
-        stop: ApId,
-        /// The winning claimant that keeps serving.
-        adopt: ApId,
-    },
-    /// No AP claims the client although it was mid-protocol (`stop`
-    /// applied, `start` lost, crash ate the retransmit ladder): the
-    /// caller must send a fresh-epoch direct `start` to `adopt` resuming
-    /// at queue index `head`.
-    RepairAdopt {
-        /// The serverless client.
-        client: ClientId,
-        /// The AP best positioned to take it (newest guard state).
-        adopt: ApId,
-        /// Queue index the repair `start` resumes from.
-        head: u16,
-    },
-}
 
 /// Controller state.
 #[derive(Debug)]
@@ -138,8 +101,9 @@ impl ControllerState {
     /// selectors, downlink index allocators, the serving map, the switch
     /// engine (epochs included), the uplink dedup table, and the health
     /// tracker — is dropped in place. Only the static selection
-    /// configuration survives; everything else must be rebuilt from AP
-    /// resync replies before the controller can safely issue switches.
+    /// configuration survives; everything else must be rebuilt — from the
+    /// journal if a standby took over, and from the AP resync replies
+    /// either way — before the controller can safely issue switches.
     pub fn crash_wipe(&mut self) {
         self.selectors.clear();
         self.allocators.clear();
@@ -151,7 +115,7 @@ impl ControllerState {
 
     /// Rebuilds the controller's state from the APs' resync replies (the
     /// APs hold the authoritative copies) and returns one action per
-    /// client the replies mention:
+    /// client the replies mention ([`resync_verdicts`] decides them):
     ///
     /// * switch epochs resume **strictly above** the maximum guard
     ///   high-water any AP reported, so no recycled generation can alias
@@ -160,71 +124,31 @@ impl ControllerState {
     ///   so no duplicate uplink delivery crosses the restart;
     /// * the health tracker counts each reply as proof of life;
     /// * index allocators resume at the chosen AP's queue tail;
+    /// * the serving map follows the verdict: the claimant kept, or — for
+    ///   a client nobody claims — no entry until the repair `start` is
+    ///   acked, whatever a journal restored;
     /// * serving conflicts (dual claim / no claim) surface as repair
     ///   actions for the caller to resolve with fresh epoch-stamped
     ///   protocol traffic.
     pub fn apply_resync(&mut self, now: SimTime, replies: &[ResyncReply]) -> Vec<ResyncAction> {
         self.engine.resume_from_resync(replies);
-        let mut per_client: BTreeMap<ClientId, Vec<(ApId, ClientResyncState)>> = BTreeMap::new();
         for reply in replies {
             self.health.on_resync_reply(reply.ap, now);
             for &key in &reply.recent_uplink_keys {
                 self.dedup.prime_key(key);
             }
-            for cs in &reply.clients {
-                per_client
-                    .entry(cs.client)
-                    .or_default()
-                    .push((reply.ap, *cs));
-            }
         }
-        // Best positioned to serve a client first: newest applied `start`,
-        // then newest guard epoch, then lowest AP id — a total order, so
-        // reconstruction is deterministic.
-        let rank = |s: &(ApId, ClientResyncState)| {
-            let newest = (s.1.start_applied, s.1.epoch_high_water);
-            (std::cmp::Reverse(newest), s.0)
-        };
         let mut actions = Vec::new();
-        for (client, states) in per_client {
-            let mut claimants: Vec<(ApId, ClientResyncState)> =
-                states.iter().copied().filter(|(_, s)| s.serving).collect();
-            claimants.sort_by_key(rank);
-            let (action, tail) = match claimants[..] {
-                [(ap, st)] => {
-                    self.serving.insert(client, ap);
-                    (ResyncAction::Adopted { client, ap }, st.queue_tail)
-                }
-                [] => {
-                    // Repair only clients that were mid-protocol; a client
-                    // the guards never saw re-associates through normal
-                    // selection once CSI flows again.
-                    let involved = states.iter().filter(|(_, s)| s.epoch_high_water > 0);
-                    let Some(&(adopt, st)) = involved.min_by_key(|s| rank(s)) else {
-                        continue;
-                    };
-                    let head = st.queue_head;
-                    (
-                        ResyncAction::RepairAdopt {
-                            client,
-                            adopt,
-                            head,
-                        },
-                        st.queue_tail,
-                    )
-                }
-                // Two or more claim it: the best keeps serving, the worst
-                // placed is stopped.
-                [(adopt, st), .., (stop, _)] => {
+        for (action, tail) in resync_verdicts(replies) {
+            let client = match action {
+                ResyncAction::Adopted { client, ap: adopt }
+                | ResyncAction::RepairSwitch { client, adopt, .. } => {
                     self.serving.insert(client, adopt);
-                    (
-                        ResyncAction::RepairSwitch {
-                            client,
-                            stop,
-                            adopt,
-                        },
-                        st.queue_tail,
-                    )
+                    client
+                }
+                ResyncAction::RepairAdopt { client, .. } => {
+                    self.serving.remove(&client);
+                    client
                 }
             };
             self.allocators.entry(client).or_default().resume_at(tail);
@@ -236,10 +160,10 @@ impl ControllerState {
     /// Snapshots the journaled subset of the controller's soft state for
     /// one [`crate::replica::JournalBatch`]: per-client epoch high water,
     /// serving AP, and allocator position for every client any of those
-    /// maps mention, plus the in-flight switch set — all in ascending
-    /// client order so standby replay is deterministic.
-    pub fn journal_snapshot(&self) -> (Vec<ClientJournalState>, Vec<PendingJournalState>) {
-        let (mut clients, pending) = self.engine.journal_snapshot();
+    /// maps mention, in ascending client order so standby replay is
+    /// deterministic.
+    pub fn journal_snapshot(&self) -> Vec<ClientJournalState> {
+        let mut clients = self.engine.journal_snapshot();
         for &client in self.serving.keys().chain(self.allocators.keys()) {
             if let Err(at) = clients.binary_search_by_key(&client, |s| s.client) {
                 // Known to the serving map or an allocator only.
@@ -256,23 +180,25 @@ impl ControllerState {
             s.serving = self.serving.get(&s.client).copied();
             s.alloc_next = self.allocators.get(&s.client).map_or(0, |a| a.peek());
         }
-        (clients, pending)
+        clients
     }
 
-    /// Rebuilds controller soft state from a standby's journaled snapshot
-    /// at takeover — the warm analogue of [`ControllerState::apply_resync`]
-    /// with the journal, not the APs, as the source of truth:
+    /// Restores what a standby's journal held at takeover, before the new
+    /// term's resync round ([`ControllerState::apply_resync`]) overrides it
+    /// with what the APs report — the journal can trail the crash by a
+    /// batch, so it seeds the round rather than replacing it:
     ///
-    /// * epochs resume strictly above the journaled high water (the same
-    ///   monotonic floor the resync path enforces);
-    /// * the serving map and index allocators are restored in place;
-    /// * the dedup table is re-primed with the journaled key ring so no
-    ///   duplicate uplink delivery crosses the takeover.
+    /// * epochs resume strictly above the journaled high water;
+    /// * the serving map and index allocators are restored in place, for
+    ///   clients no reply mentions;
+    /// * the dedup table is re-primed with the journaled key ring, beside
+    ///   the keys the APs' rings re-prime, so no duplicate uplink delivery
+    ///   crosses the takeover.
     ///
     /// Selector windows and health state are deliberately NOT journaled —
-    /// live CSI rebuilds them within one staleness horizon. In-flight
-    /// switches are the caller's job: each journaled pending entry is
-    /// re-issued under a fresh epoch and the new term.
+    /// live CSI rebuilds them within one staleness horizon — and neither
+    /// are in-flight switches: the round finds any the crash left
+    /// half-open.
     pub fn restore_from_journal(&mut self, clients: &[ClientJournalState], keys: &[u64]) {
         self.engine.restore_from_journal(clients);
         for cs in clients {
@@ -348,6 +274,7 @@ impl ControllerState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::switching::ClientResyncState;
 
     fn t(ms: u64) -> SimTime {
         SimTime::from_millis(ms)
@@ -494,11 +421,13 @@ mod tests {
         let replies = vec![
             ResyncReply {
                 ap: ApId(0),
+                seq: 1,
                 clients: vec![resync_state(client, 4, 0, false, 90, 100)],
                 recent_uplink_keys: vec![7, 8],
             },
             ResyncReply {
                 ap: ApId(1),
+                seq: 1,
                 clients: vec![resync_state(client, 4, 4, true, 95, 101)],
                 recent_uplink_keys: vec![8, 9],
             },
@@ -532,11 +461,13 @@ mod tests {
         let replies = vec![
             ResyncReply {
                 ap: ApId(2),
+                seq: 1,
                 clients: vec![resync_state(client, 6, 6, true, 80, 90)],
                 recent_uplink_keys: vec![],
             },
             ResyncReply {
                 ap: ApId(5),
+                seq: 1,
                 clients: vec![resync_state(client, 5, 5, true, 70, 88)],
                 recent_uplink_keys: vec![],
             },
@@ -557,16 +488,20 @@ mod tests {
     fn resync_readopts_orphaned_mid_protocol_client() {
         let mut c = ControllerState::new(SelectionConfig::default());
         let client = ClientId(1);
+        // A journal restored before the round still names AP2.
+        c.serving.insert(client, ApId(2));
         // Stop applied at AP0 (serving=false, saw epoch 3), start never
         // landed anywhere; AP1 only ever saw epoch 1.
         let replies = vec![
             ResyncReply {
                 ap: ApId(0),
+                seq: 1,
                 clients: vec![resync_state(client, 3, 2, false, 55, 60)],
                 recent_uplink_keys: vec![],
             },
             ResyncReply {
                 ap: ApId(1),
+                seq: 1,
                 clients: vec![resync_state(client, 1, 1, false, 40, 60)],
                 recent_uplink_keys: vec![],
             },
@@ -591,6 +526,7 @@ mod tests {
         let mut c = ControllerState::new(SelectionConfig::default());
         let replies = vec![ResyncReply {
             ap: ApId(0),
+            seq: 1,
             clients: vec![resync_state(ClientId(9), 0, 0, false, 0, 0)],
             recent_uplink_keys: vec![],
         }];
@@ -608,16 +544,12 @@ mod tests {
         c.engine.issue(t(0), ClientId(2), ApId(2), ApId(3));
         c.on_switch_ack(t(5), ClientId(2), ApId(3), 1);
         c.assign_index(ClientId(9));
-        let (clients, pending) = c.journal_snapshot();
+        let clients = c.journal_snapshot();
         let ids: Vec<ClientId> = clients.iter().map(|s| s.client).collect();
         assert_eq!(ids, vec![ClientId(2), ClientId(5), ClientId(9)]);
         let c5 = clients.iter().find(|s| s.client == ClientId(5)).unwrap();
         assert_eq!(c5.epoch, 1);
         assert_eq!(c5.serving, Some(ApId(0)));
-        assert_eq!(pending.len(), 1);
-        assert_eq!(pending[0].client, ClientId(5));
-        assert_eq!(pending[0].from, ApId(0));
-        assert_eq!(pending[0].to, ApId(1));
     }
 
     #[test]

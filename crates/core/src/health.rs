@@ -136,7 +136,7 @@ impl ApHealth {
         self.blacklisted_until.remove(&ap).is_some()
     }
 
-    /// Ingests an AP's answer to the post-reboot `Resync` broadcast as
+    /// Ingests an AP's answer to a restarted controller's `Resync` as
     /// proof of life — the reply crossed the backhaul, so the AP is
     /// reachable right now. This re-arms a freshly rebuilt tracker: the
     /// staleness clock starts from the reply instead of from "never

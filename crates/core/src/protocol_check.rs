@@ -47,10 +47,12 @@
 //! [`CheckerConfig::max_crashes`] adds a controller crash/recover choice
 //! pair to the schedule alphabet: a crash is the production wipe (timers
 //! die, acks are eaten) while AP↔AP `start` legs keep flowing; a recovery
-//! runs the engine's resync round over replies built from the AP guards as
-//! `ApState::resync_reply` builds them, and resumes above the floor they
-//! report — unless `resync_naive` restarts at zero, the cross-restart
-//! aliasing family.
+//! starts a new term and runs the engine's resync round over replies built
+//! from the AP guards as `ApState::resync_reply` builds them, resumes above
+//! the floor they report and acts on [`resync_verdicts`] as the world does
+//! — unless `resync_naive` restarts at zero, the cross-restart aliasing
+//! family. Every restart — cold, takeover, mid-migration bounce — is that
+//! one step.
 //!
 //! [`CheckerConfig::max_migrations`] adds the inter-controller handoff
 //! slice. Its protocol is the [`SeamEngine`] the sharded runner ships
@@ -82,16 +84,17 @@
 //! [`Choice::FailoverToStandby`] feeds the standby one last
 //! [`JournalBatch`] — the production snapshot, up to
 //! [`CheckerConfig::max_journal_lag`] issues stale — kills the primary
-//! mid-schedule and acts on the engine's promotion: its term (announced to
-//! every AP as enumerable in-flight frames, so partially fenced networks
-//! are explored too), its replica, its plan. [`Choice::ZombiePrimary`]
+//! mid-schedule and acts on the engine's promotion: its replica restored,
+//! then its term's resync round, as after a cold restart. [`Choice::ZombiePrimary`]
 //! replays what the engine remembers of the dead reign, `stop`s and
 //! `Resync` probes, under its stale term; the term guards drop every such
 //! frame before it touches state, and `fencing = false` shows the
 //! split-brain family ([`ViolationKind::SplitBrain`]) they exist to kill.
 
 use crate::config::MigrationConfig;
-use crate::recovery::{RecoveryEngine, ReplyVerdict, ResyncRound, TakeoverPlan, TAKEOVER_TIMEOUT};
+use crate::recovery::{
+    resync_verdicts, RecoveryEngine, ReplyVerdict, ResyncAction, ResyncRound, TAKEOVER_TIMEOUT,
+};
 use crate::replica::JournalBatch;
 use crate::seam::{CommitVerdict, Due, Handoff, PrepareVerdict, SeamEngine};
 use crate::switching::{
@@ -289,13 +292,13 @@ pub enum Choice {
     /// Crash the controller: soft state wiped, timers dead, inbound acks
     /// eaten until recovery. AP↔AP legs keep flowing.
     CrashController,
-    /// Restart the controller and resync its epoch space from the AP
-    /// guards (or naively, under [`CheckerConfig::resync_naive`]).
+    /// Restart the controller under a new term and rebuild it from the
+    /// resync round (or naively, under [`CheckerConfig::resync_naive`]).
     RecoverController,
     /// Kill the primary and promote the standby on a journal trailing it by
-    /// this many `issue`s: term bumped, fence announcements put in flight
-    /// to every AP, the journaled in-flight switch re-driven under a fresh
-    /// epoch — while the dead primary's own frames stay on the wire.
+    /// this many `issue`s: what the journal held restored, then the new
+    /// term's resync round — while the dead primary's own frames stay on
+    /// the wire.
     FailoverToStandby(u32),
     /// The dead primary's zombie wakes, re-injects its in-flight `stop` and
     /// probes every AP with a `Resync`, all stamped with its superseded
@@ -322,8 +325,9 @@ pub enum Choice {
     /// retained record, or under the no-retention shim blind, not knowing
     /// whether the destination admitted.
     MigrateAbort,
-    /// Bounce the source controller mid-handoff (crash, restart in place,
-    /// resync round). The retained migration record is durable and survives.
+    /// Bounce the source controller mid-handoff (crash, restart under a new
+    /// term, resync round). The retained migration record is durable and
+    /// survives.
     CrashDuringMigration,
 }
 
@@ -449,8 +453,6 @@ enum NetMsg {
     /// New AP → controller. Deliberately un-termed: the controller is the
     /// term authority and the epoch already pins the generation.
     Ack { from_ap: usize, epoch: u32 },
-    /// New controller → AP term announcement (raises the fence).
-    Announce { ap: usize, term: u32 },
     /// Client → destination controller: a post-seam uplink retransmission
     /// (the dup window straddling the migration barrier).
     UplinkAtDest { ident: u16 },
@@ -495,6 +497,9 @@ struct State {
     timeouts_left: u32,
     /// Next entry of `cfg.switches` to issue.
     next_switch: usize,
+    /// The AP this reign takes to be serving: the last completion's target
+    /// or what its resync round settled on (`None`: it knows of none).
+    view: Option<usize>,
     /// Newest epoch whose `start` has been applied anywhere.
     max_applied_epoch: u32,
     /// Whether the controller is currently crashed.
@@ -574,6 +579,7 @@ impl State {
             drops_left: cfg.max_drops,
             timeouts_left: cfg.max_timeouts,
             next_switch: 0,
+            view: None,
             max_applied_epoch: 0,
             controller_down: false,
             crashes_left: cfg.max_crashes,
@@ -626,10 +632,9 @@ impl State {
     fn issue_next(&mut self, cfg: &CheckerConfig) -> Result<(), ViolationKind> {
         while let Some(&(from, to)) = cfg.switches.get(self.next_switch) {
             self.next_switch += 1;
-            // The selection loop leaves the AP this reign last switched
-            // to: a configured switch that leaves another one is moot.
-            let last = self.engine.history().last();
-            if last.map_or(true, |rec| rec.to.0 as usize == from) {
+            // The selection loop leaves the AP this reign takes to be
+            // serving: a configured switch that leaves another one is moot.
+            if self.view.map_or(true, |ap| ap == from) {
                 return self.issue(cfg, from, to);
             }
         }
@@ -656,14 +661,18 @@ impl State {
         if let Some(SwitchMsg::Stop { epoch, term, .. }) =
             self.engine.issue(self.now, CLIENT, from, to)
         {
-            // Cross-restart monotonicity: an epoch at or below what some
-            // AP already saw aliases a prior generation — the reborn
-            // controller's frames become indistinguishable from that
-            // generation's stragglers.
-            if epoch <= self.guard_floor() {
-                return Err(ViolationKind::EpochRegression);
-            }
+            self.fresh(epoch)?;
             self.send_stop(cfg, from, to, epoch, term);
+        }
+        Ok(())
+    }
+
+    /// Cross-restart monotonicity: an epoch at or below what some AP
+    /// already saw aliases a prior generation — the reborn controller's
+    /// frames become indistinguishable from that generation's stragglers.
+    fn fresh(&self, epoch: u32) -> Result<(), ViolationKind> {
+        if epoch <= self.guard_floor() {
+            return Err(ViolationKind::EpochRegression);
         }
         Ok(())
     }
@@ -681,20 +690,28 @@ impl State {
     }
 
     /// The controller process dies: the production wipe, and what the
-    /// production engine remembers of the dying reign.
+    /// production engine remembers of the dying reign. A switch in flight
+    /// at that instant is simply forgotten — whichever reign comes next
+    /// re-issues it (the selection loop re-noticing the client), so the
+    /// cursor rewinds.
     fn crash(&mut self) {
+        if self.engine.in_flight(CLIENT) {
+            self.next_switch -= 1;
+        }
         self.controller_down = true;
+        self.view = None;
         self.recovery.on_crash(self.now, &self.engine);
         self.engine.crash_wipe();
     }
 
-    /// What AP `ap` answers a `Resync` with, as `ApState::resync_reply`
-    /// builds it from the same guard.
-    fn resync_reply(&self, ap: usize) -> ResyncReply {
+    /// What AP `ap` answers round `seq`'s `Resync` with, as
+    /// `ApState::resync_reply` builds it from the same guard.
+    fn resync_reply(&self, ap: usize, seq: u64) -> ResyncReply {
         let a = &self.aps[ap];
         let head = a.head.unwrap_or(0);
         ResyncReply {
             ap: ApId(ap as u32),
+            seq,
             clients: vec![ClientResyncState {
                 client: CLIENT,
                 epoch_high_water: a.guard.latest(),
@@ -707,17 +724,18 @@ impl State {
         }
     }
 
-    /// Every live AP that admits a `Resync` stamped `term` answers, in AP
-    /// order; returns the round the last answer closed. Probes and replies
-    /// share the step because nothing in between can matter (DESIGN.md
-    /// §6i): a reigning controller issues nothing until its round closes,
-    /// and a zombie's probe finds no round open — its reply is an orphan.
-    fn probe(&mut self, cfg: &CheckerConfig, term: u32) -> Option<ResyncRound<()>> {
+    /// Every live AP that admits a `Resync` stamped `term` for round `seq`
+    /// answers, in AP order, raising its fence as it does; returns the
+    /// round the last answer closed. Probes and replies share the step
+    /// because nothing in between can matter (DESIGN.md §6i): a reigning
+    /// controller issues nothing until its round closes, and a zombie's
+    /// probe names round 0 — its reply is an orphan.
+    fn probe(&mut self, cfg: &CheckerConfig, term: u32, seq: u64) -> Option<ResyncRound<()>> {
         let mut closed = None;
         for ap in cfg.live_aps() {
             // As `on_resync_at_ap`: nobody left to hear the reply, or fenced.
             if !self.controller_down && self.term_fence(cfg, ap, term).is_some() {
-                let reply = self.resync_reply(ap);
+                let reply = self.resync_reply(ap, seq);
                 if let ReplyVerdict::Finish(round) = self.recovery.on_reply(reply) {
                     closed = Some(round);
                 }
@@ -726,18 +744,56 @@ impl State {
         closed
     }
 
-    /// The live controller's resync round: the production floor from the
-    /// replies — unless `resync_naive` forges a controller that ignores
-    /// what the APs reported.
-    fn resync(&mut self, cfg: &CheckerConfig) {
+    /// Reign `term` begins, as `start_resync` begins it: the round, the
+    /// production floor from its replies, the production verdicts acted on
+    /// — unless `resync_naive` forges a controller that ignores what the
+    /// APs reported — and then the next configured switch.
+    fn restart(&mut self, cfg: &CheckerConfig, term: u32) -> Result<(), ViolationKind> {
         self.controller_down = false;
+        self.engine.set_term(term);
         let (seq, empty) = self.recovery.begin(self.now, cfg.live_aps().count());
-        let closed = empty.or_else(|| self.probe(cfg, self.engine.term()));
+        let closed = empty.or_else(|| self.probe(cfg, term, seq));
         // A fenced probe earns no reply: the deadline closes the round.
         let closed = closed.or_else(|| self.recovery.on_deadline(seq));
         if let Some(round) = closed.filter(|_| !cfg.resync_naive) {
             self.engine.resume_from_resync(&round.replies);
+            for (action, _) in resync_verdicts(&round.replies) {
+                self.act(cfg, action)?;
+            }
         }
+        if !self.engine.in_flight(CLIENT) {
+            self.issue_next(cfg)?;
+        }
+        Ok(())
+    }
+
+    /// One resync verdict, as `finish_resync` acts on it.
+    fn act(&mut self, cfg: &CheckerConfig, action: ResyncAction) -> Result<(), ViolationKind> {
+        match action {
+            ResyncAction::Adopted { ap, .. } => self.view = Some(ap.0 as usize),
+            ResyncAction::RepairSwitch { stop, adopt, .. } => {
+                self.view = Some(adopt.0 as usize);
+                self.issue(cfg, stop.0 as usize, adopt.0 as usize)?;
+            }
+            ResyncAction::RepairAdopt { adopt, head, .. } => {
+                // A direct `start`: no `stop` leg, nobody is serving.
+                let ap = adopt.0 as usize;
+                self.view = Some(ap);
+                let epoch = self.engine.allocate_epoch(CLIENT);
+                self.fresh(epoch)?;
+                let term = self.engine.term();
+                self.send(
+                    cfg,
+                    NetMsg::Start {
+                        ap,
+                        k: head,
+                        epoch,
+                        term,
+                    },
+                );
+            }
+        }
+        Ok(())
     }
 
     /// Puts a frame on the wire. A frame addressed to a dead AP is eaten
@@ -745,9 +801,7 @@ impl State {
     /// a schedule choice, which keeps the abandon scenarios' trees small.
     fn send(&mut self, cfg: &CheckerConfig, m: NetMsg) {
         let dest_dead = match m {
-            NetMsg::Stop { ap, .. } | NetMsg::Start { ap, .. } | NetMsg::Announce { ap, .. } => {
-                cfg.dead_aps.contains(&ap)
-            }
+            NetMsg::Stop { ap, .. } | NetMsg::Start { ap, .. } => cfg.dead_aps.contains(&ap),
             NetMsg::Ack { .. } => false, // the controller is never dead here
             // Seam legs terminate at a controller or the migrated client —
             // never a dead AP.
@@ -912,18 +966,9 @@ impl State {
             }
             Choice::CrashController => {
                 self.crashes_left -= 1;
-                // A switch in flight at that instant is simply forgotten —
-                // the recovered controller re-issues it (the selection loop
-                // re-noticing the client), so rewind the cursor.
-                if self.engine.in_flight(CLIENT) {
-                    self.next_switch -= 1;
-                }
                 self.crash();
             }
-            Choice::RecoverController => {
-                self.resync(cfg);
-                self.issue_next(cfg)?;
-            }
+            Choice::RecoverController => self.restart(cfg, self.recovery.on_restart())?,
             Choice::FailoverToStandby(lag) => {
                 self.failovers_left -= 1;
                 // The last batch the standby hears: cut now, or just
@@ -942,28 +987,10 @@ impl State {
                 // down for a cold restart to revive.
                 self.now += TAKEOVER_TIMEOUT + SimDuration::from_millis(1);
                 if let Some(p) = self.recovery.on_check(self.now, true) {
-                    // As `on_standby_check`: fence, restore, announce —
-                    // ordinary in-flight frames, so the DFS enumerates
-                    // every partially-fenced network — then the plan.
-                    self.controller_down = false;
-                    self.engine.set_term(p.term);
+                    // As `on_standby_check`: what the journal held, then
+                    // the new term's round.
                     self.engine.restore_from_journal(p.replica.clients());
-                    for ap in 0..cfg.n_aps {
-                        self.send(cfg, NetMsg::Announce { ap, term: p.term });
-                    }
-                    match p.plan {
-                        TakeoverPlan::Redrive => {
-                            for q in p.replica.pending() {
-                                self.issue(cfg, q.from.0 as usize, q.to.0 as usize)?;
-                            }
-                        }
-                        TakeoverPlan::Resync => self.resync(cfg),
-                    }
-                    // A reign whose journal knew of no switch in flight
-                    // moves on to the next configured one.
-                    if !self.engine.in_flight(CLIENT) {
-                        self.issue_next(cfg)?;
-                    }
+                    self.restart(cfg, p.term)?;
                 }
             }
             Choice::ZombiePrimary => {
@@ -972,7 +999,7 @@ impl State {
                 for (_, p) in pending {
                     self.send_stop(cfg, p.from, p.to, p.epoch, term);
                 }
-                self.probe(cfg, term);
+                self.probe(cfg, term, 0);
             }
             Choice::MigrateExport => {
                 self.migrations_left -= 1;
@@ -1020,11 +1047,10 @@ impl State {
             }
             Choice::CrashDuringMigration => {
                 self.mig_crashes_left -= 1;
-                // An atomic bounce: soft state wiped, the durable term and
-                // the durable retained record survive, the epoch space
-                // resyncs from the AP guards.
+                // An atomic bounce: soft state wiped, the durable retained
+                // record survives, and the restart is a new term like any.
                 self.crash();
-                self.resync(cfg);
+                self.restart(cfg, self.recovery.on_restart())?;
             }
             Choice::DropMigration(i) => {
                 self.mig_drops_left -= 1;
@@ -1202,11 +1228,6 @@ impl State {
                     }
                 }
             }
-            NetMsg::Announce { ap, term } => {
-                // Raises the fence and nothing else, so no violation can
-                // hide behind a stale one.
-                self.term_fence(cfg, ap, term);
-            }
             NetMsg::UplinkAtDest { ident } => {
                 if self.dest_seen.contains(&ident) {
                     // The transferred (or locally accumulated) dedup key
@@ -1286,6 +1307,7 @@ impl State {
                             return Err(ViolationKind::ForeignAck);
                         }
                         self.completions += 1;
+                        self.view = Some(rec.to.0 as usize);
                         self.last_completed = Some((rec.to.0 as usize, rec.epoch));
                         self.issue_next(cfg)?;
                     }
@@ -1513,10 +1535,9 @@ mod tests {
     }
 
     /// Standby failover + zombie replay under the shipped fences: the
-    /// whole schedule space — every interleaving of the zombie's replayed
-    /// `stop`, the fence announcements, and the new reign's re-driven
-    /// switch — is violation-free, and the fence actually fires along the
-    /// way.
+    /// whole schedule space — every interleaving of the dead reign's
+    /// frames, the zombie's replayed `stop` and the new reign's switch —
+    /// is violation-free, and the fence actually fires along the way.
     #[test]
     fn standby_failover_with_fencing_is_clean() {
         let cfg = CheckerConfig {
@@ -1694,50 +1715,94 @@ mod tests {
         }
     }
 
-    /// The two shortest violating schedules of the lagged-journal slice
-    /// (`tests/checker.rs::lagged_journal_failover_is_not_safe_yet` has the
-    /// slice and the story), replayed step by step: every step but the last
-    /// is clean, the last breaks the named invariant.
+    /// The two situations the lagged-journal slice violated in while a
+    /// fed journal was trusted without a round (shortest traces
+    /// `[Deliver(0), FailoverToStandby(1)]` → `EpochRegression` and
+    /// `[FailoverToStandby(1), Deliver(0), …]` → `DualServing`): the dead
+    /// reign's `start`, or its `stop`, reaches an AP after the takeover.
+    /// The round raised every fence first, so the frame is dropped there,
+    /// and draining the wire leaves at most one AP serving at every step.
     #[test]
     fn lagged_journal_traces_replay() {
-        use Choice::{Deliver, FailoverToStandby};
         let cfg = CheckerConfig {
             switches: vec![(0, 1), (0, 2)],
             max_failovers: 1,
             max_journal_lag: 1,
             ..CheckerConfig::default()
         };
-        let traces: [(&[Choice], ViolationKind); 2] = [
-            (
-                &[Deliver(0), FailoverToStandby(1)],
-                ViolationKind::EpochRegression,
-            ),
-            (
-                &[
-                    FailoverToStandby(1),
-                    Deliver(0),
-                    Deliver(4),
-                    Deliver(3),
-                    Deliver(4),
-                ],
-                ViolationKind::DualServing,
-            ),
-        ];
-        for (trace, kind) in traces {
+        let step = |st: &mut State, choice: Choice| {
+            assert!(st.choices(&cfg).contains(&choice), "{choice:?}");
+            assert_eq!(st.apply(&cfg, choice), Ok(()), "{choice:?}");
+            assert!(st.aps.iter().filter(|a| a.serving).count() <= 1);
+        };
+        let dead_reign = |m: &NetMsg| {
+            matches!(
+                m,
+                NetMsg::Stop { term: 1, .. } | NetMsg::Start { term: 1, .. }
+            )
+        };
+        for start_in_flight in [true, false] {
             let mut st = State::initial(&cfg);
-            let (last, clean) = trace.split_last().unwrap();
-            for &step in clean {
-                assert!(st.choices(&cfg).contains(&step), "{step:?} of {trace:?}");
-                assert_eq!(st.apply(&cfg, step), Ok(()), "{step:?} of {trace:?}");
+            if start_in_flight {
+                step(&mut st, Choice::Deliver(0)); // the `stop` at AP 0
             }
-            assert_eq!(st.apply(&cfg, *last), Err(kind), "{trace:?}");
+            step(&mut st, Choice::FailoverToStandby(1));
+            let old = st
+                .net
+                .iter()
+                .position(dead_reign)
+                .expect("still on the wire");
+            let fenced = st.term_fence_drops;
+            step(&mut st, Choice::Deliver(old));
+            assert_eq!(st.term_fence_drops, fenced + 1, "{start_in_flight}");
+            while !st.net.is_empty() {
+                step(&mut st, Choice::Deliver(0));
+            }
         }
     }
 
-    /// The same failover space with the term fence forged away: the
-    /// zombie's stale-term frames reach the guards, and schedules where a
-    /// fence announcement outran the zombie surface the split-brain
-    /// family the fence exists to kill.
+    /// The lagged-journal slice under one half of the default hostility
+    /// (the full cross-product is ROADMAP item 9's): clean, exhaustive, and
+    /// the fence fires.
+    fn lagged_hostile_half_is_clean(dups: u32, timeouts: u32) {
+        let report = check(&CheckerConfig {
+            switches: vec![(0, 1), (0, 2)],
+            max_dups: dups,
+            max_drops: 1,
+            max_timeouts: timeouts,
+            max_failovers: 1,
+            max_journal_lag: 1,
+            max_schedules: 4_000_000,
+            ..CheckerConfig::default()
+        });
+        assert!(
+            report.violations.is_empty(),
+            "{:?}",
+            report.violations.first()
+        );
+        assert!(!report.truncated, "the space must be covered exhaustively");
+        assert!(report.term_fence_drops > 0, "the term fence never fired");
+    }
+
+    /// Drops with a timeout: 2 337 206 schedules. Release mode (≈ 3 s; CI's
+    /// `protocol-check` job runs it).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release mode")]
+    fn lagged_journal_drop_timeout_half_is_clean() {
+        lagged_hostile_half_is_clean(0, 1);
+    }
+
+    /// Duplicates with drops: 928 016 schedules. Release mode (≈ 1 s).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "release mode")]
+    fn lagged_journal_dup_drop_half_is_clean() {
+        lagged_hostile_half_is_clean(1, 0);
+    }
+
+    /// The same failover space with the term fence forged away: the dead
+    /// reign's and the zombie's stale-term frames reach the guards after
+    /// the new reign's round raised every fence, and surface the
+    /// split-brain family the fence exists to kill.
     #[test]
     fn unfenced_zombie_is_caught_as_split_brain() {
         let cfg = CheckerConfig {

@@ -7,21 +7,21 @@
 //! around this one set of decisions.
 //!
 //! One crash moves three things, so one engine holds them: the **resync
-//! round** of a cold restart, or of a takeover that cannot trust its
-//! journal (`begin`, `on_reply`, `on_deadline`, and `hold` for uplink that
-//! arrives meanwhile); the **warm standby** (`ship` on the primary,
-//! `on_journal` and `on_check` on the standby); and what the **crashed
-//! primary remembers** (`on_crash`), which its zombie replays at `on_wake`.
+//! round** every restart ends in, cold or by takeover (`begin`, `on_reply`,
+//! `on_deadline`, `hold` for uplink that arrives meanwhile, and
+//! [`resync_verdicts`] for what the replies say); the **warm standby**
+//! (`ship` on the primary, `on_journal` and `on_check` on the standby); and
+//! what the **crashed primary remembers** (`on_crash`): the term a cold
+//! restart (`on_restart`) and a promotion both start above, and what its
+//! zombie replays at `on_wake`.
 
-use crate::replica::{
-    ApplyOutcome, ClientJournalState, JournalBatch, PendingJournalState, Replica,
-};
-use crate::switching::{PendingSwitch, ResyncReply, SwitchEngine};
-use std::collections::VecDeque;
-use wgtt_net::ClientId;
+use crate::replica::{ApplyOutcome, ClientJournalState, JournalBatch, Replica};
+use crate::switching::{ClientResyncState, PendingSwitch, ResyncReply, SwitchEngine};
+use std::collections::{BTreeMap, VecDeque};
+use wgtt_net::{ApId, ClientId};
 use wgtt_sim::{SimDuration, SimTime};
 
-/// How long a rebooted controller waits for resync replies before closing
+/// How long a restarted controller waits for resync replies before closing
 /// the round with whatever arrived (covers APs that die between the
 /// broadcast and their reply) — and a zombie for an answer to its probes
 /// before it concludes it was superseded.
@@ -35,7 +35,8 @@ pub const TAKEOVER_TIMEOUT: SimDuration = SimDuration::from_millis(35);
 /// One resync round: open inside the engine, the caller's once it closes.
 #[derive(Debug, Clone)]
 pub struct ResyncRound<U> {
-    /// Round number (guards the deadline against later rounds).
+    /// Round number: the deadline and every reply carry it, so nothing
+    /// addressed to an earlier round (or to none) can touch this one.
     seq: u64,
     /// Replies expected: the APs reachable at broadcast time.
     expected: usize,
@@ -55,8 +56,9 @@ pub enum ReplyVerdict<U> {
     Wait,
     /// The last expected reply: the round is closed.
     Finish(ResyncRound<U>),
-    /// No round is open: the deadline already closed it, or the reply
-    /// answers a superseded reign's broadcast (a zombie's probes end here).
+    /// The reply names no open round: the deadline already closed its
+    /// round, a later one superseded it, or it answers a zombie's probe
+    /// (which names round 0).
     Orphan,
 }
 
@@ -73,29 +75,119 @@ pub enum Hold<U> {
     Displaced,
 }
 
-/// How far a promoted standby trusts its journal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TakeoverPlan {
-    /// Fed and un-gapped: re-drive the replica's in-flight switches, each
-    /// under a fresh epoch of the new term.
-    Redrive,
-    /// Never fed, or a lost batch poisoned the dedup-key delta: rebuild
-    /// from the APs' authoritative copies with a term-stamped resync round.
-    Resync,
-}
-
-/// The standby takes over.
+/// The standby takes over: restore what the journal held, then run the
+/// round under the new term, as a cold restart does.
 #[derive(Debug, Clone)]
 pub struct Promote {
     /// The new reign's term: above anything the dead primary, or its
     /// zombie, can ever stamp.
     pub term: u32,
-    /// What the journal held. Nobody feeds or reads it again.
+    /// What the journal held — a floor for the round, never a substitute
+    /// for it: the last batch can predate the crash. Nobody feeds it again.
     pub replica: Replica,
-    /// Whether to trust it.
-    pub plan: TakeoverPlan,
     /// When the primary crashed, for the takeover-latency metric.
     pub down_since: SimTime,
+}
+
+/// One client's disposition after a resync round reconstructed the
+/// controller's state from AP replies.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResyncAction {
+    /// Exactly one AP claims the client — the caller restores the
+    /// serving-map entry in place; no wire traffic needed.
+    Adopted {
+        /// The re-adopted client.
+        client: ClientId,
+        /// Its (unanimous) serving AP.
+        ap: ApId,
+    },
+    /// Two or more APs claim the client (a half-open switch resolved on
+    /// both sides of the crash, e.g. via local re-adoption racing a slow
+    /// `start`): the caller must issue a fresh epoch-stamped switch from
+    /// `stop` to `adopt` so exactly one transmitter remains.
+    RepairSwitch {
+        /// The conflicted client.
+        client: ClientId,
+        /// The losing claimant the switch stops.
+        stop: ApId,
+        /// The winning claimant that keeps serving.
+        adopt: ApId,
+    },
+    /// No AP claims the client although it was mid-protocol (`stop`
+    /// applied, `start` lost, crash ate the retransmit ladder): the
+    /// caller must send a fresh-epoch direct `start` to `adopt` resuming
+    /// at queue index `head`.
+    RepairAdopt {
+        /// The serverless client.
+        client: ClientId,
+        /// The AP best positioned to take it (newest guard state).
+        adopt: ApId,
+        /// Queue index the repair `start` resumes from.
+        head: u16,
+    },
+}
+
+/// What a closed round's replies say, one verdict per client the protocol
+/// touched, in ascending client order — each with the queue tail of the AP
+/// it settles on, where the controller's downlink index allocator resumes.
+/// Pure: [`crate::controller::ControllerState::apply_resync`] and the
+/// checker both act on it.
+pub fn resync_verdicts(replies: &[ResyncReply]) -> Vec<(ResyncAction, u16)> {
+    let mut per_client: BTreeMap<ClientId, Vec<(ApId, ClientResyncState)>> = BTreeMap::new();
+    for reply in replies {
+        for cs in &reply.clients {
+            per_client
+                .entry(cs.client)
+                .or_default()
+                .push((reply.ap, *cs));
+        }
+    }
+    // Best positioned to serve a client first: newest applied `start`,
+    // then newest guard epoch, then lowest AP id — a total order, so
+    // reconstruction is deterministic.
+    let rank = |s: &(ApId, ClientResyncState)| {
+        let newest = (s.1.start_applied, s.1.epoch_high_water);
+        (std::cmp::Reverse(newest), s.0)
+    };
+    let mut verdicts = Vec::new();
+    for (client, states) in per_client {
+        let mut claimants: Vec<(ApId, ClientResyncState)> =
+            states.iter().copied().filter(|(_, s)| s.serving).collect();
+        claimants.sort_by_key(rank);
+        let verdict = match claimants[..] {
+            [(ap, st)] => (ResyncAction::Adopted { client, ap }, st.queue_tail),
+            [] => {
+                // Repair only clients that were mid-protocol; a client
+                // the guards never saw re-associates through normal
+                // selection once CSI flows again.
+                let involved = states.iter().filter(|(_, s)| s.epoch_high_water > 0);
+                let Some(&(adopt, st)) = involved.min_by_key(|s| rank(s)) else {
+                    continue;
+                };
+                let head = st.queue_head;
+                (
+                    ResyncAction::RepairAdopt {
+                        client,
+                        adopt,
+                        head,
+                    },
+                    st.queue_tail,
+                )
+            }
+            // Two or more claim it: the best keeps serving, the worst
+            // placed is stopped.
+            [(adopt, st), .., (stop, _)] => (
+                ResyncAction::RepairSwitch {
+                    client,
+                    stop,
+                    adopt,
+                },
+                st.queue_tail,
+            ),
+        };
+        verdicts.push(verdict);
+    }
+    verdicts
 }
 
 /// Both controllers' recovery state. `U` is a parked uplink copy.
@@ -143,8 +235,9 @@ impl<U> RecoveryEngine<U> {
     }
 
     /// The controller process dies at `now`, `engine` not yet wiped: an
-    /// open round dies with it; its term and in-flight switches are what
-    /// the zombie wakes with, the instant what takeover latency counts from.
+    /// open round dies with it; its term is what every restart starts
+    /// above, it and the in-flight switches are what the zombie wakes
+    /// with, the instant what takeover latency counts from.
     pub fn on_crash(&mut self, now: SimTime, engine: &SwitchEngine) {
         self.round = None;
         self.crashed_at = Some(now);
@@ -152,9 +245,17 @@ impl<U> RecoveryEngine<U> {
         self.zombie_pending = engine.pending_sorted();
     }
 
-    /// Opens a round at `now`, `Resync` having been broadcast to `expected`
-    /// APs. Returns its number, for the deadline to carry — and the round
-    /// itself, already closed, when nobody was reachable.
+    /// The crashed controller restarts cold: a new term, one above the
+    /// reign that died, so the round it runs fences every frame that reign
+    /// left on the wire — exactly as a promoted standby's does.
+    pub fn on_restart(&self) -> u32 {
+        self.zombie_term + 1
+    }
+
+    /// Opens a round at `now` that `expected` APs will be asked to answer.
+    /// Returns its number, for the `Resync` frames and the deadline to
+    /// carry — and the round itself, already closed, when nobody was
+    /// reachable.
     pub fn begin(&mut self, now: SimTime, expected: usize) -> (u64, Option<ResyncRound<U>>) {
         self.round_seq += 1;
         self.round = Some(ResyncRound {
@@ -169,7 +270,7 @@ impl<U> RecoveryEngine<U> {
 
     /// An AP's reply reached the controller.
     pub fn on_reply(&mut self, reply: ResyncReply) -> ReplyVerdict<U> {
-        let Some(round) = &mut self.round else {
+        let Some(round) = self.round.as_mut().filter(|r| r.seq == reply.seq) else {
             return ReplyVerdict::Orphan;
         };
         round.replies.push(reply);
@@ -192,6 +293,13 @@ impl<U> RecoveryEngine<U> {
         } else {
             None
         }
+    }
+
+    /// Whether a round is open. The reign it rebuilds issues nothing until
+    /// it closes: its verdicts, not a journal or a wiped table, say who
+    /// serves (DESIGN.md §6i).
+    pub fn round_open(&self) -> bool {
+        self.round.is_some()
     }
 
     /// An uplink copy reached the controller. Mid-round it is parked:
@@ -227,18 +335,17 @@ impl<U> RecoveryEngine<U> {
     pub fn ship(
         &mut self,
         term: u32,
-        snapshot: impl FnOnce() -> (Vec<ClientJournalState>, Vec<PendingJournalState>),
+        snapshot: impl FnOnce() -> Vec<ClientJournalState>,
     ) -> Option<JournalBatch> {
         if self.promoted {
             return None;
         }
-        let (clients, pending) = snapshot();
+        let clients = snapshot();
         self.journal_seq += 1;
         Some(JournalBatch {
             term,
             seq: self.journal_seq,
             clients,
-            pending,
             dedup_keys: std::mem::take(&mut self.journal_keys),
         })
     }
@@ -270,15 +377,9 @@ impl<U> RecoveryEngine<U> {
         self.promoted = true;
         self.crashed_at = None;
         let replica = std::mem::take(&mut self.replica);
-        let plan = if replica.fed() && !replica.gapped() {
-            TakeoverPlan::Redrive
-        } else {
-            TakeoverPlan::Resync
-        };
         Some(Promote {
             term: replica.term().max(self.zombie_term).max(1) + 1,
             replica,
-            plan,
             down_since,
         })
     }
@@ -299,9 +400,10 @@ mod tests {
         SimTime::from_millis(t)
     }
 
-    fn reply(ap: u32) -> ResyncReply {
+    fn reply(ap: u32, seq: u64) -> ResyncReply {
         ResyncReply {
             ap: ApId(ap),
+            seq,
             clients: Vec::new(),
             recent_uplink_keys: Vec::new(),
         }
@@ -312,7 +414,6 @@ mod tests {
             term,
             seq,
             clients: Vec::new(),
-            pending: Vec::new(),
             dedup_keys: Vec::new(),
         }
     }
@@ -327,8 +428,9 @@ mod tests {
     }
 
     /// The round, one step at a time: `b<n>` opens a round expecting `n`
-    /// replies, `r` is a reply, `d<seq>` the deadline of round `seq`, `x` a
-    /// crash; each step says what came back.
+    /// replies, `r` is a reply to the round opened last and `r<seq>` one to
+    /// round `seq`, `d<seq>` the deadline of round `seq`, `x` a crash; each
+    /// step says what came back.
     #[test]
     fn round_verdicts() {
         let table: &[(&str, &str, &str)] = &[
@@ -350,16 +452,23 @@ mod tests {
             ("", "x", "-"),
             ("", "r", "orphan"),
             ("deadline included", "d6", "none"),
+            ("a reply to an earlier round", "b2", "open 7"),
+            ("is an orphan while a later one is open", "r6", "orphan"),
+            ("and is not counted", "r", "wait"),
+            ("", "r", "finish 2"),
         ];
         let mut e: RecoveryEngine<u8> = RecoveryEngine::new(4);
+        let mut last = 0;
         for &(what, step, want) in table {
             let n = step[1..].parse::<u64>().unwrap_or(0);
             let got = match &step[..1] {
-                "b" => match e.begin(ms(0), n as usize) {
-                    (seq, None) => format!("open {seq}"),
-                    (seq, Some(_)) => format!("closed {seq}"),
-                },
-                "r" => match e.on_reply(reply(0)) {
+                "b" => {
+                    let (seq, closed) = e.begin(ms(0), n as usize);
+                    last = seq;
+                    let state = if closed.is_some() { "closed" } else { "open" };
+                    format!("{state} {seq}")
+                }
+                "r" => match e.on_reply(reply(0, if n == 0 { last } else { n })) {
                     ReplyVerdict::Finish(round) => format!("finish {}", round.replies.len()),
                     other => said(&other).to_string(),
                 },
@@ -383,10 +492,12 @@ mod tests {
         let mut e: RecoveryEngine<u8> = RecoveryEngine::new(2);
         assert_eq!(e.hold(9), Hold::Pass(9));
         let (seq, _) = e.begin(ms(0), 1);
+        assert!(e.round_open());
         let held: Vec<Hold<u8>> = (1..=4).map(|copy| e.hold(copy)).collect();
         let want = [Hold::Parked, Hold::Parked, Hold::Displaced, Hold::Displaced];
         assert_eq!(held, want);
         let round = e.on_deadline(seq).expect("open");
+        assert!(!e.round_open());
         assert_eq!(round.held, [3, 4], "oldest dropped first");
         assert_eq!(round.started_at, ms(0));
         assert_eq!(e.hold(9), Hold::Pass(9));
@@ -417,7 +528,6 @@ mod tests {
             assert_eq!(got.is_some(), want, "{what}");
             if let Some(p) = got {
                 assert_eq!(p.down_since, ms(100));
-                assert_eq!(p.plan, TakeoverPlan::Redrive);
                 assert_eq!(p.replica.last_seq(), 1);
             }
         }
@@ -445,22 +555,20 @@ mod tests {
         assert!(e.on_check(ms(336), true).is_some());
     }
 
-    /// The term rule is `max(replica, zombie, 1) + 1`, and only a fed,
-    /// un-gapped replica is re-driven: `(batches fed, the crashed primary's
-    /// term) → (term, plan)`.
+    /// The term rule is `max(replica, zombie, 1) + 1`, however the journal
+    /// was fed: `(batches fed, the crashed primary's term) → term`.
     #[test]
-    fn promotion_term_and_plan() {
-        use TakeoverPlan::*;
-        type Row = (&'static str, &'static [(u32, u64)], u32, u32, TakeoverPlan);
+    fn promotion_term() {
+        type Row = (&'static str, &'static [(u32, u64)], u32, u32);
         let table: &[Row] = &[
-            ("never fed", &[], 1, 2, Resync),
-            ("fed in order", &[(1, 1), (1, 2)], 1, 2, Redrive),
-            ("attached mid-reign", &[(1, 7)], 1, 2, Redrive),
-            ("gapped", &[(1, 1), (1, 3)], 1, 2, Resync),
-            ("the replica's term leads", &[(5, 1)], 3, 6, Redrive),
-            ("the crashed primary's term leads", &[(3, 1)], 5, 6, Redrive),
+            ("never fed", &[], 1, 2),
+            ("fed in order", &[(1, 1), (1, 2)], 1, 2),
+            ("attached mid-reign", &[(1, 7)], 1, 2),
+            ("gapped", &[(1, 1), (1, 3)], 1, 2),
+            ("the replica's term leads", &[(5, 1)], 3, 6),
+            ("the crashed primary's term leads", &[(3, 1)], 5, 6),
         ];
-        for &(what, batches, crashed_term, term, plan) in table {
+        for &(what, batches, crashed_term, term) in table {
             let mut e: RecoveryEngine = RecoveryEngine::new(0);
             for &(t, seq) in batches {
                 e.on_journal(ms(0), &batch(t, seq));
@@ -469,7 +577,7 @@ mod tests {
             dying.set_term(crashed_term);
             e.on_crash(ms(0), &dying);
             let p = e.on_check(ms(36), true).expect(what);
-            assert_eq!((p.term, p.plan), (term, plan), "{what}");
+            assert_eq!(p.term, term, "{what}");
         }
         // The floor of 1: no engine stamps term 0, so only a memory nothing
         // ever wrote reaches it.
@@ -479,8 +587,9 @@ mod tests {
     }
 
     /// The primary numbers its batches from 1 and ships each forwarded key
-    /// once; the zombie wakes with what the crash froze, and hands its
-    /// in-flight switches out once.
+    /// once; a cold restart starts one term above the crash; the zombie
+    /// wakes with what the crash froze, and hands its in-flight switches
+    /// out once.
     #[test]
     fn journal_cursor_and_zombie_memory() {
         let mut e: RecoveryEngine = RecoveryEngine::new(0);
@@ -495,6 +604,7 @@ mod tests {
         dying.set_term(4);
         dying.issue(ms(0), ClientId(2), ApId(0), ApId(1));
         e.on_crash(ms(5), &dying);
+        assert_eq!(e.on_restart(), 5);
         let (term, pending) = e.on_wake();
         assert_eq!(term, 4);
         assert_eq!(pending.len(), 1);

@@ -19,8 +19,9 @@
 //! processing at the APs, which [`SwitchTimings`] models as calibrated
 //! delay distributions.
 
-use crate::replica::{ClientJournalState, PendingJournalState};
+use crate::replica::ClientJournalState;
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use wgtt_net::{ApId, ClientId};
 use wgtt_sim::{SimDuration, SimRng, SimTime};
@@ -88,9 +89,9 @@ pub enum SwitchMsg {
 pub const CONTROL_PACKET_BYTES: usize = 64;
 
 /// One client's switch-protocol state as reported by an AP in answer to a
-/// post-reboot `Resync` broadcast. The APs hold the authoritative copies
-/// of everything the controller lost: guard high-water epochs, cyclic
-/// queue positions, and who is actually serving.
+/// restarted controller's `Resync` broadcast. The APs hold the
+/// authoritative copies of everything the controller lost: guard
+/// high-water epochs, cyclic queue positions, and who is actually serving.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientResyncState {
     /// Client this entry describes.
@@ -114,6 +115,9 @@ pub struct ClientResyncState {
 pub struct ResyncReply {
     /// The replying AP.
     pub ap: ApId,
+    /// The round the `Resync` opened, echoed so a reply to any other round
+    /// (an earlier one, or a zombie's probe, which carries 0) is an orphan.
+    pub seq: u64,
     /// Per-client protocol state, in ascending client order (the sender
     /// sorts, so reply processing is deterministic).
     pub clients: Vec<ClientResyncState>,
@@ -361,9 +365,8 @@ impl SwitchEngine {
         self.pending.get(&client)
     }
 
-    /// Every in-flight switch in ascending client order — the journal
-    /// shipper snapshots these so a standby can re-drive them under fresh
-    /// epochs after takeover (the crash loses the retransmission timers).
+    /// Every in-flight switch in ascending client order — what a crashed
+    /// primary's zombie re-drives under its stale term when it wakes.
     pub fn pending_sorted(&self) -> Vec<(ClientId, PendingSwitch)> {
         let mut v: Vec<(ClientId, PendingSwitch)> =
             self.pending.iter().map(|(&c, &p)| (c, p)).collect();
@@ -379,10 +382,11 @@ impl SwitchEngine {
         v
     }
 
-    /// The controller process dies and restarts in place: every piece of
-    /// switch state is gone, epochs included. The term is the one durable
-    /// scalar (persisted at bump time), so the restart resumes the same
-    /// reign and already-fenced APs keep accepting the rebuilt controller.
+    /// The controller process dies: every piece of switch state is gone,
+    /// epochs included. The term is the one durable scalar (persisted at
+    /// bump time); whoever restarts the controller — the process itself or
+    /// a promoted standby — installs a term above it before issuing
+    /// anything, so the dead reign's frames still on the wire are fenced.
     pub fn crash_wipe(&mut self) {
         *self = SwitchEngine {
             term: self.term,
@@ -392,32 +396,22 @@ impl SwitchEngine {
 
     /// The engine's share of a [`crate::replica::JournalBatch`]: every
     /// client's epoch high water (serving AP and allocator position are the
-    /// controller's to fill in) and the in-flight switch set, both in
-    /// ascending client order so standby replay is deterministic.
-    pub fn journal_snapshot(&self) -> (Vec<ClientJournalState>, Vec<PendingJournalState>) {
+    /// controller's to fill in), in ascending client order so standby
+    /// replay is deterministic.
+    pub fn journal_snapshot(&self) -> Vec<ClientJournalState> {
         let blank = |(client, epoch)| ClientJournalState {
             client,
             epoch,
             serving: None,
             alloc_next: 0,
         };
-        let clients = self.epochs_sorted().into_iter().map(blank).collect();
-        let pending = self
-            .pending_sorted()
-            .into_iter()
-            .map(|(client, p)| PendingJournalState {
-                client,
-                from: p.from,
-                to: p.to,
-            })
-            .collect();
-        (clients, pending)
+        self.epochs_sorted().into_iter().map(blank).collect()
     }
 
     /// Takeover from a journal: epochs resume strictly above the journaled
-    /// high water (the same monotonic floor the resync path enforces).
-    /// In-flight switches are the caller's job: each journaled pending
-    /// entry is re-issued under a fresh epoch and the new term.
+    /// high water. The journal may trail the crash, so this is a floor, not
+    /// the answer: the takeover's resync round raises it to what the AP
+    /// guards report ([`SwitchEngine::resume_from_resync`]).
     pub fn restore_from_journal(&mut self, clients: &[ClientJournalState]) {
         for cs in clients {
             self.resume_epochs_above(cs.client, cs.epoch);
@@ -521,17 +515,16 @@ impl SwitchEngine {
         from_ap: ApId,
         epoch: u32,
     ) -> AckOutcome {
-        let Some(p) = self.pending.get(&client) else {
+        let Entry::Occupied(slot) = self.pending.entry(client) else {
             return AckOutcome::NoPending;
         };
-        if epoch != p.epoch {
+        if epoch != slot.get().epoch {
             return AckOutcome::StaleEpoch;
         }
-        if from_ap != p.to {
+        if from_ap != slot.get().to {
             return AckOutcome::WrongSource;
         }
-        // Invariant: `p` above was borrowed from this same map entry.
-        let p = self.pending.remove(&client).expect("checked above");
+        let p = slot.remove();
         let issued = self.issued_at.remove(&client).unwrap_or(p.sent_at);
         let rec = SwitchRecord {
             client,

@@ -117,7 +117,7 @@ impl WgttWorld {
     /// Sends one control frame over the backhaul — the only place
     /// `control_packets` is counted and a control frame's wire size chosen.
     /// `lossy` is the datagram fast path (`stop`/`start`/`ack`); the
-    /// management channel (resync, term announcements) is reliable.
+    /// management channel (resync rounds) is reliable.
     pub(super) fn send_control(&mut self, ctx: &mut Ctx<'_, Ev>, lossy: bool, ev: Ev) {
         let bytes = match &ev {
             // A resync reply scales with what it carries: per-client
@@ -562,7 +562,9 @@ impl WgttWorld {
     fn select_for(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize) {
         let now = ctx.now();
         let client = ClientId(c as u32);
-        if self.ctrl.engine.in_flight(client) || self.pending_reattach[c].is_some() {
+        // A restarted reign decides nothing until its resync round closes.
+        let busy = self.ctrl.engine.in_flight(client) || self.pending_reattach[c].is_some();
+        if busy || self.recovery.round_open() {
             return;
         }
         let current = self.ctrl.serving(client);
@@ -648,8 +650,8 @@ mod tests {
         !sim.step()
     }
 
-    /// The four controller→AP control frames, addressed to `AP` under `term`.
-    fn ap_bound(term: u32) -> [(&'static str, Ev); 4] {
+    /// The three controller→AP control frames, addressed to `AP` under `term`.
+    fn ap_bound(term: u32) -> [(&'static str, Ev); 3] {
         let leg = Leg {
             ap: AP,
             client: 0,
@@ -661,11 +663,11 @@ mod tests {
             ("Start", Ev::Ctl(Ctl::StartAtAp { leg, k: 0 })),
             (
                 "Resync",
-                Ev::Recovery(Recovery::ResyncAtAp { ap: AP, term }),
-            ),
-            (
-                "TermAnnounce",
-                Ev::Recovery(Recovery::TermAnnounceAtAp { ap: AP, term }),
+                Ev::Recovery(Recovery::ResyncAtAp {
+                    ap: AP,
+                    term,
+                    seq: 1,
+                }),
             ),
         ]
     }
@@ -725,7 +727,7 @@ mod tests {
     fn resync_reaching_an_ap_after_a_second_crash_leaves_the_fence_alone() {
         let mut sim = bare(FaultSchedule::new());
         sim.world_mut().controller_down = true;
-        let [_, _, (_, resync), _] = ap_bound(9);
+        let [_, _, (_, resync)] = ap_bound(9);
         assert!(dies_at_the_door(&mut sim, resync));
         assert_eq!(sim.world().aps[AP].term_guard.latest(), 0);
         assert_eq!(sim.world().sys.control_packets, 0);
@@ -753,7 +755,7 @@ mod tests {
             client: 0,
             esnr_db: 20.0,
         };
-        let reply = w.aps[AP].resync_reply();
+        let reply = w.aps[AP].resync_reply(1);
         [
             ("PacketAtController", Ev::Data(down)),
             ("UplinkCopyAtController", Ev::Data(up)),

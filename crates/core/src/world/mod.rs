@@ -20,11 +20,11 @@
 use crate::ap::{ApState, MPDU_RETRY_LIMIT};
 use crate::client::{ClientState, DeliveryRecord};
 use crate::config::{Mode, SystemConfig};
-use crate::controller::{ControllerState, ResyncAction};
+use crate::controller::ControllerState;
 use crate::dedup::Deduplicator;
 use crate::metrics::SystemMetrics;
 use crate::oracle::{Recorder, Sample, WorldView};
-use crate::recovery::RecoveryEngine;
+use crate::recovery::{RecoveryEngine, ResyncAction};
 use crate::replica::JournalBatch;
 use crate::switching::{AckOutcome, ResyncReply, SwitchMsg, TermVerdict, CONTROL_PACKET_BYTES};
 use wgtt_mac::blockack::BlockAckFrame;

@@ -1,10 +1,10 @@
 //! Faults and what repairs them: AP and controller crash edges, the
-//! post-reboot resync round, the journal-fed warm standby, and the fenced
-//! zombie ex-primary.
+//! resync round every restart ends in, the journal-fed warm standby, and
+//! the fenced zombie ex-primary.
 
 use super::*;
 use crate::ap::Role;
-use crate::recovery::{Hold, ReplyVerdict, ResyncRound, TakeoverPlan, RESYNC_DEADLINE};
+use crate::recovery::{Hold, ReplyVerdict, ResyncRound, RESYNC_DEADLINE};
 use crate::replica::ApplyOutcome;
 
 /// Fault edges and the recovery protocols they set off.
@@ -17,12 +17,13 @@ pub enum Recovery {
     /// Fault injection: the controller process crashes (soft state wiped;
     /// nothing sent, everything inbound dropped, no timers fire).
     ControllerCrash,
-    /// Fault injection: the controller restarts blank and broadcasts
-    /// `Resync` to every reachable AP.
+    /// Fault injection: the controller restarts blank under a new term and
+    /// broadcasts `Resync` to every reachable AP.
     ControllerRecover,
-    /// Post-reboot `Resync` broadcast arrives at an AP, stamped with the
-    /// issuing controller's term (a zombie's stale term is fenced here).
-    ResyncAtAp { ap: usize, term: u32 },
+    /// A restarted controller's `Resync` arrives at an AP, stamped with its
+    /// term (a zombie's stale term is fenced here) and the round it opened
+    /// (0 from a zombie, which opens none), which the reply echoes.
+    ResyncAtAp { ap: usize, term: u32, seq: u64 },
     /// An AP's resync reply arrives back at the controller.
     ResyncReplyAtController { reply: ResyncReply },
     /// Fallback: finalize resync session `seq` with whatever replies
@@ -42,9 +43,6 @@ pub enum Recovery {
     JournalAtStandby { batch: JournalBatch },
     /// Standby failure-detector tick: promote on journal silence.
     StandbyCheck,
-    /// Post-takeover term announcement arrives at an AP: raises its term
-    /// fence and flushes degraded-mode uplink toward the new controller.
-    TermAnnounceAtAp { ap: usize, term: u32 },
     /// The crashed ex-primary process un-freezes and, unaware it was
     /// superseded, tries to resume its reign with stale state.
     ZombieWake,
@@ -68,7 +66,6 @@ impl Recovery {
             | Recovery::JournalShip
             | Recovery::JournalAtStandby { .. }
             | Recovery::StandbyCheck
-            | Recovery::TermAnnounceAtAp { .. }
             | Recovery::ZombieWake
             | Recovery::ZombieDeadline => None,
         }
@@ -96,7 +93,7 @@ impl WgttWorld {
             Recovery::ApReboot(ap) => self.on_ap_reboot(ctx, ap),
             Recovery::ControllerCrash => self.on_controller_crash(ctx),
             Recovery::ControllerRecover => self.on_controller_recover(ctx),
-            Recovery::ResyncAtAp { ap, term } => self.on_resync_at_ap(ctx, ap, term),
+            Recovery::ResyncAtAp { ap, term, seq } => self.on_resync_at_ap(ctx, ap, term, seq),
             Recovery::ResyncReplyAtController { reply } => {
                 self.on_resync_reply_at_controller(ctx, reply)
             }
@@ -107,7 +104,6 @@ impl WgttWorld {
             Recovery::JournalShip => self.on_journal_ship(ctx),
             Recovery::JournalAtStandby { batch } => self.on_journal_at_standby(ctx, batch),
             Recovery::StandbyCheck => self.on_standby_check(ctx),
-            Recovery::TermAnnounceAtAp { ap, term } => self.on_term_announce_at_ap(ctx, ap, term),
             Recovery::ZombieWake => self.on_zombie_wake(ctx),
             Recovery::ZombieDeadline => self.sys.zombie_standdowns += 1,
         }
@@ -214,50 +210,54 @@ impl WgttWorld {
         if self.cfg.mode != Mode::Wgtt {
             return; // the baseline keeps no controller soft state to resync
         }
-        self.start_resync(ctx);
+        self.start_resync(ctx, self.recovery.on_restart());
     }
 
     /// Sends one reliable management frame to every AP reachable right
-    /// now, in AP order; returns how many were addressed.
-    fn broadcast(&mut self, ctx: &mut Ctx<'_, Ev>, frame: impl Fn(usize) -> Recovery) -> usize {
-        let mut sent = 0;
+    /// now, in AP order.
+    fn broadcast(&mut self, ctx: &mut Ctx<'_, Ev>, frame: impl Fn(usize) -> Recovery) {
         for ap in 0..self.aps.len() {
             if self.ap_reachable(ap, ctx.now()) {
                 self.send_control(ctx, false, Ev::Recovery(frame(ap)));
-                sent += 1;
             }
         }
-        sent
     }
 
-    /// Broadcasts `Resync` to every reachable AP over the management
-    /// channel (reliable TCP, not the lossy datagram fast path), then
-    /// rebuilds state from whatever answers arrive before the deadline.
-    /// Shared by the cold-restart recovery path and a takeover whose
-    /// journal replica cannot be trusted (gapped or never fed).
-    fn start_resync(&mut self, ctx: &mut Ctx<'_, Ev>) {
-        let term = self.ctrl.engine.term();
-        let expected = self.broadcast(ctx, |ap| Recovery::ResyncAtAp { ap, term });
-        match self.recovery.begin(ctx.now(), expected) {
-            (_, Some(round)) => self.finish_resync(ctx, round),
-            (seq, None) => {
+    /// Starts reign `term` — a cold restart's or a promoted standby's, the
+    /// one recovery path — with a resync round: `Resync` to every reachable
+    /// AP over the management channel (reliable TCP, not the lossy datagram
+    /// fast path), each raising that AP's fence as it answers, then state
+    /// rebuilt from whatever answers arrive before the deadline.
+    fn start_resync(&mut self, ctx: &mut Ctx<'_, Ev>, term: u32) {
+        self.ctrl.engine.set_term(term);
+        let now = ctx.now();
+        let expected = (0..self.aps.len())
+            .filter(|&ap| self.ap_reachable(ap, now))
+            .count();
+        let (seq, closed) = self.recovery.begin(now, expected);
+        self.broadcast(ctx, |ap| Recovery::ResyncAtAp { ap, term, seq });
+        match closed {
+            Some(round) => self.finish_resync(ctx, round),
+            None => {
                 let deadline = Recovery::ResyncDeadline { seq };
                 ctx.schedule_in(RESYNC_DEADLINE, Ev::Recovery(deadline));
             }
         }
     }
 
-    fn on_resync_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, term: u32) {
-        // Unlike the other three AP-bound frames, a resync tests
+    fn on_resync_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, term: u32, seq: u64) {
+        // Unlike the other two AP-bound frames, a resync tests
         // `controller_down` *before* admission: if the controller crashed
         // again while its broadcast was in flight, the frame must not even
         // raise the fence — nobody is left to hear the reply it would earn.
         // Then the fence, before anything observable: a zombie ex-primary's
-        // resync must neither earn a reply nor flush held uplink.
+        // resync must neither earn a reply nor flush held uplink. The reply
+        // is cut at the instant the fence rises, so every frame of an older
+        // reign either shows in it or is dropped here from now on.
         if self.controller_down || !self.ap_admits(ap, term, ctx.now()) {
             return;
         }
-        let reply = self.aps[ap].resync_reply();
+        let reply = self.aps[ap].resync_reply(seq);
         let reply = Recovery::ResyncReplyAtController { reply };
         self.send_control(ctx, false, Ev::Recovery(reply));
         // Anything that is a cross-restart duplicate will be caught by the
@@ -423,38 +423,19 @@ impl WgttWorld {
         let Some(promote) = self.recovery.on_check(now, self.controller_down) else {
             return;
         };
-        // Takeover: the standby is the controller from here on.
-        let (term, replica) = (promote.term, promote.replica);
+        // Takeover: the standby is the controller from here on. What the
+        // journal held (nothing, if never fed) seeds it; the new term's
+        // round, as after a cold restart, corrects whatever the journal
+        // missed — it can trail the crash by a batch.
+        let replica = &promote.replica;
         self.sys.standby_takeovers += 1;
         self.sys
             .takeovers
             .push((now, now.saturating_since(promote.down_since)));
         self.controller_down = false;
-        // Fence first, then what the journal held (nothing, if never fed).
-        self.ctrl.engine.set_term(term);
         self.ctrl
             .restore_from_journal(replica.clients(), replica.keys());
-        // Announce the term to every reachable AP (reliable channel):
-        // raises their fences and flushes degraded-mode uplink.
-        self.broadcast(ctx, |ap| Recovery::TermAnnounceAtAp { ap, term });
-        match promote.plan {
-            TakeoverPlan::Redrive => {
-                for p in replica.pending() {
-                    self.issue_switch(ctx, p.client.0 as usize, p.from.0 as usize, p.to.0 as usize);
-                }
-                self.ensure_round(ctx);
-            }
-            TakeoverPlan::Resync => self.start_resync(ctx),
-        }
-    }
-
-    /// A term announcement lands at an AP: raise its fence and let
-    /// degraded-mode uplink held for the dead primary flow to the new one
-    /// (the restored dedup table catches cross-reign duplicates).
-    fn on_term_announce_at_ap(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize, term: u32) {
-        if self.ap_admits(ap, term, ctx.now()) {
-            self.flush_degraded_uplink(ctx, ap);
-        }
+        self.start_resync(ctx, promote.term);
     }
 
     /// The ex-primary process un-freezes, unaware a standby superseded
@@ -469,7 +450,7 @@ impl WgttWorld {
             let (from, to) = (p.from.0 as usize, p.to.0 as usize);
             self.send_stop(ctx, from, client.0 as usize, to, p.epoch, term);
         }
-        self.broadcast(ctx, |ap| Recovery::ResyncAtAp { ap, term });
+        self.broadcast(ctx, |ap| Recovery::ResyncAtAp { ap, term, seq: 0 });
         // No fence ever answers: the zombie hears nothing by its resync
         // deadline (`ZombieDeadline`: every AP fenced it), concludes it was
         // superseded, and stands down for good.

@@ -63,8 +63,8 @@ pub fn crash_checker_cfgs() -> [CheckerConfig; 2] {
 }
 
 /// The failover slice: one switch between two APs, one drop, the primary
-/// killed at any point and its zombie woken at any later one (366 305
-/// schedules; 383 831 with the fence forged away).
+/// killed at any point and its zombie woken at any later one (5 993
+/// schedules; 3 330 with the fence forged away).
 pub fn failover_checker_cfg() -> CheckerConfig {
     CheckerConfig {
         n_aps: 2,

@@ -103,15 +103,15 @@ fn zombie_primary_is_fenced_everywhere() {
         "no zombie frame was ever term-fenced"
     );
     assert_eq!(s.mis_switches, 0);
-    // The zombie's resync probes must not have reopened a round: every
-    // resync on record belongs to the promoted standby (at most one, for
-    // a journal-gap fallback; none when the journal was current).
-    assert!(s.resyncs.len() <= 1);
+    // Exactly the takeover's round: the zombie's probes name no round, so
+    // they neither open one nor count into one.
+    assert_eq!(s.resyncs.len(), 1);
 }
 
 /// Journal replication lag across the crash delays the standby's view but
-/// must not break safety: promotion still happens, re-driven switches are
-/// epoch-fresh, and no duplicate uplink or mis-switch appears.
+/// must not break safety: promotion still happens, the takeover's resync
+/// round lifts the stale journal's epoch floor to what the APs report, and
+/// no duplicate uplink or mis-switch appears.
 #[test]
 fn takeover_under_journal_lag_stays_safe() {
     let faults = failover_schedule(2.0, 3.5).with_journal_lag(
