@@ -33,7 +33,7 @@ pub const RESYNC_DEADLINE: SimDuration = SimDuration::from_millis(50);
 pub const TAKEOVER_TIMEOUT: SimDuration = SimDuration::from_millis(35);
 
 /// One resync round: open inside the engine, the caller's once it closes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ResyncRound<U> {
     /// Round number: the deadline and every reply carry it, so nothing
     /// addressed to an earlier round (or to none) can touch this one.
@@ -190,8 +190,9 @@ pub fn resync_verdicts(replies: &[ResyncReply]) -> Vec<(ResyncAction, u16)> {
     verdicts
 }
 
-/// Both controllers' recovery state. `U` is a parked uplink copy.
-#[derive(Debug, Clone)]
+/// Both controllers' recovery state. `U` is a parked uplink copy. The
+/// default is `new(0)`.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct RecoveryEngine<U = ()> {
     /// Bound on [`ResyncRound::held`] (an AP's degraded-mode cap): heavy
     /// uplink during a long round must not grow it without limit.

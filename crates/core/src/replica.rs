@@ -21,7 +21,7 @@
 use wgtt_net::{ApId, ClientId};
 
 /// One client's journaled controller-side soft state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClientJournalState {
     /// Client this entry describes.
     pub client: ClientId,
@@ -42,7 +42,7 @@ pub struct ClientJournalState {
 /// reorderable) backhaul every journal interval. Also the heartbeat: a
 /// standby that stops receiving batches past its takeover timeout
 /// declares the primary dead.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct JournalBatch {
     /// Controller term of the shipping primary.
     pub term: u32,
@@ -87,7 +87,7 @@ pub enum ApplyOutcome {
 pub const REPLICA_KEY_CAP: usize = 4096;
 
 /// The standby's view of the primary, built by tailing the journal.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Replica {
     /// Highest batch sequence applied (0 = never fed).
     last_seq: u64,

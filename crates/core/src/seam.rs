@@ -22,10 +22,11 @@
 
 use crate::config::MigrationConfig;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Bound;
 use wgtt_sim::SimTime;
 
 /// A send awaiting its acknowledgement.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Unacked<P> {
     /// What a re-send carries.
     pub payload: P,
@@ -37,7 +38,7 @@ pub struct Unacked<P> {
 
 /// Acked, retried, idempotent sends: the sender's un-acked set and the
 /// receiver's applied ids, `A` being what the receiver remembers of each.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Ledger<P, A> {
     next_id: u64,
     unacked: BTreeMap<u64, Unacked<P>>,
@@ -68,34 +69,33 @@ impl<P, A> Ledger<P, A> {
         id
     }
 
-    /// Every send whose timer has run out, ascending id: `Ok(id)` was
+    /// Every send whose timer has run out, ascending id: `Ok(attempt)` was
     /// stepped one rung up the ladder and wants a re-send, `Err(payload)`
     /// had spent `max_attempts` and is given up.
     fn due(&mut self, now: SimTime, policy: &MigrationConfig) -> Vec<(u64, Result<u32, P>)> {
-        let due: Vec<u64> = self
+        let mut out = Vec::new();
+        let mut after = Bound::Unbounded;
+        while let Some((&id, u)) = self
             .unacked
-            .iter()
-            .filter(|(_, u)| now >= u.next_retry)
-            .map(|(&id, _)| id)
-            .collect();
-        due.into_iter()
-            .map(|id| {
-                let u = self.unacked.get_mut(&id).expect("collected above");
-                if u.attempts >= policy.max_attempts {
-                    let u = self.unacked.remove(&id).expect("collected above");
-                    return (id, Err(u.payload));
-                }
+            .range_mut((after, Bound::Unbounded))
+            .find(|(_, u)| now >= u.next_retry)
+        {
+            after = Bound::Excluded(id);
+            if u.attempts < policy.max_attempts {
                 u.attempts += 1;
                 u.next_retry = now + policy.retry_delay(u.attempts);
-                (id, Ok(u.attempts))
-            })
-            .collect()
+                out.push((id, Ok(u.attempts)));
+            } else if let Some(u) = self.unacked.remove(&id) {
+                out.push((id, Err(u.payload)));
+            }
+        }
+        out
     }
 }
 
 /// A retained handoff: the routing keys the protocol decides on, and the
 /// caller's record `R` it carries opaquely.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Handoff<R> {
     /// Source controller.
     pub from: usize,
@@ -162,10 +162,11 @@ pub enum Due<R, F> {
 }
 
 /// Both halves of the seam protocol for every controller of a corridor.
-/// `R` is the handoff record, `F` the payload of a residue forward.
-#[derive(Debug, Clone)]
+/// `R` is the handoff record, `F` the payload of a residue forward. The
+/// retry ladder is the caller's [`MigrationConfig`], passed to each call
+/// that starts or steps a timer.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SeamEngine<R, F = ()> {
-    policy: MigrationConfig,
     /// Applied value: the destination-local index of the admission.
     handoffs: Ledger<Handoff<R>, usize>,
     forwards: Ledger<F, ()>,
@@ -177,11 +178,10 @@ pub struct SeamEngine<R, F = ()> {
     term_seen: BTreeMap<(usize, usize), u32>,
 }
 
-impl<R, F> SeamEngine<R, F> {
-    /// An idle engine retrying on `policy`'s ladder.
-    pub fn new(policy: MigrationConfig) -> Self {
+/// An idle engine. (Derived, it would ask `R` and `F` for a default.)
+impl<R, F> Default for SeamEngine<R, F> {
+    fn default() -> Self {
         SeamEngine {
-            policy,
             handoffs: Ledger::new(),
             forwards: Ledger::new(),
             aborted: BTreeSet::new(),
@@ -189,11 +189,13 @@ impl<R, F> SeamEngine<R, F> {
             term_seen: BTreeMap::new(),
         }
     }
+}
 
+impl<R, F> SeamEngine<R, F> {
     /// Source: retains `handoff` at `now`, the instant its first prepare
     /// is sent, and returns the `seq` that prepare carries.
-    pub fn export(&mut self, now: SimTime, handoff: Handoff<R>) -> u64 {
-        self.handoffs.send(now, &self.policy, handoff)
+    pub fn export(&mut self, now: SimTime, policy: &MigrationConfig, handoff: Handoff<R>) -> u64 {
+        self.handoffs.send(now, policy, handoff)
     }
 
     /// The retained handoff `seq`, while un-committed and un-aborted.
@@ -254,8 +256,8 @@ impl<R, F> SeamEngine<R, F> {
 
     /// Sender: registers a residue forward first sent at `now`; returns
     /// the `fid` its frames carry.
-    pub fn forward(&mut self, now: SimTime, payload: F) -> u64 {
-        self.forwards.send(now, &self.policy, payload)
+    pub fn forward(&mut self, now: SimTime, policy: &MigrationConfig, payload: F) -> u64 {
+        self.forwards.send(now, policy, payload)
     }
 
     /// The un-acked forward `fid`.
@@ -277,9 +279,9 @@ impl<R, F> SeamEngine<R, F> {
 
     /// Every retry timer that has run out by `now`: prepares in ascending
     /// `seq`, then forwards in ascending `fid`.
-    pub fn due(&mut self, now: SimTime) -> Vec<Due<R, F>> {
-        let handoffs = self.handoffs.due(now, &self.policy);
-        let forwards = self.forwards.due(now, &self.policy);
+    pub fn due(&mut self, now: SimTime, policy: &MigrationConfig) -> Vec<Due<R, F>> {
+        let handoffs = self.handoffs.due(now, policy);
+        let forwards = self.forwards.due(now, policy);
         let mut out = Vec::with_capacity(handoffs.len() + forwards.len());
         for (seq, step) in handoffs {
             out.push(match step {
@@ -365,7 +367,7 @@ mod tests {
                 Duplicate { local: 10 },
             ),
         ];
-        let mut e: SeamEngine<&str> = SeamEngine::new(policy(3));
+        let mut e: SeamEngine<&str> = SeamEngine::default();
         for &(what, seq, term, client, want) in table {
             let got = e.on_prepare(seq, term, &hop(client));
             assert_eq!(got, want, "{what}");
@@ -388,13 +390,13 @@ mod tests {
     /// once, `Duplicate` ever after.
     #[test]
     fn commit_verdicts() {
-        let mut e: SeamEngine<&str> = SeamEngine::new(policy(1));
-        let released = e.export(ms(0), hop(7));
-        let aborted = e.export(ms(0), hop(8));
+        let mut e: SeamEngine<&str> = SeamEngine::default();
+        let released = e.export(ms(0), &policy(1), hop(7));
+        let aborted = e.export(ms(0), &policy(1), hop(8));
         assert_eq!(e.pending_for(0, 8).map(|(seq, _)| seq), Some(aborted));
         assert!(matches!(e.on_commit(released), CommitVerdict::Release(h) if h.src_client == 7));
         assert!(matches!(e.on_commit(released), CommitVerdict::Duplicate));
-        let due = e.due(ms(100));
+        let due = e.due(ms(100), &policy(1));
         assert!(matches!(due[..], [Due::Abort(seq, _)] if seq == aborted));
         assert!(e.pending_for(0, 8).is_none() && e.handoff(aborted).is_none());
         assert!(matches!(e.on_commit(aborted), CommitVerdict::AfterAbort));
@@ -407,13 +409,13 @@ mod tests {
     /// — re-sent twice, then given up — and at no instant in between.
     #[test]
     fn due_walks_the_ladder_for_prepares_and_forwards_alike() {
-        let mut e: SeamEngine<&str, &str> = SeamEngine::new(policy(3));
-        let seq = e.export(ms(0), hop(7));
-        let fid = e.forward(ms(0), "residue");
+        let mut e: SeamEngine<&str, &str> = SeamEngine::default();
+        let seq = e.export(ms(0), &policy(3), hop(7));
+        let fid = e.forward(ms(0), &policy(3), "residue");
         assert_eq!(e.forwarded(fid), Some(&"residue"));
         let mut log = Vec::new();
         for t in (0..=800).step_by(50) {
-            for due in e.due(ms(t)) {
+            for due in e.due(ms(t), &policy(3)) {
                 log.push(match due {
                     Due::Resend { seq: s, attempt } if s == seq => {
                         format!("{t} prepare #{attempt}")
@@ -442,18 +444,39 @@ mod tests {
         assert_eq!(delays, [100, 200, 400], "the ladder the instants above sum");
     }
 
+    /// Two prepares on different rungs fall due at the same instant: the
+    /// one on its last rung is given up, the other re-sent, in one call
+    /// and in ascending `seq`.
+    #[test]
+    fn one_due_call_resends_and_aborts_in_seq_order() {
+        let mut e: SeamEngine<&str> = SeamEngine::default();
+        let first = e.export(ms(0), &policy(2), hop(7));
+        assert!(matches!(
+            e.due(ms(100), &policy(2))[..],
+            [Due::Resend { attempt: 2, .. }]
+        ));
+        let second = e.export(ms(200), &policy(2), hop(8));
+        let due = e.due(ms(300), &policy(2));
+        assert!(
+            matches!(due[..], [Due::Abort(a, _), Due::Resend { seq: r, attempt: 2 }]
+                if a == first && r == second),
+            "{due:?}"
+        );
+        assert!(e.handoff(first).is_none() && e.handoff(second).is_some());
+    }
+
     /// An acknowledged send leaves the ladder; the receiver applies an id
     /// once however often it arrives.
     #[test]
     fn acks_stop_retries_and_receipts_are_idempotent() {
-        let mut e: SeamEngine<&str, &str> = SeamEngine::new(policy(3));
-        let seq = e.export(ms(0), hop(7));
-        let fid = e.forward(ms(0), "residue");
+        let mut e: SeamEngine<&str, &str> = SeamEngine::default();
+        let seq = e.export(ms(0), &policy(3), hop(7));
+        let fid = e.forward(ms(0), &policy(3), "residue");
         assert!(e.on_forward(fid), "first arrival applies");
         assert!(!e.on_forward(fid), "second is a duplicate");
         assert!(e.on_forward_ack(fid));
         assert!(!e.on_forward_ack(fid), "nothing waits for a second ack");
         assert!(matches!(e.on_commit(seq), CommitVerdict::Release(_)));
-        assert!(e.due(ms(10_000)).is_empty());
+        assert!(e.due(ms(10_000), &policy(3)).is_empty());
     }
 }

@@ -1,5 +1,5 @@
 //! Spatially sharded worlds: a corridor of picocell clusters advancing in
-//! deterministic lockstep (ROADMAP items 2 and 3).
+//! deterministic lockstep (DESIGN.md §6d; the seam handoff is §6e).
 //!
 //! The paper evaluates one 8-AP road segment; a transit corridor is many
 //! such segments, each with its own controller (§6 sketches exactly this
@@ -323,7 +323,7 @@ impl<'a> Corridor<'a> {
                 log_deliveries: false,
             },
             route: HashMap::new(),
-            seam: SeamEngine::new(scenario.config.migration),
+            seam: SeamEngine::default(),
             trailing: BTreeMap::new(),
             inflight: Vec::new(),
             rng: SimRng::new(scenario.seed).fork("seam"),
@@ -415,7 +415,9 @@ impl<'a> Corridor<'a> {
     /// Registers a residue forward and sends it (acked, retried).
     fn forward(&mut self, shards: &[Shard], now: SimTime, fwd: Forward) {
         let src = fwd.src;
-        let fid = self.seam.forward(now, fwd.clone());
+        let fid = self
+            .seam
+            .forward(now, &self.scenario.config.migration, fwd.clone());
         self.send(shards, src, now, SeamMsg::Forward { fid, fwd });
     }
 
@@ -547,7 +549,9 @@ impl<'a> Corridor<'a> {
                     at: now,
                 },
             };
-            let seq = self.seam.export(now, handoff);
+            let seq = self
+                .seam
+                .export(now, &self.scenario.config.migration, handoff);
             self.send_prepare(shards, seq, now);
         }
     }
@@ -557,7 +561,7 @@ impl<'a> Corridor<'a> {
     /// readopts the client — graceful degradation) and a forward surfaces
     /// as seam loss at its origin.
     fn sweep(&mut self, shards: &mut [Shard], now: SimTime) {
-        for due in self.seam.due(now) {
+        for due in self.seam.due(now, &self.scenario.config.migration) {
             match due {
                 Due::Resend { seq, .. } => {
                     let from = self.seam.handoff(seq).expect("retained").payload.from;

@@ -21,8 +21,8 @@
 
 use crate::replica::ClientJournalState;
 use serde::{Deserialize, Serialize};
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use wgtt_net::{ApId, ClientId};
 use wgtt_sim::{SimDuration, SimRng, SimTime};
 
@@ -92,7 +92,7 @@ pub const CONTROL_PACKET_BYTES: usize = 64;
 /// restarted controller's `Resync` broadcast. The APs hold the
 /// authoritative copies of everything the controller lost: guard
 /// high-water epochs, cyclic queue positions, and who is actually serving.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClientResyncState {
     /// Client this entry describes.
     pub client: ClientId,
@@ -111,7 +111,7 @@ pub struct ClientResyncState {
 }
 
 /// One AP's complete answer to the controller's `Resync` broadcast.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ResyncReply {
     /// The replying AP.
     pub ap: ApId,
@@ -177,7 +177,7 @@ impl SwitchTimings {
 }
 
 /// One in-flight switch, tracked by the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PendingSwitch {
     /// AP being switched away from.
     pub from: ApId,
@@ -192,7 +192,7 @@ pub struct PendingSwitch {
 }
 
 /// Completed-switch record (for metrics and Table 1).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SwitchRecord {
     /// Client switched.
     pub client: ClientId,
@@ -220,7 +220,7 @@ impl SwitchRecord {
 /// Record of a switch the engine gave up on after exhausting the `stop`
 /// retry budget — the forensic trail the dead-AP failover logic (and any
 /// operator staring at a wedged client) works from.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AbandonRecord {
     /// Client whose switch was abandoned.
     pub client: ClientId,
@@ -260,14 +260,14 @@ pub enum AckOutcome {
 }
 
 /// Controller-side switch protocol engine.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
 pub struct SwitchEngine {
-    pending: HashMap<ClientId, PendingSwitch>,
-    issued_at: HashMap<ClientId, SimTime>,
+    pending: BTreeMap<ClientId, PendingSwitch>,
+    issued_at: BTreeMap<ClientId, SimTime>,
     /// Last epoch allocated per client (0 = none yet; real epochs start
     /// at 1). Monotonic for the life of the engine — `abort` never rolls
     /// it back, so an abandoned epoch can never be reused.
-    epochs: HashMap<ClientId, u32>,
+    epochs: BTreeMap<ClientId, u32>,
     history: Vec<SwitchRecord>,
     /// Every abandoned switch, in order.
     abandon_log: Vec<AbandonRecord>,
@@ -285,9 +285,9 @@ impl SwitchEngine {
     /// Creates an engine with the paper's 30 ms retransmission timeout.
     pub fn new() -> Self {
         SwitchEngine {
-            pending: HashMap::new(),
-            issued_at: HashMap::new(),
-            epochs: HashMap::new(),
+            pending: BTreeMap::new(),
+            issued_at: BTreeMap::new(),
+            epochs: BTreeMap::new(),
             history: Vec::new(),
             abandon_log: Vec::new(),
             abandon_cursor: 0,
@@ -368,18 +368,7 @@ impl SwitchEngine {
     /// Every in-flight switch in ascending client order — what a crashed
     /// primary's zombie re-drives under its stale term when it wakes.
     pub fn pending_sorted(&self) -> Vec<(ClientId, PendingSwitch)> {
-        let mut v: Vec<(ClientId, PendingSwitch)> =
-            self.pending.iter().map(|(&c, &p)| (c, p)).collect();
-        v.sort_by_key(|&(c, _)| c);
-        v
-    }
-
-    /// Every client with an allocated epoch, ascending client order (for
-    /// the journal snapshot — iteration order must be deterministic).
-    fn epochs_sorted(&self) -> Vec<(ClientId, u32)> {
-        let mut v: Vec<(ClientId, u32)> = self.epochs.iter().map(|(&c, &e)| (c, e)).collect();
-        v.sort_by_key(|&(c, _)| c);
-        v
+        self.pending.iter().map(|(&c, &p)| (c, p)).collect()
     }
 
     /// The controller process dies: every piece of switch state is gone,
@@ -399,13 +388,13 @@ impl SwitchEngine {
     /// controller's to fill in), in ascending client order so standby
     /// replay is deterministic.
     pub fn journal_snapshot(&self) -> Vec<ClientJournalState> {
-        let blank = |(client, epoch)| ClientJournalState {
+        let blank = |(&client, &epoch)| ClientJournalState {
             client,
             epoch,
             serving: None,
             alloc_next: 0,
         };
-        self.epochs_sorted().into_iter().map(blank).collect()
+        self.epochs.iter().map(blank).collect()
     }
 
     /// Takeover from a journal: epochs resume strictly above the journaled
@@ -604,7 +593,7 @@ pub enum StartVerdict {
 /// exercises the exact production admission logic.
 ///
 /// Epoch 0 is reserved as "nothing seen yet"; real epochs start at 1.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ApSwitchGuard {
     /// Highest epoch seen in any control message for this client.
     latest: u32,
@@ -671,7 +660,7 @@ pub enum TermVerdict {
 /// wiped by an AP crash — a rebooted AP re-learns the current term from
 /// the first frame it admits (documented limitation: lease-less fencing,
 /// same trust model as the epoch guards).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TermGuard {
     /// Highest controller term seen in any admitted frame.
     latest: u32,

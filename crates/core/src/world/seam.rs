@@ -125,7 +125,7 @@ impl SeamEntry {
 
 /// Everything the destination controller needs to resume a migrated
 /// client without losing or double-delivering a datagram across the
-/// seam — the inter-controller handoff record (ROADMAP item 2; the
+/// seam — the inter-controller handoff record (DESIGN.md §6e; the
 /// crash-PR resync machinery is its intellectual seed).
 #[derive(Debug, Clone, Default)]
 pub struct MigrationRecord {
@@ -307,8 +307,8 @@ impl WgttWorld {
     ///
     /// Association is not carried over — the client attaches through the
     /// normal probe → CSI → selection pipeline, which models a handoff
-    /// between independently-controlled clusters (ROADMAP item 2's
-    /// multi-controller split). Protocol identity *is* carried over when a
+    /// between independently-controlled clusters (the multi-controller
+    /// split of DESIGN.md §6d). Protocol identity *is* carried over when a
     /// [`MigrationRecord`] is supplied: switch epochs resume strictly
     /// above the source's high-water, the source's recent dedup idents are
     /// re-primed under the new address, the IP-ident and per-flow CBR

@@ -1,17 +1,12 @@
-//! Chaos tests for the epoch-stamped switch control plane.
-//!
-//! Two layers of evidence that duplicated/reordered control traffic can't
-//! mis-switch a client:
-//!
-//! * the small-scope **exhaustive interleaving checker**
-//!   (`wgtt_core::protocol_check`) enumerates every delivery schedule of
-//!   two overlapping switches within its budgets against the *production*
-//!   engine/guards — and, run in its pre-epoch shim mode, demonstrably
-//!   catches the stale-`start`/foreign-`ack` ABA family this code fixes;
-//! * **full-system chaos drives** with the backhaul duplicating and
-//!   reordering up to 10 % of all frames (control and data) at 15–35 mph
-//!   must produce zero applied mis-switches, zero abandoned switches, a
-//!   still-attached client, and most of the healthy run's throughput.
+//! Chaos tests for the epoch-stamped switch control plane: **full-system
+//! chaos drives** with the backhaul duplicating and reordering up to 10 %
+//! of all frames (control and data) at 15–35 mph must produce zero applied
+//! mis-switches, zero abandoned switches, a still-attached client, and most
+//! of the healthy run's throughput. The exhaustive checker
+//! (`wgtt_core::protocol_check`), which searches every state two
+//! overlapping switches can reach against the production engine and guards
+//! and catches the stale-`start`/foreign-`ack` ABA family in its pre-epoch
+//! shim mode, runs in the root package's `tests/checker.rs`.
 //!
 //! The determinism tests double as the CI `determinism` job's probes: when
 //! `WGTT_DETERMINISM_OUT` is set they write their run digests as JSON, and
@@ -21,60 +16,11 @@ mod common;
 
 use common::{chaos_drive, chaos_schedule, emit_probe, udp_down};
 use wgtt_core::digest::assert_same;
-use wgtt_core::protocol_check::{check, CheckerConfig, ViolationKind};
 use wgtt_core::runner::{run, RunResult, Scenario};
 use wgtt_sim::{FaultSchedule, SimDuration, SimTime};
 
 fn drive(seed: u64, mph: f64, faults: FaultSchedule) -> Scenario {
     common::drive(seed, mph, udp_down(), faults)
-}
-
-// ---------- exhaustive interleaving checker ----------
-
-/// The fixed engine survives every schedule in the small-scope space —
-/// well past the 10k-schedule bar — with both guard branches exercised.
-#[test]
-fn checker_epoch_mode_enumerates_10k_schedules_cleanly() {
-    let report = check(&CheckerConfig::default());
-    assert!(!report.truncated, "schedule space must be fully covered");
-    assert!(
-        report.schedules >= 10_000,
-        "only {} schedules enumerated",
-        report.schedules
-    );
-    assert_eq!(
-        report.violation_count,
-        0,
-        "epoch mode violated an invariant: {:?}",
-        report.violations.first()
-    );
-    assert!(report.stale_drops > 0 && report.dup_reacks > 0);
-}
-
-/// The same checker, pointed at the pre-epoch engine behaviour (guards
-/// bypassed, any ack completes the pending switch), finds the ABA — proof
-/// the harness can actually see the bug class it guards against.
-#[test]
-fn checker_catches_pre_epoch_aba_bug() {
-    let report = check(&CheckerConfig {
-        epoch_guard: false,
-        ..CheckerConfig::default()
-    });
-    assert!(report.violation_count > 0, "pre-epoch ABA not detected");
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.kind == ViolationKind::ForeignAck),
-        "expected a foreign-ack completion among the violations"
-    );
-    assert!(
-        report
-            .violations
-            .iter()
-            .any(|v| v.kind == ViolationKind::DualServing),
-        "expected a dual-serving schedule among the violations"
-    );
 }
 
 // ---------- full-system chaos drives ----------

@@ -5,7 +5,6 @@
 #![allow(dead_code)] // every suite uses its own subset
 
 use wgtt_core::config::SystemConfig;
-use wgtt_core::protocol_check::CheckerConfig;
 use wgtt_core::runner::{FlowSpec, RunResult, Scenario};
 use wgtt_core::shard::ShardedScenario;
 use wgtt_sim::storm::{random_storm, StormConfig};
@@ -32,66 +31,6 @@ pub fn worker_count() -> usize {
         .and_then(|s| s.trim().parse().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(1)
-}
-
-/// The crash/resync slices of the exhaustive checker: one crash/recover
-/// cycle against the two overlapping default switches, in two complementary
-/// halves — loss + timer against the crash (229 798 schedules), dup + loss
-/// against it (119 334). The full (dup, drop, timeout, crash) = (1, 1, 1, 1)
-/// cross-product is 69 127 263 schedules (clean; 91 s in release), too
-/// many for every run.
-pub fn crash_checker_cfgs() -> [CheckerConfig; 2] {
-    let base = CheckerConfig {
-        max_crashes: 1,
-        max_schedules: 4_000_000,
-        ..CheckerConfig::default()
-    };
-    [
-        CheckerConfig {
-            max_dups: 0,
-            max_drops: 1,
-            max_timeouts: 1,
-            ..base.clone()
-        },
-        CheckerConfig {
-            max_dups: 1,
-            max_drops: 1,
-            max_timeouts: 0,
-            ..base
-        },
-    ]
-}
-
-/// The failover slice: one switch between two APs, one drop, the primary
-/// killed at any point and its zombie woken at any later one (5 993
-/// schedules; 3 330 with the fence forged away).
-pub fn failover_checker_cfg() -> CheckerConfig {
-    CheckerConfig {
-        n_aps: 2,
-        switches: vec![(0, 1)],
-        max_dups: 0,
-        max_drops: 1,
-        max_timeouts: 0,
-        max_failovers: 1,
-        ..CheckerConfig::default()
-    }
-}
-
-/// The lagged-journal slice: a lossless wire, three APs, and a standby
-/// whose last batch may predate the primary's last `issue`. The second
-/// configured switch leaves AP 0 — the AP a reign that never heard of the
-/// first switch still takes to be serving, and so the one it switches from.
-pub fn lagged_failover_checker_cfg() -> CheckerConfig {
-    CheckerConfig {
-        n_aps: 3,
-        switches: vec![(0, 1), (0, 2)],
-        max_dups: 0,
-        max_drops: 0,
-        max_timeouts: 0,
-        max_failovers: 1,
-        max_journal_lag: 1,
-        ..CheckerConfig::default()
-    }
 }
 
 /// Duplicate uplink datagrams that reached the *server* (past the

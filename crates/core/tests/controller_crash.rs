@@ -1,29 +1,18 @@
-//! Controller crash/restart resilience tests.
-//!
-//! Two layers of evidence that a controller crash cannot corrupt the
-//! switch control plane or double-deliver uplink across the restart:
-//!
-//! * the small-scope **exhaustive interleaving checker** with the
-//!   crash/recover choice pair enumerates every interleaving of a
-//!   controller crash against two overlapping switches — the AP-sourced
-//!   resync must survive all of them, and the naive restart-at-zero
-//!   recovery shim must be caught (proof the harness sees the
-//!   cross-restart aliasing family);
-//! * **full-system crash drives**: a controller crash covering a switch
-//!   mid-drive at 25 mph must resync in well under a second of sim time,
-//!   apply zero mis-switches, deliver zero duplicate uplink datagrams at
-//!   the server, and reproduce byte-identically across runs.
+//! Controller crash/restart resilience tests: full-system crash drives.
+//! A controller crash covering a switch mid-drive at 25 mph must resync in
+//! well under a second of sim time, apply zero mis-switches, deliver zero
+//! duplicate uplink datagrams at the server, and reproduce byte-identically
+//! across runs. The exhaustive checker's crash slices — every state a crash
+//! at any point can reach, and the naive-resync shim caught — are in the
+//! root package's `tests/checker.rs`.
 //!
 //! The determinism tests double as the CI `determinism` job's probes via
 //! `WGTT_DETERMINISM_OUT`, like the failover and chaos suites.
 
 mod common;
 
-use common::{
-    controller_crash_drive, crash_checker_cfgs, emit_probe, server_uplink_duplicates, udp_down_up,
-};
+use common::{controller_crash_drive, emit_probe, server_uplink_duplicates, udp_down_up};
 use wgtt_core::digest::assert_same;
-use wgtt_core::protocol_check::{check, CheckerConfig, ViolationKind};
 use wgtt_core::runner::{run, Scenario};
 use wgtt_sim::{BackhaulFault, FaultSchedule, SimDuration, SimTime};
 
@@ -38,61 +27,6 @@ fn crash_schedule(from_s: f64, until_s: f64) -> FaultSchedule {
         SimTime::from_secs_f64(from_s),
         SimTime::from_secs_f64(until_s),
     )
-}
-
-// ---------- exhaustive interleaving checker, crash edition ----------
-
-/// The AP-sourced resync survives every interleaving of a controller
-/// crash with two overlapping switches: no dual-serving, no stale head
-/// write, no epoch regression, no wedged client — and the crash paths
-/// are genuinely exercised (acks eaten by the dead controller).
-#[test]
-fn checker_crash_recover_space_is_clean() {
-    for cfg in crash_checker_cfgs() {
-        let report = check(&cfg);
-        assert!(!report.truncated, "schedule space must be fully covered");
-        assert!(
-            report.schedules >= 100_000,
-            "only {} schedules enumerated",
-            report.schedules
-        );
-        assert_eq!(
-            report.violation_count,
-            0,
-            "crash/resync mode violated an invariant: {:?}",
-            report.violations.first()
-        );
-        assert!(report.completions > 0);
-        assert!(
-            report.crash_drops > 0,
-            "no schedule delivered an ack into the dead controller"
-        );
-    }
-}
-
-/// The naive recovery (epoch space restarts at zero instead of resuming
-/// above the AP-reported high-water marks) is caught by the same space —
-/// proof the harness can see the cross-restart aliasing family.
-#[test]
-fn checker_catches_naive_resync() {
-    for cfg in crash_checker_cfgs() {
-        let report = check(&CheckerConfig {
-            resync_naive: true,
-            ..cfg
-        });
-        assert!(
-            report.violation_count > 0,
-            "naive resync survived the crash schedule space"
-        );
-        assert!(
-            report
-                .violations
-                .iter()
-                .any(|v| v.kind == ViolationKind::EpochRegression),
-            "expected an epoch regression among {:?}",
-            report.violations.iter().map(|v| v.kind).collect::<Vec<_>>()
-        );
-    }
 }
 
 // ---------- full-system crash drives ----------
