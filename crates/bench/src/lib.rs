@@ -35,7 +35,6 @@ pub mod fig24;
 pub mod handoff_scaling;
 pub mod par;
 pub mod resilience;
-pub mod scaling;
 pub mod table1;
 pub mod table2;
 pub mod table3;
@@ -71,7 +70,6 @@ pub fn all_experiments() -> Vec<(&'static str, ReportFn)> {
         ("resilience", resilience::report),
         ("controller_resilience", controller_resilience::report),
         ("chaos", chaos::report),
-        ("scaling", scaling::report),
         ("handoff_scaling", handoff_scaling::report),
     ]
 }

@@ -1,24 +1,14 @@
-//! Parallel experiment fan-out.
-//!
-//! The simulation engine is deliberately single-threaded (see
-//! `wgtt_sim::engine`); parallelism lives here, one level up, where
-//! independent `(Scenario, seed)` runs fan out across a worker pool built
-//! on `std::thread::scope` — no external dependencies, works offline.
-//!
-//! Determinism contract: each job is a pure function of its input, workers
-//! claim jobs from a shared index counter, and results are written back
-//! into the slot of the *input* index. Output order therefore never depends
-//! on thread count or scheduling — the same job list produces byte-identical
-//! aggregate JSON with 1, 2, or 64 workers (locked by
-//! `crates/bench/tests/fanout_determinism.rs`).
-//!
-//! The pool size defaults to the host's available parallelism and can be
-//! overridden with `WGTT_BENCH_THREADS` (useful for the determinism tests
-//! and for pinning CI measurements).
+//! Parallel experiment fan-out: independent `(Scenario, seed)` runs as one
+//! round of a [`wgtt_sim::pool`] (the engine itself stays single-threaded).
+//! Each result lands in the slot of its *input* index, so the same job list
+//! gives byte-identical aggregate JSON with 1, 2, or 64 workers (locked by
+//! `crates/bench/tests/fanout_determinism.rs`). The width defaults to the
+//! host's available parallelism; `WGTT_BENCH_THREADS` overrides it (for
+//! the determinism tests and for pinning CI measurements).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use wgtt_core::runner::{run, RunResult, Scenario};
+use wgtt_core::oracle::helper_count;
+use wgtt_core::runner::{run_with_oracle_helpers, RunResult, Scenario};
+use wgtt_sim::pool;
 
 /// Environment variable overriding the worker-pool size.
 pub const THREADS_ENV: &str = "WGTT_BENCH_THREADS";
@@ -27,94 +17,35 @@ pub const THREADS_ENV: &str = "WGTT_BENCH_THREADS";
 /// set (and ≥ 1), otherwise the host's available parallelism, never more
 /// than the number of jobs.
 pub fn thread_count(jobs: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
     let n = std::env::var(THREADS_ENV)
         .ok()
         .and_then(|s| s.trim().parse::<usize>().ok())
         .filter(|&n| n >= 1)
-        .unwrap_or(hw);
+        .unwrap_or_else(pool::cores);
     n.min(jobs.max(1))
 }
 
 /// Fans `items` out across the default worker pool, collecting `f(item,
-/// index)` results in input order.
+/// index)` results in input order. A panicking job fails the caller, like
+/// the serial loop would.
 pub fn map<I, O, F>(items: Vec<I>, f: F) -> Vec<O>
 where
     I: Send,
     O: Send,
     F: Fn(I, usize) -> O + Sync,
 {
-    let threads = thread_count(items.len());
-    map_with_threads(threads, items, f)
-}
-
-/// Same as [`map`] with an explicit pool size — the determinism tests pin
-/// 1, 2, and 8 workers against each other.
-///
-/// Workers pull the next unclaimed input index from a shared atomic
-/// counter; each result lands in the output slot of its input index, so the
-/// returned `Vec` is ordered by input regardless of which worker finished
-/// first. A panicking job propagates out of the scope join and fails the
-/// caller, like the serial loop would.
-pub fn map_with_threads<I, O, F>(threads: usize, items: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I, usize) -> O + Sync,
-{
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    if threads <= 1 || n == 1 {
-        // Inline serial path: identical code to a plain loop, so a
-        // 1-worker fan-out is trivially bit-identical to the serial engine.
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, x)| f(x, i))
-            .collect();
-    }
-    let jobs: Vec<Mutex<Option<I>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-    let slots: Vec<Mutex<Option<O>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let jobs = &jobs;
-        let slots = &slots;
-        let next = &next;
-        for _ in 0..threads.min(n) {
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let item = jobs[i]
-                    .lock()
-                    .expect("job slot poisoned")
-                    .take()
-                    .expect("job claimed twice");
-                let out = f(item, i);
-                *slots[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker skipped a job")
-        })
-        .collect()
+    pool::scope(thread_count(items.len()), f, |pool| pool.round(items))
 }
 
 /// Runs independent scenarios across the worker pool, results in input
-/// order — the common fan-out for seed sweeps and experiment grids.
+/// order — the common fan-out for seed sweeps and experiment grids. Each
+/// of the `W` concurrent runs sizes its oracle helpers for `⌊cores / W⌋`
+/// cores, so the fan-out never oversubscribes the host.
 pub fn run_scenarios(scenarios: Vec<Scenario>) -> Vec<RunResult> {
-    map(scenarios, |s, _| run(s))
+    let width = thread_count(scenarios.len());
+    let helpers = helper_count(1, pool::cores() / width);
+    let run = |s, _| run_with_oracle_helpers(s, helpers);
+    pool::scope(width, run, |pool| pool.round(scenarios))
 }
 
 #[cfg(test)]
@@ -122,45 +53,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn results_are_input_ordered_at_any_width() {
-        let items: Vec<u64> = (0..37).collect();
-        let expect: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let got = map_with_threads(threads, items.clone(), |x, _| x * x);
-            assert_eq!(got, expect, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn index_matches_input_position() {
-        let items = vec!["a", "b", "c", "d"];
-        let got = map_with_threads(4, items, |s, i| format!("{i}:{s}"));
-        assert_eq!(got, vec!["0:a", "1:b", "2:c", "3:d"]);
-    }
-
-    #[test]
-    fn empty_and_singleton() {
-        let empty: Vec<u32> = Vec::new();
-        assert!(map(empty, |x, _| x).is_empty());
-        assert_eq!(map(vec![7u32], |x, _| x + 1), vec![8]);
-    }
-
-    #[test]
     fn thread_count_respects_env_and_job_cap() {
         // Never more workers than jobs, never zero.
         assert_eq!(thread_count(0), 1);
         assert_eq!(thread_count(1), 1);
         assert!(thread_count(1000) >= 1);
-    }
-
-    #[test]
-    fn worker_panic_propagates() {
-        let r = std::panic::catch_unwind(|| {
-            map_with_threads(2, vec![0u32, 1, 2, 3], |x, _| {
-                assert!(x != 2, "boom");
-                x
-            })
-        });
-        assert!(r.is_err());
     }
 }

@@ -17,7 +17,9 @@ use wgtt_bench::common::udp_drive;
 use wgtt_bench::par;
 use wgtt_core::config::Mode;
 use wgtt_core::digest::assert_same;
+use wgtt_core::oracle::helper_count;
 use wgtt_core::runner::{run, RunResult, Scenario};
+use wgtt_sim::pool;
 
 /// Writes a determinism probe for the CI job when it asked for one.
 fn emit_probe(name: &str, payload: &str) {
@@ -41,21 +43,36 @@ fn jobs() -> Vec<Scenario> {
 fn pool_width_never_changes_results() {
     let mut payloads: Vec<String> = Vec::new();
     for threads in [1usize, 2, 8] {
-        let results = par::map_with_threads(threads, jobs(), |s, _| run(s));
+        let results = pool::scope(threads, |s, _| run(s), |pool| pool.round(jobs()));
         let prints: Vec<String> = results.iter().map(RunResult::fingerprint).collect();
         payloads.push(format!("[{}]", prints.join(",")));
     }
     assert_same("2-worker fan-out vs serial", &payloads[1], &payloads[0]);
     assert_same("8-worker fan-out vs serial", &payloads[2], &payloads[0]);
-    // Every `run` above opened an oracle helper pool; eight at once must
-    // have shared the host's spare cores, not claimed them eight times.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let peak = wgtt_core::oracle::peak_helper_threads();
-    assert!(
-        peak < cores,
-        "{peak} oracle helper threads alive at once on {cores} cores"
-    );
     emit_probe("fanout_fingerprint", &payloads[0]);
+}
+
+#[test]
+fn oracle_helper_sizing_fits_the_host() {
+    for cores in [1usize, 2, 4, 8, 64] {
+        // A run on its own gets what the process-wide lease it replaced
+        // granted a lone run: the cores its loops leave, at most three
+        // per loop.
+        for loops in 1..=cores {
+            let lease = cores.saturating_sub(loops).min(3 * loops).min(cores - 1);
+            let got = helper_count(loops, cores);
+            assert_eq!(got, lease, "{loops} loop threads on {cores} cores");
+        }
+        // `par::run_scenarios`: W concurrent runs, each sized for
+        // ⌊cores / W⌋, never claim more threads than the host has.
+        for width in 1..=cores {
+            let threads = 1 + helper_count(1, cores / width);
+            assert!(
+                width * threads <= cores,
+                "{width} runs × {threads} threads on {cores} cores"
+            );
+        }
+    }
 }
 
 #[test]
@@ -80,6 +97,7 @@ fn thread_env_override_is_respected_and_deterministic() {
     std::env::set_var(par::THREADS_ENV, "2");
     let via_env = par::map(vec![1u64, 2, 3, 4, 5], |x, i| x * 10 + i as u64);
     std::env::remove_var(par::THREADS_ENV);
-    let explicit = par::map_with_threads(2, vec![1u64, 2, 3, 4, 5], |x, i| x * 10 + i as u64);
+    let f = |x: u64, i| x * 10 + i as u64;
+    let explicit = pool::scope(2, f, |pool| pool.round(vec![1u64, 2, 3, 4, 5]));
     assert_eq!(via_env, explicit);
 }

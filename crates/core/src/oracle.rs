@@ -22,20 +22,20 @@
 //!   order however the evaluations were scheduled.
 //!
 //! A world that nobody attached to a pool (hand-built `Simulator`s, runs on
-//! a host with no spare core) evaluates each sample at its tick. A world
-//! inside `with_helpers` batches samples into chunks that scoped helper
-//! threads evaluate concurrently with the event loop; the recording thread
-//! takes its own oldest chunk back whenever more than
-//! `QUEUED_PER_HELPER` per helper are waiting, which bounds memory and
-//! balances load, and `Recorder::drain` finishes the rest before a run
-//! returns.
+//! a host with no spare core) evaluates each sample at its tick. An
+//! attached world batches samples into chunks for the background queue of
+//! its run's [`wgtt_sim::pool`], whose idle workers evaluate them
+//! concurrently with the event loop; the recording thread takes its own
+//! oldest chunk back whenever more than `QUEUED_PER_HELPER` per helper are
+//! waiting, which bounds memory and balances load, and `Recorder::drain`
+//! finishes the rest before a run returns.
 
 use crate::client::ClientState;
 use crate::config::SystemConfig;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
+use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use wgtt_phy::{Cplx, EsnrMemo, Modulation, Position, WirelessLink};
+use wgtt_sim::pool::{lock, Jobs};
 use wgtt_sim::SimTime;
 
 /// Samples per chunk: ≈3.5 ms of evaluation, long enough to amortize a
@@ -243,191 +243,91 @@ impl Chunk {
     }
 }
 
+/// Oracle helpers for a run on `loop_threads` event-loop threads that may
+/// use `share` of the host's cores: the cores its loops leave, at most
+/// `HELPERS_PER_LOOP` per loop. `share` is every core for a run on its
+/// own and `⌊cores / W⌋` for each of `W` runs fanned out at once, so the
+/// fan-out cannot oversubscribe the host.
+pub fn helper_count(loop_threads: usize, share: usize) -> usize {
+    share
+        .saturating_sub(loop_threads)
+        .min(HELPERS_PER_LOOP * loop_threads)
+}
+
 /// A chunk as the recording world and the helpers share it. Whoever
 /// evaluates it holds the lock for the whole evaluation, so waiting for a
-/// chunk is locking it, and an evaluator's panic poisons exactly the chunk
-/// its world will wait on.
+/// chunk is locking it. A helper that panics leaves its chunk poisoned and
+/// not `done`: the world evaluates it itself, and the pool's scope resumes
+/// the panic.
 type Slot = Arc<Mutex<Chunk>>;
+
+/// What a chunk's job is queued under.
+fn key(slot: &Slot) -> usize {
+    Arc::as_ptr(slot) as usize
+}
 
 fn try_chunk(slot: &Slot) -> Option<MutexGuard<'_, Chunk>> {
     match slot.try_lock() {
         Ok(chunk) => Some(chunk),
+        Err(TryLockError::Poisoned(e)) => Some(e.into_inner()),
         Err(TryLockError::WouldBlock) => None,
-        Err(TryLockError::Poisoned(_)) => panic!("an oracle helper panicked"),
     }
-}
-
-fn wait_chunk(slot: &Slot) -> MutexGuard<'_, Chunk> {
-    slot.lock().expect("an oracle helper panicked")
 }
 
 /// What helpers need of one attached world.
 struct WorldShare {
-    /// Distinguishes worlds within a pool.
-    id: usize,
     /// The world's configuration when it was attached.
     cfg: SystemConfig,
     /// Per client, a copy of the world's links to it (`[ap]`) for helpers
     /// to clone from — `WirelessLink` memoizes through `Cell`s, so threads
     /// cannot share one — and how many helpers have come for it.
     links: Mutex<Vec<(usize, Vec<WirelessLink>)>>,
+    /// Per pool worker, what it keeps of this world.
+    helpers: Vec<Mutex<Helper>>,
 }
 
-/// A submitted chunk nobody has started.
-struct Job {
-    world: Arc<WorldShare>,
-    slot: Slot,
-}
-
+/// One helper's link clones and warm-start hints, by client, made the
+/// first time it meets the client; and its tap-gain scratch.
 #[derive(Default)]
-struct Queue {
-    jobs: VecDeque<Job>,
-    closed: bool,
+struct Helper {
+    clients: Vec<Option<(Vec<WirelessLink>, Option<usize>)>>,
+    gains: Vec<Cplx>,
 }
 
-/// A run's helper pool: the job queue its helpers park on.
-pub(crate) struct Pool {
-    helpers: usize,
-    queue: Mutex<Queue>,
-    wake: Condvar,
-    worlds: AtomicUsize,
-}
-
-impl Pool {
-    fn queue(&self) -> MutexGuard<'_, Queue> {
-        self.queue.lock().expect("oracle job queue poisoned")
-    }
-
-    fn helper(&self) {
-        // This helper's own link clones and warm-start hints, made the
-        // first time it meets a (world, client).
-        let mut mine: HashMap<(usize, u32), (Vec<WirelessLink>, Option<usize>)> = HashMap::new();
-        let mut gains = Vec::new();
-        loop {
-            let job = {
-                let mut q = self.queue();
-                loop {
-                    if q.closed {
-                        return;
-                    }
-                    if let Some(job) = q.jobs.pop_front() {
-                        break job;
-                    }
-                    q = self.wake.wait(q).expect("oracle job queue poisoned");
-                }
-            };
-            let mut chunk = wait_chunk(&job.slot);
-            if chunk.done {
-                continue; // its draining world got to the lock first
+impl WorldShare {
+    /// Worker `worker` evaluates the chunk in `slot`.
+    fn evaluate(&self, worker: usize, slot: &Slot) {
+        let mut chunk = lock(slot);
+        if chunk.done {
+            return; // its draining world got to the lock first
+        }
+        let mut helper = lock(&self.helpers[worker]);
+        let Helper { clients, gains } = &mut *helper;
+        chunk.evaluate(|s, down| {
+            let c = s.client as usize;
+            if clients.len() <= c {
+                clients.resize_with(c + 1, || None);
             }
-            let world = &*job.world;
-            chunk.evaluate(|s, down| {
-                let (links, warm) = mine.entry((world.id, s.client)).or_insert_with(|| {
-                    let mut protos = world.links.lock().expect("oracle link table poisoned");
-                    let (taken, proto) = &mut protos[s.client as usize];
-                    *taken += 1;
-                    // The last helper to come leaves no copy behind.
-                    let links = if *taken == self.helpers {
-                        std::mem::take(proto)
-                    } else {
-                        proto.clone()
-                    };
-                    (links, None)
-                });
-                evaluate(s, down, |ap| &links[ap], &world.cfg, warm, &mut gains)
+            let (links, warm) = clients[c].get_or_insert_with(|| {
+                let mut protos = lock(&self.links);
+                let (taken, proto) = &mut protos[c];
+                *taken += 1;
+                // The last helper to come leaves no copy behind.
+                let links = if *taken == self.helpers.len() {
+                    std::mem::take(proto)
+                } else {
+                    proto.clone()
+                };
+                (links, None)
             });
-        }
-    }
-}
-
-/// Helper threads alive in this process, and the most there have been.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-/// The most oracle helper threads this process has had alive at once
-/// (never above `available_parallelism() − 1`; the fan-out suite checks).
-pub fn peak_helper_threads() -> usize {
-    PEAK.load(Ordering::SeqCst)
-}
-
-/// Helper threads leased from the process-wide budget; returned on drop.
-struct Lease(usize);
-
-impl Lease {
-    /// As many helpers as a run on `loop_threads` event-loop threads can
-    /// use and the host has cores left for, out of a process-wide budget of
-    /// `available_parallelism() − 1` so that concurrent runs (the
-    /// experiment fan-out) share the spare cores instead of each claiming
-    /// them.
-    fn take(loop_threads: usize) -> Lease {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let want = cores
-            .saturating_sub(loop_threads)
-            .min(HELPERS_PER_LOOP * loop_threads);
-        let (mut got, mut live_after) = (0, 0);
-        let _ = LIVE.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |live| {
-            got = want.min((cores - 1).saturating_sub(live));
-            live_after = live + got;
-            Some(live_after)
+            evaluate(s, down, |ap| &links[ap], &self.cfg, warm, gains)
         });
-        PEAK.fetch_max(live_after, Ordering::SeqCst);
-        Lease(got)
     }
-}
-
-impl Drop for Lease {
-    fn drop(&mut self) {
-        LIVE.fetch_sub(self.0, Ordering::SeqCst);
-    }
-}
-
-/// Runs `body` beside a pool of oracle helpers sized for a run whose event
-/// loops occupy `loop_threads` threads; `body` gets `None` when the host
-/// has no core to spare, and its worlds then evaluate at tick time.
-/// `exactly` overrides the sizing (and the budget) for the helper-count
-/// invariance suite. Helpers are scoped: they are joined before this
-/// returns, a helper's panic resurfaces here, and a panic in `body` closes
-/// the queue on its way out so the join cannot hang.
-pub(crate) fn with_helpers<R>(
-    loop_threads: usize,
-    exactly: Option<usize>,
-    body: impl FnOnce(Option<&Arc<Pool>>) -> R,
-) -> R {
-    let lease = match exactly {
-        Some(_) => Lease(0),
-        None => Lease::take(loop_threads.max(1)),
-    };
-    let helpers = exactly.unwrap_or(lease.0);
-    if helpers == 0 {
-        return body(None);
-    }
-    let pool = Arc::new(Pool {
-        helpers,
-        queue: Mutex::default(),
-        wake: Condvar::new(),
-        worlds: AtomicUsize::new(0),
-    });
-    struct Close<'a>(&'a Pool);
-    impl Drop for Close<'_> {
-        fn drop(&mut self) {
-            // Reached on unwind too; a poisoned queue is closed all the same.
-            let mut q = self.0.queue.lock().unwrap_or_else(|e| e.into_inner());
-            q.closed = true;
-            self.0.wake.notify_all();
-        }
-    }
-    std::thread::scope(|scope| {
-        let _close = Close(&pool);
-        for _ in 0..helpers {
-            scope.spawn(|| pool.helper());
-        }
-        body(Some(&pool))
-    })
 }
 
 /// The attached half of a [`Recorder`].
 struct Sink {
-    pool: Arc<Pool>,
+    jobs: Jobs,
     world: Arc<WorldShare>,
     /// Chunk being filled.
     filling: Chunk,
@@ -455,16 +355,16 @@ pub(crate) struct WorldView<'a> {
 }
 
 impl Recorder {
-    /// Sends this world's samples to `pool` from now on (until
-    /// [`Self::drain`]). `cfg` is snapshotted for the helpers.
-    pub fn attach(&mut self, pool: &Arc<Pool>, cfg: &SystemConfig) {
+    /// Sends this world's samples to the pool behind `jobs` from now on
+    /// (until [`Self::drain`]). `cfg` is snapshotted for the helpers.
+    pub fn attach(&mut self, jobs: &Jobs, cfg: &SystemConfig) {
         debug_assert!(self.sink.is_none(), "world attached twice");
         self.sink = Some(Sink {
-            pool: Arc::clone(pool),
+            jobs: jobs.clone(),
             world: Arc::new(WorldShare {
-                id: pool.worlds.fetch_add(1, Ordering::Relaxed),
                 cfg: cfg.clone(),
                 links: Mutex::default(),
+                helpers: (0..jobs.workers()).map(|_| Mutex::default()).collect(),
             }),
             filling: Chunk::default(),
             pending: VecDeque::new(),
@@ -488,7 +388,7 @@ impl Recorder {
         sink.filling.push(s, down);
         if sink.filling.samples.len() >= CHUNK {
             let unstarted = sink.submit(view.links);
-            let behind = unstarted > QUEUED_PER_HELPER * sink.pool.helpers;
+            let behind = unstarted > QUEUED_PER_HELPER * sink.jobs.workers();
             self.settle(behind, false, view);
         }
     }
@@ -512,7 +412,7 @@ impl Recorder {
     /// pending, waiting for the chunks helpers hold.
     fn settle(&mut self, help: bool, finish: bool, view: WorldView<'_>) {
         let Recorder { warm, gains, sink } = self;
-        let sink = sink.as_mut().expect("settling a detached recorder");
+        let Some(sink) = sink.as_mut() else { return };
         let links = view.links;
         loop {
             if help {
@@ -520,7 +420,7 @@ impl Recorder {
                     .take_back()
                     .or_else(|| sink.pending.front().filter(|_| finish).cloned());
                 if let Some(slot) = slot {
-                    let mut chunk = wait_chunk(&slot);
+                    let mut chunk = lock(&slot);
                     // Done already unless it was still unstarted, or a
                     // helper had claimed it and not yet reached the lock.
                     if !chunk.done {
@@ -553,30 +453,22 @@ impl Sink {
     fn submit(&mut self, links: &[Vec<WirelessLink>]) -> usize {
         let n_clients = links.first().map_or(0, Vec::len);
         {
-            let mut protos = self.world.links.lock().expect("oracle link table poisoned");
+            let mut protos = lock(&self.world.links);
             for c in protos.len()..n_clients {
                 protos.push((0, links.iter().map(|row| row[c].clone()).collect()));
             }
         }
         let slot: Slot = Arc::new(Mutex::new(std::mem::take(&mut self.filling)));
         self.pending.push_back(Arc::clone(&slot));
-        let mut q = self.pool.queue();
-        q.jobs.push_back(Job {
-            world: Arc::clone(&self.world),
-            slot,
-        });
-        self.pool.wake.notify_one();
-        q.jobs.len()
+        let world = Arc::clone(&self.world);
+        self.jobs
+            .push(key(&slot), move |worker| world.evaluate(worker, &slot))
     }
 
     /// Takes this world's oldest unstarted chunk back out of the pool.
     fn take_back(&self) -> Option<Slot> {
-        let mut q = self.pool.queue();
-        let at = q
-            .jobs
-            .iter()
-            .position(|job| Arc::ptr_eq(&job.world, &self.world))?;
-        q.jobs.remove(at).map(|job| job.slot)
+        let mut pending = self.pending.iter();
+        pending.find(|slot| self.jobs.take(key(slot))).cloned()
     }
 }
 
@@ -585,7 +477,7 @@ mod tests {
     use super::*;
     use crate::world::{prime_events, WgttWorld};
     use wgtt_phy::mobility::ConstantSpeed;
-    use wgtt_sim::Simulator;
+    use wgtt_sim::{pool, Simulator};
 
     /// A one-vehicle world driven by hand, as fig23 and the benchmark's
     /// step probe build theirs.
@@ -613,50 +505,62 @@ mod tests {
         // Dropping an attached world mid-run must not keep the helpers
         // alive: the scope below has to join them and return.
         let mut sim = hand_built();
-        with_helpers(1, Some(2), |pool| {
-            sim.world_mut()
-                .attach_oracle(pool.expect("two helpers asked for"));
-            sim.run_until(SimTime::from_secs(1));
-            drop(sim);
-        });
+        pool::scope(
+            3,
+            |(), _| (),
+            |pool| {
+                sim.world_mut().attach_oracle(pool.jobs());
+                sim.run_until(SimTime::from_secs(1));
+                drop(sim);
+            },
+        );
     }
 
     #[test]
-    #[should_panic(expected = "an oracle helper panicked")]
-    fn helper_panic_reaches_the_draining_world() {
+    #[should_panic(expected = "index out of bounds")]
+    fn helper_panic_resurfaces_from_the_run_scope() {
         let mut sim = hand_built();
-        with_helpers(1, Some(1), |pool| {
-            let w = sim.world_mut();
-            let mut recorder = Recorder::default();
-            recorder.attach(pool.expect("one helper asked for"), &w.cfg);
-            let sink = recorder.sink.as_mut().expect("attached");
-            // A chunk of samples naming a client the world does not have:
-            // the helper indexes past the published links and panics
-            // holding the chunk.
-            for i in 0..CHUNK {
-                sink.filling.push(
-                    Sample {
-                        t: SimTime::from_millis(i as u64),
-                        client: 1,
-                        serving: None,
-                        pos: Position::new(0.0, 6.0, 1.5),
-                        speed: 10.0,
-                    },
-                    &[false; 8],
-                );
-            }
-            sink.submit(&w.links);
-            // Let the helper get there first: until it holds (or has
-            // poisoned) the chunk, this thread could evaluate it instead.
-            let slot = Arc::clone(sink.pending.front().expect("just submitted"));
-            while slot.try_lock().is_ok() {
-                std::thread::yield_now();
-            }
-            recorder.drain(WorldView {
-                links: &w.links,
-                cfg: &w.cfg,
-                clients: &mut w.clients,
-            });
-        });
+        pool::scope(
+            2,
+            |(), _| (),
+            |pool| {
+                let w = sim.world_mut();
+                let mut recorder = Recorder::default();
+                recorder.attach(pool.jobs(), &w.cfg);
+                let sink = recorder.sink.as_mut().expect("attached");
+                // A chunk of samples naming a client the world does not have:
+                // the helper indexes past the published links and panics
+                // holding the chunk.
+                for i in 0..CHUNK {
+                    sink.filling.push(
+                        Sample {
+                            t: SimTime::from_millis(i as u64),
+                            client: 1,
+                            serving: None,
+                            pos: Position::new(0.0, 6.0, 1.5),
+                            speed: 10.0,
+                        },
+                        &[false; 8],
+                    );
+                }
+                sink.submit(&w.links);
+                let slot = Arc::clone(sink.pending.front().expect("just submitted"));
+                while !slot.is_poisoned() {
+                    std::thread::yield_now();
+                }
+                // Left for its world to evaluate; the scope resumes the panic.
+                assert!(!lock(&slot).done);
+            },
+        );
+    }
+
+    #[test]
+    fn a_lone_run_gets_what_the_host_spares() {
+        // cores − loops, at most three per loop.
+        assert_eq!(helper_count(1, 1), 0);
+        assert_eq!(helper_count(1, 2), 1);
+        assert_eq!(helper_count(1, 8), 3);
+        assert_eq!(helper_count(2, 2), 0);
+        assert_eq!(helper_count(2, 8), 6);
     }
 }

@@ -104,7 +104,7 @@ impl State {
         let seq = self
             .seam
             .export(self.now, &seam_policy(cfg), handoff(epoch_max));
-        self.send_prepare(cfg, seq);
+        self.send_prepare(cfg, seq, epoch_max);
     }
 
     /// The source's retry timer fires: a re-send, or past the ladder an
@@ -123,9 +123,9 @@ impl State {
         self.now = self.now.max(fire_at);
         for due in self.seam.due(self.now, &seam_policy(cfg)) {
             match due {
-                Due::Resend { seq, .. } => {
+                Due::Resend { seq, handoff, .. } => {
                     tally.seam_retries += 1;
-                    self.send_prepare(cfg, seq);
+                    self.send_prepare(cfg, seq, handoff.record);
                 }
                 Due::Abort(_, handoff) => {
                     // Bit-exact readopt from the retained record;
@@ -138,7 +138,7 @@ impl State {
                         self.migrations_left += 1;
                     }
                 }
-                Due::ResendForward(_) | Due::ForwardLost(()) => {
+                Due::ResendForward(..) | Due::ForwardLost(()) => {
                     unreachable!("the slice forwards no residue")
                 }
             }
@@ -167,11 +167,10 @@ impl State {
         }
     }
 
-    /// Puts the prepare of retained handoff `seq` on the wire, stamped
-    /// with the *current* term: a bounced source resumes its reign, a
-    /// superseded one gets fenced.
-    fn send_prepare(&mut self, cfg: &CheckerConfig, seq: u64) {
-        let epoch_max = self.seam.handoff(seq).expect("retained").payload.record;
+    /// Puts the prepare of retained handoff `seq`, whose record is
+    /// `epoch_max`, on the wire, stamped with the *current* term: a bounced
+    /// source resumes its reign, a superseded one gets fenced.
+    fn send_prepare(&mut self, cfg: &CheckerConfig, seq: u64, epoch_max: u32) {
         let term = self.engine.term();
         self.send(
             cfg,

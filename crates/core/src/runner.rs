@@ -6,12 +6,13 @@
 //! extraction, plus convenience summaries in [`RunResult`].
 
 use crate::config::SystemConfig;
+use crate::oracle::helper_count;
 use crate::world::{prime_events, FlowKind, WgttWorld};
 use wgtt_net::{CbrSource, TcpConfig, TcpSender};
 use wgtt_phy::geom::Position;
 use wgtt_phy::mobility::{ConstantSpeed, Stationary};
 use wgtt_phy::Trajectory;
-use wgtt_sim::{FaultSchedule, SimDuration, SimTime, Simulator};
+use wgtt_sim::{pool, FaultSchedule, SimDuration, SimTime, Simulator};
 
 /// How one client moves.
 #[derive(Debug, Clone)]
@@ -257,15 +258,20 @@ fn run_impl(scenario: Scenario, oracle_helpers: Option<usize>) -> RunResult {
     // The oracle's evaluations run beside the event loop where the host
     // has a core to spare; whatever is still queued when the loop ends is
     // finished here, inside the reported wall.
-    let drain = crate::oracle::with_helpers(1, oracle_helpers, |pool| {
-        if let Some(pool) = pool {
-            sim.world_mut().attach_oracle(pool);
-        }
-        sim.run_until(traffic_until + settle);
-        let loop_done = std::time::Instant::now();
-        sim.world_mut().drain_oracle();
-        loop_done.elapsed()
-    });
+    let helpers = oracle_helpers.unwrap_or_else(|| helper_count(1, pool::cores()));
+    let drain = pool::scope(
+        1 + helpers,
+        |(), _| (),
+        |pool| {
+            if helpers > 0 {
+                sim.world_mut().attach_oracle(pool.jobs());
+            }
+            sim.run_until(traffic_until + settle);
+            let loop_done = std::time::Instant::now();
+            sim.world_mut().drain_oracle();
+            loop_done.elapsed()
+        },
+    );
     let events = sim.events_processed();
     let mut perf = crate::metrics::RunPerf::from_engine(
         sim.perf(),

@@ -69,10 +69,13 @@ impl<P, A> Ledger<P, A> {
         id
     }
 
-    /// Every send whose timer has run out, ascending id: `Ok(attempt)` was
-    /// stepped one rung up the ladder and wants a re-send, `Err(payload)`
-    /// had spent `max_attempts` and is given up.
-    fn due(&mut self, now: SimTime, policy: &MigrationConfig) -> Vec<(u64, Result<u32, P>)> {
+    /// Every send whose timer has run out, ascending id, with its payload:
+    /// `Some(attempt)` was stepped one rung up the ladder and wants a copy
+    /// re-sent, `None` had spent `max_attempts` and is given up.
+    fn due(&mut self, now: SimTime, policy: &MigrationConfig) -> Vec<(u64, Option<u32>, P)>
+    where
+        P: Clone,
+    {
         let mut out = Vec::new();
         let mut after = Bound::Unbounded;
         while let Some((&id, u)) = self
@@ -84,9 +87,9 @@ impl<P, A> Ledger<P, A> {
             if u.attempts < policy.max_attempts {
                 u.attempts += 1;
                 u.next_retry = now + policy.retry_delay(u.attempts);
-                out.push((id, Ok(u.attempts)));
+                out.push((id, Some(u.attempts), u.payload.clone()));
             } else if let Some(u) = self.unacked.remove(&id) {
-                out.push((id, Err(u.payload)));
+                out.push((id, None, u.payload));
             }
         }
         out
@@ -151,12 +154,14 @@ pub enum Due<R, F> {
         seq: u64,
         /// Sends including this one.
         attempt: u32,
+        /// A copy of the retained handoff, for the prepare to carry.
+        handoff: Handoff<R>,
     },
     /// The prepare's budget is spent: readopt the client from the record
     /// of this `seq`, which is no longer retained.
     Abort(u64, Handoff<R>),
-    /// Re-send this forward ([`SeamEngine::forwarded`]).
-    ResendForward(u64),
+    /// Re-send forward `fid`, whose payload this is a copy of.
+    ResendForward(u64, F),
     /// The forward's budget is spent: its payload is lost at the seam.
     ForwardLost(F),
 }
@@ -279,23 +284,31 @@ impl<R, F> SeamEngine<R, F> {
 
     /// Every retry timer that has run out by `now`: prepares in ascending
     /// `seq`, then forwards in ascending `fid`.
-    pub fn due(&mut self, now: SimTime, policy: &MigrationConfig) -> Vec<Due<R, F>> {
+    pub fn due(&mut self, now: SimTime, policy: &MigrationConfig) -> Vec<Due<R, F>>
+    where
+        R: Clone,
+        F: Clone,
+    {
         let handoffs = self.handoffs.due(now, policy);
         let forwards = self.forwards.due(now, policy);
         let mut out = Vec::with_capacity(handoffs.len() + forwards.len());
-        for (seq, step) in handoffs {
-            out.push(match step {
-                Ok(attempt) => Due::Resend { seq, attempt },
-                Err(handoff) => {
+        for (seq, attempt, handoff) in handoffs {
+            out.push(match attempt {
+                Some(attempt) => Due::Resend {
+                    seq,
+                    attempt,
+                    handoff,
+                },
+                None => {
                     self.aborted.insert(seq);
                     Due::Abort(seq, handoff)
                 }
             });
         }
-        for (fid, step) in forwards {
-            out.push(match step {
-                Ok(_) => Due::ResendForward(fid),
-                Err(payload) => Due::ForwardLost(payload),
+        for (fid, attempt, payload) in forwards {
+            out.push(match attempt {
+                Some(_) => Due::ResendForward(fid, payload),
+                None => Due::ForwardLost(payload),
             });
         }
         out
@@ -417,10 +430,12 @@ mod tests {
         for t in (0..=800).step_by(50) {
             for due in e.due(ms(t), &policy(3)) {
                 log.push(match due {
-                    Due::Resend { seq: s, attempt } if s == seq => {
-                        format!("{t} prepare #{attempt}")
-                    }
-                    Due::ResendForward(f) if f == fid => format!("{t} forward"),
+                    Due::Resend {
+                        seq: s,
+                        attempt,
+                        handoff,
+                    } if s == seq => format!("{t} prepare #{attempt} {}", handoff.record),
+                    Due::ResendForward(f, payload) if f == fid => format!("{t} forward {payload}"),
                     Due::Abort(s, handoff) if s == seq => {
                         format!("{t} abort {}", handoff.record)
                     }
@@ -430,10 +445,10 @@ mod tests {
             }
         }
         let want = [
-            "100 prepare #2",
-            "100 forward",
-            "300 prepare #3",
-            "300 forward",
+            "100 prepare #2 rec",
+            "100 forward residue",
+            "300 prepare #3 rec",
+            "300 forward residue",
             "700 abort rec",
             "700 lost residue",
         ];
@@ -458,7 +473,7 @@ mod tests {
         let second = e.export(ms(200), &policy(2), hop(8));
         let due = e.due(ms(300), &policy(2));
         assert!(
-            matches!(due[..], [Due::Abort(a, _), Due::Resend { seq: r, attempt: 2 }]
+            matches!(due[..], [Due::Abort(a, _), Due::Resend { seq: r, attempt: 2, .. }]
                 if a == first && r == second),
             "{due:?}"
         );

@@ -55,6 +55,7 @@
 
 use crate::config::SystemConfig;
 use crate::metrics::SystemMetrics;
+use crate::oracle::helper_count;
 use crate::seam::{CommitVerdict, Due, Handoff, PrepareVerdict, SeamEngine};
 use crate::world::{
     prime_events, prime_migrant_events, Ev, FlowKind, MigrantFlow, MigrantSpec, MigrationRecord,
@@ -63,12 +64,12 @@ use crate::world::{
 use std::collections::{BTreeMap, HashMap};
 use wgtt_phy::mobility::ConstantSpeed;
 use wgtt_phy::{mph_to_mps, Position, Trajectory};
-use wgtt_sim::lockstep::{drive, LockstepShard};
-use wgtt_sim::{FaultSchedule, SimDuration, SimRng, SimTime, Simulator};
+use wgtt_sim::lockstep::{self, LockstepShard};
+use wgtt_sim::{pool, FaultSchedule, SimDuration, SimRng, SimTime, Simulator};
 
 /// Hard ceiling on the lockstep epoch: even when the geometry would allow
 /// coarser steps, barriers at least this often keep migration latency and
-/// the scaling experiment's work granularity predictable.
+/// the per-epoch work granularity predictable.
 const EPOCH_CAP: SimDuration = SimDuration::from_millis(50);
 
 /// A corridor of identical picocell clusters with through traffic.
@@ -99,7 +100,7 @@ pub struct ShardedScenario {
     pub epoch: Option<SimDuration>,
     /// `true` wraps the corridor into a ring: vehicles leaving the last
     /// cluster re-enter the first, keeping per-shard load constant (the
-    /// scaling experiment uses this).
+    /// benchmark's `corridor_ring` uses this).
     pub ring: bool,
     /// Per-shard fault schedules (empty = no faults anywhere; otherwise
     /// exactly one entry per shard).
@@ -373,7 +374,7 @@ impl<'a> Corridor<'a> {
 
     /// The serial barrier. (The naive shim exports nothing, so for it
     /// steps 1 and 3 find nothing to do and step 4 no one to forward to.)
-    fn at_barrier(&mut self, shards: &mut [Shard], now: SimTime) {
+    fn at_barrier(&mut self, shards: &mut [&mut Shard], now: SimTime) {
         // Step 1: deliver every frame sent at the previous barrier, in
         // send order — prepares admit migrants, commits release retained
         // records, forwards deposit chased residue. The responses wait
@@ -389,7 +390,7 @@ impl<'a> Corridor<'a> {
     /// Sends a frame through the seam channel under the *sending* shard's
     /// migration fault windows: a loss draw first (the frame vanishes),
     /// then a duplication draw (two copies enter flight).
-    fn send(&mut self, shards: &[Shard], sender: usize, now: SimTime, msg: SeamMsg) {
+    fn send(&mut self, shards: &[&mut Shard], sender: usize, now: SimTime, msg: SeamMsg) {
         let faults = &shards[sender].sim.world().faults;
         let loss = faults.migration_loss_prob(now);
         let dup = faults.migration_dup_prob(now);
@@ -404,8 +405,13 @@ impl<'a> Corridor<'a> {
 
     /// (Re-)sends the prepare of retained handoff `seq`, stamped with the
     /// source controller's current term.
-    fn send_prepare(&mut self, shards: &[Shard], seq: u64, now: SimTime) {
-        let handoff = self.seam.handoff(seq).expect("retained").payload.clone();
+    fn send_prepare(
+        &mut self,
+        shards: &[&mut Shard],
+        seq: u64,
+        handoff: Handoff<Exported>,
+        now: SimTime,
+    ) {
         let from = handoff.from;
         let term = shards[from].sim.world().ctrl.engine.term();
         let msg = SeamMsg::Prepare { seq, term, handoff };
@@ -413,7 +419,7 @@ impl<'a> Corridor<'a> {
     }
 
     /// Registers a residue forward and sends it (acked, retried).
-    fn forward(&mut self, shards: &[Shard], now: SimTime, fwd: Forward) {
+    fn forward(&mut self, shards: &[&mut Shard], now: SimTime, fwd: Forward) {
         let src = fwd.src;
         let fid = self
             .seam
@@ -421,7 +427,7 @@ impl<'a> Corridor<'a> {
         self.send(shards, src, now, SeamMsg::Forward { fid, fwd });
     }
 
-    fn deliver(&mut self, shards: &mut [Shard], now: SimTime, msg: SeamMsg) {
+    fn deliver(&mut self, shards: &mut [&mut Shard], now: SimTime, msg: SeamMsg) {
         match msg {
             SeamMsg::Prepare {
                 seq,
@@ -504,7 +510,7 @@ impl<'a> Corridor<'a> {
     /// at the source and start the two-phase handoff. The naive shim
     /// admits a fresh identity immediately and drops the record, charging
     /// its residue as seam loss.
-    fn export_crossings(&mut self, shards: &mut [Shard], now: SimTime) {
+    fn export_crossings(&mut self, shards: &mut [&mut Shard], now: SimTime) {
         let n = shards.len();
         let mut staged: Vec<(usize, usize)> = Vec::new(); // (from, local client)
         for (i, shard) in shards.iter().enumerate() {
@@ -549,10 +555,12 @@ impl<'a> Corridor<'a> {
                     at: now,
                 },
             };
+            // The engine retains the record itself; the prepare carries a copy.
+            let copy = handoff.clone();
             let seq = self
                 .seam
                 .export(now, &self.scenario.config.migration, handoff);
-            self.send_prepare(shards, seq, now);
+            self.send_prepare(shards, seq, copy, now);
         }
     }
 
@@ -560,13 +568,12 @@ impl<'a> Corridor<'a> {
     /// or forward is re-sent; past the budget a handoff aborts (the source
     /// readopts the client — graceful degradation) and a forward surfaces
     /// as seam loss at its origin.
-    fn sweep(&mut self, shards: &mut [Shard], now: SimTime) {
+    fn sweep(&mut self, shards: &mut [&mut Shard], now: SimTime) {
         for due in self.seam.due(now, &self.scenario.config.migration) {
             match due {
-                Due::Resend { seq, .. } => {
-                    let from = self.seam.handoff(seq).expect("retained").payload.from;
-                    shards[from].sim.world_mut().sys.migration_retries += 1;
-                    self.send_prepare(shards, seq, now);
+                Due::Resend { seq, handoff, .. } => {
+                    shards[handoff.from].sim.world_mut().sys.migration_retries += 1;
+                    self.send_prepare(shards, seq, handoff, now);
                 }
                 Due::Abort(seq, h) => {
                     let source = &mut shards[h.from];
@@ -580,8 +587,7 @@ impl<'a> Corridor<'a> {
                     // unrescheduled; relaunch them.
                     prime_migrant_events(&mut source.sim, h.src_client);
                 }
-                Due::ResendForward(fid) => {
-                    let fwd = self.seam.forwarded(fid).expect("un-acked").clone();
+                Due::ResendForward(fid, fwd) => {
                     shards[fwd.src].sim.world_mut().sys.migration_retries += 1;
                     self.send(shards, fwd.src, now, SeamMsg::Forward { fid, fwd });
                 }
@@ -596,7 +602,7 @@ impl<'a> Corridor<'a> {
     /// (shard, client). A committed destination gets an acked forward, an
     /// un-committed handoff accumulates the batch as trailing residue, and
     /// a readopted client takes its datagrams back directly.
-    fn drain_outboxes(&mut self, shards: &mut [Shard], now: SimTime) {
+    fn drain_outboxes(&mut self, shards: &mut [&mut Shard], now: SimTime) {
         for from in 0..shards.len() {
             let drained = shards[from].sim.world_mut().drain_outbox();
             for (c, entries) in drained {
@@ -627,7 +633,7 @@ impl<'a> Corridor<'a> {
     }
 }
 
-/// One boundary crossing (for assertions and the scaling report). Under
+/// One boundary crossing (for assertions and reports). Under
 /// the two-phase protocol this marks the *export* — the retirement and
 /// prepare send; the destination admits when the prepare delivers, at
 /// least one barrier later.
@@ -731,24 +737,27 @@ fn run_sharded_impl(
     let end = traffic_until + SimDuration::from_millis(500);
     let epoch = scenario.safe_epoch();
     let loop_threads = workers.clamp(1, scenario.shards);
-    let wall = crate::oracle::with_helpers(loop_threads, oracle_helpers, |pool| {
-        if let Some(pool) = pool {
-            for shard in &mut shards {
-                shard.sim.world_mut().attach_oracle(pool);
+    let helpers = oracle_helpers.unwrap_or_else(|| helper_count(loop_threads, pool::cores()));
+    let mut cells: Vec<&mut Shard> = shards.iter_mut().collect();
+    let wall = pool::scope(loop_threads + helpers, lockstep::advance, |pool| {
+        if helpers > 0 {
+            for shard in cells.iter_mut() {
+                shard.sim.world_mut().attach_oracle(pool.jobs());
             }
         }
         let started = std::time::Instant::now();
-        drive(
-            &mut shards,
+        lockstep::drive_on(
+            pool,
+            &mut cells,
             workers,
             SimTime::ZERO,
             end,
             epoch,
-            |shards: &mut [Shard], now| corridor.at_barrier(shards, now),
+            |shards, now| corridor.at_barrier(shards, now),
         );
         // Every shard, retired clients and all: a sample stays with the
         // world that recorded it, whose metrics callers sum.
-        for shard in &mut shards {
+        for shard in cells.iter_mut() {
             shard.sim.world_mut().drain_oracle();
         }
         started.elapsed()

@@ -99,9 +99,9 @@ impl WgttWorld {
         }
     }
 
-    /// Sends this world's oracle samples to a run's helper pool.
-    pub(crate) fn attach_oracle(&mut self, pool: &std::sync::Arc<crate::oracle::Pool>) {
-        self.oracle.attach(pool, &self.cfg);
+    /// Sends this world's oracle samples to a run pool's background queue.
+    pub(crate) fn attach_oracle(&mut self, jobs: &wgtt_sim::pool::Jobs) {
+        self.oracle.attach(jobs, &self.cfg);
     }
 
     /// Sees every recorded oracle sample into the clients' metrics and

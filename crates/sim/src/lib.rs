@@ -35,6 +35,7 @@
 pub mod engine;
 pub mod fault;
 pub mod lockstep;
+pub mod pool;
 pub mod queue;
 pub mod rng;
 pub mod stats;

@@ -26,13 +26,11 @@
 //!    cross-shard effect to the barrier never delivers it later than the
 //!    modeled latency would.
 //!
-//! The worker pool reuses the `wgtt_bench::par` job-claiming idiom:
-//! workers pull the next unclaimed shard index from a shared atomic
-//! counter inside a `std::thread::scope` — no external dependencies.
+//! Each epoch is one [`Pool::round`] of [`advance`] tasks: the workers of
+//! a [`crate::pool`] scope stay parked between epochs for the whole drive.
 
+use crate::pool::{self, Pool};
 use crate::time::{SimDuration, SimTime};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// One spatial partition of a sharded world: everything it needs to
 /// advance its own event queue to a horizon, independently of its peers.
@@ -43,16 +41,44 @@ pub trait LockstepShard: Send {
 }
 
 /// Drives `shards` from `start` to `end` in lockstep epochs of length
-/// `epoch` on `workers` threads. After every epoch, `at_barrier(shards,
-/// horizon)` runs serially to exchange cross-shard state (mailbox
-/// application, boundary migration); it also runs once at `end`.
-///
-/// `workers <= 1` is the serial path, and the only one a single worker
-/// ever takes: a plain loop over shards in index order with no threads,
-/// locks, or atomics. The caller chooses `workers`; nothing here reads the
-/// environment.
+/// `epoch` on `workers` threads: [`drive_on`] on a pool of its own.
 pub fn drive<S, F>(
     shards: &mut [S],
+    workers: usize,
+    start: SimTime,
+    end: SimTime,
+    epoch: SimDuration,
+    at_barrier: F,
+) where
+    S: LockstepShard,
+    F: FnMut(&mut [&mut S], SimTime),
+{
+    let mut cells: Vec<&mut S> = shards.iter_mut().collect();
+    let threads = workers.min(cells.len()).max(1);
+    pool::scope(threads, advance, |pool| {
+        drive_on(pool, &mut cells, workers, start, end, epoch, at_barrier);
+    });
+}
+
+/// A lockstep round's task: runs one shard to the horizon it travels with
+/// and hands it back.
+pub fn advance<S: LockstepShard>((shard, horizon): (&mut S, SimTime), _: usize) -> &mut S {
+    shard.advance_to(horizon);
+    shard
+}
+
+/// Drives `shards` in epochs as [`drive`] does, on a pool the caller
+/// opened (one that may also run background jobs). After every epoch,
+/// `at_barrier(shards, horizon)` runs serially to exchange cross-shard
+/// state (mailbox application, boundary migration); it also runs once at
+/// `end`. With `workers > 1` each epoch is a round on every pool thread,
+/// and a shard's panic resurfaces here. `workers <= 1` is the serial path,
+/// the only one a single worker ever takes: a plain loop over the shards
+/// in index order on the calling thread. Nothing here reads the
+/// environment.
+pub fn drive_on<'s, S, F>(
+    pool: &Pool<'_, (&'s mut S, SimTime), &'s mut S>,
+    shards: &mut Vec<&'s mut S>,
     workers: usize,
     start: SimTime,
     end: SimTime,
@@ -60,51 +86,27 @@ pub fn drive<S, F>(
     mut at_barrier: F,
 ) where
     S: LockstepShard,
-    F: FnMut(&mut [S], SimTime),
+    F: FnMut(&mut [&mut S], SimTime),
 {
     assert!(
         epoch > SimDuration::from_micros(0),
         "lockstep epoch must be positive"
     );
+    let parallel = workers > 1 && shards.len() > 1;
     let mut now = start;
     while now < end {
         let horizon = (now + epoch).min(end);
-        if workers <= 1 || shards.len() <= 1 {
+        if parallel {
+            let cells = std::mem::take(shards);
+            *shards = pool.round(cells.into_iter().map(|s| (s, horizon)));
+        } else {
             for shard in shards.iter_mut() {
                 shard.advance_to(horizon);
             }
-        } else {
-            advance_parallel(shards, workers, horizon);
         }
         at_barrier(shards, horizon);
         now = horizon;
     }
-}
-
-/// One epoch's parallel advance: workers claim shard indices from a
-/// shared counter and run each claimed shard to the horizon. The scope
-/// join is the epoch barrier — no shard of epoch *k+1* can start before
-/// every shard finished epoch *k*.
-fn advance_parallel<S: LockstepShard>(shards: &mut [S], workers: usize, horizon: SimTime) {
-    let n = shards.len();
-    let jobs: Vec<Mutex<&mut S>> = shards.iter_mut().map(Mutex::new).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let jobs = &jobs;
-        let next = &next;
-        for _ in 0..workers.min(n) {
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                jobs[i]
-                    .lock()
-                    .expect("shard slot poisoned")
-                    .advance_to(horizon);
-            });
-        }
-    });
 }
 
 #[cfg(test)]
@@ -219,5 +221,32 @@ mod tests {
             SimDuration::from_micros(0),
             |_, _| {},
         );
+    }
+
+    /// Panics when advanced to its third epoch's horizon.
+    struct Fragile(u32);
+
+    impl LockstepShard for Fragile {
+        fn advance_to(&mut self, _horizon: SimTime) {
+            self.0 += 1;
+            assert!(self.0 < 3, "shard gave up at epoch 3");
+        }
+    }
+
+    #[test]
+    fn a_shard_panic_leaves_drive_instead_of_hanging() {
+        let r = std::panic::catch_unwind(|| {
+            let mut shards: Vec<Fragile> = (0..6).map(|_| Fragile(0)).collect();
+            drive(
+                &mut shards,
+                4,
+                SimTime::ZERO,
+                SimTime::from_millis(10),
+                SimDuration::from_millis(1),
+                |_, _| {},
+            );
+        });
+        let p = r.expect_err("the third epoch must fail");
+        assert_eq!(p.downcast_ref::<&str>(), Some(&"shard gave up at epoch 3"));
     }
 }

@@ -28,8 +28,8 @@ use wgtt::core::shard::{run_sharded_with_oracle_helpers, ShardedScenario};
 use wgtt::sim::SimDuration;
 
 // Relaxed everywhere: statistics that publish no other data.
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+static IN_USE: AtomicUsize = AtomicUsize::new(0);
+static HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
 /// Calls that ask for memory: `alloc`, `alloc_zeroed`, `realloc`.
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 
@@ -37,8 +37,8 @@ struct Counting;
 
 fn grew(bytes: usize) {
     CALLS.fetch_add(1, Ordering::Relaxed);
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+    let live = IN_USE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    HIGH_WATER.fetch_max(live, Ordering::Relaxed);
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -67,7 +67,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: `ptr` came from this allocator with this `layout`, which
         // means it came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        IN_USE.fetch_sub(layout.size(), Ordering::Relaxed);
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -78,7 +78,7 @@ unsafe impl GlobalAlloc for Counting {
                 grew(new_size - layout.size());
             } else {
                 CALLS.fetch_add(1, Ordering::Relaxed);
-                LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+                IN_USE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
             }
         }
         p
@@ -92,11 +92,11 @@ static ALLOC: Counting = Counting;
 /// while it ran (the result included) above what was live when it started,
 /// and the number of calls.
 fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
+    let base = IN_USE.load(Ordering::Relaxed);
+    HIGH_WATER.store(base, Ordering::Relaxed);
     let calls = CALLS.load(Ordering::Relaxed);
     let kept = f();
-    let peak = PEAK.load(Ordering::Relaxed);
+    let peak = HIGH_WATER.load(Ordering::Relaxed);
     (kept, peak - base, CALLS.load(Ordering::Relaxed) - calls)
 }
 
