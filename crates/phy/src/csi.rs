@@ -7,7 +7,7 @@
 //! in dB fall out directly and feed the ESNR computation.
 
 use crate::complex::Cplx;
-use crate::pathloss::linear_to_db;
+use crate::pathloss::{db_to_linear, linear_to_db};
 
 /// Number of used subcarriers in an 802.11n HT20 channel (±1..±28).
 pub const NUM_SUBCARRIERS: usize = 56;
@@ -46,7 +46,7 @@ pub struct Csi {
 }
 
 impl Csi {
-    /// Per-subcarrier SNR in dB: `mean_snr_db + 10·log10(|H_k|²)`.
+    /// Per-subcarrier SNR in dB: `mean_snr_db + 10·log₁₀|H_k|²`.
     pub fn per_subcarrier_snr_db(&self) -> [f64; NUM_SUBCARRIERS] {
         let mut out = [0.0; NUM_SUBCARRIERS];
         for (o, h) in out.iter_mut().zip(&self.h) {
@@ -57,7 +57,7 @@ impl Csi {
 
     /// Per-subcarrier SNR in linear scale.
     pub fn per_subcarrier_snr_linear(&self) -> [f64; NUM_SUBCARRIERS] {
-        let base = 10f64.powf(self.mean_snr_db / 10.0);
+        let base = db_to_linear(self.mean_snr_db);
         let mut out = [0.0; NUM_SUBCARRIERS];
         for (o, h) in out.iter_mut().zip(&self.h) {
             *o = base * h.abs2();

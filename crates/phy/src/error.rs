@@ -16,6 +16,7 @@
 
 use crate::csi::Csi;
 use crate::esnr::{esnr_from_csi, EsnrMemo};
+use crate::fastmath::{exp, ln};
 use crate::mcs::Mcs;
 use serde::{Deserialize, Serialize};
 
@@ -57,7 +58,7 @@ impl PerModel {
         } else if x < -40.0 {
             0.0
         } else {
-            1.0 / (1.0 + (-x).exp())
+            1.0 / (1.0 + exp(-x))
         };
         if p_ref <= 0.0 {
             return 0.0;
@@ -66,9 +67,9 @@ impl PerModel {
             return 1.0;
         }
         // Convert to an equivalent per-bit survival and rescale to the
-        // actual length.
+        // actual length: `p_ref^scale`.
         let scale = len_bytes.max(1) as f64 / self.ref_len_bytes as f64;
-        p_ref.powf(scale)
+        exp(scale * ln(p_ref))
     }
 
     /// Frame success probability straight from a CSI snapshot.

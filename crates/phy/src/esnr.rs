@@ -12,11 +12,12 @@
 //! ```
 //!
 //! This is the metric the WGTT controller compares across APs (§3.1.1 of
-//! the paper).
+//! the paper). `BER_m` and its inverse both read one table per modulation,
+//! sampled from [`ber`] (DESIGN.md §6b, "BER tables").
 
 use crate::csi::{Csi, NUM_SUBCARRIERS};
-use crate::fastmath::{at_host_width, exp_lanes, LANES};
 use crate::pathloss::linear_to_db;
+use std::sync::OnceLock;
 
 /// Modulation schemes used by 802.11n single-stream MCS 0–7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,25 +76,6 @@ fn erfc_poly(t: f64) -> f64 {
                                 + t * (1.48851587 + t * (-0.82215223 + t * 0.17087277))))))))
 }
 
-/// [`erfc`] up to its exponential: `(t, e)` with `erfc(|x|) = t·exp(e)`.
-#[inline(always)]
-fn erfc_exponent(x: f64) -> (f64, f64) {
-    let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    (t, -z * z + erfc_poly(t))
-}
-
-/// [`erfc`] from its exponential on, given `exp_e = exp(e)`.
-#[inline(always)]
-fn erfc_finish(x: f64, t: f64, exp_e: f64) -> f64 {
-    let tau = t * exp_e;
-    if x >= 0.0 {
-        tau
-    } else {
-        2.0 - tau
-    }
-}
-
 /// Complementary error function.
 ///
 /// Abramowitz & Stegun 7.1.26-based rational approximation with |ε| ≤
@@ -102,33 +84,14 @@ fn erfc_finish(x: f64, t: f64, exp_e: f64) -> f64 {
 /// exponential uses the deterministic [`crate::fastmath::exp`] kernel, so
 /// BER values do not depend on the host libm.
 pub fn erfc(x: f64) -> f64 {
-    let (t, e) = erfc_exponent(x);
-    erfc_finish(x, t, crate::fastmath::exp(e))
-}
-
-/// `ln erfc(z)` and its derivative for `z ≥ 0`, from the closed form of the
-/// same approximation [`erfc`] uses: `ln t − z² + B(t)`.
-///
-/// Evaluating the logarithm analytically never under- or overflows, which
-/// is what lets [`ber_inverse`] run Newton's method at BERs far below the
-/// smallest subnormal of the linear-domain function.
-#[inline]
-fn ln_erfc_with_deriv(z: f64) -> (f64, f64) {
-    #[cfg(test)]
-    tests::LN_ERFC_EVALS.with(|n| n.set(n.get() + 1));
+    let z = x.abs();
     let t = 1.0 / (1.0 + 0.5 * z);
-    let val = crate::fastmath::ln(t) - z * z + erfc_poly(t);
-    // B'(t), then chain through dt/dz = −t²/2; d(ln t)/dz = −t/2.
-    let bp = 1.00002368
-        + t * (2.0 * 0.37409196
-            + t * (3.0 * 0.09678418
-                + t * (4.0 * -0.18628806
-                    + t * (5.0 * 0.27886807
-                        + t * (6.0 * -1.13520398
-                            + t * (7.0 * 1.48851587
-                                + t * (8.0 * -0.82215223 + t * (9.0 * 0.17087277))))))));
-    let deriv = -0.5 * t - 2.0 * z - 0.5 * t * t * bp;
-    (val, deriv)
+    let tau = t * crate::fastmath::exp(-z * z + erfc_poly(t));
+    if x >= 0.0 {
+        tau
+    } else {
+        2.0 - tau
+    }
 }
 
 /// The Gaussian Q-function, `Q(x) = ½·erfc(x/√2)`.
@@ -145,6 +108,9 @@ pub fn q_func(x: f64) -> f64 {
 /// * QPSK:   `Q(√γ)`
 /// * 16-QAM: `¾·Q(√(γ/5))`
 /// * 64-QAM: `7⁄12·Q(√(γ/21))`
+///
+/// The one definition of the curve: [`esnr_db`] and [`ber_inverse`] read a
+/// table sampled from it.
 pub fn ber(modulation: Modulation, snr_linear: f64) -> f64 {
     let g = snr_linear.max(0.0);
     match modulation {
@@ -155,121 +121,121 @@ pub fn ber(modulation: Modulation, snr_linear: f64) -> f64 {
     }
 }
 
-/// `(c, k)` such that `ber(m, g) = c·Q(√(g/k))`.
-#[inline(always)]
-fn q_params(modulation: Modulation) -> (f64, f64) {
-    match modulation {
-        Modulation::Bpsk => (1.0, 0.5),
-        Modulation::Qpsk => (1.0, 1.0),
-        Modulation::Qam16 => (0.75, 5.0),
-        Modulation::Qam64 => (7.0 / 12.0, 21.0),
+/// log₂ of the [`BerTable`] cells per octave of SNR.
+const CELL_BITS: u32 = 8;
+/// Mantissa bits below a cell's index: the interpolation fraction.
+const FRAC_BITS: u32 = 52 - CELL_BITS;
+/// What one unit of the fraction's bits is worth: `2^−FRAC_BITS`.
+const FRAC_SCALE: f64 = 1.0 / (1u64 << FRAC_BITS) as f64;
+/// Bits of the bottom node's SNR, 2⁻²⁰ (−60.2 dB): a tone of a link in
+/// range (mean SNR ≥ −2 dB) is below it only in a 58 dB notch, about once
+/// in a million tones of the fading model.
+const BOTTOM_BITS: u64 = (1023 - 20) << 52;
+/// Nodes per table: 2⁻²⁰ up to 2¹⁵ (45.2 dB) in 35 octaves. Every
+/// modulation's [`ber`] is exactly 0 before the top (64-QAM's from
+/// ≈ 2^14.93 on).
+const NODES: usize = (35 << CELL_BITS) + 1;
+
+/// The SNR (linear) of table node `i`: the bottom's bits plus `i` cells.
+fn node_snr(i: usize) -> f64 {
+    f64::from_bits(BOTTOM_BITS + ((i as u64) << FRAC_BITS))
+}
+
+/// One modulation's [`ber`] at the nodes `2^e·(1 + j/2^CELL_BITS)`, from
+/// 2⁻²⁰ up: the exponent and top [`CELL_BITS`] mantissa bits of an SNR's
+/// `f64` name its cell, so the grid is log-spaced without a `log` call,
+/// and a straight line joins neighbouring nodes.
+struct BerTable {
+    /// `ber(m, node_snr(i))`, strictly decreasing up to `zero`.
+    ber: [f64; NODES],
+    /// The first node whose BER is subnormal.
+    subnormal: usize,
+    /// The first node whose BER is exactly 0.
+    zero: usize,
+}
+
+impl BerTable {
+    fn new(modulation: Modulation) -> Self {
+        let mut ber = [0.0; NODES];
+        for (i, b) in ber.iter_mut().enumerate() {
+            *b = self::ber(modulation, node_snr(i));
+        }
+        let first = |p: fn(f64) -> bool| ber.iter().position(|&b| p(b)).unwrap_or(NODES - 1);
+        BerTable {
+            subnormal: first(|b| b < f64::MIN_POSITIVE),
+            zero: first(|b| b == 0.0),
+            ber,
+        }
+    }
+
+    /// [`ber`] at `snr_linear`, read off the table: the line between the
+    /// cell's two nodes at the fraction the remaining mantissa bits give —
+    /// no division, no logarithm. Off the lines it is [`ber`] itself: below
+    /// the bottom node (and for NaN), and from the first subnormal node up,
+    /// where a BER keeps too few bits for a line and a mean of such BERs
+    /// can round to 0 (so the same tone sets round to 0 as with `ber`) —
+    /// except that from the zero node on it is 0 without asking.
+    #[inline]
+    fn ber_at(&self, modulation: Modulation, snr_linear: f64) -> f64 {
+        if snr_linear.is_nan() || snr_linear < f64::from_bits(BOTTOM_BITS) {
+            return ber(modulation, snr_linear);
+        }
+        let above = snr_linear.to_bits() - BOTTOM_BITS;
+        let i = (above >> FRAC_BITS) as usize;
+        if i >= self.subnormal {
+            return if i >= self.zero {
+                0.0
+            } else {
+                ber(modulation, snr_linear)
+            };
+        }
+        let f = (above & ((1 << FRAC_BITS) - 1)) as f64 * FRAC_SCALE;
+        let b = self.ber[i];
+        b + f * (self.ber[i + 1] - b)
+    }
+
+    /// The SNR whose table BER is `target`: the cell whose nodes bracket
+    /// it, by binary search, then the same line solved for the fraction.
+    /// So it reads [`Self::ber_at`] backwards to rounding, and, the table
+    /// being monotone, a mean of table BERs never inverts above the best
+    /// tone. Clamps: a target at or above the bottom node's BER gives the
+    /// bottom node's SNR; a target of 0 (or NaN) gives +∞ — BER is 0 from
+    /// the zero node all the way up, and [`esnr_db`] clamps to its best
+    /// tone.
+    fn snr_at(&self, target: f64) -> f64 {
+        if target >= self.ber[0] {
+            return node_snr(0);
+        }
+        if target.is_nan() || target <= 0.0 {
+            return f64::INFINITY;
+        }
+        // ber[i] ≥ target > ber[i + 1], i + 1 ≤ zero.
+        let i = self.ber[..=self.zero].partition_point(|&b| b >= target) - 1;
+        let (hi, lo) = (self.ber[i], self.ber[i + 1]);
+        let g = node_snr(i);
+        g + (hi - target) / (hi - lo) * (node_snr(i + 1) - g)
     }
 }
 
-/// Bits of `ber(m, 1e-9)` by [`Modulation::index`], at or above which
-/// [`ber_inverse`] clamps to its lower bound; the upper clamp `ber(m, 1e9)`
-/// is `0.0` for all four (`ber_clamps_match_live_ber` pins both to [`ber`]).
-const BER_AT_SEARCH_LO: [u64; 4] = [
-    0x3fdf_ffb5_3b19_1fc2,
-    0x3fdf_ffcb_260e_4c6d,
-    0x3fd7_ffee_4c98_a0ac,
-    0x3fd2_aaa3_f7bb_ee4b,
+/// The four tables by [`Modulation::index`], each filled in static memory on
+/// its modulation's first use — never on the heap.
+static TABLES: [OnceLock<BerTable>; 4] = [
+    OnceLock::new(),
+    OnceLock::new(),
+    OnceLock::new(),
+    OnceLock::new(),
 ];
 
+fn table(modulation: Modulation) -> &'static BerTable {
+    TABLES[modulation.index()].get_or_init(|| BerTable::new(modulation))
+}
+
 /// Inverse of [`ber`]: the (linear) SNR at which the modulation attains the
-/// given bit error rate.
-///
-/// Every modulation's BER is `c·Q(√(g/k))`, so inverting it is one erfc
-/// inversion: solve `erfc(u) = 2·target/c` for `u = √(g/2k)`. A
-/// probit-style initial guess is polished by safeguarded Newton iteration
-/// on the analytic log-domain closed form of [`erfc`]'s approximation
-/// ([`ln_erfc_with_deriv`]) — 3.6–3.7 evaluations a call as measured, 5
-/// at most over the operating range (`inversion_stops_when_converged`;
-/// DESIGN.md §6b), where the former geometric bisection needed ~46 full
-/// BER evaluations, and immune to the underflow that makes the
-/// linear-domain function flat at high SNR. A shrinking bracket guarantees
-/// convergence even if a Newton step misfires.
+/// given bit error rate, read backwards off the table [`esnr_db`] sums
+/// with. A target at or above the BER of 2⁻²⁰ (−60.2 dB) gives 2⁻²⁰; a
+/// target of 0 gives +∞.
 pub fn ber_inverse(modulation: Modulation, target_ber: f64) -> f64 {
-    // Outside the achievable range, clamp to the search bounds.
-    let (lo, hi) = (1e-9, 1e9);
-    if target_ber >= f64::from_bits(BER_AT_SEARCH_LO[modulation.index()]) {
-        return lo;
-    }
-    if target_ber <= 0.0 {
-        return hi;
-    }
-    let (c, k) = q_params(modulation);
-    // After the clamps, erfc(u) = y has its root strictly inside
-    // [√(lo/2k), √(hi/2k)] — erfc evaluated analytically in the log domain
-    // cannot underflow, so the bracket endpoints need no special cases.
-    let ln_y = crate::fastmath::ln(2.0 * target_ber / c);
-    let mut blo = (lo / (2.0 * k)).sqrt();
-    let mut bhi = (hi / (2.0 * k)).sqrt();
-    let mut u = if ln_y > -std::f64::consts::LN_2 {
-        // y > ½ ⇒ small root: erfc(u) ≈ 1 − 2u/√π.
-        0.886_226_925_452_758 * (1.0 - crate::fastmath::exp(ln_y))
-    } else {
-        // Asymptotic tail: ln erfc(u) ≈ −u² − ln(u√π).
-        let u0 = (-ln_y).sqrt();
-        (-ln_y - crate::fastmath::ln(1.772_453_850_905_516 * u0))
-            .max(0.25)
-            .sqrt()
-    }
-    .clamp(blo, bhi);
-    for _ in 0..80 {
-        let (f, df) = ln_erfc_with_deriv(u);
-        let g = f - ln_y;
-        if g > 0.0 {
-            blo = u; // erfc(u) still above the target ⇒ root is to the right
-        } else {
-            bhi = u;
-        }
-        let mut next = u - g / df;
-        // The bracket guards only a step still moving: one within tolerance
-        // (`g == 0` included, which lands on `bhi` itself) is for `done`.
-        if (next - u).abs() > 1e-14 * u && !(next > blo && next < bhi) {
-            next = (blo * bhi).sqrt(); // safeguard: geometric bisection step
-        }
-        let done = (next - u).abs() <= 1e-14 * u;
-        u = next;
-        if done {
-            break;
-        }
-    }
-    2.0 * k * u * u
-}
-
-/// `Σ ber(modulation, s)` over the tones, [`LANES`] at a time: the
-/// Q-function argument and [`erfc`]'s two halves as lane loops around one
-/// [`exp_lanes`], `(c, k)` looked up once. Each lane is the per-tone
-/// [`ber`] bit for bit (`2g` is `g/½`, `1·q` is `q`) and the sum runs in
-/// tone order, so the total is too (`ber_sum_matches_per_tone_reference`).
-#[inline(always)]
-fn ber_sum_body(modulation: Modulation, snr_linear: &[f64]) -> f64 {
-    let (c, k) = q_params(modulation);
-    let mut total = 0.0;
-    for tones in snr_linear.chunks(LANES) {
-        // A short last chunk's spare lanes are computed and not summed.
-        let mut g = [0.0; LANES];
-        g[..tones.len()].copy_from_slice(tones);
-        let mut x = [0.0; LANES];
-        let mut t = [0.0; LANES];
-        let mut e = [0.0; LANES];
-        for i in 0..LANES {
-            x[i] = (g[i].max(0.0) / k).sqrt() / std::f64::consts::SQRT_2;
-            (t[i], e[i]) = erfc_exponent(x[i]);
-        }
-        let e = exp_lanes(&e);
-        for i in 0..tones.len() {
-            total += c * (0.5 * erfc_finish(x[i], t[i], e[i]));
-        }
-    }
-    total
-}
-
-at_host_width! {
-    /// [`ber_sum_body`] at the host's vector width.
-    fn ber_sum(modulation: Modulation, snr_linear: &[f64]) -> f64 = ber_sum_body;
+    table(modulation).snr_at(target_ber)
 }
 
 /// Effective SNR in dB for a modulation given per-subcarrier linear SNRs.
@@ -277,12 +243,18 @@ pub fn esnr_db(modulation: Modulation, snr_linear: &[f64]) -> f64 {
     if snr_linear.is_empty() {
         return -300.0;
     }
-    let mean_ber = ber_sum(modulation, snr_linear) / snr_linear.len() as f64;
-    let e = linear_to_db(ber_inverse(modulation, mean_ber));
-    // When every tone's BER underflows to zero the inversion saturates at
-    // its search bound; physically the effective SNR can never exceed the
-    // best tone.
-    let max_tone = snr_linear.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let table = table(modulation);
+    // In tone order: a pairwise sum would move the last bit.
+    let (mut total, mut max_tone) = (0.0, f64::NEG_INFINITY);
+    for &g in snr_linear {
+        total += table.ber_at(modulation, g);
+        max_tone = max_tone.max(g);
+    }
+    let mean_ber = total / snr_linear.len() as f64;
+    let e = linear_to_db(table.snr_at(mean_ber));
+    // The table is monotone, so the inversion exceeds the best tone only by
+    // rounding, or by saying +∞ when every tone's BER is 0; physically the
+    // effective SNR can never exceed the best tone.
     e.min(linear_to_db(max_tone))
 }
 
@@ -293,8 +265,8 @@ pub fn esnr_from_csi(modulation: Modulation, csi: &Csi) -> f64 {
 
 /// Memoized per-modulation ESNR for **one** CSI snapshot.
 ///
-/// The ESNR integration (56 BER evaluations plus a Newton inversion) is
-/// the single hottest computation in the simulator: every MPDU delivery
+/// The ESNR integration (56 table reads plus one table search) is the
+/// single hottest computation in the simulator: every MPDU delivery
 /// draw, Block-ACK reception, rate-control decision, and controller CSI
 /// report needs an ESNR, and one transmission queries the *same* snapshot
 /// under several modulations (data MCS, QPSK control frames, the
@@ -359,18 +331,105 @@ mod tests {
     use super::*;
     use crate::complex::Cplx;
     use crate::pathloss::db_to_linear;
-    use std::cell::Cell;
 
-    thread_local! {
-        /// [`ln_erfc_with_deriv`] calls made by this test thread.
-        pub(super) static LN_ERFC_EVALS: Cell<u32> = const { Cell::new(0) };
+    // The reference the tables replaced: the per-tone `ber` sum and a
+    // safeguarded Newton inverse on the closed-form log of `erfc`.
+
+    /// `(c, k)` such that `ber(m, g) = c·Q(√(g/k))`.
+    fn q_params(modulation: Modulation) -> (f64, f64) {
+        match modulation {
+            Modulation::Bpsk => (1.0, 0.5),
+            Modulation::Qpsk => (1.0, 1.0),
+            Modulation::Qam16 => (0.75, 5.0),
+            Modulation::Qam64 => (7.0 / 12.0, 21.0),
+        }
     }
 
-    /// The `ln erfc` evaluations `ber_inverse(m, target)` takes.
-    fn inverse_evals(m: Modulation, target: f64) -> u32 {
-        let before = LN_ERFC_EVALS.with(Cell::get);
-        ber_inverse(m, target);
-        LN_ERFC_EVALS.with(Cell::get) - before
+    /// Bits of `ber(m, 1e-9)` by [`Modulation::index`], at or above which
+    /// [`ber_inverse_newton`] clamps to its lower bound; the upper clamp
+    /// `ber(m, 1e9)` is `0.0` for all four (`ber_clamps_match_live_ber`).
+    const BER_AT_SEARCH_LO: [u64; 4] = [
+        0x3fdf_ffb5_3b19_1fc2,
+        0x3fdf_ffcb_260e_4c6d,
+        0x3fd7_ffee_4c98_a0ac,
+        0x3fd2_aaa3_f7bb_ee4b,
+    ];
+
+    /// `ln erfc(z)` and its derivative for `z ≥ 0`, from the closed form of
+    /// the approximation [`erfc`] uses: `ln t − z² + B(t)`. Analytic, so it
+    /// never under- or overflows.
+    fn ln_erfc_with_deriv(z: f64) -> (f64, f64) {
+        let t = 1.0 / (1.0 + 0.5 * z);
+        let val = crate::fastmath::ln(t) - z * z + erfc_poly(t);
+        // B'(t), then chain through dt/dz = −t²/2; d(ln t)/dz = −t/2.
+        let bp = 1.00002368
+            + t * (2.0 * 0.37409196
+                + t * (3.0 * 0.09678418
+                    + t * (4.0 * -0.18628806
+                        + t * (5.0 * 0.27886807
+                            + t * (6.0 * -1.13520398
+                                + t * (7.0 * 1.48851587
+                                    + t * (8.0 * -0.82215223 + t * (9.0 * 0.17087277))))))));
+        let deriv = -0.5 * t - 2.0 * z - 0.5 * t * t * bp;
+        (val, deriv)
+    }
+
+    /// The inverse of [`ber`] by Newton's method on `ln erfc`: a
+    /// probit-style first guess, a shrinking bracket guarding every step
+    /// still moving, clamps at the search bounds 1e-9 / 1e9.
+    fn ber_inverse_newton(modulation: Modulation, target_ber: f64) -> f64 {
+        let (lo, hi) = (1e-9, 1e9);
+        if target_ber >= f64::from_bits(BER_AT_SEARCH_LO[modulation.index()]) {
+            return lo;
+        }
+        if target_ber <= 0.0 {
+            return hi;
+        }
+        let (c, k) = q_params(modulation);
+        let ln_y = crate::fastmath::ln(2.0 * target_ber / c);
+        let mut blo = (lo / (2.0 * k)).sqrt();
+        let mut bhi = (hi / (2.0 * k)).sqrt();
+        let mut u = if ln_y > -std::f64::consts::LN_2 {
+            // y > ½ ⇒ small root: erfc(u) ≈ 1 − 2u/√π.
+            0.886_226_925_452_758 * (1.0 - crate::fastmath::exp(ln_y))
+        } else {
+            // Asymptotic tail: ln erfc(u) ≈ −u² − ln(u√π).
+            let u0 = (-ln_y).sqrt();
+            (-ln_y - crate::fastmath::ln(1.772_453_850_905_516 * u0))
+                .max(0.25)
+                .sqrt()
+        }
+        .clamp(blo, bhi);
+        for _ in 0..80 {
+            let (f, df) = ln_erfc_with_deriv(u);
+            let g = f - ln_y;
+            if g > 0.0 {
+                blo = u;
+            } else {
+                bhi = u;
+            }
+            let mut next = u - g / df;
+            if (next - u).abs() > 1e-14 * u && !(next > blo && next < bhi) {
+                next = (blo * bhi).sqrt();
+            }
+            let done = (next - u).abs() <= 1e-14 * u;
+            u = next;
+            if done {
+                break;
+            }
+        }
+        2.0 * k * u * u
+    }
+
+    /// [`esnr_db`] as it was before the tables: every tone through [`ber`],
+    /// summed in tone order, inverted by [`ber_inverse_newton`], clamped to
+    /// the best tone.
+    fn esnr_db_ref(modulation: Modulation, snr_linear: &[f64]) -> f64 {
+        let total: f64 = snr_linear.iter().map(|&s| ber(modulation, s)).sum();
+        let mean_ber = total / snr_linear.len() as f64;
+        let e = linear_to_db(ber_inverse_newton(modulation, mean_ber));
+        let max_tone = snr_linear.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        e.min(linear_to_db(max_tone))
     }
 
     /// The operating range in 0.05 dB steps, −10…+45 dB.
@@ -378,14 +437,237 @@ mod tests {
         (0..=1100).map(|i| -10.0 + 0.05 * i as f64)
     }
 
-    /// Targets whose linear-domain [`ber`] underflows, so only the
-    /// log-domain Newton iteration can follow them.
-    const EXTREME_TARGETS: [f64; 4] = [1e-30, 1e-100, 1e-200, 1e-300];
+    /// Deterministic xorshift in [0, 1).
+    fn xorshift(state: &mut u64) -> f64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        (*state >> 11) as f64 / (1u64 << 53) as f64
+    }
 
-    /// 16-QAM's BER ceiling is 0.375; this close to it rounding noise in
-    /// the residual exceeds the step tolerance and the collapsed bracket,
-    /// not Newton, ends the loop.
-    const NOISE_FLOOR_CORNER: (Modulation, f64) = (Modulation::Qam16, 0.3749);
+    /// The 56 tone power gains `|H_k|²` of a seeded five-tap Rayleigh
+    /// channel, unit mean power: taps 100 ns apart with an exponential
+    /// power-delay profile (100 ns), Box–Muller tap gains.
+    fn rayleigh_tones(seed: u64) -> [f64; NUM_SUBCARRIERS] {
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let powers: Vec<f64> = (0..5).map(|i| (-(i as f64)).exp()).collect();
+        let norm: f64 = powers.iter().sum();
+        let taps: Vec<Cplx> = powers
+            .iter()
+            .map(|p| {
+                let r = (-2.0 * (1.0 - xorshift(&mut s)).ln()).sqrt();
+                let th = 2.0 * std::f64::consts::PI * xorshift(&mut s);
+                Cplx::new(r * th.cos(), r * th.sin()).scale((p / norm / 2.0).sqrt())
+            })
+            .collect();
+        let offsets = crate::csi::subcarrier_offsets_hz();
+        let mut out = [0.0; NUM_SUBCARRIERS];
+        for (o, f) in out.iter_mut().zip(offsets) {
+            let mut h = Cplx::ZERO;
+            for (i, tap) in taps.iter().enumerate() {
+                let th = -2.0 * std::f64::consts::PI * f * 100e-9 * i as f64;
+                h += *tap * Cplx::new(th.cos(), th.sin());
+            }
+            *o = h.abs2();
+        }
+        out
+    }
+
+    #[test]
+    fn table_esnr_matches_reference_within_a_hundredth_of_a_db() {
+        let rayleigh: Vec<_> = (0..64).map(rayleigh_tones).collect();
+        for m in Modulation::ALL {
+            let mut worst = (0.0f64, String::new());
+            let mut check = |snr: &[f64], what: &dyn Fn() -> String| {
+                let got = esnr_db(m, snr);
+                let want = esnr_db_ref(m, snr);
+                let best = linear_to_db(snr.iter().cloned().fold(f64::NEG_INFINITY, f64::max));
+                assert!(got <= best, "{m:?} {}: {got} above the best tone", what());
+                let d = (got - want).abs();
+                assert!(
+                    d <= 0.01,
+                    "{m:?} {}: table {got} vs reference {want}",
+                    what()
+                );
+                if d > worst.0 {
+                    worst = (d, what());
+                }
+            };
+            for (n, db) in operating_grid_db().enumerate() {
+                // 56 tones under a 12 dB tilt, and their first one to
+                // seven tones.
+                let tilted: Vec<f64> = (0..56)
+                    .map(|k| db_to_linear(db + 12.0 * (k as f64 / 55.0 - 0.5)))
+                    .collect();
+                check(&tilted, &|| format!("tilted at {db} dB"));
+                for len in 1..=7 {
+                    check(&tilted[..len], &|| format!("{len} tones at {db} dB"));
+                }
+                for j in 0..3 {
+                    let seed = (3 * n + j) % rayleigh.len();
+                    let base = db_to_linear(db);
+                    let tones: Vec<f64> = rayleigh[seed].iter().map(|g| base * g).collect();
+                    check(&tones, &|| format!("Rayleigh {seed} at {db} dB"));
+                }
+            }
+            println!("{m:?}: |ΔESNR| ≤ {:.5} dB ({})", worst.0, worst.1);
+        }
+    }
+
+    #[test]
+    fn table_is_the_reference_ber_strictly_decreasing_to_its_zero() {
+        for m in Modulation::ALL {
+            let t = table(m);
+            for (i, b) in t.ber.iter().enumerate() {
+                assert_eq!(b.to_bits(), ber(m, node_snr(i)).to_bits(), "{m:?} node {i}");
+            }
+            for i in 0..t.zero {
+                assert!(t.ber[i] > t.ber[i + 1], "{m:?} node {i}");
+            }
+            // The zero lies inside the table, and stays zero to its top;
+            // the subnormal BERs come just before it.
+            assert!(t.zero < NODES - 1, "{m:?}: BER never reaches 0");
+            assert!(t.ber[t.zero..].iter().all(|&b| b == 0.0), "{m:?}");
+            assert!(t.ber[t.subnormal - 1] >= f64::MIN_POSITIVE);
+            assert!(t.ber[t.subnormal] < f64::MIN_POSITIVE && t.subnormal < t.zero);
+            // The bottom is below anything a link in range (mean SNR of
+            // −2 dB or more) shows outside a 58 dB notch.
+            assert!(linear_to_db(node_snr(0)) < -60.0);
+        }
+    }
+
+    #[test]
+    fn out_of_range_reads_are_the_reference_and_the_clamps() {
+        for m in Modulation::ALL {
+            let t = table(m);
+            let bottom = node_snr(0);
+            for g in [bottom * 0.999, 1e-9, 0.0, -0.0, -3.5, f64::NAN] {
+                assert_eq!(
+                    t.ber_at(m, g).to_bits(),
+                    ber(m, g).to_bits(),
+                    "{m:?} at {g}"
+                );
+            }
+            let top = node_snr(t.zero);
+            for g in [top, top * 1.5, 1e9, f64::INFINITY] {
+                assert_eq!(t.ber_at(m, g), 0.0, "{m:?} at {g}");
+                assert_eq!(ber(m, g), 0.0, "{m:?} at {g}");
+            }
+            for i in t.subnormal..t.zero {
+                for g in [node_snr(i), 0.5 * (node_snr(i) + node_snr(i + 1))] {
+                    assert_eq!(
+                        t.ber_at(m, g).to_bits(),
+                        ber(m, g).to_bits(),
+                        "{m:?} at {g}"
+                    );
+                }
+            }
+            assert_eq!(ber_inverse(m, t.ber[0]), bottom);
+            assert_eq!(ber_inverse(m, 0.6), bottom);
+            assert_eq!(ber_inverse(m, 0.0), f64::INFINITY);
+        }
+    }
+
+    #[test]
+    fn inverse_reads_the_table_backwards() {
+        let mut s = 0x1ab1_e5ea_5c0d_e5edu64;
+        for m in Modulation::ALL {
+            let t = table(m);
+            let top = node_snr(t.zero);
+            for _ in 0..20_000 {
+                // Log-uniform from the bottom node to the zero node.
+                let g = node_snr(0) * (top / node_snr(0)).powf(xorshift(&mut s));
+                let b = t.ber_at(m, g);
+                // Below the normal range a BER keeps too few bits to say
+                // which SNR it came from.
+                if b < f64::MIN_POSITIVE {
+                    continue;
+                }
+                let back = ber_inverse(m, b);
+                assert!(
+                    ((back - g) / g).abs() <= 1e-11,
+                    "{m:?} {g:e}: ber {b:e} inverts to {back:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn ber_clamps_match_live_ber() {
+        for m in Modulation::ALL {
+            assert_eq!(
+                BER_AT_SEARCH_LO[m.index()],
+                ber(m, 1e-9).to_bits(),
+                "{m:?} lower clamp"
+            );
+            assert_eq!(ber(m, 1e9).to_bits(), 0.0f64.to_bits(), "{m:?} upper clamp");
+        }
+    }
+
+    /// Geometric bisection over the same [`ber`]: the reference's reference.
+    fn ber_inverse_bisect(modulation: Modulation, target_ber: f64) -> f64 {
+        let (mut lo, mut hi) = (1e-9, 1e9);
+        if target_ber >= ber(modulation, lo) {
+            return lo;
+        }
+        if target_ber <= ber(modulation, hi) {
+            return hi;
+        }
+        for _ in 0..200 {
+            let mid = (lo * hi).sqrt();
+            if ber(modulation, mid) > target_ber {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+            if hi / lo < 1.0 + 1e-12 {
+                break;
+            }
+        }
+        (lo * hi).sqrt()
+    }
+
+    /// Where bisection over the linear-domain [`ber`] cannot follow — the
+    /// function has underflowed, or the target is a subnormal that has
+    /// lost mantissa bits — the returned root is checked against the
+    /// log-domain equation it solves instead.
+    fn assert_no_log_residual(m: Modulation, target: f64) {
+        let (c, k) = q_params(m);
+        let u = (ber_inverse_newton(m, target) / (2.0 * k)).sqrt();
+        let ln_y = crate::fastmath::ln(2.0 * target / c);
+        let residual = (ln_erfc_with_deriv(u).0 - ln_y).abs();
+        assert!(
+            residual <= 1e-12 * ln_y.abs(),
+            "{m:?} target {target:e}: residual {residual:e}"
+        );
+    }
+
+    #[test]
+    fn newton_reference_matches_bisection() {
+        for m in Modulation::ALL {
+            // SNR grid from −80 to +80 dB: targets from ~c/2 down past the
+            // underflow floor of the linear-domain erfc (where both sides
+            // must clamp identically).
+            let wide = (0..=400).map(|i| -80.0 + 0.4 * i as f64);
+            for db in wide.chain(operating_grid_db()) {
+                let t = ber(m, db_to_linear(db));
+                if t > 0.0 && t < f64::MIN_POSITIVE {
+                    assert_no_log_residual(m, t);
+                    continue;
+                }
+                let got = ber_inverse_newton(m, t);
+                let want = ber_inverse_bisect(m, t);
+                let rel = ((got - want) / want).abs();
+                assert!(
+                    rel < 1e-9,
+                    "{m:?} target {t:e}: newton {got:e} vs bisect {want:e}"
+                );
+            }
+            for t in [1e-30, 1e-100, 1e-200, 1e-300] {
+                assert_no_log_residual(m, t);
+            }
+        }
+    }
 
     #[test]
     fn erfc_reference_values() {
@@ -452,202 +734,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn ber_clamps_match_live_ber() {
-        for m in Modulation::ALL {
-            assert_eq!(
-                BER_AT_SEARCH_LO[m.index()],
-                ber(m, 1e-9).to_bits(),
-                "{m:?} lower clamp"
-            );
-            assert_eq!(ber(m, 1e9).to_bits(), 0.0f64.to_bits(), "{m:?} upper clamp");
-        }
-    }
-
-    /// The pre-Newton reference implementation: geometric bisection over
-    /// the same [`ber`], kept to pin the fast inversion's accuracy.
-    fn ber_inverse_bisect(modulation: Modulation, target_ber: f64) -> f64 {
-        let (mut lo, mut hi) = (1e-9, 1e9);
-        if target_ber >= ber(modulation, lo) {
-            return lo;
-        }
-        if target_ber <= ber(modulation, hi) {
-            return hi;
-        }
-        for _ in 0..200 {
-            let mid = (lo * hi).sqrt();
-            if ber(modulation, mid) > target_ber {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-            if hi / lo < 1.0 + 1e-12 {
-                break;
-            }
-        }
-        (lo * hi).sqrt()
-    }
-
-    /// Where bisection over the linear-domain [`ber`] cannot follow — the
-    /// function has underflowed, or the target is a subnormal that has
-    /// lost mantissa bits — the returned root is checked against the
-    /// log-domain equation it solves instead.
-    fn assert_no_log_residual(m: Modulation, target: f64) {
-        let (c, k) = q_params(m);
-        let u = (ber_inverse(m, target) / (2.0 * k)).sqrt();
-        let ln_y = crate::fastmath::ln(2.0 * target / c);
-        let residual = (ln_erfc_with_deriv(u).0 - ln_y).abs();
-        assert!(
-            residual <= 1e-12 * ln_y.abs(),
-            "{m:?} target {target:e}: residual {residual:e}"
-        );
-    }
-
-    #[test]
-    fn newton_inverse_matches_bisection_reference() {
-        for m in Modulation::ALL {
-            // SNR grid from −80 to +80 dB: targets from ~c/2 down past the
-            // underflow floor of the linear-domain erfc (where both sides
-            // must clamp identically).
-            let wide = (0..=400).map(|i| -80.0 + 0.4 * i as f64);
-            for db in wide.chain(operating_grid_db()) {
-                let t = ber(m, db_to_linear(db));
-                if t > 0.0 && t < f64::MIN_POSITIVE {
-                    assert_no_log_residual(m, t);
-                    continue;
-                }
-                let got = ber_inverse(m, t);
-                let want = ber_inverse_bisect(m, t);
-                let rel = ((got - want) / want).abs();
-                assert!(
-                    rel < 1e-9,
-                    "{m:?} target {t:e}: newton {got:e} vs bisect {want:e}"
-                );
-            }
-            for t in EXTREME_TARGETS {
-                assert_no_log_residual(m, t);
-            }
-        }
-    }
-
-    #[test]
-    fn inversion_stops_when_converged() {
-        for m in Modulation::ALL {
-            let (mut total, mut calls, mut max) = (0u32, 0u32, 0u32);
-            for db in operating_grid_db() {
-                // Targets built from `ber` itself, so that Newton steps
-                // landing exactly on the root occur.
-                let n = inverse_evals(m, ber(m, db_to_linear(db)));
-                if n > 0 {
-                    total += n;
-                    calls += 1;
-                    max = max.max(n);
-                }
-            }
-            assert!(max <= 6, "{m:?}: {max} evaluations in one call");
-            let mean = total as f64 / calls as f64;
-            assert!(mean <= 4.5, "{m:?}: mean {mean} over {calls} calls");
-        }
-        let (m, t) = NOISE_FLOOR_CORNER;
-        let corner = inverse_evals(m, t);
-        assert!(corner <= 10, "noise-floor corner: {corner} evaluations");
-        for t in EXTREME_TARGETS {
-            for m in Modulation::ALL {
-                let n = inverse_evals(m, t);
-                assert!(n <= 10, "{m:?} target {t:e}: {n} evaluations");
-            }
-        }
-    }
-
-    #[test]
-    fn noise_floor_corner_returns_bracket_collapse_value() {
-        let (m, t) = NOISE_FLOOR_CORNER;
-        assert_eq!(
-            ber_inverse(m, t).to_bits(),
-            5.586240165874254e-7f64.to_bits()
-        );
-    }
-
-    /// What [`ber_sum`] replaced in [`esnr_db`]: the per-tone scalar sum.
-    fn ber_sum_ref(modulation: Modulation, snr_linear: &[f64]) -> f64 {
-        snr_linear.iter().map(|&s| ber(modulation, s)).sum::<f64>()
-    }
-
-    #[test]
-    fn ber_sum_matches_per_tone_reference() {
-        let mut state = 0x7e57_ab1e_5eed_0001u64;
-        let mut unit = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for m in Modulation::ALL {
-            // Every length through the 56 tones and past them, so the
-            // short last chunk is 1…7 lanes as well as absent.
-            for len in 1..=60usize {
-                for base_db in (-30..=50).step_by(4) {
-                    // ±15 dB of selectivity about the base, then the tones
-                    // a CSI can degenerate to, at random places. High bases
-                    // push whole batches into the exp underflow band.
-                    let mut snr: Vec<f64> = (0..len)
-                        .map(|_| db_to_linear(base_db as f64 + 30.0 * (unit() - 0.5)))
-                        .collect();
-                    for odd in [0.0, -0.0, -3.5, f64::NAN, 1e9, f64::INFINITY] {
-                        if unit() < 0.5 {
-                            snr[(unit() * len as f64) as usize] = odd;
-                        }
-                    }
-                    assert_eq!(
-                        ber_sum(m, &snr).to_bits(),
-                        ber_sum_ref(m, &snr).to_bits(),
-                        "{m:?}, {len} tones at {base_db} dB: {snr:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ber_sum_entry_matches_baseline_body() {
-        // `ber_sum` dispatches on the CPU; `ber_sum_body`, called from
-        // here, is compiled at the baseline width. Same bits.
-        let check = |m: Modulation, snr: &[f64]| {
-            assert_eq!(
-                ber_sum(m, snr).to_bits(),
-                ber_sum_body(m, snr).to_bits(),
-                "{m:?}: {snr:?}"
-            );
-        };
-        for m in Modulation::ALL {
-            // The operating grid as 56-tone vectors with a 12 dB tilt, and
-            // as short vectors whose only chunk is partial.
-            for db in operating_grid_db() {
-                let tones: Vec<f64> = (0..56)
-                    .map(|k| db_to_linear(db + 12.0 * (k as f64 / 55.0 - 0.5)))
-                    .collect();
-                check(m, &tones);
-                check(m, &tones[..(db.abs() as usize % 7) + 1]);
-            }
-            // Batches across `exp`'s subnormal band and underflow edge
-            // (the exponent is about −snr/2k; the band is −745…−708), a
-            // NaN and zeros among them.
-            for base in [690.0, 705.0, 730.0, 744.0] {
-                let (_, k) = q_params(m);
-                let mut tones: Vec<f64> =
-                    (0..56).map(|i| 2.0 * k * (base + 0.5 * i as f64)).collect();
-                check(m, &tones);
-                tones[5] = f64::NAN;
-                tones[9] = 0.0;
-                tones[10] = -0.0;
-                tones[31] = 0.0;
-                check(m, &tones);
-            }
-            check(m, &[0.0; 56]);
-            check(m, &[f64::NAN; 9]);
         }
     }
 

@@ -1,9 +1,9 @@
-//! Deterministic transcendental kernels for the physics hot path.
+//! Deterministic transcendental kernels for the physics.
 //!
-//! The simulator's two hottest computations — the sum-of-sinusoids fading
-//! evaluator and the BER/effective-SNR integration — are dominated not by
-//! arithmetic but by `libm` calls (`sin`, `cos`, `exp`). Routing them
-//! through in-repo kernels buys two things:
+//! The sum-of-sinusoids fading evaluator, the BER curve behind the
+//! effective-SNR tables, and every dB conversion would otherwise be `libm`
+//! calls (`sin`, `cos`, `exp`, `log10`, `powf`). Routing them through
+//! in-repo kernels buys two things:
 //!
 //! 1. **Determinism across hosts.** `libm` results for transcendentals are
 //!    not specified bit-for-bit and have changed between glibc releases.
@@ -11,19 +11,19 @@
 //!    depend on the host libc; with these kernels the physics is pure Rust
 //!    arithmetic and reproduces bit-identically anywhere.
 //! 2. **Throughput.** One fused [`sincos`] halves the call count of the
-//!    fading evaluator's `e^{jθ}` phasors, and [`exp_lanes`] and
-//!    [`sincos_lanes`] run the branch-free middle of [`exp`] and
-//!    [`sincos`] over [`LANES`] arguments at a time: no call, no branch,
-//!    no cross-lane dependency, so an optimised build issues the lanes as
-//!    vector instructions, each lane the scalar result bit for bit
-//!    (DESIGN.md §6b, "lane kernels"). `at_host_width!` compiles a
-//!    kernel's one body a second time for 256-bit units and picks the copy
-//!    the CPU has at run time.
+//!    fading evaluator's `e^{jθ}` phasors, and [`sincos_lanes`] runs the
+//!    branch-free middle of [`sincos`] over [`LANES`] arguments at a time:
+//!    no call, no branch, no cross-lane dependency, so an optimised build
+//!    issues the lanes as vector instructions, each lane the scalar result
+//!    bit for bit (DESIGN.md §6b, "lane kernels"). `at_host_width!`
+//!    compiles a kernel's one body a second time for 256-bit units and
+//!    picks the copy the CPU has at run time.
 //!
 //! The algorithms are the classical fdlibm ones (Cody–Waite argument
 //! reduction, minimax polynomial kernels) with accuracy ~1 ulp for [`exp`]
-//! and ~2 ulp for [`sincos`] over the argument ranges the simulator uses
-//! (|x| < 2²⁰ radians; larger arguments fall back to `std`). That is far
+//! and [`ln`] and ~2 ulp for [`sincos`] over the argument ranges the
+//! simulator uses (|x| < 2²⁰ radians; larger arguments fall back to
+//! `std`). [`log10`] is [`ln`] times a constant. That is far
 //! tighter than any physical parameter in the model; the channel model is
 //! unchanged, only its last-ulp realization differs from libm.
 
@@ -48,8 +48,7 @@ pub const LANES: usize = 8;
 /// to contract a multiply-add into, so every lane is still one correctly
 /// rounded IEEE-754 operation per source operation and both copies return
 /// the same bits (DESIGN.md §6b; `kernel_entries_match_baseline_bodies` in
-/// `fading`, `ber_sum_entry_matches_baseline_body` in `esnr`). This macro
-/// is the crate's only `unsafe`.
+/// `fading`). This macro is the crate's only `unsafe`.
 macro_rules! at_host_width {
     ($(
         $(#[$meta:meta])*
@@ -243,11 +242,11 @@ const EXP_TINY: f64 = 3.725_290_298_461_914e-9;
 /// so the exponent add of [`exp_body`] is the whole scaling.
 const EXP_NORMAL_MIN: f64 = -708.0;
 
-/// The branch-free middle of [`exp`]: reduction to `k·ln 2 + r`, the
-/// rational kernel for `e^r`, and `k` added into the exponent field.
-/// `e^x` for `x` in [[`EXP_NORMAL_MIN`], [`EXP_OVERFLOW`]]; otherwise
-/// garbage that cannot trap — below that band still `e^r·2^k` with the
-/// exponent field wrapped, which [`exp`] rescales in two hops.
+/// The middle of [`exp`]: reduction to `k·ln 2 + r`, the rational kernel
+/// for `e^r`, and `k` added into the exponent field. `e^x` for `x` in
+/// [[`EXP_NORMAL_MIN`], [`EXP_OVERFLOW`]]; below that band still
+/// `e^r·2^k` with the exponent field wrapped, which [`exp`] rescales in
+/// two hops.
 #[inline(always)]
 fn exp_body(x: f64) -> f64 {
     let fk = round_half_away(x * INV_LN2);
@@ -258,12 +257,6 @@ fn exp_body(x: f64) -> f64 {
     let c = r - t * (P1 + t * (P2 + t * (P3 + t * (P4 + t * P5))));
     let y = 1.0 - ((lo - (r * c) / (2.0 - c)) - hi);
     f64::from_bits(y.to_bits().wrapping_add((fk + INT_BITS).to_bits() << 52))
-}
-
-/// Whether [`exp_body`] alone gives `e^x`.
-#[inline(always)]
-fn exp_in_range(x: f64) -> bool {
-    (EXP_NORMAL_MIN..=EXP_OVERFLOW).contains(&x) && x.abs() >= EXP_TINY
 }
 
 /// `e^x`, accurate to ~1 ulp, with exact overflow/underflow saturation.
@@ -290,28 +283,6 @@ pub fn exp(x: f64) -> f64 {
         let part = f64::from_bits(y.to_bits().wrapping_add(1000 << 52));
         part * f64::from_bits((1023u64 - 1000) << 52)
     }
-}
-
-/// [`exp`] of [`LANES`] arguments at once: the same body run on every
-/// lane, then the rare lanes outside its range (NaN, overflow, the
-/// underflow/subnormal band, |x| < 2⁻²⁸) redone through the scalar entry.
-/// Each lane is bit-identical to [`exp`].
-#[inline(always)]
-pub fn exp_lanes(x: &[f64; LANES]) -> [f64; LANES] {
-    let mut out = [0.0; LANES];
-    let mut in_range = true;
-    for i in 0..LANES {
-        out[i] = exp_body(x[i]);
-        in_range &= exp_in_range(x[i]);
-    }
-    if !in_range {
-        for i in 0..LANES {
-            if !exp_in_range(x[i]) {
-                out[i] = exp(x[i]);
-            }
-        }
-    }
-    out
 }
 
 // ln mantissa-series coefficients (fdlibm e_log).
@@ -364,6 +335,12 @@ pub fn ln(x: f64) -> f64 {
     kf * LN2_HI - ((hfsq - (s * (hfsq + r) + kf * LN2_LO)) - f)
 }
 
+/// Base-10 logarithm: [`ln`] times log₁₀ e, so within ~2 ulp.
+#[inline]
+pub fn log10(x: f64) -> f64 {
+    ln(x) * std::f64::consts::LOG10_E
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -385,7 +362,7 @@ mod tests {
 
     #[test]
     fn wide_copies_run_where_avx2_is_detected() {
-        use crate::{Cplx, FadingConfig, Modulation, TappedDelayLine};
+        use crate::{Cplx, FadingConfig, TappedDelayLine};
         #[cfg(target_arch = "x86_64")]
         let avx2 = std::arch::is_x86_feature_detected!("avx2");
         #[cfg(not(target_arch = "x86_64"))]
@@ -403,9 +380,8 @@ mod tests {
         line.freq_response_into(0.25, 55.0, &tw, &mut h);
         line.gains_into(0.25, 55.0, &mut gains);
         line.freq_response_from_gains(&gains, &tw, &mut h);
-        crate::esnr_db(Modulation::Qam16, &[100.0; 56]);
         let wide = WIDE_CALLS.with(|n| n.get()) - before;
-        assert_eq!(wide, if avx2 { 4 } else { 0 });
+        assert_eq!(wide, if avx2 { 3 } else { 0 });
     }
 
     #[test]
@@ -465,24 +441,6 @@ mod tests {
             7 => sign * edge * (1.0 + 1.0e3 * u),
             _ => (u - 0.5) * kernel_span,
         }
-    }
-
-    #[test]
-    fn exp_lanes_matches_exp_lane_for_lane() {
-        let mut s = 0x00c0_ffee_1234_5678u64;
-        let mut patched = 0u32;
-        for _ in 0..130_000 {
-            // ±750 holds the normal results and the subnormal band; the
-            // edge lanes straddle −745, −708 and +709.78.
-            let x: [f64; LANES] = std::array::from_fn(|_| mixed_arg(&mut s, 1500.0, 727.0));
-            patched += x.iter().filter(|&&v| !exp_in_range(v)).count() as u32;
-            let got = exp_lanes(&x);
-            for i in 0..LANES {
-                assert_eq!(got[i].to_bits(), exp(x[i]).to_bits(), "exp({:e})", x[i]);
-            }
-        }
-        // 1.04 M lanes; the mix really exercises both routes.
-        assert!(patched > 300_000 && patched < 700_000, "{patched}");
     }
 
     #[test]
@@ -623,6 +581,24 @@ mod tests {
         assert!(ln(-1.0).is_nan());
         assert!(ln(f64::NAN).is_nan());
         assert_eq!(ln(f64::INFINITY), f64::INFINITY);
+    }
+
+    #[test]
+    fn log10_matches_libm() {
+        let mut s = 0x10_9e10_c0de_5eedu64;
+        for _ in 0..20_000 {
+            // The dB range the physics converts: ±60 decades.
+            let x = 10f64.powf((xorshift(&mut s) - 0.5) * 120.0);
+            let want = x.log10();
+            assert!(
+                (log10(x) - want).abs() <= 4.0 * f64::EPSILON * want.abs().max(1.0),
+                "log10({x:e}) = {} vs {want}",
+                log10(x)
+            );
+        }
+        assert_eq!(log10(1.0), 0.0);
+        assert_eq!(log10(0.0), f64::NEG_INFINITY);
+        assert_eq!(log10(f64::INFINITY), f64::INFINITY);
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! * [`pathloss`] — log-distance large-scale loss and the link budget;
 //! * [`fading`] — tapped-delay-line Rician fast fading with Doppler from
 //!   vehicle speed: the *vehicular picocell regime* generator;
-//! * [`fastmath`] — deterministic in-repo sin/cos/exp kernels so channel
-//!   realizations do not depend on the host libm;
+//! * [`fastmath`] — deterministic in-repo sin/cos/exp/ln kernels so channel
+//!   realizations, BERs and dB conversions do not depend on the host libm;
 //! * [`csi`] — 56-subcarrier channel state snapshots;
-//! * [`esnr`] — Effective SNR (Halperin et al.) with exact BER inversion;
+//! * [`esnr`] — Effective SNR (Halperin et al.) from one BER table per
+//!   modulation, read forwards and backwards;
 //! * [`mcs`] — the HT20 single-stream rate table;
 //! * [`error`] — ESNR→PER waterfall model and instantaneous capacity;
 //! * [`ratectl`] — Minstrel-style rate adaptation;

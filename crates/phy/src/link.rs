@@ -17,6 +17,7 @@ use crate::antenna::{Antenna, ParabolicAntenna};
 use crate::complex::Cplx;
 use crate::csi::{subcarrier_offsets_hz, Csi};
 use crate::fading::{doppler_hz, FadingConfig, TappedDelayLine};
+use crate::fastmath::log10;
 use crate::geom::{ApSite, Position};
 use crate::pathloss::{LinkBudget, PathLoss};
 use crate::shadowing::{ShadowingConfig, ShadowingProcess};
@@ -95,7 +96,7 @@ impl WirelessLink {
         let twiddles = fading.twiddles(&subcarrier_offsets_hz());
         // 1 µdB of slack swamps every rounding step in the bound's
         // derivation while staying far below physical significance.
-        let peak_tone_headroom_db = 20.0 * fading.peak_gain_bound().log10() + 1e-6;
+        let peak_tone_headroom_db = 20.0 * log10(fading.peak_gain_bound()) + 1e-6;
         WirelessLink {
             ap,
             cfg,
@@ -193,7 +194,7 @@ impl WirelessLink {
     /// −300 dB), so never below its ESNR for any modulation.
     pub fn gains_ceiling_db(&self, client: &Position, gains: &[Cplx]) -> f64 {
         let reach: f64 = gains.iter().map(|g| g.abs()).sum();
-        (self.mean_snr_db(client) + 20.0 * reach.log10() + 1e-6).max(-300.0)
+        (self.mean_snr_db(client) + 20.0 * log10(reach) + 1e-6).max(-300.0)
     }
 
     /// The second half of [`Self::csi`], from the `gains`

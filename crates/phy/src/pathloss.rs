@@ -5,6 +5,7 @@
 //! log-normal shadowing. The fast fading that rides on top of this lives in
 //! [`crate::fading`].
 
+use crate::fastmath::{exp, log10};
 use serde::{Deserialize, Serialize};
 
 /// Speed of light, m/s.
@@ -44,14 +45,14 @@ impl PathLoss {
     /// Free-space path loss at distance `d` metres, dB.
     pub fn free_space_db(&self, d: f64) -> f64 {
         let d = d.max(0.1);
-        20.0 * (4.0 * std::f64::consts::PI * d / self.wavelength_m()).log10()
+        20.0 * log10(4.0 * std::f64::consts::PI * d / self.wavelength_m())
     }
 
     /// Total large-scale loss at distance `d` metres, dB.
     pub fn loss_db(&self, d: f64) -> f64 {
         let d = d.max(self.ref_distance_m);
         self.free_space_db(self.ref_distance_m)
-            + 10.0 * self.exponent * (d / self.ref_distance_m).log10()
+            + 10.0 * self.exponent * log10(d / self.ref_distance_m)
     }
 }
 
@@ -92,19 +93,21 @@ impl LinkBudget {
     }
 }
 
-/// Converts a dB quantity to linear scale.
+/// Converts a dB quantity to linear scale: `e^(db·ln 10/10)` through
+/// [`crate::fastmath::exp`].
 #[inline]
 pub fn db_to_linear(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
+    exp(db * (std::f64::consts::LN_10 / 10.0))
 }
 
-/// Converts a linear quantity to dB (clamped at −300 dB for zero input).
+/// Converts a linear quantity to dB (clamped at −300 dB for zero input),
+/// through [`crate::fastmath::log10`].
 #[inline]
 pub fn linear_to_db(linear: f64) -> f64 {
     if linear <= 1e-30 {
         -300.0
     } else {
-        10.0 * linear.log10()
+        10.0 * log10(linear)
     }
 }
 

@@ -12,6 +12,7 @@
 //! in this reproduction is done without it, and it exists as a sensitivity
 //! knob for robustness studies.
 
+use crate::fastmath::{cos, exp};
 use serde::{Deserialize, Serialize};
 use wgtt_sim::SimRng;
 
@@ -69,7 +70,8 @@ impl ShadowingProcess {
         let components = (0..cfg.num_components)
             .map(|_| {
                 let u = rng.unit();
-                let wavelength = cfg.correlation_m * 0.5 * (16f64).powf(u);
+                // 16^u.
+                let wavelength = cfg.correlation_m * 0.5 * exp(u * 4.0 * std::f64::consts::LN_2);
                 Component {
                     k: 2.0 * std::f64::consts::PI / wavelength,
                     phase: rng.phase(),
@@ -91,7 +93,7 @@ impl ShadowingProcess {
         let sum: f64 = self
             .components
             .iter()
-            .map(|c| (c.k * x_m + c.phase).cos())
+            .map(|c| cos(c.k * x_m + c.phase))
             .sum();
         self.sigma_db * (2.0 / n).sqrt() * sum
     }

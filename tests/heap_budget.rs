@@ -1,5 +1,6 @@
 //! Heap and allocation budget: what one (AP, client) pair, a fresh dedup
-//! table, a fresh selector and two whole runs may ask the allocator for —
+//! table, a fresh selector, the ESNR tables and two whole runs may ask the
+//! allocator for —
 //! in bytes live at once and in calls per event — so that a regression of
 //! either fails tier-1 and not only the benchmark's `peak_heap_mib` and
 //! `sim.engine.allocs_per_event`.
@@ -25,6 +26,7 @@ use wgtt::core::dedup::Deduplicator;
 use wgtt::core::runner::{run_with_oracle_helpers, FlowSpec, Scenario};
 use wgtt::core::selection::{ApSelector, SelectionConfig};
 use wgtt::core::shard::{run_sharded_with_oracle_helpers, ShardedScenario};
+use wgtt::phy::{esnr_db, Modulation};
 use wgtt::sim::SimDuration;
 
 // Relaxed everywhere: statistics that publish no other data.
@@ -151,6 +153,13 @@ impl Budget {
 
 #[test]
 fn heap_stays_within_budget() {
+    // The first ESNR of each modulation builds its BER table, in static
+    // memory: no allocator call. (Nothing before this line has asked.)
+    for m in Modulation::ALL {
+        let (_, _, calls) = measured(|| esnr_db(m, &[3.0; 56]));
+        assert_eq!(calls, 0, "building the {m:?} BER table asked the allocator");
+    }
+
     // One idle pair: the position table and nothing else.
     let (_, pair, _) = measured(CyclicQueue::new);
     assert!(
