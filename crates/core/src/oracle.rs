@@ -54,9 +54,10 @@ const QUEUED_PER_HELPER: usize = 2;
 const HELPERS_PER_LOOP: usize = 3;
 
 /// One vehicle at one accuracy tick: the inputs of [`evaluate`] that the
-/// event loop goes on to change.
+/// event loop goes on to change. Public only for `tests/properties.rs`.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Sample {
+pub struct Sample {
     /// Tick instant.
     pub t: SimTime,
     /// World-local client index.
@@ -70,8 +71,9 @@ pub(crate) struct Sample {
 }
 
 /// What one sample adds to its client's metrics.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Verdict {
+pub struct Verdict {
     /// Capacity of the best in-range link, bit/s.
     pub best_cap: f64,
     /// Best capacity minus the serving link's, floored at zero, bit/s.
@@ -87,22 +89,24 @@ pub(crate) struct Verdict {
 /// link. `None` when no AP is in range. `down[ap]` is the crashed-AP set at
 /// the tick, `link(ap)` the channel between `ap` and the sample's client.
 ///
-/// Memos are kept for the winner and the serving AP so the capacity
-/// integral reuses the ranking's 16-QAM integrations, and an AP is skipped
-/// as soon as a ceiling on its ESNR sits at or below the incumbent (`e > b`
-/// would have been false regardless). Three ceilings, cheapest first: the
-/// link's static headroom over its mean SNR, before any fading work; the
-/// sum of the tap gains' magnitudes, before the 56-tone response; the best
-/// tone — exact, since `esnr_db` clamps to it — before the integration.
-/// `gains` is the caller's scratch for the tap gains.
+/// Memos are kept for the winner (inside `best`) and the serving AP so the
+/// capacity integral reuses the ranking's 16-QAM integrations, and an AP is
+/// skipped as soon as a ceiling on its ESNR sits at or below the incumbent
+/// (`e > b` would have been false regardless). Four ceilings, cheapest
+/// first: the static headroom over the mean SNR, before any fading work;
+/// the reach the link remembers, before any `sincos`; the tap gains' reach,
+/// before the 56 tones; the best tone — exact, since `esnr_db` clamps to it
+/// — before the integration. `gains` is the caller's tap-gain scratch.
 ///
 /// `warm` is the previous winner for this client: channel coherence makes
 /// it the likely incumbent, so visiting it first lets the ceiling prunes
 /// discard almost every other AP before any ESNR integration. Visit order
 /// cannot change the outcome — the update rule is the exact lexicographic
 /// argmax (highest ESNR, lowest AP id on exact ties) that the plain
-/// ascending scan computes — so any evaluator may keep its own hint.
-pub(crate) fn evaluate<'a>(
+/// ascending scan computes — so any evaluator may keep its own hint, and
+/// whatever its links remember only decides how much work a prune saves.
+#[doc(hidden)]
+pub fn evaluate<'a>(
     s: &Sample,
     down: &[bool],
     link: impl Fn(usize) -> &'a WirelessLink,
@@ -114,8 +118,8 @@ pub(crate) fn evaluate<'a>(
     let mean_snr = |ap: usize| link(ap).mean_snr_db(&s.pos);
     let in_radio_range = |ap: usize| mean_snr(ap) >= cfg.range_floor_db;
     let hint = *warm;
-    let mut best: Option<(usize, f64)> = None;
-    let mut best_esnr: Option<EsnrMemo> = None;
+    // `(ap, ESNR, its memo)` of the incumbent.
+    let mut best: Option<(usize, f64, EsnrMemo)> = None;
     let mut serving_esnr: Option<EsnrMemo> = None;
     for ap in hint
         .into_iter()
@@ -127,52 +131,50 @@ pub(crate) fn evaluate<'a>(
         let is_serving = serving == Some(ap);
         // Prunable once even a ceiling on this AP's ESNR cannot
         // win the lexicographic argmax against the incumbent.
-        let cannot_beat =
-            |bound: f64| best.is_some_and(|(bi, b)| bound < b || (bound == b && ap > bi));
-        if !is_serving && cannot_beat(mean_snr(ap) + link(ap).peak_tone_headroom_db()) {
-            // Static ceiling: no fading realization lifts a tone
-            // past mean + headroom, so skip the whole channel
-            // evaluation.
+        let cannot_beat = |x: f64| {
+            !is_serving && matches!(best, Some((bi, b, _)) if x < b || (x == b && ap > bi))
+        };
+        // Static ceiling: no fading realization lifts a tone past
+        // mean + headroom, so skip the whole channel evaluation.
+        if cannot_beat(mean_snr(ap) + link(ap).peak_tone_headroom_db()) {
+            continue;
+        }
+        // Remembered reach: the taps cannot have gained more than their
+        // rate allows since the link last evaluated them.
+        if cannot_beat(link(ap).reach_ceiling_db(s.t, &s.pos, s.speed)) {
             continue;
         }
         // Tap ceiling: the taps' gains bound every tone they can add up
         // to, so skip the tones when even that cannot win.
-        link(ap).tap_gains(s.t, s.speed, gains);
-        if !is_serving && cannot_beat(link(ap).gains_ceiling_db(&s.pos, gains)) {
+        let reach = link(ap).tap_gains(s.t, s.speed, gains);
+        if cannot_beat(link(ap).gains_ceiling_db(&s.pos, reach)) {
             continue;
         }
-        let mut memo = EsnrMemo::new(&link(ap).csi_from_gains(&s.pos, gains));
-        if !is_serving && cannot_beat(memo.best_tone_db()) {
+        let mut memo = link(ap).memo_from_gains(&s.pos, gains);
+        if cannot_beat(memo.best_tone_db()) {
             continue;
         }
         let e = memo.esnr_db(Modulation::Qam16);
-        let wins = best.map_or(true, |(bi, b)| e > b || (e == b && ap < bi));
+        let wins = best
+            .as_ref()
+            .map_or(true, |&(bi, b, _)| e > b || (e == b && ap < bi));
         if wins {
-            best = Some((ap, e));
-        }
-        if is_serving {
-            // The serving memo doubles as the winner's when the
-            // serving AP is the oracle choice.
+            // A serving AP that loses the lead keeps its memo for the
+            // capacity fold.
+            if let Some((prev, _, prev_memo)) = best.replace((ap, e, memo)) {
+                if serving == Some(prev) {
+                    serving_esnr = Some(prev_memo);
+                }
+            }
+        } else if is_serving {
             serving_esnr = Some(memo);
-        } else if wins {
-            best_esnr = Some(memo);
         }
     }
-    *warm = best.map(|(ap, _)| ap);
-    let (oracle, _) = best?;
+    *warm = best.as_ref().map(|&(ap, ..)| ap);
+    let (oracle, _, mut oracle_esnr) = best?;
     // Capacity-loss integral (Figs 4, 21): the best link's
     // instantaneous capacity minus what the serving link offers.
     let gi = cfg.gi;
-    let oracle_is_serving = serving == Some(oracle);
-    // Invariant: the ranking loop above stores a memo for
-    // whichever arm won; `best` being `Some` proves the
-    // corresponding memo was kept.
-    let mut oracle_esnr = if oracle_is_serving {
-        serving_esnr.take()
-    } else {
-        best_esnr.take()
-    }
-    .expect("memo kept with best");
     let best_cap = cfg.per_model.capacity_with(&mut oracle_esnr, gi, 1500);
     let serv_cap = match serving {
         Some(ap) if ap == oracle => best_cap,
@@ -183,8 +185,8 @@ pub(crate) fn evaluate<'a>(
         Some(ap) => match serving_esnr.as_mut() {
             Some(sm) => cfg.per_model.capacity_with(sm, gi, 1500),
             None => {
-                let csi = link(ap).csi(s.t, &s.pos, s.speed);
-                cfg.per_model.capacity_bps(gi, &csi, 1500)
+                let mut fresh = link(ap).memo(s.t, &s.pos, s.speed);
+                cfg.per_model.capacity_with(&mut fresh, gi, 1500)
             }
         },
         None => 0.0,
@@ -193,7 +195,7 @@ pub(crate) fn evaluate<'a>(
         best_cap,
         loss: (best_cap - serv_cap).max(0.0),
         has_serving: serving.is_some(),
-        optimal: oracle_is_serving,
+        optimal: serving == Some(oracle),
     })
 }
 

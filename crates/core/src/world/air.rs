@@ -260,6 +260,12 @@ impl WgttWorld {
         self.links[ap][c].csi(t, &pos, speed)
     }
 
+    /// The ESNR memo of [`Self::csi`]'s snapshot, without the `Csi`.
+    fn memo(&self, ap: usize, c: usize, t: SimTime) -> EsnrMemo {
+        let (pos, speed) = (self.client_pos(c, t), self.clients[c].speed(t));
+        self.links[ap][c].memo(t, &pos, speed)
+    }
+
     pub(super) fn ensure_round(&mut self, ctx: &mut Ctx<'_, Ev>) {
         if self.air.round_scheduled {
             return;
@@ -665,11 +671,10 @@ impl WgttWorld {
             return; // crashed mid-transmission: the PPDU died with it
         }
         let client = ClientId(c as u32);
-        let csi = self.csi(ap, c, start);
         // One snapshot serves the whole exchange — per-MPDU data draws, the
         // QPSK Block ACK, and the controller's 16-QAM report — so memoize
         // the per-modulation ESNR integrations across all of them.
-        let mut esnr = EsnrMemo::new(&csi);
+        let mut esnr = self.memo(ap, c, start);
         let listening = self.client_listens_to(ap, c);
         if self.trace {
             eprintln!(
@@ -734,10 +739,9 @@ impl WgttWorld {
                 {
                     continue;
                 }
-                let other_csi = self.csi(other, c, start);
                 // Monitors measure the QPSK BA and, on success, report the
                 // 16-QAM controller metric off the same snapshot.
-                let mut other_esnr = EsnrMemo::new(&other_csi);
+                let mut other_esnr = self.memo(other, c, start);
                 let e_qpsk = other_esnr.esnr_db(Modulation::Qpsk);
                 if self.control_rate_heard(e_qpsk, BLOCK_ACK_BYTES) {
                     self.air.overheard.push(other);
@@ -887,10 +891,9 @@ impl WgttWorld {
             if self.ap_down[ap] || !self.in_radio_range(ap, c, start) || !self.same_channel(ap, c) {
                 continue;
             }
-            let csi = self.csi(ap, c, start);
             // One memo per receiving AP: every uplink MPDU in the burst
             // draws against the same snapshot, and the CSI report reuses it.
-            let mut esnr = EsnrMemo::new(&csi);
+            let mut esnr = self.memo(ap, c, start);
             let first = got.len();
             p_by_len.clear();
             for e in entries.iter() {
@@ -992,8 +995,7 @@ impl WgttWorld {
             } else {
                 // The client hears the first response if its own downlink
                 // from that AP works at the control rate.
-                let csi = self.csi(first_ap, c, now);
-                let e_qpsk = esnr_from_csi(Modulation::Qpsk, &csi);
+                let e_qpsk = self.memo(first_ap, c, now).esnr_db(Modulation::Qpsk);
                 if self.control_rate_heard(e_qpsk, ACK_BYTES) {
                     acked_by = Some(first_ap);
                 }

@@ -57,12 +57,7 @@ impl Csi {
 
     /// Per-subcarrier SNR in linear scale.
     pub fn per_subcarrier_snr_linear(&self) -> [f64; NUM_SUBCARRIERS] {
-        let base = db_to_linear(self.mean_snr_db);
-        let mut out = [0.0; NUM_SUBCARRIERS];
-        for (o, h) in out.iter_mut().zip(&self.h) {
-            *o = base * h.abs2();
-        }
-        out
+        tone_snrs(self.mean_snr_db, |k| self.h[k])
     }
 
     /// Average received power SNR across subcarriers, in dB — what a plain
@@ -71,6 +66,14 @@ impl Csi {
         let mean_gain = self.h.iter().map(|h| h.abs2()).sum::<f64>() / self.h.len().max(1) as f64;
         self.mean_snr_db + linear_to_db(mean_gain)
     }
+}
+
+/// Linear SNR `10^(mean/10)·|h(k)|²` of each tone `k`: the one rule for a
+/// [`Csi`]'s tones and for the fading kernels' split response alike.
+#[inline(always)]
+pub(crate) fn tone_snrs(mean_db: f64, h: impl Fn(usize) -> Cplx) -> [f64; NUM_SUBCARRIERS] {
+    let base = db_to_linear(mean_db);
+    std::array::from_fn(|k| base * h(k).abs2())
 }
 
 #[cfg(test)]

@@ -283,8 +283,13 @@ pub struct EsnrMemo {
 impl EsnrMemo {
     /// Captures the snapshot's per-subcarrier SNRs (computed once).
     pub fn new(csi: &Csi) -> Self {
+        Self::from_snr_linear(csi.per_subcarrier_snr_linear())
+    }
+
+    /// A memo over tone SNRs formed by [`crate::csi::tone_snrs`].
+    pub(crate) fn from_snr_linear(snr_linear: [f64; NUM_SUBCARRIERS]) -> Self {
         EsnrMemo {
-            snr_linear: csi.per_subcarrier_snr_linear(),
+            snr_linear,
             cache: [None; 4],
         }
     }

@@ -240,34 +240,37 @@ impl TappedDelayLine {
             .sum()
     }
 
-    /// Precomputes the tap × subcarrier twiddle matrix
-    /// `e^{−j2π f_k τ_i}` (row-major by tap) for
-    /// [`Self::freq_response_into`]. The twiddles depend only on the tap
-    /// delays and the subcarrier grid — both fixed at construction — so a
-    /// link computes them once and reuses them for every CSI snapshot.
-    /// Each entry is produced by the exact expression
+    /// Precomputes the twiddle matrix `e^{−j2π f_k τ_i}` for
+    /// [`Self::freq_response_into`], split and tone-major: one row of real
+    /// parts per tap (the grid's tones along it), then the imaginary rows.
+    /// It depends only on the tap delays and the grid, so links of one
+    /// `FadingConfig` share it. Each entry is the exact expression
     /// [`Self::freq_response`] evaluates inline, so the fast path stays
     /// bit-identical to the reference.
-    pub fn twiddles(&self, subcarriers_hz: &[f64]) -> Vec<Cplx> {
+    pub fn twiddles(&self, subcarriers_hz: &[f64]) -> Vec<f64> {
         let two_pi = 2.0 * std::f64::consts::PI;
-        let mut out = Vec::with_capacity(self.taps.len() * subcarriers_hz.len());
+        let (mut re, mut im) = (Vec::new(), Vec::new());
         for tap in &self.taps {
             for &f in subcarriers_hz {
-                out.push(Cplx::from_phase(-two_pi * f * tap.delay_s));
+                let w = Cplx::from_phase(-two_pi * f * tap.delay_s);
+                re.push(w.re);
+                im.push(w.im);
             }
         }
-        out
+        re.extend(im);
+        re
     }
 
     /// Allocation-free [`Self::freq_response`]: writes the response into
-    /// `out` using a twiddle matrix from [`Self::twiddles`] over the same
-    /// subcarrier grid (`twiddles.len() == num_taps · out.len()`).
+    /// `out`, split like the matrix (real parts, then imaginary parts), using
+    /// a twiddle matrix from [`Self::twiddles`] over the same subcarrier grid
+    /// (`twiddles.len() == num_taps · out.len()`).
     ///
     /// Bit-identical to the reference: the taps-outer loop performs, for
-    /// each subcarrier, the same additions `h += g_i · w_{i,k}` in the same
-    /// tap order 0..N as the reference's subcarrier-outer loop — locked by
-    /// `twiddled_response_is_bit_exact`.
-    pub fn freq_response_into(&self, t_s: f64, fd_hz: f64, twiddles: &[Cplx], out: &mut [Cplx]) {
+    /// each subcarrier, the products and sums of `h += g_i · w_{i,k}` in
+    /// `Cplx` arithmetic, in the same tap order 0..N as the reference's
+    /// subcarrier-outer loop — locked by `twiddled_response_is_bit_exact`.
+    pub fn freq_response_into(&self, t_s: f64, fd_hz: f64, twiddles: &[f64], out: &mut [f64]) {
         self.check_grid(twiddles, out);
         freq_response_kernel(&self.taps, t_s, fd_hz, twiddles, out);
     }
@@ -286,13 +289,24 @@ impl TappedDelayLine {
     /// [`Self::gains_into`] wrote: the same multiply-accumulates in the same
     /// tap order, so the two halves together are bit-identical to the whole
     /// (`split_response_is_bit_exact`).
-    pub fn freq_response_from_gains(&self, gains: &[Cplx], twiddles: &[Cplx], out: &mut [Cplx]) {
+    pub fn freq_response_from_gains(&self, gains: &[Cplx], twiddles: &[f64], out: &mut [f64]) {
         assert_eq!(gains.len(), self.taps.len(), "one gain per tap");
         self.check_grid(twiddles, out);
         from_gains_kernel(gains, twiddles, out);
     }
 
-    fn check_grid(&self, twiddles: &[Cplx], out: &[Cplx]) {
+    /// `R`, a ceiling on how fast `Σ_i |g_i|` moves with `u = f_d·t`: every
+    /// phase in a tap's gain is `2π·cos·u + φ`, so `|dg_i/du| ≤
+    /// 2π·(scatter_norm·scattered_amp·Σ_n |cos_n| + los_amp·|cos_los|)`.
+    pub fn reach_rate(&self) -> f64 {
+        let rate = |tap: &Tap| {
+            let spread: f64 = tap.sinusoids.iter().map(|s| s.cos_aoa.abs()).sum();
+            tap.scatter_norm * tap.scattered_amp * spread + tap.los_amp * tap.los_cos_aoa.abs()
+        };
+        2.0 * std::f64::consts::PI * self.taps.iter().map(rate).sum::<f64>()
+    }
+
+    fn check_grid(&self, twiddles: &[f64], out: &[f64]) {
         assert_eq!(
             twiddles.len(),
             self.taps.len() * out.len(),
@@ -301,21 +315,31 @@ impl TappedDelayLine {
     }
 }
 
-/// `out[k] += g · row[k]`: one tap's share of every tone.
+/// Row `tap`'s share of every tone: `Cplx`'s `h += g * w`, the same two
+/// products and sums per tone, on the split parts.
 #[inline(always)]
-fn accumulate_tap(out: &mut [Cplx], g: Cplx, row: &[Cplx]) {
-    for (h, &w) in out.iter_mut().zip(row) {
-        *h += g * w;
+fn accumulate_tap(out: &mut [f64], g: Cplx, twiddles: &[f64], tap: usize) {
+    let n = out.len() / 2;
+    let (re, im) = out.split_at_mut(n);
+    let (w_re, w_im) = twiddles.split_at(twiddles.len() / 2);
+    let (w_re, w_im) = (&w_re[tap * n..][..n], &w_im[tap * n..][..n]);
+    for ((h_re, h_im), (&wr, &wi)) in re.iter_mut().zip(im).zip(w_re.iter().zip(w_im)) {
+        *h_re += g.re * wr - g.im * wi;
+        *h_im += g.re * wi + g.im * wr;
     }
 }
 
-/// The lane kernel of [`TappedDelayLine::freq_response_into`]: every tap's
-/// [`Tap::gain`], then its row of twiddle multiply-accumulates.
+/// The lane kernel of [`TappedDelayLine::freq_response_into`]: up to
+/// [`LANES`] taps' [`Tap::gain`]s, then their rows of multiply-accumulates.
 #[inline(always)]
-fn freq_response_body(taps: &[Tap], t_s: f64, fd_hz: f64, twiddles: &[Cplx], out: &mut [Cplx]) {
-    out.fill(Cplx::ZERO);
-    for (tap, row) in taps.iter().zip(twiddles.chunks_exact(out.len())) {
-        accumulate_tap(out, tap.gain(t_s, fd_hz), row);
+fn freq_response_body(taps: &[Tap], t_s: f64, fd_hz: f64, twiddles: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    for (i, chunk) in taps.chunks(LANES).enumerate() {
+        let mut gains = [Cplx::ZERO; LANES];
+        gains_body(chunk, t_s, fd_hz, &mut gains);
+        for (j, &g) in gains[..chunk.len()].iter().enumerate() {
+            accumulate_tap(out, g, twiddles, i * LANES + j);
+        }
     }
 }
 
@@ -329,20 +353,20 @@ fn gains_body(taps: &[Tap], t_s: f64, fd_hz: f64, gains: &mut [Cplx]) {
 
 /// The lane kernel of [`TappedDelayLine::freq_response_from_gains`].
 #[inline(always)]
-fn from_gains_body(gains: &[Cplx], twiddles: &[Cplx], out: &mut [Cplx]) {
-    out.fill(Cplx::ZERO);
-    for (&g, row) in gains.iter().zip(twiddles.chunks_exact(out.len())) {
-        accumulate_tap(out, g, row);
+fn from_gains_body(gains: &[Cplx], twiddles: &[f64], out: &mut [f64]) {
+    out.fill(0.0);
+    for (i, &g) in gains.iter().enumerate() {
+        accumulate_tap(out, g, twiddles, i);
     }
 }
 
 at_host_width! {
     /// [`freq_response_body`] at the host's vector width.
-    fn freq_response_kernel(taps: &[Tap], t_s: f64, fd_hz: f64, twiddles: &[Cplx], out: &mut [Cplx]) = freq_response_body;
+    fn freq_response_kernel(taps: &[Tap], t_s: f64, fd_hz: f64, twiddles: &[f64], out: &mut [f64]) = freq_response_body;
     /// [`gains_body`] at the host's vector width.
     fn gains_kernel(taps: &[Tap], t_s: f64, fd_hz: f64, gains: &mut [Cplx]) = gains_body;
     /// [`from_gains_body`] at the host's vector width.
-    fn from_gains_kernel(gains: &[Cplx], twiddles: &[Cplx], out: &mut [Cplx]) = from_gains_body;
+    fn from_gains_kernel(gains: &[Cplx], twiddles: &[f64], out: &mut [f64]) = from_gains_body;
 }
 
 /// Maximum Doppler shift for a vehicle speed and carrier wavelength.
@@ -421,6 +445,42 @@ mod tests {
         }
     }
 
+    /// [`TappedDelayLine::freq_response_into`] over 56 tones, as `Cplx`.
+    fn response(ch: &TappedDelayLine, t: f64, fd: f64, tw: &[f64]) -> Vec<Cplx> {
+        let mut out = [0.0; 112];
+        ch.freq_response_into(t, fd, tw, &mut out);
+        joined(&out)
+    }
+
+    /// A split response (real parts, then imaginary parts) as `Cplx`.
+    fn joined(out: &[f64]) -> Vec<Cplx> {
+        let (re, im) = out.split_at(out.len() / 2);
+        re.iter()
+            .zip(im)
+            .map(|(&re, &im)| Cplx::new(re, im))
+            .collect()
+    }
+
+    #[test]
+    fn twiddles_are_the_reference_phasors_split_by_part() {
+        // Real rows, then imaginary rows, one tone-major row per tap: each
+        // entry the phasor `freq_response` evaluates inline, to the bit.
+        let subs = ht20_subcarriers();
+        for (ch, tw) in seeded_lines() {
+            let delays: Vec<f64> = ch.taps.iter().map(|tap| tap.delay_s).collect();
+            assert_eq!(tw.len(), 2 * delays.len() * subs.len());
+            let (w_re, w_im) = tw.split_at(tw.len() / 2);
+            for (i, &delay) in delays.iter().enumerate() {
+                for (k, &f) in subs.iter().enumerate() {
+                    let w = Cplx::from_phase(-2.0 * std::f64::consts::PI * f * delay);
+                    let at = i * subs.len() + k;
+                    assert_eq!(w_re[at].to_bits(), w.re.to_bits(), "tap {i} tone {k}");
+                    assert_eq!(w_im[at].to_bits(), w.im.to_bits(), "tap {i} tone {k}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn twiddled_response_is_bit_exact() {
         // The precomputed-twiddle fast path must reproduce the reference
@@ -437,12 +497,8 @@ mod tests {
                 let t = step as f64 * 0.0073;
                 let fd = 10.0 + step as f64 * 3.0;
                 let reference = ch.freq_response(t, fd, &subs);
-                let mut fast = vec![Cplx::ZERO; subs.len()];
-                ch.freq_response_into(t, fd, &tw, &mut fast);
-                for (a, b) in reference.iter().zip(&fast) {
-                    assert_eq!(a.re.to_bits(), b.re.to_bits());
-                    assert_eq!(a.im.to_bits(), b.im.to_bits());
-                }
+                let fast = response(&ch, t, fd, &tw);
+                assert_same_bits(&fast, &reference, &format!("t={t} fd={fd}"));
             }
         }
     }
@@ -501,7 +557,7 @@ mod tests {
 
     /// Default and odd-shaped lines (19 sinusoids leave a 3-lane last
     /// chunk), each with its twiddles over the HT20 grid.
-    fn seeded_lines() -> Vec<(TappedDelayLine, Vec<Cplx>)> {
+    fn seeded_lines() -> Vec<(TappedDelayLine, Vec<f64>)> {
         let subs = ht20_subcarriers();
         let shapes = [(5, 16), (3, 19), (7, 12), (1, 4)];
         (0..12u64)
@@ -533,11 +589,10 @@ mod tests {
             let n = ch.num_taps();
             for (t, fd) in instants() {
                 let what = format!("{n} taps, t={t} fd={fd}");
-                let mut entry = vec![Cplx::ZERO; 56];
-                let mut body = vec![Cplx::ONE; 56];
+                let (mut entry, mut body) = ([0.0; 112], [1.0; 112]);
                 ch.freq_response_into(t, fd, &tw, &mut entry);
                 freq_response_body(&ch.taps, t, fd, &tw, &mut body);
-                assert_same_bits(&entry, &body, &what);
+                assert_same_bits(&joined(&entry), &joined(&body), &what);
 
                 let mut gains = vec![Cplx::ZERO; n];
                 let mut gains_ref = vec![Cplx::ONE; n];
@@ -547,7 +602,7 @@ mod tests {
 
                 ch.freq_response_from_gains(&gains, &tw, &mut entry);
                 from_gains_body(&gains, &tw, &mut body);
-                assert_same_bits(&entry, &body, &what);
+                assert_same_bits(&joined(&entry), &joined(&body), &what);
             }
         }
     }
@@ -556,13 +611,12 @@ mod tests {
     fn split_response_is_bit_exact() {
         for (ch, tw) in seeded_lines() {
             for (t, fd) in instants() {
-                let mut whole = vec![Cplx::ZERO; 56];
-                ch.freq_response_into(t, fd, &tw, &mut whole);
+                let whole = response(&ch, t, fd, &tw);
                 let mut gains = vec![Cplx::ZERO; ch.num_taps()];
                 ch.gains_into(t, fd, &mut gains);
-                let mut halves = vec![Cplx::ONE; 56];
+                let mut halves = [1.0; 112];
                 ch.freq_response_from_gains(&gains, &tw, &mut halves);
-                assert_same_bits(&halves, &whole, &format!("t={t} fd={fd}"));
+                assert_same_bits(&joined(&halves), &whole, &format!("t={t} fd={fd}"));
                 // And the gains bound every tone.
                 let reach: f64 = gains.iter().map(|g| g.abs()).sum();
                 for h in &whole {

@@ -375,7 +375,7 @@ mod tests {
         // One call of each dispatched kernel, through its public entry.
         let line = TappedDelayLine::new(&FadingConfig::default(), &mut wgtt_sim::SimRng::new(1));
         let tw = line.twiddles(&crate::csi::subcarrier_offsets_hz());
-        let mut h = [Cplx::ZERO; 56];
+        let mut h = [0.0; 112];
         let mut gains = [Cplx::ZERO; 5];
         line.freq_response_into(0.25, 55.0, &tw, &mut h);
         line.gains_into(0.25, 55.0, &mut gains);

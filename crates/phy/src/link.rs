@@ -15,7 +15,8 @@
 
 use crate::antenna::{Antenna, ParabolicAntenna};
 use crate::complex::Cplx;
-use crate::csi::{subcarrier_offsets_hz, Csi};
+use crate::csi::{subcarrier_offsets_hz, tone_snrs, Csi, NUM_SUBCARRIERS};
+use crate::esnr::EsnrMemo;
 use crate::fading::{doppler_hz, FadingConfig, TappedDelayLine};
 use crate::fastmath::log10;
 use crate::geom::{ApSite, Position};
@@ -23,6 +24,8 @@ use crate::pathloss::{LinkBudget, PathLoss};
 use crate::shadowing::{ShadowingConfig, ShadowingProcess};
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
+use std::sync::{Arc, Mutex};
+use wgtt_sim::pool::lock;
 use wgtt_sim::{SimRng, SimTime};
 
 /// Static configuration shared by all links in a deployment.
@@ -69,6 +72,25 @@ struct GeoCache {
     snr_db: f64,
 }
 
+/// The HT20 twiddle matrix of `fading`, built from `cfg`: the first link of a
+/// tap count and delay spread (all the delays follow from) builds it, every
+/// later one in the process shares it. Kept for the process's life.
+fn shared_twiddles(cfg: &FadingConfig, fading: &TappedDelayLine) -> Arc<[f64]> {
+    type Profile = (usize, u64);
+    static MATRICES: Mutex<Vec<(Profile, Arc<[f64]>)>> = Mutex::new(Vec::new());
+    let profile = (cfg.num_taps, cfg.rms_delay_spread_ns.to_bits());
+    let mut matrices = lock(&MATRICES);
+    if let Some((_, m)) = matrices.iter().find(|(p, _)| *p == profile) {
+        return Arc::clone(m);
+    }
+    let m: Arc<[f64]> = fading.twiddles(&subcarrier_offsets_hz()).into();
+    matrices.push((profile, Arc::clone(&m)));
+    m
+}
+
+/// A response as the fading kernels write it: real parts, then imaginary.
+type Split = [f64; 2 * NUM_SUBCARRIERS];
+
 /// The live channel between one AP site and one client.
 #[derive(Debug, Clone)]
 pub struct WirelessLink {
@@ -76,13 +98,16 @@ pub struct WirelessLink {
     cfg: LinkConfig,
     fading: TappedDelayLine,
     shadowing: ShadowingProcess,
-    /// Tap × subcarrier twiddle matrix (fixed per realization) feeding the
-    /// allocation-free [`TappedDelayLine::freq_response_into`] path.
-    twiddles: Vec<Cplx>,
+    /// The split twiddle matrix, shared by every link of these delays.
+    twiddles: Arc<[f64]>,
     /// Static ceiling of any tone's SNR over the mean, in dB (see
     /// [`Self::peak_tone_headroom_db`]).
     peak_tone_headroom_db: f64,
+    /// [`TappedDelayLine::reach_rate`].
+    reach_rate: f64,
     geo: Cell<Option<GeoCache>>,
+    /// `(u₀ = f_d·t, Σ_i |g_i|)` of the last [`Self::tap_gains`].
+    reach: Cell<Option<(f64, f64)>>,
 }
 
 impl WirelessLink {
@@ -93,18 +118,20 @@ impl WirelessLink {
     pub fn new(ap: ApSite, cfg: LinkConfig, rng: &mut SimRng) -> Self {
         let fading = TappedDelayLine::new(&cfg.fading, rng);
         let shadowing = ShadowingProcess::new(&cfg.shadowing, rng);
-        let twiddles = fading.twiddles(&subcarrier_offsets_hz());
+        let twiddles = shared_twiddles(&cfg.fading, &fading);
         // 1 µdB of slack swamps every rounding step in the bound's
         // derivation while staying far below physical significance.
         let peak_tone_headroom_db = 20.0 * log10(fading.peak_gain_bound()) + 1e-6;
         WirelessLink {
             ap,
             cfg,
+            reach_rate: fading.reach_rate(),
             fading,
             shadowing,
             twiddles,
             peak_tone_headroom_db,
             geo: Cell::new(None),
+            reach: Cell::new(None),
         }
     }
 
@@ -159,55 +186,86 @@ impl WirelessLink {
     /// Full CSI snapshot at time `t` for a client at `client` moving at
     /// `speed_mps`.
     ///
-    /// Computed through the precomputed-twiddle fading path and the
-    /// position memo of [`Self::mean_snr_db`] — bit-identical to the plain
+    /// Computed through the shared-twiddle fading path and the position
+    /// memo of [`Self::mean_snr_db`] — bit-identical to the plain
     /// [`TappedDelayLine::freq_response`] chain (the tests' `csi_uncached`,
     /// locked by `csi_cache_is_bit_exact`). Not memoized itself: under 0.14 %
     /// of snapshot queries repeat the previous one on any benchmark workload.
     pub fn csi(&self, t: SimTime, client: &Position, speed_mps: f64) -> Csi {
-        let fd = doppler_hz(speed_mps, self.cfg.pathloss.wavelength_m());
-        let mut h = [Cplx::ZERO; crate::csi::NUM_SUBCARRIERS];
-        self.fading
-            .freq_response_into(t.as_secs_f64(), fd, &self.twiddles, &mut h);
+        let split = self.response(t, speed_mps);
+        let (re, im) = split.split_at(NUM_SUBCARRIERS);
         Csi {
-            h,
+            h: std::array::from_fn(|k| Cplx::new(re[k], im[k])),
             mean_snr_db: self.mean_snr_db(client),
         }
     }
 
-    /// The first half of [`Self::csi`]: the fading taps' complex gains at
+    /// `EsnrMemo::new(&self.csi(t, client, speed_mps))`, bit for bit, sans `Csi`.
+    pub fn memo(&self, t: SimTime, client: &Position, speed_mps: f64) -> EsnrMemo {
+        self.memo_from_response(client, &self.response(t, speed_mps))
+    }
+
+    /// The response at `t`.
+    fn response(&self, t: SimTime, speed_mps: f64) -> Split {
+        let fd = doppler_hz(speed_mps, self.cfg.pathloss.wavelength_m());
+        let mut out = [0.0; 2 * NUM_SUBCARRIERS];
+        (self.fading).freq_response_into(t.as_secs_f64(), fd, &self.twiddles, &mut out);
+        out
+    }
+
+    /// The memo of a split response, its tone SNRs formed as a `Csi`'s are.
+    fn memo_from_response(&self, client: &Position, split: &Split) -> EsnrMemo {
+        let (re, im) = split.split_at(NUM_SUBCARRIERS);
+        let snr = tone_snrs(self.mean_snr_db(client), |k| Cplx::new(re[k], im[k]));
+        EsnrMemo::from_snr_linear(snr)
+    }
+
+    /// The first half of [`Self::memo`]: the fading taps' complex gains at
     /// time `t` for a client moving at `speed_mps`, into `gains` (resized to
     /// the tap count; a caller ranking many links loans one buffer to all).
-    /// [`Self::gains_ceiling_db`] bounds the snapshot from them and
-    /// [`Self::csi_from_gains`] finishes it.
-    pub fn tap_gains(&self, t: SimTime, speed_mps: f64, gains: &mut Vec<Cplx>) {
+    /// Returns their reach `Σ_i |g_i|`, which [`Self::gains_ceiling_db`]
+    /// bounds the snapshot from, and remembers it with `f_d·t` for
+    /// [`Self::reach_ceiling_db`]; [`Self::memo_from_gains`] finishes it.
+    pub fn tap_gains(&self, t: SimTime, speed_mps: f64, gains: &mut Vec<Cplx>) -> f64 {
         let fd = doppler_hz(speed_mps, self.cfg.pathloss.wavelength_m());
         gains.resize(self.fading.num_taps(), Cplx::ZERO);
         self.fading.gains_into(t.as_secs_f64(), fd, gains);
+        let reach = gains.iter().map(|g| g.abs()).sum();
+        self.reach.set(Some((fd * t.as_secs_f64(), reach)));
+        reach
     }
 
-    /// Ceiling on every tone's SNR, in dB, of the snapshot whose tap gains
-    /// are `gains`: `max_k |H_k| ≤ Σ_i |g_i|` since the twiddles are unit
+    /// Ceiling on every tone's SNR, in dB, of a snapshot whose tap gains
+    /// reach `reach`: `max_k |H_k| ≤ Σ_i |g_i|` since the twiddles are unit
     /// phasors, plus the 1 µdB of rounding slack
     /// [`Self::peak_tone_headroom_db`] carries. Never below
     /// [`crate::EsnrMemo::best_tone_db`] of that snapshot (which floors at
     /// −300 dB), so never below its ESNR for any modulation.
-    pub fn gains_ceiling_db(&self, client: &Position, gains: &[Cplx]) -> f64 {
-        let reach: f64 = gains.iter().map(|g| g.abs()).sum();
+    pub fn gains_ceiling_db(&self, client: &Position, reach: f64) -> f64 {
         (self.mean_snr_db(client) + 20.0 * log10(reach) + 1e-6).max(-300.0)
     }
 
-    /// The second half of [`Self::csi`], from the `gains`
-    /// [`Self::tap_gains`] wrote: bit-identical to `csi` at the same time
+    /// [`Self::gains_ceiling_db`] at `t` without a tap: from the last
+    /// [`Self::tap_gains`]' `(u₀, Σ₀)`, `Σ_i |g_i|` at `u = f_d·t` is at most
+    /// `(Σ₀ + R·|u − u₀|)·(1 + 10⁻⁹)` ([`TappedDelayLine::reach_rate`]; the
+    /// factor covers rounding). True from any remembered instant or speed, so
+    /// pruning on it cannot change a ranking. +∞ before the first `tap_gains`.
+    pub fn reach_ceiling_db(&self, t: SimTime, client: &Position, speed_mps: f64) -> f64 {
+        let Some((u0, reach0)) = self.reach.get() else {
+            return f64::INFINITY;
+        };
+        let u = doppler_hz(speed_mps, self.cfg.pathloss.wavelength_m()) * t.as_secs_f64();
+        let reach = (reach0 + self.reach_rate * (u - u0).abs()) * (1.0 + 1e-9);
+        self.gains_ceiling_db(client, reach)
+    }
+
+    /// The second half of [`Self::memo`], from the `gains`
+    /// [`Self::tap_gains`] wrote: bit-identical to `memo` at the same time
     /// and speed.
-    pub fn csi_from_gains(&self, client: &Position, gains: &[Cplx]) -> Csi {
-        let mut h = [Cplx::ZERO; crate::csi::NUM_SUBCARRIERS];
-        self.fading
-            .freq_response_from_gains(gains, &self.twiddles, &mut h);
-        Csi {
-            h,
-            mean_snr_db: self.mean_snr_db(client),
-        }
+    pub fn memo_from_gains(&self, client: &Position, gains: &[Cplx]) -> EsnrMemo {
+        let mut split: Split = [0.0; 2 * NUM_SUBCARRIERS];
+        (self.fading).freq_response_from_gains(gains, &self.twiddles, &mut split);
+        self.memo_from_response(client, &split)
     }
 
     /// Carrier wavelength (for Doppler computations elsewhere).
@@ -448,6 +506,45 @@ mod tests {
             check(t, &pos, 11.2);
             check(t, &pos, 6.7);
         }
+    }
+
+    #[test]
+    fn shared_twiddles_one_matrix_per_delay_profile() {
+        let dep = DeploymentConfig::default().build();
+        let link = |cfg: &LinkConfig, seed: u64| {
+            WirelessLink::new(dep.aps[0], cfg.clone(), &mut SimRng::new(seed))
+        };
+        let plain = LinkConfig::default();
+        let mut wider = LinkConfig::default();
+        wider.fading.rms_delay_spread_ns = 120.0;
+        let (a, b, c) = (link(&plain, 1), link(&plain, 2), link(&wider, 3));
+        // Equal configs, different realizations: one matrix.
+        assert!(Arc::ptr_eq(&a.twiddles, &b.twiddles));
+        // Another delay spread: its own, shared in turn.
+        assert!(!Arc::ptr_eq(&a.twiddles, &c.twiddles));
+        assert!(Arc::ptr_eq(&c.twiddles, &link(&wider, 4).twiddles));
+        // And each is the matrix its own delays build.
+        for l in [&a, &c] {
+            let own = l.fading.twiddles(&subcarrier_offsets_hz());
+            let bits = |m: &[f64]| m.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&l.twiddles), bits(&own));
+        }
+    }
+
+    #[test]
+    fn shared_twiddles_across_threads() {
+        // Links of a delay profile no other test builds, made concurrently
+        // by a pool's threads: the first to look builds the matrix, and
+        // every link ends up holding that one.
+        let dep = DeploymentConfig::default().build();
+        let mut cfg = LinkConfig::default();
+        cfg.fading.rms_delay_spread_ns = 61.0;
+        let build = |seed: u64, _| {
+            let link = WirelessLink::new(dep.aps[0], cfg.clone(), &mut SimRng::new(seed));
+            link.twiddles
+        };
+        let matrices = wgtt_sim::pool::scope(4, build, |pool| pool.round(0..32));
+        assert!(matrices.iter().all(|m| Arc::ptr_eq(m, &matrices[0])));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Heap and allocation budget: what one (AP, client) pair, a fresh dedup
-//! table, a fresh selector, the ESNR tables and two whole runs may ask the
-//! allocator for —
+//! table, a fresh selector, the ESNR tables, a second world's links and two
+//! whole runs may ask the allocator for —
 //! in bytes live at once and in calls per event — so that a regression of
 //! either fails tier-1 and not only the benchmark's `peak_heap_mib` and
 //! `sim.engine.allocs_per_event`.
@@ -14,8 +14,9 @@
 //! test on the process's only thread: the run's `HashMap`s are seeded per
 //! process, and when one of them rehashes depends on the seed.)
 //!
-//! Each budget is 1.25 × what the 80-byte packet and the loaned burst
-//! buffers measured when they landed; the figure of the commit before is in
+//! Each run's budget is 1.25 × what it measured when its figure was last
+//! moved — peak bytes with one twiddle matrix shared by all links, calls
+//! with the loaned burst buffers; the figure of the commit before is in
 //! the message, as the size of the step back a failure would be.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -26,8 +27,8 @@ use wgtt::core::dedup::Deduplicator;
 use wgtt::core::runner::{run_with_oracle_helpers, FlowSpec, Scenario};
 use wgtt::core::selection::{ApSelector, SelectionConfig};
 use wgtt::core::shard::{run_sharded_with_oracle_helpers, ShardedScenario};
-use wgtt::phy::{esnr_db, Modulation};
-use wgtt::sim::SimDuration;
+use wgtt::phy::{esnr_db, DeploymentConfig, LinkConfig, Modulation, WirelessLink};
+use wgtt::sim::{SimDuration, SimRng};
 
 // Relaxed everywhere: statistics that publish no other data.
 static IN_USE: AtomicUsize = AtomicUsize::new(0);
@@ -114,12 +115,12 @@ struct Budget {
 
 const DRIVE: Budget = Budget {
     what: "15 mph UDP drive",
-    peak_kib: (2_042, 3_164),
+    peak_kib: (2_010, 2_040),
     calls_per_kev: (13, 702),
 };
 const RING: Budget = Budget {
     what: "8 × 2 ring corridor",
-    peak_kib: (8_667, 14_911),
+    peak_kib: (8_084, 8_641),
     calls_per_kev: (49, 1_102),
 };
 
@@ -135,8 +136,8 @@ impl Budget {
         assert!(
             peak <= budget,
             "{what}: peak heap {} KiB is over the budget of {} KiB (1.25 × the {kib} KiB measured \
-             with the 80-byte packet; the 120-byte packet and the reserved dedup table before \
-             it: {kib_before} KiB)",
+             with one twiddle matrix shared by every link; one matrix per link before it: \
+             {kib_before} KiB)",
             peak / KIB,
             budget / KIB,
         );
@@ -212,4 +213,29 @@ fn heap_stays_within_budget() {
         ShardedScenario::ring_corridor(cfg, 8, 2, 35.0, 5_000_000, SimDuration::from_secs(5), 21);
     let (run, peak, calls) = measured(|| run_sharded_with_oracle_helpers(&ring, 1, 0));
     RING.check(peak, calls, run.events);
+    drop(run);
+
+    // Links share one twiddle matrix per tap-delay profile, built by the
+    // first link of the profile: a second world's links, of a profile no
+    // run above built, ask for less than the first world's by at least the
+    // matrix — they build none.
+    let mut cfg = LinkConfig::default();
+    cfg.fading.rms_delay_spread_ns = 93.0;
+    let world_links = || {
+        let root = SimRng::new(5);
+        let aps = DeploymentConfig::default().build().aps;
+        let rng = |a: usize| root.fork_indexed("link", a as u64);
+        let links = aps.iter().enumerate();
+        links
+            .map(|(a, site)| WirelessLink::new(*site, cfg.clone(), &mut rng(a)))
+            .collect::<Vec<_>>()
+    };
+    let (_first, first, _) = measured(world_links);
+    let (_second, second, _) = measured(world_links);
+    let matrix = 2 * cfg.fading.num_taps * wgtt::phy::NUM_SUBCARRIERS * std::mem::size_of::<f64>();
+    assert!(
+        second + matrix <= first,
+        "a second world's links asked for {second} B against the first's {first} B: they built a \
+         {matrix} B twiddle matrix of their own"
+    );
 }

@@ -541,50 +541,263 @@ fn shrink_keeps_the_first_inserted_culprits() {
     assert_eq!(shrink(storm, fails), want);
 }
 
-/// The oracle's tap ceiling (`core/oracle.rs`) is sound and its split
-/// snapshot exact: for seeded links, positions, speeds and instants,
-/// `gains_ceiling_db` is never below the finished snapshot's best tone —
-/// itself a ceiling on the ESNR of every modulation — and `csi_from_gains`
-/// is `csi` bit for bit.
-#[test]
-fn tap_ceiling_bounds_the_snapshot_it_finishes() {
-    use wgtt::phy::{DeploymentConfig, EsnrMemo, LinkConfig, Position, WirelessLink};
+/// Seeded links for the ceiling properties: shadowing off (seed 0) and on,
+/// the default tap shape and a 3-tap, 19-sinusoid one, at every AP; each
+/// with a stream of draws for points.
+fn ceiling_links() -> Vec<(wgtt::phy::WirelessLink, SimRng)> {
+    use wgtt::phy::{DeploymentConfig, LinkConfig, WirelessLink};
     let dep = DeploymentConfig::default().build();
-    let mut gains = Vec::new();
+    let mut out = Vec::new();
     for seed in 0..4u64 {
         let mut cfg = LinkConfig::default();
         cfg.shadowing.sigma_db = seed as f64 * 2.0;
-        // An odd tap/sinusoid shape beside the default one.
         if seed % 2 == 1 {
             cfg.fading.num_taps = 3;
             cfg.fading.num_sinusoids = 19;
         }
         let root = SimRng::new(0x7a9 + seed);
-        let mut draw = root.fork("points");
         for (a, site) in dep.aps.iter().enumerate() {
             let mut r = root.fork_indexed("link", a as u64);
             let link = WirelessLink::new(*site, cfg.clone(), &mut r);
-            for _ in 0..150 {
-                let pos = Position::new(draw.range(-40.0..140.0), draw.range(2.0..10.0), 1.5);
-                let speed = draw.range(0.0..40.0);
-                let t = SimTime::from_nanos((draw.range(0.0..60.0) * 1e9) as u64);
+            out.push((link, root.fork_indexed("points", a as u64)));
+        }
+    }
+    out
+}
 
-                link.tap_gains(t, speed, &mut gains);
-                let split = link.csi_from_gains(&pos, &gains);
-                let whole = link.csi(t, &pos, speed);
-                assert_eq!(split.mean_snr_db.to_bits(), whole.mean_snr_db.to_bits());
-                for (x, y) in split.h.iter().zip(&whole.h) {
-                    assert_eq!(x.re.to_bits(), y.re.to_bits(), "ap {a} t={t}");
-                    assert_eq!(x.im.to_bits(), y.im.to_bits(), "ap {a} t={t}");
-                }
+/// A point on or off the road, a speed from rest to 90 mph and an instant
+/// in the first minute.
+fn ceiling_point(draw: &mut SimRng) -> (wgtt::phy::Position, f64, SimTime) {
+    let pos = wgtt::phy::Position::new(draw.range(-40.0..140.0), draw.range(2.0..10.0), 1.5);
+    let speed = draw.range(0.0..40.0);
+    let t = SimTime::from_nanos((draw.range(0.0..60.0) * 1e9) as u64);
+    (pos, speed, t)
+}
 
-                let ceiling = link.gains_ceiling_db(&pos, &gains);
-                let best_tone = EsnrMemo::new(&whole).best_tone_db();
+/// Two memos agree bit for bit: the best tone and the ESNR of every
+/// modulation.
+fn assert_same_memo(mut got: wgtt::phy::EsnrMemo, mut want: wgtt::phy::EsnrMemo, what: &str) {
+    use wgtt::phy::Modulation;
+    assert_eq!(
+        got.best_tone_db().to_bits(),
+        want.best_tone_db().to_bits(),
+        "{what}"
+    );
+    for m in Modulation::ALL {
+        assert_eq!(
+            got.esnr_db(m).to_bits(),
+            want.esnr_db(m).to_bits(),
+            "{what} {m:?}"
+        );
+    }
+}
+
+/// The oracle's tap ceiling (`core/oracle.rs`) is sound and its split
+/// snapshot exact: for seeded links, positions, speeds and instants,
+/// `gains_ceiling_db` is never below the finished snapshot's best tone —
+/// itself a ceiling on the ESNR of every modulation — and `memo` and
+/// `memo_from_gains` are the memo of `csi`'s snapshot bit for bit.
+#[test]
+fn tap_ceiling_bounds_the_snapshot_it_finishes() {
+    use wgtt::phy::EsnrMemo;
+    let mut gains = Vec::new();
+    for (a, (link, mut draw)) in ceiling_links().into_iter().enumerate() {
+        for _ in 0..150 {
+            let (pos, speed, t) = ceiling_point(&mut draw);
+            let what = format!("link {a} t={t}");
+            let whole = link.csi(t, &pos, speed);
+            let reach = link.tap_gains(t, speed, &mut gains);
+            assert_same_memo(
+                link.memo_from_gains(&pos, &gains),
+                EsnrMemo::new(&whole),
+                &what,
+            );
+            assert_same_memo(link.memo(t, &pos, speed), EsnrMemo::new(&whole), &what);
+
+            let ceiling = link.gains_ceiling_db(&pos, reach);
+            let best_tone = EsnrMemo::new(&whole).best_tone_db();
+            assert!(ceiling >= best_tone, "{what}: {ceiling} < {best_tone}");
+        }
+    }
+}
+
+/// The oracle's remembered-reach ceiling is sound from whatever a link
+/// remembers: the reach of taps evaluated at one `(t, speed)` bounds the
+/// reach — so the tap ceiling, so the best tone — at any later instant,
+/// any earlier one and any other speed, near the remembered instant, where
+/// it prunes, and far from it.
+#[test]
+fn remembered_reach_bounds_any_other_instant_and_speed() {
+    let mut gains = Vec::new();
+    for (a, (link, mut draw)) in ceiling_links().into_iter().enumerate() {
+        assert_eq!(
+            link.reach_ceiling_db(SimTime::ZERO, &ceiling_point(&mut draw).0, 10.0),
+            f64::INFINITY,
+            "link {a} remembered nothing yet"
+        );
+        for _ in 0..10 {
+            let (pos, speed0, t0) = ceiling_point(&mut draw);
+            for k in 0..12u64 {
+                // 1 µs to 2 s either side, at the same speed or another.
+                let dt = SimDuration::from_micros(1 + k * k * k * 1_200);
+                let t = if k % 2 == 0 { t0 + dt } else { t0 - dt };
+                let speed = if k % 3 == 0 {
+                    speed0
+                } else {
+                    draw.range(0.0..40.0)
+                };
+                link.tap_gains(t0, speed0, &mut gains);
+                let ceiling = link.reach_ceiling_db(t, &pos, speed);
+                let reach = link.tap_gains(t, speed, &mut gains);
+                let tap_ceiling = link.gains_ceiling_db(&pos, reach);
+                let best_tone = link.memo(t, &pos, speed).best_tone_db();
+                let what =
+                    format!("link {a}: remembered at t={t0} {speed0} m/s, at t={t} {speed} m/s");
+                assert!(ceiling >= tap_ceiling, "{what}: {ceiling} < {tap_ceiling}");
                 assert!(
                     ceiling >= best_tone,
-                    "ap {a} t={t}: {ceiling} < {best_tone}"
+                    "{what}: {ceiling} < best tone {best_tone}"
                 );
             }
         }
+    }
+}
+
+/// Oracle samples, each with the crashed-AP set at its tick.
+type Stream = Vec<(wgtt::core::oracle::Sample, Vec<bool>)>;
+
+/// A world's `links[ap][client]`.
+type Links = Vec<Vec<wgtt::phy::WirelessLink>>;
+
+/// Per-sample oracle inputs of a hand-driven world, as its accuracy tick
+/// records them: three vehicles a few seconds apart through the default
+/// deployment, `faults` applied, one sample per vehicle per millisecond.
+/// Returns the samples with their crashed-AP sets, the run's links (each
+/// remembering where it last evaluated its taps, later than any sample)
+/// and untouched links of the same seed.
+fn recorded_stream(faults: FaultSchedule, seconds: u64) -> (Stream, Links, Links) {
+    use wgtt::core::config::SystemConfig;
+    use wgtt::core::oracle::Sample;
+    use wgtt::core::world::{prime_events, WgttWorld};
+    use wgtt::phy::mobility::ConstantSpeed;
+    use wgtt::phy::Trajectory;
+    use wgtt::sim::Simulator;
+    let cfg = SystemConfig::default();
+    let dep = cfg.deployment.build();
+    let world = |faults: FaultSchedule| {
+        let convoy: Vec<Box<dyn Trajectory>> = [(25.0, 4.0), (35.0, 20.0), (15.0, -6.0)]
+            .iter()
+            .map(|&(mph, lead_in)| {
+                Box::new(ConstantSpeed::drive_by(&dep, mph, lead_in)) as Box<dyn Trajectory>
+            })
+            .collect();
+        let end = SimTime::from_secs(seconds);
+        let mut w = WgttWorld::new(cfg.clone(), convoy, 29, end, false);
+        w.faults = faults;
+        w
+    };
+    let untouched = world(FaultSchedule::new()).links;
+    let mut sim = Simulator::new(world(faults.clone()));
+    prime_events(&mut sim);
+    let mut samples = Vec::new();
+    for k in 0..seconds * 1000 {
+        let t = SimTime::from_micros(500 + k * 1000);
+        sim.run_until(t);
+        let down: Vec<bool> = (0..dep.aps.len()).map(|ap| faults.ap_down(ap, t)).collect();
+        for (c, client) in sim.world().clients.iter().enumerate() {
+            let sample = Sample {
+                t,
+                client: c as u32,
+                serving: client.serving.map(|a| a.0),
+                pos: client.position(t),
+                speed: client.speed(t),
+            };
+            samples.push((sample, down.clone()));
+        }
+    }
+    (samples, sim.world().links.clone(), untouched)
+}
+
+/// What `link` remembers cannot change a verdict: a recorded convoy stream
+/// and a recorded storm stream (APs flapping under the same convoy) give
+/// the same verdicts, to the bit, evaluated in order on links that carry
+/// state from later instants, in reverse order, and on a fresh clone of
+/// untouched links per sample with no warm-start hint.
+#[test]
+fn oracle_verdicts_do_not_depend_on_remembered_state() {
+    use wgtt::core::config::SystemConfig;
+    use wgtt::core::oracle::{evaluate, Verdict};
+    use wgtt::phy::WirelessLink;
+    let cfg = SystemConfig::default();
+    let bits = |v: Option<Verdict>| {
+        v.map(|v| {
+            (
+                v.best_cap.to_bits(),
+                v.loss.to_bits(),
+                v.has_serving,
+                v.optimal,
+            )
+        })
+    };
+    let storm = FaultSchedule::new()
+        .with_ap_flapping(
+            2,
+            SimTime::from_millis(200),
+            SimTime::from_millis(1700),
+            SimDuration::from_millis(90),
+            0.4,
+        )
+        .with_ap_flapping(
+            4,
+            SimTime::from_millis(900),
+            SimTime::from_secs(3),
+            SimDuration::from_millis(130),
+            0.5,
+        )
+        .with_ap_outage(3, SimTime::from_millis(1500), SimTime::from_millis(2300));
+    for (what, faults) in [("convoy", FaultSchedule::new()), ("storm", storm)] {
+        let (samples, mut kept, untouched) = recorded_stream(faults, 3);
+        let mut gains = Vec::new();
+        let fresh: Vec<_> = samples
+            .iter()
+            .map(|(s, down)| {
+                let c = s.client as usize;
+                let links: Vec<WirelessLink> = untouched.iter().map(|row| row[c].clone()).collect();
+                bits(evaluate(
+                    s,
+                    down,
+                    |ap| &links[ap],
+                    &cfg,
+                    &mut None,
+                    &mut gains,
+                ))
+            })
+            .collect();
+        let mut replay = |links: &Links, order: &mut dyn Iterator<Item = usize>| {
+            let mut warm = [None; 3];
+            let mut out = vec![None; samples.len()];
+            for i in order {
+                let (s, down) = &samples[i];
+                let c = s.client as usize;
+                let v = evaluate(s, down, |ap| &links[ap][c], &cfg, &mut warm[c], &mut gains);
+                out[i] = bits(v);
+            }
+            out
+        };
+        assert_eq!(
+            replay(&kept, &mut (0..samples.len())),
+            fresh,
+            "{what}, in order"
+        );
+        kept.clone_from(&untouched);
+        assert_eq!(
+            replay(&kept, &mut (0..samples.len()).rev()),
+            fresh,
+            "{what}, reversed"
+        );
+        assert!(
+            fresh.iter().any(|v| v.is_some_and(|v| !v.3)),
+            "{what}: never suboptimal"
+        );
     }
 }
