@@ -13,6 +13,7 @@
 use crate::common::save_json;
 use serde::Serialize;
 use wgtt_core::selection::{ApSelector, SelectionConfig, WindowEstimator};
+use wgtt_core::world::RANGE_FLOOR_DB;
 use wgtt_core::SystemConfig;
 use wgtt_net::ApId;
 use wgtt_phy::{controller_esnr_db, ConstantSpeed, GuardInterval, Trajectory, WirelessLink};
@@ -76,7 +77,7 @@ pub fn record_drive(seed: u64, mph: f64) -> RecordedDrive {
             for (a, l) in links.iter().enumerate() {
                 let csi = l.csi(t, &pos, speed);
                 let e = controller_esnr_db(&csi);
-                if e > cfg.range_floor_db {
+                if e > RANGE_FLOOR_DB {
                     let std = (4.0 - e / 8.0).clamp(1.2, 4.0);
                     readings.push((t, a, e + noise.normal(0.0, std)));
                 }

@@ -26,6 +26,9 @@ pub const NIC_QUEUE_CAP: usize = 32;
 /// Retry limit for one MPDU at the link layer.
 pub const MPDU_RETRY_LIMIT: u32 = 7;
 
+/// Guard interval of every transmission (the testbed runs short GI).
+pub(crate) const GUARD_INTERVAL: GuardInterval = GuardInterval::Short;
+
 /// Default bound on the degraded-mode uplink buffer: packets an AP holds
 /// for the controller while it is crashed (the
 /// [`crate::config::SystemConfig::degraded_uplink_cap`] knob's default).
@@ -106,6 +109,26 @@ pub enum Role {
     },
 }
 
+impl Default for ApClientState {
+    /// Fresh state for a newly known client.
+    fn default() -> Self {
+        ApClientState {
+            assoc: ApAssoc::new(),
+            cyclic: CyclicQueue::new(),
+            serving: false,
+            draining: false,
+            drain_cyclic: false,
+            scoreboard: TxScoreboard::new(0),
+            ratectl: MinstrelLite::new(GUARD_INTERVAL),
+            nic_queue: VecDeque::new(),
+            last_csi_report: None,
+            seen_bas: HashSet::new(),
+            monitor: true,
+            guard: ApSwitchGuard::default(),
+        }
+    }
+}
+
 impl ApClientState {
     /// Sets the three role flags together.
     pub fn set_role(&mut self, role: Role) {
@@ -114,24 +137,6 @@ impl ApClientState {
             Role::Serving => (true, false, false),
             Role::Draining { cyclic } => (false, true, cyclic),
         };
-    }
-
-    /// Fresh state for a newly known client.
-    pub fn new(gi: GuardInterval) -> Self {
-        ApClientState {
-            assoc: ApAssoc::new(),
-            cyclic: CyclicQueue::new(),
-            serving: false,
-            draining: false,
-            drain_cyclic: false,
-            scoreboard: TxScoreboard::new(0),
-            ratectl: MinstrelLite::new(gi),
-            nic_queue: VecDeque::new(),
-            last_csi_report: None,
-            seen_bas: HashSet::new(),
-            monitor: true,
-            guard: ApSwitchGuard::default(),
-        }
     }
 
     /// Moves packets from the cyclic queue into the NIC queue up to its
@@ -309,12 +314,12 @@ impl ApState {
     }
 
     /// Gets or creates the state for a client.
-    pub fn client_mut(&mut self, client: ClientId, gi: GuardInterval) -> &mut ApClientState {
+    pub fn client_mut(&mut self, client: ClientId) -> &mut ApClientState {
         let i = client.0 as usize;
         if self.clients.len() <= i {
             self.clients.resize_with(i + 1, || None);
         }
-        self.clients[i].get_or_insert_with(|| ApClientState::new(gi))
+        self.clients[i].get_or_insert_with(ApClientState::default)
     }
 
     /// Whether the AP radio has any pending downlink work.
@@ -372,7 +377,7 @@ mod tests {
     #[test]
     fn refill_moves_cyclic_to_nic() {
         let mut f = PacketFactory::new();
-        let mut s = ApClientState::new(GuardInterval::Short);
+        let mut s = ApClientState::default();
         for i in 0..10 {
             s.cyclic.insert(pkt(&mut f, i));
         }
@@ -387,7 +392,7 @@ mod tests {
     #[test]
     fn refill_respects_cap() {
         let mut f = PacketFactory::new();
-        let mut s = ApClientState::new(GuardInterval::Short);
+        let mut s = ApClientState::default();
         for i in 0..(NIC_QUEUE_CAP as u16 + 50) {
             s.cyclic.insert(pkt(&mut f, i));
         }
@@ -400,7 +405,7 @@ mod tests {
     #[test]
     fn first_unsent_excludes_nic_queue() {
         let mut f = PacketFactory::new();
-        let mut s = ApClientState::new(GuardInterval::Short);
+        let mut s = ApClientState::default();
         for i in 0..10 {
             s.cyclic.insert(pkt(&mut f, i));
         }
@@ -421,10 +426,10 @@ mod tests {
 
     #[test]
     fn idle_client_has_no_work() {
-        let s = ApClientState::new(GuardInterval::Short);
+        let s = ApClientState::default();
         assert!(!s.has_downlink_work());
         let mut f = PacketFactory::new();
-        let mut s2 = ApClientState::new(GuardInterval::Short);
+        let mut s2 = ApClientState::default();
         s2.cyclic.insert(pkt(&mut f, 0));
         // Not serving, not draining: buffered but silent.
         assert!(!s2.has_downlink_work());
@@ -435,7 +440,7 @@ mod tests {
     #[test]
     fn draining_state_has_work_until_empty() {
         let mut f = PacketFactory::new();
-        let mut s = ApClientState::new(GuardInterval::Short);
+        let mut s = ApClientState::default();
         s.cyclic.insert(pkt(&mut f, 0));
         s.serving = true;
         s.refill_nic();
@@ -455,7 +460,7 @@ mod tests {
         let mut f0 = PacketFactory::new();
         let mut ap = ApState::new(ApId(0));
         for c in 0..3u32 {
-            let st = ap.client_mut(ClientId(c), GuardInterval::Short);
+            let st = ap.client_mut(ClientId(c));
             st.serving = true;
             let mut p = f0.make(
                 ClientId(c),
@@ -507,7 +512,7 @@ mod tests {
     #[test]
     fn pick_skips_idle_clients() {
         let mut ap = ApState::new(ApId(0));
-        ap.client_mut(ClientId(0), GuardInterval::Short);
+        ap.client_mut(ClientId(0));
         assert_eq!(ap.pick_client(), None);
         assert!(!ap.has_work());
     }

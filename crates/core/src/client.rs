@@ -6,15 +6,18 @@
 //! ACKs, UDP data, probes, management), and — in baseline mode — runs the
 //! Enhanced 802.11r roaming logic off beacon RSSI measurements.
 
+use crate::ap::GUARD_INTERVAL;
 use crate::metrics::ClientMetrics;
 use std::collections::{HashMap, VecDeque};
 use wgtt_mac::blockack::RxReorder;
 use wgtt_mac::dcf::Backoff;
 use wgtt_net::{ApId, ClientId, FlowId, Packet, TcpReceiver, UdpSink};
-use wgtt_phy::mcs::GuardInterval;
 use wgtt_phy::{MinstrelLite, Position, Trajectory};
 use wgtt_sim::stats::Ewma;
 use wgtt_sim::{SimDuration, SimTime};
+
+/// Width of the bins a client's throughput timeline is kept in.
+const METRICS_BIN: SimDuration = SimDuration::from_millis(100);
 
 /// An uplink frame waiting for the air, with retry accounting.
 #[derive(Debug, Clone)]
@@ -102,13 +105,7 @@ pub struct DeliveryRecord {
 
 impl ClientState {
     /// Creates a client.
-    pub fn new(
-        id: ClientId,
-        trajectory: Box<dyn Trajectory>,
-        gi: GuardInterval,
-        metrics_bin: SimDuration,
-        log_deliveries: bool,
-    ) -> Self {
+    pub fn new(id: ClientId, trajectory: Box<dyn Trajectory>, log_deliveries: bool) -> Self {
         ClientState {
             id,
             trajectory,
@@ -116,14 +113,14 @@ impl ClientState {
             rx_reorder: RxReorder::new(0),
             rx_buffer: HashMap::new(),
             uplink_queue: VecDeque::new(),
-            ratectl: MinstrelLite::new(gi),
+            ratectl: MinstrelLite::new(GUARD_INTERVAL),
             backoff: Backoff::default(),
             next_ul_seq: 0,
             last_uplink_tx: SimTime::ZERO,
             tcp_rx: HashMap::new(),
             last_ack_sent: HashMap::new(),
             udp_sink: HashMap::new(),
-            metrics: ClientMetrics::new(metrics_bin),
+            metrics: ClientMetrics::new(METRICS_BIN),
             rssi: HashMap::new(),
             last_roam: None,
             roam: None,
@@ -202,8 +199,6 @@ mod tests {
             Box::new(Stationary {
                 position: Position::new(1.0, 2.0, 1.5),
             }),
-            GuardInterval::Short,
-            SimDuration::from_millis(100),
             true,
         )
     }
@@ -272,8 +267,6 @@ mod tests {
             Box::new(Stationary {
                 position: Position::new(0.0, 0.0, 0.0),
             }),
-            GuardInterval::Short,
-            SimDuration::from_millis(100),
             false,
         );
         quiet.log_delivery(DeliveryRecord {

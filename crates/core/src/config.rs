@@ -1,10 +1,11 @@
-//! Experiment configuration: every knob of the reproduced system.
+//! Experiment configuration: the values an experiment, an ablation or a
+//! calibration varies. A value every run shares is a constant beside its
+//! one user instead (the AP processing delays in `switching`, the range
+//! floor in `world`, the CSI and probe cadences in the world's layers).
 
 use crate::selection::SelectionConfig;
-use crate::switching::SwitchTimings;
 use wgtt_phy::geom::DeploymentConfig;
 use wgtt_phy::link::LinkConfig;
-use wgtt_phy::mcs::GuardInterval;
 use wgtt_phy::PerModel;
 use wgtt_sim::SimDuration;
 
@@ -22,19 +23,12 @@ pub enum Mode {
 /// Parameters of the Enhanced 802.11r baseline.
 #[derive(Debug, Clone, Copy)]
 pub struct BaselineConfig {
-    /// Beacon interval (paper: 100 ms).
-    pub beacon_interval: SimDuration,
     /// RSSI (mean-SNR) threshold below which the client roams, dB.
     pub rssi_threshold_db: f64,
     /// Minimum time between client switches (paper: 1 s).
     pub hysteresis: SimDuration,
     /// EWMA weight for beacon RSSI smoothing.
     pub rssi_ewma_alpha: f64,
-    /// Over-the-air reassociation exchange retry limit before the attempt
-    /// is abandoned (the client then re-scans).
-    pub reassoc_retries: u32,
-    /// Gap between reassociation retries.
-    pub reassoc_retry_gap: SimDuration,
     /// Downtime between the reassociation exchange completing and data
     /// flowing through the new AP: key installation, bridge/forwarding
     /// table updates at the controller and switch. Commercial
@@ -46,12 +40,9 @@ pub struct BaselineConfig {
 impl Default for BaselineConfig {
     fn default() -> Self {
         BaselineConfig {
-            beacon_interval: SimDuration::from_millis(100),
             rssi_threshold_db: 5.0,
             hysteresis: SimDuration::from_secs(1),
             rssi_ewma_alpha: 0.3,
-            reassoc_retries: 6,
-            reassoc_retry_gap: SimDuration::from_millis(20),
             handover_latency: SimDuration::from_millis(400),
         }
     }
@@ -122,14 +113,10 @@ pub struct SystemConfig {
     pub mode: Mode,
     /// AP-selection parameters (window W, hysteresis, estimator).
     pub selection: SelectionConfig,
-    /// Switch-protocol processing-delay model.
-    pub switch_timings: SwitchTimings,
     /// PHY link parameters shared by all links.
     pub link: LinkConfig,
     /// AP array geometry.
     pub deployment: DeploymentConfig,
-    /// Guard interval (testbed uses short GI).
-    pub gi: GuardInterval,
     /// ESNR→PER waterfall.
     pub per_model: PerModel,
     /// Baseline parameters (used when `mode == Enhanced80211r`).
@@ -151,24 +138,7 @@ pub struct SystemConfig {
     /// false only the serving AP forwards (the Fig 18 single-link case).
     pub uplink_diversity: bool,
 
-    // --- plumbing parameters ---
-    /// Mean SNR floor below which frames are never received at all, dB.
-    pub range_floor_db: f64,
-    /// Minimum spacing of CSI reports per (AP, client) link — bounds
-    /// control traffic, mirrors the CSI tool's per-frame reporting at
-    /// realistic frame rates.
-    pub csi_report_interval: SimDuration,
-    /// Client sends a null (keep-alive) frame if it has been silent this
-    /// long, keeping CSI flowing when no uplink data exists.
-    pub probe_interval: SimDuration,
-    /// Controller evaluates AP selection at this cadence.
-    pub selection_tick: SimDuration,
-    /// One-way latency between the traffic server and the controller
-    /// (paper caches content on a local server).
-    pub server_latency: SimDuration,
-    /// Extra delay applied to control packets at a busy AP when
-    /// `control_priority` is off.
-    pub no_priority_penalty: SimDuration,
+    // --- channel plan and fault handling ---
     /// Inter-AP backhaul control-message loss probability (exercises the
     /// 30 ms stop-retransmission path).
     pub control_loss_prob: f64,
@@ -193,10 +163,8 @@ impl Default for SystemConfig {
         SystemConfig {
             mode: Mode::Wgtt,
             selection: SelectionConfig::default(),
-            switch_timings: SwitchTimings::default(),
             link: LinkConfig::default(),
             deployment: DeploymentConfig::default(),
-            gi: GuardInterval::Short,
             per_model: PerModel::default(),
             baseline: BaselineConfig::default(),
             flush_on_switch: true,
@@ -204,12 +172,6 @@ impl Default for SystemConfig {
             uplink_dedup: true,
             control_priority: true,
             uplink_diversity: true,
-            range_floor_db: -2.0,
-            csi_report_interval: SimDuration::from_millis(1),
-            probe_interval: SimDuration::from_millis(10),
-            selection_tick: SimDuration::from_millis(1),
-            server_latency: SimDuration::from_millis(1),
-            no_priority_penalty: SimDuration::from_millis(15),
             control_loss_prob: 0.0,
             channel_stride: 1,
             degraded_uplink_cap: crate::ap::DEGRADED_UPLINK_CAP,
@@ -242,7 +204,6 @@ mod tests {
         let c = SystemConfig::default();
         assert_eq!(c.mode, Mode::Wgtt);
         assert_eq!(c.selection.window, SimDuration::from_millis(10));
-        assert_eq!(c.baseline.beacon_interval, SimDuration::from_millis(100));
         assert_eq!(c.baseline.hysteresis, SimDuration::from_secs(1));
         assert_eq!(c.deployment.num_aps, 8);
         assert!((c.deployment.ap_spacing_m - 7.5).abs() < 1e-12);

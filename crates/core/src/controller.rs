@@ -9,7 +9,7 @@
 
 use crate::cyclic::IndexAllocator;
 use crate::dedup::Deduplicator;
-use crate::health::{ApHealth, HealthConfig};
+use crate::health::ApHealth;
 use crate::recovery::{resync_verdicts, ResyncAction};
 use crate::replica::ClientJournalState;
 use crate::selection::{ApSelector, SelectionConfig};
@@ -46,7 +46,7 @@ impl ControllerState {
             serving: HashMap::new(),
             engine: SwitchEngine::new(),
             dedup: Deduplicator::default(),
-            health: ApHealth::new(HealthConfig::default()),
+            health: ApHealth::default(),
         }
     }
 
@@ -110,7 +110,7 @@ impl ControllerState {
         self.serving.clear();
         self.engine.crash_wipe();
         self.dedup = Deduplicator::default();
-        self.health = ApHealth::new(HealthConfig::default());
+        self.health = ApHealth::default();
     }
 
     /// Rebuilds the controller's state from the APs' resync replies (the

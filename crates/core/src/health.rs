@@ -8,57 +8,37 @@
 //! per-AP verdict the selection layer consumes:
 //!
 //! * **CSI staleness** — an AP that has reported at least once but has
-//!   been silent longer than `csi_staleness` is *stale*. If the serving
+//!   been silent for `CSI_STALENESS` (120 ms) is *stale*. If the serving
 //!   AP is stale while other APs still report fresh CSI, the serving AP
 //!   is presumed dead and the controller performs an emergency re-attach
 //!   instead of addressing `stop` messages to a corpse.
-//! * **Abandon blacklisting** — an AP implicated in `abandon_threshold`
-//!   abandoned switches is blacklisted for `blacklist_cooldown`; the
-//!   selector excludes blacklisted APs so the controller never re-wedges
-//!   on a dead target. Any CSI heard from a blacklisted AP is proof of
-//!   life and lifts the blacklist early.
+//! * **Abandon blacklisting** — an AP implicated in an abandoned switch
+//!   is blacklisted for `BLACKLIST_COOLDOWN` (1 s); the selector excludes
+//!   blacklisted APs so the controller never re-wedges on a dead target.
+//!   Any CSI heard from a blacklisted AP is proof of life and lifts the
+//!   blacklist early.
 
 use std::collections::HashMap;
 use wgtt_net::ApId;
 use wgtt_sim::{SimDuration, SimTime};
 
-/// Health-tracking knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthConfig {
-    /// An AP silent this long (after having reported at least once) is
-    /// considered stale. Must sit well above the CSI report interval
-    /// (1 ms) and the selection window (10 ms) so range-driven silence
-    /// during normal driving does not trip it before selection has
-    /// already switched away.
-    pub csi_staleness: SimDuration,
-    /// How long an abandoned-switch blacklist entry lasts without proof
-    /// of life.
-    pub blacklist_cooldown: SimDuration,
-    /// Abandoned switches implicating an AP before it is blacklisted.
-    pub abandon_threshold: u32,
-}
+/// An AP silent this long (after having reported at least once) is
+/// considered stale. Sits well above the CSI report interval (1 ms) and
+/// the selection window (10 ms) so range-driven silence during normal
+/// driving does not trip it before selection has already switched away.
+const CSI_STALENESS: SimDuration = SimDuration::from_millis(120);
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            csi_staleness: SimDuration::from_millis(120),
-            blacklist_cooldown: SimDuration::from_secs(1),
-            abandon_threshold: 1,
-        }
-    }
-}
+/// How long an abandoned-switch blacklist entry lasts without proof of
+/// life.
+const BLACKLIST_COOLDOWN: SimDuration = SimDuration::from_secs(1);
 
 /// Per-AP liveness state at the controller.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ApHealth {
-    cfg: HealthConfig,
     /// Most recent CSI report per AP (any client).
     last_csi: HashMap<ApId, SimTime>,
     /// Blacklist expiry per AP.
     blacklisted_until: HashMap<ApId, SimTime>,
-    /// Abandoned switches implicating each AP since its last proof of
-    /// life.
-    abandon_counts: HashMap<ApId, u32>,
     /// Highest switch epoch implicated in an abandon per AP. An `ack` is
     /// proof of life only if its epoch is *newer* — a late ack from the
     /// abandoned (or an earlier) generation must not un-blacklist a dead
@@ -67,28 +47,11 @@ pub struct ApHealth {
 }
 
 impl ApHealth {
-    /// Creates a tracker.
-    pub fn new(cfg: HealthConfig) -> Self {
-        ApHealth {
-            cfg,
-            last_csi: HashMap::new(),
-            blacklisted_until: HashMap::new(),
-            abandon_counts: HashMap::new(),
-            abandon_epochs: HashMap::new(),
-        }
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
     /// Ingests a CSI report from `ap` — proof of life: clears any
-    /// blacklist entry and the abandon tally.
+    /// blacklist entry.
     pub fn on_csi(&mut self, ap: ApId, now: SimTime) {
         self.last_csi.insert(ap, now);
         self.blacklisted_until.remove(&ap);
-        self.abandon_counts.remove(&ap);
     }
 
     /// Time of the last CSI report from `ap`.
@@ -102,24 +65,15 @@ impl ApHealth {
     pub fn csi_stale(&self, ap: ApId, now: SimTime) -> bool {
         self.last_csi
             .get(&ap)
-            .is_some_and(|&t| now.saturating_since(t) >= self.cfg.csi_staleness)
+            .is_some_and(|&t| now.saturating_since(t) >= CSI_STALENESS)
     }
 
     /// Records that an abandoned switch of generation `epoch` implicated
-    /// `ap`; blacklists it once the tally reaches the threshold. Returns
-    /// whether the AP is blacklisted afterwards.
-    pub fn on_abandon(&mut self, ap: ApId, now: SimTime, epoch: u32) -> bool {
+    /// `ap`, and blacklists it.
+    pub fn on_abandon(&mut self, ap: ApId, now: SimTime, epoch: u32) {
         let e = self.abandon_epochs.entry(ap).or_insert(0);
         *e = (*e).max(epoch);
-        let count = self.abandon_counts.entry(ap).or_insert(0);
-        *count += 1;
-        if *count >= self.cfg.abandon_threshold {
-            self.blacklisted_until
-                .insert(ap, now + self.cfg.blacklist_cooldown);
-            true
-        } else {
-            false
-        }
+        self.blacklisted_until.insert(ap, now + BLACKLIST_COOLDOWN);
     }
 
     /// Ingests a *validated* switch/re-attach completion from `ap` as
@@ -132,7 +86,6 @@ impl ApHealth {
         if epoch <= self.abandon_epochs.get(&ap).copied().unwrap_or(0) {
             return false;
         }
-        self.abandon_counts.remove(&ap);
         self.blacklisted_until.remove(&ap).is_some()
     }
 
@@ -172,7 +125,7 @@ mod tests {
     }
 
     fn tracker() -> ApHealth {
-        ApHealth::new(HealthConfig::default())
+        ApHealth::default()
     }
 
     #[test]
@@ -194,7 +147,7 @@ mod tests {
     #[test]
     fn abandon_blacklists_until_cooldown() {
         let mut h = tracker();
-        assert!(h.on_abandon(ApId(3), t(100), 1));
+        h.on_abandon(ApId(3), t(100), 1);
         assert!(h.is_blacklisted(ApId(3), t(100)));
         assert!(h.is_blacklisted(ApId(3), t(1099)));
         assert!(!h.is_blacklisted(ApId(3), t(1100)));
@@ -209,29 +162,6 @@ mod tests {
         assert!(h.is_blacklisted(ApId(2), t(200)));
         h.on_csi(ApId(2), t(300));
         assert!(!h.is_blacklisted(ApId(2), t(300)));
-        // The abandon tally also resets.
-        let mut strict = ApHealth::new(HealthConfig {
-            abandon_threshold: 2,
-            ..HealthConfig::default()
-        });
-        strict.on_abandon(ApId(1), t(0), 1);
-        strict.on_csi(ApId(1), t(10));
-        assert!(
-            !strict.on_abandon(ApId(1), t(20), 2),
-            "tally should restart"
-        );
-        assert!(strict.on_abandon(ApId(1), t(30), 3));
-    }
-
-    #[test]
-    fn threshold_above_one_requires_repeats() {
-        let mut h = ApHealth::new(HealthConfig {
-            abandon_threshold: 3,
-            ..HealthConfig::default()
-        });
-        assert!(!h.on_abandon(ApId(5), t(10), 1));
-        assert!(!h.on_abandon(ApId(5), t(20), 2));
-        assert!(h.on_abandon(ApId(5), t(30), 3));
     }
 
     /// A late ack from the abandoned epoch (duplicated or reordered on
@@ -240,7 +170,7 @@ mod tests {
     #[test]
     fn stale_epoch_ack_cannot_unblacklist() {
         let mut h = tracker();
-        assert!(h.on_abandon(ApId(4), t(100), 7));
+        h.on_abandon(ApId(4), t(100), 7);
         assert!(h.is_blacklisted(ApId(4), t(200)));
         assert!(!h.on_ack_proof(ApId(4), 7), "abandoned epoch is stale");
         assert!(!h.on_ack_proof(ApId(4), 3), "older epoch is stale");

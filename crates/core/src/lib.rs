@@ -11,7 +11,7 @@
 //! * [`controller`] — the controller state tying those together;
 //! * [`ap`] / [`client`] — per-node state including NIC queues, Block ACK
 //!   scoreboards, and (for clients) transport endpoints;
-//! * [`config`] — every knob, including ablation switches;
+//! * [`config`] — what an experiment varies, including ablation switches;
 //! * [`world`] — the discrete-event orchestration of radio, backhaul, and
 //!   control planes, runnable in WGTT or Enhanced-802.11r mode;
 //! * [`runner`] — scenario description and one-call experiment execution;
@@ -59,11 +59,11 @@ pub mod switching;
 pub mod world;
 
 pub use config::{BaselineConfig, Mode, SystemConfig};
-pub use health::{ApHealth, HealthConfig};
+pub use health::ApHealth;
 pub use runner::{run, ClientSpec, FlowSpec, RunResult, Scenario, TrajectorySpec};
 pub use selection::{ApSelector, SelectionConfig, WindowEstimator};
 pub use shard::{run_sharded, try_run_sharded, Migration, ShardedRunResult, ShardedScenario};
-pub use switching::{AbandonRecord, SwitchEngine, SwitchMsg, SwitchRecord, SwitchTimings};
+pub use switching::{AbandonRecord, SwitchEngine, SwitchMsg, SwitchRecord};
 pub use world::{
     prime_events, prime_migrant_events, Ev, FlowKind, MigrantFlow, MigrantSpec, WgttWorld,
 };

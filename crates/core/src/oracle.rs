@@ -30,8 +30,10 @@
 //! waiting, which bounds memory and balances load, and `Recorder::drain`
 //! finishes the rest before a run returns.
 
+use crate::ap::GUARD_INTERVAL;
 use crate::client::ClientState;
 use crate::config::SystemConfig;
+use crate::world::RANGE_FLOOR_DB;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 use wgtt_phy::{Cplx, EsnrMemo, Modulation, Position, WirelessLink};
@@ -116,7 +118,7 @@ pub fn evaluate<'a>(
 ) -> Option<Verdict> {
     let serving = s.serving.map(|a| a as usize);
     let mean_snr = |ap: usize| link(ap).mean_snr_db(&s.pos);
-    let in_radio_range = |ap: usize| mean_snr(ap) >= cfg.range_floor_db;
+    let in_radio_range = |ap: usize| mean_snr(ap) >= RANGE_FLOOR_DB;
     let hint = *warm;
     // `(ap, ESNR, its memo)` of the incumbent.
     let mut best: Option<(usize, f64, EsnrMemo)> = None;
@@ -174,7 +176,7 @@ pub fn evaluate<'a>(
     let (oracle, _, mut oracle_esnr) = best?;
     // Capacity-loss integral (Figs 4, 21): the best link's
     // instantaneous capacity minus what the serving link offers.
-    let gi = cfg.gi;
+    let gi = GUARD_INTERVAL;
     let best_cap = cfg.per_model.capacity_with(&mut oracle_esnr, gi, 1500);
     let serv_cap = match serving {
         Some(ap) if ap == oracle => best_cap,

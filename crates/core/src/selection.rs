@@ -15,14 +15,14 @@
 //! interval between switches, default 40 ms per Fig 22's best setting)
 //! bounds the switch rate so the 17–21 ms switching protocol can keep up.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wgtt_net::ApId;
 use wgtt_sim::stats::TimeWindow;
 use wgtt_sim::{SimDuration, SimTime};
 
 /// Which statistic of the window ranks APs — the paper uses the median;
 /// alternatives exist for the ablation study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum WindowEstimator {
     /// The paper's choice: `e_{⌊L/2⌋}` of the sorted window.
     Median,
@@ -33,7 +33,7 @@ pub enum WindowEstimator {
 }
 
 /// Selection algorithm parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct SelectionConfig {
     /// Sliding window duration `W`.
     pub window: SimDuration,

@@ -96,8 +96,6 @@ pub struct ShardedScenario {
     pub gap_m: f64,
     /// How far before a cluster's first AP a migrant is re-admitted, m.
     pub entry_lead_m: f64,
-    /// Lockstep epoch override; `None` derives [`Self::safe_epoch`].
-    pub epoch: Option<SimDuration>,
     /// `true` wraps the corridor into a ring: vehicles leaving the last
     /// cluster re-enter the first, keeping per-shard load constant (the
     /// benchmark's `corridor_ring` uses this).
@@ -155,7 +153,6 @@ impl ShardedScenario {
             seed,
             gap_m: 40.0,
             entry_lead_m: 4.0,
-            epoch: None,
             ring: true,
             shard_faults: Vec::new(),
             naive_handoff: false,
@@ -195,9 +192,6 @@ impl ShardedScenario {
     /// re-raises that validation error here rather than dividing by a
     /// non-positive guard.
     pub fn safe_epoch(&self) -> SimDuration {
-        if let Some(e) = self.epoch {
-            return e;
-        }
         if let Err(e) = self.validate() {
             panic!("{e}");
         }

@@ -16,11 +16,10 @@
 //! never issues a second switch for a client while one is in flight
 //! (footnote 2). Table 1 of the paper measures the full protocol at
 //! 17–21 ms mean — dominated by user-space Click and kernel `ioctl`
-//! processing at the APs, which [`SwitchTimings`] models as calibrated
-//! delay distributions.
+//! processing at the APs, which `SwitchTimings::TABLE1` models as
+//! calibrated delay distributions.
 
 use crate::replica::ClientJournalState;
-use serde::{Deserialize, Serialize};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use wgtt_net::{ApId, ClientId};
@@ -130,37 +129,34 @@ pub struct ResyncReply {
 /// AP-side processing-delay model for the switch protocol, calibrated so
 /// the end-to-end protocol time reproduces the paper's Table 1
 /// (mean 17–21 ms, σ 3–5 ms, flat across 50–90 Mbit/s offered load).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct SwitchTimings {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SwitchTimings {
     /// Old AP: user-space handling of `stop` + kernel `ioctl` round trip to
     /// learn the first-unsent index + backlog filtering. Normal mean, s.
-    pub stop_processing_mean_s: f64,
+    stop_processing_mean_s: f64,
     /// Standard deviation of the above.
-    pub stop_processing_std_s: f64,
+    stop_processing_std_s: f64,
     /// New AP: `start` handling and cyclic-queue head repositioning.
-    pub start_processing_mean_s: f64,
+    start_processing_mean_s: f64,
     /// Standard deviation of the above.
-    pub start_processing_std_s: f64,
+    start_processing_std_s: f64,
     /// Floor applied after sampling (processing can't be negative or
     /// instant).
-    pub floor_s: f64,
-}
-
-impl Default for SwitchTimings {
-    fn default() -> Self {
-        SwitchTimings {
-            stop_processing_mean_s: 0.009,
-            stop_processing_std_s: 0.0025,
-            start_processing_mean_s: 0.007,
-            start_processing_std_s: 0.0025,
-            floor_s: 0.001,
-        }
-    }
+    floor_s: f64,
 }
 
 impl SwitchTimings {
+    /// The calibration every run uses.
+    pub(crate) const TABLE1: SwitchTimings = SwitchTimings {
+        stop_processing_mean_s: 0.009,
+        stop_processing_std_s: 0.0025,
+        start_processing_mean_s: 0.007,
+        start_processing_std_s: 0.0025,
+        floor_s: 0.001,
+    };
+
     /// Samples the old AP's `stop` processing delay.
-    pub fn sample_stop(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample_stop(&self, rng: &mut SimRng) -> SimDuration {
         let s = rng
             .normal(self.stop_processing_mean_s, self.stop_processing_std_s)
             .max(self.floor_s);
@@ -168,7 +164,7 @@ impl SwitchTimings {
     }
 
     /// Samples the new AP's `start` processing delay.
-    pub fn sample_start(&self, rng: &mut SimRng) -> SimDuration {
+    pub(crate) fn sample_start(&self, rng: &mut SimRng) -> SimDuration {
         let s = rng
             .normal(self.start_processing_mean_s, self.start_processing_std_s)
             .max(self.floor_s);
@@ -943,7 +939,7 @@ mod tests {
     fn timings_land_in_table1_range() {
         // The sum of the modeled delays (plus ~1 ms of backhaul hops)
         // should average in the paper's 17–21 ms band with σ ≈ 3–5 ms.
-        let timings = SwitchTimings::default();
+        let timings = SwitchTimings::TABLE1;
         let mut rng = SimRng::new(42);
         let samples: Vec<f64> = (0..2000)
             .map(|_| {
@@ -963,7 +959,7 @@ mod tests {
         let timings = SwitchTimings {
             stop_processing_mean_s: 0.001,
             stop_processing_std_s: 0.05,
-            ..SwitchTimings::default()
+            ..SwitchTimings::TABLE1
         };
         let mut rng = SimRng::new(7);
         for _ in 0..500 {

@@ -43,6 +43,12 @@ enum NodeKey {
     Client(usize),
 }
 
+/// Mean SNR floor below which frames are never received at all, dB.
+pub const RANGE_FLOOR_DB: f64 = -2.0;
+/// Minimum spacing of CSI reports per (AP, client) link: bounds control
+/// traffic, and mirrors the CSI tool's per-frame reporting at realistic
+/// frame rates.
+const CSI_REPORT_INTERVAL: SimDuration = SimDuration::from_millis(1);
 /// Uplink burst size limit (client-side aggregation of small frames).
 const UPLINK_BURST: usize = 16;
 /// Client uplink retry limit.
@@ -251,7 +257,7 @@ impl WgttWorld {
     }
 
     pub(super) fn in_radio_range(&self, ap: usize, c: usize, t: SimTime) -> bool {
-        self.mean_snr(ap, c, t) >= self.cfg.range_floor_db
+        self.mean_snr(ap, c, t) >= RANGE_FLOOR_DB
     }
 
     pub(super) fn csi(&self, ap: usize, c: usize, t: SimTime) -> wgtt_phy::Csi {
@@ -329,10 +335,10 @@ impl WgttWorld {
         }
     }
 
-    /// Who has work, for the livelock tripwire and the `WGTT_TRACE` round
-    /// line: per AP with work each client's `(id, serving, draining, (NIC
-    /// queue, cyclic backlog), outstanding)`, per client with uplink work
-    /// its queue length, and the transmissions still on the air.
+    /// Who has work, for the livelock tripwire: per AP with work each
+    /// client's `(id, serving, draining, (NIC queue, cyclic backlog),
+    /// outstanding)`, per client with uplink work its queue length, and
+    /// the transmissions still on the air.
     fn work_summary(&self, now: SimTime) -> String {
         let per_client = |a: &ApState| -> Vec<_> {
             a.clients_iter()
@@ -389,9 +395,6 @@ impl WgttWorld {
             }
         } else {
             self.air.rounds_at_ts = (now, 0);
-        }
-        if self.trace {
-            eprintln!("[{now}] round: {}", self.work_summary(now));
         }
         // Gather contenders: nodes with pending frames whose radio is not
         // already mid-transmission. The active set is a handful of entries,
@@ -513,7 +516,6 @@ impl WgttWorld {
     /// round-robin order: the burst, its rate, and its airtime.
     fn build_ap_tx(&mut self, ap: usize, now: SimTime) -> Option<(Burst, Mcs, SimDuration)> {
         let client = self.aps[ap].pick_client()?;
-        let gi = self.cfg.gi;
         let max_dur = SimDuration::from_millis(4);
         let st = self.aps[ap].client_get_mut(client)?;
         if st.serving || (st.draining && st.drain_cyclic) {
@@ -532,7 +534,8 @@ impl WgttWorld {
             let wire = entry.packet.len_bytes + overhead::DOT11;
             lens.push(wire);
             let fits = mpdus.is_empty()
-                || (bytes + wire <= MAX_AMPDU_BYTES && ampdu_airtime(lens, mcs, gi) <= max_dur);
+                || (bytes + wire <= MAX_AMPDU_BYTES
+                    && ampdu_airtime(lens, mcs, GUARD_INTERVAL) <= max_dur);
             if !fits || (!entry.registered && st.scoreboard.available() == 0) {
                 // Does not go in this aggregate: back to the queue head.
                 lens.pop();
@@ -551,7 +554,7 @@ impl WgttWorld {
             self.air.free_mpdus.push(mpdus);
             return None;
         }
-        let airtime = ampdu_airtime(lens, mcs, gi);
+        let airtime = ampdu_airtime(lens, mcs, GUARD_INTERVAL);
         let burst = Burst::ApAggregate {
             ap,
             client: client.0 as usize,
@@ -591,9 +594,9 @@ impl WgttWorld {
         lens.clear();
         lens.extend(entries.iter().map(|e| e.packet.len_bytes + overhead::DOT11));
         let airtime = if lens.len() == 1 {
-            frame_airtime(lens[0], mcs, self.cfg.gi)
+            frame_airtime(lens[0], mcs, GUARD_INTERVAL)
         } else {
-            ampdu_airtime(lens, mcs, self.cfg.gi)
+            ampdu_airtime(lens, mcs, GUARD_INTERVAL)
         };
         cl.last_uplink_tx = start;
         Some((Burst::ClientBurst { client: c, entries }, mcs, airtime))
@@ -676,14 +679,7 @@ impl WgttWorld {
         // the per-modulation ESNR integrations across all of them.
         let mut esnr = self.memo(ap, c, start);
         let listening = self.client_listens_to(ap, c);
-        if self.trace {
-            eprintln!(
-                "[{now}] ap{ap} tx: seqs={:?} mcs={mcs} esnr_q16={:.1}",
-                mpdus.iter().map(|m| m.0).collect::<Vec<_>>(),
-                esnr.esnr_db(Modulation::Qam16)
-            );
-        }
-        let rate_mbps = mcs.data_rate_mbps(self.cfg.gi);
+        let rate_mbps = mcs.data_rate_mbps(GUARD_INTERVAL);
         let m = &mut self.clients[c].metrics;
         m.mpdu_attempts += mpdus.len() as u64;
         m.mpdu_retransmits += mpdus.iter().filter(|&&(_, _, r)| r > 1).count() as u64;
@@ -868,21 +864,6 @@ impl WgttWorld {
             ..
         } = scratch;
         let now = ctx.now();
-        if self.trace {
-            eprintln!(
-                "[{now}] client_tx c={c} n={} mcs={mcs} collided={collided} kinds={:?}",
-                entries.len(),
-                entries
-                    .iter()
-                    .map(|e| match e.packet.payload {
-                        Payload::TcpAck { .. } => 'A',
-                        Payload::Udp { .. } => 'U',
-                        Payload::Raw => 'P',
-                        _ => '?',
-                    })
-                    .collect::<String>()
-            );
-        }
         let client = ClientId(c as u32);
         // Reception per AP.
         got.clear();
@@ -916,15 +897,6 @@ impl WgttWorld {
 
         // Forwarding to the controller (uplink diversity).
         let serving = self.serving_of(c);
-        if self.trace {
-            eprintln!(
-                "   received per ap: {:?} serving={serving:?}",
-                heard_by
-                    .iter()
-                    .map(|&(a, first, end)| (a, end - first))
-                    .collect::<Vec<_>>()
-            );
-        }
         // Any controller crash (or failover window) in the schedule engages
         // the degraded uplink path; with none this is the exact healthy
         // code path.
@@ -1059,11 +1031,10 @@ impl WgttWorld {
         if drop_p > 0.0 && self.fault_rng.chance(drop_p) {
             return;
         }
-        let interval = self.cfg.csi_report_interval;
-        let st = self.aps[ap].client_mut(ClientId(c as u32), self.cfg.gi);
+        let st = self.aps[ap].client_mut(ClientId(c as u32));
         if st
             .last_csi_report
-            .is_some_and(|t| now.saturating_since(t) < interval)
+            .is_some_and(|t| now.saturating_since(t) < CSI_REPORT_INTERVAL)
         {
             return;
         }

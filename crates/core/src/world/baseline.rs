@@ -4,6 +4,17 @@
 use super::*;
 use crate::ap::Role;
 
+/// A client sends a null (keep-alive) frame once it has been silent this
+/// long, keeping CSI flowing when no uplink data exists.
+const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(10);
+/// Baseline beacon interval (paper: 100 ms).
+const BEACON_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// Baseline over-the-air reassociation retry limit before the attempt is
+/// abandoned (the client then re-scans).
+const REASSOC_RETRIES: u32 = 6;
+/// Gap between baseline reassociation retries.
+const REASSOC_RETRY_GAP: SimDuration = SimDuration::from_millis(20);
+
 /// Client-driven periodic events and the 802.11r baseline's roam machine.
 #[derive(Clone)]
 pub enum Probe {
@@ -120,7 +131,7 @@ impl WgttWorld {
         let now = ctx.now();
         if now < self.traffic_until {
             let cl = &self.clients[c];
-            let idle = now.saturating_since(cl.last_uplink_tx) >= self.cfg.probe_interval;
+            let idle = now.saturating_since(cl.last_uplink_tx) >= PROBE_INTERVAL;
             if idle && cl.uplink_queue.is_empty() {
                 let pkt = self.factory.make(
                     ClientId(c as u32),
@@ -133,10 +144,7 @@ impl WgttWorld {
                 self.clients[c].enqueue_uplink(pkt);
                 self.ensure_round(ctx);
             }
-            ctx.schedule_in(
-                self.cfg.probe_interval,
-                Ev::Probe(Probe::ProbeTick { client: c }),
-            );
+            ctx.schedule_in(PROBE_INTERVAL, Ev::Probe(Probe::ProbeTick { client: c }));
         }
     }
 
@@ -168,10 +176,7 @@ impl WgttWorld {
             }
         }
         if now < self.traffic_until {
-            ctx.schedule_in(
-                self.cfg.baseline.beacon_interval,
-                Ev::Probe(Probe::BeaconTick),
-            );
+            ctx.schedule_in(BEACON_INTERVAL, Ev::Probe(Probe::BeaconTick));
         }
     }
 
@@ -188,7 +193,7 @@ impl WgttWorld {
             // channels takes on the order of a second on real clients.
             let beacons_stale = self.clients[c]
                 .last_serving_beacon
-                .is_some_and(|t| now.saturating_since(t) >= self.cfg.baseline.beacon_interval * 12);
+                .is_some_and(|t| now.saturating_since(t) >= BEACON_INTERVAL * 12);
             let target = match (serving, best) {
                 (None, Some((ap, _))) => Some(ap),
                 (Some(cur), Some((ap, _))) if ap != cur && hysteresis_ok => {
@@ -216,10 +221,7 @@ impl WgttWorld {
             }
         }
         if now < self.traffic_until {
-            ctx.schedule_in(
-                self.cfg.baseline.beacon_interval,
-                Ev::Probe(Probe::RoamCheck { client: c }),
-            );
+            ctx.schedule_in(BEACON_INTERVAL, Ev::Probe(Probe::RoamCheck { client: c }));
         }
     }
 
@@ -254,7 +256,7 @@ impl WgttWorld {
             None => {}
             Some(false) => self.retry_roam(ctx, c, target, retries),
             Some(true) => {
-                let st = self.aps[target].client_mut(ClientId(c as u32), self.cfg.gi);
+                let st = self.aps[target].client_mut(ClientId(c as u32));
                 st.assoc.install_shared_auth();
                 let _resp = st.assoc.on_frame(now, MgmtFrame::ReassocReq);
                 let resp = Probe::RoamRespArrive {
@@ -268,7 +270,7 @@ impl WgttWorld {
     }
 
     fn retry_roam(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize, retries: u32) {
-        if retries + 1 > self.cfg.baseline.reassoc_retries {
+        if retries + 1 > REASSOC_RETRIES {
             // Roam failed; the client stays with (or without) its old AP.
             self.clients[c].roam = None;
             return;
@@ -277,7 +279,7 @@ impl WgttWorld {
             r.retries = retries + 1;
         }
         ctx.schedule_in(
-            self.cfg.baseline.reassoc_retry_gap,
+            REASSOC_RETRY_GAP,
             Ev::Probe(Probe::RoamReqArrive {
                 client: c,
                 target,
@@ -297,7 +299,7 @@ impl WgttWorld {
                 // forwarding state are installed (handover downtime).
                 let client = ClientId(c as u32);
                 if let Some(old) = self.serving_of(c) {
-                    let st = self.aps[old].client_mut(client, self.cfg.gi);
+                    let st = self.aps[old].client_mut(client);
                     // Baseline pathology: the old AP keeps draining its
                     // whole backlog toward a client that no longer listens
                     // (deliveries fail: `client_listens_to` is false for a
@@ -315,9 +317,7 @@ impl WgttWorld {
 
     fn on_roam_complete(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize) {
         let client = ClientId(c as u32);
-        self.aps[target]
-            .client_mut(client, self.cfg.gi)
-            .set_role(Role::Serving);
+        self.aps[target].client_mut(client).set_role(Role::Serving);
         self.ctrl.serving.insert(client, ApId(target as u32));
         // `set_serving`, not `served_by`: a roam is not the health layer's
         // re-attach and closes no failover blackout.

@@ -7,7 +7,13 @@
 use super::recovery::READOPT_GUARD;
 use super::*;
 use crate::ap::Role;
-use crate::switching::{StartVerdict, StopVerdict, SwitchEngine};
+use crate::switching::{StartVerdict, StopVerdict, SwitchEngine, SwitchTimings};
+
+/// The controller evaluates AP selection at this cadence.
+const SELECTION_TICK: SimDuration = SimDuration::from_millis(1);
+/// Extra delay a control packet waits at a busy AP when
+/// `control_priority` is off.
+const NO_PRIORITY_PENALTY: SimDuration = SimDuration::from_millis(15);
 
 /// What every leg of a switch carries: the AP handling it, the client,
 /// the switch generation, and the controller reign that issued it.
@@ -145,7 +151,7 @@ impl WgttWorld {
         if self.cfg.control_priority {
             sampled
         } else {
-            sampled + self.cfg.no_priority_penalty
+            sampled + NO_PRIORITY_PENALTY
         }
     }
 
@@ -237,7 +243,7 @@ impl WgttWorld {
         if !self.ap_admits(leg.ap, leg.term, ctx.now()) {
             return; // lost or fenced; the controller's switch timeout drives retries
         }
-        let delay = self.cfg.switch_timings.sample_stop(&mut self.rng);
+        let delay = SwitchTimings::TABLE1.sample_stop(&mut self.rng);
         let done = Ctl::StopDone { leg, to_ap };
         ctx.schedule_in(self.ap_processing(delay), Ev::Ctl(done));
     }
@@ -252,7 +258,7 @@ impl WgttWorld {
             return;
         }
         let flush = self.cfg.flush_on_switch;
-        let st = self.aps[ap].client_mut(ClientId(c as u32), self.cfg.gi);
+        let st = self.aps[ap].client_mut(ClientId(c as u32));
         // The epoch guard is consulted at the apply point: a `stop` from a
         // superseded switch generation (delayed, duplicated, or reordered
         // on the backhaul) must not demote the AP again.
@@ -296,7 +302,7 @@ impl WgttWorld {
         if !self.ap_admits(leg.ap, leg.term, ctx.now()) {
             return;
         }
-        let delay = self.cfg.switch_timings.sample_start(&mut self.rng);
+        let delay = SwitchTimings::TABLE1.sample_start(&mut self.rng);
         let done = Ctl::StartDone { leg, k };
         ctx.schedule_in(self.ap_processing(delay), Ev::Ctl(done));
     }
@@ -308,7 +314,7 @@ impl WgttWorld {
             self.sys.orphaned_control_dropped += 1;
             return;
         }
-        let st = self.aps[ap].client_mut(ClientId(c as u32), self.cfg.gi);
+        let st = self.aps[ap].client_mut(ClientId(c as u32));
         match st.guard.on_start(leg.epoch) {
             StartVerdict::Stale => {
                 // A superseded generation's `start` must not resurrect the
@@ -470,9 +476,7 @@ impl WgttWorld {
         if let Some(old) = self.serving_of(c).filter(|&o| !self.ap_down[o]) {
             // The old AP is merely presumed dead; make sure it stops
             // serving if it is in fact alive.
-            self.aps[old]
-                .client_mut(client, self.cfg.gi)
-                .set_role(Role::Idle);
+            self.aps[old].client_mut(client).set_role(Role::Idle);
         }
         self.ctrl.serving.remove(&client);
         self.set_serving(c, None, now);
@@ -554,7 +558,7 @@ impl WgttWorld {
             }
         }
         if self.ticking(ctx.now()) {
-            ctx.schedule_in(self.cfg.selection_tick, Ev::Ctl(Ctl::SelectionTick));
+            ctx.schedule_in(SELECTION_TICK, Ev::Ctl(Ctl::SelectionTick));
         }
     }
 
@@ -589,20 +593,19 @@ impl WgttWorld {
         let Some(cur) = current else {
             // First association: WGTT shares state so the client is usable
             // at every AP instantly (§4.3).
-            let gi = self.cfg.gi;
             for ap in 0..self.aps.len() {
                 if self.ap_down[ap] {
                     continue; // re-installed on reboot
                 }
                 self.aps[ap]
-                    .client_mut(client, gi)
+                    .client_mut(client)
                     .assoc
                     .install_shared_association(now);
             }
             // (`draining` may be left over from an old `stop`; it is never
             // read while `serving` is set, so clearing it is unobservable.)
             self.aps[target.0 as usize]
-                .client_mut(client, gi)
+                .client_mut(client)
                 .set_role(Role::Serving);
             self.ctrl.serving.insert(client, target);
             self.ctrl.selector_mut(client).record_switch(now);

@@ -4,6 +4,10 @@
 
 use super::*;
 
+/// One-way latency between the traffic server and the controller (the
+/// paper caches content on a local server).
+const SERVER_LATENCY: SimDuration = SimDuration::from_millis(1);
+
 /// Datapath events: traffic sources, the backhaul hops of a data packet,
 /// forwarded Block ACKs, and the client's reorder timer.
 #[derive(Clone)]
@@ -207,22 +211,7 @@ impl WgttWorld {
             return;
         }
         let client = packet.client;
-        let gi = self.cfg.gi;
-        if self.trace {
-            if let Payload::TcpData { seq, .. } = packet.payload {
-                let st = self.aps[ap].client(client);
-                eprintln!(
-                    "[{}] data at ap{ap}: idx={:?} tcpseq={seq} created={} serving={} draining={} head={:?}",
-                    ctx.now(),
-                    packet.index,
-                    packet.created,
-                    st.is_some_and(|s| s.serving),
-                    st.is_some_and(|s| s.draining),
-                    st.map(|s| s.cyclic.head())
-                );
-            }
-        }
-        let st = self.aps[ap].client_mut(client, gi);
+        let st = self.aps[ap].client_mut(client);
         st.cyclic.insert(packet);
         self.ensure_round(ctx);
     }
@@ -308,23 +297,13 @@ impl WgttWorld {
         let Some(packet) = self.hold_for_resync(from_ap, packet) else {
             return;
         };
-        if self.trace {
-            if let Payload::TcpAck { ack, .. } = packet.payload {
-                eprintln!(
-                    "[{}] ack copy at ctrl: ack={ack} ident={}",
-                    ctx.now(),
-                    packet.ip_ident
-                );
-            }
-        }
         self.sys.uplink_copies += 1;
         if self.cfg.uplink_dedup && !self.ctrl.dedup.check(&packet) {
             self.sys.uplink_duplicates += 1;
             return;
         }
         self.journal_forwarded(&packet);
-        let latency = self.cfg.server_latency;
-        ctx.schedule_in(latency, Ev::Data(Data::PacketAtServer(packet)));
+        ctx.schedule_in(SERVER_LATENCY, Ev::Data(Data::PacketAtServer(packet)));
     }
 
     pub(super) fn on_packet_at_server(&mut self, ctx: &mut Ctx<'_, Ev>, packet: Packet) {
@@ -335,9 +314,6 @@ impl WgttWorld {
         }
         match (&mut self.flows[fidx].kind, packet.payload) {
             (FlowKind::DownTcp(sender), Payload::TcpAck { ack, sack }) => {
-                if self.trace {
-                    eprintln!("[{now}] ack at server: {ack} una={}", sender.snd_una());
-                }
                 let mut blocks = [(0, 0); 3];
                 let mut n = 0;
                 for block in sack.blocks(ack) {
@@ -395,8 +371,7 @@ impl WgttWorld {
             if uplink {
                 self.clients[c].enqueue_uplink(pkt);
             } else {
-                let latency = self.cfg.server_latency;
-                ctx.schedule_in(latency, Ev::Data(Data::PacketAtController(pkt)));
+                ctx.schedule_in(SERVER_LATENCY, Ev::Data(Data::PacketAtController(pkt)));
             }
         }
         let next = src.next_emit_time().filter(|&t| t < self.traffic_until);
@@ -440,16 +415,6 @@ impl WgttWorld {
         while let Some(seg) = sender.next_segment(now) {
             segs.push(seg);
         }
-        if self.trace && !segs.is_empty() {
-            eprintln!(
-                "[{now}] pump f{fidx}: una={} nxt_after={} emitted {} segs from {} (rtx={})",
-                sender.snd_una(),
-                sender.snd_una() + sender.bytes_in_flight(),
-                segs.len(),
-                segs[0].seq,
-                segs.iter().filter(|s| s.is_retransmit).count()
-            );
-        }
         let deadline = sender.rto_deadline();
         for seg in segs {
             let pkt = self.factory.make(
@@ -463,8 +428,7 @@ impl WgttWorld {
                     len: seg.len as u64,
                 },
             );
-            let latency = self.cfg.server_latency;
-            ctx.schedule_in(latency, Ev::Data(Data::PacketAtController(pkt)));
+            ctx.schedule_in(SERVER_LATENCY, Ev::Data(Data::PacketAtController(pkt)));
         }
         // Arm the RTO check if needed.
         if let Some(d) = deadline {

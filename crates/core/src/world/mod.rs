@@ -17,7 +17,7 @@
 //! file's imports through `use super::*`, and keeps the state only it
 //! touches in a struct private to itself (DESIGN.md §6h).
 
-use crate::ap::{ApState, MPDU_RETRY_LIMIT};
+use crate::ap::{ApState, GUARD_INTERVAL, MPDU_RETRY_LIMIT};
 use crate::client::{ClientState, DeliveryRecord};
 use crate::config::{Mode, SystemConfig};
 use crate::controller::ControllerState;
@@ -49,8 +49,8 @@ mod datapath;
 mod recovery;
 mod seam;
 
-pub use air::Air;
 use air::AirState;
+pub use air::{Air, RANGE_FLOOR_DB};
 pub use baseline::Probe;
 pub use control::Ctl;
 pub use datapath::{Data, FlowKind, ServerFlow};
@@ -173,8 +173,6 @@ pub struct WgttWorld {
     air: AirState,
     /// DCF collisions observed (stats).
     pub dcf_collisions: u64,
-    /// Verbose tracing (set WGTT_TRACE=1), for debugging the datapath.
-    trace: bool,
 }
 
 impl WgttWorld {
@@ -209,44 +207,14 @@ impl WgttWorld {
         log_deliveries: bool,
     ) -> Self {
         let root = SimRng::new(seed);
-        let links: Vec<Vec<WirelessLink>> = deployment
-            .aps
-            .iter()
-            .enumerate()
-            .map(|(a, site)| {
-                (0..trajectories.len())
-                    .map(|c| {
-                        let mut r = root.fork(&format!("link/{a}/{c}"));
-                        WirelessLink::new(*site, cfg.link.clone(), &mut r)
-                    })
-                    .collect()
-            })
-            .collect();
-        let aps = (0..deployment.aps.len())
-            .map(|i| ApState::new(ApId(i as u32)))
-            .collect();
-        let clients: Vec<ClientState> = trajectories
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| {
-                ClientState::new(
-                    ClientId(i as u32),
-                    t,
-                    cfg.gi,
-                    SimDuration::from_millis(100),
-                    log_deliveries,
-                )
-            })
-            .collect();
-        let ctrl = ControllerState::new(cfg.selection);
         let n_aps = deployment.aps.len();
-        let n_clients = clients.len();
-        WgttWorld {
+        let n_clients = trajectories.len();
+        let mut world = WgttWorld {
+            links: (0..n_aps).map(|_| Vec::with_capacity(n_clients)).collect(),
+            aps: (0..n_aps).map(|i| ApState::new(ApId(i as u32))).collect(),
+            clients: Vec::with_capacity(n_clients),
             deployment,
-            links,
-            aps,
-            clients,
-            ctrl,
+            ctrl: ControllerState::new(cfg.selection),
             flows: Vec::new(),
             medium: Medium::new(),
             backhaul: Backhaul::new(root.fork("backhaul")),
@@ -258,19 +226,54 @@ impl WgttWorld {
             ap_down: vec![false; n_aps],
             controller_down: false,
             recovery: RecoveryEngine::new(cfg.degraded_uplink_cap),
-            pending_reattach: vec![None; n_clients],
-            pending_failover: vec![None; n_clients],
+            pending_reattach: Vec::with_capacity(n_clients),
+            pending_failover: Vec::with_capacity(n_clients),
             oracle: Recorder::default(),
-            departed: vec![false; n_clients],
-            outbox: vec![Vec::new(); n_clients],
-            pending_import: vec![Vec::new(); n_clients],
+            departed: Vec::with_capacity(n_clients),
+            outbox: Vec::with_capacity(n_clients),
+            pending_import: Vec::with_capacity(n_clients),
             rng: root.fork("world"),
             fanout: Vec::new(),
             air: AirState::default(),
             dcf_collisions: 0,
-            trace: std::env::var("WGTT_TRACE").is_ok(),
             cfg,
+        };
+        for (c, t) in trajectories.into_iter().enumerate() {
+            world.push_client(t, log_deliveries, |a| root.fork(&format!("link/{a}/{c}")));
         }
+        world
+    }
+
+    /// Appends a client: one link per AP, drawn from `link_rng(ap)`, its
+    /// [`ClientState`], and an empty slot in every dense per-client
+    /// vector. Returns the new client index.
+    fn push_client(
+        &mut self,
+        trajectory: Box<dyn wgtt_phy::Trajectory>,
+        log_deliveries: bool,
+        link_rng: impl Fn(usize) -> SimRng,
+    ) -> usize {
+        let c = self.clients.len();
+        for (a, row) in self.links.iter_mut().enumerate() {
+            debug_assert_eq!(row.len(), c);
+            let site = self.deployment.aps[a];
+            row.push(WirelessLink::new(
+                site,
+                self.cfg.link.clone(),
+                &mut link_rng(a),
+            ));
+        }
+        self.clients.push(ClientState::new(
+            ClientId(c as u32),
+            trajectory,
+            log_deliveries,
+        ));
+        self.pending_reattach.push(None);
+        self.pending_failover.push(None);
+        self.departed.push(false);
+        self.outbox.push(Vec::new());
+        self.pending_import.push(Vec::new());
+        c
     }
 
     /// Registers a flow, returning its index.

@@ -129,7 +129,7 @@ impl WgttWorld {
         if !orphaned {
             return;
         }
-        let st = self.aps[ap].client_mut(client, self.cfg.gi);
+        let st = self.aps[ap].client_mut(client);
         // Only the generation that demoted us may re-adopt: a newer epoch
         // at the guard means a later switch owns this client.
         if st.guard.latest() != epoch {
@@ -168,11 +168,10 @@ impl WgttWorld {
             // The controller re-pushes the shared association state the
             // crash wiped (§4.3), so the AP is usable again immediately.
             let now = ctx.now();
-            let gi = self.cfg.gi;
             for c in 0..self.clients.len() {
                 if self.clients[c].serving.is_some() || self.pending_reattach[c].is_some() {
                     self.aps[ap]
-                        .client_mut(ClientId(c as u32), gi)
+                        .client_mut(ClientId(c as u32))
                         .assoc
                         .install_shared_association(now);
                 }

@@ -323,18 +323,8 @@ impl WgttWorld {
         record: Option<&MigrationRecord>,
         now: SimTime,
     ) -> usize {
-        let c = self.clients.len();
         let ordinal = self.sys.migrated_in;
         self.sys.migrated_in += 1;
-        for (a, row) in self.links.iter_mut().enumerate() {
-            debug_assert_eq!(row.len(), c);
-            let mut r = self.rng.fork(&format!("migrant-link/{a}/n{ordinal}"));
-            row.push(WirelessLink::new(
-                self.deployment.aps[a],
-                self.cfg.link.clone(),
-                &mut r,
-            ));
-        }
         let traj = wgtt_phy::mobility::ConstantSpeed {
             start: wgtt_phy::Position::new(
                 spec.entry_x - spec.speed_mps * now.as_secs_f64(),
@@ -343,18 +333,10 @@ impl WgttWorld {
             ),
             speed_mps: spec.speed_mps,
         };
-        self.clients.push(ClientState::new(
-            ClientId(c as u32),
-            Box::new(traj),
-            self.cfg.gi,
-            SimDuration::from_millis(100),
-            spec.log_deliveries,
-        ));
-        self.pending_reattach.push(None);
-        self.pending_failover.push(None);
-        self.departed.push(false);
-        self.outbox.push(Vec::new());
-        self.pending_import.push(Vec::new());
+        let rng = self.rng.clone();
+        let c = self.push_client(Box::new(traj), spec.log_deliveries, |a| {
+            rng.fork(&format!("migrant-link/{a}/n{ordinal}"))
+        });
         for f in &spec.flows {
             let kind = if f.uplink {
                 FlowKind::UpUdp(CbrSource::new(f.rate_bps, f.payload, now))

@@ -4,6 +4,7 @@
 
 use wgtt_core::config::SystemConfig;
 use wgtt_core::runner::{run, FlowSpec, Scenario};
+use wgtt_sim::{BackhaulFault, FaultSchedule, SimDuration, SimTime};
 
 fn udp_flows() -> Vec<FlowSpec> {
     vec![FlowSpec::DownlinkUdp {
@@ -29,10 +30,7 @@ fn switches_survive_control_packet_loss() {
     assert!(retried > 0, "no retransmissions exercised");
     // …and retried switches take ≥ the 30 ms timeout.
     for r in hist.iter().filter(|r| r.retries > 0) {
-        assert!(
-            r.execution_time() >= wgtt_sim::SimDuration::from_millis(30),
-            "{r:?}"
-        );
+        assert!(r.execution_time() >= SimDuration::from_millis(30), "{r:?}");
     }
     // Throughput survives.
     assert!(res.downlink_bps(0) / 1e6 > 5.0);
@@ -62,15 +60,30 @@ fn heavy_control_loss_still_converges() {
 
 #[test]
 fn lossy_backhaul_data_path_degrades_gracefully() {
-    // Drop 5% of ALL backhaul messages (data fan-out included): UDP keeps
-    // flowing because every in-range AP holds a copy.
-    let cfg = SystemConfig {
-        control_loss_prob: 0.05,
-        ..SystemConfig::default()
+    // Drop 5% of ALL backhaul messages (data fan-out included) for the
+    // whole run: a backhaul fault window, unlike `control_loss_prob`,
+    // which only drops control frames. UDP keeps flowing because every
+    // in-range AP holds a copy, but the lost fan-out costs goodput.
+    let drive = |faults: FaultSchedule| {
+        let mut scenario = Scenario::single_drive(SystemConfig::default(), 15.0, udp_flows(), 33);
+        scenario.faults = faults;
+        run(scenario).downlink_bps(0) / 1e6
     };
-    let scenario = Scenario::single_drive(cfg, 15.0, udp_flows(), 33);
-    let res = run(scenario);
-    assert!(res.downlink_bps(0) / 1e6 > 5.0);
+    let healthy = drive(FaultSchedule::default());
+    let lossy = drive(FaultSchedule::new().with_backhaul_fault(
+        SimTime::ZERO,
+        SimTime::from_secs(3600),
+        BackhaulFault {
+            extra_loss_prob: 0.05,
+            extra_latency: SimDuration::ZERO,
+            extra_jitter_mean: SimDuration::ZERO,
+        },
+    ));
+    assert!(lossy > 5.0, "lossy backhaul {lossy:.2} Mb/s");
+    assert!(
+        lossy < 0.95 * healthy,
+        "data loss left goodput at {lossy:.2} of a healthy {healthy:.2} Mb/s"
+    );
 }
 
 #[test]

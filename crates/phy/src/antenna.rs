@@ -8,7 +8,7 @@
 //! at reduced SNR (paper Fig 10) and lets neighbour APs overhear uplink
 //! traffic for Block-ACK forwarding.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A transmit/receive antenna gain pattern.
 pub trait Antenna: Send + Sync {
@@ -22,7 +22,7 @@ pub trait Antenna: Send + Sync {
 }
 
 /// An isotropic radiator (client devices, omni reference cases).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Isotropic {
     /// Flat gain in dBi (0 for ideal isotropic, ~2 for a typical laptop
     /// antenna).
@@ -47,7 +47,7 @@ impl Antenna for Isotropic {
 /// `G_max + sidelobe_rel_db`. With `θ_bw` equal to the half-power beamwidth,
 /// the pattern is 3 dB down at `θ = θ_bw/2` — the textbook parabolic-dish
 /// approximation (same form as the 3GPP antenna element model).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct ParabolicAntenna {
     /// Boresight gain, dBi (paper: 14 dBi).
     pub peak_gain_dbi: f64,

@@ -18,10 +18,10 @@ use crate::csi::Csi;
 use crate::esnr::{esnr_from_csi, EsnrMemo};
 use crate::fastmath::{exp, ln};
 use crate::mcs::Mcs;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Logistic ESNR→PER model, one threshold per MCS.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct PerModel {
     /// ESNR (dB) at which a reference-length frame is lost 50% of the time,
     /// indexed by MCS.

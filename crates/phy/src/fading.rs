@@ -25,11 +25,11 @@
 
 use crate::complex::Cplx;
 use crate::fastmath::{at_host_width, sincos_lanes, LANES};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wgtt_sim::SimRng;
 
 /// Configuration of the tapped-delay-line fading process.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct FadingConfig {
     /// Number of resolvable multipath taps.
     pub num_taps: usize,

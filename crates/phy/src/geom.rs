@@ -11,10 +11,10 @@
 //!
 //! Cars drive parallel to the x-axis in lanes of constant `y`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A point in the 3-D world frame (metres).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Default)]
 pub struct Position {
     /// Along-road coordinate.
     pub x: f64,
@@ -66,7 +66,7 @@ impl Position {
 }
 
 /// One AP site: where the radio is and where its antenna boresight points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ApSite {
     /// Antenna location.
     pub position: Position,
@@ -89,7 +89,7 @@ impl ApSite {
 }
 
 /// The roadside deployment: AP sites plus road reference geometry.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Deployment {
     /// AP sites, ordered along the road (index = AP id).
     pub aps: Vec<ApSite>,
@@ -101,7 +101,7 @@ pub struct Deployment {
 }
 
 /// Parameters for the paper's regular eight-AP roadside array.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DeploymentConfig {
     /// Number of AP sites.
     pub num_aps: usize,

@@ -22,14 +22,14 @@ use crate::fastmath::log10;
 use crate::geom::{ApSite, Position};
 use crate::pathloss::{LinkBudget, PathLoss};
 use crate::shadowing::{ShadowingConfig, ShadowingProcess};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 use wgtt_sim::pool::lock;
 use wgtt_sim::{SimRng, SimTime};
 
 /// Static configuration shared by all links in a deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LinkConfig {
     /// Large-scale propagation model.
     pub pathloss: PathLoss,

@@ -7,10 +7,10 @@
 //! of ~70 Mbit/s (72.2 Mbit/s is MCS 7 @ SGI).
 
 use crate::esnr::Modulation;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Guard interval length.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum GuardInterval {
     /// 800 ns (symbol = 4.0 µs).
     Long,
@@ -29,7 +29,7 @@ impl GuardInterval {
 }
 
 /// An HT MCS index, 0–7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Mcs(pub u8);
 
 impl Mcs {

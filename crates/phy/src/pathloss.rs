@@ -6,7 +6,7 @@
 //! [`crate::fading`].
 
 use crate::fastmath::{exp, log10};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Speed of light, m/s.
 pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
@@ -15,7 +15,7 @@ pub const SPEED_OF_LIGHT: f64 = 299_792_458.0;
 ///
 /// `PL(d) = FSPL(d0) + 10·n·log10(d/d0)` dB, where `FSPL(d0)` is the
 /// free-space loss at the reference distance for the carrier frequency.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct PathLoss {
     /// Carrier frequency, Hz (paper: channel 11 ⇒ 2.462 GHz).
     pub carrier_hz: f64,
@@ -57,7 +57,7 @@ impl PathLoss {
 }
 
 /// Link budget: everything between transmit power and mean received SNR.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct LinkBudget {
     /// Transmit power, dBm (TP-Link N750 class AP ≈ 18 dBm after splitter
     /// losses).

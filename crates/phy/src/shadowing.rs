@@ -13,11 +13,11 @@
 //! knob for robustness studies.
 
 use crate::fastmath::{cos, exp};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use wgtt_sim::SimRng;
 
 /// Shadowing process parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct ShadowingConfig {
     /// Standard deviation of the gain offset, dB. 0 disables shadowing.
     pub sigma_db: f64,
