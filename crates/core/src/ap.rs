@@ -83,9 +83,6 @@ pub struct ApClientState {
     pub last_csi_report: Option<SimTime>,
     /// Block ACKs already applied (dedup for the forwarding path).
     pub seen_bas: HashSet<(u16, u64)>,
-    /// Monitor interface enabled (overhears the client even when not
-    /// serving — WGTT's BA forwarding source).
-    pub monitor: bool,
     /// Switch-epoch admission guard: rejects stale `stop`/`start`
     /// generations and suppresses duplicate `start` re-application.
     /// Wiped with the rest of the soft state on a crash.
@@ -123,7 +120,6 @@ impl Default for ApClientState {
             nic_queue: VecDeque::new(),
             last_csi_report: None,
             seen_bas: HashSet::new(),
-            monitor: true,
             guard: ApSwitchGuard::default(),
         }
     }
@@ -213,8 +209,6 @@ pub struct ApState {
     pub backoff: Backoff,
     /// Round-robin cursor over clients.
     pub rr_cursor: usize,
-    /// Monotone transmission id source (collision bookkeeping).
-    pub next_tx_id: u64,
     /// Degraded mode: uplink held for the controller while it is down
     /// (bounded by [`DEGRADED_UPLINK_CAP`]), flushed after resync.
     pub uplink_buffer: VecDeque<Packet>,
@@ -237,7 +231,6 @@ impl ApState {
             clients: Vec::new(),
             backoff: Backoff::default(),
             rr_cursor: 0,
-            next_tx_id: 0,
             uplink_buffer: VecDeque::new(),
             recent_uplink_keys: VecDeque::new(),
             term_guard: TermGuard::default(),
@@ -346,13 +339,6 @@ impl ApState {
             .filter(|(_, s)| with_work(s))
             .nth(k)
             .map(|(i, _)| ClientId(i as u32))
-    }
-
-    /// Allocates a transmission id.
-    pub fn alloc_tx_id(&mut self) -> u64 {
-        let id = self.next_tx_id;
-        self.next_tx_id += 1;
-        id
     }
 }
 
@@ -479,14 +465,6 @@ mod tests {
         let distinct: std::collections::HashSet<_> = picks.iter().collect();
         assert_eq!(distinct.len(), 3);
         assert!(ap.has_work());
-    }
-
-    #[test]
-    fn tx_ids_unique() {
-        let mut ap = ApState::new(ApId(1));
-        let a = ap.alloc_tx_id();
-        let b = ap.alloc_tx_id();
-        assert_ne!(a, b);
     }
 
     #[test]

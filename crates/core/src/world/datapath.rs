@@ -140,14 +140,8 @@ impl WgttWorld {
             }
         }
         // Layer on any scheduled backhaul impairment; a no-op impairment
-        // takes the exact healthy code path (same RNG draws).
+        // makes the healthy transit's RNG draws and delay.
         let imp = self.faults.backhaul_at(ctx.now());
-        if imp.is_noop() {
-            if let Some(d) = self.backhaul.transit(bytes) {
-                ctx.schedule_in(d, ev);
-            }
-            return;
-        }
         let delivery = self.backhaul.transit_faulty(bytes, &imp);
         if let Some(d2) = delivery.duplicate {
             self.sys.backhaul_dup_deliveries += 1;

@@ -229,7 +229,6 @@ mod tests {
         a.loss_prob = 0.1;
         b.loss_prob = 0.1;
         let noop = BackhaulImpairment::default();
-        assert!(noop.is_noop());
         for _ in 0..500 {
             let d = b.transit_faulty(300, &noop);
             assert_eq!(a.transit(300), d.primary);

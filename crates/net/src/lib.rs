@@ -26,5 +26,5 @@ pub use packet::{
     overhead, ApId, ClientId, Direction, FlowId, Packet, PacketFactory, Payload, SackBlocks,
 };
 pub use tcp::{CongPhase, TcpConfig, TcpReceiver, TcpSegmentOut, TcpSender};
-pub use tunnel::{BackhaulNode, Tunneled, TUNNEL_OVERHEAD_BYTES};
+pub use tunnel::TUNNEL_OVERHEAD_BYTES;
 pub use udp::{CbrSource, UdpSink};

@@ -4,14 +4,15 @@
 //! controller, clients, channel, medium, flows). The engine pops the
 //! earliest event from the future event list, advances the clock, and hands
 //! the event to the world together with a [`Ctx`] through which the world
-//! schedules follow-up events and cancels timers.
+//! schedules follow-up events. Nothing is cancelled: a timer's handler
+//! checks whether it still matters when it fires.
 //!
 //! The loop is intentionally synchronous and single-threaded: the simulated
 //! system is closed (no real I/O), so determinism and debuggability dominate
 //! any concurrency concern. Parallelism lives one level up, where experiment
 //! harnesses fan independent *runs* out across threads.
 
-use crate::queue::{EventKey, EventQueue};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use std::time::{Duration, Instant};
 
@@ -24,21 +25,8 @@ use std::time::{Duration, Instant};
 pub struct EnginePerf {
     /// Events processed so far.
     pub events: u64,
-    /// Host wall-clock time spent inside [`Simulator::run_until`] /
-    /// [`Simulator::run_to_completion`] loops.
+    /// Host wall-clock time spent inside [`Simulator::run_until`] loops.
     pub wall: Duration,
-}
-
-impl EnginePerf {
-    /// Events processed per wall-clock second (0 when no time elapsed).
-    pub fn events_per_sec(&self) -> f64 {
-        let s = self.wall.as_secs_f64();
-        if s > 0.0 {
-            self.events as f64 / s
-        } else {
-            0.0
-        }
-    }
 }
 
 /// The mutable state of a simulation plus its event-handling logic.
@@ -68,7 +56,7 @@ impl<'a, E> Ctx<'a, E> {
     /// Panics if `at` is in the past; events in the present (`at == now`)
     /// are allowed and run after all earlier-scheduled events for this
     /// instant.
-    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventKey {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) {
         assert!(
             at >= self.now,
             "cannot schedule into the past: {at} < {}",
@@ -78,18 +66,8 @@ impl<'a, E> Ctx<'a, E> {
     }
 
     /// Schedules `event` after a delay from now.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventKey {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.queue.push(self.now + delay, event)
-    }
-
-    /// Cancels a scheduled event; `true` if it was still pending.
-    pub fn cancel(&mut self, key: EventKey) -> bool {
-        self.queue.cancel(key)
-    }
-
-    /// Number of events pending in the future event list.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -150,13 +128,13 @@ impl<W: World> Simulator<W> {
     }
 
     /// Schedules an event from outside the event loop (experiment setup).
-    pub fn schedule_at(&mut self, at: SimTime, event: W::Event) -> EventKey {
+    pub fn schedule_at(&mut self, at: SimTime, event: W::Event) {
         assert!(at >= self.now, "cannot schedule into the past");
         self.queue.push(at, event)
     }
 
     /// Schedules an event `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) -> EventKey {
+    pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) {
         self.queue.push(self.now + delay, event)
     }
 
@@ -198,13 +176,6 @@ impl<W: World> Simulator<W> {
         }
         self.wall += t0.elapsed();
     }
-
-    /// Runs until the event list is exhausted.
-    pub fn run_to_completion(&mut self) {
-        let t0 = Instant::now();
-        while self.step() {}
-        self.wall += t0.elapsed();
-    }
 }
 
 #[cfg(test)]
@@ -212,19 +183,17 @@ mod tests {
     use super::*;
 
     /// A toy world: a counter that reschedules itself a fixed number of
-    /// times, plus a cancellable one-shot.
+    /// times, plus a one-shot.
     struct Toy {
         ticks: Vec<SimTime>,
         remaining: u32,
         period: SimDuration,
         fired_oneshot: bool,
-        oneshot_key: Option<EventKey>,
     }
 
     enum ToyEvent {
         Tick,
         OneShot,
-        CancelOneShot,
     }
 
     impl World for Toy {
@@ -239,11 +208,6 @@ mod tests {
                     }
                 }
                 ToyEvent::OneShot => self.fired_oneshot = true,
-                ToyEvent::CancelOneShot => {
-                    if let Some(k) = self.oneshot_key.take() {
-                        ctx.cancel(k);
-                    }
-                }
             }
         }
     }
@@ -254,8 +218,12 @@ mod tests {
             remaining: 0,
             period: SimDuration::from_millis(10),
             fired_oneshot: false,
-            oneshot_key: None,
         }
+    }
+
+    /// Steps until the event list is empty.
+    fn drain(sim: &mut Simulator<Toy>) {
+        while sim.step() {}
     }
 
     #[test]
@@ -264,7 +232,7 @@ mod tests {
         world.remaining = 4;
         let mut sim = Simulator::new(world);
         sim.schedule_at(SimTime::from_millis(0), ToyEvent::Tick);
-        sim.run_to_completion();
+        drain(&mut sim);
         assert_eq!(
             sim.world().ticks,
             vec![
@@ -294,22 +262,10 @@ mod tests {
     }
 
     #[test]
-    fn timer_cancellation() {
-        let mut sim = Simulator::new(toy());
-        let key = sim.schedule_at(SimTime::from_millis(50), ToyEvent::OneShot);
-        sim.world_mut().oneshot_key = Some(key);
-        sim.schedule_at(SimTime::from_millis(10), ToyEvent::CancelOneShot);
-        sim.run_to_completion();
-        assert!(!sim.world().fired_oneshot);
-        // The cancel event itself still counts as processed.
-        assert_eq!(sim.events_processed(), 1);
-    }
-
-    #[test]
-    fn oneshot_fires_without_cancel() {
+    fn oneshot_fires_at_its_time() {
         let mut sim = Simulator::new(toy());
         sim.schedule_at(SimTime::from_millis(50), ToyEvent::OneShot);
-        sim.run_to_completion();
+        drain(&mut sim);
         assert!(sim.world().fired_oneshot);
         assert_eq!(sim.now(), SimTime::from_millis(50));
     }
@@ -334,14 +290,11 @@ mod tests {
         sim.run_until(SimTime::from_millis(200));
         let mid = sim.perf();
         assert_eq!(mid.events, 21);
-        sim.run_to_completion();
+        sim.run_until(SimTime::from_secs(1));
         let done = sim.perf();
         assert_eq!(done.events, 51);
-        // Wall-clock accumulates across run loops and events/sec follows.
+        // Wall-clock accumulates across run loops.
         assert!(done.wall >= mid.wall);
-        if done.wall > std::time::Duration::ZERO {
-            assert!(done.events_per_sec() > 0.0);
-        }
     }
 
     #[test]
@@ -349,7 +302,7 @@ mod tests {
     fn scheduling_into_past_panics() {
         let mut sim = Simulator::new(toy());
         sim.schedule_at(SimTime::from_millis(5), ToyEvent::OneShot);
-        sim.run_to_completion();
+        drain(&mut sim);
         // now == 5ms; scheduling at 1ms must panic.
         sim.schedule_at(SimTime::from_millis(1), ToyEvent::OneShot);
     }

@@ -56,17 +56,6 @@ pub struct BackhaulImpairment {
     pub reorder_window: SimDuration,
 }
 
-impl BackhaulImpairment {
-    /// Whether this impairment changes anything at all.
-    pub fn is_noop(&self) -> bool {
-        self.extra_loss_prob <= 0.0
-            && self.extra_latency == SimDuration::ZERO
-            && self.extra_jitter_mean == SimDuration::ZERO
-            && self.dup_prob <= 0.0
-            && self.reorder_prob <= 0.0
-    }
-}
-
 /// A crash or reboot edge, for priming simulator events. Declaration order
 /// is the order edges at one instant fire in: crashes before reboots, APs
 /// by index before the controller.
@@ -509,7 +498,7 @@ mod tests {
         assert!(s.is_empty());
         assert!(!s.ap_down(0, t(100)));
         assert!(!s.partitioned(3, t(100)));
-        assert!(s.backhaul_at(t(100)).is_noop());
+        assert_eq!(s.backhaul_at(t(100)), BackhaulImpairment::default());
         assert_eq!(s.csi_drop_prob(t(100)), 0.0);
         assert!(s.edges().is_empty());
     }
@@ -570,7 +559,7 @@ mod tests {
         let overlap = s.backhaul_at(t(700));
         assert!((overlap.extra_loss_prob - 0.75).abs() < 1e-12);
         assert_eq!(overlap.extra_latency, SimDuration::from_millis(3));
-        assert!(s.backhaul_at(t(2000)).is_noop());
+        assert_eq!(s.backhaul_at(t(2000)), BackhaulImpairment::default());
     }
 
     #[test]
@@ -595,19 +584,19 @@ mod tests {
         assert!((early.dup_prob - 0.5).abs() < 1e-12);
         assert!((early.reorder_prob - 0.36).abs() < 1e-12);
         assert_eq!(early.reorder_window, SimDuration::from_millis(3));
-        assert!(!early.is_noop());
+        assert_ne!(early, BackhaulImpairment::default());
         let overlap = s.backhaul_at(t(700));
         assert!((overlap.dup_prob - 0.75).abs() < 1e-12);
         let late = s.backhaul_at(t(1700));
         assert_eq!(late.dup_prob, 0.0);
         assert!((late.reorder_prob - 0.2).abs() < 1e-12);
-        assert!(s.backhaul_at(t(3000)).is_noop());
+        assert_eq!(s.backhaul_at(t(3000)), BackhaulImpairment::default());
     }
 
     #[test]
     fn dup_only_impairment_is_not_noop() {
         let s = FaultSchedule::new().with_duplication(t(0), t(100), 0.1);
-        assert!(!s.backhaul_at(t(50)).is_noop());
+        assert_ne!(s.backhaul_at(t(50)), BackhaulImpairment::default());
         // Loss / latency / jitter stay at their healthy values.
         let imp = s.backhaul_at(t(50));
         assert_eq!(imp.extra_loss_prob, 0.0);
@@ -887,7 +876,7 @@ mod tests {
         assert_eq!(s.migration_dup_prob(t(900)), 0.0);
         // Seam windows never leak into the AP/controller fault queries:
         // the backhaul, AP, and controller timelines all stay healthy.
-        assert!(s.backhaul_at(t(700)).is_noop());
+        assert_eq!(s.backhaul_at(t(700)), BackhaulImpairment::default());
         assert!(!s.ap_down(0, t(700)));
         assert!(!s.controller_down(t(700)));
         assert!(s.edges().is_empty());

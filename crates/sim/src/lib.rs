@@ -1,9 +1,9 @@
 //! # wgtt-sim — deterministic discrete-event simulation engine
 //!
 //! The foundation of the *Wi-Fi Goes to Town* reproduction: simulated time,
-//! a future event list with stable tie-breaking and cancellation, a
-//! deterministic forkable RNG, the event loop itself, and the statistics
-//! primitives every experiment shares.
+//! a future event list with stable tie-breaking, a deterministic forkable
+//! RNG, the event loop itself, and the statistics primitives every
+//! experiment shares.
 //!
 //! Everything above this crate (PHY, MAC, network stack, the WGTT control
 //! plane) is written as poll-style state machines driven by a [`World`]
@@ -25,7 +25,7 @@
 //!
 //! let mut sim = Simulator::new(Counter(0));
 //! sim.schedule_at(SimTime::ZERO, ());
-//! sim.run_to_completion();
+//! while sim.step() {}
 //! assert_eq!(sim.world().0, 3);
 //! assert_eq!(sim.now(), SimTime::from_millis(2));
 //! ```
@@ -45,6 +45,6 @@ pub mod time;
 pub use engine::{Ctx, EnginePerf, Simulator, World};
 pub use fault::{BackhaulFault, BackhaulImpairment, FaultEdge, FaultSchedule};
 pub use lockstep::LockstepShard;
-pub use queue::{EventKey, EventQueue};
+pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
