@@ -231,23 +231,14 @@ impl ControllerState {
     /// Selector windows, health state, and the serving map are NOT
     /// imported: the client re-associates through normal selection once
     /// its first CSI lands, exactly like a resync-repaired client.
+    ///
+    /// Both halves are monotone — the epoch floor joins by max and key
+    /// priming is a no-op for seen keys — so applying the same record twice
+    /// leaves the controller byte-equal to applying it once. A re-exported
+    /// record reaching a controller that **already admitted** the client
+    /// (the source aborted on a lost commit, readopted, and handed over
+    /// again) takes this same path, even with a switch in flight.
     pub fn import_migration(&mut self, client: ClientId, epoch_max: u32, idents: &[u16]) {
-        self.engine.adopt_epoch_space(client, epoch_max);
-        for &ident in idents {
-            self.dedup.prime_key(Deduplicator::key(client, ident));
-        }
-    }
-
-    /// The resident-rejoin half of [`Self::import_migration`]: applied
-    /// when a re-exported record reaches a controller that **already
-    /// admitted** the client (the source aborted on a lost commit,
-    /// readopted, and handed over again at its next boundary pass).
-    /// Unlike a fresh import, the live client may legitimately have a
-    /// switch in flight here, so only the monotone halves run: the epoch
-    /// floor joins by max and key priming is a no-op for seen keys —
-    /// applying the same record twice leaves the controller byte-equal to
-    /// applying it once.
-    pub fn merge_migration(&mut self, client: ClientId, epoch_max: u32, idents: &[u16]) {
         self.engine.resume_epochs_above(client, epoch_max);
         for &ident in idents {
             self.dedup.prime_key(Deduplicator::key(client, ident));
@@ -673,26 +664,15 @@ mod tests {
                 (c, migrant, epoch_max, idents)
             };
             let (mut once, migrant, epoch_max, idents) = build();
-            once.merge_migration(migrant, epoch_max, &idents);
+            once.import_migration(migrant, epoch_max, &idents);
             let (mut twice, migrant2, epoch_max2, idents2) = build();
             assert_eq!(migrant, migrant2);
-            twice.merge_migration(migrant2, epoch_max2, &idents2);
-            twice.merge_migration(migrant2, epoch_max2, &idents2);
+            twice.import_migration(migrant2, epoch_max2, &idents2);
+            twice.import_migration(migrant2, epoch_max2, &idents2);
             assert_eq!(
                 migration_snapshot(&once, CLIENTS),
                 migration_snapshot(&twice, CLIENTS),
                 "seed {seed}: double-applied record diverged"
-            );
-            // And the merge is genuinely monotone: a fresh import on a
-            // clean twin followed by the same record as a merge equals
-            // the double-merge too (import = merge on a fresh client).
-            let (mut via_import, m3, e3, i3) = build();
-            via_import.import_migration(m3, e3, &i3);
-            via_import.merge_migration(m3, e3, &i3);
-            assert_eq!(
-                migration_snapshot(&once, CLIENTS),
-                migration_snapshot(&via_import, CLIENTS),
-                "seed {seed}: import+merge diverged from single merge"
             );
         }
     }

@@ -297,23 +297,6 @@ impl CyclicQueue {
         None
     }
 
-    /// Peeks at the packet that [`CyclicQueue::pop_head`] would return,
-    /// without consuming it.
-    pub fn peek_head(&self) -> Option<&Packet> {
-        if !self.any {
-            return None;
-        }
-        let mut i = self.head;
-        while i != self.tail {
-            let at = self.pos[i as usize];
-            if at != EMPTY {
-                return Some(&self.slab[at as usize]);
-            }
-            i = index_add(i, 1);
-        }
-        None
-    }
-
     /// Repositions the head to index `k` — the `start(c, k)` operation.
     /// Slots before `k` are discarded (they were already delivered or are
     /// the old AP's responsibility).
@@ -476,20 +459,6 @@ mod tests {
             None
         }
 
-        fn peek_head(&self) -> Option<&Packet> {
-            if !self.any {
-                return None;
-            }
-            let mut i = self.head;
-            while i != self.tail {
-                if let Some(p) = &self.slots[i as usize] {
-                    return Some(p);
-                }
-                i = index_add(i, 1);
-            }
-            None
-        }
-
         fn start_from(&mut self, k: u16) {
             if !self.any {
                 self.head = k;
@@ -573,7 +542,6 @@ mod tests {
             );
             assert_eq!(s.backlog_walk(), d.backlog_walk(), "walk after {op}");
             assert_eq!(s.backlog(), s.backlog_walk(), "count vs walk after {op}");
-            assert_eq!(s.peek_head(), d.peek_head(), "peek_head after {op}");
             assert!(s.slab.capacity() <= SLAB_BOUND, "slab grew past the bound");
         }
     }
@@ -883,9 +851,9 @@ mod tests {
         }
         q.clear();
         assert_eq!(q.backlog(), 0);
-        assert!(q.peek_head().is_none());
         q.insert(pkt(&mut f, 9));
-        assert_eq!(q.peek_head().unwrap().index, Some(9));
+        assert_eq!(q.pop_head().unwrap().index, Some(9));
+        assert!(q.pop_head().is_none());
     }
 
     #[test]

@@ -58,19 +58,13 @@ impl Deduplicator {
     /// without an IP header are never deduplicated per the paper's
     /// footnote 5 — callers simply skip the filter for those).
     pub fn check_key(&mut self, key: u64) -> bool {
-        if self.seen.contains(&key) {
+        let fresh = self.remember(key);
+        if fresh {
+            self.passed += 1;
+        } else {
             self.duplicates += 1;
-            return false;
         }
-        if self.order.len() == self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
-            }
-        }
-        self.seen.insert(key);
-        self.order.push_back(key);
-        self.passed += 1;
-        true
+        fresh
     }
 
     /// Marks `key` as already-seen *without* counting it as a passed
@@ -80,8 +74,14 @@ impl Deduplicator {
     /// predates the crash still drops instead of reaching the Internet
     /// twice.
     pub fn prime_key(&mut self, key: u64) {
+        self.remember(key);
+    }
+
+    /// Inserts `key` into the bounded FIFO, evicting the oldest key at
+    /// capacity. `false` when `key` is already remembered (nothing moves).
+    fn remember(&mut self, key: u64) -> bool {
         if self.seen.contains(&key) {
-            return;
+            return false;
         }
         if self.order.len() == self.capacity {
             if let Some(old) = self.order.pop_front() {
@@ -90,6 +90,7 @@ impl Deduplicator {
         }
         self.seen.insert(key);
         self.order.push_back(key);
+        true
     }
 
     /// The IP idents currently remembered for `client`, oldest first.

@@ -10,57 +10,23 @@
 //! and the struct field, its cross-shard fold and its place in the run
 //! digest ([`crate::digest`]) all follow from it.
 
-use serde::Serialize;
 use wgtt_net::ApId;
 use wgtt_sim::stats::BinnedSeries;
-use wgtt_sim::{EnginePerf, SimDuration, SimTime};
+use wgtt_sim::{SimDuration, SimTime};
 
-/// Host-side performance of one run: simulated work vs wall-clock cost.
+/// Host-side cost of one run.
 ///
-/// Wall-clock is measured by the engine's run loops ([`EnginePerf`]); none
-/// of it feeds back into the simulation, so two runs of the same scenario
-/// produce bit-identical *results* even when their `RunPerf` differs. This
-/// is the record the `benchmark/` package reads host speed from.
-#[derive(Debug, Clone, Copy, Serialize)]
+/// Wall-clock is measured by the engine's run loops
+/// ([`wgtt_sim::EnginePerf`]); none of it feeds back into the simulation,
+/// so two runs of the same scenario produce bit-identical *results* even
+/// when their `RunPerf` differs. This is the record the `benchmark/`
+/// package reads host speed from.
+#[derive(Debug, Clone, Copy)]
 pub struct RunPerf {
-    /// Events the engine processed.
-    pub events: u64,
     /// Host wall-clock seconds spent in the event loop, including the
     /// end-of-run drain of oracle samples still queued for evaluation
     /// (see [`crate::oracle`]).
     pub wall_s: f64,
-    /// Simulated seconds covered by the run (traffic duration + settle).
-    pub sim_s: f64,
-}
-
-impl RunPerf {
-    /// Builds the record from engine counters plus the simulated span.
-    pub fn from_engine(perf: EnginePerf, sim_s: f64) -> Self {
-        RunPerf {
-            events: perf.events,
-            wall_s: perf.wall.as_secs_f64(),
-            sim_s,
-        }
-    }
-
-    /// Events processed per wall-clock second (0 when no time elapsed).
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.events as f64 / self.wall_s
-        } else {
-            0.0
-        }
-    }
-
-    /// Simulated-time / real-time ratio: how many simulated seconds one
-    /// host second buys (>1 means faster than real time).
-    pub fn sim_rt_ratio(&self) -> f64 {
-        if self.wall_s > 0.0 {
-            self.sim_s / self.wall_s
-        } else {
-            0.0
-        }
-    }
 }
 
 /// Per-client measurement sink.
@@ -105,8 +71,6 @@ pub struct ClientMetrics {
     /// Completed failovers after a serving-AP crash: `(completion time,
     /// latency from the crash instant to re-attachment)`.
     pub failovers: Vec<(SimTime, SimDuration)>,
-    /// Total time spent detached because of AP faults.
-    pub blackout_total: SimDuration,
 }
 
 impl ClientMetrics {
@@ -131,7 +95,6 @@ impl ClientMetrics {
             capacity_loss_bps_sum: 0.0,
             capacity_samples: 0,
             failovers: Vec::new(),
-            blackout_total: SimDuration::ZERO,
         }
     }
 
@@ -242,15 +205,6 @@ impl ClientMetrics {
                 }
             })
             .collect()
-    }
-
-    /// Link-layer delivery ratio.
-    pub fn mpdu_delivery_ratio(&self) -> f64 {
-        if self.mpdu_attempts == 0 {
-            0.0
-        } else {
-            self.mpdu_successes as f64 / self.mpdu_attempts as f64
-        }
     }
 }
 
@@ -426,7 +380,8 @@ counter_table! {
     departed_ctrl_drops: sum,
     /// Client *data* packets lost at a shard seam: in-flight datagrams of
     /// a departed client that could not be forwarded to its destination
-    /// shard (non-ring corridor exit, or the naive no-transfer mode).
+    /// shard (a forward past its retry budget, or the naive no-transfer
+    /// mode).
     departed_data_drops: sum,
     /// Wire bytes of `departed_data_drops` — charged to the retention
     /// denominator so seam losses can't silently inflate retention.
@@ -488,27 +443,6 @@ mod tests {
         m.ack_responses = 1000;
         m.ack_collisions = 2;
         assert!((m.ack_collision_rate() - 0.002).abs() < 1e-12);
-        m.mpdu_attempts = 10;
-        m.mpdu_successes = 7;
-        assert!((m.mpdu_delivery_ratio() - 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn run_perf_ratios() {
-        let p = RunPerf {
-            events: 1_000_000,
-            wall_s: 2.0,
-            sim_s: 10.0,
-        };
-        assert!((p.events_per_sec() - 500_000.0).abs() < 1e-9);
-        assert!((p.sim_rt_ratio() - 5.0).abs() < 1e-12);
-        let zero = RunPerf {
-            events: 5,
-            wall_s: 0.0,
-            sim_s: 1.0,
-        };
-        assert_eq!(zero.events_per_sec(), 0.0);
-        assert_eq!(zero.sim_rt_ratio(), 0.0);
     }
 
     #[test]
@@ -516,7 +450,6 @@ mod tests {
         let m = ClientMetrics::new(SimDuration::from_millis(100));
         assert_eq!(m.switching_accuracy(), 0.0);
         assert_eq!(m.ack_collision_rate(), 0.0);
-        assert_eq!(m.mpdu_delivery_ratio(), 0.0);
         assert_eq!(m.mean_downlink_bps(SimDuration::from_secs(1)), 0.0);
         assert_eq!(m.switch_count(), 0);
         assert_eq!(m.serving_at(t(5)), None);

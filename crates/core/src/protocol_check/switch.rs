@@ -81,7 +81,6 @@ impl State {
             Some(SwitchMsg::Stop { epoch, term, .. }) => {
                 self.send_stop(cfg, p.from, p.to, epoch, term)
             }
-            Some(_) => unreachable!("timeouts only retransmit stops"),
             None => {
                 // Retry ladder exhausted: the abandon must surface.
                 if self.engine.next_unprocessed_abandon().is_none() {

@@ -143,7 +143,7 @@ pub struct RunResult {
     pub duration: SimDuration,
     /// Events processed (simulator health indicator).
     pub events: u64,
-    /// Host-side cost of the run: events, wall-clock, sim/real ratio.
+    /// Host-side cost of the run: its wall-clock.
     /// Never feeds back into results — see [`crate::metrics::RunPerf`].
     pub perf: crate::metrics::RunPerf,
 }
@@ -273,11 +273,9 @@ fn run_impl(scenario: Scenario, oracle_helpers: Option<usize>) -> RunResult {
         },
     );
     let events = sim.events_processed();
-    let mut perf = crate::metrics::RunPerf::from_engine(
-        sim.perf(),
-        (scenario.duration + settle).as_secs_f64(),
-    );
-    perf.wall_s += drain.as_secs_f64();
+    let perf = crate::metrics::RunPerf {
+        wall_s: (sim.perf().wall + drain).as_secs_f64(),
+    };
     RunResult {
         world: sim.into_world(),
         duration: scenario.duration,

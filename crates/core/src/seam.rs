@@ -265,11 +265,6 @@ impl<R, F> SeamEngine<R, F> {
         self.forwards.send(now, policy, payload)
     }
 
-    /// The un-acked forward `fid`.
-    pub fn forwarded(&self, fid: u64) -> Option<&F> {
-        self.forwards.unacked.get(&fid).map(|u| &u.payload)
-    }
-
     /// Receiver: forward `fid` arrived. `true` the first time (apply it),
     /// `false` for a duplicate; acknowledge either way.
     pub fn on_forward(&mut self, fid: u64) -> bool {
@@ -425,7 +420,6 @@ mod tests {
         let mut e: SeamEngine<&str, &str> = SeamEngine::default();
         let seq = e.export(ms(0), &policy(3), hop(7));
         let fid = e.forward(ms(0), &policy(3), "residue");
-        assert_eq!(e.forwarded(fid), Some(&"residue"));
         let mut log = Vec::new();
         for t in (0..=800).step_by(50) {
             for due in e.due(ms(t), &policy(3)) {

@@ -75,7 +75,7 @@ pub struct ApSelector {
     /// an AP's first reading: every scan walks ids in ascending order, so
     /// nothing is hashed, collected or sorted per tick.
     heard: Vec<Heard>,
-    last_switch: Option<SimTime>,
+    switched_at: Option<SimTime>,
     /// Where [`TimeWindow::median_in`] selects.
     median_scratch: Vec<f64>,
 }
@@ -86,14 +86,9 @@ impl ApSelector {
         ApSelector {
             cfg,
             heard: Vec::new(),
-            last_switch: None,
+            switched_at: None,
             median_scratch: Vec::new(),
         }
-    }
-
-    /// Configuration in use.
-    pub fn config(&self) -> &SelectionConfig {
-        &self.cfg
     }
 
     /// Ingests an ESNR reading reported by `ap` at time `t`.
@@ -119,22 +114,6 @@ impl ApSelector {
             WindowEstimator::Mean => w.mean(),
             WindowEstimator::Latest => w.latest(),
         }
-    }
-
-    /// APs with at least one reading inside the window, in id order — the
-    /// paper's definition of "within communication range" (footnote 1),
-    /// which also determines downlink fan-out.
-    pub fn in_range(&mut self, now: SimTime) -> impl Iterator<Item = ApId> + '_ {
-        let heard = self.heard.iter_mut().enumerate();
-        heard.filter_map(move |(i, h)| {
-            h.window.evict(now);
-            (!h.window.is_empty()).then_some(ApId(i as u32))
-        })
-    }
-
-    /// The best AP right now by the window statistic, with its score.
-    pub fn best(&mut self, now: SimTime) -> Option<(ApId, f64)> {
-        self.best_excluding(now, &[])
     }
 
     /// The best AP excluding the given set — used when the health layer
@@ -176,7 +155,7 @@ impl ApSelector {
         current: Option<ApId>,
         excluded: &[ApId],
     ) -> Option<ApId> {
-        if let (Some(last), hysteresis) = (self.last_switch, self.cfg.hysteresis) {
+        if let (Some(last), hysteresis) = (self.switched_at, self.cfg.hysteresis) {
             if now.saturating_since(last) < hysteresis {
                 return None;
             }
@@ -213,12 +192,7 @@ impl ApSelector {
     /// Records that a switch was issued at `now` (starts the hysteresis
     /// clock).
     pub fn record_switch(&mut self, now: SimTime) {
-        self.last_switch = Some(now);
-    }
-
-    /// Time of the last recorded switch.
-    pub fn last_switch(&self) -> Option<SimTime> {
-        self.last_switch
+        self.switched_at = Some(now);
     }
 }
 
@@ -242,7 +216,7 @@ mod tests {
             feed(&mut s, 1, 10 + i, 20.0);
             feed(&mut s, 2, 10 + i, 15.0);
         }
-        let (ap, score) = s.best(t(15)).unwrap();
+        let (ap, score) = s.best_excluding(t(15), &[]).unwrap();
         assert_eq!(ap, ApId(1));
         assert_eq!(score, 20.0);
     }
@@ -258,7 +232,7 @@ mod tests {
         for (i, v) in [5.0, 5.0, 40.0, 5.0, 5.0].iter().enumerate() {
             feed(&mut s, 1, 10 + i as u64, *v);
         }
-        assert_eq!(s.best(t(15)).unwrap().0, ApId(0));
+        assert_eq!(s.best_excluding(t(15), &[]).unwrap().0, ApId(0));
 
         let mut latest = ApSelector::new(SelectionConfig {
             estimator: WindowEstimator::Latest,
@@ -270,7 +244,7 @@ mod tests {
         for (i, v) in [5.0, 5.0, 5.0, 5.0, 40.0].iter().enumerate() {
             feed(&mut latest, 1, 10 + i as u64, *v);
         }
-        assert_eq!(latest.best(t(15)).unwrap().0, ApId(1));
+        assert_eq!(latest.best_excluding(t(15), &[]).unwrap().0, ApId(1));
     }
 
     #[test]
@@ -278,20 +252,22 @@ mod tests {
         let mut s = ApSelector::new(SelectionConfig::default());
         feed(&mut s, 0, 0, 30.0);
         // 10 ms window: at t=20 ms the reading is stale.
-        assert_eq!(s.best(t(20)), None);
-        assert_eq!(s.in_range(t(20)).count(), 0);
+        assert_eq!(s.best_excluding(t(20), &[]), None);
         assert_eq!(s.score(ApId(0), t(20)), None);
     }
 
     #[test]
-    fn in_range_is_fanout_set() {
+    fn window_keeps_readings_up_to_its_width() {
         let mut s = ApSelector::new(SelectionConfig::default());
         feed(&mut s, 3, 100, 10.0);
         feed(&mut s, 1, 101, 12.0);
         feed(&mut s, 5, 95, 8.0); // stale at t=106? window 10ms → 96..106 keeps it
-        let in_range = |s: &mut ApSelector, at| s.in_range(t(at)).collect::<Vec<_>>();
-        assert_eq!(in_range(&mut s, 105), [ApId(1), ApId(3), ApId(5)]);
-        assert_eq!(in_range(&mut s, 106), [ApId(1), ApId(3)]);
+        let scored = |s: &mut ApSelector, at| {
+            let fresh = |a: &u32| s.score(ApId(*a), t(at)).is_some();
+            (0..8).filter(fresh).map(ApId).collect::<Vec<_>>()
+        };
+        assert_eq!(scored(&mut s, 105), [ApId(1), ApId(3), ApId(5)]);
+        assert_eq!(scored(&mut s, 106), [ApId(1), ApId(3)]);
     }
 
     #[test]
@@ -336,7 +312,7 @@ mod tests {
         let mut s = ApSelector::new(SelectionConfig::default());
         feed(&mut s, 2, 100, 15.0);
         // Selection forgets after 10 ms…
-        assert_eq!(s.in_range(t(150)).count(), 0);
+        assert_eq!(s.score(ApId(2), t(150)), None);
         // …but the fan-out horizon still remembers.
         let horizon = SimDuration::from_millis(100);
         assert_eq!(
@@ -357,7 +333,7 @@ mod tests {
     fn no_readings_no_decision() {
         let mut s = ApSelector::new(SelectionConfig::default());
         assert_eq!(s.decide(t(100), Some(ApId(0))), None);
-        assert_eq!(s.best(t(100)), None);
+        assert_eq!(s.best_excluding(t(100), &[]), None);
     }
 
     #[test]

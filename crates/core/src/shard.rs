@@ -3,11 +3,12 @@
 //!
 //! The paper evaluates one 8-AP road segment; a transit corridor is many
 //! such segments, each with its own controller (§6 sketches exactly this
-//! multi-controller split). This module models the corridor as a chain of
+//! multi-controller split). This module models the corridor as a ring of
 //! independent [`WgttWorld`] shards — separate radio mediums, backhauls,
 //! and controllers — driven by [`wgtt_sim::lockstep`]. The only
 //! cross-shard interaction is a vehicle leaving one cluster's coverage and
-//! entering the next, which maps onto the lockstep mailbox discipline:
+//! entering the next (the last cluster's the first), which maps onto the
+//! lockstep mailbox discipline:
 //!
 //! * **Within an epoch** every shard runs its own event queue to the
 //!   shared horizon. Shards share no state, so worker scheduling order is
@@ -96,10 +97,6 @@ pub struct ShardedScenario {
     pub gap_m: f64,
     /// How far before a cluster's first AP a migrant is re-admitted, m.
     pub entry_lead_m: f64,
-    /// `true` wraps the corridor into a ring: vehicles leaving the last
-    /// cluster re-enter the first, keeping per-shard load constant (the
-    /// benchmark's `corridor_ring` uses this).
-    pub ring: bool,
     /// Per-shard fault schedules (empty = no faults anywhere; otherwise
     /// exactly one entry per shard).
     pub shard_faults: Vec<FaultSchedule>,
@@ -153,7 +150,6 @@ impl ShardedScenario {
             seed,
             gap_m: 40.0,
             entry_lead_m: 4.0,
-            ring: true,
             shard_faults: Vec::new(),
             naive_handoff: false,
         }
@@ -315,7 +311,6 @@ impl<'a> Corridor<'a> {
                 lane_y: dep.lane_near_y,
                 speed_mps: mph_to_mps(scenario.mph),
                 flows: scenario.flows.clone(),
-                log_deliveries: false,
             },
             route: HashMap::new(),
             seam: SeamEngine::default(),
@@ -516,21 +511,10 @@ impl<'a> Corridor<'a> {
             }
         }
         for (from, c) in staged {
-            let to = if from + 1 < n {
-                from + 1
-            } else if self.scenario.ring {
-                0
-            } else {
-                usize::MAX
-            };
+            let to = (from + 1) % n;
             self.migrations.push(Migration { at: now, from, to });
             let overshoot = shards[from].sim.world().clients[c].position(now).x - self.exit_x;
             let state = shards[from].sim.world_mut().retire_client(c, now);
-            if to == usize::MAX {
-                // Corridor exit: nothing to hand the record to.
-                shards[from].lose(&state.residue);
-                continue;
-            }
             let mut spec = self.entry.clone();
             spec.entry_x += overshoot;
             if self.scenario.naive_handoff {
@@ -618,8 +602,7 @@ impl<'a> Corridor<'a> {
                     shards[from].deposit(now, c, entries);
                 } else {
                     // Departed with no route, no pending handoff, and no
-                    // readoption: the client left a non-ring corridor, or
-                    // the naive shim has no forwarding channel.
+                    // readoption: the naive shim has no forwarding channel.
                     shards[from].lose(&entries);
                 }
             }
@@ -637,8 +620,7 @@ pub struct Migration {
     pub at: SimTime,
     /// Source shard.
     pub from: usize,
-    /// Destination shard (`usize::MAX` when the vehicle left a non-ring
-    /// corridor entirely).
+    /// Destination shard: the next one along the ring.
     pub to: usize,
 }
 
@@ -795,7 +777,8 @@ mod tests {
 
     #[test]
     fn vehicles_cross_shard_boundaries() {
-        let r = run_sharded(&tiny(), 1);
+        let s = tiny();
+        let r = run_sharded(&s, 1);
         assert!(
             !r.migrations.is_empty(),
             "6 s at 35 mph must cross a 22.5 m cluster + 40 m gap"
@@ -804,7 +787,7 @@ mod tests {
         // Admission happens when the prepare delivers, one barrier after
         // the export — so `migrated_in` trails by at most the handoffs
         // still in flight at the end of the run (one per vehicle).
-        let crossings = r.migrations.iter().filter(|m| m.to != usize::MAX).count() as u64;
+        let crossings = r.migrations.len() as u64;
         let vehicles = 2;
         assert!(r.sys.migrated_in <= crossings);
         assert!(
@@ -815,7 +798,7 @@ mod tests {
         );
         assert!(r.sys.migrated_in > 0, "no handoff ever committed");
         for m in &r.migrations {
-            assert!(m.to != usize::MAX, "ring corridor never drops vehicles");
+            assert_eq!(m.to, (m.from + 1) % s.shards, "the ring drops no vehicle");
         }
     }
 
@@ -827,17 +810,6 @@ mod tests {
             let got = run_sharded(&scenario, workers).fingerprint();
             assert_same(&format!("workers={workers} vs serial"), &got, &reference);
         }
-    }
-
-    #[test]
-    fn non_ring_corridor_drops_vehicles_at_the_end() {
-        let mut s = tiny();
-        s.ring = false;
-        let r = run_sharded(&s, 1);
-        assert!(r
-            .migrations
-            .iter()
-            .any(|m| m.from == 1 && m.to == usize::MAX));
     }
 
     #[test]

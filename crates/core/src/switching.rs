@@ -25,7 +25,10 @@ use std::collections::BTreeMap;
 use wgtt_net::{ApId, ClientId};
 use wgtt_sim::{SimDuration, SimRng, SimTime};
 
-/// Control-plane messages of the switching protocol.
+/// The control-plane message the [`SwitchEngine`] emits: a `stop`. The
+/// `start` (AP₁ → AP₂) and `ack` (AP₂ → controller) legs travel as the
+/// world's `Ctl` events and the checker's `NetMsg`, and reach the guards
+/// as calls ([`ApSwitchGuard::on_start`], [`SwitchEngine::on_ack`]).
 ///
 /// Every message carries the switch **epoch** — a per-client monotonically
 /// increasing generation number the controller allocates when it issues
@@ -56,29 +59,6 @@ pub enum SwitchMsg {
         /// Switch generation this `stop` belongs to.
         epoch: u32,
         /// Controller term this `stop` was issued under.
-        term: u32,
-    },
-    /// Old AP → new AP: begin at cyclic-queue index `k`.
-    Start {
-        /// Client being switched.
-        client: ClientId,
-        /// First unsent index at the old AP.
-        k: u16,
-        /// Switch generation this `start` belongs to.
-        epoch: u32,
-        /// Controller term inherited from the admitting `stop`.
-        term: u32,
-    },
-    /// New AP → controller: switch complete.
-    Ack {
-        /// Client whose switch completed.
-        client: ClientId,
-        /// The AP that processed the `start` — the controller validates it
-        /// against the pending switch's target before closing.
-        from_ap: ApId,
-        /// Switch generation this `ack` belongs to.
-        epoch: u32,
-        /// Controller term inherited from the applied `start`.
         term: u32,
     },
 }
@@ -327,22 +307,6 @@ impl SwitchEngine {
     pub fn resume_epochs_above(&mut self, client: ClientId, floor: u32) {
         let e = self.epochs.entry(client).or_insert(0);
         *e = (*e).max(floor);
-    }
-
-    /// Imports a migrated client's epoch floor into this controller's
-    /// space. The destination of an inter-controller handoff must resume
-    /// strictly above every generation the source engine ever allocated
-    /// *and* every generation any source AP guard witnessed — otherwise a
-    /// straggler control frame stamped in the source space could alias a
-    /// live generation here and re-arm the ABA hazard across the seam.
-    /// The migrated client has no pending switch by construction (the
-    /// source freezes it at the barrier before exporting).
-    pub fn adopt_epoch_space(&mut self, client: ClientId, floor: u32) {
-        debug_assert!(
-            !self.in_flight(client),
-            "imported client {client} still has a pending switch"
-        );
-        self.resume_epochs_above(client, floor);
     }
 
     /// The retransmission timeout.

@@ -187,9 +187,7 @@ impl WgttWorld {
     pub(super) fn resolve_failover(&mut self, c: usize, now: SimTime) {
         if let Some(crash_at) = self.pending_failover[c].take() {
             let latency = now.saturating_since(crash_at);
-            let m = &mut self.clients[c].metrics;
-            m.failovers.push((now, latency));
-            m.blackout_total += latency;
+            self.clients[c].metrics.failovers.push((now, latency));
         }
     }
 

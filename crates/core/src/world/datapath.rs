@@ -522,3 +522,74 @@ impl WgttWorld {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ap::NicEntry;
+    use wgtt_phy::mobility::ConstantSpeed;
+    use wgtt_sim::Simulator;
+
+    const AP: usize = 2;
+    const SEQ: u16 = 5;
+
+    /// Puts `SEQ` back in flight at `AP`: outstanding in the scoreboard and
+    /// queued at the NIC, as a duplicated data delivery that rewinds the
+    /// cyclic head re-registers it.
+    fn put_in_flight(w: &mut WgttWorld, factory: &mut PacketFactory) {
+        let mut packet = factory.make(
+            ClientId(0),
+            FlowId(0),
+            Direction::Downlink,
+            1500,
+            SimTime::ZERO,
+            Payload::Udp { seq: 0 },
+        );
+        packet.index = Some(SEQ);
+        let st = w.aps[AP].client_mut(ClientId(0));
+        st.scoreboard.register(SEQ);
+        st.nic_queue.push_back(NicEntry {
+            packet,
+            seq: SEQ,
+            retries: 0,
+            registered: true,
+        });
+    }
+
+    /// A second copy of a forwarded Block ACK (backhaul duplication) must
+    /// not ack a sequence that was re-registered after the first copy
+    /// applied: `seen_bas` remembers the frame, the scoreboard alone does
+    /// not.
+    #[test]
+    fn a_duplicated_ba_forward_applies_once() {
+        let cfg = SystemConfig::default();
+        let traj = ConstantSpeed::drive_by(&cfg.deployment.build(), 25.0, 4.0);
+        let world = WgttWorld::new(cfg, vec![Box::new(traj)], 7, SimTime::from_secs(2), false);
+        let mut sim = Simulator::new(world);
+        let mut factory = PacketFactory::new();
+        let ba = BlockAckFrame {
+            start_seq: SEQ,
+            bitmap: 1,
+        };
+        let forward = Ev::Data(Data::BaForwardAtAp {
+            ap: AP,
+            client: 0,
+            ba,
+        });
+        put_in_flight(sim.world_mut(), &mut factory);
+        sim.schedule_at(SimTime::from_millis(1), forward.clone());
+        assert!(sim.step());
+        let st = sim.world_mut().aps[AP].client_mut(ClientId(0));
+        assert!(!st.scoreboard.is_unacked(SEQ), "the first copy acks");
+        assert!(st.nic_queue.is_empty());
+
+        put_in_flight(sim.world_mut(), &mut factory);
+        sim.schedule_at(SimTime::from_millis(2), forward);
+        assert!(sim.step());
+        let w = sim.world_mut();
+        assert_eq!(w.clients[0].metrics.ba_forwarded_applied, 1);
+        let st = w.aps[AP].client_mut(ClientId(0));
+        assert!(st.scoreboard.is_unacked(SEQ), "the second copy acked");
+        assert_eq!(st.nic_queue.len(), 1, "the second copy dequeued");
+    }
+}

@@ -49,8 +49,6 @@ pub struct MigrantSpec {
     pub speed_mps: f64,
     /// Flows to re-attach.
     pub flows: Vec<MigrantFlow>,
-    /// Whether the new client records per-delivery logs.
-    pub log_deliveries: bool,
 }
 
 /// One in-flight or queued datagram crossing a shard seam, tagged with
@@ -334,7 +332,7 @@ impl WgttWorld {
             speed_mps: spec.speed_mps,
         };
         let rng = self.rng.clone();
-        let c = self.push_client(Box::new(traj), spec.log_deliveries, |a| {
+        let c = self.push_client(Box::new(traj), false, |a| {
             rng.fork(&format!("migrant-link/{a}/n{ordinal}"))
         });
         for f in &spec.flows {
@@ -365,6 +363,12 @@ impl WgttWorld {
         let rec = record?;
         let id = ClientId(c as u32);
         self.factory.resume_ident(id, rec.next_ident);
+        // A fresh admission has no pending switch: the source froze the
+        // client at the barrier before exporting.
+        debug_assert!(
+            !self.ctrl.engine.in_flight(id),
+            "imported client {id} still has a pending switch"
+        );
         self.ctrl
             .import_migration(id, rec.epoch_max, &rec.dedup_idents);
         let flow_ids = self.client_flow_ids(c);
@@ -486,13 +490,14 @@ impl WgttWorld {
         if !self.departed[c] {
             let id = ClientId(c as u32);
             self.ctrl
-                .merge_migration(id, record.epoch_max, &record.dedup_idents);
+                .import_migration(id, record.epoch_max, &record.dedup_idents);
         }
         self.deposit_seam(c, record.residue.clone())
     }
 
     /// Counts a migration record (or outbox batch) that could not be
-    /// delivered to any destination — corridor exit or naive-handoff mode.
+    /// delivered to any destination — a forward past its retry budget, or
+    /// the naive-handoff mode.
     /// Every residue datagram is a seam data loss, charged in packets and
     /// wire bytes so retention accounting sees it.
     pub fn count_seam_loss(&mut self, packets: u64, bytes: u64) {

@@ -97,7 +97,6 @@ fn run_destination(record: &MigrationRecord, now: SimTime, traffic_until: SimTim
             payload: PAYLOAD,
             uplink: true,
         }],
-        log_deliveries: false,
     };
     let c = sim.world_mut().admit_migrant(&spec, Some(record), now);
     prime_migrant_events(&mut sim, c);

@@ -87,11 +87,6 @@ impl ApAssoc {
         self.associated_at
     }
 
-    /// True when data frames may flow.
-    pub fn is_associated(&self) -> bool {
-        self.state == AssocState::Associated
-    }
-
     /// Handles a client management frame, returning the response the AP
     /// sends, or `None` if the frame is invalid in this state (real APs
     /// answer with a status code; for the simulation a silent drop and
@@ -168,12 +163,11 @@ mod tests {
             Some(MgmtFrame::AuthResp)
         );
         assert_eq!(ap.state(), AssocState::Authenticated);
-        assert!(!ap.is_associated());
         assert_eq!(
             ap.on_frame(t(1), MgmtFrame::AssocReq),
             Some(MgmtFrame::AssocResp)
         );
-        assert!(ap.is_associated());
+        assert_eq!(ap.state(), AssocState::Associated);
         assert_eq!(ap.associated_at(), Some(t(1)));
     }
 
@@ -194,14 +188,14 @@ mod tests {
             ap.on_frame(t(5), MgmtFrame::ReassocReq),
             Some(MgmtFrame::ReassocResp)
         );
-        assert!(ap.is_associated());
+        assert_eq!(ap.state(), AssocState::Associated);
     }
 
     #[test]
     fn shared_association_is_immediate() {
         let mut ap = ApAssoc::new();
         ap.install_shared_association(t(9));
-        assert!(ap.is_associated());
+        assert_eq!(ap.state(), AssocState::Associated);
         assert_eq!(ap.associated_at(), Some(t(9)));
     }
 
@@ -238,7 +232,7 @@ mod tests {
         let mut ap = ApAssoc::new();
         ap.install_shared_association(t(0));
         ap.install_shared_auth();
-        assert!(ap.is_associated());
+        assert_eq!(ap.state(), AssocState::Associated);
     }
 
     #[test]

@@ -60,11 +60,6 @@ impl BlockAckFrame {
         }
         d < 64 && (self.bitmap >> d) & 1 == 1
     }
-
-    /// Number of MPDUs acknowledged.
-    pub fn count(&self) -> u32 {
-        self.bitmap.count_ones()
-    }
 }
 
 /// Transmitter-side Block ACK scoreboard for one (AP, client, TID) agreement.
@@ -470,7 +465,6 @@ mod tests {
         assert!(ba.acks(0));
         assert!(!ba.acks(1));
         assert!(ba.acks(2));
-        assert_eq!(ba.count(), 2);
         assert_eq!(rx.accepted(), 2);
         assert_eq!(rx.duplicates(), 1);
     }

@@ -15,38 +15,15 @@ use crate::timing::{contention_window, difs, slot};
 use wgtt_sim::{SimDuration, SimRng, SimTime};
 
 /// Per-station binary-exponential backoff state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Backoff {
     retries: u32,
-    max_retries: u32,
-}
-
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff {
-            retries: 0,
-            max_retries: 7,
-        }
-    }
 }
 
 impl Backoff {
-    /// Creates a backoff with the given retry limit.
-    pub fn new(max_retries: u32) -> Self {
-        Backoff {
-            retries: 0,
-            max_retries,
-        }
-    }
-
     /// Current retry count.
     pub fn retries(&self) -> u32 {
         self.retries
-    }
-
-    /// True once the retry limit is exhausted (frame should be dropped).
-    pub fn exhausted(&self) -> bool {
-        self.retries > self.max_retries
     }
 
     /// Draws a backoff in slots from the current contention window.
@@ -61,11 +38,6 @@ impl Backoff {
 
     /// Records a success (resets CW).
     pub fn on_success(&mut self) {
-        self.retries = 0;
-    }
-
-    /// Resets to the initial state (frame abandoned).
-    pub fn reset(&mut self) {
         self.retries = 0;
     }
 }
@@ -84,16 +56,6 @@ impl Medium {
     /// Creates an idle medium.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// When the channel next becomes idle.
-    pub fn idle_at(&self) -> SimTime {
-        self.busy_until
-    }
-
-    /// True if the channel is idle at `t`.
-    pub fn is_idle(&self, t: SimTime) -> bool {
-        t >= self.busy_until
     }
 
     /// Computes the earliest transmit start for a station that wants to
@@ -127,13 +89,6 @@ impl Medium {
     pub fn tx_count(&self) -> u64 {
         self.tx_count
     }
-
-    /// Whether two access times land in the same backoff slot — the
-    /// collision test for simultaneous contenders.
-    pub fn same_slot(a: SimTime, b: SimTime) -> bool {
-        let d = if a > b { a - b } else { b - a };
-        d < slot()
-    }
 }
 
 #[cfg(test)]
@@ -154,17 +109,12 @@ mod tests {
 
     #[test]
     fn backoff_retry_lifecycle() {
-        let mut b = Backoff::new(2);
-        assert!(!b.exhausted());
+        let mut b = Backoff::default();
         b.on_failure();
         b.on_failure();
         b.on_failure();
-        assert!(b.exhausted());
+        assert_eq!(b.retries(), 3);
         b.on_success();
-        assert!(!b.exhausted());
-        assert_eq!(b.retries(), 0);
-        b.on_failure();
-        b.reset();
         assert_eq!(b.retries(), 0);
     }
 
@@ -182,8 +132,6 @@ mod tests {
         m.occupy(SimTime::ZERO, SimDuration::from_millis(2));
         let t = m.access_time(SimTime::from_millis(1), 0);
         assert_eq!(t, SimTime::from_micros(2_028));
-        assert!(!m.is_idle(SimTime::from_millis(1)));
-        assert!(m.is_idle(SimTime::from_millis(2)));
     }
 
     #[test]
@@ -193,7 +141,8 @@ mod tests {
         m.occupy(SimTime::from_millis(5), SimDuration::from_millis(2));
         assert_eq!(m.busy_time(), SimDuration::from_millis(3));
         assert_eq!(m.tx_count(), 2);
-        assert_eq!(m.idle_at(), SimTime::from_millis(7));
+        // Idle from 7 ms, then DIFS.
+        assert_eq!(m.access_time(SimTime::ZERO, 0), SimTime::from_micros(7_028));
     }
 
     #[test]
@@ -201,21 +150,16 @@ mod tests {
         let mut m = Medium::new();
         m.occupy(SimTime::ZERO, SimDuration::from_millis(10));
         m.occupy(SimTime::from_millis(2), SimDuration::from_millis(1));
-        assert_eq!(m.idle_at(), SimTime::from_millis(10));
-    }
-
-    #[test]
-    fn same_slot_detection() {
-        let a = SimTime::from_micros(100);
-        assert!(Medium::same_slot(a, SimTime::from_micros(108)));
-        assert!(!Medium::same_slot(a, SimTime::from_micros(110)));
-        assert!(Medium::same_slot(a, a));
+        assert_eq!(
+            m.access_time(SimTime::ZERO, 0),
+            SimTime::from_micros(10_028)
+        );
     }
 
     #[test]
     fn two_contenders_rarely_collide_with_big_cw() {
-        // Statistical sanity: with CW=15, two contenders collide ≈ 1/16 of
-        // the time.
+        // Statistical sanity: with CW=15, two contenders collide (draw the
+        // same slot, so get the same grant) ≈ 1/16 of the time.
         let mut rng = SimRng::new(7);
         let b = Backoff::default();
         let m = Medium::new();
@@ -224,7 +168,7 @@ mod tests {
             .filter(|_| {
                 let ta = m.access_time(now, b.draw(&mut rng));
                 let tb = m.access_time(now, b.draw(&mut rng));
-                Medium::same_slot(ta, tb)
+                ta == tb
             })
             .count();
         let rate = collisions as f64 / 4000.0;

@@ -83,12 +83,6 @@ pub fn block_ack_airtime() -> SimDuration {
         + SimDuration::for_bits(BLOCK_ACK_BYTES as u64 * 8, CONTROL_RATE_BPS)
 }
 
-/// Airtime of a normal ACK.
-pub fn ack_airtime() -> SimDuration {
-    SimDuration::from_micros(LEGACY_PREAMBLE_US)
-        + SimDuration::for_bits(ACK_BYTES as u64 * 8, CONTROL_RATE_BPS)
-}
-
 /// Contention window (inclusive upper bound on the backoff draw) after
 /// `retries` consecutive failures.
 pub fn contention_window(retries: u32) -> u32 {
@@ -97,24 +91,16 @@ pub fn contention_window(retries: u32) -> u32 {
     (((CW_MIN + 1) << retries.min(6)) - 1).min(CW_MAX)
 }
 
-/// Full exchange time for an aggregated transmission: DIFS + backoff slots
-/// + A-MPDU + SIFS + Block ACK.
-pub fn ampdu_exchange_time(
-    backoff_slots: u32,
-    mpdu_bytes: &[usize],
-    mcs: Mcs,
-    gi: GuardInterval,
-) -> SimDuration {
-    difs()
-        + slot() * backoff_slots as u64
-        + ampdu_airtime(mpdu_bytes, mcs, gi)
-        + sifs()
-        + block_ack_airtime()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One aggregated exchange as the world times it: DIFS, backoff
+    /// slots, the A-MPDU, SIFS, Block ACK.
+    fn exchange(slots: u32, mpdu_bytes: &[usize], mcs: Mcs, gi: GuardInterval) -> SimDuration {
+        let ba = sifs() + block_ack_airtime();
+        difs() + slot() * slots as u64 + ampdu_airtime(mpdu_bytes, mcs, gi) + ba
+    }
 
     #[test]
     fn constants_match_standard() {
@@ -150,10 +136,13 @@ mod tests {
     fn aggregation_amortizes_overhead() {
         let gi = GuardInterval::Long;
         let mcs = Mcs(7);
-        // 20 separate frames vs one 20-MPDU aggregate.
-        let single = frame_airtime(1500, mcs, gi) + sifs() + ack_airtime() + difs();
+        // 20 separate frames, each with a normal ACK, vs one 20-MPDU
+        // aggregate.
+        let ack = SimDuration::from_micros(LEGACY_PREAMBLE_US)
+            + SimDuration::for_bits(ACK_BYTES as u64 * 8, CONTROL_RATE_BPS);
+        let single = frame_airtime(1500, mcs, gi) + sifs() + ack + difs();
         let separate = single * 20;
-        let aggregate = ampdu_exchange_time(0, &[1500; 20], mcs, gi);
+        let aggregate = exchange(0, &[1500; 20], mcs, gi);
         // Per-frame overhead is ~100 µs against ~188 µs of payload at
         // MCS7: aggregation should reclaim most of it (>25% saving).
         assert!(
@@ -170,17 +159,16 @@ mod tests {
         let gi = GuardInterval::Long;
         let mcs = Mcs(7);
         let payload = payload_airtime(1500, mcs, gi).as_nanos() as f64;
-        let single = ampdu_exchange_time(7, &[1500], mcs, gi).as_nanos() as f64;
+        let single = exchange(7, &[1500], mcs, gi).as_nanos() as f64;
         assert!(payload / single < 0.8);
         let payload42 = payload_airtime(1500 * 42, mcs, gi).as_nanos() as f64;
-        let agg = ampdu_exchange_time(7, &[1500; 42], mcs, gi).as_nanos() as f64;
+        let agg = exchange(7, &[1500; 42], mcs, gi).as_nanos() as f64;
         assert!(payload42 / agg > 0.9, "{}", payload42 / agg);
     }
 
     #[test]
     fn control_frames_short() {
         assert!(block_ack_airtime() < SimDuration::from_micros(40));
-        assert!(ack_airtime() < block_ack_airtime());
     }
 
     #[test]

@@ -203,8 +203,6 @@ pub mod overhead {
     pub const UDP: usize = 8;
     /// TCP header without options.
     pub const TCP: usize = 20;
-    /// Ethernet II header + FCS.
-    pub const ETHERNET: usize = 18;
     /// 802.11 data frame MAC header + FCS (QoS data).
     pub const DOT11: usize = 34;
 }

@@ -160,11 +160,6 @@ impl TcpSender {
         s
     }
 
-    /// Configuration in use.
-    pub fn config(&self) -> &TcpConfig {
-        &self.cfg
-    }
-
     /// Oldest unacknowledged byte.
     pub fn snd_una(&self) -> u64 {
         self.snd_una

@@ -138,15 +138,6 @@ impl UdpSink {
             }
         }
     }
-
-    /// Mean goodput in bit/s over `duration`.
-    pub fn mean_goodput_bps(&self, duration: SimDuration) -> f64 {
-        if duration == SimDuration::ZERO {
-            0.0
-        } else {
-            self.bytes as f64 * 8.0 / duration.as_secs_f64()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -213,12 +204,12 @@ mod tests {
     }
 
     #[test]
-    fn sink_mean_goodput() {
+    fn sink_counts_unique_bytes() {
         let mut k = UdpSink::new();
         k.on_receive(SimTime::from_millis(10), 0, 1250); // 10 kbit
         k.on_receive(SimTime::from_millis(150), 1, 1250);
-        let goodput = k.mean_goodput_bps(SimDuration::from_secs(1));
-        assert!((goodput - 20_000.0).abs() < 1e-6);
+        k.on_receive(SimTime::from_millis(160), 1, 1250); // duplicate
+        assert_eq!(k.bytes(), 2500);
     }
 
     #[test]
@@ -227,6 +218,6 @@ mod tests {
         assert_eq!(k.loss_rate(), 0.0);
         assert_eq!(k.received(), 0);
         assert_eq!(k.last_arrival(), None);
-        assert_eq!(k.mean_goodput_bps(SimDuration::ZERO), 0.0);
+        assert_eq!(k.bytes(), 0);
     }
 }

@@ -14,11 +14,6 @@ use serde::Serialize;
 pub trait Antenna: Send + Sync {
     /// Gain in dBi at `off_boresight` radians from the pointing direction.
     fn gain_dbi(&self, off_boresight: f64) -> f64;
-
-    /// Peak (boresight) gain in dBi.
-    fn peak_gain_dbi(&self) -> f64 {
-        self.gain_dbi(0.0)
-    }
 }
 
 /// An isotropic radiator (client devices, omni reference cases).
@@ -87,7 +82,6 @@ mod tests {
         assert_eq!(a.gain_dbi(0.0), 2.0);
         assert_eq!(a.gain_dbi(1.0), 2.0);
         assert_eq!(a.gain_dbi(3.0), 2.0);
-        assert_eq!(a.peak_gain_dbi(), 2.0);
         assert_eq!(Isotropic::default().gain_dbi(0.5), 0.0);
     }
 
@@ -95,7 +89,6 @@ mod tests {
     fn parabolic_peak_at_boresight() {
         let a = ParabolicAntenna::default();
         assert_eq!(a.gain_dbi(0.0), 14.0);
-        assert_eq!(a.peak_gain_dbi(), 14.0);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The fading model works with complex baseband channel gains; rather than
 //! pull in an external numerics crate, this module implements the small set
-//! of operations required: addition, multiplication, scaling, conjugation,
-//! magnitude, and `e^{jθ}`.
+//! of operations required: addition, multiplication, scaling, magnitude,
+//! and `e^{jθ}`.
 
 use std::ops::{Add, AddAssign, Mul, Neg, Sub};
 
@@ -49,21 +49,6 @@ impl Cplx {
     #[inline]
     pub fn abs(self) -> f64 {
         self.abs2().sqrt()
-    }
-
-    /// Phase in radians, in `(-π, π]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Cplx {
-            re: self.re,
-            im: -self.im,
-        }
     }
 
     /// Scales by a real factor.
@@ -150,13 +135,12 @@ mod tests {
         let p = Cplx::from_phase(PI / 2.0);
         assert!(close(p.re, 0.0) || p.re.abs() < 1e-15);
         assert!(close(p.im, 1.0));
-        assert!(close(p.arg(), PI / 2.0));
     }
 
     #[test]
     fn conjugate_multiplication_gives_power() {
         let z = Cplx::new(1.5, -2.5);
-        let p = z * z.conj();
+        let p = z * Cplx::new(z.re, -z.im);
         assert!(close(p.re, z.abs2()));
         assert!(p.im.abs() < 1e-12);
     }

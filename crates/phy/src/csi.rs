@@ -4,7 +4,7 @@
 //! HT20 frame (via the Atheros CSI Tool in the paper) and ship the readings
 //! to the controller. Here a [`Csi`] is the per-subcarrier complex channel
 //! response together with the link's large-scale SNR; per-subcarrier SNRs
-//! in dB fall out directly and feed the ESNR computation.
+//! fall out directly and feed the ESNR computation.
 
 use crate::complex::Cplx;
 use crate::pathloss::{db_to_linear, linear_to_db};
@@ -46,15 +46,6 @@ pub struct Csi {
 }
 
 impl Csi {
-    /// Per-subcarrier SNR in dB: `mean_snr_db + 10·log₁₀|H_k|²`.
-    pub fn per_subcarrier_snr_db(&self) -> [f64; NUM_SUBCARRIERS] {
-        let mut out = [0.0; NUM_SUBCARRIERS];
-        for (o, h) in out.iter_mut().zip(&self.h) {
-            *o = self.mean_snr_db + linear_to_db(h.abs2());
-        }
-        out
-    }
-
     /// Per-subcarrier SNR in linear scale.
     pub fn per_subcarrier_snr_linear(&self) -> [f64; NUM_SUBCARRIERS] {
         tone_snrs(self.mean_snr_db, |k| self.h[k])
@@ -102,7 +93,7 @@ mod tests {
             h: [Cplx::ONE; NUM_SUBCARRIERS],
             mean_snr_db: 25.0,
         };
-        for snr in csi.per_subcarrier_snr_db() {
+        for snr in csi.per_subcarrier_snr_linear().map(linear_to_db) {
             assert!((snr - 25.0).abs() < 1e-9);
         }
         assert!((csi.rssi_snr_db() - 25.0).abs() < 1e-9);
@@ -118,7 +109,7 @@ mod tests {
             h,
             mean_snr_db: 30.0,
         };
-        let snrs = csi.per_subcarrier_snr_db();
+        let snrs = csi.per_subcarrier_snr_linear().map(linear_to_db);
         assert!((snrs[10] - 10.0).abs() < 1e-9);
         assert!((snrs[0] - 30.0).abs() < 1e-9);
         // RSSI barely notices one faded subcarrier.
@@ -131,7 +122,7 @@ mod tests {
             h: [Cplx::ZERO; NUM_SUBCARRIERS],
             mean_snr_db: 20.0,
         };
-        for snr in csi.per_subcarrier_snr_db() {
+        for snr in csi.per_subcarrier_snr_linear().map(linear_to_db) {
             assert!(snr <= -200.0);
         }
     }

@@ -267,18 +267,6 @@ impl WirelessLink {
         (self.fading).freq_response_from_gains(gains, &self.twiddles, &mut split);
         self.memo_from_response(client, &split)
     }
-
-    /// Carrier wavelength (for Doppler computations elsewhere).
-    pub fn wavelength_m(&self) -> f64 {
-        self.cfg.pathloss.wavelength_m()
-    }
-
-    /// Whether a client at `client` can carrier-sense / decode preambles
-    /// from this AP at all: mean SNR above the given floor (dB). Used for
-    /// "in communication range" checks.
-    pub fn in_range(&self, client: &Position, floor_db: f64) -> bool {
-        self.mean_snr_db(client) >= floor_db
-    }
 }
 
 #[cfg(test)]
@@ -548,12 +536,12 @@ mod tests {
     }
 
     #[test]
-    fn in_range_floor() {
+    fn mean_snr_clears_a_floor_only_near_the_ap() {
         let links = testbed_links(7);
         let ap = &links[0];
         let ap_x = ap.ap_site().position.x;
-        assert!(ap.in_range(&road_pos(ap_x), 5.0));
-        assert!(!ap.in_range(&road_pos(ap_x + 300.0), 5.0));
+        assert!(ap.mean_snr_db(&road_pos(ap_x)) >= 5.0);
+        assert!(ap.mean_snr_db(&road_pos(ap_x + 300.0)) < 5.0);
     }
 
     #[test]

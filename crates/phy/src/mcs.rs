@@ -33,11 +33,6 @@ impl GuardInterval {
 pub struct Mcs(pub u8);
 
 impl Mcs {
-    /// Lowest MCS.
-    pub const MIN: Mcs = Mcs(0);
-    /// Highest single-stream MCS.
-    pub const MAX: Mcs = Mcs(7);
-
     /// All MCS values, ascending.
     pub fn all() -> impl DoubleEndedIterator<Item = Mcs> {
         (0..=7).map(Mcs)

@@ -1,6 +1,6 @@
 //! Client mobility models.
 //!
-//! A [`Trajectory`] maps simulated time to a client position and velocity.
+//! A [`Trajectory`] maps simulated time to a client position and speed.
 //! The paper's experiments need: stationary clients, constant-speed
 //! transits past the AP array at 5–35 mph, and the three two-car patterns of
 //! Fig 19 (following at 3 m spacing, parallel driving, opposing directions).
@@ -16,9 +16,6 @@ pub trait Trajectory: Send + Sync {
     /// Instantaneous speed (m/s) at time `t`; drives the Doppler spread of
     /// the fading process.
     fn speed_mps(&self, t: SimTime) -> f64;
-
-    /// Velocity unit vector at `t` (`None` when stationary).
-    fn heading(&self, t: SimTime) -> Option<[f64; 3]>;
 }
 
 /// A client that never moves.
@@ -34,9 +31,6 @@ impl Trajectory for Stationary {
     }
     fn speed_mps(&self, _t: SimTime) -> f64 {
         0.0
-    }
-    fn heading(&self, _t: SimTime) -> Option<[f64; 3]> {
-        None
     }
 }
 
@@ -94,13 +88,6 @@ impl Trajectory for ConstantSpeed {
     fn speed_mps(&self, _t: SimTime) -> f64 {
         self.speed_mps.abs()
     }
-    fn heading(&self, _t: SimTime) -> Option<[f64; 3]> {
-        if self.speed_mps == 0.0 {
-            None
-        } else {
-            Some([self.speed_mps.signum(), 0.0, 0.0])
-        }
-    }
 }
 
 /// The two-car driving patterns of the multi-client experiments (Fig 19).
@@ -154,7 +141,6 @@ mod tests {
         };
         assert_eq!(s.position(SimTime::from_secs(100)), s.position);
         assert_eq!(s.speed_mps(SimTime::ZERO), 0.0);
-        assert!(s.heading(SimTime::ZERO).is_none());
     }
 
     #[test]
@@ -166,7 +152,6 @@ mod tests {
         let p = c.position(SimTime::from_millis(2500));
         assert!((p.x - 25.0).abs() < 1e-9);
         assert_eq!(p.y, 5.0);
-        assert_eq!(c.heading(SimTime::ZERO), Some([1.0, 0.0, 0.0]));
     }
 
     #[test]
@@ -188,7 +173,6 @@ mod tests {
         assert!(c.position(SimTime::ZERO).x > d.extent().1);
         let later = c.position(SimTime::from_secs(2));
         assert!(later.x < c.position(SimTime::ZERO).x);
-        assert_eq!(c.heading(SimTime::ZERO), Some([-1.0, 0.0, 0.0]));
         // Speed is reported unsigned (it feeds Doppler).
         assert!(c.speed_mps(SimTime::ZERO) > 0.0);
     }

@@ -127,13 +127,6 @@ impl MinstrelLite {
         }
     }
 
-    /// Resets all statistics (e.g. after a long idle period).
-    pub fn reset(&mut self) {
-        for s in &mut self.stats {
-            *s = RateStat::new();
-        }
-    }
-
     fn maybe_roll_window(&mut self, now: SimTime) {
         if now.saturating_since(self.window_start) < self.window {
             return;
@@ -251,20 +244,5 @@ mod tests {
         let best = ctl.best_rate();
         let probes = chosen[1000..].iter().filter(|m| **m != best).count();
         assert!(probes > 20, "no probing happened: {probes}");
-    }
-
-    #[test]
-    fn reset_clears_memory() {
-        let mut ctl = MinstrelLite::new(GuardInterval::Long);
-        let mut rng = SimRng::new(6);
-        drive(
-            &mut ctl,
-            &mut rng,
-            1000,
-            |m| if m.0 == 0 { 1.0 } else { 0.0 },
-        );
-        ctl.reset();
-        // After reset, optimistic init ranks MCS7 best again.
-        assert_eq!(ctl.best_rate(), Mcs(7));
     }
 }

@@ -133,11 +133,6 @@ impl<W: World> Simulator<W> {
         self.queue.push(at, event)
     }
 
-    /// Schedules an event `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: W::Event) {
-        self.queue.push(self.now + delay, event)
-    }
-
     /// Processes a single event. Returns `false` when the event list is
     /// empty.
     pub fn step(&mut self) -> bool {

@@ -153,21 +153,6 @@ impl SimRng {
         -mean * u.ln()
     }
 
-    /// Rician-distributed amplitude with K-factor `k` (linear, not dB) and
-    /// total mean power `omega`.
-    ///
-    /// Models a channel with a line-of-sight component of power
-    /// `k/(k+1)*omega` plus scattered power `omega/(k+1)`; `k = 0`
-    /// degenerates to Rayleigh fading.
-    pub fn rician(&mut self, k: f64, omega: f64) -> f64 {
-        debug_assert!(k >= 0.0 && omega > 0.0);
-        let los = (k * omega / (k + 1.0)).sqrt();
-        let sigma = (omega / (2.0 * (k + 1.0))).sqrt();
-        let x = los + sigma * self.standard_normal();
-        let y = sigma * self.standard_normal();
-        (x * x + y * y).sqrt()
-    }
-
     /// A uniformly random phase in `[0, 2π)`.
     pub fn phase(&mut self) -> f64 {
         self.unit() * 2.0 * std::f64::consts::PI
@@ -326,29 +311,6 @@ mod tests {
         assert!((mean - 3.0).abs() < 0.15, "mean {mean}");
         // Exponential samples are non-negative.
         assert!((0..100).all(|_| r.exponential(1.0) >= 0.0));
-    }
-
-    #[test]
-    fn rician_mean_power_and_k_limit() {
-        let mut r = SimRng::new(19);
-        let n = 20_000;
-        // Total power should equal omega regardless of K.
-        for &k in &[0.0, 1.0, 6.0] {
-            let pwr = (0..n).map(|_| r.rician(k, 2.0).powi(2)).sum::<f64>() / n as f64;
-            assert!((pwr - 2.0).abs() < 0.15, "K={k} power {pwr}");
-        }
-        // Large K concentrates amplitude near sqrt(omega): variance shrinks.
-        let var_k0: f64 = {
-            let s: Vec<f64> = (0..n).map(|_| r.rician(0.0, 1.0)).collect();
-            let m = s.iter().sum::<f64>() / n as f64;
-            s.iter().map(|x| (x - m).powi(2)).sum::<f64>() / n as f64
-        };
-        let var_k20: f64 = {
-            let s: Vec<f64> = (0..n).map(|_| r.rician(20.0, 1.0)).collect();
-            let m = s.iter().sum::<f64>() / n as f64;
-            s.iter().map(|x| (x - m).powi(2)).sum::<f64>() / n as f64
-        };
-        assert!(var_k20 < var_k0 / 4.0);
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl Ewma {
     pub fn value(&self) -> Option<f64> {
         self.value
     }
-
-    /// Discards all state.
-    pub fn reset(&mut self) {
-        self.value = None;
-    }
 }
 
 /// A sliding time window of `(SimTime, f64)` samples.
@@ -128,11 +123,6 @@ impl TimeWindow {
             window,
             samples: std::collections::VecDeque::new(),
         }
-    }
-
-    /// The configured window length.
-    pub fn window(&self) -> SimDuration {
-        self.window
     }
 
     /// Inserts a sample taken at `t` and evicts anything older than
@@ -205,16 +195,6 @@ impl TimeWindow {
     pub fn latest(&self) -> Option<f64> {
         self.samples.back().map(|&(_, v)| v)
     }
-
-    /// Iterates over `(time, value)` samples, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
-        self.samples.iter().copied()
-    }
-
-    /// Removes all samples.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-    }
 }
 
 /// Accumulates a timeseries binned into fixed-width intervals, e.g. the
@@ -273,16 +253,6 @@ impl BinnedSeries {
     pub fn total(&self) -> f64 {
         self.bins.iter().sum()
     }
-
-    /// Number of bins currently allocated.
-    pub fn len(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// True if no data has been added.
-    pub fn is_empty(&self) -> bool {
-        self.bins.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -330,8 +300,6 @@ mod tests {
         assert_eq!(e.update(10.0), 10.0);
         assert_eq!(e.update(0.0), 5.0);
         assert_eq!(e.update(5.0), 5.0);
-        e.reset();
-        assert_eq!(e.value(), None);
     }
 
     #[test]

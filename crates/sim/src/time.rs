@@ -72,12 +72,6 @@ impl SimTime {
         self.0 / 1_000
     }
 
-    /// Milliseconds since run start (truncating).
-    #[inline]
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Seconds since run start as a float.
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
@@ -90,19 +84,11 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction: `None` if `earlier` is after `self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
     /// Zero-length duration.
     pub const ZERO: SimDuration = SimDuration(0);
-    /// Largest representable duration.
-    pub const MAX: SimDuration = SimDuration(u64::MAX);
 
     /// Construct from raw nanoseconds.
     #[inline]
@@ -159,12 +145,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
-    }
-
     /// Duration needed to serialize `bits` at `bits_per_sec` on a link.
     ///
     /// Rounds up to a whole nanosecond so back-to-back transmissions never
@@ -207,8 +187,7 @@ impl Sub<SimTime> for SimTime {
     /// profiles. (An earlier version `debug_assert!`ed here, which meant a
     /// latent underflow could pass CI's debug tests yet silently saturate
     /// in `--release` benches; the profiles now agree.) Call sites that
-    /// *want* to document saturation use [`SimTime::saturating_since`];
-    /// sites that must detect reversal use [`SimTime::checked_since`].
+    /// *want* to document saturation use [`SimTime::saturating_since`].
     #[inline]
     fn sub(self, rhs: SimTime) -> SimDuration {
         self.saturating_since(rhs)
@@ -318,16 +297,12 @@ mod tests {
     #[test]
     fn arithmetic() {
         let t = SimTime::from_millis(10) + SimDuration::from_millis(5);
-        assert_eq!(t.as_millis(), 15);
+        assert_eq!(t, SimTime::from_millis(15));
         let d = t - SimTime::from_millis(6);
         assert_eq!(d.as_millis(), 9);
         assert_eq!(
             SimTime::from_millis(1).saturating_since(SimTime::from_millis(2)),
             SimDuration::ZERO
-        );
-        assert_eq!(
-            SimTime::from_millis(2).checked_since(SimTime::from_millis(3)),
-            None
         );
         assert_eq!(SimDuration::from_millis(4) / 2, SimDuration::from_millis(2));
         assert_eq!(
@@ -369,7 +344,7 @@ mod tests {
     fn saturating_behaviour() {
         assert_eq!(SimTime::MAX + SimDuration::from_secs(1), SimTime::MAX);
         assert_eq!(
-            SimDuration::from_millis(1).saturating_sub(SimDuration::from_millis(2)),
+            SimDuration::from_millis(1) - SimDuration::from_millis(2),
             SimDuration::ZERO
         );
     }
@@ -394,11 +369,6 @@ mod tests {
         let mut a = SimDuration::from_nanos(1);
         a -= SimDuration::from_nanos(2);
         assert_eq!(a, SimDuration::ZERO);
-        // The detecting spelling still reports the reversal.
-        assert_eq!(
-            SimTime::from_millis(1).checked_since(SimTime::from_millis(5)),
-            None
-        );
     }
 
     #[test]

@@ -39,16 +39,6 @@ pub enum PageLoad {
     Incomplete,
 }
 
-impl PageLoad {
-    /// Seconds, or `f64::INFINITY` for incomplete loads.
-    pub fn secs(&self) -> f64 {
-        match self {
-            PageLoad::Completed(d) => d.as_secs_f64(),
-            PageLoad::Incomplete => f64::INFINITY,
-        }
-    }
-}
-
 /// Runs a page-load drive-by at `mph` under `config` and measures the load
 /// time.
 pub fn measure_page_load(config: SystemConfig, web: &WebConfig, mph: f64, seed: u64) -> PageLoad {
@@ -101,15 +91,6 @@ pub fn mean_page_load_secs(
 mod tests {
     use super::*;
     use wgtt_core::Mode;
-
-    #[test]
-    fn page_load_secs_mapping() {
-        assert_eq!(
-            PageLoad::Completed(SimDuration::from_millis(4500)).secs(),
-            4.5
-        );
-        assert!(PageLoad::Incomplete.secs().is_infinite());
-    }
 
     #[test]
     fn wgtt_loads_the_page_mid_speed() {
