@@ -63,16 +63,8 @@ pub struct ApClientState {
     /// The WGTT cyclic queue (also used as the plain buffer in baseline
     /// mode — one AP at a time then).
     pub cyclic: CyclicQueue,
-    /// True while this AP is the one transmitting to the client.
-    pub serving: bool,
-    /// True while the AP drains residual queues after losing the serving
-    /// role (NIC queue after a WGTT stop; the whole backlog in baseline
-    /// mode / the no-flush ablation).
-    pub draining: bool,
-    /// While draining, also pull from the cyclic queue (baseline old AP
-    /// and the no-flush ablation drain everything; a WGTT `stop` drains
-    /// only the NIC queue).
-    pub drain_cyclic: bool,
+    /// What this AP does with the client's downlink (Fig 7).
+    pub role: Role,
     /// Downlink Block ACK scoreboard.
     pub scoreboard: TxScoreboard,
     /// Downlink rate control.
@@ -89,17 +81,16 @@ pub struct ApClientState {
     pub guard: ApSwitchGuard,
 }
 
-/// The downlink role an AP plays for one client — the only combinations
-/// of [`ApClientState::serving`], `draining` and `drain_cyclic` that mean
-/// something.
+/// The downlink role an AP plays for one client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// Neither transmitting nor draining.
     Idle,
     /// The one AP transmitting to the client.
     Serving,
-    /// Lost the serving role; drains the NIC queue, and the cyclic queue
-    /// too when `cyclic` (baseline old AP, no-flush ablation).
+    /// Lost the serving role; drains the NIC queue (≈6 ms of frames after
+    /// a WGTT `stop`, §3.1.2), and the cyclic queue too when `cyclic`
+    /// (baseline old AP, no-flush ablation).
     Draining {
         /// Also pull from the cyclic queue.
         cyclic: bool,
@@ -112,9 +103,7 @@ impl Default for ApClientState {
         ApClientState {
             assoc: ApAssoc::new(),
             cyclic: CyclicQueue::new(),
-            serving: false,
-            draining: false,
-            drain_cyclic: false,
+            role: Role::Idle,
             scoreboard: TxScoreboard::new(0),
             ratectl: MinstrelLite::new(GUARD_INTERVAL),
             nic_queue: VecDeque::new(),
@@ -126,13 +115,9 @@ impl Default for ApClientState {
 }
 
 impl ApClientState {
-    /// Sets the three role flags together.
-    pub fn set_role(&mut self, role: Role) {
-        (self.serving, self.draining, self.drain_cyclic) = match role {
-            Role::Idle => (false, false, false),
-            Role::Serving => (true, false, false),
-            Role::Draining { cyclic } => (false, true, cyclic),
-        };
+    /// True while this AP is the one transmitting to the client.
+    pub fn serving(&self) -> bool {
+        self.role == Role::Serving
     }
 
     /// Moves packets from the cyclic queue into the NIC queue up to its
@@ -180,12 +165,16 @@ impl ApClientState {
     /// Whether this AP currently has anything to put on the air for the
     /// client.
     pub fn has_downlink_work(&self) -> bool {
-        if self.serving {
-            !self.nic_queue.is_empty() || self.cyclic.backlog() > 0 || self.scoreboard.has_unacked()
-        } else if self.draining {
-            !self.nic_queue.is_empty() || (self.drain_cyclic && self.cyclic.backlog() > 0)
-        } else {
-            false
+        match self.role {
+            Role::Idle => false,
+            Role::Serving => {
+                !self.nic_queue.is_empty()
+                    || self.cyclic.backlog() > 0
+                    || self.scoreboard.has_unacked()
+            }
+            Role::Draining { cyclic } => {
+                !self.nic_queue.is_empty() || (cyclic && self.cyclic.backlog() > 0)
+            }
         }
     }
 
@@ -196,11 +185,9 @@ impl ApClientState {
     }
 }
 
-/// One access point.
-#[derive(Debug)]
+/// One access point. Its id is its index in the world's AP list.
+#[derive(Debug, Default)]
 pub struct ApState {
-    /// This AP's id.
-    pub id: ApId,
     /// Per-client state, dense by client index (clients are numbered 0..n
     /// at world construction). Index order equals ascending-id order, so
     /// every scan is deterministic without per-call sorting.
@@ -224,19 +211,6 @@ pub struct ApState {
 }
 
 impl ApState {
-    /// Creates an AP.
-    pub fn new(id: ApId) -> Self {
-        ApState {
-            id,
-            clients: Vec::new(),
-            backoff: Backoff::default(),
-            rr_cursor: 0,
-            uplink_buffer: VecDeque::new(),
-            recent_uplink_keys: VecDeque::new(),
-            term_guard: TermGuard::default(),
-        }
-    }
-
     /// Degraded mode: holds an uplink packet while the controller is
     /// down, bounded at `cap`. Returns `true` when the packet fit;
     /// `false` means the buffer was full and the **oldest** held packet
@@ -266,22 +240,22 @@ impl ApState {
 
     /// Snapshot of this AP's authoritative per-client switch-protocol
     /// state, for answering round `seq` of a restarted controller's
-    /// `Resync` broadcast. The dense slab yields clients in ascending id
-    /// order, so the reply is deterministic by construction.
-    pub fn resync_reply(&self, seq: u64) -> ResyncReply {
+    /// `Resync` broadcast as AP `ap`. The dense slab yields clients in
+    /// ascending id order, so the reply is deterministic by construction.
+    pub fn resync_reply(&self, ap: ApId, seq: u64) -> ResyncReply {
         let clients = self
             .clients_iter()
             .map(|(id, st)| ClientResyncState {
                 client: id,
                 epoch_high_water: st.guard.latest(),
                 start_applied: st.guard.start_applied(),
-                serving: st.serving,
+                serving: st.serving(),
                 queue_head: st.cyclic.head(),
                 queue_tail: st.cyclic.tail(),
             })
             .collect();
         ResyncReply {
-            ap: self.id,
+            ap,
             seq,
             clients,
             recent_uplink_keys: self.recent_uplink_keys.iter().copied().collect(),
@@ -367,7 +341,7 @@ mod tests {
         for i in 0..10 {
             s.cyclic.insert(pkt(&mut f, i));
         }
-        s.serving = true;
+        s.role = Role::Serving;
         s.refill_nic();
         assert_eq!(s.nic_queue.len(), 10);
         assert_eq!(s.cyclic.backlog(), 0);
@@ -419,7 +393,8 @@ mod tests {
         s2.cyclic.insert(pkt(&mut f, 0));
         // Not serving, not draining: buffered but silent.
         assert!(!s2.has_downlink_work());
-        s2.serving = true;
+        s2.role = Role::Serving;
+        assert!(s2.serving());
         assert!(s2.has_downlink_work());
     }
 
@@ -428,26 +403,26 @@ mod tests {
         let mut f = PacketFactory::new();
         let mut s = ApClientState::default();
         s.cyclic.insert(pkt(&mut f, 0));
-        s.serving = true;
+        s.role = Role::Serving;
         s.refill_nic();
-        s.serving = false;
-        s.draining = true;
+        s.role = Role::Draining { cyclic: false };
+        assert!(!s.serving());
         assert!(s.has_downlink_work());
         s.nic_queue.clear();
-        // Without drain_cyclic, remaining cyclic backlog stays silent.
+        // A NIC-only drain leaves the remaining cyclic backlog silent.
         s.cyclic.insert(pkt(&mut f, 1));
         assert!(!s.has_downlink_work());
-        s.drain_cyclic = true;
+        s.role = Role::Draining { cyclic: true };
         assert!(s.has_downlink_work());
     }
 
     #[test]
     fn round_robin_cycles_clients() {
         let mut f0 = PacketFactory::new();
-        let mut ap = ApState::new(ApId(0));
+        let mut ap = ApState::default();
         for c in 0..3u32 {
             let st = ap.client_mut(ClientId(c));
-            st.serving = true;
+            st.role = Role::Serving;
             let mut p = f0.make(
                 ClientId(c),
                 FlowId(0),
@@ -470,7 +445,7 @@ mod tests {
     #[test]
     fn degraded_buffer_overflow_drops_oldest() {
         let mut f = PacketFactory::new();
-        let mut ap = ApState::new(ApId(0));
+        let mut ap = ApState::default();
         // Cap of 3: packets 0–2 fit; 3 and 4 evict 0 and 1 respectively.
         for i in 0..3 {
             assert!(ap.buffer_uplink(pkt(&mut f, i), 3));
@@ -482,14 +457,14 @@ mod tests {
         let held: Vec<u16> = ap.uplink_buffer.iter().map(|p| p.index.unwrap()).collect();
         assert_eq!(held, vec![2, 3, 4]);
         // A zero cap holds nothing.
-        let mut none = ApState::new(ApId(1));
+        let mut none = ApState::default();
         assert!(!none.buffer_uplink(pkt(&mut f, 0), 0));
         assert!(none.uplink_buffer.is_empty());
     }
 
     #[test]
     fn pick_skips_idle_clients() {
-        let mut ap = ApState::new(ApId(0));
+        let mut ap = ApState::default();
         ap.client_mut(ClientId(0));
         assert_eq!(ap.pick_client(), None);
         assert!(!ap.has_work());

@@ -8,10 +8,10 @@
 
 use crate::ap::GUARD_INTERVAL;
 use crate::metrics::ClientMetrics;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use wgtt_mac::blockack::RxReorder;
 use wgtt_mac::dcf::Backoff;
-use wgtt_net::{ApId, ClientId, FlowId, Packet, TcpReceiver, UdpSink};
+use wgtt_net::{ApId, FlowId, Packet, TcpReceiver, UdpSink};
 use wgtt_phy::{MinstrelLite, Position, Trajectory};
 use wgtt_sim::stats::Ewma;
 use wgtt_sim::{SimDuration, SimTime};
@@ -40,10 +40,8 @@ pub struct RoamAttempt {
     pub retries: u32,
 }
 
-/// One mobile client.
+/// One mobile client. Its id is its index in the world's client list.
 pub struct ClientState {
-    /// Identity.
-    pub id: ClientId,
     /// Motion plan.
     pub trajectory: Box<dyn Trajectory>,
     /// The AP currently serving this client, from the client's own point of
@@ -67,15 +65,12 @@ pub struct ClientState {
     pub last_uplink_tx: SimTime,
     /// TCP receive endpoints, by flow.
     pub tcp_rx: HashMap<FlowId, TcpReceiver>,
-    /// Last cumulative ACK enqueued per TCP flow (to count dupACKs
-    /// correctly we enqueue every ACK; this is for diagnostics).
-    pub last_ack_sent: HashMap<FlowId, u64>,
     /// Downlink UDP sinks, by flow.
     pub udp_sink: HashMap<FlowId, UdpSink>,
     /// Measurements.
     pub metrics: ClientMetrics,
-    /// Baseline: smoothed beacon RSSI per AP.
-    pub rssi: HashMap<ApId, Ewma>,
+    /// Baseline: smoothed beacon RSSI per AP, in AP order.
+    pub rssi: BTreeMap<ApId, Ewma>,
     /// Baseline: last switch time (1 s hysteresis).
     pub last_roam: Option<SimTime>,
     /// Baseline: in-flight roaming attempt.
@@ -105,9 +100,8 @@ pub struct DeliveryRecord {
 
 impl ClientState {
     /// Creates a client.
-    pub fn new(id: ClientId, trajectory: Box<dyn Trajectory>, log_deliveries: bool) -> Self {
+    pub fn new(trajectory: Box<dyn Trajectory>, log_deliveries: bool) -> Self {
         ClientState {
-            id,
             trajectory,
             serving: None,
             rx_reorder: RxReorder::new(0),
@@ -118,10 +112,9 @@ impl ClientState {
             next_ul_seq: 0,
             last_uplink_tx: SimTime::ZERO,
             tcp_rx: HashMap::new(),
-            last_ack_sent: HashMap::new(),
             udp_sink: HashMap::new(),
             metrics: ClientMetrics::new(METRICS_BIN),
-            rssi: HashMap::new(),
+            rssi: BTreeMap::new(),
             last_roam: None,
             roam: None,
             delivery_log: log_deliveries.then(Vec::new),
@@ -168,19 +161,19 @@ impl ClientState {
         self.rssi.get(&ap).and_then(|e| e.value())
     }
 
-    /// Baseline: the AP with the highest smoothed RSSI.
+    /// Baseline: the AP with the highest smoothed RSSI; an exact tie goes
+    /// to the lower AP id.
     pub fn best_rssi_ap(&self) -> Option<(ApId, f64)> {
         self.rssi
             .iter()
             .filter_map(|(&ap, e)| e.value().map(|v| (ap, v)))
-            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
     }
 }
 
 impl std::fmt::Debug for ClientState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ClientState")
-            .field("id", &self.id)
             .field("serving", &self.serving)
             .field("uplink_queue", &self.uplink_queue.len())
             .finish_non_exhaustive()
@@ -190,12 +183,11 @@ impl std::fmt::Debug for ClientState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wgtt_net::{Direction, PacketFactory, Payload};
+    use wgtt_net::{ClientId, Direction, PacketFactory, Payload};
     use wgtt_phy::Stationary;
 
     fn client() -> ClientState {
         ClientState::new(
-            ClientId(0),
             Box::new(Stationary {
                 position: Position::new(1.0, 2.0, 1.5),
             }),
@@ -252,6 +244,18 @@ mod tests {
     }
 
     #[test]
+    fn rssi_tie_goes_to_the_lower_ap() {
+        let mut c = client();
+        for ap in [ApId(5), ApId(2), ApId(7)] {
+            c.rssi.insert(ap, Ewma::new(0.5));
+            c.rssi.get_mut(&ap).unwrap().update(15.0);
+        }
+        c.rssi.insert(ApId(0), Ewma::new(0.5));
+        c.rssi.get_mut(&ApId(0)).unwrap().update(3.0);
+        assert_eq!(c.best_rssi_ap(), Some((ApId(2), 15.0)));
+    }
+
+    #[test]
     fn delivery_log_optional() {
         let mut c = client();
         c.log_delivery(DeliveryRecord {
@@ -263,7 +267,6 @@ mod tests {
         assert_eq!(c.delivery_log.as_ref().unwrap().len(), 1);
 
         let mut quiet = ClientState::new(
-            ClientId(1),
             Box::new(Stationary {
                 position: Position::new(0.0, 0.0, 0.0),
             }),

@@ -134,8 +134,12 @@ impl ControllerState {
         self.engine.resume_from_resync(replies);
         for reply in replies {
             self.health.on_resync_reply(reply.ap, now);
+            // APs report the keys they recently forwarded; marking them
+            // seen makes the rebuilt filter at least as strict as the lost
+            // one, so a copy whose first delivery predates the crash still
+            // drops instead of reaching the Internet twice.
             for &key in &reply.recent_uplink_keys {
-                self.dedup.prime_key(key);
+                self.dedup.check_key(key);
             }
         }
         let mut actions = Vec::new();
@@ -211,7 +215,7 @@ impl ControllerState {
                 .resume_at(cs.alloc_next);
         }
         for &k in keys {
-            self.dedup.prime_key(k);
+            self.dedup.check_key(k); // re-prime as seen
         }
     }
 
@@ -241,7 +245,7 @@ impl ControllerState {
     pub fn import_migration(&mut self, client: ClientId, epoch_max: u32, idents: &[u16]) {
         self.engine.resume_epochs_above(client, epoch_max);
         for &ident in idents {
-            self.dedup.prime_key(Deduplicator::key(client, ident));
+            self.dedup.check_key(Deduplicator::key(client, ident));
         }
     }
 
@@ -436,9 +440,8 @@ mod tests {
         assert_eq!(c.engine.allocate_epoch(client), 5);
         // The allocator resumes at the serving AP's tail.
         assert_eq!(c.peek_index(client), 101);
-        // Dedup was re-primed: the reported keys now drop as duplicates
-        // without having counted as passed.
-        assert_eq!(c.dedup.passed(), 0);
+        // Dedup was re-primed: the reported keys now drop as duplicates.
+        assert_eq!(c.dedup.len(), 3);
         assert!(!c.dedup.check_key(7));
         assert!(!c.dedup.check_key(9));
         // Replies were proof of life.
@@ -567,8 +570,8 @@ mod tests {
         assert_eq!(c.serving(ClientId(1)), Some(ApId(2)));
         assert_eq!(c.serving(ClientId(8)), None);
         assert_eq!(c.peek_index(ClientId(1)), 77);
-        // Re-primed keys drop as duplicates without counting as passed.
-        assert_eq!(c.dedup.passed(), 0);
+        // Re-primed keys drop as duplicates.
+        assert_eq!(c.dedup.len(), 2);
         assert!(!c.dedup.check_key(111));
         assert!(!c.dedup.check_key(222));
         assert!(c.dedup.check_key(333));
@@ -607,7 +610,7 @@ mod tests {
     /// Deterministic byte-level snapshot of everything a migration record
     /// touches: the client's epoch counter, the dedup filter's remembered
     /// keys in insertion order (per client, so hash layout cannot leak
-    /// in), and the filter's counters.
+    /// in), and the filter's size.
     fn migration_snapshot(c: &ControllerState, clients: u32) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
@@ -621,13 +624,7 @@ mod tests {
                 c.dedup.idents_for(id)
             );
         }
-        let _ = write!(
-            s,
-            "len={} passed={} dups={}",
-            c.dedup.len(),
-            c.dedup.passed(),
-            c.dedup.duplicates()
-        );
+        let _ = write!(s, "len={}", c.dedup.len());
         s
     }
 
@@ -636,7 +633,7 @@ mod tests {
     /// controller byte-identical to applying it once, across randomized
     /// prior traffic and record contents. This is the state-level half of
     /// the seam idempotence claim: `resume_epochs_above` joins by max and
-    /// `prime_key` re-primes are no-ops, so the ledger in the sharded
+    /// re-priming a seen dedup key is a no-op, so the ledger in the sharded
     /// runner only has to suppress *side effects* (residue re-deposit,
     /// counters), never state corruption.
     #[test]

@@ -21,8 +21,6 @@ pub struct Deduplicator {
     seen: HashSet<u64>,
     order: VecDeque<u64>,
     capacity: usize,
-    duplicates: u64,
-    passed: u64,
 }
 
 impl Deduplicator {
@@ -37,8 +35,6 @@ impl Deduplicator {
             seen: HashSet::new(),
             order: VecDeque::new(),
             capacity,
-            duplicates: 0,
-            passed: 0,
         }
     }
 
@@ -56,30 +52,14 @@ impl Deduplicator {
 
     /// Key-level check (used by tests and the ARP carve-out: packets
     /// without an IP header are never deduplicated per the paper's
-    /// footnote 5 — callers simply skip the filter for those).
+    /// footnote 5 — callers simply skip the filter for those). Remembers
+    /// `key` in the bounded FIFO, evicting the oldest key at capacity;
+    /// `false` when `key` is already remembered (nothing moves). The
+    /// world's `SystemMetrics` counts what passed and what dropped.
+    ///
+    /// Checking a key and discarding the verdict primes it as already
+    /// seen: the post-crash resync and migration re-primes do that.
     pub fn check_key(&mut self, key: u64) -> bool {
-        let fresh = self.remember(key);
-        if fresh {
-            self.passed += 1;
-        } else {
-            self.duplicates += 1;
-        }
-        fresh
-    }
-
-    /// Marks `key` as already-seen *without* counting it as a passed
-    /// packet — the post-crash resync re-prime. APs report the keys they
-    /// recently forwarded; inserting them here makes the rebuilt filter at
-    /// least as strict as the lost one, so a copy whose first delivery
-    /// predates the crash still drops instead of reaching the Internet
-    /// twice.
-    pub fn prime_key(&mut self, key: u64) {
-        self.remember(key);
-    }
-
-    /// Inserts `key` into the bounded FIFO, evicting the oldest key at
-    /// capacity. `false` when `key` is already remembered (nothing moves).
-    fn remember(&mut self, key: u64) -> bool {
         if self.seen.contains(&key) {
             return false;
         }
@@ -97,7 +77,7 @@ impl Deduplicator {
     ///
     /// This is the dedup half of a client's migration record: the source
     /// controller exports the idents it has recently seen so the
-    /// destination can [`Self::prime_key`] them under the client's new
+    /// destination can [`Self::check_key`] them under the client's new
     /// address and drop cross-seam retransmits of already-delivered
     /// packets. Iterating `order` (insertion order) keeps the export
     /// deterministic regardless of hash-set layout.
@@ -108,16 +88,6 @@ impl Deduplicator {
             .filter(|&&k| k & !0xFFFF == hi)
             .map(|&k| (k & 0xFFFF) as u16)
             .collect()
-    }
-
-    /// Packets passed through (first copies).
-    pub fn passed(&self) -> u64 {
-        self.passed
-    }
-
-    /// Duplicate copies suppressed.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicates
     }
 
     /// Current number of remembered keys.
@@ -159,12 +129,10 @@ mod tests {
         let mut d = Deduplicator::default();
         let mut f = PacketFactory::new();
         let p = uplink(&mut f, 1);
-        assert!(d.check(&p));
-        // The same packet heard by two more APs.
-        assert!(!d.check(&p));
-        assert!(!d.check(&p));
-        assert_eq!(d.passed(), 1);
-        assert_eq!(d.duplicates(), 2);
+        // The packet as heard by three APs: only the first copy passes.
+        let verdicts: Vec<bool> = (0..3).map(|_| d.check(&p)).collect();
+        assert_eq!(verdicts, [true, false, false]);
+        assert_eq!(d.len(), 1);
     }
 
     #[test]
@@ -175,7 +143,7 @@ mod tests {
         let b = uplink(&mut f, 1); // next ip_ident
         assert!(d.check(&a));
         assert!(d.check(&b));
-        assert_eq!(d.passed(), 2);
+        assert_eq!(d.len(), 2);
     }
 
     #[test]
@@ -264,18 +232,20 @@ mod tests {
     }
 
     #[test]
-    fn primed_keys_drop_as_duplicates_without_counting_as_passed() {
+    fn primed_keys_drop_as_duplicates() {
         let mut d = Deduplicator::new(3);
-        d.prime_key(7);
-        d.prime_key(7); // idempotent
+        // A re-prime checks the key and ignores the verdict.
+        d.check_key(7);
+        d.check_key(7); // idempotent
         assert_eq!(d.len(), 1);
-        assert_eq!(d.passed(), 0);
-        // The first post-restart copy of a pre-crash packet is a duplicate.
+        // The first post-restart copy of a pre-crash packet is a duplicate,
+        // and so is every later one.
         assert!(!d.check_key(7));
-        assert_eq!(d.duplicates(), 1);
+        assert!(!d.check_key(7));
+        assert_eq!(d.len(), 1);
         // Priming respects capacity like any insert.
         for k in [8, 9, 10] {
-            d.prime_key(k);
+            d.check_key(k);
         }
         assert_eq!(d.len(), 3);
         assert!(d.check_key(7), "evicted primed key passes again");
@@ -289,7 +259,7 @@ mod tests {
         for ident in [5u16, 2, 9] {
             assert!(d.check_key(Deduplicator::key(a, ident)));
         }
-        d.prime_key(Deduplicator::key(b, 5)); // other client, same ident
+        d.check_key(Deduplicator::key(b, 5)); // other client, same ident
         assert_eq!(d.idents_for(a), vec![5, 2, 9]);
         assert_eq!(d.idents_for(b), vec![5]);
         assert_eq!(d.idents_for(ClientId(99)), Vec::<u16>::new());
@@ -303,10 +273,11 @@ mod tests {
 
     #[test]
     fn empty_state() {
-        let d = Deduplicator::default();
+        let mut d = Deduplicator::default();
         assert!(d.is_empty());
-        assert_eq!(d.passed(), 0);
-        assert_eq!(d.duplicates(), 0);
+        assert_eq!(d.idents_for(ClientId(0)), Vec::<u16>::new());
+        // Nothing is remembered, so any key passes.
+        assert!(d.check_key(0));
     }
 
     #[test]

@@ -159,6 +159,8 @@ pub struct PendingSwitch {
     pub from: ApId,
     /// AP being switched to.
     pub to: ApId,
+    /// When the controller first issued the `stop` (Table 1's start).
+    pub issued_at: SimTime,
     /// When the current `stop` was (re)transmitted.
     pub sent_at: SimTime,
     /// Number of `stop` retransmissions so far.
@@ -239,7 +241,6 @@ pub enum AckOutcome {
 #[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
 pub struct SwitchEngine {
     pending: BTreeMap<ClientId, PendingSwitch>,
-    issued_at: BTreeMap<ClientId, SimTime>,
     /// Last epoch allocated per client (0 = none yet; real epochs start
     /// at 1). Monotonic for the life of the engine — `abort` never rolls
     /// it back, so an abandoned epoch can never be reused.
@@ -262,7 +263,6 @@ impl SwitchEngine {
     pub fn new() -> Self {
         SwitchEngine {
             pending: BTreeMap::new(),
-            issued_at: BTreeMap::new(),
             epochs: BTreeMap::new(),
             history: Vec::new(),
             abandon_log: Vec::new(),
@@ -394,12 +394,12 @@ impl SwitchEngine {
             PendingSwitch {
                 from,
                 to,
+                issued_at: now,
                 sent_at: now,
                 retries: 0,
                 epoch,
             },
         );
-        self.issued_at.insert(client, now);
         Some(SwitchMsg::Stop {
             client,
             to_ap: to,
@@ -430,12 +430,11 @@ impl SwitchEngine {
         }
         if p.retries >= Self::MAX_RETRIES {
             let p = *p;
-            let issued = self.issued_at.get(&client).copied().unwrap_or(p.sent_at);
             self.abandon_log.push(AbandonRecord {
                 client,
                 from: p.from,
                 to: p.to,
-                issued_at: issued,
+                issued_at: p.issued_at,
                 abandoned_at: now,
                 retries: p.retries,
                 epoch: p.epoch,
@@ -474,12 +473,11 @@ impl SwitchEngine {
             return AckOutcome::WrongSource;
         }
         let p = slot.remove();
-        let issued = self.issued_at.remove(&client).unwrap_or(p.sent_at);
         let rec = SwitchRecord {
             client,
             from: p.from,
             to: p.to,
-            issued_at: issued,
+            issued_at: p.issued_at,
             completed_at: now,
             retries: p.retries,
             epoch: p.epoch,
@@ -490,7 +488,6 @@ impl SwitchEngine {
 
     /// Abandons an in-flight switch (e.g. client left the network).
     pub fn abort(&mut self, client: ClientId) -> bool {
-        self.issued_at.remove(&client);
         self.pending.remove(&client).is_some()
     }
 

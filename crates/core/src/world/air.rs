@@ -336,16 +336,16 @@ impl WgttWorld {
     }
 
     /// Who has work, for the livelock tripwire: per AP with work each
-    /// client's `(id, serving, draining, (NIC queue, cyclic backlog),
-    /// outstanding)`, per client with uplink work its queue length, and
-    /// the transmissions still on the air.
+    /// client's `(id, role, (NIC queue, cyclic backlog), outstanding)`, per
+    /// client with uplink work its queue length, and the transmissions
+    /// still on the air.
     fn work_summary(&self, now: SimTime) -> String {
         let per_client = |a: &ApState| -> Vec<_> {
             a.clients_iter()
                 .map(|(c, s)| {
                     let queued = (s.nic_queue.len(), s.cyclic.backlog());
                     let outstanding = s.scoreboard.outstanding();
-                    (c.0, s.serving, s.draining, queued, outstanding)
+                    (c.0, s.role, queued, outstanding)
                 })
                 .collect()
         };
@@ -518,7 +518,7 @@ impl WgttWorld {
         let client = self.aps[ap].pick_client()?;
         let max_dur = SimDuration::from_millis(4);
         let st = self.aps[ap].client_get_mut(client)?;
-        if st.serving || (st.draining && st.drain_cyclic) {
+        if matches!(st.role, Role::Serving | Role::Draining { cyclic: true }) {
             self.sys.dup_data_dropped += st.refill_nic();
         }
         let mcs = st.ratectl.select(now, &mut self.rng);
@@ -897,10 +897,6 @@ impl WgttWorld {
 
         // Forwarding to the controller (uplink diversity).
         let serving = self.serving_of(c);
-        // Any controller crash (or failover window) in the schedule engages
-        // the degraded uplink path; with none this is the exact healthy
-        // code path.
-        let crash_faults = self.faults.has_controller_fault();
         for &(from_ap, first, end) in heard_by.iter() {
             let got = &got[first..end];
             let forwards = match self.cfg.mode {
@@ -918,7 +914,7 @@ impl WgttWorld {
             let heard = entries.iter().filter(|e| got.contains(&e.seq));
             for e in heard.filter(|e| !matches!(e.packet.payload, Payload::Raw)) {
                 let pkt = e.packet.clone();
-                if crash_faults && self.controller_down {
+                if self.controller_down {
                     // Local autonomy: hold uplink at the AP (bounded)
                     // while the controller is down; flushed at resync.
                     let cap = self.cfg.degraded_uplink_cap;
@@ -929,12 +925,9 @@ impl WgttWorld {
                     }
                     continue;
                 }
-                if crash_faults {
-                    // Remember forwarded keys so a rebooted controller can
-                    // conservatively re-prime its dedup table.
-                    self.aps[from_ap]
-                        .note_forwarded_key(Deduplicator::key(pkt.client, pkt.ip_ident));
-                }
+                // Remember forwarded keys so a rebooted controller can
+                // conservatively re-prime its dedup table.
+                self.aps[from_ap].note_forwarded_key(Deduplicator::key(pkt.client, pkt.ip_ident));
                 self.tunnel_uplink(ctx, from_ap, pkt);
             }
         }

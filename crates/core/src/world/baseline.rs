@@ -2,7 +2,6 @@
 //! tick, and the Enhanced 802.11r baseline's beacon/roam machine.
 
 use super::*;
-use crate::ap::Role;
 
 /// A client sends a null (keep-alive) frame once it has been silent this
 /// long, keeping CSI flowing when no uplink data exists.
@@ -304,7 +303,7 @@ impl WgttWorld {
                     // whole backlog toward a client that no longer listens
                     // (deliveries fail: `client_listens_to` is false for a
                     // non-serving AP in baseline mode).
-                    st.set_role(Role::Draining { cyclic: true });
+                    st.role = Role::Draining { cyclic: true };
                     st.assoc.disassociate();
                 }
                 self.ctrl.serving.remove(&client);
@@ -317,7 +316,7 @@ impl WgttWorld {
 
     fn on_roam_complete(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize) {
         let client = ClientId(c as u32);
-        self.aps[target].client_mut(client).set_role(Role::Serving);
+        self.aps[target].client_mut(client).role = Role::Serving;
         self.ctrl.serving.insert(client, ApId(target as u32));
         // `set_serving`, not `served_by`: a roam is not the health layer's
         // re-attach and closes no failover blackout.

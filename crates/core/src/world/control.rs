@@ -6,7 +6,6 @@
 
 use super::recovery::READOPT_GUARD;
 use super::*;
-use crate::ap::Role;
 use crate::switching::{StartVerdict, StopVerdict, SwitchEngine, SwitchTimings};
 
 /// The controller evaluates AP selection at this cadence.
@@ -267,7 +266,7 @@ impl WgttWorld {
         // The scoreboard stays intact: the NIC-queue drain (≈6 ms of
         // frames, sent over the old link per §3.1.2) still needs Block ACK
         // tracking and link-layer retries.
-        st.set_role(Role::Draining { cyclic: !flush });
+        st.role = Role::Draining { cyclic: !flush };
         let k = if flush {
             st.first_unsent_index()
         } else {
@@ -333,7 +332,7 @@ impl WgttWorld {
         let before = st.cyclic.backlog();
         st.cyclic.start_from(k);
         self.sys.flushed_packets += (before - st.cyclic.backlog()) as u64;
-        st.set_role(Role::Serving);
+        st.role = Role::Serving;
         // Fresh serving epoch: anything left over from a previous stint is
         // stale (the old AP covered it or the controller re-sent it).
         st.nic_queue.clear();
@@ -423,8 +422,12 @@ impl WgttWorld {
     /// stale one — performs an emergency re-attach instead of letting the
     /// selection loop re-issue a `stop` to the corpse.
     ///
-    /// Health actions only engage under a non-empty fault schedule so
-    /// fault-free runs remain bit-identical to the pre-fault engine.
+    /// Health actions only engage under a non-empty fault schedule. The
+    /// gate is behaviour, not a fork: with it (and `select_for`'s) removed,
+    /// the fault-free `convoy_drive` golden moves — `emergency_reattaches`
+    /// 0 → 1, `events` 135 982 → 136 400, `switch_history.n` 101 → 100 —
+    /// because a healthy serving AP can stay CSI-silent past the staleness
+    /// horizon in a convoy (ROADMAP open question).
     fn drain_abandons(&mut self, ctx: &mut Ctx<'_, Ev>) {
         let now = ctx.now();
         let faulty = !self.faults.is_empty();
@@ -474,7 +477,7 @@ impl WgttWorld {
         if let Some(old) = self.serving_of(c).filter(|&o| !self.ap_down[o]) {
             // The old AP is merely presumed dead; make sure it stops
             // serving if it is in fact alive.
-            self.aps[old].client_mut(client).set_role(Role::Idle);
+            self.aps[old].client_mut(client).role = Role::Idle;
         }
         self.ctrl.serving.remove(&client);
         self.set_serving(c, None, now);
@@ -570,10 +573,11 @@ impl WgttWorld {
             return;
         }
         let current = self.ctrl.serving(client);
-        // Health layer (fault runs only, to keep fault-free runs
-        // bit-identical): a serving AP gone CSI-silent past the staleness
-        // horizon is presumed dead — re-attach directly instead of
-        // addressing a stop to it.
+        // Health layer, fault runs only: a serving AP gone CSI-silent past
+        // the staleness horizon is presumed dead — re-attach directly
+        // instead of addressing a stop to it. In a fault-free convoy a
+        // healthy AP can go that silent too; see `drain_abandons` for what
+        // dropping the gate moves.
         let faulty = !self.faults.is_empty();
         if let Some(cur) = current.filter(|&cur| faulty && self.ctrl.health.csi_stale(cur, now)) {
             return self.reattach_away_from(ctx, c, cur);
@@ -600,11 +604,7 @@ impl WgttWorld {
                     .assoc
                     .install_shared_association(now);
             }
-            // (`draining` may be left over from an old `stop`; it is never
-            // read while `serving` is set, so clearing it is unobservable.)
-            self.aps[target.0 as usize]
-                .client_mut(client)
-                .set_role(Role::Serving);
+            self.aps[target.0 as usize].client_mut(client).role = Role::Serving;
             self.ctrl.serving.insert(client, target);
             self.ctrl.selector_mut(client).record_switch(now);
             self.served_by(c, target, now);
@@ -756,7 +756,7 @@ mod tests {
             client: 0,
             esnr_db: 20.0,
         };
-        let reply = w.aps[AP].resync_reply(1);
+        let reply = w.aps[AP].resync_reply(ApId(AP as u32), 1);
         [
             ("PacketAtController", Ev::Data(down)),
             ("UplinkCopyAtController", Ev::Data(up)),

@@ -498,7 +498,6 @@ impl WgttWorld {
                         bytes: delivered as usize,
                     });
                 }
-                cl.last_ack_sent.insert(packet.flow, ack);
                 // Enqueue the cumulative ACK with SACK blocks describing
                 // whatever is buffered out of order.
                 let blocks = cl

@@ -17,7 +17,7 @@
 //! file's imports through `use super::*`, and keeps the state only it
 //! touches in a struct private to itself (DESIGN.md §6h).
 
-use crate::ap::{ApState, GUARD_INTERVAL, MPDU_RETRY_LIMIT};
+use crate::ap::{ApState, Role, GUARD_INTERVAL, MPDU_RETRY_LIMIT};
 use crate::client::{ClientState, DeliveryRecord};
 use crate::config::{Mode, SystemConfig};
 use crate::controller::ControllerState;
@@ -211,7 +211,7 @@ impl WgttWorld {
         let n_clients = trajectories.len();
         let mut world = WgttWorld {
             links: (0..n_aps).map(|_| Vec::with_capacity(n_clients)).collect(),
-            aps: (0..n_aps).map(|i| ApState::new(ApId(i as u32))).collect(),
+            aps: (0..n_aps).map(|_| ApState::default()).collect(),
             clients: Vec::with_capacity(n_clients),
             deployment,
             ctrl: ControllerState::new(cfg.selection),
@@ -263,11 +263,8 @@ impl WgttWorld {
                 &mut link_rng(a),
             ));
         }
-        self.clients.push(ClientState::new(
-            ClientId(c as u32),
-            trajectory,
-            log_deliveries,
-        ));
+        self.clients
+            .push(ClientState::new(trajectory, log_deliveries));
         self.pending_reattach.push(None);
         self.pending_failover.push(None);
         self.departed.push(false);

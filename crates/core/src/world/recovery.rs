@@ -3,7 +3,6 @@
 //! the fenced zombie ex-primary.
 
 use super::*;
-use crate::ap::Role;
 use crate::recovery::{Hold, ReplyVerdict, ResyncRound, RESYNC_DEADLINE};
 use crate::replica::ApplyOutcome;
 
@@ -125,7 +124,7 @@ impl WgttWorld {
         let orphaned = !self
             .aps
             .iter()
-            .any(|a| a.client(client).is_some_and(|s| s.serving));
+            .any(|a| a.client(client).is_some_and(|s| s.serving()));
         if !orphaned {
             return;
         }
@@ -135,7 +134,7 @@ impl WgttWorld {
         if st.guard.latest() != epoch {
             return;
         }
-        st.set_role(Role::Serving);
+        st.role = Role::Serving;
         self.sys.local_readoptions += 1;
         self.ensure_round(ctx);
     }
@@ -149,7 +148,7 @@ impl WgttWorld {
         self.ap_down[ap] = true;
         self.sys.ap_crashes += 1;
         // Volatile AP state is gone: NIC queues, scoreboards, associations.
-        self.aps[ap] = ApState::new(ApId(ap as u32));
+        self.aps[ap] = ApState::default();
         let now = ctx.now();
         for c in 0..self.clients.len() {
             if self.clients[c].serving == Some(ApId(ap as u32)) {
@@ -256,7 +255,7 @@ impl WgttWorld {
         if self.controller_down || !self.ap_admits(ap, term, ctx.now()) {
             return;
         }
-        let reply = self.aps[ap].resync_reply(seq);
+        let reply = self.aps[ap].resync_reply(ApId(ap as u32), seq);
         let reply = Recovery::ResyncReplyAtController { reply };
         self.send_control(ctx, false, Ev::Recovery(reply));
         // Anything that is a cross-restart duplicate will be caught by the

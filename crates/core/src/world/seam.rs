@@ -212,7 +212,7 @@ impl WgttWorld {
     fn best_claimant_ap(&self, client: ClientId) -> Option<usize> {
         let claim = |a: usize| {
             let st = self.aps[a].client(client)?;
-            let key = (st.serving, st.guard.start_applied(), st.guard.latest());
+            let key = (st.serving(), st.guard.start_applied(), st.guard.latest());
             Some((key, std::cmp::Reverse(a)))
         };
         let best = (0..self.aps.len()).filter_map(claim).max();

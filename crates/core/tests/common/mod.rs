@@ -5,7 +5,7 @@
 #![allow(dead_code)] // every suite uses its own subset
 
 use wgtt_core::config::SystemConfig;
-use wgtt_core::runner::{FlowSpec, RunResult, Scenario};
+use wgtt_core::runner::{ClientSpec, FlowSpec, RunResult, Scenario, TrajectorySpec};
 use wgtt_core::shard::ShardedScenario;
 use wgtt_sim::storm::{random_storm, StormConfig};
 use wgtt_sim::{FaultSchedule, SimDuration, SimRng, SimTime};
@@ -124,6 +124,44 @@ pub fn faulted_udp_drive() -> Scenario {
             SimDuration::from_millis(1),
         );
     drive(77, 35.0, udp_down(), faults)
+}
+
+/// `convoy_drive`: three vehicles 4 m apart at 15 mph, each with greedy
+/// downlink TCP beside 4 Mbit/s of uplink UDP, and no faults — input 0 of
+/// the benchmark's `convoy_mixed` workload at root seed 1. It is the only
+/// golden with several vehicles contending, TCP and a healthy controller.
+pub fn convoy_drive() -> Scenario {
+    const MPH: f64 = 15.0;
+    const SPACING_M: f64 = 4.0;
+    let clients: Vec<ClientSpec> = (0..3)
+        .map(|k| ClientSpec {
+            trajectory: TrajectorySpec::DriveByOffset {
+                mph: MPH,
+                lead_in_m: 4.0,
+                offset_m: k as f64 * SPACING_M,
+                far_lane: false,
+            },
+            flows: vec![
+                FlowSpec::DownlinkTcp { limit: None },
+                FlowSpec::UplinkUdp {
+                    rate_bps: 4_000_000,
+                    payload: 1200,
+                },
+            ],
+        })
+        .collect();
+    // The array's span (7 × 7.5 m), lead-in and lead-out, and the convoy's
+    // own length.
+    let span_m = 52.5 + 8.0 + (clients.len() - 1) as f64 * SPACING_M;
+    Scenario {
+        config: SystemConfig::default(),
+        clients,
+        duration: SimDuration::from_secs_f64(span_m / wgtt_phy::mph_to_mps(MPH)),
+        seed: SimRng::new(1).fork_indexed("convoy_mixed", 0).seed(),
+        log_deliveries: false,
+        flow_start: SimDuration::from_millis(1),
+        faults: FaultSchedule::default(),
+    }
 }
 
 /// `ring_corridor`: a two-shard ring in which each vehicle crosses a seam

@@ -6,7 +6,9 @@
 //! is high; uplink dedup suppresses duplicates.
 
 use wgtt_core::config::{Mode, SystemConfig};
+use wgtt_core::dedup::Deduplicator;
 use wgtt_core::runner::{run, FlowSpec, Scenario};
+use wgtt_net::ClientId;
 
 fn drive_scenario(mode: Mode, mph: f64, flows: Vec<FlowSpec>, seed: u64) -> Scenario {
     let cfg = SystemConfig {
@@ -171,6 +173,39 @@ fn uplink_udp_flows_and_dedups() {
         0,
         "duplicates leaked past the controller"
     );
+}
+
+/// Every AP remembers the dedup keys of the uplink it forwarded, faults or
+/// none, so a controller restart in any run can re-prime its filter from
+/// the resync replies.
+#[test]
+fn fault_free_uplink_fills_every_ap_key_ring() {
+    let scenario = drive_scenario(
+        Mode::Wgtt,
+        15.0,
+        vec![FlowSpec::UplinkUdp {
+            rate_bps: 2_000_000,
+            payload: 1200,
+        }],
+        6,
+    );
+    assert!(scenario.faults.is_empty());
+    let res = run(scenario);
+    let client = ClientId(0);
+    let seen = res.world.ctrl.dedup.idents_for(client);
+    for (ap, st) in res.world.aps.iter().enumerate() {
+        let ring = &st.recent_uplink_keys;
+        assert!(!ring.is_empty(), "AP {ap} forwarded uplink but kept no key");
+        // Every remembered key is one the controller's filter saw.
+        for &key in ring {
+            let ident = (key & 0xFFFF) as u16;
+            assert_eq!(key, Deduplicator::key(client, ident));
+            assert!(
+                seen.contains(&ident),
+                "AP {ap}: key {key:#x} never forwarded"
+            );
+        }
+    }
 }
 
 #[test]

@@ -8,9 +8,10 @@
 //!
 //! `delay = base + wire(len) + jitter`, with `jitter ~ Exp(mean_jitter)`.
 //!
-//! Control messages can optionally be dropped with a configurable
-//! probability to exercise the switch protocol's timeout path (the paper's
-//! `stop`/`ack` loss handling, §3.1.2).
+//! The healthy LAN loses nothing: loss, extra latency and jitter,
+//! duplication and reordering come only from a fault window's
+//! [`BackhaulImpairment`] (the paper's `stop`/`ack` loss handling, §3.1.2,
+//! is exercised that way).
 
 use wgtt_sim::{BackhaulImpairment, SimDuration, SimRng};
 
@@ -29,96 +30,65 @@ pub struct BackhaulDelivery {
 /// Backhaul latency/loss model.
 #[derive(Debug, Clone)]
 pub struct Backhaul {
-    /// Link rate, bit/s (1 GbE).
-    pub rate_bps: u64,
-    /// Fixed per-message latency: propagation, switch forwarding, NIC ring
-    /// and kernel handoff.
-    pub base_delay: SimDuration,
-    /// Mean of the exponential host-processing jitter.
-    pub jitter_mean: SimDuration,
-    /// Probability an individual message is lost (default 0; raised in
-    /// fault-injection experiments).
-    pub loss_prob: f64,
     rng: SimRng,
 }
 
 impl Backhaul {
+    /// Link rate, bit/s (1 GbE).
+    pub const RATE_BPS: u64 = 1_000_000_000;
+    /// Fixed per-message latency: propagation, switch forwarding, NIC ring
+    /// and kernel handoff.
+    pub const BASE_DELAY: SimDuration = SimDuration::from_micros(150);
+    /// Mean of the exponential host-processing jitter.
+    pub const JITTER_MEAN: SimDuration = SimDuration::from_micros(100);
+
     /// Creates a backhaul with the given RNG stream.
     pub fn new(rng: SimRng) -> Self {
-        Backhaul {
-            rate_bps: 1_000_000_000,
-            base_delay: SimDuration::from_micros(150),
-            jitter_mean: SimDuration::from_micros(100),
-            loss_prob: 0.0,
-            rng,
-        }
+        Backhaul { rng }
     }
 
-    /// Samples the transit delay for a message of `len_bytes`, or `None` if
-    /// the message is lost.
+    /// Samples the transit delay for a message of `len_bytes` on the
+    /// healthy LAN: [`Backhaul::transit_faulty`] with no impairment.
     pub fn transit(&mut self, len_bytes: usize) -> Option<SimDuration> {
-        self.transit_impaired(len_bytes, 0.0, SimDuration::ZERO, SimDuration::ZERO)
+        self.transit_faulty(len_bytes, &BackhaulImpairment::default())
+            .primary
     }
 
-    /// Like [`Backhaul::transit`] but with fault-injection impairments
-    /// layered on: `extra_loss` composes independently with the base loss
+    /// Full fault-injection transit. `extra_loss_prob` is the loss
     /// probability, `extra_latency` adds a fixed delay, and
     /// `extra_jitter_mean` (when nonzero) adds an extra exponential jitter
-    /// draw. With all three at their zero values the RNG draw sequence is
-    /// identical to the healthy model, so fault-capable runs with an empty
-    /// schedule stay bit-for-bit reproducible against fault-free ones.
-    pub fn transit_impaired(
-        &mut self,
-        len_bytes: usize,
-        extra_loss: f64,
-        extra_latency: SimDuration,
-        extra_jitter_mean: SimDuration,
-    ) -> Option<SimDuration> {
-        // The healthy path must use `loss_prob` verbatim: recomputing it
-        // through `1 - (1-p)(1-0)` perturbs the low bits and could flip a
-        // knife-edge Bernoulli draw.
-        let loss = if extra_loss > 0.0 {
-            1.0 - (1.0 - self.loss_prob) * (1.0 - extra_loss.clamp(0.0, 1.0))
-        } else {
-            self.loss_prob
-        };
-        if self.rng.chance(loss) {
-            return None;
-        }
-        let wire = SimDuration::for_bits(len_bytes as u64 * 8, self.rate_bps);
-        let jitter =
-            SimDuration::from_secs_f64(self.rng.exponential(self.jitter_mean.as_secs_f64()));
-        let extra_jitter = if extra_jitter_mean > SimDuration::ZERO {
-            SimDuration::from_secs_f64(self.rng.exponential(extra_jitter_mean.as_secs_f64()))
-        } else {
-            SimDuration::ZERO
-        };
-        Some(self.base_delay + wire + jitter + extra_latency + extra_jitter)
-    }
-
-    /// Full fault-injection transit: loss / latency / jitter as in
-    /// [`Backhaul::transit_impaired`], plus duplication (the same frame
-    /// delivered twice, the copy trailing by one extra jitter sample) and
-    /// reordering (the frame held back by a uniform draw from
-    /// `(0, reorder_window]`, so later frames can overtake it).
+    /// draw. Duplication delivers the same frame twice, the copy trailing
+    /// by one extra jitter sample; reordering holds the frame back by a
+    /// uniform draw from `(0, reorder_window]`, so later frames can
+    /// overtake it.
     ///
-    /// RNG draw discipline keeps runs reproducible: the loss/jitter draws
-    /// match `transit_impaired` exactly, then the dup draws happen iff
-    /// `dup_prob > 0` and the frame was delivered, then the reorder draws
-    /// iff `reorder_prob > 0` and the frame was delivered. A no-op
-    /// impairment therefore consumes the same draw sequence as
+    /// RNG draw discipline keeps runs reproducible: the loss draw (none
+    /// at probability 0 or 1), then for a delivered frame the jitter draw,
+    /// the extra jitter draw iff its mean is nonzero, the dup draws iff
+    /// `dup_prob > 0`, and the reorder draws iff `reorder_prob > 0`. A
+    /// no-op impairment therefore consumes the same draws as
     /// [`Backhaul::transit`].
     pub fn transit_faulty(
         &mut self,
         len_bytes: usize,
         imp: &BackhaulImpairment,
     ) -> BackhaulDelivery {
-        let primary = self.transit_impaired(
-            len_bytes,
-            imp.extra_loss_prob,
-            imp.extra_latency,
-            imp.extra_jitter_mean,
-        );
+        // `1 - (1 - p)`, not `p`: the window's loss composed with the
+        // healthy LAN's zero loss, whose rounding the pinned digests carry
+        // (a low bit can flip a knife-edge draw).
+        let loss = 1.0 - (1.0 - imp.extra_loss_prob);
+        let primary = if self.rng.chance(loss) {
+            None
+        } else {
+            let wire = SimDuration::for_bits(len_bytes as u64 * 8, Self::RATE_BPS);
+            let jitter = self.jitter(Self::JITTER_MEAN);
+            let extra_jitter = if imp.extra_jitter_mean > SimDuration::ZERO {
+                self.jitter(imp.extra_jitter_mean)
+            } else {
+                SimDuration::ZERO
+            };
+            Some(Self::BASE_DELAY + wire + jitter + imp.extra_latency + extra_jitter)
+        };
         let mut out = BackhaulDelivery {
             primary,
             duplicate: None,
@@ -128,9 +98,7 @@ impl Backhaul {
             return out; // lost before any duplication point
         };
         if imp.dup_prob > 0.0 && self.rng.chance(imp.dup_prob) {
-            let trail =
-                SimDuration::from_secs_f64(self.rng.exponential(self.jitter_mean.as_secs_f64()));
-            out.duplicate = Some(delay + trail);
+            out.duplicate = Some(delay + self.jitter(Self::JITTER_MEAN));
         }
         if imp.reorder_prob > 0.0 && self.rng.chance(imp.reorder_prob) {
             let window = imp.reorder_window.as_secs_f64();
@@ -142,6 +110,11 @@ impl Backhaul {
         out.primary = Some(delay);
         out
     }
+
+    /// One exponential jitter draw of mean `mean`.
+    fn jitter(&mut self, mean: SimDuration) -> SimDuration {
+        SimDuration::from_secs_f64(self.rng.exponential(mean.as_secs_f64()))
+    }
 }
 
 #[cfg(test)]
@@ -152,14 +125,23 @@ mod tests {
         Backhaul::new(SimRng::new(seed))
     }
 
+    /// `imp` with extra loss `p` on top.
+    fn lossy(p: f64, imp: BackhaulImpairment) -> BackhaulImpairment {
+        BackhaulImpairment {
+            extra_loss_prob: p,
+            ..imp
+        }
+    }
+
     #[test]
     fn delay_includes_base_and_wire() {
         let mut b = bh(1);
-        b.jitter_mean = SimDuration::from_nanos(1); // effectively zero
-        let d = b.transit(1500).unwrap();
-        // 1500 B at 1 Gbit/s = 12 µs wire + 150 µs base.
-        assert!(d >= SimDuration::from_micros(162));
-        assert!(d < SimDuration::from_micros(170));
+        // 1500 B at 1 Gbit/s = 12 µs wire + 150 µs base, plus jitter whose
+        // smallest of many draws is close to zero.
+        let delays: Vec<_> = (0..500).map(|_| b.transit(1500).unwrap()).collect();
+        assert!(delays.iter().all(|&d| d >= SimDuration::from_micros(162)));
+        let min = delays.iter().min().unwrap();
+        assert!(*min < SimDuration::from_micros(165), "{min:?}");
     }
 
     #[test]
@@ -185,39 +167,32 @@ mod tests {
     #[test]
     fn loss_probability_respected() {
         let mut b = bh(4);
-        b.loss_prob = 0.3;
-        let lost = (0..2000).filter(|_| b.transit(100).is_none()).count();
+        let imp = lossy(0.3, BackhaulImpairment::default());
+        let lost = (0..2000)
+            .filter(|_| b.transit_faulty(100, &imp).primary.is_none())
+            .count();
         let frac = lost as f64 / 2000.0;
         assert!((frac - 0.3).abs() < 0.05, "loss frac {frac}");
     }
 
     #[test]
-    fn impaired_zero_is_identical_to_healthy() {
-        let mut a = bh(7);
-        let mut b = bh(7);
-        a.loss_prob = 0.1;
-        b.loss_prob = 0.1;
-        for _ in 0..500 {
-            assert_eq!(
-                a.transit(300),
-                b.transit_impaired(300, 0.0, SimDuration::ZERO, SimDuration::ZERO)
-            );
-        }
-    }
-
-    #[test]
     fn impairments_add_loss_and_latency() {
-        let mut b = bh(8);
-        b.loss_prob = 0.1;
         let extra_lat = SimDuration::from_millis(5);
+        let imp = lossy(
+            0.55,
+            BackhaulImpairment {
+                extra_latency: extra_lat,
+                ..BackhaulImpairment::default()
+            },
+        );
+        let mut b = bh(8);
         let mut lost = 0usize;
         for _ in 0..2000 {
-            match b.transit_impaired(100, 0.5, extra_lat, SimDuration::ZERO) {
+            match b.transit_faulty(100, &imp).primary {
                 None => lost += 1,
-                Some(d) => assert!(d >= extra_lat + b.base_delay),
+                Some(d) => assert!(d >= extra_lat + Backhaul::BASE_DELAY),
             }
         }
-        // Composed loss: 1 - 0.9*0.5 = 0.55.
         let frac = lost as f64 / 2000.0;
         assert!((frac - 0.55).abs() < 0.05, "loss frac {frac}");
     }
@@ -226,8 +201,6 @@ mod tests {
     fn faulty_noop_is_identical_to_healthy() {
         let mut a = bh(9);
         let mut b = bh(9);
-        a.loss_prob = 0.1;
-        b.loss_prob = 0.1;
         let noop = BackhaulImpairment::default();
         for _ in 0..500 {
             let d = b.transit_faulty(300, &noop);
@@ -235,6 +208,35 @@ mod tests {
             assert_eq!(d.duplicate, None);
             assert!(!d.reordered);
         }
+    }
+
+    #[test]
+    fn loss_composes_with_duplication() {
+        // 10 % loss beside 50 % duplication: a lost frame is never copied,
+        // and a delivered one is copied at the duplication rate.
+        let mut b = bh(13);
+        let imp = lossy(
+            0.1,
+            BackhaulImpairment {
+                dup_prob: 0.5,
+                ..BackhaulImpairment::default()
+            },
+        );
+        let (mut lost, mut dups) = (0usize, 0usize);
+        for _ in 0..4000 {
+            let d = b.transit_faulty(100, &imp);
+            match d.primary {
+                None => {
+                    assert_eq!(d.duplicate, None);
+                    lost += 1;
+                }
+                Some(_) => dups += usize::from(d.duplicate.is_some()),
+            }
+        }
+        let loss = lost as f64 / 4000.0;
+        let dup = dups as f64 / (4000 - lost) as f64;
+        assert!((loss - 0.1).abs() < 0.02, "loss frac {loss}");
+        assert!((dup - 0.5).abs() < 0.03, "dup frac {dup}");
     }
 
     #[test]
@@ -260,25 +262,27 @@ mod tests {
     #[test]
     fn reordering_bounded_by_window() {
         let mut b = bh(11);
-        b.jitter_mean = SimDuration::from_nanos(1); // effectively zero
-        let base = b.base_delay + SimDuration::for_bits(100 * 8, b.rate_bps);
         let window = SimDuration::from_millis(2);
         let imp = BackhaulImpairment {
             reorder_prob: 1.0,
             reorder_window: window,
             ..BackhaulImpairment::default()
         };
-        let mut max_seen = SimDuration::ZERO;
+        let mut max_held = SimDuration::ZERO;
         for _ in 0..500 {
+            // A clone draws the same loss and jitter, so the difference is
+            // the hold-back alone.
+            let healthy = b.clone().transit(100).unwrap();
             let d = b.transit_faulty(100, &imp);
             assert!(d.reordered);
-            let held = d.primary.unwrap();
-            assert!(held >= base);
-            assert!(held <= base + window + SimDuration::from_micros(1));
-            max_seen = max_seen.max(held);
+            // The hold-back adds to the healthy delay, never replaces it.
+            assert!(d.primary.unwrap() >= healthy);
+            let held = d.primary.unwrap() - healthy;
+            assert!(held <= window);
+            max_held = max_held.max(held);
         }
         // The hold-back actually spreads across the window.
-        assert!(max_seen > base + SimDuration::from_millis(1));
+        assert!(max_held > SimDuration::from_millis(1));
     }
 
     #[test]

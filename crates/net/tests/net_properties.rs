@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use wgtt_net::{Backhaul, CbrSource, SackBlocks, TcpConfig, TcpReceiver, TcpSender, UdpSink};
-use wgtt_sim::{SimDuration, SimRng, SimTime};
+use wgtt_sim::{BackhaulImpairment, SimDuration, SimRng, SimTime};
 
 proptest! {
     /// A CBR source emits exactly `floor(t·rate/size) + 1` datagrams by
@@ -55,8 +55,8 @@ proptest! {
     fn backhaul_delay_floor(len in 1usize..100_000, seed in 0u64..500) {
         let mut b = Backhaul::new(SimRng::new(seed));
         let d = b.transit(len).unwrap();
-        let wire = SimDuration::for_bits(len as u64 * 8, b.rate_bps);
-        prop_assert!(d >= b.base_delay + wire);
+        let wire = SimDuration::for_bits(len as u64 * 8, Backhaul::RATE_BPS);
+        prop_assert!(d >= Backhaul::BASE_DELAY + wire);
     }
 
     /// TCP sender conservation: retransmit counter only grows, snd_una is
@@ -152,8 +152,11 @@ proptest! {
 #[test]
 fn backhaul_extreme_loss_rates() {
     let mut b = Backhaul::new(SimRng::new(1));
-    b.loss_prob = 1.0;
-    assert!(b.transit(100).is_none());
-    b.loss_prob = 0.0;
+    let loss = |extra_loss_prob| BackhaulImpairment {
+        extra_loss_prob,
+        ..BackhaulImpairment::default()
+    };
+    assert!(b.transit_faulty(100, &loss(1.0)).primary.is_none());
+    assert!(b.transit_faulty(100, &loss(0.0)).primary.is_some());
     assert!(b.transit(100).is_some());
 }

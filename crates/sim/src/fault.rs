@@ -377,11 +377,6 @@ impl FaultSchedule {
         !self.controller_failovers.is_empty()
     }
 
-    /// Whether the controller crashes at all, cold or with a standby armed.
-    pub fn has_controller_fault(&self) -> bool {
-        self.has_failover() || !self.controller_crashes.is_empty()
-    }
-
     /// Extra one-way journal delivery delay at `t` (windows sum).
     pub fn journal_lag_at(&self, t: SimTime) -> SimDuration {
         active(&self.journal_lag, t).fold(SimDuration::ZERO, |sum, &extra| sum + extra)

@@ -1,8 +1,8 @@
-//! Golden digests: eight pinned runs — failover, chaos, controller crash,
-//! controller standby, a faulted UDP drive, a 2-shard ring, the same ring
-//! over a faulted seam and under a composite storm — replayed and compared
-//! with `tests/golden/<name>.json`, so tier-1 (`cargo test -q`) itself sees
-//! a behaviour change.
+//! Golden digests: nine pinned runs — failover, chaos, controller crash,
+//! controller standby, a faulted UDP drive, a fault-free three-vehicle
+//! convoy, a 2-shard ring, the same ring over a faulted seam and under a
+//! composite storm — replayed and compared with `tests/golden/<name>.json`,
+//! so tier-1 (`cargo test -q`) itself sees a behaviour change.
 //!
 //! The files pin behaviour, not just repeatability: a change that moves
 //! one has changed what the system does on that run, and must update the
@@ -69,6 +69,12 @@ fn controller_standby_drive() {
 fn faulted_udp_drive() {
     let r = run(common::faulted_udp_drive());
     check("faulted_udp_drive", &r.fingerprint());
+}
+
+#[test]
+fn convoy_drive() {
+    let r = run(common::convoy_drive());
+    check("convoy_drive", &r.fingerprint());
 }
 
 #[test]
