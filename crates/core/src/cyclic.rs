@@ -10,12 +10,13 @@
 //!
 //! The index space is 4096 wide at every (AP, client) pair; the memory is
 //! not. [`CyclicQueue`] keeps a 2-byte position per index and the packets
-//! themselves in a slab as large as the pair's backlog has been, so a pair
-//! that buffers nothing costs 8 KiB rather than 4096 packet slots. The
-//! dense array it replaced lives on under `#[cfg(test)]` as the reference
-//! the equivalence tests drive beside it.
+//! themselves in a slab as large as the pair's backlog has been (grown a
+//! quarter at a time), so a pair that buffers nothing costs 8 KiB rather
+//! than 4096 packet slots. The dense array it replaced lives on under
+//! `#[cfg(test)]` as the reference the equivalence tests drive beside it.
 
 use wgtt_net::Packet;
+use wgtt_sim::queue::reserve_quarter;
 
 /// Number of index bits (`m = 12` in the paper).
 pub const INDEX_BITS: u32 = 12;
@@ -77,8 +78,8 @@ const REWIND: u16 = 64;
 
 /// An upper bound on the packets one queue holds at once: a window one
 /// short of half the index space, a rewind behind it, and the insert that
-/// precedes the half-space expiry. The slab's doubling stops here —
-/// unchecked, it would take every queue that fills (2048 packets for that
+/// precedes the half-space expiry. The slab's growth stops here — doubling
+/// unchecked would take every queue that fills (2048 packets for that
 /// instant) to a full index space of them.
 const SLAB_BOUND: usize = (INDEX_SPACE / 2 + REWIND) as usize;
 
@@ -89,9 +90,11 @@ const SLAB_BOUND: usize = (INDEX_SPACE / 2 + REWIND) as usize;
 /// repositions.
 ///
 /// Every index has an entry in an 8 KiB position table, but packets live
-/// in a slab that grows with the backlog and is reused through a free
-/// list: an idle queue costs the table, a full one the table plus at most
-/// 2112 packets (`SLAB_BOUND`), and neither a steady stream nor a discard
+/// in a slab that grows with the backlog — by a quarter of its length, at
+/// least 64 packets, where `Vec` would double — and is reused through a
+/// free list: an idle queue costs the table, a full one the table plus at
+/// most 2112 packets (`SLAB_BOUND`), one whose backlog peaked at `n` at
+/// most `1.25 n + 64` slots, and neither a steady stream nor a discard
 /// allocates or moves a packet.
 #[derive(Debug, Clone)]
 pub struct CyclicQueue {
@@ -181,11 +184,7 @@ impl CyclicQueue {
             self.slab[at as usize] = packet;
             return at;
         }
-        // Full: double like `Vec` would (from 4), but stop at the bound.
-        let cap = self.slab.capacity();
-        if self.slab.len() == cap && cap < SLAB_BOUND {
-            self.slab.reserve_exact(cap.max(4).min(SLAB_BOUND - cap));
-        }
+        reserve_quarter(&mut self.slab, SLAB_BOUND);
         self.slab.push(packet);
         (self.slab.len() - 1) as u16
     }
@@ -602,16 +601,17 @@ mod tests {
         // A fan-out AP that never serves: three trips round the index
         // space with no pop. The window holds 2048 packets for an instant
         // (the insert precedes the expiry), which plain `Vec` doubling
-        // would round up to a full 4096-packet slab.
+        // would round up to a full 4096-packet slab. Quarter steps from 64
+        // reach 1906 slots and then stop at the bound.
         let mut pair = Pair::new();
         let mut indices = IndexAllocator::new();
         for _ in 0..3 * INDEX_SPACE {
             pair.insert(indices.allocate());
         }
         assert_eq!(pair.sparse.backlog(), (INDEX_SPACE / 2 - 1) as usize);
-        assert_eq!(pair.sparse.slab.capacity(), (INDEX_SPACE / 2) as usize);
-        // Late indices behind a full window take the slab to the bound
-        // and no further. (Two is as deep as a full window rewinds: a
+        assert_eq!(pair.sparse.slab.capacity(), SLAB_BOUND);
+        // Late indices behind a full window fill the slab to the bound and
+        // take it no further. (Two is as deep as a full window rewinds: a
         // third index behind it reads as a forward extension, here as in
         // the dense queue.)
         for _ in 0..2 {

@@ -382,15 +382,15 @@ mod tests {
     use super::*;
 
     /// Every queue slot holds an `Option<Ev>`. The largest variant is
-    /// `Data::PacketAtAp` — 8 bytes of AP index, an 80-byte `Packet` and a
+    /// `Data::PacketAtAp` — 8 bytes of AP index, a 72-byte `Packet` and a
     /// tag — and nesting the enum must not add a second tag word on top,
     /// nor the slot's `None` a third.
     #[test]
     fn nested_ev_is_no_larger_than_the_flat_one() {
         use std::mem::size_of;
-        assert!(size_of::<Packet>() <= 80, "{}", size_of::<Packet>());
-        assert!(size_of::<Ev>() <= 96, "{}", size_of::<Ev>());
-        assert!(size_of::<Data>() <= 96);
-        assert!(size_of::<Option<Ev>>() <= 96, "{}", size_of::<Option<Ev>>());
+        assert!(size_of::<Packet>() <= 72, "{}", size_of::<Packet>());
+        assert!(size_of::<Ev>() <= 88, "{}", size_of::<Ev>());
+        assert!(size_of::<Data>() <= 88);
+        assert!(size_of::<Option<Ev>>() <= 88, "{}", size_of::<Option<Ev>>());
     }
 }

@@ -115,8 +115,6 @@ impl SackBlocks {
 /// One simulated packet.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
-    /// Globally unique id, assigned at creation — tracing/debugging handle.
-    pub id: u64,
     /// The client this packet is to (downlink) or from (uplink).
     pub client: ClientId,
     /// Application flow.
@@ -139,10 +137,9 @@ pub struct Packet {
     pub index: Option<u16>,
 }
 
-/// Allocates unique packet ids and per-client IP idents.
+/// Allocates per-client IP idents.
 #[derive(Debug, Default)]
 pub struct PacketFactory {
-    next_id: u64,
     next_ident: std::collections::HashMap<ClientId, u16>,
 }
 
@@ -152,9 +149,9 @@ impl PacketFactory {
         Self::default()
     }
 
-    /// Builds a packet, assigning a fresh id and the next IP ident for the
-    /// packet's source (client for uplink, server for downlink — we track
-    /// per client either way, which is what the dedup key needs).
+    /// Builds a packet, assigning the next IP ident for the packet's source
+    /// (client for uplink, server for downlink — we track per client
+    /// either way, which is what the dedup key needs).
     pub fn make(
         &mut self,
         client: ClientId,
@@ -164,13 +161,10 @@ impl PacketFactory {
         created: SimTime,
         payload: Payload,
     ) -> Packet {
-        let id = self.next_id;
-        self.next_id += 1;
         let ident = self.next_ident.entry(client).or_insert(0);
         let ip_ident = *ident;
         *ident = ident.wrapping_add(1);
         Packet {
-            id,
             client,
             flow,
             direction,
@@ -210,28 +204,6 @@ pub mod overhead {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn factory_assigns_unique_ids() {
-        let mut f = PacketFactory::new();
-        let a = f.make(
-            ClientId(1),
-            FlowId(0),
-            Direction::Downlink,
-            1500,
-            SimTime::ZERO,
-            Payload::Udp { seq: 0 },
-        );
-        let b = f.make(
-            ClientId(1),
-            FlowId(0),
-            Direction::Downlink,
-            1500,
-            SimTime::ZERO,
-            Payload::Udp { seq: 1 },
-        );
-        assert_ne!(a.id, b.id);
-    }
 
     #[test]
     fn ip_ident_increments_per_client() {
@@ -315,11 +287,11 @@ mod tests {
     }
 
     #[test]
-    fn a_packet_is_eighty_bytes() {
+    fn a_packet_is_seventy_two_bytes() {
         assert_eq!(std::mem::size_of::<SackBlocks>(), 24);
         assert!(std::mem::size_of::<Payload>() <= 40);
         assert!(
-            std::mem::size_of::<Packet>() <= 80,
+            std::mem::size_of::<Packet>() <= 72,
             "{}",
             std::mem::size_of::<Packet>()
         );

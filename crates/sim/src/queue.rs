@@ -8,14 +8,20 @@
 //! control packet arrival and a queue service completion), and run-to-run
 //! reproducibility of every experiment depends on a stable order.
 //!
-//! It is a calendar/bucket queue: events live in an index-addressed slab
-//! (free-list reuse, no steady state allocation), and 24-byte references to
-//! them hash into a ring of time buckets (64 µs wide, ~67 ms horizon) with a
-//! spill heap for far-future timers. Nothing is ever cancelled: every timer
-//! is fire-and-check — its handler decides whether it still matters, as
-//! `SwitchEngine::on_timeout` ignores a `stop` retransmission timer its
-//! switch has already outrun — so a queued reference always names a live
-//! event.
+//! It is a calendar/bucket queue over one slab. A slab slot holds an
+//! event, its `(time, push number)` key and a link to the next slot of its
+//! time bucket (64 µs wide); a ring of 1024 `(head, tail)` cells (~67 ms
+//! horizon) threads each bucket's slots into a list, and a spill heap
+//! holds far-future timers. A bucket becomes a sorted drain list of
+//! 24-byte references only when the cursor reaches it, so the queue's
+//! memory is the slab — as deep as the most events ever pending at once,
+//! grown a quarter at a time — plus the largest single bucket, not the
+//! sum of every bucket's own high water. Freed slots are threaded onto a
+//! free list through the same link (no steady-state allocation). Nothing
+//! is ever cancelled: every timer is fire-and-check — its handler decides
+//! whether it still matters, as `SwitchEngine::on_timeout` ignores a
+//! `stop` retransmission timer its switch has already outrun — so a
+//! bucket's list only ever links live events.
 //!
 //! The `(time, seq)` pop order is checked at unit level against an ordered
 //! map (`reference_and_calendar_agree_under_churn` here and
@@ -35,25 +41,51 @@ const BUCKET_BITS: u32 = 16;
 /// Events beyond the horizon wait in the spill heap.
 const NUM_BUCKETS: u64 = 1024;
 
-/// `(time in ns, push number, slab slot)` as stored in buckets, the drain
-/// list and the spill heap: three words, where a `u128` sort key would pad
-/// the same content to four. Tuple order is the pop order — `(time, push
-/// number)` is unique per entry, so the slot never decides.
+/// End of a slot list (a bucket's or the free list).
+const NIL: u32 = u32::MAX;
+
+/// `(time in ns, push number, slab slot)` as stored in the drain list and
+/// the spill heap: three words, where a `u128` sort key would pad the same
+/// content to four. Tuple order is the pop order — `(time, push number)` is
+/// unique per entry, so the slot never decides.
 type Ref = (u64, u64, u32);
+
+/// One slab slot: a pending event with its pop key and the next slot of
+/// its bucket, or — `event` `None` — a free slot and the next free one.
+struct Slot<E> {
+    time: u64,
+    seq: u64,
+    next: u32,
+    event: Option<E>,
+}
+
+/// Makes room for one more element in a full `slab`, by a quarter of its
+/// length (at least 64) and never past `bound` elements, where `Vec::push`
+/// would double: a slab as deep as the most it ever held at once then
+/// reserves at most a quarter more, not up to as much again.
+pub fn reserve_quarter<T>(slab: &mut Vec<T>, bound: usize) {
+    let len = slab.len();
+    if len == slab.capacity() && len < bound {
+        slab.reserve_exact((len / 4).max(64).min(bound - len));
+    }
+}
 
 /// Time-ordered future event list with stable FIFO tie-breaking — see the
 /// module docs.
 pub struct EventQueue<E> {
-    /// The pending events; `None` marks a slot on the free list.
-    slots: Vec<Option<E>>,
-    /// Free slab slots available for reuse.
-    free: Vec<u32>,
-    /// Ring of buckets; bucket `b` (absolute index `time >> BUCKET_BITS`)
-    /// lives at `ring[b % NUM_BUCKETS]`. Holds only buckets within the
-    /// horizon `[cursor, cursor + NUM_BUCKETS)`, so each ring cell maps to
-    /// a single absolute bucket at any moment.
-    ring: Vec<Vec<Ref>>,
-    /// References currently in the ring.
+    /// Every event pending, and the free slots between them.
+    slots: Vec<Slot<E>>,
+    /// First slot of the free list, or `NIL`.
+    free: u32,
+    /// Slots holding an event.
+    live: usize,
+    /// Ring of bucket lists as `(first slot, last slot)`, `NIL` when empty;
+    /// bucket `b` (absolute index `time >> BUCKET_BITS`) lives at
+    /// `ring[b % NUM_BUCKETS]`. Holds only buckets within the horizon
+    /// `[cursor, cursor + NUM_BUCKETS)`, so each ring cell maps to a single
+    /// absolute bucket at any moment.
+    ring: Vec<(u32, u32)>,
+    /// Events currently linked into the ring.
     ring_count: usize,
     /// Spill heap for events beyond the ring horizon, min-ordered by key.
     spill: BinaryHeap<std::cmp::Reverse<Ref>>,
@@ -77,8 +109,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             slots: Vec::new(),
-            free: Vec::new(),
-            ring: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            free: NIL,
+            live: 0,
+            ring: vec![(NIL, NIL); NUM_BUCKETS as usize],
             ring_count: 0,
             spill: BinaryHeap::new(),
             cur: Vec::new(),
@@ -92,26 +125,39 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(event);
-                s
-            }
-            None => {
-                self.slots.push(Some(event));
-                (self.slots.len() - 1) as u32
-            }
+        let time = time.as_nanos();
+        let filled = Slot {
+            time,
+            seq,
+            next: NIL,
+            event: Some(event),
         };
-        let r: Ref = (time.as_nanos(), seq, slot);
+        let slot = if self.free != NIL {
+            let s = self.free;
+            self.free = self.slots[s as usize].next;
+            self.slots[s as usize] = filled;
+            s
+        } else {
+            reserve_quarter(&mut self.slots, usize::MAX);
+            self.slots.push(filled);
+            (self.slots.len() - 1) as u32
+        };
+        self.live += 1;
+        let r: Ref = (time, seq, slot);
 
-        let bucket = time.as_nanos() >> BUCKET_BITS;
+        let bucket = time >> BUCKET_BITS;
         if bucket <= self.cursor {
             // Present bucket (or, defensively, earlier): insert into the
             // undrained tail of the current drain list, keeping it sorted.
             let ins = self.cur[self.cur_pos..].partition_point(|&other| other < r);
             self.cur.insert(self.cur_pos + ins, r);
         } else if bucket < self.cursor + NUM_BUCKETS {
-            self.ring[(bucket % NUM_BUCKETS) as usize].push(r);
+            let cell = &mut self.ring[(bucket % NUM_BUCKETS) as usize];
+            match cell.1 {
+                NIL => cell.0 = slot,
+                last => self.slots[last as usize].next = slot,
+            }
+            cell.1 = slot;
             self.ring_count += 1;
         } else {
             self.spill.push(std::cmp::Reverse(r));
@@ -133,8 +179,8 @@ impl<E> EventQueue<E> {
         true
     }
 
-    /// Moves the cursor to the next bucket holding any reference and loads
-    /// it into the drain list.
+    /// Moves the cursor to the next bucket holding any event and loads it
+    /// into the drain list.
     fn advance_to_next_bucket(&mut self) {
         let spill_bucket = self
             .spill
@@ -145,23 +191,27 @@ impl<E> EventQueue<E> {
             // spilled bucket (it must exist — the queue is not empty).
             spill_bucket.expect("pending events but empty ring and spill")
         } else {
-            // Scan forward; ring references always live in
+            // Scan forward; ring events always live in
             // (cursor, cursor + NUM_BUCKETS), so this terminates.
             let mut b = self.cursor + 1;
             loop {
-                if spill_bucket == Some(b) || !self.ring[(b % NUM_BUCKETS) as usize].is_empty() {
+                if spill_bucket == Some(b) || self.ring[(b % NUM_BUCKETS) as usize].0 != NIL {
                     break b;
                 }
                 b += 1;
             }
         };
         self.cursor = target;
-        // Move the ring bucket's references over; the cell keeps its
-        // capacity and `cur` (empty here) keeps its own, so there is no
-        // steady-state allocation.
+        // Walk the bucket's list into `cur` (empty here, and keeping its
+        // capacity, so there is no steady-state allocation).
         let cell = &mut self.ring[(target % NUM_BUCKETS) as usize];
-        self.ring_count -= cell.len();
-        self.cur.append(cell);
+        let mut s = std::mem::replace(cell, (NIL, NIL)).0;
+        while s != NIL {
+            let slot = &self.slots[s as usize];
+            self.cur.push((slot.time, slot.seq, s));
+            s = slot.next;
+        }
+        self.ring_count -= self.cur.len();
         // Pull every spilled event belonging to this bucket.
         while let Some(std::cmp::Reverse(r)) = self.spill.peek() {
             if r.0 >> BUCKET_BITS != target {
@@ -184,18 +234,22 @@ impl<E> EventQueue<E> {
         if !self.settle() {
             return None;
         }
-        let (time, _, slot) = self.cur[self.cur_pos];
+        let (time, _, s) = self.cur[self.cur_pos];
         self.cur_pos += 1;
-        let event = self.slots[slot as usize]
+        let slot = &mut self.slots[s as usize];
+        let event = slot
+            .event
             .take()
             .expect("a queued reference's slot holds its event");
-        self.free.push(slot);
+        slot.next = self.free;
+        self.free = s;
+        self.live -= 1;
         Some((SimTime::from_nanos(time), event))
     }
 
-    /// Number of events still pending: every slab slot not on the free list.
+    /// Number of events still pending.
     pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
+        self.live
     }
 
     /// True when no events remain.
@@ -288,6 +342,41 @@ mod tests {
             "slab grew to {} for {} live",
             q.slots.len(),
             q.len()
+        );
+    }
+
+    /// Bytes the queue holds on the heap, reserved or in use.
+    fn retained_bytes<E>(q: &EventQueue<E>) -> usize {
+        use std::mem::size_of;
+        q.slots.capacity() * size_of::<Slot<E>>()
+            + q.ring.capacity() * size_of::<(u32, u32)>()
+            + (q.spill.capacity() + q.cur.capacity()) * size_of::<Ref>()
+    }
+
+    #[test]
+    fn retained_memory_tracks_the_largest_burst_not_every_bucket() {
+        // Post-handover bursts: a thousand packet copies land in one
+        // bucket, drain, and the next thousand land in another bucket at a
+        // different distance ahead — 200 bursts over most of the ring. The
+        // queue may keep what one burst needed, not what every bucket it
+        // ever drained once held.
+        const BURST: u64 = 1_000;
+        let mut q = EventQueue::new();
+        let mut now = 0u64;
+        for k in 0..200u64 {
+            let ahead = (1 + k * 37 % (NUM_BUCKETS - 24)) << BUCKET_BITS;
+            for i in 0..BURST {
+                q.push(SimTime::from_nanos(now + ahead + i), i);
+            }
+            while let Some((at, _)) = q.pop() {
+                now = at.as_nanos();
+            }
+        }
+        let burst = BURST as usize * (std::mem::size_of::<u64>() + std::mem::size_of::<Ref>());
+        let kept = retained_bytes(&q);
+        assert!(
+            kept <= 4 * burst,
+            "the queue keeps {kept} B after bursts of {burst} B (events and their references)"
         );
     }
 
