@@ -12,11 +12,17 @@
 //! not. [`CyclicQueue`] keeps a 2-byte position per index and the packets
 //! themselves in a slab as large as the pair's backlog has been (grown a
 //! quarter at a time), so a pair that buffers nothing costs 8 KiB rather
-//! than 4096 packet slots. The dense array it replaced lives on under
-//! `#[cfg(test)]` as the reference the equivalence tests drive beside it.
+//! than 4096 packet slots. A slot holds a 32-byte record of what tells one
+//! buffered packet from the next — creation time, transport sequence, flow,
+//! lengths, IP ident, payload kind and direction — not a 72-byte
+//! [`Packet`]: the client is the queue's, once, and the index is the one
+//! the slot is filed under, so a pop rebuilds the packet that went in. The
+//! dense array of whole packets it replaced lives on under `#[cfg(test)]`
+//! as the reference the equivalence tests drive beside it.
 
-use wgtt_net::Packet;
+use wgtt_net::{ClientId, Direction, FlowId, Packet, Payload};
 use wgtt_sim::queue::reserve_quarter;
+use wgtt_sim::SimTime;
 
 /// Number of index bits (`m = 12` in the paper).
 pub const INDEX_BITS: u32 = 12;
@@ -83,6 +89,78 @@ const REWIND: u16 = 64;
 /// instant) to a full index space of them.
 const SLAB_BOUND: usize = (INDEX_SPACE / 2 + REWIND) as usize;
 
+/// The transport payload a [`Record`] rebuilds.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Udp,
+    TcpData,
+    Raw,
+}
+
+/// One buffered packet, less its client (the queue's) and its index (the
+/// slot's).
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    created: SimTime,
+    /// The UDP or TCP sequence; 0 for a raw payload.
+    seq: u64,
+    flow: FlowId,
+    len_bytes: u32,
+    /// A TCP segment's length; 0 otherwise.
+    tcp_len: u32,
+    ip_ident: u16,
+    kind: Kind,
+    direction: Direction,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() == 32);
+
+impl Record {
+    /// Packs what [`Self::unpack`] cannot infer; see [`CyclicQueue::insert`]
+    /// for the packets it takes.
+    fn pack(packet: &Packet) -> Record {
+        let narrow = |n: u64| u32::try_from(n).expect("a buffered length fits 32 bits");
+        let (kind, seq, tcp_len) = match packet.payload {
+            Payload::Udp { seq } => (Kind::Udp, seq, 0),
+            Payload::TcpData { seq, len } => (Kind::TcpData, seq, narrow(len)),
+            Payload::Raw => (Kind::Raw, 0, 0),
+            Payload::TcpAck { .. } => panic!("a TCP acknowledgement reached a cyclic queue"),
+        };
+        Record {
+            created: packet.created,
+            seq,
+            flow: packet.flow,
+            len_bytes: narrow(packet.len_bytes as u64),
+            tcp_len,
+            ip_ident: packet.ip_ident,
+            kind,
+            direction: packet.direction,
+        }
+    }
+
+    /// The packet this record was packed from, to `client` at `index`.
+    fn unpack(self, client: ClientId, index: u16) -> Packet {
+        let payload = match self.kind {
+            Kind::Udp => Payload::Udp { seq: self.seq },
+            Kind::TcpData => Payload::TcpData {
+                seq: self.seq,
+                len: self.tcp_len as u64,
+            },
+            Kind::Raw => Payload::Raw,
+        };
+        Packet {
+            client,
+            flow: self.flow,
+            direction: self.direction,
+            len_bytes: self.len_bytes as usize,
+            created: self.created,
+            payload,
+            ip_ident: self.ip_ident,
+            index: Some(index),
+        }
+    }
+}
+
 /// One client's cyclic packet buffer at one AP.
 ///
 /// Packets are addressed by index number. The queue tracks a *head* — the
@@ -90,19 +168,18 @@ const SLAB_BOUND: usize = (INDEX_SPACE / 2 + REWIND) as usize;
 /// repositions.
 ///
 /// Every index has an entry in an 8 KiB position table, but packets live
-/// in a slab that grows with the backlog — by a quarter of its length, at
-/// least 64 packets, where `Vec` would double — and is reused through a
-/// free list: an idle queue costs the table, a full one the table plus at
-/// most 2112 packets (`SLAB_BOUND`), one whose backlog peaked at `n` at
-/// most `1.25 n + 64` slots, and neither a steady stream nor a discard
-/// allocates or moves a packet.
+/// in a slab of 32-byte records that grows with the backlog — by a quarter
+/// of its length, at least 64 records, where `Vec` would double — and is
+/// reused through a free list: an idle queue costs the table, a full one
+/// the table plus at most 2112 records (`SLAB_BOUND`, 66 KiB), one whose
+/// backlog peaked at `n` at most `1.25 n + 64` slots, and neither a steady
+/// stream nor a discard allocates or moves a record.
 #[derive(Debug, Clone)]
 pub struct CyclicQueue {
-    /// Index → position of its packet in `slab`, or `EMPTY`.
+    /// Index → position of its record in `slab`, or `EMPTY`.
     pos: Box<[u16; INDEX_SPACE as usize]>,
-    /// Packet storage. Positions listed in `free` hold a stale packet
-    /// (`Packet` owns no heap, so there is nothing to drop early).
-    slab: Vec<Packet>,
+    /// Record storage. Positions listed in `free` hold a stale record.
+    slab: Vec<Record>,
     /// Slab positions whose packet was popped or discarded, reused before
     /// the slab grows.
     free: Vec<u16>,
@@ -116,6 +193,8 @@ pub struct CyclicQueue {
     any: bool,
     /// Packets dropped by overwrite (buffer wrapped before transmission).
     overwrites: u64,
+    /// The client every buffered packet is to.
+    client: ClientId,
 }
 
 impl Default for CyclicQueue {
@@ -135,6 +214,7 @@ impl CyclicQueue {
             tail: 0,
             any: false,
             overwrites: 0,
+            client: ClientId(0),
         }
     }
 
@@ -178,14 +258,14 @@ impl CyclicQueue {
         self.overwrites
     }
 
-    /// Puts `packet` in the slab and returns its position.
-    fn store(&mut self, packet: Packet) -> u16 {
+    /// Puts `record` in the slab and returns its position.
+    fn store(&mut self, record: Record) -> u16 {
         if let Some(at) = self.free.pop() {
-            self.slab[at as usize] = packet;
+            self.slab[at as usize] = record;
             return at;
         }
         reserve_quarter(&mut self.slab, SLAB_BOUND);
-        self.slab.push(packet);
+        self.slab.push(record);
         (self.slab.len() - 1) as u16
     }
 
@@ -210,18 +290,23 @@ impl CyclicQueue {
     /// Inserts a packet at its controller-assigned index.
     ///
     /// Panics if the packet has no index (the controller must assign one
-    /// before fan-out).
+    /// before fan-out), if it is a TCP acknowledgement (only clients send
+    /// those), or if a length does not fit 32 bits. Every packet a queue
+    /// holds is to one client, the one its (AP, client) pair names.
     pub fn insert(&mut self, packet: Packet) {
         let index = packet
             .index
             .expect("downlink packet reached AP without a WGTT index");
         debug_assert!(index < INDEX_SPACE);
+        debug_assert!(self.backlog() == 0 || packet.client == self.client);
+        self.client = packet.client;
+        let record = Record::pack(&packet);
         let at = self.pos[index as usize];
         if at != EMPTY {
             self.overwrites += 1;
-            self.slab[at as usize] = packet;
+            self.slab[at as usize] = record;
         } else {
-            self.pos[index as usize] = self.store(packet);
+            self.pos[index as usize] = self.store(record);
         }
         if !self.any {
             self.any = true;
@@ -290,7 +375,7 @@ impl CyclicQueue {
             let idx = self.head;
             self.head = index_add(self.head, 1);
             if let Some(at) = self.release(idx) {
-                return Some(self.slab[at].clone());
+                return Some(self.slab[at].unpack(self.client, idx));
             }
         }
         None
@@ -491,25 +576,60 @@ mod tests {
         }
     }
 
-    /// Both queues, every op applied to each, everything observable
-    /// compared after each.
+    /// A packet at `index` with every field a slot record keeps drawn from
+    /// `rng`: UDP, TCP-data or raw, each number 0 a quarter of the time,
+    /// its type's maximum a quarter, and anything between the rest.
+    fn random_packet(rng: &mut SimRng, index: u16) -> Packet {
+        let draw = |rng: &mut SimRng, bits: u32| match rng.range(0..4u32) {
+            0 => 0,
+            1 => u64::MAX >> (64 - bits),
+            _ => rng.next_u64() >> (64 - bits),
+        };
+        let payload = match rng.range(0..3u32) {
+            0 => Payload::Udp { seq: draw(rng, 64) },
+            1 => Payload::TcpData {
+                seq: draw(rng, 64),
+                len: draw(rng, 32),
+            },
+            _ => Payload::Raw,
+        };
+        let direction = if rng.chance(0.5) {
+            Direction::Downlink
+        } else {
+            Direction::Uplink
+        };
+        Packet {
+            client: ClientId(3),
+            flow: FlowId(draw(rng, 32) as u32),
+            direction,
+            len_bytes: draw(rng, 32) as usize,
+            created: SimTime::from_nanos(draw(rng, 64)),
+            payload,
+            ip_ident: draw(rng, 16) as u16,
+            index: Some(index),
+        }
+    }
+
+    /// Both queues, every op applied to each, everything observable —
+    /// each popped packet whole — compared after each.
     struct Pair {
         sparse: CyclicQueue,
         dense: DenseQueue,
-        factory: PacketFactory,
+        /// Draws the fields of each inserted packet.
+        fields: SimRng,
     }
 
     impl Pair {
-        fn new() -> Self {
+        fn new(seed: u64) -> Self {
             Pair {
                 sparse: CyclicQueue::new(),
                 dense: DenseQueue::new(),
-                factory: PacketFactory::new(),
+                fields: SimRng::new(seed).fork("fields"),
             }
         }
 
         fn insert(&mut self, index: u16) {
-            let p = pkt(&mut self.factory, index);
+            let p = random_packet(&mut self.fields, index);
             self.dense.insert(p.clone());
             self.sparse.insert(p);
             self.check(format_args!("insert({index})"));
@@ -553,7 +673,7 @@ mod tests {
         // start_from and the odd clear.
         for (seed, (w_insert, w_pop)) in [(1u64, (45, 45)), (2, (88, 4)), (3, (60, 25))] {
             let mut rng = SimRng::new(seed);
-            let mut pair = Pair::new();
+            let mut pair = Pair::new(seed);
             for _ in 0..30_000 {
                 let (head, tail) = (pair.dense.head, pair.dense.tail);
                 let window = index_fwd_dist(head, tail);
@@ -603,7 +723,7 @@ mod tests {
         // (the insert precedes the expiry), which plain `Vec` doubling
         // would round up to a full 4096-packet slab. Quarter steps from 64
         // reach 1906 slots and then stop at the bound.
-        let mut pair = Pair::new();
+        let mut pair = Pair::new(4);
         let mut indices = IndexAllocator::new();
         for _ in 0..3 * INDEX_SPACE {
             pair.insert(indices.allocate());
@@ -869,6 +989,27 @@ mod tests {
             SimTime::ZERO,
             Payload::Raw,
         );
+        q.insert(p);
+    }
+
+    #[test]
+    #[should_panic]
+    fn insert_tcp_ack_panics() {
+        let mut f = PacketFactory::new();
+        let mut q = CyclicQueue::new();
+        let ack = Payload::TcpAck {
+            ack: 0,
+            sack: wgtt_net::SackBlocks::default(),
+        };
+        let mut p = f.make(
+            ClientId(0),
+            FlowId(0),
+            Direction::Downlink,
+            52,
+            SimTime::ZERO,
+            ack,
+        );
+        p.index = Some(0);
         q.insert(p);
     }
 }

@@ -10,16 +10,40 @@
 //! the IP identification field (16 bits) and checks a hashset. The ident
 //! field wraps every 65,536 packets, so entries must age out; we keep a
 //! bounded FIFO of recent keys, which matches the real implementation's
-//! behaviour (a hashset that is periodically pruned).
+//! behaviour (a hashset that is periodically pruned). The set that hashset
+//! models is kept here as one 65,536-bit ident map per source (8 KiB,
+//! allocated on the source's first key and freed when its last one ages
+//! out) beside the FIFO, a ring of keys that grows up to the cap: a lookup
+//! is a search over the few sources and a bit test, and a full table of
+//! 16,384 keys from one source is 136 KiB.
 
-use std::collections::{HashSet, VecDeque};
 use wgtt_net::{ClientId, Packet};
+use wgtt_sim::queue::reserve_quarter;
+
+/// Words in one source's ident map: a bit per 16-bit ident.
+const MAP_WORDS: usize = (1 << 16) / 64;
+
+/// One source's remembered idents.
+#[derive(Debug)]
+struct IdentMap {
+    /// `key >> 16`.
+    source: u64,
+    /// Bit `ident % 64` of word `ident / 64` is set while the key is
+    /// remembered.
+    bits: Box<[u64]>,
+    /// Set bits.
+    live: usize,
+}
 
 /// The controller's uplink de-duplication filter.
 #[derive(Debug)]
 pub struct Deduplicator {
-    seen: HashSet<u64>,
-    order: VecDeque<u64>,
+    /// One map per source with a remembered key, by ascending source.
+    maps: Vec<IdentMap>,
+    /// Remembered keys in arrival order, `ring[oldest]` first once the
+    /// ring is full (oldest is 0 until then).
+    ring: Vec<u64>,
+    oldest: usize,
     capacity: usize,
 }
 
@@ -32,8 +56,9 @@ impl Deduplicator {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0);
         Deduplicator {
-            seen: HashSet::new(),
-            order: VecDeque::new(),
+            maps: Vec::new(),
+            ring: Vec::new(),
+            oldest: 0,
             capacity,
         }
     }
@@ -60,17 +85,52 @@ impl Deduplicator {
     /// Checking a key and discarding the verdict primes it as already
     /// seen: the post-crash resync and migration re-primes do that.
     pub fn check_key(&mut self, key: u64) -> bool {
-        if self.seen.contains(&key) {
+        let source = key >> 16;
+        let at = match self.maps.binary_search_by_key(&source, |m| m.source) {
+            Ok(at) => at,
+            Err(at) => {
+                let bits = vec![0; MAP_WORDS].into_boxed_slice();
+                self.maps.insert(
+                    at,
+                    IdentMap {
+                        source,
+                        bits,
+                        live: 0,
+                    },
+                );
+                at
+            }
+        };
+        let (word, bit) = ident_bit(key);
+        let map = &mut self.maps[at];
+        if map.bits[word] & bit != 0 {
             return false;
         }
-        if self.order.len() == self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
-            }
+        map.bits[word] |= bit;
+        map.live += 1;
+        if self.ring.len() < self.capacity {
+            reserve_quarter(&mut self.ring, self.capacity);
+            self.ring.push(key);
+        } else {
+            let old = std::mem::replace(&mut self.ring[self.oldest], key);
+            self.oldest = (self.oldest + 1) % self.capacity;
+            self.forget(old);
         }
-        self.seen.insert(key);
-        self.order.push_back(key);
         true
+    }
+
+    /// Clears `key`'s bit, and drops its source's map when that was the
+    /// last.
+    fn forget(&mut self, key: u64) {
+        let at = self.maps.binary_search_by_key(&(key >> 16), |m| m.source);
+        let at = at.expect("a remembered key's source has a map");
+        let (word, bit) = ident_bit(key);
+        let map = &mut self.maps[at];
+        map.bits[word] &= !bit;
+        map.live -= 1;
+        if map.live == 0 {
+            self.maps.remove(at);
+        }
     }
 
     /// The IP idents currently remembered for `client`, oldest first.
@@ -79,12 +139,13 @@ impl Deduplicator {
     /// controller exports the idents it has recently seen so the
     /// destination can [`Self::check_key`] them under the client's new
     /// address and drop cross-seam retransmits of already-delivered
-    /// packets. Iterating `order` (insertion order) keeps the export
-    /// deterministic regardless of hash-set layout.
+    /// packets. Walking the FIFO keeps the export in arrival order.
     pub fn idents_for(&self, client: ClientId) -> Vec<u16> {
         let hi = (client.0 as u64) << 16;
-        self.order
+        let (newer, older) = self.ring.split_at(self.oldest);
+        older
             .iter()
+            .chain(newer)
             .filter(|&&k| k & !0xFFFF == hi)
             .map(|&k| (k & 0xFFFF) as u16)
             .collect()
@@ -92,13 +153,18 @@ impl Deduplicator {
 
     /// Current number of remembered keys.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.ring.len()
     }
 
     /// True when no keys are remembered.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.ring.is_empty()
     }
+}
+
+/// The word and bit of `key`'s ident in its source's map.
+fn ident_bit(key: u64) -> (usize, u64) {
+    ((key & 0xFFFF) as usize / 64, 1 << (key % 64))
 }
 
 impl Default for Deduplicator {
@@ -110,8 +176,9 @@ impl Default for Deduplicator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashSet, VecDeque};
     use wgtt_net::{Direction, FlowId, PacketFactory, Payload};
-    use wgtt_sim::SimTime;
+    use wgtt_sim::{SimRng, SimTime};
 
     fn uplink(f: &mut PacketFactory, client: u32) -> Packet {
         f.make(
@@ -278,6 +345,92 @@ mod tests {
         assert_eq!(d.idents_for(ClientId(0)), Vec::<u16>::new());
         // Nothing is remembered, so any key passes.
         assert!(d.check_key(0));
+    }
+
+    /// The filter as it was: a hash set beside a FIFO of the same keys.
+    struct Reference {
+        seen: HashSet<u64>,
+        order: VecDeque<u64>,
+        capacity: usize,
+    }
+
+    impl Reference {
+        fn new(capacity: usize) -> Self {
+            let (seen, order) = (HashSet::new(), VecDeque::new());
+            Reference {
+                seen,
+                order,
+                capacity,
+            }
+        }
+
+        fn check_key(&mut self, key: u64) -> bool {
+            if self.seen.contains(&key) {
+                return false;
+            }
+            if self.order.len() == self.capacity {
+                if let Some(old) = self.order.pop_front() {
+                    self.seen.remove(&old);
+                }
+            }
+            self.seen.insert(key);
+            self.order.push_back(key);
+            true
+        }
+
+        fn idents_for(&self, client: ClientId) -> Vec<u16> {
+            let hi = (client.0 as u64) << 16;
+            let own = self.order.iter().filter(|&&k| k & !0xFFFF == hi);
+            own.map(|&k| (k & 0xFFFF) as u16).collect()
+        }
+    }
+
+    /// Every verdict, `len` and export of the ident maps against the hash
+    /// set they replaced, with sources churning past the cap, one of them
+    /// wrapping its idents, copies and re-primes of recent idents mixed
+    /// in; then an export re-primed under a new address.
+    #[test]
+    fn ident_maps_match_hash_set_under_churn() {
+        let clients = [0u32, 1, 2, 0xFFFF, 0x1_0000, u32::MAX].map(ClientId);
+        for (seed, capacity) in [(1u64, 1_000), (2, 16_384), (3, 7)] {
+            let mut rng = SimRng::new(seed);
+            let mut d = Deduplicator::new(capacity);
+            let mut r = Reference::new(capacity);
+            let mut next = [0u16; 6];
+            for step in 0..100_000 {
+                // Client 0 sends most, enough to wrap its idents.
+                let c = if rng.chance(0.75) {
+                    0
+                } else {
+                    rng.range(1..clients.len())
+                };
+                let ident = if rng.range(0..10u32) < 3 {
+                    next[c].wrapping_sub(rng.range(0..=40u16))
+                } else {
+                    next[c] = next[c].wrapping_add(1);
+                    next[c]
+                };
+                let key = Deduplicator::key(clients[c], ident);
+                assert_eq!(d.check_key(key), r.check_key(key), "step {step}: {key:#x}");
+                assert_eq!(d.len(), r.order.len());
+                if step % 4_999 == 0 {
+                    for &c in &clients {
+                        assert_eq!(d.idents_for(c), r.idents_for(c), "step {step}");
+                    }
+                }
+            }
+            let (mut d2, mut r2) = (Deduplicator::new(capacity), Reference::new(capacity));
+            let moved = ClientId(9);
+            for ident in d.idents_for(clients[0]) {
+                let key = Deduplicator::key(moved, ident);
+                assert_eq!(d2.check_key(key), r2.check_key(key));
+            }
+            for ident in 0..=u16::MAX {
+                let key = Deduplicator::key(moved, ident);
+                assert_eq!(d2.check_key(key), r2.check_key(key), "re-primed {ident}");
+            }
+            assert_eq!(d2.idents_for(moved), r2.idents_for(moved));
+        }
     }
 
     #[test]

@@ -676,9 +676,11 @@ impl WgttWorld {
         let client = ClientId(c as u32);
         // One snapshot serves the whole exchange — per-MPDU data draws, the
         // QPSK Block ACK, and the controller's 16-QAM report — so memoize
-        // the per-modulation ESNR integrations across all of them.
-        let mut esnr = self.memo(ap, c, start);
-        let listening = self.client_listens_to(ap, c);
+        // the per-modulation ESNR integrations across all of them. A burst
+        // that collided or that the client does not hear delivers nothing,
+        // so nothing reads one.
+        let heard = !collided && self.client_listens_to(ap, c);
+        let mut esnr = heard.then(|| self.memo(ap, c, start));
         let rate_mbps = mcs.data_rate_mbps(GUARD_INTERVAL);
         let m = &mut self.clients[c].metrics;
         m.mpdu_attempts += mpdus.len() as u64;
@@ -688,11 +690,12 @@ impl WgttWorld {
         delivered.clear();
         p_by_len.clear();
         for (_, packet, _) in mpdus.iter() {
-            let p = if collided || !listening {
-                0.0
-            } else {
-                let bytes = packet.len_bytes + overhead::DOT11;
-                success_by_len(p_by_len, &self.cfg.per_model, &mut esnr, mcs, bytes)
+            let p = match &mut esnr {
+                None => 0.0,
+                Some(esnr) => {
+                    let bytes = packet.len_bytes + overhead::DOT11;
+                    success_by_len(p_by_len, &self.cfg.per_model, esnr, mcs, bytes)
+                }
             };
             delivered.push(self.rng.chance(p));
         }
@@ -715,7 +718,8 @@ impl WgttWorld {
         // Block ACK response (only if the client heard the PPDU at all):
         // the frame, and whether the serving AP decoded it. It travels
         // client→AP on the reciprocal channel.
-        let ba: Option<(BlockAckFrame, bool)> = any_received.then(|| {
+        let mut esnr = esnr.filter(|_| any_received);
+        let ba: Option<(BlockAckFrame, bool)> = esnr.as_mut().map(|esnr| {
             let frame = self.clients[c].rx_reorder.block_ack();
             let e_qpsk = esnr.esnr_db(Modulation::Qpsk);
             (frame, self.control_rate_heard(e_qpsk, BLOCK_ACK_BYTES))
@@ -745,8 +749,8 @@ impl WgttWorld {
                 }
             }
         }
-        if let Some((_, true)) = ba {
-            self.report_csi(ctx, ap, c, &mut esnr, now);
+        if let (Some((_, true)), Some(esnr)) = (ba, esnr.as_mut()) {
+            self.report_csi(ctx, ap, c, esnr, now);
         }
         let Some(st) = self.aps[ap].client_get_mut(client) else {
             return; // state wiped by a crash/reboot cycle mid-flight
@@ -868,7 +872,9 @@ impl WgttWorld {
         // Reception per AP.
         got.clear();
         heard_by.clear();
-        for ap in 0..self.aps.len() {
+        // A collided burst decodes nowhere: no draw, no report, no snapshot.
+        let receivers = if collided { 0..0 } else { 0..self.aps.len() };
+        for ap in receivers {
             if self.ap_down[ap] || !self.in_radio_range(ap, c, start) || !self.same_channel(ap, c) {
                 continue;
             }
@@ -878,12 +884,8 @@ impl WgttWorld {
             let first = got.len();
             p_by_len.clear();
             for e in entries.iter() {
-                let p = if collided {
-                    0.0
-                } else {
-                    let bytes = e.packet.len_bytes + overhead::DOT11;
-                    success_by_len(p_by_len, &self.cfg.per_model, &mut esnr, mcs, bytes)
-                };
+                let bytes = e.packet.len_bytes + overhead::DOT11;
+                let p = success_by_len(p_by_len, &self.cfg.per_model, &mut esnr, mcs, bytes);
                 if self.rng.chance(p) {
                     got.push(e.seq);
                 }

@@ -68,6 +68,13 @@ impl CbrSource {
 }
 
 /// Receiving-side accounting for a UDP flow.
+///
+/// Which datagrams have arrived is a bitmap over sequence numbers, one bit
+/// each in 64-bit words from the word of the lowest sequence seen to that
+/// of the highest: a CBR stream's sequences are dense, so the sink costs a
+/// bit a datagram where a hash set of them took 9 bytes or more. A stream
+/// that starts high (a migrated flow, see [`CbrSource::resume_seq`]) costs
+/// nothing below its first word.
 #[derive(Debug, Clone, Default)]
 pub struct UdpSink {
     /// Highest sequence seen (`None` before any arrival).
@@ -75,7 +82,11 @@ pub struct UdpSink {
     received: u64,
     duplicates: u64,
     bytes: u64,
-    seen: std::collections::HashSet<u64>,
+    /// Bit `seq % 64` of `seen[seq / 64 - seen_base]` is set once `seq`
+    /// has arrived.
+    seen: Vec<u64>,
+    /// The word of `seen[0]`, in sequence numbers / 64.
+    seen_base: u64,
     /// Arrival time of the most recent datagram.
     last_arrival: Option<SimTime>,
 }
@@ -90,7 +101,7 @@ impl UdpSink {
     /// Returns `true` if it was a new (non-duplicate) datagram.
     pub fn on_receive(&mut self, now: SimTime, seq: u64, len_bytes: usize) -> bool {
         self.last_arrival = Some(now);
-        if !self.seen.insert(seq) {
+        if !self.mark(seq) {
             self.duplicates += 1;
             return false;
         }
@@ -98,6 +109,27 @@ impl UdpSink {
         self.bytes += len_bytes as u64;
         self.highest_seq = Some(self.highest_seq.map_or(seq, |h| h.max(seq)));
         true
+    }
+
+    /// Sets `seq`'s bit, growing the map to cover it; `false` when it was
+    /// already set.
+    fn mark(&mut self, seq: u64) -> bool {
+        let word = seq / 64;
+        if self.seen.is_empty() {
+            self.seen_base = word;
+        } else if word < self.seen_base {
+            let below = (self.seen_base - word) as usize;
+            self.seen.splice(0..0, std::iter::repeat(0).take(below));
+            self.seen_base = word;
+        }
+        let at = (word - self.seen_base) as usize;
+        if at >= self.seen.len() {
+            self.seen.resize(at + 1, 0);
+        }
+        let bit = 1 << (seq % 64);
+        let fresh = self.seen[at] & bit == 0;
+        self.seen[at] |= bit;
+        fresh
     }
 
     /// Unique datagrams received.
@@ -115,7 +147,12 @@ impl UdpSink {
     /// world has its own sink, so per-sink `duplicates` cannot see a
     /// cross-world double delivery).
     pub fn contains(&self, seq: u64) -> bool {
-        self.seen.contains(&seq)
+        let Some(at) = (seq / 64).checked_sub(self.seen_base) else {
+            return false;
+        };
+        self.seen
+            .get(at as usize)
+            .is_some_and(|w| w & (1 << (seq % 64)) != 0)
     }
 
     /// Total unique payload bytes received.
@@ -210,6 +247,47 @@ mod tests {
         k.on_receive(SimTime::from_millis(150), 1, 1250);
         k.on_receive(SimTime::from_millis(160), 1, 1250); // duplicate
         assert_eq!(k.bytes(), 2500);
+    }
+
+    /// The sink against the hash set of sequences it replaced: every
+    /// verdict, count and membership, on streams that skip, reorder and
+    /// duplicate — the last starting far up the sequence space, as a
+    /// resumed flow does, and then hearing datagrams from below its start.
+    #[test]
+    fn bitmap_matches_hash_set() {
+        for (seed, start) in [(1u64, 0u64), (2, 700), (3, 5_000_000_123)] {
+            let mut rng = wgtt_sim::SimRng::new(seed);
+            let mut sink = UdpSink::new();
+            let mut reference = std::collections::HashSet::new();
+            let mut next = start;
+            for i in 0..20_000u64 {
+                let seq = if rng.range(0..5u32) == 0 {
+                    // A duplicate or a late datagram, up to 300 back.
+                    next.saturating_sub(rng.range(1..=300u64))
+                } else {
+                    next += rng.range(1..4u64);
+                    next
+                };
+                let t = SimTime::from_micros(i);
+                assert_eq!(
+                    sink.on_receive(t, seq, 100),
+                    reference.insert(seq),
+                    "seq {seq}"
+                );
+                let probe = next.saturating_sub(rng.range(0..400u64));
+                assert_eq!(
+                    sink.contains(probe),
+                    reference.contains(&probe),
+                    "probe {probe}"
+                );
+            }
+            assert_eq!(sink.received(), reference.len() as u64);
+            assert_eq!(sink.duplicates(), 20_000 - reference.len() as u64);
+            for seq in start.saturating_sub(400)..next + 200 {
+                assert_eq!(sink.contains(seq), reference.contains(&seq), "seq {seq}");
+            }
+            assert!(!sink.contains(u64::MAX));
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Heap and allocation budget: what one (AP, client) pair, a fresh dedup
-//! table, a fresh selector, the ESNR tables, a second world's links and two
-//! whole runs may ask the allocator for —
+//! table, a fresh selector, the ESNR tables, a second world's links and
+//! three whole runs may ask the allocator for —
 //! in bytes live at once and in calls per event — so that a regression of
 //! either fails tier-1 and not only the benchmark's `peak_heap_mib` and
 //! `sim.engine.allocs_per_event`.
@@ -15,11 +15,15 @@
 //! process, and when one of them rehashes depends on the seed.)
 //!
 //! Each run's budget is 1.25 × what it measured when its figures were last
-//! moved — by event-queue buckets threaded through the event slab, slabs
-//! grown by quarters and a 72-byte packet; the figure of the commit before
-//! is in the message, as the size of the step back a failure would be.
+//! moved — by 32-byte records in the cyclic-queue slabs, a sequence bitmap
+//! per UDP sink and an ident bitmap per source in the dedup table; the
+//! figure of the commit before is in the message, as the size of the step
+//! back a failure would be.
 //! The test prints what each run measured, which `-- --show-output` shows
 //! on a pass.
+
+#[path = "../crates/core/tests/common/mod.rs"]
+mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -117,13 +121,18 @@ struct Budget {
 
 const DRIVE: Budget = Budget {
     what: "15 mph UDP drive",
-    peak_kib: (1_736, 2_009),
-    calls_per_kev: (3, 13),
+    peak_kib: (792, 1_736),
+    calls_per_kev: (3, 3),
+};
+const CONVOY: Budget = Budget {
+    what: "three-vehicle TCP-down, UDP-up convoy",
+    peak_kib: (1_168, 2_090),
+    calls_per_kev: (35, 35),
 };
 const RING: Budget = Budget {
     what: "8 × 2 ring corridor",
-    peak_kib: (5_407, 7_930),
-    calls_per_kev: (19, 48),
+    peak_kib: (4_257, 5_407),
+    calls_per_kev: (18, 19),
 };
 
 impl Budget {
@@ -139,8 +148,8 @@ impl Budget {
         assert!(
             peak <= budget,
             "{what}: peak heap {} KiB is over the budget of {} KiB (1.25 × the {kib} KiB measured \
-             with bucket lists threaded through the event slab and slabs grown by quarters; the \
-             commit before them: {kib_before} KiB)",
+             with compact cyclic-queue records, sequence bitmaps and ident maps; the commit before \
+             them: {kib_before} KiB)",
             peak / KIB,
             budget / KIB,
         );
@@ -149,8 +158,8 @@ impl Budget {
         assert!(
             got <= budget,
             "{what}: {got} allocator calls per thousand events ({calls} in {events}) is over the \
-             budget of {budget} (1.25 × the {per_kev} measured with bucket lists threaded through \
-             the event slab and slabs grown by quarters; the commit before them: {per_kev_before})",
+             budget of {budget} (1.25 × the {per_kev} measured with compact cyclic-queue records, \
+             sequence bitmaps and ident maps; the commit before them: {per_kev_before})",
         );
         println!(
             "{what}: peak heap {} KiB, {got} allocator calls per thousand events ({calls} in {events})",
@@ -182,16 +191,19 @@ fn heap_stays_within_budget() {
     let (_, _, calls) = measured(|| ApSelector::new(SelectionConfig::default()));
     assert_eq!(calls, 0, "a fresh selector reserved memory");
     // …and the table that grew to its cap stops there, forgetting its
-    // 16 385th-oldest key and nothing newer.
+    // 16 385th-oldest key and nothing newer. One source's keys take one
+    // 8 KiB ident map and a ring of 16 384 keys; the map's entry in the
+    // list of sources is the rest.
     let (_, grown, _) = measured(|| {
         for key in 0..=16_384 {
             assert!(dedup.check_key(key));
         }
     });
+    let figure = 8 * KIB + 16_384 * 8;
     assert!(
-        grown <= 640 * KIB,
-        "16 385 keys grew the dedup table by {grown} B at most; it should peak at 560 KiB, in \
-         its last rehash, and settle at the 416 KiB it used to reserve"
+        grown <= figure + 256,
+        "16 385 keys grew the dedup table by {grown} B at most; one ident map and the ring of \
+         keys are {figure} B (the hash set and queue it replaced peaked at 560 KiB)"
     );
     assert_eq!(dedup.len(), 16_384);
     assert!(!dedup.check_key(1), "the oldest key kept was forgotten");
@@ -210,6 +222,13 @@ fn heap_stays_within_budget() {
     );
     let (run, peak, calls) = measured(|| run_with_oracle_helpers(drive, 0));
     DRIVE.check(peak, calls, run.events);
+    drop(run);
+
+    // The benchmark's convoy geometry: three vehicles, greedy TCP down and
+    // 4 Mb/s UDP up each, so the dedup table and the server's UDP sinks
+    // fill as the benchmark's do.
+    let (run, peak, calls) = measured(|| run_with_oracle_helpers(common::convoy_drive(), 0));
+    CONVOY.check(peak, calls, run.events);
     drop(run);
 
     // The benchmark's corridor op: 8 shards × 4 APs × 2 vehicles, each
