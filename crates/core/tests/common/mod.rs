@@ -4,7 +4,7 @@
 
 #![allow(dead_code)] // every suite uses its own subset
 
-use wgtt_core::config::SystemConfig;
+use wgtt_core::config::{Mode, SystemConfig};
 use wgtt_core::runner::{ClientSpec, FlowSpec, RunResult, Scenario, TrajectorySpec};
 use wgtt_core::shard::ShardedScenario;
 use wgtt_sim::storm::{random_storm, StormConfig};
@@ -124,6 +124,15 @@ pub fn faulted_udp_drive() -> Scenario {
             SimDuration::from_millis(1),
         );
     drive(77, 35.0, udp_down(), faults)
+}
+
+/// `baseline_drive`: the paper's Enhanced 802.11r baseline (§5.1) on a
+/// fault-free 25 mph drive with downlink UDP — the only golden whose
+/// beacon ticks and client roam checks run.
+pub fn baseline_drive() -> Scenario {
+    let mut s = drive(55, 25.0, udp_down(), FaultSchedule::new());
+    s.config.mode = Mode::Enhanced80211r;
+    s
 }
 
 /// `convoy_drive`: three vehicles 4 m apart at 15 mph, each with greedy

@@ -1,8 +1,9 @@
-//! Golden digests: nine pinned runs — failover, chaos, controller crash,
+//! Golden digests: ten pinned runs — failover, chaos, controller crash,
 //! controller standby, a faulted UDP drive, a fault-free three-vehicle
-//! convoy, a 2-shard ring, the same ring over a faulted seam and under a
-//! composite storm — replayed and compared with `tests/golden/<name>.json`,
-//! so tier-1 (`cargo test -q`) itself sees a behaviour change.
+//! convoy, a fault-free Enhanced 802.11r drive, a 2-shard ring, the same
+//! ring over a faulted seam and under a composite storm — replayed and
+//! compared with `tests/golden/<name>.json`, so tier-1 (`cargo test -q`)
+//! itself sees a behaviour change.
 //!
 //! The files pin behaviour, not just repeatability: a change that moves
 //! one has changed what the system does on that run, and must update the
@@ -75,6 +76,12 @@ fn faulted_udp_drive() {
 fn convoy_drive() {
     let r = run(common::convoy_drive());
     check("convoy_drive", &r.fingerprint());
+}
+
+#[test]
+fn baseline_drive() {
+    let r = run(common::baseline_drive());
+    check("baseline_drive", &r.fingerprint());
 }
 
 #[test]
