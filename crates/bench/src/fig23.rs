@@ -5,12 +5,10 @@
 //! segment at every speed (more nearby APs mean better best-links and more
 //! uplink diversity), and stays consistent across speeds in both.
 
-use crate::common::{save_json, UDP_PAYLOAD};
+use crate::common::{save_json, udp_drive};
 use serde::Serialize;
 use wgtt_core::config::Mode;
-
-use wgtt_phy::geom::DeploymentConfig;
-use wgtt_sim::SimDuration;
+use wgtt_sim::{SimDuration, SimTime};
 
 /// One (speed, segment) cell of the figure.
 #[derive(Debug, Serialize)]
@@ -29,49 +27,19 @@ const SPACINGS: [f64; 7] = [15.0, 15.0, 15.0, 5.0, 5.0, 5.0, 5.0];
 
 /// Runs the density experiment at one speed.
 pub fn run_experiment(mph: f64, seed: u64) -> DensityPoint {
-    let mut cfg = crate::common::config(Mode::Wgtt);
-    cfg.deployment = DeploymentConfig::default();
-    let dep = cfg.deployment.build_irregular(&SPACINGS);
+    let mut scenario = udp_drive(Mode::Wgtt, mph, seed);
+    let dep = scenario.config.deployment.build_irregular(&SPACINGS);
     let sparse_range = (dep.aps[0].position.x, dep.aps[3].position.x);
     let dense_range = (dep.aps[3].position.x, dep.aps[7].position.x);
     let total_m = dep.extent().1 - dep.extent().0 + 8.0;
     let speed_mps = wgtt_phy::mph_to_mps(mph);
-
-    // The runner builds regular arrays only; use the world API directly
-    // with the irregular deployment.
-    let mut world_cfg = cfg.clone();
-    use wgtt_core::world::{prime_events, FlowKind, WgttWorld};
-    use wgtt_net::CbrSource;
-    use wgtt_phy::{ConstantSpeed, Position};
-    let traj = ConstantSpeed {
-        start: Position::new(dep.extent().0 - 4.0, dep.lane_near_y, 1.5),
-        speed_mps,
-    };
-    let duration = SimDuration::from_secs_f64(total_m / speed_mps);
-    world_cfg.deployment.num_aps = dep.num_aps();
-    let mut world = WgttWorld::new_with_deployment(
-        world_cfg,
-        dep,
-        vec![Box::new(traj)],
-        seed,
-        wgtt_sim::SimTime::ZERO + duration,
-        false,
-    );
-    world.add_flow(
-        0,
-        FlowKind::DownUdp(CbrSource::new(
-            crate::common::BULK_UDP_BPS,
-            UDP_PAYLOAD,
-            wgtt_sim::SimTime::from_millis(1),
-        )),
-    );
-    let mut sim = wgtt_sim::Simulator::new(world);
-    prime_events(&mut sim);
-    sim.run_until(wgtt_sim::SimTime::ZERO + duration + SimDuration::from_millis(500));
+    scenario.duration = SimDuration::from_secs_f64(total_m / speed_mps);
+    let mut sim = scenario.build_on(dep);
+    sim.run_until(SimTime::ZERO + scenario.duration + SimDuration::from_millis(500));
     let world = sim.into_world();
 
     // Split the throughput series by which segment the client was in.
-    let start_x = world.clients[0].position(wgtt_sim::SimTime::ZERO).x;
+    let start_x = world.clients[0].position(SimTime::ZERO).x;
     let rates = world.clients[0].metrics.downlink.rates();
     let in_seg = |t_s: f64, seg: (f64, f64)| {
         let x = start_x + speed_mps * t_s;
@@ -93,8 +61,8 @@ pub fn run_experiment(mph: f64, seed: u64) -> DensityPoint {
 }
 
 /// Runs and renders Fig 23. Speeds are independent runs, so they fan out
-/// across the worker pool (the irregular-deployment runs bypass the
-/// scenario runner, hence `par::map` over speeds instead of a seed sweep).
+/// across the worker pool (the irregular-deployment runs drive their own
+/// simulator, hence `par::map` over speeds instead of a seed sweep).
 pub fn report(fast: bool) -> String {
     let speeds: &[f64] = if fast { &[15.0] } else { &[5.0, 15.0, 25.0] };
     let rows: Vec<DensityPoint> =

@@ -14,7 +14,8 @@
 //! * [`config`] — what an experiment varies, including ablation switches;
 //! * [`world`] — the discrete-event orchestration of radio, backhaul, and
 //!   control planes, runnable in WGTT or Enhanced-802.11r mode;
-//! * [`runner`] — scenario description and one-call experiment execution;
+//! * [`runner`] — scenario description, the one builder of a primed
+//!   simulator (`Scenario::build`), and one-call experiment execution;
 //! * [`metrics`] — the measurements behind every table and figure;
 //! * [`digest`] — the one fingerprint of a run, over every counter;
 //! * [`oracle`] — the best-AP oracle behind Table 2 and the capacity-loss
@@ -64,6 +65,4 @@ pub use runner::{run, ClientSpec, FlowSpec, RunResult, Scenario, TrajectorySpec}
 pub use selection::{ApSelector, SelectionConfig, WindowEstimator};
 pub use shard::{run_sharded, try_run_sharded, Migration, ShardedRunResult, ShardedScenario};
 pub use switching::{AbandonRecord, SwitchEngine, SwitchMsg, SwitchRecord};
-pub use world::{
-    prime_events, prime_migrant_events, Ev, FlowKind, MigrantFlow, MigrantSpec, WgttWorld,
-};
+pub use world::{prime_migrant_events, Ev, FlowKind, MigrantFlow, MigrantSpec, WgttWorld};

@@ -479,25 +479,19 @@ impl Sink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::world::{prime_events, WgttWorld};
-    use wgtt_phy::mobility::ConstantSpeed;
+    use crate::runner::tests::one_vehicle;
+    use crate::world::WgttWorld;
     use wgtt_sim::{pool, Simulator};
 
-    /// A one-vehicle world driven by hand, as fig23 and the benchmark's
-    /// step probe build theirs.
-    fn hand_built() -> Simulator<WgttWorld> {
-        let cfg = SystemConfig::default();
-        let dep = cfg.deployment.build();
-        let traj = ConstantSpeed::drive_by(&dep, 25.0, 4.0);
-        let world = WgttWorld::new(cfg, vec![Box::new(traj)], 7, SimTime::from_secs(2), false);
-        let mut sim = Simulator::new(world);
-        prime_events(&mut sim);
-        sim
+    /// A one-vehicle world driven outside `run` with no helpers attached,
+    /// as fig23 and the benchmark's step probe drive theirs.
+    fn unattached() -> Simulator<WgttWorld> {
+        one_vehicle().build()
     }
 
     #[test]
     fn unattached_world_reduces_at_every_tick() {
-        let mut sim = hand_built();
+        let mut sim = unattached();
         sim.run_until(SimTime::from_millis(300));
         let m = &sim.world().clients[0].metrics;
         // Ticks at 0.5, 1.5, … 299.5 ms, none deferred.
@@ -508,7 +502,7 @@ mod tests {
     fn undrained_world_holds_neither_thread_nor_pool() {
         // Dropping an attached world mid-run must not keep the helpers
         // alive: the scope below has to join them and return.
-        let mut sim = hand_built();
+        let mut sim = unattached();
         pool::scope(
             3,
             |(), _| (),
@@ -523,7 +517,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "index out of bounds")]
     fn helper_panic_resurfaces_from_the_run_scope() {
-        let mut sim = hand_built();
+        let mut sim = unattached();
         pool::scope(
             2,
             |(), _| (),

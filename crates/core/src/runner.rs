@@ -1,15 +1,15 @@
 //! Scenario definition and experiment runner.
 //!
 //! A [`Scenario`] is a complete experiment description — roaming system,
-//! client trajectories, traffic flows, duration, seed. [`run`] builds the
-//! world, drives it to completion, and returns the world for metric
-//! extraction, plus convenience summaries in [`RunResult`].
+//! client trajectories, traffic flows, duration, seed. [`Scenario::build`]
+//! is the one path from it to a primed simulator; [`run`] builds, drives the
+//! world to completion, and returns it for metric extraction, plus
+//! convenience summaries in [`RunResult`].
 
 use crate::config::SystemConfig;
 use crate::oracle::helper_count;
-use crate::world::{prime_events, FlowKind, WgttWorld};
-use wgtt_net::{CbrSource, TcpConfig, TcpSender};
-use wgtt_phy::geom::Position;
+use crate::world::{prime_events, WgttWorld};
+use wgtt_phy::geom::{Deployment, Position};
 use wgtt_phy::mobility::{ConstantSpeed, Stationary};
 use wgtt_phy::Trajectory;
 use wgtt_sim::{pool, FaultSchedule, SimDuration, SimTime, Simulator};
@@ -133,6 +133,78 @@ impl Scenario {
             faults: FaultSchedule::default(),
         }
     }
+
+    /// The primed simulator for this scenario: its deployment, clients,
+    /// flows and first events. Every world a program runs is built here (a
+    /// corridor shard's from [`crate::shard::ShardedScenario::cluster`]), so
+    /// two modes run over one description share their channel realizations.
+    pub fn build(&self) -> Simulator<WgttWorld> {
+        self.build_on(self.config.deployment.build())
+    }
+
+    /// [`Scenario::build`] on `deployment` instead of the array
+    /// `config.deployment` describes — for an irregular one (Fig 23).
+    pub fn build_on(&self, deployment: Deployment) -> Simulator<WgttWorld> {
+        self.clone().into_sim(deployment)
+    }
+
+    /// The build itself, consuming the scenario so that [`run`] moves its
+    /// configuration and faults into the world instead of copying them.
+    fn into_sim(self, deployment: Deployment) -> Simulator<WgttWorld> {
+        let trajectories = self
+            .clients
+            .iter()
+            .map(|c| c.trajectory.on(&deployment))
+            .collect();
+        let mut world = WgttWorld::assemble(
+            self.config,
+            deployment,
+            trajectories,
+            self.seed,
+            SimTime::ZERO + self.duration,
+            self.log_deliveries,
+        );
+        world.faults = self.faults;
+        let start = SimTime::ZERO + self.flow_start;
+        for (c, spec) in self.clients.iter().enumerate() {
+            for flow in &spec.flows {
+                world.attach_flow(c, flow, start);
+            }
+        }
+        let mut sim = Simulator::new(world);
+        prime_events(&mut sim);
+        sim
+    }
+}
+
+impl TrajectorySpec {
+    /// This motion plan laid out on `dep`.
+    fn on(&self, dep: &Deployment) -> Box<dyn Trajectory> {
+        match *self {
+            TrajectorySpec::Stationary { x } => Box::new(Stationary {
+                position: Position::new(x, dep.lane_near_y, 1.5),
+            }),
+            TrajectorySpec::DriveBy { mph, lead_in_m } => {
+                Box::new(ConstantSpeed::drive_by(dep, mph, lead_in_m))
+            }
+            TrajectorySpec::DriveByOffset {
+                mph,
+                lead_in_m,
+                offset_m,
+                far_lane,
+            } => {
+                let mut t = ConstantSpeed::drive_by(dep, mph, lead_in_m);
+                t.start.x -= offset_m;
+                if far_lane {
+                    t.start.y = dep.lane_far_y;
+                }
+                Box::new(t)
+            }
+            TrajectorySpec::Opposing { mph, lead_in_m } => {
+                Box::new(ConstantSpeed::drive_by_opposing(dep, mph, lead_in_m))
+            }
+        }
+    }
 }
 
 /// Outcome of a run: the final world plus the measured duration.
@@ -169,36 +241,6 @@ impl RunResult {
     }
 }
 
-fn build_trajectory(
-    spec: &TrajectorySpec,
-    dep: &wgtt_phy::geom::Deployment,
-) -> Box<dyn Trajectory> {
-    match spec {
-        TrajectorySpec::Stationary { x } => Box::new(Stationary {
-            position: Position::new(*x, dep.lane_near_y, 1.5),
-        }),
-        TrajectorySpec::DriveBy { mph, lead_in_m } => {
-            Box::new(ConstantSpeed::drive_by(dep, *mph, *lead_in_m))
-        }
-        TrajectorySpec::DriveByOffset {
-            mph,
-            lead_in_m,
-            offset_m,
-            far_lane,
-        } => {
-            let mut t = ConstantSpeed::drive_by(dep, *mph, *lead_in_m);
-            t.start.x -= offset_m;
-            if *far_lane {
-                t.start.y = dep.lane_far_y;
-            }
-            Box::new(t)
-        }
-        TrajectorySpec::Opposing { mph, lead_in_m } => {
-            Box::new(ConstantSpeed::drive_by_opposing(dep, *mph, *lead_in_m))
-        }
-    }
-}
-
 /// Builds and runs a scenario to completion.
 pub fn run(scenario: Scenario) -> RunResult {
     run_impl(scenario, None)
@@ -214,45 +256,10 @@ pub fn run_with_oracle_helpers(scenario: Scenario, helpers: usize) -> RunResult 
 }
 
 fn run_impl(scenario: Scenario, oracle_helpers: Option<usize>) -> RunResult {
-    let dep = scenario.config.deployment.build();
-    let trajectories: Vec<Box<dyn Trajectory>> = scenario
-        .clients
-        .iter()
-        .map(|c| build_trajectory(&c.trajectory, &dep))
-        .collect();
-    let traffic_until = SimTime::ZERO + scenario.duration;
-    let mut world = WgttWorld::new(
-        scenario.config,
-        trajectories,
-        scenario.seed,
-        traffic_until,
-        scenario.log_deliveries,
-    );
-    world.faults = scenario.faults;
-    let start = SimTime::ZERO + scenario.flow_start;
-    for (c, spec) in scenario.clients.iter().enumerate() {
-        for flow in &spec.flows {
-            let kind = match flow {
-                FlowSpec::DownlinkUdp { rate_bps, payload } => {
-                    FlowKind::DownUdp(CbrSource::new(*rate_bps, *payload, start))
-                }
-                FlowSpec::DownlinkTcp { limit } => {
-                    let cfg = TcpConfig::default();
-                    FlowKind::DownTcp(Box::new(match limit {
-                        Some(n) => TcpSender::with_limit(cfg, *n),
-                        None => TcpSender::new(cfg),
-                    }))
-                }
-                FlowSpec::UplinkUdp { rate_bps, payload } => {
-                    FlowKind::UpUdp(CbrSource::new(*rate_bps, *payload, start))
-                }
-            };
-            let fidx = world.add_flow(c, kind);
-            world.flows[fidx].start = start;
-        }
-    }
-    let mut sim = Simulator::new(world);
-    prime_events(&mut sim);
+    let duration = scenario.duration;
+    let traffic_until = SimTime::ZERO + duration;
+    let deployment = scenario.config.deployment.build();
+    let mut sim = scenario.into_sim(deployment);
     // Run past the traffic end so in-flight packets settle.
     let settle = SimDuration::from_millis(500);
     // The oracle's evaluations run beside the event loop where the host
@@ -278,8 +285,21 @@ fn run_impl(scenario: Scenario, oracle_helpers: Option<usize>) -> RunResult {
     };
     RunResult {
         world: sim.into_world(),
-        duration: scenario.duration,
+        duration,
         events,
         perf,
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// The unit tests' scenario: one vehicle driving by the default array
+    /// at 25 mph, no flows, two seconds of traffic, seed 7.
+    pub(crate) fn one_vehicle() -> Scenario {
+        let mut s = Scenario::single_drive(SystemConfig::default(), 25.0, Vec::new(), 7);
+        s.duration = SimDuration::from_secs(2);
+        s
     }
 }

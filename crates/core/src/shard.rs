@@ -57,14 +57,13 @@
 use crate::config::SystemConfig;
 use crate::metrics::SystemMetrics;
 use crate::oracle::helper_count;
+use crate::runner::{ClientSpec, FlowSpec, Scenario, TrajectorySpec};
 use crate::seam::{CommitVerdict, Due, Handoff, PrepareVerdict, SeamEngine};
 use crate::world::{
-    prime_events, prime_migrant_events, Ev, FlowKind, MigrantFlow, MigrantSpec, MigrationRecord,
-    Seam, SeamEntry, WgttWorld,
+    prime_migrant_events, Ev, MigrantFlow, MigrantSpec, MigrationRecord, Seam, SeamEntry, WgttWorld,
 };
 use std::collections::{BTreeMap, HashMap};
-use wgtt_phy::mobility::ConstantSpeed;
-use wgtt_phy::{mph_to_mps, Position, Trajectory};
+use wgtt_phy::{mph_to_mps, Deployment};
 use wgtt_sim::lockstep::{self, LockstepShard};
 use wgtt_sim::{pool, FaultSchedule, SimDuration, SimRng, SimTime, Simulator};
 
@@ -195,6 +194,33 @@ impl ShardedScenario {
         let guard_m = self.gap_m - self.entry_lead_m;
         EPOCH_CAP.min(SimDuration::from_secs_f64(guard_m / (2.0 * v)))
     }
+
+    /// Shard `i` as an ordinary scenario: `clients_per_shard` residents
+    /// `headway_m` apart, the first `entry_lead_m` before the cluster's
+    /// first AP, each with every flow, under shard `i`'s seed and faults.
+    pub fn cluster(&self, i: usize) -> Scenario {
+        let flows: Vec<FlowSpec> = self.flows.iter().map(FlowSpec::from).collect();
+        let clients = (0..self.clients_per_shard)
+            .map(|j| ClientSpec {
+                trajectory: TrajectorySpec::DriveByOffset {
+                    mph: self.mph,
+                    lead_in_m: self.entry_lead_m,
+                    offset_m: j as f64 * self.headway_m,
+                    far_lane: false,
+                },
+                flows: flows.clone(),
+            })
+            .collect();
+        Scenario {
+            config: self.config.clone(),
+            clients,
+            duration: self.duration,
+            seed: shard_seed(self.seed, i),
+            log_deliveries: false,
+            flow_start: SimDuration::from_millis(1),
+            faults: self.shard_faults.get(i).cloned().unwrap_or_default(),
+        }
+    }
 }
 
 /// One cluster plus its event clock.
@@ -300,8 +326,8 @@ struct Corridor<'a> {
 }
 
 impl<'a> Corridor<'a> {
-    fn new(scenario: &'a ShardedScenario) -> Self {
-        let dep = scenario.config.deployment.build();
+    /// The corridor of `scenario`, whose every cluster is laid out as `dep`.
+    fn new(scenario: &'a ShardedScenario, dep: &Deployment) -> Self {
         let (lo, hi) = dep.extent();
         Corridor {
             scenario,
@@ -319,46 +345,6 @@ impl<'a> Corridor<'a> {
             rng: SimRng::new(scenario.seed).fork("seam"),
             migrations: Vec::new(),
         }
-    }
-
-    /// Builds shard `i`: its world, resident vehicles, flows and primed
-    /// event queue.
-    fn build_shard(&self, i: usize, traffic_until: SimTime) -> Shard {
-        let (s, entry) = (self.scenario, &self.entry);
-        let trajectories: Vec<Box<dyn Trajectory>> = (0..s.clients_per_shard)
-            .map(|j| {
-                let x = entry.entry_x - j as f64 * s.headway_m;
-                Box::new(ConstantSpeed {
-                    start: Position::new(x, entry.lane_y, 1.5),
-                    speed_mps: entry.speed_mps,
-                }) as Box<dyn Trajectory>
-            })
-            .collect();
-        let mut world = WgttWorld::new(
-            s.config.clone(),
-            trajectories,
-            shard_seed(s.seed, i),
-            traffic_until,
-            false,
-        );
-        if let Some(f) = s.shard_faults.get(i) {
-            world.faults = f.clone();
-        }
-        for c in 0..s.clients_per_shard {
-            for f in &s.flows {
-                let cbr = wgtt_net::CbrSource::new(f.rate_bps, f.payload, SimTime::from_millis(1));
-                let kind = if f.uplink {
-                    FlowKind::UpUdp(cbr)
-                } else {
-                    FlowKind::DownUdp(cbr)
-                };
-                let fidx = world.add_flow(c, kind);
-                world.flows[fidx].start = SimTime::from_millis(1);
-            }
-        }
-        let mut sim = Simulator::new(world);
-        prime_events(&mut sim);
-        Shard { sim }
     }
 
     /// The serial barrier. (The naive shim exports nothing, so for it
@@ -703,11 +689,13 @@ fn run_sharded_impl(
     oracle_helpers: Option<usize>,
 ) -> Result<ShardedRunResult, ScenarioError> {
     scenario.validate()?;
-    let mut corridor = Corridor::new(scenario);
     let traffic_until = SimTime::ZERO + scenario.duration;
     let mut shards: Vec<Shard> = (0..scenario.shards)
-        .map(|i| corridor.build_shard(i, traffic_until))
+        .map(|i| Shard {
+            sim: scenario.cluster(i).build(),
+        })
         .collect();
+    let mut corridor = Corridor::new(scenario, &shards[0].sim.world().deployment);
     // Run past the traffic end so in-flight packets settle (same margin as
     // the unsharded runner).
     let end = traffic_until + SimDuration::from_millis(500);

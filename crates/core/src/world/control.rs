@@ -628,7 +628,7 @@ impl WgttWorld {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wgtt_phy::mobility::ConstantSpeed;
+    use crate::runner::tests::one_vehicle;
     use wgtt_sim::Simulator;
 
     const AP: usize = 1;
@@ -637,11 +637,9 @@ mod tests {
     /// One vehicle, nothing primed: the only events are the ones a test
     /// schedules and what their handlers schedule in turn.
     fn bare(faults: FaultSchedule) -> Simulator<WgttWorld> {
-        let cfg = SystemConfig::default();
-        let traj = ConstantSpeed::drive_by(&cfg.deployment.build(), 25.0, 4.0);
-        let mut world = WgttWorld::new(cfg, vec![Box::new(traj)], 7, SimTime::from_secs(2), false);
-        world.faults = faults;
-        Simulator::new(world)
+        let mut s = one_vehicle();
+        s.faults = faults;
+        Simulator::new(s.build().into_world())
     }
 
     /// Handles `ev` at `T`, and says whether that left nothing scheduled.

@@ -526,7 +526,7 @@ impl WgttWorld {
 mod tests {
     use super::*;
     use crate::ap::NicEntry;
-    use wgtt_phy::mobility::ConstantSpeed;
+    use crate::runner::tests::one_vehicle;
     use wgtt_sim::Simulator;
 
     const AP: usize = 2;
@@ -561,10 +561,8 @@ mod tests {
     /// not.
     #[test]
     fn a_duplicated_ba_forward_applies_once() {
-        let cfg = SystemConfig::default();
-        let traj = ConstantSpeed::drive_by(&cfg.deployment.build(), 25.0, 4.0);
-        let world = WgttWorld::new(cfg, vec![Box::new(traj)], 7, SimTime::from_secs(2), false);
-        let mut sim = Simulator::new(world);
+        // Nothing primed: the two forwards below are the only events.
+        let mut sim = Simulator::new(one_vehicle().build().into_world());
         let mut factory = PacketFactory::new();
         let ba = BlockAckFrame {
             start_seq: SEQ,

@@ -26,6 +26,7 @@ use crate::metrics::SystemMetrics;
 use crate::oracle::{Recorder, Sample, WorldView};
 use crate::recovery::{RecoveryEngine, ResyncAction};
 use crate::replica::JournalBatch;
+use crate::runner::FlowSpec;
 use crate::switching::{AckOutcome, ResyncReply, SwitchMsg, TermVerdict, CONTROL_PACKET_BYTES};
 use wgtt_mac::blockack::BlockAckFrame;
 use wgtt_mac::timing::{
@@ -34,7 +35,7 @@ use wgtt_mac::timing::{
 use wgtt_mac::{AssocState, Medium, MgmtFrame};
 use wgtt_net::{
     overhead, ApId, Backhaul, CbrSource, ClientId, Direction, FlowId, Packet, PacketFactory,
-    Payload, SackBlocks, TcpReceiver, TcpSender, UdpSink,
+    Payload, SackBlocks, TcpConfig, TcpReceiver, TcpSender, UdpSink,
 };
 use wgtt_phy::esnr::esnr_from_csi;
 use wgtt_phy::geom::Deployment;
@@ -177,7 +178,9 @@ pub struct WgttWorld {
 
 impl WgttWorld {
     /// Builds a world: deployment geometry, per-link channel realizations,
-    /// APs, clients (with trajectories), and the controller.
+    /// APs, clients (with trajectories), and the controller. Public only
+    /// because `benchmark/src/layers.rs` calls it (ROADMAP item 10(a)).
+    #[doc(hidden)]
     pub fn new(
         cfg: SystemConfig,
         trajectories: Vec<Box<dyn wgtt_phy::Trajectory>>,
@@ -185,20 +188,13 @@ impl WgttWorld {
         traffic_until: SimTime,
         log_deliveries: bool,
     ) -> Self {
-        let deployment = cfg.deployment.build();
-        Self::new_with_deployment(
-            cfg,
-            deployment,
-            trajectories,
-            seed,
-            traffic_until,
-            log_deliveries,
-        )
+        let dep = cfg.deployment.build();
+        Self::assemble(cfg, dep, trajectories, seed, traffic_until, log_deliveries)
     }
 
-    /// Like [`WgttWorld::new`] but with an explicit (possibly irregular)
-    /// deployment — used by the AP-density experiment.
-    pub fn new_with_deployment(
+    /// The one constructor, on a built (possibly irregular) deployment:
+    /// what [`Scenario::build`](crate::runner::Scenario::build) calls.
+    pub(crate) fn assemble(
         cfg: SystemConfig,
         deployment: Deployment,
         trajectories: Vec<Box<dyn wgtt_phy::Trajectory>>,
@@ -273,7 +269,9 @@ impl WgttWorld {
         c
     }
 
-    /// Registers a flow, returning its index.
+    /// Registers a flow, returning its index (public only for
+    /// `benchmark/src/layers.rs`, like [`WgttWorld::new`]).
+    #[doc(hidden)]
     pub fn add_flow(&mut self, client: usize, kind: FlowKind) -> usize {
         let id = FlowId(self.flows.len() as u32);
         let up_sink = matches!(kind, FlowKind::UpUdp(_)).then(UdpSink::new);
@@ -298,9 +296,34 @@ impl WgttWorld {
         });
         self.flows.len() - 1
     }
+
+    /// Gives `client` the flow `spec` describes, its traffic starting at
+    /// `start` — the one place a flow description becomes a [`FlowKind`],
+    /// for a scenario's clients and an admitted migrant alike.
+    pub(crate) fn attach_flow(&mut self, client: usize, spec: &FlowSpec, start: SimTime) {
+        let kind = match *spec {
+            FlowSpec::DownlinkUdp { rate_bps, payload } => {
+                FlowKind::DownUdp(CbrSource::new(rate_bps, payload, start))
+            }
+            FlowSpec::DownlinkTcp { limit } => {
+                let cfg = TcpConfig::default();
+                FlowKind::DownTcp(Box::new(match limit {
+                    Some(n) => TcpSender::with_limit(cfg, n),
+                    None => TcpSender::new(cfg),
+                }))
+            }
+            FlowSpec::UplinkUdp { rate_bps, payload } => {
+                FlowKind::UpUdp(CbrSource::new(rate_bps, payload, start))
+            }
+        };
+        let fidx = self.add_flow(client, kind);
+        self.flows[fidx].start = start;
+    }
 }
 
-/// Seeds the initial periodic events for a freshly built world.
+/// Seeds the initial periodic events for a freshly built world (public
+/// only for `benchmark/src/layers.rs`, like [`WgttWorld::new`]).
+#[doc(hidden)]
 pub fn prime_events(sim: &mut wgtt_sim::Simulator<WgttWorld>) {
     let n_clients = sim.world().clients.len();
     let n_flows = sim.world().flows.len();

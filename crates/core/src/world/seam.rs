@@ -36,6 +36,17 @@ pub struct MigrantFlow {
     pub uplink: bool,
 }
 
+impl From<&MigrantFlow> for FlowSpec {
+    fn from(f: &MigrantFlow) -> Self {
+        let (rate_bps, payload) = (f.rate_bps, f.payload);
+        if f.uplink {
+            FlowSpec::UplinkUdp { rate_bps, payload }
+        } else {
+            FlowSpec::DownlinkUdp { rate_bps, payload }
+        }
+    }
+}
+
 /// Everything a destination shard needs to re-instantiate a client that
 /// crossed its boundary. Coordinates are in the *destination* shard's
 /// local frame; the sharding layer translates before delivery.
@@ -336,13 +347,7 @@ impl WgttWorld {
             rng.fork(&format!("migrant-link/{a}/n{ordinal}"))
         });
         for f in &spec.flows {
-            let kind = if f.uplink {
-                FlowKind::UpUdp(CbrSource::new(f.rate_bps, f.payload, now))
-            } else {
-                FlowKind::DownUdp(CbrSource::new(f.rate_bps, f.payload, now))
-            };
-            let fidx = self.add_flow(c, kind);
-            self.flows[fidx].start = now;
+            self.attach_flow(c, &FlowSpec::from(f), now);
         }
         if let Some(rec) = self.import_record(c, record) {
             self.pending_import[c] = rec;

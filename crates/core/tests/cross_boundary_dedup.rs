@@ -21,51 +21,55 @@
 //! working, not the hazard failing to materialise.
 
 use wgtt_core::config::SystemConfig;
+use wgtt_core::runner::{ClientSpec, FlowSpec, Scenario, TrajectorySpec};
 use wgtt_core::world::{
-    prime_events, prime_migrant_events, FlowKind, MigrantFlow, MigrantSpec, MigrationRecord,
-    SeamPayload, WgttWorld,
+    prime_migrant_events, FlowKind, MigrantFlow, MigrantSpec, MigrationRecord, SeamPayload,
+    WgttWorld,
 };
-use wgtt_net::{CbrSource, Payload};
-use wgtt_phy::mobility::ConstantSpeed;
-use wgtt_phy::{mph_to_mps, Position, Trajectory};
+use wgtt_net::Payload;
+use wgtt_phy::mph_to_mps;
 use wgtt_sim::{FaultSchedule, SimDuration, SimTime, Simulator};
 
 const RATE_BPS: u64 = 2_000_000;
 const PAYLOAD: usize = 1472;
 const MPH: f64 = 35.0;
 
-fn config() -> SystemConfig {
-    let mut cfg = SystemConfig::default();
-    cfg.deployment.num_aps = 4;
-    cfg
+/// A world of `clients` on four APs, its traffic ending at `traffic_until`.
+fn scenario(clients: Vec<ClientSpec>, seed: u64, traffic_until: SimTime) -> Scenario {
+    let mut config = SystemConfig::default();
+    config.deployment.num_aps = 4;
+    Scenario {
+        config,
+        clients,
+        duration: traffic_until - SimTime::ZERO,
+        seed,
+        log_deliveries: false,
+        flow_start: SimDuration::from_millis(1),
+        faults: FaultSchedule::default(),
+    }
 }
 
 /// Source world: one vehicle driving the corridor with an uplink CBR
 /// flow, under a backhaul duplication window covering the whole run (so
 /// it necessarily straddles whichever barrier instant we pick).
 fn source_sim(traffic_until: SimTime) -> Simulator<WgttWorld> {
-    let cfg = config();
-    let dep = cfg.deployment.build();
-    let (lo, _) = dep.extent();
-    let lane_y = dep.lane_near_y;
-    let traj: Vec<Box<dyn Trajectory>> = vec![Box::new(ConstantSpeed {
-        start: Position::new(lo - 4.0, lane_y, 1.5),
-        speed_mps: mph_to_mps(MPH),
-    })];
-    let mut world = WgttWorld::new(cfg, traj, 1717, traffic_until, false);
-    world.faults = FaultSchedule::new().with_duplication(
+    let vehicle = ClientSpec {
+        trajectory: TrajectorySpec::DriveBy {
+            mph: MPH,
+            lead_in_m: 4.0,
+        },
+        flows: vec![FlowSpec::UplinkUdp {
+            rate_bps: RATE_BPS,
+            payload: PAYLOAD,
+        }],
+    };
+    let mut s = scenario(vec![vehicle], 1717, traffic_until);
+    s.faults = FaultSchedule::new().with_duplication(
         SimTime::ZERO,
         traffic_until + SimDuration::from_secs(2),
         1.0,
     );
-    let f = world.add_flow(
-        0,
-        FlowKind::UpUdp(CbrSource::new(RATE_BPS, PAYLOAD, SimTime::from_millis(1))),
-    );
-    world.flows[f].start = SimTime::from_millis(1);
-    let mut sim = Simulator::new(world);
-    prime_events(&mut sim);
-    sim
+    s.build()
 }
 
 fn uplink_seq(payload: &Payload) -> Option<u64> {
@@ -78,18 +82,15 @@ fn uplink_seq(payload: &Payload) -> Option<u64> {
 /// Runs a destination world from scratch, admits the migrant at `now`
 /// with `record`, and lets it ride through the cluster.
 fn run_destination(record: &MigrationRecord, now: SimTime, traffic_until: SimTime) -> WgttWorld {
-    let cfg = config();
-    let dep = cfg.deployment.build();
-    let lane_y = dep.lane_near_y;
-    let world = WgttWorld::new(cfg, Vec::new(), 2424, traffic_until, false);
-    let mut sim = Simulator::new(world);
-    prime_events(&mut sim);
+    let mut sim = scenario(Vec::new(), 2424, traffic_until).build();
+    let dep = &sim.world().deployment;
+    let (entry_x, lane_y) = (dep.aps[0].position.x, dep.lane_near_y);
     sim.run_until(now);
     // Enter inside AP 0's coverage: the hazard under test is the dedup
     // transfer, and residue retransmitted from a coverage hole would
     // exhaust its radio retries before the question is even posed.
     let spec = MigrantSpec {
-        entry_x: dep.aps[0].position.x,
+        entry_x,
         lane_y,
         speed_mps: mph_to_mps(MPH),
         flows: vec![MigrantFlow {

@@ -672,32 +672,31 @@ type Links = Vec<Vec<wgtt::phy::WirelessLink>>;
 fn recorded_stream(faults: FaultSchedule, seconds: u64) -> (Stream, Links, Links) {
     use wgtt::core::config::SystemConfig;
     use wgtt::core::oracle::Sample;
-    use wgtt::core::world::{prime_events, WgttWorld};
-    use wgtt::phy::mobility::ConstantSpeed;
-    use wgtt::phy::Trajectory;
-    use wgtt::sim::Simulator;
-    let cfg = SystemConfig::default();
-    let dep = cfg.deployment.build();
-    let world = |faults: FaultSchedule| {
-        let convoy: Vec<Box<dyn Trajectory>> = [(25.0, 4.0), (35.0, 20.0), (15.0, -6.0)]
-            .iter()
-            .map(|&(mph, lead_in)| {
-                Box::new(ConstantSpeed::drive_by(&dep, mph, lead_in)) as Box<dyn Trajectory>
-            })
-            .collect();
-        let end = SimTime::from_secs(seconds);
-        let mut w = WgttWorld::new(cfg.clone(), convoy, 29, end, false);
-        w.faults = faults;
-        w
+    use wgtt::core::runner::{ClientSpec, Scenario, TrajectorySpec};
+    let clients = [(25.0, 4.0), (35.0, 20.0), (15.0, -6.0)]
+        .iter()
+        .map(|&(mph, lead_in_m)| ClientSpec {
+            trajectory: TrajectorySpec::DriveBy { mph, lead_in_m },
+            flows: Vec::new(),
+        })
+        .collect();
+    let scenario = Scenario {
+        config: SystemConfig::default(),
+        clients,
+        duration: SimDuration::from_secs(seconds),
+        seed: 29,
+        log_deliveries: false,
+        flow_start: SimDuration::from_millis(1),
+        faults: faults.clone(),
     };
-    let untouched = world(FaultSchedule::new()).links;
-    let mut sim = Simulator::new(world(faults.clone()));
-    prime_events(&mut sim);
+    let untouched = scenario.build().into_world().links;
+    let mut sim = scenario.build();
+    let n_aps = sim.world().deployment.aps.len();
     let mut samples = Vec::new();
     for k in 0..seconds * 1000 {
         let t = SimTime::from_micros(500 + k * 1000);
         sim.run_until(t);
-        let down: Vec<bool> = (0..dep.aps.len()).map(|ap| faults.ap_down(ap, t)).collect();
+        let down: Vec<bool> = (0..n_aps).map(|ap| faults.ap_down(ap, t)).collect();
         for (c, client) in sim.world().clients.iter().enumerate() {
             let sample = Sample {
                 t,
