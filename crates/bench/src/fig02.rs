@@ -8,7 +8,7 @@
 use crate::common::save_json;
 use serde::Serialize;
 use wgtt_core::config::SystemConfig;
-use wgtt_phy::{controller_esnr_db, ConstantSpeed, Trajectory, WirelessLink};
+use wgtt_phy::{ConstantSpeed, Trajectory, WirelessLink, CONTROLLER_MODULATION};
 use wgtt_sim::{SimRng, SimTime};
 
 /// One sampled instant.
@@ -66,7 +66,7 @@ pub fn run_experiment(mph: f64, seed: u64) -> RegimeResult {
         let speed = traj.speed_mps(t);
         let esnr: Vec<f64> = links
             .iter()
-            .map(|l| controller_esnr_db(&l.csi(t, &pos, speed)))
+            .map(|l| l.memo(t, &pos, speed).esnr_db(CONTROLLER_MODULATION))
             .collect();
         let best = esnr
             .iter()

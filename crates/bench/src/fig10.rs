@@ -7,7 +7,7 @@
 use crate::common::save_json;
 use serde::Serialize;
 use wgtt_core::config::SystemConfig;
-use wgtt_phy::{controller_esnr_db, Position, WirelessLink};
+use wgtt_phy::{Position, WirelessLink, CONTROLLER_MODULATION};
 use wgtt_sim::{SimRng, SimTime};
 
 /// The sampled heatmap.
@@ -58,7 +58,7 @@ pub fn run_experiment(seed: u64) -> Heatmap {
                 let mut acc = 0.0;
                 for s in 0..snapshots {
                     let t = SimTime::from_millis(10 + s * 13);
-                    acc += controller_esnr_db(&link.csi(t, &pos, 6.7));
+                    acc += link.memo(t, &pos, 6.7).esnr_db(CONTROLLER_MODULATION);
                 }
                 grid[yi][xi] = acc / snapshots as f64;
             }

@@ -16,7 +16,7 @@ use wgtt_core::selection::{ApSelector, SelectionConfig, WindowEstimator};
 use wgtt_core::world::RANGE_FLOOR_DB;
 use wgtt_core::SystemConfig;
 use wgtt_net::ApId;
-use wgtt_phy::{controller_esnr_db, ConstantSpeed, GuardInterval, Trajectory, WirelessLink};
+use wgtt_phy::{ConstantSpeed, GuardInterval, Trajectory, WirelessLink, CONTROLLER_MODULATION};
 use wgtt_sim::{SimDuration, SimRng, SimTime};
 
 /// Capacity loss for one window setting.
@@ -55,6 +55,7 @@ pub fn record_drive(seed: u64, mph: f64) -> RecordedDrive {
     let traj = ConstantSpeed::drive_by(&dep, mph, 4.0);
     let total = traj.transit_time(&dep, 4.0);
     let tick = SimDuration::from_millis(1);
+    let gi = GuardInterval::Short;
     // CSI reading cadence: one uplink frame every ~3 ms (Block ACK cadence
     // at saturation). Per-reading ESNR estimation error grows as SNR drops
     // (the CSI tool's estimates are noisy near the floor).
@@ -66,17 +67,14 @@ pub fn record_drive(seed: u64, mph: f64) -> RecordedDrive {
         let t = SimTime::from_nanos(i * tick.as_nanos());
         let pos = traj.position(t);
         let speed = traj.speed_mps(t);
-        let caps: Vec<f64> = links
-            .iter()
-            .map(|l| {
-                let csi = l.csi(t, &pos, speed);
-                cfg.per_model.capacity_bps(GuardInterval::Short, &csi, 1500)
-            })
-            .collect();
-        if i % reading_every == 0 {
-            for (a, l) in links.iter().enumerate() {
-                let csi = l.csi(t, &pos, speed);
-                let e = controller_esnr_db(&csi);
+        let mut caps = Vec::with_capacity(links.len());
+        for (a, l) in links.iter().enumerate() {
+            // One snapshot gives the link's capacity and, on a reading
+            // tick, the controller's ESNR.
+            let mut memo = l.memo(t, &pos, speed);
+            caps.push(cfg.per_model.capacity_with(&mut memo, gi, 1500));
+            if i % reading_every == 0 {
+                let e = memo.esnr_db(CONTROLLER_MODULATION);
                 if e > RANGE_FLOOR_DB {
                     let std = (4.0 - e / 8.0).clamp(1.2, 4.0);
                     readings.push((t, a, e + noise.normal(0.0, std)));

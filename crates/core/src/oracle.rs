@@ -36,7 +36,7 @@ use crate::config::SystemConfig;
 use crate::world::RANGE_FLOOR_DB;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
-use wgtt_phy::{Cplx, EsnrMemo, Modulation, Position, WirelessLink};
+use wgtt_phy::{Cplx, EsnrMemo, Position, WirelessLink, CONTROLLER_MODULATION};
 use wgtt_sim::pool::{lock, Jobs};
 use wgtt_sim::SimTime;
 
@@ -156,7 +156,7 @@ pub fn evaluate<'a>(
         if cannot_beat(memo.best_tone_db()) {
             continue;
         }
-        let e = memo.esnr_db(Modulation::Qam16);
+        let e = memo.esnr_db(CONTROLLER_MODULATION);
         let wins = best
             .as_ref()
             .map_or(true, |&(bi, b, _)| e > b || (e == b && ap < bi));
@@ -180,10 +180,10 @@ pub fn evaluate<'a>(
     let best_cap = cfg.per_model.capacity_with(&mut oracle_esnr, gi, 1500);
     let serv_cap = match serving {
         Some(ap) if ap == oracle => best_cap,
-        // `capacity_bps` is exactly `capacity_with` on a fresh
-        // memo of the same CSI snapshot, so reusing the
-        // ranking's serving memo is bit-identical; the fallback
-        // covers a serving AP that is down or out of range.
+        // `capacity_with` reads only the snapshot behind a memo,
+        // so reusing the ranking's serving memo is bit-identical
+        // to a fresh one; the fallback covers a serving AP that
+        // is down or out of range.
         Some(ap) => match serving_esnr.as_mut() {
             Some(sm) => cfg.per_model.capacity_with(sm, gi, 1500),
             None => {

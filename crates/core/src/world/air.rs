@@ -14,7 +14,7 @@
 use super::*;
 use crate::client::UplinkEntry;
 use wgtt_mac::timing::{ACK_BYTES, BLOCK_ACK_BYTES};
-use wgtt_phy::Position;
+use wgtt_phy::{Position, CONTROLLER_MODULATION};
 
 /// Radio events.
 #[derive(Clone)]
@@ -45,6 +45,12 @@ enum NodeKey {
 
 /// Mean SNR floor below which frames are never received at all, dB.
 pub const RANGE_FLOOR_DB: f64 = -2.0;
+/// The 24 Mbit/s basic control rate of Block ACKs and ACKs (QPSK-3/4-like
+/// robustness).
+const CONTROL_RATE: Mcs = Mcs(2);
+/// The base rate (BPSK) of the Enhanced 802.11r baseline's beacons and
+/// reassociation frames.
+pub(super) const BASE_RATE: Mcs = Mcs(0);
 /// Minimum spacing of CSI reports per (AP, client) link: bounds control
 /// traffic, and mirrors the CSI tool's per-frame reporting at realistic
 /// frame rates.
@@ -260,16 +266,16 @@ impl WgttWorld {
         self.mean_snr(ap, c, t) >= RANGE_FLOOR_DB
     }
 
-    pub(super) fn csi(&self, ap: usize, c: usize, t: SimTime) -> wgtt_phy::Csi {
-        let pos = self.client_pos(c, t);
-        let speed = self.clients[c].speed(t);
-        self.links[ap][c].csi(t, &pos, speed)
-    }
-
-    /// The ESNR memo of [`Self::csi`]'s snapshot, without the `Csi`.
-    fn memo(&self, ap: usize, c: usize, t: SimTime) -> EsnrMemo {
+    /// The ESNR memo of the channel from `ap` to client `c` at `t`.
+    pub(super) fn memo(&self, ap: usize, c: usize, t: SimTime) -> EsnrMemo {
         let (pos, speed) = (self.client_pos(c, t), self.clients[c].speed(t));
         self.links[ap][c].memo(t, &pos, speed)
+    }
+
+    /// [`Self::memo`] and the RSSI (dB) client `c` reads off `ap`'s beacon.
+    pub(super) fn beacon(&self, ap: usize, c: usize, t: SimTime) -> (EsnrMemo, f64) {
+        let (pos, speed) = (self.client_pos(c, t), self.clients[c].speed(t));
+        self.links[ap][c].beacon(t, &pos, speed)
     }
 
     pub(super) fn ensure_round(&mut self, ctx: &mut Ctx<'_, Ev>) {
@@ -634,11 +640,11 @@ impl WgttWorld {
         self.ensure_round(ctx);
     }
 
-    /// Draws whether a response frame of `bytes` at the 24 Mbit/s basic
-    /// control rate (QPSK-3/4-like robustness) is decoded at QPSK effective
-    /// SNR `e_qpsk`.
-    fn control_rate_heard(&mut self, e_qpsk: f64, bytes: usize) -> bool {
-        let p = self.cfg.per_model.success_prob(Mcs(2), e_qpsk, bytes);
+    /// Draws whether one frame of `bytes` sent at the fixed rate `mcs`
+    /// ([`CONTROL_RATE`], [`BASE_RATE`]) is decoded over the snapshot behind
+    /// `esnr`.
+    pub(super) fn frame_heard(&mut self, esnr: &mut EsnrMemo, mcs: Mcs, bytes: usize) -> bool {
+        let p = self.cfg.per_model.success_with(esnr, mcs, bytes);
         self.rng.chance(p)
     }
 
@@ -721,8 +727,7 @@ impl WgttWorld {
         let mut esnr = esnr.filter(|_| any_received);
         let ba: Option<(BlockAckFrame, bool)> = esnr.as_mut().map(|esnr| {
             let frame = self.clients[c].rx_reorder.block_ack();
-            let e_qpsk = esnr.esnr_db(Modulation::Qpsk);
-            (frame, self.control_rate_heard(e_qpsk, BLOCK_ACK_BYTES))
+            (frame, self.frame_heard(esnr, CONTROL_RATE, BLOCK_ACK_BYTES))
         });
 
         // Every AP that decodes the client's Block ACK — serving or
@@ -742,8 +747,7 @@ impl WgttWorld {
                 // Monitors measure the QPSK BA and, on success, report the
                 // 16-QAM controller metric off the same snapshot.
                 let mut other_esnr = self.memo(other, c, start);
-                let e_qpsk = other_esnr.esnr_db(Modulation::Qpsk);
-                if self.control_rate_heard(e_qpsk, BLOCK_ACK_BYTES) {
+                if self.frame_heard(&mut other_esnr, CONTROL_RATE, BLOCK_ACK_BYTES) {
                     self.air.overheard.push(other);
                     self.report_csi(ctx, other, c, &mut other_esnr, now);
                 }
@@ -962,8 +966,8 @@ impl WgttWorld {
             } else {
                 // The client hears the first response if its own downlink
                 // from that AP works at the control rate.
-                let e_qpsk = self.memo(first_ap, c, now).esnr_db(Modulation::Qpsk);
-                if self.control_rate_heard(e_qpsk, ACK_BYTES) {
+                let mut esnr = self.memo(first_ap, c, now);
+                if self.frame_heard(&mut esnr, CONTROL_RATE, ACK_BYTES) {
                     acked_by = Some(first_ap);
                 }
             }
@@ -1037,7 +1041,7 @@ impl WgttWorld {
         let report = Ctl::CsiAtController {
             ap,
             client: c,
-            esnr_db: esnr.esnr_db(Modulation::Qam16),
+            esnr_db: esnr.esnr_db(CONTROLLER_MODULATION),
         };
         self.backhaul_send(ctx, 300, false, Ev::Ctl(report));
     }

@@ -1,6 +1,7 @@
 //! Client-driven periodic events: keep-alive probes, the accuracy-oracle
 //! tick, and the Enhanced 802.11r baseline's beacon/roam machine.
 
+use super::air::BASE_RATE;
 use super::*;
 
 /// A client sends a null (keep-alive) frame once it has been silent this
@@ -158,15 +159,15 @@ impl WgttWorld {
                     if self.departed[c] || !self.in_radio_range(ap, c, now) {
                         continue;
                     }
-                    let csi = self.csi(ap, c, now);
+                    let (mut esnr, rssi_db) = self.beacon(ap, c, now);
                     // Beacons are ~250 B.
-                    if self.base_rate_frame_heard(&csi, 250) {
+                    if self.frame_heard(&mut esnr, BASE_RATE, 250) {
                         let alpha = self.cfg.baseline.rssi_ewma_alpha;
                         self.clients[c]
                             .rssi
                             .entry(ApId(ap as u32))
                             .or_insert_with(|| wgtt_sim::stats::Ewma::new(alpha))
-                            .update(csi.rssi_snr_db());
+                            .update(rssi_db);
                         if self.clients[c].serving == Some(ApId(ap as u32)) {
                             self.clients[c].last_serving_beacon = Some(now);
                         }
@@ -224,14 +225,6 @@ impl WgttWorld {
         }
     }
 
-    /// Draws whether one base-rate (BPSK, MCS 0) management frame of
-    /// `bytes` is decoded over the link snapshot `csi`.
-    fn base_rate_frame_heard(&mut self, csi: &wgtt_phy::Csi, bytes: usize) -> bool {
-        let e = esnr_from_csi(Modulation::Bpsk, csi);
-        let p = self.cfg.per_model.success_prob(Mcs(0), e, bytes);
-        self.rng.chance(p)
-    }
-
     /// One frame of client `c`'s reassociation exchange with `target`
     /// crosses the air: whether it was decoded, or `None` when the attempt
     /// it belongs to was superseded or abandoned in the meantime.
@@ -245,8 +238,8 @@ impl WgttWorld {
         if self.clients[c].roam.map(|r| r.target.0 as usize) != Some(target) {
             return None;
         }
-        let csi = self.csi(target, c, now);
-        Some(self.base_rate_frame_heard(&csi, wgtt_mac::mgmt_frame_bytes(frame)))
+        let mut esnr = self.memo(target, c, now);
+        Some(self.frame_heard(&mut esnr, BASE_RATE, wgtt_mac::mgmt_frame_bytes(frame)))
     }
 
     fn on_roam_req(&mut self, ctx: &mut Ctx<'_, Ev>, c: usize, target: usize, retries: u32) {

@@ -37,10 +37,9 @@ use wgtt_net::{
     overhead, ApId, Backhaul, CbrSource, ClientId, Direction, FlowId, Packet, PacketFactory,
     Payload, SackBlocks, TcpConfig, TcpReceiver, TcpSender, UdpSink,
 };
-use wgtt_phy::esnr::esnr_from_csi;
 use wgtt_phy::geom::Deployment;
 use wgtt_phy::mcs::Mcs;
-use wgtt_phy::{EsnrMemo, Modulation, WirelessLink};
+use wgtt_phy::{EsnrMemo, WirelessLink};
 use wgtt_sim::{Ctx, FaultEdge, FaultSchedule, SimDuration, SimRng, SimTime, World};
 
 mod air;

@@ -1,4 +1,4 @@
-//! Antenna gain patterns.
+//! The AP antenna's gain pattern.
 //!
 //! Each WGTT AP uses a 14 dBi parabolic antenna with a 21° half-power
 //! beamwidth (the Laird GD24BP of the paper, §4.2). We model its main lobe
@@ -9,32 +9,6 @@
 //! traffic for Block-ACK forwarding.
 
 use serde::Serialize;
-
-/// A transmit/receive antenna gain pattern.
-pub trait Antenna: Send + Sync {
-    /// Gain in dBi at `off_boresight` radians from the pointing direction.
-    fn gain_dbi(&self, off_boresight: f64) -> f64;
-}
-
-/// An isotropic radiator (client devices, omni reference cases).
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct Isotropic {
-    /// Flat gain in dBi (0 for ideal isotropic, ~2 for a typical laptop
-    /// antenna).
-    pub gain_dbi: f64,
-}
-
-impl Default for Isotropic {
-    fn default() -> Self {
-        Isotropic { gain_dbi: 0.0 }
-    }
-}
-
-impl Antenna for Isotropic {
-    fn gain_dbi(&self, _off_boresight: f64) -> f64 {
-        self.gain_dbi
-    }
-}
 
 /// Gaussian main-lobe directional antenna with a sidelobe floor.
 ///
@@ -63,8 +37,9 @@ impl Default for ParabolicAntenna {
     }
 }
 
-impl Antenna for ParabolicAntenna {
-    fn gain_dbi(&self, off_boresight: f64) -> f64 {
+impl ParabolicAntenna {
+    /// Gain in dBi at `off_boresight` radians from the pointing direction.
+    pub fn gain_dbi(&self, off_boresight: f64) -> f64 {
         let theta_deg = off_boresight.abs().to_degrees();
         let rolloff = 12.0 * (theta_deg / self.beamwidth_deg).powi(2);
         let floor = self.peak_gain_dbi + self.sidelobe_rel_db;
@@ -75,15 +50,6 @@ impl Antenna for ParabolicAntenna {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn isotropic_is_flat() {
-        let a = Isotropic { gain_dbi: 2.0 };
-        assert_eq!(a.gain_dbi(0.0), 2.0);
-        assert_eq!(a.gain_dbi(1.0), 2.0);
-        assert_eq!(a.gain_dbi(3.0), 2.0);
-        assert_eq!(Isotropic::default().gain_dbi(0.5), 0.0);
-    }
 
     #[test]
     fn parabolic_peak_at_boresight() {

@@ -2,9 +2,10 @@
 //!
 //! WGTT APs measure CSI on all 56 used subcarriers of each incoming 802.11n
 //! HT20 frame (via the Atheros CSI Tool in the paper) and ship the readings
-//! to the controller. Here a [`Csi`] is the per-subcarrier complex channel
-//! response together with the link's large-scale SNR; per-subcarrier SNRs
-//! fall out directly and feed the ESNR computation.
+//! to the controller. Here one snapshot's per-subcarrier complex response
+//! and the link's large-scale SNR give each tone's SNR (`tone_snrs`), which
+//! feeds the ESNR computation, and the RSSI a plain measurement reports
+//! (`rssi_db`).
 
 use crate::complex::Cplx;
 use crate::pathloss::{db_to_linear, linear_to_db};
@@ -33,9 +34,10 @@ pub fn subcarrier_offsets_hz() -> [f64; NUM_SUBCARRIERS] {
 /// One CSI measurement: the complex response per subcarrier plus the
 /// large-scale (mean) SNR the fading rides on.
 ///
-/// The response is a fixed-size array: every HT20 snapshot has exactly 56
-/// used subcarriers, and the inline storage keeps snapshot creation —
-/// the hottest constructor in the simulator — off the heap entirely.
+/// Hidden from the docs: the program reads a link's channel as an
+/// [`crate::EsnrMemo`] ([`crate::WirelessLink::memo`]), and a `Csi` remains
+/// only as the benchmark's kernel input and the tests' bit-exact reference.
+#[doc(hidden)]
 #[derive(Debug, Clone)]
 pub struct Csi {
     /// Complex channel response per subcarrier, unit mean power.
@@ -50,13 +52,6 @@ impl Csi {
     pub fn per_subcarrier_snr_linear(&self) -> [f64; NUM_SUBCARRIERS] {
         tone_snrs(self.mean_snr_db, |k| self.h[k])
     }
-
-    /// Average received power SNR across subcarriers, in dB — what a plain
-    /// RSSI measurement would report.
-    pub fn rssi_snr_db(&self) -> f64 {
-        let mean_gain = self.h.iter().map(|h| h.abs2()).sum::<f64>() / self.h.len().max(1) as f64;
-        self.mean_snr_db + linear_to_db(mean_gain)
-    }
 }
 
 /// Linear SNR `10^(mean/10)·|h(k)|²` of each tone `k`: the one rule for a
@@ -65,6 +60,14 @@ impl Csi {
 pub(crate) fn tone_snrs(mean_db: f64, h: impl Fn(usize) -> Cplx) -> [f64; NUM_SUBCARRIERS] {
     let base = db_to_linear(mean_db);
     std::array::from_fn(|k| base * h(k).abs2())
+}
+
+/// Average received power SNR across the tones, in dB — what a plain RSSI
+/// measurement reports: `mean_db + 10·log10(Σ_k |h(k)|² / 56)`, summed in
+/// tone order.
+pub(crate) fn rssi_db(mean_db: f64, h: impl Fn(usize) -> Cplx) -> f64 {
+    let gain = (0..NUM_SUBCARRIERS).map(|k| h(k).abs2()).sum::<f64>() / NUM_SUBCARRIERS as f64;
+    mean_db + linear_to_db(gain)
 }
 
 #[cfg(test)]
@@ -96,7 +99,7 @@ mod tests {
         for snr in csi.per_subcarrier_snr_linear().map(linear_to_db) {
             assert!((snr - 25.0).abs() < 1e-9);
         }
-        assert!((csi.rssi_snr_db() - 25.0).abs() < 1e-9);
+        assert!((rssi_db(csi.mean_snr_db, |k| csi.h[k]) - 25.0).abs() < 1e-9);
         let lin = csi.per_subcarrier_snr_linear();
         assert!((lin[0] - 10f64.powf(2.5)).abs() < 1e-6);
     }
@@ -113,7 +116,7 @@ mod tests {
         assert!((snrs[10] - 10.0).abs() < 1e-9);
         assert!((snrs[0] - 30.0).abs() < 1e-9);
         // RSSI barely notices one faded subcarrier.
-        assert!(csi.rssi_snr_db() > 29.0);
+        assert!(rssi_db(csi.mean_snr_db, |k| csi.h[k]) > 29.0);
     }
 
     #[test]

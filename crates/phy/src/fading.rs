@@ -375,16 +375,6 @@ pub fn doppler_hz(speed_mps: f64, wavelength_m: f64) -> f64 {
     speed_mps / wavelength_m
 }
 
-/// Approximate channel coherence time (Clarke's model): `0.423 / f_d`.
-#[inline]
-pub fn coherence_time_s(fd_hz: f64) -> f64 {
-    if fd_hz <= 0.0 {
-        f64::INFINITY
-    } else {
-        0.423 / fd_hz
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,11 +629,11 @@ mod tests {
 
     #[test]
     fn channel_decorrelates_beyond_coherence_time() {
-        // At fd = 54 Hz (15 mph at 2.4 GHz) coherence ≈ 7.8 ms. The gain
-        // should be strongly correlated at dt ≪ Tc and visibly changed at
-        // dt ≫ Tc.
+        // At fd = 54 Hz (15 mph at 2.4 GHz) coherence (Clarke's model,
+        // 0.423 / f_d) ≈ 7.8 ms. The gain should be strongly correlated at
+        // dt ≪ Tc and visibly changed at dt ≫ Tc.
         let fd = 54.0;
-        let tc = coherence_time_s(fd);
+        let tc = 0.423 / fd;
         let mut small_dt_diff = 0.0;
         let mut large_dt_diff = 0.0;
         let mut n = 0.0;
@@ -731,8 +721,5 @@ mod tests {
         // 15 mph = 6.7 m/s, λ = 0.122 m → fd ≈ 55 Hz.
         let fd = doppler_hz(6.7056, 0.1218);
         assert!((fd - 55.0).abs() < 1.0);
-        // Coherence time ≈ 7.7 ms — same order as the paper's 2–3 ms claim.
-        assert!((coherence_time_s(fd) - 0.0077).abs() < 0.001);
-        assert_eq!(coherence_time_s(0.0), f64::INFINITY);
     }
 }

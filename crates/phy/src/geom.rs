@@ -193,11 +193,6 @@ pub fn mph_to_mps(mph: f64) -> f64 {
     mph * 0.44704
 }
 
-/// Converts metres per second to miles per hour.
-pub fn mps_to_mph(mps: f64) -> f64 {
-    mps / 0.44704
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,9 +252,10 @@ mod tests {
     }
 
     #[test]
-    fn mph_conversion_roundtrip() {
+    fn mph_conversion() {
+        // A mile is 1 609.344 m, an hour 3 600 s.
         for mph in [5.0, 15.0, 25.0, 35.0] {
-            assert!((mps_to_mph(mph_to_mps(mph)) - mph).abs() < 1e-12);
+            assert!((mph_to_mps(mph) - mph * 1609.344 / 3600.0).abs() < 1e-12);
         }
         // 25 mph ≈ 11.2 m/s: the paper's 460 ms dwell in a 5.2 m cell.
         let v = mph_to_mps(25.0);

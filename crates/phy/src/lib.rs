@@ -5,16 +5,16 @@
 //!
 //! * [`geom`] — testbed geometry: the roadside AP array of the paper's
 //!   Fig 9, positions, boresights;
-//! * [`mobility`] — client trajectories (drive-bys at 5–35 mph, the
-//!   two-car patterns of Fig 19);
-//! * [`antenna`] — the 14 dBi / 21° parabolic pattern and isotropic
-//!   clients;
+//! * [`mobility`] — client trajectories (stationary, drive-bys at 5–35 mph
+//!   in either lane and direction);
+//! * [`antenna`] — the APs' 14 dBi / 21° parabolic pattern;
 //! * [`pathloss`] — log-distance large-scale loss and the link budget;
 //! * [`fading`] — tapped-delay-line Rician fast fading with Doppler from
 //!   vehicle speed: the *vehicular picocell regime* generator;
 //! * [`fastmath`] — deterministic in-repo sin/cos/exp/ln kernels so channel
 //!   realizations, BERs and dB conversions do not depend on the host libm;
-//! * [`csi`] — 56-subcarrier channel state snapshots;
+//! * [`csi`] — the 56 subcarriers, and the tone SNR and RSSI rules of one
+//!   channel snapshot;
 //! * [`esnr`] — Effective SNR (Halperin et al.) from one BER table per
 //!   modulation, read forwards and backwards;
 //! * [`mcs`] — the HT20 single-stream rate table;
@@ -46,16 +46,16 @@ pub mod pathloss;
 pub mod ratectl;
 pub mod shadowing;
 
-pub use antenna::{Antenna, Isotropic, ParabolicAntenna};
+pub use antenna::ParabolicAntenna;
 pub use complex::Cplx;
 pub use csi::{Csi, NUM_SUBCARRIERS};
 pub use error::PerModel;
-pub use esnr::{controller_esnr_db, esnr_db, esnr_from_csi, EsnrMemo, Modulation};
-pub use fading::{coherence_time_s, doppler_hz, FadingConfig, TappedDelayLine};
-pub use geom::{mph_to_mps, mps_to_mph, ApSite, Deployment, DeploymentConfig, Position};
+pub use esnr::{controller_esnr_db, esnr_db, EsnrMemo, Modulation, CONTROLLER_MODULATION};
+pub use fading::{doppler_hz, FadingConfig, TappedDelayLine};
+pub use geom::{mph_to_mps, ApSite, Deployment, DeploymentConfig, Position};
 pub use link::{LinkConfig, WirelessLink};
 pub use mcs::{GuardInterval, Mcs};
-pub use mobility::{pattern_trajectories, ConstantSpeed, DrivePattern, Stationary, Trajectory};
+pub use mobility::{ConstantSpeed, Stationary, Trajectory};
 pub use pathloss::{db_to_linear, linear_to_db, LinkBudget, PathLoss};
 pub use ratectl::MinstrelLite;
 pub use shadowing::{ShadowingConfig, ShadowingProcess};

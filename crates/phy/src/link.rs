@@ -4,7 +4,9 @@
 //! pattern, path loss, link budget, and a dedicated fading realization —
 //! into the two queries the upper layers actually ask:
 //!
-//! * *what CSI would a frame observe right now?* ([`WirelessLink::csi`]),
+//! * *what channel would a frame observe right now?* (the ESNR memo of
+//!   [`WirelessLink::memo`]; a beacon's also carries its RSSI,
+//!   [`WirelessLink::beacon`]),
 //! * *would this frame get through?* (success probability via
 //!   [`crate::error::PerModel`]).
 //!
@@ -13,9 +15,9 @@
 //! the premise WGTT relies on — CSI measured from client *uplink* frames
 //! predicts *downlink* delivery (§3.1.1 of the paper).
 
-use crate::antenna::{Antenna, ParabolicAntenna};
+use crate::antenna::ParabolicAntenna;
 use crate::complex::Cplx;
-use crate::csi::{subcarrier_offsets_hz, tone_snrs, Csi, NUM_SUBCARRIERS};
+use crate::csi::{rssi_db, subcarrier_offsets_hz, tone_snrs, Csi, NUM_SUBCARRIERS};
 use crate::esnr::EsnrMemo;
 use crate::fading::{doppler_hz, FadingConfig, TappedDelayLine};
 use crate::fastmath::log10;
@@ -90,6 +92,12 @@ fn shared_twiddles(cfg: &FadingConfig, fading: &TappedDelayLine) -> Arc<[f64]> {
 
 /// A response as the fading kernels write it: real parts, then imaginary.
 type Split = [f64; 2 * NUM_SUBCARRIERS];
+
+/// Tone `k` of a split response.
+fn tone(split: &Split) -> impl Fn(usize) -> Cplx + '_ {
+    let (re, im) = split.split_at(NUM_SUBCARRIERS);
+    move |k| Cplx::new(re[k], im[k])
+}
 
 /// The live channel between one AP site and one client.
 #[derive(Debug, Clone)]
@@ -189,20 +197,34 @@ impl WirelessLink {
     /// Computed through the shared-twiddle fading path and the position
     /// memo of [`Self::mean_snr_db`] — bit-identical to the plain
     /// [`TappedDelayLine::freq_response`] chain (the tests' `csi_uncached`,
-    /// locked by `csi_cache_is_bit_exact`). Not memoized itself: under 0.14 %
-    /// of snapshot queries repeat the previous one on any benchmark workload.
+    /// locked by `csi_cache_is_bit_exact`).
+    ///
+    /// Hidden from the docs with [`Csi`]: the program reads [`Self::memo`];
+    /// this stays for the benchmark's kernels and as the tests' reference.
+    #[doc(hidden)]
     pub fn csi(&self, t: SimTime, client: &Position, speed_mps: f64) -> Csi {
         let split = self.response(t, speed_mps);
-        let (re, im) = split.split_at(NUM_SUBCARRIERS);
         Csi {
-            h: std::array::from_fn(|k| Cplx::new(re[k], im[k])),
+            h: std::array::from_fn(tone(&split)),
             mean_snr_db: self.mean_snr_db(client),
         }
     }
 
-    /// `EsnrMemo::new(&self.csi(t, client, speed_mps))`, bit for bit, sans `Csi`.
+    /// The ESNR memo of the channel at time `t` for a client at `client`
+    /// moving at `speed_mps`: `EsnrMemo::new(&self.csi(..))`, bit for bit,
+    /// sans `Csi`. Not memoized itself: under 0.14 % of snapshot queries
+    /// repeat the previous one on any benchmark workload.
     pub fn memo(&self, t: SimTime, client: &Position, speed_mps: f64) -> EsnrMemo {
         self.memo_from_response(client, &self.response(t, speed_mps))
+    }
+
+    /// [`Self::memo`] and the RSSI in dB a client reads off the same
+    /// response (what a beacon is heard on and what it measures), from one
+    /// fading evaluation.
+    pub fn beacon(&self, t: SimTime, client: &Position, speed_mps: f64) -> (EsnrMemo, f64) {
+        let split = self.response(t, speed_mps);
+        let rssi = rssi_db(self.mean_snr_db(client), tone(&split));
+        (self.memo_from_response(client, &split), rssi)
     }
 
     /// The response at `t`.
@@ -215,9 +237,7 @@ impl WirelessLink {
 
     /// The memo of a split response, its tone SNRs formed as a `Csi`'s are.
     fn memo_from_response(&self, client: &Position, split: &Split) -> EsnrMemo {
-        let (re, im) = split.split_at(NUM_SUBCARRIERS);
-        let snr = tone_snrs(self.mean_snr_db(client), |k| Cplx::new(re[k], im[k]));
-        EsnrMemo::from_snr_linear(snr)
+        EsnrMemo::from_snr_linear(tone_snrs(self.mean_snr_db(client), tone(split)))
     }
 
     /// The first half of [`Self::memo`]: the fading taps' complex gains at
@@ -273,9 +293,9 @@ impl WirelessLink {
 mod tests {
     use super::*;
     use crate::error::PerModel;
-    use crate::esnr::controller_esnr_db;
+    use crate::esnr::CONTROLLER_MODULATION;
     use crate::geom::DeploymentConfig;
-    use crate::mcs::GuardInterval;
+    use crate::mcs::{GuardInterval, Mcs};
 
     fn testbed_links(seed: u64) -> Vec<WirelessLink> {
         let dep = DeploymentConfig::default().build();
@@ -361,7 +381,7 @@ mod tests {
             let x = ap_x + step as f64 * 0.1;
             let snr = ap.mean_snr_db(&road_pos(x));
             // Use mean SNR as ESNR proxy for a flat check.
-            if per.success_prob(crate::mcs::Mcs(7), snr, 1500) > 0.9 {
+            if per.success_prob(Mcs(7), snr, 1500) > 0.9 {
                 cell_m += 0.1;
             }
         }
@@ -383,9 +403,7 @@ mod tests {
         for step in 0..1000 {
             let x = step as f64 * 0.1;
             let pos = road_pos(x);
-            let ok = |l: &WirelessLink| {
-                per.success_prob(crate::mcs::Mcs(0), l.mean_snr_db(&pos), 1500) > 0.5
-            };
+            let ok = |l: &WirelessLink| per.success_prob(Mcs(0), l.mean_snr_db(&pos), 1500) > 0.5;
             if ok(a) && ok(b) {
                 overlap_m += 0.1;
             }
@@ -402,11 +420,12 @@ mod tests {
         let ap = &links[0];
         let pos = road_pos(0.0);
         let speed = 6.7; // 15 mph
-        let e0 = controller_esnr_db(&ap.csi(SimTime::ZERO, &pos, speed));
+        let esnr = |t: SimTime| ap.memo(t, &pos, speed).esnr_db(CONTROLLER_MODULATION);
+        let e0 = esnr(SimTime::ZERO);
         let mut max_delta: f64 = 0.0;
         for i in 1..50 {
             let t = SimTime::from_millis(i * 5);
-            let e = controller_esnr_db(&ap.csi(t, &pos, speed));
+            let e = esnr(t);
             max_delta = max_delta.max((e - e0).abs());
         }
         assert!(max_delta > 3.0, "fading too shallow: {max_delta} dB swing");
@@ -417,8 +436,8 @@ mod tests {
         let links = testbed_links(6);
         let ap = &links[0];
         let pos = road_pos(0.0);
-        let a = controller_esnr_db(&ap.csi(SimTime::ZERO, &pos, 0.0));
-        let b = controller_esnr_db(&ap.csi(SimTime::from_secs(5), &pos, 0.0));
+        let esnr = |t: SimTime| ap.memo(t, &pos, 0.0).esnr_db(CONTROLLER_MODULATION);
+        let (a, b) = (esnr(SimTime::ZERO), esnr(SimTime::from_secs(5)));
         assert!((a - b).abs() < 1e-9);
     }
 
@@ -559,8 +578,8 @@ mod tests {
         let mut prev_best = 0;
         for i in 0..500 {
             let t = SimTime::from_millis(i * 2);
-            let ea = controller_esnr_db(&a.csi(t, &pos, speed));
-            let eb = controller_esnr_db(&b.csi(t, &pos, speed));
+            let ea = a.memo(t, &pos, speed).esnr_db(CONTROLLER_MODULATION);
+            let eb = b.memo(t, &pos, speed).esnr_db(CONTROLLER_MODULATION);
             let best = if ea >= eb { 0 } else { 1 };
             if i > 0 && best != prev_best {
                 flips += 1;
@@ -581,15 +600,26 @@ mod tests {
         let mut ok = 0;
         let n = 400;
         for i in 0..n {
-            let csi = ap.csi(SimTime::from_millis(i * 3), &pos, 6.7);
-            if per.success_from_csi(crate::mcs::Mcs(7), &csi, 1500) > 0.5 {
+            let mut memo = ap.memo(SimTime::from_millis(i * 3), &pos, 6.7);
+            if per.success_with(&mut memo, Mcs(7), 1500) > 0.5 {
                 ok += 1;
             }
         }
         let frac = ok as f64 / n as f64;
         assert!(frac > 0.15, "MCS7 usable only {frac} of the time at center");
-        // And the oracle best MCS at center is usually high.
-        let csi = ap.csi(SimTime::from_millis(1), &pos, 6.7);
-        assert!(per.best_mcs(GuardInterval::Short, &csi, 1500) >= crate::mcs::Mcs(3));
+        // And the oracle best MCS (argmax of expected goodput) at center
+        // is usually high.
+        let mut memo = ap.memo(SimTime::from_millis(1), &pos, 6.7);
+        let (_, best) = Mcs::all()
+            .map(|m| {
+                let e = memo.esnr_db(m.modulation());
+                (
+                    per.expected_goodput_bps(m, GuardInterval::Short, e, 1500),
+                    m,
+                )
+            })
+            .max_by(|a, b| a.0.total_cmp(&b.0))
+            .expect("MCS set is non-empty");
+        assert!(best >= Mcs(3), "picked {best}");
     }
 }

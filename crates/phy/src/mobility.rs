@@ -1,9 +1,8 @@
 //! Client mobility models.
 //!
 //! A [`Trajectory`] maps simulated time to a client position and speed.
-//! The paper's experiments need: stationary clients, constant-speed
-//! transits past the AP array at 5–35 mph, and the three two-car patterns of
-//! Fig 19 (following at 3 m spacing, parallel driving, opposing directions).
+//! The paper's experiments need stationary clients and constant-speed
+//! transits past the AP array at 5–35 mph, in either lane and direction.
 
 use crate::geom::{mph_to_mps, Deployment, Position};
 use wgtt_sim::SimTime;
@@ -36,8 +35,8 @@ impl Trajectory for Stationary {
 
 /// Constant-velocity motion along the road (the x-axis).
 ///
-/// Positive `speed_mps` drives in +x; negative drives in −x (used for the
-/// opposing-direction pattern).
+/// Positive `speed_mps` drives in +x; negative drives in −x (the opposing
+/// direction).
 #[derive(Debug, Clone)]
 pub struct ConstantSpeed {
     /// Position at `t = 0`.
@@ -90,45 +89,6 @@ impl Trajectory for ConstantSpeed {
     }
 }
 
-/// The two-car driving patterns of the multi-client experiments (Fig 19).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrivePattern {
-    /// (a) One car following another at a fixed gap in the same lane.
-    Following,
-    /// (b) Two cars abreast in adjacent lanes.
-    Parallel,
-    /// (c) Cars in opposite lanes driving toward each other.
-    Opposing,
-}
-
-/// Builds the per-client trajectories for a [`DrivePattern`].
-///
-/// `gap_m` is the bumper gap for the following pattern (paper: 3 m).
-pub fn pattern_trajectories(
-    pattern: DrivePattern,
-    deployment: &Deployment,
-    mph: f64,
-    gap_m: f64,
-) -> Vec<ConstantSpeed> {
-    let lead = ConstantSpeed::drive_by(deployment, mph, 10.0);
-    match pattern {
-        DrivePattern::Following => {
-            let mut trail = lead.clone();
-            trail.start.x -= gap_m;
-            vec![lead, trail]
-        }
-        DrivePattern::Parallel => {
-            let mut beside = lead.clone();
-            beside.start.y = deployment.lane_far_y;
-            vec![lead, beside]
-        }
-        DrivePattern::Opposing => {
-            let opposing = ConstantSpeed::drive_by_opposing(deployment, mph, 10.0);
-            vec![lead, opposing]
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,25 +138,12 @@ mod tests {
     }
 
     #[test]
-    fn patterns_have_expected_shape() {
-        let d = DeploymentConfig::default().build();
-        let f = pattern_trajectories(DrivePattern::Following, &d, 15.0, 3.0);
-        assert_eq!(f.len(), 2);
-        assert!((f[0].start.x - f[1].start.x - 3.0).abs() < 1e-12);
-        assert_eq!(f[0].start.y, f[1].start.y);
-
-        let p = pattern_trajectories(DrivePattern::Parallel, &d, 15.0, 3.0);
-        assert_eq!(p[0].start.x, p[1].start.x);
-        assert_ne!(p[0].start.y, p[1].start.y);
-
-        let o = pattern_trajectories(DrivePattern::Opposing, &d, 15.0, 3.0);
-        assert!(o[0].speed_mps > 0.0 && o[1].speed_mps < 0.0);
-    }
-
-    #[test]
     fn opposing_cars_separate_over_time() {
         let d = DeploymentConfig::default().build();
-        let o = pattern_trajectories(DrivePattern::Opposing, &d, 15.0, 3.0);
+        let o = [
+            ConstantSpeed::drive_by(&d, 15.0, 10.0),
+            ConstantSpeed::drive_by_opposing(&d, 15.0, 10.0),
+        ];
         // They approach, meet near the middle, then separate.
         let dist = |t: SimTime| o[0].position(t).distance(&o[1].position(t));
         let t_mid = SimTime::from_secs_f64(72.5 / (2.0 * mph_to_mps(15.0)));

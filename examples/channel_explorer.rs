@@ -7,8 +7,8 @@
 //! ```
 
 use wgtt::phy::{
-    controller_esnr_db, DeploymentConfig, GuardInterval, LinkConfig, PerModel, Position,
-    WirelessLink,
+    DeploymentConfig, EsnrMemo, GuardInterval, LinkConfig, PerModel, Position, WirelessLink,
+    CONTROLLER_MODULATION,
 };
 use wgtt::sim::{SimRng, SimTime};
 
@@ -37,16 +37,17 @@ fn main() {
         let x = -4.0 + step as f64 * 2.0;
         let pos = Position::new(x, dep.lane_near_y, 1.5);
         let t = SimTime::from_millis(step * 300);
-        let esnr: Vec<f64> = links
-            .iter()
-            .map(|l| controller_esnr_db(&l.csi(t, &pos, speed)))
+        let mut memos: Vec<EsnrMemo> = links.iter().map(|l| l.memo(t, &pos, speed)).collect();
+        let esnr: Vec<f64> = memos
+            .iter_mut()
+            .map(|m| m.esnr_db(CONTROLLER_MODULATION))
             .collect();
         let (best, _) = esnr
             .iter()
             .enumerate()
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("not NaN"))
             .expect("non-empty");
-        let cap = per.capacity_bps(GuardInterval::Short, &links[best].csi(t, &pos, speed), 1500);
+        let cap = per.capacity_with(&mut memos[best], GuardInterval::Short, 1500);
         print!("{:>6.1} ", x);
         for e in &esnr {
             print!("{:>5.1} ", e.max(-9.9));

@@ -589,11 +589,12 @@ fn assert_same_memo(mut got: wgtt::phy::EsnrMemo, mut want: wgtt::phy::EsnrMemo,
 /// The oracle's tap ceiling (`core/oracle.rs`) is sound and its split
 /// snapshot exact: for seeded links, positions, speeds and instants,
 /// `gains_ceiling_db` is never below the finished snapshot's best tone —
-/// itself a ceiling on the ESNR of every modulation — and `memo` and
-/// `memo_from_gains` are the memo of `csi`'s snapshot bit for bit.
+/// itself a ceiling on the ESNR of every modulation — and `memo`,
+/// `memo_from_gains` and `beacon` are the memo of `csi`'s snapshot bit for
+/// bit, `beacon`'s RSSI that snapshot's mean tone power over the mean SNR.
 #[test]
 fn tap_ceiling_bounds_the_snapshot_it_finishes() {
-    use wgtt::phy::EsnrMemo;
+    use wgtt::phy::{linear_to_db, EsnrMemo};
     let mut gains = Vec::new();
     for (a, (link, mut draw)) in ceiling_links().into_iter().enumerate() {
         for _ in 0..150 {
@@ -607,6 +608,11 @@ fn tap_ceiling_bounds_the_snapshot_it_finishes() {
                 &what,
             );
             assert_same_memo(link.memo(t, &pos, speed), EsnrMemo::new(&whole), &what);
+            let (beacon, rssi) = link.beacon(t, &pos, speed);
+            assert_same_memo(beacon, EsnrMemo::new(&whole), &what);
+            let power = whole.h.iter().map(|h| h.abs2()).sum::<f64>() / whole.h.len() as f64;
+            let want = whole.mean_snr_db + linear_to_db(power);
+            assert_eq!(rssi.to_bits(), want.to_bits(), "{what} rssi");
 
             let ceiling = link.gains_ceiling_db(&pos, reach);
             let best_tone = EsnrMemo::new(&whole).best_tone_db();
