@@ -11,10 +11,11 @@
 //! The index space is 4096 wide at every (AP, client) pair; the memory is
 //! not. [`CyclicQueue`] keeps a 2-byte position per index and the packets
 //! themselves in a slab as large as the pair's backlog has been (grown a
-//! quarter at a time), so a pair that buffers nothing costs 8 KiB rather
-//! than 4096 packet slots. A slot holds a 32-byte record of what tells one
-//! buffered packet from the next — creation time, transport sequence, flow,
-//! lengths, IP ident, payload kind and direction — not a 72-byte
+//! quarter at a time), so a pair that has buffered costs an 8 KiB table
+//! rather than 4096 packet slots, and one that never has costs nothing. A
+//! slot holds a 32-byte record of what tells one buffered packet from the
+//! next — creation time, transport sequence, flow, lengths, IP ident,
+//! payload kind and direction — not a 72-byte
 //! [`Packet`]: the client is the queue's, once, and the index is the one
 //! the slot is filed under, so a pop rebuilds the packet that went in. The
 //! dense array of whole packets it replaced lives on under `#[cfg(test)]`
@@ -167,17 +168,20 @@ impl Record {
 /// next index to transmit — which a switch protocol `start(c, k)` message
 /// repositions.
 ///
-/// Every index has an entry in an 8 KiB position table, but packets live
-/// in a slab of 32-byte records that grows with the backlog — by a quarter
-/// of its length, at least 64 records, where `Vec` would double — and is
-/// reused through a free list: an idle queue costs the table, a full one
-/// the table plus at most 2112 records (`SLAB_BOUND`, 66 KiB), one whose
-/// backlog peaked at `n` at most `1.25 n + 64` slots, and neither a steady
-/// stream nor a discard allocates or moves a record.
+/// Every index has an entry in an 8 KiB position table, allocated at the
+/// first insert and kept from then on, but packets live in a slab of
+/// 32-byte records that grows with the backlog — by a quarter of its
+/// length, at least 64 records, where `Vec` would double — and is reused
+/// through a free list: a queue that never buffered costs nothing, an
+/// emptied one the table, a full one the table plus at most 2112 records
+/// (`SLAB_BOUND`, 66 KiB), one whose backlog peaked at `n` at most
+/// `1.25 n + 64` slots, and neither a steady stream nor a discard
+/// allocates or moves a record.
 #[derive(Debug, Clone)]
 pub struct CyclicQueue {
-    /// Index → position of its record in `slab`, or `EMPTY`.
-    pos: Box<[u16; INDEX_SPACE as usize]>,
+    /// Index → position of its record in `slab`, or `EMPTY`; empty until
+    /// the first insert.
+    pos: Box<[u16]>,
     /// Record storage. Positions listed in `free` hold a stale record.
     slab: Vec<Record>,
     /// Slab positions whose packet was popped or discarded, reused before
@@ -204,10 +208,12 @@ impl Default for CyclicQueue {
 }
 
 impl CyclicQueue {
-    /// Creates an empty queue: the position table and no packet storage.
+    /// Creates an empty queue, allocating nothing: the position table
+    /// comes with the first packet, and many (AP, client) pairs never
+    /// buffer one.
     pub fn new() -> Self {
         CyclicQueue {
-            pos: Box::new([EMPTY; INDEX_SPACE as usize]),
+            pos: Box::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: 0,
@@ -299,6 +305,9 @@ impl CyclicQueue {
             .expect("downlink packet reached AP without a WGTT index");
         debug_assert!(index < INDEX_SPACE);
         debug_assert!(self.backlog() == 0 || packet.client == self.client);
+        if self.pos.is_empty() {
+            self.pos = vec![EMPTY; INDEX_SPACE as usize].into_boxed_slice();
+        }
         self.client = packet.client;
         let record = Record::pack(&packet);
         let at = self.pos[index as usize];

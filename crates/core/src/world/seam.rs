@@ -270,9 +270,18 @@ impl WgttWorld {
                 FlowKind::DownTcp(_) => 0, // TCP flows do not migrate (v1)
             });
         }
+        // The residue is reserved at exactly what is drained into it below:
+        // it is fanned out to the next cluster's APs in one instant, so a
+        // vector grown by doubling would hold up to as much again empty.
+        let best = self.best_claimant_ap(id);
+        let backlog = best
+            .and_then(|a| self.aps[a].client(id))
+            .map_or(0, |st| st.cyclic.backlog());
+        let drained = backlog + self.clients[c].uplink_queue.len() + self.pending_import[c].len();
+        rec.residue.reserve_exact(drained);
         // Downlink residue: drain the authoritative cyclic tail, in index
         // order (pop_head walks head → tail past delivery gaps).
-        if let Some(best) = self.best_claimant_ap(id) {
+        if let Some(best) = best {
             if let Some(st) = self.aps[best].client_get_mut(id) {
                 while let Some(p) = st.cyclic.pop_head() {
                     let payload = SeamPayload::Downlink(p);
@@ -292,6 +301,7 @@ impl WgttWorld {
         for payload in std::mem::take(&mut self.pending_import[c]) {
             rec.residue.push(SeamEntry::of(&flow_ids, payload));
         }
+        debug_assert_eq!(rec.residue.len(), drained);
         for ap in &mut self.aps {
             if let Some(slot) = ap.clients.get_mut(c) {
                 *slot = None;

@@ -219,3 +219,34 @@ pub fn storm_corridor(seed: u64) -> ShardedScenario {
     s.shard_faults = random_storm(&storm, &mut SimRng::new(seed).fork("storm"));
     s
 }
+
+/// `fault_storm_corridor`: one op of the benchmark's `fault_storm`
+/// workload — the two-shard ring of two vehicles a shard at 5 Mbit/s for
+/// 10 s, under the default composite storm reshaped as the workload
+/// reshapes it (`benchmark/src/workloads.rs`, `storm_config`): windows a
+/// quarter as long and four times as many, twelve 7 % backhaul-loss
+/// windows, two flapping bursts.
+pub fn fault_storm_corridor(seed: u64) -> ShardedScenario {
+    const SPLIT: usize = 4;
+    let mut cfg = SystemConfig::default();
+    cfg.deployment.num_aps = 4;
+    let duration = SimDuration::from_secs(10);
+    let mut s = ShardedScenario::ring_corridor(cfg, 2, 2, 35.0, 5_000_000, duration, seed);
+    let d = StormConfig::default();
+    let storm = StormConfig {
+        shards: s.shards,
+        n_aps: s.config.deployment.num_aps,
+        duration,
+        flap_bursts: 2,
+        backhaul_windows: 12,
+        backhaul_loss: 0.07,
+        dup_windows: d.dup_windows * SPLIT,
+        reorder_windows: d.reorder_windows * SPLIT,
+        migration_loss_windows: d.migration_loss_windows * SPLIT,
+        migration_dup_windows: d.migration_dup_windows * SPLIT,
+        window_len: d.window_len.start / SPLIT as u64..d.window_len.end / SPLIT as u64,
+        ..d
+    };
+    s.shard_faults = random_storm(&storm, &mut SimRng::new(seed).fork("storm"));
+    s
+}

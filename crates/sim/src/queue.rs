@@ -14,17 +14,23 @@
 //! horizon) threads each bucket's slots into a list, and a spill heap
 //! holds far-future timers. A bucket becomes a sorted drain list of
 //! 24-byte references only when the cursor reaches it, so the queue's
-//! memory is the slab — as deep as the most events ever pending at once,
-//! grown a quarter at a time — plus the largest single bucket, not the
-//! sum of every bucket's own high water. Freed slots are threaded onto a
-//! free list through the same link (no steady-state allocation). Nothing
-//! is ever cancelled: every timer is fire-and-check — its handler decides
-//! whether it still matters, as `SwitchEngine::on_timeout` ignores a
-//! `stop` retransmission timer its switch has already outrun — so a
-//! bucket's list only ever links live events.
+//! memory is the slab — grown a quarter at a time — plus the largest
+//! single bucket, not the sum of every bucket's own high water. Freed slots
+//! are threaded onto a free list through the same link (no steady-state
+//! allocation). The slab tracks what is pending, not what once was: when a
+//! pop leaves a slab of at least 512 slots with at most an eighth of them
+//! live — the tail of a drained burst, such as a seam import fanning a
+//! migrant's residue out to every AP in one instant — the queue moves its
+//! live events, keys unchanged, into a fresh slab of 1.25 × live and hands
+//! the old one back. Nothing is ever cancelled: every timer is
+//! fire-and-check — its handler decides whether it still matters, as
+//! `SwitchEngine::on_timeout` ignores a `stop` retransmission timer its
+//! switch has already outrun — so a bucket's list only ever links live
+//! events.
 //!
 //! The `(time, seq)` pop order is checked at unit level against an ordered
-//! map (`reference_and_calendar_agree_under_churn` here and
+//! map (`reference_and_calendar_agree_under_churn` and
+//! `a_drained_burst_hands_its_slab_back_in_order` here and
 //! `event_queue_total_order` in the root package's property tests) and end
 //! to end by the golden run digests (`tests/golden/`), which move if any two
 //! events swap.
@@ -68,6 +74,31 @@ pub fn reserve_quarter<T>(slab: &mut Vec<T>, bound: usize) {
     if len == slab.capacity() && len < bound {
         slab.reserve_exact((len / 4).max(64).min(bound - len));
     }
+}
+
+/// Slab length below which the queue never rebuilds: a small slab costs
+/// less than moving its events.
+const REBUILD_MIN_SLOTS: usize = 512;
+/// A slab of at least [`REBUILD_MIN_SLOTS`] is rebuilt once no more than
+/// `1 / REBUILD_SPARSITY` of its slots hold an event.
+const REBUILD_SPARSITY: usize = 8;
+
+/// Slab capacity a rebuild leaves for `live` events: 1.25 × live, the same
+/// headroom [`reserve_quarter`] grows by.
+fn rebuilt_capacity(live: usize) -> usize {
+    live + live / 4
+}
+
+/// Moves `from`'s event, with its key, to the end of `to` and returns its
+/// slot there.
+fn move_slot<E>(from: &mut Slot<E>, to: &mut Vec<Slot<E>>) -> u32 {
+    to.push(Slot {
+        time: from.time,
+        seq: from.seq,
+        next: NIL,
+        event: from.event.take(),
+    });
+    (to.len() - 1) as u32
 }
 
 /// Time-ordered future event list with stable FIFO tie-breaking — see the
@@ -244,7 +275,55 @@ impl<E> EventQueue<E> {
         slot.next = self.free;
         self.free = s;
         self.live -= 1;
+        if self.slots.len() >= REBUILD_MIN_SLOTS && self.live <= self.slots.len() / REBUILD_SPARSITY
+        {
+            self.rebuild();
+        }
         Some((SimTime::from_nanos(time), event))
+    }
+
+    /// Moves every pending event into a fresh slab of
+    /// [`rebuilt_capacity`] slots and frees the old one, so a drained
+    /// burst stops holding its depth for the rest of the run. Each event
+    /// keeps its `(time, push number)` key, and the ring, the spill heap
+    /// and the undrained drain list keep their entries in their order, so
+    /// no pop order changes. Every pending event is named by exactly one
+    /// of the three, which is how each is moved exactly once.
+    fn rebuild(&mut self) {
+        let mut old = std::mem::replace(
+            &mut self.slots,
+            Vec::with_capacity(rebuilt_capacity(self.live)),
+        );
+        let slots = &mut self.slots;
+        let mut cur = Vec::with_capacity(self.cur.len() - self.cur_pos);
+        for &(time, seq, s) in &self.cur[self.cur_pos..] {
+            cur.push((time, seq, move_slot(&mut old[s as usize], slots)));
+        }
+        self.cur = cur;
+        self.cur_pos = 0;
+        for cell in &mut self.ring {
+            let mut s = cell.0;
+            let mut last = NIL;
+            while s != NIL {
+                let next = old[s as usize].next;
+                let to = move_slot(&mut old[s as usize], slots);
+                match last {
+                    NIL => cell.0 = to,
+                    _ => slots[last as usize].next = to,
+                }
+                last = to;
+                s = next;
+            }
+            cell.1 = last;
+        }
+        let mut spill = std::mem::take(&mut self.spill).into_vec();
+        for std::cmp::Reverse(r) in &mut spill {
+            r.2 = move_slot(&mut old[r.2 as usize], slots);
+        }
+        // The keys are where they were, so the vector is still a heap.
+        self.spill = BinaryHeap::from(spill);
+        debug_assert_eq!(self.slots.len(), self.live);
+        self.free = NIL;
     }
 
     /// Number of events still pending.
@@ -378,6 +457,76 @@ mod tests {
             kept <= 4 * burst,
             "the queue keeps {kept} B after bursts of {burst} B (events and their references)"
         );
+    }
+
+    /// Pushes `at` to the queue and its reference, the push number as the
+    /// event.
+    fn push_both(q: &mut EventQueue<u64>, model: &mut BTreeMap<(u64, u64), u64>, at: u64) {
+        let n = q.next_seq;
+        q.push(SimTime::from_nanos(at), n);
+        model.insert((at, n), n);
+    }
+
+    #[test]
+    fn a_drained_burst_hands_its_slab_back_in_order() {
+        // A seam import: 4 096 packet copies at one instant, behind events
+        // waiting in the current bucket, ring timers and far spilled
+        // timers. Every ninth pop of the drain pushes one more event — to
+        // the current bucket, the ring or the spill in turn — so the queue
+        // falls to an eighth of its slab with the burst not yet drained and
+        // rebuilds there. Every pop matches the ordered map.
+        const BURST: u64 = 4_096;
+        let ms = 1_000_000;
+        let mut q = EventQueue::new();
+        let mut model = BTreeMap::new();
+        q.push(SimTime::from_nanos(10 * ms), u64::MAX);
+        q.pop();
+        let now = 10 * ms;
+        for i in 0..8 {
+            push_both(&mut q, &mut model, now + 100 + i);
+        }
+        for i in 1..=16 {
+            push_both(&mut q, &mut model, now + 2 * ms + i * ms);
+            push_both(&mut q, &mut model, now + i * 1_000 * ms);
+        }
+        let at = now + 2 * ms;
+        let first = q.next_seq;
+        for _ in 0..BURST {
+            push_both(&mut q, &mut model, at);
+        }
+        let burst = first..q.next_seq;
+        let deepest = q.slots.len();
+        let mut burst_left = BURST;
+        let mut rebuilt_with = None;
+        let mut pops = 0u64;
+        while burst_left > 0 {
+            let ((t, seq), e) = model.pop_first().unwrap();
+            assert_eq!(q.pop(), Some((SimTime::from_nanos(t), e)), "pop {pops}");
+            burst_left -= burst.contains(&seq) as u64;
+            if rebuilt_with.is_none() && q.slots.len() < deepest {
+                rebuilt_with = Some(burst_left);
+            }
+            pops += 1;
+            if pops % 9 == 0 {
+                let ahead = [0, 5 * ms, 2_000 * ms][(pops / 9 % 3) as usize];
+                push_both(&mut q, &mut model, t + ahead);
+            }
+            assert_eq!(q.len(), model.len());
+        }
+        assert!(
+            matches!(rebuilt_with, Some(left) if left > 0),
+            "the slab was not rebuilt mid-drain ({rebuilt_with:?} burst events left)"
+        );
+        let live = q.len();
+        assert!(
+            q.slots.capacity() <= live + live / 4 + 64,
+            "{} slots kept for {live} pending",
+            q.slots.capacity()
+        );
+        for ((t, _), e) in model {
+            assert_eq!(q.pop(), Some((SimTime::from_nanos(t), e)));
+        }
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

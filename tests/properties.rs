@@ -202,12 +202,14 @@ proptest! {
     /// `(time, push number)`, the push number being the payload —
     /// time-ordered, FIFO within a nanosecond, nothing lost. Offsets run
     /// from same-nanosecond ties through the bucket ring and past its
-    /// ~67 ms horizon (the spill heap) to `SimTime::MAX`.
+    /// ~67 ms horizon (the spill heap) to `SimTime::MAX`. Bursts of
+    /// hundreds of events at one instant, drained by runs of pops, take
+    /// the slab past the size at which a drained queue rebuilds it.
     #[test]
     fn event_queue_total_order(
         ops in proptest::collection::vec(
             (
-                0u8..6,
+                0u8..8,
                 prop_oneof![
                     0u64..2,
                     0u64..100_000,
@@ -215,6 +217,7 @@ proptest! {
                     60_000_000u64..500_000_000,
                     Just(u64::MAX),
                 ],
+                256usize..1536,
             ),
             1..400,
         ),
@@ -223,21 +226,26 @@ proptest! {
         let mut model = std::collections::BTreeSet::new();
         let mut pushed = 0usize;
         let mut now = 0u64;
-        for (kind, offset) in ops {
-            match kind {
-                0..=3 => {
-                    let at = (now.saturating_add(offset), pushed);
-                    pushed += 1;
-                    model.insert(at);
-                    q.push(SimTime::from_nanos(at.0), at.1);
-                }
-                _ => {
-                    let want = model.pop_first().map(|(t, i)| (SimTime::from_nanos(t), i));
-                    prop_assert_eq!(q.peek_time(), want.map(|(t, _)| t));
-                    prop_assert_eq!(q.pop(), want);
-                    if let Some((t, _)) = want {
-                        now = t.as_nanos();
-                    }
+        for (kind, offset, run) in ops {
+            let (pushes, pops) = match kind {
+                0..=3 => (1, 0),
+                4..=5 => (0, 1),
+                6 => (run, 0),
+                _ => (0, run),
+            };
+            let at = now.saturating_add(offset);
+            for _ in 0..pushes {
+                model.insert((at, pushed));
+                q.push(SimTime::from_nanos(at), pushed);
+                pushed += 1;
+            }
+            for _ in 0..pops {
+                let want = model.pop_first().map(|(t, i)| (SimTime::from_nanos(t), i));
+                prop_assert_eq!(q.peek_time(), want.map(|(t, _)| t));
+                prop_assert_eq!(q.pop(), want);
+                match want {
+                    Some((t, _)) => now = t.as_nanos(),
+                    None => break,
                 }
             }
             prop_assert_eq!(q.len(), model.len());
