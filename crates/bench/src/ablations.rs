@@ -13,7 +13,7 @@
 //! * `no-ctrl-priority` — control packets queue behind data at APs,
 //!   inflating the switch protocol's execution time (§3.1.2).
 
-use crate::common::{mean_over, save_json, seeds_for, sweep_seeds, tcp_drive, udp_drive};
+use crate::common::{drive, mean_over, publish, seeds_for, sweep_grid, Column};
 use serde::Serialize;
 use wgtt_core::config::Mode;
 use wgtt_core::runner::Scenario;
@@ -36,6 +36,25 @@ pub struct AblationRow {
     pub tcp_retransmits: f64,
 }
 
+const COLUMNS: [Column<AblationRow>; 6] = [
+    ("config", |r| r.name.clone()),
+    ("TCP (Mb/s)", |r| format!("{:.2}", r.tcp_mbps)),
+    ("UDP (Mb/s)", |r| format!("{:.2}", r.udp_mbps)),
+    ("switch (ms)", |r| format!("{:.1}", r.switch_ms)),
+    ("rtx/delivery", |r| format!("{:.2}", r.rtx_per_delivery)),
+    ("tcp rtx", |r| format!("{:.0}", r.tcp_retransmits)),
+];
+
+/// The configurations, the default system first.
+const ABLATIONS: [&str; 6] = [
+    "full",
+    "no-flush",
+    "no-ba-fwd",
+    "no-dedup",
+    "no-ctrl-priority",
+    "shadowing-4db",
+];
+
 fn apply(name: &str, s: &mut Scenario) {
     match name {
         "full" => {}
@@ -50,88 +69,53 @@ fn apply(name: &str, s: &mut Scenario) {
     }
 }
 
-/// Measures one configuration.
-pub fn run_experiment(name: &str, fast: bool) -> AblationRow {
-    let seeds = seeds_for(fast, 2);
-    let tcp_runs = sweep_seeds(seeds.clone(), |seed| {
-        let mut s = tcp_drive(Mode::Wgtt, 15.0, seed);
+/// Measures the named configurations: every `(configuration, transport,
+/// seed)` drive in one batch.
+pub fn run_experiment(names: &[&str], fast: bool) -> Vec<AblationRow> {
+    let cells = names.iter().flat_map(|&name| [(name, true), (name, false)]);
+    let grid = sweep_grid(cells.collect(), seeds_for(fast, 2), |&(name, tcp), seed| {
+        let mut s = drive(Mode::Wgtt, tcp, 15.0, seed);
         apply(name, &mut s);
         s
     });
-    let udp_runs = sweep_seeds(seeds, |seed| {
-        let mut s = udp_drive(Mode::Wgtt, 15.0, seed);
-        apply(name, &mut s);
-        s
-    });
-    let switch_ms = {
-        let mut times = Vec::new();
-        for r in &udp_runs {
-            for rec in r.world.ctrl.engine.history() {
-                times.push(rec.execution_time().as_secs_f64() * 1000.0);
+    grid.chunks(2)
+        .map(|pair| {
+            let ((name, _), tcp_runs) = &pair[0];
+            let udp_runs = &pair[1].1;
+            let times: Vec<f64> = udp_runs
+                .iter()
+                .flat_map(|r| r.world.ctrl.engine.history())
+                .map(|rec| rec.execution_time().as_secs_f64() * 1000.0)
+                .collect();
+            let rtx = mean_over(udp_runs, |r| {
+                let m = &r.world.clients[0].metrics;
+                if m.mpdu_successes == 0 {
+                    0.0
+                } else {
+                    m.mpdu_retransmits as f64 / m.mpdu_successes as f64
+                }
+            });
+            let tcp_rtx = mean_over(tcp_runs, |r| match &r.world.flows[0].kind {
+                wgtt_core::world::FlowKind::DownTcp(s) => s.retransmit_count() as f64,
+                _ => 0.0,
+            });
+            AblationRow {
+                name: name.to_string(),
+                tcp_mbps: mean_over(tcp_runs, |r| r.downlink_bps(0)) / 1e6,
+                udp_mbps: mean_over(udp_runs, |r| r.downlink_bps(0)) / 1e6,
+                switch_ms: wgtt_sim::stats::mean(&times),
+                rtx_per_delivery: rtx,
+                tcp_retransmits: tcp_rtx,
             }
-        }
-        wgtt_sim::stats::mean(&times)
-    };
-    let rtx = mean_over(&udp_runs, |r| {
-        let m = &r.world.clients[0].metrics;
-        if m.mpdu_successes == 0 {
-            0.0
-        } else {
-            m.mpdu_retransmits as f64 / m.mpdu_successes as f64
-        }
-    });
-    let tcp_rtx = mean_over(&tcp_runs, |r| match &r.world.flows[0].kind {
-        wgtt_core::world::FlowKind::DownTcp(s) => s.retransmit_count() as f64,
-        _ => 0.0,
-    });
-    AblationRow {
-        name: name.into(),
-        tcp_mbps: mean_over(&tcp_runs, |r| r.downlink_bps(0)) / 1e6,
-        udp_mbps: mean_over(&udp_runs, |r| r.downlink_bps(0)) / 1e6,
-        switch_ms,
-        rtx_per_delivery: rtx,
-        tcp_retransmits: tcp_rtx,
-    }
+        })
+        .collect()
 }
 
 /// Runs and renders the ablation matrix.
 pub fn report(fast: bool) -> String {
-    let rows: Vec<AblationRow> = [
-        "full",
-        "no-flush",
-        "no-ba-fwd",
-        "no-dedup",
-        "no-ctrl-priority",
-        "shadowing-4db",
-    ]
-    .iter()
-    .map(|name| run_experiment(name, fast))
-    .collect();
-    save_json("ablations", &rows);
-    let table = crate::common::render_table(
-        &[
-            "config",
-            "TCP (Mb/s)",
-            "UDP (Mb/s)",
-            "switch (ms)",
-            "rtx/delivery",
-            "tcp rtx",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    format!("{:.2}", r.tcp_mbps),
-                    format!("{:.2}", r.udp_mbps),
-                    format!("{:.1}", r.switch_ms),
-                    format!("{:.2}", r.rtx_per_delivery),
-                    format!("{:.0}", r.tcp_retransmits),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    format!("Ablations — each WGTT mechanism disabled in isolation\n{table}")
+    let rows = run_experiment(&ABLATIONS, fast);
+    let title = "Ablations — each WGTT mechanism disabled in isolation";
+    publish("ablations", &rows, title, &COLUMNS, &rows)
 }
 
 #[cfg(test)]
@@ -140,8 +124,8 @@ mod tests {
 
     #[test]
     fn control_priority_keeps_switches_fast() {
-        let full = run_experiment("full", true);
-        let slow = run_experiment("no-ctrl-priority", true);
+        let rows = run_experiment(&["full", "no-ctrl-priority"], true);
+        let (full, slow) = (&rows[0], &rows[1]);
         // The 30 ms stop-retransmission races the slowed protocol, so the
         // measured inflation is less than the raw +30 ms penalty — but it
         // must be clearly visible.
@@ -153,8 +137,8 @@ mod tests {
 
     #[test]
     fn queue_flush_matters_for_tcp() {
-        let full = run_experiment("full", true);
-        let noflush = run_experiment("no-flush", true);
+        let rows = run_experiment(&["full", "no-flush"], true);
+        let (full, noflush) = (&rows[0], &rows[1]);
         assert!(
             full.tcp_mbps > noflush.tcp_mbps,
             "flush ablation had no TCP cost: {full:?} vs {noflush:?}"

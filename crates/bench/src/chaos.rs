@@ -10,7 +10,7 @@
 //! `mis_switches` (completions misattributed across switch generations,
 //! the ABA the epoch guard kills) must be zero at every rate.
 
-use crate::common::{mean_over, render_table, save_json, seeds_for};
+use crate::common::{mean_over, publish, seeds_for, sweep_grid, Column};
 use serde::Serialize;
 use wgtt_core::config::Mode;
 use wgtt_core::runner::Scenario;
@@ -45,6 +45,21 @@ pub struct ChaosPoint {
     pub backhaul_reorders: f64,
 }
 
+const COLUMNS: [Column<ChaosPoint>; 12] = [
+    ("mph", |p| format!("{:.0}", p.mph)),
+    ("rate", |p| format!("{:.0}%", p.fault_rate * 100.0)),
+    ("Mbit/s", |p| format!("{:.2}", p.udp_mbps)),
+    ("retain", |p| format!("{:.0}%", p.retention * 100.0)),
+    ("switches", |p| format!("{:.1}", p.switches)),
+    ("mis", |p| format!("{:.1}", p.mis_switches)),
+    ("abandoned", |p| format!("{:.1}", p.abandoned_switches)),
+    ("stale ctl", |p| format!("{:.0}", p.stale_control_dropped)),
+    ("dup ctl", |p| format!("{:.0}", p.dup_control_dropped)),
+    ("dup data", |p| format!("{:.0}", p.dup_data_dropped)),
+    ("dups", |p| format!("{:.0}", p.backhaul_dup_deliveries)),
+    ("reorders", |p| format!("{:.0}", p.backhaul_reorders)),
+];
+
 /// The full sweep.
 #[derive(Debug, Serialize)]
 pub struct ChaosSweep {
@@ -78,21 +93,17 @@ pub fn run_experiment(fast: bool) -> ChaosSweep {
     } else {
         &[0.0, 0.02, 0.05, 0.10]
     };
-    let seeds = seeds_for(fast, 3);
-    // The whole (speed × fault rate × seed) grid fans out across the
-    // worker pool in one batch, speed-major (rate ascending within each
-    // speed, so the rate-0 "clean" cell aggregates before its fault cells).
-    let cells: Vec<(f64, f64)> = speeds
+    // Speed-major, rate ascending within each speed, so the rate-0
+    // "clean" cell aggregates before its fault cells.
+    let cells = speeds
         .iter()
-        .flat_map(|&mph| rates.iter().map(move |&rate| (mph, rate)))
-        .collect();
-    let grid = crate::common::sweep_grid(cells.len(), seeds, |cell, seed| {
-        let (mph, rate) = cells[cell];
+        .flat_map(|&mph| rates.iter().map(move |&rate| (mph, rate)));
+    let grid = sweep_grid(cells.collect(), seeds_for(fast, 3), |&(mph, rate), seed| {
         scenario(mph, rate, seed)
     });
     let mut points = Vec::new();
     let mut clean_mbps = f64::NAN;
-    for ((mph, rate), results) in cells.iter().copied().zip(&grid) {
+    for &((mph, rate), ref results) in &grid {
         let udp_mbps = mean_over(results, |r| r.downlink_bps(0)) / 1e6;
         if rate == 0.0 {
             clean_mbps = udp_mbps;
@@ -124,47 +135,8 @@ pub fn run_experiment(fast: bool) -> ChaosSweep {
 /// Runs and renders the chaos sweep.
 pub fn report(fast: bool) -> String {
     let sweep = run_experiment(fast);
-    save_json("chaos", &sweep);
-    let rows: Vec<Vec<String>> = sweep
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{:.0}", p.mph),
-                format!("{:.0}%", p.fault_rate * 100.0),
-                format!("{:.2}", p.udp_mbps),
-                format!("{:.0}%", p.retention * 100.0),
-                format!("{:.1}", p.switches),
-                format!("{:.1}", p.mis_switches),
-                format!("{:.1}", p.abandoned_switches),
-                format!("{:.0}", p.stale_control_dropped),
-                format!("{:.0}", p.dup_control_dropped),
-                format!("{:.0}", p.dup_data_dropped),
-                format!("{:.0}", p.backhaul_dup_deliveries),
-                format!("{:.0}", p.backhaul_reorders),
-            ]
-        })
-        .collect();
-    format!(
-        "Chaos — UDP drives with backhaul duplication + reordering (mis must be 0)\n{}",
-        render_table(
-            &[
-                "mph",
-                "rate",
-                "Mbit/s",
-                "retain",
-                "switches",
-                "mis",
-                "abandoned",
-                "stale ctl",
-                "dup ctl",
-                "dup data",
-                "dups",
-                "reorders",
-            ],
-            &rows,
-        )
-    )
+    let title = "Chaos — UDP drives with backhaul duplication + reordering (mis must be 0)";
+    publish("chaos", &sweep, title, &COLUMNS, &sweep.points)
 }
 
 #[cfg(test)]

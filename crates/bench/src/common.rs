@@ -1,5 +1,5 @@
-//! Shared harness plumbing: scenario builders, seed sweeps, table
-//! formatting, and result persistence.
+//! Shared harness plumbing: scenario builders, the one grid fan-out, the
+//! one table renderer, and result persistence.
 
 use serde::Serialize;
 use std::path::PathBuf;
@@ -66,39 +66,48 @@ pub fn tcp_drive(mode: Mode, mph: f64, seed: u64) -> Scenario {
     )
 }
 
-/// Runs the same scenario constructor over several seeds, fanned out
-/// across the [`crate::par`] worker pool, returning results in seed order.
-pub fn sweep_seeds<F>(seeds: std::ops::Range<u64>, build: F) -> Vec<RunResult>
-where
-    F: Fn(u64) -> Scenario + Sync,
-{
-    let scenarios: Vec<Scenario> = seeds.map(&build).collect();
-    crate::par::run_scenarios(scenarios)
+/// WGTT and its baseline, in the order every comparison lists them.
+pub const MODES: [Mode; 2] = [Mode::Wgtt, Mode::Enhanced80211r];
+
+/// A system's name as result files and tables spell it.
+pub fn system_name(mode: Mode) -> String {
+    match mode {
+        Mode::Wgtt => "WGTT".into(),
+        Mode::Enhanced80211r => "Enhanced 802.11r".into(),
+    }
 }
 
-/// Fans a whole experiment grid — `cells` settings × the seed range — out
-/// across the worker pool in a single batch, returning one seed-ordered
-/// result vector per cell (cell order preserved).
-///
-/// This beats per-cell [`sweep_seeds`] calls when cells are numerous and
-/// seeds are few (every `--fast` run has one seed): the pool sees
-/// `cells × seeds` independent jobs instead of `seeds`.
-pub fn sweep_grid<F>(cells: usize, seeds: std::ops::Range<u64>, build: F) -> Vec<Vec<RunResult>>
-where
-    F: Fn(usize, u64) -> Scenario + Sync,
-{
-    let seeds: Vec<u64> = seeds.collect();
-    let jobs: Vec<Scenario> = (0..cells)
-        .flat_map(|cell| seeds.iter().map(move |&s| (cell, s)))
-        .map(|(cell, s)| build(cell, s))
-        .collect();
-    let mut results = crate::par::run_scenarios(jobs);
-    let mut grid = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        let rest = results.split_off(seeds.len().min(results.len()));
-        grid.push(std::mem::replace(&mut results, rest));
+/// [`tcp_drive`] or [`udp_drive`].
+pub fn drive(mode: Mode, tcp: bool, mph: f64, seed: u64) -> Scenario {
+    if tcp {
+        tcp_drive(mode, mph, seed)
+    } else {
+        udp_drive(mode, mph, seed)
     }
-    grid
+}
+
+/// Runs `build(cell, seed)` for every cell and every seed across the
+/// [`crate::par`] worker pool in one batch — `cells × seeds` independent
+/// jobs, so a `--fast` grid (one seed) still fans out — and hands each cell
+/// back beside its seed-ordered results, in cell order.
+pub fn sweep_grid<C, F>(
+    cells: Vec<C>,
+    seeds: std::ops::Range<u64>,
+    build: F,
+) -> Vec<(C, Vec<RunResult>)>
+where
+    F: Fn(&C, u64) -> Scenario,
+{
+    let jobs: Vec<Scenario> = cells
+        .iter()
+        .flat_map(|cell| seeds.clone().map(|seed| build(cell, seed)))
+        .collect();
+    let mut results = crate::par::run_scenarios(jobs).into_iter();
+    let per_cell = seeds.count();
+    cells
+        .into_iter()
+        .map(|cell| (cell, results.by_ref().take(per_cell).collect()))
+        .collect()
 }
 
 /// Mean of per-run values produced by `f`.
@@ -107,40 +116,55 @@ pub fn mean_over<F: Fn(&RunResult) -> f64>(results: &[RunResult], f: F) -> f64 {
     wgtt_sim::stats::mean(&vals)
 }
 
-/// Renders an aligned text table.
-pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-    }
-    let mut out = String::new();
-    let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-        cells
+/// One column of a rendered table: its header and how a row fills its
+/// cell. An experiment lists its columns once, beside its row type.
+pub type Column<'h, R> = (&'h str, fn(&R) -> String);
+
+/// Renders `rows` under `columns` as an aligned text table: every column
+/// as wide as its widest cell, cells right-aligned and two spaces apart,
+/// the header underlined.
+pub fn render_table<R>(columns: &[Column<R>], rows: &[R]) -> String {
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| columns.iter().map(|(_, cell)| cell(row)).collect())
+        .collect();
+    let widths: Vec<usize> = columns
+        .iter()
+        .enumerate()
+        .map(|(i, (header, _))| {
+            cells
+                .iter()
+                .fold(header.len(), |w, row| w.max(row[i].len()))
+        })
+        .collect();
+    let line = |cells: Vec<&str>| {
+        let padded: Vec<String> = cells
             .iter()
-            .enumerate()
-            .map(|(i, c)| format!("{:>w$}", c, w = widths.get(i).copied().unwrap_or(8)))
-            .collect::<Vec<_>>()
-            .join("  ")
+            .zip(&widths)
+            .map(|(c, &w)| format!("{c:>w$}"))
+            .collect();
+        padded.join("  ") + "\n"
     };
-    let header_cells: Vec<String> = header.iter().map(|s| s.to_string()).collect();
-    out.push_str(&fmt_row(&header_cells, &widths));
-    out.push('\n');
+    let mut out = line(columns.iter().map(|(header, _)| *header).collect());
     out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
     out.push('\n');
-    for row in rows {
-        out.push_str(&fmt_row(row, &widths));
-        out.push('\n');
+    for row in &cells {
+        out.push_str(&line(row.iter().map(String::as_str).collect()));
     }
     out
 }
 
-/// Formats Mbit/s with two decimals.
-pub fn mbps(bps: f64) -> String {
-    format!("{:.2}", bps / 1e6)
+/// How every tabular experiment ends: saves `json` as
+/// `results/{id}.json`, then renders `title` over `rows` under `columns`.
+pub fn publish<J: Serialize, R>(
+    id: &str,
+    json: &J,
+    title: &str,
+    columns: &[Column<R>],
+    rows: &[R],
+) -> String {
+    save_json(id, json);
+    format!("{title}\n{}", render_table(columns, rows))
 }
 
 /// Number of seeds per data point: `fast` keeps CI/bench runs quick.
@@ -158,13 +182,12 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let t = render_table(
-            &["speed", "wgtt", "base"],
-            &[
-                vec!["5".into(), "8.71".into(), "3.30".into()],
-                vec!["25".into(), "8.00".into(), "1.90".into()],
-            ],
-        );
+        let columns: [Column<(u32, f64, f64)>; 3] = [
+            ("speed", |r| r.0.to_string()),
+            ("wgtt", |r| format!("{:.2}", r.1)),
+            ("base", |r| format!("{:.2}", r.2)),
+        ];
+        let t = render_table(&columns, &[(5, 8.71, 3.30), (25, 8.0, 1.9)]);
         assert!(t.contains("speed"));
         assert!(t.contains("8.71"));
         let lines: Vec<&str> = t.lines().collect();
@@ -177,10 +200,5 @@ mod tests {
     fn seeds_for_fast_is_single() {
         assert_eq!(seeds_for(true, 5).count(), 1);
         assert_eq!(seeds_for(false, 5).count(), 5);
-    }
-
-    #[test]
-    fn mbps_format() {
-        assert_eq!(mbps(8_710_000.0), "8.71");
     }
 }

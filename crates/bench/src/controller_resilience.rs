@@ -19,7 +19,7 @@
 //! latency; the retention gap between the arms is the experiment's
 //! headline.
 
-use crate::common::{config, mean_over, render_table, save_json, seeds_for};
+use crate::common::{config, mean_over, publish, seeds_for, sweep_grid, Column};
 use serde::Serialize;
 use wgtt_core::config::Mode;
 use wgtt_core::runner::{FlowSpec, RunResult, Scenario};
@@ -70,6 +70,23 @@ pub struct ControllerResiliencePoint {
     pub uplink_dups: f64,
 }
 
+const COLUMNS: [Column<ControllerResiliencePoint>; 14] = [
+    ("arm", |p| p.arm.to_string()),
+    ("outage s", |p| format!("{:.1}", p.outage_s)),
+    ("mph", |p| format!("{:.0}", p.mph)),
+    ("Mbit/s", |p| format!("{:.2}", p.down_mbps)),
+    ("retention", |p| format!("{:.2}", p.retention)),
+    ("resync ms", |p| format!("{:.1}", p.resync_ms)),
+    ("takeover ms", |p| format!("{:.1}", p.takeover_ms)),
+    ("fenced", |p| format!("{:.1}", p.fence_drops)),
+    ("buffered", |p| format!("{:.1}", p.uplink_buffered)),
+    ("flushed", |p| format!("{:.1}", p.uplink_flushed)),
+    ("dropped", |p| format!("{:.1}", p.uplink_dropped)),
+    ("readopt", |p| format!("{:.1}", p.local_readoptions)),
+    ("mis-sw", |p| format!("{:.1}", p.mis_switches)),
+    ("up dups", |p| format!("{:.1}", p.uplink_dups)),
+];
+
 /// The full sweep.
 #[derive(Debug, Serialize)]
 pub struct ControllerResilienceSweep {
@@ -109,28 +126,10 @@ fn scenario(outage_s: f64, mph: f64, standby: bool, seed: u64) -> Scenario {
     s
 }
 
-fn resync_ms(r: &RunResult) -> f64 {
-    let resyncs = &r.world.sys.resyncs;
-    if resyncs.is_empty() {
-        return 0.0;
-    }
-    resyncs
-        .iter()
-        .map(|&(_, d)| d.as_secs_f64() * 1e3)
-        .sum::<f64>()
-        / resyncs.len() as f64
-}
-
-fn takeover_ms(r: &RunResult) -> f64 {
-    let takeovers = &r.world.sys.takeovers;
-    if takeovers.is_empty() {
-        return 0.0;
-    }
-    takeovers
-        .iter()
-        .map(|&(_, d)| d.as_secs_f64() * 1e3)
-        .sum::<f64>()
-        / takeovers.len() as f64
+/// Mean latency of `spans` (a resync's or a takeover's), ms; 0 when none.
+fn mean_ms(spans: &[(SimTime, SimDuration)]) -> f64 {
+    let ms: Vec<f64> = spans.iter().map(|&(_, d)| d.as_secs_f64() * 1e3).collect();
+    wgtt_sim::stats::mean(&ms)
 }
 
 fn server_uplink_dups(r: &RunResult) -> f64 {
@@ -150,35 +149,30 @@ pub fn run_experiment(fast: bool) -> ControllerResilienceSweep {
         &[0.0, 0.5, 1.0, 2.0]
     };
     let speeds: &[f64] = if fast { &[15.0] } else { &[15.0, 25.0] };
-    let seeds = seeds_for(fast, 3);
-    // The whole (arm × outage × speed × seed) grid is independent — fan
-    // it out across the worker pool in one batch, outage-width major.
-    // The baseline (outage 0) runs once; each real outage runs both arms.
-    let cells: Vec<(&'static str, f64, f64)> = outages
-        .iter()
-        .flat_map(|&o| {
-            speeds.iter().flat_map(move |&mph| {
-                if o == 0.0 {
-                    vec![("none", o, mph)]
-                } else {
-                    vec![("cold", o, mph), ("standby", o, mph)]
-                }
-            })
+    // Outage-width major. The baseline (outage 0) runs once; each real
+    // outage runs both arms.
+    let cells = outages.iter().flat_map(|&o| {
+        speeds.iter().flat_map(move |&mph| {
+            if o == 0.0 {
+                vec![("none", o, mph)]
+            } else {
+                vec![("cold", o, mph), ("standby", o, mph)]
+            }
         })
-        .collect();
-    let grid = crate::common::sweep_grid(cells.len(), seeds, |cell, seed| {
-        let (arm, outage, mph) = cells[cell];
-        scenario(outage, mph, arm == "standby", seed)
     });
+    let grid = sweep_grid(
+        cells.collect(),
+        seeds_for(fast, 3),
+        |&(arm, outage, mph), seed| scenario(outage, mph, arm == "standby", seed),
+    );
     // Zero-outage goodput per speed, for the retention column.
-    let mut baseline: Vec<(f64, f64)> = Vec::new();
-    for ((arm, _, mph), results) in cells.iter().copied().zip(&grid) {
-        if arm == "none" {
-            baseline.push((mph, mean_over(results, |r| r.downlink_bps(0))));
-        }
-    }
+    let baseline: Vec<(f64, f64)> = grid
+        .iter()
+        .filter(|((arm, ..), _)| *arm == "none")
+        .map(|&((_, _, mph), ref results)| (mph, mean_over(results, |r| r.downlink_bps(0))))
+        .collect();
     let mut points = Vec::new();
-    for ((arm, outage, mph), results) in cells.iter().copied().zip(&grid) {
+    for &((arm, outage, mph), ref results) in &grid {
         let down_bps = mean_over(results, |r| r.downlink_bps(0));
         let base = baseline
             .iter()
@@ -191,8 +185,8 @@ pub fn run_experiment(fast: bool) -> ControllerResilienceSweep {
             mph,
             down_mbps: down_bps / 1e6,
             retention: if base > 0.0 { down_bps / base } else { 1.0 },
-            resync_ms: mean_over(results, resync_ms),
-            takeover_ms: mean_over(results, takeover_ms),
+            resync_ms: mean_over(results, |r| mean_ms(&r.world.sys.resyncs)),
+            takeover_ms: mean_over(results, |r| mean_ms(&r.world.sys.takeovers)),
             journal_gaps: mean_over(results, |r| r.world.sys.journal_gaps as f64),
             fence_drops: mean_over(results, |r| r.world.sys.stale_term_dropped as f64),
             uplink_buffered: mean_over(results, |r| r.world.sys.degraded_uplink_buffered as f64),
@@ -209,50 +203,13 @@ pub fn run_experiment(fast: bool) -> ControllerResilienceSweep {
 /// Runs and renders the controller-resilience sweep.
 pub fn report(fast: bool) -> String {
     let sweep = run_experiment(fast);
-    save_json("controller_resilience", &sweep);
-    let rows: Vec<Vec<String>> = sweep
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.arm.to_string(),
-                format!("{:.1}", p.outage_s),
-                format!("{:.0}", p.mph),
-                format!("{:.2}", p.down_mbps),
-                format!("{:.2}", p.retention),
-                format!("{:.1}", p.resync_ms),
-                format!("{:.1}", p.takeover_ms),
-                format!("{:.1}", p.fence_drops),
-                format!("{:.1}", p.uplink_buffered),
-                format!("{:.1}", p.uplink_flushed),
-                format!("{:.1}", p.uplink_dropped),
-                format!("{:.1}", p.local_readoptions),
-                format!("{:.1}", p.mis_switches),
-                format!("{:.1}", p.uplink_dups),
-            ]
-        })
-        .collect();
-    format!(
-        "Controller resilience — UDP drives across a controller outage (cold restart vs warm standby)\n{}",
-        render_table(
-            &[
-                "arm",
-                "outage s",
-                "mph",
-                "Mbit/s",
-                "retention",
-                "resync ms",
-                "takeover ms",
-                "fenced",
-                "buffered",
-                "flushed",
-                "dropped",
-                "readopt",
-                "mis-sw",
-                "up dups",
-            ],
-            &rows,
-        )
+    let title = "Controller resilience — UDP drives across a controller outage (cold restart vs warm standby)";
+    publish(
+        "controller_resilience",
+        &sweep,
+        title,
+        &COLUMNS,
+        &sweep.points,
     )
 }
 
@@ -282,7 +239,8 @@ mod tests {
         assert_eq!(s.zombie_standdowns, 1);
         assert_eq!(s.mis_switches, 0);
         assert_eq!(server_uplink_dups(&r), 0.0);
-        assert!(takeover_ms(&r) > 0.0 && takeover_ms(&r) < 100.0);
+        let takeover_ms = mean_ms(&s.takeovers);
+        assert!(takeover_ms > 0.0 && takeover_ms < 100.0);
         assert!(r.downlink_bps(0) > 0.0);
     }
 

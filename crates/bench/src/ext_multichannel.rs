@@ -8,9 +8,8 @@
 //! deployed design) versus a 3-channel plan (1/6/11-style striping) on the
 //! same drives.
 
-use crate::common::{
-    mean_over, save_json, seeds_for, sweep_seeds, tcp_drive, udp_drive, UDP_PAYLOAD,
-};
+use crate::common::{config, mean_over, publish, seeds_for, sweep_grid, Column};
+use crate::common::{BULK_UDP_BPS, UDP_PAYLOAD};
 use serde::Serialize;
 use wgtt_core::config::Mode;
 use wgtt_core::runner::{FlowSpec, Scenario};
@@ -30,75 +29,63 @@ pub struct ChannelPlanRow {
     pub ba_forwarded: f64,
 }
 
-/// Measures one channel plan.
-pub fn run_experiment(channels: usize, fast: bool) -> ChannelPlanRow {
-    let seeds = seeds_for(fast, 2);
-    let with_plan = |mut s: Scenario| {
-        s.config.channel_stride = channels;
+const COLUMNS: [Column<ChannelPlanRow>; 5] = [
+    ("channels", |r| r.channels.to_string()),
+    ("TCP (Mb/s)", |r| format!("{:.2}", r.tcp_mbps)),
+    ("UDP (Mb/s)", |r| format!("{:.2}", r.udp_mbps)),
+    ("uplink loss", |r| format!("{:.3}", r.uplink_loss)),
+    ("BA fwd", |r| format!("{:.0}", r.ba_forwarded)),
+];
+
+/// Measures each channel plan: every `(plan, drive, seed)` run in one
+/// batch.
+pub fn run_experiment(plans: &[usize], fast: bool) -> Vec<ChannelPlanRow> {
+    // Downlink TCP, downlink UDP and uplink UDP drives.
+    let flows = [
+        FlowSpec::DownlinkTcp { limit: None },
+        FlowSpec::DownlinkUdp {
+            rate_bps: BULK_UDP_BPS,
+            payload: UDP_PAYLOAD,
+        },
+        FlowSpec::UplinkUdp {
+            rate_bps: 4_000_000,
+            payload: UDP_PAYLOAD,
+        },
+    ];
+    let cells = plans
+        .iter()
+        .flat_map(|&n| flows.clone().map(|flow| (n, flow)));
+    let grid = sweep_grid(cells.collect(), seeds_for(fast, 2), |(n, flow), seed| {
+        let mut s = Scenario::single_drive(config(Mode::Wgtt), 15.0, vec![flow.clone()], seed);
+        s.config.channel_stride = *n;
         s
-    };
-    let tcp_runs = sweep_seeds(seeds.clone(), |seed| {
-        with_plan(tcp_drive(Mode::Wgtt, 15.0, seed))
     });
-    let udp_runs = sweep_seeds(seeds.clone(), |seed| {
-        with_plan(udp_drive(Mode::Wgtt, 15.0, seed))
-    });
-    let up_runs = sweep_seeds(seeds, |seed| {
-        with_plan(Scenario::single_drive(
-            crate::common::config(Mode::Wgtt),
-            15.0,
-            vec![FlowSpec::UplinkUdp {
-                rate_bps: 4_000_000,
-                payload: UDP_PAYLOAD,
-            }],
-            seed,
-        ))
-    });
-    ChannelPlanRow {
-        channels,
-        tcp_mbps: mean_over(&tcp_runs, |r| r.downlink_bps(0)) / 1e6,
-        udp_mbps: mean_over(&udp_runs, |r| r.downlink_bps(0)) / 1e6,
-        uplink_loss: mean_over(&up_runs, |r| {
-            r.world.flows[0]
-                .up_sink
-                .as_ref()
-                .map_or(0.0, |s| s.loss_rate())
-        }),
-        ba_forwarded: mean_over(&udp_runs, |r| {
-            r.world.clients[0].metrics.ba_forwarded_applied as f64
-        }),
-    }
+    grid.chunks(3)
+        .map(|plan| {
+            let (tcp_runs, udp_runs, up_runs) = (&plan[0].1, &plan[1].1, &plan[2].1);
+            ChannelPlanRow {
+                channels: plan[0].0 .0,
+                tcp_mbps: mean_over(tcp_runs, |r| r.downlink_bps(0)) / 1e6,
+                udp_mbps: mean_over(udp_runs, |r| r.downlink_bps(0)) / 1e6,
+                uplink_loss: mean_over(up_runs, |r| {
+                    r.world.flows[0]
+                        .up_sink
+                        .as_ref()
+                        .map_or(0.0, |s| s.loss_rate())
+                }),
+                ba_forwarded: mean_over(udp_runs, |r| {
+                    r.world.clients[0].metrics.ba_forwarded_applied as f64
+                }),
+            }
+        })
+        .collect()
 }
 
 /// Runs and renders the extension study.
 pub fn report(fast: bool) -> String {
-    let rows: Vec<ChannelPlanRow> = [1usize, 3]
-        .iter()
-        .map(|&n| run_experiment(n, fast))
-        .collect();
-    save_json("ext_multichannel", &rows);
-    let table = crate::common::render_table(
-        &[
-            "channels",
-            "TCP (Mb/s)",
-            "UDP (Mb/s)",
-            "uplink loss",
-            "BA fwd",
-        ],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.channels.to_string(),
-                    format!("{:.2}", r.tcp_mbps),
-                    format!("{:.2}", r.udp_mbps),
-                    format!("{:.3}", r.uplink_loss),
-                    format!("{:.0}", r.ba_forwarded),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    format!("Extension (§7) — single-channel vs 3-channel striping under WGTT\n{table}")
+    let rows = run_experiment(&[1, 3], fast);
+    let title = "Extension (§7) — single-channel vs 3-channel striping under WGTT";
+    publish("ext_multichannel", &rows, title, &COLUMNS, &rows)
 }
 
 #[cfg(test)]
@@ -109,8 +96,8 @@ mod tests {
     fn striping_raises_uplink_loss() {
         // The paper's §7 prediction: losing cross-AP overhearing hurts the
         // uplink.
-        let single = run_experiment(1, true);
-        let striped = run_experiment(3, true);
+        let rows = run_experiment(&[1, 3], true);
+        let (single, striped) = (&rows[0], &rows[1]);
         assert!(
             striped.uplink_loss > single.uplink_loss,
             "striping did not raise uplink loss: {single:?} vs {striped:?}"

@@ -8,8 +8,9 @@
 use crate::common::save_json;
 use serde::Serialize;
 use wgtt_core::config::SystemConfig;
-use wgtt_phy::{ConstantSpeed, Trajectory, WirelessLink, CONTROLLER_MODULATION};
-use wgtt_sim::{SimRng, SimTime};
+use wgtt_core::world::scenario_link;
+use wgtt_phy::{ConstantSpeed, Trajectory, CONTROLLER_MODULATION};
+use wgtt_sim::SimTime;
 
 /// One sampled instant.
 #[derive(Debug, Clone, Serialize)]
@@ -41,16 +42,8 @@ pub struct RegimeResult {
 pub fn run_experiment(mph: f64, seed: u64) -> RegimeResult {
     let cfg = SystemConfig::default();
     let dep = cfg.deployment.build();
-    let root = SimRng::new(seed);
-    let links: Vec<WirelessLink> = dep
-        .aps
-        .iter()
-        .enumerate()
-        .map(|(a, site)| {
-            let mut r = root.fork(&format!("link/{a}/0"));
-            WirelessLink::new(*site, cfg.link.clone(), &mut r)
-        })
-        .collect();
+    let link = |a| scenario_link(seed, &dep, &cfg.link, a, 0);
+    let links: Vec<_> = (0..dep.aps.len()).map(link).collect();
     let traj = ConstantSpeed::drive_by(&dep, mph, 4.0);
     let total = traj.transit_time(&dep, 4.0);
 
@@ -120,6 +113,30 @@ pub fn report(_fast: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fig 2 samples the channel a world's first client sees: at one seed
+    /// its links are `Scenario::build`'s `links[a][0]`, bit for bit.
+    #[test]
+    fn regime_links_are_the_worlds() {
+        let seed = 42;
+        let cfg = SystemConfig::default();
+        let dep = cfg.deployment.build();
+        let sim = crate::common::udp_drive(wgtt_core::Mode::Wgtt, 15.0, seed).build();
+        let world = sim.world();
+        assert_eq!(dep.aps.len(), world.links.len());
+        let pos = wgtt_phy::Position::new(12.0, world.deployment.lane_near_y, 1.5);
+        for a in 0..dep.aps.len() {
+            let link = scenario_link(seed, &dep, &cfg.link, a, 0);
+            for ms in [0, 7, 250, 1_300] {
+                let t = SimTime::from_millis(ms);
+                let esnr = |l: &wgtt_phy::WirelessLink| {
+                    l.memo(t, &pos, 6.7).esnr_db(CONTROLLER_MODULATION)
+                };
+                let (fig, built) = (esnr(&link), esnr(&world.links[a][0]));
+                assert_eq!(fig.to_bits(), built.to_bits(), "AP{a} at {ms} ms");
+            }
+        }
+    }
 
     #[test]
     fn regime_shows_ms_scale_flips() {

@@ -11,10 +11,10 @@
 //! We reproduce with the baseline in "stock" tuning: 5 s roam hysteresis,
 //! sluggish RSSI smoothing, and a two-AP segment like the paper's plot.
 
-use crate::common::{save_json, UDP_PAYLOAD};
+use crate::common::{save_json, sweep_grid, UDP_PAYLOAD};
 use serde::Serialize;
 use wgtt_core::config::{Mode, SystemConfig};
-use wgtt_core::runner::{run, ClientSpec, FlowSpec, Scenario, TrajectorySpec};
+use wgtt_core::runner::{ClientSpec, FlowSpec, RunResult, Scenario, TrajectorySpec};
 use wgtt_sim::SimDuration;
 
 /// Output per speed.
@@ -52,15 +52,14 @@ fn stock_config() -> SystemConfig {
     cfg
 }
 
-/// Runs the stall experiment at one speed.
-pub fn run_experiment(mph: f64, seed: u64) -> StallResult {
+fn scenario(mph: f64, seed: u64) -> Scenario {
     let cfg = stock_config();
     let dep = cfg.deployment.build();
     let (lo, hi) = dep.extent();
     let lead = 4.0;
     let span = (hi - lo) + 2.0 * lead + 10.0;
     let secs = span / wgtt_phy::mph_to_mps(mph);
-    let scenario = Scenario {
+    Scenario {
         config: cfg,
         clients: vec![ClientSpec {
             trajectory: TrajectorySpec::DriveBy {
@@ -77,37 +76,46 @@ pub fn run_experiment(mph: f64, seed: u64) -> StallResult {
         log_deliveries: true,
         flow_start: SimDuration::from_millis(1),
         faults: wgtt_sim::FaultSchedule::default(),
-    };
-    let duration = scenario.duration;
-    let res = run(scenario);
-    let m = &res.world.clients[0].metrics;
-    let switch_at = m
-        .assoc_timeline
-        .iter()
-        .find(|(_, ap)| *ap == Some(wgtt_net::ApId(1)))
-        .map(|(t, _)| t.as_secs_f64());
-    let last = res.world.clients[0]
-        .delivery_log
-        .as_ref()
-        .and_then(|log| log.last().map(|d| d.at.as_secs_f64()));
-    StallResult {
-        mph,
-        handover_succeeded: switch_at.is_some(),
-        switch_at_s: switch_at,
-        last_delivery_s: last,
-        capacity_loss_mbit: m.mean_capacity_loss_bps() / 1e6 * duration.as_secs_f64(),
-        goodput_mbps: m.mean_downlink_bps(duration) / 1e6,
     }
+}
+
+/// Runs the stall experiment at each speed, all in one batch.
+pub fn run_experiment(speeds: &[f64], seed: u64) -> Vec<StallResult> {
+    let grid = sweep_grid(speeds.to_vec(), seed..seed + 1, |&mph, seed| {
+        scenario(mph, seed)
+    });
+    let stall = |(mph, runs): &(f64, Vec<RunResult>)| {
+        let (mph, res) = (*mph, &runs[0]);
+        let m = &res.world.clients[0].metrics;
+        let switch_at = m
+            .assoc_timeline
+            .iter()
+            .find(|(_, ap)| *ap == Some(wgtt_net::ApId(1)))
+            .map(|(t, _)| t.as_secs_f64());
+        let last = res.world.clients[0]
+            .delivery_log
+            .as_ref()
+            .and_then(|log| log.last().map(|d| d.at.as_secs_f64()));
+        let secs = res.duration.as_secs_f64();
+        StallResult {
+            mph,
+            handover_succeeded: switch_at.is_some(),
+            switch_at_s: switch_at,
+            last_delivery_s: last,
+            capacity_loss_mbit: m.mean_capacity_loss_bps() / 1e6 * secs,
+            goodput_mbps: m.mean_downlink_bps(res.duration) / 1e6,
+        }
+    };
+    grid.iter().map(stall).collect()
 }
 
 /// Runs and renders the Fig 4 experiment.
 pub fn report(_fast: bool) -> String {
-    let fast20 = run_experiment(20.0, 7);
-    let slow5 = run_experiment(5.0, 7);
-    save_json("fig04_80211r_stall", &vec![&fast20, &slow5]);
-    let fmt = |r: &StallResult| {
+    let results = run_experiment(&[20.0, 5.0], 7);
+    save_json("fig04_80211r_stall", &results);
+    let line = |r: &StallResult| {
         format!(
-            "  {:>2.0} mph: handover={} switch_at={} last_rx={} capacity_loss={:.0} Mbit goodput={:.1} Mbit/s",
+            "  {:>2.0} mph: handover={} switch_at={} last_rx={} capacity_loss={:.0} Mbit goodput={:.1} Mbit/s\n",
             r.mph,
             if r.handover_succeeded { "ok " } else { "FAILED" },
             r.switch_at_s.map_or("-".into(), |t| format!("{t:.1}s")),
@@ -116,11 +124,8 @@ pub fn report(_fast: bool) -> String {
             r.goodput_mbps,
         )
     };
-    format!(
-        "Fig 4 — stock 802.11r (5 s RSSI history) across two picocells\n{}\n{}\n",
-        fmt(&fast20),
-        fmt(&slow5)
-    )
+    let lines: String = results.iter().map(line).collect();
+    format!("Fig 4 — stock 802.11r (5 s RSSI history) across two picocells\n{lines}")
 }
 
 #[cfg(test)]
@@ -129,8 +134,8 @@ mod tests {
 
     #[test]
     fn stock_80211r_fails_at_speed_and_lags_when_slow() {
-        let fast = run_experiment(20.0, 3);
-        let slow = run_experiment(5.0, 3);
+        let results = run_experiment(&[20.0, 5.0], 3);
+        let (fast, slow) = (&results[0], &results[1]);
         // At 20 mph the 5 s history outlives the dwell: no handover.
         assert!(!fast.handover_succeeded, "{fast:?}");
         // At 5 mph the handover happens, but only after seconds.

@@ -7,8 +7,9 @@
 use crate::common::save_json;
 use serde::Serialize;
 use wgtt_core::config::SystemConfig;
-use wgtt_phy::{Position, WirelessLink, CONTROLLER_MODULATION};
-use wgtt_sim::{SimRng, SimTime};
+use wgtt_core::world::scenario_link;
+use wgtt_phy::{Position, CONTROLLER_MODULATION};
+use wgtt_sim::SimTime;
 
 /// The sampled heatmap.
 #[derive(Debug, Serialize)]
@@ -32,16 +33,8 @@ pub struct Heatmap {
 pub fn run_experiment(seed: u64) -> Heatmap {
     let cfg = SystemConfig::default();
     let dep = cfg.deployment.build();
-    let root = SimRng::new(seed);
-    let links: Vec<WirelessLink> = dep
-        .aps
-        .iter()
-        .enumerate()
-        .map(|(a, site)| {
-            let mut r = root.fork(&format!("link/{a}/0"));
-            WirelessLink::new(*site, cfg.link.clone(), &mut r)
-        })
-        .collect();
+    let link = |a| scenario_link(seed, &dep, &cfg.link, a, 0);
+    let links: Vec<_> = (0..dep.aps.len()).map(link).collect();
     let (lo, hi) = dep.extent();
     let xs: Vec<f64> = (0..=((hi - lo + 16.0) as usize))
         .map(|i| lo - 8.0 + i as f64)

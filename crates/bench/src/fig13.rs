@@ -5,7 +5,8 @@
 //! paper's 2.4–4.7× TCP and 2.6–4.0× UDP gains. A stationary client shows
 //! only a small gap (both systems sit on one good AP).
 
-use crate::common::{mean_over, save_json, seeds_for, tcp_drive, udp_drive};
+use crate::common::{config, drive, mean_over, render_table, save_json, seeds_for, sweep_grid};
+use crate::common::{Column, BULK_UDP_BPS, MODES, UDP_PAYLOAD};
 use serde::Serialize;
 use wgtt_core::config::Mode;
 use wgtt_core::runner::{ClientSpec, FlowSpec, Scenario, TrajectorySpec};
@@ -33,6 +34,14 @@ impl SpeedPoint {
     }
 }
 
+/// The first header names the transport: `TCP mph`, `UDP mph`.
+const COLUMNS: [Column<SpeedPoint>; 4] = [
+    ("mph", |p| format!("{:.0}", p.mph)),
+    ("WGTT", |p| format!("{:.2}", p.wgtt_mbps)),
+    ("802.11r", |p| format!("{:.2}", p.baseline_mbps)),
+    ("gain", |p| format!("{:.1}x", p.gain())),
+];
+
 /// Full result: one series per transport.
 #[derive(Debug, Serialize)]
 pub struct SpeedSweep {
@@ -48,12 +57,12 @@ fn stationary_scenario(mode: Mode, tcp: bool, seed: u64) -> Scenario {
         vec![FlowSpec::DownlinkTcp { limit: None }]
     } else {
         vec![FlowSpec::DownlinkUdp {
-            rate_bps: crate::common::BULK_UDP_BPS,
-            payload: crate::common::UDP_PAYLOAD,
+            rate_bps: BULK_UDP_BPS,
+            payload: UDP_PAYLOAD,
         }]
     };
     Scenario {
-        config: crate::common::config(mode),
+        config: config(mode),
         clients: vec![ClientSpec {
             trajectory: TrajectorySpec::Stationary { x: 22.5 },
             flows,
@@ -69,57 +78,41 @@ fn stationary_scenario(mode: Mode, tcp: bool, seed: u64) -> Scenario {
 fn scenario(mode: Mode, tcp: bool, mph: f64, seed: u64) -> Scenario {
     if mph == 0.0 {
         stationary_scenario(mode, tcp, seed)
-    } else if tcp {
-        tcp_drive(mode, mph, seed)
     } else {
-        udp_drive(mode, mph, seed)
+        drive(mode, tcp, mph, seed)
     }
 }
 
-/// Runs the full sweep. Every `(transport, speed, mode, seed)` run is
-/// independent, so the whole grid fans out across the worker pool in one
-/// batch rather than sweeping each point serially.
+/// Runs the full sweep: every `(transport, speed, system, seed)` run in
+/// one batch.
 pub fn run_experiment(fast: bool) -> SpeedSweep {
     let speeds: &[f64] = if fast {
         &[0.0, 5.0, 15.0, 35.0]
     } else {
         &[0.0, 5.0, 15.0, 25.0, 35.0]
     };
-    let seeds = seeds_for(fast, 3);
-    // Cell order: transport-major, then speed, then mode — matched by the
-    // reassembly below.
-    let modes = [Mode::Wgtt, Mode::Enhanced80211r];
-    let cells: Vec<(bool, f64, Mode)> = [true, false]
-        .iter()
-        .flat_map(|&tcp| {
-            speeds
-                .iter()
-                .flat_map(move |&mph| modes.into_iter().map(move |mode| (tcp, mph, mode)))
-        })
-        .collect();
-    let grid = crate::common::sweep_grid(cells.len(), seeds, |cell, seed| {
-        let (tcp, mph, mode) = cells[cell];
-        scenario(mode, tcp, mph, seed)
-    });
-    let mbps = |cell: usize| mean_over(&grid[cell], |r| r.downlink_bps(0)) / 1e6;
-    let series = |tcp_block: usize| -> Vec<SpeedPoint> {
+    let cells = [true, false].into_iter().flat_map(|tcp| {
         speeds
             .iter()
-            .enumerate()
-            .map(|(si, &mph)| {
-                let base = tcp_block * speeds.len() * 2 + si * 2;
-                SpeedPoint {
-                    mph,
-                    wgtt_mbps: mbps(base),
-                    baseline_mbps: mbps(base + 1),
-                }
-            })
-            .collect()
-    };
-    SpeedSweep {
-        tcp: series(0),
-        udp: series(1),
+            .flat_map(move |&mph| MODES.map(|mode| (tcp, mph, mode)))
+    });
+    let grid = sweep_grid(
+        cells.collect(),
+        seeds_for(fast, 3),
+        |&(tcp, mph, mode), seed| scenario(mode, tcp, mph, seed),
+    );
+    let mbps = |(_, runs): &(_, Vec<_>)| mean_over(runs, |r| r.downlink_bps(0)) / 1e6;
+    let (mut tcp, mut udp) = (Vec::new(), Vec::new());
+    for pair in grid.chunks(2) {
+        let (is_tcp, mph, _) = pair[0].0;
+        let point = SpeedPoint {
+            mph,
+            wgtt_mbps: mbps(&pair[0]),
+            baseline_mbps: mbps(&pair[1]),
+        };
+        if is_tcp { &mut tcp } else { &mut udp }.push(point);
     }
+    SpeedSweep { tcp, udp }
 }
 
 /// Runs and renders Fig 13.
@@ -127,19 +120,10 @@ pub fn report(fast: bool) -> String {
     let sweep = run_experiment(fast);
     save_json("fig13_speed_sweep", &sweep);
     let render = |name: &str, pts: &[SpeedPoint]| {
-        crate::common::render_table(
-            &[&format!("{name} mph"), "WGTT", "802.11r", "gain"],
-            &pts.iter()
-                .map(|p| {
-                    vec![
-                        format!("{:.0}", p.mph),
-                        format!("{:.2}", p.wgtt_mbps),
-                        format!("{:.2}", p.baseline_mbps),
-                        format!("{:.1}x", p.gain()),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        )
+        let header = format!("{name} mph");
+        let mut columns = COLUMNS;
+        columns[0].0 = &header;
+        render_table(&columns, pts)
     };
     format!(
         "Fig 13 — throughput vs speed, Mbit/s (paper: 2.4–4.7× TCP, 2.6–4.0× UDP gains)\nTCP:\n{}UDP:\n{}",
@@ -156,7 +140,6 @@ mod tests {
     fn wgtt_flat_baseline_degrades() {
         // Fast sweep with one seed; shape checks only.
         let sweep = run_experiment(true);
-        save_json("fig13_speed_sweep_test", &sweep);
         // Moving points (≥5 mph) must show a clear WGTT gain on UDP.
         for p in sweep.udp.iter().filter(|p| p.mph >= 5.0) {
             assert!(

@@ -5,10 +5,10 @@
 //! throughput collapsing at cell edges — and for TCP the resulting RTO
 //! backoff effectively kills the connection (the paper's 5.86 s event).
 
-use crate::common::{save_json, tcp_drive, udp_drive};
+use crate::common::{drive, save_json, sweep_grid, system_name, MODES};
 use serde::Serialize;
 use wgtt_core::config::Mode;
-use wgtt_core::runner::run;
+use wgtt_core::runner::RunResult;
 
 /// A timeseries for one run.
 #[derive(Debug, Serialize)]
@@ -30,15 +30,18 @@ pub struct Timeseries {
     pub final_consecutive_rtos: Option<u32>,
 }
 
-/// Runs one timeseries.
-pub fn run_experiment(mode: Mode, tcp: bool, seed: u64) -> Timeseries {
-    let scenario = if tcp {
-        tcp_drive(mode, 15.0, seed)
-    } else {
-        udp_drive(mode, 15.0, seed)
-    };
-    let duration = scenario.duration;
-    let res = run(scenario);
+/// Runs one 15 mph drive per `(system, transport TCP?)` cell, all in one
+/// batch.
+pub fn run_experiment(cells: &[(Mode, bool)], seed: u64) -> Vec<Timeseries> {
+    let grid = sweep_grid(cells.to_vec(), seed..seed + 1, |&(mode, tcp), seed| {
+        drive(mode, tcp, 15.0, seed)
+    });
+    grid.iter()
+        .map(|((mode, tcp), res)| timeseries(*mode, *tcp, &res[0]))
+        .collect()
+}
+
+fn timeseries(mode: Mode, tcp: bool, res: &RunResult) -> Timeseries {
     let m = &res.world.clients[0].metrics;
     // Re-bin 100 ms series into 500 ms.
     let rates = m.downlink.rates();
@@ -58,15 +61,12 @@ pub fn run_experiment(mode: Mode, tcp: bool, seed: u64) -> Timeseries {
         _ => None,
     });
     Timeseries {
-        system: match mode {
-            Mode::Wgtt => "WGTT".into(),
-            Mode::Enhanced80211r => "Enhanced 802.11r".into(),
-        },
+        system: system_name(mode),
         transport: if tcp { "TCP".into() } else { "UDP".into() },
         throughput: through,
         association: assoc,
         switches: m.switch_count(),
-        mean_mbps: m.mean_downlink_bps(duration) / 1e6,
+        mean_mbps: m.mean_downlink_bps(res.duration) / 1e6,
         final_consecutive_rtos: rtos,
     }
 }
@@ -89,21 +89,13 @@ fn render(ts: &Timeseries) -> String {
 
 /// Runs and renders Figs 14 & 15.
 pub fn report(_fast: bool) -> String {
-    let wgtt_tcp = run_experiment(Mode::Wgtt, true, 21);
-    let base_tcp = run_experiment(Mode::Enhanced80211r, true, 21);
-    let wgtt_udp = run_experiment(Mode::Wgtt, false, 21);
-    let base_udp = run_experiment(Mode::Enhanced80211r, false, 21);
-    save_json(
-        "fig14_fig15_timeseries",
-        &vec![&wgtt_tcp, &base_tcp, &wgtt_udp, &base_udp],
-    );
-    format!(
-        "Figs 14/15 — 15 mph drive timeseries (full series in results/)\n{}{}{}{}",
-        render(&wgtt_tcp),
-        render(&base_tcp),
-        render(&wgtt_udp),
-        render(&base_udp)
-    )
+    let cells = [true, false]
+        .into_iter()
+        .flat_map(|tcp| MODES.map(|mode| (mode, tcp)));
+    let runs = run_experiment(&cells.collect::<Vec<_>>(), 21);
+    save_json("fig14_fig15_timeseries", &runs);
+    let lines: String = runs.iter().map(render).collect();
+    format!("Figs 14/15 — 15 mph drive timeseries (full series in results/)\n{lines}")
 }
 
 #[cfg(test)]
@@ -112,7 +104,7 @@ mod tests {
 
     #[test]
     fn wgtt_switches_fast_and_stays_alive() {
-        let ts = run_experiment(Mode::Wgtt, false, 5);
+        let ts = &run_experiment(&[(Mode::Wgtt, false)], 5)[0];
         // Paper: ≈5 switches per second at 15 mph. Require multiple per
         // second of drive.
         let secs = ts.throughput.len() as f64 * 0.5;
@@ -128,8 +120,8 @@ mod tests {
 
     #[test]
     fn baseline_stalls_and_switches_rarely() {
-        let base = run_experiment(Mode::Enhanced80211r, false, 5);
-        let wgtt = run_experiment(Mode::Wgtt, false, 5);
+        let runs = run_experiment(&[(Mode::Enhanced80211r, false), (Mode::Wgtt, false)], 5);
+        let (base, wgtt) = (&runs[0], &runs[1]);
         // The baseline's mean collapses relative to WGTT (its timeline is
         // bursts separated by stalls)…
         assert!(

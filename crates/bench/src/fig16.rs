@@ -6,10 +6,10 @@
 //! paper's WGTT reaches a 90th percentile of ~70 Mbit/s, ~30 Mbit/s above
 //! Enhanced 802.11r, because packets ride the momentarily best link.
 
-use crate::common::{save_json, tcp_drive, udp_drive};
+use crate::common::{drive, publish, sweep_grid, system_name, Column, MODES};
 use serde::Serialize;
 use wgtt_core::config::Mode;
-use wgtt_core::runner::run;
+use wgtt_core::runner::RunResult;
 use wgtt_sim::stats::{ecdf, quantile};
 
 /// CDF summary for one run.
@@ -25,28 +25,38 @@ pub struct BitrateCdf {
     pub cdf: Vec<(f64, f64)>,
 }
 
-/// Measures the delivered-rate CDF.
-pub fn run_experiment(mode: Mode, tcp: bool, seed: u64) -> BitrateCdf {
-    let scenario = if tcp {
-        tcp_drive(mode, 15.0, seed)
-    } else {
-        udp_drive(mode, 15.0, seed)
-    };
-    let duration = scenario.duration;
-    let res = run(scenario);
+const COLUMNS: [Column<BitrateCdf>; 7] = [
+    ("system", |r| r.system.clone()),
+    ("proto", |r| r.transport.clone()),
+    ("p10", |r| format!("{:.1}", r.quantiles_mbps[0])),
+    ("p25", |r| format!("{:.1}", r.quantiles_mbps[1])),
+    ("p50", |r| format!("{:.1}", r.quantiles_mbps[2])),
+    ("p75", |r| format!("{:.1}", r.quantiles_mbps[3])),
+    ("p90", |r| format!("{:.1}", r.quantiles_mbps[4])),
+];
+
+/// Measures the delivered-rate CDF of one 15 mph drive per `(system,
+/// transport TCP?)` cell, all in one batch.
+pub fn run_experiment(cells: &[(Mode, bool)], seed: u64) -> Vec<BitrateCdf> {
+    let grid = sweep_grid(cells.to_vec(), seed..seed + 1, |&(mode, tcp), seed| {
+        drive(mode, tcp, 15.0, seed)
+    });
+    grid.iter()
+        .map(|((mode, tcp), res)| bitrate_cdf(*mode, *tcp, &res[0]))
+        .collect()
+}
+
+fn bitrate_cdf(mode: Mode, tcp: bool, res: &RunResult) -> BitrateCdf {
     let rates = &res.world.clients[0]
         .metrics
-        .link_rate_timeline_mbps(duration);
+        .link_rate_timeline_mbps(res.duration);
     let qs = [0.10, 0.25, 0.50, 0.75, 0.90].map(|q| quantile(rates, q));
     // Thin the stored CDF for the JSON file.
     let full = ecdf(rates);
     let step = (full.len() / 200).max(1);
     let cdf = full.into_iter().step_by(step).collect();
     BitrateCdf {
-        system: match mode {
-            Mode::Wgtt => "WGTT".into(),
-            Mode::Enhanced80211r => "Enhanced 802.11r".into(),
-        },
+        system: system_name(mode),
         transport: if tcp { "TCP".into() } else { "UDP".into() },
         quantiles_mbps: qs,
         cdf,
@@ -55,26 +65,12 @@ pub fn run_experiment(mode: Mode, tcp: bool, seed: u64) -> BitrateCdf {
 
 /// Runs and renders Fig 16.
 pub fn report(_fast: bool) -> String {
-    let runs = vec![
-        run_experiment(Mode::Wgtt, false, 16),
-        run_experiment(Mode::Enhanced80211r, false, 16),
-        run_experiment(Mode::Wgtt, true, 16),
-        run_experiment(Mode::Enhanced80211r, true, 16),
-    ];
-    save_json("fig16_bitrate_cdf", &runs);
-    let rows: Vec<Vec<String>> = runs
-        .iter()
-        .map(|r| {
-            let mut row = vec![r.system.clone(), r.transport.clone()];
-            row.extend(r.quantiles_mbps.iter().map(|v| format!("{v:.1}")));
-            row
-        })
-        .collect();
-    let table = crate::common::render_table(
-        &["system", "proto", "p10", "p25", "p50", "p75", "p90"],
-        &rows,
-    );
-    format!("Fig 16 — delivered link bit rate CDF, Mbit/s (paper: WGTT p90 ≈ 70)\n{table}")
+    let cells = [false, true]
+        .into_iter()
+        .flat_map(|tcp| MODES.map(|mode| (mode, tcp)));
+    let runs = run_experiment(&cells.collect::<Vec<_>>(), 16);
+    let title = "Fig 16 — delivered link bit rate CDF, Mbit/s (paper: WGTT p90 ≈ 70)";
+    publish("fig16_bitrate_cdf", &runs, title, &COLUMNS, &runs)
 }
 
 #[cfg(test)]
@@ -83,8 +79,8 @@ mod tests {
 
     #[test]
     fn wgtt_rides_higher_rates() {
-        let w = run_experiment(Mode::Wgtt, false, 6);
-        let b = run_experiment(Mode::Enhanced80211r, false, 6);
+        let runs = run_experiment(&[(Mode::Wgtt, false), (Mode::Enhanced80211r, false)], 6);
+        let (w, b) = (&runs[0], &runs[1]);
         // p90 well into the upper MCS range for WGTT (the per-bin mean
         // dilutes instantaneous peaks, so this sits below the raw 72.2
         // MCS7 rate)…

@@ -8,10 +8,11 @@
 //! (every AP forwards what it hears) loss stays below ~2 %, while a
 //! single-AP uplink suffers loss spikes at every cell edge.
 
-use crate::common::{save_json, seeds_for, UDP_PAYLOAD};
+use crate::common::{config, render_table, save_json, seeds_for, sweep_grid};
+use crate::common::{Column, BULK_UDP_BPS, MODES, UDP_PAYLOAD};
 use serde::Serialize;
 use wgtt_core::config::Mode;
-use wgtt_core::runner::{ClientSpec, FlowSpec, Scenario, TrajectorySpec};
+use wgtt_core::runner::{ClientSpec, FlowSpec, RunResult, Scenario, TrajectorySpec};
 use wgtt_sim::SimDuration;
 
 /// One Fig 17 data point.
@@ -24,6 +25,16 @@ pub struct MultiClientPoint {
     /// Mean per-client goodput, baseline, Mbit/s.
     pub baseline_mbps: f64,
 }
+
+/// The first header names the transport: `TCP clients`, `UDP clients`.
+const COLUMNS: [Column<MultiClientPoint>; 4] = [
+    ("clients", |p| p.clients.to_string()),
+    ("WGTT", |p| format!("{:.2}", p.wgtt_mbps)),
+    ("802.11r", |p| format!("{:.2}", p.baseline_mbps)),
+    ("gain", |p| {
+        format!("{:.1}x", p.wgtt_mbps / p.baseline_mbps.max(1e-9))
+    }),
+];
 
 /// Fig 18 result.
 #[derive(Debug, Serialize)]
@@ -58,7 +69,7 @@ pub(crate) fn convoy_scenario(
                 FlowSpec::DownlinkTcp { limit: None }
             } else {
                 FlowSpec::DownlinkUdp {
-                    rate_bps: crate::common::BULK_UDP_BPS,
+                    rate_bps: BULK_UDP_BPS,
                     payload: UDP_PAYLOAD,
                 }
             }],
@@ -66,7 +77,7 @@ pub(crate) fn convoy_scenario(
         .collect();
     let span = 52.5 + 8.0 + (n as f64 - 1.0) * 4.0;
     Scenario {
-        config: crate::common::config(mode),
+        config: config(mode),
         clients,
         duration: SimDuration::from_secs_f64(span / wgtt_phy::mph_to_mps(15.0)),
         seed,
@@ -76,65 +87,57 @@ pub(crate) fn convoy_scenario(
     }
 }
 
-/// Runs Fig 17 for one transport. The whole `(client count, mode, seed)`
-/// grid fans out across the worker pool in one batch.
+/// Runs Fig 17 for one transport: every `(client count, system, seed)`
+/// run in one batch.
 pub fn run_fig17(tcp: bool, fast: bool) -> Vec<MultiClientPoint> {
-    let seeds = seeds_for(fast, 2);
     let counts: &[usize] = if fast { &[1, 3] } else { &[1, 2, 3] };
-    // Cell order: count-major, then mode (WGTT before baseline).
-    let modes = [Mode::Wgtt, Mode::Enhanced80211r];
-    let cells: Vec<(usize, Mode)> = counts
-        .iter()
-        .flat_map(|&n| modes.iter().map(move |&m| (n, m)))
-        .collect();
-    let grid = crate::common::sweep_grid(cells.len(), seeds, |cell, seed| {
-        let (n, mode) = cells[cell];
+    let cells = counts.iter().flat_map(|&n| MODES.map(|mode| (n, mode)));
+    let grid = sweep_grid(cells.collect(), seeds_for(fast, 2), |&(n, mode), seed| {
         convoy_scenario(mode, n, tcp, false, seed)
     });
-    let per_client = |cell: usize| {
-        let (n, _) = cells[cell];
-        let results = &grid[cell];
+    let per_client = |((n, _), runs): &((usize, Mode), Vec<RunResult>)| {
         let mut acc = 0.0;
-        for r in results {
-            for c in 0..n {
+        for r in runs {
+            for c in 0..*n {
                 acc += r.downlink_bps(c);
             }
         }
-        acc / (results.len() * n) as f64 / 1e6
+        acc / (runs.len() * n) as f64 / 1e6
     };
-    counts
-        .iter()
-        .enumerate()
-        .map(|(ci, &n)| MultiClientPoint {
-            clients: n,
-            wgtt_mbps: per_client(ci * 2),
-            baseline_mbps: per_client(ci * 2 + 1),
+    grid.chunks(2)
+        .map(|pair| MultiClientPoint {
+            clients: pair[0].0 .0,
+            wgtt_mbps: per_client(&pair[0]),
+            baseline_mbps: per_client(&pair[1]),
+        })
+        .collect()
+}
+
+fn uplink_loss(res: &RunResult) -> Vec<f64> {
+    (0..3)
+        .map(|c| {
+            let flow = res
+                .world
+                .flows
+                .iter()
+                .find(|f| f.client == c)
+                .expect("flow");
+            let sink = flow.up_sink.as_ref().expect("uplink sink");
+            sink.loss_rate()
         })
         .collect()
 }
 
 /// Runs Fig 18: three uplink clients, diversity on vs off.
 pub fn run_fig18(seed: u64) -> UplinkLoss {
-    let loss = |diversity: bool| -> Vec<f64> {
+    let grid = sweep_grid(vec![true, false], seed..seed + 1, |&diversity, seed| {
         let mut scenario = convoy_scenario(Mode::Wgtt, 3, false, true, seed);
         scenario.config.uplink_diversity = diversity;
-        let res = wgtt_core::runner::run(scenario);
-        (0..3)
-            .map(|c| {
-                let flow = res
-                    .world
-                    .flows
-                    .iter()
-                    .find(|f| f.client == c)
-                    .expect("flow");
-                let sink = flow.up_sink.as_ref().expect("uplink sink");
-                sink.loss_rate()
-            })
-            .collect()
-    };
+        scenario
+    });
     UplinkLoss {
-        diversity_loss: loss(true),
-        single_loss: loss(false),
+        diversity_loss: uplink_loss(&grid[0].1[0]),
+        single_loss: uplink_loss(&grid[1].1[0]),
     }
 }
 
@@ -146,33 +149,20 @@ pub fn report(fast: bool) -> String {
     save_json("fig17_multiclient", &(&tcp, &udp));
     save_json("fig18_uplink_loss", &loss);
     let render = |name: &str, pts: &[MultiClientPoint]| {
-        crate::common::render_table(
-            &[&format!("{name} clients"), "WGTT", "802.11r", "gain"],
-            &pts.iter()
-                .map(|p| {
-                    vec![
-                        p.clients.to_string(),
-                        format!("{:.2}", p.wgtt_mbps),
-                        format!("{:.2}", p.baseline_mbps),
-                        format!("{:.1}x", p.wgtt_mbps / p.baseline_mbps.max(1e-9)),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        )
+        let header = format!("{name} clients");
+        let mut columns = COLUMNS;
+        columns[0].0 = &header;
+        render_table(&columns, pts)
     };
+    let rounded =
+        |v: &[f64]| -> Vec<f64> { v.iter().map(|v| (v * 1000.0).round() / 1000.0).collect() };
     format!(
         "Fig 17 — per-client throughput vs client count, Mbit/s\nTCP:\n{}UDP:\n{}\n\
          Fig 18 — uplink UDP loss, 3 clients\n  multi-AP forwarding: {:?}\n  single-AP uplink:    {:?}\n",
         render("TCP", &tcp),
         render("UDP", &udp),
-        loss.diversity_loss
-            .iter()
-            .map(|v| (v * 1000.0).round() / 1000.0)
-            .collect::<Vec<_>>(),
-        loss.single_loss
-            .iter()
-            .map(|v| (v * 1000.0).round() / 1000.0)
-            .collect::<Vec<_>>(),
+        rounded(&loss.diversity_loss),
+        rounded(&loss.single_loss),
     )
 }
 

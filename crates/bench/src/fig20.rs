@@ -5,10 +5,10 @@
 //! the medium only briefly), parallel worst (they carrier-sense each other
 //! the whole way), and WGTT above the baseline in every pattern.
 
-use crate::common::{save_json, UDP_PAYLOAD};
+use crate::common::{config, render_table, save_json, sweep_grid, Column, MODES, UDP_PAYLOAD};
 use serde::Serialize;
 use wgtt_core::config::Mode;
-use wgtt_core::runner::{run, ClientSpec, FlowSpec, Scenario, TrajectorySpec};
+use wgtt_core::runner::{ClientSpec, FlowSpec, RunResult, Scenario, TrajectorySpec};
 use wgtt_sim::SimDuration;
 
 /// One pattern's result.
@@ -21,6 +21,15 @@ pub struct PatternResult {
     /// Mean per-client goodput, baseline, Mbit/s.
     pub baseline_mbps: f64,
 }
+
+/// The first header names the transport: `UDP`, `TCP`.
+const COLUMNS: [Column<PatternResult>; 3] = [
+    ("pattern", |r| r.pattern.clone()),
+    ("WGTT", |r| format!("{:.2}", r.wgtt_mbps)),
+    ("802.11r", |r| format!("{:.2}", r.baseline_mbps)),
+];
+
+const PATTERNS: [&str; 3] = ["following", "parallel", "opposing"];
 
 fn pattern_specs(pattern: &str, tcp: bool) -> Vec<ClientSpec> {
     let flow = |_: usize| {
@@ -77,33 +86,40 @@ fn pattern_specs(pattern: &str, tcp: bool) -> Vec<ClientSpec> {
     }
 }
 
-/// Runs one pattern under one system.
-pub fn measure(pattern: &str, mode: Mode, tcp: bool, seed: u64) -> f64 {
-    let scenario = Scenario {
-        config: crate::common::config(mode),
+fn scenario(pattern: &str, mode: Mode, tcp: bool, seed: u64) -> Scenario {
+    Scenario {
+        config: config(mode),
         clients: pattern_specs(pattern, tcp),
         duration: SimDuration::from_secs_f64((52.5 + 11.0) / wgtt_phy::mph_to_mps(15.0)),
         seed,
         log_deliveries: false,
         flow_start: SimDuration::from_millis(1),
         faults: wgtt_sim::FaultSchedule::default(),
-    };
-    let duration = scenario.duration;
-    let res = run(scenario);
+    }
+}
+
+/// Mean per-client goodput of one run, Mbit/s.
+fn per_client_mbps(res: &RunResult) -> f64 {
     let per: Vec<f64> = (0..2)
-        .map(|c| res.world.clients[c].metrics.mean_downlink_bps(duration) / 1e6)
+        .map(|c| res.world.clients[c].metrics.mean_downlink_bps(res.duration) / 1e6)
         .collect();
     wgtt_sim::stats::mean(&per)
 }
 
-/// Runs the full pattern matrix for one transport.
+/// Runs the full pattern matrix for one transport: every `(pattern,
+/// system)` run in one batch.
 pub fn run_experiment(tcp: bool, seed: u64) -> Vec<PatternResult> {
-    ["following", "parallel", "opposing"]
-        .iter()
-        .map(|&p| PatternResult {
-            pattern: p.into(),
-            wgtt_mbps: measure(p, Mode::Wgtt, tcp, seed),
-            baseline_mbps: measure(p, Mode::Enhanced80211r, tcp, seed),
+    let cells = PATTERNS
+        .into_iter()
+        .flat_map(|p| MODES.map(|mode| (p, mode)));
+    let grid = sweep_grid(cells.collect(), seed..seed + 1, |&(p, mode), seed| {
+        scenario(p, mode, tcp, seed)
+    });
+    grid.chunks(2)
+        .map(|pair| PatternResult {
+            pattern: pair[0].0 .0.into(),
+            wgtt_mbps: per_client_mbps(&pair[0].1[0]),
+            baseline_mbps: per_client_mbps(&pair[1].1[0]),
         })
         .collect()
 }
@@ -114,19 +130,9 @@ pub fn report(_fast: bool) -> String {
     let tcp = run_experiment(true, 20);
     save_json("fig20_patterns", &(&tcp, &udp));
     let render = |name: &str, rows: &[PatternResult]| {
-        crate::common::render_table(
-            &[name, "WGTT", "802.11r"],
-            &rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.pattern.clone(),
-                        format!("{:.2}", r.wgtt_mbps),
-                        format!("{:.2}", r.baseline_mbps),
-                    ]
-                })
-                .collect::<Vec<_>>(),
-        )
+        let mut columns = COLUMNS;
+        columns[0].0 = name;
+        render_table(&columns, rows)
     };
     format!(
         "Fig 20 — two-car patterns, per-client Mbit/s (paper: opposing best, parallel worst)\nUDP:\n{}TCP:\n{}",

@@ -10,13 +10,13 @@
 //! The same harness drives the estimator ablation (median vs mean vs
 //! latest-sample) from DESIGN.md §6.
 
-use crate::common::save_json;
+use crate::common::{render_table, save_json, Column};
 use serde::Serialize;
 use wgtt_core::selection::{ApSelector, SelectionConfig, WindowEstimator};
-use wgtt_core::world::RANGE_FLOOR_DB;
+use wgtt_core::world::{scenario_link, RANGE_FLOOR_DB};
 use wgtt_core::SystemConfig;
 use wgtt_net::ApId;
-use wgtt_phy::{ConstantSpeed, GuardInterval, Trajectory, WirelessLink, CONTROLLER_MODULATION};
+use wgtt_phy::{ConstantSpeed, GuardInterval, Trajectory, CONTROLLER_MODULATION};
 use wgtt_sim::{SimDuration, SimRng, SimTime};
 
 /// Capacity loss for one window setting.
@@ -27,6 +27,11 @@ pub struct WindowPoint {
     /// Average capacity loss vs the oracle, Mbit/s.
     pub loss_mbps: f64,
 }
+
+const COLUMNS: [Column<WindowPoint>; 2] = [
+    ("W (ms)", |p| format!("{:.0}", p.window_ms)),
+    ("capacity loss (Mb/s)", |p| format!("{:.2}", p.loss_mbps)),
+];
 
 /// A recorded drive: per-AP ESNR readings and per-tick oracle capacities.
 pub struct RecordedDrive {
@@ -41,17 +46,9 @@ pub struct RecordedDrive {
 pub fn record_drive(seed: u64, mph: f64) -> RecordedDrive {
     let cfg = SystemConfig::default();
     let dep = cfg.deployment.build();
-    let root = SimRng::new(seed);
-    let mut noise = root.fork("csi-noise");
-    let links: Vec<WirelessLink> = dep
-        .aps
-        .iter()
-        .enumerate()
-        .map(|(a, site)| {
-            let mut r = root.fork(&format!("link/{a}/0"));
-            WirelessLink::new(*site, cfg.link.clone(), &mut r)
-        })
-        .collect();
+    let mut noise = SimRng::new(seed).fork("csi-noise");
+    let link = |a| scenario_link(seed, &dep, &cfg.link, a, 0);
+    let links: Vec<_> = (0..dep.aps.len()).map(link).collect();
     let traj = ConstantSpeed::drive_by(&dep, mph, 4.0);
     let total = traj.transit_time(&dep, 4.0);
     let tick = SimDuration::from_millis(1);
@@ -185,13 +182,7 @@ pub fn report(fast: bool) -> String {
     let ablation = run_ablation(70);
     save_json("fig21_window", &points);
     save_json("fig21_estimator_ablation", &ablation);
-    let table = crate::common::render_table(
-        &["W (ms)", "capacity loss (Mb/s)"],
-        &points
-            .iter()
-            .map(|p| vec![format!("{:.0}", p.window_ms), format!("{:.2}", p.loss_mbps)])
-            .collect::<Vec<_>>(),
-    );
+    let table = render_table(&COLUMNS, &points);
     format!(
         "Fig 21 — capacity loss vs selection window (paper: minimum at 10 ms)\n{table}\
          Estimator ablation at W=10 ms (Mb/s loss): median {:.2}, mean {:.2}, latest {:.2}\n",

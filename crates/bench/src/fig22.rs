@@ -5,9 +5,10 @@
 //! the hysteresis shrinks — a more agile switcher tracks the fast channel —
 //! while the throughput never collapses to zero at any setting.
 
-use crate::common::{mean_over, save_json, seeds_for, sweep_seeds, tcp_drive};
+use crate::common::{mean_over, publish, seeds_for, sweep_grid, tcp_drive, Column};
 use serde::Serialize;
 use wgtt_core::config::Mode;
+use wgtt_core::runner::{RunResult, Scenario};
 use wgtt_sim::SimDuration;
 
 /// One hysteresis setting's outcome.
@@ -23,23 +24,27 @@ pub struct HysteresisPoint {
     pub dead_bin_fraction: f64,
 }
 
-fn scenario(hysteresis_ms: u64, seed: u64) -> wgtt_core::runner::Scenario {
+const COLUMNS: [Column<HysteresisPoint>; 4] = [
+    ("hysteresis (ms)", |r| r.hysteresis_ms.to_string()),
+    ("TCP (Mb/s)", |r| format!("{:.2}", r.tcp_mbps)),
+    ("switch/s", |r| format!("{:.1}", r.switches_per_s)),
+    ("dead bins", |r| format!("{:.2}", r.dead_bin_fraction)),
+];
+
+fn scenario(hysteresis_ms: u64, seed: u64) -> Scenario {
     let mut s = tcp_drive(Mode::Wgtt, 15.0, seed);
     s.config.selection.hysteresis = SimDuration::from_millis(hysteresis_ms);
     s
 }
 
-/// Runs one hysteresis setting.
-pub fn run_experiment(hysteresis_ms: u64, seeds: std::ops::Range<u64>) -> HysteresisPoint {
-    let results = sweep_seeds(seeds, |seed| scenario(hysteresis_ms, seed));
-    point_from_results(hysteresis_ms, &results)
+/// Runs each hysteresis setting over `seeds`, all in one batch.
+pub fn run_experiment(settings: &[u64], seeds: std::ops::Range<u64>) -> Vec<HysteresisPoint> {
+    let grid = sweep_grid(settings.to_vec(), seeds, |&h, seed| scenario(h, seed));
+    grid.iter().map(|(h, results)| point(*h, results)).collect()
 }
 
 /// Aggregates one setting's seed-sweep results into a table row.
-fn point_from_results(
-    hysteresis_ms: u64,
-    results: &[wgtt_core::runner::RunResult],
-) -> HysteresisPoint {
+fn point(hysteresis_ms: u64, results: &[RunResult]) -> HysteresisPoint {
     let tcp = mean_over(results, |r| r.downlink_bps(0)) / 1e6;
     let sps = mean_over(results, |r| {
         r.world.clients[0].metrics.switch_count() as f64 / r.duration.as_secs_f64()
@@ -59,35 +64,11 @@ fn point_from_results(
     }
 }
 
-/// Runs and renders Fig 22. The three hysteresis settings fan out across
-/// the worker pool together with their seeds, as one batch.
+/// Runs and renders Fig 22.
 pub fn report(fast: bool) -> String {
-    let seeds = seeds_for(fast, 3);
-    let settings = [120u64, 80, 40];
-    let grid = crate::common::sweep_grid(settings.len(), seeds, |cell, seed| {
-        scenario(settings[cell], seed)
-    });
-    let rows: Vec<HysteresisPoint> = settings
-        .iter()
-        .zip(&grid)
-        .map(|(&h, results)| point_from_results(h, results))
-        .collect();
-    save_json("fig22_hysteresis", &rows);
-    let table = crate::common::render_table(
-        &["hysteresis (ms)", "TCP (Mb/s)", "switch/s", "dead bins"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.hysteresis_ms.to_string(),
-                    format!("{:.2}", r.tcp_mbps),
-                    format!("{:.1}", r.switches_per_s),
-                    format!("{:.2}", r.dead_bin_fraction),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    format!("Fig 22 — TCP throughput vs switching hysteresis (paper: smaller is better)\n{table}")
+    let rows = run_experiment(&[120, 80, 40], seeds_for(fast, 3));
+    let title = "Fig 22 — TCP throughput vs switching hysteresis (paper: smaller is better)";
+    publish("fig22_hysteresis", &rows, title, &COLUMNS, &rows)
 }
 
 #[cfg(test)]
@@ -96,8 +77,8 @@ mod tests {
 
     #[test]
     fn smaller_hysteresis_not_worse() {
-        let slow = run_experiment(120, 8..10);
-        let fastest = run_experiment(40, 8..10);
+        let points = run_experiment(&[120, 40], 8..10);
+        let (slow, fastest) = (&points[0], &points[1]);
         // The paper's trend: 40 ms ≥ 120 ms in throughput; with only two
         // seeds the run-to-run spread is a good 10–15%, so the band has to
         // be loose enough not to flake on an unlucky pair.

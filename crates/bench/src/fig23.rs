@@ -5,7 +5,7 @@
 //! segment at every speed (more nearby APs mean better best-links and more
 //! uplink diversity), and stays consistent across speeds in both.
 
-use crate::common::{save_json, udp_drive};
+use crate::common::{publish, udp_drive, Column};
 use serde::Serialize;
 use wgtt_core::config::Mode;
 use wgtt_sim::{SimDuration, SimTime};
@@ -20,6 +20,12 @@ pub struct DensityPoint {
     /// Goodput while in the dense segment, Mbit/s.
     pub dense_mbps: f64,
 }
+
+const COLUMNS: [Column<DensityPoint>; 3] = [
+    ("speed (mph)", |r| format!("{:.0}", r.mph)),
+    ("sparse (Mb/s)", |r| format!("{:.2}", r.sparse_mbps)),
+    ("dense (Mb/s)", |r| format!("{:.2}", r.dense_mbps)),
+];
 
 /// Spacings: 3 gaps of 15 m (sparse, APs 0–3), then 4 gaps of 5 m (dense,
 /// APs 3–7).
@@ -67,21 +73,8 @@ pub fn report(fast: bool) -> String {
     let speeds: &[f64] = if fast { &[15.0] } else { &[5.0, 15.0, 25.0] };
     let rows: Vec<DensityPoint> =
         crate::par::map(speeds.to_vec(), |mph, _| run_experiment(mph, 23));
-    save_json("fig23_density", &rows);
-    let table = crate::common::render_table(
-        &["speed (mph)", "sparse (Mb/s)", "dense (Mb/s)"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{:.0}", r.mph),
-                    format!("{:.2}", r.sparse_mbps),
-                    format!("{:.2}", r.dense_mbps),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    format!("Fig 23 — UDP throughput, sparse (15 m) vs dense (5 m) AP segments\n{table}")
+    let title = "Fig 23 — UDP throughput, sparse (15 m) vs dense (5 m) AP segments";
+    publish("fig23_density", &rows, title, &COLUMNS, &rows)
 }
 
 #[cfg(test)]

@@ -7,10 +7,10 @@
 //! rate: ~20 fps at the 85th percentile for Skype, rising to ~56 with
 //! Hangouts' smaller frames.
 
-use crate::common::save_json;
+use crate::common::{config, publish, sweep_grid, Column};
 use serde::Serialize;
 use wgtt_core::config::Mode;
-use wgtt_core::runner::{run, FlowSpec, Scenario};
+use wgtt_core::runner::{FlowSpec, RunResult, Scenario};
 use wgtt_sim::stats::quantile;
 use wgtt_workloads::conference::{per_second_fps, ConferenceConfig};
 
@@ -27,10 +27,17 @@ pub struct ConferencePoint {
     pub quantiles: [f64; 3],
 }
 
-/// Runs one conferencing drive and replays both profiles.
-pub fn run_experiment(mph: f64, seed: u64) -> Vec<ConferencePoint> {
+const COLUMNS: [Column<ConferencePoint>; 5] = [
+    ("speed", |p| format!("{:.0}", p.mph)),
+    ("profile", |p| p.profile.clone()),
+    ("p25 fps", |p| format!("{:.0}", p.quantiles[0])),
+    ("p50 fps", |p| format!("{:.0}", p.quantiles[1])),
+    ("p85 fps", |p| format!("{:.0}", p.quantiles[2])),
+];
+
+fn scenario(mph: f64, seed: u64) -> Scenario {
     let mut scenario = Scenario::single_drive(
-        crate::common::config(Mode::Wgtt),
+        config(Mode::Wgtt),
         mph,
         vec![
             FlowSpec::DownlinkUdp {
@@ -45,8 +52,11 @@ pub fn run_experiment(mph: f64, seed: u64) -> Vec<ConferencePoint> {
         seed,
     );
     scenario.log_deliveries = true;
-    let window = scenario.duration;
-    let res = run(scenario);
+    scenario
+}
+
+/// Replays both application profiles over one conferencing drive.
+fn profiles(mph: f64, res: &RunResult) -> Vec<ConferencePoint> {
     let log = res.world.clients[0]
         .delivery_log
         .as_ref()
@@ -57,7 +67,7 @@ pub fn run_experiment(mph: f64, seed: u64) -> Vec<ConferencePoint> {
     ]
     .into_iter()
     .map(|(name, cfg)| {
-        let fps = per_second_fps(log, &cfg, window);
+        let fps = per_second_fps(log, &cfg, res.duration);
         // Skip the first second (association + ramp).
         let body: Vec<f64> = fps.iter().skip(1).copied().collect();
         let qs = [0.25, 0.50, 0.85].map(|q| quantile(&body, q));
@@ -71,29 +81,23 @@ pub fn run_experiment(mph: f64, seed: u64) -> Vec<ConferencePoint> {
     .collect()
 }
 
+/// Runs one conferencing drive per speed, all in one batch, and replays
+/// both profiles over each.
+pub fn run_experiment(speeds: &[f64], seed: u64) -> Vec<ConferencePoint> {
+    let grid = sweep_grid(speeds.to_vec(), seed..seed + 1, |&mph, seed| {
+        scenario(mph, seed)
+    });
+    grid.iter()
+        .flat_map(|(mph, runs)| profiles(*mph, &runs[0]))
+        .collect()
+}
+
 /// Runs and renders Fig 24.
 pub fn report(fast: bool) -> String {
     let speeds: &[f64] = if fast { &[15.0] } else { &[5.0, 15.0] };
-    let mut all = Vec::new();
-    for &mph in speeds {
-        all.extend(run_experiment(mph, 24));
-    }
-    save_json("fig24_conferencing", &all);
-    let table = crate::common::render_table(
-        &["speed", "profile", "p25 fps", "p50 fps", "p85 fps"],
-        &all.iter()
-            .map(|p| {
-                vec![
-                    format!("{:.0}", p.mph),
-                    p.profile.clone(),
-                    format!("{:.0}", p.quantiles[0]),
-                    format!("{:.0}", p.quantiles[1]),
-                    format!("{:.0}", p.quantiles[2]),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    format!("Fig 24 — conferencing delivered fps (paper: Skype ≈20 fps p85, Hangouts ≈56)\n{table}")
+    let all = run_experiment(speeds, 24);
+    let title = "Fig 24 — conferencing delivered fps (paper: Skype ≈20 fps p85, Hangouts ≈56)";
+    publish("fig24_conferencing", &all, title, &COLUMNS, &all)
 }
 
 #[cfg(test)]
@@ -102,7 +106,7 @@ mod tests {
 
     #[test]
     fn call_sustains_frames_and_hangouts_beats_skype() {
-        let pts = run_experiment(15.0, 3);
+        let pts = run_experiment(&[15.0], 3);
         let skype = pts.iter().find(|p| p.profile == "skype").unwrap();
         let hang = pts.iter().find(|p| p.profile == "hangouts").unwrap();
         // The call is usable most of the time.

@@ -12,7 +12,7 @@
 //! run at the same shapes to show the compounding loss the protocol
 //! removes.
 
-use crate::common::{exit_invalid, render_table, save_json};
+use crate::common::{exit_invalid, publish, Column};
 use serde::Serialize;
 use wgtt_core::config::SystemConfig;
 use wgtt_core::shard::{try_run_sharded, ScenarioError, ShardedRunResult, ShardedScenario};
@@ -61,6 +61,23 @@ pub struct HandoffPoint {
     /// Duplicate migration frames the faulted leg absorbed.
     pub faulted_dups_dropped: u64,
 }
+
+const COLUMNS: [Column<HandoffPoint>; 10] = [
+    ("shards", |p| p.shards.to_string()),
+    ("clients", |p| p.clients.to_string()),
+    ("handoffs", |p| p.migrations.to_string()),
+    ("deliv MB", |p| {
+        format!("{:.1}", p.delivered_bytes as f64 / 1e6)
+    }),
+    ("residue", |p| p.residue_transferred.to_string()),
+    ("retention", |p| format!("{:.4}", p.retention)),
+    ("naive ret.", |p| format!("{:.4}", p.naive_retention)),
+    ("naive kB lost", |p| {
+        format!("{:.1}", p.naive_lost_bytes as f64 / 1e3)
+    }),
+    ("10% fault ret.", |p| format!("{:.4}", p.faulted_retention)),
+    ("retries", |p| p.faulted_retries.to_string()),
+];
 
 /// The full sweep.
 #[derive(Debug, Serialize)]
@@ -163,45 +180,12 @@ pub fn run_experiment(fast: bool) -> Result<HandoffSweep, ScenarioError> {
 /// Runs and renders the handoff scaling sweep.
 pub fn report(fast: bool) -> String {
     let sweep = run_experiment(fast).unwrap_or_else(|e| exit_invalid(&e));
-    save_json("handoff_scaling", &sweep);
-    let rows: Vec<Vec<String>> = sweep
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                p.shards.to_string(),
-                p.clients.to_string(),
-                p.migrations.to_string(),
-                format!("{:.1}", p.delivered_bytes as f64 / 1e6),
-                p.residue_transferred.to_string(),
-                format!("{:.4}", p.retention),
-                format!("{:.4}", p.naive_retention),
-                format!("{:.1}", p.naive_lost_bytes as f64 / 1e3),
-                format!("{:.4}", p.faulted_retention),
-                p.faulted_retries.to_string(),
-            ]
-        })
-        .collect();
-    format!(
+    let title = format!(
         "Handoff scaling — data retention vs shard count \
-         ({} clients/shard, retention = delivered/(delivered+seam-lost))\n{}",
-        sweep.clients_per_shard,
-        render_table(
-            &[
-                "shards",
-                "clients",
-                "handoffs",
-                "deliv MB",
-                "residue",
-                "retention",
-                "naive ret.",
-                "naive kB lost",
-                "10% fault ret.",
-                "retries",
-            ],
-            &rows,
-        ),
-    )
+         ({} clients/shard, retention = delivered/(delivered+seam-lost))",
+        sweep.clients_per_shard
+    );
+    publish("handoff_scaling", &sweep, &title, &COLUMNS, &sweep.points)
 }
 
 #[cfg(test)]

@@ -2,11 +2,23 @@
 //!
 //! One module per table/figure of the paper's evaluation (the
 //! per-experiment index lives in DESIGN.md §5), plus the mechanism
-//! ablations of DESIGN.md §6. Each module exposes
+//! ablations of DESIGN.md §6. Each module states three things once:
 //!
-//! * `run_experiment(...)` returning structured results, and
-//! * `report(fast: bool) -> String` which runs it, saves JSON under
-//!   `results/`, and renders the paper's table/series as text.
+//! * its **grid** — the cells it measures (`(speed, system)`, `(outage,
+//!   arm, speed)`, …), which [`common::sweep_grid`] runs with a seed range
+//!   as one batch on the [`par`] pool, handing each cell back beside its
+//!   seed-ordered results;
+//! * its **row type** — the `Serialize` struct its `results/*.json` holds;
+//! * its **columns** — a `const COLUMNS: [Column<Row>; N]` of
+//!   `(header, fn(&Row) -> String)` pairs ([`common::Column`]).
+//!
+//! Its `report(fast: bool) -> String` runs the grid and, for one table,
+//! ends in [`common::publish`]: save the JSON under `results/`, render the
+//! rows under the columns with [`common::render_table`]. Figs 13, 17 and
+//! 20 render a table per transport, and Fig 21 adds a line after its
+//! table; Figs 2, 4, 10 and 14 print lines rather than a table. `run_experiment` (or the
+//! module's named runners) returns the structured results the tests
+//! assert on.
 //!
 //! The `wgtt-bench` binary runs them by id from [`all_experiments`]
 //! (`cargo run -p wgtt-bench --release -- fig13_speed_sweep`, `-- all

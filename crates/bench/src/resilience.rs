@@ -8,7 +8,7 @@
 //! re-attach at a live AP), and the health-layer counters that certify
 //! the controller never wedges on a dead AP.
 
-use crate::common::{config, mean_over, render_table, save_json, seeds_for};
+use crate::common::{config, mean_over, publish, seeds_for, sweep_grid, Column};
 use serde::Serialize;
 use wgtt_core::config::Mode;
 use wgtt_core::runner::{FlowSpec, RunResult, Scenario};
@@ -39,6 +39,19 @@ pub struct ResiliencePoint {
     /// (mean per run) — nonzero means the selection-side exclusion leaked.
     pub re_wedged_switches: f64,
 }
+
+const COLUMNS: [Column<ResiliencePoint>; 10] = [
+    ("crash/s", |p| format!("{:.2}", p.crash_rate_per_s)),
+    ("bh loss", |p| format!("{:.2}", p.backhaul_loss)),
+    ("Mbit/s", |p| format!("{:.2}", p.tcp_mbps)),
+    ("crashes", |p| format!("{:.1}", p.ap_crashes)),
+    ("failovers", |p| format!("{:.1}", p.failovers)),
+    ("mean ms", |p| format!("{:.0}", p.mean_failover_ms)),
+    ("max ms", |p| format!("{:.0}", p.max_failover_ms)),
+    ("abandoned", |p| format!("{:.1}", p.abandoned_switches)),
+    ("emergency", |p| format!("{:.1}", p.emergency_reattaches)),
+    ("re-wedged", |p| format!("{:.1}", p.re_wedged_switches)),
+];
 
 /// The full sweep.
 #[derive(Debug, Serialize)]
@@ -98,19 +111,16 @@ pub fn run_experiment(fast: bool) -> ResilienceSweep {
         &[0.0, 0.05, 0.1, 0.2]
     };
     let losses: &[f64] = if fast { &[0.0] } else { &[0.0, 0.05] };
-    let seeds = seeds_for(fast, 3);
-    // The whole (crash rate × backhaul loss × seed) grid is independent —
-    // fan it out across the worker pool in one batch, crash-rate major.
-    let cells: Vec<(f64, f64)> = crash_rates
+    let cells = crash_rates
         .iter()
-        .flat_map(|&rate| losses.iter().map(move |&loss| (rate, loss)))
-        .collect();
-    let grid = crate::common::sweep_grid(cells.len(), seeds, |cell, seed| {
-        let (rate, loss) = cells[cell];
-        scenario(rate, loss, seed)
-    });
+        .flat_map(|&rate| losses.iter().map(move |&loss| (rate, loss)));
+    let grid = sweep_grid(
+        cells.collect(),
+        seeds_for(fast, 3),
+        |&(rate, loss), seed| scenario(rate, loss, seed),
+    );
     let mut points = Vec::new();
-    for ((rate, loss), results) in cells.iter().copied().zip(&grid) {
+    for &((rate, loss), ref results) in &grid {
         let lat: Vec<f64> = results.iter().flat_map(failover_ms).collect();
         points.push(ResiliencePoint {
             crash_rate_per_s: rate,
@@ -133,43 +143,8 @@ pub fn run_experiment(fast: bool) -> ResilienceSweep {
 /// Runs and renders the resilience sweep.
 pub fn report(fast: bool) -> String {
     let sweep = run_experiment(fast);
-    save_json("resilience", &sweep);
-    let rows: Vec<Vec<String>> = sweep
-        .points
-        .iter()
-        .map(|p| {
-            vec![
-                format!("{:.2}", p.crash_rate_per_s),
-                format!("{:.2}", p.backhaul_loss),
-                format!("{:.2}", p.tcp_mbps),
-                format!("{:.1}", p.ap_crashes),
-                format!("{:.1}", p.failovers),
-                format!("{:.0}", p.mean_failover_ms),
-                format!("{:.0}", p.max_failover_ms),
-                format!("{:.1}", p.abandoned_switches),
-                format!("{:.1}", p.emergency_reattaches),
-                format!("{:.1}", p.re_wedged_switches),
-            ]
-        })
-        .collect();
-    format!(
-        "Resilience — 15 mph TCP drive under AP crashes + backhaul loss\n{}",
-        render_table(
-            &[
-                "crash/s",
-                "bh loss",
-                "Mbit/s",
-                "crashes",
-                "failovers",
-                "mean ms",
-                "max ms",
-                "abandoned",
-                "emergency",
-                "re-wedged",
-            ],
-            &rows,
-        )
-    )
+    let title = "Resilience — 15 mph TCP drive under AP crashes + backhaul loss";
+    publish("resilience", &sweep, title, &COLUMNS, &sweep.points)
 }
 
 #[cfg(test)]

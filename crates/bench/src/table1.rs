@@ -5,7 +5,7 @@
 //! (the protocol is dominated by AP processing, not by load, because
 //! control packets bypass the data queues).
 
-use crate::common::{save_json, sweep_seeds, UDP_PAYLOAD};
+use crate::common::{config, publish, seeds_for, sweep_grid, Column, UDP_PAYLOAD};
 use serde::Serialize;
 use wgtt_core::config::Mode;
 use wgtt_core::runner::{FlowSpec, Scenario};
@@ -23,31 +23,43 @@ pub struct SwitchTimeRow {
     pub count: usize,
 }
 
-/// Measures the protocol at one offered load.
-pub fn run_experiment(rate_mbps: u64, seeds: std::ops::Range<u64>) -> SwitchTimeRow {
-    let results = sweep_seeds(seeds, |seed| {
-        Scenario::single_drive(
-            crate::common::config(Mode::Wgtt),
-            15.0,
-            vec![FlowSpec::DownlinkUdp {
-                rate_bps: rate_mbps * 1_000_000,
-                payload: UDP_PAYLOAD,
-            }],
-            seed,
-        )
-    });
-    let mut times_ms: Vec<f64> = Vec::new();
-    for r in &results {
-        for rec in r.world.ctrl.engine.history() {
-            times_ms.push(rec.execution_time().as_secs_f64() * 1000.0);
-        }
-    }
-    SwitchTimeRow {
-        rate_mbps,
-        mean_ms: wgtt_sim::stats::mean(&times_ms),
-        std_ms: wgtt_sim::stats::std_dev(&times_ms),
-        count: times_ms.len(),
-    }
+const COLUMNS: [Column<SwitchTimeRow>; 4] = [
+    ("rate (Mb/s)", |r| r.rate_mbps.to_string()),
+    ("mean (ms)", |r| format!("{:.1}", r.mean_ms)),
+    ("std (ms)", |r| format!("{:.1}", r.std_ms)),
+    ("n", |r| r.count.to_string()),
+];
+
+fn scenario(rate_mbps: u64, seed: u64) -> Scenario {
+    Scenario::single_drive(
+        config(Mode::Wgtt),
+        15.0,
+        vec![FlowSpec::DownlinkUdp {
+            rate_bps: rate_mbps * 1_000_000,
+            payload: UDP_PAYLOAD,
+        }],
+        seed,
+    )
+}
+
+/// Measures the protocol at each offered load.
+pub fn run_experiment(rates: &[u64], seeds: std::ops::Range<u64>) -> Vec<SwitchTimeRow> {
+    let grid = sweep_grid(rates.to_vec(), seeds, |&rate, seed| scenario(rate, seed));
+    grid.into_iter()
+        .map(|(rate_mbps, results)| {
+            let times_ms: Vec<f64> = results
+                .iter()
+                .flat_map(|r| r.world.ctrl.engine.history())
+                .map(|rec| rec.execution_time().as_secs_f64() * 1000.0)
+                .collect();
+            SwitchTimeRow {
+                rate_mbps,
+                mean_ms: wgtt_sim::stats::mean(&times_ms),
+                std_ms: wgtt_sim::stats::std_dev(&times_ms),
+                count: times_ms.len(),
+            }
+        })
+        .collect()
 }
 
 /// Runs and renders Table 1.
@@ -57,29 +69,9 @@ pub fn report(fast: bool) -> String {
     } else {
         &[50, 60, 70, 80, 90]
     };
-    let seeds = crate::common::seeds_for(fast, 3);
-    let rows: Vec<SwitchTimeRow> = rates
-        .iter()
-        .map(|&r| run_experiment(r, seeds.clone()))
-        .collect();
-    save_json("table1_switch_time", &rows);
-    let table = crate::common::render_table(
-        &["rate (Mb/s)", "mean (ms)", "std (ms)", "n"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.rate_mbps.to_string(),
-                    format!("{:.1}", r.mean_ms),
-                    format!("{:.1}", r.std_ms),
-                    r.count.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    format!(
-        "Table 1 — switching-protocol execution time (paper: 17–21 ms mean, 3–5 ms std)\n{table}"
-    )
+    let rows = run_experiment(rates, seeds_for(fast, 3));
+    let title = "Table 1 — switching-protocol execution time (paper: 17–21 ms mean, 3–5 ms std)";
+    publish("table1_switch_time", &rows, title, &COLUMNS, &rows)
 }
 
 #[cfg(test)]
@@ -88,9 +80,9 @@ mod tests {
 
     #[test]
     fn execution_time_matches_paper_band_and_is_load_flat() {
-        let low = run_experiment(50, 0..1);
-        let high = run_experiment(90, 0..1);
-        for r in [&low, &high] {
+        let rows = run_experiment(&[50, 90], 0..1);
+        let (low, high) = (&rows[0], &rows[1]);
+        for r in [low, high] {
             assert!(r.count >= 5, "{r:?}");
             assert!((12.0..28.0).contains(&r.mean_ms), "mean out of band: {r:?}");
             assert!((1.0..8.0).contains(&r.std_ms), "std out of band: {r:?}");

@@ -5,9 +5,8 @@
 //! Enhanced 802.11r's 20.24 % / 18.72 % — the baseline only reacts once
 //! the current link has already deteriorated.
 
-use crate::common::{mean_over, save_json, seeds_for, sweep_seeds, tcp_drive, udp_drive};
+use crate::common::{drive, mean_over, publish, seeds_for, sweep_grid, Column, MODES};
 use serde::Serialize;
-use wgtt_core::config::Mode;
 
 /// The accuracy table.
 #[derive(Debug, Serialize)]
@@ -22,50 +21,44 @@ pub struct AccuracyTable {
     pub baseline_udp: f64,
 }
 
-fn accuracy(mode: Mode, tcp: bool, seeds: std::ops::Range<u64>) -> f64 {
-    let results = sweep_seeds(seeds, |seed| {
-        if tcp {
-            tcp_drive(mode, 15.0, seed)
-        } else {
-            udp_drive(mode, 15.0, seed)
-        }
-    });
-    mean_over(&results, |r| {
-        r.world.clients[0].metrics.switching_accuracy()
-    }) * 100.0
-}
+/// A rendered row: transport, WGTT %, baseline %.
+const COLUMNS: [Column<(&str, f64, f64)>; 3] = [
+    ("", |r| r.0.to_string()),
+    ("WGTT (%)", |r| format!("{:.2}", r.1)),
+    ("Enhanced 802.11r (%)", |r| format!("{:.2}", r.2)),
+];
 
-/// Runs the accuracy experiment.
+/// Runs the accuracy experiment: every (system, transport, seed) run in
+/// one batch.
 pub fn run_experiment(fast: bool) -> AccuracyTable {
-    let seeds = seeds_for(fast, 3);
+    let cells = MODES
+        .into_iter()
+        .flat_map(|mode| [(mode, true), (mode, false)]);
+    let grid = sweep_grid(cells.collect(), seeds_for(fast, 3), |&(mode, tcp), seed| {
+        drive(mode, tcp, 15.0, seed)
+    });
+    let accuracy = |i: usize| {
+        mean_over(&grid[i].1, |r| {
+            r.world.clients[0].metrics.switching_accuracy()
+        }) * 100.0
+    };
     AccuracyTable {
-        wgtt_tcp: accuracy(Mode::Wgtt, true, seeds.clone()),
-        wgtt_udp: accuracy(Mode::Wgtt, false, seeds.clone()),
-        baseline_tcp: accuracy(Mode::Enhanced80211r, true, seeds.clone()),
-        baseline_udp: accuracy(Mode::Enhanced80211r, false, seeds),
+        wgtt_tcp: accuracy(0),
+        wgtt_udp: accuracy(1),
+        baseline_tcp: accuracy(2),
+        baseline_udp: accuracy(3),
     }
 }
 
 /// Runs and renders Table 2.
 pub fn report(fast: bool) -> String {
     let t = run_experiment(fast);
-    save_json("table2_accuracy", &t);
-    let table = crate::common::render_table(
-        &["", "WGTT (%)", "Enhanced 802.11r (%)"],
-        &[
-            vec![
-                "TCP".into(),
-                format!("{:.2}", t.wgtt_tcp),
-                format!("{:.2}", t.baseline_tcp),
-            ],
-            vec![
-                "UDP".into(),
-                format!("{:.2}", t.wgtt_udp),
-                format!("{:.2}", t.baseline_udp),
-            ],
-        ],
-    );
-    format!("Table 2 — switching accuracy (paper: ≈90 % vs ≈20 %)\n{table}")
+    let rows = [
+        ("TCP", t.wgtt_tcp, t.baseline_tcp),
+        ("UDP", t.wgtt_udp, t.baseline_udp),
+    ];
+    let title = "Table 2 — switching accuracy (paper: ≈90 % vs ≈20 %)";
+    publish("table2_accuracy", &t, title, &COLUMNS, &rows)
 }
 
 #[cfg(test)]

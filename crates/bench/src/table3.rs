@@ -6,10 +6,10 @@
 //! response jitter (CCA deference) and the directional antennas' power
 //! disparity (capture).
 
-use crate::common::{save_json, UDP_PAYLOAD};
+use crate::common::{config, publish, sweep_grid, Column, UDP_PAYLOAD};
 use serde::Serialize;
 use wgtt_core::config::Mode;
-use wgtt_core::runner::{run, FlowSpec, Scenario};
+use wgtt_core::runner::{FlowSpec, RunResult, Scenario};
 
 /// One row.
 #[derive(Debug, Serialize)]
@@ -22,45 +22,46 @@ pub struct AckCollisionRow {
     pub responses: u64,
 }
 
-/// Measures at one offered uplink load.
-pub fn run_experiment(rate_mbps: u64, seed: u64) -> AckCollisionRow {
-    let scenario = Scenario::single_drive(
-        crate::common::config(Mode::Wgtt),
+const COLUMNS: [Column<AckCollisionRow>; 3] = [
+    ("rate (Mb/s)", |r| r.rate_mbps.to_string()),
+    ("collision (%)", |r| format!("{:.3}", r.collision_pct)),
+    ("responses", |r| r.responses.to_string()),
+];
+
+fn scenario(rate_mbps: u64, seed: u64) -> Scenario {
+    Scenario::single_drive(
+        config(Mode::Wgtt),
         15.0,
         vec![FlowSpec::UplinkUdp {
             rate_bps: rate_mbps * 1_000_000,
             payload: UDP_PAYLOAD,
         }],
         seed,
-    );
-    let res = run(scenario);
-    let m = &res.world.clients[0].metrics;
-    AckCollisionRow {
-        rate_mbps,
-        collision_pct: m.ack_collision_rate() * 100.0,
-        responses: m.ack_responses,
-    }
+    )
+}
+
+/// Measures at each offered uplink load, all in one batch.
+pub fn run_experiment(rates: &[u64], seed: u64) -> Vec<AckCollisionRow> {
+    let grid = sweep_grid(rates.to_vec(), seed..seed + 1, |&rate, seed| {
+        scenario(rate, seed)
+    });
+    let row = |(rate_mbps, runs): &(u64, Vec<RunResult>)| {
+        let m = &runs[0].world.clients[0].metrics;
+        AckCollisionRow {
+            rate_mbps: *rate_mbps,
+            collision_pct: m.ack_collision_rate() * 100.0,
+            responses: m.ack_responses,
+        }
+    };
+    grid.iter().map(row).collect()
 }
 
 /// Runs and renders Table 3.
 pub fn report(fast: bool) -> String {
     let rates: &[u64] = if fast { &[70, 90] } else { &[70, 80, 90] };
-    let rows: Vec<AckCollisionRow> = rates.iter().map(|&r| run_experiment(r, 42)).collect();
-    save_json("table3_ack_collisions", &rows);
-    let table = crate::common::render_table(
-        &["rate (Mb/s)", "collision (%)", "responses"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.rate_mbps.to_string(),
-                    format!("{:.3}", r.collision_pct),
-                    r.responses.to_string(),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    format!("Table 3 — link-layer ACK collision rate (paper: ≤0.004 %, i.e. negligible)\n{table}")
+    let rows = run_experiment(rates, 42);
+    let title = "Table 3 — link-layer ACK collision rate (paper: ≤0.004 %, i.e. negligible)";
+    publish("table3_ack_collisions", &rows, title, &COLUMNS, &rows)
 }
 
 #[cfg(test)]
@@ -69,7 +70,7 @@ mod tests {
 
     #[test]
     fn collisions_are_rare() {
-        let row = run_experiment(70, 1);
+        let row = &run_experiment(&[70], 1)[0];
         assert!(row.responses > 500, "{row:?}");
         // The paper's exact 1e-5 rate depends on chipset quirks; the shape
         // claim is "negligible": well under 1 %.

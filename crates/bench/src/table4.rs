@@ -5,10 +5,9 @@
 //! rebuffering at 5–20 mph; Enhanced 802.11r rebuffers 54–69 % of the
 //! transit (decreasing with speed because the transit itself shortens).
 
-use crate::common::{save_json, seeds_for};
+use crate::common::{mean_over, publish, seeds_for, sweep_grid, tcp_drive, Column, MODES};
 use serde::Serialize;
-use wgtt_core::config::Mode;
-use wgtt_core::runner::{run, FlowSpec, Scenario};
+use wgtt_core::runner::RunResult;
 use wgtt_workloads::video::{replay_video, VideoConfig};
 
 /// One row of Table 4.
@@ -22,42 +21,40 @@ pub struct VideoRow {
     pub baseline_ratio: f64,
 }
 
-fn measure(mode: Mode, mph: f64, seeds: std::ops::Range<u64>) -> f64 {
-    let vcfg = VideoConfig::default();
-    let mut ratios = Vec::new();
-    for seed in seeds {
-        let mut scenario = Scenario::single_drive(
-            crate::common::config(mode),
-            mph,
-            vec![FlowSpec::DownlinkTcp { limit: None }],
-            seed,
-        );
-        scenario.log_deliveries = true;
-        let window = scenario.duration;
-        let res = run(scenario);
-        let log = res.world.clients[0]
-            .delivery_log
-            .as_ref()
-            .expect("delivery log enabled");
-        ratios.push(replay_video(log, &vcfg, window).rebuffer_ratio());
-    }
-    wgtt_sim::stats::mean(&ratios)
-}
+const COLUMNS: [Column<VideoRow>; 3] = [
+    ("speed (mph)", |r| format!("{:.0}", r.mph)),
+    ("WGTT", |r| format!("{:.2}", r.wgtt_ratio)),
+    ("802.11r", |r| format!("{:.2}", r.baseline_ratio)),
+];
 
-/// Runs Table 4.
+/// Runs Table 4: every (speed, system, seed) drive in one batch.
 pub fn run_experiment(fast: bool) -> Vec<VideoRow> {
     let speeds: &[f64] = if fast {
         &[5.0, 20.0]
     } else {
         &[5.0, 10.0, 15.0, 20.0]
     };
-    let seeds = seeds_for(fast, 2);
-    speeds
-        .iter()
-        .map(|&mph| VideoRow {
-            mph,
-            wgtt_ratio: measure(Mode::Wgtt, mph, seeds.clone()),
-            baseline_ratio: measure(Mode::Enhanced80211r, mph, seeds.clone()),
+    let cells = speeds.iter().flat_map(|&mph| MODES.map(|mode| (mph, mode)));
+    let grid = sweep_grid(cells.collect(), seeds_for(fast, 2), |&(mph, mode), seed| {
+        let mut scenario = tcp_drive(mode, mph, seed);
+        scenario.log_deliveries = true;
+        scenario
+    });
+    let vcfg = VideoConfig::default();
+    let ratio = |runs: &[RunResult]| {
+        mean_over(runs, |res| {
+            let log = res.world.clients[0]
+                .delivery_log
+                .as_ref()
+                .expect("delivery log enabled");
+            replay_video(log, &vcfg, res.duration).rebuffer_ratio()
+        })
+    };
+    grid.chunks(2)
+        .map(|pair| VideoRow {
+            mph: pair[0].0 .0,
+            wgtt_ratio: ratio(&pair[0].1),
+            baseline_ratio: ratio(&pair[1].1),
         })
         .collect()
 }
@@ -65,23 +62,8 @@ pub fn run_experiment(fast: bool) -> Vec<VideoRow> {
 /// Runs and renders Table 4.
 pub fn report(fast: bool) -> String {
     let rows = run_experiment(fast);
-    save_json("table4_video", &rows);
-    let table = crate::common::render_table(
-        &["speed (mph)", "WGTT", "802.11r"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{:.0}", r.mph),
-                    format!("{:.2}", r.wgtt_ratio),
-                    format!("{:.2}", r.baseline_ratio),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    format!(
-        "Table 4 — video rebuffer ratio (paper: WGTT 0.00 everywhere; 802.11r 0.54–0.69)\n{table}"
-    )
+    let title = "Table 4 — video rebuffer ratio (paper: WGTT 0.00 everywhere; 802.11r 0.54–0.69)";
+    publish("table4_video", &rows, title, &COLUMNS, &rows)
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! takes 15.5 s at 5 mph, 18.2 s at 10 mph, and never completes within the
 //! transit at 15–20 mph ("∞").
 
-use crate::common::{save_json, seeds_for};
+use crate::common::{config, publish, seeds_for, Column};
 use serde::Serialize;
 use wgtt_core::config::Mode;
 use wgtt_workloads::web::{mean_page_load_secs, WebConfig};
@@ -21,6 +21,12 @@ pub struct WebRow {
     pub baseline_s: f64,
 }
 
+const COLUMNS: [Column<WebRow>; 3] = [
+    ("speed (mph)", |r| format!("{:.0}", r.mph)),
+    ("WGTT (s)", |r| fmt_secs(r.wgtt_s)),
+    ("802.11r (s)", |r| fmt_secs(r.baseline_s)),
+];
+
 /// Runs Table 5.
 pub fn run_experiment(fast: bool) -> Vec<WebRow> {
     let speeds: &[f64] = if fast {
@@ -30,22 +36,13 @@ pub fn run_experiment(fast: bool) -> Vec<WebRow> {
     };
     let seeds = seeds_for(fast, 5);
     let web = WebConfig::default();
+    let load = |mode, mph| mean_page_load_secs(&config(mode), &web, mph, seeds.clone());
     speeds
         .iter()
         .map(|&mph| WebRow {
             mph,
-            wgtt_s: mean_page_load_secs(
-                &crate::common::config(Mode::Wgtt),
-                &web,
-                mph,
-                seeds.clone(),
-            ),
-            baseline_s: mean_page_load_secs(
-                &crate::common::config(Mode::Enhanced80211r),
-                &web,
-                mph,
-                seeds.clone(),
-            ),
+            wgtt_s: load(Mode::Wgtt, mph),
+            baseline_s: load(Mode::Enhanced80211r, mph),
         })
         .collect()
 }
@@ -61,23 +58,8 @@ fn fmt_secs(s: f64) -> String {
 /// Runs and renders Table 5.
 pub fn report(fast: bool) -> String {
     let rows = run_experiment(fast);
-    save_json("table5_web", &rows);
-    let table = crate::common::render_table(
-        &["speed (mph)", "WGTT (s)", "802.11r (s)"],
-        &rows
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{:.0}", r.mph),
-                    fmt_secs(r.wgtt_s),
-                    fmt_secs(r.baseline_s),
-                ]
-            })
-            .collect::<Vec<_>>(),
-    );
-    format!(
-        "Table 5 — 2.1 MB page load time (paper: WGTT flat ≈4.4 s; 802.11r 15.5 s → ∞)\n{table}"
-    )
+    let title = "Table 5 — 2.1 MB page load time (paper: WGTT flat ≈4.4 s; 802.11r 15.5 s → ∞)";
+    publish("table5_web", &rows, title, &COLUMNS, &rows)
 }
 
 #[cfg(test)]

@@ -29,11 +29,11 @@ pub const MPDU_RETRY_LIMIT: u32 = 7;
 /// Guard interval of every transmission (the testbed runs short GI).
 pub(crate) const GUARD_INTERVAL: GuardInterval = GuardInterval::Short;
 
-/// Default bound on the degraded-mode uplink buffer: packets an AP holds
-/// for the controller while it is crashed (the
-/// [`crate::config::SystemConfig::degraded_uplink_cap`] knob's default).
-/// On overflow the *oldest* held packet is dropped (and counted) — fresh
-/// uplink is worth more than stale when the buffer finally flushes.
+/// Bound on each AP's degraded-mode uplink buffer (packets held for the
+/// controller while it is down, flushed after resync or takeover) and on
+/// the controller's resync hold. On overflow the *oldest* held packet is
+/// dropped (and counted) — fresh uplink is worth more than stale when the
+/// buffer finally flushes.
 pub const DEGRADED_UPLINK_CAP: usize = 256;
 
 /// Bound on the ring of recently forwarded uplink dedup keys an AP keeps

@@ -150,10 +150,6 @@ pub struct SystemConfig {
     /// forwarding, and cross-channel CSI, exactly the trade-off the paper
     /// predicts.
     pub channel_stride: usize,
-    /// Bound on each AP's degraded-mode uplink buffer: packets held for
-    /// the controller while it is down, flushed after resync/takeover.
-    /// On overflow the oldest held packet is dropped (and counted).
-    pub degraded_uplink_cap: usize,
     /// Retry/backoff policy for two-phase seam migration (§6f).
     pub migration: MigrationConfig,
 }
@@ -174,7 +170,6 @@ impl Default for SystemConfig {
             uplink_diversity: true,
             control_loss_prob: 0.0,
             channel_stride: 1,
-            degraded_uplink_cap: crate::ap::DEGRADED_UPLINK_CAP,
             migration: MigrationConfig::default(),
         }
     }

@@ -393,7 +393,7 @@ counter_table! {
     /// a migration record into this world.
     residue_transferred: sum,
     /// Uplink copies dropped because the resync hold buffer was at its
-    /// `degraded_uplink_cap` (oldest-drop policy).
+    /// `DEGRADED_UPLINK_CAP` (oldest-drop policy).
     resync_held_overflow: sum,
     /// Seam-migration frames re-sent after an unacked `retry_timeout`
     /// (prepare resends plus residue-forward resends).

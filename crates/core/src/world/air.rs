@@ -1,6 +1,6 @@
 //! The radio: DCF contention rounds, the in-flight table, scratch pools,
-//! and what a finished transmission delivered to whom (`TxDone` reception
-//! and the overhear sweep).
+//! and what a finished transmission delivered to whom (`TxDone` reception,
+//! the overhear sweep, and the Block ACKs monitors relay for it).
 //!
 //! Medium access is resolved in *contention rounds*: whenever the channel
 //! goes idle and stations have pending frames, each draws a backoff from
@@ -810,6 +810,30 @@ impl WgttWorld {
         }
     }
 
+    /// Applies a Block ACK that a monitor overheard and relayed because
+    /// the serving AP `ap` missed it (§3.2.1): through the scoreboard entry
+    /// `resolve_ap_tx` uses for its own, into the same loaned `newly`.
+    pub(super) fn on_ba_forward_at_ap(&mut self, ap: usize, c: usize, ba: BlockAckFrame) {
+        if self.cfg.mode != Mode::Wgtt || !self.cfg.ba_forwarding || self.ap_down[ap] {
+            return;
+        }
+        let Some(st) = self.aps[ap].client_get_mut(ClientId(c as u32)) else {
+            return;
+        };
+        if !st.seen_bas.insert((ba.start_seq, ba.bitmap)) {
+            return; // already applied (own reception or earlier forward)
+        }
+        let newly = &mut self.air.burst_scratch.newly;
+        st.scoreboard.on_block_ack_into(&ba, newly);
+        if newly.is_empty() {
+            return;
+        }
+        // `newly` is at most one 64-frame window: scanning it costs less
+        // than hashing it.
+        st.nic_queue.retain(|e| !newly.contains(&e.seq));
+        self.clients[c].metrics.ba_forwarded_applied += newly.len() as u64;
+    }
+
     /// Moves unacknowledged MPDUs back to the NIC queue front (in order)
     /// or drops them past the retry limit.
     fn requeue_lost(
@@ -923,8 +947,7 @@ impl WgttWorld {
                 if self.controller_down {
                     // Local autonomy: hold uplink at the AP (bounded)
                     // while the controller is down; flushed at resync.
-                    let cap = self.cfg.degraded_uplink_cap;
-                    if self.aps[from_ap].buffer_uplink(pkt, cap) {
+                    if self.aps[from_ap].buffer_uplink(pkt, DEGRADED_UPLINK_CAP) {
                         self.sys.degraded_uplink_buffered += 1;
                     } else {
                         self.sys.degraded_uplink_dropped += 1;

@@ -1,6 +1,7 @@
 //! The tunnelled datapath: server ↔ controller ↔ AP hops over the
-//! backhaul, cyclic-queue fill, Block ACK forwarding, client reorder and
-//! application delivery, and the traffic sources that feed it.
+//! backhaul, cyclic-queue fill, the Block ACK forwarding hop (`air.rs`
+//! applies what arrives), client reorder and application delivery, and the
+//! traffic sources that feed it.
 
 use super::*;
 
@@ -208,27 +209,6 @@ impl WgttWorld {
         let st = self.aps[ap].client_mut(client);
         st.cyclic.insert(packet);
         self.ensure_round(ctx);
-    }
-
-    fn on_ba_forward_at_ap(&mut self, ap: usize, c: usize, ba: BlockAckFrame) {
-        if self.cfg.mode != Mode::Wgtt || !self.cfg.ba_forwarding || self.ap_down[ap] {
-            return;
-        }
-        let client = ClientId(c as u32);
-        let Some(st) = self.aps[ap].client_get_mut(client) else {
-            return;
-        };
-        if !st.seen_bas.insert((ba.start_seq, ba.bitmap)) {
-            return; // already applied (own reception or earlier forward)
-        }
-        let newly = st.scoreboard.on_block_ack(&ba);
-        if newly.is_empty() {
-            return;
-        }
-        // `newly` is at most one 64-frame window: scanning it costs less
-        // than hashing it.
-        st.nic_queue.retain(|e| !newly.contains(&e.seq));
-        self.clients[c].metrics.ba_forwarded_applied += newly.len() as u64;
     }
 
     /// Releases in-order packets from the client's reorder buffer to the

@@ -17,7 +17,7 @@
 //! file's imports through `use super::*`, and keeps the state only it
 //! touches in a struct private to itself (DESIGN.md §6h).
 
-use crate::ap::{ApState, Role, GUARD_INTERVAL, MPDU_RETRY_LIMIT};
+use crate::ap::{ApState, Role, DEGRADED_UPLINK_CAP, GUARD_INTERVAL, MPDU_RETRY_LIMIT};
 use crate::client::{ClientState, DeliveryRecord};
 use crate::config::{Mode, SystemConfig};
 use crate::controller::ControllerState;
@@ -39,7 +39,7 @@ use wgtt_net::{
 };
 use wgtt_phy::geom::Deployment;
 use wgtt_phy::mcs::Mcs;
-use wgtt_phy::{EsnrMemo, WirelessLink};
+use wgtt_phy::{EsnrMemo, LinkConfig, WirelessLink};
 use wgtt_sim::{Ctx, FaultEdge, FaultSchedule, SimDuration, SimRng, SimTime, World};
 
 mod air;
@@ -220,7 +220,7 @@ impl WgttWorld {
             fault_rng: root.fork("faults"),
             ap_down: vec![false; n_aps],
             controller_down: false,
-            recovery: RecoveryEngine::new(cfg.degraded_uplink_cap),
+            recovery: RecoveryEngine::new(DEGRADED_UPLINK_CAP),
             pending_reattach: Vec::with_capacity(n_clients),
             pending_failover: Vec::with_capacity(n_clients),
             oracle: Recorder::default(),
@@ -234,29 +234,27 @@ impl WgttWorld {
             cfg,
         };
         for (c, t) in trajectories.into_iter().enumerate() {
-            world.push_client(t, log_deliveries, |a| root.fork(&format!("link/{a}/{c}")));
+            world.push_client(t, log_deliveries, |w, a| {
+                scenario_link(seed, &w.deployment, &w.cfg.link, a, c)
+            });
         }
         world
     }
 
-    /// Appends a client: one link per AP, drawn from `link_rng(ap)`, its
+    /// Appends a client: one link per AP, `link(self, ap)`, its
     /// [`ClientState`], and an empty slot in every dense per-client
     /// vector. Returns the new client index.
     fn push_client(
         &mut self,
         trajectory: Box<dyn wgtt_phy::Trajectory>,
         log_deliveries: bool,
-        link_rng: impl Fn(usize) -> SimRng,
+        link: impl Fn(&Self, usize) -> WirelessLink,
     ) -> usize {
         let c = self.clients.len();
-        for (a, row) in self.links.iter_mut().enumerate() {
-            debug_assert_eq!(row.len(), c);
-            let site = self.deployment.aps[a];
-            row.push(WirelessLink::new(
-                site,
-                self.cfg.link.clone(),
-                &mut link_rng(a),
-            ));
+        for a in 0..self.links.len() {
+            debug_assert_eq!(self.links[a].len(), c);
+            let link = link(self, a);
+            self.links[a].push(link);
         }
         self.clients
             .push(ClientState::new(trajectory, log_deliveries));
@@ -318,6 +316,21 @@ impl WgttWorld {
         let fidx = self.add_flow(client, kind);
         self.flows[fidx].start = start;
     }
+}
+
+/// The link every world built at `seed` on `deployment` gives AP `a` and
+/// client `c`: the fork name `link/{a}/{c}` fixes its fading realization.
+/// Fig 2, Fig 10, Fig 21 and `channel_explorer` sample client 0's links
+/// without a world, so they see the channel a world's first client sees.
+pub fn scenario_link(
+    seed: u64,
+    deployment: &Deployment,
+    cfg: &LinkConfig,
+    a: usize,
+    c: usize,
+) -> WirelessLink {
+    let mut rng = SimRng::new(seed).fork(&format!("link/{a}/{c}"));
+    WirelessLink::new(deployment.aps[a], cfg.clone(), &mut rng)
 }
 
 /// Seeds the initial periodic events for a freshly built world (public

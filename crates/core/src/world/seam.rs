@@ -352,9 +352,9 @@ impl WgttWorld {
             ),
             speed_mps: spec.speed_mps,
         };
-        let rng = self.rng.clone();
-        let c = self.push_client(Box::new(traj), false, |a| {
-            rng.fork(&format!("migrant-link/{a}/n{ordinal}"))
+        let c = self.push_client(Box::new(traj), false, |w, a| {
+            let mut rng = w.rng.fork(&format!("migrant-link/{a}/n{ordinal}"));
+            WirelessLink::new(w.deployment.aps[a], w.cfg.link.clone(), &mut rng)
         });
         for f in &spec.flows {
             self.attach_flow(c, &FlowSpec::from(f), now);

@@ -171,7 +171,9 @@ impl TxScoreboard {
     }
 
     /// Consumes a Block ACK, returning the sequences *newly* acknowledged.
-    /// The window head advances past contiguously acked MPDUs.
+    /// The window head advances past contiguously acked MPDUs. The world
+    /// applies every Block ACK through [`Self::on_block_ack_into`]; this
+    /// allocating form stays for `benchmark/src/kernels.rs`, which times it.
     pub fn on_block_ack(&mut self, ba: &BlockAckFrame) -> Vec<u16> {
         let mut newly = Vec::new();
         self.on_block_ack_into(ba, &mut newly);

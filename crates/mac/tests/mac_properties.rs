@@ -66,7 +66,9 @@ proptest! {
         for &s in &seqs {
             prop_assert!(rx.on_mpdu(s));
         }
-        let newly = tx.on_block_ack(&rx.block_ack());
+        // The world's entry point, into a buffer that already holds junk.
+        let mut newly = vec![9_999];
+        tx.on_block_ack_into(&rx.block_ack(), &mut newly);
         prop_assert_eq!(newly, seqs);
         prop_assert_eq!(tx.outstanding(), 0);
         prop_assert_eq!(rx.release_in_order(), count as u32);

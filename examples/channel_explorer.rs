@@ -6,24 +6,17 @@
 //! cargo run --release --example channel_explorer
 //! ```
 
+use wgtt::core::world::scenario_link;
 use wgtt::phy::{
-    DeploymentConfig, EsnrMemo, GuardInterval, LinkConfig, PerModel, Position, WirelessLink,
+    DeploymentConfig, EsnrMemo, GuardInterval, LinkConfig, PerModel, Position,
     CONTROLLER_MODULATION,
 };
-use wgtt::sim::{SimRng, SimTime};
+use wgtt::sim::SimTime;
 
 fn main() {
     let dep = DeploymentConfig::default().build();
-    let root = SimRng::new(1);
-    let links: Vec<WirelessLink> = dep
-        .aps
-        .iter()
-        .enumerate()
-        .map(|(a, site)| {
-            let mut r = root.fork(&format!("link/{a}/0"));
-            WirelessLink::new(*site, LinkConfig::default(), &mut r)
-        })
-        .collect();
+    let link = |a| scenario_link(1, &dep, &LinkConfig::default(), a, 0);
+    let links: Vec<_> = (0..dep.aps.len()).map(link).collect();
     let per = PerModel::default();
 
     println!("Walking the near lane at 15 mph-equivalent Doppler; ESNR per AP (dB):\n");
