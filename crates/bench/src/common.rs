@@ -28,13 +28,6 @@ pub fn save_json<T: Serialize>(name: &str, value: &T) {
     std::fs::write(&path, json).expect("write result file");
 }
 
-/// Ends the process with `error` on stderr and status 1: how a `report`
-/// refuses a scenario that cannot run, in place of a panic backtrace.
-pub fn exit_invalid(error: &dyn std::fmt::Display) -> ! {
-    eprintln!("wgtt-bench: {error}");
-    std::process::exit(1)
-}
-
 /// A config for the given mode with everything else default.
 pub fn config(mode: Mode) -> SystemConfig {
     SystemConfig {

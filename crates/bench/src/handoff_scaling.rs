@@ -12,10 +12,10 @@
 //! run at the same shapes to show the compounding loss the protocol
 //! removes.
 
-use crate::common::{exit_invalid, publish, Column};
+use crate::common::{publish, Column};
 use serde::Serialize;
 use wgtt_core::config::SystemConfig;
-use wgtt_core::shard::{try_run_sharded, ScenarioError, ShardedRunResult, ShardedScenario};
+use wgtt_core::shard::{ShardedRunResult, ShardedScenario};
 use wgtt_sim::{FaultSchedule, SimDuration, SimTime};
 
 /// Shard counts the sweep visits (clients per shard held fixed, so the
@@ -138,48 +138,55 @@ fn retention(delivered: u64, lost: u64) -> f64 {
     }
 }
 
-/// Runs the sweep: for each shard count, the real migration protocol and
-/// the naive no-transfer shim at the same shape.
-pub fn run_experiment(fast: bool) -> Result<HandoffSweep, ScenarioError> {
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get().min(4))
-        .unwrap_or(1);
-    let mut points = Vec::new();
-    for &shards in &SHARD_SWEEP {
-        let real = try_run_sharded(&scenario(shards, fast, false), workers.min(shards))?;
-        let naive = try_run_sharded(&scenario(shards, fast, true), workers.min(shards))?;
-        let faulted = try_run_sharded(&faulted_scenario(shards, fast), workers.min(shards))?;
-        let delivered = delivered_bytes(&real);
-        let lost = real.sys.departed_data_bytes;
-        let naive_delivered = delivered_bytes(&naive);
-        let naive_lost = naive.sys.departed_data_bytes;
-        let faulted_delivered = delivered_bytes(&faulted);
-        let faulted_lost = faulted.sys.departed_data_bytes;
-        points.push(HandoffPoint {
-            shards,
-            clients: shards * CLIENTS_PER_SHARD,
-            migrations: real.migrations.len(),
-            delivered_bytes: delivered,
-            seam_lost_bytes: lost,
-            retention: retention(delivered, lost),
-            residue_transferred: real.sys.residue_transferred,
-            naive_retention: retention(naive_delivered, naive_lost),
-            naive_lost_bytes: naive_lost,
-            faulted_retention: retention(faulted_delivered, faulted_lost),
-            faulted_lost_bytes: faulted_lost,
-            faulted_retries: faulted.sys.migration_retries,
-            faulted_dups_dropped: faulted.sys.migration_dups_dropped,
-        });
-    }
-    Ok(HandoffSweep {
+/// Runs the sweep: for each shard count, the real migration protocol, the
+/// naive no-transfer shim at the same shape and the faulted leg, all nine
+/// corridors in one batch.
+pub fn run_experiment(fast: bool) -> HandoffSweep {
+    let legs = SHARD_SWEEP.iter().flat_map(|&shards| {
+        [
+            scenario(shards, fast, false),
+            scenario(shards, fast, true),
+            faulted_scenario(shards, fast),
+        ]
+    });
+    let runs = crate::par::run_sharded(legs.collect());
+    let points = SHARD_SWEEP
+        .iter()
+        .zip(runs.chunks(3))
+        .map(|(&shards, legs)| {
+            let [real, naive, faulted] = legs else {
+                unreachable!("three legs per shard count")
+            };
+            let delivered = delivered_bytes(real);
+            let lost = real.sys.departed_data_bytes;
+            let naive_lost = naive.sys.departed_data_bytes;
+            let faulted_lost = faulted.sys.departed_data_bytes;
+            HandoffPoint {
+                shards,
+                clients: shards * CLIENTS_PER_SHARD,
+                migrations: real.migrations.len(),
+                delivered_bytes: delivered,
+                seam_lost_bytes: lost,
+                retention: retention(delivered, lost),
+                residue_transferred: real.sys.residue_transferred,
+                naive_retention: retention(delivered_bytes(naive), naive_lost),
+                naive_lost_bytes: naive_lost,
+                faulted_retention: retention(delivered_bytes(faulted), faulted_lost),
+                faulted_lost_bytes: faulted_lost,
+                faulted_retries: faulted.sys.migration_retries,
+                faulted_dups_dropped: faulted.sys.migration_dups_dropped,
+            }
+        })
+        .collect();
+    HandoffSweep {
         clients_per_shard: CLIENTS_PER_SHARD,
         points,
-    })
+    }
 }
 
 /// Runs and renders the handoff scaling sweep.
 pub fn report(fast: bool) -> String {
-    let sweep = run_experiment(fast).unwrap_or_else(|e| exit_invalid(&e));
+    let sweep = run_experiment(fast);
     let title = format!(
         "Handoff scaling — data retention vs shard count \
          ({} clients/shard, retention = delivered/(delivered+seam-lost))",
@@ -194,7 +201,7 @@ mod tests {
 
     #[test]
     fn retention_stays_flat_as_shards_grow() {
-        let sweep = run_experiment(true).expect("valid scenario");
+        let sweep = run_experiment(true);
         assert_eq!(sweep.points.len(), SHARD_SWEEP.len());
         for p in &sweep.points {
             assert!(p.migrations > 0, "{} shards: no handoffs", p.shards);
@@ -218,7 +225,7 @@ mod tests {
 
     #[test]
     fn faulty_backhaul_leg_holds_retention_at_one() {
-        let sweep = run_experiment(true).expect("valid scenario");
+        let sweep = run_experiment(true);
         let mut retries = 0u64;
         let mut dups = 0u64;
         for p in &sweep.points {

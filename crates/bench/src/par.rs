@@ -1,5 +1,5 @@
-//! Parallel experiment fan-out: independent `(Scenario, seed)` runs as one
-//! round of a [`wgtt_sim::pool`] (the engine itself stays single-threaded).
+//! Parallel experiment fan-out: independent `(Scenario, seed)` runs, or
+//! sharded corridors, as one round of a [`wgtt_sim::pool`].
 //! Each result lands in the slot of its *input* index, so the same job list
 //! gives byte-identical aggregate JSON with 1, 2, or 64 workers (locked by
 //! `crates/bench/tests/fanout_determinism.rs`). The width defaults to the
@@ -8,6 +8,7 @@
 
 use wgtt_core::oracle::helper_count;
 use wgtt_core::runner::{run_with_oracle_helpers, RunResult, Scenario};
+use wgtt_core::shard::{run_sharded_with_oracle_helpers, ShardedRunResult, ShardedScenario};
 use wgtt_sim::pool;
 
 /// Environment variable overriding the worker-pool size.
@@ -45,6 +46,19 @@ pub fn run_scenarios(scenarios: Vec<Scenario>) -> Vec<RunResult> {
     let width = thread_count(scenarios.len());
     let helpers = helper_count(1, pool::cores() / width);
     let run = |s, _| run_with_oracle_helpers(s, helpers);
+    pool::scope(width, run, |pool| pool.round(scenarios))
+}
+
+/// [`run_scenarios`] for sharded corridors: each of the `W` concurrent
+/// runs gets `⌊cores / W⌋` cores (at least one) for its lockstep workers
+/// and oracle helpers.
+pub fn run_sharded(scenarios: Vec<ShardedScenario>) -> Vec<ShardedRunResult> {
+    let width = thread_count(scenarios.len());
+    let share = (pool::cores() / width).max(1);
+    let run = |s: ShardedScenario, _| {
+        let workers = share.min(s.shards);
+        run_sharded_with_oracle_helpers(&s, workers, helper_count(workers, share))
+    };
     pool::scope(width, run, |pool| pool.round(scenarios))
 }
 

@@ -5,10 +5,10 @@
 //! takes 15.5 s at 5 mph, 18.2 s at 10 mph, and never completes within the
 //! transit at 15–20 mph ("∞").
 
-use crate::common::{config, publish, seeds_for, Column};
+use crate::common::{config, publish, seeds_for, sweep_grid, Column, MODES};
 use serde::Serialize;
-use wgtt_core::config::Mode;
-use wgtt_workloads::web::{mean_page_load_secs, WebConfig};
+use wgtt_core::runner::RunResult;
+use wgtt_workloads::web::{mean_page_load_secs, page_load_scenario, PageLoad, WebConfig};
 
 /// One row of Table 5.
 #[derive(Debug, Serialize)]
@@ -27,22 +27,27 @@ const COLUMNS: [Column<WebRow>; 3] = [
     ("802.11r (s)", |r| fmt_secs(r.baseline_s)),
 ];
 
-/// Runs Table 5.
+/// Runs Table 5: every (speed, system, seed) page load in one batch.
 pub fn run_experiment(fast: bool) -> Vec<WebRow> {
     let speeds: &[f64] = if fast {
         &[5.0, 20.0]
     } else {
         &[5.0, 10.0, 15.0, 20.0]
     };
-    let seeds = seeds_for(fast, 5);
     let web = WebConfig::default();
-    let load = |mode, mph| mean_page_load_secs(&config(mode), &web, mph, seeds.clone());
-    speeds
-        .iter()
-        .map(|&mph| WebRow {
-            mph,
-            wgtt_s: load(Mode::Wgtt, mph),
-            baseline_s: load(Mode::Enhanced80211r, mph),
+    let cells = speeds.iter().flat_map(|&mph| MODES.map(|mode| (mph, mode)));
+    let grid = sweep_grid(cells.collect(), seeds_for(fast, 5), |&(mph, mode), seed| {
+        page_load_scenario(config(mode), &web, mph, seed)
+    });
+    let mean = |runs: &[RunResult]| {
+        let loads: Vec<PageLoad> = runs.iter().map(|r| PageLoad::of(r, &web)).collect();
+        mean_page_load_secs(&loads)
+    };
+    grid.chunks(2)
+        .map(|pair| WebRow {
+            mph: pair[0].0 .0,
+            wgtt_s: mean(&pair[0].1),
+            baseline_s: mean(&pair[1].1),
         })
         .collect()
 }

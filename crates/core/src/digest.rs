@@ -9,15 +9,16 @@
 //! `{"n": length, "hash": FNV-1a}` — and per world it covers, in order:
 //! the switch history; per client the association timeline, MPDU
 //! attempts/successes, delivered downlink/uplink bits, the accuracy oracle's
-//! five fields and the failover samples; `dcf_collisions`; then every
+//! four fields and the failover samples; `dcf_collisions`; then every
 //! [`SystemMetrics`] row in table order.
 //!
-//! Because every value has a key, a mismatch can say which one moved:
-//! [`assert_same`] reports the first differing key instead of two strings.
+//! Because every value has a key, a mismatch can say which ones moved:
+//! [`assert_same`] lists the differing keys by path instead of two strings.
 
 use crate::metrics::{Counter, SystemMetrics};
 use crate::shard::ShardedRunResult;
 use crate::world::WgttWorld;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 use wgtt_sim::{SimDuration, SimTime};
 
@@ -115,11 +116,6 @@ fn write_world(out: &mut String, w: &WgttWorld) {
         num(out, "accuracy_total", m.accuracy_total);
         num(out, "accuracy_optimal", m.accuracy_optimal);
         num(out, "capacity_samples", m.capacity_samples);
-        num(
-            out,
-            "capacity_best_f64bits",
-            m.capacity_best_bps_sum.to_bits(),
-        );
         num(
             out,
             "capacity_loss_f64bits",
@@ -231,29 +227,48 @@ pub fn leaves(digest: &str) -> Vec<(String, &str)> {
     out
 }
 
-/// Panics unless the two digests are byte-identical, naming the first key
-/// whose value differs (`what` says which run, or which golden file).
+/// Panics unless the two digests are byte-identical (`what` says which
+/// run, or which golden file). Leaves are matched by key path, so a key
+/// one side lacks shifts nothing after it: the message lists every key
+/// that moved (holds another value), was removed (only `want` has it) or
+/// was added (only `got` has it), then how many of each per key name —
+/// the path without its indices, e.g. `shards.clients.mpdu_successes`.
 #[track_caller]
 pub fn assert_same(what: &str, got: &str, want: &str) {
     if got == want {
         return;
     }
     let (got, want) = (leaves(got), leaves(want));
-    let absent = (String::new(), "<absent>");
-    for i in 0..got.len().max(want.len()) {
-        let (g, w) = (
-            got.get(i).unwrap_or(&absent),
-            want.get(i).unwrap_or(&absent),
-        );
-        if g != w {
-            let path = if g.0.is_empty() { &w.0 } else { &g.0 };
-            panic!(
-                "{what}: digests differ, first at `{path}`: got {}, want {}",
-                g.1, w.1
-            );
-        }
+    let wanted: HashMap<&str, &str> = want.iter().map(|(p, v)| (p.as_str(), *v)).collect();
+    let had: HashSet<&str> = got.iter().map(|(p, _)| p.as_str()).collect();
+    let moved_or_added = got
+        .iter()
+        .filter_map(|(path, g)| match wanted.get(path.as_str()) {
+            Some(w) if w == g => None,
+            Some(w) => Some((path, "moved", format!("got {g}, want {w}"))),
+            None => Some((path, "added", format!("got {g}"))),
+        });
+    let removed = want.iter().filter(|(path, _)| !had.contains(path.as_str()));
+    let removed = removed.map(|(path, w)| (path, "removed", format!("want {w}")));
+    let (mut lines, mut per_key) = (String::new(), BTreeMap::new());
+    for (path, how, values) in moved_or_added.chain(removed) {
+        let _ = write!(lines, "\n  {how:<7} `{path}`: {values}");
+        let name: String = path
+            .split('[')
+            .map(|s| s.split_once(']').map_or(s, |(_, rest)| rest))
+            .collect();
+        *per_key.entry((name, how)).or_insert(0) += 1;
     }
-    panic!("{what}: digests differ, though every key holds the same value");
+    assert!(
+        !lines.is_empty(),
+        "{what}: digests differ, though every key holds the same value"
+    );
+    let mut counts = String::new();
+    for ((name, how), n) in &per_key {
+        let _ = write!(counts, "\n  {name}: {n} {how}");
+    }
+    let n: usize = per_key.values().sum();
+    panic!("{what}: digests differ at {n} keys{lines}\nper key name:{counts}");
 }
 
 #[cfg(test)]
@@ -282,25 +297,54 @@ mod tests {
         );
     }
 
+    /// What `assert_same` panics with.
+    fn message(got: &str, want: &str) -> String {
+        let payload = std::panic::catch_unwind(|| assert_same("ring", got, want))
+            .expect_err("the digests differ");
+        *payload.downcast::<String>().expect("a formatted message")
+    }
+
     #[test]
-    #[should_panic(
-        expected = "ring: digests differ, first at `world.sys.ap_crashes`: got 2, want 1"
-    )]
-    fn mismatch_names_the_first_key_that_moved() {
-        assert_same(
-            "ring",
-            r#"{"events":7,"world":{"sys":{"ap_crashes":2,"ap_reboots":5}}}"#,
-            r#"{"events":7,"world":{"sys":{"ap_crashes":1,"ap_reboots":6}}}"#,
+    fn mismatch_lists_every_key_that_moved() {
+        let got = r#"{"events":7,"world":{"sys":{"ap_crashes":2,"ap_reboots":5}}}"#;
+        let want = r#"{"events":7,"world":{"sys":{"ap_crashes":1,"ap_reboots":6}}}"#;
+        assert_eq!(
+            message(got, want),
+            "ring: digests differ at 2 keys\n\
+             \x20 moved   `world.sys.ap_crashes`: got 2, want 1\n\
+             \x20 moved   `world.sys.ap_reboots`: got 5, want 6\n\
+             per key name:\n\
+             \x20 world.sys.ap_crashes: 1 moved\n\
+             \x20 world.sys.ap_reboots: 1 moved"
         );
     }
 
     #[test]
-    #[should_panic(expected = "first at `migrations[1][0]`: got <absent>, want 5")]
-    fn mismatch_names_a_missing_element() {
-        assert_same(
-            "ring",
-            r#"{"migrations":[[4]]}"#,
-            r#"{"migrations":[[4],[5]]}"#,
+    fn a_removed_key_shifts_nothing_after_it() {
+        let got = r#"{"clients":[{"a":1,"c":3},{"a":4,"c":6}],"events":9}"#;
+        let want = r#"{"clients":[{"a":1,"b":2,"c":3},{"a":4,"b":5,"c":6}],"events":9}"#;
+        assert_eq!(
+            message(got, want),
+            "ring: digests differ at 2 keys\n\
+             \x20 removed `clients[0].b`: want 2\n\
+             \x20 removed `clients[1].b`: want 5\n\
+             per key name:\n\
+             \x20 clients.b: 2 removed"
+        );
+    }
+
+    #[test]
+    fn mismatch_names_added_and_missing_elements() {
+        let got = r#"{"migrations":[[4],[6],[7]]}"#;
+        let want = r#"{"migrations":[[4],[5]]}"#;
+        assert_eq!(
+            message(got, want),
+            "ring: digests differ at 2 keys\n\
+             \x20 moved   `migrations[1][0]`: got 6, want 5\n\
+             \x20 added   `migrations[2][0]`: got 7\n\
+             per key name:\n\
+             \x20 migrations: 1 added\n\
+             \x20 migrations: 1 moved"
         );
     }
 }

@@ -63,6 +63,6 @@ pub use config::{BaselineConfig, Mode, SystemConfig};
 pub use health::ApHealth;
 pub use runner::{run, ClientSpec, FlowSpec, RunResult, Scenario, TrajectorySpec};
 pub use selection::{ApSelector, SelectionConfig, WindowEstimator};
-pub use shard::{run_sharded, try_run_sharded, Migration, ShardedRunResult, ShardedScenario};
+pub use shard::{run_sharded, Migration, ShardedRunResult, ShardedScenario};
 pub use switching::{AbandonRecord, SwitchEngine, SwitchMsg, SwitchRecord};
 pub use world::{prime_migrant_events, Ev, FlowKind, MigrantFlow, MigrantSpec, WgttWorld};

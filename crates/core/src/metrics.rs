@@ -62,8 +62,6 @@ pub struct ClientMetrics {
     pub ba_forwarded_applied: u64,
     /// Block ACKs lost at the serving AP (before any forwarding).
     pub ba_lost_at_serving: u64,
-    /// Sum over oracle samples of the best link's capacity, bit/s.
-    pub capacity_best_bps_sum: f64,
     /// Sum over oracle samples of `max(0, best − serving)` capacity, bit/s.
     pub capacity_loss_bps_sum: f64,
     /// Number of oracle capacity samples.
@@ -91,7 +89,6 @@ impl ClientMetrics {
             mpdu_retransmits: 0,
             ba_forwarded_applied: 0,
             ba_lost_at_serving: 0,
-            capacity_best_bps_sum: 0.0,
             capacity_loss_bps_sum: 0.0,
             capacity_samples: 0,
             failovers: Vec::new(),
@@ -108,10 +105,9 @@ impl ClientMetrics {
         }
     }
 
-    /// Adds one oracle sample's verdict. The two capacity sums are `f64`s:
+    /// Adds one oracle sample's verdict. The capacity-loss sum is an `f64`:
     /// callers must add verdicts in recording order (see [`crate::oracle`]).
     pub(crate) fn add_oracle(&mut self, v: &crate::oracle::Verdict) {
-        self.capacity_best_bps_sum += v.best_cap;
         self.capacity_loss_bps_sum += v.loss;
         self.capacity_samples += 1;
         if v.has_serving {

@@ -5,7 +5,7 @@
 //! compare the serving AP against the instantaneous-ESNR best AP once per
 //! simulated millisecond per vehicle. That comparison is measurement, not
 //! mechanism: it reads the serving AP, the crashed-AP set, the trajectory
-//! and the time-deterministic fading, draws no RNG, and writes five
+//! and the time-deterministic fading, draws no RNG, and writes four
 //! [`ClientMetrics`](crate::metrics::ClientMetrics) fields nothing in a run
 //! reads back. It is also most of an event loop's wall (DESIGN.md §6b), so
 //! it is split three ways:
@@ -14,9 +14,10 @@
 //!   captures a `Sample`: everything the verdict depends on that the
 //!   event loop may change later.
 //! * **evaluate** — `evaluate`, the one copy of the ranking scan and the
-//!   capacity fold. A pure function of the sample and the link realizations
-//!   (the warm-start hint only reorders the scan), so it can run on any
-//!   thread, on any clone of the links, at any later time.
+//!   capacity fold, which runs only when the serving AP is not the winner.
+//!   A pure function of the sample and the link realizations (the
+//!   warm-start hint only reorders the scan), so it can run on any thread,
+//!   on any clone of the links, at any later time.
 //! * **reduce** — `ClientMetrics::add_oracle`, applied strictly in
 //!   recording order, so every `f64` sum adds the same terms in the same
 //!   order however the evaluations were scheduled.
@@ -27,8 +28,10 @@
 //! its run's [`wgtt_sim::pool`], whose idle workers evaluate them
 //! concurrently with the event loop; the recording thread takes its own
 //! oldest chunk back whenever more than `QUEUED_PER_HELPER` per helper are
-//! waiting, which bounds memory and balances load, and `Recorder::drain`
-//! finishes the rest before a run returns.
+//! waiting, which balances load, and finishes or waits for its oldest
+//! chunk whenever more than `PENDING_PER_HELPER` per helper are not yet
+//! reduced, which bounds memory; `Recorder::drain` finishes the rest
+//! before a run returns.
 
 use crate::ap::GUARD_INTERVAL;
 use crate::client::ClientState;
@@ -50,6 +53,13 @@ const CHUNK: usize = 256;
 /// helper gets through ≈1.4 chunks, so two apiece keep every helper fed;
 /// more would only lengthen the end-of-run drain.
 const QUEUED_PER_HELPER: usize = 2;
+
+/// Chunks per helper a world may have submitted and not yet reduced: the
+/// unstarted ones above, one in the helper's hands and one finished behind
+/// it. More means a helper stalled on the oldest while the rest piled up
+/// behind it (they are reduced in order), so the world finishes or waits
+/// for the oldest itself.
+const PENDING_PER_HELPER: usize = QUEUED_PER_HELPER + 2;
 
 /// Helpers worth having per event-loop thread: the oracle is at most ≈¾ of
 /// a loop's work, so a fourth thread per loop would only ever park.
@@ -76,8 +86,6 @@ pub struct Sample {
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy)]
 pub struct Verdict {
-    /// Capacity of the best in-range link, bit/s.
-    pub best_cap: f64,
     /// Best capacity minus the serving link's, floored at zero, bit/s.
     pub loss: f64,
     /// Whether the client had a serving AP (accuracy counts only then).
@@ -86,19 +94,36 @@ pub struct Verdict {
     pub optimal: bool,
 }
 
+/// An evaluator's reusable buffers: a sample allocates nothing once they
+/// have grown.
+#[doc(hidden)]
+#[derive(Default)]
+pub struct Scratch {
+    /// `(ap, mean SNR)` of every AP up and in range at the sample.
+    in_range: Vec<(usize, f64)>,
+    /// Tap gains of the link being ranked.
+    gains: Vec<Cplx>,
+}
+
 /// The oracle for one sample: instantaneous-ESNR argmax over the APs that
 /// are up and in range, then the capacity-loss term against the serving
 /// link. `None` when no AP is in range. `down[ap]` is the crashed-AP set at
 /// the tick, `link(ap)` the channel between `ap` and the sample's client.
 ///
-/// Memos are kept for the winner (inside `best`) and the serving AP so the
-/// capacity integral reuses the ranking's 16-QAM integrations, and an AP is
-/// skipped as soon as a ceiling on its ESNR sits at or below the incumbent
-/// (`e > b` would have been false regardless). Four ceilings, cheapest
-/// first: the static headroom over the mean SNR, before any fading work;
-/// the reach the link remembers, before any `sincos`; the tap gains' reach,
-/// before the 56 tones; the best tone — exact, since `esnr_db` clamps to it
-/// — before the integration. `gains` is the caller's tap-gain scratch.
+/// A sample pays only for what its verdict needs. Each AP's mean SNR is
+/// read once, for the range check and the static ceiling below. A serving
+/// AP that is the only one up and in range is the argmax with nothing to
+/// lose, so no channel is evaluated at all. The loss is zero whenever the
+/// serving AP wins, so the capacity fold runs only when it does not (or
+/// there is none), reusing the ranking's memos for the winner (inside
+/// `best`) and the serving AP.
+///
+/// An AP is skipped as soon as a ceiling on its ESNR sits at or below the
+/// incumbent (`e > b` would have been false regardless). Four ceilings,
+/// cheapest first: the static headroom over the mean SNR, before any
+/// fading work; the reach the link remembers, before any `sincos`; the tap
+/// gains' reach, before the 56 tones; the best tone — exact, since
+/// `esnr_db` clamps to it — before the integration.
 ///
 /// `warm` is the previous winner for this client: channel coherence makes
 /// it the likely incumbent, so visiting it first lets the ceiling prunes
@@ -114,22 +139,33 @@ pub fn evaluate<'a>(
     link: impl Fn(usize) -> &'a WirelessLink,
     cfg: &SystemConfig,
     warm: &mut Option<usize>,
-    gains: &mut Vec<Cplx>,
+    scratch: &mut Scratch,
 ) -> Option<Verdict> {
     let serving = s.serving.map(|a| a as usize);
-    let mean_snr = |ap: usize| link(ap).mean_snr_db(&s.pos);
-    let in_radio_range = |ap: usize| mean_snr(ap) >= RANGE_FLOOR_DB;
-    let hint = *warm;
+    let Scratch { in_range, gains } = scratch;
+    in_range.clear();
+    in_range.extend((0..down.len()).filter(|&ap| !down[ap]).filter_map(|ap| {
+        let mean_snr = link(ap).mean_snr_db(&s.pos);
+        (mean_snr >= RANGE_FLOOR_DB).then_some((ap, mean_snr))
+    }));
+    // A serving AP alone in range is the argmax and loses nothing.
+    if matches!(in_range[..], [(ap, _)] if serving == Some(ap)) {
+        *warm = serving;
+        return Some(Verdict {
+            loss: 0.0,
+            has_serving: true,
+            optimal: true,
+        });
+    }
+    let hint = warm.and_then(|w| in_range.iter().position(|&(ap, _)| ap == w));
     // `(ap, ESNR, its memo)` of the incumbent.
     let mut best: Option<(usize, f64, EsnrMemo)> = None;
     let mut serving_esnr: Option<EsnrMemo> = None;
-    for ap in hint
+    for i in hint
         .into_iter()
-        .chain((0..down.len()).filter(|&a| Some(a) != hint))
+        .chain((0..in_range.len()).filter(|&i| Some(i) != hint))
     {
-        if down[ap] || !in_radio_range(ap) {
-            continue;
-        }
+        let (ap, mean_snr) = in_range[i];
         let is_serving = serving == Some(ap);
         // Prunable once even a ceiling on this AP's ESNR cannot
         // win the lexicographic argmax against the incumbent.
@@ -138,7 +174,7 @@ pub fn evaluate<'a>(
         };
         // Static ceiling: no fading realization lifts a tone past
         // mean + headroom, so skip the whole channel evaluation.
-        if cannot_beat(mean_snr(ap) + link(ap).peak_tone_headroom_db()) {
+        if cannot_beat(mean_snr + link(ap).peak_tone_headroom_db()) {
             continue;
         }
         // Remembered reach: the taps cannot have gained more than their
@@ -174,30 +210,28 @@ pub fn evaluate<'a>(
     }
     *warm = best.as_ref().map(|&(ap, ..)| ap);
     let (oracle, _, mut oracle_esnr) = best?;
+    let optimal = serving == Some(oracle);
     // Capacity-loss integral (Figs 4, 21): the best link's
     // instantaneous capacity minus what the serving link offers.
-    let gi = GUARD_INTERVAL;
-    let best_cap = cfg.per_model.capacity_with(&mut oracle_esnr, gi, 1500);
-    let serv_cap = match serving {
-        Some(ap) if ap == oracle => best_cap,
-        // `capacity_with` reads only the snapshot behind a memo,
-        // so reusing the ranking's serving memo is bit-identical
-        // to a fresh one; the fallback covers a serving AP that
-        // is down or out of range.
-        Some(ap) => match serving_esnr.as_mut() {
-            Some(sm) => cfg.per_model.capacity_with(sm, gi, 1500),
-            None => {
-                let mut fresh = link(ap).memo(s.t, &s.pos, s.speed);
-                cfg.per_model.capacity_with(&mut fresh, gi, 1500)
-            }
-        },
-        None => 0.0,
+    let loss = if optimal {
+        0.0
+    } else {
+        let gi = GUARD_INTERVAL;
+        let best_cap = cfg.per_model.capacity_with(&mut oracle_esnr, gi, 1500);
+        // `capacity_with` reads only the snapshot behind a memo, so
+        // reusing the ranking's serving memo is bit-identical to a
+        // fresh one; the fresh one covers a serving AP that is down or
+        // out of range.
+        let serv_cap = serving.map_or(0.0, |ap| {
+            let sm = serving_esnr.get_or_insert_with(|| link(ap).memo(s.t, &s.pos, s.speed));
+            cfg.per_model.capacity_with(sm, gi, 1500)
+        });
+        (best_cap - serv_cap).max(0.0)
     };
     Some(Verdict {
-        best_cap,
-        loss: (best_cap - serv_cap).max(0.0),
+        loss,
         has_serving: serving.is_some(),
-        optimal: serving == Some(oracle),
+        optimal,
     })
 }
 
@@ -291,11 +325,11 @@ struct WorldShare {
 }
 
 /// One helper's link clones and warm-start hints, by client, made the
-/// first time it meets the client; and its tap-gain scratch.
+/// first time it meets the client; and its evaluation scratch.
 #[derive(Default)]
 struct Helper {
     clients: Vec<Option<(Vec<WirelessLink>, Option<usize>)>>,
-    gains: Vec<Cplx>,
+    scratch: Scratch,
 }
 
 impl WorldShare {
@@ -306,7 +340,7 @@ impl WorldShare {
             return; // its draining world got to the lock first
         }
         let mut helper = lock(&self.helpers[worker]);
-        let Helper { clients, gains } = &mut *helper;
+        let Helper { clients, scratch } = &mut *helper;
         chunk.evaluate(|s, down| {
             let c = s.client as usize;
             if clients.len() <= c {
@@ -324,7 +358,7 @@ impl WorldShare {
                 };
                 (links, None)
             });
-            evaluate(s, down, |ap| &links[ap], &self.cfg, warm, gains)
+            evaluate(s, down, |ap| &links[ap], &self.cfg, warm, scratch)
         });
     }
 }
@@ -345,8 +379,8 @@ struct Sink {
 pub(crate) struct Recorder {
     /// The recording thread's warm-start hints, dense by client index.
     warm: Vec<Option<usize>>,
-    /// The recording thread's tap-gain scratch.
-    gains: Vec<Cplx>,
+    /// The recording thread's evaluation scratch.
+    scratch: Scratch,
     sink: Option<Sink>,
 }
 
@@ -383,8 +417,8 @@ impl Recorder {
         }
         let Some(sink) = &mut self.sink else {
             let links = view.links;
-            let (warm, gains) = (&mut self.warm[c], &mut self.gains);
-            if let Some(v) = evaluate(&s, down, |ap| &links[ap][c], view.cfg, warm, gains) {
+            let (warm, scratch) = (&mut self.warm[c], &mut self.scratch);
+            if let Some(v) = evaluate(&s, down, |ap| &links[ap][c], view.cfg, warm, scratch) {
                 view.clients[c].metrics.add_oracle(&v);
             }
             return;
@@ -392,8 +426,9 @@ impl Recorder {
         sink.filling.push(s, down);
         if sink.filling.samples.len() >= CHUNK {
             let unstarted = sink.submit(view.links);
-            let behind = unstarted > QUEUED_PER_HELPER * sink.jobs.workers();
-            self.settle(behind, false, view);
+            let workers = sink.jobs.workers();
+            let behind = unstarted > QUEUED_PER_HELPER * workers;
+            self.settle(behind, PENDING_PER_HELPER * workers, view);
         }
     }
 
@@ -405,24 +440,29 @@ impl Recorder {
             if !sink.filling.samples.is_empty() {
                 sink.submit(view.links);
             }
-            self.settle(true, true, view);
+            self.settle(true, 0, view);
             self.sink = None;
         }
     }
 
     /// Reduces the finished chunks at the head of `pending`. With `help`,
     /// first takes this world's oldest unstarted chunk back from the pool
-    /// and evaluates it here; with `finish`, repeats until nothing is
-    /// pending, waiting for the chunks helpers hold.
-    fn settle(&mut self, help: bool, finish: bool, view: WorldView<'_>) {
-        let Recorder { warm, gains, sink } = self;
+    /// and evaluates it here. While more than `keep` are pending, repeats,
+    /// evaluating the oldest here or waiting for the helper that holds it.
+    fn settle(&mut self, help: bool, keep: usize, view: WorldView<'_>) {
+        let Recorder {
+            warm,
+            scratch,
+            sink,
+        } = self;
         let Some(sink) = sink.as_mut() else { return };
         let links = view.links;
         loop {
-            if help {
+            let over = sink.pending.len() > keep;
+            if help || over {
                 let slot = sink
                     .take_back()
-                    .or_else(|| sink.pending.front().filter(|_| finish).cloned());
+                    .or_else(|| sink.pending.front().filter(|_| over).cloned());
                 if let Some(slot) = slot {
                     let mut chunk = lock(&slot);
                     // Done already unless it was still unstarted, or a
@@ -430,7 +470,7 @@ impl Recorder {
                     if !chunk.done {
                         chunk.evaluate(|s, down| {
                             let c = s.client as usize;
-                            evaluate(s, down, |ap| &links[ap][c], view.cfg, &mut warm[c], gains)
+                            evaluate(s, down, |ap| &links[ap][c], view.cfg, &mut warm[c], scratch)
                         });
                     }
                 }
@@ -443,7 +483,7 @@ impl Recorder {
                 drop(chunk);
                 sink.pending.pop_front();
             }
-            if !finish || sink.pending.is_empty() {
+            if sink.pending.len() <= keep {
                 return;
             }
         }
@@ -548,6 +588,82 @@ mod tests {
                 }
                 // Left for its world to evaluate; the scope resumes the panic.
                 assert!(!lock(&slot).done);
+            },
+        );
+    }
+
+    #[test]
+    fn a_stalled_helper_holds_back_a_bounded_number_of_chunks() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let mut sim = unattached();
+        let w = sim.world_mut();
+        let n_aps = w.links.len();
+        pool::scope(
+            2,
+            |(), _| (),
+            |pool| {
+                let jobs = pool.jobs();
+                let mut recorder = Recorder::default();
+                recorder.attach(jobs, &w.cfg);
+                let keep = PENDING_PER_HELPER * jobs.workers();
+                let mut t = 0;
+                let mut record = |recorder: &mut Recorder| {
+                    // Out of every AP's range: each verdict is cheap.
+                    let s = Sample {
+                        t: SimTime::from_millis(t),
+                        client: 0,
+                        serving: None,
+                        pos: Position::new(-1e5, 6.0, 1.5),
+                        speed: 10.0,
+                    };
+                    t += 1;
+                    let view = WorldView {
+                        links: &w.links,
+                        cfg: &w.cfg,
+                        clients: &mut w.clients,
+                    };
+                    recorder.record(s, &vec![false; n_aps], view);
+                };
+                // Park the one helper while the first chunk is submitted,
+                // then hand it that chunk's lock instead of its job: it
+                // holds the oldest chunk, unevaluated, until released or
+                // for 200 ms.
+                let (open, gate) = mpsc::channel::<()>();
+                jobs.push(0, move |_| {
+                    let _ = gate.recv();
+                });
+                for _ in 0..CHUNK {
+                    record(&mut recorder);
+                }
+                let sink = recorder.sink.as_ref().expect("attached");
+                let head = Arc::clone(sink.pending.front().expect("one chunk submitted"));
+                assert!(jobs.take(key(&head)), "the first chunk was not queued");
+                let (held, holding) = mpsc::channel();
+                let (release, released) = mpsc::channel::<()>();
+                jobs.push(0, move |_| {
+                    let _chunk = lock(&head);
+                    held.send(()).expect("the test waits");
+                    let _ = released.recv_timeout(Duration::from_millis(200));
+                });
+                open.send(()).expect("the helper is parked");
+                holding.recv().expect("the helper holds the oldest chunk");
+                let mut most = 0;
+                for _ in 0..(keep + 4) * CHUNK {
+                    record(&mut recorder);
+                    most = most.max(recorder.sink.as_ref().expect("attached").pending.len());
+                }
+                let _ = release.send(());
+                assert!(
+                    most <= keep,
+                    "{most} chunks pending behind a stalled helper; the bound is {keep}"
+                );
+                let view = WorldView {
+                    links: &w.links,
+                    cfg: &w.cfg,
+                    clients: &mut w.clients,
+                };
+                recorder.drain(view);
             },
         );
     }

@@ -658,16 +658,8 @@ fn shard_seed(root: u64, shard: usize) -> u64 {
 ///
 /// # Panics
 /// On a scenario [`ShardedScenario::validate`] rejects, with its message;
-/// [`try_run_sharded`] returns it instead.
+/// a caller holding a scenario from outside the program validates it first.
 pub fn run_sharded(scenario: &ShardedScenario, workers: usize) -> ShardedRunResult {
-    try_run_sharded(scenario, workers).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`run_sharded`], reporting an invalid scenario instead of panicking.
-pub fn try_run_sharded(
-    scenario: &ShardedScenario,
-    workers: usize,
-) -> Result<ShardedRunResult, ScenarioError> {
     run_sharded_impl(scenario, workers, None)
 }
 
@@ -680,15 +672,17 @@ pub fn run_sharded_with_oracle_helpers(
     workers: usize,
     helpers: usize,
 ) -> ShardedRunResult {
-    run_sharded_impl(scenario, workers, Some(helpers)).unwrap_or_else(|e| panic!("{e}"))
+    run_sharded_impl(scenario, workers, Some(helpers))
 }
 
 fn run_sharded_impl(
     scenario: &ShardedScenario,
     workers: usize,
     oracle_helpers: Option<usize>,
-) -> Result<ShardedRunResult, ScenarioError> {
-    scenario.validate()?;
+) -> ShardedRunResult {
+    if let Err(e) = scenario.validate() {
+        panic!("{e}");
+    }
     let traffic_until = SimTime::ZERO + scenario.duration;
     let mut shards: Vec<Shard> = (0..scenario.shards)
         .map(|i| Shard {
@@ -739,14 +733,14 @@ fn run_sharded_impl(
     for w in &worlds {
         sys.merge(&w.sys);
     }
-    Ok(ShardedRunResult {
+    ShardedRunResult {
         worlds,
         events,
         sys,
         migrations: corridor.migrations,
         wall,
         duration: scenario.duration,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -960,9 +954,6 @@ mod tests {
         s.config.migration.max_attempts = 0;
         let err = s.validate().unwrap_err().to_string();
         assert!(err.contains("max_attempts"), "{err}");
-        // The fallible runner returns the same error instead of running.
-        let refused = try_run_sharded(&s, 1).err().expect("must not run");
-        assert_eq!(refused.to_string(), err);
     }
 
     #[test]

@@ -16,4 +16,4 @@ pub mod web;
 
 pub use conference::{per_second_fps, ConferenceConfig};
 pub use video::{replay_video, VideoConfig, VideoQoe};
-pub use web::{measure_page_load, PageLoad, WebConfig};
+pub use web::{page_load_scenario, PageLoad, WebConfig};

@@ -7,7 +7,7 @@
 //! fixed browser/handshake overhead and read the completion time off the
 //! flow.
 
-use wgtt_core::runner::{run, FlowSpec, Scenario};
+use wgtt_core::runner::{FlowSpec, RunResult, Scenario};
 use wgtt_core::SystemConfig;
 use wgtt_sim::SimDuration;
 
@@ -39,9 +39,10 @@ pub enum PageLoad {
     Incomplete,
 }
 
-/// Runs a page-load drive-by at `mph` under `config` and measures the load
-/// time.
-pub fn measure_page_load(config: SystemConfig, web: &WebConfig, mph: f64, seed: u64) -> PageLoad {
+/// The page-load drive-by at `mph` under `config`. The passenger opens the
+/// page a fifth of the way into the drive, so the load spans AP handovers
+/// at every speed.
+pub fn page_load_scenario(config: SystemConfig, web: &WebConfig, mph: f64, seed: u64) -> Scenario {
     let mut scenario = Scenario::single_drive(
         config,
         mph,
@@ -50,37 +51,32 @@ pub fn measure_page_load(config: SystemConfig, web: &WebConfig, mph: f64, seed: 
         }],
         seed,
     );
-    // The passenger opens the page a fifth of the way into the drive, so
-    // the load spans AP handovers at every speed.
-    let start = scenario.duration * 0.2;
-    scenario.flow_start = start;
-    let res = run(scenario);
-    match res.world.flows[0].completed_at {
-        Some(at) => PageLoad::Completed(
-            at.saturating_since(wgtt_sim::SimTime::ZERO + start) + web.fixed_overhead,
-        ),
-        None => PageLoad::Incomplete,
+    scenario.flow_start = scenario.duration * 0.2;
+    scenario
+}
+
+impl PageLoad {
+    /// The load time a run of a [`page_load_scenario`] shows.
+    pub fn of(run: &RunResult, web: &WebConfig) -> PageLoad {
+        let page = &run.world.flows[0];
+        match page.completed_at {
+            Some(at) => PageLoad::Completed(at.saturating_since(page.start) + web.fixed_overhead),
+            None => PageLoad::Incomplete,
+        }
     }
 }
 
-/// Mean page-load time over several runs, seconds; infinite if the
-/// majority of attempts never complete (the paper's "∞" entries).
-pub fn mean_page_load_secs(
-    config: &SystemConfig,
-    web: &WebConfig,
-    mph: f64,
-    seeds: std::ops::Range<u64>,
-) -> f64 {
-    let mut times = Vec::new();
-    let mut incomplete = 0usize;
-    let total = (seeds.end - seeds.start) as usize;
-    for seed in seeds {
-        match measure_page_load(config.clone(), web, mph, seed) {
-            PageLoad::Completed(d) => times.push(d.as_secs_f64()),
-            PageLoad::Incomplete => incomplete += 1,
-        }
-    }
-    if incomplete * 2 >= total {
+/// Mean load time of `loads`, seconds; infinite if the majority never
+/// complete (the paper's "∞" entries).
+pub fn mean_page_load_secs(loads: &[PageLoad]) -> f64 {
+    let times: Vec<f64> = loads
+        .iter()
+        .filter_map(|load| match load {
+            PageLoad::Completed(d) => Some(d.as_secs_f64()),
+            PageLoad::Incomplete => None,
+        })
+        .collect();
+    if (loads.len() - times.len()) * 2 >= loads.len() {
         f64::INFINITY
     } else {
         wgtt_sim::stats::mean(&times)
@@ -90,7 +86,11 @@ pub fn mean_page_load_secs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wgtt_core::Mode;
+    use wgtt_core::{run, Mode};
+
+    fn measure_page_load(config: SystemConfig, web: &WebConfig, mph: f64, seed: u64) -> PageLoad {
+        PageLoad::of(&run(page_load_scenario(config, web, mph, seed)), web)
+    }
 
     #[test]
     fn wgtt_loads_the_page_mid_speed() {
@@ -112,13 +112,15 @@ mod tests {
             mode: Mode::Enhanced80211r,
             ..SystemConfig::default()
         };
-        let base = mean_page_load_secs(&cfg, &WebConfig::default(), 15.0, 11..15);
-        let wgtt = mean_page_load_secs(
-            &SystemConfig::default(),
-            &WebConfig::default(),
-            15.0,
-            11..15,
-        );
+        let mean = |cfg: &SystemConfig| {
+            let web = WebConfig::default();
+            let loads: Vec<PageLoad> = (11..15)
+                .map(|seed| measure_page_load(cfg.clone(), &web, 15.0, seed))
+                .collect();
+            mean_page_load_secs(&loads)
+        };
+        let base = mean(&cfg);
+        let wgtt = mean(&SystemConfig::default());
         assert!(base > wgtt * 1.2, "baseline {base} vs wgtt {wgtt}");
     }
 }

@@ -5,14 +5,16 @@
 //! either fails tier-1 and not only the benchmark's `peak_heap_mib` and
 //! `sim.engine.allocs_per_event`.
 //!
-//! The binary has its own counting `#[global_allocator]` and exactly one
-//! test, so no other test's thread allocates while a figure is taken. The
-//! runs use no oracle helper and one lockstep worker: the figures are the
+//! The binary has its own counting `#[global_allocator]`, which charges
+//! only the thread inside `measured`: whatever another thread of the
+//! process (the test harness's own included) allocates meanwhile is not in
+//! a figure. The runs use no oracle helper and one lockstep worker, so
+//! every allocation of a run is on that thread: the figures are the
 //! same on any host, and they are *requested* bytes and *calls*, not
 //! resident pages, so they are the same under any system allocator. (They
-//! repeat to a few calls and a few KiB, not to the digit, even with the
-//! test on the process's only thread: the run's `HashMap`s are seeded per
-//! process, and when one of them rehashes depends on the seed.)
+//! repeat to a few calls and a few KiB, not to the digit: the run's
+//! `HashMap`s are seeded per process, and when one of them rehashes
+//! depends on the seed.)
 //!
 //! Each run's budget is 1.25 × what it measured when its figures were last
 //! moved, and the budget names what moved them: for the drive and the
@@ -28,7 +30,8 @@
 mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use wgtt::core::config::SystemConfig;
 use wgtt::core::cyclic::CyclicQueue;
 use wgtt::core::dedup::Deduplicator;
@@ -39,17 +42,37 @@ use wgtt::phy::{esnr_db, DeploymentConfig, LinkConfig, Modulation, WirelessLink}
 use wgtt::sim::{SimDuration, SimRng};
 
 // Relaxed everywhere: statistics that publish no other data.
-static IN_USE: AtomicUsize = AtomicUsize::new(0);
-static HIGH_WATER: AtomicUsize = AtomicUsize::new(0);
+/// Bytes the charged threads have asked for less what they have freed; it
+/// goes below zero when one frees what it was not charged for.
+static IN_USE: AtomicIsize = AtomicIsize::new(0);
+static HIGH_WATER: AtomicIsize = AtomicIsize::new(0);
 /// Calls that ask for memory: `alloc`, `alloc_zeroed`, `realloc`.
 static CALLS: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    /// Whether this thread's allocator calls are counted: only while it
+    /// runs `measured`. `const`, so reading it never allocates.
+    static CHARGED: Cell<bool> = const { Cell::new(false) };
+}
+
 struct Counting;
 
+fn charged() -> bool {
+    CHARGED.with(Cell::get)
+}
+
 fn grew(bytes: usize) {
-    CALLS.fetch_add(1, Ordering::Relaxed);
-    let live = IN_USE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    HIGH_WATER.fetch_max(live, Ordering::Relaxed);
+    if charged() {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        let live = IN_USE.fetch_add(bytes as isize, Ordering::Relaxed) + bytes as isize;
+        HIGH_WATER.fetch_max(live, Ordering::Relaxed);
+    }
+}
+
+fn shrank(bytes: usize) {
+    if charged() {
+        IN_USE.fetch_sub(bytes as isize, Ordering::Relaxed);
+    }
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -78,7 +101,7 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: `ptr` came from this allocator with this `layout`, which
         // means it came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) };
-        IN_USE.fetch_sub(layout.size(), Ordering::Relaxed);
+        shrank(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
@@ -88,8 +111,8 @@ unsafe impl GlobalAlloc for Counting {
             if new_size >= layout.size() {
                 grew(new_size - layout.size());
             } else {
-                CALLS.fetch_add(1, Ordering::Relaxed);
-                IN_USE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
+                grew(0); // still a call
+                shrank(layout.size() - new_size);
             }
         }
         p
@@ -99,16 +122,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// What `f` asked of the allocator: its result, the most bytes live at once
-/// while it ran (the result included) above what was live when it started,
-/// and the number of calls.
+/// What `f` asked of the allocator on this thread: its result, the most
+/// bytes live at once while it ran (the result included) above what was
+/// live when it started, and the number of calls.
 fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     let base = IN_USE.load(Ordering::Relaxed);
     HIGH_WATER.store(base, Ordering::Relaxed);
     let calls = CALLS.load(Ordering::Relaxed);
+    CHARGED.with(|c| c.set(true));
     let kept = f();
+    CHARGED.with(|c| c.set(false));
     let peak = HIGH_WATER.load(Ordering::Relaxed);
-    (kept, peak - base, CALLS.load(Ordering::Relaxed) - calls)
+    let calls = CALLS.load(Ordering::Relaxed) - calls;
+    (kept, (peak - base) as usize, calls)
 }
 
 const KIB: usize = 1024;

@@ -725,27 +725,9 @@ fn recorded_stream(faults: FaultSchedule, seconds: u64) -> (Stream, Links, Links
     (samples, sim.world().links.clone(), untouched)
 }
 
-/// What `link` remembers cannot change a verdict: a recorded convoy stream
-/// and a recorded storm stream (APs flapping under the same convoy) give
-/// the same verdicts, to the bit, evaluated in order on links that carry
-/// state from later instants, in reverse order, and on a fresh clone of
-/// untouched links per sample with no warm-start hint.
-#[test]
-fn oracle_verdicts_do_not_depend_on_remembered_state() {
-    use wgtt::core::config::SystemConfig;
-    use wgtt::core::oracle::{evaluate, Verdict};
-    use wgtt::phy::WirelessLink;
-    let cfg = SystemConfig::default();
-    let bits = |v: Option<Verdict>| {
-        v.map(|v| {
-            (
-                v.best_cap.to_bits(),
-                v.loss.to_bits(),
-                v.has_serving,
-                v.optimal,
-            )
-        })
-    };
+/// The recorded convoy stream and the recorded storm stream (APs flapping
+/// and one out under the same convoy), three seconds each.
+fn oracle_streams() -> Vec<(&'static str, (Stream, Links, Links))> {
     let storm = FaultSchedule::new()
         .with_ap_flapping(
             2,
@@ -762,22 +744,39 @@ fn oracle_verdicts_do_not_depend_on_remembered_state() {
             0.5,
         )
         .with_ap_outage(3, SimTime::from_millis(1500), SimTime::from_millis(2300));
-    for (what, faults) in [("convoy", FaultSchedule::new()), ("storm", storm)] {
-        let (samples, mut kept, untouched) = recorded_stream(faults, 3);
-        let mut gains = Vec::new();
+    [("convoy", FaultSchedule::new()), ("storm", storm)]
+        .into_iter()
+        .map(|(what, faults)| (what, recorded_stream(faults, 3)))
+        .collect()
+}
+
+/// A verdict's bits: `(loss, has_serving, optimal)`.
+type VerdictBits = Option<(u64, bool, bool)>;
+
+fn verdict_bits(v: Option<wgtt::core::oracle::Verdict>) -> VerdictBits {
+    v.map(|v| (v.loss.to_bits(), v.has_serving, v.optimal))
+}
+
+/// What `link` remembers cannot change a verdict: a recorded convoy stream
+/// and a recorded storm stream give the same verdicts, to the bit,
+/// evaluated in order on links that carry state from later instants, in
+/// reverse order, and on a fresh clone of untouched links per sample with
+/// no warm-start hint.
+#[test]
+fn oracle_verdicts_do_not_depend_on_remembered_state() {
+    use wgtt::core::config::SystemConfig;
+    use wgtt::core::oracle::{evaluate, Scratch};
+    use wgtt::phy::WirelessLink;
+    let cfg = SystemConfig::default();
+    let mut scratch = Scratch::default();
+    for (what, (samples, mut kept, untouched)) in oracle_streams() {
         let fresh: Vec<_> = samples
             .iter()
             .map(|(s, down)| {
                 let c = s.client as usize;
                 let links: Vec<WirelessLink> = untouched.iter().map(|row| row[c].clone()).collect();
-                bits(evaluate(
-                    s,
-                    down,
-                    |ap| &links[ap],
-                    &cfg,
-                    &mut None,
-                    &mut gains,
-                ))
+                let v = evaluate(s, down, |ap| &links[ap], &cfg, &mut None, &mut scratch);
+                verdict_bits(v)
             })
             .collect();
         let mut replay = |links: &Links, order: &mut dyn Iterator<Item = usize>| {
@@ -786,8 +785,15 @@ fn oracle_verdicts_do_not_depend_on_remembered_state() {
             for i in order {
                 let (s, down) = &samples[i];
                 let c = s.client as usize;
-                let v = evaluate(s, down, |ap| &links[ap][c], &cfg, &mut warm[c], &mut gains);
-                out[i] = bits(v);
+                let v = evaluate(
+                    s,
+                    down,
+                    |ap| &links[ap][c],
+                    &cfg,
+                    &mut warm[c],
+                    &mut scratch,
+                );
+                out[i] = verdict_bits(v);
             }
             out
         };
@@ -803,8 +809,64 @@ fn oracle_verdicts_do_not_depend_on_remembered_state() {
             "{what}, reversed"
         );
         assert!(
-            fresh.iter().any(|v| v.is_some_and(|v| !v.3)),
+            fresh.iter().any(|v| v.is_some_and(|v| !v.2)),
             "{what}: never suboptimal"
         );
     }
+}
+
+/// The oracle skips only work its verdict cannot read: over the recorded
+/// convoy and storm streams, every verdict equals, to the bit, a reference
+/// that integrates every in-range AP's 16-QAM ESNR, takes the plain
+/// ascending argmax and always folds both capacities. The streams hold
+/// every case the oracle short-cuts or falls back on: a serving AP alone
+/// in range, a serving AP that is down, and no serving AP.
+#[test]
+fn oracle_verdicts_equal_a_full_reference() {
+    use wgtt::core::config::SystemConfig;
+    use wgtt::core::oracle::{evaluate, Scratch};
+    use wgtt::core::world::RANGE_FLOOR_DB;
+    use wgtt::phy::{GuardInterval, CONTROLLER_MODULATION};
+    let cfg = SystemConfig::default();
+    let mut scratch = Scratch::default();
+    let (mut alone, mut down_serving, mut unserved) = (0, 0, 0);
+    for (what, (samples, _, untouched)) in oracle_streams() {
+        let mut warm = [None; 3];
+        for (i, (s, down)) in samples.iter().enumerate() {
+            let c = s.client as usize;
+            let link = |ap: usize| &untouched[ap][c];
+            let in_range: Vec<usize> = (0..down.len())
+                .filter(|&ap| !down[ap] && link(ap).mean_snr_db(&s.pos) >= RANGE_FLOOR_DB)
+                .collect();
+            let serving = s.serving.map(|a| a as usize);
+            alone += usize::from(in_range.len() == 1 && serving == in_range.first().copied());
+            down_serving += usize::from(serving.is_some_and(|ap| down[ap]));
+            unserved += usize::from(serving.is_none() && !in_range.is_empty());
+            let memo = |ap: usize| link(ap).memo(s.t, &s.pos, s.speed);
+            let mut best: Option<(usize, f64)> = None;
+            for &ap in &in_range {
+                let e = memo(ap).esnr_db(CONTROLLER_MODULATION);
+                if best.map_or(true, |(_, b)| e > b) {
+                    best = Some((ap, e));
+                }
+            }
+            let want = best.map(|(oracle, _)| {
+                let cap = |ap| {
+                    cfg.per_model
+                        .capacity_with(&mut memo(ap), GuardInterval::Short, 1500)
+                };
+                let serv_cap = serving.map_or(0.0, cap);
+                let loss = (cap(oracle) - serv_cap).max(0.0);
+                (loss.to_bits(), serving.is_some(), serving == Some(oracle))
+            });
+            let got = evaluate(s, down, link, &cfg, &mut warm[c], &mut scratch);
+            assert_eq!(verdict_bits(got), want, "{what}, sample {i}: {s:?}");
+        }
+    }
+    assert!(alone > 0, "no sample with its serving AP alone in range");
+    assert!(down_serving > 0, "no sample with its serving AP down");
+    assert!(
+        unserved > 0,
+        "no sample in range of an AP with no serving AP"
+    );
 }
