@@ -266,8 +266,7 @@ impl WgttWorld {
     /// Degraded-mode uplink held at `ap` while no controller was listening
     /// flows again, toward whichever controller now reigns.
     fn flush_degraded_uplink(&mut self, ctx: &mut Ctx<'_, Ev>, ap: usize) {
-        let held: Vec<Packet> = self.aps[ap].uplink_buffer.drain(..).collect();
-        for packet in held {
+        for packet in std::mem::take(&mut self.aps[ap].uplink_buffer) {
             self.sys.degraded_uplink_flushed += 1;
             self.tunnel_uplink(ctx, ap, packet);
         }

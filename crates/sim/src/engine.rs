@@ -57,18 +57,19 @@ impl<'a, E> Ctx<'a, E> {
     /// are allowed and run after all earlier-scheduled events for this
     /// instant.
     pub fn schedule_at(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "cannot schedule into the past: {at} < {}",
-            self.now
-        );
-        self.queue.push(at, event)
+        schedule(self.queue, self.now, at, event)
     }
 
     /// Schedules `event` after a delay from now.
     pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
         self.queue.push(self.now + delay, event)
     }
+}
+
+/// Pushes `event` at `at`, the one past-time check of both `schedule_at`s.
+fn schedule<E>(queue: &mut EventQueue<E>, now: SimTime, at: SimTime, event: E) {
+    assert!(at >= now, "cannot schedule into the past: {at} < {now}");
+    queue.push(at, event)
 }
 
 /// Drives a [`World`] through simulated time.
@@ -128,9 +129,9 @@ impl<W: World> Simulator<W> {
     }
 
     /// Schedules an event from outside the event loop (experiment setup).
+    /// Panics if `at` is in the past, as [`Ctx::schedule_at`] does.
     pub fn schedule_at(&mut self, at: SimTime, event: W::Event) {
-        assert!(at >= self.now, "cannot schedule into the past");
-        self.queue.push(at, event)
+        schedule(&mut self.queue, self.now, at, event)
     }
 
     /// Processes a single event. Returns `false` when the event list is
@@ -292,13 +293,35 @@ mod tests {
         assert!(done.wall >= mid.wall);
     }
 
+    /// The message `f` panics with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("scheduling into the past must panic");
+        *payload
+            .downcast::<String>()
+            .expect("a formatted panic message")
+    }
+
     #[test]
-    #[should_panic]
     fn scheduling_into_past_panics() {
         let mut sim = Simulator::new(toy());
         sim.schedule_at(SimTime::from_millis(5), ToyEvent::OneShot);
         drain(&mut sim);
-        // now == 5ms; scheduling at 1ms must panic.
-        sim.schedule_at(SimTime::from_millis(1), ToyEvent::OneShot);
+        // now == 5ms; scheduling at 1ms must panic, from outside the loop
+        // and from inside a handler alike.
+        let outside = panic_message(|| sim.schedule_at(SimTime::from_millis(1), ToyEvent::OneShot));
+        let mut queue = EventQueue::new();
+        let mut ctx = Ctx {
+            now: SimTime::from_millis(5),
+            queue: &mut queue,
+        };
+        let inside = panic_message(|| ctx.schedule_at(SimTime::from_millis(1), ToyEvent::OneShot));
+        let want = format!(
+            "cannot schedule into the past: {} < {}",
+            SimTime::from_millis(1),
+            SimTime::from_millis(5)
+        );
+        assert_eq!(outside, want);
+        assert_eq!(inside, want);
     }
 }

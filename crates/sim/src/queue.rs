@@ -8,59 +8,41 @@
 //! control packet arrival and a queue service completion), and run-to-run
 //! reproducibility of every experiment depends on a stable order.
 //!
-//! It is a calendar/bucket queue over one slab. A slab slot holds an
-//! event, its `(time, push number)` key and a link to the next slot of its
-//! time bucket (64 µs wide); a ring of 1024 `(head, tail)` cells (~67 ms
-//! horizon) threads each bucket's slots into a list, and a spill heap
-//! holds far-future timers. A bucket becomes a sorted drain list of
-//! 24-byte references only when the cursor reaches it, so the queue's
-//! memory is the slab — grown a quarter at a time — plus the largest
-//! single bucket, not the sum of every bucket's own high water. Freed slots
-//! are threaded onto a free list through the same link (no steady-state
-//! allocation). The slab tracks what is pending, not what once was: when a
-//! pop leaves a slab of at least 512 slots with at most an eighth of them
-//! live — the tail of a drained burst, such as a seam import fanning a
+//! It is a binary heap of 24-byte `(time, push number, slot)` keys over one
+//! slab of events: a sift moves keys, never an event. The slab grows a
+//! quarter at a time and threads its freed slots onto a free list (no
+//! steady-state allocation). It tracks what is pending, not what once was:
+//! when a pop leaves a slab of at least 512 slots with at most an eighth of
+//! them live — the tail of a drained burst, such as a seam import fanning a
 //! migrant's residue out to every AP in one instant — the queue moves its
-//! live events, keys unchanged, into a fresh slab of 1.25 × live and hands
-//! the old one back. Nothing is ever cancelled: every timer is
-//! fire-and-check — its handler decides whether it still matters, as
-//! `SwitchEngine::on_timeout` ignores a `stop` retransmission timer its
-//! switch has already outrun — so a bucket's list only ever links live
-//! events.
+//! live events into a fresh slab of 1.25 × live and hands the old one back.
+//! Nothing is ever cancelled: every timer is fire-and-check — its handler
+//! decides whether it still matters, as `SwitchEngine::on_timeout` ignores
+//! a `stop` retransmission timer its switch has already outrun.
 //!
 //! The `(time, seq)` pop order is checked at unit level against an ordered
-//! map (`reference_and_calendar_agree_under_churn` and
+//! map (`queue_and_reference_agree_under_churn` and
 //! `a_drained_burst_hands_its_slab_back_in_order` here and
 //! `event_queue_total_order` in the root package's property tests) and end
 //! to end by the golden run digests (`tests/golden/`), which move if any two
 //! events swap.
 
 use crate::time::SimTime;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// log2 of the bucket width in nanoseconds: 2^16 ns = 65.536 µs, a few
-/// 802.11 slot times — fine enough that a bucket rarely holds more than a
-/// handful of events, coarse enough that the ring spans the protocol's
-/// 30 ms timers.
-const BUCKET_BITS: u32 = 16;
-/// Ring size (power of two): 1024 buckets × 65.536 µs ≈ 67 ms horizon.
-/// Events beyond the horizon wait in the spill heap.
-const NUM_BUCKETS: u64 = 1024;
-
-/// End of a slot list (a bucket's or the free list).
+/// End of the free list.
 const NIL: u32 = u32::MAX;
 
-/// `(time in ns, push number, slab slot)` as stored in the drain list and
-/// the spill heap: three words, where a `u128` sort key would pad the same
-/// content to four. Tuple order is the pop order — `(time, push number)` is
-/// unique per entry, so the slot never decides.
+/// `(time in ns, push number, slab slot)`, one heap entry: three words,
+/// where a `u128` sort key would pad the same content to four. Tuple order
+/// is the pop order — `(time, push number)` is unique per entry, so the
+/// slot never decides.
 type Ref = (u64, u64, u32);
 
-/// One slab slot: a pending event with its pop key and the next slot of
-/// its bucket, or — `event` `None` — a free slot and the next free one.
+/// One slab slot: a pending event, or — `event` `None` — a free slot and
+/// the next free one.
 struct Slot<E> {
-    time: u64,
-    seq: u64,
     next: u32,
     event: Option<E>,
 }
@@ -83,24 +65,6 @@ const REBUILD_MIN_SLOTS: usize = 512;
 /// `1 / REBUILD_SPARSITY` of its slots hold an event.
 const REBUILD_SPARSITY: usize = 8;
 
-/// Slab capacity a rebuild leaves for `live` events: 1.25 × live, the same
-/// headroom [`reserve_quarter`] grows by.
-fn rebuilt_capacity(live: usize) -> usize {
-    live + live / 4
-}
-
-/// Moves `from`'s event, with its key, to the end of `to` and returns its
-/// slot there.
-fn move_slot<E>(from: &mut Slot<E>, to: &mut Vec<Slot<E>>) -> u32 {
-    to.push(Slot {
-        time: from.time,
-        seq: from.seq,
-        next: NIL,
-        event: from.event.take(),
-    });
-    (to.len() - 1) as u32
-}
-
 /// Time-ordered future event list with stable FIFO tie-breaking — see the
 /// module docs.
 pub struct EventQueue<E> {
@@ -108,24 +72,8 @@ pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     /// First slot of the free list, or `NIL`.
     free: u32,
-    /// Slots holding an event.
-    live: usize,
-    /// Ring of bucket lists as `(first slot, last slot)`, `NIL` when empty;
-    /// bucket `b` (absolute index `time >> BUCKET_BITS`) lives at
-    /// `ring[b % NUM_BUCKETS]`. Holds only buckets within the horizon
-    /// `[cursor, cursor + NUM_BUCKETS)`, so each ring cell maps to a single
-    /// absolute bucket at any moment.
-    ring: Vec<(u32, u32)>,
-    /// Events currently linked into the ring.
-    ring_count: usize,
-    /// Spill heap for events beyond the ring horizon, min-ordered by key.
-    spill: BinaryHeap<std::cmp::Reverse<Ref>>,
-    /// Sorted drain list of the bucket the cursor points at.
-    cur: Vec<Ref>,
-    /// Drain position within `cur`.
-    cur_pos: usize,
-    /// Absolute bucket index currently being drained.
-    cursor: u64,
+    /// One key per pending event, the earliest on top.
+    heap: BinaryHeap<Reverse<Ref>>,
     next_seq: u64,
 }
 
@@ -141,13 +89,7 @@ impl<E> EventQueue<E> {
         EventQueue {
             slots: Vec::new(),
             free: NIL,
-            live: 0,
-            ring: vec![(NIL, NIL); NUM_BUCKETS as usize],
-            ring_count: 0,
-            spill: BinaryHeap::new(),
-            cur: Vec::new(),
-            cur_pos: 0,
-            cursor: 0,
+            heap: BinaryHeap::new(),
             next_seq: 0,
         }
     }
@@ -156,117 +98,33 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let time = time.as_nanos();
-        let filled = Slot {
-            time,
-            seq,
-            next: NIL,
-            event: Some(event),
-        };
         let slot = if self.free != NIL {
             let s = self.free;
-            self.free = self.slots[s as usize].next;
-            self.slots[s as usize] = filled;
+            let slot = &mut self.slots[s as usize];
+            self.free = slot.next;
+            slot.event = Some(event);
             s
         } else {
             reserve_quarter(&mut self.slots, usize::MAX);
-            self.slots.push(filled);
+            self.slots.push(Slot {
+                next: NIL,
+                event: Some(event),
+            });
             (self.slots.len() - 1) as u32
         };
-        self.live += 1;
-        let r: Ref = (time, seq, slot);
-
-        let bucket = time >> BUCKET_BITS;
-        if bucket <= self.cursor {
-            // Present bucket (or, defensively, earlier): insert into the
-            // undrained tail of the current drain list, keeping it sorted.
-            let ins = self.cur[self.cur_pos..].partition_point(|&other| other < r);
-            self.cur.insert(self.cur_pos + ins, r);
-        } else if bucket < self.cursor + NUM_BUCKETS {
-            let cell = &mut self.ring[(bucket % NUM_BUCKETS) as usize];
-            match cell.1 {
-                NIL => cell.0 = slot,
-                last => self.slots[last as usize].next = slot,
-            }
-            cell.1 = slot;
-            self.ring_count += 1;
-        } else {
-            self.spill.push(std::cmp::Reverse(r));
-        }
-    }
-
-    /// Positions `cur[cur_pos]` at the next event. Returns `false` when the
-    /// queue is empty.
-    fn settle(&mut self) -> bool {
-        if self.cur_pos < self.cur.len() {
-            return true;
-        }
-        self.cur.clear();
-        self.cur_pos = 0;
-        if self.is_empty() {
-            return false;
-        }
-        self.advance_to_next_bucket();
-        true
-    }
-
-    /// Moves the cursor to the next bucket holding any event and loads it
-    /// into the drain list.
-    fn advance_to_next_bucket(&mut self) {
-        let spill_bucket = self
-            .spill
-            .peek()
-            .map(|std::cmp::Reverse(r)| r.0 >> BUCKET_BITS);
-        let target = if self.ring_count == 0 {
-            // Nothing inside the horizon: jump straight to the earliest
-            // spilled bucket (it must exist — the queue is not empty).
-            spill_bucket.expect("pending events but empty ring and spill")
-        } else {
-            // Scan forward; ring events always live in
-            // (cursor, cursor + NUM_BUCKETS), so this terminates.
-            let mut b = self.cursor + 1;
-            loop {
-                if spill_bucket == Some(b) || self.ring[(b % NUM_BUCKETS) as usize].0 != NIL {
-                    break b;
-                }
-                b += 1;
-            }
-        };
-        self.cursor = target;
-        // Walk the bucket's list into `cur` (empty here, and keeping its
-        // capacity, so there is no steady-state allocation).
-        let cell = &mut self.ring[(target % NUM_BUCKETS) as usize];
-        let mut s = std::mem::replace(cell, (NIL, NIL)).0;
-        while s != NIL {
-            let slot = &self.slots[s as usize];
-            self.cur.push((slot.time, slot.seq, s));
-            s = slot.next;
-        }
-        self.ring_count -= self.cur.len();
-        // Pull every spilled event belonging to this bucket.
-        while let Some(std::cmp::Reverse(r)) = self.spill.peek() {
-            if r.0 >> BUCKET_BITS != target {
-                break;
-            }
-            let std::cmp::Reverse(r) = self.spill.pop().unwrap();
-            self.cur.push(r);
-        }
-        self.cur.sort_unstable();
+        self.heap.push(Reverse((time.as_nanos(), seq, slot)));
     }
 
     /// Time of the next event, if any.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.settle()
-            .then(|| SimTime::from_nanos(self.cur[self.cur_pos].0))
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap
+            .peek()
+            .map(|&Reverse((time, _, _))| SimTime::from_nanos(time))
     }
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if !self.settle() {
-            return None;
-        }
-        let (time, _, s) = self.cur[self.cur_pos];
-        self.cur_pos += 1;
+        let Reverse((time, _, s)) = self.heap.pop()?;
         let slot = &mut self.slots[s as usize];
         let event = slot
             .event
@@ -274,61 +132,37 @@ impl<E> EventQueue<E> {
             .expect("a queued reference's slot holds its event");
         slot.next = self.free;
         self.free = s;
-        self.live -= 1;
-        if self.slots.len() >= REBUILD_MIN_SLOTS && self.live <= self.slots.len() / REBUILD_SPARSITY
+        if self.slots.len() >= REBUILD_MIN_SLOTS
+            && self.len() <= self.slots.len() / REBUILD_SPARSITY
         {
             self.rebuild();
         }
         Some((SimTime::from_nanos(time), event))
     }
 
-    /// Moves every pending event into a fresh slab of
-    /// [`rebuilt_capacity`] slots and frees the old one, so a drained
-    /// burst stops holding its depth for the rest of the run. Each event
-    /// keeps its `(time, push number)` key, and the ring, the spill heap
-    /// and the undrained drain list keep their entries in their order, so
-    /// no pop order changes. Every pending event is named by exactly one
-    /// of the three, which is how each is moved exactly once.
+    /// Moves every pending event into a fresh slab of 1.25 × live slots —
+    /// the headroom [`reserve_quarter`] grows by — and frees the old one,
+    /// so a drained burst stops holding its depth for the rest of the run.
+    /// Only the slot of each heap entry changes, not its key, so no pop
+    /// order changes.
     fn rebuild(&mut self) {
-        let mut old = std::mem::replace(
-            &mut self.slots,
-            Vec::with_capacity(rebuilt_capacity(self.live)),
-        );
-        let slots = &mut self.slots;
-        let mut cur = Vec::with_capacity(self.cur.len() - self.cur_pos);
-        for &(time, seq, s) in &self.cur[self.cur_pos..] {
-            cur.push((time, seq, move_slot(&mut old[s as usize], slots)));
+        let live = self.len();
+        let mut old = std::mem::replace(&mut self.slots, Vec::with_capacity(live + live / 4));
+        let mut heap = std::mem::take(&mut self.heap).into_vec();
+        for Reverse((_, _, s)) in &mut heap {
+            let event = old[*s as usize].event.take();
+            self.slots.push(Slot { next: NIL, event });
+            *s = (self.slots.len() - 1) as u32;
         }
-        self.cur = cur;
-        self.cur_pos = 0;
-        for cell in &mut self.ring {
-            let mut s = cell.0;
-            let mut last = NIL;
-            while s != NIL {
-                let next = old[s as usize].next;
-                let to = move_slot(&mut old[s as usize], slots);
-                match last {
-                    NIL => cell.0 = to,
-                    _ => slots[last as usize].next = to,
-                }
-                last = to;
-                s = next;
-            }
-            cell.1 = last;
-        }
-        let mut spill = std::mem::take(&mut self.spill).into_vec();
-        for std::cmp::Reverse(r) in &mut spill {
-            r.2 = move_slot(&mut old[r.2 as usize], slots);
-        }
+        heap.shrink_to(self.slots.capacity());
         // The keys are where they were, so the vector is still a heap.
-        self.spill = BinaryHeap::from(spill);
-        debug_assert_eq!(self.slots.len(), self.live);
+        self.heap = BinaryHeap::from(heap);
         self.free = NIL;
     }
 
     /// Number of events still pending.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// True when no events remain.
@@ -385,10 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn far_future_events_cross_the_horizon() {
-        // Events far beyond the ring horizon (~67 ms) take the spill path
-        // and must still pop in exact order, including ties at the same
-        // nanosecond across the horizon boundary.
+    fn far_timers_pop_in_order() {
+        // Timers seconds ahead, and one at the end of time, pop in exact
+        // order among near events, ties at the same nanosecond in push
+        // order.
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(10), "far-a");
         q.push(t(1), "near");
@@ -404,7 +238,7 @@ mod tests {
     }
 
     #[test]
-    fn calendar_slab_is_bounded_under_churn() {
+    fn slab_is_bounded_under_churn() {
         // A popped event's slot is freed at once; steady push/pop churn
         // (a self-rescheduling tick, a timer re-armed as it fires) reuses
         // the same handful of slab slots.
@@ -427,23 +261,20 @@ mod tests {
     /// Bytes the queue holds on the heap, reserved or in use.
     fn retained_bytes<E>(q: &EventQueue<E>) -> usize {
         use std::mem::size_of;
-        q.slots.capacity() * size_of::<Slot<E>>()
-            + q.ring.capacity() * size_of::<(u32, u32)>()
-            + (q.spill.capacity() + q.cur.capacity()) * size_of::<Ref>()
+        q.slots.capacity() * size_of::<Slot<E>>() + q.heap.capacity() * size_of::<Ref>()
     }
 
     #[test]
-    fn retained_memory_tracks_the_largest_burst_not_every_bucket() {
-        // Post-handover bursts: a thousand packet copies land in one
-        // bucket, drain, and the next thousand land in another bucket at a
-        // different distance ahead — 200 bursts over most of the ring. The
-        // queue may keep what one burst needed, not what every bucket it
-        // ever drained once held.
+    fn retained_memory_tracks_the_largest_burst() {
+        // Post-handover bursts: a thousand packet copies land 65.536 µs to
+        // 65.5 ms ahead, drain, and the next thousand land at a different
+        // distance ahead — 200 bursts. The queue may keep what one burst
+        // needed, not what every burst once held.
         const BURST: u64 = 1_000;
         let mut q = EventQueue::new();
         let mut now = 0u64;
         for k in 0..200u64 {
-            let ahead = (1 + k * 37 % (NUM_BUCKETS - 24)) << BUCKET_BITS;
+            let ahead = (1 + k * 37 % 1_000) << 16;
             for i in 0..BURST {
                 q.push(SimTime::from_nanos(now + ahead + i), i);
             }
@@ -470,9 +301,9 @@ mod tests {
     #[test]
     fn a_drained_burst_hands_its_slab_back_in_order() {
         // A seam import: 4 096 packet copies at one instant, behind events
-        // waiting in the current bucket, ring timers and far spilled
-        // timers. Every ninth pop of the drain pushes one more event — to
-        // the current bucket, the ring or the spill in turn — so the queue
+        // 100 ns ahead, timers milliseconds ahead and timers seconds
+        // ahead. Every ninth pop of the drain pushes one more event — at
+        // the popped instant, 5 ms or 2 s after it in turn — so the queue
         // falls to an eighth of its slab with the burst not yet drained and
         // rebuilds there. Every pop matches the ordered map.
         const BURST: u64 = 4_096;
@@ -535,44 +366,44 @@ mod tests {
     }
 
     #[test]
-    fn reference_and_calendar_agree_under_churn() {
+    fn queue_and_reference_agree_under_churn() {
         // Drive the queue and its reference — an ordered map keyed by
         // `(time, push number)` — through an identical randomized
         // push/pop script and demand identical outputs: the unit-level
         // order check (the golden run digests are the end-to-end one).
         let mut rng = SimRng::new(0xC0FFEE).fork("queue-equiv");
-        let mut cal = EventQueue::new();
+        let mut q = EventQueue::new();
         let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
         let mut now = 0u64;
         for step in 0..20_000u64 {
             match rng.range(0u64..8) {
                 0..=4 => {
-                    // Push somewhere from "now" to beyond the horizon.
+                    // Push somewhere from "now" to 40 s ahead.
                     let dt = match rng.range(0u64..4) {
-                        0 => rng.range(0u64..1_000),                 // same-bucket ties
-                        1 => rng.range(0u64..10_000_000),            // within horizon
-                        2 => rng.range(0u64..40_000_000_000),        // spill path
-                        _ => 100_000_000 + rng.range(0u64..100_000), // spilled, shared buckets
+                        0 => rng.range(0u64..1_000),                 // near ties
+                        1 => rng.range(0u64..10_000_000),            // up to 10 ms
+                        2 => rng.range(0u64..40_000_000_000),        // up to 40 s
+                        _ => 100_000_000 + rng.range(0u64..100_000), // far, clustered
                     };
                     let at = SimTime::from_nanos(now + dt);
                     model.insert((at, step), step);
-                    cal.push(at, step);
+                    q.push(at, step);
                 }
                 _ => {
                     let want = model.pop_first().map(|((at, _), e)| (at, e));
-                    assert_eq!(cal.peek_time(), want.map(|(at, _)| at), "step {step}");
-                    assert_eq!(cal.pop(), want, "step {step}");
+                    assert_eq!(q.peek_time(), want.map(|(at, _)| at), "step {step}");
+                    assert_eq!(q.pop(), want, "step {step}");
                     if let Some((at, _)) = want {
                         now = at.as_nanos();
                     }
                 }
             }
-            assert_eq!(cal.len(), model.len(), "step {step}");
+            assert_eq!(q.len(), model.len(), "step {step}");
         }
         // Drain both to the end.
         for ((at, _), e) in model {
-            assert_eq!(cal.pop(), Some((at, e)));
+            assert_eq!(q.pop(), Some((at, e)));
         }
-        assert_eq!(cal.pop(), None);
+        assert_eq!(q.pop(), None);
     }
 }

@@ -201,8 +201,8 @@ proptest! {
     /// of pushes and pops it agrees with an ordered set of
     /// `(time, push number)`, the push number being the payload —
     /// time-ordered, FIFO within a nanosecond, nothing lost. Offsets run
-    /// from same-nanosecond ties through the bucket ring and past its
-    /// ~67 ms horizon (the spill heap) to `SimTime::MAX`. Bursts of
+    /// from same-nanosecond ties through 100 µs, 60 ms and half a second
+    /// to `SimTime::MAX`. Bursts of
     /// hundreds of events at one instant, drained by runs of pops, take
     /// the slab past the size at which a drained queue rebuilds it.
     #[test]
